@@ -9,7 +9,9 @@
 //! million-flow workload never materializes a million `FlowSpec`s up
 //! front. Per-flow timers carry the flow's [`FlowRef`] in the token; a
 //! timer that outlives its flow fails the pool's generation check and is
-//! dropped (counted, never misdelivered).
+//! dropped (counted, never misdelivered). The host keeps at most one wake
+//! pending per sender: the engine has no timer cancellation, so re-arming
+//! on every ACK would leave a chain of wakes that each find nothing due.
 
 use crate::conn::{digest_flow_key, ReceiverStats, SenderStats, TcpSenderConfig, TcpState};
 use crate::pool::{FlowKind, FlowPool, FlowRef, StaleFlowRef};
@@ -210,6 +212,12 @@ pub struct TcpHost {
     agg: HostCounters,
     /// Initial sequence number assigned to each new sender.
     next_isn: u32,
+    /// Fire time of the one wake kept pending per sender, by pool slot
+    /// index (`None`: nothing armed); reset when a sender takes the slot.
+    /// A host-side column rather than a pool one: it is timer
+    /// bookkeeping no protocol code reads, and growing the pool's slots
+    /// for it would tax every engine-less pool user.
+    wake_at: Vec<Option<SimTime>>,
 }
 
 /// Unwrap a pool call made through a handle the host owns.
@@ -251,6 +259,7 @@ impl TcpHost {
             cfg: TcpHostConfig::default(),
             agg: HostCounters::default(),
             next_isn: 1,
+            wake_at: Vec::new(),
         }
     }
 
@@ -344,6 +353,11 @@ impl TcpHost {
             // Spread ISNs so sequence numbers do not collide across flows.
             self.next_isn = self.next_isn.wrapping_add(0x0100_0000).wrapping_add(1);
             let r = self.pool.insert_sender(spec.key, spec.config, isn);
+            let slot = r.index() as usize;
+            if slot >= self.wake_at.len() {
+                self.wake_at.resize(slot + 1, None);
+            }
+            self.wake_at[slot] = None;
             self.agg.admitted += 1;
             live(self.pool.on_start(r, now));
             for pkt in live(self.pool.take_out(r)) {
@@ -359,11 +373,24 @@ impl TcpHost {
         }
     }
 
-    fn arm_for(&self, r: FlowRef, ctx: &mut Ctx) {
-        if let Ok(Some(at)) = self.pool.next_event_time(r) {
-            let delay = at.since(ctx.now()).max(SimDuration::from_nanos(1));
-            ctx.set_timer(delay, Self::flow_token(r));
+    /// Arm a wake for `r`'s earliest deadline unless one is already
+    /// pending at or before it — that wake will tick the flow and re-arm.
+    /// A deadline that moves *earlier* than the pending wake is the only
+    /// case that arms a second timer; the superseded one is then an
+    /// orphan, which `on_timer` drops when it fires.
+    fn arm_for(&mut self, r: FlowRef, ctx: &mut Ctx) {
+        let Ok(Some(deadline)) = self.pool.next_event_time(r) else {
+            return;
+        };
+        let now = ctx.now();
+        // A deadline already due still fires strictly after `now`.
+        let fire = deadline.max(now + SimDuration::from_nanos(1));
+        let wake = &mut self.wake_at[r.index() as usize];
+        if wake.is_some_and(|w| w <= fire) {
+            return;
         }
+        *wake = Some(fire);
+        ctx.set_timer(fire.since(now), Self::flow_token(r));
     }
 
     /// Update handshake counters for an observed state transition.
@@ -503,6 +530,13 @@ impl NodeLogic for TcpHost {
                 self.agg.stale_wakes += 1;
             }
             Ok(FlowKind::Sender) => {
+                let wake = &mut self.wake_at[r.index() as usize];
+                if *wake != Some(now) {
+                    // Orphan: a deadline moved earlier after this wake
+                    // was armed, and the wake armed for it took over.
+                    return;
+                }
+                *wake = None;
                 let pre = live(self.pool.state(r));
                 live(self.pool.on_tick(r, now));
                 self.finish_event(r, pre, ctx);
@@ -531,6 +565,10 @@ impl NodeLogic for TcpHost {
             digest_flow_key(d, k);
         }
         d.write_u32(self.next_isn);
+        d.write_len(self.wake_at.len());
+        for w in &self.wake_at {
+            d.write_opt_u64(w.map(|t| t.0));
+        }
         self.agg.state_digest(d);
         d.write_opt_u64(self.cfg.listen_backlog.map(|v| v as u64));
         d.write_bool(self.cfg.evict_closed);
@@ -544,6 +582,7 @@ impl NodeLogic for TcpHost {
         let remaining = self.source.remaining()?;
         let pool = self.pool.to_bytes().ok()?;
         let mut b = Vec::new();
+        b.extend_from_slice(&STATE_TAG);
         b.extend_from_slice(&(remaining.len() as u32).to_le_bytes());
         for spec in &remaining {
             push_spec(&mut b, spec);
@@ -555,6 +594,10 @@ impl NodeLogic for TcpHost {
             push_key(&mut b, k);
         }
         b.extend_from_slice(&self.next_isn.to_le_bytes());
+        b.extend_from_slice(&(self.wake_at.len() as u32).to_le_bytes());
+        for w in &self.wake_at {
+            push_opt_u64(&mut b, w.map(|t| t.0));
+        }
         for v in [
             self.agg.admitted,
             self.agg.evictions,
@@ -580,24 +623,34 @@ impl NodeLogic for TcpHost {
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut at = 0usize;
-        let nspec = read_u32(bytes, &mut at)? as usize;
+        if bytes.get(..STATE_TAG.len()) != Some(&STATE_TAG[..]) {
+            return Err("unsupported tcp host state version".into());
+        }
+        let mut at = STATE_TAG.len();
+        let nspec = read_count(bytes, &mut at, MIN_SPEC_BYTES)?;
         let mut specs = Vec::with_capacity(nspec);
         for _ in 0..nspec {
             specs.push(read_spec(bytes, &mut at)?);
         }
-        let plen = read_u64(bytes, &mut at)? as usize;
-        let pslice = bytes
-            .get(at..at + plen)
+        let plen = read_u64(bytes, &mut at)?;
+        let pend = usize::try_from(plen)
+            .ok()
+            .and_then(|plen| at.checked_add(plen))
             .ok_or("truncated tcp host state")?;
-        at += plen;
+        let pslice = bytes.get(at..pend).ok_or("truncated tcp host state")?;
+        at = pend;
         let pool = FlowPool::from_bytes(pslice)?;
-        let norder = read_u32(bytes, &mut at)? as usize;
+        let norder = read_count(bytes, &mut at, KEY_BYTES)?;
         let mut order = Vec::with_capacity(norder);
         for _ in 0..norder {
             order.push(read_key(bytes, &mut at)?);
         }
         let next_isn = read_u32(bytes, &mut at)?;
+        let nwake = read_count(bytes, &mut at, 1)?;
+        let mut wake_at = Vec::with_capacity(nwake);
+        for _ in 0..nwake {
+            wake_at.push(read_opt_u64(bytes, &mut at)?.map(SimTime));
+        }
         let mut agg = HostCounters::default();
         for slot in [
             &mut agg.admitted,
@@ -626,6 +679,9 @@ impl NodeLogic for TcpHost {
         // Rebuild the lookup index from the restored pool.
         let mut by_key = HashMap::new();
         for r in pool.iter_refs() {
+            if pool.kind(r) == Ok(FlowKind::Sender) && r.index() as usize >= wake_at.len() {
+                return Err("tcp host state has a sender without a wake entry".into());
+            }
             by_key.insert(live(pool.key(r)), r);
         }
         self.source = Box::new(VecSource::new(specs));
@@ -633,6 +689,7 @@ impl NodeLogic for TcpHost {
         self.by_key = by_key;
         self.order = order;
         self.next_isn = next_isn;
+        self.wake_at = wake_at;
         self.agg = agg;
         self.cfg = TcpHostConfig {
             listen_backlog,
@@ -671,6 +728,15 @@ impl NodeLogic for TcpHost {
         self
     }
 }
+
+/// Leading tag of the host-state blob; the digit is the codec version.
+/// Version 2 added the `wake_at` section — an untagged version-1 blob
+/// must be refused, not misparsed.
+const STATE_TAG: [u8; 4] = *b"TCH2";
+/// Encoded size of a [`FlowKey`] ([`push_key`]).
+const KEY_BYTES: usize = 13;
+/// Smallest encoded [`FlowSpec`] ([`push_spec`] with both options absent).
+const MIN_SPEC_BYTES: usize = KEY_BYTES + 8 + 4 + 1 + 1 + 8 + 1 + 8;
 
 fn push_key(b: &mut Vec<u8>, k: &FlowKey) {
     b.extend_from_slice(&k.src.0.to_le_bytes());
@@ -727,6 +793,17 @@ fn read_u64(b: &[u8], at: &mut usize) -> Result<u64, String> {
     Ok(u64::from_le_bytes(a))
 }
 
+/// Read a `u32` element count, refusing one the remaining bytes cannot
+/// hold at `min_record` bytes per element — the count sizes an
+/// allocation, and the blob comes from outside the process.
+fn read_count(b: &[u8], at: &mut usize, min_record: usize) -> Result<usize, String> {
+    let n = read_u32(b, at)? as usize;
+    if n > (b.len() - *at) / min_record {
+        return Err("tcp host state count exceeds remaining bytes".into());
+    }
+    Ok(n)
+}
+
 fn read_opt_u64(b: &[u8], at: &mut usize) -> Result<Option<u64>, String> {
     match read_u8(b, at)? {
         0 => Ok(None),
@@ -769,4 +846,288 @@ fn read_spec(b: &[u8], at: &mut usize) -> Result<FlowSpec, String> {
             time_wait,
         },
     })
+}
+
+#[cfg(test)]
+mod tests {
+    //! Host-level tests: the one-pending-wake-per-sender rule checked against
+    //! the engine's real event queue, checkpoint restore, and hostile
+    //! checkpoint bytes.
+
+    use super::*;
+    use dui_netsim::event::SavedEvent;
+    use dui_netsim::packet::Addr;
+    use dui_netsim::prelude::{Bandwidth, Dir, FaultConfig, LinkId, RouterLogic, Simulator};
+    use dui_netsim::topology::{NodeId, Topology, TopologyBuilder};
+    use dui_stats::propcheck::Gen;
+    use dui_stats::{prop_assert, prop_assert_eq, prop_check};
+    use std::collections::BTreeMap;
+
+    /// Middle node standing in for an unreliable path: the next entry of a
+    /// generated schedule decides whether each packet is lost, duplicated,
+    /// held back (reordering it behind later packets) or forwarded.
+    struct Mangler {
+        schedule: Vec<u8>,
+        next: usize,
+        held: Vec<Option<Packet>>,
+    }
+
+    impl NodeLogic for Mangler {
+        fn on_packet(&mut self, ctx: &mut Ctx, pkt: Packet) {
+            let action = self.schedule[self.next % self.schedule.len()];
+            self.next += 1;
+            match action {
+                0 => {}
+                1 => {
+                    ctx.send(pkt.clone());
+                    ctx.send(pkt);
+                }
+                2 | 3 => {
+                    ctx.set_timer(
+                        SimDuration::from_millis(u64::from(action) * 9),
+                        self.held.len() as u64,
+                    );
+                    self.held.push(Some(pkt));
+                }
+                _ => ctx.send(pkt),
+            }
+        }
+
+        fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
+            if let Some(pkt) = self.held[token as usize].take() {
+                ctx.send(pkt);
+            }
+        }
+
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+
+        // Never restored: it only lets `Simulator::checkpoint` succeed, which
+        // is the one public window onto the pending-event queue.
+        fn save_state(&self) -> Option<Vec<u8>> {
+            Some(Vec::new())
+        }
+    }
+
+    /// h1 — mid — h2 on 10 Mbit/s, 5 ms links.
+    fn line() -> (Topology, NodeId, NodeId, NodeId) {
+        let mut b = TopologyBuilder::new();
+        let h1 = b.host("h1", Addr::new(10, 0, 0, 1));
+        let mid = b.router("mid");
+        let h2 = b.host("h2", Addr::new(10, 0, 0, 2));
+        let (bw, delay) = (Bandwidth::mbps(10), SimDuration::from_millis(5));
+        b.link(h1, mid, bw, delay, 64);
+        b.link(mid, h2, bw, delay, 64);
+        (b.build(), h1, mid, h2)
+    }
+
+    /// One to three flows mixing bulk and paced senders, with and without the
+    /// handshake lifecycle (TIME-WAIT deadlines), starting at staggered times.
+    fn flows(g: &mut Gen) -> Vec<FlowSpec> {
+        (0..g.usize(1..4))
+            .map(|i| FlowSpec {
+                key: FlowKey::tcp(
+                    Addr::new(10, 0, 0, 1),
+                    1000 + i as u16,
+                    Addr::new(10, 0, 0, 2),
+                    80,
+                ),
+                start: SimTime::ZERO + SimDuration::from_millis(g.u64(0..300)),
+                config: TcpSenderConfig {
+                    total_bytes: Some(g.u64(1..80_000)),
+                    app_rate: g.bool().then(|| g.u64(20_000..400_000)),
+                    handshake: g.bool(),
+                    time_wait: SimDuration::from_millis(g.u64(0..800)),
+                    ..Default::default()
+                },
+            })
+            .collect()
+    }
+
+    /// Pending per-flow wakes of node `host`, by timer token, in firing order.
+    fn pending_wakes(sim: &Simulator, host: NodeId) -> BTreeMap<u64, Vec<SimTime>> {
+        let mut wakes: BTreeMap<u64, Vec<SimTime>> = BTreeMap::new();
+        for (at, ev) in sim.checkpoint().expect("checkpointable").events {
+            match ev {
+                SavedEvent::Timer { node, token } if node == host && token >= TOKEN_FLOW_BASE => {
+                    wakes.entry(token).or_default().push(at);
+                }
+                _ => {}
+            }
+        }
+        wakes
+    }
+
+    prop_check! {
+        cases = 24;
+
+        fn at_most_one_wake_pending_per_sender(g) {
+            let (topo, h1, mid, h2) = line();
+            let mut sim = Simulator::new(topo, 1);
+            let mut src = TcpHost::with_flows(flows(g));
+            src.set_config(TcpHostConfig { evict_closed: g.bool(), ..Default::default() });
+            sim.set_logic(h1, Box::new(src));
+            sim.set_logic(mid, Box::new(Mangler {
+                schedule: g.vec(8..64, |g| g.u8(0..12)),
+                next: 0,
+                held: Vec::new(),
+            }));
+            sim.set_logic(h2, Box::new(TcpHost::new()));
+
+            // Per token: wakes pending after the previous event, and the ones
+            // known to be orphans — superseded by a wake armed for an earlier
+            // deadline, the only way a second wake may come to exist.
+            let mut before: BTreeMap<u64, Vec<SimTime>> = BTreeMap::new();
+            let mut orphans: BTreeMap<u64, Vec<SimTime>> = BTreeMap::new();
+            let mut deadlines_seen = 0u32;
+            for _ in 0..2_500 {
+                if sim.step_limited(SimTime::from_secs(30)).is_none() {
+                    break;
+                }
+                let now = sim.now();
+                let pending = pending_wakes(&sim, h1);
+                let host: &mut TcpHost = sim.logic_mut(h1);
+                for r in host.pool.iter_refs() {
+                    let token = TcpHost::flow_token(r);
+                    let wakes = pending.get(&token).map_or(&[][..], |w| w);
+                    let old = before.get(&token).map_or(&[][..], |w| w);
+                    let orphaned = orphans.entry(token).or_default();
+                    orphaned.retain(|o| wakes.contains(o));
+                    if let Some(armed) = wakes.iter().find(|w| !old.contains(w)) {
+                        for later in wakes.iter().filter(|w| *w > armed) {
+                            if !orphaned.contains(later) {
+                                orphaned.push(*later);
+                            }
+                        }
+                    }
+                    let live: Vec<SimTime> =
+                        wakes.iter().filter(|w| !orphaned.contains(w)).copied().collect();
+                    prop_assert!(
+                        live.len() <= 1,
+                        "{r}: wakes {live:?} pending at {now:?} and none supersedes the other"
+                    );
+                    if let Some(deadline) = host.pool.next_event_time(r).expect("live ref") {
+                        deadlines_seen += 1;
+                        let latest = deadline.max(now + SimDuration::from_nanos(1));
+                        prop_assert!(
+                            live.first().is_some_and(|w| *w <= latest),
+                            "{r}: deadline {deadline:?} at {now:?} but pending wakes are {wakes:?}"
+                        );
+                    }
+                }
+                before = pending;
+            }
+            prop_assert!(deadlines_seen > 0, "no sender ever had a deadline");
+        }
+
+        fn host_restore_is_a_state_hash_fixed_point(g) {
+            let build = |specs: Vec<FlowSpec>| {
+                let (topo, h1, mid, h2) = line();
+                let mut sim = Simulator::new(topo, 7);
+                sim.set_logic(h1, Box::new(TcpHost::with_flows(specs)));
+                sim.set_logic(mid, Box::new(RouterLogic::new()));
+                sim.set_logic(h2, Box::new(TcpHost::new()));
+                (sim, h1)
+            };
+            let (mut sim, h1) = build(flows(g));
+            sim.set_fault(LinkId(1), Dir::AtoB, FaultConfig {
+                drop_prob: g.f64(0.0..0.2),
+                jitter_max: Some(SimDuration::from_millis(g.u64(1..30))),
+            });
+            sim.run_until(SimTime::ZERO + SimDuration::from_millis(g.u64(1..4_000)));
+            let ckpt = sim.checkpoint().expect("checkpointable");
+            let (mut resumed, _) = build(Vec::new());
+            resumed.restore(ckpt).expect("restorable");
+            prop_assert_eq!(resumed.state_hash(), sim.state_hash());
+            // The restored wake bookkeeping must also *behave* the same.
+            let end = SimTime::from_secs(30);
+            sim.run_until(end);
+            resumed.run_until(end);
+            prop_assert_eq!(resumed.state_hash(), sim.state_hash());
+            let stats = |sim: &mut Simulator| sim.logic_mut::<TcpHost>(h1).all_sender_stats();
+            prop_assert_eq!(stats(&mut resumed), stats(&mut sim));
+        }
+    }
+
+    /// A host mid-transfer, for codec tests.
+    fn saved_host_state() -> Vec<u8> {
+        let (topo, h1, mid, h2) = line();
+        let mut sim = Simulator::new(topo, 3);
+        let spec = |sport, start_ms| FlowSpec {
+            key: FlowKey::tcp(Addr::new(10, 0, 0, 1), sport, Addr::new(10, 0, 0, 2), 80),
+            start: SimTime::ZERO + SimDuration::from_millis(start_ms),
+            config: TcpSenderConfig {
+                total_bytes: Some(50_000),
+                ..Default::default()
+            },
+        };
+        let flows = vec![spec(1000, 0), spec(1001, 900)];
+        sim.set_logic(h1, Box::new(TcpHost::with_flows(flows)));
+        sim.set_logic(mid, Box::new(RouterLogic::new()));
+        sim.set_logic(h2, Box::new(TcpHost::new()));
+        sim.run_until(SimTime::ZERO + SimDuration::from_millis(40));
+        let host: &mut TcpHost = sim.logic_mut(h1);
+        host.save_state().expect("VecSource host is restorable")
+    }
+
+    #[test]
+    fn load_state_refuses_counts_the_bytes_cannot_hold() {
+        let good = saved_host_state();
+        assert!(TcpHost::new().load_state(&good).is_ok());
+
+        // The 8-byte blob that used to reserve 4 Gi flow specs.
+        let mut huge_specs = STATE_TAG.to_vec();
+        huge_specs.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(TcpHost::new().load_state(&huge_specs).is_err());
+
+        // The same prefix with plenty of bytes behind it still names more
+        // specs than fit.
+        let mut padded = good.clone();
+        padded[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(TcpHost::new().load_state(&padded).is_err());
+
+        // Pool length, creation-order count and wake count live further
+        // in; overwrite each with all-ones in turn.
+        let nspec = u32::from_le_bytes([good[4], good[5], good[6], good[7]]) as usize;
+        assert_eq!(nspec, 1, "one flow not yet admitted");
+        let plen_at = 8 + MIN_SPEC_BYTES + 8; // this spec carries one Some(u64)
+        let plen = u64::from_le_bytes(good[plen_at..plen_at + 8].try_into().unwrap()) as usize;
+        let mut huge_pool = good.clone();
+        huge_pool[plen_at..plen_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(TcpHost::new().load_state(&huge_pool).is_err());
+        let norder_at = plen_at + 8 + plen;
+        let mut huge_order = good.clone();
+        huge_order[norder_at..norder_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(TcpHost::new().load_state(&huge_order).is_err());
+        // One sender admitted so far: one key, then the ISN cursor, then
+        // the wake count.
+        let nwake_at = norder_at + 4 + KEY_BYTES + 4;
+        let mut huge_wakes = good.clone();
+        huge_wakes[nwake_at..nwake_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(TcpHost::new().load_state(&huge_wakes).is_err());
+        // Well-formed, but the sender's (armed, 9-byte) entry is gone: the
+        // host would index past the column on that flow's next event.
+        let mut no_entry = good[..nwake_at].to_vec();
+        no_entry.extend_from_slice(&0u32.to_le_bytes());
+        no_entry.extend_from_slice(&good[nwake_at + 4 + 9..]);
+        assert_eq!(
+            TcpHost::new().load_state(&no_entry),
+            Err("tcp host state has a sender without a wake entry".into())
+        );
+    }
+
+    #[test]
+    fn load_state_rejects_every_truncation_and_the_untagged_layout() {
+        let good = saved_host_state();
+        for len in 0..good.len() {
+            assert!(
+                TcpHost::new().load_state(&good[..len]).is_err(),
+                "accepted a blob truncated to {len} of {} bytes",
+                good.len()
+            );
+        }
+        // Version 1 had no tag: the blob began with the spec count.
+        assert!(TcpHost::new().load_state(&good[STATE_TAG.len()..]).is_err());
+    }
 }

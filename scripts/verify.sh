@@ -29,6 +29,13 @@ cargo build --release --offline
 echo "== tests (workspace, offline) =="
 cargo test -q --offline --workspace
 
+echo "== ledger benchmark unit tests (own package, outside the workspace) =="
+# BENCHMARK.json's package has its own manifest with an empty
+# [workspace], so the workspace run above never compiles it: a public
+# API change that breaks the benchmark would otherwise surface only in
+# the driver. Its tests run every workload at --quick size.
+cargo test -q --release --offline --manifest-path ledger/Cargo.toml
+
 echo "== golden checkpoint hashes (byte-identity, no re-bless) =="
 # The golden traces must reproduce from the pinned fixtures as they sit
 # in the work tree — never via GOLDEN_BLESS — and the fixture files must

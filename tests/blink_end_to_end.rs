@@ -109,3 +109,67 @@ fn scenario_is_deterministic_per_seed() {
     assert_eq!(run(5), run(5));
     assert_ne!(run(5), run(6));
 }
+
+/// `blink-packet-small` (the golden-trace subject) must keep the logical
+/// outcome it had while `TcpHost` re-armed a wake after every ACK and
+/// tick. The constants were captured at that commit; the one-wake-per-flow
+/// host may change only event bookkeeping — which is why
+/// `tests/golden/blink_packet.hashes` could be re-blessed — and must keep
+/// timer events below deliveries (the wake chains ran at 2.6×).
+#[test]
+fn small_stage_outcome_survives_timer_bookkeeping_changes() {
+    use dui::blink::program::BlinkProgram;
+    use dui::netsim::node::RouterLogic;
+    use dui::tcp::TcpHost;
+    use dui_bench::recordings::{build_subject, StageSubject};
+
+    let mut subject = build_subject("blink-packet-small").expect("recordable stage");
+    let (mut timers, mut delivers) = (0u64, 0u64);
+    while let Some(ev) = subject.as_subject_mut().step() {
+        match ev.kind {
+            "timer" => timers += 1,
+            "deliver" => delivers += 1,
+            _ => {}
+        }
+    }
+    let StageSubject::Engine(engine) = subject else {
+        panic!("blink-packet-small runs on the packet engine");
+    };
+    let mut sim = engine.into_sim();
+    let node = |sim: &dui::netsim::sim::Simulator, name: &str| {
+        sim.core().topo().node_by_name(name).expect("scenario node")
+    };
+    let (legit, ingress, victim) = (
+        node(&sim, "legit-src"),
+        node(&sim, "ingress"),
+        node(&sim, "victim"),
+    );
+
+    assert_eq!(delivers, 24_629, "packets delivered");
+    assert_eq!(sim.counters().delivered, 24_629);
+    assert!(
+        timers <= delivers,
+        "timer chain is back: {timers} timer events for {delivers} deliveries"
+    );
+
+    let host: &mut TcpHost = sim.logic_mut(legit);
+    let stats = host.all_sender_stats();
+    let sum =
+        |f: fn(&dui::tcp::conn::SenderStats) -> u64| stats.iter().map(|(_, s)| f(s)).sum::<u64>();
+    assert_eq!(stats.len(), 203, "flows admitted");
+    assert_eq!(sum(|s| s.bytes_acked), 5_130_241);
+    assert_eq!(sum(|s| s.segments_sent), 3_769);
+    assert_eq!(sum(|s| s.retransmissions), 0);
+    assert_eq!(sum(|s| s.timeouts), 0);
+    assert_eq!(host.completed_senders(), 163);
+    let sink: &mut TcpHost = sim.logic_mut(victim);
+    assert_eq!(sink.total_bytes_received(), 5_832_501);
+
+    let router: &mut RouterLogic = sim.logic_mut(ingress);
+    let blink = router.program_mut::<BlinkProgram>(0);
+    let prefix = blink.monitored().next().expect("monitored prefix");
+    assert_eq!(prefix.selector.stats.sampled, 144);
+    assert_eq!(prefix.selector.stats.retransmissions, 175);
+    let reroutes: Vec<u64> = prefix.reroute.events.iter().map(|e| e.at.0).collect();
+    assert_eq!(reroutes, Vec::<u64>::new(), "reroute times (ns)");
+}
