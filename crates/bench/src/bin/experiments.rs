@@ -53,7 +53,7 @@
 
 use dui_bench::par::default_jobs;
 use dui_bench::recordings::{build_subject, default_ckpt_every, StageSubject, RECORD_STAGES};
-use dui_bench::stages::{run_stage_cfg, StageCfg, StageOutput, STAGE_NAMES};
+use dui_bench::stages::{run_stage, StageCfg, StageOutput, STAGE_NAMES};
 use dui_core::replay::{Recorder, Recording, Replayer};
 use dui_core::stats::table::Table;
 use dui_core::telemetry::wallclock;
@@ -118,6 +118,23 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// The value of the count option `flag` if `arg` spells it, as `--flag N`
+/// (taking `N` from `rest`) or `--flag=N` (`-j` is `--jobs`). A missing,
+/// unparsable or below-`min` value is a usage error.
+fn count_opt(
+    flag: &str,
+    min: usize,
+    arg: &str,
+    rest: &mut impl Iterator<Item = String>,
+) -> Option<usize> {
+    let value = if arg == flag || (arg == "-j" && flag == "--jobs") {
+        rest.next().unwrap_or_else(|| usage())
+    } else {
+        arg.strip_prefix(flag)?.strip_prefix('=')?.to_string()
+    };
+    Some(value.parse().ok().filter(|&n| n >= min).unwrap_or_else(|| usage()))
+}
+
 /// `experiments scenario <file|dir>`: run a declarative scenario corpus
 /// to a verdict table and `results/scenarios.csv`. Exit code 0 when
 /// every expectation holds, 1 when any check fails, 2 on parse/compile
@@ -127,27 +144,17 @@ fn cmd_scenario(args: &[String]) -> ! {
     let mut path: Option<PathBuf> = None;
     let mut jobs = default_jobs();
     let mut sim_threads = 0usize;
-    let mut it = args.iter();
+    let mut it = args.iter().cloned();
     while let Some(a) = it.next() {
-        match a.as_str() {
-            "--jobs" | "-j" => {
-                jobs = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
-            }
-            s if s.starts_with("--jobs=") => {
-                jobs = s["--jobs=".len()..].parse().unwrap_or_else(|_| usage());
-            }
-            "--sim-threads" => {
-                sim_threads = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
-            }
-            s if s.starts_with("--sim-threads=") => {
-                sim_threads = s["--sim-threads=".len()..].parse().unwrap_or_else(|_| usage());
-            }
-            s if path.is_none() && !s.starts_with('-') => path = Some(PathBuf::from(s)),
-            _ => usage(),
+        if let Some(n) = count_opt("--jobs", 1, &a, &mut it) {
+            jobs = n;
+        } else if let Some(n) = count_opt("--sim-threads", 0, &a, &mut it) {
+            sim_threads = n;
+        } else if path.is_none() && !a.starts_with('-') {
+            path = Some(PathBuf::from(a));
+        } else {
+            usage();
         }
-    }
-    if jobs == 0 {
-        usage();
     }
     let path = path.unwrap_or_else(|| usage());
     let t0 = std::time::Instant::now();
@@ -302,51 +309,18 @@ fn main() {
         _ => {}
     }
     while let Some(a) = args.next() {
-        match a.as_str() {
-            "--jobs" | "-j" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                jobs = v.parse().unwrap_or_else(|_| usage());
-                if jobs == 0 {
-                    usage();
-                }
-            }
-            s if s.starts_with("--jobs=") => {
-                jobs = s["--jobs=".len()..].parse().unwrap_or_else(|_| usage());
-                if jobs == 0 {
-                    usage();
-                }
-            }
-            "--sim-threads" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                sim_threads = v.parse().unwrap_or_else(|_| usage());
-                if sim_threads == 0 {
-                    usage();
-                }
-            }
-            s if s.starts_with("--sim-threads=") => {
-                sim_threads = s["--sim-threads=".len()..]
-                    .parse()
-                    .unwrap_or_else(|_| usage());
-                if sim_threads == 0 {
-                    usage();
-                }
-            }
-            "--workers" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                workers = v.parse().unwrap_or_else(|_| usage());
-                if workers == 0 {
-                    usage();
-                }
-            }
-            s if s.starts_with("--workers=") => {
-                workers = s["--workers=".len()..].parse().unwrap_or_else(|_| usage());
-                if workers == 0 {
-                    usage();
-                }
-            }
-            "--metrics" => metrics = true,
-            s if which.is_none() && !s.starts_with('-') => which = Some(s.to_string()),
-            _ => usage(),
+        if let Some(n) = count_opt("--jobs", 1, &a, &mut args) {
+            jobs = n;
+        } else if let Some(n) = count_opt("--sim-threads", 1, &a, &mut args) {
+            sim_threads = n;
+        } else if let Some(n) = count_opt("--workers", 1, &a, &mut args) {
+            workers = n;
+        } else if a == "--metrics" {
+            metrics = true;
+        } else if which.is_none() && !a.starts_with('-') {
+            which = Some(a);
+        } else {
+            usage();
         }
     }
     let which = which.unwrap_or_else(|| "all".to_string());
@@ -371,7 +345,7 @@ fn main() {
         for &name in STAGE_NAMES {
             let ts = std::time::Instant::now();
             wallclock::set_stage(name);
-            let out = run_stage_cfg(name, &cfg).expect("known stage");
+            let out = run_stage(name, &cfg).expect("known stage");
             wallclock::end_stage();
             timings.push((name, ts.elapsed().as_secs_f64()));
             emit(&out);
@@ -418,7 +392,7 @@ fn main() {
             );
             for &name in &["fig2", "blink-sweep"] {
                 let ts = std::time::Instant::now();
-                run_stage_cfg(name, &StageCfg { jobs: 1, ..cfg.clone() }).expect("known stage");
+                run_stage(name, &StageCfg { jobs: 1, ..cfg.clone() }).expect("known stage");
                 let seq = ts.elapsed().as_secs_f64();
                 let par = timings
                     .iter()
@@ -439,7 +413,7 @@ fn main() {
         println!("[saved {}]", path.display());
     } else {
         wallclock::set_stage(&which);
-        match run_stage_cfg(&which, &cfg) {
+        match run_stage(&which, &cfg) {
             Some(out) => {
                 wallclock::end_stage();
                 emit(&out);

@@ -104,31 +104,13 @@ impl Default for StageCfg {
     }
 }
 
-/// Run one stage by CLI name with `jobs` worker threads. `None` for an
-/// unknown name.
-pub fn run_stage(name: &str, jobs: usize) -> Option<StageOutput> {
-    run_stage_opts(name, jobs, 0)
-}
-
-/// [`run_stage`] with the simulation-engine thread count. `sim_threads`
-/// is consumed only by the packet-level stages whose node logic is
-/// certified id-stable (`blink-packet`, `defenses`, `parallel-scaling`);
-/// every other stage runs its simulators sequentially regardless (see
-/// the determinism-contract chapter in `docs/` for the `pkt.id` rule
-/// that gates this).
-pub fn run_stage_opts(name: &str, jobs: usize, sim_threads: usize) -> Option<StageOutput> {
-    run_stage_cfg(
-        name,
-        &StageCfg {
-            jobs,
-            sim_threads,
-            ..StageCfg::default()
-        },
-    )
-}
-
-/// [`run_stage`] with the full option bundle.
-pub fn run_stage_cfg(name: &str, cfg: &StageCfg) -> Option<StageOutput> {
+/// Run one stage by CLI name; `None` for an unknown name.
+/// `cfg.sim_threads` is consumed only by the packet-level stages whose
+/// node logic is certified id-stable (`blink-packet`, `defenses`,
+/// `parallel-scaling`); every other stage runs its simulators
+/// sequentially regardless (see the determinism-contract chapter in
+/// `docs/` for the `pkt.id` rule that gates this).
+pub fn run_stage(name: &str, cfg: &StageCfg) -> Option<StageOutput> {
     let jobs = cfg.jobs;
     let sim_threads = cfg.sim_threads;
     Some(match name {
@@ -1544,10 +1526,10 @@ pub fn fuzz(jobs: usize) -> StageOutput {
 /// `dui-lint` analyzer (token rules plus the cross-crate graph rules)
 /// over `crates/` + `src/`, applies `lint.baseline`, and reports
 /// per-rule totals. The stage fails loudly (in the report) on
-/// non-baselined findings, mirroring the `scripts/lint_determinism.sh`
-/// gate so `experiments all` exercises the same invariants. Exports
-/// deterministic `lint.rules.*.findings` / `lint.analysis.*` counters
-/// plus wall-clock phase timings (`*.wall_ns`, non-deterministic by
+/// non-baselined findings, mirroring the lint step of
+/// `scripts/verify.sh` so `experiments all` exercises the same
+/// invariants. Exports deterministic `lint.rules.*.findings` /
+/// `lint.analysis.*` counters plus wall-clock phase timings (`*.wall_ns`, non-deterministic by
 /// design, like every `wall_*` column).
 pub fn lint(_jobs: usize) -> StageOutput {
     let mut out = StageOutput::default();

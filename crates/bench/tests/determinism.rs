@@ -3,7 +3,7 @@
 //! byte-compare every CSV (and the printed report).
 
 use dui_bench::recordings::build_subject;
-use dui_bench::stages::{blink_sweep_with, fig2_with, Fig2Opts, StageOutput};
+use dui_bench::stages::{blink_sweep_with, fig2_with, run_stage, Fig2Opts, StageCfg, StageOutput};
 use dui_core::blink::fastsim::AttackSimConfig;
 use dui_core::netsim::time::SimDuration;
 use dui_core::replay::Recorder;
@@ -117,7 +117,8 @@ fn metrics_jsonl_identical_across_jobs() {
     let jsonl = |jobs: usize| {
         let mut s = String::new();
         for name in ["fig2-rates", "defenses"] {
-            let out = dui_bench::stages::run_stage(name, jobs).expect("known stage");
+            let cfg = StageCfg { jobs, ..StageCfg::default() };
+            let out = run_stage(name, &cfg).expect("known stage");
             s.push_str(&out.metrics.to_json_line(name));
             s.push('\n');
         }

@@ -2,8 +2,8 @@
 //!
 //! Std-only, token-aware static analysis for the workspace — the
 //! in-tree replacement for the grep/awk determinism gates that used to
-//! live in `scripts/lint_determinism.sh` (that script is now a thin
-//! wrapper over this crate).
+//! live in a shell script (`scripts/verify.sh` now runs this crate's
+//! binary directly).
 //!
 //! Every quantitative claim this repository reproduces (Fig. 2, C1–C3)
 //! rests on simulations being pure functions of `(config, seed)`. A

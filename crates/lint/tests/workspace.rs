@@ -1,8 +1,8 @@
 //! The workspace gate as a test: linting the real tree with the real
 //! checked-in baseline must produce zero non-baselined findings and no
-//! stale baseline entries. This is the same invariant
-//! `scripts/lint_determinism.sh` enforces, so `cargo test` alone
-//! catches a determinism regression even where the script never runs.
+//! stale baseline entries. This is the same invariant the lint step
+//! of `scripts/verify.sh` enforces, so `cargo test` alone catches a
+//! determinism regression even where the script never runs.
 
 use std::path::Path;
 

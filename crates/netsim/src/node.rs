@@ -379,6 +379,10 @@ impl SinkHost {
     }
 }
 
+/// One flow record of a sink checkpoint: the 13-byte key, then the packet
+/// and byte counts.
+const SINK_FLOW_BYTES: usize = 4 + 4 + 2 + 2 + 1 + 8 + 8;
+
 impl NodeLogic for SinkHost {
     fn on_packet(&mut self, ctx: &mut Ctx, pkt: Packet) {
         if let Header::IcmpEchoRequest { ident, seq } = pkt.header {
@@ -421,7 +425,7 @@ impl NodeLogic for SinkHost {
 
     fn save_state(&self) -> Option<Vec<u8>> {
         let flows = self.flows_sorted();
-        let mut out = Vec::with_capacity(16 + flows.len() * 29);
+        let mut out = Vec::with_capacity(8 + flows.len() * SINK_FLOW_BYTES + 16);
         out.extend_from_slice(&(flows.len() as u64).to_le_bytes());
         for (k, s) in flows {
             out.extend_from_slice(&k.src.0.to_le_bytes());
@@ -452,7 +456,12 @@ impl NodeLogic for SinkHost {
             Ok(arr)
         }
         let mut at = 0usize;
-        let n = u64::from_le_bytes(take(bytes, &mut at)?) as usize;
+        // The count comes from the blob: allocate for it only once the
+        // bytes behind it are seen to hold that many records.
+        let n = usize::try_from(u64::from_le_bytes(take(bytes, &mut at)?))
+            .ok()
+            .filter(|&n| n <= (bytes.len() - at) / SINK_FLOW_BYTES)
+            .ok_or_else(err)?;
         let mut flows = HashMap::with_capacity(n);
         for _ in 0..n {
             let src = u32::from_le_bytes(take(bytes, &mut at)?);
@@ -496,4 +505,58 @@ pub struct Announcement {
     pub prefix: Prefix,
     /// The sink node.
     pub node: NodeId,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::packet::FlowKey;
+
+    /// A sink that has seen three flows, checkpointed.
+    fn saved_sink_state() -> Vec<u8> {
+        let mut sink = SinkHost::new();
+        for i in 0..3u16 {
+            let key = FlowKey::tcp(Addr::new(10, 0, 0, 1), 1000 + i, Addr::new(10, 0, 0, 2), 80);
+            let stats = SinkFlowStats { packets: 2 + u64::from(i), bytes: 2920 };
+            sink.flows.insert(key, stats);
+            sink.total_packets += stats.packets;
+            sink.total_bytes += stats.bytes;
+        }
+        sink.save_state().expect("sinks checkpoint")
+    }
+
+    #[test]
+    fn load_state_round_trips_and_refuses_counts_the_bytes_cannot_hold() {
+        let good = saved_sink_state();
+        assert_eq!(good.len(), 8 + 3 * SINK_FLOW_BYTES + 16);
+        let mut restored = SinkHost::new();
+        assert_eq!(restored.load_state(&good), Ok(()));
+        assert_eq!((restored.flow_count(), restored.total_packets), (3, 9));
+        assert_eq!(restored.save_state(), Some(good.clone()));
+
+        // The 8-byte blob that used to reserve a 2^64-entry map (a
+        // capacity-overflow panic), alone and with records behind it.
+        let with_count = |n: u64| [&n.to_le_bytes()[..], &good[8..]].concat();
+        assert!(SinkHost::new().load_state(&u64::MAX.to_le_bytes()).is_err());
+        assert!(SinkHost::new().load_state(&with_count(u64::MAX)).is_err());
+        // One more record than the bytes hold — and, for the trailer's
+        // sake, one fewer.
+        assert!(SinkHost::new().load_state(&with_count(4)).is_err());
+        assert!(SinkHost::new().load_state(&with_count(2)).is_err());
+        // A refused blob leaves the sink as it was.
+        assert!(restored.load_state(&with_count(4)).is_err());
+        assert_eq!(restored.flow_count(), 3);
+    }
+
+    #[test]
+    fn load_state_rejects_every_truncation() {
+        let good = saved_sink_state();
+        for len in 0..good.len() {
+            assert!(
+                SinkHost::new().load_state(&good[..len]).is_err(),
+                "accepted a blob truncated to {len} of {} bytes",
+                good.len()
+            );
+        }
+    }
 }

@@ -297,6 +297,48 @@ fn timers_drive_periodic_behavior() {
     assert_eq!(p.got_replies, 4);
 }
 
+/// `enable_spans` records every dispatched event as a span labelled by
+/// event kind and stamped with simulated (not wall-clock) nanoseconds —
+/// and, being an observer the sharded engine cannot merge yet, makes
+/// `set_sim_threads` fall back to the sequential engine and count it.
+#[test]
+fn spans_record_each_dispatch_at_sim_time_and_force_the_sequential_engine() {
+    let (mut sim, h1, _r, _h2) = basic_sim();
+    let dst = Addr::new(10, 0, 0, 2);
+    sim.set_logic(h1, Box::new(Pinger { dst, sent: 0, got_replies: 0 }));
+    assert!(sim.spans().is_none());
+    sim.enable_spans(1024);
+    sim.set_sim_threads(2);
+    sim.run_until(SimTime::from_secs(1));
+
+    let recorder = sim.spans().expect("spans were enabled");
+    assert_eq!((recorder.wrapped(), recorder.open_depth()), (0, 0));
+    let spans = recorder.spans();
+    let starts_of = |name: &str| -> Vec<u64> {
+        spans.iter().filter(|s| s.name == name).map(|s| s.start_ns).collect()
+    };
+    // The pinger's timer fires every 10 ms of simulated time: four pings
+    // and the tick that finds nothing left to send.
+    assert_eq!(starts_of("timer"), [10, 20, 30, 40, 50].map(|ms| ms * 1_000_000));
+    // Each ping and its reply cross two links: a transmission and a
+    // delivery per hop.
+    assert_eq!(starts_of("deliver").len(), 16);
+    assert_eq!(starts_of("tx_complete").len(), 16);
+    assert_eq!(spans.len(), 5 + 16 + 16);
+    // An event is dispatched at one instant, in time order.
+    assert!(spans.iter().all(|s| s.depth == 0 && s.start_ns == s.end_ns));
+    assert!(spans.windows(2).all(|w| w[0].start_ns <= w[1].start_ns));
+    // First hop of the first ping: 64 B at 100 Mbit/s, then 1 ms of wire.
+    assert_eq!(starts_of("tx_complete")[0], 10_000_000 + 5_120);
+    assert_eq!(starts_of("deliver")[0], 10_000_000 + 5_120 + 1_000_000);
+
+    let metrics = sim.metrics_snapshot();
+    assert_eq!(metrics.counter("netsim.parallel.fallback"), 1);
+    assert_eq!(metrics.counter("netsim.parallel.fallback.spans"), 1);
+    let p: &mut Pinger = sim.logic_mut(h1);
+    assert_eq!((p.sent, p.got_replies), (4, 4));
+}
+
 #[test]
 fn identical_seeds_are_bit_identical() {
     let run = |seed: u64| {

@@ -4,11 +4,46 @@
 //! [`Scenario::print`] emits the *canonical* text form: sections in a fixed
 //! order, keys in a fixed order, durations in their smallest exact unit.
 //! The canonical form is a fixed point of parse→print→parse (property-tested
-//! in `tests/parse_roundtrip.rs`), which keeps the format diffable and lets
-//! tooling rewrite scenario files without spurious churn.
+//! over the whole key table in `tests/corpus.rs`), which keeps the format
+//! diffable and lets tooling rewrite scenario files without spurious churn.
+//! Key names are never spelled here: every line is written through its
+//! row in [`crate::keys`].
 
+use crate::keys::{self, kind, opt, Typed, Val, SECTIONS};
+use crate::parse::{ParseError, Slots};
 use dui_core::netsim::time::{SimDuration, SimTime};
 use std::fmt::Write as _;
+
+/// Tie a spec enum to its section of [`crate::keys`]: per variant, the
+/// kind token and each field's row, in canonical print order (which is
+/// also the order missing required keys are reported in).
+macro_rules! spec {
+    ($Spec:ident in $sec:ident: $($Variant:ident = $KIND:ident { $($field:ident: $ROW:ident),* })*) => {
+        impl $Spec {
+            /// The `kind =` token.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $($Spec::$Variant { .. } => kind::$KIND,)*
+                }
+            }
+
+            /// `(row, value)` of every field; `None` is an unset optional.
+            fn fields(&self) -> Vec<(usize, Option<Val>)> {
+                match self {
+                    $($Spec::$Variant { $($field),* } => vec![$((keys::$sec::$ROW, $field.val())),*],)*
+                }
+            }
+
+            /// Build the spec of the declared kind out of a parsed section.
+            pub(crate) fn assemble(s: &mut Slots) -> Result<Self, ParseError> {
+                Ok(match s.get::<&'static str>(keys::$sec::KIND)? {
+                    $(kind::$KIND => $Spec::$Variant { $($field: s.get(keys::$sec::$ROW)?),* },)*
+                    other => unreachable!("kind validated: {other}"),
+                })
+            }
+        }
+    };
+}
 
 /// A parsed, validated scenario file.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,20 +104,15 @@ pub enum TopologySpec {
     },
 }
 
-impl TopologySpec {
-    /// The `kind =` token.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TopologySpec::Blink => "blink",
-            TopologySpec::Pcc => "pcc",
-            TopologySpec::Pytheas => "pytheas",
-            TopologySpec::Ring { .. } => "ring",
-            TopologySpec::ChordedRing { .. } => "chorded_ring",
-            TopologySpec::Linear { .. } => "linear",
-            TopologySpec::FatTree { .. } => "fat_tree",
-            TopologySpec::Bowtie { .. } => "bowtie",
-        }
-    }
+spec! { TopologySpec in topology:
+    Blink = BLINK {}
+    Pcc = PCC {}
+    Pytheas = PYTHEAS {}
+    Ring = RING { nodes: NODES }
+    ChordedRing = CHORDED_RING { nodes: NODES, chord: CHORD }
+    Linear = LINEAR { nodes: NODES }
+    FatTree = FAT_TREE { pods: PODS }
+    Bowtie = BOWTIE { leaves: LEAVES }
 }
 
 /// `[workload] kind = ...` plus its parameters.
@@ -198,29 +228,39 @@ pub enum WorkloadSpec {
     },
 }
 
-impl WorkloadSpec {
-    /// The `kind =` token.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            WorkloadSpec::Blink { .. } => "blink",
-            WorkloadSpec::Pcc { .. } => "pcc",
-            WorkloadSpec::Pytheas { .. } => "pytheas",
-            WorkloadSpec::Tcp { .. } => "tcp",
-            WorkloadSpec::Churn { .. } => "churn",
-            WorkloadSpec::SynFlood { .. } => "syn_flood",
-        }
+spec! { WorkloadSpec in workload:
+    Blink = BLINK {
+        legit_flows: LEGIT_FLOWS, malicious_flows: MALICIOUS_FLOWS, mean_lifetime: MEAN_LIFETIME,
+        pkt_interval: PKT_INTERVAL, attack_start: ATTACK_START, trigger_at: TRIGGER_AT,
+        guarded: GUARDED, horizon: HORIZON
     }
+    Pcc = PCC {
+        flows: FLOWS, bottleneck_mbps: BOTTLENECK_MBPS, attacked: ATTACKED, pin_to_mbps: PIN_TO_MBPS,
+        horizon: HORIZON
+    }
+    Pytheas = PYTHEAS {
+        groups: GROUPS, rounds: ROUNDS, poison_fraction: POISON_FRACTION, defended: DEFENDED
+    }
+    Tcp = TCP {
+        flows: FLOWS, mean_lifetime: MEAN_LIFETIME, pkt_interval: PKT_INTERVAL, horizon: HORIZON,
+        src: SRC, dst: DST, attack: ATTACK
+    }
+    Churn = CHURN {
+        flows: FLOWS, mean_lifetime: MEAN_LIFETIME, pkt_interval: PKT_INTERVAL, horizon: HORIZON,
+        src: SRC, dst: DST
+    }
+    SynFlood = SYN_FLOOD {
+        flows: FLOWS, mean_lifetime: MEAN_LIFETIME, pkt_interval: PKT_INTERVAL, horizon: HORIZON,
+        src: SRC, dst: DST, attacker: ATTACKER, syn_rate: SYN_RATE, backlog: BACKLOG,
+        syn_timeout: SYN_TIMEOUT, attack_start: ATTACK_START, attack_duration: ATTACK_DURATION
+    }
+}
 
+impl WorkloadSpec {
     /// The packet-level run horizon (`None` for round-based Pytheas).
     pub fn horizon(&self) -> Option<SimDuration> {
-        match self {
-            WorkloadSpec::Blink { horizon, .. }
-            | WorkloadSpec::Pcc { horizon, .. }
-            | WorkloadSpec::Tcp { horizon, .. }
-            | WorkloadSpec::Churn { horizon, .. }
-            | WorkloadSpec::SynFlood { horizon, .. } => Some(*horizon),
-            WorkloadSpec::Pytheas { .. } => None,
-        }
+        let (_, v) = self.fields().into_iter().find(|f| f.0 == keys::workload::HORIZON)?;
+        Typed::of(v)
     }
 }
 
@@ -299,10 +339,10 @@ impl ChaosKind {
     /// The `[chaos]` key this declaration is written under.
     pub fn key(&self) -> &'static str {
         match self {
-            ChaosKind::LinkFlap { .. } => "link_flap",
-            ChaosKind::Partition { .. } => "partition",
-            ChaosKind::RouterChurn { .. } => "router_churn",
-            ChaosKind::LoadSurge { .. } => "load_surge",
+            ChaosKind::LinkFlap { .. } => kind::LINK_FLAP,
+            ChaosKind::Partition { .. } => kind::PARTITION,
+            ChaosKind::RouterChurn { .. } => kind::ROUTER_CHURN,
+            ChaosKind::LoadSurge { .. } => kind::LOAD_SURGE,
         }
     }
 
@@ -362,60 +402,62 @@ pub enum Expectation {
     CounterMax(String, u64),
 }
 
-impl Expectation {
-    /// The `[expect]` key.
-    pub fn key(&self) -> &'static str {
-        match self {
-            Expectation::RerouteWithin(_) => "reroute_within",
-            Expectation::RecoveryWithin(_) => "recovery_within",
-            Expectation::BlackoutDuringChaos => "blackout_during_chaos",
-            Expectation::MinReroutes(_) => "min_reroutes",
-            Expectation::MaxReroutes(_) => "max_reroutes",
-            Expectation::FinalOnPrimary(_) => "final_on_primary",
-            Expectation::MaliciousCellsMin(_) => "malicious_cells_min",
-            Expectation::MaliciousCellsMax(_) => "malicious_cells_max",
-            Expectation::VetoedMin(_) => "vetoed_min",
-            Expectation::DropRateMax(_) => "drop_rate_max",
-            Expectation::DeliveredMin(_) => "delivered_min",
-            Expectation::QoeMin(_) => "qoe_min",
-            Expectation::QoeMax(_) => "qoe_max",
-            Expectation::OnBestMin(_) => "on_best_min",
-            Expectation::RateMinMbps(_) => "rate_min_mbps",
-            Expectation::RateMaxMbps(_) => "rate_max_mbps",
-            Expectation::OscillationMax(_) => "oscillation_max",
-            Expectation::SynRcvdPeakMax(_) => "synrcvd_peak_max",
-            Expectation::HandshakeCompletedMin(_) => "handshake_completed_min",
-            Expectation::CounterMin(..) => "counter_min",
-            Expectation::CounterMax(..) => "counter_max",
+/// Expectation variant ⇔ (`[expect]` row, value), one line each way.
+macro_rules! expectation_rows {
+    ($($ROW:ident: $Variant:ident $(($($x:ident),+))? <=> $V:ident($($v:tt),+);)*) => {
+        impl Expectation {
+            /// This expectation's row in [`keys::expect`] and its value.
+            fn row(&self) -> (usize, Val) {
+                match self {
+                    $(Expectation::$Variant $(($($x),+))? => (keys::expect::$ROW, Val::$V($($v.clone()),+)),)*
+                }
+            }
+
+            /// The inverse of `row`: the parser's constructor.
+            pub(crate) fn from_row(row: usize, v: Val) -> Expectation {
+                match (row, v) {
+                    $((keys::expect::$ROW, Val::$V($($v),+)) => Expectation::$Variant $(($($x),+))?,)*
+                    (row, v) => unreachable!("[expect] row {row} has no variant taking {v:?}"),
+                }
+            }
         }
+    };
+}
+expectation_rows! {
+    REROUTE_WITHIN: RerouteWithin(d) <=> Dur(d);
+    RECOVERY_WITHIN: RecoveryWithin(d) <=> Dur(d);
+    BLACKOUT_DURING_CHAOS: BlackoutDuringChaos <=> Bool(true);
+    MIN_REROUTES: MinReroutes(n) <=> Int(n);
+    MAX_REROUTES: MaxReroutes(n) <=> Int(n);
+    FINAL_ON_PRIMARY: FinalOnPrimary(b) <=> Bool(b);
+    MALICIOUS_CELLS_MIN: MaliciousCellsMin(n) <=> Int(n);
+    MALICIOUS_CELLS_MAX: MaliciousCellsMax(n) <=> Int(n);
+    VETOED_MIN: VetoedMin(n) <=> Int(n);
+    DROP_RATE_MAX: DropRateMax(x) <=> F64(x);
+    DELIVERED_MIN: DeliveredMin(n) <=> Int(n);
+    QOE_MIN: QoeMin(x) <=> F64(x);
+    QOE_MAX: QoeMax(x) <=> F64(x);
+    ON_BEST_MIN: OnBestMin(x) <=> F64(x);
+    RATE_MIN_MBPS: RateMinMbps(x) <=> F64(x);
+    RATE_MAX_MBPS: RateMaxMbps(x) <=> F64(x);
+    OSCILLATION_MAX: OscillationMax(x) <=> F64(x);
+    SYNRCVD_PEAK_MAX: SynRcvdPeakMax(n) <=> Int(n);
+    HANDSHAKE_COMPLETED_MIN: HandshakeCompletedMin(n) <=> Int(n);
+    COUNTER_MIN: CounterMin(c, n) <=> Counter(c, n);
+    COUNTER_MAX: CounterMax(c, n) <=> Counter(c, n);
+}
+
+impl Expectation {
+    /// The `[expect]` table row: the key's name and observing workloads.
+    pub fn key(&self) -> &'static keys::Key {
+        &keys::expect::KEYS[self.row().0]
     }
 
     /// The canonical `key = value` line (used in printing and as the
     /// check label in `scenarios.csv`).
     pub fn line(&self) -> String {
-        match self {
-            Expectation::RerouteWithin(d) => format!("reroute_within = {}", dur(*d)),
-            Expectation::RecoveryWithin(d) => format!("recovery_within = {}", dur(*d)),
-            Expectation::BlackoutDuringChaos => "blackout_during_chaos = true".to_string(),
-            Expectation::MinReroutes(n) => format!("min_reroutes = {n}"),
-            Expectation::MaxReroutes(n) => format!("max_reroutes = {n}"),
-            Expectation::FinalOnPrimary(b) => format!("final_on_primary = {b}"),
-            Expectation::MaliciousCellsMin(n) => format!("malicious_cells_min = {n}"),
-            Expectation::MaliciousCellsMax(n) => format!("malicious_cells_max = {n}"),
-            Expectation::VetoedMin(n) => format!("vetoed_min = {n}"),
-            Expectation::DropRateMax(r) => format!("drop_rate_max = {r}"),
-            Expectation::DeliveredMin(n) => format!("delivered_min = {n}"),
-            Expectation::QoeMin(v) => format!("qoe_min = {v}"),
-            Expectation::QoeMax(v) => format!("qoe_max = {v}"),
-            Expectation::OnBestMin(v) => format!("on_best_min = {v}"),
-            Expectation::RateMinMbps(v) => format!("rate_min_mbps = {v}"),
-            Expectation::RateMaxMbps(v) => format!("rate_max_mbps = {v}"),
-            Expectation::OscillationMax(v) => format!("oscillation_max = {v}"),
-            Expectation::SynRcvdPeakMax(n) => format!("synrcvd_peak_max = {n}"),
-            Expectation::HandshakeCompletedMin(n) => format!("handshake_completed_min = {n}"),
-            Expectation::CounterMin(c, n) => format!("counter_min = {c} {n}"),
-            Expectation::CounterMax(c, n) => format!("counter_max = {c} {n}"),
-        }
+        let (row, v) = self.row();
+        format!("{} = {v}", keys::expect::KEYS[row].name)
     }
 }
 
@@ -441,174 +483,34 @@ pub fn time(t: SimTime) -> String {
     dur(SimDuration(t.0))
 }
 
+/// Append one `[section]`: its header, `kind` if it has one, then every
+/// set field as `key = value`.
+fn section(s: &mut String, si: usize, kind: Option<&'static str>, fields: Vec<(usize, Option<Val>)>) {
+    let sec = &SECTIONS[si];
+    let _ = writeln!(s, "{}[{}]", if s.is_empty() { "" } else { "\n" }, sec.name);
+    for (row, v) in kind.map(|k| (0, Some(Val::Kind(k)))).into_iter().chain(fields) {
+        if let Some(v) = v {
+            let _ = writeln!(s, "{} = {v}", sec.keys[row].name);
+        }
+    }
+}
+
 impl Scenario {
     /// Emit the canonical text form (see module docs).
     pub fn print(&self) -> String {
+        use keys::scenario::*;
         let mut s = String::new();
-        let _ = writeln!(s, "[scenario]");
-        let _ = writeln!(s, "name = {}", self.name);
-        let _ = writeln!(s, "seed = {}", self.seed);
-        let _ = writeln!(s, "sample_every = {}", dur(self.sample_every));
-        let _ = writeln!(s);
-        let _ = writeln!(s, "[topology]");
-        match self.topology {
-            TopologySpec::Blink | TopologySpec::Pcc | TopologySpec::Pytheas => {
-                let _ = writeln!(s, "kind = {}", self.topology.kind());
-            }
-            TopologySpec::Ring { nodes } | TopologySpec::Linear { nodes } => {
-                let _ = writeln!(s, "kind = {}", self.topology.kind());
-                let _ = writeln!(s, "nodes = {nodes}");
-            }
-            TopologySpec::ChordedRing { nodes, chord } => {
-                let _ = writeln!(s, "kind = chorded_ring");
-                let _ = writeln!(s, "nodes = {nodes}");
-                let _ = writeln!(s, "chord = {chord}");
-            }
-            TopologySpec::FatTree { pods } => {
-                let _ = writeln!(s, "kind = fat_tree");
-                let _ = writeln!(s, "pods = {pods}");
-            }
-            TopologySpec::Bowtie { leaves } => {
-                let _ = writeln!(s, "kind = bowtie");
-                let _ = writeln!(s, "leaves = {leaves}");
-            }
-        }
-        let _ = writeln!(s);
-        let _ = writeln!(s, "[workload]");
-        match &self.workload {
-            WorkloadSpec::Blink {
-                legit_flows,
-                malicious_flows,
-                mean_lifetime,
-                pkt_interval,
-                attack_start,
-                trigger_at,
-                guarded,
-                horizon,
-            } => {
-                let _ = writeln!(s, "kind = blink");
-                let _ = writeln!(s, "legit_flows = {legit_flows}");
-                let _ = writeln!(s, "malicious_flows = {malicious_flows}");
-                let _ = writeln!(s, "mean_lifetime = {}", dur(*mean_lifetime));
-                let _ = writeln!(s, "pkt_interval = {}", dur(*pkt_interval));
-                let _ = writeln!(s, "attack_start = {}", time(*attack_start));
-                if let Some(t) = trigger_at {
-                    let _ = writeln!(s, "trigger_at = {}", time(*t));
-                }
-                let _ = writeln!(s, "guarded = {guarded}");
-                let _ = writeln!(s, "horizon = {}", dur(*horizon));
-            }
-            WorkloadSpec::Pcc {
-                flows,
-                bottleneck_mbps,
-                attacked,
-                pin_to_mbps,
-                horizon,
-            } => {
-                let _ = writeln!(s, "kind = pcc");
-                let _ = writeln!(s, "flows = {flows}");
-                let _ = writeln!(s, "bottleneck_mbps = {bottleneck_mbps}");
-                let _ = writeln!(s, "attacked = {attacked}");
-                if let Some(p) = pin_to_mbps {
-                    let _ = writeln!(s, "pin_to_mbps = {p}");
-                }
-                let _ = writeln!(s, "horizon = {}", dur(*horizon));
-            }
-            WorkloadSpec::Pytheas {
-                groups,
-                rounds,
-                poison_fraction,
-                defended,
-            } => {
-                let _ = writeln!(s, "kind = pytheas");
-                let _ = writeln!(s, "groups = {groups}");
-                let _ = writeln!(s, "rounds = {rounds}");
-                let _ = writeln!(s, "poison_fraction = {poison_fraction}");
-                let _ = writeln!(s, "defended = {defended}");
-            }
-            WorkloadSpec::Tcp {
-                flows,
-                mean_lifetime,
-                pkt_interval,
-                horizon,
-                src,
-                dst,
-                attack,
-            } => {
-                let _ = writeln!(s, "kind = tcp");
-                let _ = writeln!(s, "flows = {flows}");
-                let _ = writeln!(s, "mean_lifetime = {}", dur(*mean_lifetime));
-                let _ = writeln!(s, "pkt_interval = {}", dur(*pkt_interval));
-                let _ = writeln!(s, "horizon = {}", dur(*horizon));
-                let _ = writeln!(s, "src = {}", src.join(","));
-                let _ = writeln!(s, "dst = {dst}");
-                if let Some(AttackSpec::Bounce { via, bounces }) = attack {
-                    let _ = writeln!(s, "attack = bounce via={}-{} bounces={bounces}", via.0, via.1);
-                }
-            }
-            WorkloadSpec::Churn {
-                flows,
-                mean_lifetime,
-                pkt_interval,
-                horizon,
-                src,
-                dst,
-            } => {
-                let _ = writeln!(s, "kind = churn");
-                let _ = writeln!(s, "flows = {flows}");
-                let _ = writeln!(s, "mean_lifetime = {}", dur(*mean_lifetime));
-                let _ = writeln!(s, "pkt_interval = {}", dur(*pkt_interval));
-                let _ = writeln!(s, "horizon = {}", dur(*horizon));
-                let _ = writeln!(s, "src = {src}");
-                let _ = writeln!(s, "dst = {dst}");
-            }
-            WorkloadSpec::SynFlood {
-                flows,
-                mean_lifetime,
-                pkt_interval,
-                horizon,
-                src,
-                dst,
-                attacker,
-                syn_rate,
-                backlog,
-                syn_timeout,
-                attack_start,
-                attack_duration,
-            } => {
-                let _ = writeln!(s, "kind = syn_flood");
-                let _ = writeln!(s, "flows = {flows}");
-                let _ = writeln!(s, "mean_lifetime = {}", dur(*mean_lifetime));
-                let _ = writeln!(s, "pkt_interval = {}", dur(*pkt_interval));
-                let _ = writeln!(s, "horizon = {}", dur(*horizon));
-                let _ = writeln!(s, "src = {}", src.join(","));
-                let _ = writeln!(s, "dst = {dst}");
-                let _ = writeln!(s, "attacker = {attacker}");
-                let _ = writeln!(s, "syn_rate = {syn_rate}");
-                let _ = writeln!(s, "backlog = {backlog}");
-                if let Some(t) = syn_timeout {
-                    let _ = writeln!(s, "syn_timeout = {}", dur(*t));
-                }
-                let _ = writeln!(s, "attack_start = {}", time(*attack_start));
-                let _ = writeln!(s, "attack_duration = {}", dur(*attack_duration));
-            }
-        }
+        let fields = [(NAME, self.name.val()), (SEED, self.seed.val()), (SAMPLE_EVERY, self.sample_every.val())];
+        section(&mut s, keys::SCENARIO, None, fields.into());
+        section(&mut s, keys::TOPOLOGY, Some(self.topology.kind()), self.topology.fields());
+        section(&mut s, keys::WORKLOAD, Some(self.workload.kind()), self.workload.fields());
         if self.chaos_seed.is_some() || !self.chaos.is_empty() {
-            let _ = writeln!(s);
-            let _ = writeln!(s, "[chaos]");
-            if let Some(cs) = self.chaos_seed {
-                let _ = writeln!(s, "seed = {cs}");
-            }
-            for decl in &self.chaos {
-                let _ = writeln!(s, "{}", decl.line());
-            }
+            section(&mut s, keys::CHAOS, None, vec![(keys::chaos::SEED, self.chaos_seed.val())]);
+            self.chaos.iter().for_each(|decl| s.push_str(&(decl.line() + "\n")));
         }
         if !self.expect.is_empty() {
-            let _ = writeln!(s);
-            let _ = writeln!(s, "[expect]");
-            for e in &self.expect {
-                let _ = writeln!(s, "{}", e.line());
-            }
+            section(&mut s, keys::EXPECT, None, Vec::new());
+            self.expect.iter().for_each(|e| s.push_str(&(e.line() + "\n")));
         }
         s
     }
@@ -617,32 +519,26 @@ impl Scenario {
 impl ChaosDecl {
     /// The canonical `key = value` line.
     pub fn line(&self) -> String {
-        let mut v = match &self.kind {
-            ChaosKind::LinkFlap { a, b, down } => {
-                let target = if b.is_empty() { a.clone() } else { format!("{a}-{b}") };
-                format!("link_flap = {target} at={} down={}", time(self.at), dur(*down))
+        let o = |row: usize, v: String| format!(" {}={v}", opt::KEYS[row].name);
+        let at = o(opt::AT, time(self.at));
+        let down = |d: &SimDuration| o(opt::DOWN, dur(*d));
+        let mut v = format!("{} =", self.kind.key());
+        v += &match &self.kind {
+            ChaosKind::LinkFlap { a, b, down: d } if b.is_empty() => format!(" {a}{at}{}", down(d)),
+            ChaosKind::LinkFlap { a, b, down: d } => format!(" {a}-{b}{at}{}", down(d)),
+            ChaosKind::Partition { left, right, down: d } => {
+                format!(" {} | {}{at}{}", left.join(","), right.join(","), down(d))
             }
-            ChaosKind::Partition { left, right, down } => format!(
-                "partition = {} | {} at={} down={}",
-                left.join(","),
-                right.join(","),
-                time(self.at),
-                dur(*down)
-            ),
-            ChaosKind::RouterChurn { node, down } => {
-                format!("router_churn = {node} at={} down={}", time(self.at), dur(*down))
+            ChaosKind::RouterChurn { node, down: d } => format!(" {node}{at}{}", down(d)),
+            ChaosKind::LoadSurge { flows, duration } => {
+                at + &o(opt::FLOWS, flows.to_string()) + &o(opt::DURATION, dur(*duration))
             }
-            ChaosKind::LoadSurge { flows, duration } => format!(
-                "load_surge = at={} flows={flows} duration={}",
-                time(self.at),
-                dur(*duration)
-            ),
         };
         if self.repeat > 1 {
-            let _ = write!(v, " repeat={} every={}", self.repeat, dur(self.every));
+            v += &(o(opt::REPEAT, self.repeat.to_string()) + &o(opt::EVERY, dur(self.every)));
         }
         if self.jitter != SimDuration::ZERO {
-            let _ = write!(v, " jitter={}", dur(self.jitter));
+            v += &o(opt::JITTER, dur(self.jitter));
         }
         v
     }

@@ -16,6 +16,7 @@ use crate::ast::{
     AttackSpec, ChaosKind, Expectation, Scenario, TopologySpec, WorkloadSpec,
 };
 use crate::chaos::{expand, ChaosWindow};
+use crate::keys::{PRIMARY, TCP_FAMILY};
 use dui_core::netsim::topology::{LinkId, NodeId, NodeKind, Topology};
 use dui_core::scenario::topologies;
 use std::collections::BTreeMap;
@@ -231,10 +232,10 @@ pub fn compile(sc: &Scenario) -> Result<Compiled, CompileError> {
         WorkloadSpec::Blink { .. } => {
             for d in &sc.chaos {
                 match &d.kind {
-                    ChaosKind::LinkFlap { a, b, .. } if a == "primary" && b.is_empty() => {}
+                    ChaosKind::LinkFlap { a, b, .. } if a == PRIMARY && b.is_empty() => {}
                     k => {
                         return Err(CompileError::ChaosUnsupported {
-                            workload: "blink",
+                            workload: sc.workload.kind(),
                             chaos: k.key(),
                         })
                     }
@@ -302,7 +303,7 @@ pub fn compile(sc: &Scenario) -> Result<Compiled, CompileError> {
                 .find(|d| matches!(d.kind, ChaosKind::LoadSurge { .. }))
             {
                 return Err(CompileError::ChaosUnsupported {
-                    workload: "churn",
+                    workload: sc.workload.kind(),
                     chaos: d.kind.key(),
                 });
             }
@@ -364,31 +365,16 @@ pub fn compile(sc: &Scenario) -> Result<Compiled, CompileError> {
     })
 }
 
-/// Topology/workload compatibility matrix.
+/// Topology/workload compatibility: a case-study topology runs its own
+/// workload, a parametric one runs the tcp family.
 fn check_kinds(sc: &Scenario) -> Result<(), CompileError> {
-    let ok = matches!(
-        (&sc.topology, &sc.workload),
-        (TopologySpec::Blink, WorkloadSpec::Blink { .. })
-            | (TopologySpec::Pcc, WorkloadSpec::Pcc { .. })
-            | (TopologySpec::Pytheas, WorkloadSpec::Pytheas { .. })
-            | (
-                TopologySpec::Ring { .. }
-                    | TopologySpec::ChordedRing { .. }
-                    | TopologySpec::Linear { .. }
-                    | TopologySpec::FatTree { .. }
-                    | TopologySpec::Bowtie { .. },
-                WorkloadSpec::Tcp { .. }
-                    | WorkloadSpec::Churn { .. }
-                    | WorkloadSpec::SynFlood { .. }
-            )
-    );
-    if ok {
+    let (topology, workload) = (sc.topology.kind(), sc.workload.kind());
+    use TopologySpec::{Blink, Pcc, Pytheas};
+    let parametric = !matches!(sc.topology, Blink | Pcc | Pytheas);
+    if topology == workload || (parametric && TCP_FAMILY.contains(&workload)) {
         Ok(())
     } else {
-        Err(CompileError::KindMismatch {
-            topology: sc.topology.kind(),
-            workload: sc.workload.kind(),
-        })
+        Err(CompileError::KindMismatch { topology, workload })
     }
 }
 
@@ -492,59 +478,27 @@ fn resolve_chaos(topo: &Topology, kind: &ChaosKind) -> Result<ResolvedChaos, Com
     }
 }
 
-/// Which expectations each workload can answer.
+/// Which expectations each workload can answer: the `[expect]` rows of
+/// [`crate::keys`] list the observing workloads.
 fn check_expectations(sc: &Scenario) -> Result<(), CompileError> {
     let wk = sc.workload.kind();
-    let tcp_family = matches!(wk, "tcp" | "churn" | "syn_flood");
     let any_fault = sc.chaos.iter().any(|d| d.kind.is_fault());
     for e in &sc.expect {
-        let ok = match e {
-            Expectation::RerouteWithin(_)
-            | Expectation::MinReroutes(_)
-            | Expectation::MaxReroutes(_)
-            | Expectation::FinalOnPrimary(_)
-            | Expectation::MaliciousCellsMin(_)
-            | Expectation::MaliciousCellsMax(_)
-            | Expectation::VetoedMin(_) => wk == "blink",
-            Expectation::QoeMin(_) | Expectation::QoeMax(_) | Expectation::OnBestMin(_) => {
-                wk == "pytheas"
-            }
-            Expectation::RateMinMbps(_)
-            | Expectation::RateMaxMbps(_)
-            | Expectation::OscillationMax(_) => wk == "pcc",
-            Expectation::DropRateMax(_)
-            | Expectation::DeliveredMin(_)
-            | Expectation::CounterMin(..)
-            | Expectation::CounterMax(..) => wk != "pytheas",
-            // Only the handshaking workloads run the RFC 9293 lifecycle,
-            // so only they populate the tcp.handshake.* metrics.
-            Expectation::SynRcvdPeakMax(_) | Expectation::HandshakeCompletedMin(_) => {
-                matches!(wk, "churn" | "syn_flood")
-            }
-            Expectation::RecoveryWithin(_) => {
-                if !(wk == "blink" || tcp_family) {
-                    false
-                } else if !any_fault {
-                    return Err(CompileError::RecoveryWithoutChaos);
-                } else {
-                    true
-                }
-            }
-            Expectation::BlackoutDuringChaos => {
-                if !(wk == "blink" || tcp_family) {
-                    false
-                } else if !any_fault {
-                    return Err(CompileError::BlackoutWithoutChaos);
-                } else {
-                    true
-                }
-            }
-        };
-        if !ok {
+        let key = e.key();
+        if key.case(Some(wk)).is_none() {
             return Err(CompileError::ExpectationUnsupported {
                 workload: wk,
-                expectation: e.key(),
+                expectation: key.name,
             });
+        }
+        match e {
+            Expectation::RecoveryWithin(_) if !any_fault => {
+                return Err(CompileError::RecoveryWithoutChaos)
+            }
+            Expectation::BlackoutDuringChaos if !any_fault => {
+                return Err(CompileError::BlackoutWithoutChaos)
+            }
+            _ => {}
         }
     }
     Ok(())

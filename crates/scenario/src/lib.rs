@@ -28,6 +28,7 @@ pub mod ast;
 pub mod chaos;
 pub mod compile;
 pub mod expect;
+pub mod keys;
 pub mod parse;
 pub mod run;
 

@@ -11,12 +11,16 @@
 //! everywhere else a repeated key is a [`ParseErrorKind::DuplicateKey`].
 //! `kind` must be the first key of `[topology]` and `[workload]` so the
 //! remaining keys can be checked against the chosen kind as they stream by.
+//! Which keys exist, their types, bounds, applicable kinds and defaults are
+//! rows of [`crate::keys`]; this file is the generic loop over them plus
+//! the assembly of the typed AST.
 //! Every diagnostic carries `file:line:col` and a typed
 //! [`ParseErrorKind`]; the bad-fixture corpus under `fixtures/bad/` pins the
 //! rendered form of each one exactly.
 
 use crate::ast::*;
-use dui_core::netsim::time::{SimDuration, SimTime};
+use crate::keys::{self, kind, opt, Dflt, Key, Ty, Typed, Val, ANY, SECTIONS};
+use dui_core::netsim::time::SimDuration;
 use std::fmt;
 
 /// A positioned parse diagnostic.
@@ -172,253 +176,341 @@ impl Ctx<'_> {
             kind,
         }
     }
+
+    fn invalid(&self, pos: Pos, key: &str, expected: &'static str, got: &str) -> ParseError {
+        let (key, got) = (key.to_string(), got.to_string());
+        self.err(pos, ParseErrorKind::InvalidValue { key, expected, got })
+    }
 }
 
 /// Split `s` into whitespace-separated tokens with 1-based columns,
 /// where column numbers are relative to the full line (`base` is the
 /// 0-based char offset of `s` within it).
-fn tokens(s: &str, base: u32) -> Vec<(u32, String)> {
-    let mut out = Vec::new();
-    let mut col = base;
-    let mut start: Option<(u32, usize)> = None;
-    for (i, ch) in s.char_indices() {
-        col += 1;
-        if ch.is_whitespace() {
-            if let Some((c0, i0)) = start.take() {
-                out.push((c0, s[i0..i].to_string()));
-            }
-        } else if start.is_none() {
-            start = Some((col, i));
-        }
-    }
-    if let Some((c0, i0)) = start {
-        out.push((c0, s[i0..].to_string()));
-    }
-    out
-}
-
-fn parse_u64(ctx: &Ctx, pos: Pos, key: &str, v: &str) -> Result<u64, ParseError> {
-    v.parse::<u64>().map_err(|_| {
-        ctx.err(
-            pos,
-            ParseErrorKind::InvalidValue {
-                key: key.to_string(),
-                expected: "a non-negative integer",
-                got: v.to_string(),
-            },
-        )
+fn tokens(s: &str, base: u32) -> impl Iterator<Item = (u32, &str)> {
+    let (mut at, mut col) = (0, base);
+    s.split_whitespace().map(move |t| {
+        let off = t.as_ptr() as usize - s.as_ptr() as usize;
+        col += s[at..off].chars().count() as u32;
+        at = off;
+        (col + 1, t)
     })
-}
-
-fn parse_usize(ctx: &Ctx, pos: Pos, key: &str, v: &str) -> Result<usize, ParseError> {
-    Ok(parse_u64(ctx, pos, key, v)? as usize)
-}
-
-fn parse_u32(ctx: &Ctx, pos: Pos, key: &str, v: &str) -> Result<u32, ParseError> {
-    v.parse::<u32>().map_err(|_| {
-        ctx.err(
-            pos,
-            ParseErrorKind::InvalidValue {
-                key: key.to_string(),
-                expected: "a non-negative integer",
-                got: v.to_string(),
-            },
-        )
-    })
-}
-
-fn parse_f64(ctx: &Ctx, pos: Pos, key: &str, v: &str) -> Result<f64, ParseError> {
-    match v.parse::<f64>() {
-        Ok(x) if x.is_finite() => Ok(x),
-        _ => Err(ctx.err(
-            pos,
-            ParseErrorKind::InvalidValue {
-                key: key.to_string(),
-                expected: "a finite number",
-                got: v.to_string(),
-            },
-        )),
-    }
-}
-
-fn parse_bool(ctx: &Ctx, pos: Pos, key: &str, v: &str) -> Result<bool, ParseError> {
-    match v {
-        "true" => Ok(true),
-        "false" => Ok(false),
-        _ => Err(ctx.err(
-            pos,
-            ParseErrorKind::InvalidValue {
-                key: key.to_string(),
-                expected: "'true' or 'false'",
-                got: v.to_string(),
-            },
-        )),
-    }
 }
 
 /// Parse a duration literal: `<number><unit>` with unit one of
 /// `ns`, `us`, `ms`, `s` (e.g. `250ms`, `5s`, `1.5s`).
-fn parse_duration(ctx: &Ctx, pos: Pos, key: &str, v: &str) -> Result<SimDuration, ParseError> {
-    let bad = || {
-        ctx.err(
-            pos,
-            ParseErrorKind::InvalidValue {
-                key: key.to_string(),
-                expected: "a duration like '250ms' or '5s'",
-                got: v.to_string(),
-            },
-        )
-    };
-    let split = v
-        .char_indices()
-        .find(|(_, c)| c.is_ascii_alphabetic())
-        .map(|(i, _)| i)
-        .ok_or_else(bad)?;
+fn duration(v: &str) -> Option<SimDuration> {
+    let split = v.find(|c: char| c.is_ascii_alphabetic())?;
     let (num, unit) = v.split_at(split);
     let scale: u64 = match unit {
         "ns" => 1,
         "us" => 1_000,
         "ms" => 1_000_000,
         "s" => 1_000_000_000,
-        _ => return Err(bad()),
+        _ => return None,
     };
     if let Ok(n) = num.parse::<u64>() {
-        let ns = n.checked_mul(scale).ok_or_else(bad)?;
-        return Ok(SimDuration(ns));
+        return n.checked_mul(scale).map(SimDuration);
     }
     match num.parse::<f64>() {
         Ok(x) if x.is_finite() && x >= 0.0 && x * scale as f64 <= u64::MAX as f64 => {
-            Ok(SimDuration((x * scale as f64).round() as u64))
+            Some(SimDuration((x * scale as f64).round() as u64))
         }
-        _ => Err(bad()),
+        _ => None,
     }
 }
 
-fn parse_time(ctx: &Ctx, pos: Pos, key: &str, v: &str) -> Result<SimTime, ParseError> {
-    parse_duration(ctx, pos, key, v).map(|d| SimTime(d.0))
-}
-
 fn is_name(s: &str) -> bool {
-    !s.is_empty()
-        && s.chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
+    !s.is_empty() && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
 }
 
 fn is_node_name(s: &str) -> bool {
     !s.is_empty() && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
 }
 
-/// Chaos declaration options shared by every kind.
-struct Occur {
-    at: Option<SimTime>,
-    repeat: u32,
-    every: Option<SimDuration>,
-    jitter: SimDuration,
+/// Parse `v` as a self-contained value of type `ty` (everything but the
+/// structured `Attack`/`Counter`/`Decl` rows).
+fn scalar(ty: Ty, v: &str) -> Option<Val> {
+    let node = |s: &str| is_node_name(s).then(|| s.to_string());
+    Some(match ty {
+        Ty::Int => Val::Int(v.parse().ok()?),
+        Ty::U32 => Val::Int(v.parse::<u32>().ok()?.into()),
+        Ty::F64 => Val::F64(v.parse().ok().filter(|x: &f64| x.is_finite())?),
+        Ty::Bool => Val::Bool(v.parse().ok()?),
+        Ty::Duration | Ty::Time => Val::Dur(duration(v)?),
+        Ty::Name => Val::Str(is_name(v).then(|| v.to_string())?),
+        Ty::Node => Val::Str(node(v)?),
+        Ty::Nodes => Val::List(v.split(',').map(|s| node(s.trim())).collect::<Option<_>>()?),
+        Ty::Pair => {
+            let (a, b) = v.split_once('-')?;
+            Val::Pair(node(a)?, node(b)?)
+        }
+        Ty::Kind(tokens, _) => Val::Kind(tokens.iter().find(|k| **k == v)?),
+        Ty::Attack | Ty::Counter | Ty::Decl => return None,
+    })
 }
+
+struct Slot {
+    pos: Pos,
+    val: Val,
+}
+
+/// What a slot array holds the keys of — decides the "missing" diagnostic.
+#[derive(Clone, Copy)]
+enum Owner<'a> {
+    Section(&'static str),
+    Decl(&'a str),
+}
+
+/// The values seen so far for one section (or one declaration's options),
+/// indexed by row position in `keys`.
+pub(crate) struct Slots<'a> {
+    ctx: &'a Ctx<'a>,
+    keys: &'static [Key],
+    owner: Owner<'a>,
+    /// Where a missing required key is reported: the section header, or
+    /// the declaration's value.
+    at: Pos,
+    kind: Option<&'static str>,
+    /// `[topology]`: slots hold values not yet checked against their
+    /// bound; `get` checks, once the whole file parsed.
+    deferred: bool,
+    slots: &'a mut [Option<Slot>],
+}
+
+/// Slot storage for one declaration's options.
+const NO_OPTIONS: [Option<Slot>; opt::KEYS.len()] = [const { None }; opt::KEYS.len()];
+
+impl<'a> Slots<'a> {
+
+    fn missing(&self, i: usize) -> ParseError {
+        let name = self.keys[i].name;
+        self.ctx.err(
+            self.at,
+            match self.owner {
+                Owner::Section(section) => ParseErrorKind::MissingKey { section, key: name },
+                Owner::Decl(decl) => ParseErrorKind::MissingOption { decl: decl.to_string(), opt: name },
+            },
+        )
+    }
+
+    /// Take row `i`: what the file set, else the row's default for the
+    /// declared kind.
+    pub(crate) fn get<T: Typed>(&mut self, i: usize) -> Result<T, ParseError> {
+        let key = &self.keys[i];
+        let case = key.case(self.kind);
+        let val = match self.slots[i].take() {
+            Some(Slot { pos, val }) => {
+                if let Some(c) = case.filter(|c| self.deferred && !c.bound.admits(&val)) {
+                    return Err(self.ctx.invalid(pos, key.name, c.bound.expected, &val.to_string()));
+                }
+                Some(val)
+            }
+            None => match case.map(|c| c.dflt) {
+                Some(Dflt::Is(text)) => scalar(key.ty, text),
+                Some(Dflt::Required) => return Err(self.missing(i)),
+                Some(Dflt::Unset) | None => None,
+            },
+        };
+        Ok(T::of(val).unwrap_or_else(|| unreachable!("'{}': row type ≠ field type", key.name)))
+    }
+}
+
+impl Ctx<'_> {
+    /// Parse `text` as `key`'s type, then check `bound`.
+    fn typed(&self, key: &Key, bound: &keys::Bound, pos: Pos, text: &str) -> Result<Val, ParseError> {
+        let v = match key.ty {
+            Ty::Attack => self.attack(pos, key.name, text)?,
+            Ty::Counter => self.counter(pos, key, text)?,
+            ty => scalar(ty, text).ok_or_else(|| self.invalid(pos, key.name, ty.expected(), text))?,
+        };
+        if bound.admits(&v) {
+            Ok(v)
+        } else {
+            Err(self.invalid(pos, key.name, bound.expected, text))
+        }
+    }
+
+    /// Parse `<counter.name> <integer>`.
+    fn counter(&self, vpos: Pos, key: &Key, val: &str) -> Result<Val, ParseError> {
+        let mut toks = tokens(val, vpos.col - 1);
+        let named = |c: char| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '.' || c == '_';
+        match (toks.next(), toks.next(), toks.next()) {
+            (Some((_, name)), Some((col, n)), None) if name.chars().all(named) => {
+                let Some(Val::Int(n)) = scalar(Ty::Int, n) else {
+                    let npos = Pos { line: vpos.line, col };
+                    return Err(self.invalid(npos, key.name, Ty::Int.expected(), n));
+                };
+                Ok(Val::Counter(name.to_string(), n))
+            }
+            _ => Err(self.invalid(vpos, key.name, key.ty.expected(), val)),
+        }
+    }
+
+    /// Parse the `opt=value` tokens of one declaration against
+    /// [`keys::opt`]; `kind` selects which options apply. Tokens without
+    /// `=` go to `positional`, or are unknown options when there is none.
+    fn options<'s, 't>(
+        &'s self,
+        decl: &'s str,
+        kind: &'static str,
+        at: Pos,
+        toks: impl Iterator<Item = (u32, &'t str)>,
+        slots: &'s mut [Option<Slot>],
+        mut positional: Option<&mut Vec<(u32, &'t str)>>,
+    ) -> Result<Slots<'s>, ParseError> {
+        let (keys, owner) = (opt::KEYS, Owner::Decl(decl));
+        let found = Slots { ctx: self, keys, owner, at, kind: Some(kind), deferred: false, slots };
+        for (col, t) in toks {
+            let tpos = Pos { line: at.line, col };
+            let unknown = |opt: &str| {
+                let (decl, opt) = (decl.to_string(), opt.to_string());
+                self.err(tpos, ParseErrorKind::UnknownOption { decl, opt })
+            };
+            let Some((name, v)) = t.split_once('=') else {
+                match positional.as_mut() {
+                    Some(p) => p.push((col, t)),
+                    None => return Err(unknown(t)),
+                }
+                continue;
+            };
+            let row = opt::KEYS.iter().position(|k| k.name == name);
+            let Some((i, case)) = row.and_then(|i| Some((i, opt::KEYS[i].case(Some(kind))?))) else {
+                return Err(unknown(name));
+            };
+            let val = self.typed(&opt::KEYS[i], &case.bound, tpos, v)?;
+            found.slots[i] = Some(Slot { pos: tpos, val });
+        }
+        Ok(found)
+    }
+
+    /// Parse `attack = bounce via=r1-r2 bounces=6`.
+    fn attack(&self, vpos: Pos, key: &str, val: &str) -> Result<Val, ParseError> {
+        let mut toks = tokens(val, vpos.col - 1);
+        if toks.next().map(|(_, t)| t) != Some(kind::BOUNCE) {
+            return Err(self.invalid(vpos, key, Ty::Attack.expected(), val));
+        }
+        let mut store = NO_OPTIONS;
+        let mut o = self.options(key, kind::BOUNCE, vpos, toks, &mut store, None)?;
+        Ok(Val::Attack(AttackSpec::Bounce { via: o.get(opt::VIA)?, bounces: o.get(opt::BOUNCES)? }))
+    }
+
+    /// Parse one `[chaos]` declaration line.
+    fn chaos_decl(&self, vpos: Pos, key: &'static str, val: &str) -> Result<ChaosDecl, ParseError> {
+        // Tokens without '=' are the target expression.
+        let (mut store, mut target) = (NO_OPTIONS, Vec::new());
+        let toks = tokens(val, vpos.col - 1);
+        let mut o = self.options(key, key, vpos, toks, &mut store, Some(&mut target))?;
+        let at = o.get(opt::AT)?;
+        let repeat: u32 = o.get(opt::REPEAT)?;
+        let every: Option<SimDuration> = o.get(opt::EVERY)?;
+        if repeat > 1 && every.is_none() {
+            return Err(o.missing(opt::EVERY));
+        }
+        let tpos = |col: u32| Pos { line: vpos.line, col };
+        let first = |expected| target.first().copied().ok_or_else(|| self.invalid(vpos, key, expected, val));
+        let kind = match key {
+            kind::LINK_FLAP => {
+                let expected = "a link target '<a>-<b>' or 'primary'";
+                let (col, link) = first(expected)?;
+                let (a, b) = if link == keys::PRIMARY {
+                    (link.to_string(), String::new())
+                } else {
+                    Typed::of(scalar(Ty::Pair, link))
+                        .ok_or_else(|| self.invalid(tpos(col), key, expected, link))?
+                };
+                ChaosKind::LinkFlap { a, b, down: o.get(opt::DOWN)? }
+            }
+            kind::PARTITION => {
+                let expr = target.iter().map(|&(_, t)| t).collect::<Vec<_>>().join(" ");
+                let bad = |got: &str| self.invalid(vpos, key, "two node groups '<a>,<b> | <c>,<d>'", got);
+                let mut sides = expr.split('|');
+                let (Some(l), Some(r), None) = (sides.next(), sides.next(), sides.next()) else {
+                    return Err(bad(&expr));
+                };
+                let side = |side: &str| -> Result<Vec<String>, ParseError> {
+                    let names: Vec<&str> =
+                        side.split(',').map(str::trim).filter(|s| !s.is_empty()).collect();
+                    if names.is_empty() || !names.iter().all(|n| is_node_name(n)) {
+                        return Err(bad(side.trim()));
+                    }
+                    Ok(names.into_iter().map(String::from).collect())
+                };
+                ChaosKind::Partition { left: side(l)?, right: side(r)?, down: o.get(opt::DOWN)? }
+            }
+            kind::ROUTER_CHURN => {
+                let expected = "a router name";
+                let (col, node) = first(expected)?;
+                if !is_node_name(node) {
+                    return Err(self.invalid(tpos(col), key, expected, node));
+                }
+                ChaosKind::RouterChurn { node: node.to_string(), down: o.get(opt::DOWN)? }
+            }
+            _ => {
+                if let Some(&(col, t)) = target.first() {
+                    let (decl, opt) = (key.to_string(), t.to_string());
+                    return Err(self.err(tpos(col), ParseErrorKind::UnknownOption { decl, opt }));
+                }
+                ChaosKind::LoadSurge { flows: o.get(opt::FLOWS)?, duration: o.get(opt::DURATION)? }
+            }
+        };
+        Ok(ChaosDecl {
+            kind,
+            at,
+            repeat,
+            every: every.unwrap_or(SimDuration::ZERO),
+            jitter: o.get(opt::JITTER)?,
+        })
+    }
+}
+
+/// Rows of all sections whose values are slotted (`[expect]` lines are
+/// pushed straight onto the scenario).
+const ROWS: usize = keys::scenario::KEYS.len()
+    + keys::topology::KEYS.len()
+    + keys::workload::KEYS.len()
+    + keys::chaos::KEYS.len();
 
 /// Parse a `.dsc` document. `file` is only used to label diagnostics.
 pub fn parse_str(file: &str, text: &str) -> Result<Scenario, ParseError> {
     let ctx = Ctx { file };
-
-    #[derive(Clone, Copy, PartialEq)]
-    enum Section {
-        None,
-        Scenario,
-        Topology,
-        Workload,
-        Chaos,
-        Expect,
-    }
-
-    // [scenario]
-    let mut name: Option<String> = None;
-    let mut seed: u64 = 1;
-    let mut sample_every = SimDuration::from_secs(1);
-    // [topology]
-    let mut topo_kind: Option<&'static str> = None;
-    let mut topo_pos = Pos { line: 0, col: 0 };
-    let mut nodes: Option<(Pos, usize)> = None;
-    let mut chord: Option<(Pos, usize)> = None;
-    let mut pods: Option<(Pos, usize)> = None;
-    let mut leaves: Option<(Pos, usize)> = None;
-    // [workload]
-    let mut wl_kind: Option<&'static str> = None;
-    let mut wl_pos = Pos { line: 0, col: 0 };
-    let mut legit_flows: usize = 150;
-    let mut malicious_flows: usize = 0;
-    let mut mean_lifetime = SimDuration::from_secs(6);
-    let mut pkt_interval: Option<SimDuration> = None;
-    let mut attack_start = SimTime::from_secs(5);
-    let mut trigger_at: Option<SimTime> = None;
-    let mut guarded = false;
-    let mut horizon: Option<SimDuration> = None;
-    let mut flows: Option<usize> = None;
-    let mut bottleneck_mbps: u64 = 30;
-    let mut attacked = false;
-    let mut pin_to_mbps: Option<f64> = None;
-    let mut groups: usize = 4;
-    let mut rounds: usize = 400;
-    let mut poison_fraction: f64 = 0.0;
-    let mut defended = false;
-    let mut src: Option<Vec<String>> = None;
-    let mut dst: Option<String> = None;
-    let mut attack: Option<AttackSpec> = None;
-    let mut attacker: Option<String> = None;
-    let mut syn_rate: u64 = 2000;
-    let mut backlog: usize = 64;
-    let mut syn_timeout: Option<SimDuration> = None;
-    let mut attack_duration = SimDuration::from_secs(20);
-    // [chaos] / [expect]
-    let mut chaos_seed: Option<u64> = None;
+    // One slot per row of every slotted section; a section's `Slots`
+    // takes its share when its header is seen.
+    let mut store = [const { None }; ROWS];
+    let mut free = &mut store[..];
+    let mut secs: [Option<Slots>; SECTIONS.len()] = [const { None }; SECTIONS.len()];
+    let mut current: Option<usize> = None;
     let mut chaos: Vec<ChaosDecl> = Vec::new();
     let mut expect: Vec<Expectation> = Vec::new();
-
-    let mut section = Section::None;
-    let mut seen_sections: Vec<String> = Vec::new();
-    let mut seen_keys: Vec<(Section, String)> = Vec::new();
     let mut last_line = 0u32;
 
     for (lineno0, raw) in text.lines().enumerate() {
         let lineno = lineno0 as u32 + 1;
         last_line = lineno;
-        let content = match raw.find('#') {
-            Some(i) => &raw[..i],
-            None => raw,
-        };
-        if content.trim().is_empty() {
+        let content = raw.split('#').next().unwrap_or(raw);
+        let trimmed = content.trim();
+        if trimmed.is_empty() {
             continue;
         }
-        let indent = content.chars().take_while(|c| c.is_whitespace()).count() as u32;
-        let pos = Pos {
-            line: lineno,
-            col: indent + 1,
-        };
-        let trimmed = content.trim();
+        let lead = content.len() - content.trim_start().len();
+        let pos = Pos { line: lineno, col: content[..lead].chars().count() as u32 + 1 };
 
         if let Some(rest) = trimmed.strip_prefix('[') {
             let Some(sec_name) = rest.strip_suffix(']') else {
                 return Err(ctx.err(pos, ParseErrorKind::UnclosedSection));
             };
-            let sec = match sec_name {
-                "scenario" => Section::Scenario,
-                "topology" => Section::Topology,
-                "workload" => Section::Workload,
-                "chaos" => Section::Chaos,
-                "expect" => Section::Expect,
-                other => {
-                    return Err(ctx.err(pos, ParseErrorKind::UnknownSection(other.to_string())))
-                }
+            let Some(si) = SECTIONS.iter().position(|s| s.name == sec_name) else {
+                return Err(ctx.err(pos, ParseErrorKind::UnknownSection(sec_name.to_string())));
             };
-            if seen_sections.iter().any(|s| s == sec_name) {
+            if secs[si].is_some() {
                 return Err(ctx.err(pos, ParseErrorKind::DuplicateSection(sec_name.to_string())));
             }
-            seen_sections.push(sec_name.to_string());
-            match sec {
-                Section::Topology => topo_pos = pos,
-                Section::Workload => wl_pos = pos,
-                _ => {}
-            }
-            section = sec;
+            let (keys, owner) = (SECTIONS[si].keys, Owner::Section(SECTIONS[si].name));
+            let rows = if si == keys::EXPECT { 0 } else { keys.len() };
+            let (slots, others) = std::mem::take(&mut free).split_at_mut(rows);
+            free = others;
+            let deferred = si == keys::TOPOLOGY;
+            secs[si] = Some(Slots { ctx: &ctx, keys, owner, at: pos, kind: None, deferred, slots });
+            current = Some(si);
             continue;
         }
 
@@ -427,1030 +519,81 @@ pub fn parse_str(file: &str, text: &str) -> Result<Scenario, ParseError> {
             return Err(ctx.err(pos, ParseErrorKind::MissingEquals));
         };
         let key = trimmed[..eq].trim();
-        let val_off = content.len() - content.trim_start().len() + eq + 1;
+        let val_off = lead + eq + 1;
         let val_raw = &content[val_off..];
         let val = val_raw.trim();
         let vindent = val_raw.chars().take_while(|c| c.is_whitespace()).count() as u32;
-        let vpos = Pos {
-            line: lineno,
-            col: val_off as u32 + vindent + 1,
-        };
+        let vpos = Pos { line: lineno, col: val_off as u32 + vindent + 1 };
         if key.is_empty() {
             return Err(ctx.err(pos, ParseErrorKind::MissingEquals));
         }
-
-        let section_name = match section {
-            Section::None => {
-                return Err(ctx.err(pos, ParseErrorKind::KeyOutsideSection(key.to_string())))
-            }
-            Section::Scenario => "scenario",
-            Section::Topology => "topology",
-            Section::Workload => "workload",
-            Section::Chaos => "chaos",
-            Section::Expect => "expect",
+        let Some((si, st)) = current.and_then(|si| Some((si, secs[si].as_mut()?))) else {
+            return Err(ctx.err(pos, ParseErrorKind::KeyOutsideSection(key.to_string())));
         };
+        let section = SECTIONS[si].name;
 
-        // Duplicate detection for non-repeatable keys.
-        let repeatable = matches!(section, Section::Expect)
-            || (matches!(section, Section::Chaos) && key != "seed");
-        if !repeatable {
-            if seen_keys
-                .iter()
-                .any(|(s, k)| *s == section && k == key)
-            {
-                return Err(ctx.err(
-                    pos,
-                    ParseErrorKind::DuplicateKey {
-                        section: section_name,
-                        key: key.to_string(),
-                    },
-                ));
-            }
-            seen_keys.push((section, key.to_string()));
+        let row = st.keys.iter().position(|k| k.name == key);
+        // `[chaos]` declarations and `[expect]` lines repeat (they are
+        // pushed, never slotted); any other key may appear once.
+        if row.is_some_and(|i| st.slots.get(i).is_some_and(Option::is_some)) {
+            return Err(ctx.err(pos, ParseErrorKind::DuplicateKey { section, key: key.to_string() }));
         }
-
-        match section {
-            Section::None => unreachable!("handled above"),
-            Section::Scenario => match key {
-                "name" => {
-                    if !is_name(val) {
-                        return Err(ctx.err(
-                            vpos,
-                            ParseErrorKind::InvalidValue {
-                                key: key.to_string(),
-                                expected: "a name of [A-Za-z0-9_-]",
-                                got: val.to_string(),
-                            },
-                        ));
-                    }
-                    name = Some(val.to_string());
-                }
-                "seed" => seed = parse_u64(&ctx, vpos, key, val)?,
-                "sample_every" => {
-                    let d = parse_duration(&ctx, vpos, key, val)?;
-                    if d == SimDuration::ZERO {
-                        return Err(ctx.err(
-                            vpos,
-                            ParseErrorKind::InvalidValue {
-                                key: key.to_string(),
-                                expected: "a positive duration",
-                                got: val.to_string(),
-                            },
-                        ));
-                    }
-                    sample_every = d;
-                }
-                _ => {
-                    return Err(ctx.err(
-                        pos,
-                        ParseErrorKind::UnknownKey {
-                            section: section_name,
-                            key: key.to_string(),
-                        },
-                    ))
-                }
-            },
-            Section::Topology => match key {
-                "kind" => {
-                    let k = match val {
-                        "blink" => "blink",
-                        "pcc" => "pcc",
-                        "pytheas" => "pytheas",
-                        "ring" => "ring",
-                        "chorded_ring" => "chorded_ring",
-                        "linear" => "linear",
-                        "fat_tree" => "fat_tree",
-                        "bowtie" => "bowtie",
-                        _ => {
-                            return Err(ctx.err(
-                                vpos,
-                                ParseErrorKind::InvalidValue {
-                                    key: key.to_string(),
-                                    expected: "one of blink, pcc, pytheas, ring, chorded_ring, linear, fat_tree, bowtie",
-                                    got: val.to_string(),
-                                },
-                            ))
-                        }
-                    };
-                    topo_kind = Some(k);
-                }
-                "nodes" | "chord" | "pods" | "leaves" => {
-                    let Some(k) = topo_kind else {
-                        return Err(ctx.err(pos, ParseErrorKind::KindNotFirst { section: "topology" }));
-                    };
-                    let applies = matches!(
-                        (key, k),
-                        ("nodes", "ring" | "chorded_ring" | "linear")
-                            | ("chord", "chorded_ring")
-                            | ("pods", "fat_tree")
-                            | ("leaves", "bowtie")
-                    );
-                    if !applies {
-                        return Err(ctx.err(
-                            pos,
-                            ParseErrorKind::KeyNotApplicable {
-                                key: key.to_string(),
-                                what: format!("topology kind '{k}'"),
-                            },
-                        ));
-                    }
-                    let n = parse_usize(&ctx, vpos, key, val)?;
-                    match key {
-                        "nodes" => nodes = Some((vpos, n)),
-                        "chord" => chord = Some((vpos, n)),
-                        "pods" => pods = Some((vpos, n)),
-                        _ => leaves = Some((vpos, n)),
-                    }
-                }
-                _ => {
-                    return Err(ctx.err(
-                        pos,
-                        ParseErrorKind::UnknownKey {
-                            section: section_name,
-                            key: key.to_string(),
-                        },
-                    ))
-                }
-            },
-            Section::Workload => {
-                if key == "kind" {
-                    let k = match val {
-                        "blink" => "blink",
-                        "pcc" => "pcc",
-                        "pytheas" => "pytheas",
-                        "tcp" => "tcp",
-                        "churn" => "churn",
-                        "syn_flood" => "syn_flood",
-                        _ => {
-                            return Err(ctx.err(
-                                vpos,
-                                ParseErrorKind::InvalidValue {
-                                    key: key.to_string(),
-                                    expected: "one of blink, pcc, pytheas, tcp, churn, syn_flood",
-                                    got: val.to_string(),
-                                },
-                            ))
-                        }
-                    };
-                    wl_kind = Some(k);
-                    continue;
-                }
-                let Some(k) = wl_kind else {
-                    return Err(ctx.err(pos, ParseErrorKind::KindNotFirst { section: "workload" }));
-                };
-                let known = [
-                    "legit_flows",
-                    "malicious_flows",
-                    "mean_lifetime",
-                    "pkt_interval",
-                    "attack_start",
-                    "trigger_at",
-                    "guarded",
-                    "horizon",
-                    "flows",
-                    "bottleneck_mbps",
-                    "attacked",
-                    "pin_to_mbps",
-                    "groups",
-                    "rounds",
-                    "poison_fraction",
-                    "defended",
-                    "src",
-                    "dst",
-                    "attack",
-                    "attacker",
-                    "syn_rate",
-                    "backlog",
-                    "syn_timeout",
-                    "attack_duration",
-                ];
-                if !known.contains(&key) {
-                    return Err(ctx.err(
-                        pos,
-                        ParseErrorKind::UnknownKey {
-                            section: section_name,
-                            key: key.to_string(),
-                        },
-                    ));
-                }
-                let applies = matches!(
-                    (key, k),
-                    (
-                        "legit_flows" | "malicious_flows" | "trigger_at" | "guarded",
-                        "blink"
-                    ) | ("attack_start", "blink" | "syn_flood")
-                        | ("mean_lifetime" | "pkt_interval", "blink" | "tcp" | "churn" | "syn_flood")
-                        | ("horizon", "blink" | "pcc" | "tcp" | "churn" | "syn_flood")
-                        | ("flows", "pcc" | "tcp" | "churn" | "syn_flood")
-                        | ("bottleneck_mbps" | "attacked" | "pin_to_mbps", "pcc")
-                        | ("groups" | "rounds" | "poison_fraction" | "defended", "pytheas")
-                        | ("src" | "dst", "tcp" | "churn" | "syn_flood")
-                        | ("attack", "tcp")
-                        | (
-                            "attacker" | "syn_rate" | "backlog" | "syn_timeout" | "attack_duration",
-                            "syn_flood"
-                        )
-                );
-                if !applies {
-                    return Err(ctx.err(
-                        pos,
-                        ParseErrorKind::KeyNotApplicable {
-                            key: key.to_string(),
-                            what: format!("workload kind '{k}'"),
-                        },
-                    ));
-                }
-                match key {
-                    "legit_flows" => legit_flows = parse_usize(&ctx, vpos, key, val)?,
-                    "malicious_flows" => malicious_flows = parse_usize(&ctx, vpos, key, val)?,
-                    "mean_lifetime" => mean_lifetime = parse_duration(&ctx, vpos, key, val)?,
-                    "pkt_interval" => pkt_interval = Some(parse_duration(&ctx, vpos, key, val)?),
-                    "attack_start" => attack_start = parse_time(&ctx, vpos, key, val)?,
-                    "trigger_at" => trigger_at = Some(parse_time(&ctx, vpos, key, val)?),
-                    "guarded" => guarded = parse_bool(&ctx, vpos, key, val)?,
-                    "horizon" => horizon = Some(parse_duration(&ctx, vpos, key, val)?),
-                    "flows" => {
-                        let n = parse_usize(&ctx, vpos, key, val)?;
-                        if n == 0 || n >= 250 {
-                            return Err(ctx.err(
-                                vpos,
-                                ParseErrorKind::InvalidValue {
-                                    key: key.to_string(),
-                                    expected: "an integer in 1..250",
-                                    got: val.to_string(),
-                                },
-                            ));
-                        }
-                        flows = Some(n);
-                    }
-                    "bottleneck_mbps" => {
-                        let n = parse_u64(&ctx, vpos, key, val)?;
-                        if n == 0 {
-                            return Err(ctx.err(
-                                vpos,
-                                ParseErrorKind::InvalidValue {
-                                    key: key.to_string(),
-                                    expected: "a positive integer",
-                                    got: val.to_string(),
-                                },
-                            ));
-                        }
-                        bottleneck_mbps = n;
-                    }
-                    "attacked" => attacked = parse_bool(&ctx, vpos, key, val)?,
-                    "pin_to_mbps" => pin_to_mbps = Some(parse_f64(&ctx, vpos, key, val)?),
-                    "groups" => {
-                        let n = parse_usize(&ctx, vpos, key, val)?;
-                        if n == 0 {
-                            return Err(ctx.err(
-                                vpos,
-                                ParseErrorKind::InvalidValue {
-                                    key: key.to_string(),
-                                    expected: "a positive integer",
-                                    got: val.to_string(),
-                                },
-                            ));
-                        }
-                        groups = n;
-                    }
-                    "rounds" => {
-                        let n = parse_usize(&ctx, vpos, key, val)?;
-                        if n < 10 {
-                            return Err(ctx.err(
-                                vpos,
-                                ParseErrorKind::InvalidValue {
-                                    key: key.to_string(),
-                                    expected: "an integer ≥ 10",
-                                    got: val.to_string(),
-                                },
-                            ));
-                        }
-                        rounds = n;
-                    }
-                    "poison_fraction" => {
-                        let x = parse_f64(&ctx, vpos, key, val)?;
-                        if !(0.0..=0.9).contains(&x) {
-                            return Err(ctx.err(
-                                vpos,
-                                ParseErrorKind::InvalidValue {
-                                    key: key.to_string(),
-                                    expected: "a fraction in 0..=0.9",
-                                    got: val.to_string(),
-                                },
-                            ));
-                        }
-                        poison_fraction = x;
-                    }
-                    "defended" => defended = parse_bool(&ctx, vpos, key, val)?,
-                    "src" => {
-                        let names: Vec<String> =
-                            val.split(',').map(|s| s.trim().to_string()).collect();
-                        if names.is_empty() || names.iter().any(|n| !is_node_name(n)) {
-                            return Err(ctx.err(
-                                vpos,
-                                ParseErrorKind::InvalidValue {
-                                    key: key.to_string(),
-                                    expected: "a comma-separated list of node names",
-                                    got: val.to_string(),
-                                },
-                            ));
-                        }
-                        // Streamed admission owns one flow stream, so the
-                        // churn workload has exactly one source host.
-                        if k == "churn" && names.len() != 1 {
-                            return Err(ctx.err(
-                                vpos,
-                                ParseErrorKind::InvalidValue {
-                                    key: key.to_string(),
-                                    expected: "a single source host name on kind churn",
-                                    got: val.to_string(),
-                                },
-                            ));
-                        }
-                        src = Some(names);
-                    }
-                    "dst" => {
-                        if !is_node_name(val) {
-                            return Err(ctx.err(
-                                vpos,
-                                ParseErrorKind::InvalidValue {
-                                    key: key.to_string(),
-                                    expected: "a node name",
-                                    got: val.to_string(),
-                                },
-                            ));
-                        }
-                        dst = Some(val.to_string());
-                    }
-                    "attack" => {
-                        attack = Some(parse_attack(&ctx, vpos, val)?);
-                    }
-                    "attacker" => {
-                        if !is_node_name(val) {
-                            return Err(ctx.err(
-                                vpos,
-                                ParseErrorKind::InvalidValue {
-                                    key: key.to_string(),
-                                    expected: "a node name",
-                                    got: val.to_string(),
-                                },
-                            ));
-                        }
-                        attacker = Some(val.to_string());
-                    }
-                    "syn_rate" => {
-                        let n = parse_u64(&ctx, vpos, key, val)?;
-                        if n == 0 {
-                            return Err(ctx.err(
-                                vpos,
-                                ParseErrorKind::InvalidValue {
-                                    key: key.to_string(),
-                                    expected: "a positive integer",
-                                    got: val.to_string(),
-                                },
-                            ));
-                        }
-                        syn_rate = n;
-                    }
-                    "backlog" => {
-                        let n = parse_usize(&ctx, vpos, key, val)?;
-                        if n == 0 {
-                            return Err(ctx.err(
-                                vpos,
-                                ParseErrorKind::InvalidValue {
-                                    key: key.to_string(),
-                                    expected: "a positive integer",
-                                    got: val.to_string(),
-                                },
-                            ));
-                        }
-                        backlog = n;
-                    }
-                    "syn_timeout" => {
-                        syn_timeout = Some(parse_duration(&ctx, vpos, key, val)?)
-                    }
-                    "attack_duration" => {
-                        attack_duration = parse_duration(&ctx, vpos, key, val)?
-                    }
-                    _ => unreachable!("filtered by `known`"),
-                }
-            }
-            Section::Chaos => match key {
-                "seed" => chaos_seed = Some(parse_u64(&ctx, vpos, key, val)?),
-                "link_flap" | "partition" | "router_churn" | "load_surge" => {
-                    chaos.push(parse_chaos_decl(&ctx, vpos, key, val)?);
-                }
-                _ => {
-                    return Err(ctx.err(
-                        pos,
-                        ParseErrorKind::UnknownKey {
-                            section: section_name,
-                            key: key.to_string(),
-                        },
-                    ))
-                }
-            },
-            Section::Expect => {
-                expect.push(parse_expectation(&ctx, pos, vpos, key, val)?);
-            }
+        // Sections that open with `kind` gate every other key on it.
+        let gated = matches!(st.keys[0].ty, Ty::Kind(..));
+        let kindless = gated && st.kind.is_none() && row != Some(0);
+        let kind_first = || ctx.err(pos, ParseErrorKind::KindNotFirst { section });
+        if kindless && si == keys::WORKLOAD {
+            return Err(kind_first());
         }
+        let Some(i) = row else {
+            return Err(ctx.err(pos, ParseErrorKind::UnknownKey { section, key: key.to_string() }));
+        };
+        if kindless {
+            return Err(kind_first());
+        }
+        let k = &st.keys[i];
+        // (`[expect]` cases list workloads, which `compile` checks.)
+        let Some(case) = (if gated { k.case(st.kind) } else { k.cases.first() }) else {
+            let what = format!("{section} kind '{}'", st.kind.unwrap_or_default());
+            return Err(ctx.err(pos, ParseErrorKind::KeyNotApplicable { key: key.to_string(), what }));
+        };
+        if k.ty == Ty::Decl {
+            chaos.push(ctx.chaos_decl(vpos, k.name, val)?);
+            continue;
+        }
+        let bound = if st.deferred { &ANY } else { &case.bound };
+        let v = ctx.typed(k, bound, vpos, val)?;
+        if si == keys::EXPECT {
+            expect.push(Expectation::from_row(i, v));
+            continue;
+        }
+        if let Val::Kind(kind) = v {
+            st.kind = Some(kind);
+        }
+        st.slots[i] = Some(Slot { pos: vpos, val: v });
     }
 
-    let eof = Pos {
-        line: last_line + 1,
-        col: 1,
-    };
-    if !seen_sections.iter().any(|s| s == "scenario") {
-        return Err(ctx.err(eof, ParseErrorKind::MissingSection("scenario")));
-    }
-    let Some(name) = name else {
-        return Err(ctx.err(
-            eof,
-            ParseErrorKind::MissingKey {
-                section: "scenario",
-                key: "name",
-            },
-        ));
-    };
-    if !seen_sections.iter().any(|s| s == "topology") {
-        return Err(ctx.err(eof, ParseErrorKind::MissingSection("topology")));
-    }
-    if !seen_sections.iter().any(|s| s == "workload") {
-        return Err(ctx.err(eof, ParseErrorKind::MissingSection("workload")));
-    }
+    let eof = Pos { line: last_line + 1, col: 1 };
+    let [scn, topo, wl, cha, _] = secs;
+    let absent = |si: usize| ctx.err(eof, ParseErrorKind::MissingSection(SECTIONS[si].name));
+    let mut scn = scn.ok_or_else(|| absent(keys::SCENARIO))?;
+    // Unlike every other required key, a missing `name` points at EOF.
+    scn.at = eof;
+    let name = scn.get(keys::scenario::NAME)?;
+    let mut topo = topo.ok_or_else(|| absent(keys::TOPOLOGY))?;
+    let mut w = wl.ok_or_else(|| absent(keys::WORKLOAD))?;
 
-    // Assemble [topology].
-    let missing_topo = |key| {
-        ctx.err(
-            topo_pos,
-            ParseErrorKind::MissingKey {
-                section: "topology",
-                key,
-            },
-        )
-    };
-    let range = |pv: (Pos, usize), key: &str, min: usize, expected: &'static str| {
-        if pv.1 < min {
-            Err(ctx.err(
-                pv.0,
-                ParseErrorKind::InvalidValue {
-                    key: key.to_string(),
-                    expected,
-                    got: pv.1.to_string(),
-                },
-            ))
-        } else {
-            Ok(pv.1)
-        }
-    };
-    let topology = match topo_kind {
-        None => return Err(missing_topo("kind")),
-        Some("blink") => TopologySpec::Blink,
-        Some("pcc") => TopologySpec::Pcc,
-        Some("pytheas") => TopologySpec::Pytheas,
-        Some("ring") => TopologySpec::Ring {
-            nodes: range(nodes.ok_or_else(|| missing_topo("nodes"))?, "nodes", 3, "an integer ≥ 3")?,
-        },
-        Some("chorded_ring") => TopologySpec::ChordedRing {
-            nodes: range(nodes.ok_or_else(|| missing_topo("nodes"))?, "nodes", 5, "an integer ≥ 5")?,
-            chord: range(chord.ok_or_else(|| missing_topo("chord"))?, "chord", 2, "an integer ≥ 2")?,
-        },
-        Some("linear") => TopologySpec::Linear {
-            nodes: range(nodes.ok_or_else(|| missing_topo("nodes"))?, "nodes", 2, "an integer ≥ 2")?,
-        },
-        Some("fat_tree") => {
-            let pv = pods.ok_or_else(|| missing_topo("pods"))?;
-            if pv.1 < 2 || pv.1 % 2 != 0 {
-                return Err(ctx.err(
-                    pv.0,
-                    ParseErrorKind::InvalidValue {
-                        key: "pods".to_string(),
-                        expected: "an even integer ≥ 2",
-                        got: pv.1.to_string(),
-                    },
-                ));
-            }
-            TopologySpec::FatTree { pods: pv.1 }
-        }
-        Some("bowtie") => TopologySpec::Bowtie {
-            leaves: range(leaves.ok_or_else(|| missing_topo("leaves"))?, "leaves", 1, "an integer ≥ 1")?,
-        },
-        Some(other) => unreachable!("kind validated: {other}"),
-    };
-
-    // Assemble [workload].
-    let missing_wl = |key| {
-        ctx.err(
-            wl_pos,
-            ParseErrorKind::MissingKey {
-                section: "workload",
-                key,
-            },
-        )
-    };
-    let workload = match wl_kind {
-        None => return Err(missing_wl("kind")),
-        Some("blink") => WorkloadSpec::Blink {
-            legit_flows,
-            malicious_flows,
-            mean_lifetime,
-            pkt_interval: pkt_interval.unwrap_or(SimDuration::from_millis(250)),
-            attack_start,
-            trigger_at,
-            guarded,
-            horizon: horizon.unwrap_or(SimDuration::from_secs(60)),
-        },
-        Some("pcc") => WorkloadSpec::Pcc {
-            flows: flows.unwrap_or(2),
-            bottleneck_mbps,
-            attacked,
-            pin_to_mbps,
-            horizon: horizon.unwrap_or(SimDuration::from_secs(60)),
-        },
-        Some("pytheas") => WorkloadSpec::Pytheas {
-            groups,
-            rounds,
-            poison_fraction,
-            defended,
-        },
-        Some("tcp") => WorkloadSpec::Tcp {
-            flows: flows.unwrap_or(40),
-            mean_lifetime,
-            pkt_interval: pkt_interval.unwrap_or(SimDuration::from_millis(100)),
-            horizon: horizon.unwrap_or(SimDuration::from_secs(45)),
-            src: src.ok_or_else(|| missing_wl("src"))?,
-            dst: dst.ok_or_else(|| missing_wl("dst"))?,
-            attack,
-        },
-        Some("churn") => WorkloadSpec::Churn {
-            flows: flows.unwrap_or(40),
-            mean_lifetime,
-            pkt_interval: pkt_interval.unwrap_or(SimDuration::from_millis(100)),
-            horizon: horizon.unwrap_or(SimDuration::from_secs(45)),
-            // The parser already pinned churn's src list to one name.
-            src: src.ok_or_else(|| missing_wl("src"))?.remove(0),
-            dst: dst.ok_or_else(|| missing_wl("dst"))?,
-        },
-        Some("syn_flood") => WorkloadSpec::SynFlood {
-            flows: flows.unwrap_or(40),
-            mean_lifetime,
-            pkt_interval: pkt_interval.unwrap_or(SimDuration::from_millis(100)),
-            horizon: horizon.unwrap_or(SimDuration::from_secs(45)),
-            src: src.ok_or_else(|| missing_wl("src"))?,
-            dst: dst.ok_or_else(|| missing_wl("dst"))?,
-            attacker: attacker.ok_or_else(|| missing_wl("attacker"))?,
-            syn_rate,
-            backlog,
-            syn_timeout,
-            attack_start,
-            attack_duration,
-        },
-        Some(other) => unreachable!("kind validated: {other}"),
-    };
-
+    let topology = TopologySpec::assemble(&mut topo)?;
+    let workload = WorkloadSpec::assemble(&mut w)?;
     Ok(Scenario {
         name,
-        seed,
-        sample_every,
+        seed: scn.get(keys::scenario::SEED)?,
+        sample_every: scn.get(keys::scenario::SAMPLE_EVERY)?,
         topology,
         workload,
-        chaos_seed,
+        chaos_seed: cha.map(|mut c| c.get(keys::chaos::SEED)).transpose()?.flatten(),
         chaos,
         expect,
-    })
-}
-
-/// Parse `attack = bounce via=r1-r2 bounces=6`.
-fn parse_attack(ctx: &Ctx, vpos: Pos, val: &str) -> Result<AttackSpec, ParseError> {
-    let toks = tokens(val, vpos.col - 1);
-    let bad_form = || {
-        ctx.err(
-            vpos,
-            ParseErrorKind::InvalidValue {
-                key: "attack".to_string(),
-                expected: "'bounce via=<a>-<b> bounces=<n>'",
-                got: val.to_string(),
-            },
-        )
-    };
-    let Some((_, first)) = toks.first() else {
-        return Err(bad_form());
-    };
-    if first != "bounce" {
-        return Err(bad_form());
-    }
-    let mut via: Option<(String, String)> = None;
-    let mut bounces: u32 = 4;
-    for (c, t) in &toks[1..] {
-        let tpos = Pos { line: vpos.line, col: *c };
-        let Some((opt, v)) = t.split_once('=') else {
-            return Err(ctx.err(
-                tpos,
-                ParseErrorKind::UnknownOption {
-                    decl: "attack".to_string(),
-                    opt: t.clone(),
-                },
-            ));
-        };
-        match opt {
-            "via" => {
-                let Some((a, b)) = v.split_once('-') else {
-                    return Err(ctx.err(
-                        tpos,
-                        ParseErrorKind::InvalidValue {
-                            key: "via".to_string(),
-                            expected: "a router pair '<a>-<b>'",
-                            got: v.to_string(),
-                        },
-                    ));
-                };
-                if !is_node_name(a) || !is_node_name(b) {
-                    return Err(ctx.err(
-                        tpos,
-                        ParseErrorKind::InvalidValue {
-                            key: "via".to_string(),
-                            expected: "a router pair '<a>-<b>'",
-                            got: v.to_string(),
-                        },
-                    ));
-                }
-                via = Some((a.to_string(), b.to_string()));
-            }
-            "bounces" => {
-                bounces = parse_u32(ctx, tpos, "bounces", v)?;
-                if bounces == 0 {
-                    return Err(ctx.err(
-                        tpos,
-                        ParseErrorKind::InvalidValue {
-                            key: "bounces".to_string(),
-                            expected: "a positive integer",
-                            got: v.to_string(),
-                        },
-                    ));
-                }
-            }
-            other => {
-                return Err(ctx.err(
-                    tpos,
-                    ParseErrorKind::UnknownOption {
-                        decl: "attack".to_string(),
-                        opt: other.to_string(),
-                    },
-                ))
-            }
-        }
-    }
-    let via = via.ok_or_else(|| {
-        ctx.err(
-            vpos,
-            ParseErrorKind::MissingOption {
-                decl: "attack".to_string(),
-                opt: "via",
-            },
-        )
-    })?;
-    Ok(AttackSpec::Bounce { via, bounces })
-}
-
-/// Parse one `[chaos]` declaration line.
-fn parse_chaos_decl(
-    ctx: &Ctx,
-    vpos: Pos,
-    key: &str,
-    val: &str,
-) -> Result<ChaosDecl, ParseError> {
-    let toks = tokens(val, vpos.col - 1);
-    let mut positional: Vec<(u32, String)> = Vec::new();
-    let mut occur = Occur {
-        at: None,
-        repeat: 1,
-        every: None,
-        jitter: SimDuration::ZERO,
-    };
-    let mut down: Option<SimDuration> = None;
-    let mut surge_flows: Option<usize> = None;
-    let mut surge_duration: Option<SimDuration> = None;
-
-    for (c, t) in &toks {
-        let tpos = Pos { line: vpos.line, col: *c };
-        // Positional tokens (the target expression) have no '=' — except
-        // that partition group lists may contain none either; anything
-        // before the first opt token is positional.
-        if let Some((opt, v)) = t.split_once('=') {
-            match opt {
-                "at" => occur.at = Some(parse_time(ctx, tpos, "at", v)?),
-                "down" if key != "load_surge" => {
-                    down = Some(parse_duration(ctx, tpos, "down", v)?)
-                }
-                "repeat" => {
-                    let n = parse_u32(ctx, tpos, "repeat", v)?;
-                    if n == 0 {
-                        return Err(ctx.err(
-                            tpos,
-                            ParseErrorKind::InvalidValue {
-                                key: "repeat".to_string(),
-                                expected: "a positive integer",
-                                got: v.to_string(),
-                            },
-                        ));
-                    }
-                    occur.repeat = n;
-                }
-                "every" => occur.every = Some(parse_duration(ctx, tpos, "every", v)?),
-                "jitter" => occur.jitter = parse_duration(ctx, tpos, "jitter", v)?,
-                "flows" if key == "load_surge" => {
-                    surge_flows = Some(parse_usize(ctx, tpos, "flows", v)?)
-                }
-                "duration" if key == "load_surge" => {
-                    surge_duration = Some(parse_duration(ctx, tpos, "duration", v)?)
-                }
-                other => {
-                    return Err(ctx.err(
-                        tpos,
-                        ParseErrorKind::UnknownOption {
-                            decl: key.to_string(),
-                            opt: other.to_string(),
-                        },
-                    ))
-                }
-            }
-        } else {
-            positional.push((*c, t.clone()));
-        }
-    }
-
-    let at = occur.at.ok_or_else(|| {
-        ctx.err(
-            vpos,
-            ParseErrorKind::MissingOption {
-                decl: key.to_string(),
-                opt: "at",
-            },
-        )
-    })?;
-    if occur.repeat > 1 && occur.every.is_none() {
-        return Err(ctx.err(
-            vpos,
-            ParseErrorKind::MissingOption {
-                decl: key.to_string(),
-                opt: "every",
-            },
-        ));
-    }
-    let need_down = || {
-        ctx.err(
-            vpos,
-            ParseErrorKind::MissingOption {
-                decl: key.to_string(),
-                opt: "down",
-            },
-        )
-    };
-
-    let kind = match key {
-        "link_flap" => {
-            let Some((c, target)) = positional.first() else {
-                return Err(ctx.err(
-                    vpos,
-                    ParseErrorKind::InvalidValue {
-                        key: key.to_string(),
-                        expected: "a link target '<a>-<b>' or 'primary'",
-                        got: val.to_string(),
-                    },
-                ));
-            };
-            let tpos = Pos { line: vpos.line, col: *c };
-            let (a, b) = if target == "primary" {
-                ("primary".to_string(), String::new())
-            } else {
-                let Some((a, b)) = target.split_once('-') else {
-                    return Err(ctx.err(
-                        tpos,
-                        ParseErrorKind::InvalidValue {
-                            key: key.to_string(),
-                            expected: "a link target '<a>-<b>' or 'primary'",
-                            got: target.clone(),
-                        },
-                    ));
-                };
-                if !is_node_name(a) || !is_node_name(b) {
-                    return Err(ctx.err(
-                        tpos,
-                        ParseErrorKind::InvalidValue {
-                            key: key.to_string(),
-                            expected: "a link target '<a>-<b>' or 'primary'",
-                            got: target.clone(),
-                        },
-                    ));
-                }
-                (a.to_string(), b.to_string())
-            };
-            ChaosKind::LinkFlap {
-                a,
-                b,
-                down: down.ok_or_else(need_down)?,
-            }
-        }
-        "partition" => {
-            let expr: Vec<&str> = positional.iter().map(|(_, t)| t.as_str()).collect();
-            let expr = expr.join(" ");
-            let bad = |got: String| {
-                ctx.err(
-                    vpos,
-                    ParseErrorKind::InvalidValue {
-                        key: key.to_string(),
-                        expected: "two node groups '<a>,<b> | <c>,<d>'",
-                        got,
-                    },
-                )
-            };
-            let mut sides = expr.split('|');
-            let (Some(l), Some(r), None) = (sides.next(), sides.next(), sides.next()) else {
-                return Err(bad(expr.clone()));
-            };
-            let parse_side = |side: &str| -> Result<Vec<String>, ParseError> {
-                let names: Vec<String> = side
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .filter(|s| !s.is_empty())
-                    .collect();
-                if names.is_empty() || names.iter().any(|n| !is_node_name(n)) {
-                    return Err(bad(side.trim().to_string()));
-                }
-                Ok(names)
-            };
-            ChaosKind::Partition {
-                left: parse_side(l)?,
-                right: parse_side(r)?,
-                down: down.ok_or_else(need_down)?,
-            }
-        }
-        "router_churn" => {
-            let Some((c, node)) = positional.first() else {
-                return Err(ctx.err(
-                    vpos,
-                    ParseErrorKind::InvalidValue {
-                        key: key.to_string(),
-                        expected: "a router name",
-                        got: val.to_string(),
-                    },
-                ));
-            };
-            if !is_node_name(node) {
-                return Err(ctx.err(
-                    Pos { line: vpos.line, col: *c },
-                    ParseErrorKind::InvalidValue {
-                        key: key.to_string(),
-                        expected: "a router name",
-                        got: node.clone(),
-                    },
-                ));
-            }
-            ChaosKind::RouterChurn {
-                node: node.clone(),
-                down: down.ok_or_else(need_down)?,
-            }
-        }
-        "load_surge" => {
-            if let Some((c, t)) = positional.first() {
-                return Err(ctx.err(
-                    Pos { line: vpos.line, col: *c },
-                    ParseErrorKind::UnknownOption {
-                        decl: key.to_string(),
-                        opt: t.clone(),
-                    },
-                ));
-            }
-            let flows = surge_flows.ok_or_else(|| {
-                ctx.err(
-                    vpos,
-                    ParseErrorKind::MissingOption {
-                        decl: key.to_string(),
-                        opt: "flows",
-                    },
-                )
-            })?;
-            let duration = surge_duration.ok_or_else(|| {
-                ctx.err(
-                    vpos,
-                    ParseErrorKind::MissingOption {
-                        decl: key.to_string(),
-                        opt: "duration",
-                    },
-                )
-            })?;
-            ChaosKind::LoadSurge { flows, duration }
-        }
-        other => unreachable!("dispatched on known decl keys: {other}"),
-    };
-
-    Ok(ChaosDecl {
-        kind,
-        at,
-        repeat: occur.repeat,
-        every: occur.every.unwrap_or(SimDuration::ZERO),
-        jitter: occur.jitter,
-    })
-}
-
-/// Parse one `[expect]` line.
-fn parse_expectation(
-    ctx: &Ctx,
-    pos: Pos,
-    vpos: Pos,
-    key: &str,
-    val: &str,
-) -> Result<Expectation, ParseError> {
-    let counter = |k: &str| -> Result<(String, u64), ParseError> {
-        let toks = tokens(val, vpos.col - 1);
-        let bad = || {
-            ctx.err(
-                vpos,
-                ParseErrorKind::InvalidValue {
-                    key: k.to_string(),
-                    expected: "'<counter.name> <integer>'",
-                    got: val.to_string(),
-                },
-            )
-        };
-        let [(_, name), (c, n)] = toks.as_slice() else {
-            return Err(bad());
-        };
-        if name.is_empty()
-            || !name
-                .chars()
-                .all(|ch| ch.is_ascii_lowercase() || ch.is_ascii_digit() || ch == '.' || ch == '_')
-        {
-            return Err(bad());
-        }
-        let v = parse_u64(ctx, Pos { line: vpos.line, col: *c }, k, n)?;
-        Ok((name.clone(), v))
-    };
-    let frac = |k: &str| -> Result<f64, ParseError> {
-        let x = parse_f64(ctx, vpos, k, val)?;
-        if !(0.0..=1.0).contains(&x) {
-            return Err(ctx.err(
-                vpos,
-                ParseErrorKind::InvalidValue {
-                    key: k.to_string(),
-                    expected: "a fraction in 0..=1",
-                    got: val.to_string(),
-                },
-            ));
-        }
-        Ok(x)
-    };
-    Ok(match key {
-        "reroute_within" => Expectation::RerouteWithin(parse_duration(ctx, vpos, key, val)?),
-        "recovery_within" => Expectation::RecoveryWithin(parse_duration(ctx, vpos, key, val)?),
-        "blackout_during_chaos" => {
-            if !parse_bool(ctx, vpos, key, val)? {
-                return Err(ctx.err(
-                    vpos,
-                    ParseErrorKind::InvalidValue {
-                        key: key.to_string(),
-                        expected: "'true' (omit the line instead of 'false')",
-                        got: val.to_string(),
-                    },
-                ));
-            }
-            Expectation::BlackoutDuringChaos
-        }
-        "min_reroutes" => Expectation::MinReroutes(parse_u64(ctx, vpos, key, val)?),
-        "max_reroutes" => Expectation::MaxReroutes(parse_u64(ctx, vpos, key, val)?),
-        "final_on_primary" => Expectation::FinalOnPrimary(parse_bool(ctx, vpos, key, val)?),
-        "malicious_cells_min" => Expectation::MaliciousCellsMin(parse_u64(ctx, vpos, key, val)?),
-        "malicious_cells_max" => Expectation::MaliciousCellsMax(parse_u64(ctx, vpos, key, val)?),
-        "vetoed_min" => Expectation::VetoedMin(parse_u64(ctx, vpos, key, val)?),
-        "drop_rate_max" => Expectation::DropRateMax(frac(key)?),
-        "delivered_min" => Expectation::DeliveredMin(parse_u64(ctx, vpos, key, val)?),
-        "qoe_min" => Expectation::QoeMin(frac(key)?),
-        "qoe_max" => Expectation::QoeMax(frac(key)?),
-        "on_best_min" => Expectation::OnBestMin(frac(key)?),
-        "rate_min_mbps" => Expectation::RateMinMbps(parse_f64(ctx, vpos, key, val)?),
-        "rate_max_mbps" => Expectation::RateMaxMbps(parse_f64(ctx, vpos, key, val)?),
-        "oscillation_max" => Expectation::OscillationMax(parse_f64(ctx, vpos, key, val)?),
-        "synrcvd_peak_max" => Expectation::SynRcvdPeakMax(parse_u64(ctx, vpos, key, val)?),
-        "handshake_completed_min" => {
-            Expectation::HandshakeCompletedMin(parse_u64(ctx, vpos, key, val)?)
-        }
-        "counter_min" => {
-            let (c, n) = counter(key)?;
-            Expectation::CounterMin(c, n)
-        }
-        "counter_max" => {
-            let (c, n) = counter(key)?;
-            Expectation::CounterMax(c, n)
-        }
-        _ => {
-            return Err(ctx.err(
-                pos,
-                ParseErrorKind::UnknownKey {
-                    section: "expect",
-                    key: key.to_string(),
-                },
-            ))
-        }
     })
 }
 
@@ -1531,5 +674,54 @@ dst = h2
         let re = parse_str("mem", &printed).unwrap();
         assert_eq!(sc, re);
         assert_eq!(printed, re.print());
+    }
+
+    /// First error reported for `body` spliced in after the `[scenario]`
+    /// section.
+    fn first_err(body: &str) -> String {
+        let text = format!("[scenario]\nname = x\n{body}");
+        parse_str("f", &text).unwrap_err().to_string()
+    }
+
+    /// `[workload]` checks duplicate → kind-not-first → unknown →
+    /// not-applicable → invalid value.
+    #[test]
+    fn workload_error_precedence() {
+        let topo = "[topology]\nkind = pcc\n[workload]\n";
+        let e = |rest: &str| first_err(&format!("{topo}{rest}"));
+        assert_eq!(e("bogus = 1\n"), "f:6:1: the first key in [workload] must be 'kind'");
+        assert_eq!(e("kind = pcc\nbogus = 1\n"), "f:7:1: unknown key 'bogus' in [workload]");
+        assert_eq!(
+            e("kind = pcc\nlegit_flows = nope\n"),
+            "f:7:1: key 'legit_flows' does not apply to workload kind 'pcc'"
+        );
+        assert_eq!(e("kind = pcc\nflows = 3\nflows = nope\n"), "f:8:1: duplicate key 'flows' in [workload]");
+        assert_eq!(e("kind = pcc\nkind = nope\n"), "f:7:1: duplicate key 'kind' in [workload]");
+        assert_eq!(
+            e("kind = pcc\nflows = 250\n"),
+            "f:7:9: invalid value for 'flows': expected an integer in 1..250, got '250'"
+        );
+    }
+
+    /// `[topology]` checks duplicate → unknown → kind-not-first →
+    /// not-applicable → invalid value, and defers its range checks to
+    /// assembly (a later syntax error wins; `got` is the parsed number).
+    #[test]
+    fn topology_error_precedence() {
+        let e = |rest: &str| first_err(&format!("[topology]\n{rest}"));
+        assert_eq!(e("bogus = 1\n"), "f:4:1: unknown key 'bogus' in [topology]");
+        assert_eq!(e("nodes = 4\n"), "f:4:1: the first key in [topology] must be 'kind'");
+        assert_eq!(
+            e("kind = blink\nnodes = nope\n"),
+            "f:5:1: key 'nodes' does not apply to topology kind 'blink'"
+        );
+        assert_eq!(e("kind = ring\nnodes = 4\nnodes = nope\n"), "f:6:1: duplicate key 'nodes' in [topology]");
+        assert_eq!(e("kind = ring\nkind = nope\n"), "f:5:1: duplicate key 'kind' in [topology]");
+        let wl = "[workload]\nkind = tcp\nsrc = h0\ndst = h1\n";
+        assert_eq!(
+            e(&format!("kind = ring\nnodes =  02\n{wl}")),
+            "f:5:10: invalid value for 'nodes': expected an integer ≥ 3, got '2'"
+        );
+        assert_eq!(e(&format!("kind = ring\nnodes = 2\n{wl}oops\n")), "f:10:1: expected 'key = value'");
     }
 }

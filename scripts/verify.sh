@@ -4,29 +4,52 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# same_bytes WHERE FIRST SECOND FILE...
+#   The determinism contract, as a gate: run FIRST, then SECOND, in
+#   directory WHERE ("scratch": a fresh temporary directory), and require
+#   every FILE the first run left behind to come out of the second run
+#   byte-identical. Any failing command fails the gate.
+same_bytes() {
+  local where="$1" first="$2" second="$3" kept f
+  shift 3
+  kept="$(mktemp -d)"
+  trap "rm -rf '$kept'" EXIT # a failing run exits the script from inside
+  if [ "$where" = scratch ]; then
+    where="$kept/run"
+    mkdir "$where"
+  fi
+  (
+    cd "$where"
+    eval "$first"
+    for f in "$@"; do mv "$f" "$kept/$(basename "$f")"; done
+    eval "$second"
+    for f in "$@"; do cmp "$kept/$(basename "$f")" "$f"; done
+  ) >/dev/null
+  rm -rf "$kept"
+}
+
 echo "== determinism lint (dui-lint: token-aware, baseline-gated) =="
-bash scripts/lint_determinism.sh
-cp results/lint.jsonl "$(pwd)/target/lint.jsonl.first"
-bash scripts/lint_determinism.sh >/dev/null 2>&1
-cmp results/lint.jsonl "$(pwd)/target/lint.jsonl.first"
-rm -f "$(pwd)/target/lint.jsonl.first"
+# No wall clock / ambient randomness in library crates, and the rest of
+# the rule set (rustdoc of `dui_lint::rules`, EXPERIMENTS.md). Exits
+# non-zero iff a finding is not grandfathered by lint.baseline; also
+# writes results/lint.jsonl, which a second run must reproduce.
+LINT="cargo run -q --release --offline -p dui-lint --"
+$LINT --json --baseline lint.baseline
+# (That run, with its findings left visible, is the pair's first.)
+same_bytes . : "$LINT --json --baseline lint.baseline 2>&1" results/lint.jsonl
 echo "lint.jsonl byte-identical across runs: OK"
 
 echo "== call-graph dump determinism (dui-lint --graph-dump) =="
 # The cross-crate symbol/call graph behind the interprocedural rules
 # must serialize byte-identically across runs — symbol ids, edges, and
 # unknown-callee lists are all canonically ordered.
-cargo run -q --release --offline -p dui-lint -- --graph-dump >/dev/null
-cp results/callgraph.jsonl "$(pwd)/target/callgraph.jsonl.first"
-cargo run -q --release --offline -p dui-lint -- --graph-dump >/dev/null
-cmp results/callgraph.jsonl "$(pwd)/target/callgraph.jsonl.first"
-rm -f "$(pwd)/target/callgraph.jsonl.first"
+same_bytes . "$LINT --graph-dump" "$LINT --graph-dump" results/callgraph.jsonl
 echo "callgraph.jsonl byte-identical across runs: OK"
 
 echo "== build (release, offline) =="
 cargo build --release --offline
 
-echo "== tests (workspace, offline) =="
+echo "== tests (workspace, offline; dui-scenario: key-table round-trip, .dsc mutation never-panic, docs tables) =="
 cargo test -q --offline --workspace
 
 echo "== ledger benchmark unit tests (own package, outside the workspace) =="
@@ -56,25 +79,21 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 echo "== bench harness compiles and runs (smoke) =="
 cargo bench --offline -p dui-bench --bench microbench -- --quick >/dev/null
 
-echo "== record/replay gate (dui-replay) =="
-# Record a run, replay it with full hash checking, resume it from the
-# midpoint checkpoint, and demand the resumed run's CSV is byte-identical
-# to the uninterrupted one; then the same record+check for a hash-only
-# packet-level recording.
 EXP="$PWD/target/release/experiments"
-RRDIR="$(mktemp -d)"
-trap 'rm -rf "$RRDIR"' EXIT
-(
-  cd "$RRDIR"
-  "$EXP" record fig2-small
-  "$EXP" replay results/fig2-small.duir --check
-  "$EXP" replay results/fig2-small.duir --resume mid
-  cmp results/fig2-small_recorded.csv results/fig2-small_resumed.csv
-  echo "resume CSV byte-identical: OK"
-  "$EXP" record blink-packet-small
-  "$EXP" replay results/blink-packet-small.duir --check
-) >/dev/null
-echo "record/replay gate: OK"
+CORPUS="$PWD/examples/scenarios"
+
+echo "== record/replay gate (dui-replay) =="
+# Record a run and replay it with full hash checking; then resume it from
+# the midpoint checkpoint and demand the resumed run's CSV is
+# byte-identical to the uninterrupted one; then the same record+check for
+# a hash-only packet-level recording.
+same_bytes scratch \
+  "'$EXP' record fig2-small && '$EXP' replay results/fig2-small.duir --check" \
+  "'$EXP' replay results/fig2-small.duir --resume mid &&
+   mv results/fig2-small_resumed.csv results/fig2-small_recorded.csv &&
+   '$EXP' record blink-packet-small && '$EXP' replay results/blink-packet-small.duir --check" \
+  results/fig2-small_recorded.csv
+echo "record/replay gate, resume CSV byte-identical: OK"
 
 echo "== parallel engine byte-identity (--sim-threads) =="
 # The sharded simulator must produce the same bytes as the sequential
@@ -83,17 +102,8 @@ echo "== parallel engine byte-identity (--sim-threads) =="
 # the end-to-end check behind crates/netsim/src/parallel/ — the unit
 # and property tests cover randomized topologies; this pins the real
 # experiment. (~3 min: two full packet-level runs.)
-PARDIR="$(mktemp -d)"
-(
-  cd "$PARDIR"
-  "$EXP" blink-packet --sim-threads 1 --metrics
-  mv results/blink_packet.csv blink_packet.t1.csv
-  mv results/metrics.jsonl metrics.t1.jsonl
-  "$EXP" blink-packet --sim-threads 4 --metrics
-  cmp blink_packet.t1.csv results/blink_packet.csv
-  cmp metrics.t1.jsonl results/metrics.jsonl
-) >/dev/null
-rm -rf "$PARDIR"
+same_bytes scratch "'$EXP' blink-packet --sim-threads 1 --metrics" \
+  "'$EXP' blink-packet --sim-threads 4 --metrics" results/blink_packet.csv results/metrics.jsonl
 echo "blink-packet CSV + metrics JSONL byte-identical at 1 vs 4 sim threads: OK"
 
 echo "== supervisord verdict-log byte-identity (--workers) =="
@@ -101,30 +111,16 @@ echo "== supervisord verdict-log byte-identity (--workers) =="
 # any worker count (docs/supervisord.md). The stage already asserts
 # this in-process across its sweep; this byte-compares the exported log
 # across two separate invocations at 1 and 4 workers.
-SVDIR="$(mktemp -d)"
-(
-  cd "$SVDIR"
-  "$EXP" supervisord --workers 1
-  mv results/supervisord_verdicts.jsonl verdicts.w1.jsonl
-  "$EXP" supervisord --workers 4
-  cmp verdicts.w1.jsonl results/supervisord_verdicts.jsonl
-) >/dev/null
-rm -rf "$SVDIR"
+same_bytes scratch "'$EXP' supervisord --workers 1" "'$EXP' supervisord --workers 4" \
+  results/supervisord_verdicts.jsonl
 echo "supervisord verdict JSONL byte-identical at 1 vs 4 workers: OK"
 
 echo "== scenario corpus (experiments scenario, --jobs byte-identity) =="
 # Every shipped .dsc must parse, compile, and pass its expectations —
 # a file that fails to parse exits the runner with status 2 and fails
 # the gate — and the verdict CSV must not depend on --jobs.
-SCDIR="$(mktemp -d)"
-(
-  cd "$SCDIR"
-  "$EXP" scenario "$OLDPWD/examples/scenarios" --jobs 4
-  mv results/scenarios.csv scenarios.j4.csv
-  "$EXP" scenario "$OLDPWD/examples/scenarios" --jobs 1
-  cmp scenarios.j4.csv results/scenarios.csv
-) >/dev/null
-rm -rf "$SCDIR"
+same_bytes scratch "'$EXP' scenario '$CORPUS' --jobs 4" "'$EXP' scenario '$CORPUS' --jobs 1" \
+  results/scenarios.csv
 echo "scenario corpus all-pass and CSV byte-identical at --jobs 1 vs 4: OK"
 
 echo "== flow-scale smoke (10k flows, --jobs byte-identity) =="
@@ -133,16 +129,9 @@ echo "== flow-scale smoke (10k flows, --jobs byte-identity) =="
 # nature and are cut off before comparing. DUI_FLOW_SCALE_MAX truncates
 # the sweep to its 10k row so the gate stays fast — the recorded
 # results/flow_scale.csv always comes from the full 10k→1M sweep.
-FSDIR="$(mktemp -d)"
-(
-  cd "$FSDIR"
-  DUI_FLOW_SCALE_MAX=10000 "$EXP" flow-scale --jobs 1
-  cut -d, -f1-9 results/flow_scale.csv > flow_scale.j1.cols
-  DUI_FLOW_SCALE_MAX=10000 "$EXP" flow-scale --jobs 4
-  cut -d, -f1-9 results/flow_scale.csv > flow_scale.j4.cols
-  cmp flow_scale.j1.cols flow_scale.j4.cols
-) >/dev/null
-rm -rf "$FSDIR"
+FLOW_SCALE="DUI_FLOW_SCALE_MAX=10000 '$EXP' flow-scale"
+COLS="cut -d, -f1-9 results/flow_scale.csv > flow_scale.cols"
+same_bytes scratch "$FLOW_SCALE --jobs 1 && $COLS" "$FLOW_SCALE --jobs 4 && $COLS" flow_scale.cols
 echo "flow-scale deterministic columns byte-identical at --jobs 1 vs 4: OK"
 
 echo "== docs (intra-repo links) =="
