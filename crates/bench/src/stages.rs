@@ -647,11 +647,14 @@ pub fn blink_packet(jobs: usize, sim_threads: usize) -> StageOutput {
 
 /// Parallel-engine scaling measurement: the packet-level Blink scenario
 /// (reduced horizon) run to completion at `--sim-threads` 1, 2, 4, and
-/// 8, reporting wall-clock, barrier-window counts, and the final state
-/// hash per thread count. State hashes must agree bit-for-bit — that
-/// column is the stage's self-check, and a mismatch fails the stage.
-/// Wall-clock columns are measurements and legitimately vary between
-/// machines and runs; everything else in the CSV is deterministic.
+/// 8 in steps of one simulated second (each step re-deals the domains by
+/// the previous step's dispatch counts), reporting wall-clock,
+/// barrier-window and event counts, the busiest thread's share of the
+/// events, and the final state hash per thread count. State hashes must
+/// agree bit-for-bit — that column is the stage's self-check, and a
+/// mismatch fails the stage. Wall-clock columns are measurements and
+/// legitimately vary between machines and runs; everything else in the
+/// CSV is deterministic.
 pub fn parallel_scaling(requested: usize) -> StageOutput {
     use dui_core::netsim::parallel::ParallelOutcome;
 
@@ -680,25 +683,44 @@ pub fn parallel_scaling(requested: usize) -> StageOutput {
         "threads",
         "domains",
         "windows",
+        "events",
+        "busiest_thread_events",
         "wall_s",
         "state_hash",
         "matches_t1",
         "fallbacks",
     ]);
-    let mut show = Table::new(["threads", "domains", "windows", "wall [s]", "speedup", "hash ok"]);
+    let mut show = Table::new([
+        "threads",
+        "domains",
+        "windows",
+        "events/window",
+        "imbalance",
+        "wall [s]",
+        "speedup",
+        "hash ok",
+    ]);
     let mut base: Option<(u64, f64)> = None; // (hash at 1 thread, wall)
     for threads in [1usize, 2, 4, 8] {
         let mut sc = BlinkScenario::build(&cfg);
         sc.sim.set_sim_threads(threads);
         let t0 = std::time::Instant::now();
-        sc.sim.run_until(SimTime::from_secs(80));
+        let (mut domains, mut windows, mut events, mut busiest) = (0, 0, 0, 0);
+        for second in 1..=80 {
+            sc.sim.run_until(SimTime::from_secs(second));
+            match sc.sim.last_parallel_outcome() {
+                Some(ParallelOutcome::Ran(rep)) => {
+                    domains = rep.domains;
+                    windows += rep.windows;
+                    events += rep.events;
+                    busiest += rep.busiest_thread_events;
+                }
+                // lint: allow(panic): a fallback here means the scaling numbers would be fiction
+                other => panic!("scaling stage expects the parallel engine to run, got {other:?}"),
+            }
+        }
         let wall = t0.elapsed().as_secs_f64();
         let hash = sc.sim.state_hash();
-        let (domains, windows) = match sc.sim.last_parallel_outcome() {
-            Some(ParallelOutcome::Ran(rep)) => (rep.domains, rep.windows),
-            // lint: allow(panic): a fallback here means the scaling numbers would be fiction
-            other => panic!("scaling stage expects the parallel engine to run, got {other:?}"),
-        };
         if threads == 1 {
             base = Some((hash, wall));
             out.metrics = sc.metrics().with_prefix("t1.");
@@ -717,6 +739,8 @@ pub fn parallel_scaling(requested: usize) -> StageOutput {
             threads.to_string(),
             domains.to_string(),
             windows.to_string(),
+            events.to_string(),
+            busiest.to_string(),
             format!("{wall:.3}"),
             format!("{hash:016x}"),
             "yes".to_string(),
@@ -726,6 +750,9 @@ pub fn parallel_scaling(requested: usize) -> StageOutput {
             threads.to_string(),
             domains.to_string(),
             windows.to_string(),
+            (events / windows.max(1)).to_string(),
+            // Busiest thread's events over an even share: 1.00 is balanced.
+            format!("{:.2}", (busiest * threads.min(domains) as u64) as f64 / events.max(1) as f64),
             format!("{wall:.2}"),
             format!("{:.2}x", base_wall / wall),
             "yes".to_string(),
@@ -735,7 +762,8 @@ pub fn parallel_scaling(requested: usize) -> StageOutput {
     let _ = writeln!(
         r,
         "state hashes identical across all thread counts: OK\n\
-         (speedups are wall-clock measurements on this machine; on a single\n\
+         (imbalance: the busiest thread's events over an even share of them;\n\
+         speedups are wall-clock measurements on this machine — on a single\n\
          hardware core the threaded runs cannot beat 1 worker)\n"
     );
     out.table("parallel_scaling.csv", csv);

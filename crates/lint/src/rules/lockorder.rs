@@ -9,7 +9,8 @@
 //! actually contend.
 //!
 //! Per function the rule recovers the *lock-acquisition sequence*: a
-//! `.lock()` call is an acquisition of a named lock identity (the
+//! `.lock()` call — or a `RwLock`'s argument-less `.read()` /
+//! `.write()` — is an acquisition of a named lock identity (the
 //! receiver chain, `self` replaced by the impl type, index
 //! expressions collapsed — `self.slots[i]` and `self.slots[j]` are
 //! the same identity), and the guard is held
@@ -318,9 +319,7 @@ fn walk_body(
                     b.retain(|(_, bind)| bind.as_deref() != Some(name));
                 }
             }
-            (TokKind::Ident, "lock")
-                if scan.ctext(i.wrapping_sub(1)) == "." && scan.ctext(i + 1) == "(" =>
-            {
+            (TokKind::Ident, name) if is_acquisition(scan, i, name) => {
                 if !scan.line_or_above_contains(t.line, ALLOW) {
                     let identity = lock_identity(scan, i, self_type, t.line);
                     for (held, _) in blocks.iter().flatten() {
@@ -374,6 +373,15 @@ fn walk_body(
         }
         i += 1;
     }
+}
+
+/// Is code token `i` (an ident spelled `name`) the method of a guard
+/// acquisition: `.lock(…)`, or a `RwLock`'s `.read()` / `.write()` —
+/// told from `io::Read::read(buf)` and friends by taking no argument?
+fn is_acquisition(scan: &ScannedFile<'_>, i: usize, name: &str) -> bool {
+    scan.ctext(i.wrapping_sub(1)) == "."
+        && scan.ctext(i + 1) == "("
+        && (name == "lock" || (matches!(name, "read" | "write") && scan.ctext(i + 2) == ")"))
 }
 
 /// The lock identity of the receiver chain ending at the `.` before

@@ -122,6 +122,21 @@ fn lock_order_cycle_across_two_crates_is_reported_once() {
 }
 
 #[test]
+fn rwlock_guards_take_part_in_the_lock_order() {
+    // The same cycle through `RwLock`s: argument-less `.read()` and
+    // `.write()` are acquisitions too.
+    let a = LOCK_CYCLE_A.replace("Mutex", "RwLock").replace(".lock()", ".read()");
+    let b = LOCK_CYCLE_B.replace("Mutex", "RwLock").replace(".lock()", ".write()");
+    let findings = lint_sources(&sources(&[
+        ("crates/netsim/src/parallel/order_a.rs", &a),
+        ("crates/supervisord/src/lib.rs", &b),
+    ]));
+    let hits = of(&findings, "parallel/lock-order");
+    assert_eq!(hits.len(), 1, "findings: {findings:#?}");
+    assert!(hits[0].message.starts_with("lock-order cycle [LOCK_A, LOCK_B]"));
+}
+
+#[test]
 fn consistent_lock_order_and_sharded_reacquisition_are_clean() {
     let findings = lint_sources(&sources(&[(
         "crates/netsim/src/parallel/order_c.rs",

@@ -272,8 +272,8 @@ impl EventQueue {
         self.wheel.schedule_keyed(time.0, key, event);
     }
 
-    /// `(time, key)` of the earliest pending event, without mutating.
-    pub(crate) fn peek_key(&self) -> Option<(SimTime, u128)> {
+    /// `(time, key)` of the earliest pending event.
+    pub(crate) fn peek_key(&mut self) -> Option<(SimTime, u128)> {
         self.wheel.peek_key().map(|(t, k)| (SimTime(t), k))
     }
 

@@ -9,8 +9,8 @@
 
 use super::key::{provisional_key, PROVISIONAL_BIT};
 use super::partition::DomainMap;
-use crate::arena::PacketRef;
 use crate::event::Event;
+use crate::packet::Packet;
 use crate::sim::Simulator;
 use crate::time::SimTime;
 use crate::topology::NodeId;
@@ -49,18 +49,18 @@ impl Ord for FreshEntry {
     }
 }
 
-/// A cross-domain delivery produced this window: the packet body stays
-/// in the source domain's arena (so the barrier's id patch can still
-/// reach it) and moves to the destination arena at the barrier.
+/// A cross-domain delivery produced this window. The body left the source
+/// arena with the packet leaving the link, and may still carry a
+/// provisional id: the destination's owner gives it id and key on pulling.
 #[derive(Debug)]
-pub(crate) struct OutboxEntry {
+pub(crate) struct Delivery {
     pub time: SimTime,
     pub dst: NodeId,
     /// Domain-local record index of the dispatch that scheduled this.
     pub record: u32,
     /// Schedule-call position within that dispatch.
     pub pos: u32,
-    pub pkt: PacketRef,
+    pub body: Packet,
 }
 
 /// Parallel-engine extension carried by a domain's `SimCore`. Its
@@ -80,15 +80,13 @@ pub(crate) struct DomainExt {
     /// In-window-scheduled local events, min-heap by `(time, key)`.
     pub fresh: BinaryHeap<Reverse<FreshEntry>>,
     /// Cross-domain deliveries produced this window.
-    pub outbox: Vec<OutboxEntry>,
-    /// `(record, provisional id)` for every packet id handed out this
-    /// window, in assignment order; the barrier re-numbers them in merged
-    /// dispatch order from the shared id cursor and patches surviving
-    /// bodies by id (packet bodies re-home to new arena slots on every
-    /// forwarding hop, so a handle captured at assignment time can go
-    /// stale while the body lives on).
-    pub id_assignments: Vec<(u32, u64)>,
-    next_prov_id: u64,
+    pub outbox: Vec<Delivery>,
+    /// Record index of the dispatch behind every packet id handed out
+    /// this window: the `i`-th entry received provisional id `i + 1`, so
+    /// the barrier re-numbers through a dense table.
+    pub id_recs: Vec<u32>,
+    /// Dispatches since the split.
+    pub dispatched: u64,
 }
 
 impl DomainExt {
@@ -100,8 +98,8 @@ impl DomainExt {
             cur_intra: 0,
             fresh: BinaryHeap::new(),
             outbox: Vec::new(),
-            id_assignments: Vec::new(),
-            next_prov_id: 0,
+            id_recs: Vec::new(),
+            dispatched: 0,
         }
     }
 
@@ -111,16 +109,13 @@ impl DomainExt {
     }
 
     /// Hand out the next provisional packet id (unique per domain per
-    /// split; never escapes a run because the barrier patches every
+    /// window; never escapes a window because the barrier patches every
     /// surviving body — consumed packets just advance the cursor) and
     /// record it against the current dispatch for barrier re-numbering.
     pub fn next_provisional_id(&mut self) -> u64 {
         debug_assert!(!self.records.is_empty(), "id assigned outside a dispatch");
-        self.next_prov_id += 1;
-        let id = PROVISIONAL_ID_BASE | ((self.my_domain as u64) << 48) | self.next_prov_id;
-        self.id_assignments
-            .push((self.records.len() as u32 - 1, id));
-        id
+        self.id_recs.push(self.records.len() as u32 - 1);
+        PROVISIONAL_ID_BASE | ((self.my_domain as u64) << 48) | self.id_recs.len() as u64
     }
 
     /// Schedule a local event from within the current dispatch: it goes
@@ -135,19 +130,24 @@ impl DomainExt {
     /// Queue a cross-domain delivery. Consumes a schedule-call position
     /// exactly like a local schedule would — the sequential engine's
     /// sequence counter does not care where the delivery lands.
-    pub fn push_outbox(&mut self, time: SimTime, dst: NodeId, pkt: PacketRef) {
+    pub fn push_outbox(&mut self, time: SimTime, dst: NodeId, body: Packet) {
         debug_assert!(!self.records.is_empty(), "schedule outside a dispatch");
         let record = self.records.len() as u32 - 1;
         let pos = self.cur_intra;
         self.cur_intra += 1;
-        self.outbox.push(OutboxEntry {
+        self.outbox.push(Delivery {
             time,
             dst,
             record,
             pos,
-            pkt,
+            body,
         });
     }
+}
+
+/// Index into its domain's `id_of` table of a provisional id.
+pub(crate) fn provisional_index(id: u64) -> usize {
+    (id & ((1 << 48) - 1)) as usize - 1
 }
 
 /// Run one domain through the window `[_, end_excl)`, capped at the run
@@ -160,6 +160,7 @@ impl DomainExt {
 /// the sequential fact that pre-window events precede in-window ones.
 pub(crate) fn run_window(sim: &mut Simulator, end_excl: SimTime, target: SimTime) {
     loop {
+        // `peek_key` sorts the head slot, so the pop below is O(1).
         let wheel_head = sim.core.queue.peek_key();
         let ext = sim.core.domain.as_ref().expect("run_window outside domain mode"); // lint: allow(panic)
         let fresh_head = ext.fresh.peek().map(|Reverse(e)| (e.time, e.key));

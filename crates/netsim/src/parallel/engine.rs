@@ -1,25 +1,30 @@
 //! Split → window loop → join: the parallel engine's orchestration.
 //!
 //! `run_parallel` checks the preconditions, splits the merged simulator
-//! state into per-domain simulators, drives barrier windows (inline for
-//! one worker, scoped threads otherwise — same code path, same
-//! results), and joins everything back into the merged simulator. All
-//! cross-thread state lives behind `std::sync` primitives; the merge and
-//! the window schedule are computed single-threaded on the leader, so
-//! nothing observable depends on thread timing.
+//! state into per-domain simulators, gives each thread its domains for
+//! the whole run (the calling thread leads and owns a share; with one
+//! thread it owns them all and meets nobody — the same loop either way),
+//! and joins everything back into the merged simulator. All cross-thread
+//! state lives behind `std::sync` primitives; the merge and the window
+//! schedule are the leader's alone, so nothing observable depends on
+//! thread timing or on which thread owns which domain.
 
-use super::barrier::{merge_window, GlobalCursors};
+use super::barrier::{merge_window, publish, pull, settle, GlobalCursors, Mailbox};
 use super::domain::{run_window, DomainExt};
 use super::key::initial_key;
 use super::partition::{default_lookahead_floor, DomainMap};
+use super::sync::{ExitGuard, WindowSync};
 use super::{FallbackReason, ParallelReport};
 use crate::arena::PacketArena;
 use crate::event::{Event, EventQueue};
 use crate::link::DirState;
 use crate::sim::Simulator;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use crate::topology::NodeId;
-use std::sync::{Arc, Barrier, Mutex};
+use std::cmp::Reverse;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, RwLock};
+use std::thread::Thread;
 
 /// Run the event loop to `t` under the parallel engine, or report why
 /// the sequential engine must be used instead.
@@ -36,26 +41,56 @@ pub(crate) fn run_parallel(sim: &mut Simulator, t: SimTime) -> Result<ParallelRe
         }
     };
     preconditions(sim, &map)?;
-    let threads = sim.sim_threads.min(map.domain_count()).max(1);
+    let k = map.domain_count();
+    let threads = sim.sim_threads.min(k).max(1);
     let mut g = GlobalCursors {
         next_global: 0,
         next_pkt_id: sim.core.next_pkt_id,
     };
     let mut doms = split(sim, &map);
-    let windows = if threads == 1 {
-        window_loop_inline(&mut doms, map.lookahead(), &mut g, t)
-    } else {
-        let (parked, w) = window_loop_threaded(doms, map.lookahead(), &mut g, t, threads);
-        doms = parked;
-        w
-    };
+    let owner = assign(&sim.domain_load, k, threads);
+    let windows = run_windows(&mut doms, &owner, threads, &map, &mut g, t);
+    let load: Vec<u64> = doms.iter().map(|s| domain_ext(s).dispatched).collect();
+    let mut per_thread = vec![0u64; threads];
+    for (d, n) in load.iter().enumerate() {
+        per_thread[owner[d]] += n;
+    }
+    let events = load.iter().sum();
+    if events > 0 {
+        sim.domain_load = load;
+    }
     join(sim, doms, &g, &map, t);
     Ok(ParallelReport {
-        domains: map.domain_count(),
+        domains: k,
         threads,
         windows,
         lookahead: map.lookahead(),
+        events,
+        busiest_thread_events: per_thread.into_iter().max().unwrap_or(0),
     })
+}
+
+fn domain_ext(s: &Simulator) -> &DomainExt {
+    s.core.domain.as_deref().expect("domain simulator without its extension") // lint: allow(panic)
+}
+
+/// Thread of each domain: heaviest first (by its dispatches in the
+/// previous run), each to the thread carrying least so far — fewest
+/// domains among equals, so a first run deals them round-robin. The
+/// leader gets an even share: its serial merge idles every other thread
+/// too. Deterministic, and unobservable in results.
+fn assign(load: &[u64], k: usize, threads: usize) -> Vec<usize> {
+    let weight = |d: usize| load.get(d).copied().unwrap_or(0);
+    let mut order: Vec<usize> = (0..k).collect();
+    order.sort_by_key(|&d| (Reverse(weight(d)), d));
+    let mut carried = vec![(0u64, 0usize); threads];
+    let mut owner = vec![0; k];
+    for d in order {
+        let t = (0..threads).min_by_key(|&t| carried[t]).unwrap_or(0);
+        carried[t] = (carried[t].0 + weight(d), carried[t].1 + 1);
+        owner[d] = t;
+    }
+    owner
 }
 
 /// The parallel preconditions. Each names engine machinery whose
@@ -139,17 +174,8 @@ fn move_dir_pkts(st: &mut DirState, from: &mut PacketArena, to: &mut PacketArena
 /// node logic move out; topology, routing, and prefixes are shared by
 /// clone. The main arena and queue drain completely.
 fn split(sim: &mut Simulator, map: &Arc<DomainMap>) -> Vec<Simulator> {
-    let k = map.domain_count();
-    let mut doms: Vec<Simulator> = (0..k as u32)
-        .map(|d| {
-            let mut s = Simulator::new(sim.core.topo.clone(), 0);
-            s.core.routing = sim.core.routing.clone();
-            s.core.prefixes = sim.core.prefixes.clone();
-            s.core.now = sim.core.now;
-            s.started = true;
-            s.core.domain = Some(Box::new(DomainExt::new(d, Arc::clone(map))));
-            s
-        })
+    let mut doms: Vec<Simulator> = (0..map.domain_count() as u32)
+        .map(|d| sim.domain_shell(DomainExt::new(d, Arc::clone(map))))
         .collect();
     // Pending events in sequential dispatch order become the domains'
     // initial keys.
@@ -213,7 +239,7 @@ fn join(
     let mut all: Vec<(SimTime, u128, Event, usize)> = Vec::new();
     for (d, s) in doms.iter().enumerate() {
         debug_assert!(
-            s.core.domain.as_ref().is_none_or(|e| e.fresh.is_empty() && e.outbox.is_empty()),
+            domain_ext(s).fresh.is_empty() && domain_ext(s).outbox.is_empty(),
             "window state leaked past the final barrier"
         );
         for (time, key, ev) in s.core.queue.drain_keyed() {
@@ -261,138 +287,124 @@ fn join(
     sim.core.sync_structural_metrics();
 }
 
-/// Earliest pending event time across all domains — the next window
-/// start. Fresh-heaps and outboxes are empty between windows, so the
-/// per-domain wheels are the whole picture.
-fn next_window_start(doms: &[Simulator]) -> Option<SimTime> {
-    doms.iter().filter_map(|s| s.core.queue.peek_time()).min()
+/// What the threads of one run share.
+struct Shared<'a> {
+    sync: WindowSync,
+    map: &'a DomainMap,
+    target: SimTime,
+    mail: Vec<RwLock<Mailbox>>, // one per domain
+    /// The earliest time anything is due after the window just run: every
+    /// thread folds its domains' in before it arrives, the leader takes it.
+    due: AtomicU64,
+    /// The end of the next window, or 0 when the run is over (a real end
+    /// is a lookahead past zero): stored by the leader before it releases.
+    end: AtomicU64,
 }
 
-/// Single-worker window loop: identical windows, barriers, and merge
-/// order as the threaded loop — which is why `--sim-threads 1` and
-/// `--sim-threads N` produce byte-identical state.
-fn window_loop_inline(
+/// Run barrier windows to the target, domain `d` on thread `owner[d]`
+/// (the caller is thread 0 and leads); returns the number of windows. A
+/// panic in any domain poisons the rendezvous, every thread leaves its
+/// loop, and the original payload resurfaces here.
+fn run_windows(
     doms: &mut [Simulator],
-    lookahead: SimDuration,
+    owner: &[usize],
+    threads: usize,
+    map: &DomainMap,
     g: &mut GlobalCursors,
     target: SimTime,
 ) -> u64 {
-    let mut windows = 0u64;
-    while let Some(w) = next_window_start(doms) {
-        if w > target {
-            break;
+    // End (exclusive) of the window starting at `due`, the earliest pending
+    // event time anywhere (`u64::MAX`: none); `None` once past the target.
+    let window_end = |due: u64| {
+        (due < u64::MAX && due <= target.0).then(|| SimTime(due.saturating_add(map.lookahead().0)))
+    };
+    let first = doms.iter_mut().filter_map(|s| s.core.queue.peek_key()).map(|(w, _)| w.0).min();
+    let Some(end) = window_end(first.unwrap_or(u64::MAX)) else {
+        return 0;
+    };
+    let sh = Shared {
+        sync: WindowSync::new(threads - 1),
+        map,
+        target,
+        mail: doms.iter().map(|_| RwLock::default()).collect(),
+        due: AtomicU64::new(u64::MAX),
+        end: AtomicU64::new(0),
+    };
+    let mut parts: Vec<Vec<&mut Simulator>> = (0..threads).map(|_| Vec::new()).collect();
+    for (s, &t) in doms.iter_mut().zip(owner) {
+        parts[t].push(s);
+    }
+    let mut parts = parts.into_iter();
+    let mine = parts.next().expect("at least one thread"); // lint: allow(panic)
+    let (mut windows, mut panic) = (0, None);
+    std::thread::scope(|scope| {
+        let sh = &sh;
+        let spawn = |part| {
+            scope.spawn(move || {
+                let _guard = ExitGuard { sync: &sh.sync, wake: &[] };
+                own_windows(part, end, sh, || sh.sync.arrive_and_wait());
+            })
+        };
+        let handles: Vec<_> = parts.map(spawn).collect();
+        let workers: Vec<Thread> = handles.iter().map(|h| h.thread().clone()).collect();
+        let (mut boxes, mut heads) = (Vec::new(), Vec::new());
+        let guard = ExitGuard { sync: &sh.sync, wake: &workers };
+        own_windows(mine, end, sh, || {
+            sh.sync.collect() && {
+                merge_window(&sh.mail, g, &mut boxes, &mut heads);
+                windows += 1;
+                let next = window_end(sh.due.swap(u64::MAX, Relaxed));
+                sh.end.store(next.map_or(0, |e| e.0), Relaxed);
+                sh.sync.release(&workers);
+                true
+            }
+        });
+        drop(guard);
+        for h in handles {
+            if let Err(payload) = h.join() {
+                panic.get_or_insert(payload);
+            }
         }
-        let end = SimTime(w.0.saturating_add(lookahead.0));
-        for s in doms.iter_mut() {
-            run_window(s, end, target);
-        }
-        merge_window(doms, g);
-        windows += 1;
+    });
+    if let Some(payload) = panic {
+        std::panic::resume_unwind(payload);
     }
     windows
 }
 
-/// Leader/worker window loop over scoped threads. Domains are statically
-/// assigned round-robin (`worker w` owns domains `w, w+threads, …`);
-/// the leader (the calling thread) doubles as worker 0 and runs every
-/// barrier merge single-threaded while the workers wait. Two barrier
-/// waits per window: one to publish the window bounds, one to mark all
-/// domains parked.
-fn window_loop_threaded(
-    doms: Vec<Simulator>,
-    lookahead: SimDuration,
-    g: &mut GlobalCursors,
-    target: SimTime,
-    threads: usize,
-) -> (Vec<Simulator>, u64) {
-    struct Ctl {
-        end: SimTime,
-        done: bool,
+/// One thread's whole run: per window, run its domains and publish their
+/// outputs; `meet` the others (the leader merges and fixes the next
+/// window before it releases the workers; `false`: a thread panicked);
+/// do its domains' share of the barrier. Settling and pulling window `n`
+/// run straight into window `n + 1` — no second rendezvous, hence the
+/// outboxes' two parities. `due` and `end` are ordered by the
+/// rendezvous' own Release/Acquire pairs (see `sync`).
+fn own_windows(
+    mut mine: Vec<&mut Simulator>,
+    mut end: SimTime,
+    sh: &Shared<'_>,
+    mut meet: impl FnMut() -> bool,
+) {
+    let domain = |s: &Simulator| domain_ext(s).my_domain as usize;
+    let mut slot_of = vec![usize::MAX; sh.mail.len()];
+    for (i, s) in mine.iter().enumerate() {
+        slot_of[domain(s)] = i;
     }
-    let k = doms.len();
-    let slots: Vec<Mutex<Option<Simulator>>> = doms.into_iter().map(|s| Mutex::new(Some(s))).collect();
-    let barrier = Barrier::new(threads);
-    let ctl = Mutex::new(Ctl {
-        end: SimTime::ZERO,
-        done: false,
-    });
-    let mut windows = 0u64;
-    let take = |slots: &[Mutex<Option<Simulator>>], d: usize| -> Simulator {
-        slots[d]
-            .lock()
-            .expect("domain slot poisoned") // lint: allow(panic)
-            .take()
-            .expect("domain already in flight") // lint: allow(panic)
-    };
-    let park = |slots: &[Mutex<Option<Simulator>>], d: usize, s: Simulator| {
-        *slots[d].lock().expect("domain slot poisoned") = Some(s); // lint: allow(panic)
-    };
-    std::thread::scope(|scope| {
-        for w in 1..threads {
-            let (slots, barrier, ctl) = (&slots, &barrier, &ctl);
-            scope.spawn(move || loop {
-                barrier.wait();
-                let (end, done) = {
-                    let c = ctl.lock().expect("window control poisoned"); // lint: allow(panic)
-                    (c.end, c.done)
-                };
-                if done {
-                    break;
-                }
-                for d in (w..k).step_by(threads) {
-                    let mut s = take(slots, d);
-                    run_window(&mut s, end, target);
-                    park(slots, d, s);
-                }
-                barrier.wait();
-            });
+    for parity in [0, 1].into_iter().cycle() {
+        for s in mine.iter_mut() {
+            run_window(s, end, sh.target);
+            sh.due.fetch_min(publish(s, &sh.mail[domain(s)], parity), Relaxed);
         }
-        loop {
-            // All domains are parked here: compute the next window.
-            let w = (0..k)
-                .filter_map(|d| {
-                    slots[d]
-                        .lock()
-                        .expect("domain slot poisoned") // lint: allow(panic)
-                        .as_ref()
-                        .and_then(|s| s.core.queue.peek_time())
-                })
-                .min();
-            let (end, done) = match w {
-                Some(w) if w <= target => (SimTime(w.0.saturating_add(lookahead.0)), false),
-                _ => (SimTime::ZERO, true),
-            };
-            {
-                let mut c = ctl.lock().expect("window control poisoned"); // lint: allow(panic)
-                c.end = end;
-                c.done = done;
-            }
-            barrier.wait();
-            if done {
-                break;
-            }
-            for d in (0..k).step_by(threads) {
-                let mut s = take(&slots, d);
-                run_window(&mut s, end, target);
-                park(&slots, d, s);
-            }
-            barrier.wait();
-            let mut all: Vec<Simulator> = (0..k).map(|d| take(&slots, d)).collect();
-            merge_window(&mut all, g);
-            for (d, s) in all.into_iter().enumerate() {
-                park(&slots, d, s);
-            }
-            windows += 1;
+        if !meet() {
+            return;
         }
-    });
-    let doms = slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("domain slot poisoned") // lint: allow(panic)
-                .expect("domain not parked at shutdown") // lint: allow(panic)
-        })
-        .collect();
-    (doms, windows)
+        for s in mine.iter_mut() {
+            settle(s, &sh.mail[domain(s)]);
+        }
+        pull(&mut mine, &slot_of, sh.map, &sh.mail, parity);
+        match sh.end.load(Relaxed) {
+            0 => return,
+            e => end = SimTime(e),
+        }
+    }
 }
-

@@ -33,15 +33,18 @@
 //! 3. At the barrier, a K-way merge of the domains' dispatch records by
 //!    `(time, resolved key)` reconstructs the global dispatch order —
 //!    literally the sequential event trace — assigns global dispatch
-//!    indices, re-numbers packet ids from a shared cursor in merged
-//!    order, resolves provisional keys to final keys, and exchanges
-//!    cross-domain deliveries through per-domain outboxes drained in
+//!    indices and re-numbers packet ids from a shared cursor in merged
+//!    order. That much is serial (the calling thread leads). Each
+//!    domain's owner then resolves its provisional keys to final keys,
+//!    patches its packet ids, and pulls the cross-domain deliveries
+//!    addressed to it out of the other domains' outboxes, sources in
 //!    domain-index order.
 //!
 //! Since every window's merge is a pure function of the domains' window
 //! outputs — and those are pure functions of the domain state — no
-//! observable result depends on thread count or scheduling. N = 1 runs
-//! the identical decomposition inline through the same merge code.
+//! observable result depends on thread count, on which thread owns which
+//! domain, or on scheduling. N = 1 runs the same loop with every domain
+//! owned by the calling thread and nobody to wait for.
 //!
 //! # Fallback
 //!
@@ -72,7 +75,7 @@
 //! under domain decomposition is a different machine: they are
 //! byte-identical across every `--sim-threads N ≥ 1` but legitimately
 //! differ from a pure sequential run. Golden recordings are sequential;
-//! the verify gate compares N = 1 against N = 4.
+//! the verify gate compares N = 1, 2 and 4.
 
 pub mod key;
 pub mod partition;
@@ -80,6 +83,7 @@ pub mod partition;
 pub(crate) mod barrier;
 pub(crate) mod domain;
 mod engine;
+mod sync;
 
 pub(crate) use domain::DomainExt;
 pub use partition::DomainMap;
@@ -148,6 +152,12 @@ pub struct ParallelReport {
     pub windows: u64,
     /// Conservative lookahead (window width) used.
     pub lookahead: SimDuration,
+    /// Events dispatched inside those windows, over all domains.
+    pub events: u64,
+    /// The share of `events` dispatched by the domains of the thread
+    /// that dispatched the most: `events / threads` under perfect
+    /// balance, `events` when one thread did all the work.
+    pub busiest_thread_events: u64,
 }
 
 /// Outcome of the most recent `run_until` on a simulator with

@@ -382,10 +382,11 @@ impl SimCore {
             None => false,
         };
         if remote {
+            let body = self.take_pkt(pkt);
             self.domain
                 .as_mut()
                 .expect("checked above") // lint: allow(panic)
-                .push_outbox(arrive, dst, pkt);
+                .push_outbox(arrive, dst, body);
         } else {
             self.schedule_event(arrive, Event::Deliver { node: dst, pkt });
         }
@@ -645,6 +646,11 @@ pub struct Simulator {
     /// Cached domain decomposition (a pure function of the immutable
     /// topology).
     pub(crate) domain_map: Option<std::sync::Arc<crate::parallel::DomainMap>>,
+    /// Dispatches per domain in the most recent parallel run that
+    /// dispatched anything: the weights the next run balances its
+    /// threads by. Not part of the logical state — ownership is
+    /// unobservable in results.
+    pub(crate) domain_load: Vec<u64>,
     /// What the parallel engine did (or why it fell back) on the most
     /// recent `run_until`.
     pub(crate) last_parallel: Option<crate::parallel::ParallelOutcome>,
@@ -655,6 +661,23 @@ impl Simulator {
     /// deterministic RNG seeded by `seed`.
     pub fn new(topo: Topology, seed: u64) -> Self {
         let routing = Routing::shortest_paths(&topo);
+        Self::with_routing(topo, routing, seed)
+    }
+
+    /// An already-started simulator at this one's clock over the same
+    /// topology, routing (cloned, not recomputed) and prefixes, with
+    /// nothing pending and no node logic: the shell the parallel engine
+    /// fills with one domain's share of the state.
+    pub(crate) fn domain_shell(&self, ext: crate::parallel::DomainExt) -> Self {
+        let mut s = Self::with_routing(self.core.topo.clone(), self.core.routing.clone(), 0);
+        s.core.prefixes = self.core.prefixes.clone();
+        s.core.now = self.core.now;
+        s.core.domain = Some(Box::new(ext));
+        s.started = true;
+        s
+    }
+
+    fn with_routing(topo: Topology, routing: Routing, seed: u64) -> Self {
         let links = topo.links().iter().cloned().map(LinkRuntime::new).collect();
         let n = topo.node_count();
         let mut registry = Registry::new();
@@ -680,6 +703,7 @@ impl Simulator {
             started: false,
             sim_threads: 0,
             domain_map: None,
+            domain_load: Vec::new(),
             last_parallel: None,
         }
     }

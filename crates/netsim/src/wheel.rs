@@ -400,17 +400,19 @@ impl<T> TimerWheel<T> {
         self.overflow.peek().map(|Reverse(HeapEntry(e))| e.time)
     }
 
-    /// `(time, key)` of the minimum pending entry, without mutating. Same
-    /// scan as [`TimerWheel::peek_time`]; correct for the key too because
+    /// `(time, key)` of the minimum pending entry. Same scan as
+    /// [`TimerWheel::peek_time`]; correct for the key too because
     /// entries at equal times always share a slot (placement is a pure
     /// function of tick and cursor), so the slot minimum is the global
-    /// minimum.
-    pub fn peek_key(&self) -> Option<(u64, u128)> {
+    /// minimum. Takes `&mut self` to sort a dirty head slot once — the
+    /// pop that follows needs it sorted anyway — instead of scanning it
+    /// on every peek.
+    pub fn peek_key(&mut self) -> Option<(u64, u128)> {
         for level in 0..LEVELS {
             if let Some(i) = self.levels[level].first_occupied_from(self.base(level)) {
-                let key = self.levels[level].slots[i]
-                    .peek_min_key()
-                    .expect("occupied bit set on empty slot"); // lint: allow(panic): occupancy bitmap invariant
+                let slot = &mut self.levels[level].slots[i];
+                slot.ensure_sorted();
+                let key = slot.peek_min_key().expect("occupied bit set on empty slot"); // lint: allow(panic): occupancy bitmap invariant
                 return Some(key);
             }
         }

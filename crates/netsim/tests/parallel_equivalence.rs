@@ -8,6 +8,10 @@ use dui_netsim::prelude::*;
 use dui_stats::digest::StateDigest;
 use std::any::Any;
 
+/// Thread counts every equivalence case runs at: one (the same loop with
+/// nobody to meet), even and odd splits, and more threads than domains.
+const THREADS: [usize; 5] = [1, 2, 3, 4, 8];
+
 /// Milliseconds → SimTime (nanosecond ticks).
 fn at_ms(ms: u64) -> SimTime {
     SimTime(ms * 1_000_000)
@@ -137,6 +141,18 @@ impl NodeLogic for PulseHost {
 fn random_clustered(seed: u64) -> (Topology, Vec<NodeId>, Vec<NodeId>, Vec<Addr>) {
     let mut rng = TestRng(seed.wrapping_mul(0x9e37_79b9).wrapping_add(seed) | 1);
     let clusters = 2 + rng.pick(3) as usize;
+    clustered(rng, clusters, false)
+}
+
+/// The same shape with a chosen number of clusters — and, on request, one
+/// more domain that never dispatches anything: a leaf router behind its
+/// own WAN link that no route crosses (the Blink scenario's backup router
+/// is such a domain).
+fn clustered(
+    mut rng: TestRng,
+    clusters: usize,
+    idle_leaf: bool,
+) -> (Topology, Vec<NodeId>, Vec<NodeId>, Vec<Addr>) {
     let mut b = TopologyBuilder::new();
     let mut routers = Vec::new();
     let mut hosts = Vec::new();
@@ -176,6 +192,11 @@ fn random_clustered(seed: u64) -> (Topology, Vec<NodeId>, Vec<NodeId>, Vec<Addr>
             SimDuration::from_millis(2 + rng.pick(7)),
             (4 + rng.pick(28)) as usize,
         );
+    }
+    if idle_leaf {
+        let leaf = b.router("idle");
+        b.link(routers[0], leaf, Bandwidth::mbps(10), SimDuration::from_millis(3), 8);
+        routers.push(leaf);
     }
     (b.build(), routers, hosts, addrs)
 }
@@ -259,30 +280,47 @@ fn assert_parallel_ran(outcome: Option<ParallelOutcome>) {
     }
 }
 
+/// Run `drive` (which returns the state hashes it saw) on the sequential
+/// engine and at every thread count: hashes, counters and logical metrics
+/// must equal the sequential engine's, and the full metrics snapshot —
+/// structural metrics included — must be the same at every thread count.
+fn assert_equivalent(build: impl Fn() -> Simulator, drive: impl Fn(&mut Simulator) -> Vec<u64>) {
+    let mut reference = build();
+    let want = drive(&mut reference);
+    let mut full: Option<String> = None;
+    for threads in THREADS {
+        let mut sim = build();
+        sim.set_sim_threads(threads);
+        assert_eq!(drive(&mut sim), want, "state hashes diverged at {threads} threads");
+        let outcome = sim.last_parallel_outcome();
+        assert!(matches!(outcome, Some(ParallelOutcome::Ran(_))), "fell back: {outcome:?}");
+        assert_eq!(sim.counters(), reference.counters(), "{threads} threads");
+        assert_eq!(logical_metrics(&sim), logical_metrics(&reference), "{threads} threads");
+        let all = sim.metrics_snapshot().to_json_line("all");
+        assert_eq!(*full.get_or_insert(all.clone()), all, "structural metrics at {threads} threads");
+    }
+}
+
 #[test]
 fn parallel_matches_sequential_across_thread_counts() {
-    for seed in [1u64, 2, 3] {
-        let (topo, routers, hosts, addrs) = random_clustered(seed);
-        let mut reference = wire(topo.clone(), &routers, &hosts, &addrs, seed);
-        let flap = first_wan_link(&reference, &routers);
-        let (want, _) = drive(&mut reference, flap);
-        let want_metrics = logical_metrics(&reference);
-        for threads in [1usize, 2, 4, 8] {
-            let mut sim = wire(topo.clone(), &routers, &hosts, &addrs, seed);
-            sim.set_sim_threads(threads);
-            let (got, outcome) = drive(&mut sim, flap);
-            assert_eq!(
-                got, want,
-                "state hash diverged (seed {seed}, {threads} threads)"
-            );
-            assert_parallel_ran(outcome);
-            assert_eq!(sim.counters(), reference.counters(), "seed {seed}");
-            assert_eq!(
-                logical_metrics(&sim),
-                want_metrics,
-                "logical metrics diverged (seed {seed}, {threads} threads)"
-            );
-        }
+    // Random shapes, then domain counts no thread count divides (3 threads
+    // over 4, 5 and 7 domains among them), with and without a domain that
+    // never runs.
+    let random = [1u64, 2, 3].map(|seed| (seed, random_clustered(seed)));
+    let uneven = [(4, false), (5, true), (7, false), (6, true)].map(|(clusters, idle_leaf)| {
+        let seed = 40 + clusters as u64;
+        (seed, clustered(TestRng(seed | 1), clusters, idle_leaf))
+    });
+    for (seed, (topo, routers, hosts, addrs)) in random.into_iter().chain(uneven) {
+        let build = || wire(topo.clone(), &routers, &hosts, &addrs, seed);
+        let flap = first_wan_link(&build(), &routers);
+        assert_equivalent(build, |sim| {
+            let (hashes, first) = drive(sim, flap);
+            if sim.sim_threads() > 0 {
+                assert_parallel_ran(first);
+            }
+            hashes
+        });
     }
 }
 
@@ -300,9 +338,9 @@ fn thread_counts_agree_byte_for_byte_including_structural_metrics() {
         drive(&mut sim, flap);
         (sim.metrics_snapshot().to_json_line("all"), sim.state_hash())
     };
-    for threads in [2usize, 4, 8] {
+    for threads in &THREADS[1..] {
         let mut sim = wire(topo.clone(), &routers, &hosts, &addrs, 7);
-        sim.set_sim_threads(threads);
+        sim.set_sim_threads(*threads);
         drive(&mut sim, flap);
         assert_eq!(sim.state_hash(), base_hash, "{threads} threads");
         assert_eq!(
@@ -419,4 +457,101 @@ fn fallback_reasons_are_reported_and_results_still_match() {
         sim.last_parallel_outcome(),
         Some(&ParallelOutcome::Fallback(FallbackReason::TraceEnabled))
     );
+}
+
+#[test]
+fn targets_inside_a_window_and_window_sized_runs_match_sequential() {
+    let (topo, routers, hosts, addrs) = clustered(TestRng(77), 5, true);
+    let build = || wire(topo.clone(), &routers, &hosts, &addrs, 9);
+    // A target that falls inside a window: the window is cut short and
+    // the next run resumes from whatever it left pending.
+    assert_equivalent(build, |sim| {
+        [37_123_457u64, 37_123_458, 90_000_001, 200_000_000]
+            .map(|ns| {
+                sim.run_until(SimTime(ns));
+                sim.state_hash()
+            })
+            .to_vec()
+    });
+    // Fifty runs of one lookahead each: a split and a join per window,
+    // and a thread assignment that follows the previous run's counts.
+    assert_equivalent(build, |sim| {
+        sim.run_until(SimTime(1));
+        let lookahead = match sim.last_parallel_outcome() {
+            Some(ParallelOutcome::Ran(report)) => report.lookahead,
+            _ => SimDuration::from_millis(2), // the sequential reference: any step will do
+        };
+        (1..=50u64)
+            .map(|i| {
+                sim.run_until(SimTime(i * lookahead.as_nanos()));
+                sim.state_hash()
+            })
+            .collect()
+    });
+}
+
+/// Ticks every millisecond; if `armed`, panics on its fifth tick.
+struct FifthTickPanics {
+    armed: bool,
+    ticks: u32,
+}
+
+impl NodeLogic for FifthTickPanics {
+    fn on_start(&mut self, ctx: &mut Ctx) {
+        ctx.set_timer(SimDuration::from_millis(1), 0);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx, _token: u64) {
+        self.ticks += 1;
+        assert!(!(self.armed && self.ticks == 5), "fifth tick");
+        ctx.set_timer(SimDuration::from_millis(1), 0);
+    }
+
+    fn on_packet(&mut self, _ctx: &mut Ctx, _pkt: Packet) {}
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// Two hosts, a 2 ms link, two threads: host 0's domain runs on the
+/// calling thread, host 1's on the worker. The run happens on a spawned
+/// thread behind `recv_timeout`, so a stranded rendezvous fails the test
+/// instead of stalling the suite.
+fn panic_in_host_resurfaces(armed: usize) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut b = TopologyBuilder::new();
+        let h0 = b.host("h0", Addr::new(10, 0, 0, 1));
+        let h1 = b.host("h1", Addr::new(10, 0, 0, 2));
+        b.link(h0, h1, Bandwidth::mbps(10), SimDuration::from_millis(2), 8);
+        let mut sim = Simulator::new(b.build(), 1);
+        for (i, h) in [h0, h1].into_iter().enumerate() {
+            sim.set_logic(h, Box::new(FifthTickPanics { armed: i == armed, ticks: 0 }));
+        }
+        sim.set_sim_threads(2);
+        let run = std::panic::AssertUnwindSafe(|| sim.run_until(at_ms(50)));
+        let message = std::panic::catch_unwind(run).map_err(|payload| {
+            payload.downcast_ref::<&str>().map_or_else(
+                || payload.downcast_ref::<String>().cloned().unwrap_or_default(),
+                |s| s.to_string(),
+            )
+        });
+        let _ = tx.send(message);
+    });
+    match rx.recv_timeout(std::time::Duration::from_secs(30)) {
+        Ok(Err(message)) => assert!(message.contains("fifth tick"), "wrong payload: {message:?}"),
+        Ok(Ok(())) => panic!("the node logic's panic was swallowed"),
+        Err(_) => panic!("run_until hung after a node logic panicked"),
+    }
+}
+
+#[test]
+fn panic_in_a_leader_owned_domain_resurfaces() {
+    panic_in_host_resurfaces(0);
+}
+
+#[test]
+fn panic_in_a_worker_owned_domain_resurfaces() {
+    panic_in_host_resurfaces(1);
 }

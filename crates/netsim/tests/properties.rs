@@ -167,6 +167,47 @@ prop_check! {
         prop_assert!(heap.is_empty());
     }
 
+    fn keyed_wheel_peeks_always_name_the_next_pop(g) {
+        use dui_netsim::wheel::TimerWheel;
+        // A keyed wheel (the parallel engine's per-domain queue) against
+        // an ordered map, under arbitrary interleavings of keyed
+        // schedules — at every level, beyond the horizon, and in the past
+        // of the cursor (clamped into its slot) — and pops: before every
+        // pop, `peek_key` and `peek_time` must already name it. Keys are
+        // wide (final-key and provisional-bit shapes) and out of order.
+        let mut wheel: TimerWheel<u64> = TimerWheel::new();
+        let mut model = std::collections::BTreeMap::new();
+        let mut clock = 0u64;
+        for serial in 0..g.u64(1..300) {
+            if g.bool() || model.is_empty() {
+                let scale = 10 + 8 * g.u32(0..6); // same tick … past the horizon
+                let delta = g.u64(0..1 << scale);
+                let time = if g.u8(0..4) == 0 {
+                    clock.saturating_sub(delta)
+                } else {
+                    clock.saturating_add(delta)
+                };
+                // Unique by the serial; ordered by the random high bits.
+                let key = (g.any_u64() as u128) << 64 | (g.any_u32() as u128) << 32 | serial as u128;
+                wheel.schedule_keyed(time, key, serial);
+                model.insert((time, key), serial);
+            } else {
+                let want = model.pop_first().map(|((t, k), v)| (t, k, v));
+                prop_assert_eq!(wheel.peek_time(), want.map(|(t, _, _)| t));
+                prop_assert_eq!(wheel.peek_key(), want.map(|(t, k, _)| (t, k)));
+                prop_assert_eq!(wheel.pop_keyed(), want, "pop order diverged");
+                clock = clock.max(want.map_or(0, |(t, _, _)| t));
+            }
+            prop_assert_eq!(wheel.len(), model.len());
+        }
+        while let Some(((t, k), v)) = model.pop_first() {
+            prop_assert_eq!(wheel.peek_time(), Some(t));
+            prop_assert_eq!(wheel.peek_key(), Some((t, k)));
+            prop_assert_eq!(wheel.pop_keyed(), Some((t, k, v)));
+        }
+        prop_assert!(wheel.is_empty() && wheel.peek_key().is_none());
+    }
+
     fn wheel_fifo_among_equal_times_any_scale(g) {
         use dui_netsim::wheel::TimerWheel;
         // Bursts at the same timestamp must pop in schedule order no

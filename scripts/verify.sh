@@ -8,10 +8,12 @@ cd "$(dirname "$0")/.."
 #   The determinism contract, as a gate: run FIRST, then SECOND, in
 #   directory WHERE ("scratch": a fresh temporary directory), and require
 #   every FILE the first run left behind to come out of the second run
-#   byte-identical. Any failing command fails the gate.
+#   byte-identical. A SECOND that makes several runs calls `same` after
+#   each but the last. Any failing command fails the gate.
 same_bytes() {
   local where="$1" first="$2" second="$3" kept f
   shift 3
+  local files=("$@")
   kept="$(mktemp -d)"
   trap "rm -rf '$kept'" EXIT # a failing run exits the script from inside
   if [ "$where" = scratch ]; then
@@ -20,10 +22,11 @@ same_bytes() {
   fi
   (
     cd "$where"
+    same() { for f in "${files[@]}"; do cmp "$kept/$(basename "$f")" "$f"; done; }
     eval "$first"
-    for f in "$@"; do mv "$f" "$kept/$(basename "$f")"; done
+    for f in "${files[@]}"; do mv "$f" "$kept/$(basename "$f")"; done
     eval "$second"
-    for f in "$@"; do cmp "$kept/$(basename "$f")" "$f"; done
+    same
   ) >/dev/null
   rm -rf "$kept"
 }
@@ -101,10 +104,13 @@ echo "== parallel engine byte-identity (--sim-threads) =="
 # byte-compare its CSV and its deterministic telemetry JSONL. This is
 # the end-to-end check behind crates/netsim/src/parallel/ — the unit
 # and property tests cover randomized topologies; this pins the real
-# experiment. (~3 min: two full packet-level runs.)
-same_bytes scratch "'$EXP' blink-packet --sim-threads 1 --metrics" \
-  "'$EXP' blink-packet --sim-threads 4 --metrics" results/blink_packet.csv results/metrics.jsonl
-echo "blink-packet CSV + metrics JSONL byte-identical at 1 vs 4 sim threads: OK"
+# experiment at 1 thread, at 2 (the count the ledger benchmarks) and at
+# 4 — each under `timeout`, so a deadlocked rendezvous fails the gate
+# instead of hanging it. (~30 s: three full packet-level runs.)
+BLINK_AT="timeout 600 '$EXP' blink-packet --metrics --sim-threads"
+same_bytes scratch "$BLINK_AT 1" "$BLINK_AT 2 && same && $BLINK_AT 4" \
+  results/blink_packet.csv results/metrics.jsonl
+echo "blink-packet CSV + metrics JSONL byte-identical at 1, 2 and 4 sim threads: OK"
 
 echo "== supervisord verdict-log byte-identity (--workers) =="
 # The streaming supervisor pipeline must emit the same verdict JSONL at
