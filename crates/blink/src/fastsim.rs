@@ -382,7 +382,24 @@ impl AttackSim {
     /// because `(time, flow index)` pairs are unique and totally
     /// ordered, and the malicious key set is reconstructed from the
     /// immortal (`dies_at == None`) flows.
-    pub fn restore(cfg: &AttackSimConfig, snap: AttackSimSnapshot) -> Self {
+    ///
+    /// A snapshot may come from a file: one that does not fit `cfg`, or
+    /// that `step` could not run on, is refused rather than trusted.
+    pub fn restore(cfg: &AttackSimConfig, snap: AttackSimSnapshot) -> Result<Self, String> {
+        if snap.selector.cells.len() != cfg.params.cells {
+            return Err("snapshot cell count does not match the configuration".into());
+        }
+        if snap.schedule.iter().any(|&(_, i)| i >= snap.flows.len()) {
+            return Err("snapshot schedules a flow it does not hold".into());
+        }
+        // Points are pushed in time order, the next one at `next_sample`.
+        let mut last = f64::NEG_INFINITY;
+        for &(t, _) in snap.series.iter().chain([&(snap.next_sample.as_secs_f64(), 0.0)]) {
+            if t.is_nan() || t < last {
+                return Err("snapshot series times are not non-decreasing".into());
+            }
+            last = t;
+        }
         let malicious_keys: HashSet<FlowKey> = snap
             .flows
             .iter()
@@ -395,7 +412,7 @@ impl AttackSim {
         for (t, v) in snap.series {
             series.push(t, v);
         }
-        AttackSim {
+        Ok(AttackSim {
             cfg: cfg.clone(),
             rng: Rng::from_state(snap.rng),
             selector: FlowSelector::from_snapshot(cfg.params, snap.selector),
@@ -408,7 +425,7 @@ impl AttackSim {
             takeover_time: snap.takeover_time,
             packets: snap.packets,
             done: snap.done,
-        }
+        })
     }
 
     /// Finish the run (stepping to the horizon if needed) and produce
@@ -583,7 +600,7 @@ mod tests {
         for _ in 0..20_000 {
             sim.step();
         }
-        let resumed = AttackSim::restore(&cfg, sim.snapshot());
+        let resumed = AttackSim::restore(&cfg, sim.snapshot()).expect("own snapshot");
         assert_eq!(sim.state_hash(), resumed.state_hash());
         let a = sim.into_result();
         let b = resumed.into_result();

@@ -11,12 +11,13 @@
 //! | `arena/no-packet-clone` | warning | no `Packet` clones outside `crates/netsim/src/arena.rs` — packets move by handle |
 //! | `arena/no-flow-clone` | warning | no FlowKey-keyed map iteration or by-value flow clones in pool code (`crates/tcp/src/`, `crates/flowgen/src/`) — flows move by `FlowRef` |
 //! | `parallel/no-shared-mut` | error | no `unsafe` / `static mut` / `UnsafeCell` / `Cell` / `RefCell` / `Rc` / `transmute` in `crates/netsim/src/parallel/` — `std::sync` only |
+//! | `decode/raw-bytes` | error | no `from_le_bytes` / `to_le_bytes` in library code outside `crates/stats/src/wire.rs` and `digest.rs` — binary formats go through the bounded `wire::Reader` |
 //! | `determinism/transitive-wall-clock` | error | nothing outside the quarantine *reaches* a wall-clock read through the call graph |
 //! | `determinism/transitive-rng` | error | nothing outside the quarantine reaches an ambient randomness source |
 //! | `parallel/lock-order` | error | lock-acquisition order is acyclic across the concurrent subsystems, composed through calls |
 //! | `parallel/transitive-shared-mut` | error | the shared-mut ban extends to everything reachable *from* the parallel engine |
 //!
-//! The first nine are per-file token rules ([`FILE_RULES`]); the last
+//! The first ten are per-file token rules ([`FILE_RULES`]); the last
 //! four run over the whole-workspace [`Analysis`] — symbol graph, call
 //! graph, taint — and report witness call chains ([`GRAPH_RULES`]).
 //!
@@ -33,6 +34,7 @@
 
 pub mod arena;
 pub mod casts;
+pub mod decode;
 pub mod determinism;
 pub mod docs;
 pub mod hash;
@@ -56,6 +58,7 @@ pub const RULE_IDS: &[&str] = &[
     "arena/no-packet-clone",
     "arena/no-flow-clone",
     "parallel/no-shared-mut",
+    "decode/raw-bytes",
     "determinism/transitive-wall-clock",
     "determinism/transitive-rng",
     "parallel/lock-order",
@@ -74,6 +77,7 @@ pub const FILE_RULES: &[(&str, fn(&ScannedFile<'_>, &mut Vec<Finding>))] = &[
     ("arena/no-packet-clone", arena::no_packet_clone),
     ("arena/no-flow-clone", arena::no_flow_clone),
     ("parallel/no-shared-mut", parallel::no_shared_mut),
+    ("decode/raw-bytes", decode::raw_bytes),
 ];
 
 /// The whole-workspace graph rules, paired with their ids.
@@ -173,6 +177,12 @@ impl<'a> PathClass<'a> {
     /// A digest-defining file for `cast/lossy-in-digest` scoping.
     pub fn is_digest_scope(&self) -> bool {
         self.path.starts_with("crates/replay/src/") || self.path == "crates/stats/src/digest.rs"
+    }
+
+    /// The two modules that may convert between integers and bytes: the
+    /// wire primitives, and the digest's byte-string hashing.
+    pub fn is_byte_primitive_module(&self) -> bool {
+        self.path == "crates/stats/src/wire.rs" || self.path == "crates/stats/src/digest.rs"
     }
 
     /// `Some(crate_dir_name)` when this is a library crate root

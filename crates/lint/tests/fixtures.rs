@@ -188,3 +188,24 @@ fn parallel_rule_scoped_to_the_parallel_engine() {
         0
     );
 }
+
+#[test]
+fn decode_bad_fires_on_both_directions() {
+    let src = include_str!("fixtures/decode_bad.rs");
+    assert_eq!(count(LIB, src, "decode/raw-bytes"), 2);
+}
+
+#[test]
+fn decode_clean_wire_calls_comments_and_tests_pass() {
+    let src = include_str!("fixtures/decode_clean.rs");
+    assert_eq!(count(LIB, src, "decode/raw-bytes"), 0);
+}
+
+#[test]
+fn decode_rule_exempts_only_the_primitive_modules_and_non_library_paths() {
+    let src = include_str!("fixtures/decode_bad.rs");
+    assert_eq!(count("crates/stats/src/wire.rs", src, "decode/raw-bytes"), 0);
+    assert_eq!(count("crates/stats/src/digest.rs", src, "decode/raw-bytes"), 0);
+    assert_eq!(count("crates/stats/src/rng.rs", src, "decode/raw-bytes"), 2);
+    assert_eq!(count("crates/x/tests/t.rs", src, "decode/raw-bytes"), 0);
+}

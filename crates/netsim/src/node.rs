@@ -7,6 +7,7 @@ use crate::sim::Ctx;
 use crate::time::SimTime;
 use crate::topology::NodeId;
 use dui_stats::digest::StateDigest;
+use dui_stats::wire::{DecodeError, ErrorKind, Reader, Writer};
 use std::any::Any;
 use std::collections::HashMap;
 
@@ -44,8 +45,8 @@ pub trait NodeLogic: Send {
     }
 
     /// Restore state previously produced by [`NodeLogic::save_state`].
-    fn load_state(&mut self, _bytes: &[u8]) -> Result<(), String> {
-        Err("this node logic does not support checkpoint restore".into())
+    fn load_state(&mut self, bytes: &[u8]) -> Result<(), DecodeError> {
+        Err(Reader::new(bytes).error("node logic without checkpoint restore", ErrorKind::Invalid))
     }
 
     /// Export this node's own metrics into `reg`.
@@ -319,17 +320,15 @@ impl NodeLogic for RouterLogic {
         Some(vec![self.respond_time_exceeded as u8])
     }
 
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
+    fn load_state(&mut self, bytes: &[u8]) -> Result<(), DecodeError> {
+        let mut r = Reader::new(bytes);
         if !self.programs.is_empty() || self.icmp_rewriter.is_some() {
-            return Err("cannot restore into a router with programs installed".into());
+            return Err(r.error("router with programs installed", ErrorKind::Invalid));
         }
-        match bytes {
-            [flag] => {
-                self.respond_time_exceeded = *flag != 0;
-                Ok(())
-            }
-            _ => Err("malformed router checkpoint".into()),
-        }
+        let respond = r.bool("router respond_time_exceeded")?;
+        r.finish("router checkpoint")?;
+        self.respond_time_exceeded = respond;
+        Ok(())
     }
 }
 
@@ -374,14 +373,18 @@ impl SinkHost {
     /// by both hashing and checkpointing (the backing map is unordered).
     fn flows_sorted(&self) -> Vec<(crate::packet::FlowKey, SinkFlowStats)> {
         let mut v: Vec<_> = self.flows.iter().map(|(k, s)| (*k, *s)).collect();
-        v.sort_unstable_by_key(|(k, _)| (k.src.0, k.dst.0, k.sport, k.dport, k.proto.code()));
+        v.sort_unstable_by_key(|(k, _)| sort_key(k));
         v
     }
 }
 
-/// One flow record of a sink checkpoint: the 13-byte key, then the packet
-/// and byte counts.
-const SINK_FLOW_BYTES: usize = 4 + 4 + 2 + 2 + 1 + 8 + 8;
+fn sort_key(k: &crate::packet::FlowKey) -> (u32, u32, u16, u16, u8) {
+    (k.src.0, k.dst.0, k.sport, k.dport, k.proto.code())
+}
+
+/// One flow record of a sink checkpoint: the key, then the packet and
+/// byte counts.
+const SINK_FLOW_BYTES: usize = crate::packet::FlowKey::WIRE_BYTES + 8 + 8;
 
 impl NodeLogic for SinkHost {
     fn on_packet(&mut self, ctx: &mut Ctx, pkt: Packet) {
@@ -425,72 +428,39 @@ impl NodeLogic for SinkHost {
 
     fn save_state(&self) -> Option<Vec<u8>> {
         let flows = self.flows_sorted();
-        let mut out = Vec::with_capacity(8 + flows.len() * SINK_FLOW_BYTES + 16);
-        out.extend_from_slice(&(flows.len() as u64).to_le_bytes());
+        let mut w = Writer::with_capacity(8 + flows.len() * SINK_FLOW_BYTES + 16);
+        w.u64(flows.len() as u64);
         for (k, s) in flows {
-            out.extend_from_slice(&k.src.0.to_le_bytes());
-            out.extend_from_slice(&k.dst.0.to_le_bytes());
-            out.extend_from_slice(&k.sport.to_le_bytes());
-            out.extend_from_slice(&k.dport.to_le_bytes());
-            out.push(k.proto.code());
-            out.extend_from_slice(&s.packets.to_le_bytes());
-            out.extend_from_slice(&s.bytes.to_le_bytes());
+            k.encode(&mut w);
+            w.u64(s.packets);
+            w.u64(s.bytes);
         }
-        out.extend_from_slice(&self.total_bytes.to_le_bytes());
-        out.extend_from_slice(&self.total_packets.to_le_bytes());
-        Some(out)
+        w.u64(self.total_bytes);
+        w.u64(self.total_packets);
+        Some(w.into_bytes())
     }
 
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let err = || "malformed sink checkpoint".to_string();
-        // Fixed-size reads return arrays directly, so decoding has no
-        // panic path on truncated input.
-        fn take<const N: usize>(b: &[u8], at: &mut usize) -> Result<[u8; N], String> {
-            let s = b
-                .get(*at..)
-                .and_then(|rest| rest.get(..N))
-                .ok_or_else(|| "malformed sink checkpoint".to_string())?;
-            let mut arr = [0u8; N];
-            arr.copy_from_slice(s);
-            *at += N;
-            Ok(arr)
-        }
-        let mut at = 0usize;
-        // The count comes from the blob: allocate for it only once the
-        // bytes behind it are seen to hold that many records.
-        let n = usize::try_from(u64::from_le_bytes(take(bytes, &mut at)?))
-            .ok()
-            .filter(|&n| n <= (bytes.len() - at) / SINK_FLOW_BYTES)
-            .ok_or_else(err)?;
+    fn load_state(&mut self, bytes: &[u8]) -> Result<(), DecodeError> {
+        let mut r = Reader::new(bytes);
+        let n = r.count("sink flow count", Reader::u64, SINK_FLOW_BYTES)?;
         let mut flows = HashMap::with_capacity(n);
+        let mut prev = None;
         for _ in 0..n {
-            let src = u32::from_le_bytes(take(bytes, &mut at)?);
-            let dst = u32::from_le_bytes(take(bytes, &mut at)?);
-            let sport = u16::from_le_bytes(take(bytes, &mut at)?);
-            let dport = u16::from_le_bytes(take(bytes, &mut at)?);
-            let proto = crate::packet::Proto::from_code(take::<1>(bytes, &mut at)?[0])
-                .ok_or_else(err)?;
-            let packets = u64::from_le_bytes(take(bytes, &mut at)?);
-            let fbytes = u64::from_le_bytes(take(bytes, &mut at)?);
-            flows.insert(
-                crate::packet::FlowKey {
-                    src: Addr(src),
-                    dst: Addr(dst),
-                    sport,
-                    dport,
-                    proto,
-                },
-                SinkFlowStats {
-                    packets,
-                    bytes: fbytes,
-                },
-            );
+            let key = crate::packet::FlowKey::decode(&mut r)?;
+            // Canonical order, as `save_state` writes it: no duplicate
+            // can shadow an earlier record.
+            if prev.replace(sort_key(&key)) >= Some(sort_key(&key)) {
+                return Err(r.error("sink flows out of order", ErrorKind::Invalid));
+            }
+            let stats = SinkFlowStats {
+                packets: r.quantity("sink flow packets")?,
+                bytes: r.quantity("sink flow bytes")?,
+            };
+            flows.insert(key, stats);
         }
-        let total_bytes = u64::from_le_bytes(take(bytes, &mut at)?);
-        let total_packets = u64::from_le_bytes(take(bytes, &mut at)?);
-        if at != bytes.len() {
-            return Err(err());
-        }
+        let total_bytes = r.quantity("sink total bytes")?;
+        let total_packets = r.quantity("sink total packets")?;
+        r.finish("sink checkpoint")?;
         self.flows = flows;
         self.total_bytes = total_bytes;
         self.total_packets = total_packets;

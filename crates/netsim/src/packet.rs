@@ -9,6 +9,7 @@
 //! Internet either); that asymmetry is the paper's whole point.
 
 use crate::time::SimTime;
+use dui_stats::wire::{DecodeError, ErrorKind, Reader, Writer};
 use std::fmt;
 
 /// An IPv4-style 32-bit address.
@@ -139,6 +140,31 @@ impl FlowKey {
             dport,
             proto: Proto::Udp,
         }
+    }
+
+    /// Size of the fixed-width form [`FlowKey::encode`] writes.
+    pub const WIRE_BYTES: usize = 13;
+
+    /// Fixed-width form used by node-state blobs: `src`, `dst` (`u32`),
+    /// `sport`, `dport` (`u16`), then the protocol code.
+    pub fn encode(&self, w: &mut Writer) {
+        w.u32(self.src.0);
+        w.u32(self.dst.0);
+        w.u16(self.sport);
+        w.u16(self.dport);
+        w.u8(self.proto.code());
+    }
+
+    /// Inverse of [`FlowKey::encode`].
+    pub fn decode(r: &mut Reader) -> Result<FlowKey, DecodeError> {
+        Ok(FlowKey {
+            src: Addr(r.u32("flow key src")?),
+            dst: Addr(r.u32("flow key dst")?),
+            sport: r.u16("flow key sport")?,
+            dport: r.u16("flow key dport")?,
+            proto: Proto::from_code(r.u8("flow key proto")?)
+                .ok_or_else(|| r.error("flow key proto", ErrorKind::Tag))?,
+        })
     }
 
     /// The reverse direction of this flow.
@@ -355,14 +381,15 @@ impl TcpFlags {
         (self.syn as u8) | (self.ack as u8) << 1 | (self.fin as u8) << 2 | (self.rst as u8) << 3
     }
 
-    /// Inverse of [`TcpFlags::bits`] (extra bits are ignored).
-    pub fn from_bits(b: u8) -> TcpFlags {
-        TcpFlags {
+    /// Inverse of [`TcpFlags::bits`]; `None` if a bit outside the four
+    /// is set (the byte is not one `bits` produces).
+    pub fn from_bits(b: u8) -> Option<TcpFlags> {
+        (b < 16).then_some(TcpFlags {
             syn: b & 1 != 0,
             ack: b & 2 != 0,
             fin: b & 4 != 0,
             rst: b & 8 != 0,
-        }
+        })
     }
 }
 

@@ -1182,9 +1182,11 @@ impl Simulator {
         if ckpt.links.len() != self.core.links.len() {
             return Err("checkpoint link count does not match topology".into());
         }
-        if ckpt.routing.len() != self.core.topo.node_count() {
+        let n = self.core.topo.node_count();
+        if ckpt.routing.len() != n || ckpt.routing.iter().any(|row| row.len() != n) {
             return Err("checkpoint routing table does not match topology".into());
         }
+        self.check_references(&ckpt)?;
         for lr in &self.core.links {
             if !lr.taps_ab.is_empty() || !lr.taps_ba.is_empty() {
                 return Err("cannot restore into a simulation with link taps installed".into());
@@ -1192,7 +1194,7 @@ impl Simulator {
         }
         for (i, blob) in ckpt.logics.iter().enumerate() {
             match (&mut self.logics[i], blob) {
-                (Some(l), Some(bytes)) => l.load_state(bytes)?,
+                (Some(l), Some(bytes)) => l.load_state(bytes).map_err(|e| e.to_string())?,
                 (None, None) => {}
                 (Some(_), None) => {
                     return Err(format!(
@@ -1246,7 +1248,6 @@ impl Simulator {
             lr.stats_ab = lc.stats_ab;
             lr.stats_ba = lc.stats_ba;
         }
-        let n = self.core.topo.node_count();
         for src in 0..n {
             for dst in 0..n {
                 self.core.routing.set_next_hop(
@@ -1259,6 +1260,51 @@ impl Simulator {
         self.core.prefixes = PrefixTable::new();
         for (p, node) in &ckpt.prefixes {
             self.core.prefixes.announce(*p, *node);
+        }
+        Ok(())
+    }
+
+    /// The part of [`Simulator::restore`] that trusts nothing: every id
+    /// a checkpoint names must exist in this topology, and the invariants
+    /// dispatch relies on must hold — no event in the past, next hops
+    /// adjacent, exactly one pending `TxComplete` per busy transmitter.
+    fn check_references(&self, ckpt: &EngineCheckpoint) -> Result<(), String> {
+        let n = self.core.topo.node_count();
+        let mut completions = vec![[0usize; 2]; ckpt.links.len()];
+        for (t, e) in &ckpt.events {
+            let (node, link) = match e {
+                SavedEvent::Deliver { node, .. } | SavedEvent::Timer { node, .. } => {
+                    (Some(node), None)
+                }
+                SavedEvent::Offer { link, .. } => (None, Some(link)),
+                SavedEvent::TxComplete { link, dir } => {
+                    if let Some(c) = completions.get_mut(link.0) {
+                        c[(*dir == Dir::BtoA) as usize] += 1;
+                    }
+                    (None, Some(link))
+                }
+            };
+            if *t < ckpt.now
+                || node.is_some_and(|node| node.0 >= n)
+                || link.is_some_and(|link| link.0 >= ckpt.links.len())
+            {
+                return Err("checkpoint event in the past, or at an unknown node or link".into());
+            }
+        }
+        for (lc, done) in ckpt.links.iter().zip(&completions) {
+            if [&lc.ab, &lc.ba].map(|d| d.in_flight.is_some() as usize) != *done {
+                return Err("checkpoint transmitters and pending completions disagree".into());
+            }
+        }
+        for (src, row) in ckpt.routing.iter().enumerate() {
+            for hop in row.iter().flatten() {
+                if hop.0 >= n || self.core.topo.link_between(NodeId(src), *hop).is_none() {
+                    return Err("checkpoint routes through a non-adjacent hop".into());
+                }
+            }
+        }
+        if ckpt.prefixes.iter().any(|(_, node)| node.0 >= n) {
+            return Err("checkpoint announces a prefix at an unknown node".into());
         }
         Ok(())
     }

@@ -99,23 +99,25 @@ impl SimDuration {
     }
 }
 
+// Sums saturate at the end of time (~584 years): a deadline computed
+// from restored or derived state must not wrap into the past or abort.
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
     fn add(self, d: SimDuration) -> SimTime {
-        SimTime(self.0 + d.0)
+        SimTime(self.0.saturating_add(d.0))
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
     fn add_assign(&mut self, d: SimDuration) {
-        self.0 += d.0;
+        *self = *self + d;
     }
 }
 
 impl Add for SimDuration {
     type Output = SimDuration;
     fn add(self, d: SimDuration) -> SimDuration {
-        SimDuration(self.0 + d.0)
+        SimDuration(self.0.saturating_add(d.0))
     }
 }
 

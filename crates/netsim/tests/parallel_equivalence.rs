@@ -6,6 +6,7 @@
 use dui_netsim::parallel::ParallelOutcome;
 use dui_netsim::prelude::*;
 use dui_stats::digest::StateDigest;
+use dui_stats::wire::{DecodeError, Reader, Writer};
 use std::any::Any;
 
 /// Thread counts every equivalence case runs at: one (the same loop with
@@ -103,7 +104,7 @@ impl NodeLogic for PulseHost {
     }
 
     fn save_state(&self) -> Option<Vec<u8>> {
-        let mut out = Vec::with_capacity(40);
+        let mut w = Writer::with_capacity(40);
         for v in [
             self.rng.0,
             self.bursts_left as u64,
@@ -111,25 +112,23 @@ impl NodeLogic for PulseHost {
             self.got_packets,
             self.got_bytes,
         ] {
-            out.extend_from_slice(&v.to_le_bytes());
+            w.u64(v);
         }
-        Some(out)
+        Some(w.into_bytes())
     }
 
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        if bytes.len() != 40 {
-            return Err("malformed pulse checkpoint".into());
-        }
-        let word = |i: usize| {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&bytes[i * 8..i * 8 + 8]);
-            u64::from_le_bytes(b)
-        };
-        self.rng = TestRng(word(0));
-        self.bursts_left = word(1) as u32;
-        self.sent = word(2);
-        self.got_packets = word(3);
-        self.got_bytes = word(4);
+    fn load_state(&mut self, bytes: &[u8]) -> Result<(), DecodeError> {
+        let mut r = Reader::new(bytes);
+        let rng = TestRng(r.u64("pulse rng")?);
+        let bursts_left = r.u64("pulse bursts")?;
+        let bursts_left = r.narrow("pulse bursts", bursts_left)?;
+        let (sent, got_packets, got_bytes) = (r.u64("sent")?, r.u64("packets")?, r.u64("bytes")?);
+        r.finish("pulse checkpoint")?;
+        self.rng = rng;
+        self.bursts_left = bursts_left;
+        self.sent = sent;
+        self.got_packets = got_packets;
+        self.got_bytes = got_bytes;
         Ok(())
     }
 }

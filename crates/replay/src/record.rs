@@ -2,10 +2,10 @@
 //! periodic state checkpoints, plus the byte codecs for restorable
 //! checkpoint payloads.
 //!
-//! Everything is hand-rolled on two primitives — LEB128 varints for
-//! counts/times and fixed 8-byte little-endian words for digests (which
-//! are full-entropy and would *expand* under varint coding). No serde, no
-//! external crates.
+//! Everything is built on the primitives of [`dui_stats::wire`] — LEB128
+//! varints for counts/times and fixed 8-byte little-endian words for
+//! digests (which are full-entropy and would *expand* under varint
+//! coding). No serde, no external crates.
 //!
 //! ## Layout (version 1)
 //!
@@ -37,111 +37,12 @@ use dui_netsim::packet::{Addr, FlowKey, Header, Packet, Prefix, Proto, TcpFlags}
 use dui_netsim::sim::{DirCheckpoint, EngineCheckpoint, LinkCheckpoint};
 use dui_netsim::time::{SimDuration, SimTime};
 use dui_netsim::topology::{LinkId, NodeId};
+use dui_stats::wire::{DecodeError, ErrorKind, Reader, Writer};
 
 /// Recording format magic bytes.
 pub const MAGIC: [u8; 4] = *b"DUIR";
 /// Current format version.
 pub const VERSION: u64 = 1;
-
-// ---------------------------------------------------------------------------
-// Varint + word primitives
-// ---------------------------------------------------------------------------
-
-/// Append `v` as an LEB128 varint.
-pub fn write_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
-        }
-        buf.push(byte | 0x80);
-    }
-}
-
-/// Read an LEB128 varint at `*pos`, advancing it.
-pub fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, String> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let b = *bytes
-            .get(*pos)
-            .ok_or_else(|| "varint: unexpected end of input".to_string())?;
-        *pos += 1;
-        if shift >= 64 {
-            return Err("varint: overflows u64".into());
-        }
-        let payload = (b & 0x7f) as u64;
-        if shift == 63 && payload > 1 {
-            return Err("varint: overflows u64".into());
-        }
-        v |= payload << shift;
-        if b & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-    }
-}
-
-fn write_u64_le(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn read_u64_le(bytes: &[u8], pos: &mut usize) -> Result<u64, String> {
-    let end = pos
-        .checked_add(8)
-        .filter(|&e| e <= bytes.len())
-        .ok_or_else(|| "u64: unexpected end of input".to_string())?;
-    let mut w = [0u8; 8];
-    w.copy_from_slice(&bytes[*pos..end]);
-    *pos = end;
-    Ok(u64::from_le_bytes(w))
-}
-
-fn write_str(buf: &mut Vec<u8>, s: &str) {
-    write_varint(buf, s.len() as u64);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn read_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    let len = read_varint(bytes, pos)? as usize;
-    let end = pos
-        .checked_add(len)
-        .filter(|&e| e <= bytes.len())
-        .ok_or_else(|| "string: unexpected end of input".to_string())?;
-    let s = std::str::from_utf8(&bytes[*pos..end])
-        .map_err(|e| format!("string: invalid utf8: {e}"))?
-        .to_string();
-    *pos = end;
-    Ok(s)
-}
-
-fn write_opt_varint(buf: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        None => buf.push(0),
-        Some(v) => {
-            buf.push(1);
-            write_varint(buf, v);
-        }
-    }
-}
-
-fn read_opt_varint(bytes: &[u8], pos: &mut usize) -> Result<Option<u64>, String> {
-    match read_u8(bytes, pos)? {
-        0 => Ok(None),
-        1 => Ok(Some(read_varint(bytes, pos)?)),
-        t => Err(format!("option: bad tag {t}")),
-    }
-}
-
-fn read_u8(bytes: &[u8], pos: &mut usize) -> Result<u8, String> {
-    let b = *bytes
-        .get(*pos)
-        .ok_or_else(|| "u8: unexpected end of input".to_string())?;
-    *pos += 1;
-    Ok(b)
-}
 
 // ---------------------------------------------------------------------------
 // Frames and the Recording container
@@ -193,6 +94,14 @@ pub struct Recording {
     pub final_hash: u64,
 }
 
+// Smallest encodings, for `Reader::count`: an event is two one-byte
+// varints and a digest; a component a varint and a digest; a checkpoint
+// two varints, a hash, a component count and a flag. (A name can be one
+// length byte.)
+const MIN_EVENT_BYTES: usize = 1 + 1 + 8;
+const MIN_COMP_BYTES: usize = 1 + 8;
+const MIN_CKPT_BYTES: usize = 1 + 1 + 8 + 1 + 1;
+
 impl Recording {
     /// Intern `name`, returning its table index.
     pub fn intern(&mut self, name: &str) -> u32 {
@@ -211,120 +120,69 @@ impl Recording {
 
     /// Serialize to the versioned binary format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(64 + self.events.len() * 12);
-        buf.extend_from_slice(&MAGIC);
-        write_varint(&mut buf, VERSION);
-        write_str(&mut buf, &self.stage);
-        write_u64_le(&mut buf, self.config_digest);
-        write_varint(&mut buf, self.names.len() as u64);
-        for n in &self.names {
-            write_str(&mut buf, n);
-        }
-        write_varint(&mut buf, self.events.len() as u64);
+        let mut w = Writer::with_capacity(64 + self.events.len() * 12);
+        w.raw(&MAGIC);
+        w.varint(VERSION);
+        w.str(&self.stage);
+        w.u64(self.config_digest);
+        w.seq(&self.names, |w, n| w.str(n));
         let mut prev = 0u64;
-        for e in &self.events {
-            write_varint(&mut buf, e.time.saturating_sub(prev));
+        w.seq(&self.events, |w, e| {
+            w.varint(e.time.saturating_sub(prev));
             prev = e.time;
-            write_varint(&mut buf, e.kind as u64);
-            write_u64_le(&mut buf, e.digest);
-        }
-        write_varint(&mut buf, self.checkpoints.len() as u64);
-        for c in &self.checkpoints {
-            write_varint(&mut buf, c.event_index);
-            write_varint(&mut buf, c.time);
-            write_u64_le(&mut buf, c.state_hash);
-            write_varint(&mut buf, c.components.len() as u64);
-            for (name, digest) in &c.components {
-                write_varint(&mut buf, *name as u64);
-                write_u64_le(&mut buf, *digest);
-            }
-            match &c.payload {
-                None => buf.push(0),
-                Some(p) => {
-                    buf.push(1);
-                    write_varint(&mut buf, p.len() as u64);
-                    buf.extend_from_slice(p);
-                }
-            }
-        }
-        write_u64_le(&mut buf, self.final_hash);
-        buf
+            w.varint(u64::from(e.kind));
+            w.u64(e.digest);
+        });
+        w.seq(&self.checkpoints, |w, c| {
+            w.varint(c.event_index);
+            w.varint(c.time);
+            w.u64(c.state_hash);
+            w.seq(&c.components, |w, (name, digest)| {
+                w.varint(u64::from(*name));
+                w.u64(*digest);
+            });
+            w.opt(c.payload.as_deref(), Writer::bytes);
+        });
+        w.u64(self.final_hash);
+        w.into_bytes()
     }
 
     /// Parse the versioned binary format (strict: trailing bytes are an
     /// error).
-    pub fn from_bytes(bytes: &[u8]) -> Result<Recording, String> {
-        let mut pos = 0usize;
-        if bytes.len() < 4 || bytes[..4] != MAGIC {
-            return Err("not a DUIR recording (bad magic)".into());
+    pub fn from_bytes(bytes: &[u8]) -> Result<Recording, DecodeError> {
+        let mut r = Reader::new(bytes);
+        r.tag("DUIR magic", &MAGIC)?;
+        if r.varint("recording version")? != VERSION {
+            return Err(r.error("recording version", ErrorKind::Tag));
         }
-        pos += 4;
-        let version = read_varint(bytes, &mut pos)?;
-        if version != VERSION {
-            return Err(format!("unsupported recording version {version}"));
-        }
-        let stage = read_str(bytes, &mut pos)?;
-        let config_digest = read_u64_le(bytes, &mut pos)?;
-        let name_count = read_varint(bytes, &mut pos)? as usize;
-        let mut names = Vec::with_capacity(name_count.min(1024));
-        for _ in 0..name_count {
-            names.push(read_str(bytes, &mut pos)?);
-        }
-        let event_count = read_varint(bytes, &mut pos)? as usize;
-        let mut events = Vec::with_capacity(event_count.min(1 << 20));
-        let mut prev = 0u64;
-        for _ in 0..event_count {
-            let dt = read_varint(bytes, &mut pos)?;
-            let time = prev
+        let stage = r.str("stage")?.to_string();
+        let config_digest = r.u64("config digest")?;
+        let names = r.seq("name count", Reader::varint, 1, |r| {
+            Ok(r.str("name")?.to_string())
+        })?;
+        let mut time = 0u64;
+        let events = r.seq("event count", Reader::varint, MIN_EVENT_BYTES, |r| {
+            let dt = r.varint("event delta-time")?;
+            time = time
                 .checked_add(dt)
-                .ok_or_else(|| "event time overflows".to_string())?;
-            prev = time;
-            let kind = read_varint(bytes, &mut pos)? as u32;
-            let digest = read_u64_le(bytes, &mut pos)?;
-            events.push(EventFrame { time, kind, digest });
-        }
-        let ckpt_count = read_varint(bytes, &mut pos)? as usize;
-        let mut checkpoints = Vec::with_capacity(ckpt_count.min(1 << 16));
-        for _ in 0..ckpt_count {
-            let event_index = read_varint(bytes, &mut pos)?;
-            let time = read_varint(bytes, &mut pos)?;
-            let state_hash = read_u64_le(bytes, &mut pos)?;
-            let comp_count = read_varint(bytes, &mut pos)? as usize;
-            let mut components = Vec::with_capacity(comp_count.min(256));
-            for _ in 0..comp_count {
-                let name = read_varint(bytes, &mut pos)? as u32;
-                let digest = read_u64_le(bytes, &mut pos)?;
-                components.push((name, digest));
-            }
-            let payload = match read_u8(bytes, &mut pos)? {
-                0 => None,
-                1 => {
-                    let len = read_varint(bytes, &mut pos)? as usize;
-                    let end = pos
-                        .checked_add(len)
-                        .filter(|&e| e <= bytes.len())
-                        .ok_or_else(|| "payload: unexpected end of input".to_string())?;
-                    let p = bytes[pos..end].to_vec();
-                    pos = end;
-                    Some(p)
-                }
-                t => return Err(format!("payload: bad flag {t}")),
-            };
-            checkpoints.push(CheckpointFrame {
-                event_index,
-                time,
-                state_hash,
-                components,
-                payload,
-            });
-        }
-        let final_hash = read_u64_le(bytes, &mut pos)?;
-        if pos != bytes.len() {
-            return Err(format!(
-                "trailing garbage: {} bytes past end of recording",
-                bytes.len() - pos
-            ));
-        }
+                .ok_or_else(|| r.error("event time", ErrorKind::Range))?;
+            let kind = r.varint_u32("event kind")?;
+            let digest = r.u64("event digest")?;
+            Ok(EventFrame { time, kind, digest })
+        })?;
+        let checkpoints = r.seq("checkpoints", Reader::varint, MIN_CKPT_BYTES, |r| {
+            Ok(CheckpointFrame {
+                event_index: r.varint("checkpoint event index")?,
+                time: r.varint("checkpoint time")?,
+                state_hash: r.u64("checkpoint state hash")?,
+                components: r.seq("component count", Reader::varint, MIN_COMP_BYTES, |r| {
+                    Ok((r.varint_u32("component name")?, r.u64("component digest")?))
+                })?,
+                payload: r.opt("checkpoint payload", |r, what| Ok(r.bytes(what)?.to_vec()))?,
+            })
+        })?;
+        let final_hash = r.u64("final hash")?;
+        r.finish("recording")?;
         Ok(Recording {
             stage,
             config_digest,
@@ -343,7 +201,7 @@ impl Recording {
     /// Read from a file.
     pub fn load(path: &std::path::Path) -> Result<Recording, String> {
         let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        Recording::from_bytes(&bytes)
+        Recording::from_bytes(&bytes).map_err(|e| e.to_string())
     }
 }
 
@@ -435,31 +293,28 @@ impl Recorder {
 // Checkpoint payload codecs
 // ---------------------------------------------------------------------------
 
-fn write_flow_key(buf: &mut Vec<u8>, k: &FlowKey) {
-    write_varint(buf, k.src.0 as u64);
-    write_varint(buf, k.dst.0 as u64);
-    write_varint(buf, k.sport as u64);
-    write_varint(buf, k.dport as u64);
-    buf.push(k.proto.code());
+// The varint form of a flow key (checkpoint payloads); node-state blobs
+// use the fixed-width `FlowKey::encode`.
+fn write_flow_key(w: &mut Writer, k: &FlowKey) {
+    w.varint(u64::from(k.src.0));
+    w.varint(u64::from(k.dst.0));
+    w.varint(u64::from(k.sport));
+    w.varint(u64::from(k.dport));
+    w.u8(k.proto.code());
 }
 
-fn read_flow_key(bytes: &[u8], pos: &mut usize) -> Result<FlowKey, String> {
-    let src = Addr(read_varint(bytes, pos)? as u32);
-    let dst = Addr(read_varint(bytes, pos)? as u32);
-    let sport = read_varint(bytes, pos)? as u16;
-    let dport = read_varint(bytes, pos)? as u16;
-    let code = read_u8(bytes, pos)?;
-    let proto = Proto::from_code(code).ok_or_else(|| format!("bad proto code {code}"))?;
+fn read_flow_key(r: &mut Reader) -> Result<FlowKey, DecodeError> {
     Ok(FlowKey {
-        src,
-        dst,
-        sport,
-        dport,
-        proto,
+        src: Addr(r.varint_u32("flow key src")?),
+        dst: Addr(r.varint_u32("flow key dst")?),
+        sport: r.varint_u16("flow key sport")?,
+        dport: r.varint_u16("flow key dport")?,
+        proto: Proto::from_code(r.u8("flow key proto")?)
+            .ok_or_else(|| r.error("flow key proto", ErrorKind::Tag))?,
     })
 }
 
-fn write_header(buf: &mut Vec<u8>, h: &Header) {
+fn write_header(w: &mut Writer, h: &Header) {
     match h {
         Header::Tcp {
             seq,
@@ -467,189 +322,176 @@ fn write_header(buf: &mut Vec<u8>, h: &Header) {
             flags,
             window,
         } => {
-            buf.push(0);
-            write_varint(buf, *seq as u64);
-            write_varint(buf, *ack as u64);
-            buf.push(flags.bits());
-            write_varint(buf, *window as u64);
+            w.u8(0);
+            w.varint(u64::from(*seq));
+            w.varint(u64::from(*ack));
+            w.u8(flags.bits());
+            w.varint(u64::from(*window));
         }
-        Header::Udp => buf.push(1),
+        Header::Udp => w.u8(1),
         Header::IcmpEchoRequest { ident, seq } => {
-            buf.push(2);
-            write_varint(buf, *ident as u64);
-            write_varint(buf, *seq as u64);
+            w.u8(2);
+            w.varint(u64::from(*ident));
+            w.varint(u64::from(*seq));
         }
         Header::IcmpEchoReply { ident, seq } => {
-            buf.push(3);
-            write_varint(buf, *ident as u64);
-            write_varint(buf, *seq as u64);
+            w.u8(3);
+            w.varint(u64::from(*ident));
+            w.varint(u64::from(*seq));
         }
         Header::IcmpTimeExceeded {
             reported_by,
             probe_ident,
             probe_seq,
         } => {
-            buf.push(4);
-            write_varint(buf, reported_by.0 as u64);
-            write_varint(buf, *probe_ident as u64);
-            write_varint(buf, *probe_seq as u64);
+            w.u8(4);
+            w.varint(u64::from(reported_by.0));
+            w.varint(u64::from(*probe_ident));
+            w.varint(u64::from(*probe_seq));
         }
     }
 }
 
-fn read_header(bytes: &[u8], pos: &mut usize) -> Result<Header, String> {
-    Ok(match read_u8(bytes, pos)? {
+fn read_header(r: &mut Reader) -> Result<Header, DecodeError> {
+    Ok(match r.u8("header tag")? {
         0 => Header::Tcp {
-            seq: read_varint(bytes, pos)? as u32,
-            ack: read_varint(bytes, pos)? as u32,
-            flags: TcpFlags::from_bits(read_u8(bytes, pos)?),
-            window: read_varint(bytes, pos)? as u32,
+            seq: r.varint_u32("tcp seq")?,
+            ack: r.varint_u32("tcp ack")?,
+            flags: TcpFlags::from_bits(r.u8("tcp flags")?)
+                .ok_or_else(|| r.error("tcp flags", ErrorKind::Tag))?,
+            window: r.varint_u32("tcp window")?,
         },
         1 => Header::Udp,
         2 => Header::IcmpEchoRequest {
-            ident: read_varint(bytes, pos)? as u16,
-            seq: read_varint(bytes, pos)? as u16,
+            ident: r.varint_u16("icmp ident")?,
+            seq: r.varint_u16("icmp seq")?,
         },
         3 => Header::IcmpEchoReply {
-            ident: read_varint(bytes, pos)? as u16,
-            seq: read_varint(bytes, pos)? as u16,
+            ident: r.varint_u16("icmp ident")?,
+            seq: r.varint_u16("icmp seq")?,
         },
         4 => Header::IcmpTimeExceeded {
-            reported_by: Addr(read_varint(bytes, pos)? as u32),
-            probe_ident: read_varint(bytes, pos)? as u16,
-            probe_seq: read_varint(bytes, pos)? as u16,
+            reported_by: Addr(r.varint_u32("icmp reporter")?),
+            probe_ident: r.varint_u16("icmp probe ident")?,
+            probe_seq: r.varint_u16("icmp probe seq")?,
         },
-        t => return Err(format!("bad header tag {t}")),
+        _ => return Err(r.error("header tag", ErrorKind::Tag)),
     })
 }
 
 /// Encode one packet.
-pub fn write_packet(buf: &mut Vec<u8>, p: &Packet) {
-    write_varint(buf, p.id);
-    write_flow_key(buf, &p.key);
-    write_header(buf, &p.header);
-    write_varint(buf, p.size as u64);
-    buf.push(p.ttl);
-    write_varint(buf, p.sent_at.0);
-    write_varint(buf, p.payload as u64);
+pub fn write_packet(w: &mut Writer, p: &Packet) {
+    w.varint(p.id);
+    write_flow_key(w, &p.key);
+    write_header(w, &p.header);
+    w.varint(u64::from(p.size));
+    w.u8(p.ttl);
+    w.varint(p.sent_at.0);
+    w.varint(u64::from(p.payload));
 }
 
 /// Decode one packet.
-pub fn read_packet(bytes: &[u8], pos: &mut usize) -> Result<Packet, String> {
+pub fn read_packet(r: &mut Reader) -> Result<Packet, DecodeError> {
     Ok(Packet {
-        id: read_varint(bytes, pos)?,
-        key: read_flow_key(bytes, pos)?,
-        header: read_header(bytes, pos)?,
-        size: read_varint(bytes, pos)? as u32,
-        ttl: read_u8(bytes, pos)?,
-        sent_at: SimTime(read_varint(bytes, pos)?),
-        payload: read_varint(bytes, pos)? as u32,
+        id: r.varint("packet id")?,
+        key: read_flow_key(r)?,
+        header: read_header(r)?,
+        size: r.varint_u32("packet size")?,
+        ttl: r.u8("packet ttl")?,
+        sent_at: SimTime(r.varint_quantity("packet sent_at")?),
+        payload: r.varint_u32("packet payload")?,
     })
 }
 
-fn write_event(buf: &mut Vec<u8>, e: &SavedEvent) {
+/// Smallest encoded packet: one-byte varints around a UDP header.
+const MIN_PACKET_BYTES: usize = 1 + 5 + 1 + 1 + 1 + 1 + 1;
+
+fn read_dir(r: &mut Reader) -> Result<Dir, DecodeError> {
+    Ok(if r.bool("link direction")? {
+        Dir::BtoA
+    } else {
+        Dir::AtoB
+    })
+}
+
+fn write_event(w: &mut Writer, e: &SavedEvent) {
     match e {
         SavedEvent::Deliver { node, pkt } => {
-            buf.push(0);
-            write_varint(buf, node.0 as u64);
-            write_packet(buf, pkt);
+            w.u8(0);
+            w.varint_usize(node.0);
+            write_packet(w, pkt);
         }
         SavedEvent::TxComplete { link, dir } => {
-            buf.push(1);
-            write_varint(buf, link.0 as u64);
-            buf.push((*dir == Dir::BtoA) as u8);
+            w.u8(1);
+            w.varint_usize(link.0);
+            w.bool(*dir == Dir::BtoA);
         }
         SavedEvent::Timer { node, token } => {
-            buf.push(2);
-            write_varint(buf, node.0 as u64);
-            write_varint(buf, *token);
+            w.u8(2);
+            w.varint_usize(node.0);
+            w.varint(*token);
         }
         SavedEvent::Offer { link, dir, pkt } => {
-            buf.push(3);
-            write_varint(buf, link.0 as u64);
-            buf.push((*dir == Dir::BtoA) as u8);
-            write_packet(buf, pkt);
+            w.u8(3);
+            w.varint_usize(link.0);
+            w.bool(*dir == Dir::BtoA);
+            write_packet(w, pkt);
         }
     }
 }
 
-fn read_dir(bytes: &[u8], pos: &mut usize) -> Result<Dir, String> {
-    match read_u8(bytes, pos)? {
-        0 => Ok(Dir::AtoB),
-        1 => Ok(Dir::BtoA),
-        t => Err(format!("bad dir tag {t}")),
-    }
-}
-
-fn read_event(bytes: &[u8], pos: &mut usize) -> Result<SavedEvent, String> {
-    Ok(match read_u8(bytes, pos)? {
+fn read_event(r: &mut Reader) -> Result<SavedEvent, DecodeError> {
+    Ok(match r.u8("event tag")? {
         0 => SavedEvent::Deliver {
-            node: NodeId(read_varint(bytes, pos)? as usize),
-            pkt: read_packet(bytes, pos)?,
+            node: NodeId(r.varint_usize("event node")?),
+            pkt: read_packet(r)?,
         },
         1 => SavedEvent::TxComplete {
-            link: LinkId(read_varint(bytes, pos)? as usize),
-            dir: read_dir(bytes, pos)?,
+            link: LinkId(r.varint_usize("event link")?),
+            dir: read_dir(r)?,
         },
         2 => SavedEvent::Timer {
-            node: NodeId(read_varint(bytes, pos)? as usize),
-            token: read_varint(bytes, pos)?,
+            node: NodeId(r.varint_usize("event node")?),
+            token: r.varint("timer token")?,
         },
         3 => SavedEvent::Offer {
-            link: LinkId(read_varint(bytes, pos)? as usize),
-            dir: read_dir(bytes, pos)?,
-            pkt: read_packet(bytes, pos)?,
+            link: LinkId(r.varint_usize("event link")?),
+            dir: read_dir(r)?,
+            pkt: read_packet(r)?,
         },
-        t => return Err(format!("bad event tag {t}")),
+        _ => return Err(r.error("event tag", ErrorKind::Tag)),
     })
 }
 
-fn write_fault(buf: &mut Vec<u8>, f: &FaultConfig) {
-    write_u64_le(buf, f.drop_prob.to_bits());
-    write_opt_varint(buf, f.jitter_max.map(|j| j.0));
+fn write_fault(w: &mut Writer, f: &FaultConfig) {
+    w.f64(f.drop_prob);
+    w.opt(f.jitter_max, |w, j| w.varint(j.0));
 }
 
-fn read_fault(bytes: &[u8], pos: &mut usize) -> Result<FaultConfig, String> {
+fn read_fault(r: &mut Reader) -> Result<FaultConfig, DecodeError> {
     Ok(FaultConfig {
-        drop_prob: f64::from_bits(read_u64_le(bytes, pos)?),
-        jitter_max: read_opt_varint(bytes, pos)?.map(SimDuration),
+        drop_prob: r.f64("fault drop_prob")?,
+        jitter_max: r
+            .opt("fault jitter", Reader::varint_quantity)?
+            .map(SimDuration),
     })
 }
 
-fn write_dir_ckpt(buf: &mut Vec<u8>, d: &DirCheckpoint) {
-    write_varint(buf, d.queue.len() as u64);
-    for p in &d.queue {
-        write_packet(buf, p);
-    }
-    match &d.in_flight {
-        None => buf.push(0),
-        Some(p) => {
-            buf.push(1);
-            write_packet(buf, p);
-        }
-    }
-    write_fault(buf, &d.fault);
+fn write_dir_ckpt(w: &mut Writer, d: &DirCheckpoint) {
+    w.seq(&d.queue, write_packet);
+    w.opt(d.in_flight.as_ref(), write_packet);
+    write_fault(w, &d.fault);
 }
 
-fn read_dir_ckpt(bytes: &[u8], pos: &mut usize) -> Result<DirCheckpoint, String> {
-    let n = read_varint(bytes, pos)? as usize;
-    let mut queue = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        queue.push(read_packet(bytes, pos)?);
-    }
-    let in_flight = match read_u8(bytes, pos)? {
-        0 => None,
-        1 => Some(read_packet(bytes, pos)?),
-        t => return Err(format!("bad in-flight flag {t}")),
-    };
+fn read_dir_ckpt(r: &mut Reader) -> Result<DirCheckpoint, DecodeError> {
     Ok(DirCheckpoint {
-        queue,
-        in_flight,
-        fault: read_fault(bytes, pos)?,
+        queue: r.seq("link queue", Reader::varint, MIN_PACKET_BYTES, read_packet)?,
+        in_flight: r.opt("in-flight packet", |r, _| read_packet(r))?,
+        fault: read_fault(r)?,
     })
 }
 
-fn write_link_stats(buf: &mut Vec<u8>, s: &LinkDirStats) {
+fn write_link_stats(w: &mut Writer, s: &LinkDirStats) {
     for v in [
         s.offered,
         s.delivered,
@@ -658,149 +500,106 @@ fn write_link_stats(buf: &mut Vec<u8>, s: &LinkDirStats) {
         s.dropped_tap,
         s.dropped_fault,
     ] {
-        write_varint(buf, v);
+        w.varint(v);
     }
 }
 
-fn read_link_stats(bytes: &[u8], pos: &mut usize) -> Result<LinkDirStats, String> {
+fn read_link_stats(r: &mut Reader) -> Result<LinkDirStats, DecodeError> {
     Ok(LinkDirStats {
-        offered: read_varint(bytes, pos)?,
-        delivered: read_varint(bytes, pos)?,
-        bytes_delivered: read_varint(bytes, pos)?,
-        dropped_queue: read_varint(bytes, pos)?,
-        dropped_tap: read_varint(bytes, pos)?,
-        dropped_fault: read_varint(bytes, pos)?,
+        offered: r.varint_quantity("link offered")?,
+        delivered: r.varint_quantity("link delivered")?,
+        bytes_delivered: r.varint_quantity("link bytes delivered")?,
+        dropped_queue: r.varint_quantity("link queue drops")?,
+        dropped_tap: r.varint_quantity("link tap drops")?,
+        dropped_fault: r.varint_quantity("link fault drops")?,
     })
 }
 
 /// Encode a full engine checkpoint.
 pub fn engine_checkpoint_to_bytes(c: &EngineCheckpoint) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(256);
-    write_varint(&mut buf, c.now.0);
-    for w in c.rng {
-        write_u64_le(&mut buf, w);
+    let mut w = Writer::with_capacity(256);
+    w.varint(c.now.0);
+    for word in c.rng {
+        w.u64(word);
     }
-    write_varint(&mut buf, c.next_pkt_id);
-    buf.push(c.started as u8);
-    write_varint(&mut buf, c.events.len() as u64);
-    for (t, e) in &c.events {
-        write_varint(&mut buf, t.0);
-        write_event(&mut buf, e);
-    }
-    write_varint(&mut buf, c.links.len() as u64);
-    for l in &c.links {
-        buf.push(l.up as u8);
-        write_dir_ckpt(&mut buf, &l.ab);
-        write_dir_ckpt(&mut buf, &l.ba);
-        write_link_stats(&mut buf, &l.stats_ab);
-        write_link_stats(&mut buf, &l.stats_ba);
-    }
-    write_varint(&mut buf, c.logics.len() as u64);
-    for logic in &c.logics {
-        match logic {
-            None => buf.push(0),
-            Some(b) => {
-                buf.push(1);
-                write_varint(&mut buf, b.len() as u64);
-                buf.extend_from_slice(b);
-            }
-        }
-    }
-    write_varint(&mut buf, c.routing.len() as u64);
-    for row in &c.routing {
-        write_varint(&mut buf, row.len() as u64);
-        for hop in row {
-            write_opt_varint(&mut buf, hop.map(|h| h.0 as u64));
-        }
-    }
-    write_varint(&mut buf, c.prefixes.len() as u64);
-    for (p, node) in &c.prefixes {
-        write_varint(&mut buf, p.addr.0 as u64);
-        buf.push(p.len);
-        write_varint(&mut buf, node.0 as u64);
-    }
-    write_u64_le(&mut buf, c.state_hash);
-    buf
+    w.varint(c.next_pkt_id);
+    w.bool(c.started);
+    w.seq(&c.events, |w, (t, e)| {
+        w.varint(t.0);
+        write_event(w, e);
+    });
+    w.seq(&c.links, |w, l| {
+        w.bool(l.up);
+        write_dir_ckpt(w, &l.ab);
+        write_dir_ckpt(w, &l.ba);
+        write_link_stats(w, &l.stats_ab);
+        write_link_stats(w, &l.stats_ba);
+    });
+    w.seq(&c.logics, |w, logic| w.opt(logic.as_deref(), Writer::bytes));
+    w.seq(&c.routing, |w, row| {
+        w.seq(row, |w, hop| w.opt(*hop, |w, h| w.varint_usize(h.0)));
+    });
+    w.seq(&c.prefixes, |w, (p, node)| {
+        w.varint(u64::from(p.addr.0));
+        w.u8(p.len);
+        w.varint_usize(node.0);
+    });
+    w.u64(c.state_hash);
+    w.into_bytes()
 }
 
+// Smallest encodings inside an engine checkpoint: a pending event is a
+// time, a tag and a `TxComplete`; a link is its flag, two empty
+// directions (count, flag, fault) and twelve counters.
+const MIN_PENDING_BYTES: usize = 1 + 1 + 2;
+const MIN_LINK_BYTES: usize = 1 + 2 * (1 + 1 + 9) + 12;
+const MIN_PREFIX_BYTES: usize = 3;
+
 /// Decode a full engine checkpoint (strict: trailing bytes are an error).
-pub fn engine_checkpoint_from_bytes(bytes: &[u8]) -> Result<EngineCheckpoint, String> {
-    let mut pos = 0usize;
-    let now = SimTime(read_varint(bytes, &mut pos)?);
+pub fn engine_checkpoint_from_bytes(bytes: &[u8]) -> Result<EngineCheckpoint, DecodeError> {
+    let mut r = Reader::new(bytes);
+    let now = SimTime(r.varint_quantity("engine clock")?);
     let mut rng = [0u64; 4];
-    for w in &mut rng {
-        *w = read_u64_le(bytes, &mut pos)?;
+    for word in &mut rng {
+        *word = r.u64("engine rng")?;
     }
-    let next_pkt_id = read_varint(bytes, &mut pos)?;
-    let started = read_u8(bytes, &mut pos)? != 0;
-    let n_events = read_varint(bytes, &mut pos)? as usize;
-    let mut events = Vec::with_capacity(n_events.min(1 << 20));
-    for _ in 0..n_events {
-        let t = SimTime(read_varint(bytes, &mut pos)?);
-        events.push((t, read_event(bytes, &mut pos)?));
-    }
-    let n_links = read_varint(bytes, &mut pos)? as usize;
-    let mut links = Vec::with_capacity(n_links.min(1 << 16));
-    for _ in 0..n_links {
-        let up = read_u8(bytes, &mut pos)? != 0;
-        let ab = read_dir_ckpt(bytes, &mut pos)?;
-        let ba = read_dir_ckpt(bytes, &mut pos)?;
-        let stats_ab = read_link_stats(bytes, &mut pos)?;
-        let stats_ba = read_link_stats(bytes, &mut pos)?;
-        links.push(LinkCheckpoint {
-            up,
-            ab,
-            ba,
-            stats_ab,
-            stats_ba,
-        });
-    }
-    let n_logics = read_varint(bytes, &mut pos)? as usize;
-    let mut logics = Vec::with_capacity(n_logics.min(1 << 16));
-    for _ in 0..n_logics {
-        logics.push(match read_u8(bytes, &mut pos)? {
-            0 => None,
-            1 => {
-                let len = read_varint(bytes, &mut pos)? as usize;
-                let end = pos
-                    .checked_add(len)
-                    .filter(|&e| e <= bytes.len())
-                    .ok_or_else(|| "logic state: unexpected end of input".to_string())?;
-                let b = bytes[pos..end].to_vec();
-                pos = end;
-                Some(b)
-            }
-            t => return Err(format!("bad logic flag {t}")),
-        });
-    }
-    let n_rows = read_varint(bytes, &mut pos)? as usize;
-    let mut routing = Vec::with_capacity(n_rows.min(1 << 16));
-    for _ in 0..n_rows {
-        let n_cols = read_varint(bytes, &mut pos)? as usize;
-        let mut row = Vec::with_capacity(n_cols.min(1 << 16));
-        for _ in 0..n_cols {
-            row.push(read_opt_varint(bytes, &mut pos)?.map(|h| NodeId(h as usize)));
+    let next_pkt_id = r.varint_quantity("next packet id")?;
+    let started = r.bool("started flag")?;
+    let events = r.seq("pending events", Reader::varint, MIN_PENDING_BYTES, |r| {
+        Ok((SimTime(r.varint_quantity("event time")?), read_event(r)?))
+    })?;
+    let links = r.seq("link count", Reader::varint, MIN_LINK_BYTES, |r| {
+        Ok(LinkCheckpoint {
+            up: r.bool("link up flag")?,
+            ab: read_dir_ckpt(r)?,
+            ba: read_dir_ckpt(r)?,
+            stats_ab: read_link_stats(r)?,
+            stats_ba: read_link_stats(r)?,
+        })
+    })?;
+    let logics = r.seq("node count", Reader::varint, 1, |r| {
+        r.opt("node state", |r, what| Ok(r.bytes(what)?.to_vec()))
+    })?;
+    let routing = r.seq("routing row count", Reader::varint, 1, |r| {
+        r.seq("routing row length", Reader::varint, 1, |r| {
+            Ok(r.opt("next hop", Reader::varint_usize)?.map(NodeId))
+        })
+    })?;
+    let prefixes = r.seq("prefix count", Reader::varint, MIN_PREFIX_BYTES, |r| {
+        let addr = Addr(r.varint_u32("prefix address")?);
+        let len = r.u8("prefix length")?;
+        // `Prefix::new` asserts the length and masks host bits off; a
+        // blob that relies on either is not one the encoder wrote.
+        if len > 32 || Prefix::new(addr, len).addr != addr {
+            return Err(r.error("prefix", ErrorKind::Range));
         }
-        routing.push(row);
-    }
-    let n_prefixes = read_varint(bytes, &mut pos)? as usize;
-    let mut prefixes = Vec::with_capacity(n_prefixes.min(1 << 16));
-    for _ in 0..n_prefixes {
-        let addr = Addr(read_varint(bytes, &mut pos)? as u32);
-        let len = read_u8(bytes, &mut pos)?;
-        if len > 32 {
-            return Err(format!("bad prefix length {len}"));
-        }
-        let node = NodeId(read_varint(bytes, &mut pos)? as usize);
-        prefixes.push((Prefix::new(addr, len), node));
-    }
-    let state_hash = read_u64_le(bytes, &mut pos)?;
-    if pos != bytes.len() {
-        return Err(format!(
-            "trailing garbage: {} bytes past engine checkpoint",
-            bytes.len() - pos
-        ));
-    }
+        Ok((
+            Prefix::new(addr, len),
+            NodeId(r.varint_usize("prefix node")?),
+        ))
+    })?;
+    let state_hash = r.u64("engine state hash")?;
+    r.finish("engine checkpoint")?;
     Ok(EngineCheckpoint {
         now,
         rng,
@@ -815,39 +614,34 @@ pub fn engine_checkpoint_from_bytes(bytes: &[u8]) -> Result<EngineCheckpoint, St
     })
 }
 
-fn write_cell(buf: &mut Vec<u8>, c: &Cell) {
-    write_flow_key(buf, &c.flow);
-    write_varint(buf, c.last_seen.0);
-    write_varint(buf, c.sampled_at.0);
-    write_varint(buf, c.last_seq as u64);
-    write_opt_varint(buf, c.last_retx.map(|t| t.0));
-    write_opt_varint(buf, c.last_retx_gap.map(|g| g.0));
+fn write_cell(w: &mut Writer, c: &Cell) {
+    write_flow_key(w, &c.flow);
+    w.varint(c.last_seen.0);
+    w.varint(c.sampled_at.0);
+    w.varint(u64::from(c.last_seq));
+    w.opt(c.last_retx, |w, t| w.varint(t.0));
+    w.opt(c.last_retx_gap, |w, g| w.varint(g.0));
 }
 
-fn read_cell(bytes: &[u8], pos: &mut usize) -> Result<Cell, String> {
+fn read_cell(r: &mut Reader) -> Result<Cell, DecodeError> {
     Ok(Cell {
-        flow: read_flow_key(bytes, pos)?,
-        last_seen: SimTime(read_varint(bytes, pos)?),
-        sampled_at: SimTime(read_varint(bytes, pos)?),
-        last_seq: read_varint(bytes, pos)? as u32,
-        last_retx: read_opt_varint(bytes, pos)?.map(SimTime),
-        last_retx_gap: read_opt_varint(bytes, pos)?.map(SimDuration),
+        flow: read_flow_key(r)?,
+        last_seen: SimTime(r.varint_quantity("cell last_seen")?),
+        sampled_at: SimTime(r.varint_quantity("cell sampled_at")?),
+        last_seq: r.varint_u32("cell last_seq")?,
+        last_retx: r
+            .opt("cell last_retx", Reader::varint_quantity)?
+            .map(SimTime),
+        last_retx_gap: r
+            .opt("cell retx gap", Reader::varint_quantity)?
+            .map(SimDuration),
     })
 }
 
-fn write_selector_snapshot(buf: &mut Vec<u8>, s: &SelectorSnapshot) {
-    write_varint(buf, s.cells.len() as u64);
-    for cell in &s.cells {
-        match cell {
-            None => buf.push(0),
-            Some(c) => {
-                buf.push(1);
-                write_cell(buf, c);
-            }
-        }
-    }
-    write_varint(buf, s.last_reset.0);
-    write_varint(buf, s.resets);
+fn write_selector_snapshot(w: &mut Writer, s: &SelectorSnapshot) {
+    w.seq(&s.cells, |w, cell| w.opt(cell.as_ref(), write_cell));
+    w.varint(s.last_reset.0);
+    w.varint(s.resets);
     for v in [
         s.stats.sampled,
         s.stats.evicted_fin,
@@ -856,52 +650,32 @@ fn write_selector_snapshot(buf: &mut Vec<u8>, s: &SelectorSnapshot) {
         s.stats.retransmissions,
         s.stats.not_monitored,
     ] {
-        write_varint(buf, v);
+        w.varint(v);
     }
-    match &s.residencies {
-        None => buf.push(0),
-        Some(r) => {
-            buf.push(1);
-            write_varint(buf, r.len() as u64);
-            for d in r {
-                write_varint(buf, d.0);
-            }
-        }
-    }
+    w.opt(s.residencies.as_deref(), |w, res| {
+        w.seq(res, |w, d| w.varint(d.0))
+    });
 }
 
-fn read_selector_snapshot(bytes: &[u8], pos: &mut usize) -> Result<SelectorSnapshot, String> {
-    let n = read_varint(bytes, pos)? as usize;
-    let mut cells = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        cells.push(match read_u8(bytes, pos)? {
-            0 => None,
-            1 => Some(read_cell(bytes, pos)?),
-            t => return Err(format!("bad cell flag {t}")),
-        });
-    }
-    let last_reset = SimTime(read_varint(bytes, pos)?);
-    let resets = read_varint(bytes, pos)?;
+fn read_selector_snapshot(r: &mut Reader) -> Result<SelectorSnapshot, DecodeError> {
+    let cells = r.seq("cell count", Reader::varint, 1, |r| {
+        r.opt("cell", |r, _| read_cell(r))
+    })?;
+    let last_reset = SimTime(r.varint_quantity("selector last_reset")?);
+    let resets = r.varint_quantity("selector resets")?;
     let stats = SelectorStats {
-        sampled: read_varint(bytes, pos)?,
-        evicted_fin: read_varint(bytes, pos)?,
-        evicted_idle: read_varint(bytes, pos)?,
-        evicted_reset: read_varint(bytes, pos)?,
-        retransmissions: read_varint(bytes, pos)?,
-        not_monitored: read_varint(bytes, pos)?,
+        sampled: r.varint_quantity("selector sampled")?,
+        evicted_fin: r.varint_quantity("selector evicted_fin")?,
+        evicted_idle: r.varint_quantity("selector evicted_idle")?,
+        evicted_reset: r.varint_quantity("selector evicted_reset")?,
+        retransmissions: r.varint_quantity("selector retransmissions")?,
+        not_monitored: r.varint_quantity("selector not_monitored")?,
     };
-    let residencies = match read_u8(bytes, pos)? {
-        0 => None,
-        1 => {
-            let n = read_varint(bytes, pos)? as usize;
-            let mut r = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                r.push(SimDuration(read_varint(bytes, pos)?));
-            }
-            Some(r)
-        }
-        t => return Err(format!("bad residencies flag {t}")),
-    };
+    let residencies = r.opt("residencies", |r, what| {
+        r.seq(what, Reader::varint, 1, |r| {
+            Ok(SimDuration(r.varint_quantity("residency")?))
+        })
+    })?;
     Ok(SelectorSnapshot {
         cells,
         last_reset,
@@ -913,88 +687,70 @@ fn read_selector_snapshot(bytes: &[u8], pos: &mut usize) -> Result<SelectorSnaps
 
 /// Encode a fast-simulation checkpoint.
 pub fn attack_sim_snapshot_to_bytes(s: &AttackSimSnapshot) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(256);
-    for w in s.rng {
-        write_u64_le(&mut buf, w);
+    let mut w = Writer::with_capacity(256);
+    for word in s.rng {
+        w.u64(word);
     }
-    write_selector_snapshot(&mut buf, &s.selector);
-    write_varint(&mut buf, s.flows.len() as u64);
-    for f in &s.flows {
-        write_flow_key(&mut buf, &f.key);
-        write_varint(&mut buf, f.seq as u64);
-        write_opt_varint(&mut buf, f.dies_at.map(|t| t.0));
-    }
-    write_varint(&mut buf, s.sport as u64);
-    write_varint(&mut buf, s.schedule.len() as u64);
-    for (t, i) in &s.schedule {
-        write_varint(&mut buf, t.0);
-        write_varint(&mut buf, *i as u64);
-    }
-    write_varint(&mut buf, s.series.len() as u64);
-    for (t, v) in &s.series {
-        write_u64_le(&mut buf, t.to_bits());
-        write_u64_le(&mut buf, v.to_bits());
-    }
-    write_varint(&mut buf, s.next_sample.0);
-    match s.takeover_time {
-        None => buf.push(0),
-        Some(t) => {
-            buf.push(1);
-            write_u64_le(&mut buf, t.to_bits());
-        }
-    }
-    write_varint(&mut buf, s.packets);
-    buf.push(s.done as u8);
-    buf
+    write_selector_snapshot(&mut w, &s.selector);
+    w.seq(&s.flows, |w, f| {
+        write_flow_key(w, &f.key);
+        w.varint(u64::from(f.seq));
+        w.opt(f.dies_at, |w, t| w.varint(t.0));
+    });
+    w.varint(u64::from(s.sport));
+    w.seq(&s.schedule, |w, (t, i)| {
+        w.varint(t.0);
+        w.varint_usize(*i);
+    });
+    w.seq(&s.series, |w, (t, v)| {
+        w.f64(*t);
+        w.f64(*v);
+    });
+    w.varint(s.next_sample.0);
+    w.opt(s.takeover_time, Writer::f64);
+    w.varint(s.packets);
+    w.bool(s.done);
+    w.into_bytes()
 }
+
+// Smallest encodings inside a fast-simulation snapshot: a flow is a key,
+// a sequence number and a flag; a schedule entry two varints; a series
+// point two floats.
+const MIN_FLOW_BYTES: usize = 5 + 1 + 1;
+const MIN_SCHEDULE_BYTES: usize = 2;
+const MIN_SERIES_BYTES: usize = 16;
 
 /// Decode a fast-simulation checkpoint (strict: trailing bytes are an
 /// error).
-pub fn attack_sim_snapshot_from_bytes(bytes: &[u8]) -> Result<AttackSimSnapshot, String> {
-    let mut pos = 0usize;
+pub fn attack_sim_snapshot_from_bytes(bytes: &[u8]) -> Result<AttackSimSnapshot, DecodeError> {
+    let mut r = Reader::new(bytes);
     let mut rng = [0u64; 4];
-    for w in &mut rng {
-        *w = read_u64_le(bytes, &mut pos)?;
+    for word in &mut rng {
+        *word = r.u64("fastsim rng")?;
     }
-    let selector = read_selector_snapshot(bytes, &mut pos)?;
-    let n_flows = read_varint(bytes, &mut pos)? as usize;
-    let mut flows = Vec::with_capacity(n_flows.min(1 << 20));
-    for _ in 0..n_flows {
-        flows.push(FlowState {
-            key: read_flow_key(bytes, &mut pos)?,
-            seq: read_varint(bytes, &mut pos)? as u32,
-            dies_at: read_opt_varint(bytes, &mut pos)?.map(SimTime),
-        });
-    }
-    let sport = read_varint(bytes, &mut pos)? as u16;
-    let n_sched = read_varint(bytes, &mut pos)? as usize;
-    let mut schedule = Vec::with_capacity(n_sched.min(1 << 20));
-    for _ in 0..n_sched {
-        let t = SimTime(read_varint(bytes, &mut pos)?);
-        let i = read_varint(bytes, &mut pos)? as usize;
-        schedule.push((t, i));
-    }
-    let n_series = read_varint(bytes, &mut pos)? as usize;
-    let mut series = Vec::with_capacity(n_series.min(1 << 20));
-    for _ in 0..n_series {
-        let t = f64::from_bits(read_u64_le(bytes, &mut pos)?);
-        let v = f64::from_bits(read_u64_le(bytes, &mut pos)?);
-        series.push((t, v));
-    }
-    let next_sample = SimTime(read_varint(bytes, &mut pos)?);
-    let takeover_time = match read_u8(bytes, &mut pos)? {
-        0 => None,
-        1 => Some(f64::from_bits(read_u64_le(bytes, &mut pos)?)),
-        t => return Err(format!("bad takeover flag {t}")),
-    };
-    let packets = read_varint(bytes, &mut pos)?;
-    let done = read_u8(bytes, &mut pos)? != 0;
-    if pos != bytes.len() {
-        return Err(format!(
-            "trailing garbage: {} bytes past fastsim snapshot",
-            bytes.len() - pos
-        ));
-    }
+    let selector = read_selector_snapshot(&mut r)?;
+    let flows = r.seq("flow count", Reader::varint, MIN_FLOW_BYTES, |r| {
+        Ok(FlowState {
+            key: read_flow_key(r)?,
+            seq: r.varint_u32("flow seq")?,
+            dies_at: r.opt("flow dies_at", Reader::varint_quantity)?.map(SimTime),
+        })
+    })?;
+    let sport = r.varint_u16("sport cursor")?;
+    let schedule = r.seq("schedule length", Reader::varint, MIN_SCHEDULE_BYTES, |r| {
+        Ok((
+            SimTime(r.varint_quantity("schedule time")?),
+            r.varint_usize("schedule flow index")?,
+        ))
+    })?;
+    let series = r.seq("series length", Reader::varint, MIN_SERIES_BYTES, |r| {
+        Ok((r.f64("series time")?, r.f64("series value")?))
+    })?;
+    let next_sample = SimTime(r.varint_quantity("next sample time")?);
+    let takeover_time = r.opt("takeover time", Reader::f64)?;
+    let packets = r.varint_quantity("packet count")?;
+    let done = r.bool("done flag")?;
+    r.finish("fastsim snapshot")?;
     Ok(AttackSimSnapshot {
         rng,
         selector,
@@ -1012,35 +768,6 @@ pub fn attack_sim_snapshot_from_bytes(bytes: &[u8]) -> Result<AttackSimSnapshot,
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn varint_round_trips_edge_values() {
-        for v in [
-            0u64,
-            1,
-            127,
-            128,
-            16_383,
-            16_384,
-            u32::MAX as u64,
-            u64::MAX - 1,
-            u64::MAX,
-        ] {
-            let mut buf = Vec::new();
-            write_varint(&mut buf, v);
-            let mut pos = 0;
-            assert_eq!(read_varint(&buf, &mut pos).unwrap(), v);
-            assert_eq!(pos, buf.len());
-        }
-    }
-
-    #[test]
-    fn varint_rejects_truncation_and_overflow() {
-        let mut pos = 0;
-        assert!(read_varint(&[0x80], &mut pos).is_err());
-        let mut pos = 0;
-        assert!(read_varint(&[0xff; 11], &mut pos).is_err());
-    }
 
     #[test]
     fn recording_round_trips() {
@@ -1096,7 +823,7 @@ mod tests {
             Header::Tcp {
                 seq: 1,
                 ack: u32::MAX,
-                flags: TcpFlags::from_bits(0b1010),
+                flags: TcpFlags::from_bits(0b1010).unwrap(),
                 window: 65_535,
             },
             Header::Udp,
@@ -1118,11 +845,12 @@ mod tests {
                 sent_at: SimTime(123_456),
                 payload: 1460,
             };
-            let mut buf = Vec::new();
-            write_packet(&mut buf, &p);
-            let mut pos = 0;
-            assert_eq!(read_packet(&buf, &mut pos).unwrap(), p);
-            assert_eq!(pos, buf.len());
+            let mut w = Writer::new();
+            write_packet(&mut w, &p);
+            let buf = w.into_bytes();
+            let mut r = Reader::new(&buf);
+            assert_eq!(read_packet(&mut r), Ok(p));
+            assert_eq!(r.finish("packet"), Ok(()));
         }
     }
 }

@@ -178,9 +178,10 @@ impl ReplaySubject for FastSimSubject {
     }
 
     fn load_checkpoint(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let snap = attack_sim_snapshot_from_bytes(bytes)?;
-        self.now = snap.schedule.first().map_or(0, |&(t, _)| t.0);
-        self.sim = AttackSim::restore(&self.cfg, snap);
+        let snap = attack_sim_snapshot_from_bytes(bytes).map_err(|e| e.to_string())?;
+        let now = snap.schedule.first().map_or(0, |&(t, _)| t.0);
+        self.sim = AttackSim::restore(&self.cfg, snap)?;
+        self.now = now;
         Ok(())
     }
 }
@@ -323,7 +324,7 @@ impl ReplaySubject for SimulatorSubject {
     }
 
     fn load_checkpoint(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let ckpt = engine_checkpoint_from_bytes(bytes)?;
+        let ckpt = engine_checkpoint_from_bytes(bytes).map_err(|e| e.to_string())?;
         let now = ckpt.now;
         self.sim.restore(ckpt)?;
         self.done = now >= self.end;

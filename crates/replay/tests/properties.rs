@@ -6,7 +6,7 @@ use dui_blink::fastsim::{AttackSim, AttackSimConfig};
 use dui_netsim::prelude::*;
 use dui_replay::record::{
     attack_sim_snapshot_from_bytes, attack_sim_snapshot_to_bytes, engine_checkpoint_from_bytes,
-    engine_checkpoint_to_bytes, read_varint, write_varint, CheckpointFrame, EventFrame, Recording,
+    engine_checkpoint_to_bytes, CheckpointFrame, EventFrame, Recording,
 };
 use dui_replay::replay::ReplaySubject;
 use dui_replay::{FastSimSubject, Recorder, Replayer};
@@ -57,22 +57,6 @@ fn partial_engine(g: &mut Gen) -> Simulator {
 
 prop_check! {
     cases = 64;
-
-    fn varint_round_trips(g) {
-        // Bias toward encoding-boundary values alongside uniform draws.
-        let v = match g.u8(0..4) {
-            0 => g.u64(0..128),
-            1 => g.u64(127..16_400),
-            2 => u64::MAX - g.u64(0..3),
-            _ => g.any_u64(),
-        };
-        let mut buf = Vec::new();
-        write_varint(&mut buf, v);
-        prop_assert!(buf.len() <= 10);
-        let mut pos = 0;
-        prop_assert_eq!(read_varint(&buf, &mut pos).unwrap(), v);
-        prop_assert_eq!(pos, buf.len());
-    }
 
     fn recording_codec_round_trips(g) {
         let mut rec = Recording {
@@ -156,7 +140,7 @@ prop_check! {
         let back = attack_sim_snapshot_from_bytes(&bytes).unwrap();
         prop_assert_eq!(attack_sim_snapshot_to_bytes(&back), bytes);
         // Restoring the decoded snapshot is a state-hash fixed point.
-        let restored = AttackSim::restore(&cfg, back);
+        let restored = AttackSim::restore(&cfg, back).expect("restorable");
         prop_assert_eq!(restored.state_hash(), sim.state_hash());
     }
 

@@ -224,8 +224,8 @@ pub enum Check {
     Range(u64, u64),
     /// Number in `0.0..=hi`.
     Unit(f64),
-    /// Even integer ≥ `lo`.
-    Even(u64),
+    /// Even integer in `lo..=hi`.
+    Even(u64, u64),
     /// The literal `true` (the key is a flag; absence is the `false`).
     True,
     /// A list of exactly one name.
@@ -250,7 +250,7 @@ impl Bound {
             (Check::Range(lo, hi), Val::Int(n)) => (lo..=hi).contains(n),
             (Check::Range(lo, hi), Val::Dur(d)) => (lo..=hi).contains(&d.0),
             (Check::Unit(hi), Val::F64(x)) => (0.0..=hi).contains(x),
-            (Check::Even(lo), Val::Int(n)) => *n >= lo && n % 2 == 0,
+            (Check::Even(lo, hi), Val::Int(n)) => (lo..=hi).contains(n) && n % 2 == 0,
             (Check::True, Val::Bool(b)) => *b,
             (Check::Single, Val::List(l)) => l.len() == 1,
             _ => false,
@@ -261,9 +261,16 @@ impl Bound {
 const fn bound(check: Check, expected: &'static str) -> Bound {
     Bound { check, expected }
 }
-const fn at_least(lo: u64, expected: &'static str) -> Bound {
-    bound(Check::Range(lo, u64::MAX), expected)
+const fn between(lo: u64, hi: u64, expected: &'static str) -> Bound {
+    bound(Check::Range(lo, hi), expected)
 }
+const fn at_least(lo: u64, expected: &'static str) -> Bound {
+    between(lo, u64::MAX, expected)
+}
+/// Routers (or leaf pairs) a parametric topology addresses: one octet of
+/// `10.x.<i>.1` each. `pods` stops at 14 for the same reason — the fat
+/// tree spends `100 + pod` of an octet on host addresses.
+const MAX_ROUTERS: u64 = 256;
 /// No bound beyond the type.
 pub const ANY: Bound = bound(Check::Any, "");
 const POSITIVE: Bound = at_least(1, "a positive integer");
@@ -360,14 +367,16 @@ section! {
         KIND = key("kind", Ty::Kind(TOPOLOGY_KINDS,
             "one of blink, pcc, pytheas, ring, chorded_ring, linear, fat_tree, bowtie"), &[case(&[], Required, ANY)]),
         NODES = key("nodes", Ty::Int, &[
-            case(&[RING], Required, at_least(3, "an integer ≥ 3")),
-            case(&[CHORDED_RING], Required, at_least(5, "an integer ≥ 5")),
-            case(&[LINEAR], Required, at_least(2, "an integer ≥ 2")),
+            case(&[RING], Required, between(3, MAX_ROUTERS, "an integer in 3..=256")),
+            case(&[CHORDED_RING], Required, between(5, MAX_ROUTERS, "an integer in 5..=256")),
+            case(&[LINEAR], Required, between(2, MAX_ROUTERS, "an integer in 2..=256")),
         ]),
-        CHORD = key("chord", Ty::Int, &[case(&[CHORDED_RING], Required, at_least(2, "an integer ≥ 2"))]),
+        CHORD = key("chord", Ty::Int,
+            &[case(&[CHORDED_RING], Required, between(2, MAX_ROUTERS - 1, "an integer in 2..=255"))]),
         PODS = key("pods", Ty::Int,
-            &[case(&[FAT_TREE], Required, bound(Check::Even(2), "an even integer ≥ 2"))]),
-        LEAVES = key("leaves", Ty::Int, &[case(&[BOWTIE], Required, at_least(1, "an integer ≥ 1"))]),
+            &[case(&[FAT_TREE], Required, bound(Check::Even(2, 14), "an even integer in 2..=14"))]),
+        LEAVES = key("leaves", Ty::Int,
+            &[case(&[BOWTIE], Required, between(1, MAX_ROUTERS, "an integer in 1..=256"))]),
     }
 }
 

@@ -720,7 +720,7 @@ dst = h2
         let wl = "[workload]\nkind = tcp\nsrc = h0\ndst = h1\n";
         assert_eq!(
             e(&format!("kind = ring\nnodes =  02\n{wl}")),
-            "f:5:10: invalid value for 'nodes': expected an integer ≥ 3, got '2'"
+            "f:5:10: invalid value for 'nodes': expected an integer in 3..=256, got '2'"
         );
         assert_eq!(e(&format!("kind = ring\nnodes = 2\n{wl}oops\n")), "f:10:1: expected 'key = value'");
     }

@@ -25,6 +25,9 @@
 //! * [`digest`] — the stable 64-bit state-digest primitive underneath
 //!   `dui-replay`'s record/replay hashing (no addresses, no iteration-order
 //!   leaks).
+//! * [`wire`] — the bounded [`wire::Reader`] / [`wire::Writer`] pair under
+//!   every binary codec in the workspace (recordings, checkpoints, host and
+//!   pool state): the one place bytes from outside become values.
 //! * [`propcheck`] — in-tree property-based testing (seeded generators,
 //!   integrated shrinking, the [`prop_check!`](crate::prop_check) macro), replacing the
 //!   former `proptest` dev-dependency so the workspace builds and tests
@@ -51,6 +54,7 @@ pub mod rng;
 pub mod series;
 pub mod summary;
 pub mod table;
+pub mod wire;
 
 pub use dist::Binomial;
 pub use rng::Rng;

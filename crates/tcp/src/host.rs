@@ -14,11 +14,14 @@
 //! on every ACK would leave a chain of wakes that each find nothing due.
 
 use crate::conn::{digest_flow_key, ReceiverStats, SenderStats, TcpSenderConfig, TcpState};
-use crate::pool::{FlowKind, FlowPool, FlowRef, StaleFlowRef};
+use crate::pool::{
+    get_cfg, get_tcp_key, put_cfg, FlowKind, FlowPool, FlowRef, StaleFlowRef, MIN_CFG_BYTES,
+};
 use dui_netsim::packet::{FlowKey, Header, Packet};
 use dui_netsim::prelude::{Ctx, NodeLogic};
 use dui_netsim::time::{SimDuration, SimTime};
 use dui_stats::digest::StateDigest;
+use dui_stats::wire::{DecodeError, ErrorKind, Reader, Writer};
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 
@@ -175,23 +178,33 @@ pub struct HostCounters {
 }
 
 impl HostCounters {
+    /// Every counter, in the order digests and checkpoints use.
+    fn fields(&self) -> [u64; 14] {
+        let mut copy = *self;
+        copy.fields_mut().map(|v| *v)
+    }
+
+    fn fields_mut(&mut self) -> [&mut u64; 14] {
+        [
+            &mut self.admitted,
+            &mut self.evictions,
+            &mut self.stale_wakes,
+            &mut self.syn_dropped,
+            &mut self.syn_timeouts,
+            &mut self.synrcvd_live,
+            &mut self.synrcvd_peak,
+            &mut self.synrcvd_total,
+            &mut self.timewait_entered,
+            &mut self.handshakes_completed,
+            &mut self.evicted_completed_senders,
+            &mut self.evicted_bytes_acked,
+            &mut self.evicted_bytes_received,
+            &mut self.evicted_done_receivers,
+        ]
+    }
+
     fn state_digest(&self, d: &mut StateDigest) {
-        for v in [
-            self.admitted,
-            self.evictions,
-            self.stale_wakes,
-            self.syn_dropped,
-            self.syn_timeouts,
-            self.synrcvd_live,
-            self.synrcvd_peak,
-            self.synrcvd_total,
-            self.timewait_entered,
-            self.handshakes_completed,
-            self.evicted_completed_senders,
-            self.evicted_bytes_acked,
-            self.evicted_bytes_received,
-            self.evicted_done_receivers,
-        ] {
+        for v in self.fields() {
             d.write_u64(v);
         }
     }
@@ -581,108 +594,76 @@ impl NodeLogic for TcpHost {
         // queue is drained (always true between events).
         let remaining = self.source.remaining()?;
         let pool = self.pool.to_bytes().ok()?;
-        let mut b = Vec::new();
-        b.extend_from_slice(&STATE_TAG);
-        b.extend_from_slice(&(remaining.len() as u32).to_le_bytes());
+        let mut w = Writer::new();
+        w.raw(&STATE_TAG);
+        w.u32(remaining.len() as u32);
         for spec in &remaining {
-            push_spec(&mut b, spec);
+            spec.key.encode(&mut w);
+            w.u64(spec.start.0);
+            put_cfg(&mut w, &spec.config);
         }
-        b.extend_from_slice(&(pool.len() as u64).to_le_bytes());
-        b.extend_from_slice(&pool);
-        b.extend_from_slice(&(self.order.len() as u32).to_le_bytes());
+        w.u64(pool.len() as u64);
+        w.raw(&pool);
+        w.u32(self.order.len() as u32);
         for k in &self.order {
-            push_key(&mut b, k);
+            k.encode(&mut w);
         }
-        b.extend_from_slice(&self.next_isn.to_le_bytes());
-        b.extend_from_slice(&(self.wake_at.len() as u32).to_le_bytes());
-        for w in &self.wake_at {
-            push_opt_u64(&mut b, w.map(|t| t.0));
+        w.u32(self.next_isn);
+        w.u32(self.wake_at.len() as u32);
+        for wake in &self.wake_at {
+            w.opt(wake.map(|t| t.0), Writer::u64);
         }
-        for v in [
-            self.agg.admitted,
-            self.agg.evictions,
-            self.agg.stale_wakes,
-            self.agg.syn_dropped,
-            self.agg.syn_timeouts,
-            self.agg.synrcvd_live,
-            self.agg.synrcvd_peak,
-            self.agg.synrcvd_total,
-            self.agg.timewait_entered,
-            self.agg.handshakes_completed,
-            self.agg.evicted_completed_senders,
-            self.agg.evicted_bytes_acked,
-            self.agg.evicted_bytes_received,
-            self.agg.evicted_done_receivers,
-        ] {
-            b.extend_from_slice(&v.to_le_bytes());
+        for v in self.agg.fields() {
+            w.u64(v);
         }
-        push_opt_u64(&mut b, self.cfg.listen_backlog.map(|v| v as u64));
-        b.push(u8::from(self.cfg.evict_closed));
-        push_opt_u64(&mut b, self.cfg.syn_rcvd_timeout.map(|t| t.as_nanos()));
-        Some(b)
+        w.opt(self.cfg.listen_backlog.map(|v| v as u64), Writer::u64);
+        w.bool(self.cfg.evict_closed);
+        w.opt(self.cfg.syn_rcvd_timeout.map(|t| t.as_nanos()), Writer::u64);
+        Some(w.into_bytes())
     }
 
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        if bytes.get(..STATE_TAG.len()) != Some(&STATE_TAG[..]) {
-            return Err("unsupported tcp host state version".into());
-        }
-        let mut at = STATE_TAG.len();
-        let nspec = read_count(bytes, &mut at, MIN_SPEC_BYTES)?;
-        let mut specs = Vec::with_capacity(nspec);
-        for _ in 0..nspec {
-            specs.push(read_spec(bytes, &mut at)?);
-        }
-        let plen = read_u64(bytes, &mut at)?;
-        let pend = usize::try_from(plen)
-            .ok()
-            .and_then(|plen| at.checked_add(plen))
-            .ok_or("truncated tcp host state")?;
-        let pslice = bytes.get(at..pend).ok_or("truncated tcp host state")?;
-        at = pend;
-        let pool = FlowPool::from_bytes(pslice)?;
-        let norder = read_count(bytes, &mut at, KEY_BYTES)?;
-        let mut order = Vec::with_capacity(norder);
-        for _ in 0..norder {
-            order.push(read_key(bytes, &mut at)?);
-        }
-        let next_isn = read_u32(bytes, &mut at)?;
-        let nwake = read_count(bytes, &mut at, 1)?;
-        let mut wake_at = Vec::with_capacity(nwake);
-        for _ in 0..nwake {
-            wake_at.push(read_opt_u64(bytes, &mut at)?.map(SimTime));
-        }
+    fn load_state(&mut self, bytes: &[u8]) -> Result<(), DecodeError> {
+        let mut r = Reader::new(bytes);
+        r.tag("tcp host state tag", &STATE_TAG)?;
+        let specs = r.seq("flow spec count", Reader::u32, MIN_SPEC_BYTES, |r| {
+            Ok(FlowSpec {
+                key: get_tcp_key(r)?,
+                start: SimTime(r.quantity("flow start")?),
+                config: get_cfg(r)?,
+            })
+        })?;
+        let plen = r.u64("pool blob length")?;
+        let pool = FlowPool::from_bytes(r.take("pool blob", plen)?)?;
+        let order = r.seq(
+            "creation-order count",
+            Reader::u32,
+            FlowKey::WIRE_BYTES,
+            get_tcp_key,
+        )?;
+        let next_isn = r.u32("next isn")?;
+        let wake_at = r.seq("wake count", Reader::u32, 1, |r| {
+            Ok(r.opt("wake", Reader::quantity)?.map(SimTime))
+        })?;
         let mut agg = HostCounters::default();
-        for slot in [
-            &mut agg.admitted,
-            &mut agg.evictions,
-            &mut agg.stale_wakes,
-            &mut agg.syn_dropped,
-            &mut agg.syn_timeouts,
-            &mut agg.synrcvd_live,
-            &mut agg.synrcvd_peak,
-            &mut agg.synrcvd_total,
-            &mut agg.timewait_entered,
-            &mut agg.handshakes_completed,
-            &mut agg.evicted_completed_senders,
-            &mut agg.evicted_bytes_acked,
-            &mut agg.evicted_bytes_received,
-            &mut agg.evicted_done_receivers,
-        ] {
-            *slot = read_u64(bytes, &mut at)?;
+        for slot in agg.fields_mut() {
+            *slot = r.quantity("host counter")?;
         }
-        let listen_backlog = read_opt_u64(bytes, &mut at)?.map(|v| v as usize);
-        let evict_closed = read_u8(bytes, &mut at)? != 0;
-        let syn_rcvd_timeout = read_opt_u64(bytes, &mut at)?.map(SimDuration);
-        if at != bytes.len() {
-            return Err("trailing bytes in tcp host state".into());
-        }
+        let listen_backlog = r.opt("listen backlog", |r, what| {
+            let v = r.u64(what)?;
+            r.narrow(what, v)
+        })?;
+        let evict_closed = r.bool("evict_closed flag")?;
+        let syn_rcvd_timeout = r
+            .opt("syn-rcvd timeout", Reader::quantity)?
+            .map(SimDuration);
+        r.finish("tcp host state")?;
         // Rebuild the lookup index from the restored pool.
         let mut by_key = HashMap::new();
-        for r in pool.iter_refs() {
-            if pool.kind(r) == Ok(FlowKind::Sender) && r.index() as usize >= wake_at.len() {
-                return Err("tcp host state has a sender without a wake entry".into());
+        for flow in pool.iter_refs() {
+            if pool.kind(flow) == Ok(FlowKind::Sender) && flow.index() as usize >= wake_at.len() {
+                return Err(r.error("tcp host sender without a wake entry", ErrorKind::Invalid));
             }
-            by_key.insert(live(pool.key(r)), r);
+            by_key.insert(live(pool.key(flow)), flow);
         }
         self.source = Box::new(VecSource::new(specs));
         self.pool = pool;
@@ -733,120 +714,8 @@ impl NodeLogic for TcpHost {
 /// Version 2 added the `wake_at` section — an untagged version-1 blob
 /// must be refused, not misparsed.
 const STATE_TAG: [u8; 4] = *b"TCH2";
-/// Encoded size of a [`FlowKey`] ([`push_key`]).
-const KEY_BYTES: usize = 13;
-/// Smallest encoded [`FlowSpec`] ([`push_spec`] with both options absent).
-const MIN_SPEC_BYTES: usize = KEY_BYTES + 8 + 4 + 1 + 1 + 8 + 1 + 8;
-
-fn push_key(b: &mut Vec<u8>, k: &FlowKey) {
-    b.extend_from_slice(&k.src.0.to_le_bytes());
-    b.extend_from_slice(&k.dst.0.to_le_bytes());
-    b.extend_from_slice(&k.sport.to_le_bytes());
-    b.extend_from_slice(&k.dport.to_le_bytes());
-    b.push(k.proto.code());
-}
-
-fn push_opt_u64(b: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        None => b.push(0),
-        Some(v) => {
-            b.push(1);
-            b.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-}
-
-fn push_spec(b: &mut Vec<u8>, spec: &FlowSpec) {
-    push_key(b, &spec.key);
-    b.extend_from_slice(&spec.start.0.to_le_bytes());
-    b.extend_from_slice(&spec.config.mss.to_le_bytes());
-    push_opt_u64(b, spec.config.total_bytes);
-    push_opt_u64(b, spec.config.app_rate);
-    b.extend_from_slice(&spec.config.initial_cwnd.to_bits().to_le_bytes());
-    b.push(u8::from(spec.config.handshake));
-    b.extend_from_slice(&spec.config.time_wait.as_nanos().to_le_bytes());
-}
-
-fn read_u8(b: &[u8], at: &mut usize) -> Result<u8, String> {
-    let v = *b.get(*at).ok_or("truncated tcp host state")?;
-    *at += 1;
-    Ok(v)
-}
-
-fn read_u16(b: &[u8], at: &mut usize) -> Result<u16, String> {
-    let s = b.get(*at..*at + 2).ok_or("truncated tcp host state")?;
-    *at += 2;
-    Ok(u16::from_le_bytes([s[0], s[1]]))
-}
-
-fn read_u32(b: &[u8], at: &mut usize) -> Result<u32, String> {
-    let s = b.get(*at..*at + 4).ok_or("truncated tcp host state")?;
-    *at += 4;
-    Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
-}
-
-fn read_u64(b: &[u8], at: &mut usize) -> Result<u64, String> {
-    let s = b.get(*at..*at + 8).ok_or("truncated tcp host state")?;
-    *at += 8;
-    let mut a = [0u8; 8];
-    a.copy_from_slice(s);
-    Ok(u64::from_le_bytes(a))
-}
-
-/// Read a `u32` element count, refusing one the remaining bytes cannot
-/// hold at `min_record` bytes per element — the count sizes an
-/// allocation, and the blob comes from outside the process.
-fn read_count(b: &[u8], at: &mut usize, min_record: usize) -> Result<usize, String> {
-    let n = read_u32(b, at)? as usize;
-    if n > (b.len() - *at) / min_record {
-        return Err("tcp host state count exceeds remaining bytes".into());
-    }
-    Ok(n)
-}
-
-fn read_opt_u64(b: &[u8], at: &mut usize) -> Result<Option<u64>, String> {
-    match read_u8(b, at)? {
-        0 => Ok(None),
-        1 => Ok(Some(read_u64(b, at)?)),
-        t => Err(format!("bad option tag {t}")),
-    }
-}
-
-fn read_key(b: &[u8], at: &mut usize) -> Result<FlowKey, String> {
-    use dui_netsim::packet::{Addr, Proto};
-    let src = Addr(read_u32(b, at)?);
-    let dst = Addr(read_u32(b, at)?);
-    let sport = read_u16(b, at)?;
-    let dport = read_u16(b, at)?;
-    let proto = Proto::from_code(read_u8(b, at)?).ok_or("bad proto code")?;
-    if proto != Proto::Tcp {
-        return Err("tcp host key is not TCP".into());
-    }
-    Ok(FlowKey::tcp(src, sport, dst, dport))
-}
-
-fn read_spec(b: &[u8], at: &mut usize) -> Result<FlowSpec, String> {
-    let key = read_key(b, at)?;
-    let start = SimTime(read_u64(b, at)?);
-    let mss = read_u32(b, at)?;
-    let total_bytes = read_opt_u64(b, at)?;
-    let app_rate = read_opt_u64(b, at)?;
-    let initial_cwnd = f64::from_bits(read_u64(b, at)?);
-    let handshake = read_u8(b, at)? != 0;
-    let time_wait = SimDuration(read_u64(b, at)?);
-    Ok(FlowSpec {
-        key,
-        start,
-        config: TcpSenderConfig {
-            mss,
-            total_bytes,
-            app_rate,
-            initial_cwnd,
-            handshake,
-            time_wait,
-        },
-    })
-}
+/// Smallest encoded [`FlowSpec`]: key, start time, config.
+const MIN_SPEC_BYTES: usize = FlowKey::WIRE_BYTES + 8 + MIN_CFG_BYTES;
 
 #[cfg(test)]
 mod tests {
@@ -1079,13 +948,14 @@ mod tests {
         // The 8-byte blob that used to reserve 4 Gi flow specs.
         let mut huge_specs = STATE_TAG.to_vec();
         huge_specs.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(TcpHost::new().load_state(&huge_specs).is_err());
+        let kind = |blob: &[u8]| TcpHost::new().load_state(blob).map_err(|e| e.kind);
+        assert_eq!(kind(&huge_specs), Err(ErrorKind::Count));
 
         // The same prefix with plenty of bytes behind it still names more
         // specs than fit.
         let mut padded = good.clone();
         padded[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(TcpHost::new().load_state(&padded).is_err());
+        assert_eq!(kind(&padded), Err(ErrorKind::Count));
 
         // Pool length, creation-order count and wake count live further
         // in; overwrite each with all-ones in turn.
@@ -1095,17 +965,17 @@ mod tests {
         let plen = u64::from_le_bytes(good[plen_at..plen_at + 8].try_into().unwrap()) as usize;
         let mut huge_pool = good.clone();
         huge_pool[plen_at..plen_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(TcpHost::new().load_state(&huge_pool).is_err());
+        assert_eq!(kind(&huge_pool), Err(ErrorKind::Truncated));
         let norder_at = plen_at + 8 + plen;
         let mut huge_order = good.clone();
         huge_order[norder_at..norder_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(TcpHost::new().load_state(&huge_order).is_err());
+        assert_eq!(kind(&huge_order), Err(ErrorKind::Count));
         // One sender admitted so far: one key, then the ISN cursor, then
         // the wake count.
-        let nwake_at = norder_at + 4 + KEY_BYTES + 4;
+        let nwake_at = norder_at + 4 + FlowKey::WIRE_BYTES + 4;
         let mut huge_wakes = good.clone();
         huge_wakes[nwake_at..nwake_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(TcpHost::new().load_state(&huge_wakes).is_err());
+        assert_eq!(kind(&huge_wakes), Err(ErrorKind::Count));
         // Well-formed, but the sender's (armed, 9-byte) entry is gone: the
         // host would index past the column on that flow's next event.
         let mut no_entry = good[..nwake_at].to_vec();
@@ -1113,7 +983,11 @@ mod tests {
         no_entry.extend_from_slice(&good[nwake_at + 4 + 9..]);
         assert_eq!(
             TcpHost::new().load_state(&no_entry),
-            Err("tcp host state has a sender without a wake entry".into())
+            Err(DecodeError {
+                what: "tcp host sender without a wake entry",
+                at: no_entry.len(),
+                kind: ErrorKind::Invalid,
+            })
         );
     }
 

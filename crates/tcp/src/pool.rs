@@ -31,6 +31,7 @@ use crate::rtt::RttEstimator;
 use dui_netsim::packet::{Addr, FlowKey, Packet, Proto};
 use dui_netsim::time::{SimDuration, SimTime};
 use dui_stats::digest::StateDigest;
+use dui_stats::wire::{DecodeError, ErrorKind, Reader, Writer};
 use std::fmt;
 
 /// Sentinel for "no next free slot" in the intrusive free list.
@@ -187,23 +188,28 @@ impl FlowPool {
             self.recycled += 1;
             (idx, self.gens[idx as usize])
         } else {
-            let idx = self.gens.len() as u32;
-            assert!(idx != NIL, "flow pool exhausted u32 index space");
-            self.gens.push(0);
-            self.kind.push(SlotKind::Free { next_free: NIL });
-            self.keys.push(Self::placeholder_key());
-            self.cfgs.push(TcpSenderConfig::default());
-            self.cc.push(Reno::default());
-            self.rtt.push(RttEstimator::default());
-            self.seq.push(SeqState::default());
-            self.rtx.push(RtxQueue::default());
-            self.meta.push(SenderMeta::default());
-            self.sstats.push(SenderStats::default());
-            self.rcv.push(RcvState::default());
-            self.rstats.push(ReceiverStats::default());
-            self.out.push(Vec::new());
-            (idx, 0)
+            (self.push_slot(), 0)
         }
+    }
+
+    /// Append one vacant slot at generation 0 to every column.
+    fn push_slot(&mut self) -> u32 {
+        let idx = self.gens.len() as u32;
+        assert!(idx != NIL, "flow pool exhausted u32 index space");
+        self.gens.push(0);
+        self.kind.push(SlotKind::Free { next_free: NIL });
+        self.keys.push(Self::placeholder_key());
+        self.cfgs.push(TcpSenderConfig::default());
+        self.cc.push(Reno::default());
+        self.rtt.push(RttEstimator::default());
+        self.seq.push(SeqState::default());
+        self.rtx.push(RtxQueue::default());
+        self.meta.push(SenderMeta::default());
+        self.sstats.push(SenderStats::default());
+        self.rcv.push(RcvState::default());
+        self.rstats.push(ReceiverStats::default());
+        self.out.push(Vec::new());
+        idx
     }
 
     /// Store a new sender for `key` (ISN `isn`), returning its handle.
@@ -510,331 +516,281 @@ impl FlowPool {
     /// boundary never sees buffered packets — serializing them would drag
     /// the full packet codec in here for a case that cannot occur).
     pub fn to_bytes(&self) -> Result<Vec<u8>, String> {
-        let mut b = Vec::new();
-        put_u32(&mut b, self.gens.len() as u32);
+        let mut w = Writer::new();
+        w.u32(self.gens.len() as u32);
         for i in 0..self.gens.len() {
             if !self.out[i].is_empty() {
                 return Err(format!("flow slot {i} has undrained output"));
             }
-            put_u32(&mut b, self.gens[i]);
+            w.u32(self.gens[i]);
             match self.kind[i] {
                 SlotKind::Free { next_free } => {
-                    b.push(0);
-                    put_u32(&mut b, next_free);
+                    w.u8(0);
+                    w.u32(next_free);
                 }
                 SlotKind::Sender => {
-                    b.push(1);
-                    put_key(&mut b, &self.keys[i]);
-                    put_cfg(&mut b, &self.cfgs[i]);
+                    w.u8(1);
+                    self.keys[i].encode(&mut w);
+                    put_cfg(&mut w, &self.cfgs[i]);
                     let (cwnd, ssthresh) = self.cc[i].to_parts();
-                    put_u64(&mut b, cwnd.to_bits());
-                    put_u64(&mut b, ssthresh.to_bits());
+                    w.f64(cwnd);
+                    w.f64(ssthresh);
                     let (srtt, rttvar, rto, backoff, min_rto, max_rto) = self.rtt[i].to_parts();
-                    put_opt_u64(&mut b, srtt);
-                    put_u64(&mut b, rttvar);
-                    put_u64(&mut b, rto);
-                    put_u32(&mut b, backoff);
-                    put_u64(&mut b, min_rto);
-                    put_u64(&mut b, max_rto);
+                    w.opt(srtt, Writer::u64);
+                    w.u64(rttvar);
+                    w.u64(rto);
+                    w.u32(backoff);
+                    w.u64(min_rto);
+                    w.u64(max_rto);
                     let s = &self.seq[i];
-                    put_u32(&mut b, s.isn);
-                    put_u32(&mut b, s.snd_una);
-                    put_u32(&mut b, s.snd_nxt);
-                    put_u64(&mut b, s.app_sent);
-                    put_opt_u32(&mut b, s.fin_seq);
-                    put_opt_u32(&mut b, s.syn_seq);
-                    put_opt_u32(&mut b, s.recovery_until);
+                    w.u32(s.isn);
+                    w.u32(s.snd_una);
+                    w.u32(s.snd_nxt);
+                    w.u64(s.app_sent);
+                    w.opt(s.fin_seq, Writer::u32);
+                    w.opt(s.syn_seq, Writer::u32);
+                    w.opt(s.recovery_until, Writer::u32);
                     let q = &self.rtx[i];
-                    put_u32(&mut b, q.len() as u32);
+                    w.u32(q.len() as u32);
                     for (seq, rec) in q.iter() {
-                        put_u32(&mut b, seq);
-                        put_u64(&mut b, rec.sent_at.0);
-                        b.push(u8::from(rec.retransmitted));
-                        put_u32(&mut b, rec.len);
+                        w.u32(seq);
+                        w.u64(rec.sent_at.0);
+                        w.bool(rec.retransmitted);
+                        w.u32(rec.len);
                     }
                     let m = &self.meta[i];
-                    put_u64(&mut b, m.started_at.0);
-                    put_u32(&mut b, m.dupacks);
-                    put_opt_u64(&mut b, m.rto_deadline.map(|t| t.0));
-                    put_opt_u64(&mut b, m.pace_deadline.map(|t| t.0));
-                    put_opt_u64(&mut b, m.timewait_deadline.map(|t| t.0));
-                    put_u32(&mut b, m.peer_rwnd);
-                    b.push(m.state.code());
+                    w.u64(m.started_at.0);
+                    w.u32(m.dupacks);
+                    w.opt(m.rto_deadline.map(|t| t.0), Writer::u64);
+                    w.opt(m.pace_deadline.map(|t| t.0), Writer::u64);
+                    w.opt(m.timewait_deadline.map(|t| t.0), Writer::u64);
+                    w.u32(m.peer_rwnd);
+                    w.u8(m.state.code());
                     let st = &self.sstats[i];
-                    put_u64(&mut b, st.bytes_acked);
-                    put_u64(&mut b, st.segments_sent);
-                    put_u64(&mut b, st.retransmissions);
-                    put_u64(&mut b, st.fast_retransmits);
-                    put_u64(&mut b, st.timeouts);
-                    put_opt_u64(&mut b, st.completed_at.map(|t| t.0));
+                    w.u64(st.bytes_acked);
+                    w.u64(st.segments_sent);
+                    w.u64(st.retransmissions);
+                    w.u64(st.fast_retransmits);
+                    w.u64(st.timeouts);
+                    w.opt(st.completed_at.map(|t| t.0), Writer::u64);
                 }
                 SlotKind::Receiver => {
-                    b.push(2);
-                    put_key(&mut b, &self.keys[i]);
+                    w.u8(2);
+                    self.keys[i].encode(&mut w);
                     let rv = &self.rcv[i];
-                    put_u32(&mut b, rv.rcv_nxt);
-                    put_u32(&mut b, rv.ooo.len() as u32);
+                    w.u32(rv.rcv_nxt);
+                    w.u32(rv.ooo.len() as u32);
                     for (seq, len) in &rv.ooo {
-                        put_u32(&mut b, *seq);
-                        put_u32(&mut b, *len);
+                        w.u32(*seq);
+                        w.u32(*len);
                     }
-                    put_opt_u32(&mut b, rv.fin_seq);
-                    b.push(u8::from(rv.done));
-                    put_u32(&mut b, rv.advertised_window);
-                    b.push(rv.state.code());
-                    b.push(u8::from(rv.handshake));
-                    b.push(u8::from(rv.our_fin_sent));
+                    w.opt(rv.fin_seq, Writer::u32);
+                    w.bool(rv.done);
+                    w.u32(rv.advertised_window);
+                    w.u8(rv.state.code());
+                    w.bool(rv.handshake);
+                    w.bool(rv.our_fin_sent);
                     let st = &self.rstats[i];
-                    put_u64(&mut b, st.bytes_delivered);
-                    put_u64(&mut b, st.duplicate_segments);
-                    put_u64(&mut b, st.out_of_order_segments);
-                    put_opt_u64(&mut b, st.finished_at.map(|t| t.0));
+                    w.u64(st.bytes_delivered);
+                    w.u64(st.duplicate_segments);
+                    w.u64(st.out_of_order_segments);
+                    w.opt(st.finished_at.map(|t| t.0), Writer::u64);
                 }
             }
         }
-        put_u32(&mut b, self.free_head);
-        put_u64(&mut b, self.live as u64);
-        put_u64(&mut b, self.high_water as u64);
-        put_u64(&mut b, self.recycled);
-        Ok(b)
+        w.u32(self.free_head);
+        w.u64(self.live as u64);
+        w.u64(self.high_water as u64);
+        w.u64(self.recycled);
+        Ok(w.into_bytes())
     }
 
     /// Restore a pool serialized with [`FlowPool::to_bytes`].
-    pub fn from_bytes(bytes: &[u8]) -> Result<FlowPool, String> {
-        let mut at = 0usize;
-        let cap = get_u32(bytes, &mut at)? as usize;
+    ///
+    /// The blob comes from outside the process, so everything a later
+    /// `insert_*` or `free` trusts is checked here: the slot count against
+    /// the bytes behind it, and the free list link by link.
+    pub fn from_bytes(bytes: &[u8]) -> Result<FlowPool, DecodeError> {
+        let mut r = Reader::new(bytes);
+        let cap = r.count("flow slot count", Reader::u32, MIN_SLOT_BYTES)?;
         let mut p = FlowPool::new();
         for _ in 0..cap {
-            let gen = get_u32(bytes, &mut at)?;
-            let tag = get_u8(bytes, &mut at)?;
-            p.gens.push(gen);
-            p.keys.push(Self::placeholder_key());
-            p.cfgs.push(TcpSenderConfig::default());
-            p.cc.push(Reno::default());
-            p.rtt.push(RttEstimator::default());
-            p.seq.push(SeqState::default());
-            p.rtx.push(RtxQueue::default());
-            p.meta.push(SenderMeta::default());
-            p.sstats.push(SenderStats::default());
-            p.rcv.push(RcvState::default());
-            p.rstats.push(ReceiverStats::default());
-            p.out.push(Vec::new());
-            let i = p.gens.len() - 1;
-            match tag {
+            let i = p.push_slot() as usize;
+            p.gens[i] = r.u32("slot generation")?;
+            match r.u8("flow slot tag")? {
                 0 => {
-                    let next_free = get_u32(bytes, &mut at)?;
-                    p.kind.push(SlotKind::Free { next_free });
+                    p.kind[i] = SlotKind::Free {
+                        next_free: r.u32("next free slot")?,
+                    };
                 }
                 1 => {
-                    p.kind.push(SlotKind::Sender);
-                    p.keys[i] = get_key(bytes, &mut at)?;
-                    p.cfgs[i] = get_cfg(bytes, &mut at)?;
-                    let cwnd = f64::from_bits(get_u64(bytes, &mut at)?);
-                    let ssthresh = f64::from_bits(get_u64(bytes, &mut at)?);
-                    p.cc[i] = Reno::from_parts(cwnd, ssthresh);
-                    let srtt = get_opt_u64(bytes, &mut at)?;
-                    let rttvar = get_u64(bytes, &mut at)?;
-                    let rto = get_u64(bytes, &mut at)?;
-                    let backoff = get_u32(bytes, &mut at)?;
-                    let min_rto = get_u64(bytes, &mut at)?;
-                    let max_rto = get_u64(bytes, &mut at)?;
-                    p.rtt[i] = RttEstimator::from_parts(srtt, rttvar, rto, backoff, min_rto, max_rto);
+                    p.kind[i] = SlotKind::Sender;
+                    p.keys[i] = get_tcp_key(&mut r)?;
+                    p.cfgs[i] = get_cfg(&mut r)?;
+                    p.cc[i] = Reno::from_parts(r.f64("cwnd")?, r.f64("ssthresh")?);
+                    p.rtt[i] = RttEstimator::from_parts(
+                        r.opt("srtt", Reader::quantity)?,
+                        r.quantity("rttvar")?,
+                        r.quantity("rto")?,
+                        r.u32("rto backoff")?,
+                        r.quantity("min rto")?,
+                        r.quantity("max rto")?,
+                    )
+                    .ok_or_else(|| r.error("rtt estimator", ErrorKind::Invalid))?;
                     let s = &mut p.seq[i];
-                    s.isn = get_u32(bytes, &mut at)?;
-                    s.snd_una = get_u32(bytes, &mut at)?;
-                    s.snd_nxt = get_u32(bytes, &mut at)?;
-                    s.app_sent = get_u64(bytes, &mut at)?;
-                    s.fin_seq = get_opt_u32(bytes, &mut at)?;
-                    s.syn_seq = get_opt_u32(bytes, &mut at)?;
-                    s.recovery_until = get_opt_u32(bytes, &mut at)?;
-                    let qlen = get_u32(bytes, &mut at)?;
-                    for _ in 0..qlen {
-                        let seq = get_u32(bytes, &mut at)?;
-                        let sent_at = SimTime(get_u64(bytes, &mut at)?);
-                        let retransmitted = get_u8(bytes, &mut at)? != 0;
-                        let len = get_u32(bytes, &mut at)?;
-                        p.rtx[i].push(
-                            seq,
-                            SegmentRecord {
-                                sent_at,
-                                retransmitted,
-                                len,
-                            },
-                        );
+                    s.isn = r.u32("isn")?;
+                    s.snd_una = r.u32("snd_una")?;
+                    s.snd_nxt = r.u32("snd_nxt")?;
+                    s.app_sent = r.quantity("app_sent")?;
+                    s.fin_seq = r.opt("fin_seq", Reader::u32)?;
+                    s.syn_seq = r.opt("syn_seq", Reader::u32)?;
+                    s.recovery_until = r.opt("recovery point", Reader::u32)?;
+                    for _ in 0..r.count("rtx queue length", Reader::u32, MIN_RTX_BYTES)? {
+                        let seq = r.u32("rtx seq")?;
+                        let rec = SegmentRecord {
+                            sent_at: SimTime(r.quantity("rtx sent_at")?),
+                            retransmitted: r.bool("rtx retransmitted")?,
+                            len: get_segment_len(&mut r, "rtx len")?,
+                        };
+                        p.rtx[i].push(seq, rec);
                     }
                     let m = &mut p.meta[i];
-                    m.started_at = SimTime(get_u64(bytes, &mut at)?);
-                    m.dupacks = get_u32(bytes, &mut at)?;
-                    m.rto_deadline = get_opt_u64(bytes, &mut at)?.map(SimTime);
-                    m.pace_deadline = get_opt_u64(bytes, &mut at)?.map(SimTime);
-                    m.timewait_deadline = get_opt_u64(bytes, &mut at)?.map(SimTime);
-                    m.peer_rwnd = get_u32(bytes, &mut at)?;
-                    m.state = TcpState::from_code(get_u8(bytes, &mut at)?)
-                        .ok_or_else(|| "bad sender state code".to_string())?;
+                    m.started_at = SimTime(r.quantity("started_at")?);
+                    m.dupacks = r.u32("dupacks")?;
+                    m.rto_deadline = r.opt("rto deadline", get_time)?;
+                    m.pace_deadline = r.opt("pace deadline", get_time)?;
+                    m.timewait_deadline = r.opt("time-wait deadline", get_time)?;
+                    m.peer_rwnd = r.u32("peer rwnd")?;
+                    m.state = get_state(&mut r)?;
                     let st = &mut p.sstats[i];
-                    st.bytes_acked = get_u64(bytes, &mut at)?;
-                    st.segments_sent = get_u64(bytes, &mut at)?;
-                    st.retransmissions = get_u64(bytes, &mut at)?;
-                    st.fast_retransmits = get_u64(bytes, &mut at)?;
-                    st.timeouts = get_u64(bytes, &mut at)?;
-                    st.completed_at = get_opt_u64(bytes, &mut at)?.map(SimTime);
+                    st.bytes_acked = r.quantity("bytes acked")?;
+                    st.segments_sent = r.quantity("segments sent")?;
+                    st.retransmissions = r.quantity("retransmissions")?;
+                    st.fast_retransmits = r.quantity("fast retransmits")?;
+                    st.timeouts = r.quantity("timeouts")?;
+                    st.completed_at = r.opt("completed_at", get_time)?;
                 }
                 2 => {
-                    p.kind.push(SlotKind::Receiver);
-                    p.keys[i] = get_key(bytes, &mut at)?;
+                    p.kind[i] = SlotKind::Receiver;
+                    p.keys[i] = get_tcp_key(&mut r)?;
                     let rv = &mut p.rcv[i];
-                    rv.rcv_nxt = get_u32(bytes, &mut at)?;
-                    let olen = get_u32(bytes, &mut at)?;
-                    for _ in 0..olen {
-                        let seq = get_u32(bytes, &mut at)?;
-                        let len = get_u32(bytes, &mut at)?;
+                    rv.rcv_nxt = r.u32("rcv_nxt")?;
+                    for _ in 0..r.count("reassembly length", Reader::u32, 8)? {
+                        let (seq, len) = (r.u32("reassembly seq")?, r.u32("reassembly len")?);
+                        // Ascending, as the map iterates: a duplicate
+                        // would silently replace an earlier entry.
+                        if rv
+                            .ooo
+                            .last_key_value()
+                            .is_some_and(|(last, _)| *last >= seq)
+                        {
+                            return Err(r.error("reassembly seq", ErrorKind::Invalid));
+                        }
                         rv.ooo.insert(seq, len);
                     }
-                    rv.fin_seq = get_opt_u32(bytes, &mut at)?;
-                    rv.done = get_u8(bytes, &mut at)? != 0;
-                    rv.advertised_window = get_u32(bytes, &mut at)?;
-                    rv.state = TcpState::from_code(get_u8(bytes, &mut at)?)
-                        .ok_or_else(|| "bad receiver state code".to_string())?;
-                    rv.handshake = get_u8(bytes, &mut at)? != 0;
-                    rv.our_fin_sent = get_u8(bytes, &mut at)? != 0;
+                    rv.fin_seq = r.opt("receiver fin_seq", Reader::u32)?;
+                    rv.done = r.bool("receiver done")?;
+                    rv.advertised_window = r.u32("advertised window")?;
+                    rv.state = get_state(&mut r)?;
+                    rv.handshake = r.bool("receiver handshake")?;
+                    rv.our_fin_sent = r.bool("receiver fin sent")?;
                     let st = &mut p.rstats[i];
-                    st.bytes_delivered = get_u64(bytes, &mut at)?;
-                    st.duplicate_segments = get_u64(bytes, &mut at)?;
-                    st.out_of_order_segments = get_u64(bytes, &mut at)?;
-                    st.finished_at = get_opt_u64(bytes, &mut at)?.map(SimTime);
+                    st.bytes_delivered = r.quantity("bytes delivered")?;
+                    st.duplicate_segments = r.quantity("duplicate segments")?;
+                    st.out_of_order_segments = r.quantity("out-of-order segments")?;
+                    st.finished_at = r.opt("finished_at", get_time)?;
                 }
-                t => return Err(format!("bad flow slot tag {t}")),
+                _ => return Err(r.error("flow slot tag", ErrorKind::Tag)),
             }
         }
-        p.free_head = get_u32(bytes, &mut at)?;
-        p.live = get_u64(bytes, &mut at)? as usize;
-        p.high_water = get_u64(bytes, &mut at)? as usize;
-        p.recycled = get_u64(bytes, &mut at)?;
-        if at != bytes.len() {
-            return Err(format!(
-                "trailing bytes in flow pool state: {} of {}",
-                at,
-                bytes.len()
-            ));
+        p.free_head = r.u32("free list head")?;
+        let live = r.u64("live count")?;
+        let high_water = r.u64("high water")?;
+        p.recycled = r.quantity("recycled count")?;
+        // Walk the free list: every link in range and on a vacant slot,
+        // and exactly as many links as vacant slots — a cycle or a stray
+        // head would otherwise surface as a panic in the next `claim`.
+        let vacant = p
+            .kind
+            .iter()
+            .filter(|k| matches!(k, SlotKind::Free { .. }))
+            .count();
+        let (mut at, mut links) = (p.free_head, 0);
+        while at != NIL {
+            match p.kind.get(at as usize) {
+                Some(SlotKind::Free { next_free }) if links < vacant => at = *next_free,
+                _ => return Err(r.error("free list", ErrorKind::Invalid)),
+            }
+            links += 1;
         }
+        if links != vacant || live != (cap - vacant) as u64 || high_water < live {
+            return Err(r.error("flow pool occupancy", ErrorKind::Invalid));
+        }
+        p.live = cap - vacant;
+        p.high_water = r.narrow("high water", high_water)?;
+        r.finish("flow pool state")?;
         Ok(p)
     }
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Smallest slot record: generation, tag, and a vacant slot's link.
+const MIN_SLOT_BYTES: usize = 4 + 1 + 4;
+/// One retransmission-queue record.
+const MIN_RTX_BYTES: usize = 4 + 8 + 1 + 4;
+
+fn get_time(r: &mut Reader, what: &'static str) -> Result<SimTime, DecodeError> {
+    r.quantity(what).map(SimTime)
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+fn get_state(r: &mut Reader) -> Result<TcpState, DecodeError> {
+    TcpState::from_code(r.u8("tcp state")?).ok_or_else(|| r.error("tcp state", ErrorKind::Tag))
 }
 
-fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        None => out.push(0),
-        Some(v) => {
-            out.push(1);
-            put_u64(out, v);
-        }
+/// A fixed-width flow key that must be TCP (the pool builds TCP segments
+/// from it).
+pub(crate) fn get_tcp_key(r: &mut Reader) -> Result<FlowKey, DecodeError> {
+    let key = FlowKey::decode(r)?;
+    if key.proto != Proto::Tcp {
+        return Err(r.error("flow key proto", ErrorKind::Invalid));
     }
+    Ok(key)
 }
 
-fn put_opt_u32(out: &mut Vec<u8>, v: Option<u32>) {
-    match v {
-        None => out.push(0),
-        Some(v) => {
-            out.push(1);
-            put_u32(out, v);
-        }
+/// Smallest encoded [`TcpSenderConfig`] (both options absent).
+pub(crate) const MIN_CFG_BYTES: usize = 4 + 1 + 1 + 8 + 1 + 8;
+
+pub(crate) fn put_cfg(w: &mut Writer, cfg: &TcpSenderConfig) {
+    w.u32(cfg.mss);
+    w.opt(cfg.total_bytes, Writer::u64);
+    w.opt(cfg.app_rate, Writer::u64);
+    w.f64(cfg.initial_cwnd);
+    w.bool(cfg.handshake);
+    w.u64(cfg.time_wait.as_nanos());
+}
+
+/// A `u32` segment length of at most 65 535 (what the 16-bit MSS option
+/// can announce), so a segment built from it cannot overflow its size.
+fn get_segment_len(r: &mut Reader, what: &'static str) -> Result<u32, DecodeError> {
+    let len = r.u32(what)?;
+    Ok(u32::from(r.narrow::<u16>(what, u64::from(len))?))
+}
+
+/// Decode a sender configuration the protocol code can run on: a zero
+/// MSS would never fill a window, a sub-segment initial window is what
+/// `Reno::new` asserts against.
+pub(crate) fn get_cfg(r: &mut Reader) -> Result<TcpSenderConfig, DecodeError> {
+    let cfg = TcpSenderConfig {
+        mss: get_segment_len(r, "mss")?,
+        total_bytes: r.opt("total bytes", Reader::quantity)?,
+        app_rate: r.opt("app rate", Reader::u64)?,
+        initial_cwnd: r.f64("initial cwnd")?,
+        handshake: r.bool("handshake flag")?,
+        time_wait: SimDuration::from_nanos(r.quantity("time-wait")?),
+    };
+    if cfg.mss == 0 || cfg.initial_cwnd.is_nan() || cfg.initial_cwnd < 1.0 {
+        return Err(r.error("sender config", ErrorKind::Invalid));
     }
-}
-
-fn put_key(out: &mut Vec<u8>, key: &FlowKey) {
-    put_u32(out, key.src.0);
-    put_u32(out, key.dst.0);
-    out.extend_from_slice(&key.sport.to_le_bytes());
-    out.extend_from_slice(&key.dport.to_le_bytes());
-    out.push(key.proto.code());
-}
-
-fn put_cfg(out: &mut Vec<u8>, cfg: &TcpSenderConfig) {
-    put_u32(out, cfg.mss);
-    put_opt_u64(out, cfg.total_bytes);
-    put_opt_u64(out, cfg.app_rate);
-    put_u64(out, cfg.initial_cwnd.to_bits());
-    out.push(u8::from(cfg.handshake));
-    put_u64(out, cfg.time_wait.as_nanos());
-}
-
-fn get_u8(b: &[u8], at: &mut usize) -> Result<u8, String> {
-    let v = *b.get(*at).ok_or("truncated flow pool state")?;
-    *at += 1;
-    Ok(v)
-}
-
-fn get_u16(b: &[u8], at: &mut usize) -> Result<u16, String> {
-    let s = b
-        .get(*at..*at + 2)
-        .ok_or("truncated flow pool state")?;
-    *at += 2;
-    Ok(u16::from_le_bytes([s[0], s[1]]))
-}
-
-fn get_u32(b: &[u8], at: &mut usize) -> Result<u32, String> {
-    let s = b
-        .get(*at..*at + 4)
-        .ok_or("truncated flow pool state")?;
-    *at += 4;
-    Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
-}
-
-fn get_u64(b: &[u8], at: &mut usize) -> Result<u64, String> {
-    let s = b
-        .get(*at..*at + 8)
-        .ok_or("truncated flow pool state")?;
-    *at += 8;
-    let mut a = [0u8; 8];
-    a.copy_from_slice(s);
-    Ok(u64::from_le_bytes(a))
-}
-
-fn get_opt_u64(b: &[u8], at: &mut usize) -> Result<Option<u64>, String> {
-    match get_u8(b, at)? {
-        0 => Ok(None),
-        1 => Ok(Some(get_u64(b, at)?)),
-        t => Err(format!("bad option tag {t}")),
-    }
-}
-
-fn get_opt_u32(b: &[u8], at: &mut usize) -> Result<Option<u32>, String> {
-    match get_u8(b, at)? {
-        0 => Ok(None),
-        1 => Ok(Some(get_u32(b, at)?)),
-        t => Err(format!("bad option tag {t}")),
-    }
-}
-
-fn get_key(b: &[u8], at: &mut usize) -> Result<FlowKey, String> {
-    let src = Addr(get_u32(b, at)?);
-    let dst = Addr(get_u32(b, at)?);
-    let sport = get_u16(b, at)?;
-    let dport = get_u16(b, at)?;
-    let proto = Proto::from_code(get_u8(b, at)?).ok_or("bad proto code")?;
-    if proto != Proto::Tcp {
-        return Err("flow pool key is not TCP".to_string());
-    }
-    Ok(FlowKey::tcp(src, sport, dst, dport))
-}
-
-fn get_cfg(b: &[u8], at: &mut usize) -> Result<TcpSenderConfig, String> {
-    Ok(TcpSenderConfig {
-        mss: get_u32(b, at)?,
-        total_bytes: get_opt_u64(b, at)?,
-        app_rate: get_opt_u64(b, at)?,
-        initial_cwnd: f64::from_bits(get_u64(b, at)?),
-        handshake: get_u8(b, at)? != 0,
-        time_wait: SimDuration::from_nanos(get_u64(b, at)?),
-    })
+    Ok(cfg)
 }
 
 #[cfg(test)]
@@ -976,6 +932,71 @@ mod tests {
         q.state_digest(&mut d2);
         assert_eq!(d1.finish(), d2.finish(), "digest survives codec");
         assert_eq!(q.state(l).unwrap(), TcpState::Listen);
+    }
+
+    /// Offset of slot `i`'s `next_free` link in a blob whose first `i`
+    /// slots are vacant too.
+    fn link_at(i: usize) -> usize {
+        4 + i * MIN_SLOT_BYTES + 5
+    }
+
+    fn set_u32(blob: &mut [u8], at: usize, v: u32) {
+        let mut w = Writer::new();
+        w.u32(v);
+        blob[at..at + 4].copy_from_slice(&w.into_bytes());
+    }
+
+    #[test]
+    fn from_bytes_refuses_a_free_list_it_cannot_walk() {
+        let invalid = |blob: &[u8]| FlowPool::from_bytes(blob).map(|_| ()).map_err(|e| e.kind);
+        // One occupied slot, nothing vacant: any head but NIL is a lie.
+        let mut p = FlowPool::new();
+        p.insert_receiver(key(1), 1);
+        let good = p.to_bytes().unwrap();
+        assert_eq!(invalid(&good), Ok(()));
+        let head_at = good.len() - 28;
+        let mut out_of_range = good.clone();
+        set_u32(&mut out_of_range, head_at, 7);
+        assert_eq!(invalid(&out_of_range), Err(ErrorKind::Invalid));
+        let mut at_occupied = good.clone();
+        set_u32(&mut at_occupied, head_at, 0);
+        assert_eq!(invalid(&at_occupied), Err(ErrorKind::Invalid));
+        // Live count 1 above a high-water mark of 0.
+        let mut low_water = good.clone();
+        low_water[good.len() - 16] = 0;
+        assert_eq!(invalid(&low_water), Err(ErrorKind::Invalid));
+        // Two vacant slots linked 1 -> 0 -> NIL; close the loop 0 -> 1.
+        let mut p = FlowPool::new();
+        let (a, b) = (p.insert_receiver(key(1), 1), p.insert_receiver(key(2), 1));
+        p.free(a).unwrap();
+        p.free(b).unwrap();
+        let good = p.to_bytes().unwrap();
+        assert_eq!(invalid(&good), Ok(()));
+        let mut cycle = good.clone();
+        set_u32(&mut cycle, link_at(0), 1);
+        assert_eq!(invalid(&cycle), Err(ErrorKind::Invalid));
+        // A chain that skips a vacant slot, and occupancy that disagrees
+        // with the slots.
+        let mut short = good.clone();
+        set_u32(&mut short, link_at(1), NIL);
+        assert_eq!(invalid(&short), Err(ErrorKind::Invalid));
+        let live_at = good.len() - 24;
+        let mut miscounted = good.clone();
+        miscounted[live_at] = 1;
+        assert_eq!(invalid(&miscounted), Err(ErrorKind::Invalid));
+    }
+
+    #[test]
+    fn from_bytes_bounds_the_slot_count_by_the_bytes_behind_it() {
+        let mut p = FlowPool::new();
+        p.insert_receiver(key(1), 1);
+        let mut blob = p.to_bytes().unwrap();
+        set_u32(&mut blob, 0, u32::MAX);
+        assert_eq!(FlowPool::from_bytes(&blob).unwrap_err().kind, ErrorKind::Count);
+        // Twelve columns are never grown for a count the input cannot hold.
+        let mut w = Writer::new();
+        w.u32(u32::MAX);
+        assert_eq!(FlowPool::from_bytes(&w.into_bytes()).unwrap_err().kind, ErrorKind::Count);
     }
 
     #[test]

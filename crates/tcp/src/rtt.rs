@@ -102,7 +102,9 @@ impl RttEstimator {
         )
     }
 
-    /// Restore from [`RttEstimator::to_parts`] output.
+    /// Restore from [`RttEstimator::to_parts`] output. `None` for parts
+    /// the estimator cannot have produced and could not compute on: a
+    /// back-off exponent past its cap of 16, or a floor above the ceiling.
     pub fn from_parts(
         srtt: Option<u64>,
         rttvar: u64,
@@ -110,15 +112,18 @@ impl RttEstimator {
         backoff_exp: u32,
         min_rto: u64,
         max_rto: u64,
-    ) -> Self {
-        RttEstimator {
+    ) -> Option<Self> {
+        if backoff_exp > 16 || min_rto > max_rto {
+            return None;
+        }
+        Some(RttEstimator {
             srtt: srtt.map(SimDuration::from_nanos),
             rttvar: SimDuration::from_nanos(rttvar),
             rto: SimDuration::from_nanos(rto),
             backoff_exp,
             min_rto: SimDuration::from_nanos(min_rto),
             max_rto: SimDuration::from_nanos(max_rto),
-        }
+        })
     }
 
     /// Fold the estimator state into `d`.
