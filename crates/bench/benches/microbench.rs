@@ -75,10 +75,93 @@ fn bench_event_queue(s: &mut Suite) {
     });
 }
 
+/// The binary-heap event queue the wheel replaced — `(time, seq)` order,
+/// monotone `seq` — kept here to race it (the test-side twin lives in
+/// `crates/netsim/tests/properties.rs`).
+struct BaselineHeapQueue<T> {
+    heap: std::collections::BinaryHeap<HeapEntry<T>>,
+    next_seq: u64,
+}
+
+/// Min-first by `(time, seq)`; the payload takes no part in the order.
+struct HeapEntry<T>(u64, u64, T);
+
+impl<T> PartialEq for HeapEntry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.0, self.1) == (other.0, other.1)
+    }
+}
+impl<T> Eq for HeapEntry<T> {}
+impl<T> PartialOrd for HeapEntry<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<T> Ord for HeapEntry<T> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (other.0, other.1).cmp(&(self.0, self.1))
+    }
+}
+
+impl<T> BaselineHeapQueue<T> {
+    fn new() -> Self {
+        BaselineHeapQueue {
+            heap: std::collections::BinaryHeap::new(),
+            next_seq: 0,
+        }
+    }
+
+    fn schedule(&mut self, time: u64, value: T) {
+        self.heap.push(HeapEntry(time, self.next_seq, value));
+        self.next_seq += 1;
+    }
+
+    fn pop(&mut self) -> Option<(u64, T)> {
+        self.heap.pop().map(|HeapEntry(t, _, v)| (t, v))
+    }
+}
+
+/// The packet engine's schedule distances on the C4 run (`blink_packet`):
+/// 46 % serialization completions 12 µs out, 46 % deliveries one link
+/// delay (2, 5 or 8 ms) out, 8 % TCP wakes 250 ms out.
+fn engine_mix_distance(rng: &mut Rng) -> u64 {
+    match rng.below(50) {
+        0..=22 => 12_000,
+        d @ 23..=45 => [2_000_000, 5_000_000, 8_000_000][d as usize % 3],
+        _ => 250_000_000,
+    }
+}
+
 fn bench_queue_impls(s: &mut Suite) {
     use dui_core::netsim::arena::PacketArena;
     use dui_core::netsim::packet::Packet;
-    use dui_core::netsim::wheel::{BaselineHeapQueue, TimerWheel};
+    use dui_core::netsim::wheel::TimerWheel;
+
+    // The engine's own mix: ~4.5k pending, each pop schedules one
+    // successor at a C4 distance, so entries cross levels and cascade the
+    // way they do under the simulator — which the uniform-within-1-ms
+    // dense pair below never does.
+    const ENGINE_PENDING: u64 = 4_500;
+    let mut wheel: TimerWheel<u64> = TimerWheel::new();
+    let mut rng = Rng::new(4);
+    for i in 0..ENGINE_PENDING {
+        wheel.schedule(engine_mix_distance(&mut rng), i);
+    }
+    s.bench("event_queue_engine_mix_wheel", move || {
+        let (now, v) = wheel.pop().expect("population is constant");
+        wheel.schedule(now + engine_mix_distance(&mut rng), v);
+        now
+    });
+    let mut heap: BaselineHeapQueue<u64> = BaselineHeapQueue::new();
+    let mut rng = Rng::new(4);
+    for i in 0..ENGINE_PENDING {
+        heap.schedule(engine_mix_distance(&mut rng), i);
+    }
+    s.bench("event_queue_engine_mix_heap", move || {
+        let (now, v) = heap.pop().expect("population is constant");
+        heap.schedule(now + engine_mix_distance(&mut rng), v);
+        now
+    });
 
     // Dense-timer steady state: 4096 pending timers, one schedule + one
     // pop per iteration. The heap pays O(log n) sifts per operation; the

@@ -239,14 +239,15 @@ impl EventQueue {
         self.wheel.schedule(time.0, event);
     }
 
-    /// Time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.wheel.peek_time().map(SimTime)
-    }
-
     /// Pop the earliest pending event.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        self.wheel.pop().map(|(t, e)| (SimTime(t), e))
+        self.pop_due(SimTime(u64::MAX))
+    }
+
+    /// Pop the earliest pending event if it is due at or before `limit`;
+    /// `None` leaves the queue untouched.
+    pub fn pop_due(&mut self, limit: SimTime) -> Option<(SimTime, Event)> {
+        self.wheel.pop_due(limit.0).map(|(t, e)| (SimTime(t), e))
     }
 
     /// Number of pending events.
@@ -360,13 +361,14 @@ mod tests {
     }
 
     #[test]
-    fn peek_matches_pop() {
+    fn pop_due_honours_the_limit() {
         let mut q = EventQueue::new();
-        assert_eq!(q.peek_time(), None);
+        assert!(q.pop_due(SimTime::from_secs(9)).is_none());
         q.schedule(SimTime::from_secs(5), timer(0, 0));
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(5)));
+        assert!(q.pop_due(SimTime(SimTime::from_secs(5).0 - 1)).is_none());
         assert_eq!(q.len(), 1);
-        q.pop();
+        let (t, _) = q.pop_due(SimTime::from_secs(5)).expect("due");
+        assert_eq!(t, SimTime::from_secs(5));
         assert!(q.is_empty());
     }
 

@@ -160,7 +160,6 @@ pub(crate) fn provisional_index(id: u64) -> usize {
 /// the sequential fact that pre-window events precede in-window ones.
 pub(crate) fn run_window(sim: &mut Simulator, end_excl: SimTime, target: SimTime) {
     loop {
-        // `peek_key` sorts the head slot, so the pop below is O(1).
         let wheel_head = sim.core.queue.peek_key();
         let ext = sim.core.domain.as_ref().expect("run_window outside domain mode"); // lint: allow(panic)
         let fresh_head = ext.fresh.peek().map(|Reverse(e)| (e.time, e.key));

@@ -894,13 +894,7 @@ impl Simulator {
                 }
             }
         }
-        while let Some(et) = self.core.queue.peek_time() {
-            if et > t {
-                break;
-            }
-            let Some((time, event)) = self.core.queue.pop() else {
-                break;
-            };
+        while let Some((time, event)) = self.core.queue.pop_due(t) {
             debug_assert!(time >= self.core.now, "time went backwards");
             self.core.now = time;
             self.dispatch(time, event);
@@ -973,17 +967,15 @@ impl Simulator {
     /// drives the engine through.
     pub fn step_limited(&mut self, limit: SimTime) -> Option<SteppedEvent> {
         self.start_if_needed();
-        if self.core.queue.peek_time().is_some_and(|et| et <= limit) {
-            if let Some((time, event)) = self.core.queue.pop() {
-                debug_assert!(time >= self.core.now, "time went backwards");
-                self.core.now = time;
-                let kind = event.kind();
-                let mut d = StateDigest::labeled("event");
-                event.state_digest(&mut d, &self.core.arena);
-                let digest = d.finish();
-                self.dispatch(time, event);
-                return Some(SteppedEvent { time, kind, digest });
-            }
+        if let Some((time, event)) = self.core.queue.pop_due(limit) {
+            debug_assert!(time >= self.core.now, "time went backwards");
+            self.core.now = time;
+            let kind = event.kind();
+            let mut d = StateDigest::labeled("event");
+            event.state_digest(&mut d, &self.core.arena);
+            let digest = d.finish();
+            self.dispatch(time, event);
+            return Some(SteppedEvent { time, kind, digest });
         }
         self.core.now = limit;
         self.core.sync_structural_metrics();

@@ -2,6 +2,7 @@
 
 use crate::packet::{Addr, Prefix};
 use crate::time::{Bandwidth, SimDuration};
+use dui_stats::hash::FixedState;
 use std::collections::HashMap;
 
 /// Index of a node in the topology.
@@ -54,7 +55,10 @@ pub struct Topology {
     nodes: Vec<NodeInfo>,
     links: Vec<LinkInfo>,
     adjacency: Vec<Vec<(NodeId, LinkId)>>,
-    addr_to_node: HashMap<Addr, NodeId>,
+    /// Lookup only — never iterated — and every address is handed out by
+    /// a topology generator in this process (no file format names one),
+    /// so the keyless hasher is safe here.
+    addr_to_node: HashMap<Addr, NodeId, FixedState>,
 }
 
 impl Topology {
@@ -183,7 +187,7 @@ impl TopologyBuilder {
             adjacency[l.a.0].push((l.b, LinkId(i)));
             adjacency[l.b.0].push((l.a, LinkId(i)));
         }
-        let mut addr_to_node = HashMap::new();
+        let mut addr_to_node = HashMap::default();
         for (i, n) in self.nodes.iter().enumerate() {
             let prev = addr_to_node.insert(n.addr, NodeId(i));
             assert!(prev.is_none(), "duplicate address {}", n.addr);

@@ -4,8 +4,7 @@
 //! moves entries around on every sift. Discrete-event simulators with large
 //! pending-event populations (dense timer sets, thousands of in-flight
 //! packets) do better with the hashed hierarchical timing wheel of Varghese
-//! & Lauck: `O(1)` schedule, `O(1)` amortized pop, entries written once per
-//! residence level.
+//! & Lauck: `O(1)` schedule, `O(1)` amortized pop.
 //!
 //! ## Geometry
 //!
@@ -26,24 +25,42 @@
 //! holds exactly the entries of the cursor's current 256-tick window, so
 //! the first occupied level-0 slot contains the global minimum*.
 //!
+//! ## Storage
+//!
+//! Every pending entry lives exactly once, in one slab (`Vec<Node<T>>`):
+//! a slot is a `head`/`tail` pair of slab indices and its entries are a
+//! singly linked list through `Node::next`. Scheduling takes a cell off
+//! a LIFO free list (the cell the last pop freed, still in cache), a
+//! cascade relinks indices, a pop returns the cell to the free list — no
+//! entry is ever copied and, once the slab has grown to the run's
+//! high-water mark of pending entries, the wheel never allocates again.
+//! Indices are `u32`: a wheel holds fewer than `2^32 - 1` pending entries
+//! (checked, with that message, when the slab grows).
+//!
 //! ## Determinism contract
 //!
 //! Pops come out ordered by `(time, seq)` where `seq` is a monotone
 //! per-wheel sequence number assigned at schedule time — byte-for-byte the
-//! ordering of the binary-heap queue it replaces ([`BaselineHeapQueue`],
-//! kept for equivalence testing and benchmarks). Entries scheduled in the
-//! past (before the cursor) are clamped into the cursor's slot; the
-//! `(time, seq)` sort inside the slot still yields them in exactly the
-//! order the heap would.
+//! ordering of a binary heap keyed the same way. Two list invariants
+//! deliver it:
 //!
-//! Per-slot entry lists are `VecDeque`s sorted *descending* by
-//! `(time, seq)` so the minimum pops from the back in `O(1)`. The common
-//! schedule patterns — same-tick FIFO bursts (monotone `seq`) and clamped
-//! stragglers — extend the deque at an end without disturbing the order;
-//! anything else marks the slot dirty and it is re-sorted on first pop.
+//! * **Every slot's head is the slot's minimum.** A schedule that is
+//!   smaller than the head is linked in front of it, anything else
+//!   behind the tail, so peeks are `O(1)` reads at every level.
+//! * **Level-0 lists are ascending by `(time, seq)`.** Same-tick FIFO
+//!   bursts (monotone `seq`) append, stragglers clamped from the past
+//!   prepend, and an entry that belongs in the middle walks at most
+//!   `WALK` links to its place. A slot that takes a middle entry beyond
+//!   that walk keeps only head-is-minimum and tail-is-maximum, and is
+//!   sorted once by the next pop that reaches it.
+//!
+//! Level 0 is ordered by the full key, so the order in which a cascade
+//! visits a higher-level list cannot reach the pop order. Entries
+//! scheduled in the past (before the cursor) are clamped into the cursor's
+//! slot, where the same ordering yields them exactly as a heap would.
 
-use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// log2 of the tick quantum in nanoseconds (tick = `time >> TICK_SHIFT`).
 const TICK_SHIFT: u32 = 10;
@@ -53,134 +70,56 @@ const SLOT_BITS: u32 = 8;
 const SLOTS: usize = 1 << SLOT_BITS;
 /// Wheel levels; ticks beyond `2^(LEVELS*8)` defer to the overflow heap.
 const LEVELS: usize = 4;
+/// "No cell": list terminator and empty-slot marker.
+const NIL: u32 = u32::MAX;
+/// Links a level-0 middle insert may follow before the slot gives up on
+/// staying ascending and is sorted by its next pop instead.
+const WALK: usize = 8;
 
-/// One pending entry. `seq` is 128 bits wide: the wheel's own monotone
+/// One slab cell: a pending entry, or a free cell (`value` empty, `next`
+/// the free list). `seq` is 128 bits wide: the wheel's own monotone
 /// counter only ever uses the low 64, but callers may supply wider
 /// externally-computed keys via [`TimerWheel::schedule_keyed`] (the
 /// parallel engine encodes a global dispatch lineage in them).
 #[derive(Debug)]
-struct Entry<T> {
+struct Node<T> {
     time: u64,
     seq: u128,
-    value: T,
+    next: u32,
+    value: Option<T>,
 }
 
-impl<T> Entry<T> {
+impl<T> Node<T> {
     fn key(&self) -> (u64, u128) {
         (self.time, self.seq)
     }
 }
 
-/// Overflow-heap wrapper ordered by `(time, seq)` only.
-#[derive(Debug)]
-struct HeapEntry<T>(Entry<T>);
-
-impl<T> PartialEq for HeapEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.key() == other.0.key()
-    }
-}
-impl<T> Eq for HeapEntry<T> {}
-impl<T> PartialOrd for HeapEntry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for HeapEntry<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.key().cmp(&other.0.key())
-    }
+/// One wheel slot: the ends of its entry list (`NIL` when empty).
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    head: u32,
+    tail: u32,
 }
 
-/// One wheel slot: entries kept descending by `(time, seq)` (min at the
-/// back) unless `sorted` is false, in which case the next pop re-sorts.
-#[derive(Debug)]
-struct Slot<T> {
-    entries: VecDeque<Entry<T>>,
-    sorted: bool,
-}
-
-impl<T> Default for Slot<T> {
-    fn default() -> Self {
-        Slot {
-            entries: VecDeque::new(),
-            sorted: true,
-        }
-    }
-}
-
-impl<T> Slot<T> {
-    fn push(&mut self, e: Entry<T>) {
-        if self.entries.is_empty() {
-            self.entries.push_back(e);
-            self.sorted = true;
-            return;
-        }
-        if self.sorted {
-            // Descending order: front is the max, back is the min.
-            // lint: allow(panic): guarded by the is_empty early return above
-            if e.key() >= self.entries.front().expect("non-empty").key() {
-                self.entries.push_front(e);
-                return;
-            }
-            // lint: allow(panic): guarded by the is_empty early return above
-            if e.key() <= self.entries.back().expect("non-empty").key() {
-                self.entries.push_back(e);
-                return;
-            }
-            self.sorted = false;
-        }
-        self.entries.push_back(e);
-    }
-
-    fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            self.entries
-                .make_contiguous()
-                .sort_unstable_by(|a, b| b.key().cmp(&a.key()));
-            self.sorted = true;
-        }
-    }
-
-    /// Remove and return the minimum-key entry.
-    fn pop_min(&mut self) -> Option<Entry<T>> {
-        self.ensure_sorted();
-        self.entries.pop_back()
-    }
-
-    /// Key of the minimum entry without mutating (linear when dirty).
-    fn peek_min_key(&self) -> Option<(u64, u128)> {
-        if self.sorted {
-            self.entries.back().map(|e| e.key())
-        } else {
-            self.entries.iter().map(|e| e.key()).min()
-        }
-    }
-}
+const EMPTY: Slot = Slot {
+    head: NIL,
+    tail: NIL,
+};
 
 /// One level: 256 slots plus a 256-bit occupancy bitmap for find-first-set
 /// scans.
 #[derive(Debug)]
-struct Level<T> {
-    slots: Vec<Slot<T>>,
+struct Level {
+    slots: [Slot; SLOTS],
     occupied: [u64; SLOTS / 64],
 }
 
-impl<T> Level<T> {
-    fn new() -> Self {
-        Level {
-            slots: (0..SLOTS).map(|_| Slot::default()).collect(),
-            occupied: [0; SLOTS / 64],
-        }
-    }
-
-    fn mark(&mut self, i: usize) {
-        self.occupied[i / 64] |= 1 << (i % 64);
-    }
-
-    fn clear(&mut self, i: usize) {
-        self.occupied[i / 64] &= !(1 << (i % 64));
-    }
+impl Level {
+    const NEW: Level = Level {
+        slots: [EMPTY; SLOTS],
+        occupied: [0; SLOTS / 64],
+    };
 
     /// First occupied slot index `>= from`, if any.
     fn first_occupied_from(&self, from: usize) -> Option<usize> {
@@ -203,7 +142,7 @@ impl<T> Level<T> {
 /// gauges/counters by the engine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WheelStats {
-    /// Higher-level slots cascaded (drained and re-placed) so far.
+    /// Higher-level slots cascaded (relinked into lower levels) so far.
     pub cascades: u64,
     /// Entries moved by those cascades.
     pub cascaded_entries: u64,
@@ -216,8 +155,17 @@ pub struct WheelStats {
 /// pop order. See the module docs for the placement and cascade rules.
 #[derive(Debug)]
 pub struct TimerWheel<T> {
-    levels: Vec<Level<T>>,
-    overflow: BinaryHeap<Reverse<HeapEntry<T>>>,
+    /// The slab: every pending entry, plus the free cells.
+    nodes: Vec<Node<T>>,
+    /// Most recently freed cell (LIFO through `Node::next`), or `NIL`.
+    free: u32,
+    levels: [Level; LEVELS],
+    /// Level-0 slots waiting for their sort-once (see the module docs).
+    unsorted: [u64; SLOTS / 64],
+    /// Index scratch for that sort, kept for its capacity.
+    scratch: Vec<u32>,
+    /// Entries beyond the horizon, as `(time, seq, cell)`.
+    overflow: BinaryHeap<Reverse<(u64, u128, u32)>>,
     /// Tick of the most recent pop (placement reference point).
     cursor: u64,
     next_seq: u128,
@@ -235,7 +183,11 @@ impl<T> TimerWheel<T> {
     /// Empty wheel with the cursor at time zero.
     pub fn new() -> Self {
         TimerWheel {
-            levels: (0..LEVELS).map(|_| Level::new()).collect(),
+            nodes: Vec::new(),
+            free: NIL,
+            levels: [Level::NEW; LEVELS],
+            unsorted: [0; SLOTS / 64],
+            scratch: Vec::new(),
             overflow: BinaryHeap::new(),
             cursor: 0,
             next_seq: 0,
@@ -259,13 +211,17 @@ impl<T> TimerWheel<T> {
         self.stats
     }
 
+    /// Slab cells allocated so far: the high-water mark of [`Self::len`].
+    pub fn slab_len(&self) -> usize {
+        self.nodes.len()
+    }
+
     /// Schedule `value` at absolute `time` (nanoseconds). Entries at equal
     /// times pop FIFO (monotone sequence tie-break).
     pub fn schedule(&mut self, time: u64, value: T) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.len += 1;
-        self.place(Entry { time, seq, value });
+        self.schedule_keyed(time, seq, value);
     }
 
     /// Schedule `value` at absolute `time` with a caller-supplied 128-bit
@@ -279,20 +235,34 @@ impl<T> TimerWheel<T> {
     /// engine's per-domain wheels are keyed-only; the sequential engine's
     /// wheel is counter-only.
     pub fn schedule_keyed(&mut self, time: u64, key: u128, value: T) {
-        self.len += 1;
-        self.place(Entry {
+        let node = Node {
             time,
             seq: key,
-            value,
-        });
+            next: NIL,
+            value: Some(value),
+        };
+        let n = match self.free {
+            NIL => {
+                let n = slab_index(self.nodes.len());
+                self.nodes.push(node);
+                n
+            }
+            n => {
+                self.free = std::mem::replace(&mut self.nodes[n as usize], node).next;
+                n
+            }
+        };
+        self.len += 1;
+        self.place(n);
     }
 
-    /// Place (or re-place, during cascades) one entry relative to the
-    /// current cursor.
-    fn place(&mut self, e: Entry<T>) {
+    /// Place (or re-place, during cascades) cell `n`, whose `next` is
+    /// `NIL`, relative to the current cursor.
+    fn place(&mut self, n: u32) {
+        let key = self.nodes[n as usize].key();
         // Entries in the past are clamped into the cursor's slot; the
-        // (time, seq) sort inside the slot restores the heap's order.
-        let tick = (e.time >> TICK_SHIFT).max(self.cursor);
+        // (time, seq) order inside the slot restores the heap's order.
+        let tick = (key.0 >> TICK_SHIFT).max(self.cursor);
         let x = tick ^ self.cursor;
         let level = if x < 1 << SLOT_BITS {
             0
@@ -304,12 +274,73 @@ impl<T> TimerWheel<T> {
             3
         } else {
             self.stats.deferred += 1;
-            self.overflow.push(Reverse(HeapEntry(e)));
+            self.overflow.push(Reverse((key.0, key.1, n)));
             return;
         };
-        let slot = ((tick >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-        self.levels[level].slots[slot].push(e);
-        self.levels[level].mark(slot);
+        let i = ((tick >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
+        let Slot { head, tail } = self.levels[level].slots[i];
+        if head == NIL {
+            self.levels[level].slots[i] = Slot { head: n, tail: n };
+            let (w, m) = bit(i);
+            self.levels[level].occupied[w] |= m;
+        } else if key < self.nodes[head as usize].key() {
+            self.nodes[n as usize].next = head;
+            self.levels[level].slots[i].head = n;
+        } else if level > 0 || key >= self.nodes[tail as usize].key() {
+            self.nodes[tail as usize].next = n;
+            self.levels[level].slots[i].tail = n;
+        } else {
+            self.place_inside(i, n, key);
+        }
+    }
+
+    /// Link `n` into level-0 slot `i` strictly between its head and its
+    /// tail: in order if that is within [`WALK`] links of the head,
+    /// otherwise right behind the head, leaving the slot to its sort-once.
+    fn place_inside(&mut self, i: usize, n: u32, key: (u64, u128)) {
+        let head = self.levels[0].slots[i].head;
+        let (w, m) = bit(i);
+        let mut prev = head;
+        if self.unsorted[w] & m == 0 {
+            // `key` is below the tail's, so the walk ends on a live link.
+            for step in 0.. {
+                let next = self.nodes[prev as usize].next;
+                if key < self.nodes[next as usize].key() {
+                    break;
+                }
+                if step == WALK {
+                    self.unsorted[w] |= m;
+                    prev = head;
+                    break;
+                }
+                prev = next;
+            }
+        }
+        self.nodes[n as usize].next = std::mem::replace(&mut self.nodes[prev as usize].next, n);
+    }
+
+    /// Sort level-0 slot `i` ascending — its sort-once.
+    fn sort_slot(&mut self, i: usize) {
+        let (w, m) = bit(i);
+        self.unsorted[w] &= !m;
+        let mut order = std::mem::take(&mut self.scratch);
+        order.clear();
+        let mut n = self.levels[0].slots[i].head;
+        while n != NIL {
+            order.push(n);
+            n = self.nodes[n as usize].next;
+        }
+        order.sort_unstable_by_key(|&n| self.nodes[n as usize].key());
+        let mut next = NIL;
+        for &n in order.iter().rev() {
+            self.nodes[n as usize].next = next;
+            next = n;
+        }
+        self.levels[0].slots[i] = Slot {
+            head: order[0],
+            tail: order[order.len() - 1],
+        };
+        self.scratch = order;
     }
 
     /// Byte `level` of the cursor (the scan base for that level).
@@ -319,184 +350,153 @@ impl<T> TimerWheel<T> {
 
     /// Pop the minimum-`(time, seq)` entry, advancing the cursor.
     pub fn pop(&mut self) -> Option<(u64, T)> {
-        self.pop_entry().map(|e| (e.time, e.value))
+        self.pop_due(u64::MAX)
+    }
+
+    /// Pop the minimum entry if its time is at most `limit` — one scan
+    /// where [`TimerWheel::peek_time`] then [`TimerWheel::pop`] make two.
+    /// `None` leaves the wheel exactly as it was: the cursor only ever
+    /// moves to the window of an entry that is then popped, so it never
+    /// passes `limit`'s tick and a later schedule at or after `limit` is
+    /// never clamped.
+    pub fn pop_due(&mut self, limit: u64) -> Option<(u64, T)> {
+        self.pop_entry(limit).map(|(time, _, value)| (time, value))
     }
 
     /// Pop the minimum entry together with its tie-break key. Used by
     /// keyed wheels (see [`TimerWheel::schedule_keyed`]) where the key
     /// carries meaning beyond FIFO ordering.
     pub fn pop_keyed(&mut self) -> Option<(u64, u128, T)> {
-        self.pop_entry().map(|e| (e.time, e.seq, e.value))
+        self.pop_entry(u64::MAX)
     }
 
-    fn pop_entry(&mut self) -> Option<Entry<T>> {
+    fn pop_entry(&mut self, limit: u64) -> Option<(u64, u128, T)> {
         loop {
-            // Level 0 holds exactly the current 256-tick window; its first
-            // occupied slot contains the global minimum.
+            // Level 0 holds exactly the current 256-tick window; the head
+            // of its first occupied slot is the global minimum.
             if let Some(i) = self.levels[0].first_occupied_from(self.base(0)) {
-                let slot = &mut self.levels[0].slots[i];
-                let e = slot.pop_min().expect("occupied bit set on empty slot"); // lint: allow(panic): occupancy bitmap invariant
-                if slot.entries.is_empty() {
-                    self.levels[0].clear(i);
+                if self.nodes[self.levels[0].slots[i].head as usize].time > limit {
+                    return None;
+                }
+                let (w, m) = bit(i);
+                if self.unsorted[w] & m != 0 {
+                    self.sort_slot(i);
+                }
+                let head = self.levels[0].slots[i].head;
+                let node = &mut self.nodes[head as usize];
+                let value = node.value.take().expect("linked cell holds a value"); // lint: allow(panic): slab invariant
+                let (time, seq) = node.key();
+                let next = std::mem::replace(&mut node.next, self.free);
+                self.free = head;
+                if next == NIL {
+                    self.levels[0].slots[i] = EMPTY;
+                    self.levels[0].occupied[w] &= !m;
+                } else {
+                    self.levels[0].slots[i].head = next;
                 }
                 self.len -= 1;
-                self.cursor = self.cursor.max(e.time >> TICK_SHIFT);
-                return Some(e);
+                self.cursor = self.cursor.max(time >> TICK_SHIFT);
+                return Some((time, seq, value));
             }
-            // Level 0 exhausted: cascade the next occupied higher-level
-            // slot into the lower levels and retry.
-            let mut cascaded = false;
-            for level in 1..LEVELS {
-                if let Some(j) = self.levels[level].first_occupied_from(self.base(level)) {
-                    let entries = std::mem::take(&mut self.levels[level].slots[j].entries);
-                    self.levels[level].slots[j].sorted = true;
-                    self.levels[level].clear(j);
-                    // Move the cursor to the start of that slot's window:
-                    // keep bytes above `level`, set byte `level` to j, zero
-                    // the rest.
-                    let w = SLOT_BITS * level as u32;
-                    self.cursor = ((self.cursor >> (w + SLOT_BITS)) << (w + SLOT_BITS))
-                        | (j as u64) << w;
-                    self.stats.cascades += 1;
-                    self.stats.cascaded_entries += entries.len() as u64;
-                    for e in entries {
-                        self.place(e);
-                    }
-                    cascaded = true;
-                    break;
-                }
+            if !self.refill(limit) {
+                return None;
             }
-            if cascaded {
+        }
+    }
+
+    /// Level 0 is empty: if the minimum pending entry is due by `limit`,
+    /// bring its slot down — cascade the first occupied slot of the
+    /// lowest non-empty level, or promote the next overflow epoch.
+    /// `false`, with nothing touched, when no entry is due.
+    fn refill(&mut self, limit: u64) -> bool {
+        for level in 1..LEVELS {
+            let Some(j) = self.levels[level].first_occupied_from(self.base(level)) else {
                 continue;
-            }
-            // All wheels empty: promote the next overflow epoch, if any.
-            let epoch = match self.overflow.peek() {
-                Some(Reverse(HeapEntry(e))) => (e.time >> TICK_SHIFT) >> (SLOT_BITS * 4),
-                None => return None,
             };
-            self.cursor = epoch << (SLOT_BITS * 4);
-            while let Some(Reverse(HeapEntry(e))) = self.overflow.peek() {
-                if (e.time >> TICK_SHIFT) >> (SLOT_BITS * 4) != epoch {
-                    break;
-                }
-                let Reverse(HeapEntry(e)) = self.overflow.pop().expect("peeked"); // lint: allow(panic): peek above proved non-empty
-                self.place(e);
+            let mut n = self.levels[level].slots[j].head;
+            if self.nodes[n as usize].time > limit {
+                return false;
             }
+            self.levels[level].slots[j] = EMPTY;
+            let (w, m) = bit(j);
+            self.levels[level].occupied[w] &= !m;
+            // Move the cursor to the start of that slot's window: keep
+            // bytes above `level`, set byte `level` to j, zero the rest.
+            let w = SLOT_BITS * level as u32;
+            self.cursor = ((self.cursor >> (w + SLOT_BITS)) << (w + SLOT_BITS)) | (j as u64) << w;
+            self.stats.cascades += 1;
+            while n != NIL {
+                let next = std::mem::replace(&mut self.nodes[n as usize].next, NIL);
+                self.place(n);
+                self.stats.cascaded_entries += 1;
+                n = next;
+            }
+            return true;
         }
+        let epoch = |time: u64| (time >> TICK_SHIFT) >> (SLOT_BITS * 4);
+        let due = match self.overflow.peek() {
+            Some(&Reverse((time, _, _))) if time <= limit => epoch(time),
+            _ => return false,
+        };
+        self.cursor = due << (SLOT_BITS * 4);
+        while let Some(&Reverse((time, _, n))) = self.overflow.peek() {
+            if epoch(time) != due {
+                break;
+            }
+            self.overflow.pop();
+            self.place(n);
+        }
+        true
     }
 
-    /// Time of the minimum pending entry, without mutating. A read-only
-    /// version of the [`TimerWheel::pop`] scan: the first occupied slot of
-    /// the lowest non-empty level holds the global minimum.
+    /// The minimum pending entry: the head of the first occupied slot of
+    /// the lowest non-empty level (equal times always share a slot, so
+    /// that is the global `(time, seq)` minimum), else the overflow heap's.
+    fn peek_node(&self) -> Option<&Node<T>> {
+        let in_wheel = (0..LEVELS).find_map(|level| {
+            let i = self.levels[level].first_occupied_from(self.base(level))?;
+            Some(self.levels[level].slots[i].head)
+        });
+        let n = in_wheel.or_else(|| self.overflow.peek().map(|&Reverse((_, _, n))| n))?;
+        Some(&self.nodes[n as usize])
+    }
+
+    /// Time of the minimum pending entry.
     pub fn peek_time(&self) -> Option<u64> {
-        for level in 0..LEVELS {
-            if let Some(i) = self.levels[level].first_occupied_from(self.base(level)) {
-                let (time, _) = self.levels[level].slots[i]
-                    .peek_min_key()
-                    .expect("occupied bit set on empty slot"); // lint: allow(panic): occupancy bitmap invariant
-                return Some(time);
-            }
-        }
-        self.overflow.peek().map(|Reverse(HeapEntry(e))| e.time)
+        self.peek_node().map(|n| n.time)
     }
 
-    /// `(time, key)` of the minimum pending entry. Same scan as
-    /// [`TimerWheel::peek_time`]; correct for the key too because
-    /// entries at equal times always share a slot (placement is a pure
-    /// function of tick and cursor), so the slot minimum is the global
-    /// minimum. Takes `&mut self` to sort a dirty head slot once — the
-    /// pop that follows needs it sorted anyway — instead of scanning it
-    /// on every peek.
+    /// `(time, key)` of the minimum pending entry.
     pub fn peek_key(&mut self) -> Option<(u64, u128)> {
-        for level in 0..LEVELS {
-            if let Some(i) = self.levels[level].first_occupied_from(self.base(level)) {
-                let slot = &mut self.levels[level].slots[i];
-                slot.ensure_sorted();
-                let key = slot.peek_min_key().expect("occupied bit set on empty slot"); // lint: allow(panic): occupancy bitmap invariant
-                return Some(key);
-            }
-        }
-        self.overflow
-            .peek()
-            .map(|Reverse(HeapEntry(e))| (e.time, e.seq))
+        self.peek_node().map(Node::key)
     }
 
     /// Visit every pending entry as `(time, seq, &value)`, in storage
     /// order (not pop order — sort by `(time, seq)` for that). Borrows
-    /// only; the caller decides what to clone. Walks the occupancy
-    /// bitmaps, so the cost scales with pending entries, not with the
-    /// 1024 slots of the wheel.
+    /// only; the caller decides what to clone. One pass over the slab, so
+    /// the cost scales with the high-water mark of pending entries, not
+    /// with the 1024 slots of the wheel.
     pub fn iter(&self) -> Vec<(u64, u128, &T)> {
         let mut v = Vec::with_capacity(self.len);
-        for l in &self.levels {
-            for (w, &bits) in l.occupied.iter().enumerate() {
-                let mut b = bits;
-                while b != 0 {
-                    let i = b.trailing_zeros() as usize;
-                    b &= b - 1;
-                    for e in &l.slots[(w << 6) | i].entries {
-                        v.push((e.time, e.seq, &e.value));
-                    }
-                }
-            }
-        }
-        for Reverse(HeapEntry(e)) in &self.overflow {
-            v.push((e.time, e.seq, &e.value));
+        for n in &self.nodes {
+            v.extend(n.value.as_ref().map(|value| (n.time, n.seq, value)));
         }
         v
     }
 }
 
-/// The binary-heap event queue the wheel replaced, kept as the reference
-/// implementation: the propcheck equivalence suite drives both with
-/// identical schedules and asserts identical pop order, and the
-/// microbenches race them head-to-head.
-#[derive(Debug)]
-pub struct BaselineHeapQueue<T> {
-    heap: BinaryHeap<Reverse<HeapEntry<T>>>,
-    next_seq: u128,
+/// Word index and mask of bit `i` in a 256-bit slot bitmap.
+fn bit(i: usize) -> (usize, u64) {
+    (i / 64, 1 << (i % 64))
 }
 
-impl<T> Default for BaselineHeapQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> BaselineHeapQueue<T> {
-    /// Empty queue.
-    pub fn new() -> Self {
-        BaselineHeapQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-        }
-    }
-
-    /// Schedule `value` at absolute `time` (nanoseconds).
-    pub fn schedule(&mut self, time: u64, value: T) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Reverse(HeapEntry(Entry { time, seq, value })));
-    }
-
-    /// Time of the earliest pending entry.
-    pub fn peek_time(&self) -> Option<u64> {
-        self.heap.peek().map(|Reverse(HeapEntry(e))| e.time)
-    }
-
-    /// Pop the earliest pending entry.
-    pub fn pop(&mut self) -> Option<(u64, T)> {
-        self.heap.pop().map(|Reverse(HeapEntry(e))| (e.time, e.value))
-    }
-
-    /// Number of pending entries.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if nothing is pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+/// Slab index of the next new cell. `u32::MAX` is [`NIL`], so a wheel
+/// holds fewer than `2^32 - 1` pending entries.
+fn slab_index(len: usize) -> u32 {
+    match u32::try_from(len) {
+        Ok(n) if n != NIL => n,
+        // lint: allow(panic): the documented capacity bound
+        _ => panic!("timer wheel holds fewer than 2^32 - 1 pending events"),
     }
 }
 
@@ -509,12 +509,12 @@ mod tests {
         let mut w = TimerWheel::new();
         // One entry per level's range, scheduled out of order.
         let times = [
-            5 << TICK_SHIFT,                   // level 0
-            300 << TICK_SHIFT,                 // level 1
-            70_000 << TICK_SHIFT,              // level 2
-            20_000_000 << TICK_SHIFT,          // level 3
-            (1u64 << 33) << TICK_SHIFT,        // overflow
-            7,                                 // sub-tick, level 0
+            5 << TICK_SHIFT,            // level 0
+            300 << TICK_SHIFT,          // level 1
+            70_000 << TICK_SHIFT,       // level 2
+            20_000_000 << TICK_SHIFT,   // level 3
+            (1u64 << 33) << TICK_SHIFT, // overflow
+            7,                          // sub-tick, level 0
         ];
         for &t in times.iter().rev() {
             w.schedule(t, t);
@@ -559,58 +559,35 @@ mod tests {
     }
 
     #[test]
-    fn past_schedules_clamp_but_keep_heap_order() {
+    fn pop_due_stops_at_the_limit_and_touches_nothing() {
         let mut w = TimerWheel::new();
-        let mut h = BaselineHeapQueue::new();
-        // Advance the wheel cursor far forward…
-        w.schedule(1 << 30, 0u64);
-        h.schedule(1 << 30, 0u64);
-        assert_eq!(w.pop(), h.pop());
-        // …then schedule into the past, twice, out of order.
-        for &t in &[5_000u64, 100, 2 << 30, 7] {
+        for &t in &[9_000_000u64, 50, 4_000, 1u64 << 45] {
             w.schedule(t, t);
-            h.schedule(t, t);
         }
-        for _ in 0..4 {
-            assert_eq!(w.pop(), h.pop());
-        }
-    }
-
-    #[test]
-    fn interleaved_schedule_pop_matches_heap() {
-        let mut w = TimerWheel::new();
-        let mut h = BaselineHeapQueue::new();
-        // Deterministic scramble covering re-entrant scheduling around the
-        // cursor, duplicates, and multi-level spreads.
-        let mut x = 0x9E3779B97F4A7C15u64;
-        for round in 0..5_000u64 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let t = (x >> 16) % 50_000_000;
-            w.schedule(t, round);
-            h.schedule(t, round);
-            if round % 3 == 0 {
-                assert_eq!(w.pop(), h.pop());
-            }
-        }
-        loop {
-            let (a, b) = (w.pop(), h.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
+        assert_eq!(w.pop_due(49), None);
+        assert_eq!(w.pop_due(50), Some((50, 50)));
+        assert_eq!(w.pop_due(4_000), Some((4_000, 4_000)));
+        // The next entry sits on a higher level: a limit short of it must
+        // neither cascade nor move the cursor.
+        let before = (w.cursor, w.stats());
+        assert_eq!(w.pop_due(8_999_999), None);
+        assert_eq!((w.cursor, w.stats()), before);
+        assert_eq!(w.pop_due(9_000_000), Some((9_000_000, 9_000_000)));
+        assert_eq!(w.pop_due((1 << 45) - 1), None, "overflow entry not due");
+        assert_eq!((w.cursor >> 32, w.len()), (0, 1));
+        assert_eq!(w.pop_due(u64::MAX), Some((1 << 45, 1 << 45)));
     }
 
     #[test]
     fn iter_sees_every_pending_entry() {
         let mut w = TimerWheel::new();
-        for &t in &[10u64, 5_000_000, 1 << 50] {
+        for &t in &[10u64, 5_000_000, 1 << 50, 3] {
             w.schedule(t, t);
         }
+        assert_eq!(w.pop(), Some((3, 3)), "a freed cell is not pending");
         let mut seen: Vec<(u64, u128)> = w.iter().into_iter().map(|(t, s, _)| (t, s)).collect();
         seen.sort_unstable();
-        assert_eq!(seen.len(), 3);
-        assert_eq!(seen[0], (10, 0));
+        assert_eq!(seen, [(10, 0), (5_000_000, 1), (1 << 50, 2)]);
     }
 
     #[test]
@@ -642,7 +619,9 @@ mod tests {
         let mut w: TimerWheel<u64> = TimerWheel::new();
         let mut x = 0xABCDu64;
         for i in 0..2_000u64 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let t = (x >> 16) % 80_000_000;
             w.schedule_keyed(t, (i as u128) << 32, i);
         }
@@ -654,15 +633,66 @@ mod tests {
 
     #[test]
     fn dense_same_tick_bursts_stay_cheap() {
-        // Same-tick FIFO bursts take the push_front fast path; verify the
-        // slot never goes unsorted (O(1) pops).
+        // Same-tick FIFO bursts take the append fast path; verify the
+        // slot never falls back to its sort-once (O(1) pops).
         let mut w = TimerWheel::new();
         for i in 0..10_000u64 {
             w.schedule(42, i);
         }
-        assert!(w.levels[0].slots[0].sorted, "FIFO burst must stay sorted");
+        assert_eq!(
+            w.unsorted,
+            [0; SLOTS / 64],
+            "FIFO burst must stay ascending"
+        );
         for i in 0..10_000u64 {
             assert_eq!(w.pop(), Some((42, i)));
         }
+    }
+
+    #[test]
+    fn out_of_order_keys_walk_then_sort_once() {
+        // Keys ascending between one tick's head and tail: each walks one
+        // link further than the last, until one would pass WALK links and
+        // flags the slot instead; the first pop sorts it and clears the
+        // flag.
+        let mut w: TimerWheel<u128> = TimerWheel::new();
+        let keys: Vec<u128> = [0, 1_000].into_iter().chain(1..=40).collect();
+        for (n, &k) in keys.iter().enumerate() {
+            w.schedule_keyed(7, k, k);
+            let flagged = w.unsorted != [0; SLOTS / 64];
+            assert_eq!(flagged, n > 2 + WALK, "after {n} inserts");
+            assert_eq!(w.peek_key(), Some((7, 0)), "head stays the minimum");
+        }
+        let mut sorted = keys;
+        sorted.sort_unstable();
+        for k in sorted {
+            assert_eq!(w.pop_keyed(), Some((7, k, k)));
+            assert_eq!(
+                w.unsorted,
+                [0; SLOTS / 64],
+                "one sort serves every later pop"
+            );
+        }
+        assert!(w.is_empty());
+    }
+
+    #[test]
+    fn freed_cells_are_reused_lifo() {
+        let mut w = TimerWheel::new();
+        for t in 0..100u64 {
+            w.schedule(t << 20, t);
+        }
+        for round in 0..1_000u64 {
+            let (t, _) = w.pop().expect("entry");
+            w.schedule(t + (100 << 20), round);
+        }
+        assert_eq!((w.len(), w.slab_len()), (100, 100));
+    }
+
+    #[test]
+    #[should_panic(expected = "fewer than 2^32 - 1 pending events")]
+    fn slab_index_space_is_checked() {
+        assert_eq!(slab_index(u32::MAX as usize - 1), u32::MAX - 1);
+        slab_index(u32::MAX as usize);
     }
 }

@@ -6,7 +6,10 @@ use dui_netsim::event::{Event, EventQueue};
 use dui_netsim::packet::{Addr, FlowKey, Prefix};
 use dui_netsim::time::{Bandwidth, SimDuration, SimTime};
 use dui_netsim::topology::{NodeId, Routing, TopologyBuilder};
-use dui_stats::{prop_assert, prop_assert_eq, prop_check};
+use dui_netsim::wheel::TimerWheel;
+use dui_stats::{prop_assert, prop_assert_eq, prop_check, Rng};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 prop_check! {
     fn prefix_contains_its_network_address(g) {
@@ -121,31 +124,60 @@ prop_check! {
 // Timer-wheel / baseline-heap equivalence and generational-handle safety.
 // ---------------------------------------------------------------------------
 
+/// The binary-heap event queue the wheel replaced, kept here as the
+/// reference model: `(time, seq)` order with a monotone `seq`, nothing
+/// else. Every wheel property below is "the wheel pops what this pops".
+#[derive(Default)]
+struct BaselineHeapQueue {
+    heap: BinaryHeap<Reverse<(u64, u64, u64)>>,
+    next_seq: u64,
+}
+
+impl BaselineHeapQueue {
+    fn schedule(&mut self, time: u64, value: u64) {
+        self.heap.push(Reverse((time, self.next_seq, value)));
+        self.next_seq += 1;
+    }
+
+    fn peek_time(&self) -> Option<u64> {
+        self.heap.peek().map(|&Reverse((t, _, _))| t)
+    }
+
+    fn pop(&mut self) -> Option<(u64, u64)> {
+        self.heap.pop().map(|Reverse((t, _, v))| (t, v))
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+}
+
+/// A schedule distance drawn so every wheel level — and the overflow
+/// heap — participates.
+fn any_scale_delta(g: &mut dui_stats::propcheck::Gen) -> u64 {
+    match g.u8(0..6) {
+        0 => g.u64(0..1 << 10), // same tick
+        1 => g.u64(0..1 << 18), // level 0
+        2 => g.u64(0..1 << 26), // level 1
+        3 => g.u64(0..1 << 34), // level 2
+        4 => g.u64(0..1 << 42), // level 3
+        _ => g.u64(0..1 << 50), // overflow
+    }
+}
+
 prop_check! {
     fn wheel_matches_heap_on_arbitrary_sequences(g) {
         // Drive the hierarchical wheel and the reference binary heap with
-        // the same arbitrary interleaving of schedules and pops. Times are
-        // drawn from a mix of scales so every wheel level — and the
-        // overflow heap — participates.
-        use dui_netsim::wheel::{BaselineHeapQueue, TimerWheel};
+        // the same arbitrary interleaving of schedules and pops.
         let mut wheel: TimerWheel<u64> = TimerWheel::new();
-        let mut heap: BaselineHeapQueue<u64> = BaselineHeapQueue::new();
+        let mut heap = BaselineHeapQueue::default();
         let ops = g.usize(1..300);
         let mut clock = 0u64;
         let mut payload = 0u64;
         for _ in 0..ops {
             if g.bool() || wheel.is_empty() {
                 // Schedule at now + a delta spanning sub-tick to far-future.
-                let magnitude = g.u8(0..6);
-                let delta = match magnitude {
-                    0 => g.u64(0..1 << 10),          // same tick
-                    1 => g.u64(0..1 << 18),          // level 0
-                    2 => g.u64(0..1 << 26),          // level 1
-                    3 => g.u64(0..1 << 34),          // level 2
-                    4 => g.u64(0..1 << 42),          // level 3
-                    _ => g.u64(0..1 << 50),          // overflow
-                };
-                let t = clock.saturating_add(delta);
+                let t = clock.saturating_add(any_scale_delta(g));
                 wheel.schedule(t, payload);
                 heap.schedule(t, payload);
                 payload += 1;
@@ -164,11 +196,61 @@ prop_check! {
         while !wheel.is_empty() {
             prop_assert_eq!(wheel.pop(), heap.pop());
         }
-        prop_assert!(heap.is_empty());
+        prop_assert_eq!(heap.len(), 0);
+    }
+
+    fn wheel_pop_due_is_peek_then_pop(g) {
+        // `pop_due(limit)` must be exactly "`peek_time() <= limit`, then
+        // `pop()`" — under random limits (before, at and far beyond the
+        // head), at every level and out of the overflow heap — and a
+        // refusal must leave the wheel as it was: whatever is scheduled
+        // right after it, including into the past of the cursor and
+        // between the last pop and the refused limit, still pops in heap
+        // order.
+        let mut wheel: TimerWheel<u64> = TimerWheel::new();
+        let mut heap = BaselineHeapQueue::default();
+        let mut clock = 0u64;
+        let mut payload = 0u64;
+        let mut refused_at: Option<u64> = None;
+        for _ in 0..g.usize(1..300) {
+            if g.bool() || heap.len() == 0 {
+                let t = match (refused_at.take(), g.u8(0..4)) {
+                    (Some(limit), 0) => g.u64(clock..limit.saturating_add(1)),
+                    (Some(_), 1) | (None, 0) => clock.saturating_sub(any_scale_delta(g)),
+                    _ => clock.saturating_add(any_scale_delta(g)),
+                };
+                wheel.schedule(t, payload);
+                heap.schedule(t, payload);
+                payload += 1;
+            } else {
+                let head = heap.peek_time().expect("non-empty");
+                let limit = match g.u8(0..5) {
+                    0 => head.saturating_sub(1 + any_scale_delta(g)),
+                    1 => head.saturating_sub(1),
+                    2 => head,
+                    3 => head.saturating_add(any_scale_delta(g)),
+                    _ => u64::MAX,
+                };
+                let want = if head <= limit { heap.pop() } else { None };
+                prop_assert_eq!(wheel.pop_due(limit), want, "limit {limit}, head {head}");
+                refused_at = match want {
+                    Some((t, _)) => {
+                        clock = clock.max(t);
+                        None
+                    }
+                    None => Some(limit.max(clock)),
+                };
+            }
+            prop_assert_eq!(wheel.peek_time(), heap.peek_time());
+            prop_assert_eq!(wheel.len(), heap.len());
+        }
+        while let Some(want) = heap.pop() {
+            prop_assert_eq!(wheel.pop_due(want.0), Some(want));
+        }
+        prop_assert!(wheel.pop_due(u64::MAX).is_none() && wheel.is_empty());
     }
 
     fn keyed_wheel_peeks_always_name_the_next_pop(g) {
-        use dui_netsim::wheel::TimerWheel;
         // A keyed wheel (the parallel engine's per-domain queue) against
         // an ordered map, under arbitrary interleavings of keyed
         // schedules — at every level, beyond the horizon, and in the past
@@ -209,7 +291,6 @@ prop_check! {
     }
 
     fn wheel_fifo_among_equal_times_any_scale(g) {
-        use dui_netsim::wheel::TimerWheel;
         // Bursts at the same timestamp must pop in schedule order no
         // matter which level the timestamp lands on.
         let t = g.any_u64() >> g.u8(0..33);
@@ -273,4 +354,149 @@ prop_check! {
         }
         prop_assert_eq!(arena.live(), live.len());
     }
+}
+
+// ---------------------------------------------------------------------------
+// Timer-wheel fixed cases: heap races, the no-cliff bound, the stated bounds.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn wheel_past_schedules_clamp_but_keep_heap_order() {
+    let mut w = TimerWheel::new();
+    let mut h = BaselineHeapQueue::default();
+    // Advance the wheel cursor far forward…
+    w.schedule(1 << 30, 0u64);
+    h.schedule(1 << 30, 0u64);
+    assert_eq!(w.pop(), h.pop());
+    // …then schedule into the past, twice, out of order.
+    for &t in &[5_000u64, 100, 2 << 30, 7] {
+        w.schedule(t, t);
+        h.schedule(t, t);
+    }
+    for _ in 0..4 {
+        assert_eq!(w.pop(), h.pop());
+    }
+}
+
+#[test]
+fn wheel_interleaved_schedule_pop_matches_heap() {
+    let mut w = TimerWheel::new();
+    let mut h = BaselineHeapQueue::default();
+    // Deterministic scramble covering re-entrant scheduling around the
+    // cursor, duplicates, and multi-level spreads.
+    let mut x = 0x9E3779B97F4A7C15u64;
+    for round in 0..5_000u64 {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let t = (x >> 16) % 50_000_000;
+        w.schedule(t, round);
+        h.schedule(t, round);
+        if round % 3 == 0 {
+            assert_eq!(w.pop(), h.pop());
+        }
+    }
+    loop {
+        let (a, b) = (w.pop(), h.pop());
+        assert_eq!(a, b);
+        if a.is_none() {
+            break;
+        }
+    }
+}
+
+/// Entries per no-cliff / stated-bound case.
+const MANY: u64 = 100_000;
+
+#[test]
+fn wheel_one_slot_drains_without_a_cliff() {
+    // Everything in one level-0 slot, the two ways a slot fills: random
+    // 128-bit keys (a short walk, then one sort) and a same-time FIFO
+    // burst (appends only). Either is linearithmic at worst and takes
+    // milliseconds; a quadratic walk over 10^5 entries takes minutes. The
+    // drains run on a spawned thread behind `recv_timeout`, so "under a
+    // second" is a failure, not a slow suite.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let mut rng = Rng::new(17);
+        let mut w: TimerWheel<u64> = TimerWheel::new();
+        let mut keys: Vec<(u64, u128)> = (0..MANY)
+            .map(|_| {
+                (
+                    rng.next_u64() % 1024,
+                    (rng.next_u64() as u128) << 64 | rng.next_u64() as u128,
+                )
+            })
+            .collect();
+        for (i, &(t, k)) in keys.iter().enumerate() {
+            w.schedule_keyed(t, k, i as u64);
+        }
+        keys.sort_unstable();
+        for &(t, k) in &keys {
+            let (pt, pk, _) = w.pop_keyed().expect("entry");
+            assert_eq!((pt, pk), (t, k));
+        }
+        assert!(w.is_empty());
+        for i in 0..MANY {
+            w.schedule(123_456, i);
+        }
+        for i in 0..MANY {
+            assert_eq!(w.pop(), Some((123_456, i)));
+        }
+        let _ = tx.send(());
+    });
+    let done = rx.recv_timeout(std::time::Duration::from_secs(1));
+    if done == Err(std::sync::mpsc::RecvTimeoutError::Timeout) {
+        panic!("10^5 entries in one slot took over a second to drain");
+    }
+    worker.join().expect("drain order");
+}
+
+#[test]
+fn wheel_overflow_defers_counts_and_promotes_in_order() {
+    // The 4-level horizon is 2^32 ticks (2^42 ns, ~73 min). Entries past
+    // it — here over five later epochs — wait in the overflow heap, each
+    // counted once by `deferred`, and come back epoch by epoch in exact
+    // `(time, seq)` order.
+    const EPOCH: u64 = 1 << 42;
+    let mut rng = Rng::new(5);
+    let mut w: TimerWheel<u64> = TimerWheel::new();
+    let mut h = BaselineHeapQueue::default();
+    w.schedule(1_000, u64::MAX);
+    h.schedule(1_000, u64::MAX);
+    for i in 0..MANY {
+        // Coarse offsets, so equal times (seq tie-breaks) are common.
+        let t = EPOCH * (1 + rng.next_u64() % 5) + (rng.next_u64() % 4096) * (EPOCH / 4096);
+        w.schedule(t, i);
+        h.schedule(t, i);
+    }
+    assert_eq!(w.stats().deferred, MANY);
+    assert_eq!(
+        w.stats().cascades,
+        0,
+        "nothing beyond the horizon is in a slot"
+    );
+    assert_eq!(w.pop_due(EPOCH - 1), h.pop());
+    assert_eq!(
+        w.pop_due(EPOCH - 1),
+        None,
+        "no epoch is promoted before it is due"
+    );
+    assert_eq!(w.slab_len() as u64, MANY + 1);
+    let mut epochs_seen = 0;
+    let mut last_epoch = 0;
+    while let Some(want) = h.pop() {
+        assert_eq!(w.pop(), Some(want));
+        if want.0 / EPOCH != last_epoch {
+            last_epoch = want.0 / EPOCH;
+            epochs_seen += 1;
+        }
+    }
+    assert_eq!(epochs_seen, 5);
+    assert!(w.is_empty());
+    assert_eq!(
+        w.stats().deferred,
+        MANY,
+        "a promotion is not a second deferral"
+    );
 }

@@ -25,6 +25,9 @@
 //! * [`digest`] — the stable 64-bit state-digest primitive underneath
 //!   `dui-replay`'s record/replay hashing (no addresses, no iteration-order
 //!   leaks).
+//! * [`hash`] — the keyless [`hash::FixedState`] hasher for lookup-only
+//!   maps whose keys are minted inside the process (the packet path's
+//!   flow and address indexes).
 //! * [`wire`] — the bounded [`wire::Reader`] / [`wire::Writer`] pair under
 //!   every binary codec in the workspace (recordings, checkpoints, host and
 //!   pool state): the one place bytes from outside become values.
@@ -48,6 +51,7 @@
 
 pub mod digest;
 pub mod dist;
+pub mod hash;
 pub mod hist;
 pub mod propcheck;
 pub mod rng;

@@ -21,6 +21,7 @@ use dui_netsim::packet::{FlowKey, Header, Packet};
 use dui_netsim::prelude::{Ctx, NodeLogic};
 use dui_netsim::time::{SimDuration, SimTime};
 use dui_stats::digest::StateDigest;
+use dui_stats::hash::FixedState;
 use dui_stats::wire::{DecodeError, ErrorKind, Reader, Writer};
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
@@ -218,7 +219,13 @@ pub struct TcpHost {
     source: Box<dyn FlowSource>,
     pool: FlowPool,
     /// Forward key -> live pool handle. Lookup only — never iterated.
-    by_key: HashMap<FlowKey, FlowRef>,
+    /// Keyless hasher: the keys are minted in this process by seeded
+    /// generators (`flowgen`, `attacks::syn_flood`) and arrive over
+    /// simulated links, never from a socket. The one outside source is
+    /// [`NodeLogic::load_state`] rebuilding the index from a checkpoint:
+    /// keys crafted to collide can slow that one call, quadratically in
+    /// the flow count the blob's own length bounds.
+    by_key: HashMap<FlowKey, FlowRef, FixedState>,
     /// Sender creation order, for stable stats iteration.
     order: Vec<FlowKey>,
     cfg: TcpHostConfig,
@@ -267,7 +274,7 @@ impl TcpHost {
         TcpHost {
             source,
             pool: FlowPool::new(),
-            by_key: HashMap::new(),
+            by_key: HashMap::default(),
             order: Vec::new(),
             cfg: TcpHostConfig::default(),
             agg: HostCounters::default(),
@@ -658,7 +665,7 @@ impl NodeLogic for TcpHost {
             .map(SimDuration);
         r.finish("tcp host state")?;
         // Rebuild the lookup index from the restored pool.
-        let mut by_key = HashMap::new();
+        let mut by_key = HashMap::default();
         for flow in pool.iter_refs() {
             if pool.kind(flow) == Ok(FlowKind::Sender) && flow.index() as usize >= wake_at.len() {
                 return Err(r.error("tcp host sender without a wake entry", ErrorKind::Invalid));

@@ -52,6 +52,12 @@ echo "callgraph.jsonl byte-identical across runs: OK"
 echo "== build (release, offline) =="
 cargo build --release --offline
 
+echo "== timer-wheel suites at depth (2000 propcheck cases; seconds) =="
+# Every engine run's event order rests on the wheel popping exactly what
+# a binary heap would; the workspace run below tries the default case
+# count, this one looks harder first.
+PROPCHECK_CASES=2000 cargo test -q --offline -p dui-netsim --test properties wheel
+
 echo "== tests (workspace, offline; dui-scenario: key-table round-trip, .dsc mutation never-panic, docs tables) =="
 cargo test -q --offline --workspace
 
