@@ -40,6 +40,11 @@ pub struct PccEqualizerTap {
     /// symmetric around the base rate) and self-centering as the victim
     /// drifts.
     rate_samples: VecDeque<(SimTime, f64)>,
+    /// The rates of `rate_samples` in `total_cmp` order, kept in step with
+    /// it (one binary search per sample entering or leaving), so that the
+    /// median `baseline()` reads once or twice per packet is an index, not
+    /// a sort of the window.
+    sorted_rates: Vec<f64>,
     /// Span of the rolling median.
     median_span: SimDuration,
     /// Observation period: the tap watches silently for this long (letting
@@ -92,6 +97,7 @@ impl PccEqualizerTap {
             window: VecDeque::new(),
             window_len,
             rate_samples: VecDeque::new(),
+            sorted_rates: Vec::new(),
             median_span: SimDuration::from_millis(600),
             arm_after,
             first_seen: None,
@@ -110,12 +116,8 @@ impl PccEqualizerTap {
     /// Current baseline rate estimate (bytes/s): the rolling median of
     /// short-window rates.
     pub fn baseline(&self) -> f64 {
-        if self.rate_samples.is_empty() {
-            return 0.0;
-        }
-        let mut v: Vec<f64> = self.rate_samples.iter().map(|&(_, r)| r).collect();
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
+        let mid = self.sorted_rates.len() / 2;
+        self.sorted_rates.get(mid).copied().unwrap_or(0.0)
     }
 
     fn record_rate_sample(&mut self, now: SimTime, rate: f64) {
@@ -125,10 +127,15 @@ impl PccEqualizerTap {
                 return;
             }
         }
+        // Rates equal under `total_cmp` are the same bits, so which of
+        // them a search lands on does not matter.
+        let rank = |sorted: &[f64], r: f64| sorted.partition_point(|s| s.total_cmp(&r).is_lt());
         self.rate_samples.push_back((now, rate));
-        while let Some(&(t, _)) = self.rate_samples.front() {
+        self.sorted_rates.insert(rank(&self.sorted_rates, rate), rate);
+        while let Some(&(t, old)) = self.rate_samples.front() {
             if now.since(t) > self.median_span {
                 self.rate_samples.pop_front();
+                self.sorted_rates.remove(rank(&self.sorted_rates, old));
             } else {
                 break;
             }
@@ -377,6 +384,29 @@ mod tests {
             "high phase must be attacked: {dropped_high}"
         );
         assert_eq!(dropped_low, 0, "low phase must be left alone");
+    }
+
+    dui_stats::prop_check! {
+        fn baseline_is_the_median_of_the_live_samples(g) {
+            // Bursts inside the 5 ms sampling floor, gaps past the 600 ms
+            // span, sizes that move the rate: after every packet the
+            // cached median is what sorting the window would give.
+            let mut tap = PccEqualizerTap::new(key(), SimDuration::from_millis(25), g.any_u64());
+            dui_stats::prop_assert_eq!(tap.baseline(), 0.0);
+            let mut now = 0u64;
+            for _ in 0..g.usize(0..300) {
+                now += match g.u8(0..8) {
+                    0 => g.u64(0..1_000_000_000),
+                    1 => 0,
+                    _ => g.u64(0..12_000_000),
+                };
+                let mut p = Packet::tcp(key(), 1, 0, TcpFlags::default(), g.u32(1..1461));
+                tap.intercept(SimTime(now), Dir::AtoB, &mut p, &mut Vec::new());
+                let mut v: Vec<f64> = tap.rate_samples.iter().map(|&(_, r)| r).collect();
+                v.sort_by(f64::total_cmp);
+                dui_stats::prop_assert_eq!(tap.baseline().to_bits(), v[v.len() / 2].to_bits());
+            }
+        }
     }
 
     #[test]

@@ -57,6 +57,26 @@ fn bench_flow_selector(s: &mut Suite) {
             sel.retransmitting_flows(SimTime(2_000_000))
         });
     }
+    {
+        // `blink_selector_on_packet` never lets a flow idle out. Here
+        // every 187th packet retires a random key for a fresh 5-tuple;
+        // one in 16 of those holds a cell, which idles out 2 s later and
+        // is resampled — an eviction per ≈ 3,000 packets, the rate of a
+        // Fig. 2 replicate.
+        let mut keys = tcp_keys(1024, 80);
+        let mut sel = FlowSelector::new(BlinkParams::default());
+        let mut rng = Rng::new(1);
+        let mut n = 0u64;
+        s.bench("blink_selector_churn", move || {
+            n += 1;
+            if n.is_multiple_of(187) {
+                let retired = &mut keys[rng.below_usize(1024)];
+                retired.src = Addr(retired.src.0.wrapping_add(0x1_0000));
+            }
+            let key = keys[(n % 1024) as usize];
+            sel.on_packet(SimTime(n * 1_000_000), key, n as u32, false)
+        });
+    }
 }
 
 fn bench_event_queue(s: &mut Suite) {
@@ -346,6 +366,23 @@ fn bench_fastsim(s: &mut Suite) {
     s.bench("blink_fastsim_400flows_30s", move || {
         seed += 1;
         AttackSim::run(&cfg, seed)
+    });
+    // Fig. 2 itself, per packet: the paper's 2000 + 105 flows over the
+    // first 10 s (≈ 84 k packets a run; building the next run is spread
+    // over them).
+    let cfg = AttackSimConfig {
+        horizon: SimDuration::from_secs(10),
+        ..AttackSimConfig::fig2()
+    };
+    let mut seed = 0;
+    let mut sim = AttackSim::new(&cfg, seed);
+    s.bench("blink_fastsim_fig2_10s", move || {
+        let t = sim.step();
+        if t.is_none() {
+            seed += 1;
+            sim = AttackSim::new(&cfg, seed);
+        }
+        t
     });
 }
 

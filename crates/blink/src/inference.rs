@@ -39,8 +39,9 @@ impl FailureDetector {
     /// Evaluate the selector state at `now`; returns a failure event when
     /// the threshold is crossed outside a hold-down period.
     pub fn evaluate(&mut self, now: SimTime, selector: &FlowSelector) -> Option<FailureEvent> {
-        let retransmitting = selector.retransmitting_flows(now);
-        if retransmitting < selector.params().threshold {
+        // Asked first: the selector answers "no" without counting while
+        // too few cells hold a retransmission at all.
+        if !selector.failure_indicated(now) {
             return None;
         }
         if let Some(last) = self.last_fire {
@@ -50,7 +51,7 @@ impl FailureDetector {
         }
         let ev = FailureEvent {
             at: now,
-            retransmitting,
+            retransmitting: selector.retransmitting_flows(now),
         };
         self.last_fire = Some(now);
         self.events.push(ev);

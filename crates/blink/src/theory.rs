@@ -265,18 +265,25 @@ impl FixedKeysModel {
     pub fn quantile_mc(&self, t: f64, q: f64, samples: usize, rng: &mut dui_stats::Rng) -> u32 {
         assert!(samples > 0, "need samples");
         let t = t.min(self.t_b);
+        // A cell's flip probability by `t` depends only on its collider
+        // count: `flipped[k]`, tabulated up to the largest `k` a sample
+        // has produced so far.
+        let mut flipped: Vec<f64> = Vec::new();
+        let mut k = vec![0usize; self.cells as usize];
         let mut counts: Vec<u32> = Vec::with_capacity(samples);
         for _ in 0..samples {
             // Multinomially scatter m flows over n cells.
-            let mut k = vec![0u32; self.cells as usize];
+            k.fill(0);
             for _ in 0..self.malicious_flows {
                 k[rng.below_usize(self.cells as usize)] += 1;
             }
             let mut count = 0;
             for &ki in &k {
-                let p = self.flip_prob(ki);
-                let flipped = 1.0 - (1.0 - p).powf(t / self.t_r);
-                if rng.chance(flipped) {
+                while flipped.len() <= ki {
+                    let p = self.flip_prob(flipped.len() as u32);
+                    flipped.push(1.0 - (1.0 - p).powf(t / self.t_r));
+                }
+                if rng.chance(flipped[ki]) {
                     count += 1;
                 }
             }
@@ -474,6 +481,58 @@ mod tests {
         let hi = m.quantile_mc(t, 0.95, 2000, &mut rng) as f64;
         let mean = m.mean(t);
         assert!(lo < mean && mean < hi, "{lo} {mean} {hi}");
+    }
+
+    /// `quantile_mc` without the table: one `powf` per cell per sample.
+    fn quantile_mc_per_cell(
+        m: &FixedKeysModel,
+        t: f64,
+        q: f64,
+        samples: usize,
+        rng: &mut dui_stats::Rng,
+    ) -> u32 {
+        let t = t.min(m.t_b);
+        let mut counts: Vec<u32> = Vec::with_capacity(samples);
+        for _ in 0..samples {
+            let mut k = vec![0u32; m.cells as usize];
+            for _ in 0..m.malicious_flows {
+                k[rng.below_usize(m.cells as usize)] += 1;
+            }
+            let mut count = 0;
+            for &ki in &k {
+                let p = m.flip_prob(ki);
+                let flipped = 1.0 - (1.0 - p).powf(t / m.t_r);
+                if rng.chance(flipped) {
+                    count += 1;
+                }
+            }
+            counts.push(count);
+        }
+        counts.sort_unstable();
+        counts[((q * samples as f64) as usize).min(samples - 1)]
+    }
+
+    #[test]
+    fn quantile_mc_keeps_its_values_and_its_draws() {
+        // Values and the generator's next word as the per-cell evaluation
+        // produced them before the table existed (the last row is past
+        // `t_b`, so clamped).
+        let m = FixedKeysModel {
+            t_r: 8.41,
+            ..FixedKeysModel::fig2()
+        };
+        for (t, q, seed, value, next) in [
+            (40.0, 0.05, 1, 8, 0xc8ab_c375_9e9f_1581),
+            (150.0, 0.95, 99, 38, 0x5aae_16b6_c632_3299),
+            (600.0, 0.5, 7, 48, 0xde8c_7a68_7f65_f65c_u64),
+        ] {
+            let mut rng = dui_stats::Rng::new(seed);
+            assert_eq!(m.quantile_mc(t, q, 1500, &mut rng), value, "t={t} q={q}");
+            assert_eq!(rng.next_u64(), next, "draw order, t={t} q={q}");
+            let mut rng = dui_stats::Rng::new(seed);
+            assert_eq!(quantile_mc_per_cell(&m, t, q, 1500, &mut rng), value);
+            assert_eq!(rng.next_u64(), next);
+        }
     }
 
     #[test]

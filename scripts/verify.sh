@@ -58,6 +58,13 @@ echo "== timer-wheel suites at depth (2000 propcheck cases; seconds) =="
 # count, this one looks harder first.
 PROPCHECK_CASES=2000 cargo test -q --offline -p dui-netsim --test properties wheel
 
+echo "== Blink selector differential at depth (2000 propcheck cases; seconds) =="
+# The selector skips its cell scans on two derived summaries; the suite
+# holds it, op by op, to the scan-every-packet selector it replaced
+# (`ScanSelector` in the test file), which is what Fig. 2 and every
+# packet-level Blink digest rest on.
+PROPCHECK_CASES=2000 cargo test -q --offline -p dui-blink --test properties selector
+
 echo "== tests (workspace, offline; dui-scenario: key-table round-trip, .dsc mutation never-panic, docs tables) =="
 cargo test -q --offline --workspace
 
