@@ -486,8 +486,7 @@ fn bench_supervisord(s: &mut Suite) {
 
 fn bench_flow_pool(s: &mut Suite) {
     use dui_core::tcp::pool::FlowPool;
-    use dui_core::tcp::{TcpSender, TcpSenderConfig, TcpState};
-    use std::collections::HashMap;
+    use dui_core::tcp::{TcpSenderConfig, TcpState};
 
     fn bench_cfg(handshake: bool) -> TcpSenderConfig {
         TcpSenderConfig {
@@ -499,23 +498,8 @@ fn bench_flow_pool(s: &mut Suite) {
         }
     }
     // Churn steady state: 4096 live flows, one admit + one evict per
-    // iteration. The HashMap baseline is what `TcpHost` did before the
-    // SoA refactor (whole endpoint behind a per-flow map entry); the
-    // pool pays a slab write plus a free-list push.
+    // iteration: a slab write plus a free-list push.
     const LIVE: u16 = 4096;
-    {
-        let keys = tcp_keys(LIVE, 80);
-        let mut map: HashMap<FlowKey, TcpSender> = HashMap::new();
-        for (i, k) in keys.iter().enumerate() {
-            map.insert(*k, TcpSender::new(*k, bench_cfg(false), i as u32));
-        }
-        let mut i = 0usize;
-        s.bench("flow_hashmap_admit_evict", move || {
-            i = (i + 1) % keys.len();
-            map.remove(&keys[i]);
-            map.insert(keys[i], TcpSender::new(keys[i], bench_cfg(false), i as u32))
-        });
-    }
     {
         let keys = tcp_keys(LIVE, 80);
         let mut pool = FlowPool::new();

@@ -1,6 +1,6 @@
 //! The experiment harness: regenerates the paper's Fig. 2 and every
-//! quantitative claim of §3–§5 (see DESIGN.md §1 for the claim index and
-//! EXPERIMENTS.md for recorded paper-vs-measured results).
+//! quantitative claim of §3–§5 (see docs/reproduction-map.md §1 for the
+//! claim index and EXPERIMENTS.md for recorded paper-vs-measured results).
 //!
 //! ```sh
 //! cargo run --release -p dui-bench --bin experiments -- all

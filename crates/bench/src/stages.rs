@@ -15,6 +15,7 @@ use dui_core::blink::fastsim::{AttackSim, AttackSimConfig};
 use dui_core::blink::selector::BlinkParams;
 use dui_core::blink::theory::{effective_qm, AttackModel, FixedKeysModel};
 use dui_core::defense::pcc_guard::PccLossPatternMonitor;
+use dui_core::defense::streaming::{OccupancyWindow, StreamingSupervisor};
 use dui_core::flowgen::{CaidaLikeConfig, CaidaLikeTrace};
 use dui_core::nethide::obfuscate::{obfuscate, ObfuscationConfig};
 use dui_core::netsim::time::{SimDuration, SimTime};
@@ -25,7 +26,6 @@ use dui_core::pytheas::engine::{EngineConfig, PoisonStrategy, Throttle};
 use dui_core::scenario::{
     pytheas_run, topologies, BlinkScenario, BlinkScenarioConfig, PccScenario, PccScenarioConfig,
 };
-use dui_core::defense::supervisor::{SnapshotSupervisor, Supervisor};
 use dui_core::stats::series::envelope;
 use dui_core::stats::table::Table;
 use dui_core::stats::Rng;
@@ -1257,9 +1257,10 @@ pub fn defenses_opts(jobs: usize, sim_threads: usize) -> StageOutput {
     let _ = writeln!(r, "{}", show.to_text());
     // Fig. 3 point III/IV: a supervisor that never touches the data plane
     // assesses risk purely from the registry snapshots the runs exported.
-    let mut sup = SnapshotSupervisor::occupancy("blink.cells.malicious", 64.0);
-    let attacked_risk = sup.assess(&vals[0].1);
-    let defended_risk = sup.assess(&vals[1].1);
+    let assess =
+        |snap: &Snapshot| OccupancyWindow::new("blink.cells.malicious", 64.0, 1).observe(snap);
+    let attacked_risk = assess(&vals[0].1);
+    let defended_risk = assess(&vals[1].1);
     let _ = writeln!(
         r,
         "supervisor on registry snapshots (blink.cells.malicious / 64): \

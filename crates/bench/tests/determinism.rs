@@ -127,6 +127,10 @@ fn metrics_jsonl_identical_across_jobs() {
     let seq = jsonl(1);
     let par4 = jsonl(4);
     assert!(seq.contains("blink.reroutes"), "defenses must export blink metrics");
-    assert!(seq.contains("defenses.supervisor.risk.attacked"));
+    // 40 of the 64 cells are malicious in both runs; the full `f64` is
+    // pinned so a change to how a snapshot is scored shows up here.
+    assert!(seq.contains(
+        "\"defenses.supervisor.risk.attacked\":0.625,\"defenses.supervisor.risk.defended\":0.625"
+    ));
     assert_eq!(seq, par4, "metrics.jsonl must be jobs-invariant");
 }

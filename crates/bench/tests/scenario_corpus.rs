@@ -7,12 +7,40 @@ use std::path::PathBuf;
 
 use dui_bench::scenario::{collect_files, load, run_corpus};
 
-fn examples_dir() -> PathBuf {
+fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .and_then(|p| p.parent())
         .expect("workspace root")
-        .join("examples/scenarios")
+        .to_path_buf()
+}
+
+fn examples_dir() -> PathBuf {
+    workspace_root().join("examples/scenarios")
+}
+
+/// The benchmark's `dsc_corpus` workload runs a frozen copy of the
+/// shipped corpus: same 16 file names, same bytes.
+#[test]
+fn ledger_corpus_is_the_examples_corpus() {
+    let name_of = |p: &PathBuf| p.file_name().unwrap().to_string_lossy().into_owned();
+    let examples = collect_files(&examples_dir()).expect("corpus listable");
+    let frozen =
+        collect_files(&workspace_root().join("ledger/corpus")).expect("frozen corpus listable");
+    assert_eq!(examples.len(), 16, "the shipped corpus has 16 scenarios");
+    assert_eq!(
+        frozen.iter().map(name_of).collect::<Vec<_>>(),
+        examples.iter().map(name_of).collect::<Vec<_>>(),
+        "file names differ"
+    );
+    for (ours, theirs) in examples.iter().zip(&frozen) {
+        assert!(
+            std::fs::read(ours).expect("readable") == std::fs::read(theirs).expect("readable"),
+            "{} differs from {}",
+            theirs.display(),
+            ours.display()
+        );
+    }
 }
 
 /// A fast slice of the shipped corpus run at `--jobs 1` and `--jobs 4`:

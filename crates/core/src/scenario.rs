@@ -283,7 +283,7 @@ impl BlinkScenario {
     /// the ground-truth `blink.cells.malicious` occupancy gauge, and the
     /// engine's `netsim.*` counters. This is the observation surface the
     /// `defenses` experiment stage and
-    /// [`SnapshotSupervisor`](dui_defense::supervisor::SnapshotSupervisor)
+    /// [`OccupancyWindow`](dui_defense::streaming::OccupancyWindow)
     /// consume.
     pub fn metrics(&mut self) -> dui_telemetry::Snapshot {
         let malicious = self.malicious_cells().unwrap_or(0) as f64;

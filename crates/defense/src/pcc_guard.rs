@@ -96,11 +96,35 @@ impl PccLossPatternMonitor {
     /// before accusing anyone. Takes the stronger of the presence- and
     /// magnitude-based signals.
     pub fn risk(&self) -> Risk {
-        if self.high_total < 10 || self.low_total < 10 {
-            return Risk::NONE;
-        }
-        Risk::clamped(self.asymmetry().max(self.magnitude_asymmetry()))
+        let presence = presence_asymmetry(
+            self.high_lossy,
+            self.high_total,
+            self.low_lossy,
+            self.low_total,
+        );
+        presence.map_or(Risk::NONE, |a| {
+            Risk::clamped(a.max(self.magnitude_asymmetry()))
+        })
     }
+}
+
+/// `P(loss | high) − P(loss | low)` from interval tallies, or `None`
+/// with fewer than 10 intervals on either side — too few to accuse
+/// anyone. The one statement of the rule behind both
+/// [`PccLossPatternMonitor::risk`] and the streaming
+/// [`DropPatternWindow`](crate::streaming::DropPatternWindow).
+pub(crate) fn presence_asymmetry(
+    high_lossy: u64,
+    high_total: u64,
+    low_lossy: u64,
+    low_total: u64,
+) -> Option<f64> {
+    if high_total < 10 || low_total < 10 {
+        return None;
+    }
+    let p_high = high_lossy as f64 / high_total as f64;
+    let p_low = low_lossy as f64 / low_total as f64;
+    Some(p_high - p_low)
 }
 
 /// The ε clamp (paper: "limit the amplitude of the oscillations by

@@ -1,17 +1,15 @@
 //! Incremental supervisors for the streaming detection pipeline
 //! (`dui-supervisord`).
 //!
-//! The batch [`Supervisor`](crate::Supervisor) impls score one frozen
-//! [`Snapshot`] per experiment stage. The serving story is different: a
-//! producer ships a *delta* snapshot every epoch, and the supervisor
-//! must fold each delta into windowed state and re-emit a risk estimate
-//! online — `observe(delta) -> Risk`. That contract is
-//! [`StreamingSupervisor`], and this module provides the concrete
-//! signals the paper's case studies call for:
+//! A producer ships a *delta* [`Snapshot`] every epoch, and the
+//! supervisor folds each delta into windowed state and re-emits a risk
+//! estimate online — `observe(delta) -> Risk`. That contract is
+//! [`StreamingSupervisor`]; an experiment stage scoring one frozen
+//! snapshot uses the same signal with a window of one. This module
+//! provides the concrete signals the paper's case studies call for:
 //!
 //! * [`OccupancyWindow`] — Blink cell occupancy (§3.1): windowed mean
-//!   of a gauge against a capacity, the streaming form of
-//!   [`SnapshotSupervisor`](crate::SnapshotSupervisor).
+//!   of a gauge against a capacity.
 //! * [`GroupOutlierWindow`] — Pytheas group outliers (§4.1): per-member
 //!   QoE gauges under a prefix, flagged by median/MAD (the streaming
 //!   form of [`MadReportFilter`](crate::MadReportFilter)'s rule).
@@ -31,7 +29,7 @@
 //! that is what lets supervisord shard groups across worker threads
 //! and still emit a byte-identical verdict log at any worker count.
 
-use crate::pcc_guard::recommended_eps_max;
+use crate::pcc_guard::{presence_asymmetry, recommended_eps_max};
 use crate::supervisor::Risk;
 use dui_telemetry::Snapshot;
 use std::collections::{BTreeMap, VecDeque};
@@ -56,8 +54,8 @@ pub trait StreamingSupervisor {
 /// Each delta contributes its `(sum, n)` accumulator for the
 /// configured gauge; risk is the mean over the last `window` deltas
 /// that carried observations, divided by `capacity` and clamped into
-/// `[0, 1]`. With `window = 1` this reproduces the batch
-/// `SnapshotSupervisor::assess` on each delta in isolation.
+/// `[0, 1]`. With `window = 1` each delta that carries the gauge is
+/// scored in isolation; a metric never seen reads as zero risk.
 #[derive(Debug, Clone)]
 pub struct OccupancyWindow {
     metric: String,
@@ -248,13 +246,7 @@ impl StreamingSupervisor for DropPatternWindow {
                 acc
             });
         let [hl, ht, ll, lt] = sums;
-        if ht < 10 || lt < 10 {
-            self.last_risk = Risk::NONE;
-            return Risk::NONE;
-        }
-        let p_high = hl as f64 / ht as f64;
-        let p_low = ll as f64 / lt as f64;
-        self.last_risk = Risk::clamped(p_high - p_low);
+        self.last_risk = presence_asymmetry(hl, ht, ll, lt).map_or(Risk::NONE, Risk::clamped);
         self.last_risk
     }
 }
@@ -368,12 +360,17 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_window_of_one_matches_batch_assess() {
-        use crate::supervisor::{SnapshotSupervisor, Supervisor};
+    fn occupancy_window_of_one_scores_a_single_snapshot() {
         let snap = gauge_delta(&[("cells", 48.0)]);
-        let mut batch = SnapshotSupervisor::occupancy("cells", 64.0);
-        let mut stream = OccupancyWindow::new("cells", 64.0, 1);
-        assert_eq!(stream.observe(&snap).0, batch.assess(&snap).0);
+        assert_eq!(
+            OccupancyWindow::new("cells", 64.0, 1).observe(&snap).0,
+            0.75
+        );
+        // A snapshot without the metric reads as no risk.
+        assert_eq!(
+            OccupancyWindow::new("cells", 64.0, 1).observe(&Snapshot::default()),
+            Risk::NONE
+        );
     }
 
     #[test]

@@ -1,12 +1,16 @@
-//! The driver / supervisor architecture of the paper's Fig. 3.
+//! [`Risk`]: the one value the paper's Fig. 3 loop passes around.
 //!
 //! A *driver* reads data-plane signals and proposes actions; a
-//! *supervisor* holds a model of plausible behavior, estimates the risk
-//! that the driver is "under the influence" (being fed adversarial
-//! inputs), and constrains the driver to an allowed operating range. The
-//! supervisor sits *outside* the fast path (paper point IV): here that
-//! translates to the supervisor being consulted only at action-proposal
-//! time, not per packet.
+//! *supervisor* holds a model of plausible behavior and estimates the
+//! risk that the driver is "under the influence" (being fed adversarial
+//! inputs). The supervisor sits *outside* the fast path (paper point
+//! IV): it reads only the telemetry snapshots the registry already
+//! exports. The loop is implemented once — a
+//! [`StreamingSupervisor`](crate::streaming::StreamingSupervisor) folds
+//! each snapshot into a `Risk`, and `dui-supervisord` turns the risk
+//! into the action the driver is allowed (`Allow`, `Constrain` — the
+//! PCC ε clamp — or `Veto`). A one-off score of a single frozen snapshot
+//! is a window of one.
 
 /// Risk that the driver's current inputs are adversarial, in `[0, 1]`.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
@@ -24,266 +28,9 @@ impl Risk {
     }
 }
 
-/// An allowed operating range for a scalar control variable (the
-/// "directions in which the driver can steer" of Fig. 3).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OperatingRange {
-    /// Lower bound.
-    pub lo: f64,
-    /// Upper bound.
-    pub hi: f64,
-}
-
-impl OperatingRange {
-    /// Construct; panics if `lo > hi`.
-    pub fn new(lo: f64, hi: f64) -> Self {
-        assert!(lo <= hi, "empty operating range");
-        OperatingRange { lo, hi }
-    }
-
-    /// Clamp a proposed value into the range.
-    pub fn clamp(&self, v: f64) -> f64 {
-        v.clamp(self.lo, self.hi)
-    }
-
-    /// Does the range contain `v`?
-    pub fn contains(&self, v: f64) -> bool {
-        (self.lo..=self.hi).contains(&v)
-    }
-
-    /// Shrink the range toward its midpoint by factor `k ∈ [0, 1]`
-    /// (`k = 1` collapses to the midpoint) — how a supervisor narrows the
-    /// driver's authority as risk grows.
-    pub fn shrunk(&self, k: f64) -> OperatingRange {
-        let k = k.clamp(0.0, 1.0);
-        let mid = 0.5 * (self.lo + self.hi);
-        let half = 0.5 * (self.hi - self.lo) * (1.0 - k);
-        OperatingRange {
-            lo: mid - half,
-            hi: mid + half,
-        }
-    }
-}
-
-/// A supervisor for drivers proposing actions of type `A` from
-/// observations of type `O`.
-pub trait Supervisor<O, A> {
-    /// Estimate the risk that current observations are adversarial.
-    fn assess(&mut self, obs: &O) -> Risk;
-
-    /// Given the proposal and the assessed risk, return the action to
-    /// actually take (`None` = veto).
-    fn constrain(&mut self, action: A, risk: Risk) -> Option<A>;
-}
-
-/// A driver + supervisor pair with decision accounting.
-pub struct Supervised<D, S> {
-    /// The driver.
-    pub driver: D,
-    /// The supervisor.
-    pub supervisor: S,
-    /// Proposals allowed (possibly modified).
-    pub allowed: u64,
-    /// Proposals vetoed.
-    pub vetoed: u64,
-}
-
-impl<D, S> Supervised<D, S> {
-    /// Pair a driver with a supervisor.
-    pub fn new(driver: D, supervisor: S) -> Self {
-        Supervised {
-            driver,
-            supervisor,
-            allowed: 0,
-            vetoed: 0,
-        }
-    }
-
-    /// Run one decision: the driver proposes via `propose`, the supervisor
-    /// assesses and constrains. Returns the sanctioned action, if any.
-    pub fn decide<O, A>(&mut self, obs: &O, propose: impl FnOnce(&mut D, &O) -> A) -> Option<A>
-    where
-        S: Supervisor<O, A>,
-    {
-        let action = propose(&mut self.driver, obs);
-        let risk = self.supervisor.assess(obs);
-        match self.supervisor.constrain(action, risk) {
-            Some(a) => {
-                self.allowed += 1;
-                Some(a)
-            }
-            None => {
-                self.vetoed += 1;
-                None
-            }
-        }
-    }
-}
-
-/// A threshold supervisor over scalar actions: vetoes when risk exceeds
-/// `veto_above`, otherwise clamps into an operating range that shrinks
-/// with risk.
-pub struct ThresholdSupervisor {
-    /// The full authority range at zero risk.
-    pub base_range: OperatingRange,
-    /// Veto threshold.
-    pub veto_above: f64,
-    /// A risk assessor.
-    pub assessor: Box<dyn FnMut(&f64) -> Risk>,
-}
-
-impl Supervisor<f64, f64> for ThresholdSupervisor {
-    fn assess(&mut self, obs: &f64) -> Risk {
-        (self.assessor)(obs)
-    }
-
-    fn constrain(&mut self, action: f64, risk: Risk) -> Option<f64> {
-        if risk.0 > self.veto_above {
-            return None;
-        }
-        Some(self.base_range.shrunk(risk.0).clamp(action))
-    }
-}
-
-/// A supervisor whose plausibility model is read from telemetry
-/// [`Snapshot`](dui_telemetry::Snapshot)s rather than raw data-plane
-/// observations — the paper's point IV made concrete: the risk estimator
-/// sits outside the fast path and consumes only the aggregated metrics
-/// the registry already exports.
-///
-/// Risk is the occupancy ratio of a gauge against a capacity (e.g. how
-/// many of Blink's 64 selector cells are held by malicious flows); a
-/// metric absent from the snapshot reads as zero risk.
-pub struct SnapshotSupervisor {
-    /// Gauge name looked up in each snapshot.
-    pub metric: String,
-    /// Full-scale value mapping to risk 1.0.
-    pub capacity: f64,
-    /// Veto threshold for [`Supervisor::constrain`].
-    pub veto_above: f64,
-}
-
-impl SnapshotSupervisor {
-    /// Risk = `gauge_mean(metric) / capacity`, clamped into `[0, 1]`;
-    /// vetoes proposals when risk exceeds `0.5` (more than half the
-    /// resource is held by implausible inputs).
-    pub fn occupancy(metric: &str, capacity: f64) -> Self {
-        assert!(capacity > 0.0, "capacity must be positive");
-        SnapshotSupervisor {
-            metric: metric.to_string(),
-            capacity,
-            veto_above: 0.5,
-        }
-    }
-
-    /// The incremental form of this supervisor for the streaming
-    /// pipeline: same metric and capacity, but fed snapshot *deltas*
-    /// and smoothed over the last `window` of them (see
-    /// [`OccupancyWindow`](crate::streaming::OccupancyWindow)). With
-    /// `window = 1`, each `observe(delta)` returns exactly what
-    /// [`Supervisor::assess`] returns on that delta.
-    pub fn streaming(&self, window: usize) -> crate::streaming::OccupancyWindow {
-        crate::streaming::OccupancyWindow::new(&self.metric, self.capacity, window)
-    }
-}
-
-impl Supervisor<dui_telemetry::Snapshot, f64> for SnapshotSupervisor {
-    fn assess(&mut self, obs: &dui_telemetry::Snapshot) -> Risk {
-        match obs.gauge_mean(&self.metric) {
-            Some(m) => Risk::clamped(m / self.capacity),
-            None => Risk::NONE,
-        }
-    }
-
-    fn constrain(&mut self, action: f64, risk: Risk) -> Option<f64> {
-        if risk.0 > self.veto_above {
-            None
-        } else {
-            Some(action)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn range_clamps_and_contains() {
-        let r = OperatingRange::new(1.0, 3.0);
-        assert_eq!(r.clamp(0.0), 1.0);
-        assert_eq!(r.clamp(5.0), 3.0);
-        assert_eq!(r.clamp(2.0), 2.0);
-        assert!(r.contains(1.0) && r.contains(3.0) && !r.contains(3.1));
-    }
-
-    #[test]
-    fn range_shrinks_toward_midpoint() {
-        let r = OperatingRange::new(0.0, 10.0);
-        let half = r.shrunk(0.5);
-        assert_eq!(half.lo, 2.5);
-        assert_eq!(half.hi, 7.5);
-        let collapsed = r.shrunk(1.0);
-        assert_eq!(collapsed.lo, 5.0);
-        assert_eq!(collapsed.hi, 5.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn inverted_range_rejected() {
-        OperatingRange::new(3.0, 1.0);
-    }
-
-    #[test]
-    fn supervised_vetoes_at_high_risk() {
-        // Driver: doubles the observation. Supervisor: risk = obs/10.
-        let sup = ThresholdSupervisor {
-            base_range: OperatingRange::new(0.0, 100.0),
-            veto_above: 0.7,
-            assessor: Box::new(|&o| Risk::clamped(o / 10.0)),
-        };
-        let mut pair = Supervised::new((), sup);
-        // Low risk (0.2): range shrinks to [10, 90]; proposal 20 passes.
-        let a = pair.decide(&2.0, |_, &o| o * 10.0);
-        assert_eq!(a, Some(20.0));
-        // High risk: vetoed.
-        let a = pair.decide(&9.0, |_, &o| o * 2.0);
-        assert_eq!(a, None);
-        assert_eq!(pair.allowed, 1);
-        assert_eq!(pair.vetoed, 1);
-    }
-
-    #[test]
-    fn supervised_narrows_authority_with_risk() {
-        let sup = ThresholdSupervisor {
-            base_range: OperatingRange::new(0.0, 100.0),
-            veto_above: 0.95,
-            assessor: Box::new(|&o| Risk::clamped(o)),
-        };
-        let mut pair = Supervised::new((), sup);
-        // risk 0.5 shrinks range to [25, 75]: proposal 100 clamps to 75.
-        let a = pair.decide(&0.5, |_, _| 100.0);
-        assert_eq!(a, Some(75.0));
-    }
-
-    #[test]
-    fn snapshot_supervisor_reads_gauge_occupancy() {
-        let mut reg = dui_telemetry::Registry::new();
-        let g = reg.gauge("cells.malicious");
-        reg.observe(g, 48.0);
-        let snap = reg.snapshot();
-
-        let mut sup = SnapshotSupervisor::occupancy("cells.malicious", 64.0);
-        let risk = sup.assess(&snap);
-        assert_eq!(risk.0, 0.75);
-        // Above the veto threshold: proposals are suppressed.
-        assert_eq!(sup.constrain(1.0, risk), None);
-        // A snapshot without the metric reads as no risk.
-        let empty = dui_telemetry::Snapshot::default();
-        let risk = sup.assess(&empty);
-        assert_eq!(risk, Risk::NONE);
-        assert_eq!(sup.constrain(1.0, risk), Some(1.0));
-    }
 
     #[test]
     fn risk_clamped_constructor() {

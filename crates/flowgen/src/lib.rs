@@ -6,7 +6,8 @@
 //! The paper calibrates its Blink attack analysis against CAIDA anonymized
 //! backbone traces (per-prefix flow arrival and lifetime processes). Those
 //! traces are gated behind a data-use agreement, so this crate synthesizes
-//! statistically-similar workloads instead (DESIGN.md §4, substitution 1):
+//! statistically-similar workloads instead (docs/reproduction-map.md §4,
+//! substitution 1):
 //!
 //! * [`flows`] — per-prefix flow populations: Poisson arrivals, heavy-tailed
 //!   (lognormal body + Pareto tail) activity durations, constant packet

@@ -15,13 +15,15 @@
 //!
 //! * [`lexer`] — a hand-rolled, lossless Rust lexer (raw strings,
 //!   nested block comments, lifetimes, char literals);
-//! * [`scan`] — a lightweight item scanner tracking `use`
-//!   declarations, `fn` boundaries, `impl` blocks, and `#[cfg(test)]`
-//!   regions — enough resolution for the per-file rules;
-//! * [`parse`] — an item-level parser over the same token stream:
+//! * [`scan`] — the token-level scan: code-token index, `use`
+//!   declarations (alias-aware), crate-root inner attributes and line
+//!   helpers;
+//! * [`parse`] — the one structural pass over that token stream:
 //!   every `fn`/method with its body span, module path, enclosing
-//!   type, and per-item `lint: allow(...)` attributes, plus the
-//!   `owner` partition mapping each code token to its innermost `fn`;
+//!   type, and per-item `lint: allow(...)` attributes, plus a
+//!   per-token context — innermost `fn` (a gap-free partition),
+//!   `#[cfg(test)]` gating, enclosing `impl`/`trait` — that the
+//!   per-file rules and the graph layers both read;
 //! * [`symbols`] — the cross-crate symbol graph (canonical paths,
 //!   suffix/method indexes);
 //! * [`callgraph`] — a conservative call graph (direct calls, alias
@@ -139,7 +141,7 @@ pub fn run_rules(
     for &(id, rule) in rules::FILE_RULES {
         let r0 = clock();
         for f in &files {
-            rule(&f.scan, &mut findings);
+            rule(f, &mut findings);
         }
         rule_times.push((id, clock().saturating_sub(r0)));
     }

@@ -1,23 +1,29 @@
 //! Item-level parser: named `fn`/method items with body spans, the
-//! inline-`mod` tree, and per-token ownership — the symbol layer's
-//! view of one file.
+//! inline-`mod` tree, and per-token context — the one structural pass
+//! over a file, read by the per-file rules and the symbol layer alike.
 //!
-//! Builds on [`crate::scan::ScannedFile`]'s lossless code-token
-//! stream with a second forward pass that mirrors the scanner's
-//! state machine but keeps *structure*: every named function becomes
+//! One forward pass over [`crate::scan::ScannedFile`]'s lossless
+//! code-token stream tracks item scopes: every named function becomes
 //! an [`Item`] carrying its module path, enclosing `impl`/`trait`
 //! self type, `#[cfg(test)]` gating, `// lint: allow(...)`
 //! annotations, and the code-token range of its body. A parallel
-//! `owner` vector maps every code token to the innermost `fn` item
-//! whose body contains it (0 = the whole-file pseudo-item), which
-//! gives the call-graph and taint layers an exact, gap-free
-//! partition of the token stream — the property the parser propcheck
-//! suite pins down.
+//! [`ParsedFile::ctx`] vector records for every code token the
+//! innermost `fn` item whose body contains it (0 = the whole-file
+//! pseudo-item), whether it sits inside a test-gated body, and its
+//! innermost `impl`/`trait` block. The owners give the call-graph and
+//! taint layers an exact, gap-free partition of the token stream — the
+//! property the parser propcheck suite pins down — and the rest is what
+//! the panic, cast, hash, arena and decode rules scope themselves by.
 //!
-//! Like the scanner, this is a heuristic single pass, not a grammar:
-//! macro bodies are treated as code, and exotic shapes (multi-line
-//! attributes, const-generic default braces) may mis-assign a span.
-//! It is total (never panics) and fully deterministic.
+//! This is a heuristic single pass, not a grammar: macro bodies are
+//! treated as code (a struct-literal brace after a gated `const` is
+//! taken for the gated region), and exotic shapes (multi-line
+//! attributes, const-generic default braces) may mis-assign a span,
+//! erring on the side the rules want. A `;` ends a pending item only
+//! outside `(…)`/`[…]`, so an array type in a signature —
+//! `fn f(pad: [u8; 4])`, `-> [u8; 8]` — neither loses the body nor
+//! drops a `#[test]` gate. It is total (never panics) and fully
+//! deterministic.
 
 use crate::lexer::TokKind;
 use crate::scan::ScannedFile;
@@ -66,6 +72,19 @@ impl Item {
     }
 }
 
+/// What the parser knows about the surroundings of one code token.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TokenCtx {
+    /// Index into [`ParsedFile::items`] of the innermost `fn` item
+    /// whose body contains the token (0 = file level).
+    pub owner: u32,
+    /// Token sits inside a `#[cfg(test)]` / `#[test]`-gated body.
+    pub cfg_test: bool,
+    /// Innermost enclosing `impl`/`trait` block, as an index into the
+    /// parser's block table (see [`ParsedFile::enclosing_type`]).
+    block: Option<u32>,
+}
+
 /// A scanned file plus its item layer.
 #[derive(Debug)]
 pub struct ParsedFile<'s> {
@@ -73,10 +92,11 @@ pub struct ParsedFile<'s> {
     pub scan: ScannedFile<'s>,
     /// Items in definition order; index 0 is the file pseudo-item.
     pub items: Vec<Item>,
-    /// For each code token, the index into `items` of the innermost
-    /// `fn` item whose body contains it (0 = file level). Same length
-    /// as `scan.code` — a total, gap-free ownership assignment.
-    pub owner: Vec<u32>,
+    /// Context of each code token. Same length as `scan.code`; the
+    /// owners are a total, gap-free assignment.
+    pub ctx: Vec<TokenCtx>,
+    /// `(self type, trait)` of every `impl`/`trait` block header seen.
+    blocks: Vec<(String, Option<String>)>,
 }
 
 enum FrameKind {
@@ -97,7 +117,8 @@ impl<'s> ParsedFile<'s> {
     pub fn parse(path: &str, src: &'s str) -> Self {
         let scan = ScannedFile::new(path, src);
         let mut items = vec![Item::file_pseudo()];
-        let mut owner: Vec<u32> = Vec::with_capacity(scan.code.len());
+        let mut ctx: Vec<TokenCtx> = Vec::with_capacity(scan.code.len());
+        let mut blocks: Vec<(String, Option<String>)> = Vec::new();
 
         let mut frames: Vec<Frame> = vec![Frame {
             kind: FrameKind::Plain,
@@ -105,7 +126,7 @@ impl<'s> ParsedFile<'s> {
         }];
         let mut fn_stack: Vec<u32> = Vec::new();
         let mut mod_path: Vec<String> = Vec::new();
-        let mut type_stack: Vec<(String, Option<String>)> = Vec::new();
+        let mut type_stack: Vec<u32> = Vec::new(); // indices into `blocks`
 
         let mut pending_test = false;
         let mut pending_fn: Option<Item> = None;
@@ -118,9 +139,13 @@ impl<'s> ParsedFile<'s> {
 
         let mut i = 0usize;
         while i < scan.code.len() {
-            let cur_owner = fn_stack.last().copied().unwrap_or(0);
-            owner.push(cur_owner);
             let top_test = frames.last().is_some_and(|f| f.test);
+            let cur = TokenCtx {
+                owner: fn_stack.last().copied().unwrap_or(0),
+                cfg_test: top_test,
+                block: type_stack.last().copied(),
+            };
+            ctx.push(cur);
             let tok = *scan.ct(i);
             match tok.text {
                 "#" => {
@@ -128,15 +153,15 @@ impl<'s> ParsedFile<'s> {
                     let open = if inner { i + 2 } else { i + 1 };
                     if scan.ctext(open) == "[" {
                         let (idents, end) = scan.collect_bracketed_idents(open);
+                        // `test` marks a gated item; `not` (as in
+                        // `cfg(not(test))`) cancels the gating.
                         if !inner
                             && idents.iter().any(|s| s == "test")
                             && !idents.iter().any(|s| s == "not")
                         {
                             pending_test = true;
                         }
-                        while owner.len() < end.min(scan.code.len()) {
-                            owner.push(cur_owner);
-                        }
+                        ctx.resize(end.min(scan.code.len()), cur);
                         i = end;
                         continue;
                     }
@@ -151,13 +176,12 @@ impl<'s> ParsedFile<'s> {
                         // Nested fns (inside another fn's body) are
                         // plain items: the enclosing impl type does
                         // not qualify them.
-                        let (self_type, trait_name) = if fn_stack.is_empty() {
-                            match type_stack.last() {
-                                Some((t, tr)) => (Some(t.clone()), tr.clone()),
-                                None => (None, None),
+                        let (self_type, trait_name) = match type_stack.last() {
+                            Some(&b) if fn_stack.is_empty() => {
+                                let (t, tr) = &blocks[b as usize];
+                                (Some(t.clone()), tr.clone())
                             }
-                        } else {
-                            (None, None)
+                            _ => (None, None),
                         };
                         pending_fn = Some(Item {
                             name: name.to_string(),
@@ -173,6 +197,8 @@ impl<'s> ParsedFile<'s> {
                     }
                 }
                 "impl" if pending_fn.is_none() && pending_impl.is_none() => {
+                    // Only an item-position `impl` opens a block;
+                    // `impl Trait` in types follows `(, :, ->, =, <, &`.
                     let prev = if i == 0 { "" } else { scan.ctext(i - 1) };
                     if matches!(prev, "" | "}" | "{" | ";" | "]" | "unsafe") {
                         pending_impl = Some(Vec::new());
@@ -199,16 +225,11 @@ impl<'s> ParsedFile<'s> {
                     }
                 }
                 "use" => {
-                    let prev = if i == 0 { "" } else { scan.ctext(i - 1) };
-                    if matches!(prev, "" | "}" | ";" | "]" | "{" | "pub" | ")") {
-                        let mut end = i + 1;
-                        while end < scan.code.len() && scan.ctext(end) != ";" {
-                            end += 1;
-                        }
-                        end += 1;
-                        while owner.len() < end.min(scan.code.len()) {
-                            owner.push(cur_owner);
-                        }
+                    if let Some(end) = scan.use_item_end(i) {
+                        // The declaration's own `;` is stepped over, so
+                        // a gate on it (`#[cfg(test)] use ..;`) ends here.
+                        pending_test = false;
+                        ctx.resize(end.min(scan.code.len()), cur);
                         i = end;
                         continue;
                     }
@@ -233,13 +254,15 @@ impl<'s> ParsedFile<'s> {
                         pending_mod = None;
                     } else if let Some(header) = pending_impl.take() {
                         let (trait_name, type_name) = split_impl_header(&header);
-                        type_stack.push((type_name, trait_name));
+                        type_stack.push(blocks.len() as u32);
+                        blocks.push((type_name, trait_name));
                         frames.push(Frame {
                             kind: FrameKind::Type,
                             test: top_test || gate,
                         });
                     } else if let Some(name) = pending_trait.take() {
-                        type_stack.push((name, None));
+                        type_stack.push(blocks.len() as u32);
+                        blocks.push((name, None));
                         frames.push(Frame {
                             kind: FrameKind::Type,
                             test: top_test || gate,
@@ -301,7 +324,28 @@ impl<'s> ParsedFile<'s> {
             i += 1;
         }
 
-        ParsedFile { scan, items, owner }
+        ParsedFile {
+            scan,
+            items,
+            ctx,
+            blocks,
+        }
+    }
+
+    /// Name of the innermost `fn` item whose body contains code token
+    /// `i`, if any.
+    pub fn enclosing_fn(&self, i: usize) -> Option<&str> {
+        let owner = self.ctx.get(i)?.owner;
+        (owner != 0).then(|| self.items[owner as usize].name.as_str())
+    }
+
+    /// `(self type, trait)` of the innermost `impl`/`trait` block
+    /// enclosing code token `i`, if any. The self type is the head
+    /// identifier of `Type` in `impl Type` / `impl Trait for Type`,
+    /// or the trait's own name inside a `trait` block.
+    pub fn enclosing_type(&self, i: usize) -> Option<(&str, Option<&str>)> {
+        let (ty, tr) = &self.blocks[self.ctx.get(i)?.block? as usize];
+        Some((ty.as_str(), tr.as_deref()))
     }
 
     /// Maximal runs of same-owner code tokens as `(start, end, owner)`
@@ -311,9 +355,9 @@ impl<'s> ParsedFile<'s> {
     pub fn owner_spans(&self) -> Vec<(usize, usize, u32)> {
         let mut spans = Vec::new();
         let mut start = 0usize;
-        for i in 1..=self.owner.len() {
-            if i == self.owner.len() || self.owner[i] != self.owner[start] {
-                spans.push((start, i, self.owner[start]));
+        for i in 1..=self.ctx.len() {
+            if i == self.ctx.len() || self.ctx[i].owner != self.ctx[start].owner {
+                spans.push((start, i, self.ctx[start].owner));
                 start = i;
             }
         }
@@ -321,8 +365,11 @@ impl<'s> ParsedFile<'s> {
     }
 }
 
-/// Trait / self-type split of an impl-header ident run (same
-/// heuristic as the scanner's): `for` splits trait from type.
+/// Trait / self-type split of an impl-header ident run:
+/// `impl <T: Ord> Trait <X> for Type <T>` → idents
+/// `[T, Ord, Trait, X, for, Type, T]`. `for` splits trait from type
+/// (the trait is the last plausible ident before it); without it the
+/// first plausible ident is the self type.
 fn split_impl_header(idents: &[String]) -> (Option<String>, String) {
     const SKIP: &[&str] = &["mut", "dyn", "const", "where", "as", "crate", "self", "Self"];
     if let Some(pos) = idents.iter().position(|s| s == "for") {
@@ -393,6 +440,64 @@ mod tests {
         ParsedFile::parse("crates/x/src/lib.rs", src)
     }
 
+    /// Code index of the first token spelled `text`.
+    fn idx_of(f: &ParsedFile<'_>, text: &str) -> usize {
+        (0..f.scan.code.len())
+            .find(|&i| f.scan.ctext(i) == text)
+            .expect(text)
+    }
+
+    #[test]
+    fn fn_bodies_are_tracked() {
+        let f = parsed(
+            "fn state_digest(d: &mut D) { d.write(map.keys()); }\n\
+             fn other() { x(); }\n",
+        );
+        assert_eq!(f.enclosing_fn(idx_of(&f, "keys")), Some("state_digest"));
+        assert_eq!(f.enclosing_fn(idx_of(&f, "x")), Some("other"));
+    }
+
+    #[test]
+    fn cfg_test_regions() {
+        let f = parsed(
+            "fn lib_path() { a.unwrap(); }\n\
+             #[cfg(test)]\nmod tests {\n  fn t() { b.unwrap(); }\n}\n\
+             #[cfg(not(test))]\nfn not_gated() { c.unwrap(); }\n",
+        );
+        assert!(!f.ctx[idx_of(&f, "a")].cfg_test);
+        assert!(f.ctx[idx_of(&f, "b")].cfg_test);
+        assert!(!f.ctx[idx_of(&f, "c")].cfg_test);
+    }
+
+    #[test]
+    fn impl_blocks_trait_and_type() {
+        let f = parsed(
+            "impl ReplaySubject for Engine { fn state_hash(&self) -> u64 { self.x as u64 } }\n\
+             impl StateDigest { fn write_u8(&mut self, v: u8) { self.go(v as u64) } }\n",
+        );
+        let as_positions: Vec<usize> = (0..f.scan.code.len())
+            .filter(|&i| f.scan.ctext(i) == "as")
+            .collect();
+        assert_eq!(
+            f.enclosing_type(as_positions[0]),
+            Some(("Engine", Some("ReplaySubject")))
+        );
+        assert_eq!(
+            f.enclosing_type(as_positions[1]),
+            Some(("StateDigest", None))
+        );
+    }
+
+    #[test]
+    fn impl_trait_in_argument_position_is_not_a_block() {
+        let f = parsed("fn take(f: impl Fn() -> u64) { f(); }\n");
+        let fpos = (0..f.scan.code.len())
+            .rfind(|&i| f.scan.ctext(i) == "f")
+            .unwrap();
+        assert_eq!(f.enclosing_type(fpos), None);
+        assert_eq!(f.enclosing_fn(fpos), Some("take"));
+    }
+
     #[test]
     fn items_carry_module_and_type_context() {
         let f = parsed(
@@ -416,23 +521,22 @@ mod tests {
     #[test]
     fn owner_is_a_partition_and_tracks_bodies() {
         let f = parsed("fn a() { x(); }\nfn b() { fn c() { y(); } c(); }\n");
-        assert_eq!(f.owner.len(), f.scan.code.len());
+        assert_eq!(f.ctx.len(), f.scan.code.len());
         let spans = f.owner_spans();
         assert_eq!(spans.first().map(|s| s.0), Some(0));
         assert_eq!(spans.last().map(|s| s.1), Some(f.scan.code.len()));
         for w in spans.windows(2) {
             assert_eq!(w[0].1, w[1].0, "no gaps or overlaps");
         }
-        let idx_of = |name: &str| {
-            (0..f.scan.code.len())
-                .find(|&i| f.scan.ctext(i) == name)
-                .expect(name)
-        };
         let item_named = |n: &str| {
             f.items.iter().position(|i| i.name == n).expect(n) as u32
         };
-        assert_eq!(f.owner[idx_of("x")], item_named("a"));
-        assert_eq!(f.owner[idx_of("y")], item_named("c"), "nested fn owns its body");
+        assert_eq!(f.ctx[idx_of(&f, "x")].owner, item_named("a"));
+        assert_eq!(
+            f.ctx[idx_of(&f, "y")].owner,
+            item_named("c"),
+            "nested fn owns its body"
+        );
     }
 
     #[test]
@@ -464,10 +568,7 @@ mod tests {
         let f = parsed("fn packed(x: [u8; 4]) { consume(x); }\n");
         let packed = f.items.iter().find(|i| i.name == "packed").expect("packed");
         assert!(packed.body.is_some(), "array-typed arg keeps the body");
-        let idx = (0..f.scan.code.len())
-            .find(|&i| f.scan.ctext(i) == "consume")
-            .expect("consume");
-        assert_eq!(f.items[f.owner[idx] as usize].name, "packed");
+        assert_eq!(f.enclosing_fn(idx_of(&f, "consume")), Some("packed"));
     }
 
     #[test]

@@ -40,6 +40,7 @@
 use super::{finding_at, PathClass};
 use crate::findings::{Finding, Severity};
 use crate::lexer::TokKind;
+use crate::parse::ParsedFile;
 use crate::scan::ScannedFile;
 
 const RULE: &str = "arena/no-packet-clone";
@@ -78,7 +79,8 @@ const ITER_METHODS: &[&str] = &[
 ];
 
 /// `arena/no-packet-clone`.
-pub fn no_packet_clone(file: &ScannedFile<'_>, out: &mut Vec<Finding>) {
+pub fn no_packet_clone(parsed: &ParsedFile<'_>, out: &mut Vec<Finding>) {
+    let file = &parsed.scan;
     let class = PathClass::of(file);
     if !class.is_library_src() || class.is_arena_module() {
         return;
@@ -88,7 +90,7 @@ pub fn no_packet_clone(file: &ScannedFile<'_>, out: &mut Vec<Finding>) {
         if t.kind != TokKind::Ident || (t.text != "clone" && t.text != "cloned") {
             continue;
         }
-        if file.ctx.get(i).is_some_and(|c| c.in_cfg_test) {
+        if parsed.ctx[i].cfg_test {
             continue;
         }
         if file.ctext(i + 1) != "(" {
@@ -135,7 +137,8 @@ pub fn no_packet_clone(file: &ScannedFile<'_>, out: &mut Vec<Finding>) {
 }
 
 /// `arena/no-flow-clone`.
-pub fn no_flow_clone(file: &ScannedFile<'_>, out: &mut Vec<Finding>) {
+pub fn no_flow_clone(parsed: &ParsedFile<'_>, out: &mut Vec<Finding>) {
+    let file = &parsed.scan;
     let class = PathClass::of(file);
     if !class.is_flow_pool_scope() {
         return;
@@ -145,7 +148,7 @@ pub fn no_flow_clone(file: &ScannedFile<'_>, out: &mut Vec<Finding>) {
         if t.kind != TokKind::Ident {
             continue;
         }
-        if file.ctx.get(i).is_some_and(|c| c.in_cfg_test) {
+        if parsed.ctx[i].cfg_test {
             continue;
         }
         // (a) `for .. in ..by_key.. {` — a loop over the lookup index.

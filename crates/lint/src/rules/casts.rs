@@ -7,8 +7,8 @@
 //! Scope: the digest-defining locations — `crates/replay/src/**` and
 //! `crates/stats/src/digest.rs` — and within those only the contexts
 //! that feed digests: bodies of `fn state_digest` / `fn state_hash` /
-//! `fn config_digest`, `impl StateHash` blocks, and the
-//! `impl StateDigest` primitive layer itself.
+//! `fn config_digest`, and the `impl StateDigest` primitive layer
+//! itself.
 //!
 //! The fix is to use the typed `StateDigest::write_*` methods (which
 //! centralize the widening in one audited place) or `f64::to_bits`.
@@ -18,7 +18,7 @@
 
 use super::{finding_at, PathClass};
 use crate::findings::{Finding, Severity};
-use crate::scan::ScannedFile;
+use crate::parse::ParsedFile;
 
 const RULE: &str = "cast/lossy-in-digest";
 
@@ -26,10 +26,11 @@ const RULE: &str = "cast/lossy-in-digest";
 pub const ALLOW: &str = "lint: allow(cast)";
 
 const DIGEST_FNS: &[&str] = &["state_digest", "state_hash", "config_digest"];
-const DIGEST_IMPLS: &[&str] = &["StateHash", "StateDigest"];
+const DIGEST_IMPLS: &[&str] = &["StateDigest"];
 
 /// `cast/lossy-in-digest`.
-pub fn lossy_in_digest(file: &ScannedFile<'_>, out: &mut Vec<Finding>) {
+pub fn lossy_in_digest(parsed: &ParsedFile<'_>, out: &mut Vec<Finding>) {
+    let file = &parsed.scan;
     if !PathClass::of(file).is_digest_scope() {
         return;
     }
@@ -41,14 +42,11 @@ pub fn lossy_in_digest(file: &ScannedFile<'_>, out: &mut Vec<Finding>) {
         if target != "u64" && target != "f64" {
             continue;
         }
-        let in_digest_fn = file
+        let in_digest_fn = parsed
             .enclosing_fn(i)
             .is_some_and(|name| DIGEST_FNS.contains(&name));
-        let in_digest_impl = file.enclosing_impl(i).is_some_and(|im| {
-            im.trait_name
-                .as_deref()
-                .is_some_and(|t| DIGEST_IMPLS.contains(&t))
-                || DIGEST_IMPLS.contains(&im.type_name.as_str())
+        let in_digest_impl = parsed.enclosing_type(i).is_some_and(|(ty, tr)| {
+            tr.is_some_and(|t| DIGEST_IMPLS.contains(&t)) || DIGEST_IMPLS.contains(&ty)
         });
         if !in_digest_fn && !in_digest_impl {
             continue;

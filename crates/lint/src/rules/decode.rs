@@ -20,14 +20,15 @@
 use super::{finding_at, PathClass};
 use crate::findings::{Finding, Severity};
 use crate::lexer::TokKind;
-use crate::scan::ScannedFile;
+use crate::parse::ParsedFile;
 
 const RULE: &str = "decode/raw-bytes";
 
 const RAW_CONVERSIONS: &[&str] = &["from_le_bytes", "to_le_bytes"];
 
 /// `decode/raw-bytes`.
-pub fn raw_bytes(file: &ScannedFile<'_>, out: &mut Vec<Finding>) {
+pub fn raw_bytes(parsed: &ParsedFile<'_>, out: &mut Vec<Finding>) {
+    let file = &parsed.scan;
     let class = PathClass::of(file);
     if !class.is_library_src() || class.is_byte_primitive_module() {
         return;
@@ -36,7 +37,7 @@ pub fn raw_bytes(file: &ScannedFile<'_>, out: &mut Vec<Finding>) {
         let t = file.ct(i);
         if t.kind != TokKind::Ident
             || !RAW_CONVERSIONS.contains(&t.text)
-            || file.ctx.get(i).is_some_and(|c| c.in_cfg_test)
+            || parsed.ctx[i].cfg_test
         {
             continue;
         }

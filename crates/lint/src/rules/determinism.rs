@@ -27,6 +27,7 @@
 use super::{finding_at, PathClass};
 use crate::findings::{Finding, Severity};
 use crate::lexer::TokKind;
+use crate::parse::ParsedFile;
 use crate::scan::ScannedFile;
 
 const WALL: &str = "determinism/wall-clock";
@@ -126,7 +127,8 @@ pub(crate) fn wall_clock_hits(file: &ScannedFile<'_>) -> Vec<(usize, String)> {
 }
 
 /// `determinism/wall-clock`.
-pub fn wall_clock(file: &ScannedFile<'_>, out: &mut Vec<Finding>) {
+pub fn wall_clock(file: &ParsedFile<'_>, out: &mut Vec<Finding>) {
+    let file = &file.scan;
     if PathClass::of(file).determinism_sanctioned() {
         return;
     }
@@ -197,7 +199,8 @@ pub(crate) fn ambient_rng_hits(file: &ScannedFile<'_>) -> Vec<(usize, String)> {
 }
 
 /// `determinism/ambient-rng`.
-pub fn ambient_rng(file: &ScannedFile<'_>, out: &mut Vec<Finding>) {
+pub fn ambient_rng(file: &ParsedFile<'_>, out: &mut Vec<Finding>) {
+    let file = &file.scan;
     if PathClass::of(file).determinism_sanctioned() {
         return;
     }

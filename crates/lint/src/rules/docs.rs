@@ -10,12 +10,13 @@
 
 use super::PathClass;
 use crate::findings::{Finding, Severity};
-use crate::scan::ScannedFile;
+use crate::parse::ParsedFile;
 
 const RULE: &str = "docs/missing-deny";
 
 /// `docs/missing-deny`.
-pub fn missing_deny(file: &ScannedFile<'_>, out: &mut Vec<Finding>) {
+pub fn missing_deny(file: &ParsedFile<'_>, out: &mut Vec<Finding>) {
+    let file = &file.scan;
     let Some(crate_name) = PathClass::of(file).crate_root() else {
         return;
     };

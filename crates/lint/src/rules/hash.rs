@@ -1,9 +1,8 @@
-//! `hash/unordered-iter`: a `StateHash` digest must never fold
+//! `hash/unordered-iter`: a state digest must never fold
 //! unordered-container iteration, or the "same" state hashes
 //! differently across runs.
 //!
-//! Replaces the old awk brace-counting heuristic with the scanner's
-//! real function-boundary tracking. Two sub-rules, same as before:
+//! Scoped by the parser's function-boundary tracking. Two sub-rules:
 //!
 //! 1. `crates/replay` (the subsystem defining the digests) must not
 //!    use `HashMap` / `HashSet` at all — everything it hashes is
@@ -18,6 +17,7 @@
 use super::{finding_at, PathClass};
 use crate::findings::{Finding, Severity};
 use crate::lexer::TokKind;
+use crate::parse::ParsedFile;
 use crate::scan::ScannedFile;
 
 const RULE: &str = "hash/unordered-iter";
@@ -41,7 +41,8 @@ fn names_unordered(file: &ScannedFile<'_>, i: usize) -> Option<&'static str> {
 }
 
 /// `hash/unordered-iter`.
-pub fn unordered_iter(file: &ScannedFile<'_>, out: &mut Vec<Finding>) {
+pub fn unordered_iter(parsed: &ParsedFile<'_>, out: &mut Vec<Finding>) {
+    let file = &parsed.scan;
     let class = PathClass::of(file);
     let in_replay = class.is_replay();
     for i in 0..file.code.len() {
@@ -63,7 +64,7 @@ pub fn unordered_iter(file: &ScannedFile<'_>, out: &mut Vec<Finding>) {
             }
         }
         // Sub-rule 2: unordered iteration inside digest fn bodies.
-        let in_digest_fn = file
+        let in_digest_fn = parsed
             .enclosing_fn(i)
             .is_some_and(|name| DIGEST_FNS.contains(&name));
         if !in_digest_fn {
@@ -88,10 +89,10 @@ pub fn unordered_iter(file: &ScannedFile<'_>, out: &mut Vec<Finding>) {
                     RULE,
                     Severity::Error,
                     format!(
-                        "{what} inside `{}` feeds unordered iteration into a StateHash \
+                        "{what} inside `{}` feeds unordered iteration into a state \
                          digest — sort first (`*_sorted`) or fold via \
                          StateDigest::write_unordered",
-                        file.enclosing_fn(i).unwrap_or(DIGEST_FNS[0]),
+                        parsed.enclosing_fn(i).unwrap_or(DIGEST_FNS[0]),
                     ),
                 ));
             }

@@ -6,7 +6,7 @@
 //! | `determinism/ambient-rng` | error | no `rand` crate / `thread_rng` / `OsRng` in library code |
 //! | `hash/unordered-iter` | error | no unordered-container iteration feeding `state_digest` / `state_hash`; no `HashMap`/`HashSet` in `crates/replay` at all |
 //! | `panic/library-unwrap` | warning | no `unwrap` / `expect` / `panic!` in library paths outside `#[cfg(test)]` |
-//! | `cast/lossy-in-digest` | warning | no `as u64` / `as f64` inside digest/StateHash paths |
+//! | `cast/lossy-in-digest` | warning | no `as u64` / `as f64` inside `state_digest` / `state_hash` / `config_digest` bodies or the `StateDigest` primitives |
 //! | `docs/missing-deny` | warning | every library crate root carries `#![deny(missing_docs)]` |
 //! | `arena/no-packet-clone` | warning | no `Packet` clones outside `crates/netsim/src/arena.rs` — packets move by handle |
 //! | `arena/no-flow-clone` | warning | no FlowKey-keyed map iteration or by-value flow clones in pool code (`crates/tcp/src/`, `crates/flowgen/src/`) — flows move by `FlowRef` |
@@ -45,6 +45,7 @@ pub mod transitive;
 
 use crate::analysis::Analysis;
 use crate::findings::{Finding, Severity};
+use crate::parse::ParsedFile;
 use crate::scan::ScannedFile;
 
 /// Rule ids in a stable order (for reports and summaries).
@@ -67,7 +68,7 @@ pub const RULE_IDS: &[&str] = &[
 
 /// The per-file token rules, paired with their ids (for per-rule
 /// timing in the bench self-profile).
-pub const FILE_RULES: &[(&str, fn(&ScannedFile<'_>, &mut Vec<Finding>))] = &[
+pub const FILE_RULES: &[(&str, fn(&ParsedFile<'_>, &mut Vec<Finding>))] = &[
     ("determinism/wall-clock", determinism::wall_clock),
     ("determinism/ambient-rng", determinism::ambient_rng),
     ("hash/unordered-iter", hash::unordered_iter),
@@ -94,8 +95,8 @@ pub const GRAPH_RULES: &[(&str, fn(&Analysis<'_>, &mut Vec<Finding>))] = &[
     ),
 ];
 
-/// Run every per-file rule over one scanned file.
-pub fn check_file(file: &ScannedFile<'_>, out: &mut Vec<Finding>) {
+/// Run every per-file rule over one parsed file.
+pub fn check_file(file: &ParsedFile<'_>, out: &mut Vec<Finding>) {
     for (_, rule) in FILE_RULES {
         rule(file, out);
     }

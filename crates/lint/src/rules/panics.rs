@@ -15,7 +15,7 @@
 use super::{finding_at, PathClass};
 use crate::findings::{Finding, Severity};
 use crate::lexer::TokKind;
-use crate::scan::ScannedFile;
+use crate::parse::ParsedFile;
 
 const RULE: &str = "panic/library-unwrap";
 
@@ -23,7 +23,8 @@ const RULE: &str = "panic/library-unwrap";
 pub const ALLOW: &str = "lint: allow(panic)";
 
 /// `panic/library-unwrap`.
-pub fn library_unwrap(file: &ScannedFile<'_>, out: &mut Vec<Finding>) {
+pub fn library_unwrap(parsed: &ParsedFile<'_>, out: &mut Vec<Finding>) {
+    let file = &parsed.scan;
     if !PathClass::of(file).is_library_src() {
         return;
     }
@@ -32,7 +33,7 @@ pub fn library_unwrap(file: &ScannedFile<'_>, out: &mut Vec<Finding>) {
         if t.kind != TokKind::Ident {
             continue;
         }
-        if file.ctx.get(i).is_some_and(|c| c.in_cfg_test) {
+        if parsed.ctx[i].cfg_test {
             continue;
         }
         let what = if (t.text == "unwrap" || t.text == "expect")

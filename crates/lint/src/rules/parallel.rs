@@ -28,7 +28,7 @@
 use super::{finding_at, PathClass};
 use crate::findings::{Finding, Severity};
 use crate::lexer::TokKind;
-use crate::scan::ScannedFile;
+use crate::parse::ParsedFile;
 
 const RULE: &str = "parallel/no-shared-mut";
 
@@ -40,7 +40,8 @@ pub const ALLOW: &str = "lint: allow(shared-mut)";
 pub(crate) const BANNED_IDENTS: &[&str] = &["UnsafeCell", "RefCell", "Cell", "Rc", "transmute"];
 
 /// `parallel/no-shared-mut`.
-pub fn no_shared_mut(file: &ScannedFile<'_>, out: &mut Vec<Finding>) {
+pub fn no_shared_mut(file: &ParsedFile<'_>, out: &mut Vec<Finding>) {
+    let file = &file.scan;
     if !PathClass::of(file).is_parallel_engine() {
         return;
     }

@@ -82,7 +82,7 @@ fn transitive_from_hits(
             continue;
         }
         for (i, what) in hits(&file.scan) {
-            let owner = file.owner.get(i).copied().unwrap_or(0);
+            let owner = file.ctx.get(i).map_or(0, |c| c.owner);
             if owner == 0 {
                 // File-level hit (a `use`, a const initializer): no
                 // function to taint; the direct rule already flags it.
@@ -213,7 +213,7 @@ pub fn transitive_shared_mut(a: &Analysis<'_>, out: &mut Vec<Finding>) {
         // Scan exactly the tokens owned by this item (the `owner`
         // partition keeps nested fns from double-reporting).
         for i in 0..pf.scan.code.len() {
-            if pf.owner.get(i).copied().unwrap_or(0) != sym.item_idx {
+            if pf.ctx.get(i).map_or(0, |c| c.owner) != sym.item_idx {
                 continue;
             }
             let t = pf.scan.ct(i);

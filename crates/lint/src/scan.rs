@@ -1,26 +1,24 @@
-//! Item-level scanner: the resolution layer between the raw token
+//! Token-level scan: the resolution layer between the raw token
 //! stream and the rules.
 //!
 //! Not a parser — a single forward pass over [`crate::lexer`] tokens
-//! that recovers exactly the structure the rules need:
+//! that recovers what can be read off the tokens without knowing item
+//! structure:
 //!
+//! * **the code-token index** — the non-trivia tokens every rule and
+//!   the parser address by position;
 //! * **`use` declarations**, including `as` renames, nested
 //!   `{…}` groups, and glob imports — so a rule asking "is
 //!   `std::time::Instant` imported here, under any name?" gets a real
 //!   answer instead of a grep guess;
-//! * **function boundaries** — each code token knows the innermost
-//!   named `fn` whose body contains it (for the `state_digest` /
-//!   `state_hash` scoping of the hash and cast rules);
-//! * **impl blocks** — trait and self-type names (for `impl StateHash`
-//!   / `impl StateDigest` scoping);
-//! * **`#[cfg(test)]` / `#[test]` regions** — bodies gated behind test
-//!   attributes are exempt from the panic rule;
-//! * **inner attributes** on the crate root (for `docs/missing-deny`).
+//! * **inner attributes** on the crate root (for `docs/missing-deny`);
+//! * **line helpers** for the marker and `lint: allow(...)` comment
+//!   conventions.
 //!
-//! The pass is heuristic where full parsing would be needed (macro
-//! bodies look like code, a struct literal brace after a gated `const`
-//! is treated as the gated region) but errs on the side the rules
-//! want, and is fully deterministic.
+//! Item structure — function boundaries, `impl`/`trait` blocks,
+//! `#[cfg(test)]` / `#[test]` regions — is tracked in exactly one
+//! place, [`crate::parse::ParsedFile::parse`], which runs over this
+//! file's code tokens.
 
 use crate::lexer::{lex, Tok, TokKind};
 
@@ -38,37 +36,6 @@ pub struct UseDecl {
     pub col: u32,
 }
 
-/// A named function whose body was seen in this file.
-#[derive(Debug, Clone)]
-pub struct FnInfo {
-    /// The function's name.
-    pub name: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
-}
-
-/// An `impl` block header.
-#[derive(Debug, Clone)]
-pub struct ImplInfo {
-    /// Trait being implemented (`impl Trait for Type`), if any.
-    pub trait_name: Option<String>,
-    /// The self type's head identifier (`Type` in both impl forms).
-    pub type_name: String,
-}
-
-/// Per-code-token context assigned by the scanner.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TokCtx {
-    /// Token sits inside a `#[cfg(test)]` / `#[test]`-gated body.
-    pub in_cfg_test: bool,
-    /// Index into [`ScannedFile::fns`] of the innermost enclosing
-    /// named function, if any.
-    pub fn_idx: Option<u32>,
-    /// Index into [`ScannedFile::impls`] of the innermost enclosing
-    /// impl block, if any.
-    pub impl_idx: Option<u32>,
-}
-
 /// A lexed and scanned source file, ready for rules.
 #[derive(Debug)]
 pub struct ScannedFile<'s> {
@@ -80,14 +47,8 @@ pub struct ScannedFile<'s> {
     pub toks: Vec<Tok<'s>>,
     /// Indices into `toks` of the non-trivia (code) tokens.
     pub code: Vec<usize>,
-    /// Context for each entry of `code` (parallel vector).
-    pub ctx: Vec<TokCtx>,
     /// Every `use` binding in the file.
     pub uses: Vec<UseDecl>,
-    /// Named functions with bodies.
-    pub fns: Vec<FnInfo>,
-    /// Impl blocks.
-    pub impls: Vec<ImplInfo>,
     /// Crate-root inner attributes, one ident list per attribute
     /// (`#![deny(missing_docs)]` contributes `["deny",
     /// "missing_docs"]`). Grouped per attribute so rules can ask
@@ -112,10 +73,7 @@ impl<'s> ScannedFile<'s> {
                 .map(|(i, _)| i)
                 .collect(),
             toks,
-            ctx: Vec::new(),
             uses: Vec::new(),
-            fns: Vec::new(),
-            impls: Vec::new(),
             inner_attrs: Vec::new(),
             lines: src.lines().collect(),
         };
@@ -167,198 +125,55 @@ impl<'s> ScannedFile<'s> {
         self.uses.iter().find(|u| u.local == local)
     }
 
-    /// The innermost function name enclosing code token `i`, if any.
-    pub fn enclosing_fn(&self, i: usize) -> Option<&str> {
-        self.ctx
-            .get(i)
-            .and_then(|c| c.fn_idx)
-            .map(|k| self.fns[k as usize].name.as_str())
-    }
-
-    /// The enclosing impl block of code token `i`, if any.
-    pub fn enclosing_impl(&self, i: usize) -> Option<&ImplInfo> {
-        self.ctx
-            .get(i)
-            .and_then(|c| c.impl_idx)
-            .map(|k| &self.impls[k as usize])
-    }
-
-    // ------------------------------------------------------------------
-    // The scanning pass.
-    // ------------------------------------------------------------------
-
+    /// Record every `use` binding and the crate-root inner attributes.
     fn scan(&mut self) {
-        #[derive(Clone, Copy)]
-        struct Scope {
-            test: bool,
-            fn_idx: Option<u32>,
-            impl_idx: Option<u32>,
-        }
-        let mut stack: Vec<Scope> = vec![Scope {
-            test: false,
-            fn_idx: None,
-            impl_idx: None,
-        }];
-        let mut ctx = Vec::with_capacity(self.code.len());
-
-        // Pending item state, armed between an item keyword and the `{`
-        // that opens its body (or the `;` that ends a bodyless item).
-        let mut pending_test = false;
-        let mut pending_fn: Option<u32> = None;
-        let mut pending_impl: Option<u32> = None;
-        let mut impl_header: Vec<String> = Vec::new(); // idents while an impl header is open
-
+        // Brace depth: only attributes at depth 0 are the crate root's.
+        let mut depth = 0usize;
         let mut i = 0usize;
         while i < self.code.len() {
-            let top = *stack.last().unwrap_or(&Scope {
-                test: false,
-                fn_idx: None,
-                impl_idx: None,
-            });
-            ctx.push(TokCtx {
-                in_cfg_test: top.test,
-                fn_idx: top.fn_idx,
-                impl_idx: top.impl_idx,
-            });
-            let tok = *self.ct(i);
-            let text = tok.text;
-            match text {
+            match self.ctext(i) {
                 "#" => {
-                    // Attribute: collect idents inside the balanced [ ].
+                    // Attribute: collect idents inside the balanced [ ]
+                    // and step over it (its tokens are not items).
                     let inner = self.ctext(i + 1) == "!";
                     let open = if inner { i + 2 } else { i + 1 };
                     if self.ctext(open) == "[" {
                         let (idents, end) = self.collect_bracketed_idents(open);
-                        if inner && stack.len() == 1 {
-                            self.inner_attrs.push(idents.clone());
-                        }
-                        // `test` marks a gated item; `not` (as in
-                        // `cfg(not(test))`) cancels the gating.
-                        if !inner
-                            && idents.iter().any(|s| s == "test")
-                            && !idents.iter().any(|s| s == "not")
-                        {
-                            pending_test = true;
-                        }
-                        // Context entries for the skipped tokens.
-                        while ctx.len() < end.min(self.code.len()) {
-                            ctx.push(TokCtx {
-                                in_cfg_test: top.test,
-                                fn_idx: top.fn_idx,
-                                impl_idx: top.impl_idx,
-                            });
+                        if inner && depth == 0 {
+                            self.inner_attrs.push(idents);
                         }
                         i = end;
                         continue;
-                    }
-                }
-                "fn" => {
-                    let name = self.ctext(i + 1);
-                    if !name.is_empty()
-                        && self.ct(i + 1).kind == TokKind::Ident
-                        && pending_impl.is_none()
-                    {
-                        self.fns.push(FnInfo {
-                            name: name.to_string(),
-                            line: tok.line,
-                        });
-                        pending_fn = Some((self.fns.len() - 1) as u32);
-                    }
-                }
-                "impl" if pending_fn.is_none() && pending_impl.is_none() => {
-                    // Only an item-position `impl` opens a block;
-                    // `impl Trait` in types follows `(, :, ->, =, <, &`.
-                    let prev = if i == 0 { "" } else { self.ctext(i - 1) };
-                    if matches!(prev, "" | "}" | "{" | ";" | "]" | "unsafe") {
-                        self.impls.push(ImplInfo {
-                            trait_name: None,
-                            type_name: String::new(),
-                        });
-                        pending_impl = Some((self.impls.len() - 1) as u32);
-                        impl_header.clear();
                     }
                 }
                 "use" => {
-                    let prev = if i == 0 { "" } else { self.ctext(i - 1) };
-                    if matches!(prev, "" | "}" | ";" | "]" | "{" | "pub" | ")") {
-                        let end = self.parse_use(i + 1);
-                        while ctx.len() < end.min(self.code.len()) {
-                            ctx.push(TokCtx {
-                                in_cfg_test: top.test,
-                                fn_idx: top.fn_idx,
-                                impl_idx: top.impl_idx,
-                            });
-                        }
+                    if let Some(end) = self.use_item_end(i) {
+                        self.parse_use(i + 1);
                         i = end;
                         continue;
                     }
                 }
-                "{" => {
-                    if let Some(k) = pending_impl.take() {
-                        self.finish_impl_header(k, &impl_header);
-                        impl_header.clear();
-                        stack.push(Scope {
-                            test: top.test || std::mem::take(&mut pending_test),
-                            fn_idx: top.fn_idx,
-                            impl_idx: Some(k),
-                        });
-                    } else {
-                        stack.push(Scope {
-                            test: top.test || std::mem::take(&mut pending_test),
-                            fn_idx: pending_fn.take().or(top.fn_idx),
-                            impl_idx: top.impl_idx,
-                        });
-                    }
-                }
-                "}" => {
-                    if stack.len() > 1 {
-                        stack.pop();
-                    }
-                }
-                ";" => {
-                    pending_fn = None;
-                    pending_impl = None;
-                    pending_test = false;
-                    impl_header.clear();
-                }
-                _ => {
-                    if pending_impl.is_some() && tok.kind == TokKind::Ident {
-                        impl_header.push(text.to_string());
-                    }
-                }
+                "{" => depth += 1,
+                "}" => depth = depth.saturating_sub(1),
+                _ => {}
             }
             i += 1;
         }
-        self.ctx = ctx;
     }
 
-    /// Trait / self-type names from the ident run of an impl header:
-    /// `impl <T: Ord> Trait <X> for Type <T>` → idents
-    /// `[T, Ord, Trait, X, for, Type, T]`. `for` splits trait from
-    /// type; without it the first plausible ident is the self type.
-    fn finish_impl_header(&mut self, k: u32, idents: &[String]) {
-        const SKIP: &[&str] = &["mut", "dyn", "const", "where", "as", "crate", "self", "Self"];
-        let info = &mut self.impls[k as usize];
-        if let Some(pos) = idents.iter().position(|s| s == "for") {
-            // Trait name: last non-generic ident before `for`. Heuristic:
-            // the last ident before `for` that is not a known keyword.
-            info.trait_name = idents[..pos]
-                .iter()
-                .rev()
-                .find(|s| !SKIP.contains(&s.as_str()))
-                .cloned();
-            info.type_name = idents[pos + 1..]
-                .iter()
-                .find(|s| !SKIP.contains(&s.as_str()))
-                .cloned()
-                .unwrap_or_default();
-        } else {
-            info.type_name = idents
-                .iter()
-                .find(|s| !SKIP.contains(&s.as_str()))
-                .cloned()
-                .unwrap_or_default();
+    /// If code token `i` is a `use` keyword in item position (not a
+    /// field or path segment that happens to be spelled `use`), the
+    /// code index one past the declaration's terminating `;`.
+    pub(crate) fn use_item_end(&self, i: usize) -> Option<usize> {
+        let prev = if i == 0 { "" } else { self.ctext(i - 1) };
+        if self.ctext(i) != "use" || !matches!(prev, "" | "}" | ";" | "]" | "{" | "pub" | ")") {
+            return None;
         }
+        let mut end = i + 1;
+        while end < self.code.len() && self.ctext(end) != ";" {
+            end += 1;
+        }
+        Some(end + 1)
     }
 
     /// Idents inside one balanced `[ … ]` starting at code index
@@ -390,18 +205,12 @@ impl<'s> ScannedFile<'s> {
     }
 
     /// Parse one `use` declaration starting at the code token after
-    /// the `use` keyword; records bindings, returns the code index one
-    /// past the terminating `;`.
-    fn parse_use(&mut self, start: usize) -> usize {
+    /// the `use` keyword and record its bindings.
+    fn parse_use(&mut self, start: usize) {
         let mut i = start;
         let mut decls = Vec::new();
         self.parse_use_tree(&mut i, &mut Vec::new(), &mut decls);
-        // Consume through the `;` if present.
-        while i < self.code.len() && self.ctext(i) != ";" {
-            i += 1;
-        }
         self.uses.extend(decls);
-        i + 1
     }
 
     fn parse_use_tree(&self, i: &mut usize, prefix: &mut Vec<String>, out: &mut Vec<UseDecl>) {
@@ -533,55 +342,6 @@ mod tests {
         );
         let glob = f.uses.iter().find(|u| u.local == "*").unwrap();
         assert_eq!(glob.path, ["rand"]);
-    }
-
-    #[test]
-    fn fn_bodies_are_tracked() {
-        let f = scanned(
-            "fn state_digest(d: &mut D) { d.write(map.keys()); }\n\
-             fn other() { x(); }\n",
-        );
-        let keys_pos = (0..f.code.len()).find(|&i| f.ctext(i) == "keys").unwrap();
-        assert_eq!(f.enclosing_fn(keys_pos), Some("state_digest"));
-        let x_pos = (0..f.code.len()).find(|&i| f.ctext(i) == "x").unwrap();
-        assert_eq!(f.enclosing_fn(x_pos), Some("other"));
-    }
-
-    #[test]
-    fn cfg_test_regions() {
-        let f = scanned(
-            "fn lib_path() { a.unwrap(); }\n\
-             #[cfg(test)]\nmod tests {\n  fn t() { b.unwrap(); }\n}\n\
-             #[cfg(not(test))]\nfn not_gated() { c.unwrap(); }\n",
-        );
-        let pos_of = |name: &str| (0..f.code.len()).find(|&i| f.ctext(i) == name).unwrap();
-        assert!(!f.ctx[pos_of("a")].in_cfg_test);
-        assert!(f.ctx[pos_of("b")].in_cfg_test);
-        assert!(!f.ctx[pos_of("c")].in_cfg_test);
-    }
-
-    #[test]
-    fn impl_blocks_trait_and_type() {
-        let f = scanned(
-            "impl StateHash for Engine { fn state_hash(&self) -> u64 { self.x as u64 } }\n\
-             impl StateDigest { fn write_u8(&mut self, v: u8) { self.go(v as u64) } }\n",
-        );
-        let as_positions: Vec<usize> =
-            (0..f.code.len()).filter(|&i| f.ctext(i) == "as").collect();
-        let im0 = f.enclosing_impl(as_positions[0]).unwrap();
-        assert_eq!(im0.trait_name.as_deref(), Some("StateHash"));
-        assert_eq!(im0.type_name, "Engine");
-        let im1 = f.enclosing_impl(as_positions[1]).unwrap();
-        assert_eq!(im1.trait_name, None);
-        assert_eq!(im1.type_name, "StateDigest");
-    }
-
-    #[test]
-    fn impl_trait_in_argument_position_is_not_a_block() {
-        let f = scanned("fn take(f: impl Fn() -> u64) { f(); }\n");
-        assert!(f.impls.is_empty());
-        let fpos = (0..f.code.len()).rfind(|&i| f.ctext(i) == "f").unwrap();
-        assert_eq!(f.enclosing_fn(fpos), Some("take"));
     }
 
     #[test]

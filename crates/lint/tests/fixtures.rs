@@ -104,6 +104,27 @@ fn cast_clean_annotation_and_to_bits_pass() {
 }
 
 #[test]
+fn scope_bad_array_types_in_a_signature_keep_the_digest_scope() {
+    let src = include_str!("fixtures/scope_bad.rs");
+    let path = "crates/replay/src/subjects.rs";
+    // One cast in each of `state_digest(.., pad: [u8; 4])` and
+    // `state_hash(&self) -> [u8; 8]`; `.keys()` in one, `.values()` in
+    // the other.
+    assert_eq!(count(path, src, "cast/lossy-in-digest"), 2);
+    assert_eq!(count(path, src, "hash/unordered-iter"), 2);
+    // The fn after `#[cfg(test)] use ..;` is not test code.
+    assert_eq!(count(path, src, "panic/library-unwrap"), 1);
+}
+
+#[test]
+fn scope_clean_array_types_in_a_signature_keep_the_test_gate() {
+    let src = include_str!("fixtures/scope_clean.rs");
+    assert_eq!(count(LIB, src, "panic/library-unwrap"), 0);
+    assert_eq!(count(LIB, src, "arena/no-packet-clone"), 0);
+    assert_eq!(count(LIB, src, "decode/raw-bytes"), 0);
+}
+
+#[test]
 fn docs_bad_warn_plus_unrelated_forbid_fires() {
     let src = include_str!("fixtures/docs_bad.rs");
     assert_eq!(count("crates/x/src/lib.rs", src, "docs/missing-deny"), 1);

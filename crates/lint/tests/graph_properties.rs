@@ -84,7 +84,7 @@ prop_check! {
     fn owner_assignment_partitions_the_code_stream(g) {
         let src = random_items(g, 0);
         let f = ParsedFile::parse("crates/x/src/lib.rs", &src);
-        prop_assert_eq!(f.owner.len(), f.scan.code.len());
+        prop_assert_eq!(f.ctx.len(), f.scan.code.len());
         let spans = f.owner_spans();
         if f.scan.code.is_empty() {
             prop_assert!(spans.is_empty());

@@ -4,7 +4,8 @@
 //! substrate on which the `dui` reproduction of *"(Self) Driving Under the
 //! Influence"* (HotNets'19) runs its experiments. The paper's authors used
 //! mininet plus a P4 switch program; we substitute this simulator (see
-//! DESIGN.md §4 for why the substitution preserves the measured behavior).
+//! docs/reproduction-map.md §4 for why the substitution preserves the
+//! measured behavior).
 //!
 //! Key concepts:
 //!

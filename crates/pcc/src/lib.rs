@@ -18,8 +18,9 @@
 //!
 //! Structure:
 //!
-//! * [`utility`] — the loss-penalized saturating utility (DESIGN.md
-//!   substitution 5 documents the exact form).
+//! * [`utility`] — the loss-penalized saturating utility
+//!   (docs/reproduction-map.md §4, substitution 5 documents the exact
+//!   form).
 //! * [`monitor`] — per-MI accounting: packets sent / delivered / lost.
 //! * [`control`] — the sans-I/O Allegro controller state machine
 //!   (Starting → Decision ↔ Moving), unit-testable without a network.

@@ -1,6 +1,7 @@
 //! The PCC Allegro utility function.
 //!
-//! We use the saturating loss-penalized form (DESIGN.md substitution 5):
+//! We use the saturating loss-penalized form (docs/reproduction-map.md §4,
+//! substitution 5):
 //!
 //! ```text
 //! u(x, L) = x · (1 − L) · σ(α · (L₀ − L)) − δ · x · L

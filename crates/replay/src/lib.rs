@@ -5,10 +5,6 @@
 //! reproducible. This crate turns that property into a debuggable,
 //! checkable artifact:
 //!
-//! * [`hash`] — the [`hash::StateHash`] trait: a stable 64-bit digest of
-//!   *logical* state (no addresses, no hash-map iteration order) for the
-//!   RNG, the packet-level engine, TCP connections, and the Blink / PCC /
-//!   Pytheas systems under study.
 //! * [`record`] — a compact, versioned, hand-rolled binary format (varint
 //!   framing, no external dependencies) holding one run's per-event
 //!   digest stream plus periodic state checkpoints, written by a
@@ -22,19 +18,17 @@
 //!   the mismatching subsystem.
 //!
 //! The determinism regression tests and `experiments record/replay`
-//! commands in `dui-bench` are built on these four pieces.
+//! commands in `dui-bench` are built on these three pieces.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod diverge;
-pub mod hash;
 pub mod record;
 pub mod replay;
 pub mod subjects;
 
 pub use diverge::{first_divergence, first_line_divergence, ComponentDiff, Divergence, LineDivergence};
-pub use hash::StateHash;
 pub use record::{CheckpointFrame, EventFrame, Recorder, Recording};
 pub use replay::{ReplayError, ReplayReport, ReplaySubject, Replayer, StepInfo};
 pub use subjects::{FastSimSubject, SimulatorSubject};

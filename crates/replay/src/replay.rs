@@ -402,17 +402,18 @@ mod tests {
         }
 
         fn state_hash(&self) -> u64 {
-            use crate::hash::StateHash;
             let mut d = dui_stats::digest::StateDigest::labeled("counter");
-            self.rng.state_digest(&mut d);
+            for w in self.rng.state() {
+                d.write_u64(w);
+            }
             d.write_u64(self.ticks);
             d.write_u64(self.total);
             d.finish()
         }
 
         fn component_digests(&self) -> Vec<(&'static str, u64)> {
-            use crate::hash::StateHash;
-            vec![("rng", self.rng.state_hash()), ("total", self.total)]
+            let rng = self.rng.state().into_iter().fold(0, dui_stats::rng::mix64);
+            vec![("rng", rng), ("total", self.total)]
         }
 
         fn save_checkpoint(&self) -> Option<Vec<u8>> {

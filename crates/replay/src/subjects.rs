@@ -9,7 +9,6 @@
 //!   when every node logic supports `save_state` and no taps are
 //!   installed, hash-only otherwise.
 
-use crate::hash::StateHash;
 use crate::record::{
     attack_sim_snapshot_from_bytes, attack_sim_snapshot_to_bytes, engine_checkpoint_from_bytes,
     engine_checkpoint_to_bytes,
@@ -312,7 +311,7 @@ impl ReplaySubject for SimulatorSubject {
                     ("nodes", nodes.finish()),
                 ]
             }
-            Err(_) => vec![("engine", StateHash::state_hash(&self.sim))],
+            Err(_) => vec![("engine", self.sim.state_hash())],
         }
     }
 

@@ -6,7 +6,21 @@
 //! into one of these, and the resulting 64-bit digest is what gets
 //! recorded, compared across runs, and bisected when two runs diverge.
 //!
-//! Three properties matter and are guaranteed here:
+//! A component exposes its digest as an inherent
+//! `state_digest(&self, d: &mut StateDigest)` (and, where it is a whole
+//! subject, a domain-labeled `state_hash(&self) -> u64`). The contract
+//! every such method keeps — two runs are in the same logical state if
+//! and only if their hashes agree, across processes and platforms:
+//!
+//! * **logical state only** — no memory addresses, capacities or
+//!   allocator artifacts;
+//! * **no unordered iteration** — a `HashMap`/`HashSet` is digested
+//!   through a sorted view or [`StateDigest::write_unordered`];
+//! * **no telemetry** — metrics, traces and spans are observations
+//!   about a run, not state that influences it.
+//!
+//! Three properties of the primitive itself matter and are guaranteed
+//! here:
 //!
 //! 1. **Cross-run stability.** The digest is a pure function of the
 //!    bytes written. No addresses, no `RandomState`, no allocation

@@ -20,7 +20,6 @@
 //! * [`summary`] — streaming and batch summary statistics (mean, variance,
 //!   percentiles, confidence intervals).
 //! * [`series`] — time-series recording used to emit the figure data.
-//! * [`hist`] — fixed-bin histograms.
 //! * [`table`] — CSV/markdown emission for the experiment harness.
 //! * [`digest`] — the stable 64-bit state-digest primitive underneath
 //!   `dui-replay`'s record/replay hashing (no addresses, no iteration-order
@@ -52,7 +51,6 @@
 pub mod digest;
 pub mod dist;
 pub mod hash;
-pub mod hist;
 pub mod propcheck;
 pub mod rng;
 pub mod series;

@@ -2,7 +2,6 @@
 //! `propcheck` engine).
 
 use dui_stats::dist::{self, Binomial, Zipf};
-use dui_stats::hist::Histogram;
 use dui_stats::{prop_assert, prop_assert_eq, prop_check};
 use dui_stats::summary::{mad, median, percentile, Summary};
 use dui_stats::Rng;
@@ -145,29 +144,5 @@ prop_check! {
         for _ in 0..50 {
             prop_assert!(dist::pareto(&mut rng, xm, alpha) >= xm);
         }
-    }
-
-    fn histogram_conserves_count(g) {
-        let xs = g.vec(0..200, |g| g.f64(-10.0..20.0));
-        let mut h = Histogram::new(0.0, 10.0, 7);
-        for &x in &xs {
-            h.add(x);
-        }
-        let binned: u64 = h.bins().iter().sum();
-        prop_assert_eq!(binned + h.underflow() + h.overflow(), xs.len() as u64);
-    }
-
-    fn tv_distance_is_metric_like(g) {
-        let a = g.vec(1..100, |g| g.f64(0.0..10.0));
-        let b = g.vec(1..100, |g| g.f64(0.0..10.0));
-        let mut ha = Histogram::new(0.0, 10.0, 5);
-        let mut hb = Histogram::new(0.0, 10.0, 5);
-        for &x in &a { ha.add(x); }
-        for &x in &b { hb.add(x); }
-        let d_ab = ha.tv_distance(&hb);
-        let d_ba = hb.tv_distance(&ha);
-        prop_assert!((d_ab - d_ba).abs() < 1e-12, "symmetric");
-        prop_assert!((0.0..=1.0 + 1e-12).contains(&d_ab), "bounded");
-        prop_assert!(ha.tv_distance(&ha) < 1e-12, "identity");
     }
 }

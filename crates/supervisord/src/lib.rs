@@ -2,9 +2,9 @@
 //!
 //! Supervisor-as-a-service: the paper's §5 driver/supervisor loop
 //! (Fig. 3) productionized into a streaming detection pipeline. Where
-//! `dui-defense::SnapshotSupervisor` scores one frozen telemetry
-//! snapshot per experiment stage, this crate runs the supervisor
-//! *online*: N concurrent simulation producers ship
+//! the `defenses` experiment stage scores one frozen telemetry snapshot
+//! with a window of one, this crate runs the same signals *online*: N
+//! concurrent simulation producers ship
 //! [`Frame`](dui_telemetry::delta::Frame)d snapshot deltas over bounded
 //! channels, the pipeline shards them by group key onto worker
 //! threads, folds each group's deltas into windowed

@@ -1,7 +1,8 @@
 //! Sans-I/O TCP sender and receiver state machines.
 //!
 //! Both machines consume events (`on_segment`, `on_tick`) and produce
-//! outgoing packets into an internal buffer drained with `take_out`, plus a
+//! outgoing packets into the slot's output buffer (drained with
+//! [`FlowPool::take_out`](crate::pool::FlowPool::take_out)), plus a
 //! `next_event_time` deadline the host must arm a timer for. No simulator
 //! types beyond `Packet`/`SimTime` leak in, so every protocol behavior is
 //! unit-testable below without an event loop.
@@ -11,12 +12,11 @@
 //! All per-connection state is factored into small column structs —
 //! `SeqState`, `RtxQueue`, `SenderMeta`, `RcvState` — and the
 //! protocol logic is written once against *borrowed views* over those
-//! columns (`SenderCols`, `RecvCols`). A standalone [`TcpSender`] /
-//! [`TcpReceiver`] owns one of each column (the unit-test and single-flow
-//! shape); [`crate::pool::FlowPool`] owns `Vec`s of them (the
-//! struct-of-arrays shape a [`crate::host::TcpHost`] runs millions of
-//! flows on). Split borrows over disjoint column vectors make the two
-//! shapes share every line of protocol code.
+//! columns (`SenderCols`, `RecvCols`). [`crate::pool::FlowPool`] owns
+//! `Vec`s of the columns (the struct-of-arrays shape a
+//! [`crate::host::TcpHost`] runs millions of flows on) and hands out one
+//! view per slot through split borrows over the disjoint column vectors;
+//! the tests below drive a pool of one sender and one receiver.
 //!
 //! ## Lifecycle
 //!
@@ -283,8 +283,8 @@ impl Default for SenderMeta {
 }
 
 /// Borrowed view over one sender's columns. The protocol implementation
-/// lives here; [`TcpSender`] and [`crate::pool::FlowPool`] both construct
-/// this view from their own storage.
+/// lives here; [`crate::pool::FlowPool`] constructs this view over one
+/// slot of its columns.
 pub(crate) struct SenderCols<'a> {
     pub(crate) key: FlowKey,
     pub(crate) cfg: &'a TcpSenderConfig,
@@ -750,122 +750,6 @@ pub(crate) fn digest_sender_cols(
     d.write_opt_u64(stats.completed_at.map(|t| t.0));
 }
 
-/// The TCP sender: Reno + RFC 6298 timers + fast retransmit, owning one
-/// column set. The event handlers delegate to `SenderCols`.
-#[derive(Debug)]
-pub struct TcpSender {
-    key: FlowKey,
-    cfg: TcpSenderConfig,
-    cc: Reno,
-    rtt: RttEstimator,
-    seq: SeqState,
-    rtx: RtxQueue,
-    meta: SenderMeta,
-    out: Vec<Packet>,
-    /// Statistics.
-    pub stats: SenderStats,
-}
-
-impl TcpSender {
-    /// Create a sender for the forward-direction flow `key`.
-    pub fn new(key: FlowKey, cfg: TcpSenderConfig, isn: u32) -> Self {
-        let cc = Reno::new(cfg.initial_cwnd);
-        TcpSender {
-            key,
-            cfg,
-            cc,
-            rtt: RttEstimator::default(),
-            seq: SeqState::new(isn),
-            rtx: RtxQueue::default(),
-            meta: SenderMeta::default(),
-            out: Vec::new(),
-            stats: SenderStats::default(),
-        }
-    }
-
-    fn cols(&mut self) -> SenderCols<'_> {
-        SenderCols {
-            key: self.key,
-            cfg: &self.cfg,
-            cc: &mut self.cc,
-            rtt: &mut self.rtt,
-            seq: &mut self.seq,
-            rtx: &mut self.rtx,
-            meta: &mut self.meta,
-            out: &mut self.out,
-            stats: &mut self.stats,
-        }
-    }
-
-    /// Flow key (forward direction).
-    pub fn key(&self) -> FlowKey {
-        self.key
-    }
-
-    /// Begin transmitting.
-    pub fn on_start(&mut self, now: SimTime) {
-        self.cols().on_start(now);
-    }
-
-    /// Flow finished (teardown complete)?
-    pub fn is_done(&self) -> bool {
-        self.meta.state == TcpState::Closed
-    }
-
-    /// Current lifecycle state.
-    pub fn state(&self) -> TcpState {
-        self.meta.state
-    }
-
-    /// Bytes currently in flight.
-    pub fn in_flight(&self) -> u32 {
-        seq_dist(self.seq.snd_una, self.seq.snd_nxt)
-    }
-
-    /// Current congestion window in segments.
-    pub fn cwnd_segments(&self) -> u32 {
-        self.cc.cwnd_segments()
-    }
-
-    /// Smoothed RTT, if measured.
-    pub fn srtt(&self) -> Option<SimDuration> {
-        self.rtt.srtt()
-    }
-
-    /// Drain outgoing packets.
-    pub fn take_out(&mut self) -> Vec<Packet> {
-        std::mem::take(&mut self.out)
-    }
-
-    /// Earliest time this sender needs a tick (RTO, pacing or TIME-WAIT).
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        sender_next_event_time(&self.meta)
-    }
-
-    /// A segment for this connection arrived (ACKs and the peer's FIN).
-    pub fn on_segment(&mut self, now: SimTime, pkt: &Packet) {
-        self.cols().on_segment(now, pkt);
-    }
-
-    /// Clock tick: check RTO, pacing and TIME-WAIT deadlines.
-    pub fn on_tick(&mut self, now: SimTime) {
-        self.cols().on_tick(now);
-    }
-
-    /// Initial sequence number.
-    pub fn isn(&self) -> u32 {
-        self.seq.isn
-    }
-
-    /// Fold the sender's complete state into `d`.
-    pub fn state_digest(&self, d: &mut StateDigest) {
-        digest_sender_cols(
-            d, &self.key, &self.cfg, &self.cc, &self.rtt, &self.seq, &self.rtx, &self.meta,
-            &self.out, &self.stats,
-        );
-    }
-}
-
 /// Receiver-side statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ReceiverStats {
@@ -1096,91 +980,10 @@ pub(crate) fn digest_recv_cols(
     d.write_opt_u64(stats.finished_at.map(|t| t.0));
 }
 
-/// The TCP receiver: cumulative ACKs + out-of-order reassembly buffer,
-/// owning one column set.
-#[derive(Debug)]
-pub struct TcpReceiver {
-    /// Forward-direction flow key (data flows along `key`, ACKs along
-    /// `key.reversed()`).
-    key: FlowKey,
-    rcv: RcvState,
-    out: Vec<Packet>,
-    /// Statistics.
-    pub stats: ReceiverStats,
-}
-
-impl TcpReceiver {
-    /// Create a receiver expecting first byte `isn` (handshake-less: born
-    /// ESTABLISHED).
-    pub fn new(key: FlowKey, isn: u32) -> Self {
-        TcpReceiver {
-            key,
-            rcv: RcvState::new(isn),
-            out: Vec::new(),
-            stats: ReceiverStats::default(),
-        }
-    }
-
-    /// Create a passive-open receiver in LISTEN: the first SYN drives it
-    /// through SYN-RCVD and the full RFC 9293 teardown.
-    pub fn listen(key: FlowKey) -> Self {
-        TcpReceiver {
-            key,
-            rcv: RcvState::listen(),
-            out: Vec::new(),
-            stats: ReceiverStats::default(),
-        }
-    }
-
-    fn cols(&mut self) -> RecvCols<'_> {
-        RecvCols {
-            key: self.key,
-            rcv: &mut self.rcv,
-            out: &mut self.out,
-            stats: &mut self.stats,
-        }
-    }
-
-    /// Override the advertised receive window (used by the endpoint-attack
-    /// experiments: a MitM shrinking the window throttles the sender).
-    pub fn set_advertised_window(&mut self, w: u32) {
-        self.rcv.advertised_window = w;
-    }
-
-    /// FIN consumed?
-    pub fn is_done(&self) -> bool {
-        self.rcv.done
-    }
-
-    /// Current lifecycle state.
-    pub fn state(&self) -> TcpState {
-        self.rcv.state
-    }
-
-    /// Drain outgoing (ACK) packets.
-    pub fn take_out(&mut self) -> Vec<Packet> {
-        std::mem::take(&mut self.out)
-    }
-
-    /// A data segment arrived.
-    pub fn on_segment(&mut self, now: SimTime, pkt: &Packet) {
-        self.cols().on_segment(now, pkt);
-    }
-
-    /// Next expected sequence number.
-    pub fn rcv_nxt(&self) -> u32 {
-        self.rcv.rcv_nxt
-    }
-
-    /// Fold the receiver's complete state into `d`.
-    pub fn state_digest(&self, d: &mut StateDigest) {
-        digest_recv_cols(d, &self.key, &self.rcv, &self.out, &self.stats);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::{FlowPool, FlowRef};
     use dui_netsim::packet::Addr;
 
     fn key() -> FlowKey {
@@ -1192,11 +995,11 @@ mod tests {
     }
 
     /// Pipe sender output into receiver and return receiver ACKs.
-    fn exchange(s: &mut TcpSender, r: &mut TcpReceiver, now: SimTime) -> Vec<Packet> {
+    fn exchange(p: &mut FlowPool, s: FlowRef, r: FlowRef, now: SimTime) -> Vec<Packet> {
         let mut acks = Vec::new();
-        for pkt in s.take_out() {
-            r.on_segment(now, &pkt);
-            acks.extend(r.take_out());
+        for pkt in p.take_out(s).unwrap() {
+            p.on_segment(r, now, &pkt).unwrap();
+            acks.extend(p.take_out(r).unwrap());
         }
         acks
     }
@@ -1207,26 +1010,27 @@ mod tests {
             total_bytes: Some(10_000),
             ..Default::default()
         };
-        let mut s = TcpSender::new(key(), cfg, 1);
-        let mut r = TcpReceiver::new(key(), 1);
-        s.on_start(t(0));
+        let mut p = FlowPool::new();
+        let s = p.insert_sender(key(), cfg, 1);
+        let r = p.insert_receiver(key(), 1);
+        p.on_start(s, t(0)).unwrap();
         let mut now = 0;
         for _ in 0..100 {
             now += 10;
-            let acks = exchange(&mut s, &mut r, t(now));
+            let acks = exchange(&mut p, s, r, t(now));
             for a in &acks {
-                s.on_segment(t(now), a);
+                p.on_segment(s, t(now), a).unwrap();
             }
-            if s.is_done() {
+            if p.is_done(s).unwrap() {
                 break;
             }
         }
-        assert!(s.is_done());
-        assert!(r.is_done());
-        assert_eq!(r.stats.bytes_delivered, 10_000);
-        assert_eq!(s.stats.bytes_acked, 10_000);
-        assert_eq!(s.stats.retransmissions, 0);
-        assert!(s.stats.completed_at.is_some());
+        assert!(p.is_done(s).unwrap());
+        assert!(p.is_done(r).unwrap());
+        assert_eq!(p.receiver_stats(r).unwrap().bytes_delivered, 10_000);
+        assert_eq!(p.sender_stats(s).unwrap().bytes_acked, 10_000);
+        assert_eq!(p.sender_stats(s).unwrap().retransmissions, 0);
+        assert!(p.sender_stats(s).unwrap().completed_at.is_some());
     }
 
     #[test]
@@ -1236,9 +1040,10 @@ mod tests {
             initial_cwnd: 4.0,
             ..Default::default()
         };
-        let mut s = TcpSender::new(key(), cfg, 1);
-        s.on_start(t(0));
-        assert_eq!(s.take_out().len(), 4, "IW=4 segments");
+        let mut p = FlowPool::new();
+        let s = p.insert_sender(key(), cfg, 1);
+        p.on_start(s, t(0)).unwrap();
+        assert_eq!(p.take_out(s).unwrap().len(), 4, "IW=4 segments");
     }
 
     #[test]
@@ -1248,28 +1053,33 @@ mod tests {
             initial_cwnd: 10.0,
             ..Default::default()
         };
-        let mut s = TcpSender::new(key(), cfg, 1);
-        let mut r = TcpReceiver::new(key(), 1);
-        s.on_start(t(0));
-        let mut pkts = s.take_out();
+        let mut p = FlowPool::new();
+        let s = p.insert_sender(key(), cfg, 1);
+        let r = p.insert_receiver(key(), 1);
+        p.on_start(s, t(0)).unwrap();
+        let mut pkts = p.take_out(s).unwrap();
         assert!(pkts.len() >= 4);
         // Drop the first data segment; deliver the rest -> dup ACKs.
         pkts.remove(0);
-        for p in &pkts {
-            r.on_segment(t(5), p);
+        for pkt in &pkts {
+            p.on_segment(r, t(5), pkt).unwrap();
         }
-        let acks = r.take_out();
+        let acks = p.take_out(r).unwrap();
         for a in &acks {
-            s.on_segment(t(10), a);
+            p.on_segment(s, t(10), a).unwrap();
         }
-        assert_eq!(s.stats.fast_retransmits, 1, "3rd dup ACK triggers");
+        assert_eq!(
+            p.sender_stats(s).unwrap().fast_retransmits,
+            1,
+            "3rd dup ACK triggers"
+        );
         // The retransmission carries the original (head) sequence number.
-        let rtx = s.take_out();
+        let rtx = p.take_out(s).unwrap();
         assert_eq!(rtx.len(), 1);
         assert_eq!(rtx[0].tcp_seq(), Some(1));
         // Deliver it; receiver now has everything contiguous.
-        r.on_segment(t(15), &rtx[0]);
-        let acks = r.take_out();
+        p.on_segment(r, t(15), &rtx[0]).unwrap();
+        let acks = p.take_out(r).unwrap();
         let last = acks.last().unwrap();
         if let Header::Tcp { ack, .. } = last.header {
             assert_eq!(seq_dist(1, ack), 1460 * 10); // all data, FIN not yet sent
@@ -1282,20 +1092,21 @@ mod tests {
             total_bytes: Some(1460),
             ..Default::default()
         };
-        let mut s = TcpSender::new(key(), cfg, 1);
-        s.on_start(t(0));
-        let first = s.take_out();
+        let mut p = FlowPool::new();
+        let s = p.insert_sender(key(), cfg, 1);
+        p.on_start(s, t(0)).unwrap();
+        let first = p.take_out(s).unwrap();
         assert!(!first.is_empty());
-        let deadline = s.next_event_time().unwrap();
+        let deadline = p.next_event_time(s).unwrap().unwrap();
         assert_eq!(deadline, t(1000), "initial RTO is 1s");
         // Nothing arrives; fire the RTO.
-        s.on_tick(deadline);
-        assert_eq!(s.stats.timeouts, 1);
-        let rtx = s.take_out();
+        p.on_tick(s, deadline).unwrap();
+        assert_eq!(p.sender_stats(s).unwrap().timeouts, 1);
+        let rtx = p.take_out(s).unwrap();
         assert!(rtx.iter().any(|p| p.tcp_seq() == Some(1)));
         // Backoff doubled.
         assert_eq!(
-            s.next_event_time().unwrap(),
+            p.next_event_time(s).unwrap().unwrap(),
             deadline + SimDuration::from_secs(2)
         );
     }
@@ -1307,30 +1118,32 @@ mod tests {
             total_bytes: Some(1460),
             ..Default::default()
         };
-        let mut s = TcpSender::new(key(), cfg, 1);
-        s.on_start(t(0));
-        let orig = s.take_out();
-        s.on_tick(t(1000));
-        let rtx = s.take_out();
+        let mut p = FlowPool::new();
+        let s = p.insert_sender(key(), cfg, 1);
+        p.on_start(s, t(0)).unwrap();
+        let orig = p.take_out(s).unwrap();
+        p.on_tick(s, t(1000)).unwrap();
+        let rtx = p.take_out(s).unwrap();
         assert_eq!(orig[0].tcp_seq(), rtx[0].tcp_seq());
         assert_eq!(orig[0].key, rtx[0].key);
     }
 
     #[test]
     fn out_of_order_segments_reassembled() {
-        let mut r = TcpReceiver::new(key(), 1);
+        let mut p = FlowPool::new();
+        let r = p.insert_receiver(key(), 1);
         let p1 = Packet::tcp(key(), 1, 0, TcpFlags::default(), 1000);
         let p2 = Packet::tcp(key(), 1001, 0, TcpFlags::default(), 1000);
         let p3 = Packet::tcp(key(), 2001, 0, TcpFlags::default(), 1000);
-        r.on_segment(t(0), &p3);
-        r.on_segment(t(1), &p2);
-        assert_eq!(r.stats.bytes_delivered, 0);
-        assert_eq!(r.stats.out_of_order_segments, 2);
-        r.on_segment(t(2), &p1);
-        assert_eq!(r.stats.bytes_delivered, 3000);
-        assert_eq!(r.rcv_nxt(), 3001);
+        p.on_segment(r, t(0), &p3).unwrap();
+        p.on_segment(r, t(1), &p2).unwrap();
+        assert_eq!(p.receiver_stats(r).unwrap().bytes_delivered, 0);
+        assert_eq!(p.receiver_stats(r).unwrap().out_of_order_segments, 2);
+        p.on_segment(r, t(2), &p1).unwrap();
+        assert_eq!(p.receiver_stats(r).unwrap().bytes_delivered, 3000);
+        assert_eq!(p.recv_cols(r).unwrap().rcv.rcv_nxt, 3001);
         // Last ACK acknowledges everything.
-        let acks = r.take_out();
+        let acks = p.take_out(r).unwrap();
         if let Header::Tcp { ack, .. } = acks.last().unwrap().header {
             assert_eq!(ack, 3001);
         }
@@ -1338,12 +1151,13 @@ mod tests {
 
     #[test]
     fn duplicate_data_detected() {
-        let mut r = TcpReceiver::new(key(), 1);
+        let mut p = FlowPool::new();
+        let r = p.insert_receiver(key(), 1);
         let p1 = Packet::tcp(key(), 1, 0, TcpFlags::default(), 1000);
-        r.on_segment(t(0), &p1);
-        r.on_segment(t(1), &p1);
-        assert_eq!(r.stats.duplicate_segments, 1);
-        assert_eq!(r.stats.bytes_delivered, 1000);
+        p.on_segment(r, t(0), &p1).unwrap();
+        p.on_segment(r, t(1), &p1).unwrap();
+        assert_eq!(p.receiver_stats(r).unwrap().duplicate_segments, 1);
+        assert_eq!(p.receiver_stats(r).unwrap().bytes_delivered, 1000);
     }
 
     #[test]
@@ -1353,14 +1167,15 @@ mod tests {
             app_rate: Some(14_600), // 10 MSS over 1 second
             ..Default::default()
         };
-        let mut s = TcpSender::new(key(), cfg, 1);
-        s.on_start(t(0));
+        let mut p = FlowPool::new();
+        let s = p.insert_sender(key(), cfg, 1);
+        p.on_start(s, t(0)).unwrap();
         // At t=0 nothing is available yet.
-        assert!(s.take_out().is_empty());
-        let wake = s.next_event_time().expect("pacing wake armed");
+        assert!(p.take_out(s).unwrap().is_empty());
+        let wake = p.next_event_time(s).unwrap().expect("pacing wake armed");
         assert!(wake > t(0) && wake <= t(150));
-        s.on_tick(t(100)); // 1460 bytes available
-        let sent = s.take_out();
+        p.on_tick(s, t(100)).unwrap(); // 1460 bytes available
+        let sent = p.take_out(s).unwrap();
         assert_eq!(sent.len(), 1);
         assert_eq!(sent[0].payload, 1460);
     }
@@ -1372,21 +1187,22 @@ mod tests {
             initial_cwnd: 100.0,
             ..Default::default()
         };
-        let mut s = TcpSender::new(key(), cfg, 1);
-        let mut r = TcpReceiver::new(key(), 1);
-        r.set_advertised_window(2 * 1460); // 2 segments
-        s.on_start(t(0));
-        let first_burst = s.take_out(); // full IW before any ACK
+        let mut p = FlowPool::new();
+        let s = p.insert_sender(key(), cfg, 1);
+        let r = p.insert_receiver(key(), 1);
+        p.set_advertised_window(r, 2 * 1460).unwrap(); // 2 segments
+        p.on_start(s, t(0)).unwrap();
+        let first_burst = p.take_out(s).unwrap(); // full IW before any ACK
         assert_eq!(first_burst.len(), 100);
         // Deliver + ACK: sender learns the tiny window.
-        for p in &first_burst {
-            r.on_segment(t(5), p);
+        for pkt in &first_burst {
+            p.on_segment(r, t(5), pkt).unwrap();
         }
-        for a in r.take_out() {
-            s.on_segment(t(10), &a);
+        for a in p.take_out(r).unwrap() {
+            p.on_segment(s, t(10), &a).unwrap();
         }
         // All data ACKed, so in_flight = 0; next burst limited to 2 segments.
-        let next = s.take_out();
+        let next = p.take_out(s).unwrap();
         assert!(
             next.len() <= 2,
             "window clamp must limit burst, got {}",
@@ -1401,17 +1217,18 @@ mod tests {
             app_rate: Some(100_000),
             ..Default::default()
         };
-        let mut s = TcpSender::new(key(), cfg, 1);
-        let mut r = TcpReceiver::new(key(), 1);
-        s.on_start(t(0));
+        let mut p = FlowPool::new();
+        let s = p.insert_sender(key(), cfg, 1);
+        let r = p.insert_receiver(key(), 1);
+        p.on_start(s, t(0)).unwrap();
         for ms in (100..5000).step_by(100) {
-            s.on_tick(t(ms));
-            for a in exchange(&mut s, &mut r, t(ms)) {
-                s.on_segment(t(ms), &a);
+            p.on_tick(s, t(ms)).unwrap();
+            for a in exchange(&mut p, s, r, t(ms)) {
+                p.on_segment(s, t(ms), &a).unwrap();
             }
         }
-        assert!(!s.is_done());
-        assert!(s.stats.bytes_acked > 100_000);
+        assert!(!p.is_done(s).unwrap());
+        assert!(p.sender_stats(s).unwrap().bytes_acked > 100_000);
     }
 
     #[test]
@@ -1420,18 +1237,19 @@ mod tests {
             total_bytes: Some(1460),
             ..Default::default()
         };
-        let mut s = TcpSender::new(key(), cfg, 1);
-        let mut r = TcpReceiver::new(key(), 1);
-        s.on_start(t(0));
-        let _ = s.take_out(); // lost
-        s.on_tick(t(1000)); // RTO
-        let rtx = s.take_out();
-        r.on_segment(t(1005), &rtx[0]);
-        for a in r.take_out() {
-            s.on_segment(t(1010), &a);
+        let mut p = FlowPool::new();
+        let s = p.insert_sender(key(), cfg, 1);
+        let r = p.insert_receiver(key(), 1);
+        p.on_start(s, t(0)).unwrap();
+        let _ = p.take_out(s).unwrap(); // lost
+        p.on_tick(s, t(1000)).unwrap(); // RTO
+        let rtx = p.take_out(s).unwrap();
+        p.on_segment(r, t(1005), &rtx[0]).unwrap();
+        for a in p.take_out(r).unwrap() {
+            p.on_segment(s, t(1010), &a).unwrap();
         }
         // The only ACK covered a retransmitted segment: no RTT sample.
-        assert!(s.srtt().is_none());
+        assert!(p.sender_cols(s).unwrap().rtt.srtt().is_none());
     }
 
     #[test]
@@ -1440,53 +1258,55 @@ mod tests {
             total_bytes: Some(100),
             ..Default::default()
         };
-        let mut s = TcpSender::new(key(), cfg, 1);
-        let mut r = TcpReceiver::new(key(), 1);
-        s.on_start(t(0));
+        let mut p = FlowPool::new();
+        let s = p.insert_sender(key(), cfg, 1);
+        let r = p.insert_receiver(key(), 1);
+        p.on_start(s, t(0)).unwrap();
         for step in 1..20 {
             let now = t(step * 10);
-            for a in exchange(&mut s, &mut r, now) {
-                s.on_segment(now, &a);
+            for a in exchange(&mut p, s, r, now) {
+                p.on_segment(s, now, &a).unwrap();
             }
-            if s.is_done() {
+            if p.is_done(s).unwrap() {
                 break;
             }
         }
-        assert!(s.is_done());
-        assert!(r.is_done());
-        assert_eq!(s.stats.bytes_acked, 100);
-        assert_eq!(r.stats.bytes_delivered, 100);
+        assert!(p.is_done(s).unwrap());
+        assert!(p.is_done(r).unwrap());
+        assert_eq!(p.sender_stats(s).unwrap().bytes_acked, 100);
+        assert_eq!(p.receiver_stats(r).unwrap().bytes_delivered, 100);
     }
 
     /// Drive a handshake sender/receiver pair until both settle or `steps`
     /// run out, ticking the sender's deadlines along the way.
     fn run_handshake_pair(
-        s: &mut TcpSender,
-        r: &mut TcpReceiver,
+        p: &mut FlowPool,
+        s: FlowRef,
+        r: FlowRef,
         steps: u64,
     ) -> (Vec<TcpState>, Vec<TcpState>) {
-        let mut s_states = vec![s.state()];
-        let mut r_states = vec![r.state()];
+        let mut s_states = vec![p.state(s).unwrap()];
+        let mut r_states = vec![p.state(r).unwrap()];
         for step in 1..=steps {
             let now = t(step * 10);
-            s.on_tick(now);
-            for pkt in s.take_out() {
-                r.on_segment(now, &pkt);
-                if *r_states.last().unwrap() != r.state() {
-                    r_states.push(r.state());
+            p.on_tick(s, now).unwrap();
+            for pkt in p.take_out(s).unwrap() {
+                p.on_segment(r, now, &pkt).unwrap();
+                if *r_states.last().unwrap() != p.state(r).unwrap() {
+                    r_states.push(p.state(r).unwrap());
                 }
             }
-            for ack in r.take_out() {
-                s.on_segment(now, &ack);
-                if *s_states.last().unwrap() != s.state() {
-                    s_states.push(s.state());
+            for ack in p.take_out(r).unwrap() {
+                p.on_segment(s, now, &ack).unwrap();
+                if *s_states.last().unwrap() != p.state(s).unwrap() {
+                    s_states.push(p.state(s).unwrap());
                 }
             }
-            if *r_states.last().unwrap() != r.state() {
-                r_states.push(r.state());
+            if *r_states.last().unwrap() != p.state(r).unwrap() {
+                r_states.push(p.state(r).unwrap());
             }
-            if *s_states.last().unwrap() != s.state() {
-                s_states.push(s.state());
+            if *s_states.last().unwrap() != p.state(s).unwrap() {
+                s_states.push(p.state(s).unwrap());
             }
         }
         (s_states, r_states)
@@ -1500,14 +1320,19 @@ mod tests {
             time_wait: SimDuration::from_millis(50),
             ..Default::default()
         };
-        let mut s = TcpSender::new(key(), cfg, 1);
-        let mut r = TcpReceiver::listen(key());
-        assert_eq!(r.state(), TcpState::Listen);
-        s.on_start(t(0));
-        assert_eq!(s.state(), TcpState::SynSent);
-        let (s_states, r_states) = run_handshake_pair(&mut s, &mut r, 60);
-        assert!(s.is_done(), "sender states: {s_states:?}");
-        assert_eq!(r.state(), TcpState::Closed, "receiver states: {r_states:?}");
+        let mut p = FlowPool::new();
+        let s = p.insert_sender(key(), cfg, 1);
+        let r = p.insert_listener(key());
+        assert_eq!(p.state(r).unwrap(), TcpState::Listen);
+        p.on_start(s, t(0)).unwrap();
+        assert_eq!(p.state(s).unwrap(), TcpState::SynSent);
+        let (s_states, r_states) = run_handshake_pair(&mut p, s, r, 60);
+        assert!(p.is_done(s).unwrap(), "sender states: {s_states:?}");
+        assert_eq!(
+            p.state(r).unwrap(),
+            TcpState::Closed,
+            "receiver states: {r_states:?}"
+        );
         // The harness samples state between packets, so ESTABLISHED is not
         // observable on the sender: the SYN-ACK completes the handshake AND
         // drains the whole 2-segment flow (plus FIN) in one call.
@@ -1532,8 +1357,8 @@ mod tests {
             ]
         );
         // Phantom SYN/FIN bytes are not application data.
-        assert_eq!(s.stats.bytes_acked, 2920);
-        assert_eq!(r.stats.bytes_delivered, 2920);
+        assert_eq!(p.sender_stats(s).unwrap().bytes_acked, 2920);
+        assert_eq!(p.receiver_stats(r).unwrap().bytes_delivered, 2920);
     }
 
     #[test]
@@ -1543,15 +1368,16 @@ mod tests {
             handshake: true,
             ..Default::default()
         };
-        let mut s = TcpSender::new(key(), cfg, 1);
-        s.on_start(t(0));
-        let syn = s.take_out();
+        let mut p = FlowPool::new();
+        let s = p.insert_sender(key(), cfg, 1);
+        p.on_start(s, t(0)).unwrap();
+        let syn = p.take_out(s).unwrap();
         assert_eq!(syn.len(), 1);
         assert!(syn[0].tcp_flags().unwrap().syn);
         // SYN lost: RTO fires, the retransmission still carries SYN.
-        s.on_tick(t(1000));
-        assert_eq!(s.stats.timeouts, 1);
-        let rtx = s.take_out();
+        p.on_tick(s, t(1000)).unwrap();
+        assert_eq!(p.sender_stats(s).unwrap().timeouts, 1);
+        let rtx = p.take_out(s).unwrap();
         assert_eq!(rtx.len(), 1);
         assert!(rtx[0].tcp_flags().unwrap().syn);
         assert_eq!(rtx[0].tcp_seq(), Some(1));
@@ -1559,7 +1385,8 @@ mod tests {
 
     #[test]
     fn duplicate_syn_draws_duplicate_synack() {
-        let mut r = TcpReceiver::listen(key());
+        let mut p = FlowPool::new();
+        let r = p.insert_listener(key());
         let syn = Packet::tcp(
             key(),
             7,
@@ -1570,16 +1397,16 @@ mod tests {
             },
             0,
         );
-        r.on_segment(t(0), &syn);
-        let first = r.take_out();
+        p.on_segment(r, t(0), &syn).unwrap();
+        let first = p.take_out(r).unwrap();
         assert_eq!(first.len(), 1);
         let f = first[0].tcp_flags().unwrap();
         assert!(f.syn && f.ack);
-        r.on_segment(t(5), &syn);
-        let second = r.take_out();
+        p.on_segment(r, t(5), &syn).unwrap();
+        let second = p.take_out(r).unwrap();
         assert_eq!(second.len(), 1, "duplicate SYN re-draws the SYN-ACK");
-        assert_eq!(r.stats.duplicate_segments, 1);
-        assert_eq!(r.state(), TcpState::SynRcvd);
+        assert_eq!(p.receiver_stats(r).unwrap().duplicate_segments, 1);
+        assert_eq!(p.state(r).unwrap(), TcpState::SynRcvd);
     }
 
     #[test]
@@ -1590,13 +1417,14 @@ mod tests {
             time_wait: SimDuration::from_millis(200),
             ..Default::default()
         };
-        let mut s = TcpSender::new(key(), cfg, 1);
-        let mut r = TcpReceiver::listen(key());
-        s.on_start(t(0));
-        let _ = run_handshake_pair(&mut s, &mut r, 40);
+        let mut p = FlowPool::new();
+        let s = p.insert_sender(key(), cfg, 1);
+        let r = p.insert_listener(key());
+        p.on_start(s, t(0)).unwrap();
+        let _ = run_handshake_pair(&mut p, s, r, 40);
         // run_handshake_pair ticks in 10 ms steps, so TIME-WAIT (200 ms)
         // has expired within 20 steps and the sender is fully closed.
-        assert!(s.is_done());
-        assert!(s.next_event_time().is_none());
+        assert!(p.is_done(s).unwrap());
+        assert!(p.next_event_time(s).unwrap().is_none());
     }
 }

@@ -22,9 +22,10 @@
 //! Per-flow state is stored column-wise in a generational
 //! [`pool::FlowPool`] (same handle contract as `dui-netsim`'s
 //! `PacketArena`): 8-byte [`pool::FlowRef`] handles, an intrusive free
-//! list, and typed stale-handle errors. The protocol cores are written
-//! once against column *views*, so the standalone [`TcpSender`] /
-//! [`TcpReceiver`] and the million-flow pool run byte-identical logic.
+//! list, and typed stale-handle errors. The protocol cores in [`conn`]
+//! are written once against borrowed column *views* over pool slots; a
+//! single connection — what the unit tests drive — is a pool holding one
+//! sender and one receiver.
 //!
 //! Connections walk the full RFC 9293 lifecycle when
 //! [`TcpSenderConfig::handshake`] is set — LISTEN/SYN-RCVD passive open,
@@ -32,7 +33,7 @@
 //! With `handshake` off (the default) flows behave exactly as the
 //! original handshake-less model: the systems under study act on data
 //! segments, and retransmission *timing* signals are unaffected.
-//! Remaining simplifications (documented per DESIGN.md):
+//! Remaining simplifications (documented per docs/reproduction-map.md):
 //! segment-granularity windows (MSS-sized), no SACK/Nagle/delayed-ACK.
 
 #![forbid(unsafe_code)]
@@ -45,7 +46,7 @@ pub mod reno;
 pub mod rtt;
 pub mod seq;
 
-pub use conn::{TcpReceiver, TcpSender, TcpSenderConfig, TcpState};
+pub use conn::{TcpSenderConfig, TcpState};
 pub use host::{FlowSource, FlowSpec, HostCounters, TcpHost, TcpHostConfig, VecSource};
 pub use pool::{FlowKind, FlowPool, FlowRef, StaleFlowRef};
 pub use reno::Reno;

@@ -19,9 +19,7 @@ use dui_netsim::packet::{Addr, FlowKey, Packet, TcpFlags};
 use dui_netsim::time::{SimDuration, SimTime};
 use dui_stats::{prop_assert, prop_assert_eq, prop_assert_ne, prop_check};
 use dui_tcp::seq::{seq_dist, seq_ge, seq_le, seq_lt};
-use dui_tcp::{
-    FlowKind, FlowPool, FlowRef, RttEstimator, TcpReceiver, TcpSender, TcpSenderConfig, TcpState,
-};
+use dui_tcp::{FlowKind, FlowPool, FlowRef, RttEstimator, TcpSenderConfig, TcpState};
 
 fn pool_key(sport: u16) -> FlowKey {
     FlowKey::tcp(Addr::new(10, 0, 0, 1), sport.max(1), Addr::new(10, 0, 0, 2), 80)
@@ -147,33 +145,36 @@ prop_check! {
         // never more than 2000 bytes total.
         let order = g.vec(1..60, |g| g.usize(0..20));
         let key = FlowKey::tcp(Addr::new(1, 0, 0, 1), 1, Addr::new(2, 0, 0, 2), 80);
-        let mut r = TcpReceiver::new(key, 1);
+        let mut p = FlowPool::new();
+        let r = p.insert_receiver(key, 1);
         let mut seen = std::collections::HashSet::new();
         for idx in order {
             let seq = 1 + (idx as u32) * 100;
             let pkt = Packet::tcp(key, seq, 0, TcpFlags::default(), 100);
-            r.on_segment(SimTime::ZERO, &pkt);
+            p.on_segment(r, SimTime::ZERO, &pkt).unwrap();
             seen.insert(idx);
-            prop_assert!(r.stats.bytes_delivered <= 2000);
+            let delivered = p.receiver_stats(r).unwrap().bytes_delivered;
+            prop_assert!(delivered <= 2000);
             // Delivered = length of the contiguous prefix present.
             let mut prefix = 0;
             while seen.contains(&prefix) {
                 prefix += 1;
             }
-            prop_assert_eq!(r.stats.bytes_delivered, prefix as u64 * 100);
+            prop_assert_eq!(delivered, prefix as u64 * 100);
         }
     }
 
     fn receiver_acks_are_cumulative_and_monotone(g) {
         let order = g.vec(1..40, |g| g.usize(0..15));
         let key = FlowKey::tcp(Addr::new(1, 0, 0, 1), 1, Addr::new(2, 0, 0, 2), 80);
-        let mut r = TcpReceiver::new(key, 0);
+        let mut p = FlowPool::new();
+        let r = p.insert_receiver(key, 0);
         let mut prev_ack = 0u32;
         for idx in order {
             let seq = (idx as u32) * 100;
             let pkt = Packet::tcp(key, seq, 0, TcpFlags::default(), 100);
-            r.on_segment(SimTime::ZERO, &pkt);
-            for ack_pkt in r.take_out() {
+            p.on_segment(r, SimTime::ZERO, &pkt).unwrap();
+            for ack_pkt in p.take_out(r).unwrap() {
                 if let dui_netsim::packet::Header::Tcp { ack, .. } = ack_pkt.header {
                     prop_assert!(seq_ge(ack, prev_ack), "acks never regress");
                     prev_ack = ack;
@@ -310,13 +311,14 @@ prop_check! {
             ..Default::default()
         };
         let k = pool_key(g.any_u16());
-        let mut s = TcpSender::new(k, cfg, g.any_u32());
-        let mut r = TcpReceiver::listen(k);
-        let mut s_last = s.state();
-        let mut r_last = r.state();
+        let mut p = FlowPool::new();
+        let s = p.insert_sender(k, cfg, g.any_u32());
+        let r = p.insert_listener(k);
+        let mut s_last = p.state(s).unwrap();
+        let mut r_last = p.state(r).unwrap();
         prop_assert_eq!(s_last, TcpState::Idle);
         prop_assert_eq!(r_last, TcpState::Listen);
-        s.on_start(t(0));
+        p.on_start(s, t(0)).unwrap();
 
         // Two unreliable one-way channels; each step delivers, drops,
         // duplicates or reorders one in-flight segment, or fires the
@@ -327,8 +329,8 @@ prop_check! {
         let steps = g.usize(50..400);
         for _ in 0..steps {
             now += g.u64(1..300);
-            to_r.extend(s.take_out());
-            to_s.extend(r.take_out());
+            to_r.extend(p.take_out(s).unwrap());
+            to_s.extend(p.take_out(r).unwrap());
             match g.u32(0..10) {
                 0 | 1 | 2 | 3 if !to_r.is_empty() => {
                     // Deliver (random index = reordering); occasionally
@@ -336,13 +338,13 @@ prop_check! {
                     let i = g.usize(0..to_r.len());
                     let pkt =
                         if g.u32(0..8) == 0 { to_r[i].clone() } else { to_r.remove(i) };
-                    r.on_segment(t(now), &pkt);
+                    p.on_segment(r, t(now), &pkt).unwrap();
                 }
                 4 | 5 | 6 if !to_s.is_empty() => {
                     let i = g.usize(0..to_s.len());
                     let pkt =
                         if g.u32(0..8) == 0 { to_s[i].clone() } else { to_s.remove(i) };
-                    s.on_segment(t(now), &pkt);
+                    p.on_segment(s, t(now), &pkt).unwrap();
                 }
                 7 if !to_r.is_empty() => {
                     to_r.remove(g.usize(0..to_r.len())); // loss
@@ -351,14 +353,14 @@ prop_check! {
                     to_s.remove(g.usize(0..to_s.len())); // loss
                 }
                 _ => {
-                    if let Some(due) = s.next_event_time() {
+                    if let Some(due) = p.next_event_time(s).unwrap() {
                         let fire = due.max(t(now));
                         now = (fire.0 / 1_000_000).max(now);
-                        s.on_tick(fire);
+                        p.on_tick(s, fire).unwrap();
                     }
                 }
             }
-            let (s_cur, r_cur) = (s.state(), r.state());
+            let (s_cur, r_cur) = (p.state(s).unwrap(), p.state(r).unwrap());
             prop_assert!(
                 legal_path(s_last, s_cur),
                 "illegal sender transition {s_last:?} -> {s_cur:?}"

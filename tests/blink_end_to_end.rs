@@ -1,7 +1,7 @@
 //! Cross-crate integration: the §3.1 Blink case study at packet level —
-//! the C4 claim of DESIGN.md. Legitimate TCP traffic, the spoofing
-//! attacker, the Blink pipeline on a netsim router, and the §5 guard,
-//! all together.
+//! the C4 claim of docs/reproduction-map.md. Legitimate TCP traffic, the
+//! spoofing attacker, the Blink pipeline on a netsim router, and the §5
+//! guard, all together.
 
 use dui::netsim::time::{SimDuration, SimTime};
 use dui::scenario::{BlinkScenario, BlinkScenarioConfig};

@@ -67,12 +67,14 @@ fn registry_snapshot_agrees_with_direct_api() {
 /// 33/64 cells, beyond half the selector's capacity.
 #[test]
 fn snapshot_supervisor_flags_malicious_occupancy() {
-    use dui_defense::supervisor::{SnapshotSupervisor, Supervisor};
+    use dui_defense::streaming::{OccupancyWindow, StreamingSupervisor};
 
-    let mut sup = SnapshotSupervisor::occupancy("blink.cells.malicious", 64.0);
+    let assess = |snap: &dui_core::telemetry::Snapshot| {
+        OccupancyWindow::new("blink.cells.malicious", 64.0, 1).observe(snap)
+    };
     let mut sc = run(false);
     let snap = sc.metrics();
-    let risk = sup.assess(&snap);
+    let risk = assess(&snap);
     assert!(
         risk.0 > 0.5,
         "33/64 malicious occupancy must read as high risk, got {}",
@@ -80,5 +82,5 @@ fn snapshot_supervisor_flags_malicious_occupancy() {
     );
     // An idle network reads as no risk.
     let empty = dui_core::telemetry::Snapshot::default();
-    assert_eq!(sup.assess(&empty).0, 0.0);
+    assert_eq!(assess(&empty).0, 0.0);
 }
