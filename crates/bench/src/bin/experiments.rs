@@ -4,56 +4,60 @@
 //!
 //! ```sh
 //! cargo run --release -p dui-bench --bin experiments -- all
-//! cargo run --release -p dui-bench --bin experiments -- fig2 --jobs 4
+//! cargo run --release -p dui-bench --bin experiments -- <stage> --jobs 4
 //! cargo run --release -p dui-bench --bin experiments -- all --metrics
+//! cargo run --release -p dui-bench --bin experiments -- verify-determinism
 //! ```
 //!
-//! Every subcommand prints its table(s) and writes CSV into `results/`;
-//! `all` additionally writes `results/experiments_all.txt` with the full
-//! report and per-stage wall-clock timings. `--jobs N` sets the worker
-//! thread count (default: all cores); the CSVs are byte-identical for
-//! every `N` — see `dui_bench::par` for the determinism contract.
+//! The stages are the rows of `dui_bench::stages::STAGES` (run the
+//! binary with `--help` for their names; docs/operations.md tabulates
+//! them with their flags and outputs). Every stage prints its table(s)
+//! and writes CSV into `results/`; `all` additionally writes
+//! `results/experiments_all.txt` with the full report and per-stage
+//! wall-clock timings. `--jobs N` sets the worker thread count
+//! (default: all cores); the CSVs are byte-identical for every `N` —
+//! see `dui_bench::par` for the determinism contract.
 //!
 //! `--sim-threads N` additionally shards the *simulator itself* (the
 //! packet engine's domain-parallel mode, `dui_core::netsim::parallel`)
-//! for the stages whose node programs honor the packet-id contract —
-//! currently `blink-packet`, `defenses` and `parallel-scaling`.
-//! Results are byte-identical for every `N` there too; other stages
-//! ignore the flag.
-//!
-//! `--workers N` sets the `supervisord` stage's pipeline worker-thread
-//! count (folded into its swept set; the verdict log written to
-//! `results/supervisord_verdicts.jsonl` is byte-identical for every
-//! `N` — the stage asserts it). Other stages ignore the flag.
+//! for the stages whose row lists the flag — the ones whose node
+//! programs honor the packet-id contract. Results are byte-identical
+//! for every `N` there too; other stages say that they ignore it.
 //!
 //! `--metrics` additionally writes each stage's telemetry snapshot as
 //! one JSON line to `results/metrics.jsonl` (sim-time metrics only, so
-//! the file is byte-identical across `--jobs` too), prints a per-stage
-//! metrics summary, and turns on the wall-clock self-profiler whose
-//! report lands in a clearly-marked non-deterministic section of
+//! the file is byte-identical across runs and `--jobs` too), prints a
+//! per-stage metrics summary, and turns on the wall-clock self-profiler
+//! whose report lands in a clearly-marked non-deterministic section of
 //! `experiments_all.txt`.
+//!
+//! `verify-determinism [stage…]` is the determinism gate
+//! (`dui_bench::stages::verify_determinism`): it runs every named row
+//! (default: all) twice at one configuration and again across each flag
+//! the row lists, and exits 1 naming `stage · file:line · setting A vs
+//! B` at the first byte that differs.
 //!
 //! ## Record / replay
 //!
 //! ```sh
-//! cargo run --release -p dui-bench --bin experiments -- record fig2-small
-//! cargo run --release -p dui-bench --bin experiments -- replay results/fig2-small.duir --check
-//! cargo run --release -p dui-bench --bin experiments -- replay results/fig2-small.duir --resume mid
+//! cargo run --release -p dui-bench --bin experiments -- record <name>
+//! cargo run --release -p dui-bench --bin experiments -- replay results/<name>.duir --check
+//! cargo run --release -p dui-bench --bin experiments -- replay results/<name>.duir --resume mid
 //! ```
 //!
-//! `record <stage>` captures a deterministic run of a recordable stage
-//! (see `dui_bench::recordings::RECORD_STAGES`) as a `dui-replay`
-//! recording under `results/<stage>.duir`; `replay <file> [--check]`
+//! `record <name>` captures a deterministic run of a recordable stage
+//! (a row of `dui_bench::recordings::RECORDINGS`) as a `dui-replay`
+//! recording under `results/<name>.duir`; `replay <file> [--check]`
 //! re-drives the same stage against the recording, verifying every
 //! event digest and checkpoint hash; `--resume <idx|mid>` restores a
-//! mid-run checkpoint first and replays only the tail. Fig2-family
-//! runs additionally emit their occupancy series CSV after `record`,
-//! `replay` and `--resume`, so a resumed run can be byte-compared
-//! against the uninterrupted one.
+//! mid-run checkpoint first and replays only the tail. Runs of the
+//! flow-level fast simulation additionally emit their occupancy series
+//! CSV after `record`, `replay` and `--resume`, so a resumed run can be
+//! byte-compared against the uninterrupted one.
 
 use dui_bench::par::default_jobs;
-use dui_bench::recordings::{build_subject, default_ckpt_every, StageSubject, RECORD_STAGES};
-use dui_bench::stages::{run_stage, StageCfg, StageOutput, STAGE_NAMES};
+use dui_bench::recordings::{build_subject, StageSubject, RECORDINGS};
+use dui_bench::stages::{verify_determinism, Flag, Stage, StageCfg, StageOutput, STAGES};
 use dui_core::replay::{Recorder, Recording, Replayer};
 use dui_core::stats::table::Table;
 use dui_core::telemetry::wallclock;
@@ -81,9 +85,9 @@ fn emit(out: &StageOutput) {
 
 /// One summary row per stage: how many series of each kind the stage
 /// exported, plus the headline packet counter when present.
-fn metrics_summary(per_stage: &[(&str, &StageOutput)]) -> Table {
+fn metrics_summary(ran: &[(&str, f64, StageOutput)]) -> Table {
     let mut t = Table::new(["stage", "counters", "gauges", "hists", "delivered_pkts"]);
-    for (name, out) in per_stage {
+    for (name, _, out) in ran {
         let m = &out.metrics;
         let delivered: u64 = m
             .counters
@@ -106,16 +110,42 @@ fn metrics_summary(per_stage: &[(&str, &StageOutput)]) -> Table {
     t
 }
 
+fn stage_names() -> String {
+    STAGES.iter().map(|s| s.name).collect::<Vec<_>>().join(" ")
+}
+
+fn recordable_names() -> String {
+    RECORDINGS.iter().map(|r| r.name).collect::<Vec<_>>().join(" ")
+}
+
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments [{} | all] [--jobs N] [--sim-threads N] [--workers N] [--metrics]\n\
+        "usage: experiments [<stage> | all] [--jobs N] [--sim-threads N] [--metrics]\n\
+         \x20      experiments verify-determinism [<stage>...]\n\
          \x20      experiments scenario <FILE|DIR> [--jobs N] [--sim-threads N]\n\
-         \x20      experiments record <{}> [--out FILE] [--ckpt-every N]\n\
-         \x20      experiments replay <FILE> [--check] [--resume <idx|mid>]",
-        STAGE_NAMES.join(" | "),
-        RECORD_STAGES.join(" | ")
+         \x20      experiments record <recordable> [--out FILE] [--ckpt-every N]\n\
+         \x20      experiments replay <FILE> [--check] [--resume <idx|mid>]\n\
+         stages: {}\n\
+         recordable: {}",
+        stage_names(),
+        recordable_names()
     );
     std::process::exit(2);
+}
+
+/// The rows `names` selects — every row for no name or `all` — or
+/// exit 2 naming the rows there are.
+fn select(names: &[String]) -> Vec<&'static Stage> {
+    if names.is_empty() || names == ["all"] {
+        return STAGES.iter().collect();
+    }
+    let row = |name: &String| {
+        Stage::named(name).unwrap_or_else(|| {
+            eprintln!("unknown experiment '{name}'. Available: {} all", stage_names());
+            std::process::exit(2);
+        })
+    };
+    names.iter().map(row).collect()
 }
 
 /// The value of the count option `flag` if `arg` spells it, as `--flag N`
@@ -203,14 +233,15 @@ fn cmd_record(args: &[String]) -> ! {
         }
     }
     let stage = stage.unwrap_or_else(|| usage());
-    let Some(mut subject) = build_subject(&stage) else {
+    let Some(row) = RECORDINGS.iter().find(|r| r.name == stage) else {
         eprintln!(
             "unknown recordable stage '{stage}'. Available: {}",
-            RECORD_STAGES.join(" ")
+            recordable_names()
         );
         std::process::exit(2);
     };
-    let every = every.unwrap_or_else(|| default_ckpt_every(&stage));
+    let mut subject = (row.build)();
+    let every = every.unwrap_or(row.ckpt_every);
     let out = out.unwrap_or_else(|| results_dir().join(format!("{stage}.duir")));
     let t0 = std::time::Instant::now();
     let digest = subject.as_subject_mut().config_digest();
@@ -255,7 +286,7 @@ fn cmd_replay(args: &[String]) -> ! {
         eprintln!(
             "recording is for unknown stage '{}'. Available: {}",
             rec.stage,
-            RECORD_STAGES.join(" ")
+            recordable_names()
         );
         std::process::exit(2);
     };
@@ -294,27 +325,48 @@ fn cmd_replay(args: &[String]) -> ! {
     }
 }
 
+/// `experiments verify-determinism [stage…]`: hold the named rows
+/// (default: every row) to the determinism contract, one line per row.
+/// Exit 0 when every row holds, 1 at the first difference, 2 on an
+/// unknown name.
+fn cmd_verify_determinism(args: &[String]) -> ! {
+    if args.iter().any(|a| a.starts_with('-')) {
+        usage();
+    }
+    let t0 = std::time::Instant::now();
+    for row in select(args) {
+        let ts = std::time::Instant::now();
+        if let Err(diff) = verify_determinism(&[row]) {
+            eprintln!("verify-determinism FAILED: {diff}");
+            std::process::exit(1);
+        }
+        let across: String = row.flags.iter().map(|f| format!(", across {}", f.cli())).collect();
+        let secs = ts.elapsed().as_secs_f64();
+        println!("{:<16} same bytes run to run{across}: OK ({secs:.1} s)", row.name);
+    }
+    println!("[the determinism contract holds; done in {:.1} s]", t0.elapsed().as_secs_f64());
+    std::process::exit(0);
+}
+
 fn main() {
     let mut which: Option<String> = None;
     let mut jobs = default_jobs();
     let mut sim_threads = 0usize; // 0 = leave the simulator sequential
-    let mut workers = StageCfg::default().workers;
     let mut metrics = false;
-    let mut args = std::env::args().skip(1);
     let raw: Vec<String> = std::env::args().skip(1).collect();
     match raw.first().map(String::as_str) {
         Some("record") => cmd_record(&raw[1..]),
         Some("replay") => cmd_replay(&raw[1..]),
         Some("scenario") => cmd_scenario(&raw[1..]),
+        Some("verify-determinism") => cmd_verify_determinism(&raw[1..]),
         _ => {}
     }
+    let mut args = raw.into_iter();
     while let Some(a) = args.next() {
         if let Some(n) = count_opt("--jobs", 1, &a, &mut args) {
             jobs = n;
         } else if let Some(n) = count_opt("--sim-threads", 1, &a, &mut args) {
             sim_threads = n;
-        } else if let Some(n) = count_opt("--workers", 1, &a, &mut args) {
-            workers = n;
         } else if a == "--metrics" {
             metrics = true;
         } else if which.is_none() && !a.starts_with('-') {
@@ -323,120 +375,71 @@ fn main() {
             usage();
         }
     }
-    let which = which.unwrap_or_else(|| "all".to_string());
-    let cfg = StageCfg {
-        jobs,
-        sim_threads,
-        workers,
-    };
+    // `all` is every row and also keeps the full report on disk.
+    let all = which.as_deref().is_none_or(|w| w == "all");
+    let rows = select(which.as_slice());
+    let cfg = StageCfg { jobs, sim_threads };
     if metrics {
         wallclock::enable(true);
     }
     let t0 = std::time::Instant::now();
-    if which == "all" {
-        let mut log = String::new();
+    let mut log = String::new();
+    if all {
         let _ = writeln!(
             log,
             "experiments all --jobs {jobs} ({} cores available)\n",
             default_jobs()
         );
-        let mut timings: Vec<(&str, f64)> = Vec::new();
-        let mut outputs: Vec<(&str, StageOutput)> = Vec::new();
-        for &name in STAGE_NAMES {
-            let ts = std::time::Instant::now();
-            wallclock::set_stage(name);
-            let out = run_stage(name, &cfg).expect("known stage");
-            wallclock::end_stage();
-            timings.push((name, ts.elapsed().as_secs_f64()));
-            emit(&out);
-            log.push_str(&out.report);
-            outputs.push((name, out));
+    }
+    // (stage, wall-clock seconds, output) of every row run.
+    let mut ran: Vec<(&str, f64, StageOutput)> = Vec::new();
+    for row in rows {
+        if sim_threads > 0 && !row.flags.contains(&Flag::SimThreads) {
+            println!("[{} ignores --sim-threads]", row.name);
         }
-        if metrics {
-            let mut jsonl = String::new();
-            for (name, out) in &outputs {
-                jsonl.push_str(&out.metrics.to_json_line(name));
-                jsonl.push('\n');
-            }
-            let path = results_dir().join("metrics.jsonl");
-            std::fs::write(&path, jsonl).expect("write metrics.jsonl");
-            println!("[saved {}]", path.display());
-            let refs: Vec<(&str, &StageOutput)> =
-                outputs.iter().map(|(n, o)| (*n, o)).collect();
-            let mut section = String::new();
-            let _ = writeln!(section, "== telemetry per stage (sim-time, deterministic) ==\n");
-            let _ = writeln!(section, "{}", metrics_summary(&refs).to_text());
-            print!("{section}");
-            log.push_str(&section);
+        let ts = std::time::Instant::now();
+        wallclock::set_stage(row.name);
+        let out = row.run_checked(&cfg).unwrap_or_else(|undeclared| {
+            eprintln!("{undeclared}");
+            std::process::exit(1);
+        });
+        wallclock::end_stage();
+        let secs = ts.elapsed().as_secs_f64();
+        emit(&out);
+        log.push_str(&out.report);
+        ran.push((row.name, secs, out));
+    }
+    let mut tail = String::new();
+    if metrics {
+        let jsonl: String = ran
+            .iter()
+            .map(|(name, _, out)| out.metrics.to_json_line(name) + "\n")
+            .collect();
+        let path = results_dir().join("metrics.jsonl");
+        std::fs::write(&path, jsonl).expect("write metrics.jsonl");
+        println!("[saved {}]", path.display());
+        let _ = writeln!(tail, "== telemetry per stage (sim-time, deterministic) ==\n");
+        let _ = writeln!(tail, "{}", metrics_summary(&ran).to_text());
+    }
+    if all {
+        let _ = writeln!(tail, "== wall-clock per stage (jobs={jobs}) ==\n");
+        for (name, secs, _) in &ran {
+            let _ = writeln!(tail, "{name:<16} {secs:8.1} s");
         }
-        let total = t0.elapsed().as_secs_f64();
-        let mut wall = String::new();
-        let _ = writeln!(wall, "== wall-clock per stage (jobs={jobs}) ==\n");
-        for (name, secs) in &timings {
-            let _ = writeln!(wall, "{name:<16} {secs:8.1} s");
+        let _ = writeln!(tail, "{:<16} {:8.1} s", "total", t0.elapsed().as_secs_f64());
+    }
+    if metrics {
+        let profile = wallclock::report();
+        if !profile.is_empty() {
+            let _ = writeln!(tail, "\n{profile}");
         }
-        let _ = writeln!(wall, "{:<16} {total:8.1} s", "total");
-        if metrics {
-            let profile = wallclock::report();
-            if !profile.is_empty() {
-                let _ = writeln!(wall, "\n{profile}");
-            }
-        }
-        if jobs > 1 {
-            // Speedup check: rerun the two replicate-heavy stages
-            // sequentially and compare wall-clock (results are
-            // byte-identical by construction; see dui_bench::par).
-            let _ = writeln!(
-                wall,
-                "\n== sequential baseline (jobs=1) for the replicated stages ==\n"
-            );
-            for &name in &["fig2", "blink-sweep"] {
-                let ts = std::time::Instant::now();
-                run_stage(name, &StageCfg { jobs: 1, ..cfg.clone() }).expect("known stage");
-                let seq = ts.elapsed().as_secs_f64();
-                let par = timings
-                    .iter()
-                    .find(|(n, _)| *n == name)
-                    .map(|&(_, s)| s)
-                    .unwrap_or(f64::NAN);
-                let _ = writeln!(
-                    wall,
-                    "{name:<16} {seq:8.1} s sequential vs {par:8.1} s at jobs={jobs}  (speedup {:.2}x)",
-                    seq / par
-                );
-            }
-        }
-        print!("{wall}");
-        log.push_str(&wall);
+    }
+    print!("{tail}");
+    if all {
+        log.push_str(&tail);
         let path = results_dir().join("experiments_all.txt");
         std::fs::write(&path, log).expect("write experiments_all.txt");
         println!("[saved {}]", path.display());
-    } else {
-        wallclock::set_stage(&which);
-        match run_stage(&which, &cfg) {
-            Some(out) => {
-                wallclock::end_stage();
-                emit(&out);
-                if metrics {
-                    let path = results_dir().join("metrics.jsonl");
-                    let mut line = out.metrics.to_json_line(&which);
-                    line.push('\n');
-                    std::fs::write(&path, line).expect("write metrics.jsonl");
-                    println!("[saved {}]", path.display());
-                    let profile = wallclock::report();
-                    if !profile.is_empty() {
-                        print!("{profile}");
-                    }
-                }
-            }
-            None => {
-                eprintln!(
-                    "unknown experiment '{which}'. Available: {} all",
-                    STAGE_NAMES.join(" ")
-                );
-                std::process::exit(2);
-            }
-        }
     }
     println!("[done in {:.1} s]", t0.elapsed().as_secs_f64());
 }

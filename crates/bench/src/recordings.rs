@@ -1,6 +1,6 @@
 //! Recordable experiment stages for `experiments record` / `replay`.
 //!
-//! Each entry in [`RECORD_STAGES`] names a deterministic simulation run
+//! Each row of [`RECORDINGS`] names a deterministic simulation run
 //! that can be captured as a `dui-replay` recording: the paper's full
 //! fig2 / blink-packet / pcc stages plus `-small` variants sized for CI
 //! gates and golden fixtures. A recording stores the stage name, so
@@ -9,6 +9,7 @@
 //! builds the exact configuration the recording was taken under.
 
 use crate::par::task_seed;
+use crate::stages::blink_packet_cfg;
 use dui_core::blink::fastsim::AttackSimConfig;
 use dui_core::netsim::time::{SimDuration, SimTime};
 use dui_core::replay::{FastSimSubject, ReplaySubject, SimulatorSubject};
@@ -16,20 +17,84 @@ use dui_core::scenario::{BlinkScenario, BlinkScenarioConfig, PccScenario, PccSce
 use dui_core::stats::digest::StateDigest;
 use dui_core::stats::table::Table;
 
-/// Stage names accepted by `experiments record`.
-///
-/// The full-size names replicate the corresponding experiment stages;
-/// the `-small` variants shrink the workload so that recording, replay
-/// and resume complete in seconds (they are what `scripts/verify.sh`
-/// and the golden-trace fixtures use).
-pub const RECORD_STAGES: &[&str] = &[
-    "fig2",
-    "fig2-small",
-    "blink-packet",
-    "blink-packet-small",
-    "pcc",
-    "pcc-small",
+/// One stage `experiments record` accepts: a row of [`RECORDINGS`].
+pub struct Recordable {
+    /// The name `record` takes and the recording stores.
+    pub name: &'static str,
+    /// Default checkpoint interval in events: sized so a recording
+    /// holds a useful handful of checkpoints without the snapshot
+    /// payloads dominating the file.
+    pub ckpt_every: u64,
+    /// Build the live subject.
+    pub build: fn() -> StageSubject,
+}
+
+/// Every recordable stage. The full-size rows replicate the
+/// corresponding experiment stages; the `-small` variants shrink the
+/// workload so that recording, replay and resume complete in seconds
+/// (they are what `scripts/verify.sh` and the golden-trace fixtures
+/// use).
+pub const RECORDINGS: &[Recordable] = &[
+    Recordable {
+        name: "fig2",
+        ckpt_every: 200_000,
+        build: || fig2_subject(AttackSimConfig::fig2()),
+    },
+    Recordable {
+        name: "fig2-small",
+        ckpt_every: 2_000,
+        build: || {
+            fig2_subject(AttackSimConfig {
+                legit_flows: 120,
+                malicious_flows: 8,
+                horizon: SimDuration::from_secs(60),
+                ..AttackSimConfig::fig2()
+            })
+        },
+    },
+    Recordable {
+        name: "blink-packet",
+        ckpt_every: 100_000,
+        // The C4 stage's unguarded run.
+        build: || {
+            let (cfg, end) = blink_packet_cfg(false);
+            blink_subject(&cfg, end)
+        },
+    },
+    Recordable {
+        name: "blink-packet-small",
+        ckpt_every: 2_000,
+        build: || {
+            let cfg = BlinkScenarioConfig {
+                legit_flows: 40,
+                malicious_flows: 8,
+                trigger_at: Some(SimTime::from_secs(20)),
+                horizon: SimDuration::from_secs(30),
+                seed: 21,
+                ..Default::default()
+            };
+            blink_subject(&cfg, SimTime::from_secs(25))
+        },
+    },
+    Recordable {
+        name: "pcc",
+        ckpt_every: 500_000,
+        build: || pcc_subject(SimTime::from_secs(120)),
+    },
+    // Even the small PCC run is event-dense (~70k engine events per
+    // simulated second), so its horizon is the shortest of the family.
+    Recordable {
+        name: "pcc-small",
+        ckpt_every: 25_000,
+        build: || pcc_subject(SimTime::from_secs(5)),
+    },
 ];
+
+/// Build the live subject for a [`RECORDINGS`] name. `None` for an
+/// unknown stage.
+pub fn build_subject(stage: &str) -> Option<StageSubject> {
+    RECORDINGS.iter().find(|r| r.name == stage).map(|r| (r.build)())
+}
 
 /// A live simulation ready to be driven by a `Recorder` or `Replayer`.
 pub enum StageSubject {
@@ -72,69 +137,6 @@ impl StageSubject {
     }
 }
 
-fn fig2_cfg(small: bool) -> AttackSimConfig {
-    if small {
-        AttackSimConfig {
-            legit_flows: 120,
-            malicious_flows: 8,
-            horizon: SimDuration::from_secs(60),
-            ..AttackSimConfig::fig2()
-        }
-    } else {
-        AttackSimConfig::fig2()
-    }
-}
-
-fn blink_packet_cfg(small: bool) -> (BlinkScenarioConfig, SimTime) {
-    if small {
-        (
-            BlinkScenarioConfig {
-                legit_flows: 40,
-                malicious_flows: 8,
-                trigger_at: Some(SimTime::from_secs(20)),
-                horizon: SimDuration::from_secs(30),
-                seed: 21,
-                ..Default::default()
-            },
-            SimTime::from_secs(25),
-        )
-    } else {
-        // Mirrors the C4 stage in `stages::blink_packet` (unguarded run).
-        (
-            BlinkScenarioConfig {
-                legit_flows: 2000,
-                malicious_flows: 105,
-                mean_lifetime_secs: 6.37,
-                trigger_at: Some(SimTime::from_secs(260)),
-                horizon: SimDuration::from_secs(300),
-                seed: 21,
-                ..Default::default()
-            },
-            SimTime::from_secs(280),
-        )
-    }
-}
-
-fn pcc_cfg(small: bool) -> (PccScenarioConfig, SimTime) {
-    // The clean (unattacked) C6 convergence run: the §4.2 equalizer tap
-    // is a hidden observer the engine refuses to checkpoint, so the
-    // recordable scenario is the baseline the attack is measured against.
-    let cfg = PccScenarioConfig {
-        flows: 1,
-        attacked: false,
-        seed: 3,
-        ..Default::default()
-    };
-    // Even the small PCC run is event-dense (~70k engine events per
-    // simulated second), so its horizon is the shortest of the family.
-    let end = if small {
-        SimTime::from_secs(5)
-    } else {
-        SimTime::from_secs(120)
-    };
-    (cfg, end)
-}
-
 fn blink_config_digest(cfg: &BlinkScenarioConfig, end: SimTime) -> u64 {
     let mut d = StateDigest::labeled("blink-scenario");
     d.write_usize(cfg.legit_flows);
@@ -161,46 +163,28 @@ fn pcc_config_digest(cfg: &PccScenarioConfig, end: SimTime) -> u64 {
     d.finish()
 }
 
-/// Build the live subject for a [`RECORD_STAGES`] name. `None` for an
-/// unknown stage.
-pub fn build_subject(stage: &str) -> Option<StageSubject> {
-    match stage {
-        "fig2" | "fig2-small" => {
-            let cfg = fig2_cfg(stage.ends_with("-small"));
-            Some(StageSubject::Fast(FastSimSubject::new(
-                cfg,
-                task_seed(1, 0),
-            )))
-        }
-        "blink-packet" | "blink-packet-small" => {
-            let (cfg, end) = blink_packet_cfg(stage.ends_with("-small"));
-            let digest = blink_config_digest(&cfg, end);
-            let sc = BlinkScenario::build(&cfg);
-            Some(StageSubject::Engine(SimulatorSubject::new(
-                sc.sim, end, digest,
-            )))
-        }
-        "pcc" | "pcc-small" => {
-            let (cfg, end) = pcc_cfg(stage.ends_with("-small"));
-            let digest = pcc_config_digest(&cfg, end);
-            let sc = PccScenario::build(&cfg);
-            Some(StageSubject::Engine(SimulatorSubject::new(
-                sc.sim, end, digest,
-            )))
-        }
-        _ => None,
-    }
+fn fig2_subject(cfg: AttackSimConfig) -> StageSubject {
+    StageSubject::Fast(FastSimSubject::new(cfg, task_seed(1, 0)))
 }
 
-/// The default checkpoint interval (in events) for a stage: sized so a
-/// recording holds a useful handful of checkpoints without the snapshot
-/// payloads dominating the file.
-pub fn default_ckpt_every(stage: &str) -> u64 {
-    match stage {
-        "fig2" => 200_000,
-        "blink-packet" => 100_000,
-        "pcc" => 500_000,
-        "pcc-small" => 25_000,
-        _ => 2_000, // the other -small variants
-    }
+fn blink_subject(cfg: &BlinkScenarioConfig, end: SimTime) -> StageSubject {
+    let digest = blink_config_digest(cfg, end);
+    let sc = BlinkScenario::build(cfg);
+    StageSubject::Engine(SimulatorSubject::new(sc.sim, end, digest))
+}
+
+/// The clean (unattacked) C6 convergence run up to `end`: the §4.2
+/// equalizer tap is a hidden observer the engine refuses to checkpoint,
+/// so the recordable scenario is the baseline the attack is measured
+/// against.
+fn pcc_subject(end: SimTime) -> StageSubject {
+    let cfg = PccScenarioConfig {
+        flows: 1,
+        attacked: false,
+        seed: 3,
+        ..Default::default()
+    };
+    let digest = pcc_config_digest(&cfg, end);
+    let sc = PccScenario::build(&cfg);
+    StageSubject::Engine(SimulatorSubject::new(sc.sim, end, digest))
 }

@@ -1,13 +1,20 @@
 //! The experiment stages behind the `experiments` binary: every figure
-//! and numeric claim of the paper, each as a pure function
-//! `(options, jobs) -> StageOutput`.
+//! and numeric claim of the paper, each one row of [`STAGES`] — its
+//! name, the [`StageCfg`] fields it reads, the files it emits and a
+//! pure function `fn(&StageCfg) -> StageOutput`.
 //!
 //! A stage returns its human-readable report plus the named tables to
-//! write under `results/` — it performs no I/O itself, so the
-//! determinism test can compare CSV bytes across `jobs` values
-//! in-process. Replicated work inside a stage fans out with
-//! [`crate::par::run_indexed`], so thread count never changes results
-//! (see the crate-level docs for the seeding contract).
+//! write under `results/` — it performs no I/O itself, so
+//! [`verify_determinism`] can hold every row to the determinism
+//! contract in-process: same bytes run to run, across `--jobs` and
+//! across `--sim-threads`, for every flag the row lists. Replicated
+//! work inside a stage fans out with [`crate::par::run_indexed`], so
+//! thread count never changes results (see the crate-level docs for
+//! the seeding contract).
+
+mod contract;
+
+pub use contract::verify_determinism;
 
 use crate::par::{run_indexed, task_seed};
 use crate::{mean, measure_residencies};
@@ -60,25 +67,6 @@ impl StageOutput {
     }
 }
 
-/// Every stage name the CLI accepts, in `all` execution order.
-pub const STAGE_NAMES: &[&str] = &[
-    "fig2",
-    "fig2-rates",
-    "blink-sweep",
-    "caida-residency",
-    "blink-packet",
-    "pytheas",
-    "pcc",
-    "nethide",
-    "defenses",
-    "survey",
-    "fuzz",
-    "lint",
-    "parallel-scaling",
-    "supervisord",
-    "flow-scale",
-];
-
 /// Cross-stage execution options, bundled so new knobs do not churn
 /// every call site.
 #[derive(Debug, Clone)]
@@ -88,49 +76,219 @@ pub struct StageCfg {
     /// Simulation-engine thread count (0 = sequential); consumed only
     /// by the id-contract-clean packet-level stages.
     pub sim_threads: usize,
-    /// Supervisord pipeline worker threads; consumed only by the
-    /// `supervisord` stage, whose verdict log is byte-identical for
-    /// every value.
-    pub workers: usize,
 }
 
-impl Default for StageCfg {
-    fn default() -> Self {
-        StageCfg {
-            jobs: 1,
-            sim_threads: 0,
-            workers: 2,
+/// A [`StageCfg`] field a stage's `run` reads. A row lists the ones
+/// that reach its simulations; the determinism contract is checked
+/// across exactly those.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flag {
+    /// `cfg.jobs` — replicate-parallel fan-out (invariant D4).
+    Jobs,
+    /// `cfg.sim_threads` — the domain-parallel engine (invariant D5).
+    /// Only stages whose node logic is certified id-stable list it
+    /// (see the determinism-contract chapter in `docs/` for the
+    /// `pkt.id` rule that gates this).
+    SimThreads,
+}
+
+impl Flag {
+    /// The flag as the CLI spells it.
+    pub fn cli(self) -> &'static str {
+        match self {
+            Flag::Jobs => "--jobs",
+            Flag::SimThreads => "--sim-threads",
         }
     }
 }
 
-/// Run one stage by CLI name; `None` for an unknown name.
-/// `cfg.sim_threads` is consumed only by the packet-level stages whose
-/// node logic is certified id-stable (`blink-packet`, `defenses`,
-/// `parallel-scaling`); every other stage runs its simulators
-/// sequentially regardless (see the determinism-contract chapter in
-/// `docs/` for the `pkt.id` rule that gates this).
-pub fn run_stage(name: &str, cfg: &StageCfg) -> Option<StageOutput> {
-    let jobs = cfg.jobs;
-    let sim_threads = cfg.sim_threads;
-    Some(match name {
-        "fig2" => fig2(jobs),
-        "fig2-rates" => fig2_rates(jobs),
-        "blink-sweep" => blink_sweep(jobs),
-        "caida-residency" => caida_residency(jobs),
-        "blink-packet" => blink_packet(jobs, sim_threads),
-        "pytheas" => pytheas(jobs),
-        "pcc" => pcc(jobs),
-        "nethide" => nethide(jobs),
-        "defenses" => defenses_opts(jobs, sim_threads),
-        "survey" => survey(jobs),
-        "fuzz" => fuzz(jobs),
-        "lint" => lint(jobs),
-        "parallel-scaling" => parallel_scaling(sim_threads),
-        "supervisord" => supervisord_stage(&SupervisordOpts::scaled(cfg.workers), jobs),
-        "flow-scale" => flow_scale_with(&FlowScaleOpts::from_env(), jobs),
-        _ => return None,
-    })
+/// One file a stage emits under `results/`.
+#[derive(Debug)]
+pub struct Output {
+    /// File name, as it appears in [`StageOutput::tables`] or
+    /// [`StageOutput::artifacts`].
+    pub file: &'static str,
+    /// Header names of the columns that hold wall-clock or RSS
+    /// measurements. Everything else in the file is byte-identical
+    /// across runs, `--jobs` and `--sim-threads`.
+    pub measured: &'static [&'static str],
+}
+
+/// A fully deterministic output file.
+const fn det(file: &'static str) -> Output {
+    Output { file, measured: &[] }
+}
+
+/// One experiment: a row of [`STAGES`].
+#[derive(Debug)]
+pub struct Stage {
+    /// CLI name.
+    pub name: &'static str,
+    /// The claim id `docs/reproduction-map.md` §1 and EXPERIMENTS.md
+    /// file the stage under.
+    pub claim: &'static str,
+    /// One line on what the stage regenerates.
+    pub about: &'static str,
+    /// The [`StageCfg`] fields `run` reads.
+    pub flags: &'static [Flag],
+    /// Every file the stage emits, tables first, in emission order.
+    pub outputs: &'static [Output],
+    /// The stage itself. Call it through [`Stage::run_checked`].
+    pub run: fn(&StageCfg) -> StageOutput,
+}
+
+/// Every experiment, in `all` execution order. This table is the one
+/// declaration behind the CLI's stage list and usage text, the
+/// declared-outputs check in [`Stage::run_checked`], the determinism
+/// gate ([`verify_determinism`]) and the stage and output tables of
+/// `docs/operations.md`.
+pub const STAGES: &[Stage] = &[
+    Stage {
+        name: "fig2",
+        claim: "F2",
+        about: "Fig. 2: malicious flows sampled by Blink over time, theory overlaid with 50 replicate simulations",
+        flags: &[Flag::Jobs],
+        outputs: &[det("fig2.csv")],
+        run: |c| fig2_with(&Fig2Opts::paper(), c.jobs),
+    },
+    Stage {
+        name: "fig2-rates",
+        claim: "F2b",
+        about: "rate-asymmetry ablation: attacker keep-alive rate vs takeover time (closed form)",
+        flags: &[],
+        outputs: &[det("fig2_rates.csv")],
+        run: |_| fig2_rates(),
+    },
+    Stage {
+        name: "blink-sweep",
+        claim: "C2",
+        about: "takeover time over the (tR, qm) grid, plus the selector-size and hash-salt (§5-V) ablations",
+        flags: &[Flag::Jobs],
+        outputs: &[
+            det("blink_sweep.csv"),
+            det("blink_cells_ablation.csv"),
+            det("blink_salt_ablation.csv"),
+        ],
+        run: |c| blink_sweep_with(10, c.jobs),
+    },
+    Stage {
+        name: "caida-residency",
+        claim: "C3",
+        about: "flow-selector residency across the top-20 prefixes of the synthetic CAIDA-like trace",
+        flags: &[Flag::Jobs],
+        outputs: &[det("caida_residency.csv")],
+        run: |c| caida_residency(c.jobs),
+    },
+    Stage {
+        name: "blink-packet",
+        claim: "C4",
+        about: "packet-level Blink takeover (2000 legit + 105 malicious TCP flows), unguarded and RTO-guarded",
+        flags: &[Flag::Jobs, Flag::SimThreads],
+        outputs: &[det("blink_packet.csv")],
+        run: |c| blink_packet(c.jobs, c.sim_threads),
+    },
+    Stage {
+        name: "pytheas",
+        claim: "C5",
+        about: "Pytheas group poisoning and CDN herding sweeps, with and without the §5 outlier filter",
+        flags: &[Flag::Jobs],
+        outputs: &[det("pytheas_poison.csv"), det("pytheas_throttle.csv")],
+        run: |c| pytheas(c.jobs),
+    },
+    Stage {
+        name: "pcc",
+        claim: "C6",
+        about: "PCC under the §4.2 MitM: equalizer, pin, ε clamp, destination fluctuation vs attacked flows",
+        flags: &[Flag::Jobs],
+        outputs: &[det("pcc_single.csv"), det("pcc_destination.csv")],
+        run: |c| pcc(c.jobs),
+    },
+    Stage {
+        name: "nethide",
+        claim: "C7",
+        about: "NetHide obfuscation: security (density) vs accuracy and utility across budgets and topologies",
+        flags: &[Flag::Jobs],
+        outputs: &[det("nethide_tradeoff.csv")],
+        run: |c| nethide(c.jobs),
+    },
+    Stage {
+        name: "defenses",
+        claim: "C8",
+        about: "each attack with and without its §5 countermeasure, plus the snapshot-driven supervisor risk",
+        flags: &[Flag::Jobs, Flag::SimThreads],
+        outputs: &[det("defenses.csv")],
+        run: |c| defenses(c.jobs, c.sim_threads),
+    },
+    Stage {
+        name: "survey",
+        claim: "C9",
+        about: "the §3.2 survey systems (SP-PIFO, FlowRadar, DAPPER, RON) under their sketched attacks",
+        flags: &[Flag::Jobs],
+        outputs: &[det("survey.csv")],
+        run: |c| survey(c.jobs),
+    },
+    Stage {
+        name: "fuzz",
+        claim: "§5-II",
+        about: "mutation fuzzing rediscovers the Blink trigger from benign-looking traffic (five seeded searches)",
+        flags: &[Flag::Jobs],
+        outputs: &[det("fuzz.csv")],
+        run: |c| fuzz(c.jobs),
+    },
+    Stage {
+        name: "parallel-scaling",
+        claim: "PS",
+        about: "the domain-parallel engine at 1, 2, 4 and 8 threads over a reduced packet-level Blink run; asserts equal state hashes",
+        flags: &[],
+        outputs: &[Output {
+            file: "parallel_scaling.csv",
+            measured: &["wall_s"],
+        }],
+        run: |_| parallel_scaling(),
+    },
+    Stage {
+        name: "supervisord",
+        claim: "SV",
+        about: "12 synthetic telemetry producers through the supervisord pipeline at 1, 2 and 4 workers; asserts one verdict log",
+        flags: &[Flag::Jobs],
+        outputs: &[
+            Output {
+                file: "supervisord.csv",
+                measured: &["snapshots_per_sec", "p50_latency_us", "p95_latency_us"],
+            },
+            det("supervisord_verdicts.jsonl"),
+        ],
+        run: |c| supervisord(c.jobs),
+    },
+    Stage {
+        name: "flow-scale",
+        claim: "FS",
+        about: "10k → 1M concurrent connections through full RFC 9293 lifecycles in one FlowPool",
+        flags: &[Flag::Jobs],
+        outputs: &[Output {
+            file: "flow_scale.csv",
+            measured: &["admit_ns", "step_ns", "evict_ns", "wall_s", "peak_rss_mb"],
+        }],
+        run: |c| flow_scale(c.jobs),
+    },
+];
+
+impl Stage {
+    /// The row named `name`.
+    pub fn named(name: &str) -> Option<&'static Stage> {
+        STAGES.iter().find(|s| s.name == name)
+    }
+
+    /// Run the stage and hold what it emitted to what its row
+    /// declares: the same file names in the same order, and every
+    /// `measured` name present in that table's header — so a stage
+    /// cannot grow an output the determinism gate does not see. The
+    /// error reads `stage · file:1 · what`.
+    pub fn run_checked(&self, cfg: &StageCfg) -> Result<StageOutput, String> {
+        let out = (self.run)(cfg);
+        contract::comparable(self, &out)?;
+        Ok(out)
+    }
 }
 
 /// Options for the Fig. 2 stage: replicate count and master seed are
@@ -160,12 +318,8 @@ impl Fig2Opts {
 
 /// F2 — Fig. 2: malicious flows sampled by Blink over time. Theory (the
 /// paper's printed iid formula and our fixed-keys refinement) overlaid
-/// with the replicate simulations.
-pub fn fig2(jobs: usize) -> StageOutput {
-    fig2_with(&Fig2Opts::paper(), jobs)
-}
-
-/// [`fig2`] with explicit options (replicates, horizon, master seed).
+/// with the replicate simulations, at explicit options (replicates,
+/// horizon, master seed).
 pub fn fig2_with(opts: &Fig2Opts, jobs: usize) -> StageOutput {
     let mut out = StageOutput::default();
     let mut report = String::new();
@@ -296,7 +450,7 @@ pub fn fig2_with(opts: &Fig2Opts, jobs: usize) -> StageOutput {
 
 /// F2b — rate-asymmetry ablation: attacker keep-alive rate vs takeover
 /// time, reconciling the printed formula with the quoted 172 s.
-pub fn fig2_rates(_jobs: usize) -> StageOutput {
+fn fig2_rates() -> StageOutput {
     let mut out = StageOutput::default();
     let mut report = String::new();
     let r = &mut report;
@@ -341,13 +495,8 @@ pub fn fig2_rates(_jobs: usize) -> StageOutput {
 /// C2 — attack-feasibility sweep over (tR, qm): mean takeover time from
 /// the paper's formula, plus the fixed-keys saturation constraint on the
 /// malicious flow count. The `(tR, qm)` grid rows and the salt-ablation
-/// targets each run as parallel tasks.
-pub fn blink_sweep(jobs: usize) -> StageOutput {
-    blink_sweep_with(10, jobs)
-}
-
-/// [`blink_sweep`] with an explicit salt-ablation seed count (tests use
-/// a smaller one).
+/// targets each run as parallel tasks; `salt_seeds` is the salt
+/// ablation's seed count (10 in the stage, fewer in tests).
 pub fn blink_sweep_with(salt_seeds: u64, jobs: usize) -> StageOutput {
     let mut out = StageOutput::default();
     let mut report = String::new();
@@ -482,7 +631,7 @@ pub fn blink_sweep_with(salt_seeds: u64, jobs: usize) -> StageOutput {
 /// C3 — per-prefix residency on the CAIDA-like synthetic trace: median
 /// ≈5 s across top prefixes, half of the top-20 ≥10 s (paper's reported
 /// statistics). Prefixes are replayed in parallel.
-pub fn caida_residency(jobs: usize) -> StageOutput {
+fn caida_residency(jobs: usize) -> StageOutput {
     let mut out = StageOutput::default();
     let mut report = String::new();
     let r = &mut report;
@@ -571,13 +720,30 @@ pub fn caida_residency(jobs: usize) -> StageOutput {
     out
 }
 
+/// The C4 run's scenario and the sim-time it stops at (20 s past the
+/// trigger). `recordings` builds its full-size `blink-packet` subject
+/// from the unguarded one.
+pub(crate) fn blink_packet_cfg(guarded: bool) -> (BlinkScenarioConfig, SimTime) {
+    let cfg = BlinkScenarioConfig {
+        legit_flows: 2000,
+        malicious_flows: 105,
+        mean_lifetime_secs: 6.37,
+        trigger_at: Some(SimTime::from_secs(260)),
+        guarded,
+        horizon: SimDuration::from_secs(300),
+        seed: 21,
+        ..Default::default()
+    };
+    (cfg, SimTime::from_secs(280))
+}
+
 /// C4 — the packet-level Blink experiment (the paper's mininet+P4 run):
 /// 2000 legitimate + 105 malicious flows, occupancy over time, then the
 /// trigger and the reroute; guarded variant alongside (the two
 /// simulations run concurrently). `sim_threads > 0` runs each simulator
 /// under the sharded parallel engine — the CSV and metrics are
 /// byte-identical at any thread count.
-pub fn blink_packet(jobs: usize, sim_threads: usize) -> StageOutput {
+fn blink_packet(jobs: usize, sim_threads: usize) -> StageOutput {
     let mut out = StageOutput::default();
     let mut report = String::new();
     let r = &mut report;
@@ -586,16 +752,7 @@ pub fn blink_packet(jobs: usize, sim_threads: usize) -> StageOutput {
         "== C4: packet-level Blink takeover (2000 legit + 105 malicious TCP flows) ==\n"
     );
     let run = |guarded: bool| {
-        let cfg = BlinkScenarioConfig {
-            legit_flows: 2000,
-            malicious_flows: 105,
-            mean_lifetime_secs: 6.37,
-            trigger_at: Some(SimTime::from_secs(260)),
-            guarded,
-            horizon: SimDuration::from_secs(300),
-            seed: 21,
-            ..Default::default()
-        };
+        let (cfg, end) = blink_packet_cfg(guarded);
         let mut sc = BlinkScenario::build(&cfg);
         if sim_threads > 0 {
             sc.sim.set_sim_threads(sim_threads);
@@ -606,7 +763,7 @@ pub fn blink_packet(jobs: usize, sim_threads: usize) -> StageOutput {
             // lint: allow(panic): BlinkScenario always monitors its victim prefix
             occupancy.push((t, sc.malicious_cells().expect("prefix monitored")));
         }
-        sc.sim.run_until(SimTime::from_secs(280));
+        sc.sim.run_until(end);
         let snap = sc.metrics();
         // lint: allow(panic): BlinkScenario always monitors its victim prefix
         let reroutes = sc.reroutes().expect("prefix monitored");
@@ -622,8 +779,8 @@ pub fn blink_packet(jobs: usize, sim_threads: usize) -> StageOutput {
         out.report = "blink-packet: run_indexed(2, ..) did not return two runs".to_string();
         return out;
     };
-    out.metrics = snap.with_prefix("unguarded.");
-    out.metrics.merge(&g_snap.with_prefix("guarded."));
+    out.metrics = snap.with_prefix("unguarded");
+    out.metrics.merge(&g_snap.with_prefix("guarded"));
     let mut csv = Table::new(["t_s", "malicious_cells"]);
     let mut show = Table::new(["t [s]", "malicious cells (of 64)"]);
     for (t, c) in &occ {
@@ -655,7 +812,7 @@ pub fn blink_packet(jobs: usize, sim_threads: usize) -> StageOutput {
 /// mismatch fails the stage. Wall-clock columns are measurements and
 /// legitimately vary between machines and runs; everything else in the
 /// CSV is deterministic.
-pub fn parallel_scaling(requested: usize) -> StageOutput {
+fn parallel_scaling() -> StageOutput {
     use dui_core::netsim::parallel::ParallelOutcome;
 
     let mut out = StageOutput::default();
@@ -663,12 +820,8 @@ pub fn parallel_scaling(requested: usize) -> StageOutput {
     let r = &mut report;
     let _ = writeln!(
         r,
-        "== parallel engine scaling (packet-level Blink, reduced horizon) =="
+        "== parallel engine scaling (packet-level Blink, reduced horizon) ==\n"
     );
-    if requested > 0 {
-        let _ = writeln!(r, "(--sim-threads {requested} requested; sweeping 1..=8 anyway)");
-    }
-    let _ = writeln!(r);
     let cfg = BlinkScenarioConfig {
         legit_flows: 400,
         malicious_flows: 105,
@@ -723,7 +876,7 @@ pub fn parallel_scaling(requested: usize) -> StageOutput {
         let hash = sc.sim.state_hash();
         if threads == 1 {
             base = Some((hash, wall));
-            out.metrics = sc.metrics().with_prefix("t1.");
+            out.metrics = sc.metrics().with_prefix("t1");
         }
         // lint: allow(panic): threads=1 is the first sweep entry by construction
         let (base_hash, base_wall) = base.expect("1-thread run comes first");
@@ -773,7 +926,7 @@ pub fn parallel_scaling(requested: usize) -> StageOutput {
 
 /// C5 — Pytheas poisoning and herding sweeps, with and without the §5
 /// outlier filter. Each sweep point is an independent parallel task.
-pub fn pytheas(jobs: usize) -> StageOutput {
+fn pytheas(jobs: usize) -> StageOutput {
     let mut out = StageOutput::default();
     let mut report = String::new();
     let r = &mut report;
@@ -891,7 +1044,7 @@ pub fn pytheas(jobs: usize) -> StageOutput {
 /// C6 — PCC: clean convergence, the equalizer/pin attack, the ε-clamp
 /// defense, and the destination-fluctuation aggregation. All scenario
 /// simulations run as parallel tasks.
-pub fn pcc(jobs: usize) -> StageOutput {
+fn pcc(jobs: usize) -> StageOutput {
     let mut out = StageOutput::default();
     let mut report = String::new();
     let r = &mut report;
@@ -971,7 +1124,7 @@ pub fn pcc(jobs: usize) -> StageOutput {
     });
     const SNAP_KEYS: [&str; 4] = ["clean", "mirror", "pin", "pin_clamp"];
     for (si, (rate, amp, inc, dec, risk, snap)) in results.into_iter().enumerate() {
-        out.metrics.merge(&snap.with_prefix(&format!("{}.", SNAP_KEYS[si])));
+        out.metrics.merge(&snap.with_prefix(SNAP_KEYS[si]));
         let label = scenarios[si].0;
         csv.row([
             label.to_string(),
@@ -1035,7 +1188,7 @@ pub fn pcc(jobs: usize) -> StageOutput {
 
 /// C7 — NetHide: security (density) vs accuracy/utility across budgets
 /// and topologies; each (topology, budget) solve is a parallel task.
-pub fn nethide(jobs: usize) -> StageOutput {
+fn nethide(jobs: usize) -> StageOutput {
     let mut out = StageOutput::default();
     let mut report = String::new();
     let r = &mut report;
@@ -1133,17 +1286,11 @@ pub fn nethide(jobs: usize) -> StageOutput {
 
 /// C8 — the defenses ablation: each attack with / without its §5
 /// countermeasure, one row per case study; the six simulations run
-/// concurrently.
-pub fn defenses(jobs: usize) -> StageOutput {
-    defenses_opts(jobs, 0)
-}
-
-/// [`defenses`] with the simulation-engine thread count. Only the two
-/// packet-level Blink runs are affected; since the `BounceProgram`
-/// rework removed the last foreign-`pkt.id` read in node logic, the
-/// stage is id-contract clean and its output is byte-identical at any
-/// `sim_threads`.
-pub fn defenses_opts(jobs: usize, sim_threads: usize) -> StageOutput {
+/// concurrently. `sim_threads` reaches only the two packet-level Blink
+/// runs; since the `BounceProgram` rework removed the last
+/// foreign-`pkt.id` read in node logic, the stage is id-contract clean
+/// and its output is byte-identical at any `sim_threads`.
+fn defenses(jobs: usize, sim_threads: usize) -> StageOutput {
     let mut out = StageOutput::default();
     let mut report = String::new();
     let r = &mut report;
@@ -1280,8 +1427,8 @@ pub fn defenses_opts(jobs: usize, sim_threads: usize) -> StageOutput {
     let g = reg.gauge("defenses.supervisor.risk.defended");
     reg.observe(g, defended_risk.0);
     out.metrics = reg.snapshot();
-    out.metrics.merge(&vals[0].1.with_prefix("attacked."));
-    out.metrics.merge(&vals[1].1.with_prefix("defended."));
+    out.metrics.merge(&vals[0].1.with_prefix("attacked"));
+    out.metrics.merge(&vals[1].1.with_prefix("defended"));
     out.report = report;
     out
 }
@@ -1289,7 +1436,7 @@ pub fn defenses_opts(jobs: usize, sim_threads: usize) -> StageOutput {
 /// C9 — the §3.2 survey systems: each with its sketched attack,
 /// adversarial vs benign inputs side by side; the four systems run
 /// concurrently.
-pub fn survey(jobs: usize) -> StageOutput {
+fn survey(jobs: usize) -> StageOutput {
     let mut out = StageOutput::default();
     let mut report = String::new();
     let r = &mut report;
@@ -1491,7 +1638,7 @@ pub fn survey(jobs: usize) -> StageOutput {
 /// §5-II — automated adversarial-input discovery: the fuzzer rediscovers
 /// the Blink trigger from scratch; the five seeded searches run
 /// concurrently.
-pub fn fuzz(jobs: usize) -> StageOutput {
+fn fuzz(jobs: usize) -> StageOutput {
     use dui_core::defense::fuzzing::{BlinkFuzzer, FuzzConfig};
     let mut out = StageOutput::default();
     let mut report = String::new();
@@ -1551,187 +1698,45 @@ pub fn fuzz(jobs: usize) -> StageOutput {
     out
 }
 
-/// L — static-analysis gate as an experiment stage: runs the full
-/// `dui-lint` analyzer (token rules plus the cross-crate graph rules)
-/// over `crates/` + `src/`, applies `lint.baseline`, and reports
-/// per-rule totals. The stage fails loudly (in the report) on
-/// non-baselined findings, mirroring the lint step of
-/// `scripts/verify.sh` so `experiments all` exercises the same
-/// invariants. Exports deterministic `lint.rules.*.findings` /
-/// `lint.analysis.*` counters plus wall-clock phase timings (`*.wall_ns`, non-deterministic by
-/// design, like every `wall_*` column).
-pub fn lint(_jobs: usize) -> StageOutput {
-    let mut out = StageOutput::default();
-    let mut r = String::new();
-    let _ = writeln!(r, "## L — dui-lint: determinism & hygiene static analysis\n");
-
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..");
-    let baseline = match std::fs::read_to_string(root.join("lint.baseline")) {
-        Ok(text) => dui_lint::Baseline::parse(&text),
-        Err(_) => dui_lint::Baseline::default(),
-    };
-    let paths: Vec<String> = dui_lint::DEFAULT_PATHS.iter().map(|s| s.to_string()).collect();
-    // The lint crate never reads the clock itself; the harness injects
-    // one (bench is determinism-sanctioned), so the self-profile works
-    // without the library breaking its own `determinism/wall-clock` rule.
-    let epoch = std::time::Instant::now();
-    let mut clock = || epoch.elapsed().as_nanos() as u64;
-    let (report, profile) = match dui_lint::lint_paths_profiled(&root, &paths, &baseline, &mut clock)
-    {
-        Ok(pair) => pair,
-        Err(e) => {
-            let _ = writeln!(r, "lint stage could not scan the workspace: {e}");
-            out.report = r;
-            return out;
-        }
-    };
-
-    let mut reg = Registry::new();
-    let rule_ns: std::collections::HashMap<&str, u64> =
-        profile.rules.iter().copied().collect();
-    let mut csv = Table::new(["rule", "total", "new", "baselined", "wall_ms"]);
-    let mut show = Table::new(["rule", "total", "new", "baselined", "wall_ms"]);
-    for rule in dui_lint::rules::RULE_IDS {
-        let total = report.findings.iter().filter(|f| f.rule == *rule).count();
-        let newc = report
-            .findings
-            .iter()
-            .filter(|f| f.rule == *rule && !f.baselined)
-            .count();
-        let id = reg.counter(&format!("lint.rules.{rule}.findings"));
-        reg.add(id, total as u64);
-        let ns = rule_ns.get(rule).copied().unwrap_or(0);
-        let row = [
-            rule.to_string(),
-            total.to_string(),
-            newc.to_string(),
-            (total - newc).to_string(),
-            format!("{:.3}", ns as f64 / 1e6),
-        ];
-        csv.row(row.clone());
-        show.row(row);
-    }
-    for (name, v) in [
-        ("lint.analysis.files", report.stats.files as u64),
-        ("lint.analysis.symbols", report.stats.symbols as u64),
-        ("lint.analysis.edges", report.stats.edges as u64),
-        ("lint.analysis.unknown_calls", report.stats.unknown as u64),
-    ] {
-        let id = reg.counter(name);
-        reg.add(id, v);
-    }
-    for (i, (phase, ns)) in profile.phases.iter().enumerate() {
-        let id = reg.counter(&format!("lint.analysis.{phase}.wall_ns"));
-        reg.add(id, *ns);
-        dui_core::telemetry::wallclock::record_task("lint_phase", i, *ns);
-    }
-    out.metrics = reg.snapshot();
-
-    let _ = writeln!(r, "{}", show.to_text());
-    let _ = writeln!(
-        r,
-        "{} files scanned; {} symbols, {} call edges ({} unknown callees); \
-         {} finding(s), {} new (non-baselined).",
-        report.files_scanned,
-        report.stats.symbols,
-        report.stats.edges,
-        report.stats.unknown,
-        report.findings.len(),
-        report.new_count
-    );
-    let phase_ms = |name: &str| {
-        profile
-            .phases
-            .iter()
-            .find(|(p, _)| *p == name)
-            .map_or(0.0, |(_, ns)| *ns as f64 / 1e6)
-    };
-    let _ = writeln!(
-        r,
-        "wall-clock (non-deterministic): parse {:.1} ms, graph {:.1} ms, taint {:.1} ms.",
-        phase_ms("parse"),
-        phase_ms("graph"),
-        phase_ms("taint")
-    );
-    if report.new_count > 0 {
-        let _ = writeln!(r, "\nNEW FINDINGS (gate would fail):");
-        for f in report.new_findings() {
-            let _ = writeln!(r, "  {}:{}:{} [{}] {}", f.file, f.line, f.col, f.rule, f.message);
-        }
-    } else {
-        let _ = writeln!(
-            r,
-            "Gate clean: every finding is grandfathered in lint.baseline."
-        );
-    }
-    out.table("lint.csv", csv);
-    out.report = r;
-    out
-}
-
-/// Options for the [`supervisord_stage`] synthetic fleet.
-#[derive(Debug, Clone)]
-pub struct SupervisordOpts {
-    /// Telemetry producers (two per group).
-    pub producers: usize,
-    /// Reporting epochs each producer streams.
-    pub epochs: u64,
-    /// Requested pipeline worker-thread count; folded into the swept
-    /// set `{1, 2, 4}` (the verdict log is byte-identical for all).
-    pub workers: usize,
-    /// Seed for the per-producer noise streams.
-    pub master_seed: u64,
-}
-
-impl SupervisordOpts {
-    /// The stage's default fleet, at the requested worker count.
-    pub fn scaled(workers: usize) -> Self {
-        SupervisordOpts {
-            producers: 12,
-            epochs: 150,
-            workers: workers.max(1),
-            master_seed: 7,
-        }
-    }
-}
-
 /// SV — the `dui-supervisord` streaming detection pipeline under a
-/// synthetic telemetry fleet: `producers` delta streams (two per group;
+/// synthetic telemetry fleet: 12 producer delta streams (two per group;
 /// groups cycle benign / Blink-ramp / Pytheas-poison / PCC-equalizer
 /// profiles) sharded over worker threads, each group's risk signals
-/// evaluated online. The stage sweeps worker counts, byte-compares the
-/// verdict JSONL against the 1-worker reference (in-stage self-check —
-/// a mismatch fails the stage), and reports throughput and ingest →
-/// verdict latency. Wall-clock and latency columns are measurements
-/// and legitimately vary; the verdict artifact and the metrics
-/// snapshot are deterministic.
-pub fn supervisord_stage(opts: &SupervisordOpts, jobs: usize) -> StageOutput {
+/// evaluated online. The stage sweeps worker counts 1, 2 and 4,
+/// byte-compares the verdict JSONL against the 1-worker reference
+/// (in-stage self-check — a mismatch fails the stage), and reports
+/// throughput and ingest → verdict latency. Wall-clock and latency
+/// columns are measurements and legitimately vary; the verdict artifact
+/// and the metrics snapshot are deterministic.
+fn supervisord(jobs: usize) -> StageOutput {
     use dui_core::supervisord::{self, Config as SupConfig, ProducerSpec};
     use dui_core::telemetry::delta::{DeltaEncoder, Frame};
     use std::sync::Arc;
 
+    // Telemetry producers (two per group), the reporting epochs each
+    // streams, and the seed of the per-producer noise streams.
+    const PRODUCERS: usize = 12;
+    const EPOCHS: u64 = 150;
+    const MASTER_SEED: u64 = 7;
+
     let mut out = StageOutput::default();
     let mut report = String::new();
     let r = &mut report;
-    let groups = opts.producers.div_ceil(2);
+    let groups = PRODUCERS.div_ceil(2);
     let _ = writeln!(
         r,
         "== SV: supervisord streaming detection ({} producers, {} groups, {} epochs) ==\n",
-        opts.producers, groups, opts.epochs
+        PRODUCERS, groups, EPOCHS
     );
 
     // One deterministic delta stream per producer. Groups pair
     // producers; the group's profile decides which signal its members
     // poison. All producers emit all three metric families so every
     // window sees realistic benign baselines.
-    let onset = opts.epochs / 3;
-    let epochs = opts.epochs;
-    let master_seed = opts.master_seed;
+    let onset = EPOCHS / 3;
     let gen = move |i: usize| -> Vec<Frame> {
         let profile = (i / 2) % 4;
-        let mut rng = Rng::new(task_seed(master_seed, i as u64));
+        let mut rng = Rng::new(task_seed(MASTER_SEED, i as u64));
         let mut reg = Registry::new();
         let blink = reg.gauge("blink.cells.malicious");
         let qoe: Vec<_> = (0..5)
@@ -1742,8 +1747,8 @@ pub fn supervisord_stage(opts: &SupervisordOpts, jobs: usize) -> StageOutput {
         let low_lossy = reg.counter("pcc.mi.low_lossy");
         let low_total = reg.counter("pcc.mi.low_total");
         let mut enc = DeltaEncoder::new(i as u32);
-        let mut frames = Vec::with_capacity(epochs as usize);
-        for e in 0..epochs {
+        let mut frames = Vec::with_capacity(EPOCHS as usize);
+        for e in 0..EPOCHS {
             let attacking = e >= onset;
             // Blink cell occupancy: benign churn vs a takeover ramp.
             let occ = if profile == 1 && attacking {
@@ -1777,7 +1782,7 @@ pub fn supervisord_stage(opts: &SupervisordOpts, jobs: usize) -> StageOutput {
         }
         frames
     };
-    let frame_sets: Vec<Vec<Frame>> = run_indexed(opts.producers, jobs, gen);
+    let frame_sets: Vec<Vec<Frame>> = run_indexed(PRODUCERS, jobs, gen);
     let sources = |sets: &[Vec<Frame>]| -> Vec<(ProducerSpec, std::vec::IntoIter<Frame>)> {
         sets.iter()
             .enumerate()
@@ -1796,11 +1801,7 @@ pub fn supervisord_stage(opts: &SupervisordOpts, jobs: usize) -> StageOutput {
     let reference = supervisord::run(&SupConfig::default(), sources(&frame_sets));
     let ref_jsonl = reference.to_jsonl();
 
-    let mut sweep = vec![1usize, 2, 4];
-    if !sweep.contains(&opts.workers) {
-        sweep.push(opts.workers);
-        sweep.sort_unstable();
-    }
+    let sweep = [1usize, 2, 4];
     let mut csv = Table::new([
         "workers",
         "producers",
@@ -1834,7 +1835,7 @@ pub fn supervisord_stage(opts: &SupervisordOpts, jobs: usize) -> StageOutput {
         .filter(|v| v.action != supervisord::Action::Allow)
         .map(|v| v.group.as_str())
         .collect();
-    for &workers in &sweep {
+    for workers in sweep {
         let t0 = std::time::Instant::now();
         let clock: supervisord::Clock = Arc::new(move || t0.elapsed().as_nanos() as u64);
         let cfg = SupConfig {
@@ -1857,9 +1858,9 @@ pub fn supervisord_stage(opts: &SupervisordOpts, jobs: usize) -> StageOutput {
         let p95 = run.latency_ns.quantile(0.95) as f64 / 1_000.0;
         csv.row([
             workers.to_string(),
-            opts.producers.to_string(),
+            PRODUCERS.to_string(),
             groups.to_string(),
-            opts.epochs.to_string(),
+            EPOCHS.to_string(),
             run.frames.to_string(),
             allow.to_string(),
             constrain.to_string(),
@@ -1914,44 +1915,6 @@ pub fn supervisord_stage(opts: &SupervisordOpts, jobs: usize) -> StageOutput {
     out.metrics = reg.snapshot();
     out.report = report;
     out
-}
-
-/// Options for the [`flow_scale`] sweep.
-#[derive(Debug, Clone)]
-pub struct FlowScaleOpts {
-    /// Concurrent-flow targets, each run as one sweep row.
-    pub sweep: Vec<usize>,
-    /// Master seed; row `i` streams its workload from
-    /// `task_seed(master_seed, i)`.
-    pub master_seed: u64,
-}
-
-impl FlowScaleOpts {
-    /// The full sweep: 10k → 100k → 1M concurrent flows.
-    pub fn paper() -> Self {
-        FlowScaleOpts {
-            sweep: vec![10_000, 100_000, 1_000_000],
-            master_seed: 11,
-        }
-    }
-
-    /// [`FlowScaleOpts::paper`], truncated by the `DUI_FLOW_SCALE_MAX`
-    /// environment variable when set (the CI smoke tier caps the sweep
-    /// at 10k so `scripts/verify.sh` stays fast; the recorded
-    /// `results/flow_scale.csv` always comes from the full sweep).
-    pub fn from_env() -> Self {
-        let mut opts = Self::paper();
-        if let Some(cap) = std::env::var("DUI_FLOW_SCALE_MAX")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            opts.sweep.retain(|&n| n <= cap);
-            if opts.sweep.is_empty() {
-                opts.sweep.push(cap.max(1));
-            }
-        }
-        opts
-    }
 }
 
 /// One deterministic flow-scale row plus its wall-clock measurements.
@@ -2146,25 +2109,23 @@ fn flow_scale_run(n: usize, seed: u64) -> FlowScaleRow {
 /// process high-water mark, so later rows include earlier ones).
 ///
 /// [`FlowPool`]: dui_core::tcp::pool::FlowPool
-pub fn flow_scale(jobs: usize) -> StageOutput {
-    flow_scale_with(&FlowScaleOpts::from_env(), jobs)
-}
+fn flow_scale(jobs: usize) -> StageOutput {
+    // Concurrent-flow targets, one sweep row each; row `i` streams its
+    // workload from `task_seed(MASTER_SEED, i)`.
+    const SWEEP: [usize; 3] = [10_000, 100_000, 1_000_000];
+    const MASTER_SEED: u64 = 11;
 
-/// [`flow_scale`] with an explicit sweep.
-pub fn flow_scale_with(opts: &FlowScaleOpts, jobs: usize) -> StageOutput {
     let mut out = StageOutput::default();
     let mut report = String::new();
     let r = &mut report;
     let _ = writeln!(
         r,
         "== FS: flow-pool scale sweep ({} rows, up to {} concurrent flows) ==\n",
-        opts.sweep.len(),
-        opts.sweep.iter().max().copied().unwrap_or(0),
+        SWEEP.len(),
+        SWEEP[SWEEP.len() - 1],
     );
-    let master = opts.master_seed;
-    let sweep = opts.sweep.clone();
-    let rows = run_indexed(sweep.len(), jobs, move |i| {
-        flow_scale_run(sweep[i], task_seed(master, i as u64))
+    let rows = run_indexed(SWEEP.len(), jobs, |i| {
+        flow_scale_run(SWEEP[i], task_seed(MASTER_SEED, i as u64))
     });
     let mut csv = Table::new([
         "flows",

@@ -1,12 +1,23 @@
 //! The harness's central guarantee: `--jobs N` changes wall-clock time
 //! only. These tests run reduced-size stages at jobs=1 and jobs=4 and
-//! byte-compare every CSV (and the printed report).
+//! byte-compare every CSV (and the printed report), hold every light
+//! row of `STAGES` to the whole contract through `verify_determinism`
+//! (the heavy rows run under `experiments verify-determinism` in
+//! `scripts/verify.sh`), and test that gate itself on fake rows.
 
 use dui_bench::recordings::build_subject;
-use dui_bench::stages::{blink_sweep_with, fig2_with, run_stage, Fig2Opts, StageCfg, StageOutput};
+use dui_bench::stages::{
+    blink_sweep_with, fig2_with, verify_determinism, Fig2Opts, Flag, Output, Stage, StageCfg,
+    StageOutput, STAGES,
+};
 use dui_core::blink::fastsim::AttackSimConfig;
 use dui_core::netsim::time::SimDuration;
 use dui_core::replay::Recorder;
+use dui_core::stats::table::Table;
+use dui_core::telemetry::Registry;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+const SEQUENTIAL: StageCfg = StageCfg { jobs: 1, sim_threads: 0 };
 
 fn csv_bytes(out: &StageOutput) -> Vec<(String, String)> {
     out.tables
@@ -109,28 +120,153 @@ fn engine_checkpoint_hashes_identical_across_runs() {
 
 #[test]
 fn metrics_jsonl_identical_across_jobs() {
+    // The rows that simulate minutes of packets or a million flows keep
+    // the reduced-size tests above and run at full size under
+    // `experiments verify-determinism`; every other row is held to the
+    // whole contract here — run to run, `--jobs`, `--sim-threads` — on
+    // its CSVs, artifacts, `metrics.jsonl` line and report.
+    const HEAVY: [&str; 5] = ["fig2", "blink-packet", "pcc", "parallel-scaling", "flow-scale"];
+    for name in HEAVY {
+        assert!(Stage::named(name).is_some(), "excluded stage '{name}' is not a row");
+    }
+    let light: Vec<&Stage> = STAGES.iter().filter(|s| !HEAVY.contains(&s.name)).collect();
+    verify_determinism(&light).unwrap_or_else(|diff| panic!("{diff}"));
+
     // What `experiments all --metrics` writes is exactly one
-    // `to_json_line(stage)` per stage; build the file contents in-process
-    // for packet-level and fastsim stages at jobs 1 vs 4 and byte-compare.
-    // (`defenses` exercises gauge merging — f64 sums — which is the part
-    // most sensitive to collection order.)
-    let jsonl = |jobs: usize| {
-        let mut s = String::new();
-        for name in ["fig2-rates", "defenses"] {
-            let cfg = StageCfg { jobs, ..StageCfg::default() };
-            let out = run_stage(name, &cfg).expect("known stage");
-            s.push_str(&out.metrics.to_json_line(name));
-            s.push('\n');
-        }
-        s
-    };
-    let seq = jsonl(1);
-    let par4 = jsonl(4);
-    assert!(seq.contains("blink.reroutes"), "defenses must export blink metrics");
+    // `to_json_line(stage)` per stage.
+    let jsonl: String = light
+        .iter()
+        .map(|s| {
+            let out = s.run_checked(&SEQUENTIAL).expect("declared outputs");
+            out.metrics.to_json_line(s.name) + "\n"
+        })
+        .collect();
+    assert!(jsonl.contains("blink.reroutes"), "defenses must export blink metrics");
     // 40 of the 64 cells are malicious in both runs; the full `f64` is
     // pinned so a change to how a snapshot is scored shows up here.
-    assert!(seq.contains(
+    assert!(jsonl.contains(
         "\"defenses.supervisor.risk.attacked\":0.625,\"defenses.supervisor.risk.defended\":0.625"
     ));
-    assert_eq!(seq, par4, "metrics.jsonl must be jobs-invariant");
+    // `Snapshot::with_prefix` inserts the separator itself.
+    assert!(!jsonl.contains(".."), "a metric name carries a double dot");
+}
+
+/// A fake stage output in which exactly the piece named `vary` takes
+/// the value `v` (everything else is constant): a table with one
+/// deterministic and one measured column, an artifact, one metric key
+/// and the report.
+fn fake_output(vary: &str, v: u64) -> StageOutput {
+    let cell = |piece: &str| if piece == vary { v } else { 0 }.to_string();
+    let mut out = StageOutput::default();
+    let mut t = Table::new(["flows", "wall_s"]);
+    t.row(["7", "0.1"]);
+    t.row([cell("cell"), cell("measured")]);
+    out.tables.push(("t.csv".to_string(), t));
+    out.artifacts.push(("a.jsonl".to_string(), format!("{{}}\n{}\n", cell("artifact"))));
+    let mut reg = Registry::new();
+    let c = reg.counter("fake.key");
+    reg.add(c, if vary == "metric" { v } else { 0 });
+    out.metrics = reg.snapshot();
+    out.report = format!("fake report\n{}\n", cell("report"));
+    out
+}
+
+/// [`fake_output`]'s two files, with and without the measured column
+/// declared.
+const MEASURED: &[Output] = &[
+    Output { file: "t.csv", measured: &["wall_s"] },
+    Output { file: "a.jsonl", measured: &[] },
+];
+const WHOLE: &[Output] = &[
+    Output { file: "t.csv", measured: &[] },
+    Output { file: "a.jsonl", measured: &[] },
+];
+
+fn fake(outputs: &'static [Output], run: fn(&StageCfg) -> StageOutput) -> Stage {
+    Stage { name: "fake", claim: "T", about: "a test row", flags: &[Flag::Jobs], outputs, run }
+}
+
+fn verdict(row: Stage) -> Result<(), String> {
+    verify_determinism(&[&row])
+}
+
+#[test]
+fn gate_ignores_measured_columns_and_nothing_else() {
+    // A measurement may differ, and so may the report that prints it.
+    assert_eq!(verdict(fake(MEASURED, |c| fake_output("measured", c.jobs as u64))), Ok(()));
+    assert_eq!(verdict(fake(MEASURED, |c| fake_output("report", c.jobs as u64))), Ok(()));
+    // Every other byte may not; the error names stage, file:line and settings.
+    let starts = |row: Stage, head: &str| {
+        let diff = verdict(row).expect_err(head);
+        assert!(diff.starts_with(head), "{diff}");
+    };
+    starts(
+        fake(MEASURED, |c| fake_output("cell", c.jobs as u64)),
+        "fake · t.csv:3 · --jobs 4 vs --jobs 1\n  --jobs 4: 4\n  --jobs 1: 1",
+    );
+    starts(
+        fake(MEASURED, |c| fake_output("metric", c.jobs as u64)),
+        "fake · metrics.jsonl:1 · --jobs 4 vs --jobs 1",
+    );
+    starts(
+        fake(MEASURED, |c| fake_output("artifact", c.jobs as u64)),
+        "fake · a.jsonl:2 · --jobs 4 vs --jobs 1",
+    );
+    starts(
+        fake(WHOLE, |c| fake_output("report", c.jobs as u64)),
+        "fake · report:2 · --jobs 4 vs --jobs 1",
+    );
+    // Without a declared measured column the same table is compared whole.
+    starts(
+        fake(WHOLE, |c| fake_output("measured", c.jobs as u64)),
+        "fake · t.csv:3 · --jobs 4 vs --jobs 1",
+    );
+    // Two runs of one configuration that disagree (the parent's defect:
+    // a wall-clock value in a `Registry`) fail before any flag is varied.
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+    starts(
+        fake(MEASURED, |_| fake_output("metric", CALLS.fetch_add(1, Ordering::Relaxed))),
+        "fake · metrics.jsonl:1 · run 1 vs run 2 (same configuration)",
+    );
+}
+
+#[test]
+fn gate_refuses_outputs_the_row_does_not_declare() {
+    let refused = |run: fn(&StageCfg) -> StageOutput, head: &str| {
+        let row = fake(MEASURED, run);
+        let diff = row.run_checked(&SEQUENTIAL).expect_err(head);
+        assert!(diff.starts_with(head), "{diff}");
+        assert_eq!(verdict(row), Err(diff));
+    };
+    let undeclared = |_: &StageCfg| {
+        let mut out = fake_output("", 0);
+        out.tables.push(("extra.csv".to_string(), Table::new(["x"])));
+        out
+    };
+    refused(undeclared, "fake · extra.csv:1 · the stage emitted [t.csv, extra.csv, a.jsonl]");
+    let missing = |_: &StageCfg| {
+        let mut out = fake_output("", 0);
+        out.artifacts.clear();
+        out
+    };
+    refused(missing, "fake · a.jsonl:1 · the stage emitted [t.csv], its row declares [t.csv, a.jsonl]");
+    let out_of_order = |_: &StageCfg| {
+        let mut out = fake_output("", 0);
+        let (name, text) = out.artifacts.remove(0);
+        out.tables.insert(0, (name, Table::new([text])));
+        out
+    };
+    refused(out_of_order, "fake · a.jsonl:1 · the stage emitted [a.jsonl, t.csv]");
+    let renamed_column = |_: &StageCfg| {
+        let mut out = fake_output("", 0);
+        out.tables[0].1 = Table::new(["flows", "wall_seconds"]);
+        out
+    };
+    refused(renamed_column, "fake · t.csv:1 · measured column 'wall_s' is not in the header");
+    let quoted = |_: &StageCfg| {
+        let mut out = fake_output("", 0);
+        out.tables[0].1.row(["a,b", "0.2"]);
+        out
+    };
+    refused(quoted, "fake · t.csv:1 · a table with measured columns must not quote a cell");
 }

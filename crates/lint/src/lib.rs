@@ -31,7 +31,7 @@
 //!   unresolved calls recorded as explicit Unknown edges);
 //! * [`taint`] — deterministic interprocedural taint propagation with
 //!   canonical witness paths;
-//! * [`rules`] — the shipped rules (see that module's table): eight
+//! * [`rules`] — the shipped rules (see that module's table): ten
 //!   per-file token rules and four whole-workspace graph rules;
 //! * [`findings`] — deterministic findings, JSON-lines export, and the
 //!   grandfathering [`Baseline`].
@@ -55,8 +55,8 @@
 //!
 //! ## Library use
 //!
-//! The harness's `experiments lint` stage and the fixture tests drive
-//! the same entry points:
+//! The binary, `tests/workspace.rs` and the fixture tests drive the
+//! same entry points:
 //!
 //! ```
 //! let findings = dui_lint::lint_source(
@@ -107,67 +107,24 @@ use parse::ParsedFile;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Self-profile of one analyzer run: wall-clock nanoseconds per phase
-/// and per rule, read from an injected clock (the lint crate itself
-/// never touches `std::time` — the bench harness passes
-/// `Instant`-based closures, tests pass counters or zeros).
-#[derive(Debug, Default, Clone)]
-pub struct Profile {
-    /// `(phase, ns)` for the analysis phases: `parse`, `graph`
-    /// (symbol + call graph construction), `taint` (the graph rules).
-    pub phases: Vec<(&'static str, u64)>,
-    /// `(rule id, ns)` for every rule, file rules then graph rules.
-    pub rules: Vec<(&'static str, u64)>,
-}
-
 /// Run the full analyzer over in-memory sources (`(path, src)`,
 /// **must be path-sorted** — symbol ids and witness chains depend on
-/// input order only through this canonical order). `clock` is sampled
-/// around each phase and rule for the self-profile; pass `|| 0` when
-/// timing is not wanted.
-pub fn run_rules(
-    sources: &[(String, String)],
-    clock: &mut dyn FnMut() -> u64,
-) -> (Vec<Finding>, AnalysisStats, Profile) {
-    let t0 = clock();
+/// input order only through this canonical order).
+pub fn run_rules(sources: &[(String, String)]) -> (Vec<Finding>, AnalysisStats) {
     let files: Vec<ParsedFile<'_>> = sources
         .iter()
         .map(|(p, s)| ParsedFile::parse(p, s))
         .collect();
-    let parse_ns = clock().saturating_sub(t0);
 
     let mut findings = Vec::new();
-    let mut rule_times: Vec<(&'static str, u64)> = Vec::new();
-    for &(id, rule) in rules::FILE_RULES {
-        let r0 = clock();
-        for f in &files {
-            rule(f, &mut findings);
-        }
-        rule_times.push((id, clock().saturating_sub(r0)));
+    for f in &files {
+        rules::check_file(f, &mut findings);
     }
-
-    let g0 = clock();
     let a = Analysis::from_files(files);
-    let graph_ns = clock().saturating_sub(g0);
     let stats = a.stats();
-
-    let t1 = clock();
-    for &(id, rule) in rules::GRAPH_RULES {
-        let r0 = clock();
-        rule(&a, &mut findings);
-        rule_times.push((id, clock().saturating_sub(r0)));
-    }
-    let taint_ns = clock().saturating_sub(t1);
-
+    rules::check_graph(&a, &mut findings);
     sort_findings(&mut findings);
-    (
-        findings,
-        stats,
-        Profile {
-            phases: vec![("parse", parse_ns), ("graph", graph_ns), ("taint", taint_ns)],
-            rules: rule_times,
-        },
-    )
+    (findings, stats)
 }
 
 /// Lint in-memory sources (`(path, src)`, any order — sorted and
@@ -178,8 +135,7 @@ pub fn lint_sources(sources: &[(String, String)]) -> Vec<Finding> {
     let mut sorted: Vec<(String, String)> = sources.to_vec();
     sorted.sort();
     sorted.dedup();
-    let (findings, _, _) = run_rules(&sorted, &mut || 0);
-    findings
+    run_rules(&sorted).0
 }
 
 /// Lint one in-memory source as if it lived at `path` (repo-relative,
@@ -285,16 +241,10 @@ pub fn read_sources(root: &Path, paths: &[String]) -> io::Result<Vec<(String, St
 }
 
 /// Lint the `.rs` files under `paths`, apply `baseline`, and return
-/// the [`Report`] plus the analyzer self-[`Profile`] read from
-/// `clock`.
-pub fn lint_paths_profiled(
-    root: &Path,
-    paths: &[String],
-    baseline: &Baseline,
-    clock: &mut dyn FnMut() -> u64,
-) -> io::Result<(Report, Profile)> {
+/// the [`Report`].
+pub fn lint_paths(root: &Path, paths: &[String], baseline: &Baseline) -> io::Result<Report> {
     let sources = read_sources(root, paths)?;
-    let (mut findings, stats, profile) = run_rules(&sources, clock);
+    let (mut findings, stats) = run_rules(&sources);
     let (new_count, stale) = apply_baseline(&mut findings, baseline);
     // Split stale entries: file still exists (the finding was fixed)
     // vs file gone entirely (the entry can only be dead weight).
@@ -309,23 +259,14 @@ pub fn lint_paths_profiled(
             stale_missing_file.push(entry);
         }
     }
-    Ok((
-        Report {
-            findings,
-            files_scanned: sources.len(),
-            new_count,
-            stale_baseline,
-            stale_missing_file,
-            stats,
-        },
-        profile,
-    ))
-}
-
-/// [`lint_paths_profiled`] without the self-profile.
-pub fn lint_paths(root: &Path, paths: &[String], baseline: &Baseline) -> io::Result<Report> {
-    let (report, _) = lint_paths_profiled(root, paths, baseline, &mut || 0)?;
-    Ok(report)
+    Ok(Report {
+        findings,
+        files_scanned: sources.len(),
+        new_count,
+        stale_baseline,
+        stale_missing_file,
+        stats,
+    })
 }
 
 /// The call graph of in-memory sources as deterministic JSONL (see
@@ -379,25 +320,5 @@ mod tests {
         let jsonl = to_jsonl(&f);
         assert_eq!(jsonl.lines().count(), f.len());
         assert!(jsonl.lines().all(|l| l.starts_with("{\"rule\":")));
-    }
-
-    #[test]
-    fn profile_covers_every_phase_and_rule() {
-        let sources = [(
-            "crates/x/src/lib.rs".to_string(),
-            "pub fn f() {}\n".to_string(),
-        )];
-        let mut tick = 0u64;
-        let (_, stats, profile) = run_rules(&sources, &mut || {
-            tick += 1;
-            tick
-        });
-        assert_eq!(stats.files, 1);
-        assert_eq!(stats.symbols, 1);
-        assert_eq!(
-            profile.phases.iter().map(|(p, _)| *p).collect::<Vec<_>>(),
-            ["parse", "graph", "taint"]
-        );
-        assert_eq!(profile.rules.len(), rules::RULE_IDS.len());
     }
 }

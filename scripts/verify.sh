@@ -8,8 +8,7 @@ cd "$(dirname "$0")/.."
 #   The determinism contract, as a gate: run FIRST, then SECOND, in
 #   directory WHERE ("scratch": a fresh temporary directory), and require
 #   every FILE the first run left behind to come out of the second run
-#   byte-identical. A SECOND that makes several runs calls `same` after
-#   each but the last. Any failing command fails the gate.
+#   byte-identical. Any failing command fails the gate.
 same_bytes() {
   local where="$1" first="$2" second="$3" kept f
   shift 3
@@ -22,11 +21,10 @@ same_bytes() {
   fi
   (
     cd "$where"
-    same() { for f in "${files[@]}"; do cmp "$kept/$(basename "$f")" "$f"; done; }
     eval "$first"
     for f in "${files[@]}"; do mv "$f" "$kept/$(basename "$f")"; done
     eval "$second"
-    same
+    for f in "${files[@]}"; do cmp "$kept/$(basename "$f")" "$f"; done
   ) >/dev/null
   rm -rf "$kept"
 }
@@ -111,28 +109,14 @@ same_bytes scratch \
   results/fig2-small_recorded.csv
 echo "record/replay gate, resume CSV byte-identical: OK"
 
-echo "== parallel engine byte-identity (--sim-threads) =="
-# The sharded simulator must produce the same bytes as the sequential
-# engine: run the packet-level Blink stage once per thread count and
-# byte-compare its CSV and its deterministic telemetry JSONL. This is
-# the end-to-end check behind crates/netsim/src/parallel/ — the unit
-# and property tests cover randomized topologies; this pins the real
-# experiment at 1 thread, at 2 (the count the ledger benchmarks) and at
-# 4 — each under `timeout`, so a deadlocked rendezvous fails the gate
-# instead of hanging it. (~30 s: three full packet-level runs.)
-BLINK_AT="timeout 600 '$EXP' blink-packet --metrics --sim-threads"
-same_bytes scratch "$BLINK_AT 1" "$BLINK_AT 2 && same && $BLINK_AT 4" \
-  results/blink_packet.csv results/metrics.jsonl
-echo "blink-packet CSV + metrics JSONL byte-identical at 1, 2 and 4 sim threads: OK"
-
-echo "== supervisord verdict-log byte-identity (--workers) =="
-# The streaming supervisor pipeline must emit the same verdict JSONL at
-# any worker count (docs/supervisord.md). The stage already asserts
-# this in-process across its sweep; this byte-compares the exported log
-# across two separate invocations at 1 and 4 workers.
-same_bytes scratch "'$EXP' supervisord --workers 1" "'$EXP' supervisord --workers 4" \
-  results/supervisord_verdicts.jsonl
-echo "supervisord verdict JSONL byte-identical at 1 vs 4 workers: OK"
+echo "== determinism contract, every stage (experiments verify-determinism) =="
+# Every row of the stage table (docs/operations.md), at full size: run
+# twice, then across each flag the row reads (--jobs 4 vs 1; --sim-threads
+# 1, 2 and 4 against each other and the sequential engine), comparing
+# CSVs minus their declared measured columns, artifacts, the metrics
+# JSONL line and the report. Under `timeout`, so a deadlocked rendezvous
+# of the sharded engine fails the gate instead of hanging it.
+timeout 900 "$EXP" verify-determinism
 
 echo "== scenario corpus (experiments scenario, --jobs byte-identity) =="
 # Every shipped .dsc must parse, compile, and pass its expectations —
@@ -141,17 +125,6 @@ echo "== scenario corpus (experiments scenario, --jobs byte-identity) =="
 same_bytes scratch "'$EXP' scenario '$CORPUS' --jobs 4" "'$EXP' scenario '$CORPUS' --jobs 1" \
   results/scenarios.csv
 echo "scenario corpus all-pass and CSV byte-identical at --jobs 1 vs 4: OK"
-
-echo "== flow-scale smoke (10k flows, --jobs byte-identity) =="
-# The deterministic columns of flow_scale.csv (flows..digest, fields
-# 1-9) must not depend on --jobs; the wall-clock/RSS columns vary by
-# nature and are cut off before comparing. DUI_FLOW_SCALE_MAX truncates
-# the sweep to its 10k row so the gate stays fast — the recorded
-# results/flow_scale.csv always comes from the full 10k→1M sweep.
-FLOW_SCALE="DUI_FLOW_SCALE_MAX=10000 '$EXP' flow-scale"
-COLS="cut -d, -f1-9 results/flow_scale.csv > flow_scale.cols"
-same_bytes scratch "$FLOW_SCALE --jobs 1 && $COLS" "$FLOW_SCALE --jobs 4 && $COLS" flow_scale.cols
-echo "flow-scale deterministic columns byte-identical at --jobs 1 vs 4: OK"
 
 echo "== docs (intra-repo links) =="
 bash scripts/check_docs.sh
