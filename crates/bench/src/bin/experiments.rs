@@ -58,9 +58,9 @@
 use dui_bench::par::default_jobs;
 use dui_bench::recordings::{build_subject, StageSubject, RECORDINGS};
 use dui_bench::stages::{verify_determinism, Flag, Stage, StageCfg, StageOutput, STAGES};
+use dui_bench::wallclock;
 use dui_core::replay::{Recorder, Recording, Replayer};
 use dui_core::stats::table::Table;
-use dui_core::telemetry::wallclock;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 

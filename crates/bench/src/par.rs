@@ -79,14 +79,10 @@ where
     // (`experiments --metrics`); a single relaxed atomic load otherwise.
     // Timing never feeds back into results, so determinism is untouched.
     let f = |i: usize| {
-        if dui_core::telemetry::wallclock::is_enabled() {
+        if crate::wallclock::is_enabled() {
             let t0 = std::time::Instant::now();
             let r = f(i);
-            dui_core::telemetry::wallclock::record_task(
-                "run_indexed",
-                i,
-                t0.elapsed().as_nanos() as u64,
-            );
+            crate::wallclock::record_task("run_indexed", i, t0.elapsed().as_nanos() as u64);
             r
         } else {
             f(i)

@@ -1,15 +1,17 @@
 //! Wall-clock self-profiler for the experiment harness.
 //!
-//! **This is the only module in the library crates that may touch
-//! `std::time::Instant`** (enforced by the `dui-lint`
-//! `determinism/wall-clock` rule, which allowlists exactly this file).
+//! It lives in `dui-bench` because this is the one crate the `dui-lint`
+//! `determinism/wall-clock` rule exempts, and no library crate may
+//! depend on `dui-bench` (`crates/lint/tests/workspace.rs` holds every
+//! manifest to that): nothing a simulation runs can call a clock read
+//! through this module, because it cannot name it.
 //! Everything it produces is explicitly non-deterministic profiling
 //! output: it must never feed back into simulation state or into any
 //! exported experiment artifact that is compared byte-for-byte across
 //! runs. The harness prints it into a clearly-marked "wall-clock"
 //! section of `experiments_all.txt` only.
 //!
-//! The profiler is a process-global so `dui-bench::par::run_indexed`
+//! The profiler is a process-global so [`crate::par::run_indexed`]
 //! can attribute per-task timings from worker threads without threading
 //! a handle through every closure. It is disabled by default and all
 //! record calls are a single relaxed atomic load when disabled.

@@ -87,7 +87,7 @@ prop_check! {
         let far_future = SimTime::ZERO + SimDuration::from_secs(10_000);
         for (i, flow) in pop.flows.iter().enumerate() {
             prop_assert_eq!(src.peek_start(), Some(flow.start), "flow {i}");
-            // lint: allow(library-unwrap): peek_start above proves a flow is pending
+            // peek_start above proves a flow is pending
             let spec = src.pop_due(far_future).unwrap();
             prop_assert_eq!(spec.key, flow.key);
             prop_assert_eq!(spec.start, flow.start);

@@ -1,36 +1,21 @@
 //! The `dui-lint` CLI.
 //!
 //! ```sh
-//! dui-lint [--json] [--baseline FILE] [--write-baseline]
-//!          [--show-baselined] [--graph-dump] [paths…]
+//! dui-lint [--json] [paths…]
 //! ```
 //!
 //! * default paths: `crates src` (repo-relative);
-//! * `--baseline FILE` — grandfather the findings listed in `FILE`
-//!   (exit 0 unless a *new* finding appears);
-//! * `--write-baseline` — regenerate the baseline from the current
-//!   findings and exit 0. Entries outside the scanned paths are kept
-//!   (so a partial run does not wipe the rest), except entries whose
-//!   file no longer exists, which are pruned;
 //! * `--json` — additionally write `results/lint.jsonl` (deterministic
-//!   JSON lines, all findings including baselined ones);
-//! * `--graph-dump` — write the cross-crate call graph to
-//!   `results/callgraph.jsonl` (deterministic JSONL; `scripts/verify.sh`
-//!   dumps twice and byte-compares) and exit without linting;
-//! * `--show-baselined` — include grandfathered findings in the human
-//!   report on stderr.
+//!   JSON lines, one per finding).
 //!
-//! Exit codes: 0 clean, 1 new findings, 2 usage or I/O error.
+//! Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
 
-use dui_lint::{findings::merge_baseline, render_human, to_jsonl, Baseline};
+use dui_lint::{render_human, to_jsonl};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: dui-lint [--json] [--baseline FILE] [--write-baseline] \
-         [--show-baselined] [--graph-dump] [paths…]"
-    );
+    eprintln!("usage: dui-lint [--json] [paths…]");
     ExitCode::from(2)
 }
 
@@ -52,96 +37,29 @@ fn find_root() -> PathBuf {
 
 fn main() -> ExitCode {
     let mut json = false;
-    let mut write_baseline = false;
-    let mut show_baselined = false;
-    let mut graph_dump = false;
-    let mut baseline_path: Option<PathBuf> = None;
     let mut paths: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
+    for a in std::env::args().skip(1) {
         match a.as_str() {
             "--json" => json = true,
-            "--write-baseline" => write_baseline = true,
-            "--show-baselined" => show_baselined = true,
-            "--graph-dump" => graph_dump = true,
-            "--baseline" => match args.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => return usage(),
-            },
             s if s.starts_with("--") => return usage(),
-            s => paths.push(s.to_string()),
+            _ => paths.push(a),
         }
     }
     if paths.is_empty() {
-        paths = dui_lint::DEFAULT_PATHS.iter().map(|s| s.to_string()).collect();
+        paths = dui_lint::DEFAULT_PATHS
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
     }
 
     let root = find_root();
-
-    if graph_dump {
-        let jsonl = match dui_lint::graph_dump_paths(&root, &paths) {
-            Ok(j) => j,
-            Err(e) => {
-                eprintln!("dui-lint: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let results = root.join("results");
-        let path = results.join("callgraph.jsonl");
-        let write = std::fs::create_dir_all(&results)
-            .and_then(|()| std::fs::write(&path, &jsonl));
-        if let Err(e) = write {
-            eprintln!("dui-lint: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "dui-lint: wrote {} graph records to results/callgraph.jsonl",
-            jsonl.lines().count()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline_file = baseline_path.unwrap_or_else(|| PathBuf::from("lint.baseline"));
-    let baseline_full = root.join(&baseline_file);
-    let old_baseline_text = match std::fs::read_to_string(&baseline_full) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-        Err(e) => {
-            eprintln!("dui-lint: cannot read {}: {e}", baseline_full.display());
-            return ExitCode::from(2);
-        }
-    };
-    let baseline = if write_baseline {
-        Baseline::default() // classify everything as new, then dump it
-    } else {
-        Baseline::parse(&old_baseline_text)
-    };
-
-    let report = match dui_lint::lint_paths(&root, &paths, &baseline) {
+    let report = match dui_lint::lint_paths(&root, &paths) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("dui-lint: {e}");
             return ExitCode::from(2);
         }
     };
-
-    if write_baseline {
-        let text = merge_baseline(&old_baseline_text, &report.findings, &paths, &|file| {
-            root.join(file).exists()
-        });
-        let entries = text.lines().filter(|l| !l.starts_with('#')).count();
-        if let Err(e) = std::fs::write(&baseline_full, &text) {
-            eprintln!("dui-lint: cannot write {}: {e}", baseline_full.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "dui-lint: wrote {} entries to {} ({} from this run)",
-            entries,
-            baseline_file.display(),
-            report.findings.len(),
-        );
-        return ExitCode::SUCCESS;
-    }
 
     if json {
         let results = root.join("results");
@@ -155,30 +73,13 @@ fn main() -> ExitCode {
         eprintln!("[saved results/lint.jsonl]");
     }
 
-    eprint!("{}", render_human(&report.findings, show_baselined));
-    for stale in &report.stale_baseline {
-        eprintln!("dui-lint: stale baseline entry (no longer matches): {stale}");
-    }
-    for stale in &report.stale_missing_file {
-        eprintln!("dui-lint: stale baseline entry (file no longer exists): {stale}");
-    }
-    if report.new_count > 0 {
-        println!(
-            "dui-lint: FAIL — {} new finding(s) ({} total, {} baselined, {} files)",
-            report.new_count,
-            report.findings.len(),
-            report.baselined_count(),
-            report.files_scanned
-        );
+    eprint!("{}", render_human(&report.findings));
+    let (findings, files) = (report.findings.len(), report.files_scanned);
+    if findings > 0 {
+        println!("dui-lint: FAIL — {findings} finding(s) in {files} files");
         ExitCode::FAILURE
     } else {
-        println!(
-            "dui-lint: OK ({} findings, all baselined; {} files; {} symbols, {} call edges)",
-            report.findings.len(),
-            report.files_scanned,
-            report.stats.symbols,
-            report.stats.edges,
-        );
+        println!("dui-lint: OK (0 findings; {files} files)");
         ExitCode::SUCCESS
     }
 }

@@ -1,16 +1,12 @@
-//! Findings, deterministic output, and the grandfathering baseline.
+//! Findings and their deterministic output.
 //!
 //! Everything the linter emits is a pure function of the scanned
-//! sources: findings sort by `(file, line, col, rule)`, the JSON-lines
-//! export carries no timestamps or absolute paths, and the baseline is
-//! matched structurally (rule + file + normalized line text, as a
-//! multiset) so unrelated edits that shift line numbers do not
-//! invalidate it.
+//! sources: findings sort by `(file, line, col, rule)` and the
+//! JSON-lines export carries no timestamps or absolute paths.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
-/// How bad a finding is. Both severities gate (a new finding of either
+/// How bad a finding is. Both severities gate (a finding of either
 /// severity fails the lint); the split exists for reporting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
@@ -45,11 +41,8 @@ pub struct Finding {
     pub col: u32,
     /// Human explanation of the violation.
     pub message: String,
-    /// The trimmed source line (also the baseline matching key).
+    /// The trimmed source line.
     pub snippet: String,
-    /// Whether the checked-in baseline grandfathers this finding
-    /// (assigned by [`apply_baseline`], false until then).
-    pub baselined: bool,
 }
 
 /// Sort findings into the canonical deterministic order.
@@ -60,7 +53,7 @@ pub fn sort_findings(findings: &mut [Finding]) {
 }
 
 /// Escape a string for inclusion in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
+fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -84,187 +77,48 @@ impl Finding {
     /// absolute paths, stable key order).
     pub fn to_json_line(&self) -> String {
         format!(
-            "{{\"rule\":\"{}\",\"severity\":\"{}\",\"file\":\"{}\",\"line\":{},\"col\":{},\"baselined\":{},\"message\":\"{}\",\"snippet\":\"{}\"}}",
+            "{{\"rule\":\"{}\",\"severity\":\"{}\",\"file\":\"{}\",\"line\":{},\"col\":{},\"message\":\"{}\",\"snippet\":\"{}\"}}",
             json_escape(self.rule),
             self.severity.as_str(),
             json_escape(&self.file),
             self.line,
             self.col,
-            self.baselined,
             json_escape(&self.message),
             json_escape(&self.snippet),
         )
     }
-
-    /// The baseline line for this finding: `rule<TAB>file<TAB>snippet`.
-    pub fn baseline_key(&self) -> String {
-        format!("{}\t{}\t{}", self.rule, self.file, self.snippet)
-    }
-}
-
-/// The parsed grandfathering baseline: a multiset of
-/// `rule`/`file`/`snippet` keys.
-#[derive(Debug, Default, Clone)]
-pub struct Baseline {
-    counts: HashMap<String, usize>,
-}
-
-impl Baseline {
-    /// Parse baseline text: one `rule<TAB>file<TAB>snippet` entry per
-    /// line; `#` comments and blank lines ignored. Duplicate lines
-    /// grandfather multiple identical findings.
-    pub fn parse(text: &str) -> Baseline {
-        let mut counts = HashMap::new();
-        for line in text.lines() {
-            let line = line.trim_end();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            *counts.entry(line.to_string()).or_insert(0) += 1;
-        }
-        Baseline { counts }
-    }
-
-    /// Number of entries (with multiplicity).
-    pub fn len(&self) -> usize {
-        self.counts.values().sum()
-    }
-
-    /// True when the baseline grandfathers nothing.
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
-    }
-
-    /// Serialize findings as a fresh baseline file (sorted, with a
-    /// header comment). Used by `--write-baseline`.
-    pub fn render(findings: &[Finding]) -> String {
-        let lines: Vec<String> = findings.iter().map(Finding::baseline_key).collect();
-        render_lines(lines)
-    }
-}
-
-/// The baseline file header.
-const BASELINE_HEADER: &str =
-    "# dui-lint baseline: grandfathered findings, one `rule<TAB>file<TAB>snippet`\n\
-     # entry per line (duplicates allowed, matched as a multiset). Entries are\n\
-     # matched structurally, so edits that only move lines do not invalidate\n\
-     # them. Regenerate with: cargo run -p dui-lint -- --write-baseline\n";
-
-fn render_lines(mut lines: Vec<String>) -> String {
-    lines.sort();
-    let mut out = String::from(BASELINE_HEADER);
-    for l in &lines {
-        out.push_str(l);
-        out.push('\n');
-    }
-    out
-}
-
-/// Rewrite a baseline for `--write-baseline` without losing entries
-/// outside the scanned scope: current `findings` replace every old
-/// entry whose file falls under one of `scanned_roots`, old entries
-/// outside the scope are kept verbatim — *unless* their file no
-/// longer exists at all (per `file_exists`), in which case they are
-/// pruned as dead weight. A malformed old entry (no file field) is
-/// dropped.
-pub fn merge_baseline(
-    old_text: &str,
-    findings: &[Finding],
-    scanned_roots: &[String],
-    file_exists: &dyn Fn(&str) -> bool,
-) -> String {
-    let in_scope = |file: &str| {
-        scanned_roots.iter().any(|r| {
-            let r = r.trim_end_matches('/');
-            file == r || file.starts_with(&format!("{r}/"))
-        })
-    };
-    let mut lines: Vec<String> = Vec::new();
-    for line in old_text.lines() {
-        let line = line.trim_end();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let Some(file) = line.split('\t').nth(1) else {
-            continue;
-        };
-        if !in_scope(file) && file_exists(file) {
-            lines.push(line.to_string());
-        }
-    }
-    lines.extend(findings.iter().map(Finding::baseline_key));
-    render_lines(lines)
-}
-
-/// Mark findings covered by the baseline (consuming multiset entries
-/// in deterministic finding order) and return
-/// `(new_count, stale_entries)` — stale entries are baseline lines
-/// that matched nothing, a sign the baseline can be shrunk.
-pub fn apply_baseline(findings: &mut [Finding], baseline: &Baseline) -> (usize, Vec<String>) {
-    let mut remaining = baseline.counts.clone();
-    let mut new_count = 0usize;
-    for f in findings.iter_mut() {
-        let key = f.baseline_key();
-        match remaining.get_mut(&key) {
-            Some(n) if *n > 0 => {
-                *n -= 1;
-                f.baselined = true;
-            }
-            _ => {
-                f.baselined = false;
-                new_count += 1;
-            }
-        }
-    }
-    let mut stale: Vec<String> = remaining
-        .into_iter()
-        .filter(|(_, n)| *n > 0)
-        .map(|(k, _)| k)
-        .collect();
-    stale.sort();
-    (new_count, stale)
 }
 
 /// Render the human report (destined for stderr): one aligned row per
 /// finding plus a per-rule summary.
-pub fn render_human(findings: &[Finding], show_baselined: bool) -> String {
+pub fn render_human(findings: &[Finding]) -> String {
     let mut out = String::new();
     for f in findings {
-        if f.baselined && !show_baselined {
-            continue;
-        }
-        let tag = if f.baselined { " [baseline]" } else { "" };
         let _ = writeln!(
             out,
-            "{}:{}:{}: {} [{}]{}: {}",
+            "{}:{}:{}: {} [{}]: {}",
             f.file,
             f.line,
             f.col,
             f.severity.as_str(),
             f.rule,
-            tag,
             f.message
         );
         let _ = writeln!(out, "    {}", f.snippet);
     }
     // Per-rule summary, sorted by rule id.
-    let mut per_rule: Vec<(&str, usize, usize)> = Vec::new();
+    let mut per_rule: Vec<(&str, usize)> = Vec::new();
     for f in findings {
-        match per_rule.iter_mut().find(|(r, _, _)| *r == f.rule) {
-            Some((_, total, new)) => {
-                *total += 1;
-                if !f.baselined {
-                    *new += 1;
-                }
-            }
-            None => per_rule.push((f.rule, 1, usize::from(!f.baselined))),
+        match per_rule.iter_mut().find(|(r, _)| *r == f.rule) {
+            Some((_, total)) => *total += 1,
+            None => per_rule.push((f.rule, 1)),
         }
     }
     per_rule.sort();
     if !per_rule.is_empty() {
-        let _ = writeln!(out, "\nrule                               total   new");
-        for (rule, total, new) in &per_rule {
-            let _ = writeln!(out, "{rule:<34} {total:>5} {new:>5}");
+        let _ = writeln!(out, "\nrule                               total");
+        for (rule, total) in &per_rule {
+            let _ = writeln!(out, "{rule:<34} {total:>5}");
         }
     }
     out
@@ -283,45 +137,15 @@ mod tests {
             col: 1,
             message: "m".to_string(),
             snippet: snippet.to_string(),
-            baselined: false,
         }
     }
 
     #[test]
-    fn baseline_is_a_multiset() {
-        let mut findings = vec![
-            f("r/a", "x.rs", 1, "dup()"),
-            f("r/a", "x.rs", 2, "dup()"),
-            f("r/a", "x.rs", 3, "dup()"),
-        ];
-        let bl = Baseline::parse("r/a\tx.rs\tdup()\nr/a\tx.rs\tdup()\n");
-        let (new, stale) = apply_baseline(&mut findings, &bl);
-        assert_eq!(new, 1);
-        assert!(stale.is_empty());
-        assert_eq!(
-            findings.iter().filter(|f| f.baselined).count(),
-            2,
-            "two of three grandfathered"
-        );
-    }
-
-    #[test]
-    fn stale_entries_are_reported() {
-        let mut findings = vec![f("r/a", "x.rs", 1, "a()")];
-        let bl = Baseline::parse("r/a\tx.rs\ta()\nr/b\tgone.rs\tb()\n");
-        let (new, stale) = apply_baseline(&mut findings, &bl);
-        assert_eq!(new, 0);
-        assert_eq!(stale, ["r/b\tgone.rs\tb()"]);
-    }
-
-    #[test]
     fn json_lines_are_stable_and_escaped() {
-        let mut a = f("r/a", "x.rs", 1, "say \"hi\"\t");
-        a.baselined = true;
-        let line = a.to_json_line();
+        let line = f("r/a", "x.rs", 1, "say \"hi\"\t").to_json_line();
         assert_eq!(
             line,
-            "{\"rule\":\"r/a\",\"severity\":\"error\",\"file\":\"x.rs\",\"line\":1,\"col\":1,\"baselined\":true,\"message\":\"m\",\"snippet\":\"say \\\"hi\\\"\\t\"}"
+            "{\"rule\":\"r/a\",\"severity\":\"error\",\"file\":\"x.rs\",\"line\":1,\"col\":1,\"message\":\"m\",\"snippet\":\"say \\\"hi\\\"\\t\"}"
         );
     }
 
@@ -337,39 +161,5 @@ mod tests {
             v.iter().map(|f| (f.file.as_str(), f.line)).collect::<Vec<_>>(),
             [("a.rs", 1), ("a.rs", 2), ("b.rs", 1)]
         );
-    }
-
-    #[test]
-    fn merge_baseline_replaces_in_scope_keeps_foreign_prunes_missing() {
-        let old = "# header\n\
-                   r/a\tcrates/x/src/lib.rs\told_fixed()\n\
-                   r/a\tvendor/keep.rs\tkeep()\n\
-                   r/a\tvendor/gone.rs\tgone()\n";
-        let findings = vec![f("r/a", "crates/x/src/lib.rs", 1, "current()")];
-        let merged = merge_baseline(
-            old,
-            &findings,
-            &["crates".to_string(), "src".to_string()],
-            &|file| file != "vendor/gone.rs",
-        );
-        let body: Vec<&str> = merged.lines().filter(|l| !l.starts_with('#')).collect();
-        // In-scope old entry replaced by the current findings, the
-        // out-of-scope entry with a live file kept, the entry whose
-        // file vanished pruned.
-        assert_eq!(
-            body,
-            [
-                "r/a\tcrates/x/src/lib.rs\tcurrent()",
-                "r/a\tvendor/keep.rs\tkeep()",
-            ]
-        );
-    }
-
-    #[test]
-    fn render_roundtrip_via_parse() {
-        let findings = vec![f("r/a", "x.rs", 1, "a()"), f("r/a", "x.rs", 2, "a()")];
-        let text = Baseline::render(&findings);
-        let bl = Baseline::parse(&text);
-        assert_eq!(bl.len(), 2);
     }
 }

@@ -9,49 +9,43 @@
 //! rests on simulations being pure functions of `(config, seed)`. A
 //! grep pattern cannot see `use`-aliasing, comments, or string
 //! literals, and silently misses renamed imports of `Instant` or
-//! `thread_rng` — and *no* per-file check can see a wall-clock read
-//! laundered through two crates of helper functions. The analyzer is
-//! layered accordingly:
+//! `thread_rng`. The analyzer is a per-file token linter in five
+//! layers, each reading only the one before:
 //!
 //! * [`lexer`] — a hand-rolled, lossless Rust lexer (raw strings,
 //!   nested block comments, lifetimes, char literals);
 //! * [`scan`] — the token-level scan: code-token index, `use`
 //!   declarations (alias-aware), crate-root inner attributes and line
 //!   helpers;
-//! * [`parse`] — the one structural pass over that token stream:
-//!   every `fn`/method with its body span, module path, enclosing
-//!   type, and per-item `lint: allow(...)` attributes, plus a
+//! * [`parse`] — the one structural pass over that token stream: a
 //!   per-token context — innermost `fn` (a gap-free partition),
-//!   `#[cfg(test)]` gating, enclosing `impl`/`trait` — that the
-//!   per-file rules and the graph layers both read;
-//! * [`symbols`] — the cross-crate symbol graph (canonical paths,
-//!   suffix/method indexes);
-//! * [`callgraph`] — a conservative call graph (direct calls, alias
-//!   and `::`-path resolution, receiver-type method heuristics;
-//!   unresolved calls recorded as explicit Unknown edges);
-//! * [`taint`] — deterministic interprocedural taint propagation with
-//!   canonical witness paths;
-//! * [`rules`] — the shipped rules (see that module's table): ten
-//!   per-file token rules and four whole-workspace graph rules;
-//! * [`findings`] — deterministic findings, JSON-lines export, and the
-//!   grandfathering [`Baseline`].
+//!   `#[cfg(test)]` gating, enclosing `impl`/`trait` — that the rules
+//!   scope themselves by;
+//! * [`rules`] — the shipped rules, one function of one file each
+//!   ([`rules::FILE_RULES`]; `docs/lint.md` tabulates them);
+//! * [`findings`] — deterministic findings and their JSON-lines export.
+//!
+//! What no per-file check can see — a clock read reached through a
+//! call into exempt code, state shared across threads — is not
+//! approximated here: it is closed structurally (no library crate may
+//! depend on `dui-bench`, the one crate exempt from the determinism
+//! rules; every crate root carries `#![forbid(unsafe_code)]`), and
+//! `tests/workspace.rs` holds the tree to both. `docs/lint.md` records
+//! the call-graph rules this replaced and why they went.
 //!
 //! ## Running
 //!
 //! ```sh
 //! cargo run -p dui-lint                         # lint crates/ + src/
-//! cargo run -p dui-lint -- --json --baseline lint.baseline
-//! cargo run -p dui-lint -- --write-baseline     # regenerate lint.baseline
-//! cargo run -p dui-lint -- --graph-dump         # call graph as JSONL
+//! cargo run -p dui-lint -- --json               # also write results/lint.jsonl
 //! cargo run -p dui-lint -- crates/netsim        # lint a subtree
 //! ```
 //!
 //! Output is deterministic: findings sort by `(file, line, col,
 //! rule)`, the human table goes to stderr, and `--json` writes
-//! byte-identical-across-runs JSON lines to `results/lint.jsonl`
-//! (verified by `scripts/verify.sh`, which runs the lint — and the
-//! graph dump — twice and byte-compares). Exit code is nonzero iff a
-//! finding is not grandfathered by the baseline.
+//! byte-identical-across-runs JSON lines to `results/lint.jsonl`. Exit
+//! code is nonzero iff there is a finding; the only way to silence one
+//! is the inline annotation its rule documents.
 //!
 //! ## Library use
 //!
@@ -65,114 +59,38 @@
 //! );
 //! assert!(findings.iter().any(|f| f.rule == "determinism/wall-clock"));
 //! ```
-//!
-//! Multi-file (cross-crate) inputs go through [`lint_sources`]:
-//!
-//! ```
-//! let findings = dui_lint::lint_sources(&[
-//!     (
-//!         "crates/a/src/lib.rs".to_string(),
-//!         "pub fn t() -> u64 { std::time::Instant::now().elapsed().as_nanos() as u64 }\n"
-//!             .to_string(),
-//!     ),
-//!     (
-//!         "crates/b/src/lib.rs".to_string(),
-//!         "pub fn run() -> u64 { dui_a::t() }\n".to_string(),
-//!     ),
-//! ]);
-//! assert!(findings
-//!     .iter()
-//!     .any(|f| f.rule == "determinism/transitive-wall-clock" && f.file == "crates/b/src/lib.rs"));
-//! ```
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod analysis;
-pub mod callgraph;
 pub mod findings;
 pub mod lexer;
 pub mod parse;
 pub mod rules;
 pub mod scan;
-pub mod symbols;
-pub mod taint;
 
-pub use analysis::{Analysis, AnalysisStats};
-pub use findings::{
-    apply_baseline, render_human, sort_findings, Baseline, Finding, Severity,
-};
+pub use findings::{render_human, sort_findings, Finding, Severity};
 
 use parse::ParsedFile;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Run the full analyzer over in-memory sources (`(path, src)`,
-/// **must be path-sorted** — symbol ids and witness chains depend on
-/// input order only through this canonical order).
-pub fn run_rules(sources: &[(String, String)]) -> (Vec<Finding>, AnalysisStats) {
-    let files: Vec<ParsedFile<'_>> = sources
-        .iter()
-        .map(|(p, s)| ParsedFile::parse(p, s))
-        .collect();
-
-    let mut findings = Vec::new();
-    for f in &files {
-        rules::check_file(f, &mut findings);
-    }
-    let a = Analysis::from_files(files);
-    let stats = a.stats();
-    rules::check_graph(&a, &mut findings);
-    sort_findings(&mut findings);
-    (findings, stats)
-}
-
-/// Lint in-memory sources (`(path, src)`, any order — sorted and
-/// deduplicated internally) through the full analyzer, per-file and
-/// graph rules both. This is how the fixture tests exercise
-/// cross-crate rules against synthetic multi-file inputs.
-pub fn lint_sources(sources: &[(String, String)]) -> Vec<Finding> {
-    let mut sorted: Vec<(String, String)> = sources.to_vec();
-    sorted.sort();
-    sorted.dedup();
-    run_rules(&sorted).0
-}
-
 /// Lint one in-memory source as if it lived at `path` (repo-relative,
 /// `/`-separated).
 pub fn lint_source(path: &str, src: &str) -> Vec<Finding> {
-    lint_sources(&[(path.to_string(), src.to_string())])
+    let mut findings = Vec::new();
+    rules::check_file(&ParsedFile::parse(path, src), &mut findings);
+    sort_findings(&mut findings);
+    findings
 }
 
 /// What one lint run produced.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// All findings in canonical order, `baselined` flags assigned.
+    /// All findings in canonical order.
     pub findings: Vec<Finding>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// Findings not grandfathered by the baseline.
-    pub new_count: usize,
-    /// Baseline entries that matched nothing although their file still
-    /// exists (the code was fixed — candidates for removal).
-    pub stale_baseline: Vec<String>,
-    /// Baseline entries whose file no longer exists on disk at all
-    /// (pruned automatically by `--write-baseline`).
-    pub stale_missing_file: Vec<String>,
-    /// Headline analysis sizes (files, symbols, call edges, unknowns).
-    pub stats: AnalysisStats,
-}
-
-impl Report {
-    /// Findings that are new (not baselined).
-    pub fn new_findings(&self) -> impl Iterator<Item = &Finding> {
-        self.findings.iter().filter(|f| !f.baselined)
-    }
-
-    /// Count of grandfathered findings.
-    pub fn baselined_count(&self) -> usize {
-        self.findings.len() - self.new_count
-    }
 }
 
 /// Directories the walker never descends into: build output, VCS
@@ -240,50 +158,17 @@ pub fn read_sources(root: &Path, paths: &[String]) -> io::Result<Vec<(String, St
     Ok(out)
 }
 
-/// Lint the `.rs` files under `paths`, apply `baseline`, and return
-/// the [`Report`].
-pub fn lint_paths(root: &Path, paths: &[String], baseline: &Baseline) -> io::Result<Report> {
+/// Lint the `.rs` files under `paths` and return the [`Report`].
+pub fn lint_paths(root: &Path, paths: &[String]) -> io::Result<Report> {
     let sources = read_sources(root, paths)?;
-    let (mut findings, stats) = run_rules(&sources);
-    let (new_count, stale) = apply_baseline(&mut findings, baseline);
-    // Split stale entries: file still exists (the finding was fixed)
-    // vs file gone entirely (the entry can only be dead weight).
-    let mut stale_baseline = Vec::new();
-    let mut stale_missing_file = Vec::new();
-    for entry in stale {
-        let file = entry.split('\t').nth(1).unwrap_or("");
-        let scanned = sources.binary_search_by(|(p, _)| p.as_str().cmp(file)).is_ok();
-        if scanned || root.join(file).exists() {
-            stale_baseline.push(entry);
-        } else {
-            stale_missing_file.push(entry);
-        }
-    }
     Ok(Report {
-        findings,
+        // Path-sorted files, each file's findings sorted: canonical order.
+        findings: sources
+            .iter()
+            .flat_map(|(path, src)| lint_source(path, src))
+            .collect(),
         files_scanned: sources.len(),
-        new_count,
-        stale_baseline,
-        stale_missing_file,
-        stats,
     })
-}
-
-/// The call graph of in-memory sources as deterministic JSONL (see
-/// [`Analysis::graph_jsonl`]). Input order does not matter.
-pub fn graph_dump_sources(sources: &[(String, String)]) -> String {
-    let mut sorted: Vec<(String, String)> = sources.to_vec();
-    sorted.sort();
-    sorted.dedup();
-    Analysis::build(&sorted).graph_jsonl()
-}
-
-/// The call graph of the `.rs` files under `paths` as deterministic
-/// JSONL — the `--graph-dump` payload, byte-compared across two runs
-/// by `scripts/verify.sh`.
-pub fn graph_dump_paths(root: &Path, paths: &[String]) -> io::Result<String> {
-    let sources = read_sources(root, paths)?;
-    Ok(Analysis::build(&sources).graph_jsonl())
 }
 
 /// Serialize findings as JSON lines (the `results/lint.jsonl`

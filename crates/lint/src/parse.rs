@@ -1,19 +1,15 @@
-//! Item-level parser: named `fn`/method items with body spans, the
-//! inline-`mod` tree, and per-token context — the one structural pass
-//! over a file, read by the per-file rules and the symbol layer alike.
+//! Item-level parser: `fn` bodies, `impl`/`trait` blocks and
+//! `#[cfg(test)]` regions as a per-token context — the one structural
+//! pass over a file, read by every rule that scopes itself.
 //!
 //! One forward pass over [`crate::scan::ScannedFile`]'s lossless
-//! code-token stream tracks item scopes: every named function becomes
-//! an [`Item`] carrying its module path, enclosing `impl`/`trait`
-//! self type, `#[cfg(test)]` gating, `// lint: allow(...)`
-//! annotations, and the code-token range of its body. A parallel
-//! [`ParsedFile::ctx`] vector records for every code token the
-//! innermost `fn` item whose body contains it (0 = the whole-file
-//! pseudo-item), whether it sits inside a test-gated body, and its
-//! innermost `impl`/`trait` block. The owners give the call-graph and
-//! taint layers an exact, gap-free partition of the token stream — the
-//! property the parser propcheck suite pins down — and the rest is what
-//! the panic, cast, hash, arena and decode rules scope themselves by.
+//! code-token stream tracks item scopes. [`ParsedFile::ctx`] records
+//! for every code token the innermost `fn` item whose body contains it
+//! (0 = the whole-file pseudo-item), whether it sits inside a
+//! test-gated body, and its innermost `impl`/`trait` block. The owners
+//! are an exact, gap-free partition of the token stream — the property
+//! the parser propcheck suite pins down — and the record is what the
+//! panic, cast, hash, arena and decode rules scope themselves by.
 //!
 //! This is a heuristic single pass, not a grammar: macro bodies are
 //! treated as code (a struct-literal brace after a gated `const` is
@@ -27,50 +23,6 @@
 
 use crate::lexer::TokKind;
 use crate::scan::ScannedFile;
-
-/// One named item: a free `fn`, a method in an `impl`/`trait` block,
-/// or the implicit whole-file pseudo-item at index 0.
-#[derive(Debug, Clone)]
-pub struct Item {
-    /// The item's name (`""` for the file pseudo-item).
-    pub name: String,
-    /// Inline `mod` path from the file root down to the item.
-    pub module: Vec<String>,
-    /// Enclosing `impl`/`trait` self-type, when the item is a method.
-    pub self_type: Option<String>,
-    /// Trait implemented by the enclosing `impl` block, if any.
-    pub trait_name: Option<String>,
-    /// Gated behind `#[cfg(test)]` / `#[test]`, directly or via an
-    /// enclosing gated block.
-    pub cfg_test: bool,
-    /// 1-based line of the `fn` keyword (0 for the file pseudo-item).
-    pub line: u32,
-    /// 1-based column of the `fn` keyword.
-    pub col: u32,
-    /// `lint: allow(...)` names from the item's line or the
-    /// comment/attribute run directly above it, sorted + deduped.
-    pub allows: Vec<String>,
-    /// Code-token range of the body: `(open_brace, close_brace)`
-    /// inclusive, or `None` for bodyless items (trait signatures,
-    /// `extern` declarations).
-    pub body: Option<(usize, usize)>,
-}
-
-impl Item {
-    fn file_pseudo() -> Item {
-        Item {
-            name: String::new(),
-            module: Vec::new(),
-            self_type: None,
-            trait_name: None,
-            cfg_test: false,
-            line: 0,
-            col: 0,
-            allows: Vec::new(),
-            body: None,
-        }
-    }
-}
 
 /// What the parser knows about the surroundings of one code token.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -90,8 +42,9 @@ pub struct TokenCtx {
 pub struct ParsedFile<'s> {
     /// The underlying token-level scan.
     pub scan: ScannedFile<'s>,
-    /// Items in definition order; index 0 is the file pseudo-item.
-    pub items: Vec<Item>,
+    /// Names of the `fn` items that have a body, in definition order;
+    /// index 0 is the file pseudo-item (`""`).
+    pub items: Vec<String>,
     /// Context of each code token. Same length as `scan.code`; the
     /// owners are a total, gap-free assignment.
     pub ctx: Vec<TokenCtx>,
@@ -102,7 +55,6 @@ pub struct ParsedFile<'s> {
 enum FrameKind {
     Plain,
     Fn,
-    Mod,
     Type,
 }
 
@@ -116,7 +68,7 @@ impl<'s> ParsedFile<'s> {
     /// (repo-relative, `/`-separated).
     pub fn parse(path: &str, src: &'s str) -> Self {
         let scan = ScannedFile::new(path, src);
-        let mut items = vec![Item::file_pseudo()];
+        let mut items = vec![String::new()];
         let mut ctx: Vec<TokenCtx> = Vec::with_capacity(scan.code.len());
         let mut blocks: Vec<(String, Option<String>)> = Vec::new();
 
@@ -125,14 +77,14 @@ impl<'s> ParsedFile<'s> {
             test: false,
         }];
         let mut fn_stack: Vec<u32> = Vec::new();
-        let mut mod_path: Vec<String> = Vec::new();
         let mut type_stack: Vec<u32> = Vec::new(); // indices into `blocks`
 
         let mut pending_test = false;
-        let mut pending_fn: Option<Item> = None;
+        // Name of a `fn` whose body has not opened yet, and whether a
+        // test gate was pending when its keyword was seen.
+        let mut pending_fn: Option<(String, bool)> = None;
         let mut pending_impl: Option<Vec<String>> = None;
         let mut pending_trait: Option<String> = None;
-        let mut pending_mod: Option<String> = None;
         // `(`/`[` nesting depth: a `;` only terminates a pending item
         // at depth 0 (so `fn f(x: [u8; 4])` keeps its body).
         let mut depth = 0i32;
@@ -173,27 +125,7 @@ impl<'s> ParsedFile<'s> {
                         && pending_impl.is_none()
                         && pending_fn.is_none()
                     {
-                        // Nested fns (inside another fn's body) are
-                        // plain items: the enclosing impl type does
-                        // not qualify them.
-                        let (self_type, trait_name) = match type_stack.last() {
-                            Some(&b) if fn_stack.is_empty() => {
-                                let (t, tr) = &blocks[b as usize];
-                                (Some(t.clone()), tr.clone())
-                            }
-                            _ => (None, None),
-                        };
-                        pending_fn = Some(Item {
-                            name: name.to_string(),
-                            module: mod_path.clone(),
-                            self_type,
-                            trait_name,
-                            cfg_test: top_test || pending_test,
-                            line: tok.line,
-                            col: tok.col,
-                            allows: collect_allows(&scan, tok.line),
-                            body: None,
-                        });
+                        pending_fn = Some((name.to_string(), pending_test));
                     }
                 }
                 "impl" if pending_fn.is_none() && pending_impl.is_none() => {
@@ -214,16 +146,6 @@ impl<'s> ParsedFile<'s> {
                         pending_trait = Some(name.to_string());
                     }
                 }
-                "mod" if pending_fn.is_none() && pending_impl.is_none() => {
-                    let prev = if i == 0 { "" } else { scan.ctext(i - 1) };
-                    let name = scan.ctext(i + 1);
-                    if matches!(prev, "" | "}" | "{" | ";" | "]" | "pub" | ")")
-                        && !name.is_empty()
-                        && scan.ct(i + 1).kind == TokKind::Ident
-                    {
-                        pending_mod = Some(name.to_string());
-                    }
-                }
                 "use" => {
                     if let Some(end) = scan.use_item_end(i) {
                         // The declaration's own `;` is stepped over, so
@@ -238,20 +160,15 @@ impl<'s> ParsedFile<'s> {
                 ")" | "]" => depth = (depth - 1).max(0),
                 "{" => {
                     let gate = std::mem::take(&mut pending_test);
-                    if let Some(mut item) = pending_fn.take() {
-                        item.cfg_test = item.cfg_test || gate || top_test;
-                        item.body = Some((i, i)); // end patched at the `}`
-                        let id = items.len() as u32;
-                        let test = top_test || item.cfg_test;
-                        items.push(item);
-                        fn_stack.push(id);
+                    if let Some((name, gated)) = pending_fn.take() {
+                        fn_stack.push(items.len() as u32);
+                        items.push(name);
                         frames.push(Frame {
                             kind: FrameKind::Fn,
-                            test,
+                            test: top_test || gated || gate,
                         });
                         pending_impl = None;
                         pending_trait = None;
-                        pending_mod = None;
                     } else if let Some(header) = pending_impl.take() {
                         let (trait_name, type_name) = split_impl_header(&header);
                         type_stack.push(blocks.len() as u32);
@@ -267,12 +184,6 @@ impl<'s> ParsedFile<'s> {
                             kind: FrameKind::Type,
                             test: top_test || gate,
                         });
-                    } else if let Some(name) = pending_mod.take() {
-                        mod_path.push(name);
-                        frames.push(Frame {
-                            kind: FrameKind::Mod,
-                            test: top_test || gate,
-                        });
                     } else {
                         frames.push(Frame {
                             kind: FrameKind::Plain,
@@ -285,16 +196,7 @@ impl<'s> ParsedFile<'s> {
                         if let Some(fr) = frames.pop() {
                             match fr.kind {
                                 FrameKind::Fn => {
-                                    if let Some(id) = fn_stack.pop() {
-                                        if let Some(it) = items.get_mut(id as usize) {
-                                            if let Some((s, _)) = it.body {
-                                                it.body = Some((s, i));
-                                            }
-                                        }
-                                    }
-                                }
-                                FrameKind::Mod => {
-                                    mod_path.pop();
+                                    fn_stack.pop();
                                 }
                                 FrameKind::Type => {
                                     type_stack.pop();
@@ -305,12 +207,9 @@ impl<'s> ParsedFile<'s> {
                     }
                 }
                 ";" if depth == 0 => {
-                    if let Some(item) = pending_fn.take() {
-                        items.push(item); // bodyless: trait sig / extern decl
-                    }
+                    pending_fn = None; // bodyless: trait sig / extern decl
                     pending_impl = None;
                     pending_trait = None;
-                    pending_mod = None;
                     pending_test = false;
                 }
                 _ => {
@@ -336,7 +235,7 @@ impl<'s> ParsedFile<'s> {
     /// `i`, if any.
     pub fn enclosing_fn(&self, i: usize) -> Option<&str> {
         let owner = self.ctx.get(i)?.owner;
-        (owner != 0).then(|| self.items[owner as usize].name.as_str())
+        (owner != 0).then(|| self.items[owner as usize].as_str())
     }
 
     /// `(self type, trait)` of the innermost `impl`/`trait` block
@@ -392,44 +291,6 @@ fn split_impl_header(idents: &[String]) -> (Option<String>, String) {
             .unwrap_or_default();
         (None, type_name)
     }
-}
-
-/// `lint: allow(NAME)` names on `fn_line` or the comment/attribute
-/// run directly above it (up to 10 lines), sorted + deduped.
-fn collect_allows(scan: &ScannedFile<'_>, fn_line: u32) -> Vec<String> {
-    fn push_line(text: &str, names: &mut Vec<String>) {
-        let mut rest = text;
-        const MARK: &str = "lint: allow(";
-        while let Some(p) = rest.find(MARK) {
-            let after = &rest[p + MARK.len()..];
-            match after.find(')') {
-                Some(end) => {
-                    let name = after[..end].trim();
-                    if !name.is_empty() {
-                        names.push(name.to_string());
-                    }
-                    rest = &after[end + 1..];
-                }
-                None => break,
-            }
-        }
-    }
-    let mut names = Vec::new();
-    push_line(scan.line_text(fn_line), &mut names);
-    let mut l = fn_line.saturating_sub(1);
-    let mut budget = 10;
-    while l >= 1 && budget > 0 {
-        let text = scan.line_text(l);
-        if !(text.starts_with("//") || text.starts_with('#')) {
-            break;
-        }
-        push_line(text, &mut names);
-        l -= 1;
-        budget -= 1;
-    }
-    names.sort();
-    names.dedup();
-    names
 }
 
 #[cfg(test)]
@@ -499,26 +360,6 @@ mod tests {
     }
 
     #[test]
-    fn items_carry_module_and_type_context() {
-        let f = parsed(
-            "fn free() { helper(); }\n\
-             mod inner {\n  pub fn nested_mod_fn() {}\n}\n\
-             impl Widget { fn method(&self) {} }\n\
-             impl Render for Widget { fn draw(&self) {} }\n\
-             trait Shape { fn area(&self) -> f64; fn default_m(&self) { self.area(); } }\n",
-        );
-        let by_name = |n: &str| f.items.iter().find(|i| i.name == n).expect(n);
-        assert_eq!(by_name("free").module, Vec::<String>::new());
-        assert_eq!(by_name("nested_mod_fn").module, ["inner"]);
-        assert_eq!(by_name("method").self_type.as_deref(), Some("Widget"));
-        let draw = by_name("draw");
-        assert_eq!(draw.self_type.as_deref(), Some("Widget"));
-        assert_eq!(draw.trait_name.as_deref(), Some("Render"));
-        assert_eq!(by_name("default_m").self_type.as_deref(), Some("Shape"));
-        assert!(by_name("area").body.is_none(), "trait sig has no body");
-    }
-
-    #[test]
     fn owner_is_a_partition_and_tracks_bodies() {
         let f = parsed("fn a() { x(); }\nfn b() { fn c() { y(); } c(); }\n");
         assert_eq!(f.ctx.len(), f.scan.code.len());
@@ -528,9 +369,7 @@ mod tests {
         for w in spans.windows(2) {
             assert_eq!(w[0].1, w[1].0, "no gaps or overlaps");
         }
-        let item_named = |n: &str| {
-            f.items.iter().position(|i| i.name == n).expect(n) as u32
-        };
+        let item_named = |n: &str| f.items.iter().position(|i| i == n).expect(n) as u32;
         assert_eq!(f.ctx[idx_of(&f, "x")].owner, item_named("a"));
         assert_eq!(
             f.ctx[idx_of(&f, "y")].owner,
@@ -542,42 +381,20 @@ mod tests {
     #[test]
     fn cfg_test_gating_propagates() {
         let f = parsed(
-            "fn lib() {}\n#[cfg(test)]\nmod tests {\n  fn helper() {}\n  #[test]\n  fn case() {}\n}\n",
+            "fn lib() { a(); }\n#[cfg(test)]\nmod tests {\n  fn helper() { b(); }\n  \
+             #[test]\n  fn case() { c(); }\n}\n#[test]\nfn bare() { d(); }\nfn after() { e(); }\n",
         );
-        let by_name = |n: &str| f.items.iter().find(|i| i.name == n).expect(n);
-        assert!(!by_name("lib").cfg_test);
-        assert!(by_name("helper").cfg_test);
-        assert!(by_name("case").cfg_test);
-    }
-
-    #[test]
-    fn allows_are_collected_above_the_item() {
-        let f = parsed(
-            "// lint: allow(panic): invariant documented\n\
-             // lint: allow(transitive-wall-clock): quarantined\n\
-             fn noisy() {}\n\
-             fn clean() {}\n",
-        );
-        let by_name = |n: &str| f.items.iter().find(|i| i.name == n).expect(n);
-        assert_eq!(by_name("noisy").allows, ["panic", "transitive-wall-clock"]);
-        assert!(by_name("clean").allows.is_empty());
+        let gated = |name: &str| f.ctx[idx_of(&f, name)].cfg_test;
+        assert!(!gated("a"));
+        assert!(gated("b"));
+        assert!(gated("c"));
+        assert!(gated("d"), "a `#[test]` fn outside any gated block");
+        assert!(!gated("e"), "the gate ends with the item it was on");
     }
 
     #[test]
     fn semicolons_inside_brackets_do_not_kill_the_body() {
         let f = parsed("fn packed(x: [u8; 4]) { consume(x); }\n");
-        let packed = f.items.iter().find(|i| i.name == "packed").expect("packed");
-        assert!(packed.body.is_some(), "array-typed arg keeps the body");
         assert_eq!(f.enclosing_fn(idx_of(&f, "consume")), Some("packed"));
-    }
-
-    #[test]
-    fn body_spans_are_brace_delimited() {
-        let f = parsed("fn a() { x(); }\n");
-        let a = f.items.iter().find(|i| i.name == "a").expect("a");
-        let (b0, b1) = a.body.expect("body");
-        assert_eq!(f.scan.ctext(b0), "{");
-        assert_eq!(f.scan.ctext(b1), "}");
-        assert!(b0 < b1);
     }
 }

@@ -15,14 +15,13 @@
 //! * `use std::time::Duration` no longer needs to be avoided — only
 //!   the clock types are flagged, not the whole module.
 //!
-//! Sanctioned escapes, identical to the grep gate: `crates/bench/`
-//! (the harness times stages and owns the CLI) and
-//! `crates/telemetry/src/wallclock.rs` (the explicitly
-//! non-deterministic self-profiler).
-//!
-//! The raw hit detectors (`wall_clock_hits`, `ambient_rng_hits`)
-//! are shared with the transitive taint rules in
-//! [`crate::rules::transitive`], which use them as seed sites.
+//! One exemption, and it is a crate, not a file: `crates/bench/` (the
+//! harness times stages, owns the CLI and the wall-clock
+//! self-profiler `dui_bench::wallclock`). No library crate depends on
+//! `dui-bench` (`tests/workspace.rs` holds every manifest to that), so
+//! nothing these rules cover can reach a clock by calling through the
+//! exempt code — the reach a per-file rule cannot see is closed by the
+//! dependency direction instead.
 
 use super::{finding_at, PathClass};
 use crate::findings::{Finding, Severity};
@@ -33,28 +32,43 @@ use crate::scan::ScannedFile;
 const WALL: &str = "determinism/wall-clock";
 const RNG: &str = "determinism/ambient-rng";
 
-/// The forbidden clock types in `std::time`.
-const CLOCK_TYPES: &[&str] = &["Instant", "SystemTime"];
+/// The forbidden clock names in `std::time`: the two clock types, and
+/// the constant whose `.elapsed()` is `SystemTime::now()` by another
+/// spelling.
+const CLOCK_NAMES: &[&str] = &["Instant", "SystemTime", "UNIX_EPOCH"];
 
 fn is_std_time(path: &[String]) -> bool {
     matches!(path, [a, b, ..] if a == "std" && b == "time")
 }
 
-/// Raw wall-clock hits in one file, regardless of path sanctioning:
-/// `(code index, what)` pairs, deduped by source position. `what` is
-/// the short description the direct rule embeds in its message and
-/// the transitive rules embed in seed descriptions.
-pub(crate) fn wall_clock_hits(file: &ScannedFile<'_>) -> Vec<(usize, String)> {
-    let mut hits: Vec<(usize, String)> = Vec::new();
+/// Turn a rule's raw `(code index, what)` hits into findings: one per
+/// source position (the first form that matched there), each reading
+/// `what — why`.
+fn report(
+    file: &ScannedFile<'_>,
+    rule: &'static str,
+    why: &str,
+    hits: Vec<(usize, String)>,
+    out: &mut Vec<Finding>,
+) {
     let mut seen: Vec<(u32, u32)> = Vec::new();
-    let mut push = |i: usize, what: String, hits: &mut Vec<(usize, String)>| {
+    for (i, what) in hits {
         let t = file.ct(i);
-        if seen.contains(&(t.line, t.col)) {
-            return;
+        if !seen.contains(&(t.line, t.col)) {
+            seen.push((t.line, t.col));
+            let message = format!("{what} — {why}");
+            out.push(finding_at(file, i, rule, Severity::Error, message));
         }
-        seen.push((t.line, t.col));
-        hits.push((i, what));
-    };
+    }
+}
+
+/// `determinism/wall-clock`.
+pub fn wall_clock(file: &ParsedFile<'_>, out: &mut Vec<Finding>) {
+    let file = &file.scan;
+    if PathClass::of(file).is_bench() {
+        return;
+    }
+    let mut hits: Vec<(usize, String)> = Vec::new();
 
     // (a) Imports of the clock types, under any alias, incl. globs of
     // the whole module.
@@ -63,18 +77,17 @@ pub(crate) fn wall_clock_hits(file: &ScannedFile<'_>) -> Vec<(usize, String)> {
         let imports_clock = from_std_time
             && u.path
                 .last()
-                .is_some_and(|s| CLOCK_TYPES.contains(&s.as_str()) || u.local == "*");
+                .is_some_and(|s| CLOCK_NAMES.contains(&s.as_str()) || u.local == "*");
         if imports_clock {
             // Anchor on the matching code token (the alias or segment).
             if let Some(i) = (0..file.code.len()).find(|&i| {
                 let t = file.ct(i);
                 t.line == u.line && t.col == u.col
             }) {
-                push(
+                hits.push((
                     i,
                     format!("imports wall-clock type `{}`", u.path.join("::")),
-                    &mut hits,
-                );
+                ));
             }
         }
     }
@@ -90,14 +103,14 @@ pub(crate) fn wall_clock_hits(file: &ScannedFile<'_>) -> Vec<(usize, String)> {
             && file.path_sep(i + 1)
             && file.ctext(i + 3) == "time"
             && file.path_sep(i + 4)
-            && CLOCK_TYPES.contains(&file.ctext(i + 6))
+            && CLOCK_NAMES.contains(&file.ctext(i + 6))
         {
-            push(i, format!("uses `std::time::{}`", file.ctext(i + 6)), &mut hits);
+            hits.push((i, format!("uses `std::time::{}`", file.ctext(i + 6))));
             continue;
         }
         // (c) Bare `Instant::now` / `SystemTime::now`.
-        if CLOCK_TYPES.contains(&t.text) && file.path_sep(i + 1) && file.ctext(i + 3) == "now" {
-            push(i, format!("calls `{}::now`", t.text), &mut hits);
+        if CLOCK_NAMES.contains(&t.text) && file.path_sep(i + 1) && file.ctext(i + 3) == "now" {
+            hits.push((i, format!("calls `{}::now`", t.text)));
             continue;
         }
         // (d) Through aliases: `Clock::now` where `use … as Clock`, or
@@ -105,57 +118,48 @@ pub(crate) fn wall_clock_hits(file: &ScannedFile<'_>) -> Vec<(usize, String)> {
         if file.path_sep(i + 1) {
             if let Some(u) = file.resolve_use(t.text) {
                 let aliased_clock = is_std_time(&u.path)
-                    && u.path.last().is_some_and(|s| CLOCK_TYPES.contains(&s.as_str()));
+                    && u.path.last().is_some_and(|s| CLOCK_NAMES.contains(&s.as_str()));
                 let module_alias = u.path.len() == 2 && is_std_time(&u.path);
                 if aliased_clock {
-                    push(
-                        i,
-                        format!("`{}` aliases `{}`", t.text, u.path.join("::")),
-                        &mut hits,
-                    );
-                } else if module_alias && CLOCK_TYPES.contains(&file.ctext(i + 3)) {
-                    push(
+                    hits.push((i, format!("`{}` aliases `{}`", t.text, u.path.join("::"))));
+                } else if module_alias && CLOCK_NAMES.contains(&file.ctext(i + 3)) {
+                    hits.push((
                         i,
                         format!("`{}::{}` resolves to std::time", t.text, file.ctext(i + 3)),
-                        &mut hits,
-                    );
+                    ));
                 }
             }
         }
     }
-    hits
+    report(
+        file,
+        WALL,
+        "library code must be a pure function of (config, seed); simulated time comes \
+         from SimTime, wall-clock timing belongs in crates/bench",
+        hits,
+        out,
+    );
 }
 
-/// `determinism/wall-clock`.
-pub fn wall_clock(file: &ParsedFile<'_>, out: &mut Vec<Finding>) {
+/// `determinism/ambient-rng`.
+pub fn ambient_rng(file: &ParsedFile<'_>, out: &mut Vec<Finding>) {
     let file = &file.scan;
-    if PathClass::of(file).determinism_sanctioned() {
+    if PathClass::of(file).is_bench() {
         return;
     }
-    for (i, what) in wall_clock_hits(file) {
-        out.push(finding_at(
-            file,
-            i,
-            WALL,
-            Severity::Error,
-            format!(
-                "{what} — library code must be a pure function of (config, seed); \
-                 simulated time comes from SimTime, wall-clock timing belongs in \
-                 crates/bench or telemetry::wallclock"
-            ),
-        ));
-    }
-}
-
-/// Raw ambient-randomness hits in one file, regardless of path
-/// sanctioning: `(code index, what)` pairs, deduped by position.
-pub(crate) fn ambient_rng_hits(file: &ScannedFile<'_>) -> Vec<(usize, String)> {
     let mut hits: Vec<(usize, String)> = Vec::new();
-    let mut seen: Vec<(u32, u32)> = Vec::new();
     // Ambient randomness entry points, caught as bare identifiers. The
     // full-token match means `strand` or `thread_rng_like` never
     // false-positive the way the old substring grep could.
-    const AMBIENT_IDENTS: &[&str] = &["thread_rng", "OsRng", "getrandom", "from_entropy"];
+    // `RandomState` is std's per-process random hasher seed: its
+    // `build_hasher().finish()` is a random number in safe std.
+    const AMBIENT_IDENTS: &[&str] = &[
+        "thread_rng",
+        "OsRng",
+        "getrandom",
+        "from_entropy",
+        "RandomState",
+    ];
     for i in 0..file.code.len() {
         let t = file.ct(i);
         if t.kind != TokKind::Ident {
@@ -173,10 +177,7 @@ pub(crate) fn ambient_rng_hits(file: &ScannedFile<'_>) -> Vec<(usize, String)> {
             None
         };
         if let Some(what) = hit {
-            if !seen.contains(&(t.line, t.col)) {
-                seen.push((t.line, t.col));
-                hits.push((i, what));
-            }
+            hits.push((i, what));
         }
     }
     // Imports rooted at the rand crate (aliased leaves are caught
@@ -187,33 +188,15 @@ pub(crate) fn ambient_rng_hits(file: &ScannedFile<'_>) -> Vec<(usize, String)> {
                 let t = file.ct(i);
                 t.line == u.line && t.col == u.col
             }) {
-                let t = file.ct(i);
-                if !seen.contains(&(t.line, t.col)) {
-                    seen.push((t.line, t.col));
-                    hits.push((i, format!("imports `{}`", u.path.join("::"))));
-                }
+                hits.push((i, format!("imports `{}`", u.path.join("::"))));
             }
         }
     }
-    hits
-}
-
-/// `determinism/ambient-rng`.
-pub fn ambient_rng(file: &ParsedFile<'_>, out: &mut Vec<Finding>) {
-    let file = &file.scan;
-    if PathClass::of(file).determinism_sanctioned() {
-        return;
-    }
-    for (i, what) in ambient_rng_hits(file) {
-        out.push(finding_at(
-            file,
-            i,
-            RNG,
-            Severity::Error,
-            format!(
-                "{what} — all randomness must flow from the seeded dui_stats::Rng so \
-                 runs replay bit-identically"
-            ),
-        ));
-    }
+    report(
+        file,
+        RNG,
+        "all randomness must flow from the seeded dui_stats::Rng so runs replay bit-identically",
+        hits,
+        out,
+    );
 }

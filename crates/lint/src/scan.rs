@@ -12,8 +12,8 @@
 //!   `std::time::Instant` imported here, under any name?" gets a real
 //!   answer instead of a grep guess;
 //! * **inner attributes** on the crate root (for `docs/missing-deny`);
-//! * **line helpers** for the marker and `lint: allow(...)` comment
-//!   conventions.
+//! * **line helpers** for the marker and escape-annotation
+//!   (`// lint: allow(panic): <reason>`) comment conventions.
 //!
 //! Item structure — function boundaries, `impl`/`trait` blocks,
 //! `#[cfg(test)]` / `#[test]` regions — is tracked in exactly one
@@ -106,7 +106,7 @@ impl<'s> ScannedFile<'s> {
     /// True if 1-based line `n` or the line above contains `needle`
     /// (raw text, comments included) — the marker convention shared by
     /// the hash rule (`sorted` / `write_unordered`) and the escape
-    /// annotations (`lint: allow(...)`).
+    /// annotations (each rule's `ALLOW` constant).
     pub fn line_or_above_contains(&self, n: u32, needle: &str) -> bool {
         let here = self
             .lines

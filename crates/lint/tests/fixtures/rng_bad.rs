@@ -12,3 +12,5 @@ pub fn seed_from_os() -> [u8; 8] {
     getrandom(&mut buf);
     buf
 }
+
+pub fn per_process() -> u64 { std::collections::hash_map::RandomState::new().build_hasher().finish() }

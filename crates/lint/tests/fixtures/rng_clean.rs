@@ -16,3 +16,6 @@ impl Rng {
 pub fn roll(seed: u64) -> u64 {
     Rng::new(seed).next_u64() % 6
 }
+
+// `RandomState::new().build_hasher().finish()` would be a per-process
+// random number; named in a comment it is nothing.

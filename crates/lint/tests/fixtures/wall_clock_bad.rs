@@ -11,3 +11,5 @@ pub fn elapsed_ns() -> u128 {
 pub fn stamp() -> std::time::SystemTime {
     std::time::SystemTime::now()
 }
+
+pub fn epoch_s() -> u64 { std::time::UNIX_EPOCH.elapsed().map_or(0, |d| d.as_secs()) }

@@ -7,3 +7,5 @@ pub fn step(now_ns: u64, dt: Duration) -> u64 {
     let msg = "no std::time::Instant here, just a string";
     now_ns + dt.as_nanos() as u64 + msg.len() as u64
 }
+
+// Nor is `std::time::UNIX_EPOCH.elapsed()` when it is only a comment.

@@ -1,9 +1,12 @@
-//! Property-based tests of the lexer (via the in-tree `propcheck`
-//! engine): lexing is total and lossless on arbitrary input, and
-//! re-lexing the concatenation of an already-lexed token stream is a
-//! fixed point.
+//! Property-based tests of the lexer and the parser (via the in-tree
+//! `propcheck` engine): lexing is total and lossless on arbitrary
+//! input, re-lexing the concatenation of an already-lexed token stream
+//! is a fixed point, and the parser's owner assignment — what every
+//! digest- and test-gated rule scopes itself by — partitions the code
+//! stream.
 
 use dui_lint::lexer::lex;
+use dui_lint::parse::ParsedFile;
 use dui_stats::propcheck::Gen;
 use dui_stats::{prop_assert, prop_assert_eq, prop_check};
 
@@ -69,7 +72,72 @@ fn random_source(g: &mut Gen) -> String {
     src
 }
 
+/// Random item soup: fns (possibly nested), consts, mods, impl blocks,
+/// stray tokens at file level — enough shape variety to stress the
+/// owner partition without needing valid Rust semantics.
+fn random_items(g: &mut Gen, depth: usize) -> String {
+    let n = g.usize(0..5);
+    let mut src = String::new();
+    for i in 0..n {
+        match g.usize(0..6) {
+            0 => {
+                src.push_str(&format!("fn f{depth}_{i}(x: u32) {{\n    let y = x + 1;\n"));
+                if depth < 2 && g.bool() {
+                    for line in random_items(g, depth + 1).lines() {
+                        src.push_str("    ");
+                        src.push_str(line);
+                        src.push('\n');
+                    }
+                }
+                src.push_str("}\n");
+            }
+            1 => src.push_str(&format!("const C{depth}_{i}: u32 = {i};\n")),
+            2 => {
+                src.push_str(&format!("mod m{depth}_{i} {{\n"));
+                if depth < 2 {
+                    for line in random_items(g, depth + 1).lines() {
+                        src.push_str("    ");
+                        src.push_str(line);
+                        src.push('\n');
+                    }
+                }
+                src.push_str("}\n");
+            }
+            3 => src.push_str(&format!(
+                "impl T{depth}_{i} {{\n    fn m(&self) {{ self.x(); }}\n}}\n"
+            )),
+            4 => src.push_str(&format!("struct S{depth}_{i} {{ a: u32, b: u32 }}\n")),
+            _ => src.push_str("; ; { } [ ] ( )\n"),
+        }
+    }
+    src
+}
+
 prop_check! {
+    fn owner_assignment_partitions_the_code_stream(g) {
+        let src = random_items(g, 0);
+        let f = ParsedFile::parse("crates/x/src/lib.rs", &src);
+        prop_assert_eq!(f.ctx.len(), f.scan.code.len());
+        let spans = f.owner_spans();
+        if f.scan.code.is_empty() {
+            prop_assert!(spans.is_empty());
+        } else {
+            // Maximal runs: cover [0, len) exactly, no gaps, no
+            // overlaps, adjacent spans differ in owner.
+            prop_assert_eq!(spans[0].0, 0);
+            prop_assert_eq!(spans[spans.len() - 1].1, f.scan.code.len());
+            for w in spans.windows(2) {
+                prop_assert_eq!(w[0].1, w[1].0);
+                prop_assert!(w[0].2 != w[1].2);
+            }
+            // Every owner is a real item id, and every fn item owns at
+            // least its own body tokens.
+            for &(_, _, id) in &spans {
+                prop_assert!((id as usize) < f.items.len());
+            }
+        }
+    }
+
     fn lex_is_lossless_on_token_soup(g) {
         let src = random_source(g);
         let toks = lex(&src);

@@ -702,8 +702,12 @@ mod tests {
     prop_check! {
         cases = 16;
         fn macro_cases_override_works(g) {
-            let b = g.bool();
-            prop_assert!(b || !b);
+            // The default is 96 cases: a 17th execution means the
+            // `cases = 16;` above was not honoured.
+            static RUNS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+            let _ = g.bool();
+            let runs = RUNS.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
+            prop_assert!(runs <= 16, "execution {runs} of a property declared `cases = 16`");
         }
     }
 }

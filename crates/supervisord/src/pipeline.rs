@@ -24,7 +24,7 @@ use std::thread;
 
 /// Injected wall-clock: returns monotonic nanoseconds. This crate
 /// never reads a clock itself (the `determinism/wall-clock` lint rule
-/// allows only `dui-bench` and `telemetry::wallclock` to) — the bench
+/// allows only `dui-bench` to) — the bench
 /// harness passes a real clock to measure verdict latency, and
 /// deterministic tests pass `None` (all timestamps zero, no latency
 /// samples recorded).

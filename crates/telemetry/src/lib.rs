@@ -1,6 +1,5 @@
 //! `dui-telemetry`: zero-dependency observability substrate for the DUI
-//! workspace — a metrics registry, span tracing, and a wall-clock
-//! self-profiler.
+//! workspace — a metrics registry and span tracing.
 //!
 //! The paper's §5 supervisor (Fig. 3) is a feedback loop that needs the
 //! system to observe itself: input quality at point III, decision rates
@@ -24,15 +23,13 @@
 //!   `SimTime` nanos; no clock is read here).
 //! * [`json`] — the deterministic float/string JSON formatting shared
 //!   by every byte-compared exporter.
-//! * [`wallclock`] — the **only** library module allowed to read the
-//!   monotonic wall clock (enforced by the `dui-lint`
-//!   `determinism/wall-clock` rule); a process-global profiler for the
-//!   experiment harness.
 //!
-//! Everything outside [`wallclock`] is deterministic: identical record
-//! sequences produce byte-identical snapshots and JSON lines, which is
-//! what lets `results/metrics.jsonl` be compared byte-for-byte across
-//! `--jobs` values.
+//! Everything here is deterministic — no module reads a clock (the
+//! harness's wall-clock self-profiler is `dui_bench::wallclock`, in the
+//! one crate the `dui-lint` `determinism/wall-clock` rule exempts):
+//! identical record sequences produce byte-identical snapshots and JSON
+//! lines, which is what lets `results/metrics.jsonl` be compared
+//! byte-for-byte across `--jobs` values.
 //!
 //! ```
 //! use dui_telemetry::{Registry, Snapshot};
@@ -66,7 +63,6 @@ pub mod hist;
 pub mod json;
 pub mod registry;
 pub mod span;
-pub mod wallclock;
 
 pub use delta::{DeltaEncoder, Frame};
 pub use hist::LogHistogram;

@@ -2,9 +2,9 @@
 //!
 //! Spans are timestamped with opaque `u64` nanoseconds supplied by the
 //! caller, which keeps this module time-source agnostic: the simulator
-//! passes deterministic `SimTime` nanos, while the profiler in
-//! [`crate::wallclock`] may pass monotonic wall-clock nanos. The
-//! recorder itself never reads a clock.
+//! passes deterministic `SimTime` nanos, while a harness outside the
+//! library crates may pass monotonic wall-clock nanos. The recorder
+//! itself never reads a clock.
 //!
 //! The buffer is bounded: once `capacity` completed spans are stored,
 //! the oldest is dropped and [`SpanRecorder::wrapped`] counts the loss,

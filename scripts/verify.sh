@@ -4,23 +4,20 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# same_bytes WHERE FIRST SECOND FILE...
-#   The determinism contract, as a gate: run FIRST, then SECOND, in
-#   directory WHERE ("scratch": a fresh temporary directory), and require
-#   every FILE the first run left behind to come out of the second run
-#   byte-identical. Any failing command fails the gate.
+# same_bytes FIRST SECOND FILE...
+#   The determinism contract, as a gate: run FIRST, then SECOND, in a
+#   fresh temporary directory, and require every FILE the first run left
+#   behind to come out of the second run byte-identical. Any failing
+#   command fails the gate.
 same_bytes() {
-  local where="$1" first="$2" second="$3" kept f
-  shift 3
+  local first="$1" second="$2" kept f
+  shift 2
   local files=("$@")
   kept="$(mktemp -d)"
   trap "rm -rf '$kept'" EXIT # a failing run exits the script from inside
-  if [ "$where" = scratch ]; then
-    where="$kept/run"
-    mkdir "$where"
-  fi
+  mkdir "$kept/run"
   (
-    cd "$where"
+    cd "$kept/run"
     eval "$first"
     for f in "${files[@]}"; do mv "$f" "$kept/$(basename "$f")"; done
     eval "$second"
@@ -29,23 +26,11 @@ same_bytes() {
   rm -rf "$kept"
 }
 
-echo "== determinism lint (dui-lint: token-aware, baseline-gated) =="
+echo "== determinism lint (dui-lint: per-file token rules, exit status is the gate) =="
 # No wall clock / ambient randomness in library crates, and the rest of
-# the rule set (rustdoc of `dui_lint::rules`, EXPERIMENTS.md). Exits
-# non-zero iff a finding is not grandfathered by lint.baseline; also
-# writes results/lint.jsonl, which a second run must reproduce.
-LINT="cargo run -q --release --offline -p dui-lint --"
-$LINT --json --baseline lint.baseline
-# (That run, with its findings left visible, is the pair's first.)
-same_bytes . : "$LINT --json --baseline lint.baseline 2>&1" results/lint.jsonl
-echo "lint.jsonl byte-identical across runs: OK"
-
-echo "== call-graph dump determinism (dui-lint --graph-dump) =="
-# The cross-crate symbol/call graph behind the interprocedural rules
-# must serialize byte-identically across runs — symbol ids, edges, and
-# unknown-callee lists are all canonically ordered.
-same_bytes . "$LINT --graph-dump" "$LINT --graph-dump" results/callgraph.jsonl
-echo "callgraph.jsonl byte-identical across runs: OK"
+# the rule table (docs/lint.md). Exits non-zero iff there is a finding;
+# the only escape is the inline annotation a rule documents.
+cargo run -q --release --offline -p dui-lint
 
 echo "== build (release, offline) =="
 cargo build --release --offline
@@ -101,7 +86,7 @@ echo "== record/replay gate (dui-replay) =="
 # the midpoint checkpoint and demand the resumed run's CSV is
 # byte-identical to the uninterrupted one; then the same record+check for
 # a hash-only packet-level recording.
-same_bytes scratch \
+same_bytes \
   "'$EXP' record fig2-small && '$EXP' replay results/fig2-small.duir --check" \
   "'$EXP' replay results/fig2-small.duir --resume mid &&
    mv results/fig2-small_resumed.csv results/fig2-small_recorded.csv &&
@@ -122,7 +107,7 @@ echo "== scenario corpus (experiments scenario, --jobs byte-identity) =="
 # Every shipped .dsc must parse, compile, and pass its expectations —
 # a file that fails to parse exits the runner with status 2 and fails
 # the gate — and the verdict CSV must not depend on --jobs.
-same_bytes scratch "'$EXP' scenario '$CORPUS' --jobs 4" "'$EXP' scenario '$CORPUS' --jobs 1" \
+same_bytes "'$EXP' scenario '$CORPUS' --jobs 4" "'$EXP' scenario '$CORPUS' --jobs 1" \
   results/scenarios.csv
 echo "scenario corpus all-pass and CSV byte-identical at --jobs 1 vs 4: OK"
 
