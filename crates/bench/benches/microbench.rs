@@ -3,8 +3,8 @@
 //! registry access): the Blink flow selector (must run at line rate in
 //! a real data plane), the event queue, the attack theory's binomial
 //! math, the PCC controller step, the Pytheas bandit, the NetHide
-//! solver, and the supervisord delta-encode / signal-evaluation hot
-//! path.
+//! solver, and the supervisord hot path — delta encode, signal
+//! evaluation, the SPSC handoff and the pipeline end to end.
 //!
 //! Run with `cargo bench -p dui-bench`; each line reports per-iteration
 //! median / p95 / min. Pass `--quick` for a fast smoke run.
@@ -480,6 +480,104 @@ fn bench_supervisord(s: &mut Suite) {
         s.bench("supervisord_signalbank_observe", move || {
             i = (i + 1) % frames.len();
             bank.observe("site-g0", &frames[i])
+        });
+    }
+    {
+        // The transport in the regime the pipeline runs it in: the
+        // consumer is the bottleneck (~1 µs of work an item), so the
+        // queue sits full and what is measured is how often each side
+        // is woken to move 10^5 items through 64 slots.
+        use dui_core::telemetry::channel::bounded;
+        s.bench("channel_consumer_bound_handoff", || {
+            let (tx, rx) = bounded::<u64>(64);
+            std::thread::scope(|sc| {
+                sc.spawn(move || {
+                    for v in 0..100_000u64 {
+                        if tx.send(v).is_err() {
+                            break;
+                        }
+                    }
+                });
+                let mut acc = 0u64;
+                while let Some(v) = rx.recv() {
+                    let mut x = v;
+                    for _ in 0..1_000 {
+                        x = std::hint::black_box(x)
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                    }
+                    acc ^= x;
+                }
+                acc
+            })
+        });
+    }
+    {
+        // The whole pipeline as the `ledger` benchmark drives it
+        // (`supervisord_stream` at --quick size): two fleets of 8
+        // producers x 150 epochs, each producer updating, freezing and
+        // delta-encoding inside its own thread, 64-deep channels, one
+        // worker.
+        use dui_core::stats::rng::mix64;
+        use dui_core::supervisord::{self, Config, ProducerSpec};
+        use dui_core::telemetry::delta::Frame;
+
+        fn producer(i: usize, seed: u64, epochs: u64) -> impl Iterator<Item = Frame> + Send {
+            let profile = (i / 2) % 4;
+            let onset = epochs / 3;
+            let mut rng = Rng::new(mix64(seed, i as u64));
+            let mut reg = Registry::new();
+            let blink = reg.gauge("blink.cells.malicious");
+            let qoe: Vec<_> = (0..5)
+                .map(|k| reg.gauge(&format!("pytheas.qoe.p{i}.c{k}")))
+                .collect();
+            let [high_lossy, high_total, low_lossy, low_total] =
+                ["high_lossy", "high_total", "low_lossy", "low_total"]
+                    .map(|n| reg.counter(&format!("pcc.mi.{n}")));
+            let mut enc = DeltaEncoder::new(i as u32);
+            (0..epochs).map(move |e| {
+                let attacking = e >= onset;
+                let occ = if profile == 1 && attacking {
+                    (2.0 + 1.4 * (e - onset) as f64).min(58.0)
+                } else {
+                    2.0 + rng.range_f64(0.0, 2.0)
+                };
+                reg.observe(blink, occ);
+                for (k, &g) in qoe.iter().enumerate() {
+                    let v = if profile == 2 && attacking && k >= 3 {
+                        0.02 + rng.range_f64(0.0, 0.01)
+                    } else {
+                        0.65 + rng.range_f64(0.0, 0.1)
+                    };
+                    reg.observe(g, v);
+                }
+                reg.add(high_total, 50);
+                reg.add(low_total, 50);
+                let h = if profile == 3 && attacking {
+                    30
+                } else {
+                    rng.below(3)
+                };
+                reg.add(high_lossy, h);
+                reg.add(low_lossy, rng.below(3));
+                enc.encode(e, &reg.snapshot(), 0)
+            })
+        }
+        s.bench("supervisord_pipeline_8x1", || {
+            (0..2u64)
+                .map(|round| {
+                    let fleet = (0..8)
+                        .map(|i| {
+                            let spec = ProducerSpec {
+                                id: i as u32,
+                                group: format!("site-g{}", i / 2),
+                            };
+                            (spec, producer(i, mix64(21, round), 150))
+                        })
+                        .collect();
+                    supervisord::run(&Config::default(), fleet).frames
+                })
+                .sum::<u64>()
         });
     }
 }

@@ -33,6 +33,8 @@ use crate::pcc_guard::{presence_asymmetry, recommended_eps_max};
 use crate::supervisor::Risk;
 use dui_telemetry::Snapshot;
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Bound;
+use std::sync::Arc;
 
 /// An online risk estimator fed framed snapshot deltas.
 ///
@@ -84,7 +86,7 @@ impl StreamingSupervisor for OccupancyWindow {
     }
 
     fn observe(&mut self, delta: &Snapshot) -> Risk {
-        if let Some(&(sum, n)) = delta.gauges.get(&self.metric) {
+        if let Some(&(sum, n)) = delta.gauges.get(self.metric.as_str()) {
             if n > 0 {
                 if self.recent.len() == self.window {
                     self.recent.pop_front();
@@ -115,16 +117,27 @@ impl StreamingSupervisor for OccupancyWindow {
 /// the outlier fraction scaled by 2 (half the group dragging low is
 /// certain manipulation). Fewer than 4 members is not enough evidence
 /// to accuse anyone.
+///
+/// Member names come from the producers — the input this supervisor
+/// exists to distrust — so the state they can create is bounded: the
+/// first [`MAX_MEMBERS`](Self::MAX_MEMBERS) distinct names are tracked
+/// and later ones are ignored.
 #[derive(Debug, Clone)]
 pub struct GroupOutlierWindow {
     prefix: String,
     k: f64,
     floor: f64,
     window: usize,
-    members: BTreeMap<String, VecDeque<f64>>,
+    members: BTreeMap<Arc<str>, VecDeque<f64>>,
 }
 
 impl GroupOutlierWindow {
+    /// Most members one group tracks. A producer that renames its
+    /// gauges every epoch would otherwise grow the worker's memory and
+    /// its per-frame work without limit; the largest group in the tree
+    /// has 10 members.
+    pub const MAX_MEMBERS: usize = 256;
+
     /// Watch member gauges under `prefix` with per-member windows of
     /// `window` samples; `k = 4.0` / `floor = 0.15` mirror
     /// `MadReportFilter`'s defaults.
@@ -145,14 +158,21 @@ impl StreamingSupervisor for GroupOutlierWindow {
     }
 
     fn observe(&mut self, delta: &Snapshot) -> Risk {
-        for (name, &(sum, n)) in delta.gauges.range(self.prefix.clone()..) {
-            if !name.starts_with(&self.prefix) {
+        let prefix = self.prefix.as_str();
+        let from_prefix = (Bound::Included(prefix), Bound::Unbounded);
+        for (name, &(sum, n)) in delta.gauges.range::<str, _>(from_prefix) {
+            if !name.starts_with(prefix) {
                 break;
             }
             if n == 0 {
                 continue;
             }
-            let win = self.members.entry(name.clone()).or_default();
+            let full = self.members.len() >= Self::MAX_MEMBERS;
+            let win = match self.members.get_mut(name) {
+                Some(win) => win,
+                None if full => continue,
+                None => self.members.entry(Arc::clone(name)).or_default(),
+            };
             if win.len() == self.window {
                 win.pop_front();
             }
@@ -298,7 +318,11 @@ impl StreamingSupervisor for SynBacklogWindow {
     }
 
     fn observe(&mut self, delta: &Snapshot) -> Risk {
-        let (gsum, gn) = delta.gauges.get(&self.live).copied().unwrap_or((0.0, 0));
+        let (gsum, gn) = delta
+            .gauges
+            .get(self.live.as_str())
+            .copied()
+            .unwrap_or((0.0, 0));
         let row = (
             gsum,
             gn,
@@ -402,6 +426,46 @@ mod tests {
         let mut s = GroupOutlierWindow::new("qoe.", 4);
         let tiny = gauge_delta(&[("qoe.a", 0.8), ("qoe.b", 0.0)]);
         assert_eq!(s.observe(&tiny), Risk::NONE);
+    }
+
+    #[test]
+    fn group_outlier_members_are_bounded() {
+        // A full group, then a producer that sends two hundred fresh
+        // gauge names every epoch, 10^4 in all. The window keeps the
+        // first MAX_MEMBERS names it saw and rules exactly as if the
+        // rest had never been sent.
+        const MAX: usize = GroupOutlierWindow::MAX_MEMBERS;
+        let mut flooded = GroupOutlierWindow::new("qoe.", 4);
+        let mut clean = GroupOutlierWindow::new("qoe.", 4);
+        let mut flagged = 0;
+        for epoch in 0..=50 {
+            let mut reg = Registry::new();
+            for m in 0..MAX {
+                // A tenth of the members are dragged low from epoch 10.
+                let dragged = epoch >= 10 && m % 10 == 0;
+                let v = if dragged {
+                    0.02
+                } else {
+                    0.8 + 0.0001 * m as f64
+                };
+                let g = reg.gauge(&format!("qoe.m{m:03}"));
+                reg.observe(g, v);
+            }
+            let honest = reg.snapshot();
+            for j in 0..if epoch == 0 { 0 } else { 200 } {
+                // Sorts before, between and after the tracked names.
+                let g = reg.gauge(&format!("qoe.{}{epoch}.{j}", ["a", "m1", "z"][j % 3]));
+                reg.observe(g, 0.0);
+            }
+            let risk = flooded.observe(&reg.snapshot());
+            assert_eq!(risk, clean.observe(&honest), "epoch {epoch}");
+            assert_eq!(flooded.members.len(), MAX);
+            flagged += usize::from(risk.0 > 0.0);
+        }
+        assert!(
+            flagged >= 35,
+            "the drag must be seen through the flood: {flagged}"
+        );
     }
 
     #[test]

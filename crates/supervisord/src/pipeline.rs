@@ -1,12 +1,19 @@
 //! The sharded streaming pipeline: producers → bounded SPSC channels →
 //! worker shards → canonical verdict sink.
 //!
-//! Concurrency discipline (`parallel/no-shared-mut`, the same rule as
-//! the netsim parallel engine): ownership plus `std::sync` only. Each
-//! producer owns its sending half, each worker owns its receivers and
-//! its groups' signal state, and nothing is shared mutably — workers
-//! return their verdict batches by value and the sink folds them
-//! single-threaded.
+//! Concurrency discipline: ownership plus `std::sync` only, decided by
+//! `#![forbid(unsafe_code)]` and `Send`/`Sync` rather than by
+//! convention. Each producer owns its sending half, each worker owns
+//! its receivers and its groups' signal state, and nothing is shared
+//! mutably — workers return their verdict batches by value and the sink
+//! folds them single-threaded. Shard 0 runs on the calling thread, so
+//! at the default `workers: 1` the only threads spawned are producers.
+//!
+//! No deadlock across channels: a worker blocks only on a channel that
+//! is *empty* while holding a head from every other open one, producers
+//! do not wait on each other, and within one channel the
+//! [`dui_telemetry::channel`] argument applies (a full queue's sender
+//! is woken before its receiver can find the queue empty).
 //!
 //! Determinism: see the crate-level docs. Everything the pipeline
 //! *emits* (the verdict log) is a pure function of the producers'
@@ -109,11 +116,11 @@ struct WorkerInput {
 }
 
 /// Run the pipeline to completion: spawn one thread per producer and
-/// `cfg.workers` worker threads, stream every source dry, and return
-/// the merged report. Producer sources are plain frame iterators
-/// (typically driven by a
-/// [`DeltaEncoder`](dui_telemetry::delta::DeltaEncoder)); the frames
-/// of each producer must carry strictly increasing `seq`.
+/// one per worker shard after the first (shard 0 is drained by the
+/// calling thread), stream every source dry, and return the merged
+/// report. Producer sources are plain frame iterators (typically driven
+/// by a [`DeltaEncoder`](dui_telemetry::delta::DeltaEncoder)); the
+/// frames of each producer must carry strictly increasing `seq`.
 pub fn run<I>(cfg: &Config, producers: Vec<(ProducerSpec, I)>) -> PipelineReport
 where
     I: Iterator<Item = Frame> + Send,
@@ -147,14 +154,19 @@ where
                 }
             });
         }
-        let handles: Vec<_> = inputs
-            .into_iter()
+        let mut shards = inputs.into_iter();
+        let first = shards.next().unwrap_or_default();
+        let handles: Vec<_> = shards
             .map(|chans| {
                 let clock = cfg.clock.clone();
                 let signals = &cfg.signals;
                 s.spawn(move || worker_loop(chans, signals, clock))
             })
             .collect();
+        // Shard 0 on this thread: its verdicts are allocated where the
+        // caller will read and free them, not in whichever malloc arena
+        // a short-lived worker thread was handed.
+        results.push(worker_loop(first, &cfg.signals, cfg.clock.clone()));
         for h in handles {
             // lint: allow(panic): a worker panic is unrecoverable; propagate it
             results.push(h.join().expect("supervisord worker panicked"));
@@ -222,10 +234,13 @@ fn worker_loop(
         let Some(frame) = heads[i].take() else {
             break; // unreachable: `best` only indexes filled heads
         };
-        let group = &chans[i].group;
-        let bank = banks
-            .entry(group.clone())
-            .or_insert_with(|| SignalBank::new(signals));
+        let group = chans[i].group.as_str();
+        let bank = match banks.get_mut(group) {
+            Some(bank) => bank,
+            None => banks
+                .entry(group.to_string())
+                .or_insert_with(|| SignalBank::new(signals)),
+        };
         let verdict = bank.observe(group, &frame);
         if let Some(c) = &clock {
             latency.record(c().saturating_sub(frame.ingest_ns));
@@ -269,8 +284,13 @@ mod tests {
     }
 
     fn run_with_workers(workers: usize) -> PipelineReport {
+        run_with(workers, Config::default().channel_capacity)
+    }
+
+    fn run_with(workers: usize, channel_capacity: usize) -> PipelineReport {
         let cfg = Config {
             workers,
+            channel_capacity,
             ..Config::default()
         };
         let producers: Vec<_> = (0..6u32)
@@ -285,12 +305,16 @@ mod tests {
     #[test]
     fn verdict_log_is_worker_count_invariant() {
         let base = run_with_workers(1).to_jsonl();
-        for workers in [2, 3, 4, 8] {
-            assert_eq!(
-                base,
-                run_with_workers(workers).to_jsonl(),
-                "workers = {workers}"
-            );
+        for workers in [1, 2, 3, 4, 8] {
+            // 10 epochs per producer: at capacity 1 and 2 every sender
+            // blocks and the half-queue wake rule is what releases it.
+            for capacity in [1, 2, 64] {
+                assert_eq!(
+                    base,
+                    run_with(workers, capacity).to_jsonl(),
+                    "workers = {workers}, capacity = {capacity}"
+                );
+            }
         }
     }
 

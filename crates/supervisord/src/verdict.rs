@@ -1,7 +1,7 @@
 //! Verdicts: one risk ruling per ingested frame, with deterministic
 //! JSONL serialization.
 
-use dui_telemetry::json::{json_f64, push_json_str};
+use dui_telemetry::json::{push_json_f64, push_json_str};
 use std::fmt::Write as _;
 
 /// What the supervisor sanctions for the epoch the frame covers.
@@ -70,23 +70,32 @@ impl Verdict {
     /// formatter, so equal verdicts always produce equal bytes.
     pub fn to_json_line(&self) -> String {
         let mut out = String::new();
+        self.write_json_line(&mut out);
+        out
+    }
+
+    /// Append the [`to_json_line`](Self::to_json_line) bytes to `out`
+    /// (no trailing newline).
+    pub fn write_json_line(&self, out: &mut String) {
         let _ = write!(
             out,
             "{{\"epoch\":{},\"producer\":{},\"seq\":{},\"group\":",
             self.epoch, self.producer, self.seq
         );
-        push_json_str(&mut out, &self.group);
-        let _ = write!(
-            out,
-            ",\"blink\":{},\"pytheas\":{},\"pcc\":{},\"risk\":{},\"eps_max\":{},\"action\":\"{}\"}}",
-            json_f64(self.blink),
-            json_f64(self.pytheas),
-            json_f64(self.pcc),
-            json_f64(self.risk),
-            json_f64(self.eps_max),
-            self.action.label(),
-        );
-        out
+        push_json_str(out, &self.group);
+        for (key, v) in [
+            (",\"blink\":", self.blink),
+            (",\"pytheas\":", self.pytheas),
+            (",\"pcc\":", self.pcc),
+            (",\"risk\":", self.risk),
+            (",\"eps_max\":", self.eps_max),
+        ] {
+            out.push_str(key);
+            push_json_f64(out, v);
+        }
+        out.push_str(",\"action\":\"");
+        out.push_str(self.action.label());
+        out.push_str("\"}");
     }
 }
 
@@ -95,7 +104,7 @@ impl Verdict {
 pub fn to_jsonl(verdicts: &[Verdict]) -> String {
     let mut out = String::new();
     for v in verdicts {
-        out.push_str(&v.to_json_line());
+        v.write_json_line(&mut out);
         out.push('\n');
     }
     out

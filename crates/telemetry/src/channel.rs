@@ -1,7 +1,7 @@
 //! Bounded single-producer/single-consumer channel with blocking
-//! backpressure, built on `std::sync` only (per the
-//! `parallel/no-shared-mut` rule: no ad-hoc shared mutability, just a
-//! `Mutex` + two `Condvar`s).
+//! backpressure, built on `std::sync` only: a `Mutex` + two `Condvar`s.
+//! The crate is `#![forbid(unsafe_code)]`, so what the two threads may
+//! share is decided by `Send`/`Sync` and nothing else.
 //!
 //! This is the transport between a telemetry producer and its
 //! supervisord worker. Semantics chosen for determinism and bounded
@@ -18,8 +18,35 @@
 //!
 //! The handles are `Send` but deliberately not `Clone`: one producer,
 //! one consumer. Poisoned locks are tolerated (`into_inner`) because
-//! the protected state is a plain `VecDeque` that is valid at every
-//! instruction boundary.
+//! the protected state is a plain `VecDeque` and four flags, valid at
+//! every instruction boundary.
+//!
+//! # Wake discipline
+//!
+//! A `Condvar::notify_one` is a `futex` wake whether or not anyone is
+//! parked, so the channel notifies only a peer that is actually
+//! waiting: each side sets its `*_waiting` flag immediately before
+//! `Condvar::wait` and the waker clears it, then notifies after
+//! releasing the lock. `send` wakes a waiting receiver; `recv` wakes a
+//! waiting sender only once the queue has drained to half its capacity
+//! (`len * 2 <= capacity`), so a producer that outruns its consumer is
+//! woken once per half queue instead of once per slot — it refills in a
+//! burst rather than ping-ponging one item per wake. Dropping either
+//! half notifies unconditionally.
+//!
+//! *No lost wakeup:* the flags are read and written only under the
+//! mutex, and `Condvar::wait` releases the mutex and parks atomically —
+//! so whoever next takes the lock and finds a flag set finds its owner
+//! already parked (or about to re-check its condition), and the
+//! `notify_one` that follows the flag's clearing reaches it. A spurious
+//! wakeup can leave a flag set with nobody parked; that costs one
+//! redundant notify and nothing else.
+//!
+//! *No deadlock:* the sender blocks only on a full queue and the
+//! receiver only on an empty one, and `capacity >= 1` makes those
+//! exclusive. A parked sender is woken before the receiver can park,
+//! because a queue on its way from full to empty crosses half — at
+//! capacity 1 the first `recv` already leaves `0 * 2 <= 1`.
 //!
 //! ```
 //! use dui_telemetry::channel::bounded;
@@ -41,6 +68,10 @@ struct Inner<T> {
     queue: VecDeque<T>,
     sender_alive: bool,
     receiver_alive: bool,
+    /// The receiver is (about to be) parked on `not_empty`.
+    rx_waiting: bool,
+    /// The sender is (about to be) parked on `not_full`.
+    tx_waiting: bool,
 }
 
 struct Shared<T> {
@@ -82,6 +113,8 @@ pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
             queue: VecDeque::new(),
             sender_alive: true,
             receiver_alive: true,
+            rx_waiting: false,
+            tx_waiting: false,
         }),
         capacity: capacity.max(1),
         not_full: Condvar::new(),
@@ -106,9 +139,14 @@ impl<T> Sender<T> {
             }
             if inner.queue.len() < self.shared.capacity {
                 inner.queue.push_back(value);
-                self.shared.not_empty.notify_one();
+                let wake = std::mem::take(&mut inner.rx_waiting);
+                drop(inner);
+                if wake {
+                    self.shared.not_empty.notify_one();
+                }
                 return Ok(());
             }
+            inner.tx_waiting = true;
             inner = self
                 .shared
                 .not_full
@@ -135,33 +173,26 @@ impl<T> Receiver<T> {
         let mut inner = self.shared.lock();
         loop {
             if let Some(v) = inner.queue.pop_front() {
-                self.shared.not_full.notify_one();
+                let wake = inner.tx_waiting && inner.queue.len() * 2 <= self.shared.capacity;
+                if wake {
+                    inner.tx_waiting = false;
+                }
+                drop(inner);
+                if wake {
+                    self.shared.not_full.notify_one();
+                }
                 return Some(v);
             }
             if !inner.sender_alive {
                 return None;
             }
+            inner.rx_waiting = true;
             inner = self
                 .shared
                 .not_empty
                 .wait(inner)
                 .unwrap_or_else(|e| e.into_inner());
         }
-    }
-
-    /// Non-blocking variant of [`recv`](Self::recv): `Ok(Some(v))` on
-    /// data, `Ok(None)` when currently empty but still open, `Err(())`
-    /// when drained and closed.
-    pub fn try_recv(&self) -> Result<Option<T>, ()> {
-        let mut inner = self.shared.lock();
-        if let Some(v) = inner.queue.pop_front() {
-            self.shared.not_full.notify_one();
-            return Ok(Some(v));
-        }
-        if !inner.sender_alive {
-            return Err(());
-        }
-        Ok(None)
     }
 }
 
@@ -196,7 +227,6 @@ mod tests {
         let (tx, rx) = bounded::<u8>(1);
         drop(tx);
         assert_eq!(rx.recv(), None);
-        assert_eq!(rx.try_recv(), Err(()));
     }
 
     #[test]
@@ -218,13 +248,5 @@ mod tests {
         assert_eq!(rx.recv(), Some(2));
         h.join().ok();
         assert_eq!(rx.recv(), None);
-    }
-
-    #[test]
-    fn try_recv_reports_open_empty() {
-        let (tx, rx) = bounded::<u8>(1);
-        assert_eq!(rx.try_recv(), Ok(None));
-        tx.send(9).ok();
-        assert_eq!(rx.try_recv(), Ok(Some(9)));
     }
 }

@@ -84,8 +84,7 @@ impl DeltaEncoder {
     /// `current`. `ingest_ns` stamps the frame for latency accounting
     /// (pass 0 when no wall clock is in play).
     pub fn encode(&mut self, epoch: u64, current: &Snapshot, ingest_ns: u64) -> Frame {
-        let delta = current.diff_since(&self.prev);
-        self.prev = current.clone();
+        let delta = self.prev.advance_to(current);
         let seq = self.next_seq;
         self.next_seq += 1;
         Frame {
@@ -119,6 +118,27 @@ mod tests {
         let f1 = enc.encode(1, &reg.snapshot(), 0);
         assert!(f1.delta.is_empty());
         assert_eq!(f1.seq, 1);
+    }
+
+    #[test]
+    fn encoder_remembers_exactly_the_last_snapshot() {
+        // `prev` is updated in place, so it must also *lose* what the
+        // latest snapshot no longer carries: a metric that vanishes and
+        // comes back is diffed against nothing, not against its old self.
+        let with_x = |v: u64| {
+            let mut s = Snapshot::default();
+            s.counters.insert("x".into(), v);
+            s.counters.insert("y".into(), v);
+            s
+        };
+        let mut without_x = with_x(6);
+        without_x.counters.remove("x");
+        let mut enc = DeltaEncoder::new(0);
+        assert_eq!(enc.encode(0, &with_x(5), 0).delta.counter("x"), 5);
+        let gone = enc.encode(1, &without_x, 0).delta;
+        assert_eq!((gone.counter("x"), gone.counter("y")), (0, 1));
+        let back = enc.encode(2, &with_x(7), 0).delta;
+        assert_eq!((back.counter("x"), back.counter("y")), (7, 1));
     }
 
     #[test]

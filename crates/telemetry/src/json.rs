@@ -15,14 +15,22 @@ use std::fmt::Write as _;
 /// values so the output is unambiguously a float. Non-finite values
 /// render as `null` (JSON has no NaN/Inf).
 pub fn json_f64(v: f64) -> String {
+    let mut out = String::new();
+    push_json_f64(&mut out, v);
+    out
+}
+
+/// Append `v` exactly as [`json_f64`] formats it, without a `String`
+/// per value.
+pub fn push_json_f64(out: &mut String, v: f64) {
     if !v.is_finite() {
-        return "null".to_string();
+        out.push_str("null");
+        return;
     }
-    let s = format!("{v}");
-    if s.contains('.') || s.contains('e') || s.contains("inf") {
-        s
-    } else {
-        format!("{s}.0")
+    let start = out.len();
+    let _ = write!(out, "{v}");
+    if !out[start..].contains(['.', 'e']) {
+        out.push_str(".0");
     }
 }
 
@@ -57,6 +65,9 @@ mod tests {
         assert_eq!(json_f64(-0.125), "-0.125");
         assert_eq!(json_f64(f64::NAN), "null");
         assert_eq!(json_f64(f64::INFINITY), "null");
+        let mut out = String::from("x:");
+        push_json_f64(&mut out, 3.0);
+        assert_eq!(out, "x:3.0");
     }
 
     #[test]

@@ -12,11 +12,19 @@
 //! [`Snapshot::with_prefix`], and export as a deterministic JSON line or
 //! as `(kind, name, value)` rows for the workspace's hand-rolled CSV
 //! writer.
+//!
+//! A name is interned once, at registration, as an `Arc<str>` that
+//! every snapshot, delta and frame of that registry shares — so
+//! freezing, diffing and dropping a snapshot cost a reference count per
+//! metric, never a copy of the name. `Arc<str>` orders and borrows as
+//! `str`, so lookups take a plain `&str`, and iteration order and every
+//! exported byte are those of `String` keys.
 
 use crate::hist::LogHistogram;
-use crate::json::{json_f64, push_json_str};
+use crate::json::{json_f64, push_json_f64, push_json_str};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Handle to a registered counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,12 +48,12 @@ enum MetricKind {
 /// A registry of named metrics with cheap record paths.
 #[derive(Debug, Default)]
 pub struct Registry {
-    names: BTreeMap<String, (MetricKind, u32)>,
-    counter_names: Vec<String>,
+    names: BTreeMap<Arc<str>, (MetricKind, u32)>,
+    counter_names: Vec<Arc<str>>,
     counters: Vec<u64>,
-    gauge_names: Vec<String>,
+    gauge_names: Vec<Arc<str>>,
     gauges: Vec<(f64, u64)>,
-    hist_names: Vec<String>,
+    hist_names: Vec<Arc<str>>,
     hists: Vec<LogHistogram>,
 }
 
@@ -66,9 +74,10 @@ impl Registry {
             return CounterId(idx);
         }
         let idx = self.counters.len() as u32;
+        let name: Arc<str> = name.into();
         self.names
-            .insert(name.to_string(), (MetricKind::Counter, idx));
-        self.counter_names.push(name.to_string());
+            .insert(Arc::clone(&name), (MetricKind::Counter, idx));
+        self.counter_names.push(name);
         self.counters.push(0);
         CounterId(idx)
     }
@@ -83,8 +92,10 @@ impl Registry {
             return GaugeId(idx);
         }
         let idx = self.gauges.len() as u32;
-        self.names.insert(name.to_string(), (MetricKind::Gauge, idx));
-        self.gauge_names.push(name.to_string());
+        let name: Arc<str> = name.into();
+        self.names
+            .insert(Arc::clone(&name), (MetricKind::Gauge, idx));
+        self.gauge_names.push(name);
         self.gauges.push((0.0, 0));
         GaugeId(idx)
     }
@@ -99,8 +110,10 @@ impl Registry {
             return HistId(idx);
         }
         let idx = self.hists.len() as u32;
-        self.names.insert(name.to_string(), (MetricKind::Hist, idx));
-        self.hist_names.push(name.to_string());
+        let name: Arc<str> = name.into();
+        self.names
+            .insert(Arc::clone(&name), (MetricKind::Hist, idx));
+        self.hist_names.push(name);
         self.hists.push(LogHistogram::new());
         HistId(idx)
     }
@@ -188,15 +201,71 @@ impl Registry {
 }
 
 /// A frozen, mergeable view of a registry's metrics, keyed by name.
+///
+/// Keys are the registry's interned names: look up by `&str`
+/// (`snap.gauges.get("load")`), insert with `name.into()`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
     /// Counter totals.
-    pub counters: BTreeMap<String, u64>,
+    pub counters: BTreeMap<Arc<str>, u64>,
     /// Gauge accumulators as `(sum, observation_count)`; exported as the
     /// mean so that merging across replicates stays associative.
-    pub gauges: BTreeMap<String, (f64, u64)>,
+    pub gauges: BTreeMap<Arc<str>, (f64, u64)>,
     /// Full histograms (kept whole so merge stays exact).
-    pub hists: BTreeMap<String, LogHistogram>,
+    pub hists: BTreeMap<Arc<str>, LogHistogram>,
+}
+
+/// One metric's change since `was` (`None`: not seen before), or `None`
+/// when nothing changed. Regressions clamp to zero.
+type Diff<V> = fn(now: &V, was: Option<&V>) -> Option<V>;
+
+fn diff_counter(now: &u64, was: Option<&u64>) -> Option<u64> {
+    let d = now.saturating_sub(was.copied().unwrap_or(0));
+    (d > 0).then_some(d)
+}
+
+fn diff_gauge(&(sum, n): &(f64, u64), was: Option<&(f64, u64)>) -> Option<(f64, u64)> {
+    let (psum, pn) = was.copied().unwrap_or((0.0, 0));
+    let dn = n.saturating_sub(pn);
+    (dn > 0).then_some((sum - psum, dn))
+}
+
+fn diff_hist(now: &LogHistogram, was: Option<&LogHistogram>) -> Option<LogHistogram> {
+    let d = match was {
+        Some(p) => now.diff_since(p),
+        None => now.clone(),
+    };
+    (d.count() > 0).then_some(d)
+}
+
+/// The per-metric [`Diff`]s of `now` against `prev`, leaving `prev`
+/// equal to `now` — entries it already holds are updated in place.
+fn advance_map<V: Clone>(
+    prev: &mut BTreeMap<Arc<str>, V>,
+    now: &BTreeMap<Arc<str>, V>,
+    diff: Diff<V>,
+) -> BTreeMap<Arc<str>, V> {
+    let mut out = BTreeMap::new();
+    for (k, v) in now {
+        let d = match prev.get_mut(k) {
+            Some(p) => {
+                let d = diff(v, Some(p));
+                p.clone_from(v);
+                d
+            }
+            None => {
+                prev.insert(Arc::clone(k), v.clone());
+                diff(v, None)
+            }
+        };
+        out.extend(d.map(|d| (Arc::clone(k), d)));
+    }
+    // `prev` now holds every key of `now`; anything more is a metric
+    // that vanished, which `diff_since` forgets.
+    if prev.len() != now.len() {
+        prev.retain(|k, _| now.contains_key(k));
+    }
+    out
 }
 
 impl Snapshot {
@@ -236,37 +305,29 @@ impl Snapshot {
     /// buckets; histogram min/max are approximated from bucket bounds).
     /// Metrics present in `earlier` but not `self` are treated as
     /// unchanged; regressions (counter decreased) clamp to zero.
+    ///
+    /// Works on a clone of `earlier`; a producer diffing every epoch
+    /// wants a [`DeltaEncoder`](crate::DeltaEncoder), which keeps its
+    /// previous snapshot and updates it in place.
     pub fn diff_since(&self, earlier: &Snapshot) -> Snapshot {
-        let mut out = Snapshot::default();
-        for (k, &v) in &self.counters {
-            let d = v.saturating_sub(earlier.counter(k));
-            if d > 0 {
-                out.counters.insert(k.clone(), d);
-            }
+        earlier.clone().advance_to(self)
+    }
+
+    /// `current.diff_since(self)`, leaving `self` equal to `current`:
+    /// the [`DeltaEncoder`](crate::DeltaEncoder) step, which remembers
+    /// `current` by updating what it already holds instead of cloning.
+    pub(crate) fn advance_to(&mut self, current: &Snapshot) -> Snapshot {
+        Snapshot {
+            counters: advance_map(&mut self.counters, &current.counters, diff_counter),
+            gauges: advance_map(&mut self.gauges, &current.gauges, diff_gauge),
+            hists: advance_map(&mut self.hists, &current.hists, diff_hist),
         }
-        for (k, &(sum, n)) in &self.gauges {
-            let (psum, pn) = earlier.gauges.get(k).copied().unwrap_or((0.0, 0));
-            let dn = n.saturating_sub(pn);
-            if dn > 0 {
-                out.gauges.insert(k.clone(), (sum - psum, dn));
-            }
-        }
-        for (k, h) in &self.hists {
-            let d = match earlier.hists.get(k) {
-                Some(p) => h.diff_since(p),
-                None => h.clone(),
-            };
-            if d.count() > 0 {
-                out.hists.insert(k.clone(), d);
-            }
-        }
-        out
     }
 
     /// Return a copy with every metric name prefixed by `prefix` and a
     /// dot (e.g. `"blink"` turns `reroutes` into `blink.reroutes`).
     pub fn with_prefix(&self, prefix: &str) -> Snapshot {
-        let re = |k: &String| format!("{prefix}.{k}");
+        let re = |k: &Arc<str>| Arc::from(format!("{prefix}.{k}"));
         Snapshot {
             counters: self.counters.iter().map(|(k, v)| (re(k), *v)).collect(),
             gauges: self.gauges.iter().map(|(k, v)| (re(k), *v)).collect(),
@@ -316,7 +377,8 @@ impl Snapshot {
                 out.push(',');
             }
             push_json_str(&mut out, k);
-            let _ = write!(out, ":{}", json_f64(sum / n as f64));
+            out.push(':');
+            push_json_f64(&mut out, sum / n as f64);
         }
         out.push_str("},\"hists\":{");
         for (i, (k, h)) in self.hists.iter().enumerate() {
@@ -345,12 +407,12 @@ impl Snapshot {
     pub fn rows(&self) -> Vec<(String, String, String)> {
         let mut rows = Vec::new();
         for (k, v) in &self.counters {
-            rows.push(("counter".to_string(), k.clone(), v.to_string()));
+            rows.push(("counter".to_string(), k.to_string(), v.to_string()));
         }
         for (k, &(sum, n)) in &self.gauges {
             rows.push((
                 "gauge".to_string(),
-                k.clone(),
+                k.to_string(),
                 json_f64(sum / n as f64),
             ));
         }

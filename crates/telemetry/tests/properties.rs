@@ -107,17 +107,17 @@ fn arb_snapshot(g: &mut dui_stats::propcheck::Gen) -> Snapshot {
     let mut s = Snapshot::default();
     for _ in 0..g.usize(0..4) {
         let k = format!("c.{}", NAMES[g.usize(0..NAMES.len())]);
-        *s.counters.entry(k).or_insert(0) += 1 + g.u32(0..1000) as u64;
+        *s.counters.entry(k.into()).or_insert(0) += 1 + g.u32(0..1000) as u64;
     }
     for _ in 0..g.usize(0..4) {
         let k = format!("g.{}", NAMES[g.usize(0..NAMES.len())]);
-        let slot = s.gauges.entry(k).or_insert((0.0, 0));
+        let slot = s.gauges.entry(k.into()).or_insert((0.0, 0));
         slot.0 += g.u32(0..1_000_000) as f64;
         slot.1 += 1 + g.u32(0..9) as u64;
     }
     for _ in 0..g.usize(0..3) {
         let k = format!("h.{}", NAMES[g.usize(0..NAMES.len())]);
-        let h = s.hists.entry(k).or_insert_with(LogHistogram::new);
+        let h = s.hists.entry(k.into()).or_insert_with(LogHistogram::new);
         for _ in 0..1 + g.usize(0..8) {
             let shift = g.u32(0..64);
             h.record(g.any_u64() >> shift);
@@ -197,8 +197,8 @@ prop_check! {
             let got_n = merged.hist(&hk).map_or(0, LogHistogram::count);
             prop_assert_eq!(got_n, want_n);
             let gk = format!("g.{name}");
-            let want_obs: u64 = snaps.iter().filter_map(|s| s.gauges.get(&gk)).map(|&(_, n)| n).sum();
-            let got_obs = merged.gauges.get(&gk).map_or(0, |&(_, n)| n);
+            let want_obs: u64 = snaps.iter().filter_map(|s| s.gauges.get(gk.as_str())).map(|&(_, n)| n).sum();
+            let got_obs = merged.gauges.get(gk.as_str()).map_or(0, |&(_, n)| n);
             prop_assert_eq!(got_obs, want_obs);
         }
     }

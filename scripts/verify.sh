@@ -48,6 +48,13 @@ echo "== Blink selector differential at depth (2000 propcheck cases; seconds) ==
 # packet-level Blink digest rest on.
 PROPCHECK_CASES=2000 cargo test -q --offline -p dui-blink --test properties selector
 
+echo "== SPSC channel wake discipline at depth (2000 propcheck cases; ~35 s) =="
+# The supervisord transport wakes only a waiting peer, and a blocked
+# sender only at half a queue: a mistake there is a lost wakeup, i.e. a
+# hang. Every case sits behind a 20 s watchdog and the run under
+# `timeout`, so a deadlock fails the gate instead of hanging it.
+PROPCHECK_CASES=2000 timeout 300 cargo test -q --offline -p dui-telemetry --test channel
+
 echo "== tests (workspace, offline; dui-scenario: key-table round-trip, .dsc mutation never-panic, docs tables) =="
 cargo test -q --offline --workspace
 
