@@ -16,8 +16,8 @@
 //! hardware anyway). Statelessness is also what makes the program safe
 //! under the domain-parallel engine: it never reads `pkt.id` of packets
 //! it did not create, so the packet-id contract
-//! (`docs/parallel-domains.md`) holds and scenarios using it stay
-//! `--sim-threads` eligible.
+//! (`docs/parallel-domains.md`) holds and a simulator running it may be
+//! sharded with `Simulator::set_sim_threads`.
 
 use crate::privilege::{AttackDescriptor, Privilege, Target};
 use dui_netsim::node::{DataPlaneProgram, Verdict};

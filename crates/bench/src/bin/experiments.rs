@@ -18,12 +18,6 @@
 //! (default: all cores); the CSVs are byte-identical for every `N` —
 //! see `dui_bench::par` for the determinism contract.
 //!
-//! `--sim-threads N` additionally shards the *simulator itself* (the
-//! packet engine's domain-parallel mode, `dui_core::netsim::parallel`)
-//! for the stages whose row lists the flag — the ones whose node
-//! programs honor the packet-id contract. Results are byte-identical
-//! for every `N` there too; other stages say that they ignore it.
-//!
 //! `--metrics` additionally writes each stage's telemetry snapshot as
 //! one JSON line to `results/metrics.jsonl` (sim-time metrics only, so
 //! the file is byte-identical across runs and `--jobs` too), prints a
@@ -33,8 +27,8 @@
 //!
 //! `verify-determinism [stage…]` is the determinism gate
 //! (`dui_bench::stages::verify_determinism`): it runs every named row
-//! (default: all) twice at one configuration and again across each flag
-//! the row lists, and exits 1 naming `stage · file:line · setting A vs
+//! (default: all) twice at one configuration and again at `--jobs 1` if
+//! the row reads `--jobs`, and exits 1 naming `stage · file:line · setting A vs
 //! B` at the first byte that differs.
 //!
 //! ## Record / replay
@@ -57,7 +51,7 @@
 
 use dui_bench::par::default_jobs;
 use dui_bench::recordings::{build_subject, StageSubject, RECORDINGS};
-use dui_bench::stages::{verify_determinism, Flag, Stage, StageCfg, StageOutput, STAGES};
+use dui_bench::stages::{verify_determinism, Stage, StageOutput, STAGES};
 use dui_bench::wallclock;
 use dui_core::replay::{Recorder, Recording, Replayer};
 use dui_core::stats::table::Table;
@@ -120,9 +114,9 @@ fn recordable_names() -> String {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments [<stage> | all] [--jobs N] [--sim-threads N] [--metrics]\n\
+        "usage: experiments [<stage> | all] [--jobs N] [--metrics]\n\
          \x20      experiments verify-determinism [<stage>...]\n\
-         \x20      experiments scenario <FILE|DIR> [--jobs N] [--sim-threads N]\n\
+         \x20      experiments scenario <FILE|DIR> [--jobs N]\n\
          \x20      experiments record <recordable> [--out FILE] [--ckpt-every N]\n\
          \x20      experiments replay <FILE> [--check] [--resume <idx|mid>]\n\
          stages: {}\n\
@@ -148,21 +142,16 @@ fn select(names: &[String]) -> Vec<&'static Stage> {
     names.iter().map(row).collect()
 }
 
-/// The value of the count option `flag` if `arg` spells it, as `--flag N`
-/// (taking `N` from `rest`) or `--flag=N` (`-j` is `--jobs`). A missing,
-/// unparsable or below-`min` value is a usage error.
-fn count_opt(
-    flag: &str,
-    min: usize,
-    arg: &str,
-    rest: &mut impl Iterator<Item = String>,
-) -> Option<usize> {
-    let value = if arg == flag || (arg == "-j" && flag == "--jobs") {
+/// The job count if `arg` spells the option, as `--jobs N` or `-j N`
+/// (taking `N` from `rest`) or `--jobs=N`. A missing, unparsable or
+/// zero value is a usage error.
+fn jobs_opt(arg: &str, rest: &mut impl Iterator<Item = String>) -> Option<usize> {
+    let value = if arg == "--jobs" || arg == "-j" {
         rest.next().unwrap_or_else(|| usage())
     } else {
-        arg.strip_prefix(flag)?.strip_prefix('=')?.to_string()
+        arg.strip_prefix("--jobs=")?.to_string()
     };
-    Some(value.parse().ok().filter(|&n| n >= min).unwrap_or_else(|| usage()))
+    Some(value.parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| usage()))
 }
 
 /// `experiments scenario <file|dir>`: run a declarative scenario corpus
@@ -173,13 +162,10 @@ fn cmd_scenario(args: &[String]) -> ! {
     use dui_bench::scenario::{collect_files, load, run_corpus};
     let mut path: Option<PathBuf> = None;
     let mut jobs = default_jobs();
-    let mut sim_threads = 0usize;
     let mut it = args.iter().cloned();
     while let Some(a) = it.next() {
-        if let Some(n) = count_opt("--jobs", 1, &a, &mut it) {
+        if let Some(n) = jobs_opt(&a, &mut it) {
             jobs = n;
-        } else if let Some(n) = count_opt("--sim-threads", 0, &a, &mut it) {
-            sim_threads = n;
         } else if path.is_none() && !a.starts_with('-') {
             path = Some(PathBuf::from(a));
         } else {
@@ -196,7 +182,7 @@ fn cmd_scenario(args: &[String]) -> ! {
             std::process::exit(2);
         }
     };
-    let report = run_corpus(&compiled, jobs, sim_threads);
+    let report = run_corpus(&compiled, jobs);
     print!("{}", report.text);
     std::fs::create_dir_all(results_dir()).expect("create results dir");
     let csv_path = results_dir().join("scenarios.csv");
@@ -340,7 +326,7 @@ fn cmd_verify_determinism(args: &[String]) -> ! {
             eprintln!("verify-determinism FAILED: {diff}");
             std::process::exit(1);
         }
-        let across: String = row.flags.iter().map(|f| format!(", across {}", f.cli())).collect();
+        let across = if row.jobs { ", across --jobs" } else { "" };
         let secs = ts.elapsed().as_secs_f64();
         println!("{:<16} same bytes run to run{across}: OK ({secs:.1} s)", row.name);
     }
@@ -351,7 +337,6 @@ fn cmd_verify_determinism(args: &[String]) -> ! {
 fn main() {
     let mut which: Option<String> = None;
     let mut jobs = default_jobs();
-    let mut sim_threads = 0usize; // 0 = leave the simulator sequential
     let mut metrics = false;
     let raw: Vec<String> = std::env::args().skip(1).collect();
     match raw.first().map(String::as_str) {
@@ -363,10 +348,8 @@ fn main() {
     }
     let mut args = raw.into_iter();
     while let Some(a) = args.next() {
-        if let Some(n) = count_opt("--jobs", 1, &a, &mut args) {
+        if let Some(n) = jobs_opt(&a, &mut args) {
             jobs = n;
-        } else if let Some(n) = count_opt("--sim-threads", 1, &a, &mut args) {
-            sim_threads = n;
         } else if a == "--metrics" {
             metrics = true;
         } else if which.is_none() && !a.starts_with('-') {
@@ -378,7 +361,6 @@ fn main() {
     // `all` is every row and also keeps the full report on disk.
     let all = which.as_deref().is_none_or(|w| w == "all");
     let rows = select(which.as_slice());
-    let cfg = StageCfg { jobs, sim_threads };
     if metrics {
         wallclock::enable(true);
     }
@@ -394,12 +376,9 @@ fn main() {
     // (stage, wall-clock seconds, output) of every row run.
     let mut ran: Vec<(&str, f64, StageOutput)> = Vec::new();
     for row in rows {
-        if sim_threads > 0 && !row.flags.contains(&Flag::SimThreads) {
-            println!("[{} ignores --sim-threads]", row.name);
-        }
         let ts = std::time::Instant::now();
         wallclock::set_stage(row.name);
-        let out = row.run_checked(&cfg).unwrap_or_else(|undeclared| {
+        let out = row.run_checked(jobs).unwrap_or_else(|undeclared| {
             eprintln!("{undeclared}");
             std::process::exit(1);
         });

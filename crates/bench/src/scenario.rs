@@ -6,8 +6,7 @@
 //! scenarios across `jobs` workers with [`crate::par::run_indexed`].
 //! Scenario runs are pure functions of `(file, seed)`, so the verdict
 //! table and `results/scenarios.csv` are byte-identical at any `--jobs`
-//! or `--sim-threads` (enforced by `tests/scenario_corpus.rs` and the
-//! verify.sh gate).
+//! (enforced by `tests/scenario_corpus.rs` and the verify.sh gate).
 
 use crate::par::run_indexed;
 use dui_core::stats::table::Table;
@@ -67,9 +66,8 @@ pub fn load(files: &[PathBuf]) -> Result<Vec<Compiled>, String> {
 }
 
 /// Run a compiled corpus and assemble the report.
-pub fn run_corpus(compiled: &[Compiled], jobs: usize, sim_threads: usize) -> CorpusReport {
-    let reports: Vec<RunReport> =
-        run_indexed(compiled.len(), jobs, |i| compiled[i].run_with(sim_threads));
+pub fn run_corpus(compiled: &[Compiled], jobs: usize) -> CorpusReport {
+    let reports: Vec<RunReport> = run_indexed(compiled.len(), jobs, |i| compiled[i].run());
 
     let mut csv = Table::new(["scenario", "kind", "seed", "check", "pass", "detail"]);
     let mut show = Table::new(["scenario", "kind", "checks", "failed", "verdict"]);

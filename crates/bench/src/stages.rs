@@ -1,16 +1,16 @@
 //! The experiment stages behind the `experiments` binary: every figure
 //! and numeric claim of the paper, each one row of [`STAGES`] — its
-//! name, the [`StageCfg`] fields it reads, the files it emits and a
-//! pure function `fn(&StageCfg) -> StageOutput`.
+//! name, whether it reads `--jobs`, the files it emits and a pure
+//! function `fn(jobs) -> StageOutput`.
 //!
 //! A stage returns its human-readable report plus the named tables to
 //! write under `results/` — it performs no I/O itself, so
 //! [`verify_determinism`] can hold every row to the determinism
-//! contract in-process: same bytes run to run, across `--jobs` and
-//! across `--sim-threads`, for every flag the row lists. Replicated
-//! work inside a stage fans out with [`crate::par::run_indexed`], so
-//! thread count never changes results (see the crate-level docs for
-//! the seeding contract).
+//! contract in-process: same bytes run to run, and across `--jobs` for
+//! the rows that read it. Replicated work inside a stage fans out with
+//! [`crate::par::run_indexed`], so thread count never changes results
+//! (see the crate-level docs for the seeding contract). Every stage
+//! runs the sequential packet engine.
 
 mod contract;
 
@@ -67,41 +67,6 @@ impl StageOutput {
     }
 }
 
-/// Cross-stage execution options, bundled so new knobs do not churn
-/// every call site.
-#[derive(Debug, Clone)]
-pub struct StageCfg {
-    /// Harness worker threads for replicated work inside a stage.
-    pub jobs: usize,
-    /// Simulation-engine thread count (0 = sequential); consumed only
-    /// by the id-contract-clean packet-level stages.
-    pub sim_threads: usize,
-}
-
-/// A [`StageCfg`] field a stage's `run` reads. A row lists the ones
-/// that reach its simulations; the determinism contract is checked
-/// across exactly those.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Flag {
-    /// `cfg.jobs` — replicate-parallel fan-out (invariant D4).
-    Jobs,
-    /// `cfg.sim_threads` — the domain-parallel engine (invariant D5).
-    /// Only stages whose node logic is certified id-stable list it
-    /// (see the determinism-contract chapter in `docs/` for the
-    /// `pkt.id` rule that gates this).
-    SimThreads,
-}
-
-impl Flag {
-    /// The flag as the CLI spells it.
-    pub fn cli(self) -> &'static str {
-        match self {
-            Flag::Jobs => "--jobs",
-            Flag::SimThreads => "--sim-threads",
-        }
-    }
-}
-
 /// One file a stage emits under `results/`.
 #[derive(Debug)]
 pub struct Output {
@@ -110,7 +75,7 @@ pub struct Output {
     pub file: &'static str,
     /// Header names of the columns that hold wall-clock or RSS
     /// measurements. Everything else in the file is byte-identical
-    /// across runs, `--jobs` and `--sim-threads`.
+    /// across runs and `--jobs`.
     pub measured: &'static [&'static str],
 }
 
@@ -129,12 +94,14 @@ pub struct Stage {
     pub claim: &'static str,
     /// One line on what the stage regenerates.
     pub about: &'static str,
-    /// The [`StageCfg`] fields `run` reads.
-    pub flags: &'static [Flag],
+    /// Whether `run` fans replicated work out over its job count
+    /// (`--jobs`, invariant D4); the gate compares such rows across it.
+    pub jobs: bool,
     /// Every file the stage emits, tables first, in emission order.
     pub outputs: &'static [Output],
-    /// The stage itself. Call it through [`Stage::run_checked`].
-    pub run: fn(&StageCfg) -> StageOutput,
+    /// The stage itself, over the job count. Call it through
+    /// [`Stage::run_checked`].
+    pub run: fn(usize) -> StageOutput,
 }
 
 /// Every experiment, in `all` execution order. This table is the one
@@ -147,15 +114,15 @@ pub const STAGES: &[Stage] = &[
         name: "fig2",
         claim: "F2",
         about: "Fig. 2: malicious flows sampled by Blink over time, theory overlaid with 50 replicate simulations",
-        flags: &[Flag::Jobs],
+        jobs: true,
         outputs: &[det("fig2.csv")],
-        run: |c| fig2_with(&Fig2Opts::paper(), c.jobs),
+        run: |jobs| fig2_with(&Fig2Opts::paper(), jobs),
     },
     Stage {
         name: "fig2-rates",
         claim: "F2b",
         about: "rate-asymmetry ablation: attacker keep-alive rate vs takeover time (closed form)",
-        flags: &[],
+        jobs: false,
         outputs: &[det("fig2_rates.csv")],
         run: |_| fig2_rates(),
     },
@@ -163,94 +130,83 @@ pub const STAGES: &[Stage] = &[
         name: "blink-sweep",
         claim: "C2",
         about: "takeover time over the (tR, qm) grid, plus the selector-size and hash-salt (§5-V) ablations",
-        flags: &[Flag::Jobs],
+        jobs: true,
         outputs: &[
             det("blink_sweep.csv"),
             det("blink_cells_ablation.csv"),
             det("blink_salt_ablation.csv"),
         ],
-        run: |c| blink_sweep_with(10, c.jobs),
+        run: |jobs| blink_sweep_with(10, jobs),
     },
     Stage {
         name: "caida-residency",
         claim: "C3",
         about: "flow-selector residency across the top-20 prefixes of the synthetic CAIDA-like trace",
-        flags: &[Flag::Jobs],
+        jobs: true,
         outputs: &[det("caida_residency.csv")],
-        run: |c| caida_residency(c.jobs),
+        run: caida_residency,
     },
     Stage {
         name: "blink-packet",
         claim: "C4",
         about: "packet-level Blink takeover (2000 legit + 105 malicious TCP flows), unguarded and RTO-guarded",
-        flags: &[Flag::Jobs, Flag::SimThreads],
+        jobs: true,
         outputs: &[det("blink_packet.csv")],
-        run: |c| blink_packet(c.jobs, c.sim_threads),
+        run: blink_packet,
     },
     Stage {
         name: "pytheas",
         claim: "C5",
         about: "Pytheas group poisoning and CDN herding sweeps, with and without the §5 outlier filter",
-        flags: &[Flag::Jobs],
+        jobs: true,
         outputs: &[det("pytheas_poison.csv"), det("pytheas_throttle.csv")],
-        run: |c| pytheas(c.jobs),
+        run: pytheas,
     },
     Stage {
         name: "pcc",
         claim: "C6",
         about: "PCC under the §4.2 MitM: equalizer, pin, ε clamp, destination fluctuation vs attacked flows",
-        flags: &[Flag::Jobs],
+        jobs: true,
         outputs: &[det("pcc_single.csv"), det("pcc_destination.csv")],
-        run: |c| pcc(c.jobs),
+        run: pcc,
     },
     Stage {
         name: "nethide",
         claim: "C7",
         about: "NetHide obfuscation: security (density) vs accuracy and utility across budgets and topologies",
-        flags: &[Flag::Jobs],
+        jobs: true,
         outputs: &[det("nethide_tradeoff.csv")],
-        run: |c| nethide(c.jobs),
+        run: nethide,
     },
     Stage {
         name: "defenses",
         claim: "C8",
         about: "each attack with and without its §5 countermeasure, plus the snapshot-driven supervisor risk",
-        flags: &[Flag::Jobs, Flag::SimThreads],
+        jobs: true,
         outputs: &[det("defenses.csv")],
-        run: |c| defenses(c.jobs, c.sim_threads),
+        run: defenses,
     },
     Stage {
         name: "survey",
         claim: "C9",
         about: "the §3.2 survey systems (SP-PIFO, FlowRadar, DAPPER, RON) under their sketched attacks",
-        flags: &[Flag::Jobs],
+        jobs: true,
         outputs: &[det("survey.csv")],
-        run: |c| survey(c.jobs),
+        run: survey,
     },
     Stage {
         name: "fuzz",
         claim: "§5-II",
         about: "mutation fuzzing rediscovers the Blink trigger from benign-looking traffic (five seeded searches)",
-        flags: &[Flag::Jobs],
+        jobs: true,
         outputs: &[det("fuzz.csv")],
-        run: |c| fuzz(c.jobs),
-    },
-    Stage {
-        name: "parallel-scaling",
-        claim: "PS",
-        about: "the domain-parallel engine at 1, 2, 4 and 8 threads over a reduced packet-level Blink run; asserts equal state hashes",
-        flags: &[],
-        outputs: &[Output {
-            file: "parallel_scaling.csv",
-            measured: &["wall_s"],
-        }],
-        run: |_| parallel_scaling(),
+        run: fuzz,
     },
     Stage {
         name: "supervisord",
         claim: "SV",
         about: "12 synthetic telemetry producers through the supervisord pipeline at 1, 2 and 4 workers; asserts one verdict log",
-        flags: &[Flag::Jobs],
+        jobs: true,
         outputs: &[
             Output {
                 file: "supervisord.csv",
@@ -258,18 +214,18 @@ pub const STAGES: &[Stage] = &[
             },
             det("supervisord_verdicts.jsonl"),
         ],
-        run: |c| supervisord(c.jobs),
+        run: supervisord,
     },
     Stage {
         name: "flow-scale",
         claim: "FS",
         about: "10k → 1M concurrent connections through full RFC 9293 lifecycles in one FlowPool",
-        flags: &[Flag::Jobs],
+        jobs: true,
         outputs: &[Output {
             file: "flow_scale.csv",
             measured: &["admit_ns", "step_ns", "evict_ns", "wall_s", "peak_rss_mb"],
         }],
-        run: |c| flow_scale(c.jobs),
+        run: flow_scale,
     },
 ];
 
@@ -284,8 +240,8 @@ impl Stage {
     /// `measured` name present in that table's header — so a stage
     /// cannot grow an output the determinism gate does not see. The
     /// error reads `stage · file:1 · what`.
-    pub fn run_checked(&self, cfg: &StageCfg) -> Result<StageOutput, String> {
-        let out = (self.run)(cfg);
+    pub fn run_checked(&self, jobs: usize) -> Result<StageOutput, String> {
+        let out = (self.run)(jobs);
         contract::comparable(self, &out)?;
         Ok(out)
     }
@@ -740,10 +696,8 @@ pub(crate) fn blink_packet_cfg(guarded: bool) -> (BlinkScenarioConfig, SimTime) 
 /// C4 — the packet-level Blink experiment (the paper's mininet+P4 run):
 /// 2000 legitimate + 105 malicious flows, occupancy over time, then the
 /// trigger and the reroute; guarded variant alongside (the two
-/// simulations run concurrently). `sim_threads > 0` runs each simulator
-/// under the sharded parallel engine — the CSV and metrics are
-/// byte-identical at any thread count.
-fn blink_packet(jobs: usize, sim_threads: usize) -> StageOutput {
+/// simulations run concurrently).
+fn blink_packet(jobs: usize) -> StageOutput {
     let mut out = StageOutput::default();
     let mut report = String::new();
     let r = &mut report;
@@ -754,9 +708,6 @@ fn blink_packet(jobs: usize, sim_threads: usize) -> StageOutput {
     let run = |guarded: bool| {
         let (cfg, end) = blink_packet_cfg(guarded);
         let mut sc = BlinkScenario::build(&cfg);
-        if sim_threads > 0 {
-            sc.sim.set_sim_threads(sim_threads);
-        }
         let mut occupancy = Vec::new();
         for t in (0..=250).step_by(25) {
             sc.sim.run_until(SimTime::from_secs(t));
@@ -798,128 +749,6 @@ fn blink_packet(jobs: usize, sim_threads: usize) -> StageOutput {
         "guarded (§5 RTO check): reroutes={g_reroutes}, vetoed={g_vetoed}, on_primary={g_on_primary}\n"
     );
     out.table("blink_packet.csv", csv);
-    out.report = report;
-    out
-}
-
-/// Parallel-engine scaling measurement: the packet-level Blink scenario
-/// (reduced horizon) run to completion at `--sim-threads` 1, 2, 4, and
-/// 8 in steps of one simulated second (each step re-deals the domains by
-/// the previous step's dispatch counts), reporting wall-clock,
-/// barrier-window and event counts, the busiest thread's share of the
-/// events, and the final state hash per thread count. State hashes must
-/// agree bit-for-bit — that column is the stage's self-check, and a
-/// mismatch fails the stage. Wall-clock columns are measurements and
-/// legitimately vary between machines and runs; everything else in the
-/// CSV is deterministic.
-fn parallel_scaling() -> StageOutput {
-    use dui_core::netsim::parallel::ParallelOutcome;
-
-    let mut out = StageOutput::default();
-    let mut report = String::new();
-    let r = &mut report;
-    let _ = writeln!(
-        r,
-        "== parallel engine scaling (packet-level Blink, reduced horizon) ==\n"
-    );
-    let cfg = BlinkScenarioConfig {
-        legit_flows: 400,
-        malicious_flows: 105,
-        mean_lifetime_secs: 6.37,
-        trigger_at: Some(SimTime::from_secs(60)),
-        guarded: false,
-        horizon: SimDuration::from_secs(80),
-        seed: 21,
-        ..Default::default()
-    };
-    let mut csv = Table::new([
-        "threads",
-        "domains",
-        "windows",
-        "events",
-        "busiest_thread_events",
-        "wall_s",
-        "state_hash",
-        "matches_t1",
-        "fallbacks",
-    ]);
-    let mut show = Table::new([
-        "threads",
-        "domains",
-        "windows",
-        "events/window",
-        "imbalance",
-        "wall [s]",
-        "speedup",
-        "hash ok",
-    ]);
-    let mut base: Option<(u64, f64)> = None; // (hash at 1 thread, wall)
-    for threads in [1usize, 2, 4, 8] {
-        let mut sc = BlinkScenario::build(&cfg);
-        sc.sim.set_sim_threads(threads);
-        let t0 = std::time::Instant::now();
-        let (mut domains, mut windows, mut events, mut busiest) = (0, 0, 0, 0);
-        for second in 1..=80 {
-            sc.sim.run_until(SimTime::from_secs(second));
-            match sc.sim.last_parallel_outcome() {
-                Some(ParallelOutcome::Ran(rep)) => {
-                    domains = rep.domains;
-                    windows += rep.windows;
-                    events += rep.events;
-                    busiest += rep.busiest_thread_events;
-                }
-                // lint: allow(panic): a fallback here means the scaling numbers would be fiction
-                other => panic!("scaling stage expects the parallel engine to run, got {other:?}"),
-            }
-        }
-        let wall = t0.elapsed().as_secs_f64();
-        let hash = sc.sim.state_hash();
-        if threads == 1 {
-            base = Some((hash, wall));
-            out.metrics = sc.metrics().with_prefix("t1");
-        }
-        // lint: allow(panic): threads=1 is the first sweep entry by construction
-        let (base_hash, base_wall) = base.expect("1-thread run comes first");
-        assert_eq!(
-            hash, base_hash,
-            "state hash diverged at {threads} threads — determinism contract broken"
-        );
-        let fallbacks = sc
-            .sim
-            .metrics_snapshot()
-            .counter("netsim.parallel.fallback");
-        csv.row([
-            threads.to_string(),
-            domains.to_string(),
-            windows.to_string(),
-            events.to_string(),
-            busiest.to_string(),
-            format!("{wall:.3}"),
-            format!("{hash:016x}"),
-            "yes".to_string(),
-            fallbacks.to_string(),
-        ]);
-        show.row([
-            threads.to_string(),
-            domains.to_string(),
-            windows.to_string(),
-            (events / windows.max(1)).to_string(),
-            // Busiest thread's events over an even share: 1.00 is balanced.
-            format!("{:.2}", (busiest * threads.min(domains) as u64) as f64 / events.max(1) as f64),
-            format!("{wall:.2}"),
-            format!("{:.2}x", base_wall / wall),
-            "yes".to_string(),
-        ]);
-    }
-    let _ = writeln!(r, "{}", show.to_text());
-    let _ = writeln!(
-        r,
-        "state hashes identical across all thread counts: OK\n\
-         (imbalance: the busiest thread's events over an even share of them;\n\
-         speedups are wall-clock measurements on this machine — on a single\n\
-         hardware core the threaded runs cannot beat 1 worker)\n"
-    );
-    out.table("parallel_scaling.csv", csv);
     out.report = report;
     out
 }
@@ -1286,11 +1115,8 @@ fn nethide(jobs: usize) -> StageOutput {
 
 /// C8 — the defenses ablation: each attack with / without its §5
 /// countermeasure, one row per case study; the six simulations run
-/// concurrently. `sim_threads` reaches only the two packet-level Blink
-/// runs; since the `BounceProgram` rework removed the last
-/// foreign-`pkt.id` read in node logic, the stage is id-contract clean
-/// and its output is byte-identical at any `sim_threads`.
-fn defenses(jobs: usize, sim_threads: usize) -> StageOutput {
+/// concurrently.
+fn defenses(jobs: usize) -> StageOutput {
     let mut out = StageOutput::default();
     let mut report = String::new();
     let r = &mut report;
@@ -1313,9 +1139,6 @@ fn defenses(jobs: usize, sim_threads: usize) -> StageOutput {
             ..Default::default()
         };
         let mut sc = BlinkScenario::build(&cfg);
-        if sim_threads > 0 {
-            sc.sim.set_sim_threads(sim_threads);
-        }
         sc.sim.run_until(SimTime::from_secs(70));
         let snap = sc.metrics();
         (snap.counter("blink.reroutes") as f64, snap)
@@ -1845,8 +1668,7 @@ fn supervisord(jobs: usize) -> StageOutput {
         };
         let run = supervisord::run(&cfg, sources(&frame_sets));
         let wall = t0.elapsed().as_secs_f64();
-        // In-stage determinism self-check, same spirit as the
-        // parallel-scaling hash column: the verdict log must not
+        // In-stage determinism self-check: the verdict log must not
         // depend on the worker count or on the injected clock.
         assert_eq!(
             run.to_jsonl(),

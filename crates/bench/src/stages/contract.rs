@@ -1,8 +1,8 @@
-//! The determinism contract (`docs/determinism.md`, D1 / D4 / D5) as a
+//! The determinism contract (`docs/determinism.md`, D1 / D4) as a
 //! property of every [`Stage`] row: what of a run is comparable, and
-//! the gate that compares it across the settings the row lists.
+//! the gate that compares it run to run and across `--jobs`.
 
-use super::{Flag, Stage, StageCfg, StageOutput};
+use super::{Stage, StageOutput};
 
 /// One run as the contract sees it: `(file, text)` for every declared
 /// output — tables as CSV with their `measured` columns dropped — then
@@ -93,35 +93,20 @@ fn same(
     Ok(())
 }
 
-/// Hold every row to the contract the docs state, for every flag it
-/// lists: the same configuration run twice (D1); `--jobs 4` against
-/// `--jobs 1` for [`Flag::Jobs`] rows (D4); for [`Flag::SimThreads`]
-/// rows `--sim-threads 1`, `2` and `4` against each other on everything,
-/// and against the sequential engine on tables and artifacts — the
-/// sharded engine's structural `netsim.arena.*` / `netsim.wheel.*`
-/// metrics may differ from one shared arena's (D5, the scope table).
-/// Each comparison covers every table with its `measured` columns
-/// dropped, every artifact, the `metrics.jsonl` line, and the report
-/// text of rows without a measured column. The first difference — or
-/// the first output a row does not declare — is the error.
+/// Hold every row to the contract the docs state: the same
+/// configuration run twice (D1), and `--jobs 4` against `--jobs 1` for
+/// rows that read `--jobs` (D4). Each comparison covers every table
+/// with its `measured` columns dropped, every artifact, the
+/// `metrics.jsonl` line, and the report text of rows without a measured
+/// column. The first difference — or the first output a row does not
+/// declare — is the error.
 pub fn verify_determinism(rows: &[&Stage]) -> Result<(), String> {
     for row in rows {
-        let run = |cfg: &StageCfg| comparable(row, &(row.run)(cfg));
-        let base = StageCfg { jobs: 4, sim_threads: 0 };
-        let first = run(&base)?;
-        same(row, ("run 1", &first), ("run 2 (same configuration)", &run(&base)?))?;
-        if row.flags.contains(&Flag::Jobs) {
-            let one = run(&StageCfg { jobs: 1, ..base })?;
-            same(row, ("--jobs 4", &first), ("--jobs 1", &one))?;
-        }
-        if row.flags.contains(&Flag::SimThreads) {
-            let at = |sim_threads| run(&StageCfg { sim_threads, ..base });
-            let t1 = at(1)?;
-            same(row, ("--sim-threads 1", &t1), ("--sim-threads 2", &at(2)?))?;
-            same(row, ("--sim-threads 1", &t1), ("--sim-threads 4", &at(4)?))?;
-            let files = row.outputs.len();
-            let sequential = ("the sequential engine", &first[..files]);
-            same(row, sequential, ("--sim-threads 1", &t1[..files]))?;
+        let run = |jobs| comparable(row, &(row.run)(jobs));
+        let first = run(4)?;
+        same(row, ("run 1", &first), ("run 2 (same configuration)", &run(4)?))?;
+        if row.jobs {
+            same(row, ("--jobs 4", &first), ("--jobs 1", &run(1)?))?;
         }
     }
     Ok(())

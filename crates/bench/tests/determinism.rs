@@ -7,8 +7,7 @@
 
 use dui_bench::recordings::build_subject;
 use dui_bench::stages::{
-    blink_sweep_with, fig2_with, verify_determinism, Fig2Opts, Flag, Output, Stage, StageCfg,
-    StageOutput, STAGES,
+    blink_sweep_with, fig2_with, verify_determinism, Fig2Opts, Output, Stage, StageOutput, STAGES,
 };
 use dui_core::blink::fastsim::AttackSimConfig;
 use dui_core::netsim::time::SimDuration;
@@ -16,8 +15,6 @@ use dui_core::replay::Recorder;
 use dui_core::stats::table::Table;
 use dui_core::telemetry::Registry;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-const SEQUENTIAL: StageCfg = StageCfg { jobs: 1, sim_threads: 0 };
 
 fn csv_bytes(out: &StageOutput) -> Vec<(String, String)> {
     out.tables
@@ -123,9 +120,9 @@ fn metrics_jsonl_identical_across_jobs() {
     // The rows that simulate minutes of packets or a million flows keep
     // the reduced-size tests above and run at full size under
     // `experiments verify-determinism`; every other row is held to the
-    // whole contract here — run to run, `--jobs`, `--sim-threads` — on
-    // its CSVs, artifacts, `metrics.jsonl` line and report.
-    const HEAVY: [&str; 5] = ["fig2", "blink-packet", "pcc", "parallel-scaling", "flow-scale"];
+    // whole contract here — run to run and across `--jobs` — on its
+    // CSVs, artifacts, `metrics.jsonl` line and report.
+    const HEAVY: [&str; 4] = ["fig2", "blink-packet", "pcc", "flow-scale"];
     for name in HEAVY {
         assert!(Stage::named(name).is_some(), "excluded stage '{name}' is not a row");
     }
@@ -137,7 +134,7 @@ fn metrics_jsonl_identical_across_jobs() {
     let jsonl: String = light
         .iter()
         .map(|s| {
-            let out = s.run_checked(&SEQUENTIAL).expect("declared outputs");
+            let out = s.run_checked(1).expect("declared outputs");
             out.metrics.to_json_line(s.name) + "\n"
         })
         .collect();
@@ -182,8 +179,8 @@ const WHOLE: &[Output] = &[
     Output { file: "a.jsonl", measured: &[] },
 ];
 
-fn fake(outputs: &'static [Output], run: fn(&StageCfg) -> StageOutput) -> Stage {
-    Stage { name: "fake", claim: "T", about: "a test row", flags: &[Flag::Jobs], outputs, run }
+fn fake(outputs: &'static [Output], run: fn(usize) -> StageOutput) -> Stage {
+    Stage { name: "fake", claim: "T", about: "a test row", jobs: true, outputs, run }
 }
 
 fn verdict(row: Stage) -> Result<(), String> {
@@ -193,32 +190,32 @@ fn verdict(row: Stage) -> Result<(), String> {
 #[test]
 fn gate_ignores_measured_columns_and_nothing_else() {
     // A measurement may differ, and so may the report that prints it.
-    assert_eq!(verdict(fake(MEASURED, |c| fake_output("measured", c.jobs as u64))), Ok(()));
-    assert_eq!(verdict(fake(MEASURED, |c| fake_output("report", c.jobs as u64))), Ok(()));
+    assert_eq!(verdict(fake(MEASURED, |jobs| fake_output("measured", jobs as u64))), Ok(()));
+    assert_eq!(verdict(fake(MEASURED, |jobs| fake_output("report", jobs as u64))), Ok(()));
     // Every other byte may not; the error names stage, file:line and settings.
     let starts = |row: Stage, head: &str| {
         let diff = verdict(row).expect_err(head);
         assert!(diff.starts_with(head), "{diff}");
     };
     starts(
-        fake(MEASURED, |c| fake_output("cell", c.jobs as u64)),
+        fake(MEASURED, |jobs| fake_output("cell", jobs as u64)),
         "fake · t.csv:3 · --jobs 4 vs --jobs 1\n  --jobs 4: 4\n  --jobs 1: 1",
     );
     starts(
-        fake(MEASURED, |c| fake_output("metric", c.jobs as u64)),
+        fake(MEASURED, |jobs| fake_output("metric", jobs as u64)),
         "fake · metrics.jsonl:1 · --jobs 4 vs --jobs 1",
     );
     starts(
-        fake(MEASURED, |c| fake_output("artifact", c.jobs as u64)),
+        fake(MEASURED, |jobs| fake_output("artifact", jobs as u64)),
         "fake · a.jsonl:2 · --jobs 4 vs --jobs 1",
     );
     starts(
-        fake(WHOLE, |c| fake_output("report", c.jobs as u64)),
+        fake(WHOLE, |jobs| fake_output("report", jobs as u64)),
         "fake · report:2 · --jobs 4 vs --jobs 1",
     );
     // Without a declared measured column the same table is compared whole.
     starts(
-        fake(WHOLE, |c| fake_output("measured", c.jobs as u64)),
+        fake(WHOLE, |jobs| fake_output("measured", jobs as u64)),
         "fake · t.csv:3 · --jobs 4 vs --jobs 1",
     );
     // Two runs of one configuration that disagree (the parent's defect:
@@ -232,38 +229,38 @@ fn gate_ignores_measured_columns_and_nothing_else() {
 
 #[test]
 fn gate_refuses_outputs_the_row_does_not_declare() {
-    let refused = |run: fn(&StageCfg) -> StageOutput, head: &str| {
+    let refused = |run: fn(usize) -> StageOutput, head: &str| {
         let row = fake(MEASURED, run);
-        let diff = row.run_checked(&SEQUENTIAL).expect_err(head);
+        let diff = row.run_checked(1).expect_err(head);
         assert!(diff.starts_with(head), "{diff}");
         assert_eq!(verdict(row), Err(diff));
     };
-    let undeclared = |_: &StageCfg| {
+    let undeclared = |_| {
         let mut out = fake_output("", 0);
         out.tables.push(("extra.csv".to_string(), Table::new(["x"])));
         out
     };
     refused(undeclared, "fake · extra.csv:1 · the stage emitted [t.csv, extra.csv, a.jsonl]");
-    let missing = |_: &StageCfg| {
+    let missing = |_| {
         let mut out = fake_output("", 0);
         out.artifacts.clear();
         out
     };
     refused(missing, "fake · a.jsonl:1 · the stage emitted [t.csv], its row declares [t.csv, a.jsonl]");
-    let out_of_order = |_: &StageCfg| {
+    let out_of_order = |_| {
         let mut out = fake_output("", 0);
         let (name, text) = out.artifacts.remove(0);
         out.tables.insert(0, (name, Table::new([text])));
         out
     };
     refused(out_of_order, "fake · a.jsonl:1 · the stage emitted [a.jsonl, t.csv]");
-    let renamed_column = |_: &StageCfg| {
+    let renamed_column = |_| {
         let mut out = fake_output("", 0);
         out.tables[0].1 = Table::new(["flows", "wall_seconds"]);
         out
     };
     refused(renamed_column, "fake · t.csv:1 · measured column 'wall_s' is not in the header");
-    let quoted = |_: &StageCfg| {
+    let quoted = |_| {
         let mut out = fake_output("", 0);
         out.tables[0].1.row(["a,b", "0.2"]);
         out

@@ -57,8 +57,8 @@ fn jobs_do_not_change_the_csv() {
         .collect();
     assert_eq!(files.len(), 3, "expected the three fast tcp scenarios");
     let compiled = load(&files).expect("corpus compiles");
-    let serial = run_corpus(&compiled, 1, 0);
-    let parallel = run_corpus(&compiled, 4, 0);
+    let serial = run_corpus(&compiled, 1);
+    let parallel = run_corpus(&compiled, 4);
     assert_eq!(serial.failed, 0, "corpus slice failed:\n{}", serial.text);
     assert_eq!(
         serial.csv.to_csv(),

