@@ -118,3 +118,27 @@ fn cli_usage_and_errors_come_from_the_tables() {
         assert_eq!(experiments(args), (Some(2), usage.clone()), "{args:?}");
     }
 }
+
+/// A recording from before the digest fold changed is refused by its
+/// version, not replayed into a misleading divergence.
+#[test]
+fn replay_refuses_a_version_1_recording() {
+    let mut bytes = dui_core::replay::Recording {
+        stage: "fig2-small".into(),
+        ..Default::default()
+    }
+    .to_bytes();
+    bytes[dui_core::replay::record::MAGIC.len()] = 1;
+    let file = Path::new(env!("CARGO_TARGET_TMPDIR")).join("version-1.duir");
+    std::fs::write(&file, bytes).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["replay".as_ref(), file.as_os_str(), "--check".as_ref()])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("recording version: undefined tag"),
+        "{stderr}"
+    );
+}

@@ -14,6 +14,10 @@ use dui_stats::digest::StateDigest;
 use dui_stats::Rng;
 use dui_telemetry::{CounterId, GaugeId, HistId, Registry, Snapshot, SpanRecorder};
 
+/// Where every per-event digest of [`Simulator::step_limited`] starts:
+/// the label is hashed once, at compile time, not once per event.
+const EVENT_DIGEST: StateDigest = StateDigest::labeled("event");
+
 /// Pre-registered metric ids for the engine's own accounting. Resolving
 /// names to ids once at construction keeps the per-packet record path at
 /// a single array index.
@@ -971,7 +975,7 @@ impl Simulator {
             debug_assert!(time >= self.core.now, "time went backwards");
             self.core.now = time;
             let kind = event.kind();
-            let mut d = StateDigest::labeled("event");
+            let mut d = EVENT_DIGEST;
             event.state_digest(&mut d, &self.core.arena);
             let digest = d.finish();
             self.dispatch(time, event);

@@ -30,5 +30,5 @@ pub mod subjects;
 
 pub use diverge::{first_divergence, first_line_divergence, ComponentDiff, Divergence, LineDivergence};
 pub use record::{CheckpointFrame, EventFrame, Recorder, Recording};
-pub use replay::{ReplayError, ReplayReport, ReplaySubject, Replayer, StepInfo};
+pub use replay::{Capture, ReplayError, ReplayReport, ReplaySubject, Replayer, StepInfo};
 pub use subjects::{FastSimSubject, SimulatorSubject};

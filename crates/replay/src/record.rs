@@ -7,11 +7,11 @@
 //! digests (which are full-entropy and would *expand* under varint
 //! coding). No serde, no external crates.
 //!
-//! ## Layout (version 1)
+//! ## Layout (version 2)
 //!
 //! ```text
 //! magic      "DUIR"
-//! version    varint (= 1)
+//! version    varint (= 2)
 //! stage      varint len + utf8
 //! config     8-byte LE config digest
 //! names      varint count, each varint len + utf8   (kinds + components)
@@ -41,8 +41,11 @@ use dui_stats::wire::{DecodeError, ErrorKind, Reader, Writer};
 
 /// Recording format magic bytes.
 pub const MAGIC: [u8; 4] = *b"DUIR";
-/// Current format version.
-pub const VERSION: u64 = 1;
+/// Current format version. Version 2 changed no byte of the layout; it
+/// marks the change of every digest in it (the `StateDigest` fold), so
+/// a version-1 file is refused by name rather than failing as a config
+/// mismatch or a divergence at event 0.
+pub const VERSION: u64 = 2;
 
 // ---------------------------------------------------------------------------
 // Frames and the Recording container
@@ -232,19 +235,22 @@ impl Recorder {
         }
     }
 
-    fn take_checkpoint<S: ReplaySubject + ?Sized>(&mut self, subject: &S, event_index: u64) {
-        let components = subject
-            .component_digests()
+    /// Append one checkpoint frame; returns the state hash it holds.
+    fn take_checkpoint<S: ReplaySubject + ?Sized>(&mut self, subject: &S, event_index: u64) -> u64 {
+        let capture = subject.capture();
+        let components = capture
+            .components
             .into_iter()
             .map(|(name, digest)| (self.rec.intern(name), digest))
             .collect();
         self.rec.checkpoints.push(CheckpointFrame {
             event_index,
             time: subject.now_ns(),
-            state_hash: subject.state_hash(),
+            state_hash: capture.state_hash,
             components,
-            payload: subject.save_checkpoint(),
+            payload: capture.payload,
         });
+        capture.state_hash
     }
 
     /// Run `subject` to completion, recording every event and a
@@ -283,8 +289,7 @@ impl Recorder {
         {
             self.rec.checkpoints.pop();
         }
-        self.take_checkpoint(subject, n);
-        self.rec.final_hash = subject.state_hash();
+        self.rec.final_hash = self.take_checkpoint(subject, n);
         self.rec
     }
 }
@@ -814,6 +819,19 @@ mod tests {
         bytes.push(0);
         assert!(Recording::from_bytes(&bytes).is_err(), "trailing bytes");
         assert!(Recording::from_bytes(&rec.to_bytes()[..5]).is_err(), "truncated");
+    }
+
+    #[test]
+    fn version_1_recordings_are_refused_by_name() {
+        let mut bytes = Recording::default().to_bytes();
+        assert_eq!(
+            bytes[MAGIC.len()],
+            2,
+            "the version varint follows the magic"
+        );
+        bytes[MAGIC.len()] = 1;
+        let err = Recording::from_bytes(&bytes).unwrap_err();
+        assert_eq!((err.what, err.kind), ("recording version", ErrorKind::Tag));
     }
 
     #[test]

@@ -23,6 +23,20 @@ pub struct StepInfo {
     pub digest: u64,
 }
 
+/// Everything a checkpoint frame holds about a subject, taken in one
+/// pass over its state.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Capture {
+    /// Full state hash (what [`ReplaySubject::state_hash`] returns).
+    pub state_hash: u64,
+    /// Named sub-digests of the major state components, in a stable
+    /// order. These are what divergence reports diff.
+    pub components: Vec<(&'static str, u64)>,
+    /// Restorable serialized state, or `None` if this subject cannot be
+    /// resumed (hash-only recording).
+    pub payload: Option<Vec<u8>>,
+}
+
 /// A deterministic, steppable, hashable simulation that can be recorded
 /// and replayed.
 pub trait ReplaySubject {
@@ -40,18 +54,13 @@ pub trait ReplaySubject {
     /// Full state hash right now.
     fn state_hash(&self) -> u64;
 
-    /// Named sub-digests of the major state components, in a stable
-    /// order. These are what divergence reports diff.
-    fn component_digests(&self) -> Vec<(&'static str, u64)>;
-
-    /// Serialize restorable state, or `None` if this subject cannot be
-    /// resumed (hash-only recording).
-    fn save_checkpoint(&self) -> Option<Vec<u8>> {
-        None
-    }
+    /// State hash, component digests and restorable payload at once:
+    /// what the recorder stores per checkpoint, from a single snapshot
+    /// of the subject.
+    fn capture(&self) -> Capture;
 
     /// Restore state previously produced by
-    /// [`save_checkpoint`](ReplaySubject::save_checkpoint).
+    /// [`capture`](ReplaySubject::capture)'s payload.
     fn load_checkpoint(&mut self, _bytes: &[u8]) -> Result<(), String> {
         Err("this subject does not support checkpoint resume".into())
     }
@@ -211,7 +220,7 @@ impl<'a> Replayer<'a> {
             event_index: ckpt.event_index,
             recorded: ckpt.state_hash,
             live,
-            components: self.diff_components(ckpt, &subject.component_digests()),
+            components: self.diff_components(ckpt, &subject.capture().components),
         })
     }
 
@@ -411,19 +420,19 @@ mod tests {
             d.finish()
         }
 
-        fn component_digests(&self) -> Vec<(&'static str, u64)> {
+        fn capture(&self) -> Capture {
             let rng = self.rng.state().into_iter().fold(0, dui_stats::rng::mix64);
-            vec![("rng", rng), ("total", self.total)]
-        }
-
-        fn save_checkpoint(&self) -> Option<Vec<u8>> {
             let mut buf = Vec::new();
             for w in self.rng.state() {
                 buf.extend_from_slice(&w.to_le_bytes());
             }
             buf.extend_from_slice(&self.ticks.to_le_bytes());
             buf.extend_from_slice(&self.total.to_le_bytes());
-            Some(buf)
+            Capture {
+                state_hash: self.state_hash(),
+                components: vec![("rng", rng), ("total", self.total)],
+                payload: Some(buf),
+            }
         }
 
         fn load_checkpoint(&mut self, bytes: &[u8]) -> Result<(), String> {

@@ -13,9 +13,9 @@ use crate::record::{
     attack_sim_snapshot_from_bytes, attack_sim_snapshot_to_bytes, engine_checkpoint_from_bytes,
     engine_checkpoint_to_bytes,
 };
-use crate::replay::{ReplaySubject, StepInfo};
+use crate::replay::{Capture, ReplaySubject, StepInfo};
 use dui_blink::fastsim::{AttackSim, AttackSimConfig, AttackSimSnapshot};
-use dui_netsim::sim::Simulator;
+use dui_netsim::sim::{EngineCheckpoint, Simulator};
 use dui_netsim::time::SimTime;
 use dui_stats::digest::StateDigest;
 
@@ -151,7 +151,8 @@ impl ReplaySubject for FastSimSubject {
         // The per-event digest folds the RNG words and packet count: any
         // injected state corruption surfaces on the very next frame
         // rather than only at the following checkpoint.
-        let mut d = StateDigest::labeled("fastsim-step");
+        const STEP_DIGEST: StateDigest = StateDigest::labeled("fastsim-step");
+        let mut d = STEP_DIGEST;
         d.write_u64(t.0);
         for w in self.sim.rng_state() {
             d.write_u64(w);
@@ -168,12 +169,13 @@ impl ReplaySubject for FastSimSubject {
         self.sim.state_hash()
     }
 
-    fn component_digests(&self) -> Vec<(&'static str, u64)> {
-        snapshot_component_digests(&self.sim.snapshot())
-    }
-
-    fn save_checkpoint(&self) -> Option<Vec<u8>> {
-        Some(attack_sim_snapshot_to_bytes(&self.sim.snapshot()))
+    fn capture(&self) -> Capture {
+        let snap = self.sim.snapshot();
+        Capture {
+            state_hash: self.sim.state_hash(),
+            components: snapshot_component_digests(&snap),
+            payload: Some(attack_sim_snapshot_to_bytes(&snap)),
+        }
     }
 
     fn load_checkpoint(&mut self, bytes: &[u8]) -> Result<(), String> {
@@ -183,6 +185,54 @@ impl ReplaySubject for FastSimSubject {
         self.now = now;
         Ok(())
     }
+}
+
+fn engine_component_digests(c: &EngineCheckpoint) -> Vec<(&'static str, u64)> {
+    let mut rng = StateDigest::labeled("rng");
+    for w in c.rng {
+        rng.write_u64(w);
+    }
+    let mut queue = StateDigest::labeled("queue");
+    queue.write_len(c.events.len());
+    for (t, e) in &c.events {
+        queue.write_u64(t.0);
+        e.state_digest(&mut queue);
+    }
+    let mut links = StateDigest::labeled("links");
+    links.write_len(c.links.len());
+    for l in &c.links {
+        links.write_bool(l.up);
+        for d in [&l.ab, &l.ba] {
+            links.write_len(d.queue.len());
+            for p in &d.queue {
+                p.state_digest(&mut links);
+            }
+            match &d.in_flight {
+                None => links.write_u8(0),
+                Some(p) => {
+                    links.write_u8(1);
+                    p.state_digest(&mut links);
+                }
+            }
+        }
+    }
+    let mut nodes = StateDigest::labeled("nodes");
+    nodes.write_len(c.logics.len());
+    for logic in &c.logics {
+        match logic {
+            None => nodes.write_u8(0),
+            Some(b) => {
+                nodes.write_u8(1);
+                nodes.write_bytes(b);
+            }
+        }
+    }
+    vec![
+        ("rng", rng.finish()),
+        ("queue", queue.finish()),
+        ("links", links.finish()),
+        ("nodes", nodes.finish()),
+    ]
 }
 
 /// The packet-level discrete-event engine, run until a fixed end time,
@@ -258,68 +308,27 @@ impl ReplaySubject for SimulatorSubject {
         self.sim.state_hash()
     }
 
-    fn component_digests(&self) -> Vec<(&'static str, u64)> {
-        // A successful engine checkpoint yields a per-subsystem
-        // breakdown; with taps or opaque node logics, fall back to the
-        // monolithic hash (divergence is then pinned by the event
-        // stream, which is exact anyway).
+    fn capture(&self) -> Capture {
+        // A successful engine checkpoint carries the state hash, yields
+        // a per-subsystem breakdown and is the payload; with taps or
+        // opaque node logics, fall back to the monolithic hash
+        // (divergence is then pinned by the event stream, which is exact
+        // anyway).
         match self.sim.checkpoint() {
-            Ok(c) => {
-                let mut rng = StateDigest::labeled("rng");
-                for w in c.rng {
-                    rng.write_u64(w);
+            Ok(c) => Capture {
+                state_hash: c.state_hash,
+                components: engine_component_digests(&c),
+                payload: Some(engine_checkpoint_to_bytes(&c)),
+            },
+            Err(_) => {
+                let state_hash = self.sim.state_hash();
+                Capture {
+                    state_hash,
+                    components: vec![("engine", state_hash)],
+                    payload: None,
                 }
-                let mut queue = StateDigest::labeled("queue");
-                queue.write_len(c.events.len());
-                for (t, e) in &c.events {
-                    queue.write_u64(t.0);
-                    e.state_digest(&mut queue);
-                }
-                let mut links = StateDigest::labeled("links");
-                links.write_len(c.links.len());
-                for l in &c.links {
-                    links.write_bool(l.up);
-                    for d in [&l.ab, &l.ba] {
-                        links.write_len(d.queue.len());
-                        for p in &d.queue {
-                            p.state_digest(&mut links);
-                        }
-                        match &d.in_flight {
-                            None => links.write_u8(0),
-                            Some(p) => {
-                                links.write_u8(1);
-                                p.state_digest(&mut links);
-                            }
-                        }
-                    }
-                }
-                let mut nodes = StateDigest::labeled("nodes");
-                nodes.write_len(c.logics.len());
-                for logic in &c.logics {
-                    match logic {
-                        None => nodes.write_u8(0),
-                        Some(b) => {
-                            nodes.write_u8(1);
-                            nodes.write_bytes(b);
-                        }
-                    }
-                }
-                vec![
-                    ("rng", rng.finish()),
-                    ("queue", queue.finish()),
-                    ("links", links.finish()),
-                    ("nodes", nodes.finish()),
-                ]
             }
-            Err(_) => vec![("engine", self.sim.state_hash())],
         }
-    }
-
-    fn save_checkpoint(&self) -> Option<Vec<u8>> {
-        self.sim
-            .checkpoint()
-            .ok()
-            .map(|c| engine_checkpoint_to_bytes(&c))
     }
 
     fn load_checkpoint(&mut self, bytes: &[u8]) -> Result<(), String> {

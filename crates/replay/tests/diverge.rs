@@ -55,11 +55,8 @@ fn record_run(seed: u64, ckpt_every: u64, mutate_at: Option<u64>) -> Recording {
                 fn state_hash(&self) -> u64 {
                     self.inner.state_hash()
                 }
-                fn component_digests(&self) -> Vec<(&'static str, u64)> {
-                    self.inner.component_digests()
-                }
-                fn save_checkpoint(&self) -> Option<Vec<u8>> {
-                    self.inner.save_checkpoint()
+                fn capture(&self) -> dui_replay::replay::Capture {
+                    self.inner.capture()
                 }
                 fn load_checkpoint(&mut self, bytes: &[u8]) -> Result<(), String> {
                     self.inner.load_checkpoint(bytes)

@@ -228,7 +228,7 @@ impl Value {
                             break;
                         }
                     }
-                    let _ = (subject.state_hash(), subject.save_checkpoint());
+                    let _ = subject.capture();
                 }
             }
             Value::Host(host) => with_logic(NodeId(0), host),

@@ -23,9 +23,11 @@
 //! here:
 //!
 //! 1. **Cross-run stability.** The digest is a pure function of the
-//!    bytes written. No addresses, no `RandomState`, no allocation
-//!    order can leak in: the mixer is the same splitmix64 finalizer
-//!    used by [`crate::rng`], seeded from a fixed constant.
+//!    words written. No addresses, no `RandomState`, no allocation
+//!    order can leak in: each word is folded in by the multiply-rotate
+//!    step of [`crate::hash::FixedHasher`], starting from a fixed
+//!    constant, and [`StateDigest::finish`] applies the splitmix64
+//!    finalizer of [`crate::rng`].
 //! 2. **Length prefixing.** Variable-length inputs (`bytes`, `str`,
 //!    sequences via [`StateDigest::write_len`]) are length-prefixed so
 //!    concatenation ambiguities (`"ab" + "c"` vs `"a" + "bc"`) cannot
@@ -48,14 +50,26 @@
 //! assert_eq!(a.finish(), b.finish());
 //! ```
 
-use crate::rng::mix64;
+use crate::hash::fold;
 
 /// Incremental, deterministic 64-bit digest over logical state.
 ///
-/// Not a cryptographic hash — it is a fast mixing accumulator (the
-/// splitmix64 finalizer chained through [`mix64`]) with enough
-/// avalanche that a single flipped state bit flips ~half the digest
-/// bits, which is what divergence bisection needs.
+/// Each written word `w` updates the state as
+/// `h = (h.rotate_left(5) ^ w) * 0x9E37_79B9_7F4A_7C15` — one dependent
+/// multiply per word, the fold of [`crate::hash::FixedHasher`] — and
+/// [`finish`](StateDigest::finish) runs the result through the
+/// splitmix64 finalizer, so a single flipped state bit flips about half
+/// the digest bits, which is what divergence bisection needs.
+///
+/// The step is a bijection of the word for a fixed state and of the
+/// state for a fixed word, and the finalizer is a bijection too. So two
+/// sequences of equal length that differ in exactly **one** word always
+/// digest differently — no probability involved. Sequences that differ
+/// in two or more words can collide, as with any 64-bit digest.
+///
+/// Not a cryptographic hash and not a MAC: it has no key, and anyone
+/// can construct two inputs with the same digest. It detects
+/// accidental divergence between runs, not tampering.
 #[derive(Debug, Clone)]
 pub struct StateDigest {
     state: u64,
@@ -73,14 +87,18 @@ impl Default for StateDigest {
 
 impl StateDigest {
     /// Fresh digest with the fixed initialization vector.
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         StateDigest { state: DIGEST_IV }
     }
 
     /// Fresh digest whose stream is domain-separated by `label`
     /// (e.g. a component name), so identical state hashed under
     /// different labels yields different digests.
-    pub fn labeled(label: &str) -> Self {
+    ///
+    /// A `const fn`: a hot path names its seed once, as
+    /// `const SEED: StateDigest = StateDigest::labeled("event");`, and
+    /// starts each digest from it without hashing the label again.
+    pub const fn labeled(label: &str) -> Self {
         let mut d = StateDigest::new();
         d.write_str(label);
         d
@@ -88,8 +106,8 @@ impl StateDigest {
 
     /// Fold one 64-bit word into the digest.
     #[inline]
-    pub fn write_u64(&mut self, v: u64) {
-        self.state = mix64(self.state, v);
+    pub const fn write_u64(&mut self, v: u64) {
+        self.state = fold(self.state, v);
     }
 
     /// Fold a `u8`.
@@ -159,31 +177,30 @@ impl StateDigest {
     /// Fold a sequence length (call before hashing the elements of any
     /// variable-length structure).
     #[inline]
-    pub fn write_len(&mut self, n: usize) {
+    pub const fn write_len(&mut self, n: usize) {
         // lint: allow(cast): usize is at most 64 bits on supported targets
         self.write_u64(n as u64);
     }
 
-    /// Fold a byte slice, length-prefixed, 8 bytes at a time.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
+    /// Fold a byte slice, length-prefixed, 8 bytes at a time (a short
+    /// tail is zero-padded to a word).
+    pub const fn write_bytes(&mut self, bytes: &[u8]) {
         self.write_len(bytes.len());
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            let mut word = [0u8; 8];
-            word.copy_from_slice(c); // chunks_exact(8) yields exactly 8 bytes
-            self.write_u64(u64::from_le_bytes(word));
+        let mut rest = bytes;
+        while let Some((word, tail)) = rest.split_first_chunk::<8>() {
+            self.write_u64(u64::from_le_bytes(*word));
+            rest = tail;
         }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
+        if !rest.is_empty() {
             let mut buf = [0u8; 8];
-            buf[..rem.len()].copy_from_slice(rem);
+            buf.split_at_mut(rest.len()).0.copy_from_slice(rest);
             self.write_u64(u64::from_le_bytes(buf));
         }
     }
 
     /// Fold a string (UTF-8 bytes, length-prefixed).
     #[inline]
-    pub fn write_str(&mut self, s: &str) {
+    pub const fn write_str(&mut self, s: &str) {
         self.write_bytes(s.as_bytes());
     }
 

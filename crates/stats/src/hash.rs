@@ -5,7 +5,8 @@
 //! few dozen nanoseconds per lookup and buys nothing when every key is
 //! minted by this program's own seeded generators. [`FixedState`] is the
 //! cheap alternative for exactly that case: a multiply-rotate fold of the
-//! key's words, finished with the splitmix64 mixer of [`crate::rng`].
+//! key's words, finished with the splitmix64 mixer of [`crate::rng`]. The
+//! same fold step accumulates [`crate::digest::StateDigest`].
 //!
 //! It has **no key**: anyone who can choose the keys can precompute
 //! collisions. Use it only for maps that are never iterated (so the hash
@@ -22,6 +23,15 @@ pub type FixedState = BuildHasherDefault<FixedHasher>;
 /// Odd multiplier of the fold (2^64 / golden ratio, as in splitmix64).
 const FOLD: u64 = 0x9E37_79B9_7F4A_7C15;
 
+/// One multiply-rotate step: `word` folded into the running state `h`.
+/// Shared by [`FixedHasher`] and [`crate::digest::StateDigest`]. For a
+/// fixed `h` it is a bijection of `word` (an xor, then a multiply by an
+/// odd constant), and for a fixed `word` a bijection of `h`.
+#[inline]
+pub(crate) const fn fold(h: u64, word: u64) -> u64 {
+    (h.rotate_left(5) ^ word).wrapping_mul(FOLD)
+}
+
 /// Multiply-rotate fold with a splitmix64 finish. See the module docs for
 /// when a keyless hasher is acceptable.
 #[derive(Debug, Default, Clone, Copy)]
@@ -30,7 +40,7 @@ pub struct FixedHasher(u64);
 impl FixedHasher {
     #[inline]
     fn fold(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(FOLD);
+        self.0 = fold(self.0, word);
     }
 }
 

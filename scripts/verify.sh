@@ -48,6 +48,14 @@ echo "== Blink selector differential at depth (2000 propcheck cases; seconds) ==
 # packet-level Blink digest rest on.
 PROPCHECK_CASES=2000 cargo test -q --offline -p dui-blink --test properties selector
 
+echo "== state digest suite at depth (2000 propcheck cases; under a second) =="
+# Every recording, golden and checkpoint hash is a `StateDigest`: its
+# fold must change the digest whenever any one written word changes,
+# its compile-time label seeds must equal the labels' runtime digests,
+# sequential inputs must come out collision-free and bit-balanced, and
+# one flipped input bit must flip about half the digest.
+PROPCHECK_CASES=2000 cargo test -q --offline -p dui-stats --test digest
+
 echo "== SPSC channel wake discipline at depth (2000 propcheck cases; ~35 s) =="
 # The supervisord transport wakes only a waiting peer, and a blocked
 # sender only at half a queue: a mistake there is a lost wakeup, i.e. a
