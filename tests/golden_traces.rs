@@ -90,3 +90,20 @@ fn pcc_golden_trace() {
     let (stage, file, every) = GOLDEN[2];
     check(stage, file, every);
 }
+
+/// The full-size recordable runs are the paper's C4 and C6
+/// configurations. Their config digests cover every parameter (the f64
+/// bits included), so a change to how those configurations are declared
+/// or lowered that moves any one of them fails here.
+#[test]
+fn paper_run_configs_are_pinned() {
+    for (stage, want) in [
+        ("blink-packet", 0x714d_3179_c175_ebc8_u64),
+        ("pcc", 0x4c7e_ef0a_46f4_6d9a),
+        ("pcc-small", 0xbff7_412e_0eb0_9037),
+    ] {
+        let mut subject = build_subject(stage).expect("recordable stage");
+        let got = subject.as_subject_mut().config_digest();
+        assert_eq!(got, want, "{stage}: config digest {got:#018x}");
+    }
+}
