@@ -9,7 +9,7 @@
 //! builds the exact configuration the recording was taken under.
 
 use crate::par::task_seed;
-use crate::stages::blink_packet_cfg;
+use crate::stages::{c4_blink, c6_pcc_pin, unattacked};
 use dui_core::blink::fastsim::AttackSimConfig;
 use dui_core::netsim::time::{SimDuration, SimTime};
 use dui_core::replay::{FastSimSubject, ReplaySubject, SimulatorSubject};
@@ -57,7 +57,7 @@ pub const RECORDINGS: &[Recordable] = &[
         ckpt_every: 100_000,
         // The C4 stage's unguarded run.
         build: || {
-            let (cfg, end) = blink_packet_cfg(false);
+            let (cfg, end) = c4_blink();
             blink_subject(&cfg, end)
         },
     },
@@ -79,7 +79,8 @@ pub const RECORDINGS: &[Recordable] = &[
     Recordable {
         name: "pcc",
         ckpt_every: 500_000,
-        build: || pcc_subject(SimTime::from_secs(120)),
+        // To the C6 run's horizon.
+        build: || pcc_subject(c6_pcc_pin().1),
     },
     // Even the small PCC run is event-dense (~70k engine events per
     // simulated second), so its horizon is the shortest of the family.
@@ -178,12 +179,7 @@ fn blink_subject(cfg: &BlinkScenarioConfig, end: SimTime) -> StageSubject {
 /// so the recordable scenario is the baseline the attack is measured
 /// against.
 fn pcc_subject(end: SimTime) -> StageSubject {
-    let cfg = PccScenarioConfig {
-        flows: 1,
-        attacked: false,
-        seed: 3,
-        ..Default::default()
-    };
+    let cfg = unattacked(&c6_pcc_pin().0);
     let digest = pcc_config_digest(&cfg, end);
     let sc = PccScenario::build(&cfg);
     StageSubject::Engine(SimulatorSubject::new(sc.sim, end, digest))

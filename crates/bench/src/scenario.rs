@@ -92,11 +92,10 @@ pub fn run_corpus(compiled: &[Compiled], jobs: usize) -> CorpusReport {
             "overall".to_string(),
             if failed == 0 { "pass" } else { "FAIL" }.to_string(),
             format!(
-                "{} of {} checks passed; {} delivered; {} fallbacks",
+                "{} of {} checks passed; {} delivered",
                 r.checks.len() - failed,
                 r.checks.len(),
-                r.delivered,
-                r.fallbacks
+                r.delivered
             ),
         ]);
         show.row([

@@ -32,11 +32,13 @@ use dui_core::pcc::endpoint::PccSender;
 use dui_core::pytheas::engine::{EngineConfig, PoisonStrategy, Throttle};
 use dui_core::scenario::{
     pytheas_run, topologies, BlinkScenario, BlinkScenarioConfig, PccScenario, PccScenarioConfig,
+    PytheasOutcome,
 };
 use dui_core::stats::series::envelope;
 use dui_core::stats::table::Table;
 use dui_core::stats::Rng;
 use dui_core::telemetry::{Registry, Snapshot};
+use dui_scenario::{compile, parse_str, Compiled};
 use std::fmt::Write as _;
 
 /// What a stage produced: a report for stdout and tables destined for
@@ -676,38 +678,51 @@ fn caida_residency(jobs: usize) -> StageOutput {
     out
 }
 
-/// The C4 run's scenario and the sim-time it stops at (20 s past the
-/// trigger). `recordings` builds its full-size `blink-packet` subject
-/// from the unguarded one.
-pub(crate) fn blink_packet_cfg(guarded: bool) -> (BlinkScenarioConfig, SimTime) {
-    let cfg = BlinkScenarioConfig {
-        legit_flows: 2000,
-        malicious_flows: 105,
-        mean_lifetime_secs: 6.37,
-        trigger_at: Some(SimTime::from_secs(260)),
-        guarded,
-        horizon: SimDuration::from_secs(300),
-        seed: 21,
-        ..Default::default()
-    };
-    (cfg, SimTime::from_secs(280))
+/// One of the paper's own runs, `examples/scenarios/paper/<file>`,
+/// compiled into the binary: parsed and compiled the way `experiments
+/// scenario` loads it, then lowered onto its case-study builder.
+fn paper_run<T>(file: &str, text: &str, lower: impl FnOnce(&Compiled) -> Option<T>) -> T {
+    let lowered = parse_str(file, text)
+        .map_err(|e| e.to_string())
+        .and_then(|sc| compile(&sc).map_err(|e| format!("{file}: {e}")))
+        .and_then(|c| lower(&c).ok_or_else(|| format!("{file}: wrong workload kind")));
+    match lowered {
+        Ok(cfg) => cfg,
+        // lint: allow(panic): the text is compiled in, and dui-scenario's corpus test compiles every paper/ file
+        Err(e) => panic!("{e}"),
+    }
+}
+
+/// The paper's C4 run (`paper/c4_blink.dsc`, unguarded) and the sim-time
+/// the stage stops it at, 20 s past the trigger. `recordings` records
+/// the same run.
+pub(crate) fn c4_blink() -> (BlinkScenarioConfig, SimTime) {
+    let text = include_str!("../../../examples/scenarios/paper/c4_blink.dsc");
+    paper_run("c4_blink.dsc", text, |c| {
+        let cfg = c.blink_config()?;
+        let end = cfg.trigger_at? + SimDuration::from_secs(20);
+        Some((cfg, end))
+    })
 }
 
 /// C4 — the packet-level Blink experiment (the paper's mininet+P4 run):
-/// 2000 legitimate + 105 malicious flows, occupancy over time, then the
-/// trigger and the reroute; guarded variant alongside (the two
-/// simulations run concurrently).
+/// occupancy over time, then the trigger and the reroute; guarded
+/// variant alongside (the two simulations run concurrently).
 fn blink_packet(jobs: usize) -> StageOutput {
+    let (c4, end) = c4_blink();
     let mut out = StageOutput::default();
     let mut report = String::new();
     let r = &mut report;
     let _ = writeln!(
         r,
-        "== C4: packet-level Blink takeover (2000 legit + 105 malicious TCP flows) ==\n"
+        "== C4: packet-level Blink takeover ({} legit + {} malicious TCP flows) ==\n",
+        c4.legit_flows, c4.malicious_flows
     );
     let run = |guarded: bool| {
-        let (cfg, end) = blink_packet_cfg(guarded);
-        let mut sc = BlinkScenario::build(&cfg);
+        let mut sc = BlinkScenario::build(&BlinkScenarioConfig {
+            guarded,
+            ..c4.clone()
+        });
         let mut occupancy = Vec::new();
         for t in (0..=250).step_by(25) {
             sc.sim.run_until(SimTime::from_secs(t));
@@ -741,8 +756,9 @@ fn blink_packet(jobs: usize) -> StageOutput {
     let _ = writeln!(r, "{}", show.to_text());
     let _ = writeln!(
         r,
-        "unguarded: trigger at t=260 s -> reroutes={reroutes}, on_primary={on_primary} \
-         (paper: takeover ≈200 s, spurious reroute follows)\n"
+        "unguarded: trigger at t={:.0} s -> reroutes={reroutes}, on_primary={on_primary} \
+         (paper: takeover ≈200 s, spurious reroute follows)\n",
+        c4.trigger_at.map_or(f64::NAN, |t| t.as_secs_f64())
     );
     let _ = writeln!(
         r,
@@ -751,6 +767,18 @@ fn blink_packet(jobs: usize) -> StageOutput {
     out.table("blink_packet.csv", csv);
     out.report = report;
     out
+}
+
+/// One C5 poisoning run: bots making up `fraction` of the clients drag
+/// the best arm (1) down and push arm 2 up, with or without the §5
+/// outlier filter.
+fn pytheas_poisoned(fraction: f64, defended: bool) -> PytheasOutcome {
+    let cfg = EngineConfig {
+        poison_fraction: fraction,
+        poison: PoisonStrategy::Promote { down: 1, up: 2 },
+        ..Default::default()
+    };
+    pytheas_run(cfg, 3, 400, defended, 42)
 }
 
 /// C5 — Pytheas poisoning and herding sweeps, with and without the §5
@@ -776,14 +804,7 @@ fn pytheas(jobs: usize) -> StageOutput {
     ]);
     let poison_rows = run_indexed(fractions.len(), jobs, |fi| {
         let f = fractions[fi];
-        let cfg = EngineConfig {
-            poison_fraction: f,
-            poison: PoisonStrategy::Promote { down: 1, up: 2 },
-            ..Default::default()
-        };
-        let u = pytheas_run(cfg.clone(), 3, 400, false, 42);
-        let d = pytheas_run(cfg, 3, 400, true, 42);
-        (f, u, d)
+        (f, pytheas_poisoned(f, false), pytheas_poisoned(f, true))
     });
     let mut reg = Registry::new();
     for (f, u, d) in poison_rows {
@@ -870,6 +891,79 @@ fn pytheas(jobs: usize) -> StageOutput {
     out
 }
 
+/// The paper's C6 pin run (`paper/c6_pcc_pin.dsc`) and the sim-time it
+/// runs to, its horizon. The `pcc` and `defenses` rows and the `pcc`
+/// recordings are this run with stated overrides.
+pub(crate) fn c6_pcc_pin() -> (PccScenarioConfig, SimTime) {
+    let text = include_str!("../../../examples/scenarios/paper/c6_pcc_pin.dsc");
+    paper_run("c6_pcc_pin.dsc", text, |c| {
+        Some((c.pcc_config()?, SimTime(c.scenario.workload.horizon()?.0)))
+    })
+}
+
+/// `cfg` without the attacker: the clean baseline.
+pub(crate) fn unattacked(cfg: &PccScenarioConfig) -> PccScenarioConfig {
+    PccScenarioConfig {
+        attacked: false,
+        pin_to: None,
+        ..cfg.clone()
+    }
+}
+
+/// `cfg` under the §5 defense: the controller's ε clamped to 1 %.
+fn eps_clamped(cfg: &PccScenarioConfig) -> PccScenarioConfig {
+    PccScenarioConfig {
+        control: ControlConfig {
+            eps_max: 0.01,
+            ..cfg.control
+        },
+        ..cfg.clone()
+    }
+}
+
+/// One C6 row: `cfg` run to `end`. Returns the sender's mean rate after
+/// 90 s (Mbit/s), its oscillation amplitude, inconclusive and total
+/// decisions, the §5 loss-pattern monitor's risk and the sender's
+/// metrics.
+fn pcc_row(cfg: &PccScenarioConfig, end: SimTime) -> (f64, f64, usize, usize, f64, Snapshot) {
+    let mut sc = PccScenario::build(cfg);
+    sc.sim.run_until(end);
+    let trace = sc.rate_trace(0);
+    let tail: Vec<f64> = trace
+        .points()
+        .iter()
+        .filter(|(t, _)| *t > 90.0)
+        .map(|&(_, v)| v)
+        .collect();
+    let amp = sc.oscillation_amplitude(0, 90.0);
+    let node = sc.senders[0];
+    let s: &mut PccSender = sc.sim.logic_mut(node);
+    let inconclusive = s
+        .decisions()
+        .iter()
+        .filter(|d| matches!(d, dui_core::pcc::control::Decision::Inconclusive(_)))
+        .count();
+    // §5 monitor risk.
+    let meta: std::collections::HashMap<u64, f64> =
+        s.mi_meta.iter().map(|&(id, _, base)| (id, base)).collect();
+    let mut mon = PccLossPatternMonitor::new();
+    for rec in s.mi_history() {
+        if let Some(&base) = meta.get(&rec.id) {
+            mon.observe(rec, base);
+        }
+    }
+    let mut reg = Registry::new();
+    s.export_metrics(&mut reg);
+    (
+        mean(&tail) / 125_000.0,
+        amp,
+        inconclusive,
+        s.decisions().len(),
+        mon.risk().0,
+        reg.snapshot(),
+    )
+}
+
 /// C6 — PCC: clean convergence, the equalizer/pin attack, the ε-clamp
 /// defense, and the destination-fluctuation aggregation. All scenario
 /// simulations run as parallel tasks.
@@ -878,59 +972,18 @@ fn pcc(jobs: usize) -> StageOutput {
     let mut report = String::new();
     let r = &mut report;
     let _ = writeln!(r, "== C6: PCC under the §4.2 MitM ==\n");
-    let run = |attacked: bool, pin: Option<f64>, eps_max: f64, seed: u64| {
-        let mut sc = PccScenario::build(&PccScenarioConfig {
-            flows: 1,
-            attacked,
-            pin_to: pin,
-            control: ControlConfig {
-                eps_max,
-                ..Default::default()
-            },
-            seed,
-            ..Default::default()
-        });
-        sc.sim.run_until(SimTime::from_secs(120));
-        let trace = sc.rate_trace(0);
-        let tail: Vec<f64> = trace
-            .points()
-            .iter()
-            .filter(|(t, _)| *t > 90.0)
-            .map(|&(_, v)| v)
-            .collect();
-        let amp = sc.oscillation_amplitude(0, 90.0);
-        let node = sc.senders[0];
-        let s: &mut PccSender = sc.sim.logic_mut(node);
-        let inconclusive = s
-            .decisions()
-            .iter()
-            .filter(|d| matches!(d, dui_core::pcc::control::Decision::Inconclusive(_)))
-            .count();
-        // §5 monitor risk.
-        let meta: std::collections::HashMap<u64, f64> =
-            s.mi_meta.iter().map(|&(id, _, base)| (id, base)).collect();
-        let mut mon = PccLossPatternMonitor::new();
-        for rec in s.mi_history() {
-            if let Some(&base) = meta.get(&rec.id) {
-                mon.observe(rec, base);
-            }
-        }
-        let mut reg = Registry::new();
-        s.export_metrics(&mut reg);
+    let (pin, end) = c6_pcc_pin();
+    let scenarios = [
+        ("clean", unattacked(&pin)),
         (
-            mean(&tail) / 125_000.0,
-            amp,
-            inconclusive,
-            s.decisions().len(),
-            mon.risk().0,
-            reg.snapshot(),
-        )
-    };
-    let scenarios: [(&str, bool, Option<f64>, f64); 4] = [
-        ("clean", false, None, 0.05),
-        ("mirror equalizer", true, None, 0.05),
-        ("pin to 25 Mbps", true, Some(25.0 * 125_000.0), 0.05),
-        ("pin + eps clamp 1%", true, Some(25.0 * 125_000.0), 0.01),
+            "mirror equalizer",
+            PccScenarioConfig {
+                pin_to: None,
+                ..pin.clone()
+            },
+        ),
+        ("pin to 25 Mbps", pin.clone()),
+        ("pin + eps clamp 1%", eps_clamped(&pin)),
     ];
     let mut csv = Table::new([
         "scenario",
@@ -947,10 +1000,7 @@ fn pcc(jobs: usize) -> StageOutput {
         "inconclusive/decisions",
         "§5 risk",
     ]);
-    let results = run_indexed(scenarios.len(), jobs, |si| {
-        let (_, attacked, pin, eps) = scenarios[si];
-        run(attacked, pin, eps, 3)
-    });
+    let results = run_indexed(scenarios.len(), jobs, |si| pcc_row(&scenarios[si].1, end));
     const SNAP_KEYS: [&str; 4] = ["clean", "mirror", "pin", "pin_clamp"];
     for (si, (rate, amp, inc, dec, risk, snap)) in results.into_iter().enumerate() {
         out.metrics.merge(&snap.with_prefix(SNAP_KEYS[si]));
@@ -1143,49 +1193,17 @@ fn defenses(jobs: usize) -> StageOutput {
         let snap = sc.metrics();
         (snap.counter("blink.reroutes") as f64, snap)
     };
-    // Pytheas: honest QoE under 20% poisoning.
-    let pyth = |defended: bool| -> (f64, Snapshot) {
-        let cfg = EngineConfig {
-            poison_fraction: 0.2,
-            poison: PoisonStrategy::Promote { down: 1, up: 2 },
-            ..Default::default()
-        };
-        (
-            pytheas_run(cfg, 3, 400, defended, 42).honest_qoe,
-            Snapshot::default(),
-        )
-    };
-    // PCC: delivered rate under the pin attack, ε_max 5% vs clamped 1%.
-    let pcc_rate = |eps_max: f64| -> (f64, Snapshot) {
-        let mut sc = PccScenario::build(&PccScenarioConfig {
-            flows: 1,
-            attacked: true,
-            pin_to: Some(25.0 * 125_000.0),
-            control: ControlConfig {
-                eps_max,
-                ..Default::default()
-            },
-            seed: 3,
-            ..Default::default()
-        });
-        sc.sim.run_until(SimTime::from_secs(120));
-        let trace = sc.rate_trace(0);
-        let tail: Vec<f64> = trace
-            .points()
-            .iter()
-            .filter(|(t, _)| *t > 90.0)
-            .map(|&(_, v)| v)
-            .collect();
-        (mean(&tail) / 125_000.0, Snapshot::default())
-    };
-    // Six independent simulations: (attacked, defended) per case study.
+    // Pytheas: honest QoE under 20% poisoning (the `pytheas` stage's
+    // 20% row). PCC: rate under the pin attack, ε_max 5% vs clamped 1%
+    // (the `pcc` stage's two pin rows).
+    let (pin, end) = c6_pcc_pin();
     let vals = run_indexed(6, jobs, |i| match i {
         0 => blink(false),
         1 => blink(true),
-        2 => pyth(false),
-        3 => pyth(true),
-        4 => pcc_rate(0.05),
-        _ => pcc_rate(0.01),
+        2 => (pytheas_poisoned(0.2, false).honest_qoe, Snapshot::default()),
+        3 => (pytheas_poisoned(0.2, true).honest_qoe, Snapshot::default()),
+        4 => (pcc_row(&pin, end).0, Snapshot::default()),
+        _ => (pcc_row(&eps_clamped(&pin), end).0, Snapshot::default()),
     });
     show.row([
         "Blink (§3.1)".to_string(),

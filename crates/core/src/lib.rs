@@ -5,8 +5,9 @@
 //!
 //! Re-exports every subsystem under one roof and provides ready-made
 //! [`scenario`] builders that assemble the paper's case studies —
-//! topology, workload, system under test, attacker, defense — so examples,
-//! integration tests and the experiment harness all drive the same code.
+//! topology, workload, system under test, attacker, defense — so the
+//! integration tests, the `.dsc` scenario runner and the experiment
+//! harness all drive the same code.
 //!
 //! Crate map (see docs/architecture.md for the full inventory):
 //!

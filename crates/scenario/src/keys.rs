@@ -276,6 +276,11 @@ pub const ANY: Bound = bound(Check::Any, "");
 const POSITIVE: Bound = at_least(1, "a positive integer");
 const FRACTION: Bound = bound(Check::Unit(1.0), "a fraction in 0..=1");
 const FLOW_COUNT: Bound = bound(Check::Range(1, 249), "an integer in 1..250");
+/// Flow populations the builders materialize up front (Blink's legitimate
+/// and spoofed flows, a load surge's arrivals): ten times the paper's C4
+/// run of 2000 + 105 flows, so a file cannot ask for an unbounded
+/// allocation.
+const MAX_FLOWS: u64 = 20_000;
 
 /// What an absent key means.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -385,8 +390,10 @@ section! {
     workload {
         KIND = key("kind", Ty::Kind(WORKLOAD_KINDS, "one of blink, pcc, pytheas, tcp, churn, syn_flood"),
             &[case(&[], Required, ANY)]),
-        LEGIT_FLOWS = key("legit_flows", Ty::Int, &[case(&[BLINK], Is("150"), ANY)]),
-        MALICIOUS_FLOWS = key("malicious_flows", Ty::Int, &[case(&[BLINK], Is("0"), ANY)]),
+        LEGIT_FLOWS = key("legit_flows", Ty::Int,
+            &[case(&[BLINK], Is("150"), between(1, MAX_FLOWS, "an integer in 1..=20000"))]),
+        MALICIOUS_FLOWS = key("malicious_flows", Ty::Int,
+            &[case(&[BLINK], Is("0"), between(0, MAX_FLOWS, "an integer in 0..=20000"))]),
         MEAN_LIFETIME = key("mean_lifetime", Ty::Duration,
             &[case(&[BLINK, TCP, CHURN, SYN_FLOOD], Is("6s"), ANY)]),
         PKT_INTERVAL = key("pkt_interval", Ty::Duration,
@@ -443,7 +450,8 @@ section! {
         REPEAT = key("repeat", Ty::U32, &[case(ALL_DECLS, Is("1"), POSITIVE)]),
         EVERY = key("every", Ty::Duration, &[case(ALL_DECLS, Unset, ANY)]),
         JITTER = key("jitter", Ty::Duration, &[case(ALL_DECLS, Is("0s"), ANY)]),
-        FLOWS = key("flows", Ty::Int, &[case(&[kind::LOAD_SURGE], Required, ANY)]),
+        FLOWS = key("flows", Ty::Int,
+            &[case(&[kind::LOAD_SURGE], Required, between(1, MAX_FLOWS, "an integer in 1..=20000"))]),
         DURATION = key("duration", Ty::Duration, &[case(&[kind::LOAD_SURGE], Required, ANY)]),
         VIA = key("via", Ty::Pair, &[case(&[BOUNCE], Required, ANY)]),
         BOUNCES = key("bounces", Ty::U32, &[case(&[BOUNCE], Is("4"), POSITIVE)]),

@@ -7,7 +7,9 @@
 //! records an observation if the boundary sits on the grid. Everything
 //! observed is simulated state — no wall clock, no ambient randomness —
 //! so a `(file, seed)` pair always yields the same [`RunReport`],
-//! regardless of host, `--jobs`, or `sim_threads`.
+//! regardless of host or `--jobs`. Blink and PCC workloads lower through
+//! [`Compiled::blink_config`] / [`Compiled::pcc_config`], as do the
+//! experiment stages that run the paper's own `.dsc` files.
 
 use crate::ast::{ChaosKind, WorkloadSpec};
 use crate::compile::{build_topology, Compiled, Plan, ResolvedChaos, TcpPlan};
@@ -46,9 +48,6 @@ pub struct RunReport {
     pub seed: u64,
     /// One result per `[expect]` line, in file order.
     pub checks: Vec<CheckResult>,
-    /// Sequential fallbacks taken by the parallel engine (0 when run
-    /// with `sim_threads == 0`).
-    pub fallbacks: u64,
     /// Total endpoint deliveries (0 for round-based workloads).
     pub delivered: u64,
 }
@@ -81,7 +80,6 @@ impl Compiled {
             kind: sc.workload.kind(),
             seed: sc.seed,
             checks: evaluate(sc, &self.windows, &obs),
-            fallbacks: obs.snapshot.counter("netsim.parallel.fallback"),
             delivered: obs.snapshot.counter("netsim.delivered.endpoint"),
         }
     }
@@ -117,8 +115,9 @@ impl Compiled {
         t.0 % self.scenario.sample_every.0.max(1) == 0
     }
 
-    fn run_blink(&self, sim_threads: usize) -> Observed {
-        let sc = &self.scenario;
+    /// The Blink builder's configuration of a `blink` workload; `None`
+    /// for any other kind.
+    pub fn blink_config(&self) -> Option<BlinkScenarioConfig> {
         let WorkloadSpec::Blink {
             legit_flows,
             malicious_flows,
@@ -128,11 +127,11 @@ impl Compiled {
             trigger_at,
             guarded,
             horizon,
-        } = &sc.workload
+        } = &self.scenario.workload
         else {
-            unreachable!("blink plan carries a blink workload")
+            return None;
         };
-        let cfg = BlinkScenarioConfig {
+        Some(BlinkScenarioConfig {
             legit_flows: *legit_flows,
             malicious_flows: *malicious_flows,
             mean_lifetime_secs: mean_lifetime.as_secs_f64(),
@@ -142,7 +141,37 @@ impl Compiled {
             trigger_at: *trigger_at,
             guarded: *guarded,
             horizon: *horizon,
-            seed: sc.seed,
+            seed: self.scenario.seed,
+        })
+    }
+
+    /// The PCC builder's configuration of a `pcc` workload; `None` for
+    /// any other kind. The run ends at the workload's horizon.
+    pub fn pcc_config(&self) -> Option<PccScenarioConfig> {
+        let WorkloadSpec::Pcc {
+            flows,
+            bottleneck_mbps,
+            attacked,
+            pin_to_mbps,
+            ..
+        } = &self.scenario.workload
+        else {
+            return None;
+        };
+        Some(PccScenarioConfig {
+            flows: *flows,
+            bottleneck: Bandwidth::mbps(*bottleneck_mbps),
+            attacked: *attacked,
+            pin_to: pin_to_mbps.map(|m| m * 125_000.0),
+            sway: None,
+            control: ControlConfig::default(),
+            seed: self.scenario.seed,
+        })
+    }
+
+    fn run_blink(&self, sim_threads: usize) -> Observed {
+        let Some(cfg) = self.blink_config() else {
+            unreachable!("blink plan carries a blink workload")
         };
         let mut b = BlinkScenario::build(&cfg);
         b.sim.set_sim_threads(sim_threads);
@@ -192,25 +221,9 @@ impl Compiled {
     }
 
     fn run_pcc(&self, sim_threads: usize) -> Observed {
-        let sc = &self.scenario;
-        let WorkloadSpec::Pcc {
-            flows,
-            bottleneck_mbps,
-            attacked,
-            pin_to_mbps,
-            horizon,
-        } = &sc.workload
+        let (Some(cfg), Some(horizon)) = (self.pcc_config(), self.scenario.workload.horizon())
         else {
             unreachable!("pcc plan carries a pcc workload")
-        };
-        let cfg = PccScenarioConfig {
-            flows: *flows,
-            bottleneck: Bandwidth::mbps(*bottleneck_mbps),
-            attacked: *attacked,
-            pin_to: pin_to_mbps.map(|m| m * 125_000.0),
-            sway: None,
-            control: ControlConfig::default(),
-            seed: sc.seed,
         };
         let mut p = PccScenario::build(&cfg);
         p.sim.set_sim_threads(sim_threads);
@@ -221,7 +234,7 @@ impl Compiled {
         let mut rate_min = f64::INFINITY;
         let mut rate_max = 0.0f64;
         let mut osc_max = 0.0f64;
-        for i in 0..*flows {
+        for i in 0..cfg.flows {
             let trace = p.rate_trace(i);
             let tail: Vec<f64> = trace
                 .points()

@@ -34,13 +34,21 @@ fn dsc_files(dir: &PathBuf) -> Vec<PathBuf> {
     files
 }
 
+/// Every shipped scenario: the corpus, then the paper's own runs in
+/// `paper/` (outside the corpus the benchmark froze).
+fn shipped_files() -> Vec<PathBuf> {
+    let dir = repo_root().join("examples/scenarios");
+    let mut files = dsc_files(&dir);
+    files.extend(dsc_files(&dir.join("paper")));
+    files
+}
+
 /// parse -> print -> parse is a fixed point for every shipped scenario:
 /// the second parse sees the canonical form and prints it unchanged.
 #[test]
 fn examples_roundtrip_through_canonical_print() {
-    let dir = repo_root().join("examples/scenarios");
-    let files = dsc_files(&dir);
-    assert!(files.len() >= 8, "corpus shrank to {} files", files.len());
+    let files = shipped_files();
+    assert!(files.len() >= 16 + 2, "corpus shrank to {} files", files.len());
     for path in files {
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
         let text = fs::read_to_string(&path).unwrap();
@@ -61,8 +69,7 @@ fn examples_roundtrip_through_canonical_print() {
 /// parse-only validity.
 #[test]
 fn examples_compile() {
-    let dir = repo_root().join("examples/scenarios");
-    for path in dsc_files(&dir) {
+    for path in shipped_files() {
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
         let text = fs::read_to_string(&path).unwrap();
         let sc = parse_str(&name, &text).unwrap();
@@ -354,8 +361,9 @@ prop_check! {
 /// Every shipped scenario and every bad fixture.
 fn seed_files() -> Vec<(String, Vec<u8>)> {
     let bad = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/bad");
-    let files: Vec<PathBuf> = [repo_root().join("examples/scenarios"), bad].iter().flat_map(dsc_files).collect();
-    assert!(files.len() >= 16 + 14, "seed corpus shrank to {} files", files.len());
+    let mut files = shipped_files();
+    files.extend(dsc_files(&bad));
+    assert!(files.len() >= 16 + 2 + 14, "seed corpus shrank to {} files", files.len());
     files
         .into_iter()
         .map(|p| (p.file_name().unwrap().to_string_lossy().into_owned(), fs::read(&p).unwrap()))

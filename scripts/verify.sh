@@ -125,6 +125,16 @@ same_bytes "'$EXP' scenario '$CORPUS' --jobs 4" "'$EXP' scenario '$CORPUS' --job
   results/scenarios.csv
 echo "scenario corpus all-pass and CSV byte-identical at --jobs 1 vs 4: OK"
 
+echo "== paper runs (experiments scenario examples/scenarios/paper; ~5 s) =="
+# The paper's own C4 and C6 configurations, which the blink-packet, pcc
+# and defenses stages are built from, run to a verdict against the
+# paper's claims. Too slow for tier-1, which only parses and compiles
+# them. A failed expectation exits 1 and fails the gate.
+paper_runs="$(mktemp -d)"
+(cd "$paper_runs" && "$EXP" scenario "$CORPUS/paper") >/dev/null
+rm -rf "$paper_runs"
+echo "paper runs all-pass: OK"
+
 echo "== docs (intra-repo links) =="
 bash scripts/check_docs.sh
 echo "docs links: OK"
