@@ -19,8 +19,7 @@
 //! droppers, throttlers, delayers, header rewriters) the case studies
 //! compose.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod blink_takeover;
 pub mod operator;

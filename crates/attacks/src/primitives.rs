@@ -314,7 +314,7 @@ mod tests {
         }
         assert_eq!(w.rewritten, 1);
         // Already-small windows untouched.
-        let mut again = p.clone();
+        let mut again = p.duplicate();
         w.intercept(t(0), Dir::AtoB, &mut again, &mut Vec::new());
         assert_eq!(w.rewritten, 1);
     }

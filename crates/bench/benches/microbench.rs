@@ -638,7 +638,7 @@ fn bench_flow_pool(s: &mut Suite) {
                 }
                 if !any {
                     if pool.state(sr) == Ok(TcpState::TimeWait) {
-                        now = now + SimDuration::from_millis(1);
+                        now += SimDuration::from_millis(1);
                         pool.on_tick(sr, now).expect("live handle");
                     } else {
                         break;
@@ -651,16 +651,6 @@ fn bench_flow_pool(s: &mut Suite) {
             done
         });
     }
-}
-
-fn bench_lint(s: &mut Suite) {
-    // Lexing throughput on a real, large source file (this crate's own
-    // stage definitions) — the hot inner loop of every dui-lint run.
-    const SRC: &str = include_str!("../src/stages.rs");
-    s.bench("lint_lex_stages_rs", move || dui_lint::lexer::lex(SRC));
-    s.bench("lint_rules_stages_rs", move || {
-        dui_lint::lint_source("crates/bench/src/stages.rs", SRC)
-    });
 }
 
 fn main() {
@@ -694,6 +684,5 @@ fn main() {
     bench_replay(&mut s);
     bench_supervisord(&mut s);
     bench_flow_pool(&mut s);
-    bench_lint(&mut s);
     println!("\n{} benchmarks done.", s.results().len());
 }

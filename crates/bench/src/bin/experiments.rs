@@ -49,6 +49,12 @@
 //! CSV after `record`, `replay` and `--resume`, so a resumed run can be
 //! byte-compared against the uninterrupted one.
 
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "dui-bench is the timing harness, the one crate that reads the wall clock"
+)]
+
 use dui_bench::par::default_jobs;
 use dui_bench::recordings::{build_subject, StageSubject, RECORDINGS};
 use dui_bench::stages::{verify_determinism, Stage, StageOutput, STAGES};

@@ -29,8 +29,14 @@
 //! assert_eq!(run(1), run(4));
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+// The wall-clock quarantine: this crate times stages, and no library
+// crate may depend on it (`tests/workspace_lints.rs`).
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "dui-bench is the timing harness, the one crate that reads the wall clock"
+)]
 
 pub mod harness;
 pub mod par;

@@ -98,6 +98,10 @@ pub fn build_subject(stage: &str) -> Option<StageSubject> {
 }
 
 /// A live simulation ready to be driven by a `Recorder` or `Replayer`.
+#[expect(
+    clippy::large_enum_variant,
+    reason = "one subject lives per recording or replay; none is stored in bulk"
+)]
 pub enum StageSubject {
     /// The Blink flow-level fast simulation (fig2 family). Fully
     /// restorable, so its recordings support mid-run resume.

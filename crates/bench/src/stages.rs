@@ -688,7 +688,10 @@ fn paper_run<T>(file: &str, text: &str, lower: impl FnOnce(&Compiled) -> Option<
         .and_then(|c| lower(&c).ok_or_else(|| format!("{file}: wrong workload kind")));
     match lowered {
         Ok(cfg) => cfg,
-        // lint: allow(panic): the text is compiled in, and dui-scenario's corpus test compiles every paper/ file
+        #[expect(
+            clippy::panic,
+            reason = "the text is compiled in, and dui-scenario's corpus test compiles every paper/ file"
+        )]
         Err(e) => panic!("{e}"),
     }
 }
@@ -718,6 +721,10 @@ fn blink_packet(jobs: usize) -> StageOutput {
         "== C4: packet-level Blink takeover ({} legit + {} malicious TCP flows) ==\n",
         c4.legit_flows, c4.malicious_flows
     );
+    #[expect(
+        clippy::expect_used,
+        reason = "BlinkScenario always monitors its victim prefix"
+    )]
     let run = |guarded: bool| {
         let mut sc = BlinkScenario::build(&BlinkScenarioConfig {
             guarded,
@@ -726,14 +733,11 @@ fn blink_packet(jobs: usize) -> StageOutput {
         let mut occupancy = Vec::new();
         for t in (0..=250).step_by(25) {
             sc.sim.run_until(SimTime::from_secs(t));
-            // lint: allow(panic): BlinkScenario always monitors its victim prefix
             occupancy.push((t, sc.malicious_cells().expect("prefix monitored")));
         }
         sc.sim.run_until(end);
         let snap = sc.metrics();
-        // lint: allow(panic): BlinkScenario always monitors its victim prefix
         let reroutes = sc.reroutes().expect("prefix monitored");
-        // lint: allow(panic): BlinkScenario always monitors its victim prefix
         let on_primary = sc.on_primary().expect("prefix monitored");
         (occupancy, reroutes, sc.vetoed(), on_primary, snap)
     };
@@ -1105,6 +1109,10 @@ fn nethide(jobs: usize) -> StageOutput {
     let reports = run_indexed(bow_budgets.len() + ring_budgets.len(), jobs, |i| {
         if i < bow_budgets.len() {
             let budget = bow_budgets[i];
+            #[expect(
+                clippy::expect_used,
+                reason = "the bowtie factory is connected by construction"
+            )]
             let (_vt, rep) = obfuscate(
                 &bow_topo,
                 &bow_routing,
@@ -1115,11 +1123,14 @@ fn nethide(jobs: usize) -> StageOutput {
                 },
                 &bow_protected,
             )
-            // lint: allow(panic): the bowtie factory is connected by construction
             .expect("bowtie flows routable");
             ("bowtie-6", budget, rep)
         } else {
             let budget = ring_budgets[i - bow_budgets.len()];
+            #[expect(
+                clippy::expect_used,
+                reason = "the chorded-ring factory is connected by construction"
+            )]
             let (_vt, rep) = obfuscate(
                 &ring_topo,
                 &ring_routing,
@@ -1131,7 +1142,6 @@ fn nethide(jobs: usize) -> StageOutput {
                 },
                 &[],
             )
-            // lint: allow(panic): the chorded-ring factory is connected by construction
             .expect("ring flows routable");
             ("chorded-ring-10", budget, rep)
         }
@@ -1809,8 +1819,11 @@ fn flow_scale_run(n: usize, seed: u64) -> FlowScaleRow {
 
     /// Unwrap a pool call on a handle the stage still owns (everything
     /// before the evict phase); stale refs there are stage bugs.
+    #[expect(
+        clippy::expect_used,
+        reason = "stage-owned handles are live until evicted"
+    )]
     fn live<T>(res: Result<T, StaleFlowRef>) -> T {
-        // lint: allow(panic): stage-owned handles are live until evicted
         res.expect("flow-scale handle is live")
     }
 
@@ -1842,7 +1855,7 @@ fn flow_scale_run(n: usize, seed: u64) -> FlowScaleRow {
         let isn = (i as u32).wrapping_mul(0x0100_0001).wrapping_add(1);
         let s = pool.insert_sender(spec.key, spec.config, isn);
         let r = pool.insert_listener(spec.key);
-        // lint: allow(panic): handles fresh from insert are live
+        #[expect(clippy::expect_used, reason = "handles fresh from insert are live")]
         pool.on_start(s, SimTime::ZERO).expect("fresh handle");
         pairs.push((s, r));
         admitted += 1;
@@ -1875,7 +1888,7 @@ fn flow_scale_run(n: usize, seed: u64) -> FlowScaleRow {
             }
         }
         if !any {
-            now = now + SimDuration::from_millis(1);
+            now += SimDuration::from_millis(1);
             let mut ticked = false;
             for &(s, _) in &pairs {
                 if pool.state(s) == Ok(TcpState::TimeWait) {

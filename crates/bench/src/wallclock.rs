@@ -1,10 +1,10 @@
 //! Wall-clock self-profiler for the experiment harness.
 //!
-//! It lives in `dui-bench` because this is the one crate the `dui-lint`
-//! `determinism/wall-clock` rule exempts, and no library crate may
-//! depend on `dui-bench` (`crates/lint/tests/workspace.rs` holds every
-//! manifest to that): nothing a simulation runs can call a clock read
-//! through this module, because it cannot name it.
+//! It lives in `dui-bench` because this is the one crate exempt from
+//! clippy's clock ban (`disallowed-methods` in `clippy.toml`), and no
+//! library crate may depend on `dui-bench` (`tests/workspace_lints.rs`
+//! holds every manifest to that): nothing a simulation runs can call a
+//! clock read through this module, because it cannot name it.
 //! Everything it produces is explicitly non-deterministic profiling
 //! output: it must never feed back into simulation state or into any
 //! exported experiment artifact that is compared byte-for-byte across
@@ -138,7 +138,7 @@ pub fn report() -> String {
         out.push_str(&format!("  stage {:<18} {}\n", name, fmt_ns(*ns)));
     }
     for (label, agg) in &state.tasks {
-        let mean = if agg.count > 0 { agg.total_ns / agg.count } else { 0 };
+        let mean = agg.total_ns.checked_div(agg.count).unwrap_or(0);
         out.push_str(&format!(
             "  tasks {:<18} n={} total={} mean={} max={} (task #{})\n",
             label,

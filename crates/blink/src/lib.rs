@@ -29,8 +29,7 @@
 //! * [`fastsim`] — flow-level Monte-Carlo of one prefix's selector under
 //!   attack; regenerates the 50 simulation traces of the paper's Fig. 2.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod fastsim;
 pub mod inference;

@@ -27,8 +27,7 @@
 //!   risk evaluation over telemetry snapshot deltas
 //! * [`telemetry`] — zero-dep metrics registry, span tracing, self-profiler
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub use dui_attacks as attacks;
 pub use dui_blink as blink;

@@ -643,7 +643,10 @@ pub mod topologies {
     /// Names follow `c{i}`, `a{pod}_{j}`, `e{pod}_{j}`, `h{pod}_{j}_{m}`.
     /// `k` must be even and ≥ 2; `k = 4` yields the textbook 16-host tree.
     pub fn fat_tree(k: usize) -> (Topology, Vec<NodeId>) {
-        assert!(k >= 2 && k % 2 == 0, "fat tree needs an even k ≥ 2");
+        assert!(
+            k >= 2 && k.is_multiple_of(2),
+            "fat tree needs an even k ≥ 2"
+        );
         assert!(k <= 14, "k > 14 overflows the 10.pod.x.y host addressing");
         let mut b = TopologyBuilder::new();
         let bw = Bandwidth::mbps(100);

@@ -116,7 +116,7 @@ impl BlinkFuzzer {
         let mut peak = 0;
         let mut events = 0u64;
         for p in seq {
-            now = now + SimDuration::from_millis(p.gap_ms as u64);
+            now += SimDuration::from_millis(p.gap_ms as u64);
             let fi = p.flow as usize % self.pool.len();
             if !p.repeat_seq {
                 seqs[fi] = seqs[fi].wrapping_add(1460);

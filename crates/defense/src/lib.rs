@@ -15,8 +15,7 @@
 //! | [`fuzzing`] | point II: "fuzzing techniques that enable auto-generation of (realistic) adversarial inputs" | testing Blink |
 //! | [`streaming`] | Fig. 3's loop: incremental `observe(delta) -> Risk` with windowed state | all three — online in `dui-supervisord` (which maps risk to allow / constrain / veto), with a window of one in the `defenses` stage |
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod blink_guard;
 pub mod fuzzing;

@@ -26,8 +26,7 @@
 //!   iterator derives the same flows on demand (byte-identical order) so
 //!   million-flow hosts admit arrivals without materializing the workload.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod caida_like;
 pub mod flows;

@@ -22,8 +22,7 @@
 //! * [`metrics`] — accuracy (Levenshtein path similarity), utility
 //!   (shared-physical-edge fraction), and flow-density security metrics.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod metrics;
 pub mod obfuscate;

@@ -219,11 +219,11 @@ impl PacketArena {
         }
     }
 
-    /// Clone the packet behind `r` out of the arena (checkpoint
-    /// materialization). This is the one sanctioned `Packet` clone site —
-    /// everywhere else packets move by handle (`arena/no-packet-clone`).
+    /// Copy the packet behind `r` out of the arena (checkpoint
+    /// materialization). `Packet` is not `Clone`: everywhere else
+    /// packets move by handle.
     pub fn snapshot_packet(&self, r: PacketRef) -> Result<Packet, StaleRef> {
-        self.get(r).cloned()
+        self.get(r).map(Packet::duplicate)
     }
 
     /// Mutable iteration over every live packet, in slot order. Used by

@@ -74,12 +74,18 @@ impl Event {
     /// implementation detail: packet *contents* are resolved through
     /// `arena` and digested by value, byte-identical to [`SavedEvent`]'s
     /// digest — this is what keeps pre-refactor golden hashes valid.
+    #[expect(
+        clippy::expect_used,
+        reason = "a pending event's packet handle stays live until the event is dispatched"
+    )]
     pub fn state_digest(&self, d: &mut StateDigest, arena: &PacketArena) {
         match self {
             Event::Deliver { node, pkt } => {
                 d.write_u8(0);
                 d.write_usize(node.0);
-                let p = arena.get(*pkt).expect("live event holds a stale packet ref"); // lint: allow(panic)
+                let p = arena
+                    .get(*pkt)
+                    .expect("live event holds a stale packet ref");
                 p.state_digest(d);
             }
             Event::TxComplete { link, dir } => {
@@ -96,21 +102,27 @@ impl Event {
                 d.write_u8(3);
                 d.write_usize(link.0);
                 d.write_bool(*dir == Dir::BtoA);
-                let p = arena.get(*pkt).expect("live event holds a stale packet ref"); // lint: allow(panic)
+                let p = arena
+                    .get(*pkt)
+                    .expect("live event holds a stale packet ref");
                 p.state_digest(d);
             }
         }
     }
 
     /// Materialize a self-contained [`SavedEvent`], cloning any packet out
-    /// of `arena` (the clone happens inside the arena module).
+    /// of `arena` (the copy happens inside the arena module).
+    #[expect(
+        clippy::expect_used,
+        reason = "a pending event's packet handle stays live until the event is dispatched"
+    )]
     pub fn to_saved(&self, arena: &PacketArena) -> SavedEvent {
         match *self {
             Event::Deliver { node, pkt } => SavedEvent::Deliver {
                 node,
                 pkt: arena
                     .snapshot_packet(pkt)
-                    .expect("live event holds a stale packet ref"), // lint: allow(panic)
+                    .expect("live event holds a stale packet ref"),
             },
             Event::TxComplete { link, dir } => SavedEvent::TxComplete { link, dir },
             Event::Timer { node, token } => SavedEvent::Timer { node, token },
@@ -119,7 +131,7 @@ impl Event {
                 dir,
                 pkt: arena
                     .snapshot_packet(pkt)
-                    .expect("live event holds a stale packet ref"), // lint: allow(panic)
+                    .expect("live event holds a stale packet ref"),
             },
         }
     }
@@ -129,7 +141,7 @@ impl Event {
 /// packets by value. This is the representation checkpoints store and the
 /// `dui-replay` codec serializes — it needs no arena to interpret, and its
 /// byte format and digests are unchanged from the pre-arena engine.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub enum SavedEvent {
     /// A packet arrives at a node.
     Deliver {
@@ -399,7 +411,7 @@ mod tests {
         );
         let saved = SavedEvent::Deliver {
             node: NodeId(3),
-            pkt: pkt.clone(), // lint: allow(packet-clone) — constructing the expected fixture
+            pkt: pkt.duplicate(),
         };
         let live = Event::Deliver {
             node: NodeId(3),
@@ -410,8 +422,8 @@ mod tests {
         let mut d2 = StateDigest::labeled("event");
         live.state_digest(&mut d2, &arena);
         assert_eq!(d1.finish(), d2.finish());
-        // Round trip: saved → live → saved.
-        let live2 = saved.clone().into_live(&mut arena);
+        // Round trip: live → saved → live → saved.
+        let live2 = live.to_saved(&arena).into_live(&mut arena);
         assert_eq!(live2.to_saved(&arena), saved);
     }
 }

@@ -43,8 +43,7 @@
 //! assert_eq!(sink.total_packets, 1);
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod arena;
 pub mod event;

@@ -176,7 +176,7 @@ impl LinkRuntime {
     }
 
     /// The node a packet travelling `dir` departs from.
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg_attr(not(test), expect(dead_code, reason = "read only by the unit tests"))]
     pub fn src_node(&self, dir: Dir) -> NodeId {
         match dir {
             Dir::AtoB => self.info.a,

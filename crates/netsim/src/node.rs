@@ -171,11 +171,14 @@ impl RouterLogic {
     /// Panics if program `i` is not a `T` — the caller installed the
     /// program and names its concrete type, so a mismatch is a bug at
     /// the call site, not a recoverable condition.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented caller contract — the caller installed this program"
+    )]
     pub fn program_mut<T: DataPlaneProgram + 'static>(&mut self, i: usize) -> &mut T {
         self.programs[i]
             .as_any_mut()
             .downcast_mut::<T>()
-            // lint: allow(panic): documented caller contract — the caller installed this program
             .expect("program has a different concrete type")
     }
 
@@ -496,6 +499,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "patches out-of-range counts into a valid blob at known byte offsets"
+    )]
     fn load_state_round_trips_and_refuses_counts_the_bytes_cannot_hold() {
         let good = saved_sink_state();
         assert_eq!(good.len(), 8 + 3 * SINK_FLOW_BYTES + 16);

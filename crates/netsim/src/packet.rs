@@ -264,7 +264,7 @@ pub enum Header {
 }
 
 /// A simulated packet.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Packet {
     /// Globally unique id (assigned by the simulator at injection).
     pub id: u64,
@@ -286,6 +286,23 @@ pub struct Packet {
 pub const DEFAULT_TTL: u8 = 64;
 
 impl Packet {
+    /// A field-for-field copy. `Packet` is deliberately not `Clone`:
+    /// packets move through the engine by [`PacketRef`](crate::arena::PacketRef)
+    /// handle, and this is the one spelling of a copy, so every site
+    /// that makes one (a checkpoint, a cross-domain delivery) is a
+    /// call to it.
+    pub fn duplicate(&self) -> Packet {
+        Packet {
+            id: self.id,
+            key: self.key,
+            header: self.header.clone(),
+            size: self.size,
+            ttl: self.ttl,
+            sent_at: self.sent_at,
+            payload: self.payload,
+        }
+    }
+
     /// Build a TCP data/ack segment. `size` is payload + 40 B of headers.
     pub fn tcp(key: FlowKey, seq: u32, ack: u32, flags: TcpFlags, payload: u32) -> Self {
         assert_eq!(key.proto, Proto::Tcp, "tcp packet needs a tcp key");

@@ -47,14 +47,22 @@ const POISONED: &str = "a thread panicked holding a mailbox";
 /// assignments and outbox into its mailbox (for the buffers of two
 /// windows ago) and return the earliest time anything it holds or sent
 /// is due, `u64::MAX` if nothing is.
+#[expect(
+    clippy::expect_used,
+    reason = "barriers run only on domain simulators; a poisoned mailbox means a worker thread already panicked"
+)]
 pub(crate) fn publish(sim: &mut Simulator, mail: &RwLock<Mailbox>, parity: usize) -> u64 {
     let wheel = sim.core.queue.peek_key().map(|(t, _)| t.0);
-    let e = sim.core.domain.as_mut().expect("barrier on a non-domain simulator"); // lint: allow(panic)
+    let e = sim
+        .core
+        .domain
+        .as_mut()
+        .expect("barrier on a non-domain simulator");
     let fresh = e.fresh.peek().map(|Reverse(f)| f.time.0);
     let sent = e.outbox.iter().map(|m| m.time.0).min();
     e.dispatched += e.records.len() as u64;
     {
-        let mut mb = mail.write().expect(POISONED); // lint: allow(panic)
+        let mut mb = mail.write().expect(POISONED);
         std::mem::swap(&mut mb.records, &mut e.records);
         std::mem::swap(&mut mb.id_recs, &mut e.id_recs);
         std::mem::swap(&mut mb.out[parity], &mut e.outbox);
@@ -78,13 +86,17 @@ pub(crate) fn publish(sim: &mut Simulator, mail: &RwLock<Mailbox>, parity: usize
 /// parent's resolved key is strictly smaller at an equal time, since the
 /// parent was itself scheduled before the child's schedule call).
 /// `boxes` and `heads` are scratch, empty between calls.
+#[expect(
+    clippy::expect_used,
+    reason = "a poisoned mailbox means a worker thread already panicked"
+)]
 pub(crate) fn merge_window<'a>(
     mail: &'a [RwLock<Mailbox>],
     g: &mut GlobalCursors,
     boxes: &mut Vec<RwLockWriteGuard<'a, Mailbox>>,
     heads: &mut Vec<Option<(u64, u128)>>,
 ) {
-    boxes.extend(mail.iter().map(|m| m.write().expect(POISONED))); // lint: allow(panic)
+    boxes.extend(mail.iter().map(|m| m.write().expect(POISONED)));
     for b in boxes.iter_mut() {
         b.global_of.clear();
         b.id_of.clear();
@@ -114,8 +126,12 @@ pub(crate) fn merge_window<'a>(
 /// one sweep of the arena, which reaches every live body however often
 /// it re-homed since assignment (each forwarding hop re-inserts it at a
 /// new handle) — and flush the fresh-heap under resolved final keys.
+#[expect(
+    clippy::expect_used,
+    reason = "barriers run only on domain simulators; a poisoned mailbox means a worker thread already panicked"
+)]
 pub(crate) fn settle(sim: &mut Simulator, mail: &RwLock<Mailbox>) {
-    let (core, mb) = (&mut sim.core, mail.read().expect(POISONED)); // lint: allow(panic)
+    let (core, mb) = (&mut sim.core, mail.read().expect(POISONED));
     if !mb.id_of.is_empty() {
         for p in core.arena.iter_live_mut() {
             if p.id & PROVISIONAL_ID_BASE != 0 {
@@ -123,7 +139,10 @@ pub(crate) fn settle(sim: &mut Simulator, mail: &RwLock<Mailbox>) {
             }
         }
     }
-    let e = core.domain.as_mut().expect("barrier on a non-domain simulator"); // lint: allow(panic)
+    let e = core
+        .domain
+        .as_mut()
+        .expect("barrier on a non-domain simulator");
     for Reverse(f) in e.fresh.drain() {
         let key = resolve_key(f.key, &mb.global_of);
         core.queue.schedule_keyed(f.time, key, f.event);
@@ -135,6 +154,10 @@ pub(crate) fn settle(sim: &mut Simulator, mail: &RwLock<Mailbox>) {
 /// domain's tables. `slot_of[d]` is domain `d`'s index in `mine`, or
 /// `usize::MAX`. Sources in domain order, each outbox in push order: an
 /// arena or wheel receives its deliveries in one order whoever owns what.
+#[expect(
+    clippy::expect_used,
+    reason = "a poisoned mailbox means a worker thread already panicked"
+)]
 pub(crate) fn pull(
     mine: &mut [&mut Simulator],
     slot_of: &[usize],
@@ -143,12 +166,12 @@ pub(crate) fn pull(
     parity: usize,
 ) {
     for source in mail {
-        let mb = source.read().expect(POISONED); // lint: allow(panic)
+        let mb = source.read().expect(POISONED);
         for m in &mb.out[parity] {
             let Some(sim) = mine.get_mut(slot_of[map.domain_of(m.dst) as usize]) else {
                 continue;
             };
-            let mut body = m.body.clone();
+            let mut body = m.body.duplicate();
             if body.id & PROVISIONAL_ID_BASE != 0 {
                 body.id = mb.id_of[provisional_index(body.id)];
             }

@@ -158,10 +158,18 @@ pub(crate) fn provisional_index(id: u64) -> usize {
 /// fresh-heap. At an equal time the wheel entry wins — its key is
 /// resolved (no [`PROVISIONAL_BIT`]) and therefore smaller, matching
 /// the sequential fact that pre-window events precede in-window ones.
+#[expect(
+    clippy::expect_used,
+    reason = "a window runs only on a domain simulator, and pops only what it peeked"
+)]
 pub(crate) fn run_window(sim: &mut Simulator, end_excl: SimTime, target: SimTime) {
     loop {
         let wheel_head = sim.core.queue.peek_key();
-        let ext = sim.core.domain.as_ref().expect("run_window outside domain mode"); // lint: allow(panic)
+        let ext = sim
+            .core
+            .domain
+            .as_ref()
+            .expect("run_window outside domain mode");
         let fresh_head = ext.fresh.peek().map(|Reverse(e)| (e.time, e.key));
         let (time, use_fresh) = match (wheel_head, fresh_head) {
             (None, None) => break,
@@ -183,19 +191,19 @@ pub(crate) fn run_window(sim: &mut Simulator, end_excl: SimTime, target: SimTime
                 .core
                 .domain
                 .as_mut()
-                .expect("checked above") // lint: allow(panic)
+                .expect("checked above")
                 .fresh
                 .pop()
-                .expect("peeked"); // lint: allow(panic)
+                .expect("peeked");
             debug_assert!(e.key & PROVISIONAL_BIT != 0);
             (e.key, e.event)
         } else {
-            let (_, k, e) = sim.core.queue.pop_keyed().expect("peeked"); // lint: allow(panic)
+            let (_, k, e) = sim.core.queue.pop_keyed().expect("peeked");
             (k, e)
         };
         debug_assert!(time >= sim.core.now, "time went backwards in domain");
         sim.core.now = time;
-        let ext = sim.core.domain.as_mut().expect("checked above"); // lint: allow(panic)
+        let ext = sim.core.domain.as_mut().expect("checked above");
         ext.records.push((time, key));
         ext.cur_intra = 0;
         sim.dispatch(time, event);

@@ -70,8 +70,15 @@ pub(crate) fn run_parallel(sim: &mut Simulator, t: SimTime) -> Result<ParallelRe
     })
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "every split simulator carries its domain extension"
+)]
 fn domain_ext(s: &Simulator) -> &DomainExt {
-    s.core.domain.as_deref().expect("domain simulator without its extension") // lint: allow(panic)
+    s.core
+        .domain
+        .as_deref()
+        .expect("domain simulator without its extension")
 }
 
 /// Thread of each domain: heaviest first (by its dispatches in the
@@ -143,16 +150,20 @@ fn event_domain(ev: &Event, map: &DomainMap, sim: &Simulator) -> usize {
 
 /// Move an event's packet body (if it carries one) from one arena to
 /// another, rewriting the handle.
+#[expect(
+    clippy::expect_used,
+    reason = "a pending event's packet handle stays live until the event is dispatched"
+)]
 fn move_event_pkt(ev: Event, from: &mut PacketArena, to: &mut PacketArena) -> Event {
     match ev {
         Event::Deliver { node, pkt } => Event::Deliver {
             node,
-            pkt: to.insert(from.take(pkt).expect("event holds a stale packet ref")), // lint: allow(panic)
+            pkt: to.insert(from.take(pkt).expect("event holds a stale packet ref")),
         },
         Event::Offer { link, dir, pkt } => Event::Offer {
             link,
             dir,
-            pkt: to.insert(from.take(pkt).expect("event holds a stale packet ref")), // lint: allow(panic)
+            pkt: to.insert(from.take(pkt).expect("event holds a stale packet ref")),
         },
         other => other,
     }
@@ -160,12 +171,16 @@ fn move_event_pkt(ev: Event, from: &mut PacketArena, to: &mut PacketArena) -> Ev
 
 /// Move a link direction's queued / in-flight packet bodies between
 /// arenas, rewriting handles in place.
+#[expect(
+    clippy::expect_used,
+    reason = "a link holds live handles for its queued and in-flight packets"
+)]
 fn move_dir_pkts(st: &mut DirState, from: &mut PacketArena, to: &mut PacketArena) {
     for r in st.queue.iter_mut() {
-        *r = to.insert(from.take(*r).expect("link queue holds a stale packet ref")); // lint: allow(panic)
+        *r = to.insert(from.take(*r).expect("link queue holds a stale packet ref"));
     }
     if let Some(r) = st.in_flight.as_mut() {
-        *r = to.insert(from.take(*r).expect("link holds a stale in-flight ref")); // lint: allow(panic)
+        *r = to.insert(from.take(*r).expect("link holds a stale in-flight ref"));
     }
 }
 
@@ -335,7 +350,8 @@ fn run_windows(
         parts[t].push(s);
     }
     let mut parts = parts.into_iter();
-    let mine = parts.next().expect("at least one thread"); // lint: allow(panic)
+    #[expect(clippy::expect_used, reason = "the engine runs at least one thread")]
+    let mine = parts.next().expect("at least one thread");
     let (mut windows, mut panic) = (0, None);
     std::thread::scope(|scope| {
         let sh = &sh;

@@ -244,8 +244,11 @@ impl SimCore {
     /// enters the arena here; from this point on it moves by handle.
     fn send_via(&mut self, from: NodeId, next: NodeId, mut pkt: Packet) {
         self.assign_id(&mut pkt);
+        #[expect(
+            clippy::panic,
+            reason = "routing only yields adjacent hops — a miss is a harness programming error, not input"
+        )]
         let Some(link) = self.topo.link_between(from, next) else {
-            // lint: allow(panic): routing only yields adjacent hops — a miss is a harness programming error, not input
             panic!(
                 "send_via: {} and {} are not adjacent",
                 self.topo.node(from).name,
@@ -259,14 +262,22 @@ impl SimCore {
 
     /// Resolve a live handle the engine itself issued. A stale handle here
     /// is an engine invariant violation, not a recoverable condition.
+    #[expect(
+        clippy::expect_used,
+        reason = "the engine resolves only handles it issued and has not yet taken"
+    )]
     fn pkt(&self, r: PacketRef) -> &Packet {
-        self.arena.get(r).expect("engine holds a stale packet ref") // lint: allow(panic)
+        self.arena.get(r).expect("engine holds a stale packet ref")
     }
 
     /// Remove a packet the engine is done with (drop or delivery),
     /// recycling its arena slot.
+    #[expect(
+        clippy::expect_used,
+        reason = "the engine resolves only handles it issued and has not yet taken"
+    )]
     fn take_pkt(&mut self, r: PacketRef) -> Packet {
-        self.arena.take(r).expect("engine holds a stale packet ref") // lint: allow(panic)
+        self.arena.take(r).expect("engine holds a stale packet ref")
     }
 
     /// Offer a packet to a link direction: faults → taps → queue.
@@ -286,10 +297,14 @@ impl SimCore {
         let mut verdict = TapAction::Forward;
         let mut injected = Vec::new();
         for tap in &mut taps {
+            #[expect(
+                clippy::expect_used,
+                reason = "the engine resolves only handles it issued and has not yet taken"
+            )]
             let body = self
                 .arena
                 .get_mut(pkt)
-                .expect("engine holds a stale packet ref"); // lint: allow(panic)
+                .expect("engine holds a stale packet ref");
             match tap.intercept(self.now, dir, body, &mut injected) {
                 TapAction::Forward => {}
                 other => {
@@ -354,11 +369,21 @@ impl SimCore {
         self.registry.record(self.metrics.queue_depth, depth as u64);
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "the engine resolves only handles it issued and has not yet taken"
+    )]
     fn start_tx(&mut self, link: LinkId, dir: Dir, pkt: PacketRef) {
         let bw = self.links[link.0].info.bandwidth;
         let ser = bw.serialization_delay(self.pkt(pkt).size);
-        self.trace
-            .record(self.now, TraceKind::TxStart, None, self.arena.get(pkt).expect("engine holds a stale packet ref")); // lint: allow(panic)
+        self.trace.record(
+            self.now,
+            TraceKind::TxStart,
+            None,
+            self.arena
+                .get(pkt)
+                .expect("engine holds a stale packet ref"),
+        );
         self.links[link.0].dir_state(dir).in_flight = Some(pkt);
         self.schedule_event(self.now + ser, Event::TxComplete { link, dir });
     }
@@ -366,11 +391,14 @@ impl SimCore {
     pub(crate) fn tx_complete(&mut self, link: LinkId, dir: Dir) {
         let prop = self.links[link.0].info.delay;
         let dst = self.links[link.0].dst_node(dir);
+        #[expect(
+            clippy::expect_used,
+            reason = "TxComplete is only scheduled after the transmitter placed a packet in flight here"
+        )]
         let pkt = self.links[link.0]
             .dir_state(dir)
             .in_flight
             .take()
-            // lint: allow(panic): TxComplete is only scheduled after the transmitter placed a packet in flight here
             .expect("tx_complete with no in-flight packet");
         let size = self.pkt(pkt).size;
         let stats = self.links[link.0].stats_mut(dir);
@@ -387,9 +415,13 @@ impl SimCore {
         };
         if remote {
             let body = self.take_pkt(pkt);
+            #[expect(
+                clippy::expect_used,
+                reason = "a remote destination exists only under a domain extension, checked above"
+            )]
             self.domain
                 .as_mut()
-                .expect("checked above") // lint: allow(panic)
+                .expect("checked above")
                 .push_outbox(arrive, dst, body);
         } else {
             self.schedule_event(arrive, Event::Deliver { node: dst, pkt });
@@ -565,7 +597,7 @@ impl<'a> Ctx<'a> {
 
 /// One link direction's restorable state (queue contents, in-flight
 /// packet, fault configuration).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct DirCheckpoint {
     /// Queued packets, head first.
     pub queue: Vec<Packet>,
@@ -576,7 +608,7 @@ pub struct DirCheckpoint {
 }
 
 /// One link's restorable state (both directions plus statistics).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct LinkCheckpoint {
     /// Administrative up/down state.
     pub up: bool,
@@ -600,7 +632,7 @@ pub struct LinkCheckpoint {
 /// [`NodeLogic::save_state`]). Telemetry (metrics registry, traces,
 /// spans) is observability, not logical state, and is deliberately
 /// excluded. Byte serialization of this struct is `dui-replay`'s job.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct EngineCheckpoint {
     /// Simulated time the checkpoint was taken at.
     pub now: SimTime,
@@ -748,14 +780,16 @@ impl Simulator {
     /// Borrow a node's behavior, downcast to its concrete type. Panics if
     /// the node has no logic or the type does not match — both are test/
     /// harness programming errors.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented contract — callers install logic before asking for it, and name its concrete type"
+    )]
     pub fn logic_mut<T: NodeLogic + 'static>(&mut self, node: NodeId) -> &mut T {
         self.logics[node.0]
             .as_mut()
-            // lint: allow(panic): documented contract — callers install logic before asking for it
             .expect("node has no logic installed")
             .as_any_mut()
             .downcast_mut::<T>()
-            // lint: allow(panic): documented contract — the caller names the installed concrete type
             .expect("node logic has a different concrete type")
     }
 
@@ -1105,8 +1139,12 @@ impl Simulator {
             }
         }
         // Materialize link queues through the arena: each packet is
-        // cloned exactly once, inside the arena module.
+        // copied exactly once, inside the arena module.
         let arena = &self.core.arena;
+        #[expect(
+            clippy::expect_used,
+            reason = "the engine resolves only handles it issued and has not yet taken"
+        )]
         let dir_ckpt = |st: &crate::link::DirState| DirCheckpoint {
             queue: st
                 .queue
@@ -1114,13 +1152,13 @@ impl Simulator {
                 .map(|r| {
                     arena
                         .snapshot_packet(*r)
-                        .expect("engine holds a stale packet ref") // lint: allow(panic)
+                        .expect("engine holds a stale packet ref")
                 })
                 .collect(),
             in_flight: st.in_flight.map(|r| {
                 arena
                     .snapshot_packet(r)
-                    .expect("engine holds a stale packet ref") // lint: allow(panic)
+                    .expect("engine holds a stale packet ref")
             }),
             fault: st.fault,
         };

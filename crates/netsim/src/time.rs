@@ -123,10 +123,13 @@ impl Add for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    #[expect(
+        clippy::expect_used,
+        reason = "duration underflow must abort the simulation"
+    )]
     fn sub(self, d: SimDuration) -> SimDuration {
         // A negative duration is always a scheduling logic bug; failing
         // loudly here beats wrapping into a ~585-year timer.
-        // lint: allow(panic): duration underflow must abort the simulation
         SimDuration(self.0.checked_sub(d.0).expect("duration underflow"))
     }
 }

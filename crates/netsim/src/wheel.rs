@@ -384,7 +384,11 @@ impl<T> TimerWheel<T> {
                 }
                 let head = self.levels[0].slots[i].head;
                 let node = &mut self.nodes[head as usize];
-                let value = node.value.take().expect("linked cell holds a value"); // lint: allow(panic): slab invariant
+                #[expect(
+                    clippy::expect_used,
+                    reason = "slab invariant: a linked cell holds a value"
+                )]
+                let value = node.value.take().expect("linked cell holds a value");
                 let (time, seq) = node.key();
                 let next = std::mem::replace(&mut node.next, self.free);
                 self.free = head;
@@ -492,10 +496,10 @@ fn bit(i: usize) -> (usize, u64) {
 
 /// Slab index of the next new cell. `u32::MAX` is [`NIL`], so a wheel
 /// holds fewer than `2^32 - 1` pending entries.
+#[expect(clippy::panic, reason = "the documented capacity bound")]
 fn slab_index(len: usize) -> u32 {
     match u32::try_from(len) {
         Ok(n) if n != NIL => n,
-        // lint: allow(panic): the documented capacity bound
         _ => panic!("timer wheel holds fewer than 2^32 - 1 pending events"),
     }
 }

@@ -233,7 +233,7 @@ impl LinkTap for Duplicator {
         pkt: &mut Packet,
         inject: &mut Vec<Packet>,
     ) -> TapAction {
-        let mut copy = pkt.clone();
+        let mut copy = pkt.duplicate();
         copy.id = 0; // fresh id on injection
         inject.push(copy);
         TapAction::Forward

@@ -3,8 +3,10 @@
 //! schedule, a cascade and a pop are index relinks and nothing else.
 //!
 //! The count comes from a counting `GlobalAlloc` local to this test
-//! binary (the `dui-replay` `hostile_bytes` pattern; the library crates
-//! keep `forbid(unsafe_code)`).
+//! binary (the `dui-replay` `hostile_bytes` pattern; no library crate
+//! carries an `unsafe_code` expectation).
+
+#![expect(unsafe_code, reason = "a counting `GlobalAlloc` is an `unsafe impl`")]
 
 use dui_netsim::wheel::TimerWheel;
 use dui_stats::Rng;

@@ -27,8 +27,7 @@
 //! * [`endpoint`] — `dui-netsim` sender/receiver driving the controller
 //!   over a real simulated path.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod control;
 pub mod endpoint;

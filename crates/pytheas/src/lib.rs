@@ -25,8 +25,7 @@
 //!   groups well-formed (and, defensively, quarantines feature-aligned
 //!   attacks like per-location throttling).
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod backend;
 pub mod e2;

@@ -93,15 +93,13 @@ fn event_tuple(rec: &Recording, i: usize) -> (u64, String, u64) {
 
 /// Scan events `[from, to)` of both recordings for the first differing
 /// frame.
-fn first_event_diff(a: &Recording, b: &Recording, from: u64, to: u64) -> Option<u64> {
-    let to = to.min(a.events.len() as u64).min(b.events.len() as u64);
-    for i in from..to {
-        let (ea, eb) = (&a.events[i as usize], &b.events[i as usize]);
-        if ea.time != eb.time || ea.digest != eb.digest || a.name(ea.kind) != b.name(eb.kind) {
-            return Some(i);
-        }
-    }
-    None
+fn first_event_diff(a: &Recording, b: &Recording, from: u64, to: u64) -> Option<usize> {
+    let shared = a.events.len().min(b.events.len());
+    let bound = |i: u64| usize::try_from(i).map_or(shared, |i| i.min(shared));
+    (bound(from)..bound(to)).find(|&i| {
+        let (ea, eb) = (&a.events[i], &b.events[i]);
+        ea.time != eb.time || ea.digest != eb.digest || a.name(ea.kind) != b.name(eb.kind)
+    })
 }
 
 /// Compare two recordings of the same stage and report the first point
@@ -186,9 +184,9 @@ pub fn first_divergence(a: &Recording, b: &Recording) -> Option<Divergence> {
     }
 
     Some(Divergence {
-        event_index,
-        a_event: event_index.map(|i| event_tuple(a, i as usize)),
-        b_event: event_index.map(|i| event_tuple(b, i as usize)),
+        event_index: event_index.map(|i| i as u64),
+        a_event: event_index.map(|i| event_tuple(a, i)),
+        b_event: event_index.map(|i| event_tuple(b, i)),
         checkpoint_index,
         components,
         lengths,
@@ -289,7 +287,7 @@ mod tests {
                 ckpt(&mut rec, i + 1, acc);
             }
         }
-        if n % every != 0 {
+        if !n.is_multiple_of(every) {
             ckpt(&mut rec, n, acc);
         }
         rec.final_hash = acc;

@@ -20,8 +20,15 @@
 //! The determinism regression tests and `experiments record/replay`
 //! commands in `dui-bench` are built on these three pieces.
 
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+// Recordings and digests convert losslessly: clippy refuses any cast
+// in this crate that could truncate, wrap or drop a sign or precision.
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_precision_loss,
+    clippy::cast_possible_wrap
+)]
 
 pub mod diverge;
 pub mod record;

@@ -107,6 +107,10 @@ const MIN_CKPT_BYTES: usize = 1 + 1 + 8 + 1 + 1;
 
 impl Recording {
     /// Intern `name`, returning its table index.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "names are the subject's event kinds and component names — a few dozen, far below u32::MAX"
+    )]
     pub fn intern(&mut self, name: &str) -> u32 {
         if let Some(i) = self.names.iter().position(|n| n == name) {
             return i as u32;
@@ -274,7 +278,7 @@ impl Recorder {
                 digest: step.digest,
             });
             n += 1;
-            if n % self.ckpt_every == 0 {
+            if n.is_multiple_of(self.ckpt_every) {
                 self.take_checkpoint(subject, n);
             }
         }

@@ -264,6 +264,10 @@ impl<'a> Replayer<'a> {
                 verified += 1;
                 ckpts.next();
             }
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "applied < total, which is events.len(), a usize"
+            )]
             let frame = &self.rec.events[applied as usize];
             let Some(step) = subject.step() else {
                 return Err(ReplayError::LengthMismatch {
@@ -387,6 +391,10 @@ mod tests {
         }
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a fixed six-word checkpoint layout, private to this test subject"
+    )]
     impl ReplaySubject for Counter {
         fn config_digest(&self) -> u64 {
             self.limit ^ 0xC0FFEE

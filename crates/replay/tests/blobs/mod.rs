@@ -7,7 +7,10 @@
 //! down to a few KiB: the harness decodes every blob once per byte, five
 //! times over, and the real `-small` recordings are 500–600 KiB.
 
-#![allow(dead_code)]
+#![allow(
+    dead_code,
+    reason = "each test binary that includes this module uses a subset"
+)]
 
 use dui_blink::fastsim::{AttackSim, AttackSimConfig};
 use dui_blink::selector::BlinkParams;

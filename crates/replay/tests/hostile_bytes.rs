@@ -13,6 +13,8 @@
 //!   `k` stated per kind below and measured by the counting allocator
 //!   local to this test binary.
 
+#![expect(unsafe_code, reason = "a counting `GlobalAlloc` is an `unsafe impl`")]
+
 mod blobs;
 
 use dui_blink::fastsim::AttackSimSnapshot;

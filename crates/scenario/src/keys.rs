@@ -19,7 +19,7 @@ use std::fmt;
 /// The kind tokens: `[topology]`/`[workload]` `kind =` values, the
 /// `[chaos]` declaration keys, and the one `attack =` form.
 pub mod kind {
-    #![allow(missing_docs)]
+    #![allow(missing_docs, reason = "each constant is the token it spells")]
     pub const BLINK: &str = "blink";
     pub const PCC: &str = "pcc";
     pub const PYTHEAS: &str = "pytheas";
@@ -281,6 +281,10 @@ const FLOW_COUNT: Bound = bound(Check::Range(1, 249), "an integer in 1..250");
 /// run of 2000 + 105 flows, so a file cannot ask for an unbounded
 /// allocation.
 const MAX_FLOWS: u64 = 20_000;
+/// Repetitions of one `[chaos]` declaration: `chaos::expand` builds every
+/// window (and a load surge every window's flows) before the run starts.
+/// 25 times the corpus's largest, 4.
+const MAX_REPEAT: u64 = 100;
 
 /// What an absent key means.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -447,7 +451,8 @@ section! {
     opt {
         AT = key("at", Ty::Time, &[case(ALL_DECLS, Required, ANY)]),
         DOWN = key("down", Ty::Duration, &[case(FAULT_DECLS, Required, ANY)]),
-        REPEAT = key("repeat", Ty::U32, &[case(ALL_DECLS, Is("1"), POSITIVE)]),
+        REPEAT = key("repeat", Ty::U32,
+            &[case(ALL_DECLS, Is("1"), between(1, MAX_REPEAT, "an integer in 1..=100"))]),
         EVERY = key("every", Ty::Duration, &[case(ALL_DECLS, Unset, ANY)]),
         JITTER = key("jitter", Ty::Duration, &[case(ALL_DECLS, Is("0s"), ANY)]),
         FLOWS = key("flows", Ty::Int,

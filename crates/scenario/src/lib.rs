@@ -21,8 +21,7 @@
 //! lets `experiments scenario --jobs N` promise byte-identical
 //! `results/scenarios.csv` at any parallelism.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod ast;
 pub mod chaos;

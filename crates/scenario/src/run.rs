@@ -112,7 +112,7 @@ impl Compiled {
     }
 
     fn on_grid(&self, t: SimTime) -> bool {
-        t.0 % self.scenario.sample_every.0.max(1) == 0
+        t.0.is_multiple_of(self.scenario.sample_every.0.max(1))
     }
 
     /// The Blink builder's configuration of a `blink` workload; `None`
@@ -455,7 +455,10 @@ impl Compiled {
             ..
         } = &sc.workload
         {
-            // lint: allow(panic): compile() always resolves syn_flood's attacker
+            #[expect(
+                clippy::expect_used,
+                reason = "compile() always resolves syn_flood's attacker"
+            )]
             let attacker = plan.attacker.expect("syn_flood plan resolves an attacker");
             // Aim at a fixed address inside the announced prefix so the
             // flood routes to the victim; SYN-ACK backscatter to the

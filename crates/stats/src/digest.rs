@@ -35,9 +35,9 @@
 //! 3. **Order-insensitive folding** for unordered containers: callers
 //!    hashing a `HashMap` must either iterate in a sorted order or
 //!    combine independent per-entry digests with
-//!    [`StateDigest::write_unordered`], which is commutative. (The
-//!    determinism lint additionally greps for raw map iteration inside
-//!    `state_digest` implementations.)
+//!    [`StateDigest::write_unordered`], which is commutative. (Clippy's
+//!    `iter_over_hash_type` refuses a `for` loop over a hash container
+//!    anywhere in the workspace.)
 //!
 //! ```
 //! use dui_stats::digest::StateDigest;
@@ -49,6 +49,15 @@
 //! b.write_str("link");
 //! assert_eq!(a.finish(), b.finish());
 //! ```
+
+// A digest input converts losslessly: clippy refuses any cast here
+// that could truncate, wrap or drop a sign or precision.
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_precision_loss,
+    clippy::cast_possible_wrap
+)]
 
 use crate::hash::fold;
 
@@ -113,44 +122,38 @@ impl StateDigest {
     /// Fold a `u8`.
     #[inline]
     pub fn write_u8(&mut self, v: u8) {
-        // lint: allow(cast): widening u8 -> u64 is lossless
-        self.write_u64(v as u64);
+        self.write_u64(u64::from(v));
     }
 
     /// Fold a `u16`.
     #[inline]
     pub fn write_u16(&mut self, v: u16) {
-        // lint: allow(cast): widening u16 -> u64 is lossless
-        self.write_u64(v as u64);
+        self.write_u64(u64::from(v));
     }
 
     /// Fold a `u32`.
     #[inline]
     pub fn write_u32(&mut self, v: u32) {
-        // lint: allow(cast): widening u32 -> u64 is lossless
-        self.write_u64(v as u64);
+        self.write_u64(u64::from(v));
     }
 
     /// Fold a `usize` (widened to 64 bits; digests are therefore
     /// identical across 32/64-bit targets for values that fit).
     #[inline]
     pub fn write_usize(&mut self, v: usize) {
-        // lint: allow(cast): usize is at most 64 bits on supported targets
         self.write_u64(v as u64);
     }
 
     /// Fold an `i64` (two's-complement bits).
     #[inline]
     pub fn write_i64(&mut self, v: i64) {
-        // lint: allow(cast): two's-complement bit reinterpretation, by design
-        self.write_u64(v as u64);
+        self.write_u64(v.cast_unsigned());
     }
 
     /// Fold a `bool` as 0/1.
     #[inline]
     pub fn write_bool(&mut self, v: bool) {
-        // lint: allow(cast): bool -> 0/1 is exact
-        self.write_u64(v as u64);
+        self.write_u64(u64::from(v));
     }
 
     /// Fold an `f64` by its IEEE-754 bit pattern.
@@ -178,12 +181,15 @@ impl StateDigest {
     /// variable-length structure).
     #[inline]
     pub const fn write_len(&mut self, n: usize) {
-        // lint: allow(cast): usize is at most 64 bits on supported targets
         self.write_u64(n as u64);
     }
 
     /// Fold a byte slice, length-prefixed, 8 bytes at a time (a short
     /// tail is zero-padded to a word).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "byte-string hashing, not a decoder: words in, no count read back"
+    )]
     pub const fn write_bytes(&mut self, bytes: &[u8]) {
         self.write_len(bytes.len());
         let mut rest = bytes;

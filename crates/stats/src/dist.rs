@@ -103,11 +103,14 @@ impl Zipf {
     }
 
     /// Draw a rank.
+    #[expect(
+        clippy::expect_used,
+        reason = "cdf entries are finite by construction (normalized weights)"
+    )]
     pub fn sample(&self, rng: &mut Rng) -> usize {
         let u = rng.f64();
         match self
             .cdf
-            // lint: allow(panic): cdf entries are finite by construction (normalized weights)
             .binary_search_by(|c| c.partial_cmp(&u).expect("cdf is finite"))
         {
             Ok(i) => i + 1,
@@ -131,7 +134,7 @@ pub struct Binomial {
 
 /// `ln Γ(x)` via the Lanczos approximation (g = 7, n = 9), accurate to
 /// ~1e-13 for the positive arguments we use.
-#[allow(clippy::excessive_precision)] // Lanczos reference constants
+#[expect(clippy::excessive_precision, reason = "Lanczos reference constants")]
 fn ln_gamma(x: f64) -> f64 {
     const COEFFS: [f64; 9] = [
         0.999_999_999_999_809_93,

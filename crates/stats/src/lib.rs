@@ -45,8 +45,7 @@
 //! assert!((s.mean() - 0.5).abs() < 0.05);
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod digest;
 pub mod dist;

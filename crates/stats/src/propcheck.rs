@@ -405,10 +405,13 @@ pub fn run(
         let mut g = Gen::fresh(seed);
         match prop(&mut g) {
             Ok(()) => case += 1,
+            #[expect(
+                clippy::panic,
+                reason = "propcheck reports harness failures by panicking inside #[test] fns"
+            )]
             Err(PropError::Discard) => {
                 discards += 1;
                 if discards > cfg.max_discards {
-                    // lint: allow(panic): propcheck reports harness failures by panicking inside #[test] fns
                     panic!(
                         "propcheck '{name}': gave up after {discards} discards \
                          ({case} cases passed) — weaken the prop_assume! filter"
@@ -434,9 +437,12 @@ pub fn run(
 /// Run the property and panic with a replayable report if it fails.
 ///
 /// This is what [`prop_check!`](crate::prop_check)-generated tests call.
+#[expect(
+    clippy::panic,
+    reason = "panicking with the replay recipe is this function's contract"
+)]
 pub fn check(name: &str, cfg: &Config, prop: impl FnMut(&mut Gen) -> PropResult) {
     if let Some(f) = run(name, cfg, prop) {
-        // lint: allow(panic): panicking with the replay recipe is this function's contract
         panic!(
             "propcheck '{name}' failed (case {} of {}, seed {:#x}, \
              {} shrink steps)\nminimal counterexample: {}\nchoices: {:?}\n\
@@ -559,7 +565,6 @@ macro_rules! prop_check {
                     &cfg,
                     |$g: &mut $crate::propcheck::Gen| {
                         $body
-                        #[allow(unreachable_code)]
                         ::core::result::Result::Ok(())
                     },
                 );
@@ -576,7 +581,6 @@ macro_rules! prop_check {
                     &cfg,
                     |$g: &mut $crate::propcheck::Gen| {
                         $body
-                        #[allow(unreachable_code)]
                         ::core::result::Result::Ok(())
                     },
                 );

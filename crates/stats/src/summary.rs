@@ -126,7 +126,10 @@ impl Summary {
 /// [`percentile_sorted`].
 pub fn percentile(data: &[f64], q: f64) -> f64 {
     let mut v = data.to_vec();
-    // lint: allow(panic): documented precondition — percentile input contains no NaN
+    #[expect(
+        clippy::expect_used,
+        reason = "documented precondition — percentile input contains no NaN"
+    )]
     v.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs in percentile input"));
     percentile_sorted(&v, q)
 }

@@ -24,6 +24,11 @@
 //! assert_eq!(r.finish("example"), Ok(()));
 //! ```
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the fixed-width primitives every other codec reads and writes through"
+)]
+
 use std::fmt;
 
 /// Why a decode was refused.

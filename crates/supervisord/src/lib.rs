@@ -45,8 +45,7 @@
 //! never serialized into the byte-compared log. See
 //! docs/supervisord.md for the full chapter.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod pipeline;
 pub mod signals;

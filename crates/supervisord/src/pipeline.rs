@@ -2,7 +2,7 @@
 //! worker shards → canonical verdict sink.
 //!
 //! Concurrency discipline: ownership plus `std::sync` only, decided by
-//! `#![forbid(unsafe_code)]` and `Send`/`Sync` rather than by
+//! the workspace's `unsafe` ban and `Send`/`Sync` rather than by
 //! convention. Each producer owns its sending half, each worker owns
 //! its receivers and its groups' signal state, and nothing is shared
 //! mutably — workers return their verdict batches by value and the sink
@@ -30,8 +30,8 @@ use std::sync::Arc;
 use std::thread;
 
 /// Injected wall-clock: returns monotonic nanoseconds. This crate
-/// never reads a clock itself (the `determinism/wall-clock` lint rule
-/// allows only `dui-bench` to) — the bench
+/// never reads a clock itself (clippy's clock ban exempts only
+/// `dui-bench`) — the bench
 /// harness passes a real clock to measure verdict latency, and
 /// deterministic tests pass `None` (all timestamps zero, no latency
 /// samples recorded).
@@ -168,7 +168,10 @@ where
         // a short-lived worker thread was handed.
         results.push(worker_loop(first, &cfg.signals, cfg.clock.clone()));
         for h in handles {
-            // lint: allow(panic): a worker panic is unrecoverable; propagate it
+            #[expect(
+                clippy::expect_used,
+                reason = "a worker panic is unrecoverable; propagate it"
+            )]
             results.push(h.join().expect("supervisord worker panicked"));
         }
     });
@@ -223,7 +226,7 @@ fn worker_loop(
         for (i, head) in heads.iter().enumerate() {
             if let Some(f) = head {
                 let key = (f.epoch, chans[i].producer, f.seq);
-                if best.map_or(true, |(bk, _)| key < bk) {
+                if best.is_none_or(|(bk, _)| key < bk) {
                     best = Some((key, i));
                 }
             }

@@ -7,8 +7,10 @@
 //! (`GroupOutlierWindow::MAX_MEMBERS`).
 //!
 //! The counts come from a counting `GlobalAlloc` local to this test
-//! binary (the pattern of `crates/netsim/tests/wheel_alloc.rs`; the
-//! library crates keep `forbid(unsafe_code)`).
+//! binary (the pattern of `crates/netsim/tests/wheel_alloc.rs`; no
+//! library crate carries an `unsafe_code` expectation).
+
+#![expect(unsafe_code, reason = "a counting `GlobalAlloc` is an `unsafe impl`")]
 
 use dui_defense::streaming::{GroupOutlierWindow, StreamingSupervisor};
 use dui_stats::Rng;

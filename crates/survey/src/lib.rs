@@ -11,8 +11,7 @@
 //! | [`dapper`] | DAPPER (SOSR'17): in-network TCP performance diagnosis | "an attacker can implicate either of these three [sender/network/receiver] for performance problems by manipulating TCP packets" |
 //! | [`ron`] | RON (SOSP'01): resilient overlay routing on active probes | "an attacker in the path between two nodes could drop or delay RON's probes, so as to divert traffic to another next-hop" |
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod dapper;
 pub mod flowradar;

@@ -701,7 +701,7 @@ pub(crate) fn sender_next_event_time(meta: &SenderMeta) -> Option<SimTime> {
 /// Fold one sender's complete column set into `d`: configuration,
 /// congestion control, RTT estimator, sequence space, the retransmission
 /// queue (send order — already canonical, no sorting) and statistics.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "one parameter per sender column")]
 pub(crate) fn digest_sender_cols(
     d: &mut StateDigest,
     key: &FlowKey,

@@ -246,8 +246,11 @@ pub struct TcpHost {
 /// (whose entries are removed before any `free`) or were inserted in
 /// the same event — so a stale ref here is a host logic bug, not an
 /// input condition.
+#[expect(
+    clippy::expect_used,
+    reason = "host-owned handles are live by construction"
+)]
 fn live<T>(res: Result<T, StaleFlowRef>) -> T {
-    // lint: allow(panic): host-owned handles are live by construction
     res.expect("host-owned flow handle is live")
 }
 
@@ -292,10 +295,13 @@ impl TcpHost {
     /// Queue another outgoing flow (must be called before the simulation
     /// reaches `spec.start`, and the source must support injection —
     /// [`VecSource`] does).
+    #[expect(
+        clippy::expect_used,
+        reason = "documented contract — add_flow requires an injectable source"
+    )]
     pub fn add_flow(&mut self, spec: FlowSpec) {
         self.source
             .inject(spec)
-            // lint: allow(panic): documented contract — add_flow requires an injectable source
             .expect("flow source refused injection");
     }
 
@@ -755,7 +761,7 @@ mod tests {
             match action {
                 0 => {}
                 1 => {
-                    ctx.send(pkt.clone());
+                    ctx.send(pkt.duplicate());
                     ctx.send(pkt);
                 }
                 2 | 3 => {
@@ -948,6 +954,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "patches out-of-range counts into a valid blob at known byte offsets"
+    )]
     fn load_state_refuses_counts_the_bytes_cannot_hold() {
         let good = saved_host_state();
         assert!(TcpHost::new().load_state(&good).is_ok());

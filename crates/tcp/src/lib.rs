@@ -36,8 +36,7 @@
 //! Remaining simplifications (documented per docs/reproduction-map.md):
 //! segment-granularity windows (MSS-sized), no SACK/Nagle/delayed-ACK.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod conn;
 pub mod host;

@@ -332,18 +332,18 @@ prop_check! {
             to_r.extend(p.take_out(s).unwrap());
             to_s.extend(p.take_out(r).unwrap());
             match g.u32(0..10) {
-                0 | 1 | 2 | 3 if !to_r.is_empty() => {
+                0..=3 if !to_r.is_empty() => {
                     // Deliver (random index = reordering); occasionally
                     // deliver a copy and keep the original in flight.
                     let i = g.usize(0..to_r.len());
                     let pkt =
-                        if g.u32(0..8) == 0 { to_r[i].clone() } else { to_r.remove(i) };
+                        if g.u32(0..8) == 0 { to_r[i].duplicate() } else { to_r.remove(i) };
                     p.on_segment(r, t(now), &pkt).unwrap();
                 }
-                4 | 5 | 6 if !to_s.is_empty() => {
+                4..=6 if !to_s.is_empty() => {
                     let i = g.usize(0..to_s.len());
                     let pkt =
-                        if g.u32(0..8) == 0 { to_s[i].clone() } else { to_s.remove(i) };
+                        if g.u32(0..8) == 0 { to_s[i].duplicate() } else { to_s.remove(i) };
                     p.on_segment(s, t(now), &pkt).unwrap();
                 }
                 7 if !to_r.is_empty() => {

@@ -1,7 +1,7 @@
 //! Bounded single-producer/single-consumer channel with blocking
 //! backpressure, built on `std::sync` only: a `Mutex` + two `Condvar`s.
-//! The crate is `#![forbid(unsafe_code)]`, so what the two threads may
-//! share is decided by `Send`/`Sync` and nothing else.
+//! No library crate may use `unsafe` (a workspace lint), so what the two
+//! threads may share is decided by `Send`/`Sync` and nothing else.
 //!
 //! This is the transport between a telemetry producer and its
 //! supervisord worker. Semantics chosen for determinism and bounded

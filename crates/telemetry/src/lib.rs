@@ -26,7 +26,7 @@
 //!
 //! Everything here is deterministic — no module reads a clock (the
 //! harness's wall-clock self-profiler is `dui_bench::wallclock`, in the
-//! one crate the `dui-lint` `determinism/wall-clock` rule exempts):
+//! one crate exempt from clippy's clock ban):
 //! identical record sequences produce byte-identical snapshots and JSON
 //! lines, which is what lets `results/metrics.jsonl` be compared
 //! byte-for-byte across `--jobs` values.
@@ -54,8 +54,7 @@
 //! assert_eq!(line, total.to_json_line("demo"));
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod channel;
 pub mod delta;

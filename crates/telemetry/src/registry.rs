@@ -284,6 +284,10 @@ impl Snapshot {
             slot.1 += n;
         }
         for (k, h) in &other.hists {
+            #[expect(
+                clippy::unwrap_or_default,
+                reason = "LogHistogram::new starts `min` at u64::MAX; the derived Default starts it at 0"
+            )]
             self.hists
                 .entry(k.clone())
                 .or_insert_with(LogHistogram::new)

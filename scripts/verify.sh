@@ -26,11 +26,13 @@ same_bytes() {
   rm -rf "$kept"
 }
 
-echo "== determinism lint (dui-lint: per-file token rules, exit status is the gate) =="
-# No wall clock / ambient randomness in library crates, and the rest of
-# the rule table (docs/lint.md). Exits non-zero iff there is a finding;
-# the only escape is the inline annotation a rule documents.
-cargo run -q --release --offline -p dui-lint
+echo "== lint gate (rustc + clippy, every target, warnings are errors) =="
+# No wall clock or ambient randomness outside dui-bench, no raw byte
+# decoding outside dui_stats::wire, no bare unwrap on library paths, and
+# the rest of docs/lint.md's table, declared in [workspace.lints],
+# clippy.toml and the library roots. The only escape is an
+# #[expect(…, reason = "…")] that still suppresses something.
+cargo clippy -q --offline --workspace --all-targets -- -D warnings
 
 echo "== build (release, offline) =="
 cargo build --release --offline

@@ -11,7 +11,6 @@
 //!   `.dsc` scenarios under `examples/scenarios/`, the paper's own C4 and
 //!   C6 runs among them (`examples/scenarios/paper/`).
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub use dui_core::*;
