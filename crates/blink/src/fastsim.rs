@@ -6,8 +6,8 @@
 //! synthetic packet schedule rather than a full packet-level network: the
 //! attack dynamics depend only on *which flow's packet hashes into a freed
 //! cell next*, so per-flow packet clocks suffice and a 500-second run with
-//! 2000 legitimate + 105 malicious flows — 4.21 M packets — takes a tenth
-//! of a second (≈ 25 ns a packet on the 2-core reference box). (A
+//! 2000 legitimate + 105 malicious flows — 4.21 M packets — takes about
+//! 66 ms (≈ 16 ns a packet on the 2-core reference box). (A
 //! packet-level validation of the same scenario over `dui-netsim` lives in
 //! the cross-crate integration tests.)
 //!
@@ -146,6 +146,12 @@ pub struct AttackSim {
     rng: Rng,
     selector: FlowSelector,
     flows: Vec<FlowState>,
+    /// `flows[i]`'s selector cell, `None` until its next packet hashes its
+    /// current key. Derived, like `malicious_keys`: not hashed, not in the
+    /// snapshot, and cold after `new`, `restore` and every key replacement
+    /// — filled lazily, because hashing every key in `new` would put 2,105
+    /// digests into a replicate's set-up.
+    flow_cells: Vec<Option<usize>>,
     malicious_keys: HashSet<FlowKey>,
     sport: u16,
     /// Pending per-flow packet clocks, ascending by `(time, flow index)`.
@@ -242,6 +248,7 @@ impl AttackSim {
             cfg: cfg.clone(),
             rng,
             selector,
+            flow_cells: vec![None; flows.len()],
             flows,
             malicious_keys,
             sport,
@@ -293,6 +300,7 @@ impl AttackSim {
         let cfg = &self.cfg;
         let rng = &mut self.rng;
         let flow = &mut self.flows[i];
+        let cell = &mut self.flow_cells[i];
         // Death + instant replacement keeps the population fixed.
         if let Some(dies) = flow.dies_at {
             if t >= dies {
@@ -301,10 +309,13 @@ impl AttackSim {
                 flow.seq = rng.next_u32();
                 let life = dist::exponential(rng, 1.0 / cfg.mean_lifetime_secs);
                 flow.dies_at = Some(t + SimDuration::from_secs_f64(life));
+                *cell = None;
             }
         }
         flow.seq = flow.seq.wrapping_add(1460);
-        self.selector.on_packet(t, flow.key, flow.seq, false);
+        let idx = *cell.get_or_insert_with(|| self.selector.index_of(&flow.key));
+        self.selector
+            .on_packet_in_cell(idx, t, flow.key, flow.seq, false);
         self.packets += 1;
         let next = (t + cfg.pkt_interval, i);
         if self.schedule.back().is_none_or(|&last| last <= next) {
@@ -348,8 +359,9 @@ impl AttackSim {
     ///
     /// The pending schedule is folded commutatively (a set of
     /// `(time, flow)` pairs, whatever container holds them); everything
-    /// else is hashed in fixed field order. The malicious key set is
-    /// *not* hashed — it is derived state, fully determined by `flows`.
+    /// else is hashed in fixed field order. The malicious key set and the
+    /// per-flow cells are *not* hashed — they are derived state, fully
+    /// determined by `flows` and the parameters.
     pub fn state_digest(&self, d: &mut StateDigest) {
         for w in self.rng.state() {
             d.write_u64(w);
@@ -453,6 +465,7 @@ impl AttackSim {
             cfg: cfg.clone(),
             rng: Rng::from_state(snap.rng),
             selector: FlowSelector::from_snapshot(cfg.params, snap.selector),
+            flow_cells: vec![None; snap.flows.len()],
             flows: snap.flows,
             malicious_keys,
             sport: snap.sport,

@@ -273,8 +273,24 @@ impl FlowSelector {
         seq: u32,
         ends_flow: bool,
     ) -> Observation {
+        self.on_packet_in_cell(self.index_of(&key), now, key, seq, ends_flow)
+    }
+
+    /// [`FlowSelector::on_packet`] for a caller that already knows the
+    /// cell `key` hashes to: `idx` must be `self.index_of(&key)` (checked
+    /// in debug builds). A caller that sees many packets of one 5-tuple
+    /// under fixed parameters keeps the index per flow and saves the
+    /// digest on every packet after the first.
+    pub fn on_packet_in_cell(
+        &mut self,
+        idx: usize,
+        now: SimTime,
+        key: FlowKey,
+        seq: u32,
+        ends_flow: bool,
+    ) -> Observation {
+        debug_assert_eq!(idx, self.index_of(&key), "stale cell for {key:?}");
         self.apply_time(now);
-        let idx = self.index_of(&key);
         match &mut self.cells[idx] {
             Some(cell) if cell.flow == key => {
                 let prev_seen = cell.last_seen;
@@ -659,6 +675,15 @@ mod tests {
         s.on_packet(t(1300), key(1), 501, false); // retx 1 s after previous
         let cell = s.cells()[s.index_of(&key(1))].unwrap();
         assert_eq!(cell.last_retx_gap, Some(SimDuration::from_secs(1)));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "stale cell")]
+    fn a_cell_the_key_does_not_hash_to_is_refused_in_debug_builds() {
+        let mut s = selector();
+        let wrong = (s.index_of(&key(1)) + 1) % s.params().cells;
+        s.on_packet_in_cell(wrong, t(0), key(1), 1, false);
     }
 
     dui_stats::prop_check! {

@@ -219,10 +219,14 @@ prop_check! {
                 1 => lib = FlowSelector::from_snapshot(params, lib.snapshot()),
                 _ => {
                     let (flow, seq, fin) = (key(g.u32(0..12)), g.u32(0..3), g.u8(0..8) == 0);
-                    prop_assert_eq!(
-                        lib.on_packet(now, flow, seq, fin),
-                        model.on_packet(now, flow, seq, fin)
-                    );
+                    // Both entry points, the one that hashes the key and
+                    // the one handed the cell a caller kept.
+                    let observed = if g.bool() {
+                        lib.on_packet_in_cell(lib.index_of(&flow), now, flow, seq, fin)
+                    } else {
+                        lib.on_packet(now, flow, seq, fin)
+                    };
+                    prop_assert_eq!(observed, model.on_packet(now, flow, seq, fin));
                 }
             }
             // `snapshot` is every stored field — `cells()`, `stats`,

@@ -79,7 +79,9 @@ pub struct FuzzReport {
 /// The fuzzer.
 pub struct BlinkFuzzer {
     cfg: FuzzConfig,
-    pool: Vec<FlowKey>,
+    /// Each spoofed 5-tuple with the selector cell it hashes to under
+    /// `cfg.params`, which no replay changes.
+    pool: Vec<(FlowKey, usize)>,
     rng: Rng,
 }
 
@@ -87,13 +89,15 @@ impl BlinkFuzzer {
     /// Build with a fresh spoofed-flow pool.
     pub fn new(cfg: FuzzConfig) -> Self {
         let mut rng = Rng::new(cfg.seed);
+        let selector = FlowSelector::new(cfg.params);
         let pool = (0..cfg.pool)
             .map(|i| {
-                dui_flowgen::flows::random_key_in_prefix(
+                let key = dui_flowgen::flows::random_key_in_prefix(
                     cfg.prefix,
                     &mut rng,
                     10_000 + (i % 50_000) as u16,
-                )
+                );
+                (key, selector.index_of(&key))
             })
             .collect();
         BlinkFuzzer { cfg, pool, rng }
@@ -121,7 +125,8 @@ impl BlinkFuzzer {
             if !p.repeat_seq {
                 seqs[fi] = seqs[fi].wrapping_add(1460);
             }
-            if selector.on_packet(now, self.pool[fi], seqs[fi], false)
+            let (key, cell) = self.pool[fi];
+            if selector.on_packet_in_cell(cell, now, key, seqs[fi], false)
                 == Observation::Retransmission
             {
                 events += 1;

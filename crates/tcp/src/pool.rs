@@ -411,8 +411,11 @@ impl FlowPool {
 
     /// Free the flow behind `r`, recycling its slot (LIFO). The handle
     /// (and any copy of it, e.g. inside a pending timer token) is stale
-    /// afterwards. Buffered allocations (retransmission queue, reassembly
-    /// map, output queue) are cleared in place so churn reuses them.
+    /// afterwards. The output queue is cleared in place, so churn reuses
+    /// its buffer. Every other column, the retransmission queue and the
+    /// reassembly map included, is reset to its default, which frees the
+    /// queue's buffer: clearing it in place instead, on a 400k-slot pool,
+    /// cost 9 % more peak memory and saved no time.
     pub fn free(&mut self, r: FlowRef) -> Result<(), StaleFlowRef> {
         let i = self.check(r)?;
         self.gens[i] = self.gens[i].wrapping_add(1);

@@ -47,7 +47,9 @@ echo "== Blink selector differential at depth (2000 propcheck cases; seconds) ==
 # The selector skips its cell scans on two derived summaries; the suite
 # holds it, op by op, to the scan-every-packet selector it replaced
 # (`ScanSelector` in the test file), which is what Fig. 2 and every
-# packet-level Blink digest rest on.
+# packet-level Blink digest rest on. Both packet entry points are held to
+# that model: `on_packet`, which hashes the key, and `on_packet_in_cell`,
+# which takes the cell a caller kept (fastsim, the fuzzer).
 PROPCHECK_CASES=2000 cargo test -q --offline -p dui-blink --test properties selector
 
 echo "== state digest suite at depth (2000 propcheck cases; under a second) =="
