@@ -22,7 +22,7 @@ use dui_core::blink::fastsim::{AttackSim, AttackSimConfig};
 use dui_core::blink::selector::BlinkParams;
 use dui_core::blink::theory::{effective_qm, AttackModel, FixedKeysModel};
 use dui_core::defense::pcc_guard::PccLossPatternMonitor;
-use dui_core::defense::streaming::{OccupancyWindow, StreamingSupervisor};
+use dui_core::defense::streaming::OccupancyWindow;
 use dui_core::flowgen::{CaidaLikeConfig, CaidaLikeTrace};
 use dui_core::nethide::obfuscate::{obfuscate, ObfuscationConfig};
 use dui_core::netsim::time::{SimDuration, SimTime};
@@ -947,15 +947,6 @@ fn pcc_row(cfg: &PccScenarioConfig, end: SimTime) -> (f64, f64, usize, usize, f6
         .iter()
         .filter(|d| matches!(d, dui_core::pcc::control::Decision::Inconclusive(_)))
         .count();
-    // §5 monitor risk.
-    let meta: std::collections::HashMap<u64, f64> =
-        s.mi_meta.iter().map(|&(id, _, base)| (id, base)).collect();
-    let mut mon = PccLossPatternMonitor::new();
-    for rec in s.mi_history() {
-        if let Some(&base) = meta.get(&rec.id) {
-            mon.observe(rec, base);
-        }
-    }
     let mut reg = Registry::new();
     s.export_metrics(&mut reg);
     (
@@ -963,7 +954,7 @@ fn pcc_row(cfg: &PccScenarioConfig, end: SimTime) -> (f64, f64, usize, usize, f6
         amp,
         inconclusive,
         s.decisions().len(),
-        mon.risk().0,
+        PccLossPatternMonitor::from_sender(s).risk().0,
         reg.snapshot(),
     )
 }
@@ -1549,7 +1540,7 @@ fn fuzz(jobs: usize) -> StageOutput {
     out
 }
 
-/// SV — the `dui-supervisord` streaming detection pipeline under a
+/// SV — the `dui_defense::supervisord` streaming detection pipeline under a
 /// synthetic telemetry fleet: 12 producer delta streams (two per group;
 /// groups cycle benign / Blink-ramp / Pytheas-poison / PCC-equalizer
 /// profiles) sharded over worker threads, each group's risk signals

@@ -24,7 +24,8 @@
 //! * [`replay`] — deterministic record/replay: state hashing, recordings,
 //!   checkpoint resume, first-divergence pinpointing
 //! * [`supervisord`] — streaming supervisor-as-a-service: sharded online
-//!   risk evaluation over telemetry snapshot deltas
+//!   risk evaluation over telemetry snapshot deltas (`dui-defense`'s
+//!   module, re-exported)
 //! * [`telemetry`] — zero-dep metrics registry, span tracing, self-profiler
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -32,6 +33,7 @@
 pub use dui_attacks as attacks;
 pub use dui_blink as blink;
 pub use dui_defense as defense;
+pub use dui_defense::supervisord;
 pub use dui_flowgen as flowgen;
 pub use dui_nethide as nethide;
 pub use dui_netsim as netsim;
@@ -39,7 +41,6 @@ pub use dui_pcc as pcc;
 pub use dui_pytheas as pytheas;
 pub use dui_replay as replay;
 pub use dui_stats as stats;
-pub use dui_supervisord as supervisord;
 pub use dui_survey as survey;
 pub use dui_tcp as tcp;
 pub use dui_telemetry as telemetry;

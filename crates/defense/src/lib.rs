@@ -2,8 +2,8 @@
 //!
 //! The §5 countermeasures of *"(Self) Driving Under the Influence"*
 //! (HotNets'19): the **driver / supervisor** loop of the paper's Fig. 3
-//! — telemetry snapshot in, [`Risk`] out — plus the three concrete
-//! defenses the paper sketches for its case studies.
+//! — telemetry snapshot in, [`Risk`] out, risk to action — plus the
+//! three concrete defenses the paper sketches for its case studies.
 //!
 //! | Module | Paper point | Defends |
 //! |---|---|---|
@@ -13,7 +13,8 @@
 //! | [`pcc_guard`] | "monitor when packets are dropped in every +ε or −ε phase as well as limit the amplitude of the oscillations" | PCC (§4.2 attack) |
 //! | [`input_quality`] | point I: "improving input quality by using many independent inputs" | generic |
 //! | [`fuzzing`] | point II: "fuzzing techniques that enable auto-generation of (realistic) adversarial inputs" | testing Blink |
-//! | [`streaming`] | Fig. 3's loop: incremental `observe(delta) -> Risk` with windowed state | all three — online in `dui-supervisord` (which maps risk to allow / constrain / veto), with a window of one in the `defenses` stage |
+//! | [`streaming`] | Fig. 3's loop: incremental `observe(delta) -> Risk` with windowed state | all three — online in [`supervisord`], with a window of one in the `defenses` stage |
+//! | [`supervisord`] | Fig. 3, point IV: the supervisor outside the fast path | all three — sharded online evaluation of the [`streaming`] signals, risk mapped to allow / constrain / veto |
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -24,13 +25,11 @@ pub mod pcc_guard;
 pub mod pytheas_guard;
 pub mod streaming;
 pub mod supervisor;
+pub mod supervisord;
 
 pub use blink_guard::BlinkRtoGuard;
 pub use fuzzing::{BlinkFuzzer, FuzzConfig};
 pub use pcc_guard::PccLossPatternMonitor;
 pub use pytheas_guard::MadReportFilter;
-pub use streaming::{
-    DropPatternWindow, GroupOutlierWindow, OccupancyWindow, StreamingSupervisor,
-    SynBacklogWindow,
-};
+pub use streaming::{DropPatternWindow, GroupOutlierWindow, OccupancyWindow, SynBacklogWindow};
 pub use supervisor::Risk;

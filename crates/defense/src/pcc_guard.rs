@@ -14,7 +14,9 @@
 //!   attacker can induce.
 
 use crate::supervisor::Risk;
+use dui_pcc::endpoint::PccSender;
 use dui_pcc::monitor::MiReport;
+use std::collections::BTreeMap;
 
 /// Streaming detector of direction-biased loss.
 #[derive(Debug, Clone, Default)]
@@ -59,20 +61,27 @@ impl PccLossPatternMonitor {
         // Base-rate (filler) MIs are uninformative for the asymmetry test.
     }
 
-    /// Loss-rate asymmetry in `[−1, 1]`: `P(loss | high) − P(loss | low)`.
-    /// Near 0 on honest paths, near +1 under the §4.2 equalizer.
-    pub fn asymmetry(&self) -> f64 {
-        let p_high = if self.high_total == 0 {
-            0.0
-        } else {
-            self.high_lossy as f64 / self.high_total as f64
-        };
-        let p_low = if self.low_total == 0 {
-            0.0
-        } else {
-            self.low_lossy as f64 / self.low_total as f64
-        };
-        p_high - p_low
+    /// Add `other`'s tallies: the monitor of both interval sets.
+    pub fn merge(&mut self, other: &Self) {
+        self.high_lossy += other.high_lossy;
+        self.high_total += other.high_total;
+        self.low_lossy += other.low_lossy;
+        self.low_total += other.low_total;
+        self.high_loss_sum += other.high_loss_sum;
+        self.low_loss_sum += other.low_loss_sum;
+    }
+
+    /// The monitor fed every finalized MI of `sender`, each against the
+    /// base rate the controller held when it opened the MI.
+    pub fn from_sender(sender: &PccSender) -> Self {
+        let base: BTreeMap<u64, f64> = sender.mi_meta.iter().map(|&(id, _, b)| (id, b)).collect();
+        let mut mon = Self::new();
+        for report in sender.mi_history() {
+            if let Some(&b) = base.get(&report.id) {
+                mon.observe(report, b);
+            }
+        }
+        mon
     }
 
     /// Loss *magnitude* asymmetry: `(L̄_high − L̄_low) / (L̄_high + L̄_low)`.
@@ -92,39 +101,21 @@ impl PccLossPatternMonitor {
         (mh - ml) / denom
     }
 
-    /// Risk that the path is adversarial, requiring a minimum sample size
-    /// before accusing anyone. Takes the stronger of the presence- and
-    /// magnitude-based signals.
+    /// Risk that the path is adversarial: the stronger of the presence
+    /// asymmetry `P(loss | high) − P(loss | low)` (near 0 on honest
+    /// paths, near +1 under the §4.2 equalizer) and the
+    /// [magnitude](Self::magnitude_asymmetry) one. Fewer than 10
+    /// intervals on either side is too few to accuse anyone. The one
+    /// body of the rule, streamed by
+    /// [`DropPatternWindow`](crate::streaming::DropPatternWindow).
     pub fn risk(&self) -> Risk {
-        let presence = presence_asymmetry(
-            self.high_lossy,
-            self.high_total,
-            self.low_lossy,
-            self.low_total,
-        );
-        presence.map_or(Risk::NONE, |a| {
-            Risk::clamped(a.max(self.magnitude_asymmetry()))
-        })
+        if self.high_total < 10 || self.low_total < 10 {
+            return Risk::NONE;
+        }
+        let presence = self.high_lossy as f64 / self.high_total as f64
+            - self.low_lossy as f64 / self.low_total as f64;
+        Risk::clamped(presence.max(self.magnitude_asymmetry()))
     }
-}
-
-/// `P(loss | high) − P(loss | low)` from interval tallies, or `None`
-/// with fewer than 10 intervals on either side — too few to accuse
-/// anyone. The one statement of the rule behind both
-/// [`PccLossPatternMonitor::risk`] and the streaming
-/// [`DropPatternWindow`](crate::streaming::DropPatternWindow).
-pub(crate) fn presence_asymmetry(
-    high_lossy: u64,
-    high_total: u64,
-    low_lossy: u64,
-    low_total: u64,
-) -> Option<f64> {
-    if high_total < 10 || low_total < 10 {
-        return None;
-    }
-    let p_high = high_lossy as f64 / high_total as f64;
-    let p_low = low_lossy as f64 / low_total as f64;
-    Some(p_high - p_low)
 }
 
 /// The ε clamp (paper: "limit the amplitude of the oscillations by
@@ -141,7 +132,6 @@ mod tests {
     use dui_netsim::time::{SimDuration, SimTime};
 
     fn mi(rate: f64, loss: f64) -> MiReport {
-        // helper below constructs a synthetic report
         MiReport {
             id: 0,
             rate,
@@ -161,8 +151,7 @@ mod tests {
             m.observe(&mi(1.05e6, 0.02), 1e6);
             m.observe(&mi(0.95e6, 0.015), 1e6);
         }
-        assert!(m.asymmetry().abs() < 0.2, "asym = {}", m.asymmetry());
-        assert!(m.risk().0 < 0.2);
+        assert!(m.risk().0 < 0.2, "risk = {}", m.risk().0);
     }
 
     #[test]
@@ -173,7 +162,6 @@ mod tests {
             m.observe(&mi(1.05e6, 0.03), 1e6);
             m.observe(&mi(0.95e6, 0.0), 1e6);
         }
-        assert!(m.asymmetry() > 0.9);
         assert!(m.risk().0 > 0.9);
     }
 
@@ -192,7 +180,7 @@ mod tests {
             m.observe(&mi(1.05e6, 0.0), 1e6);
             m.observe(&mi(0.95e6, 0.0), 1e6);
         }
-        assert_eq!(m.asymmetry(), 0.0);
+        assert_eq!(m.risk(), Risk::NONE);
     }
 
     #[test]

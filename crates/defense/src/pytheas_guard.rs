@@ -8,41 +8,38 @@
 //! population. Accordingly, the low-throughput clients can be tackled
 //! separately, removing their impact on the larger population."
 //!
-//! The filter computes, per arm within each round's batch, the median and
-//! MAD of reported values and rejects reports deviating more than
-//! `k · MAD` (with an absolute floor so tiny-noise batches don't reject
-//! everything).
+//! The rule is `mad_band`, stated once: a value is an outlier when it
+//! lies outside `median ± max(K·MAD, FLOOR)`. [`MadReportFilter`] applies
+//! it per arm within each round's batch of reports;
+//! [`GroupOutlierWindow`](crate::streaming::GroupOutlierWindow) applies
+//! it across a group's members' windowed QoE.
 
 use dui_pytheas::engine::ReportFilter;
 use dui_pytheas::qoe::Report;
 use dui_pytheas::session::GroupKey;
 use dui_stats::summary::{mad, median};
 
-/// Median/MAD report filter.
+/// Band half-width in MAD units.
+const K: f64 = 4.0;
+/// Least band half-width, so tiny-noise batches don't reject everything.
+const FLOOR: f64 = 0.15;
+
+/// The plausible band of `values`: `(median, half_width)` with
+/// `half_width = max(K·MAD, FLOOR)`, `K = 4`, `FLOOR = 0.15`. A value
+/// deviating from the median by more than `half_width` is an outlier.
+pub(crate) fn mad_band(values: &[f64]) -> (f64, f64) {
+    (median(values), (K * mad(values)).max(FLOOR))
+}
+
+/// Median/MAD report filter: rejects reports outside their arm's
+/// `mad_band`.
+#[derive(Default)]
 pub struct MadReportFilter {
-    /// Rejection threshold in MAD units.
-    pub k: f64,
-    /// Absolute deviation floor (deviations below this never reject).
-    pub floor: f64,
     /// Reports rejected so far.
     pub rejected: u64,
     /// Of the rejected, how many were actually malicious (evaluation
     /// only — uses the ground-truth bit carried by [`Report`]).
     pub rejected_malicious: u64,
-    /// Reports accepted so far.
-    pub accepted: u64,
-}
-
-impl Default for MadReportFilter {
-    fn default() -> Self {
-        MadReportFilter {
-            k: 4.0,
-            floor: 0.15,
-            rejected: 0,
-            rejected_malicious: 0,
-            accepted: 0,
-        }
-    }
 }
 
 impl MadReportFilter {
@@ -71,17 +68,14 @@ impl ReportFilter for MadReportFilter {
                 keep.extend(reports.iter().filter(|r| r.arm == arm).cloned());
                 continue;
             }
-            let med = median(&values);
-            let spread = mad(&values).max(self.floor / self.k);
+            let (med, half_width) = mad_band(&values);
             for r in reports.iter().filter(|r| r.arm == arm) {
-                let dev = (r.value - med).abs();
-                if dev > self.k * spread && dev > self.floor {
+                if (r.value - med).abs() > half_width {
                     self.rejected += 1;
                     if r.malicious {
                         self.rejected_malicious += 1;
                     }
                 } else {
-                    self.accepted += 1;
                     keep.push(*r);
                 }
             }

@@ -1,24 +1,24 @@
 //! Incremental supervisors for the streaming detection pipeline
-//! (`dui-supervisord`).
+//! ([`supervisord`](crate::supervisord)).
 //!
-//! A producer ships a *delta* [`Snapshot`] every epoch, and the
-//! supervisor folds each delta into windowed state and re-emits a risk
-//! estimate online — `observe(delta) -> Risk`. That contract is
-//! [`StreamingSupervisor`]; an experiment stage scoring one frozen
-//! snapshot uses the same signal with a window of one. This module
-//! provides the concrete signals the paper's case studies call for:
+//! A producer ships a *delta* [`Snapshot`] every epoch, and each signal
+//! here folds a delta into windowed state and re-emits a risk estimate
+//! online — `observe(delta) -> Risk`; an experiment stage scoring one
+//! frozen snapshot uses the same signal with a window of one. This
+//! module provides the concrete signals the paper's case studies call
+//! for:
 //!
 //! * [`OccupancyWindow`] — Blink cell occupancy (§3.1): windowed mean
 //!   of a gauge against a capacity.
 //! * [`GroupOutlierWindow`] — Pytheas group outliers (§4.1): per-member
-//!   QoE gauges under a prefix, flagged by median/MAD (the streaming
-//!   form of [`MadReportFilter`](crate::MadReportFilter)'s rule).
-//! * [`DropPatternWindow`] — PCC drop-pattern asymmetry + ε clamp
-//!   (§4.2): windowed loss counters split by rate direction, risk from
-//!   the same asymmetry statistic as
-//!   [`PccLossPatternMonitor`](crate::PccLossPatternMonitor), and a
-//!   [`recommended_eps`](DropPatternWindow::recommended_eps) amplitude
-//!   clamp.
+//!   QoE gauges under a prefix, flagged below the one median/MAD band,
+//!   `mad_band`, that [`MadReportFilter`](crate::MadReportFilter)
+//!   also applies.
+//! * [`DropPatternWindow`] — PCC drop-pattern asymmetry (§4.2):
+//!   windowed [`PccLossPatternMonitor`] tallies from counters, scored by
+//!   the monitor's own [`risk`](PccLossPatternMonitor::risk); the ε
+//!   clamp is [`recommended_eps_max`](crate::pcc_guard::recommended_eps_max)
+//!   of that risk.
 //! * [`SynBacklogWindow`] — SYN-backlog pressure (§2): half-open
 //!   occupancy against a listener's backlog plus the windowed
 //!   SYN-refusal ratio, fed by the `tcp.handshake.*` metric family.
@@ -29,25 +29,20 @@
 //! that is what lets supervisord shard groups across worker threads
 //! and still emit a byte-identical verdict log at any worker count.
 
-use crate::pcc_guard::{presence_asymmetry, recommended_eps_max};
+use crate::pcc_guard::PccLossPatternMonitor;
+use crate::pytheas_guard::mad_band;
 use crate::supervisor::Risk;
 use dui_telemetry::Snapshot;
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Bound;
 use std::sync::Arc;
 
-/// An online risk estimator fed framed snapshot deltas.
-///
-/// Implementations hold windowed state; `observe` folds one delta in
-/// and returns the refreshed risk estimate. State must be a
-/// deterministic function of the observed delta sequence.
-pub trait StreamingSupervisor {
-    /// Short stable name for verdict logs (e.g. `"blink"`).
-    fn name(&self) -> &'static str;
-
-    /// Fold one snapshot delta into the windowed state and return the
-    /// refreshed risk estimate.
-    fn observe(&mut self, delta: &Snapshot) -> Risk;
+/// Append `item` to a window of at most `len` entries, evicting the oldest.
+fn push_bounded<T>(win: &mut VecDeque<T>, len: usize, item: T) {
+    if win.len() == len {
+        win.pop_front();
+    }
+    win.push_back(item);
 }
 
 /// Streaming Blink signal: windowed occupancy of a gauge against a
@@ -78,21 +73,11 @@ impl OccupancyWindow {
             recent: VecDeque::new(),
         }
     }
-}
 
-impl StreamingSupervisor for OccupancyWindow {
-    fn name(&self) -> &'static str {
-        "blink"
-    }
-
-    fn observe(&mut self, delta: &Snapshot) -> Risk {
-        if let Some(&(sum, n)) = delta.gauges.get(self.metric.as_str()) {
-            if n > 0 {
-                if self.recent.len() == self.window {
-                    self.recent.pop_front();
-                }
-                self.recent.push_back((sum, n));
-            }
+    /// Fold one snapshot delta in and return the refreshed risk.
+    pub fn observe(&mut self, delta: &Snapshot) -> Risk {
+        if let Some(&(sum, n @ 1..)) = delta.gauges.get(self.metric.as_str()) {
+            push_bounded(&mut self.recent, self.window, (sum, n));
         }
         let (sum, n) = self
             .recent
@@ -110,11 +95,9 @@ impl StreamingSupervisor for OccupancyWindow {
 ///
 /// Every gauge in the delta whose name starts with `prefix` is one
 /// group member (e.g. `pytheas.qoe.c3`); its per-delta mean is pushed
-/// into a per-member window. Risk is computed across members'
-/// windowed means with the same median − k·MAD rule as
-/// [`MadReportFilter`](crate::MadReportFilter): members below
-/// `median − k·max(MAD, floor·|median|)` are outliers, and risk is
-/// the outlier fraction scaled by 2 (half the group dragging low is
+/// into a per-member window. Members whose windowed mean lies below the
+/// `mad_band` of all members' windowed means are outliers, and risk
+/// is the outlier fraction scaled by 2 (half the group dragging low is
 /// certain manipulation). Fewer than 4 members is not enough evidence
 /// to accuse anyone.
 ///
@@ -125,8 +108,6 @@ impl StreamingSupervisor for OccupancyWindow {
 #[derive(Debug, Clone)]
 pub struct GroupOutlierWindow {
     prefix: String,
-    k: f64,
-    floor: f64,
     window: usize,
     members: BTreeMap<Arc<str>, VecDeque<f64>>,
 }
@@ -139,25 +120,17 @@ impl GroupOutlierWindow {
     pub const MAX_MEMBERS: usize = 256;
 
     /// Watch member gauges under `prefix` with per-member windows of
-    /// `window` samples; `k = 4.0` / `floor = 0.15` mirror
-    /// `MadReportFilter`'s defaults.
+    /// `window` samples.
     pub fn new(prefix: &str, window: usize) -> Self {
         GroupOutlierWindow {
             prefix: prefix.to_string(),
-            k: 4.0,
-            floor: 0.15,
             window: window.max(1),
             members: BTreeMap::new(),
         }
     }
-}
 
-impl StreamingSupervisor for GroupOutlierWindow {
-    fn name(&self) -> &'static str {
-        "pytheas"
-    }
-
-    fn observe(&mut self, delta: &Snapshot) -> Risk {
+    /// Fold one snapshot delta in and return the refreshed risk.
+    pub fn observe(&mut self, delta: &Snapshot) -> Risk {
         let prefix = self.prefix.as_str();
         let from_prefix = (Bound::Included(prefix), Bound::Unbounded);
         for (name, &(sum, n)) in delta.gauges.range::<str, _>(from_prefix) {
@@ -173,10 +146,7 @@ impl StreamingSupervisor for GroupOutlierWindow {
                 None if full => continue,
                 None => self.members.entry(Arc::clone(name)).or_default(),
             };
-            if win.len() == self.window {
-                win.pop_front();
-            }
-            win.push_back(sum / n as f64);
+            push_bounded(win, self.window, sum / n as f64);
         }
         // BTreeMap iteration makes the member order — and thus the
         // median/MAD float folds — deterministic.
@@ -188,30 +158,27 @@ impl StreamingSupervisor for GroupOutlierWindow {
         if means.len() < 4 {
             return Risk::NONE;
         }
-        let med = dui_stats::summary::median(&means);
-        let spread = dui_stats::summary::mad(&means).max(self.floor * med.abs());
-        let cutoff = med - self.k * spread;
-        let outliers = means.iter().filter(|&&m| m < cutoff).count();
+        let (med, half_width) = mad_band(&means);
+        let outliers = means.iter().filter(|&&m| med - m > half_width).count();
         Risk::clamped(2.0 * outliers as f64 / means.len() as f64)
     }
 }
 
 /// Streaming PCC signal: windowed loss-direction asymmetry from
-/// counters, plus the ε amplitude clamp.
+/// counters.
 ///
 /// Producers export four counters per epoch (deltas of the
-/// [`PccLossPatternMonitor`](crate::PccLossPatternMonitor) tallies):
-/// `<prefix>.high_lossy`, `<prefix>.high_total`, `<prefix>.low_lossy`,
-/// `<prefix>.low_total`. The window holds the last `window` deltas;
-/// risk is `P(loss | high) − P(loss | low)` over the windowed sums,
-/// clamped to `[0, 1]`, with the monitor's ≥ 10-samples-per-side rule
-/// before accusing anyone.
+/// [`PccLossPatternMonitor`] tallies): `<prefix>.high_lossy`,
+/// `<prefix>.high_total`, `<prefix>.low_lossy`, `<prefix>.low_total`.
+/// Each non-empty delta becomes one monitor tally; the window holds the
+/// last `window` of them, and risk is [`PccLossPatternMonitor::risk`]
+/// of their sum. Counters carry no loss magnitudes, so the monitor's
+/// magnitude term reads 0 and the presence asymmetry decides.
 #[derive(Debug, Clone)]
 pub struct DropPatternWindow {
     names: [String; 4],
     window: usize,
-    recent: VecDeque<[u64; 4]>,
-    last_risk: Risk,
+    recent: VecDeque<PccLossPatternMonitor>,
 }
 
 impl DropPatternWindow {
@@ -227,47 +194,28 @@ impl DropPatternWindow {
             ],
             window: window.max(1),
             recent: VecDeque::new(),
-            last_risk: Risk::NONE,
         }
     }
 
-    /// The ε_max the controller should be clamped to at the current
-    /// risk (see [`recommended_eps_max`]).
-    pub fn recommended_eps(&self, eps_min: f64, eps_max: f64) -> f64 {
-        recommended_eps_max(self.last_risk, eps_min, eps_max)
-    }
-}
-
-impl StreamingSupervisor for DropPatternWindow {
-    fn name(&self) -> &'static str {
-        "pcc"
-    }
-
-    fn observe(&mut self, delta: &Snapshot) -> Risk {
-        let row = [
-            delta.counter(&self.names[0]),
-            delta.counter(&self.names[1]),
-            delta.counter(&self.names[2]),
-            delta.counter(&self.names[3]),
-        ];
+    /// Fold one snapshot delta in and return the refreshed risk.
+    pub fn observe(&mut self, delta: &Snapshot) -> Risk {
+        let row = self.names.each_ref().map(|name| delta.counter(name));
         if row.iter().any(|&v| v > 0) {
-            if self.recent.len() == self.window {
-                self.recent.pop_front();
-            }
-            self.recent.push_back(row);
+            let [high_lossy, high_total, low_lossy, low_total] = row;
+            let tally = PccLossPatternMonitor {
+                high_lossy,
+                high_total,
+                low_lossy,
+                low_total,
+                ..PccLossPatternMonitor::default()
+            };
+            push_bounded(&mut self.recent, self.window, tally);
         }
-        let sums = self
-            .recent
-            .iter()
-            .fold([0u64; 4], |mut acc, r| {
-                for (a, &b) in acc.iter_mut().zip(r.iter()) {
-                    *a += b;
-                }
-                acc
-            });
-        let [hl, ht, ll, lt] = sums;
-        self.last_risk = presence_asymmetry(hl, ht, ll, lt).map_or(Risk::NONE, Risk::clamped);
-        self.last_risk
+        let mut sum = PccLossPatternMonitor::new();
+        for tally in &self.recent {
+            sum.merge(tally);
+        }
+        sum.risk()
     }
 }
 
@@ -310,14 +258,9 @@ impl SynBacklogWindow {
             recent: VecDeque::new(),
         }
     }
-}
 
-impl StreamingSupervisor for SynBacklogWindow {
-    fn name(&self) -> &'static str {
-        "syn_backlog"
-    }
-
-    fn observe(&mut self, delta: &Snapshot) -> Risk {
+    /// Fold one snapshot delta in and return the refreshed risk.
+    pub fn observe(&mut self, delta: &Snapshot) -> Risk {
         let (gsum, gn) = delta
             .gauges
             .get(self.live.as_str())
@@ -330,10 +273,7 @@ impl StreamingSupervisor for SynBacklogWindow {
             delta.counter(&self.entered),
         );
         if row.1 > 0 || row.2 > 0 || row.3 > 0 {
-            if self.recent.len() == self.window {
-                self.recent.pop_front();
-            }
-            self.recent.push_back(row);
+            push_bounded(&mut self.recent, self.window, row);
         }
         let (sum, n, drops, entries) = self.recent.iter().fold(
             (0.0, 0u64, 0u64, 0u64),
@@ -422,6 +362,20 @@ mod tests {
     }
 
     #[test]
+    fn group_outlier_band_floor_is_absolute() {
+        // Nine members near 0.70 and one at 0.50, 0.20 below the median:
+        // outside `mad_band`'s absolute 0.15 floor, though inside a floor
+        // scaled by the median (0.15 · |median| in MAD units, 0.42 wide).
+        let mut pairs: Vec<(String, f64)> = (0..9)
+            .map(|i| (format!("qoe.c{i}"), 0.69 + 0.0025 * i as f64))
+            .collect();
+        pairs.push(("qoe.dragged".to_string(), 0.50));
+        let named: Vec<(&str, f64)> = pairs.iter().map(|(n, v)| (n.as_str(), *v)).collect();
+        let risk = GroupOutlierWindow::new("qoe.", 1).observe(&gauge_delta(&named));
+        assert_eq!(risk.0, 0.2, "one of ten members flagged, doubled");
+    }
+
+    #[test]
     fn group_outlier_needs_quorum() {
         let mut s = GroupOutlierWindow::new("qoe.", 4);
         let tiny = gauge_delta(&[("qoe.a", 0.8), ("qoe.b", 0.0)]);
@@ -466,38 +420,6 @@ mod tests {
             flagged >= 35,
             "the drag must be seen through the flood: {flagged}"
         );
-    }
-
-    #[test]
-    fn drop_pattern_sees_equalizer_asymmetry() {
-        let counters = |hl: u64, ht: u64, ll: u64, lt: u64| {
-            let mut reg = Registry::new();
-            for (name, v) in [
-                ("pcc.mi.high_lossy", hl),
-                ("pcc.mi.high_total", ht),
-                ("pcc.mi.low_lossy", ll),
-                ("pcc.mi.low_total", lt),
-            ] {
-                let c = reg.counter(name);
-                reg.add(c, v);
-            }
-            reg.snapshot()
-        };
-        let mut s = DropPatternWindow::new("pcc.mi", 8);
-        // Equalizer: loss only in +ε intervals.
-        let mut risk = Risk::NONE;
-        for _ in 0..4 {
-            risk = s.observe(&counters(5, 5, 0, 5));
-        }
-        assert!(risk.0 > 0.9, "risk = {}", risk.0);
-        assert!(s.recommended_eps(0.01, 0.05) < 0.015);
-        // Honest congestion: symmetric loss, low risk.
-        let mut s2 = DropPatternWindow::new("pcc.mi", 8);
-        for _ in 0..4 {
-            risk = s2.observe(&counters(2, 5, 2, 5));
-        }
-        assert!(risk.0 < 0.1, "risk = {}", risk.0);
-        assert_eq!(s2.recommended_eps(0.01, 0.05), 0.05);
     }
 
     #[test]

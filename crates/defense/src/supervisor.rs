@@ -5,12 +5,12 @@
 //! risk that the driver is "under the influence" (being fed adversarial
 //! inputs). The supervisor sits *outside* the fast path (paper point
 //! IV): it reads only the telemetry snapshots the registry already
-//! exports. The loop is implemented once — a
-//! [`StreamingSupervisor`](crate::streaming::StreamingSupervisor) folds
-//! each snapshot into a `Risk`, and `dui-supervisord` turns the risk
-//! into the action the driver is allowed (`Allow`, `Constrain` — the
-//! PCC ε clamp — or `Veto`). A one-off score of a single frozen snapshot
-//! is a window of one.
+//! exports. The loop is implemented once — each
+//! [`streaming`](crate::streaming) signal's `observe` folds a snapshot
+//! into a `Risk`, and [`supervisord`](crate::supervisord)'s
+//! `SignalBank` turns the risk into the action the driver is allowed
+//! (`Allow`, `Constrain` — the PCC ε clamp — or `Veto`). A one-off
+//! score of a single frozen snapshot is a window of one.
 
 /// Risk that the driver's current inputs are adversarial, in `[0, 1]`.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]

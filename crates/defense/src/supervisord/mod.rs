@@ -1,17 +1,15 @@
-//! # dui-supervisord
-//!
 //! Supervisor-as-a-service: the paper's §5 driver/supervisor loop
 //! (Fig. 3) productionized into a streaming detection pipeline. Where
 //! the `defenses` experiment stage scores one frozen telemetry snapshot
-//! with a window of one, this crate runs the same signals *online*: N
+//! with a window of one, this module runs the same signals *online*: N
 //! concurrent simulation producers ship
 //! [`Frame`](dui_telemetry::delta::Frame)d snapshot deltas over bounded
 //! channels, the pipeline shards them by group key onto worker
-//! threads, folds each group's deltas into windowed
-//! [`StreamingSupervisor`](dui_defense::streaming::StreamingSupervisor)
-//! state (Blink cell occupancy, Pytheas group outliers, PCC
-//! drop-pattern asymmetry + ε clamp), and emits one [`Verdict`] per
-//! frame into a deterministic, totally-ordered JSONL log.
+//! threads, folds each group's deltas into the windowed
+//! [`streaming`](crate::streaming) signals (Blink cell occupancy,
+//! Pytheas group outliers, PCC drop-pattern asymmetry, SYN backlog), and
+//! emits one [`Verdict`] per frame (action and PCC ε clamp) into a
+//! deterministic, totally-ordered JSONL log.
 //!
 //! ## Dataflow
 //!
@@ -40,17 +38,15 @@
 //!    cross-worker scheduling nondeterminism.
 //!
 //! Wall-clock throughput and latency are *measured* (via an injected
-//! [`Clock`] — this crate never reads a clock itself)
+//! [`Clock`] — this module never reads a clock itself)
 //! and reported separately; they are explicitly non-deterministic and
 //! never serialized into the byte-compared log. See
 //! docs/supervisord.md for the full chapter.
-
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod pipeline;
 pub mod signals;
 pub mod verdict;
 
-pub use pipeline::{Clock, Config, PipelineReport, ProducerSpec, run};
+pub use pipeline::{run, Clock, Config, PipelineReport, ProducerSpec};
 pub use signals::{SignalBank, SignalConfig};
 pub use verdict::{Action, Verdict};

@@ -15,13 +15,13 @@
 //! [`dui_telemetry::channel`] argument applies (a full queue's sender
 //! is woken before its receiver can find the queue empty).
 //!
-//! Determinism: see the crate-level docs. Everything the pipeline
+//! Determinism: see the module-level docs. Everything the pipeline
 //! *emits* (the verdict log) is a pure function of the producers'
 //! frame sequences; everything it *measures* (latency, throughput)
 //! comes from an injected [`Clock`] and is reported out-of-band.
 
-use crate::signals::{SignalBank, SignalConfig};
-use crate::verdict::{to_jsonl, Verdict};
+use super::signals::{SignalBank, SignalConfig};
+use super::verdict::{to_jsonl, Verdict};
 use dui_telemetry::channel::{bounded, Receiver};
 use dui_telemetry::delta::Frame;
 use dui_telemetry::LogHistogram;
@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::thread;
 
-/// Injected wall-clock: returns monotonic nanoseconds. This crate
+/// Injected wall-clock: returns monotonic nanoseconds. This module
 /// never reads a clock itself (clippy's clock ban exempts only
 /// `dui-bench`) — the bench
 /// harness passes a real clock to measure verdict latency, and
@@ -138,7 +138,7 @@ where
         sources.push((spec, iter, tx));
     }
 
-    let mut results: Vec<(Vec<Verdict>, LogHistogram, u64)> = Vec::new();
+    let mut results: Vec<(Vec<Verdict>, LogHistogram)> = Vec::new();
     thread::scope(|s| {
         for (spec, iter, tx) in sources {
             let clock = cfg.clock.clone();
@@ -178,20 +178,18 @@ where
 
     let mut verdicts = Vec::new();
     let mut latency_ns = LogHistogram::new();
-    let mut frames = 0u64;
     // Fold in worker-index order so the (non-compared) histogram is at
     // least stable for a fixed worker count.
-    for (v, hist, n) in results {
+    for (v, hist) in results {
         verdicts.extend(v);
         latency_ns.merge(&hist);
-        frames += n;
     }
     // The canonical total order: unique per frame, so the sort fully
     // erases worker scheduling and worker count.
     verdicts.sort_by_key(Verdict::key);
     PipelineReport {
+        frames: verdicts.len() as u64,
         verdicts,
-        frames,
         latency_ns,
     }
 }
@@ -206,13 +204,12 @@ fn worker_loop(
     chans: Vec<WorkerInput>,
     signals: &SignalConfig,
     clock: Option<Clock>,
-) -> (Vec<Verdict>, LogHistogram, u64) {
+) -> (Vec<Verdict>, LogHistogram) {
     let mut heads: Vec<Option<Frame>> = (0..chans.len()).map(|_| None).collect();
     let mut open = vec![true; chans.len()];
     let mut banks: BTreeMap<String, SignalBank> = BTreeMap::new();
     let mut verdicts = Vec::new();
     let mut latency = LogHistogram::new();
-    let mut frames = 0u64;
     loop {
         for (i, head) in heads.iter_mut().enumerate() {
             if head.is_none() && open[i] {
@@ -248,10 +245,9 @@ fn worker_loop(
         if let Some(c) = &clock {
             latency.record(c().saturating_sub(frame.ingest_ns));
         }
-        frames += 1;
         verdicts.push(verdict);
     }
-    (verdicts, latency, frames)
+    (verdicts, latency)
 }
 
 #[cfg(test)]
@@ -286,10 +282,6 @@ mod tests {
         }
     }
 
-    fn run_with_workers(workers: usize) -> PipelineReport {
-        run_with(workers, Config::default().channel_capacity)
-    }
-
     fn run_with(workers: usize, channel_capacity: usize) -> PipelineReport {
         let cfg = Config {
             workers,
@@ -307,7 +299,7 @@ mod tests {
 
     #[test]
     fn verdict_log_is_worker_count_invariant() {
-        let base = run_with_workers(1).to_jsonl();
+        let base = run_with(1, 64).to_jsonl();
         for workers in [1, 2, 3, 4, 8] {
             // 10 epochs per producer: at capacity 1 and 2 every sender
             // blocks and the half-queue wake rule is what releases it.
@@ -323,7 +315,7 @@ mod tests {
 
     #[test]
     fn attacked_producer_gets_flagged() {
-        let report = run_with_workers(2);
+        let report = run_with(2, 64);
         assert_eq!(report.frames, 60);
         assert_eq!(report.verdicts.len(), 60);
         let flagged: Vec<u32> = report
@@ -340,7 +332,7 @@ mod tests {
 
     #[test]
     fn verdicts_come_out_in_canonical_order() {
-        let report = run_with_workers(3);
+        let report = run_with(3, 64);
         let keys: Vec<_> = report.verdicts.iter().map(Verdict::key).collect();
         let mut sorted = keys.clone();
         sorted.sort();

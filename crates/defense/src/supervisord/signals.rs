@@ -1,11 +1,9 @@
-//! Per-group signal state: the three windowed risk signals evaluated
-//! on every frame of a group.
+//! Per-group signal state: the windowed risk signals evaluated on every
+//! frame of a group, and the action and PCC ε clamp they sanction.
 
-use crate::verdict::{Action, Verdict};
-use dui_defense::streaming::{
-    DropPatternWindow, GroupOutlierWindow, OccupancyWindow, StreamingSupervisor,
-    SynBacklogWindow,
-};
+use super::verdict::{Action, Verdict};
+use crate::pcc_guard::recommended_eps_max;
+use crate::streaming::{DropPatternWindow, GroupOutlierWindow, OccupancyWindow, SynBacklogWindow};
 use dui_telemetry::delta::Frame;
 
 /// Configuration for the per-group signal bank: which metrics feed
@@ -95,13 +93,13 @@ impl SignalBank {
     pub fn observe(&mut self, group: &str, frame: &Frame) -> Verdict {
         let blink = self.blink.observe(&frame.delta).0;
         let pytheas = self.pytheas.observe(&frame.delta).0;
-        let pcc = self.pcc.observe(&frame.delta).0;
+        let pcc = self.pcc.observe(&frame.delta);
         // SYN-backlog pressure folds into the overall risk only; it has
         // no dedicated verdict column (the verdict log format — and
         // every golden built on it — predates the signal). Frames that
         // carry no tcp.handshake.* metrics score 0.0 here.
         let syn = self.syn.observe(&frame.delta).0;
-        let risk = blink.max(pytheas).max(pcc).max(syn);
+        let risk = blink.max(pytheas).max(pcc.0).max(syn);
         let action = if risk > self.veto_above {
             Action::Veto
         } else if risk > self.constrain_above {
@@ -116,9 +114,9 @@ impl SignalBank {
             group: group.to_string(),
             blink,
             pytheas,
-            pcc,
+            pcc: pcc.0,
             risk,
-            eps_max: self.pcc.recommended_eps(self.eps_min, self.eps_max),
+            eps_max: recommended_eps_max(pcc, self.eps_min, self.eps_max),
             action,
         }
     }
@@ -145,6 +143,37 @@ mod tests {
         let v = bank.observe("g", &frame(0, Snapshot::default()));
         assert_eq!(v.action, Action::Allow);
         assert_eq!(v.risk, 0.0);
+        assert_eq!(v.eps_max, 0.05);
+    }
+
+    #[test]
+    fn pcc_drop_asymmetry_clamps_eps() {
+        // Four frames of one `pcc.mi.*` counter row into a window of 8.
+        let last_verdict = |[hl, ht, ll, lt]: [u64; 4]| {
+            let mut reg = Registry::new();
+            for (name, v) in [
+                ("pcc.mi.high_lossy", hl),
+                ("pcc.mi.high_total", ht),
+                ("pcc.mi.low_lossy", ll),
+                ("pcc.mi.low_total", lt),
+            ] {
+                let c = reg.counter(name);
+                reg.add(c, v);
+            }
+            let mut bank = SignalBank::new(&SignalConfig::default());
+            let mut v = bank.observe("g", &frame(0, reg.snapshot()));
+            for seq in 1..4 {
+                v = bank.observe("g", &frame(seq, reg.snapshot()));
+            }
+            v
+        };
+        // Equalizer: loss only in +ε intervals clamps ε toward eps_min.
+        let v = last_verdict([5, 5, 0, 5]);
+        assert!(v.pcc > 0.9, "pcc = {}", v.pcc);
+        assert!(v.eps_max < 0.015, "eps_max = {}", v.eps_max);
+        // Honest congestion: symmetric loss, low risk, ε unclamped.
+        let v = last_verdict([2, 5, 2, 5]);
+        assert!(v.pcc < 0.1, "pcc = {}", v.pcc);
         assert_eq!(v.eps_max, 0.05);
     }
 

@@ -65,17 +65,10 @@ impl Verdict {
         (self.epoch, self.producer, self.seq)
     }
 
-    /// Serialize as one JSON object on a single line. Field order is
-    /// fixed and floats print via the workspace's deterministic
-    /// formatter, so equal verdicts always produce equal bytes.
-    pub fn to_json_line(&self) -> String {
-        let mut out = String::new();
-        self.write_json_line(&mut out);
-        out
-    }
-
-    /// Append the [`to_json_line`](Self::to_json_line) bytes to `out`
-    /// (no trailing newline).
+    /// Append the verdict to `out` as one JSON object on a single line
+    /// (no trailing newline). Field order is fixed and floats print via
+    /// the workspace's deterministic formatter, so equal verdicts always
+    /// produce equal bytes.
     pub fn write_json_line(&self, out: &mut String) {
         let _ = write!(
             out,
@@ -131,14 +124,13 @@ mod tests {
 
     #[test]
     fn json_line_is_stable_and_ordered() {
-        let v = sample();
-        let line = v.to_json_line();
-        assert_eq!(line, v.to_json_line());
+        let line = to_jsonl(&[sample()]);
+        assert_eq!(line, to_jsonl(&[sample()]));
         assert_eq!(
             line,
             "{\"epoch\":3,\"producer\":1,\"seq\":7,\"group\":\"site-a\",\
              \"blink\":0.5,\"pytheas\":0.0,\"pcc\":0.25,\"risk\":0.5,\
-             \"eps_max\":0.05,\"action\":\"constrain\"}"
+             \"eps_max\":0.05,\"action\":\"constrain\"}\n"
         );
     }
 

@@ -12,9 +12,9 @@
 
 #![expect(unsafe_code, reason = "a counting `GlobalAlloc` is an `unsafe impl`")]
 
-use dui_defense::streaming::{GroupOutlierWindow, StreamingSupervisor};
+use dui_defense::streaming::GroupOutlierWindow;
+use dui_defense::supervisord::{SignalBank, SignalConfig};
 use dui_stats::Rng;
-use dui_supervisord::{SignalBank, SignalConfig};
 use dui_telemetry::registry::{CounterId, GaugeId};
 use dui_telemetry::{DeltaEncoder, Registry};
 use std::alloc::{GlobalAlloc, Layout, System};

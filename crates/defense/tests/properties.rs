@@ -1,20 +1,25 @@
-//! Randomized invariance for the supervisor pipeline (ISSUE 7
-//! satellite, deepened by ISSUE 22): for arbitrary producer
-//! populations, group assignments and metric streams, the verdict JSONL
-//! emitted by [`dui_supervisord::run`] is byte-identical at
-//! `workers ∈ {1, 2, 4}` × `channel_capacity ∈ {1, 2, 64}`.
+//! Randomized properties of the streaming supervisor.
 //!
-//! The unit tests in `pipeline.rs` pin this on hand-built streams; this
-//! suite quantifies over propcheck-generated ones, including degenerate
-//! shapes (zero producers, empty streams, every producer in one group,
-//! more workers than groups) and streams of up to 200 epochs — long
-//! enough that at capacities 1 and 2 every sender blocks, and is woken,
-//! hundreds of times. Each run sits behind a watchdog, so a lost wakeup
-//! fails the suite instead of hanging it.
+//! * The verdict JSONL emitted by [`dui_defense::supervisord::run`] is
+//!   byte-identical at `workers ∈ {1, 2, 4}` × `channel_capacity ∈
+//!   {1, 2, 64}` for arbitrary producer populations, group assignments
+//!   and metric streams. The unit tests in `pipeline.rs` pin this on
+//!   hand-built streams; this suite quantifies over propcheck-generated
+//!   ones, including degenerate shapes (zero producers, empty streams,
+//!   every producer in one group, more workers than groups) and streams
+//!   of up to 200 epochs — long enough that at capacities 1 and 2 every
+//!   sender blocks, and is woken, hundreds of times. Each run sits behind
+//!   a watchdog, so a lost wakeup fails the suite instead of hanging it.
+//! * [`DropPatternWindow`] — windowed `PccLossPatternMonitor` tallies
+//!   scored by the monitor's `risk()` — rules bit for bit as the
+//!   presence-only formula it replaced, on random counter streams at
+//!   windows 1–16.
 
+use dui_defense::streaming::DropPatternWindow;
+use dui_defense::supervisord::{run, Config, ProducerSpec};
+use dui_defense::Risk;
 use dui_stats::propcheck::Gen;
 use dui_stats::{prop_assert, prop_assert_eq, prop_check};
-use dui_supervisord::{run, Config, ProducerSpec};
 use dui_telemetry::delta::{DeltaEncoder, Frame};
 use dui_telemetry::Registry;
 use std::sync::mpsc;
@@ -105,5 +110,64 @@ prop_check! {
             reference.lines().all(|l| l.starts_with('{') && l.ends_with('}')),
             "verdict log must be one JSON object per line"
         );
+    }
+}
+
+/// The rule `DropPatternWindow` applied before it held monitor tallies,
+/// kept as the reference model: sum the last `window` rows
+/// `[high_lossy, high_total, low_lossy, low_total]` that had any count,
+/// then `P(loss | high) − P(loss | low)` clamped into `[0, 1]` — or no
+/// risk with fewer than 10 intervals on either side.
+fn presence_only(rows: &[[u64; 4]], window: usize) -> Risk {
+    let seen: Vec<&[u64; 4]> = rows.iter().filter(|r| r.iter().any(|&v| v > 0)).collect();
+    let sums = seen[seen.len().saturating_sub(window)..]
+        .iter()
+        .fold([0u64; 4], |mut acc, r| {
+            for (a, &b) in acc.iter_mut().zip(r.iter()) {
+                *a += b;
+            }
+            acc
+        });
+    let [hl, ht, ll, lt] = sums;
+    if ht < 10 || lt < 10 {
+        return Risk::NONE;
+    }
+    let p_high = hl as f64 / ht as f64;
+    let p_low = ll as f64 / lt as f64;
+    Risk::clamped(p_high - p_low)
+}
+
+prop_check! {
+    fn drop_pattern_window_matches_the_presence_only_formula(g) {
+        let window = g.usize(1..17);
+        let mut w = DropPatternWindow::new("pcc.mi", window);
+        let mut rows = Vec::new();
+        for epoch in 0..g.usize(0..60) {
+            // A third of the deltas carry no PCC counts at all.
+            let row: [u64; 4] = if g.u32(0..3) == 0 {
+                [0; 4]
+            } else {
+                [g.u64(0..8), g.u64(0..12), g.u64(0..8), g.u64(0..12)]
+            };
+            let mut reg = Registry::new();
+            for (side, &v) in ["high_lossy", "high_total", "low_lossy", "low_total"]
+                .iter()
+                .zip(row.iter())
+            {
+                // An absent counter and a zero one both read as 0.
+                if v > 0 || g.bool() {
+                    let c = reg.counter(&format!("pcc.mi.{side}"));
+                    reg.add(c, v);
+                }
+            }
+            rows.push(row);
+            let risk = w.observe(&reg.snapshot());
+            let reference = presence_only(&rows, window);
+            prop_assert_eq!(
+                risk.0.to_bits(),
+                reference.0.to_bits(),
+                "epoch {} window {}: {} vs reference {}", epoch, window, risk.0, reference.0
+            );
+        }
     }
 }

@@ -4,7 +4,7 @@
 //! freezes its [`Registry`](crate::Registry) into a
 //! [`Snapshot`] and ships only the *change* since the
 //! previous freeze, wrapped in a [`Frame`] that carries enough
-//! addressing for a downstream consumer (the `dui-supervisord`
+//! addressing for a downstream consumer (the `dui_defense::supervisord`
 //! pipeline) to re-establish a deterministic total order:
 //!
 //! * `producer` — stable id of the emitting stream,

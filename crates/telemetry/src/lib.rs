@@ -14,7 +14,7 @@
 //!   [`Registry::snapshot`] into mergeable, exportable [`Snapshot`]s.
 //! * [`delta`] — snapshot delta/sequence framing ([`Frame`],
 //!   [`DeltaEncoder`]) for streaming telemetry to the
-//!   `dui-supervisord` detection pipeline.
+//!   `dui_defense::supervisord` detection pipeline.
 //! * [`channel`] — a bounded SPSC channel (`Mutex` + `Condvar`) with
 //!   blocking backpressure, the transport between producers and
 //!   supervisord workers.

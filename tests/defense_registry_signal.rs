@@ -1,8 +1,9 @@
-//! Pins the `defenses`-ablation numbers across the telemetry refactor and
-//! exercises the registry-backed supervisor signal (ISSUE 2 acceptance):
-//! the RTO-guard ablation must produce exactly the same reroute/veto/
-//! occupancy numbers as before `Counters` became a registry view, and the
-//! same numbers must be readable from a metrics snapshot.
+//! Pins the `defenses`-ablation numbers and the supervisor signal read
+//! from the metrics registry: the RTO-guard ablation reroutes, vetoes and
+//! holds cells exactly as pinned below, the registry snapshot reports the
+//! same numbers as the scenario's direct API, and the streaming Blink
+//! signal (`OccupancyWindow` at a window of one, as the `defenses` stage
+//! runs it) reads that snapshot as high risk.
 
 use dui_core::netsim::time::{SimDuration, SimTime};
 use dui_core::scenario::{BlinkScenario, BlinkScenarioConfig};
@@ -22,9 +23,9 @@ fn run(guarded: bool) -> BlinkScenario {
     sc
 }
 
-/// Ablation numbers harvested before the telemetry refactor: the attacked
-/// run reroutes twice with no vetoes, the guarded run vetoes both spurious
-/// reroutes; the selector sees 33 malicious cells either way.
+/// The pinned ablation numbers: the attacked run reroutes twice with no
+/// vetoes, the guarded run vetoes both spurious reroutes; the selector
+/// sees 33 malicious cells either way.
 #[test]
 fn ablation_numbers_unchanged_by_refactor() {
     let mut attacked = run(false);
@@ -62,12 +63,13 @@ fn registry_snapshot_agrees_with_direct_api() {
     }
 }
 
-/// A supervisor assessing risk purely from registry snapshots (Fig. 3
-/// point III/IV) sees the attacked run as risky: malicious flows hold
-/// 33/64 cells, beyond half the selector's capacity.
+/// The streaming Blink signal, fed one registry snapshot (Fig. 3 point
+/// III/IV: it never touches the data plane), sees the attacked run as
+/// risky: malicious flows hold 33/64 cells, beyond half the selector's
+/// capacity.
 #[test]
-fn snapshot_supervisor_flags_malicious_occupancy() {
-    use dui_defense::streaming::{OccupancyWindow, StreamingSupervisor};
+fn occupancy_window_flags_malicious_occupancy() {
+    use dui_defense::streaming::OccupancyWindow;
 
     let assess = |snap: &dui_core::telemetry::Snapshot| {
         OccupancyWindow::new("blink.cells.malicious", 64.0, 1).observe(snap)

@@ -92,15 +92,7 @@ fn loss_pattern_monitor_flags_the_attack_not_the_clean_path() {
         sc.sim.run_until(SimTime::from_secs(60));
         let node = sc.senders[0];
         let s: &mut PccSender = sc.sim.logic_mut(node);
-        let meta: std::collections::HashMap<u64, f64> =
-            s.mi_meta.iter().map(|&(id, _, base)| (id, base)).collect();
-        let mut mon = PccLossPatternMonitor::new();
-        for r in s.mi_history() {
-            if let Some(&base) = meta.get(&r.id) {
-                mon.observe(r, base);
-            }
-        }
-        mon.risk().0
+        PccLossPatternMonitor::from_sender(s).risk().0
     };
     let clean = risk_of(false);
     let attacked = risk_of(true);

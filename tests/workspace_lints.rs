@@ -8,8 +8,9 @@
 //! command `scripts/verify.sh` runs first, so `cargo test` alone fails on
 //! a finding. The other tests check what no lint can see: which manifests
 //! opt in, which roots carry the library-only denies, which crates may
-//! name the one crate exempt from the clock ban, and that the chapter
-//! lists exactly what is declared.
+//! name the one crate exempt from the clock ban, that the chapter lists
+//! exactly what is declared, and that the architecture chapter maps
+//! exactly the crates there are.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -251,6 +252,57 @@ fn no_library_crate_depends_on_the_bench_harness() {
              ban, so nothing the ban covers may be able to call it"
         );
     }
+}
+
+/// The `name` of a crate manifest's `[package]`.
+fn package_name(manifest: &str) -> &str {
+    manifest
+        .lines()
+        .find_map(|l| l.strip_prefix("name = \""))
+        .and_then(|rest| rest.split('"').next())
+        .expect("a package name")
+}
+
+/// docs/architecture.md (and the book's contents page) state the crate
+/// count in words, and the chapter's crate map has one row per crate:
+/// both follow `crates/`, so folding, adding or deleting a crate cannot
+/// leave the chapter stale.
+#[test]
+fn architecture_chapter_maps_exactly_the_crates() {
+    const WORDS: &str = "zero one two three four five six seven eight nine ten eleven twelve \
+                         thirteen fourteen fifteen sixteen seventeen eighteen nineteen twenty";
+    let crates: BTreeSet<String> = crate_dirs()
+        .iter()
+        .map(|d| package_name(&read(&format!("{d}/Cargo.toml"))).to_string())
+        .collect();
+    let count = WORDS
+        .split_whitespace()
+        .nth(crates.len())
+        .unwrap_or_else(|| panic!("{} crates: extend WORDS", crates.len()));
+    for doc in ["docs/architecture.md", "docs/README.md"] {
+        assert!(
+            read(doc).contains(&format!("{count} crates")),
+            "{doc} should say the workspace has {count} crates"
+        );
+    }
+
+    let chapter = read("docs/architecture.md");
+    let heading = "## The crates";
+    let at = chapter
+        .find(heading)
+        .unwrap_or_else(|| panic!("no '{heading}' in docs/architecture.md"));
+    let body = &chapter[at + heading.len()..];
+    let body = &body[..body.find("\n## ").unwrap_or(body.len())];
+    let mapped: BTreeSet<String> = body
+        .lines()
+        .filter_map(|l| l.strip_prefix("| `"))
+        .filter_map(|l| l.split('`').next())
+        .map(str::to_string)
+        .collect();
+    assert_eq!(
+        mapped, crates,
+        "docs/architecture.md §The crates should have one row per crate under crates/"
+    );
 }
 
 /// docs/lint.md's "The lints" table has one row per declared lint —
