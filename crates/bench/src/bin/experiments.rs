@@ -52,7 +52,7 @@
 #![expect(
     clippy::disallowed_methods,
     clippy::disallowed_types,
-    reason = "dui-bench is the timing harness, the one crate that reads the wall clock"
+    reason = "the CLI prints each stage's wall-clock time; no compared output carries it"
 )]
 
 use dui_bench::par::default_jobs;
@@ -388,7 +388,6 @@ fn main() {
             eprintln!("{undeclared}");
             std::process::exit(1);
         });
-        wallclock::end_stage();
         let secs = ts.elapsed().as_secs_f64();
         emit(&out);
         log.push_str(&out.report);

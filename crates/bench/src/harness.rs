@@ -17,9 +17,15 @@
 //! let m = run_bench("sum_1k", &cfg, || {
 //!     std::hint::black_box((0..1000u64).sum::<u64>())
 //! });
-//! assert!(m.median_ns > 0.0 && m.p95_ns >= m.median_ns * 0.0);
+//! assert!(m.median_ns > 0.0 && m.p95_ns >= m.median_ns);
 //! assert_eq!(m.name, "sum_1k");
 //! ```
+
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "a microbenchmark timer reads the wall clock"
+)]
 
 use std::time::{Duration, Instant};
 

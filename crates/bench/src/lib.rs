@@ -2,12 +2,17 @@
 //!
 //! The experiment harness behind `cargo run --release -p dui-bench --bin
 //! experiments`: every figure and numeric claim of the paper is
-//! regenerated by a *stage* — a row of [`stages::STAGES`] — timed
-//! microbenches live on the in-tree [`harness`] (no criterion, no
-//! registry access), replicated stages fan out over threads with
-//! [`par`], and `--metrics` prints the wall-clock self-profile kept by
-//! [`wallclock`] — the workspace's one clock-reading module, which no
-//! library crate can name because none may depend on this crate.
+//! regenerated by a *stage* — a row of [`stages::STAGES`] — the
+//! microbenches of the layers the `ledger/` benchmark does not time live
+//! on the in-tree [`harness`] (no criterion, no registry access),
+//! replicated stages fan out over threads with [`par`], and `--metrics`
+//! prints the wall-clock self-profile kept by [`wallclock`].
+//!
+//! Only [`harness`], [`par`] and the `experiments` binary read the wall
+//! clock: each expects clippy's clock lints at its own root, so a clock
+//! read anywhere else in the crate — a stage, a recording, the scenario
+//! runner — fails the lint gate. No library crate may depend on this
+//! crate (`tests/workspace_lints.rs`), so none can reach those clocks.
 //!
 //! ## Determinism contract
 //!
@@ -30,13 +35,6 @@
 //! ```
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-// The wall-clock quarantine: this crate times stages, and no library
-// crate may depend on it (`tests/workspace_lints.rs`).
-#![expect(
-    clippy::disallowed_methods,
-    clippy::disallowed_types,
-    reason = "dui-bench is the timing harness, the one crate that reads the wall clock"
-)]
 
 pub mod harness;
 pub mod par;

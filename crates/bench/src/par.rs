@@ -28,6 +28,12 @@
 //! assert_eq!(seq, par4);
 //! ```
 
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "the --metrics self-profiler times each task; the time never reaches a result"
+)]
+
 use dui_core::stats::rng::mix64;
 
 /// Derive the seed for task `index` from the experiment's `master` seed.

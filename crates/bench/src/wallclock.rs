@@ -1,12 +1,11 @@
-//! Wall-clock self-profiler for the experiment harness.
+//! Wall-clock self-profiler for the experiment harness: it aggregates
+//! the per-task timings [`crate::par::run_indexed`] takes, by the stage
+//! [`set_stage`] names. The per-stage wall clock itself is the
+//! `experiments` binary's.
 //!
-//! It lives in `dui-bench` because this is the one crate exempt from
-//! clippy's clock ban (`disallowed-methods` in `clippy.toml`), and no
-//! library crate may depend on `dui-bench` (`tests/workspace_lints.rs`
-//! holds every manifest to that): nothing a simulation runs can call a
-//! clock read through this module, because it cannot name it.
-//! Everything it produces is explicitly non-deterministic profiling
-//! output: it must never feed back into simulation state or into any
+//! It reads no clock itself. Everything it produces is explicitly
+//! non-deterministic profiling output: it must never feed back into
+//! simulation state or into any
 //! exported experiment artifact that is compared byte-for-byte across
 //! runs. The harness prints it into a clearly-marked "wall-clock"
 //! section of `experiments_all.txt` only.
@@ -19,15 +18,13 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static STATE: Mutex<Option<ProfilerState>> = Mutex::new(None);
 
 #[derive(Debug, Default)]
 struct ProfilerState {
-    current_stage: Option<(String, Instant)>,
-    stages: Vec<(String, u64)>,
+    current_stage: Option<String>,
     tasks: BTreeMap<String, TaskAgg>,
 }
 
@@ -61,33 +58,14 @@ pub fn is_enabled() -> bool {
     ENABLED.load(Ordering::Acquire)
 }
 
-/// Mark the start of a named experiment stage, closing the previous one.
+/// Name the stage whose `run_indexed` tasks are recorded from now on.
 pub fn set_stage(name: &str) {
     if !is_enabled() {
         return;
     }
     let mut guard = STATE.lock().unwrap_or_else(|e| e.into_inner());
     if let Some(state) = guard.as_mut() {
-        let now = Instant::now();
-        if let Some((prev, start)) = state.current_stage.take() {
-            state.stages.push((prev, now.duration_since(start).as_nanos() as u64));
-        }
-        state.current_stage = Some((name.to_string(), now));
-    }
-}
-
-/// Close the currently-open stage, if any.
-pub fn end_stage() {
-    if !is_enabled() {
-        return;
-    }
-    let mut guard = STATE.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(state) = guard.as_mut() {
-        if let Some((prev, start)) = state.current_stage.take() {
-            state
-                .stages
-                .push((prev, Instant::now().duration_since(start).as_nanos() as u64));
-        }
+        state.current_stage = Some(name.to_string());
     }
 }
 
@@ -100,10 +78,10 @@ pub fn record_task(label: &str, index: usize, elapsed_ns: u64) {
     }
     let mut guard = STATE.lock().unwrap_or_else(|e| e.into_inner());
     if let Some(state) = guard.as_mut() {
-        // Attribute to the stage that is open right now, so one call
-        // site (e.g. `run_indexed`) splits into per-stage rows.
+        // Attribute to the stage named last, so one call site (e.g.
+        // `run_indexed`) splits into per-stage rows.
         let key = match &state.current_stage {
-            Some((stage, _)) => format!("{stage}/{label}"),
+            Some(stage) => format!("{stage}/{label}"),
             None => label.to_string(),
         };
         let agg = state.tasks.entry(key).or_default();
@@ -116,27 +94,16 @@ pub fn record_task(label: &str, index: usize, elapsed_ns: u64) {
     }
 }
 
-/// Render the profile as human-readable text (stage table, then
-/// per-task-site aggregation) and clear nothing — call [`enable`] to
-/// reset. Returns an empty string while disabled or empty.
+/// Render the per-task-site aggregation as human-readable text and
+/// clear nothing — call [`enable`] to reset. Returns an empty string
+/// while disabled or empty.
 pub fn report() -> String {
-    let mut guard = STATE.lock().unwrap_or_else(|e| e.into_inner());
-    let Some(state) = guard.as_mut() else {
+    let guard = STATE.lock().unwrap_or_else(|e| e.into_inner());
+    let Some(state) = guard.as_ref().filter(|s| !s.tasks.is_empty()) else {
         return String::new();
     };
-    if let Some((prev, start)) = state.current_stage.take() {
-        state
-            .stages
-            .push((prev, Instant::now().duration_since(start).as_nanos() as u64));
-    }
-    if state.stages.is_empty() && state.tasks.is_empty() {
-        return String::new();
-    }
     let mut out = String::new();
     out.push_str("self-profile (wall clock; non-deterministic)\n");
-    for (name, ns) in &state.stages {
-        out.push_str(&format!("  stage {:<18} {}\n", name, fmt_ns(*ns)));
-    }
     for (label, agg) in &state.tasks {
         let mean = agg.total_ns.checked_div(agg.count).unwrap_or(0);
         out.push_str(&format!(
@@ -182,17 +149,20 @@ mod tests {
     }
 
     #[test]
-    fn stages_and_tasks_show_up() {
+    fn tasks_are_attributed_to_the_named_stage() {
         let _g = TEST_LOCK.lock().unwrap();
         enable(true);
         set_stage("alpha");
         record_task("par", 3, 1_500);
         record_task("par", 7, 2_500);
-        end_stage();
+        set_stage("beta");
+        record_task("par", 0, 500);
         let rep = report();
-        assert!(rep.contains("stage alpha"), "{rep}");
+        assert!(rep.contains("tasks alpha/par"), "{rep}");
         assert!(rep.contains("n=2"), "{rep}");
         assert!(rep.contains("(task #7)"), "{rep}");
+        assert!(rep.contains("tasks beta/par"), "{rep}");
+        assert!(!rep.contains("stage "), "the stage wall clock is the binary's: {rep}");
         enable(false);
     }
 }

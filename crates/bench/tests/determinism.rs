@@ -7,7 +7,7 @@
 
 use dui_bench::recordings::build_subject;
 use dui_bench::stages::{
-    blink_sweep_with, fig2_with, verify_determinism, Fig2Opts, Output, Stage, StageOutput, STAGES,
+    blink_sweep_with, fig2_with, verify_determinism, Fig2Opts, Stage, StageOutput, STAGES,
 };
 use dui_core::blink::fastsim::AttackSimConfig;
 use dui_core::netsim::time::SimDuration;
@@ -120,13 +120,16 @@ fn metrics_jsonl_identical_across_jobs() {
     // The rows that simulate minutes of packets or a million flows keep
     // the reduced-size tests above and run at full size under
     // `experiments verify-determinism`; every other row is held to the
-    // whole contract here — run to run and across `--jobs` — on its
-    // CSVs, artifacts, `metrics.jsonl` line and report.
+    // whole contract here — run to run and across `--jobs` — on every
+    // byte of its CSVs, artifacts, `metrics.jsonl` line and report.
+    // That includes `supervisord`: its CSV and report carry no
+    // measurement, so both are compared whole.
     const HEAVY: [&str; 4] = ["fig2", "blink-packet", "pcc", "flow-scale"];
     for name in HEAVY {
         assert!(Stage::named(name).is_some(), "excluded stage '{name}' is not a row");
     }
     let light: Vec<&Stage> = STAGES.iter().filter(|s| !HEAVY.contains(&s.name)).collect();
+    assert!(light.iter().any(|s| s.name == "supervisord"), "supervisord is a light row");
     verify_determinism(&light).unwrap_or_else(|diff| panic!("{diff}"));
 
     // What `experiments all --metrics` writes is exactly one
@@ -149,15 +152,14 @@ fn metrics_jsonl_identical_across_jobs() {
 }
 
 /// A fake stage output in which exactly the piece named `vary` takes
-/// the value `v` (everything else is constant): a table with one
-/// deterministic and one measured column, an artifact, one metric key
-/// and the report.
+/// the value `v` (everything else is constant): a table, an artifact,
+/// one metric key and the report.
 fn fake_output(vary: &str, v: u64) -> StageOutput {
     let cell = |piece: &str| if piece == vary { v } else { 0 }.to_string();
     let mut out = StageOutput::default();
-    let mut t = Table::new(["flows", "wall_s"]);
-    t.row(["7", "0.1"]);
-    t.row([cell("cell"), cell("measured")]);
+    let mut t = Table::new(["flows"]);
+    t.row(["7"]);
+    t.row([cell("cell")]);
     out.tables.push(("t.csv".to_string(), t));
     out.artifacts.push(("a.jsonl".to_string(), format!("{{}}\n{}\n", cell("artifact"))));
     let mut reg = Registry::new();
@@ -168,18 +170,9 @@ fn fake_output(vary: &str, v: u64) -> StageOutput {
     out
 }
 
-/// [`fake_output`]'s two files, with and without the measured column
-/// declared.
-const MEASURED: &[Output] = &[
-    Output { file: "t.csv", measured: &["wall_s"] },
-    Output { file: "a.jsonl", measured: &[] },
-];
-const WHOLE: &[Output] = &[
-    Output { file: "t.csv", measured: &[] },
-    Output { file: "a.jsonl", measured: &[] },
-];
-
-fn fake(outputs: &'static [Output], run: fn(usize) -> StageOutput) -> Stage {
+/// A row declaring [`fake_output`]'s two files.
+fn fake(run: fn(usize) -> StageOutput) -> Stage {
+    let outputs = &["t.csv", "a.jsonl"];
     Stage { name: "fake", claim: "T", about: "a test row", jobs: true, outputs, run }
 }
 
@@ -188,41 +181,33 @@ fn verdict(row: Stage) -> Result<(), String> {
 }
 
 #[test]
-fn gate_ignores_measured_columns_and_nothing_else() {
-    // A measurement may differ, and so may the report that prints it.
-    assert_eq!(verdict(fake(MEASURED, |jobs| fake_output("measured", jobs as u64))), Ok(()));
-    assert_eq!(verdict(fake(MEASURED, |jobs| fake_output("report", jobs as u64))), Ok(()));
-    // Every other byte may not; the error names stage, file:line and settings.
+fn gate_fails_on_any_differing_byte() {
+    // The error names stage, file:line and settings.
     let starts = |row: Stage, head: &str| {
         let diff = verdict(row).expect_err(head);
         assert!(diff.starts_with(head), "{diff}");
     };
     starts(
-        fake(MEASURED, |jobs| fake_output("cell", jobs as u64)),
+        fake(|jobs| fake_output("cell", jobs as u64)),
         "fake · t.csv:3 · --jobs 4 vs --jobs 1\n  --jobs 4: 4\n  --jobs 1: 1",
     );
     starts(
-        fake(MEASURED, |jobs| fake_output("metric", jobs as u64)),
+        fake(|jobs| fake_output("metric", jobs as u64)),
         "fake · metrics.jsonl:1 · --jobs 4 vs --jobs 1",
     );
     starts(
-        fake(MEASURED, |jobs| fake_output("artifact", jobs as u64)),
+        fake(|jobs| fake_output("artifact", jobs as u64)),
         "fake · a.jsonl:2 · --jobs 4 vs --jobs 1",
     );
     starts(
-        fake(WHOLE, |jobs| fake_output("report", jobs as u64)),
+        fake(|jobs| fake_output("report", jobs as u64)),
         "fake · report:2 · --jobs 4 vs --jobs 1",
-    );
-    // Without a declared measured column the same table is compared whole.
-    starts(
-        fake(WHOLE, |jobs| fake_output("measured", jobs as u64)),
-        "fake · t.csv:3 · --jobs 4 vs --jobs 1",
     );
     // Two runs of one configuration that disagree (the parent's defect:
     // a wall-clock value in a `Registry`) fail before any flag is varied.
     static CALLS: AtomicU64 = AtomicU64::new(0);
     starts(
-        fake(MEASURED, |_| fake_output("metric", CALLS.fetch_add(1, Ordering::Relaxed))),
+        fake(|_| fake_output("metric", CALLS.fetch_add(1, Ordering::Relaxed))),
         "fake · metrics.jsonl:1 · run 1 vs run 2 (same configuration)",
     );
 }
@@ -230,7 +215,7 @@ fn gate_ignores_measured_columns_and_nothing_else() {
 #[test]
 fn gate_refuses_outputs_the_row_does_not_declare() {
     let refused = |run: fn(usize) -> StageOutput, head: &str| {
-        let row = fake(MEASURED, run);
+        let row = fake(run);
         let diff = row.run_checked(1).expect_err(head);
         assert!(diff.starts_with(head), "{diff}");
         assert_eq!(verdict(row), Err(diff));
@@ -254,16 +239,4 @@ fn gate_refuses_outputs_the_row_does_not_declare() {
         out
     };
     refused(out_of_order, "fake · a.jsonl:1 · the stage emitted [a.jsonl, t.csv]");
-    let renamed_column = |_| {
-        let mut out = fake_output("", 0);
-        out.tables[0].1 = Table::new(["flows", "wall_seconds"]);
-        out
-    };
-    refused(renamed_column, "fake · t.csv:1 · measured column 'wall_s' is not in the header");
-    let quoted = |_| {
-        let mut out = fake_output("", 0);
-        out.tables[0].1.row(["a,b", "0.2"]);
-        out
-    };
-    refused(quoted, "fake · t.csv:1 · a table with measured columns must not quote a cell");
 }

@@ -21,8 +21,8 @@ fn rows_are_well_formed() {
         assert!(names.insert(s.name), "stage name '{}' appears twice", s.name);
         assert!(!s.claim.is_empty() && !s.about.is_empty(), "{}: empty claim or about", s.name);
         assert!(!s.outputs.is_empty(), "{}: a stage emits at least one file", s.name);
-        for o in s.outputs {
-            assert!(files.insert(o.file), "'{}' is declared by two rows", o.file);
+        for file in s.outputs {
+            assert!(files.insert(file), "'{file}' is declared by two rows");
         }
     }
 }
@@ -39,23 +39,21 @@ fn stage_doc_row(s: &Stage) -> String {
         s.claim,
         s.about,
         ticked(s.jobs.then_some("--jobs")),
-        ticked(s.outputs.iter().map(|o| o.file)),
+        ticked(s.outputs.iter().copied()),
     )
 }
 
 /// `docs/operations.md` documents every row of `STAGES` and every
-/// output file — in table order, with its claim, flags, outputs and
-/// measured columns — and no row the table lacks. A failure prints the
-/// rows to paste.
+/// output file — in table order, with its claim, flags and outputs,
+/// and each file beside the stage that emits it — and no row the table
+/// lacks. A failure prints the rows to paste.
 #[test]
 fn docs_document_the_stage_table_row_for_row() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let chapter = std::fs::read_to_string(root.join("docs/operations.md")).unwrap();
-    let outputs = STAGES.iter().flat_map(|s| {
-        s.outputs.iter().map(move |o| {
-            format!("| `{}` | `{}` | {} |", o.file, s.name, ticked(o.measured.iter().copied()))
-        })
-    });
+    let outputs = STAGES
+        .iter()
+        .flat_map(|s| s.outputs.iter().map(move |file| format!("| `{file}` | `{}` |", s.name)));
     let tables: [(&str, Vec<String>); 2] = [
         ("## Stages", STAGES.iter().map(stage_doc_row).collect()),
         ("## Stage outputs", outputs.collect()),

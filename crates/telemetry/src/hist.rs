@@ -6,8 +6,7 @@
 //! error is bounded by 1/16 ≈ 6.25% while the whole `u64` range fits in
 //! under a thousand buckets. The record path is a handful of integer
 //! operations — cheap enough for the simulator's per-packet hot loop
-//! (see the `counter_record` / `histogram_record` microbenches in
-//! `dui-bench`).
+//! (the `ledger` benchmark times it as `telemetry.registry.update.*`).
 //!
 //! Histograms merge element-wise, which makes them safe to aggregate
 //! across parallel experiment replicates: merge is associative and

@@ -94,7 +94,10 @@ echo "golden fixtures byte-identical to HEAD: OK"
 echo "== rustdoc (warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
-echo "== bench harness compiles and runs (smoke) =="
+echo "== microbench smoke (layers the ledger does not time) =="
+# The groups left in the suite: the Blink failure check, the PCC
+# controller, the Pytheas bandit, the NetHide solver, SP-PIFO, FlowRadar
+# and the histogram quantile. Every other layer is a ledger metric.
 cargo bench --offline -p dui-bench --bench microbench -- --quick >/dev/null
 
 EXP="$PWD/target/release/experiments"
@@ -115,9 +118,9 @@ echo "record/replay gate, resume CSV byte-identical: OK"
 
 echo "== determinism contract, every stage (experiments verify-determinism) =="
 # Every row of the stage table (docs/operations.md), at full size: run
-# twice, then at --jobs 4 vs 1 if the row reads --jobs, comparing CSVs
-# minus their declared measured columns, artifacts, the metrics JSONL
-# line and the report. `timeout` is a plain hang guard: a stage that
+# twice, then at --jobs 4 vs 1 if the row reads --jobs, comparing every
+# byte of its CSVs and artifacts, the metrics JSONL line and the
+# report. `timeout` is a plain hang guard: a stage that
 # stops making progress fails the gate instead of stalling it.
 timeout 900 "$EXP" verify-determinism
 

@@ -7,8 +7,9 @@
 //! (docs/lint.md tabulates them). `clippy_gate_is_clean` runs the same
 //! command `scripts/verify.sh` runs first, so `cargo test` alone fails on
 //! a finding. The other tests check what no lint can see: which manifests
-//! opt in, which roots carry the library-only denies, which crates may
-//! name the one crate exempt from the clock ban, that the chapter lists
+//! opt in, which roots carry the library-only denies, which files are
+//! exempt from the clock ban and which crates may name the crate that
+//! holds them, that the chapter lists
 //! exactly what is declared, and that the architecture chapter maps
 //! exactly the crates there are.
 
@@ -212,10 +213,10 @@ fn tables_listing<'a>(manifest: &'a str, dep: &str) -> Vec<&'a str> {
     found
 }
 
-/// `crates/bench/` is exempt from the clock ban, and a lint looks at one
-/// call at a time: a library function calling into the harness's clocks
-/// would pass it. So no crate but `dui-bench` itself may list `dui-bench`
-/// in any dependency table — the call does not compile. The root
+/// Three `crates/bench/` files are exempt from the clock ban, and a lint
+/// looks at one call at a time: a library function calling into the
+/// harness's clocks would pass it. So no crate but `dui-bench` itself may
+/// list `dui-bench` in any dependency table — the call does not compile. The root
 /// package, whose `src/` is library code too, names it only where it
 /// declares the workspace's crates and for its integration tests.
 #[test]
@@ -252,6 +253,44 @@ fn no_library_crate_depends_on_the_bench_harness() {
              ban, so nothing the ban covers may be able to call it"
         );
     }
+}
+
+/// The clock lints are expected, each at its own module root, by exactly
+/// the three files that read the wall clock: the microbench timer, the
+/// profiler's per-task hook and the `experiments` binary. An expectation
+/// anywhere else — a crate root, a stage — would let a clock read there
+/// pass the gate. (`disallowed_types` names the clock types; the
+/// byte-conversion escapes expect only `disallowed_methods`.)
+#[test]
+fn clock_reads_are_confined_to_three_bench_modules() {
+    let mut files = Vec::new();
+    for dir in ["src", "tests"] {
+        rust_files(dir, &mut files);
+    }
+    for krate in crate_dirs() {
+        for dir in ["src", "tests", "benches"] {
+            let dir = format!("{krate}/{dir}");
+            if repo_root().join(&dir).is_dir() {
+                rust_files(&dir, &mut files);
+            }
+        }
+    }
+    // Spelled in halves so that this file does not match itself.
+    let needle = concat!("clippy::", "disallowed_types");
+    let mut exempt: Vec<String> = files
+        .into_iter()
+        .filter(|f| code_lines(&read(f)).contains(needle))
+        .collect();
+    exempt.sort();
+    assert_eq!(
+        exempt,
+        [
+            "crates/bench/src/bin/experiments.rs",
+            "crates/bench/src/harness.rs",
+            "crates/bench/src/par.rs"
+        ],
+        "only the wall-clock readers may expect the clock lints"
+    );
 }
 
 /// The `name` of a crate manifest's `[package]`.
