@@ -1,11 +1,13 @@
 //! Microbenchmarks, on the in-tree timer harness (`dui_bench::harness`
 //! — no criterion, no registry access), of the primitives the `ledger/`
 //! benchmark has no per-layer metric for: the Blink failure check, the
-//! PCC controller step, the Pytheas bandit, the NetHide solver, the
-//! SP-PIFO and FlowRadar survey structures, and the histogram quantile.
-//! Every other layer — wheel, arena, selector, theory, fastsim,
-//! telemetry, state hash, checkpoint codec, supervisord, flow pool — is
-//! timed by a ledger metric, and only there (README "Performance").
+//! two models' mean takeover times, the PCC controller step, the Pytheas
+//! bandit, the NetHide solver, the SP-PIFO and FlowRadar survey
+//! structures, the histogram quantile, and the engine checkpoint codec
+//! (the ledger's Blink scenarios are not restorable, so it never runs
+//! there). Every other layer — wheel, arena, selector, theory envelope,
+//! fastsim, telemetry, state hash, supervisord, flow pool — is timed by a
+//! ledger metric, and only there (README "Performance").
 //!
 //! Run with `cargo bench -p dui-bench --bench microbench`; each line
 //! reports per-iteration median / p95 / min. Pass `--quick` for a fast
@@ -13,6 +15,7 @@
 
 use dui_bench::harness::{BenchConfig, Suite};
 use dui_core::blink::selector::{BlinkParams, FlowSelector};
+use dui_core::blink::theory::{AttackModel, FixedKeysModel};
 use dui_core::nethide::obfuscate::{obfuscate, ObfuscationConfig};
 use dui_core::netsim::packet::{Addr, FlowKey};
 use dui_core::netsim::time::SimTime;
@@ -43,6 +46,16 @@ fn bench_flow_selector(s: &mut Suite) {
     s.bench("blink_selector_failure_check", move || {
         sel.retransmitting_flows(SimTime(2_000_000))
     });
+}
+
+fn bench_theory(s: &mut Suite) {
+    // The closed form folds to a constant unless its model is opaque.
+    let m = AttackModel::fig2();
+    s.bench("iid_model_mean_takeover", move || {
+        std::hint::black_box(&m).mean_takeover_time()
+    });
+    let fm = FixedKeysModel::fig2();
+    s.bench("fixed_keys_mean_takeover", move || fm.mean_takeover_time());
 }
 
 fn bench_pcc_controller(s: &mut Suite) {
@@ -123,6 +136,44 @@ fn bench_histogram(s: &mut Suite) {
     s.bench("histogram_quantile_p99", move || h.quantile(0.99));
 }
 
+fn bench_checkpoint_codec(s: &mut Suite) {
+    use dui_core::netsim::prelude::*;
+    use dui_core::replay::record::{engine_checkpoint_from_bytes, engine_checkpoint_to_bytes};
+
+    // A loaded engine: two links, a router, 256 in-flight UDP packets —
+    // what a mid-run checkpoint of a packet-level experiment looks like.
+    fn loaded_engine() -> Simulator {
+        let mut b = TopologyBuilder::new();
+        let h1 = b.host("h1", Addr::new(10, 0, 0, 1));
+        let r = b.router("r");
+        let h2 = b.host("h2", Addr::new(10, 0, 0, 2));
+        b.link(h1, r, Bandwidth::mbps(100), SimDuration::from_millis(1), 64);
+        b.link(r, h2, Bandwidth::mbps(100), SimDuration::from_millis(1), 64);
+        let mut sim = Simulator::new(b.build(), 7);
+        sim.set_logic(r, Box::new(RouterLogic::new()));
+        sim.set_logic(h2, Box::new(SinkHost::new()));
+        for i in 0..256u16 {
+            let k = FlowKey::udp(Addr::new(10, 0, 0, 1), 2000 + i, Addr::new(10, 0, 0, 2), 80);
+            sim.inject(h1, Packet::udp(k, 300));
+        }
+        sim.run_until(SimTime::from_secs_f64(0.005));
+        sim
+    }
+    {
+        let ckpt = loaded_engine().checkpoint().expect("restorable engine");
+        s.bench("engine_checkpoint_encode", move || {
+            engine_checkpoint_to_bytes(&ckpt)
+        });
+    }
+    {
+        let bytes =
+            engine_checkpoint_to_bytes(&loaded_engine().checkpoint().expect("restorable engine"));
+        s.bench("engine_checkpoint_decode", move || {
+            engine_checkpoint_from_bytes(&bytes).expect("decodes")
+        });
+    }
+}
+
 fn main() {
     // `cargo bench` forwards unknown flags here; honour --quick and
     // ignore libtest-style arguments like --bench.
@@ -142,10 +193,12 @@ fn main() {
     );
     let mut s = Suite::new(cfg);
     bench_flow_selector(&mut s);
+    bench_theory(&mut s);
     bench_pcc_controller(&mut s);
     bench_pytheas_ucb(&mut s);
     bench_nethide_solver(&mut s);
     bench_survey(&mut s);
     bench_histogram(&mut s);
+    bench_checkpoint_codec(&mut s);
     println!("\n{} benchmarks done.", s.results().len());
 }

@@ -1814,7 +1814,7 @@ fn flow_scale_run(n: usize, seed: u64) -> FlowScaleRow {
             for &(s, _) in &pairs {
                 if pool.state(s) == Ok(TcpState::TimeWait) {
                     live(pool.on_tick(s, now));
-                        ticked = true;
+                    ticked = true;
                 }
             }
             if !ticked {

@@ -6,7 +6,8 @@
 //! error is bounded by 1/16 ≈ 6.25% while the whole `u64` range fits in
 //! under a thousand buckets. The record path is a handful of integer
 //! operations — cheap enough for the simulator's per-packet hot loop
-//! (the `ledger` benchmark times it as `telemetry.registry.update.*`).
+//! (the engine records a queue-depth sample per link enqueue, so the
+//! `ledger` benchmark times it inside `netsim.sim.ns_per_event`).
 //!
 //! Histograms merge element-wise, which makes them safe to aggregate
 //! across parallel experiment replicates: merge is associative and

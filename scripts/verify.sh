@@ -95,9 +95,10 @@ echo "== rustdoc (warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
 echo "== microbench smoke (layers the ledger does not time) =="
-# The groups left in the suite: the Blink failure check, the PCC
-# controller, the Pytheas bandit, the NetHide solver, SP-PIFO, FlowRadar
-# and the histogram quantile. Every other layer is a ledger metric.
+# The groups left in the suite: the Blink failure check, the two
+# models' mean takeover times, the PCC controller, the Pytheas bandit,
+# the NetHide solver, SP-PIFO, FlowRadar, the histogram quantile and the
+# engine checkpoint codec. Every other layer is a ledger metric.
 cargo bench --offline -p dui-bench --bench microbench -- --quick >/dev/null
 
 EXP="$PWD/target/release/experiments"
