@@ -2,13 +2,9 @@
 //!
 //! The measurement-poisoning logic itself lives in `dui-pytheas` (bots are
 //! just sessions that lie); this module binds those knobs to the threat
-//! model — which privilege enables which variant — and provides the
-//! MitM packet-level throttle used in end-to-end runs.
+//! model — which privilege enables which variant.
 
-use crate::primitives::Throttler;
 use crate::privilege::{AttackDescriptor, Privilege, Target};
-use dui_netsim::link::LinkTap;
-use dui_netsim::packet::Addr;
 use dui_pytheas::engine::{EngineConfig, PoisonStrategy, Throttle};
 
 /// Descriptor for the botnet variant.
@@ -74,16 +70,6 @@ impl CdnThrottleAttack {
             affected_fraction: self.reach,
         });
         Ok(())
-    }
-
-    /// The packet-level embodiment for end-to-end runs: a token-bucket
-    /// throttler for traffic from one CDN address.
-    pub fn as_tap(&self, cdn_addr: Addr, rate_bytes_per_sec: f64) -> Box<dyn LinkTap> {
-        Box::new(Throttler::new(
-            Box::new(move |p| p.key.src == cdn_addr),
-            rate_bytes_per_sec,
-            rate_bytes_per_sec / 4.0,
-        ))
     }
 }
 

@@ -11,8 +11,9 @@
 //!
 //! The stages are the rows of `dui_bench::stages::STAGES` (run the
 //! binary with `--help` for their names; docs/operations.md tabulates
-//! them with their flags and outputs). Every stage prints its table(s)
-//! and writes CSV into `results/`; `all` additionally writes
+//! them with their flags and outputs). Every stage prints a header from
+//! its row's `claim` and `about`, then its report, which shows each CSV
+//! it writes into `results/`; `all` additionally writes
 //! `results/experiments_all.txt` with the full report and per-stage
 //! wall-clock timings. `--jobs N` sets the worker thread count
 //! (default: all cores); the CSVs are byte-identical for every `N` —
@@ -20,10 +21,8 @@
 //!
 //! `--metrics` additionally writes each stage's telemetry snapshot as
 //! one JSON line to `results/metrics.jsonl` (sim-time metrics only, so
-//! the file is byte-identical across runs and `--jobs` too), prints a
-//! per-stage metrics summary, and turns on the wall-clock self-profiler
-//! whose report lands in a clearly-marked non-deterministic section of
-//! `experiments_all.txt`.
+//! the file is byte-identical across runs and `--jobs` too) and prints a
+//! per-stage metrics summary.
 //!
 //! `verify-determinism [stage…]` is the determinism gate
 //! (`dui_bench::stages::verify_determinism`): it runs every named row
@@ -58,7 +57,6 @@
 use dui_bench::par::default_jobs;
 use dui_bench::recordings::{build_subject, StageSubject, RECORDINGS};
 use dui_bench::stages::{verify_determinism, Stage, StageOutput, STAGES};
-use dui_bench::wallclock;
 use dui_core::replay::{Recorder, Recording, Replayer};
 use dui_core::stats::table::Table;
 use std::fmt::Write as _;
@@ -367,9 +365,6 @@ fn main() {
     // `all` is every row and also keeps the full report on disk.
     let all = which.as_deref().is_none_or(|w| w == "all");
     let rows = select(which.as_slice());
-    if metrics {
-        wallclock::enable(true);
-    }
     let t0 = std::time::Instant::now();
     let mut log = String::new();
     if all {
@@ -382,8 +377,10 @@ fn main() {
     // (stage, wall-clock seconds, output) of every row run.
     let mut ran: Vec<(&str, f64, StageOutput)> = Vec::new();
     for row in rows {
+        let header = format!("== {}: {} ==\n\n", row.claim, row.about);
+        print!("{header}");
+        log.push_str(&header);
         let ts = std::time::Instant::now();
-        wallclock::set_stage(row.name);
         let out = row.run_checked(jobs).unwrap_or_else(|undeclared| {
             eprintln!("{undeclared}");
             std::process::exit(1);
@@ -411,12 +408,6 @@ fn main() {
             let _ = writeln!(tail, "{name:<16} {secs:8.1} s");
         }
         let _ = writeln!(tail, "{:<16} {:8.1} s", "total", t0.elapsed().as_secs_f64());
-    }
-    if metrics {
-        let profile = wallclock::report();
-        if !profile.is_empty() {
-            let _ = writeln!(tail, "\n{profile}");
-        }
     }
     print!("{tail}");
     if all {

@@ -4,12 +4,11 @@
 //! experiments`: every figure and numeric claim of the paper is
 //! regenerated by a *stage* — a row of [`stages::STAGES`] — the
 //! microbenches of the layers the `ledger/` benchmark does not time live
-//! on the in-tree [`harness`] (no criterion, no registry access),
-//! replicated stages fan out over threads with [`par`], and `--metrics`
-//! prints the wall-clock self-profile kept by [`wallclock`].
+//! on the in-tree [`harness`] (no criterion, no registry access), and
+//! replicated stages fan out over threads with [`par`].
 //!
-//! Only [`harness`], [`par`] and the `experiments` binary read the wall
-//! clock: each expects clippy's clock lints at its own root, so a clock
+//! Only [`harness`] and the `experiments` binary read the wall clock:
+//! each expects clippy's clock lints at its own root, so a clock
 //! read anywhere else in the crate — a stage, a recording, the scenario
 //! runner — fails the lint gate. No library crate may depend on this
 //! crate (`tests/workspace_lints.rs`), so none can reach those clocks.
@@ -41,7 +40,6 @@ pub mod par;
 pub mod recordings;
 pub mod scenario;
 pub mod stages;
-pub mod wallclock;
 
 use dui_core::blink::selector::{BlinkParams, FlowSelector};
 use dui_core::flowgen::flows::FlowPopulation;

@@ -28,12 +28,6 @@
 //! assert_eq!(seq, par4);
 //! ```
 
-#![expect(
-    clippy::disallowed_methods,
-    clippy::disallowed_types,
-    reason = "the --metrics self-profiler times each task; the time never reaches a result"
-)]
-
 use dui_core::stats::rng::mix64;
 
 /// Derive the seed for task `index` from the experiment's `master` seed.
@@ -81,19 +75,6 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    // Wall-clock attribution per task when the self-profiler is on
-    // (`experiments --metrics`); a single relaxed atomic load otherwise.
-    // Timing never feeds back into results, so determinism is untouched.
-    let f = |i: usize| {
-        if crate::wallclock::is_enabled() {
-            let t0 = std::time::Instant::now();
-            let r = f(i);
-            crate::wallclock::record_task("run_indexed", i, t0.elapsed().as_nanos() as u64);
-            r
-        } else {
-            f(i)
-        }
-    };
     if jobs <= 1 || tasks <= 1 {
         return (0..tasks).map(f).collect();
     }

@@ -4,7 +4,8 @@
 //! function `fn(jobs) -> StageOutput`.
 //!
 //! A stage returns its human-readable report plus the named tables to
-//! write under `results/` — it performs no I/O itself, so
+//! write under `results/`; the report prints each table as it is added,
+//! so a reader sees the CSV's own cells. A stage performs no I/O, so
 //! [`verify_determinism`] can hold every row to the determinism
 //! contract in-process: same bytes run to run, and across `--jobs` for
 //! the rows that read it. Replicated work inside a stage fans out with
@@ -45,7 +46,8 @@ use std::fmt::Write as _;
 /// `results/<name>`.
 #[derive(Debug, Default)]
 pub struct StageOutput {
-    /// Human-readable report (tables + commentary), ready to print.
+    /// Human-readable report (tables + commentary), ready to print. The
+    /// binary prints the row's `claim` and `about` above it.
     pub report: String,
     /// `(file name, table)` pairs; the binary writes each as CSV.
     pub tables: Vec<(String, Table)>,
@@ -60,7 +62,9 @@ pub struct StageOutput {
 }
 
 impl StageOutput {
+    /// Emit `t` as `results/<name>` and print it into the report.
     fn table(&mut self, name: &str, t: Table) {
+        let _ = writeln!(self.report, "{}", t.to_text());
         self.tables.push((name.to_string(), t));
     }
 
@@ -255,12 +259,9 @@ impl Fig2Opts {
 /// horizon, master seed).
 pub fn fig2_with(opts: &Fig2Opts, jobs: usize) -> StageOutput {
     let mut out = StageOutput::default();
-    let mut report = String::new();
-    let r = &mut report;
-    let _ = writeln!(r, "== F2: Fig. 2 — Blink flow-selector takeover ==\n");
     let cfg = &opts.cfg;
     let _ = writeln!(
-        r,
+        out.report,
         "{} legit + {} malicious flows (qm={:.4}), 64 cells, threshold 32, horizon {:.0} s, {} runs (master seed {})",
         cfg.legit_flows,
         cfg.malicious_flows,
@@ -309,7 +310,10 @@ pub fn fig2_with(opts: &Fig2Opts, jobs: usize) -> StageOutput {
             .filter_map(|res| res.achieved_t_r)
             .collect::<Vec<_>>(),
     );
-    let _ = writeln!(r, "achieved tR = {t_r:.2} s (paper example: 8.37 s)\n");
+    let _ = writeln!(
+        out.report,
+        "achieved tR = {t_r:.2} s (paper example: 8.37 s)\n"
+    );
     let iid = AttackModel {
         t_r,
         ..AttackModel::fig2()
@@ -331,13 +335,6 @@ pub fn fig2_with(opts: &Fig2Opts, jobs: usize) -> StageOutput {
         "sim_p05",
         "sim_p95",
     ]);
-    let mut show = Table::new([
-        "t [s]",
-        "iid mean",
-        "fixed-keys mean",
-        "sim mean",
-        "sim p5..p95",
-    ]);
     for (i, &t) in env.times.iter().enumerate() {
         if !(t as u64).is_multiple_of(10) {
             continue;
@@ -355,20 +352,11 @@ pub fn fig2_with(opts: &Fig2Opts, jobs: usize) -> StageOutput {
             env.hi[i],
         ];
         csv.row_f64(&row, 2);
-        if (t as u64).is_multiple_of(50) {
-            show.row([
-                format!("{t:.0}"),
-                format!("{:.1}", row[1]),
-                format!("{:.1}", row[4]),
-                format!("{:.1}", row[7]),
-                format!("{:.0}..{:.0}", row[8], row[9]),
-            ]);
-        }
     }
-    let _ = writeln!(r, "{}", show.to_text());
+    out.table("fig2.csv", csv);
     let takeovers: Vec<f64> = runs.iter().filter_map(|res| res.takeover_time).collect();
     let _ = writeln!(
-        r,
+        out.report,
         "takeover (≥32 cells): iid mean-crossing {:.0} s | fixed-keys {:.0} s | simulated mean {:.0} s over {}/{} runs (paper caption: ≈172 s)\n",
         iid.mean_takeover_time().unwrap_or(f64::NAN),
         fixed.mean_takeover_time().unwrap_or(f64::NAN),
@@ -376,8 +364,6 @@ pub fn fig2_with(opts: &Fig2Opts, jobs: usize) -> StageOutput {
         takeovers.len(),
         opts.replicates,
     );
-    out.table("fig2.csv", csv);
-    out.report = report;
     out
 }
 
@@ -385,14 +371,7 @@ pub fn fig2_with(opts: &Fig2Opts, jobs: usize) -> StageOutput {
 /// time, reconciling the printed formula with the quoted 172 s.
 fn fig2_rates() -> StageOutput {
     let mut out = StageOutput::default();
-    let mut report = String::new();
-    let r = &mut report;
-    let _ = writeln!(
-        r,
-        "== F2b: rate-asymmetry ablation (attacker pps / legit pps) ==\n"
-    );
     let mut csv = Table::new(["rate_ratio", "effective_qm", "mean_takeover_s"]);
-    let mut show = Table::new(["ratio r", "qm_eff", "mean takeover [s]"]);
     for ratio in [0.4, 0.5, 0.63, 0.8, 1.0, 1.5, 2.0] {
         let qm = effective_qm(0.0525, ratio);
         let m = AttackModel {
@@ -405,23 +384,16 @@ fn fig2_rates() -> StageOutput {
             format!("{qm:.4}"),
             t.map(|t| format!("{t:.1}")).unwrap_or("never".into()),
         ]);
-        show.row([
-            format!("{ratio:.2}"),
-            format!("{qm:.4}"),
-            t.map(|t| format!("{t:.0}")).unwrap_or("never".into()),
-        ]);
     }
-    let _ = writeln!(r, "{}", show.to_text());
+    out.table("fig2_rates.csv", csv);
     let _ = writeln!(
-        r,
+        out.report,
         "(r ≈ 0.63 reproduces the paper's quoted ≈172 s takeover)\n"
     );
     let mut reg = Registry::new();
     let c = reg.counter("fig2_rates.ratios");
     reg.add(c, 7);
     out.metrics = reg.snapshot();
-    out.table("fig2_rates.csv", csv);
-    out.report = report;
     out
 }
 
@@ -432,72 +404,36 @@ fn fig2_rates() -> StageOutput {
 /// ablation's seed count (10 in the stage, fewer in tests).
 pub fn blink_sweep_with(salt_seeds: u64, jobs: usize) -> StageOutput {
     let mut out = StageOutput::default();
-    let mut report = String::new();
-    let r = &mut report;
-    let _ = writeln!(
-        r,
-        "== C2: takeover time vs (tR, qm) — \"with longer tR, the attack is harder\" ==\n"
-    );
     let qms = [0.01, 0.02, 0.0525, 0.10, 0.20];
     let t_rs = [2.0, 5.0, 8.37, 15.0, 30.0, 60.0];
     let mut csv = Table::new(["t_r_s", "q_m", "mean_takeover_s", "min_feasible_qm"]);
-    let mut show = Table::new([
-        "tR [s]".to_string(),
-        "min qm".to_string(),
-        qms[0].to_string(),
-        qms[1].to_string(),
-        qms[2].to_string(),
-        qms[3].to_string(),
-        qms[4].to_string(),
-    ]);
     // One task per tR row of the grid.
     let rows = run_indexed(t_rs.len(), jobs, |ti| {
         let t_r = t_rs[ti];
-        let mut csv_rows: Vec<[String; 4]> = Vec::new();
-        let mut cells = Vec::new();
-        for &q_m in &qms {
+        qms.map(|q_m| {
             let m = AttackModel {
                 t_r,
                 q_m,
                 ..AttackModel::fig2()
             };
-            let t = m.mean_takeover_time();
-            csv_rows.push([
+            [
                 format!("{t_r}"),
                 format!("{q_m}"),
-                t.map(|t| format!("{t:.1}")).unwrap_or("never".into()),
+                m.mean_takeover_time()
+                    .map(|t| format!("{t:.1}"))
+                    .unwrap_or("never".into()),
                 format!("{:.4}", m.min_feasible_qm()),
-            ]);
-            cells.push(t.map(|t| format!("{t:.0}s")).unwrap_or("-".into()));
-        }
-        let min_qm = AttackModel {
-            t_r,
-            ..AttackModel::fig2()
-        }
-        .min_feasible_qm();
-        let show_row = [
-            format!("{t_r:.1}"),
-            format!("{min_qm:.3}"),
-            cells[0].clone(),
-            cells[1].clone(),
-            cells[2].clone(),
-            cells[3].clone(),
-            cells[4].clone(),
-        ];
-        (csv_rows, show_row)
+            ]
+        })
     });
-    for (csv_rows, show_row) in rows {
-        for row in csv_rows {
-            csv.row(row);
-        }
-        show.row(show_row);
+    for row in rows.into_iter().flatten() {
+        csv.row(row);
     }
-    let _ = writeln!(r, "{}", show.to_text());
     out.table("blink_sweep.csv", csv);
 
     // Selector-size ablation: cells/threshold.
     let _ = writeln!(
-        r,
+        out.report,
         "\n-- ablation: selector size (threshold = cells/2, fig2 qm/tR) --\n"
     );
     let mut ab = Table::new(["cells", "threshold", "mean_takeover_s", "saturation_cells"]);
@@ -516,13 +452,12 @@ pub fn blink_sweep_with(salt_seeds: u64, jobs: usize) -> StageOutput {
             format!("{:.1}", m.saturation()),
         ]);
     }
-    let _ = writeln!(r, "{}", ab.to_text());
     out.table("blink_cells_ablation.csv", ab);
 
     // §5-V ablation: obfuscating the selector hash (secret salt) raises
     // the attacker's flow budget for cell coverage.
     let _ = writeln!(
-        r,
+        out.report,
         "\n-- ablation: hash-salt secrecy (§5-V) — flows needed to cover N cells --\n"
     );
     use dui_core::attacks::blink_takeover::flows_needed_for_coverage;
@@ -549,7 +484,6 @@ pub fn blink_sweep_with(salt_seeds: u64, jobs: usize) -> StageOutput {
             format!("{secret:.0}"),
         ]);
     }
-    let _ = writeln!(r, "{}", salt.to_text());
     out.table("blink_salt_ablation.csv", salt);
     let mut reg = Registry::new();
     let c = reg.counter("blink_sweep.grid_points");
@@ -557,7 +491,6 @@ pub fn blink_sweep_with(salt_seeds: u64, jobs: usize) -> StageOutput {
     let c = reg.counter("blink_sweep.salt_targets");
     reg.add(c, targets.len() as u64);
     out.metrics = reg.snapshot();
-    out.report = report;
     out
 }
 
@@ -566,12 +499,6 @@ pub fn blink_sweep_with(salt_seeds: u64, jobs: usize) -> StageOutput {
 /// statistics). Prefixes are replayed in parallel.
 fn caida_residency(jobs: usize) -> StageOutput {
     let mut out = StageOutput::default();
-    let mut report = String::new();
-    let r = &mut report;
-    let _ = writeln!(
-        r,
-        "== C3: flow-selector residency across top-20 prefixes (synthetic CAIDA-like) ==\n"
-    );
     let trace = CaidaLikeTrace::generate(&CaidaLikeConfig::default(), &mut Rng::new(7));
     // One task per prefix: replay its population through a real selector.
     let per_prefix = run_indexed(trace.populations.len(), jobs, |rank| {
@@ -619,7 +546,8 @@ fn caida_residency(jobs: usize) -> StageOutput {
         / per_prefix_mean.len() as f64;
     // The paper's sentence mixes two statistics ("for half of them the
     // average time a flow remains sampled is 10 s (the median is ∼5 s)");
-    // we report both readings.
+    // we report both readings. No CSV holds these statistics, so this is
+    // the one table a stage builds only to print.
     let mut show = Table::new(["statistic", "measured", "paper"]);
     show.row([
         "median residency across flows".to_string(),
@@ -648,8 +576,7 @@ fn caida_residency(jobs: usize) -> StageOutput {
         ),
         "8.37 s".to_string(),
     ]);
-    let _ = writeln!(r, "{}", show.to_text());
-    out.report = report;
+    let _ = writeln!(out.report, "{}", show.to_text());
     out
 }
 
@@ -689,13 +616,6 @@ pub(crate) fn c4_blink() -> (BlinkScenarioConfig, SimTime) {
 fn blink_packet(jobs: usize) -> StageOutput {
     let (c4, end) = c4_blink();
     let mut out = StageOutput::default();
-    let mut report = String::new();
-    let r = &mut report;
-    let _ = writeln!(
-        r,
-        "== C4: packet-level Blink takeover ({} legit + {} malicious TCP flows) ==\n",
-        c4.legit_flows, c4.malicious_flows
-    );
     #[expect(
         clippy::expect_used,
         reason = "BlinkScenario always monitors its victim prefix"
@@ -727,24 +647,20 @@ fn blink_packet(jobs: usize) -> StageOutput {
     out.metrics = snap.with_prefix("unguarded");
     out.metrics.merge(&g_snap.with_prefix("guarded"));
     let mut csv = Table::new(["t_s", "malicious_cells"]);
-    let mut show = Table::new(["t [s]", "malicious cells (of 64)"]);
     for (t, c) in &occ {
         csv.row([t.to_string(), c.to_string()]);
-        show.row([t.to_string(), c.to_string()]);
     }
-    let _ = writeln!(r, "{}", show.to_text());
+    out.table("blink_packet.csv", csv);
     let _ = writeln!(
-        r,
+        out.report,
         "unguarded: trigger at t={:.0} s -> reroutes={reroutes}, on_primary={on_primary} \
          (paper: takeover ≈200 s, spurious reroute follows)\n",
         c4.trigger_at.map_or(f64::NAN, |t| t.as_secs_f64())
     );
     let _ = writeln!(
-        r,
+        out.report,
         "guarded (§5 RTO check): reroutes={g_reroutes}, vetoed={g_vetoed}, on_primary={g_on_primary}\n"
     );
-    out.table("blink_packet.csv", csv);
-    out.report = report;
     out
 }
 
@@ -764,9 +680,6 @@ fn pytheas_poisoned(fraction: f64, defended: bool) -> PytheasOutcome {
 /// outlier filter. Each sweep point is an independent parallel task.
 fn pytheas(jobs: usize) -> StageOutput {
     let mut out = StageOutput::default();
-    let mut report = String::new();
-    let r = &mut report;
-    let _ = writeln!(r, "== C5: Pytheas group poisoning / CDN herding ==\n");
     let fractions = [0.0, 0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5];
     let mut csv = Table::new([
         "poison_fraction",
@@ -774,12 +687,6 @@ fn pytheas(jobs: usize) -> StageOutput {
         "honest_qoe_defended",
         "on_best_undefended",
         "filter_precision",
-    ]);
-    let mut show = Table::new([
-        "bots",
-        "QoE (no defense)",
-        "QoE (MAD filter)",
-        "on-best (no defense)",
     ]);
     let poison_rows = run_indexed(fractions.len(), jobs, |fi| {
         let f = fractions[fi];
@@ -802,29 +709,16 @@ fn pytheas(jobs: usize) -> StageOutput {
             format!("{:.4}", u.on_best),
             format!("{:.3}", d.filter_precision),
         ]);
-        show.row([
-            format!("{:.0}%", f * 100.0),
-            format!("{:.3}", u.honest_qoe),
-            format!("{:.3}", d.honest_qoe),
-            format!("{:.2}", u.on_best),
-        ]);
     }
-    let _ = writeln!(r, "{}", show.to_text());
     out.table("pytheas_poison.csv", csv);
 
-    let _ = writeln!(r, "\n-- CDN throttle / herding (MitM) --\n");
+    let _ = writeln!(out.report, "\n-- CDN throttle / herding (MitM) --\n");
     let factors = [1.0, 0.8, 0.6, 0.4, 0.2];
     let mut csv = Table::new([
         "factor",
         "share_throttled_arm",
         "max_share_other",
         "honest_qoe",
-    ]);
-    let mut show = Table::new([
-        "throttle",
-        "share on arm 1",
-        "max other share",
-        "honest QoE",
     ]);
     let throttle_rows = run_indexed(factors.len(), jobs, |fi| {
         let factor = factors[fi];
@@ -856,17 +750,9 @@ fn pytheas(jobs: usize) -> StageOutput {
             format!("{other:.4}"),
             format!("{:.4}", run.honest_qoe),
         ]);
-        show.row([
-            format!("{factor:.1}"),
-            format!("{:.2}", run.arm_share[1]),
-            format!("{other:.2}"),
-            format!("{:.3}", run.honest_qoe),
-        ]);
     }
-    let _ = writeln!(r, "{}", show.to_text());
     out.table("pytheas_throttle.csv", csv);
     out.metrics = reg.snapshot();
-    out.report = report;
     out
 }
 
@@ -939,9 +825,6 @@ fn pcc_row(cfg: &PccScenarioConfig, end: SimTime) -> (f64, f64, usize, usize, f6
 /// simulations run as parallel tasks.
 fn pcc(jobs: usize) -> StageOutput {
     let mut out = StageOutput::default();
-    let mut report = String::new();
-    let r = &mut report;
-    let _ = writeln!(r, "== C6: PCC under the §4.2 MitM ==\n");
     let (pin, end) = c6_pcc_pin();
     let scenarios = [
         ("clean", unattacked(&pin)),
@@ -963,13 +846,6 @@ fn pcc(jobs: usize) -> StageOutput {
         "decisions",
         "monitor_risk",
     ]);
-    let mut show = Table::new([
-        "scenario",
-        "rate [Mbps]",
-        "oscillation",
-        "inconclusive/decisions",
-        "§5 risk",
-    ]);
     let results = run_indexed(scenarios.len(), jobs, |si| pcc_row(&scenarios[si].1, end));
     const SNAP_KEYS: [&str; 4] = ["clean", "mirror", "pin", "pin_clamp"];
     for (si, (rate, amp, inc, dec, risk, snap)) in results.into_iter().enumerate() {
@@ -983,24 +859,15 @@ fn pcc(jobs: usize) -> StageOutput {
             dec.to_string(),
             format!("{risk:.3}"),
         ]);
-        show.row([
-            label.to_string(),
-            format!("{rate:.1}"),
-            format!("±{:.1}%", amp * 100.0),
-            format!("{inc}/{dec}"),
-            format!("{risk:.2}"),
-        ]);
     }
-    let _ = writeln!(r, "{}", show.to_text());
     out.table("pcc_single.csv", csv);
 
     let _ = writeln!(
-        r,
+        out.report,
         "\n-- destination fluctuation vs number of attacked flows (coherent sway) --\n"
     );
     let flow_counts = [2usize, 4, 8];
     let mut csv = Table::new(["flows", "clean_cv", "attacked_cv"]);
-    let mut show = Table::new(["flows", "clean CV", "attacked CV"]);
     // Task i simulates flow_counts[i / 2], attacked iff i is odd.
     let cvs = run_indexed(flow_counts.len() * 2, jobs, |i| {
         let flows = flow_counts[i / 2];
@@ -1023,15 +890,8 @@ fn pcc(jobs: usize) -> StageOutput {
             format!("{c:.4}"),
             format!("{a:.4}"),
         ]);
-        show.row([
-            flow_counts[fi].to_string(),
-            format!("{c:.3}"),
-            format!("{a:.3}"),
-        ]);
     }
-    let _ = writeln!(r, "{}", show.to_text());
     out.table("pcc_destination.csv", csv);
-    out.report = report;
     out
 }
 
@@ -1039,9 +899,6 @@ fn pcc(jobs: usize) -> StageOutput {
 /// and topologies; each (topology, budget) solve is a parallel task.
 fn nethide(jobs: usize) -> StageOutput {
     let mut out = StageOutput::default();
-    let mut report = String::new();
-    let r = &mut report;
-    let _ = writeln!(r, "== C7: NetHide obfuscation trade-off ==\n");
     let mut csv = Table::new([
         "topology",
         "budget",
@@ -1050,7 +907,6 @@ fn nethide(jobs: usize) -> StageOutput {
         "accuracy",
         "utility",
     ]);
-    let mut show = Table::new(["topology", "budget", "density", "accuracy", "utility"]);
 
     // Bowtie with protected core.
     let (bow_topo, bow_flows, core) = topologies::bowtie(6);
@@ -1121,21 +977,12 @@ fn nethide(jobs: usize) -> StageOutput {
             format!("{:.4}", rep.accuracy),
             format!("{:.4}", rep.utility),
         ]);
-        show.row([
-            name.to_string(),
-            budget.to_string(),
-            format!("{}->{}", rep.physical_max_density, rep.achieved_max_density),
-            format!("{:.2}", rep.accuracy),
-            format!("{:.2}", rep.utility),
-        ]);
     }
-    let _ = writeln!(r, "{}", show.to_text());
     out.table("nethide_tradeoff.csv", csv);
     let mut reg = Registry::new();
     let c = reg.counter("nethide.solves");
     reg.add(c, (bow_budgets.len() + ring_budgets.len()) as u64);
     out.metrics = reg.snapshot();
-    out.report = report;
     out
 }
 
@@ -1144,10 +991,6 @@ fn nethide(jobs: usize) -> StageOutput {
 /// concurrently.
 fn defenses(jobs: usize) -> StageOutput {
     let mut out = StageOutput::default();
-    let mut report = String::new();
-    let r = &mut report;
-    let _ = writeln!(r, "== C8: countermeasure ablation ==\n");
-    let mut show = Table::new(["case study", "metric", "attacked", "defended"]);
     let mut csv = Table::new(["case", "metric", "attacked", "defended"]);
 
     // Blink: spurious reroutes with / without the RTO guard. The number
@@ -1181,23 +1024,11 @@ fn defenses(jobs: usize) -> StageOutput {
         4 => (pcc_row(&pin, end).0, Snapshot::default()),
         _ => (pcc_row(&eps_clamped(&pin), end).0, Snapshot::default()),
     });
-    show.row([
-        "Blink (§3.1)".to_string(),
-        "spurious reroutes".to_string(),
-        format!("{:.0}", vals[0].0),
-        format!("{:.0}", vals[1].0),
-    ]);
     csv.row([
         "blink".to_string(),
         "spurious_reroutes".to_string(),
         format!("{:.0}", vals[0].0),
         format!("{:.0}", vals[1].0),
-    ]);
-    show.row([
-        "Pytheas (§4.1)".to_string(),
-        "honest QoE @20% bots".to_string(),
-        format!("{:.3}", vals[2].0),
-        format!("{:.3}", vals[3].0),
     ]);
     csv.row([
         "pytheas".to_string(),
@@ -1205,20 +1036,14 @@ fn defenses(jobs: usize) -> StageOutput {
         format!("{:.4}", vals[2].0),
         format!("{:.4}", vals[3].0),
     ]);
-    show.row([
-        "PCC (§4.2)".to_string(),
-        "rate under pin-to-25Mbps [Mbps]".to_string(),
-        format!("{:.1}", vals[4].0),
-        format!("{:.1}", vals[5].0),
-    ]);
     csv.row([
         "pcc".to_string(),
         "pinned_rate_mbps".to_string(),
         format!("{:.2}", vals[4].0),
         format!("{:.2}", vals[5].0),
     ]);
+    out.table("defenses.csv", csv);
 
-    let _ = writeln!(r, "{}", show.to_text());
     // Fig. 3 point III/IV: a supervisor that never touches the data plane
     // assesses risk purely from the registry snapshots the runs exported.
     let assess =
@@ -1226,7 +1051,7 @@ fn defenses(jobs: usize) -> StageOutput {
     let attacked_risk = assess(&vals[0].1);
     let defended_risk = assess(&vals[1].1);
     let _ = writeln!(
-        r,
+        out.report,
         "supervisor on registry snapshots (blink.cells.malicious / 64): \
          risk attacked {:.2}, defended {:.2}{}\n",
         attacked_risk.0,
@@ -1237,7 +1062,6 @@ fn defenses(jobs: usize) -> StageOutput {
             ""
         }
     );
-    out.table("defenses.csv", csv);
     let mut reg = Registry::new();
     let g = reg.gauge("defenses.supervisor.risk.attacked");
     reg.observe(g, attacked_risk.0);
@@ -1246,7 +1070,6 @@ fn defenses(jobs: usize) -> StageOutput {
     out.metrics = reg.snapshot();
     out.metrics.merge(&vals[0].1.with_prefix("attacked"));
     out.metrics.merge(&vals[1].1.with_prefix("defended"));
-    out.report = report;
     out
 }
 
@@ -1255,19 +1078,11 @@ fn defenses(jobs: usize) -> StageOutput {
 /// concurrently.
 fn survey(jobs: usize) -> StageOutput {
     let mut out = StageOutput::default();
-    let mut report = String::new();
-    let r = &mut report;
-    let _ = writeln!(
-        r,
-        "== C9: the §3.2 survey systems under their sketched attacks ==\n"
-    );
     let mut csv = Table::new(["system", "metric", "benign", "adversarial"]);
-    let mut show = Table::new(["system", "metric", "benign", "adversarial"]);
 
-    type Rows = (Vec<[String; 4]>, Vec<[String; 4]>);
-    // Tasks: 0 SP-PIFO, 1 FlowRadar, 2 DAPPER, 3 RON; each returns
-    // (show rows, csv rows).
-    let rows: Vec<Rows> = run_indexed(4, jobs, |which| match which {
+    // Tasks: 0 SP-PIFO, 1 FlowRadar, 2 DAPPER, 3 RON; each returns its
+    // CSV rows and, for RON, a note on what no CSV column holds.
+    let rows: Vec<(Vec<[String; 4]>, Option<String>)> = run_indexed(4, jobs, |which| match which {
         0 => {
             // SP-PIFO: inversion rate, random vs crafted rank order.
             use dui_core::survey::sp_pifo::{
@@ -1283,20 +1098,13 @@ fn survey(jobs: usize) -> StageOutput {
                 ri as f64 / rsrv.max(1) as f64,
                 ai as f64 / asrv.max(1) as f64,
             );
-            (
-                vec![[
-                    "SP-PIFO".into(),
-                    "inversion rate".into(),
-                    format!("{a:.3}"),
-                    format!("{b:.3}"),
-                ]],
-                vec![[
-                    "sp-pifo".into(),
-                    "inversion_rate".into(),
-                    format!("{a:.4}"),
-                    format!("{b:.4}"),
-                ]],
-            )
+            let row = [
+                "sp-pifo".into(),
+                "inversion_rate".into(),
+                format!("{a:.4}"),
+                format!("{b:.4}"),
+            ];
+            (vec![row], None)
         }
         1 => {
             // FlowRadar: decode rate before/after saturation.
@@ -1317,36 +1125,21 @@ fn survey(jobs: usize) -> StageOutput {
                 fr.on_packet(&k);
             }
             let after = fr.decode_rate();
-            (
-                vec![
-                    [
-                        "FlowRadar".into(),
-                        "flow-set decode rate".into(),
-                        format!("{before:.2}"),
-                        format!("{after:.2}"),
-                    ],
-                    [
-                        "FlowRadar".into(),
-                        "bloom fill".into(),
-                        "-".into(),
-                        format!("{:.2}", fr.bloom_fill()),
-                    ],
+            let rows = vec![
+                [
+                    "flowradar".into(),
+                    "decode_rate".into(),
+                    format!("{before:.4}"),
+                    format!("{after:.4}"),
                 ],
-                vec![
-                    [
-                        "flowradar".into(),
-                        "decode_rate".into(),
-                        format!("{before:.4}"),
-                        format!("{after:.4}"),
-                    ],
-                    [
-                        "flowradar".into(),
-                        "bloom_fill".into(),
-                        "".into(),
-                        format!("{:.4}", fr.bloom_fill()),
-                    ],
+                [
+                    "flowradar".into(),
+                    "bloom_fill".into(),
+                    "".into(),
+                    format!("{:.4}", fr.bloom_fill()),
                 ],
-            )
+            ];
+            (rows, None)
         }
         2 => {
             // DAPPER: diagnosis of a healthy connection, honest vs
@@ -1394,13 +1187,8 @@ fn survey(jobs: usize) -> StageOutput {
             };
             let (honest, attacked) = (run(None), run(Some(2000)));
             (
-                vec![[
-                    "DAPPER".into(),
-                    "diagnosis (healthy conn)".into(),
-                    honest.clone(),
-                    attacked.clone(),
-                ]],
                 vec![["dapper".into(), "diagnosis".into(), honest, attacked]],
+                None,
             )
         }
         _ => {
@@ -1418,37 +1206,32 @@ fn survey(jobs: usize) -> StageOutput {
             };
             let (benign_div, benign_est) = run(0.0);
             let (attacked_div, attacked_est) = run(0.6);
-            (
-                vec![[
-                    "RON".into(),
-                    "route diverted off a clean path".into(),
-                    format!("{benign_div} (est. loss {benign_est:.2})"),
-                    format!("{attacked_div} (est. loss {attacked_est:.2})"),
-                ]],
-                vec![[
-                    "ron".into(),
-                    "diverted".into(),
-                    format!("{benign_div}"),
-                    format!("{attacked_div}"),
-                ]],
-            )
+            let row = [
+                "ron".into(),
+                "diverted".into(),
+                format!("{benign_div}"),
+                format!("{attacked_div}"),
+            ];
+            let note = format!(
+                "RON's estimated loss on the clean path: {benign_est:.2} benign, \
+                 {attacked_est:.2} adversarial\n"
+            );
+            (vec![row], Some(note))
         }
     });
-    for (show_rows, csv_rows) in rows {
-        for row in show_rows {
-            show.row(row);
-        }
-        for row in csv_rows {
+    let mut notes = String::new();
+    for (task_rows, note) in rows {
+        for row in task_rows {
             csv.row(row);
         }
+        notes.extend(note);
     }
-    let _ = writeln!(r, "{}", show.to_text());
     out.table("survey.csv", csv);
+    let _ = writeln!(out.report, "{notes}");
     let mut reg = Registry::new();
     let c = reg.counter("survey.systems");
     reg.add(c, 4);
     out.metrics = reg.snapshot();
-    out.report = report;
     out
 }
 
@@ -1458,15 +1241,6 @@ fn survey(jobs: usize) -> StageOutput {
 fn fuzz(jobs: usize) -> StageOutput {
     use dui_core::defense::fuzzing::{BlinkFuzzer, FuzzConfig};
     let mut out = StageOutput::default();
-    let mut report = String::new();
-    let r = &mut report;
-    let _ = writeln!(r, "== §5-II: fuzzing rediscovers the Blink trigger ==\n");
-    let mut show = Table::new([
-        "seed",
-        "peak retransmitting flows",
-        "triggered (≥32)",
-        "found at iter",
-    ]);
     let mut csv = Table::new(["seed", "peak", "triggered", "found_at"]);
     // Seeds 1..=5 are part of the recorded artifact; they stay explicit
     // rather than derived from a master seed.
@@ -1490,12 +1264,6 @@ fn fuzz(jobs: usize) -> StageOutput {
             reg.inc(triggered_c);
             reg.record(found_h, res.found_at as u64);
         }
-        show.row([
-            seed.to_string(),
-            res.peak_retransmitting.to_string(),
-            res.triggered.to_string(),
-            res.found_at.to_string(),
-        ]);
         csv.row([
             seed.to_string(),
             res.peak_retransmitting.to_string(),
@@ -1503,15 +1271,13 @@ fn fuzz(jobs: usize) -> StageOutput {
             res.found_at.to_string(),
         ]);
     }
-    let _ = writeln!(r, "{}", show.to_text());
+    out.table("fuzz.csv", csv);
     let _ = writeln!(
-        r,
+        out.report,
         "The search starts from random benign-looking traffic and climbs the\n\
          victim's own internal counters — no attack knowledge encoded.\n"
     );
-    out.table("fuzz.csv", csv);
     out.metrics = reg.snapshot();
-    out.report = report;
     out
 }
 
@@ -1535,14 +1301,7 @@ fn supervisord(jobs: usize) -> StageOutput {
     const MASTER_SEED: u64 = 7;
 
     let mut out = StageOutput::default();
-    let mut report = String::new();
-    let r = &mut report;
     let groups = PRODUCERS.div_ceil(2);
-    let _ = writeln!(
-        r,
-        "== SV: supervisord streaming detection ({} producers, {} groups, {} epochs) ==\n",
-        PRODUCERS, groups, EPOCHS
-    );
 
     // One deterministic delta stream per producer. Groups pair
     // producers; the group's profile decides which signal its members
@@ -1638,7 +1397,6 @@ fn supervisord(jobs: usize) -> StageOutput {
         "veto",
         "flagged_groups",
     ]);
-    let mut show = Table::new(["workers", "frames", "allow / constrain / veto"]);
     let count = |report: &supervisord::PipelineReport, action: supervisord::Action| {
         report.verdicts.iter().filter(|v| v.action == action).count()
     };
@@ -1670,15 +1428,10 @@ fn supervisord(jobs: usize) -> StageOutput {
             veto.to_string(),
             flagged.len().to_string(),
         ]);
-        show.row([
-            workers.to_string(),
-            run.frames.to_string(),
-            format!("{allow} / {constrain} / {veto}"),
-        ]);
     }
-    let _ = writeln!(r, "{}", show.to_text());
+    out.table("supervisord.csv", csv);
     let _ = writeln!(
-        r,
+        out.report,
         "verdict log byte-identical across workers {{{}}}; flagged groups: {}\n\
          (profiles: benign / Blink-ramp / Pytheas-poison / PCC-equalizer, onset at epoch {onset})\n",
         sweep
@@ -1692,8 +1445,6 @@ fn supervisord(jobs: usize) -> StageOutput {
             .collect::<Vec<_>>()
             .join(", "),
     );
-
-    out.table("supervisord.csv", csv);
     out.artifact("supervisord_verdicts.jsonl", ref_jsonl);
     let mut reg = Registry::new();
     let c = reg.counter("supervisord.frames");
@@ -1711,7 +1462,6 @@ fn supervisord(jobs: usize) -> StageOutput {
         reg.record(risk, (v.risk * 1000.0) as u64);
     }
     out.metrics = reg.snapshot();
-    out.report = report;
     out
 }
 
@@ -1880,14 +1630,6 @@ fn flow_scale(jobs: usize) -> StageOutput {
     const MASTER_SEED: u64 = 11;
 
     let mut out = StageOutput::default();
-    let mut report = String::new();
-    let r = &mut report;
-    let _ = writeln!(
-        r,
-        "== FS: flow-pool scale sweep ({} rows, up to {} concurrent flows) ==\n",
-        SWEEP.len(),
-        SWEEP[SWEEP.len() - 1],
-    );
     let rows = run_indexed(SWEEP.len(), jobs, |i| {
         flow_scale_run(SWEEP[i], task_seed(MASTER_SEED, i as u64))
     });
@@ -1902,7 +1644,6 @@ fn flow_scale(jobs: usize) -> StageOutput {
         "bytes_acked",
         "digest",
     ]);
-    let mut show = Table::new(["flows", "peak slots", "handshakes", "completed"]);
     let mut reg = Registry::new();
     for row in &rows {
         assert_eq!(
@@ -1921,12 +1662,6 @@ fn flow_scale(jobs: usize) -> StageOutput {
             row.bytes_acked.to_string(),
             format!("{:016x}", row.digest),
         ]);
-        show.row([
-            row.flows.to_string(),
-            row.peak_slots.to_string(),
-            row.handshakes.to_string(),
-            row.completed.to_string(),
-        ]);
         let c = reg.counter("flow_scale.flows");
         reg.add(c, row.admitted);
         let c = reg.counter("flow_scale.handshakes");
@@ -1938,14 +1673,12 @@ fn flow_scale(jobs: usize) -> StageOutput {
         let g = reg.gauge("flow_scale.peak_slots");
         reg.observe(g, row.peak_slots as f64);
     }
-    let _ = writeln!(r, "{}", show.to_text());
+    out.table("flow_scale.csv", csv);
     let _ = writeln!(
-        r,
+        out.report,
         "every one of the {} recycled handles was refused by the generation check.\n",
         rows.iter().map(|row| row.evicted).sum::<u64>(),
     );
-    out.table("flow_scale.csv", csv);
     out.metrics = reg.snapshot();
-    out.report = report;
     out
 }

@@ -133,11 +133,19 @@ fn metrics_jsonl_identical_across_jobs() {
     verify_determinism(&light).unwrap_or_else(|diff| panic!("{diff}"));
 
     // What `experiments all --metrics` writes is exactly one
-    // `to_json_line(stage)` per stage.
+    // `to_json_line(stage)` per stage. The report shows each CSV table
+    // as written, not a second table restating it.
     let jsonl: String = light
         .iter()
         .map(|s| {
             let out = s.run_checked(1).expect("declared outputs");
+            for (name, table) in &out.tables {
+                assert!(
+                    out.report.contains(&table.to_text()),
+                    "{}: the report does not print {name}",
+                    s.name
+                );
+            }
             out.metrics.to_json_line(s.name) + "\n"
         })
         .collect();

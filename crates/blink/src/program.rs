@@ -92,11 +92,6 @@ impl BlinkProgram {
         self.prefixes.iter().find(|p| p.prefix == prefix)
     }
 
-    /// Mutable state for a monitored prefix.
-    pub fn prefix_state_mut(&mut self, prefix: Prefix) -> Option<&mut PrefixState> {
-        self.prefixes.iter_mut().find(|p| p.prefix == prefix)
-    }
-
     /// All monitored prefixes.
     pub fn monitored(&self) -> impl Iterator<Item = &PrefixState> {
         self.prefixes.iter()

@@ -94,19 +94,6 @@ impl AttackModel {
         (t <= self.t_b).then_some(t)
     }
 
-    /// First time at which takeover probability reaches `conf`.
-    /// Scans at 1 s granularity up to `tB`.
-    pub fn takeover_time_with_confidence(&self, conf: f64) -> Option<f64> {
-        let mut t = 0.0;
-        while t <= self.t_b {
-            if self.takeover_probability(t) >= conf {
-                return Some(t);
-            }
-            t += 1.0;
-        }
-        None
-    }
-
     /// Minimum `qm` for which the mean takeover time fits within the reset
     /// budget `tB` (the attack-feasibility frontier swept in the
     /// `blink-sweep` experiment).

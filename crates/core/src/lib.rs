@@ -26,7 +26,7 @@
 //! * [`supervisord`] — streaming supervisor-as-a-service: sharded online
 //!   risk evaluation over telemetry snapshot deltas (`dui-defense`'s
 //!   module, re-exported)
-//! * [`telemetry`] — zero-dep metrics registry, span tracing, self-profiler
+//! * [`telemetry`] — zero-dep metrics registry, span tracing
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 

@@ -5,6 +5,7 @@
 //! directly, and [`SyntheticFlow::to_flow_spec`] lowers it onto a real
 //! `dui-tcp` sender for packet-level runs.
 
+use crate::stream::FlowStream;
 use dui_netsim::packet::{Addr, FlowKey, Prefix};
 use dui_netsim::time::{SimDuration, SimTime};
 use dui_stats::dist;
@@ -93,12 +94,6 @@ impl DurationDist {
         };
         SimDuration::from_secs_f64(secs.min(self.max_secs))
     }
-
-    /// Theoretical median of the body (the tail shifts it only slightly for
-    /// small `tail_prob`).
-    pub fn body_median_secs(&self) -> f64 {
-        self.ln_mu.exp()
-    }
 }
 
 impl Default for DurationDist {
@@ -144,54 +139,12 @@ pub struct FlowPopulation {
 }
 
 impl FlowPopulation {
-    /// Generate a population.
+    /// Generate a population: the flows of a [`FlowStream`] over the
+    /// same config, collected. `rng` is left where the stream left it.
     pub fn generate(cfg: &FlowPopulationConfig, rng: &mut Rng) -> Self {
-        assert!(cfg.arrival_rate > 0.0, "arrival rate must be positive");
-        let mut flows = Vec::new();
-        // Warm start: flows whose lifetime straddles t = 0. Stationary
-        // expectation of concurrently-active flows is rate * E[D]; we draw
-        // residual lifetimes from the duration distribution (an
-        // approximation of the inspection-paradox residual; adequate here
-        // because the selector resamples within seconds anyway).
-        let mean_dur = {
-            // Estimate E[D] empirically from the distribution itself.
-            let mut probe = rng.fork(0xD0);
-            let mut acc = 0.0;
-            for _ in 0..1000 {
-                acc += cfg.duration.sample(&mut probe).as_secs_f64();
-            }
-            acc / 1000.0
-        };
-        let warm = cfg
-            .warm_start
-            .unwrap_or((cfg.arrival_rate * mean_dur).round() as usize);
-        for i in 0..warm {
-            let dur = cfg.duration.sample(rng);
-            flows.push(SyntheticFlow {
-                key: random_key_in_prefix(cfg.prefix, rng, 50_000 + i as u16),
-                start: SimTime::ZERO,
-                duration: dur,
-                pkt_interval: cfg.pkt_interval,
-            });
-        }
-        // Poisson arrivals over the horizon.
-        let mut t = 0.0;
-        let horizon = cfg.horizon.as_secs_f64();
-        let mut sport = 1024u16;
-        while t < horizon {
-            t += dist::exponential(rng, cfg.arrival_rate);
-            if t >= horizon {
-                break;
-            }
-            sport = sport.wrapping_add(1).max(1024);
-            flows.push(SyntheticFlow {
-                key: random_key_in_prefix(cfg.prefix, rng, sport),
-                start: SimTime::from_secs_f64(t),
-                duration: cfg.duration.sample(rng),
-                pkt_interval: cfg.pkt_interval,
-            });
-        }
-        flows.sort_by_key(|f| f.start);
+        let mut stream = FlowStream::new(cfg.clone(), rng.clone());
+        let flows = stream.by_ref().collect();
+        *rng = stream.into_rng();
         FlowPopulation {
             flows,
             prefix: cfg.prefix,
@@ -371,5 +324,14 @@ mod tests {
         let a = FlowPopulation::generate(&config(), &mut Rng::new(9));
         let b = FlowPopulation::generate(&config(), &mut Rng::new(9));
         assert_eq!(a.flows, b.flows);
+    }
+
+    #[test]
+    fn generate_leaves_rng_where_the_stream_ends() {
+        let mut rng = Rng::new(10);
+        FlowPopulation::generate(&config(), &mut rng);
+        let mut stream = FlowStream::new(config(), Rng::new(10));
+        stream.by_ref().for_each(drop);
+        assert_eq!(rng.state(), stream.into_rng().state());
     }
 }

@@ -22,9 +22,10 @@
 //! * [`malicious`] — the attacker's flow population: `m` spoofed always-
 //!   active 5-tuples that emit TCP segments with repeating sequence numbers
 //!   (fake retransmissions) on command.
-//! * [`stream`] — the lazy twin of [`flows`]: a [`stream::FlowStream`]
-//!   iterator derives the same flows on demand (byte-identical order) so
-//!   million-flow hosts admit arrivals without materializing the workload.
+//! * [`stream`] — the one flow generator: a [`stream::FlowStream`]
+//!   iterator derives flows on demand so million-flow hosts admit
+//!   arrivals without materializing the workload;
+//!   [`flows::FlowPopulation::generate`] collects the same stream.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 

@@ -1,22 +1,12 @@
 //! Lazy flow-arrival streaming.
 //!
-//! [`FlowStream`] is the iterator twin of
-//! [`FlowPopulation::generate`](crate::flows::FlowPopulation::generate):
-//! it derives each flow from the seeded RNG *on demand*, in exactly the
-//! order the materialized generator would have produced after its
-//! start-time sort. That equivalence is load-bearing — million-flow
-//! packet-level runs admit flows straight off the stream (constant
-//! memory) while staying byte-identical to the materialized path, and a
-//! propcheck suite pins it.
-//!
-//! The equivalence argument: `generate` pushes warm flows (all starting
-//! at `t = 0`) first, then Poisson arrivals whose start times are
-//! nondecreasing in generation order, and finally *stable*-sorts by
-//! start. The sort therefore never reorders anything, so emitting flows
-//! in generation order — warm first, then arrivals — reproduces the
-//! sorted vector element for element, provided the RNG is consumed in
-//! the same sequence (probe fork, then per-warm `duration, key`, then
-//! per-arrival `gap, key, duration`).
+//! [`FlowStream`] is the one flow generator: it derives each flow from
+//! the seeded RNG *on demand* — warm flows (all starting at `t = 0`)
+//! first, then Poisson arrivals, so start times never decrease.
+//! Million-flow packet-level runs admit flows straight off the stream in
+//! constant memory, and
+//! [`FlowPopulation::generate`](crate::flows::FlowPopulation::generate)
+//! is the same stream collected, so the two paths cannot drift apart.
 
 use crate::flows::{random_key_in_prefix, FlowPopulationConfig, SyntheticFlow};
 use dui_netsim::time::SimTime;
@@ -24,14 +14,11 @@ use dui_stats::digest::StateDigest;
 use dui_stats::{dist, Rng};
 use dui_tcp::{FlowSource, FlowSpec};
 
-/// An iterator that yields the same flows as [`FlowPopulation::generate`]
-/// with the same config and RNG, without materializing them.
-///
-/// [`FlowPopulation::generate`]: crate::flows::FlowPopulation::generate
+/// An iterator over a flow population, sorted by start time, that never
+/// materializes it.
 pub struct FlowStream {
     cfg: FlowPopulationConfig,
     rng: Rng,
-    mean_dur_secs: f64,
     warm_total: usize,
     warm_emitted: usize,
     /// Poisson clock (seconds), advanced per arrival.
@@ -43,11 +30,15 @@ pub struct FlowStream {
 }
 
 impl FlowStream {
-    /// Start a stream. Takes the RNG by value: the stream owns the
-    /// remainder of the sequence `generate` would have consumed.
+    /// Start a stream that draws every flow from `rng`.
     pub fn new(cfg: FlowPopulationConfig, mut rng: Rng) -> Self {
         assert!(cfg.arrival_rate > 0.0, "arrival rate must be positive");
-        // Identical probe to `generate`: fork advances `rng` by one draw.
+        // Warm start: flows whose lifetime straddles t = 0. Stationary
+        // expectation of concurrently-active flows is rate * E[D], with
+        // E[D] estimated on a fork of `rng` (which advances it by one
+        // draw); residual lifetimes come from the duration distribution
+        // itself (an approximation of the inspection-paradox residual;
+        // adequate here because the selector resamples within seconds).
         let mean_dur_secs = {
             let mut probe = rng.fork(0xD0);
             let mut acc = 0.0;
@@ -63,7 +54,6 @@ impl FlowStream {
         FlowStream {
             cfg,
             rng,
-            mean_dur_secs,
             warm_total,
             warm_emitted: 0,
             t: 0.0,
@@ -74,15 +64,14 @@ impl FlowStream {
         }
     }
 
-    /// Empirical mean flow duration from the probe fork (the same
-    /// estimate `generate` uses to size the warm population).
-    pub fn mean_duration_estimate_secs(&self) -> f64 {
-        self.mean_dur_secs
-    }
-
     /// Flows emitted so far.
     pub fn emitted(&self) -> u64 {
         self.emitted
+    }
+
+    /// The RNG, advanced past every flow emitted so far.
+    pub(crate) fn into_rng(self) -> Rng {
+        self.rng
     }
 
     /// Fold the stream's resume state into a digest: the RNG words plus
@@ -108,7 +97,7 @@ impl Iterator for FlowStream {
             return None;
         }
         if self.warm_emitted < self.warm_total {
-            // Warm start: same sample order as `generate` (duration, key).
+            // Warm start: duration, then key.
             let i = self.warm_emitted;
             self.warm_emitted += 1;
             self.emitted += 1;
@@ -121,8 +110,7 @@ impl Iterator for FlowStream {
                 pkt_interval: self.cfg.pkt_interval,
             });
         }
-        // Poisson arrival: same sample order as `generate` (gap, key,
-        // duration — struct literal field order).
+        // Poisson arrival: gap, then key, then duration.
         self.t += dist::exponential(&mut self.rng, self.cfg.arrival_rate);
         if self.t >= self.horizon_secs {
             self.done = true;
@@ -222,7 +210,7 @@ impl FlowSource for StreamSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flows::{DurationDist, FlowPopulation};
+    use crate::flows::DurationDist;
     use dui_netsim::packet::{Addr, Prefix};
     use dui_netsim::time::SimDuration;
 
@@ -235,25 +223,6 @@ mod tests {
             horizon: SimDuration::from_secs(100),
             warm_start: None,
         }
-    }
-
-    #[test]
-    fn stream_matches_materialized_generation() {
-        for seed in [1, 9, 42, 0xDEAD] {
-            let mut rng = Rng::new(seed);
-            let pop = FlowPopulation::generate(&config(), &mut rng);
-            let streamed: Vec<_> = FlowStream::new(config(), Rng::new(seed)).collect();
-            assert_eq!(pop.flows, streamed, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn stream_leaves_rng_in_same_state_as_generate() {
-        let mut a = Rng::new(7);
-        FlowPopulation::generate(&config(), &mut a);
-        let mut s = FlowStream::new(config(), Rng::new(7));
-        for _ in s.by_ref() {}
-        assert_eq!(a.state(), s.rng.state());
     }
 
     #[test]

@@ -121,13 +121,6 @@ impl SimCore {
         &self.routing
     }
 
-    /// Mutate the routing tables. This is an **operator-privilege** action
-    /// in the paper's threat model (§2.1) — only code standing in for the
-    /// operator (or for the legitimate control plane) should call it.
-    pub fn routing_mut(&mut self) -> &mut Routing {
-        &mut self.routing
-    }
-
     /// Read announced destination prefixes.
     pub fn prefixes(&self) -> &PrefixTable {
         &self.prefixes
@@ -155,12 +148,6 @@ impl SimCore {
     /// [`Ctx::metrics`].
     pub fn registry(&self) -> &Registry {
         &self.registry
-    }
-
-    /// Mutable access to the metrics registry (for scenario harnesses
-    /// that export their own metrics alongside the engine's).
-    pub fn registry_mut(&mut self) -> &mut Registry {
-        &mut self.registry
     }
 
     /// Resolve a destination address to its sink node: exact host address
@@ -822,11 +809,6 @@ impl Simulator {
     /// Administratively fail / restore a link (both directions).
     pub fn set_link_up(&mut self, link: LinkId, up: bool) {
         self.core.links[link.0].up = up;
-    }
-
-    /// Is the link currently up?
-    pub fn link_up(&self, link: LinkId) -> bool {
-        self.core.links[link.0].up
     }
 
     /// Per-direction link statistics.

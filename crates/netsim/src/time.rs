@@ -188,11 +188,6 @@ impl Bandwidth {
         let ns = (bytes as u128 * 8 * 1_000_000_000) / self.0 as u128;
         SimDuration(ns.min(u64::MAX as u128) as u64)
     }
-
-    /// Raw bits per second.
-    pub fn as_bps(&self) -> u64 {
-        self.0
-    }
 }
 
 #[cfg(test)]

@@ -144,12 +144,6 @@ impl StateDigest {
         self.write_u64(v as u64);
     }
 
-    /// Fold an `i64` (two's-complement bits).
-    #[inline]
-    pub fn write_i64(&mut self, v: i64) {
-        self.write_u64(v.cast_unsigned());
-    }
-
     /// Fold a `bool` as 0/1.
     #[inline]
     pub fn write_bool(&mut self, v: bool) {

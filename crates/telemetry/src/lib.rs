@@ -25,8 +25,8 @@
 //!   by every byte-compared exporter.
 //!
 //! Everything here is deterministic — no module reads a clock (the
-//! harness's wall-clock self-profiler is `dui_bench::wallclock`, in the
-//! one crate exempt from clippy's clock ban):
+//! only wall clocks are in `dui-bench`, the one crate exempt from
+//! clippy's clock ban):
 //! identical record sequences produce byte-identical snapshots and JSON
 //! lines, which is what lets `results/metrics.jsonl` be compared
 //! byte-for-byte across `--jobs` values.

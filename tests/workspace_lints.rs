@@ -256,13 +256,13 @@ fn no_library_crate_depends_on_the_bench_harness() {
 }
 
 /// The clock lints are expected, each at its own module root, by exactly
-/// the three files that read the wall clock: the microbench timer, the
-/// profiler's per-task hook and the `experiments` binary. An expectation
+/// the two files that read the wall clock: the microbench timer and the
+/// `experiments` binary. An expectation
 /// anywhere else — a crate root, a stage — would let a clock read there
 /// pass the gate. (`disallowed_types` names the clock types; the
 /// byte-conversion escapes expect only `disallowed_methods`.)
 #[test]
-fn clock_reads_are_confined_to_three_bench_modules() {
+fn clock_reads_are_confined_to_two_bench_modules() {
     let mut files = Vec::new();
     for dir in ["src", "tests"] {
         rust_files(dir, &mut files);
@@ -284,11 +284,7 @@ fn clock_reads_are_confined_to_three_bench_modules() {
     exempt.sort();
     assert_eq!(
         exempt,
-        [
-            "crates/bench/src/bin/experiments.rs",
-            "crates/bench/src/harness.rs",
-            "crates/bench/src/par.rs"
-        ],
+        ["crates/bench/src/bin/experiments.rs", "crates/bench/src/harness.rs"],
         "only the wall-clock readers may expect the clock lints"
     );
 }
