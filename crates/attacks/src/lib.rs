@@ -15,9 +15,8 @@
 //! | [`syn_flood`] — spoofed SYNs exhaust a stateful listener's half-open backlog | §2 | Host | Infrastructure |
 //!
 //! [`privilege`] defines the attacker taxonomy and capability checks;
-//! [`primitives`] provides the generic building blocks (probabilistic
-//! droppers, throttlers, delayers, header rewriters) the case studies
-//! compose.
+//! [`primitives`] holds the TCP window rewriter (and its flow filter)
+//! behind the endpoint attacks of §4's introduction.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 

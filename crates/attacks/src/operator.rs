@@ -133,7 +133,6 @@ mod tests {
     use dui_netsim::node::{RouterLogic, SinkHost};
     use dui_netsim::packet::{Addr, FlowKey};
     use dui_netsim::prelude::*;
-    use dui_netsim::trace::TraceKind;
 
     /// h1 - r1 = r2 - h2, with the bounce pair (r1, r2).
     fn build(bounces: Option<u32>) -> (Simulator, NodeId, NodeId) {
@@ -172,17 +171,20 @@ mod tests {
             }
         }
         sim.set_logic(h2, Box::new(SinkHost::new()));
-        sim.enable_trace(1000);
         (sim, h1, h2)
     }
 
-    fn arrival_time(sim: &Simulator, h2: NodeId) -> SimTime {
-        sim.trace_events()
-            .iter()
-            .filter(|e| e.kind == TraceKind::Deliver && e.node == Some(h2))
-            .map(|e| e.time)
-            .next_back()
-            .expect("packet delivered")
+    /// Run for a second and return when `h2` received its last packet:
+    /// the `step_limited` event after which its sink's count last rose.
+    fn arrival_time(sim: &mut Simulator, h2: NodeId) -> SimTime {
+        let (mut seen, mut last) = (0, None);
+        while let Some(ev) = sim.step_limited(SimTime::from_secs(1)) {
+            let got = sim.logic_mut::<SinkHost>(h2).total_packets;
+            if got > seen {
+                (seen, last) = (got, Some(ev.time));
+            }
+        }
+        last.expect("packet delivered")
     }
 
     #[test]
@@ -191,13 +193,11 @@ mod tests {
         // Honest: ~7 ms one way.
         let (mut sim, h1, h2) = build(None);
         sim.inject(h1, Packet::udp_like(key));
-        sim.run_until(SimTime::from_secs(1));
-        let honest = arrival_time(&sim, h2);
+        let honest = arrival_time(&mut sim, h2);
         // Bounced 4 legs: +4 crossings of the 5 ms core link ≈ +20 ms.
         let (mut sim, h1, h2) = build(Some(4));
         sim.inject(h1, Packet::udp_like(key));
-        sim.run_until(SimTime::from_secs(1));
-        let bounced = arrival_time(&sim, h2);
+        let bounced = arrival_time(&mut sim, h2);
         assert!(sim.counters().total_drops() == 0, "no loss signature");
         let extra = bounced.since(honest);
         assert!(
@@ -214,8 +214,7 @@ mod tests {
         let key = FlowKey::tcp(Addr::new(10, 0, 0, 1), 5555, Addr::new(10, 0, 0, 2), 443);
         let (mut sim, h1, h2) = build(Some(4));
         sim.inject(h1, Packet::udp_like(key));
-        sim.run_until(SimTime::from_secs(1));
-        let t = arrival_time(&sim, h2);
+        let t = arrival_time(&mut sim, h2);
         assert!(t < SimTime::from_secs_f64(0.010), "port 443 sails through");
     }
 

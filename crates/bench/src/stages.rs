@@ -616,10 +616,6 @@ pub(crate) fn c4_blink() -> (BlinkScenarioConfig, SimTime) {
 fn blink_packet(jobs: usize) -> StageOutput {
     let (c4, end) = c4_blink();
     let mut out = StageOutput::default();
-    #[expect(
-        clippy::expect_used,
-        reason = "BlinkScenario always monitors its victim prefix"
-    )]
     let run = |guarded: bool| {
         let mut sc = BlinkScenario::build(&BlinkScenarioConfig {
             guarded,
@@ -628,12 +624,12 @@ fn blink_packet(jobs: usize) -> StageOutput {
         let mut occupancy = Vec::new();
         for t in (0..=250).step_by(25) {
             sc.sim.run_until(SimTime::from_secs(t));
-            occupancy.push((t, sc.malicious_cells().expect("prefix monitored")));
+            occupancy.push((t, sc.malicious_cells()));
         }
         sc.sim.run_until(end);
         let snap = sc.metrics();
-        let reroutes = sc.reroutes().expect("prefix monitored");
-        let on_primary = sc.on_primary().expect("prefix monitored");
+        let reroutes = sc.reroutes();
+        let on_primary = sc.on_primary();
         (occupancy, reroutes, sc.vetoed(), on_primary, snap)
     };
     let both = run_indexed(2, jobs, |i| run(i == 1));

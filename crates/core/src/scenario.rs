@@ -13,7 +13,7 @@
 
 use dui_attacks::blink_takeover::{BlinkTakeover, MaliciousRetxHost};
 use dui_attacks::pcc_oscillate::PccEqualizerTap;
-use dui_blink::program::{BlinkConfig, BlinkProgram};
+use dui_blink::program::{BlinkConfig, BlinkProgram, PrefixState};
 use dui_defense::blink_guard::BlinkRtoGuard;
 use dui_flowgen::flows::{DurationDist, FlowPopulation, FlowPopulationConfig};
 use dui_flowgen::{MaliciousFlowSet, MaliciousFlowSetConfig};
@@ -21,7 +21,6 @@ use dui_netsim::link::{Dir, FaultConfig};
 use dui_netsim::node::RouterLogic;
 use dui_netsim::packet::FlowKey;
 use dui_netsim::packet::{Addr, Prefix};
-use dui_netsim::prelude::TcpFlags;
 use dui_netsim::sim::Simulator;
 use dui_netsim::time::{Bandwidth, SimDuration, SimTime};
 use dui_netsim::topology::{LinkId, NodeId, TopologyBuilder};
@@ -29,28 +28,6 @@ use dui_pcc::control::ControlConfig;
 use dui_pcc::endpoint::{PccReceiver, PccSender, PccSenderConfig};
 use dui_stats::Rng;
 use dui_tcp::TcpHost;
-
-// Silence a false "unused import" for TcpFlags used only in doc positions.
-const _: fn() -> TcpFlags = TcpFlags::default;
-
-/// Errors from scenario observation accessors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScenarioError {
-    /// The queried prefix is not monitored by the scenario's Blink program.
-    PrefixNotMonitored(Prefix),
-}
-
-impl std::fmt::Display for ScenarioError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ScenarioError::PrefixNotMonitored(p) => {
-                write!(f, "prefix {p} is not monitored by the Blink program")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ScenarioError {}
 
 /// Parameters for the packet-level Blink case study.
 #[derive(Debug, Clone)]
@@ -234,43 +211,34 @@ impl BlinkScenario {
         router.program_mut::<BlinkProgram>(0)
     }
 
+    /// The ingress Blink program's state for the victim prefix.
+    #[expect(
+        clippy::expect_used,
+        reason = "build monitors the victim prefix, and BlinkProgram has no call that unmonitors one"
+    )]
+    fn victim_state(&mut self) -> &PrefixState {
+        let prefix = self.prefix;
+        self.blink()
+            .prefix_state(prefix)
+            .expect("build monitors the victim prefix")
+    }
+
     /// Number of selector cells currently held by attacker flows.
-    ///
-    /// Errors if the victim prefix is not monitored by the ingress Blink
-    /// program (impossible for a scenario built by [`BlinkScenario::build`],
-    /// but external callers can reconfigure the program).
-    pub fn malicious_cells(&mut self) -> Result<usize, ScenarioError> {
+    pub fn malicious_cells(&mut self) -> usize {
         let keys = self.malicious_keys.clone();
-        let prefix = self.prefix;
-        let blink = self.blink();
-        let st = blink
-            .prefix_state(prefix)
-            .ok_or(ScenarioError::PrefixNotMonitored(prefix))?;
-        Ok(st.selector.count_matching(|k| keys.contains(k)))
+        self.victim_state()
+            .selector
+            .count_matching(|k| keys.contains(k))
     }
 
-    /// Reroute events so far for the victim prefix (see
-    /// [`Self::malicious_cells`] for the error condition).
-    pub fn reroutes(&mut self) -> Result<usize, ScenarioError> {
-        let prefix = self.prefix;
-        Ok(self
-            .blink()
-            .prefix_state(prefix)
-            .ok_or(ScenarioError::PrefixNotMonitored(prefix))?
-            .reroute
-            .reroute_count())
+    /// Reroute events so far for the victim prefix.
+    pub fn reroutes(&mut self) -> usize {
+        self.victim_state().reroute.reroute_count()
     }
 
-    /// Is the prefix currently forwarded via the primary path? (See
-    /// [`Self::malicious_cells`] for the error condition.)
-    pub fn on_primary(&mut self) -> Result<bool, ScenarioError> {
-        let prefix = self.prefix;
-        Ok(self
-            .blink()
-            .prefix_state(prefix)
-            .ok_or(ScenarioError::PrefixNotMonitored(prefix))?
-            .reroute
-            .on_primary())
+    /// Is the prefix currently forwarded via the primary path?
+    pub fn on_primary(&mut self) -> bool {
+        self.victim_state().reroute.on_primary()
     }
 
     /// Reroutes vetoed by the guard (0 when unguarded).
@@ -286,7 +254,7 @@ impl BlinkScenario {
     /// [`OccupancyWindow`](dui_defense::streaming::OccupancyWindow)
     /// consume.
     pub fn metrics(&mut self) -> dui_telemetry::Snapshot {
-        let malicious = self.malicious_cells().unwrap_or(0) as f64;
+        let malicious = self.malicious_cells() as f64;
         let mut reg = dui_telemetry::Registry::new();
         self.blink().export_metrics(&mut reg);
         let g = reg.gauge("blink.cells.malicious");
@@ -709,7 +677,7 @@ mod tests {
             st.selector.occupied()
         };
         assert!(occupied > 10, "selector should fill up: {occupied}");
-        assert!(sc.on_primary().unwrap(), "no failure, no reroute");
+        assert!(sc.on_primary(), "no failure, no reroute");
     }
 
     #[test]

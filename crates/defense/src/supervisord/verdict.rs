@@ -34,7 +34,8 @@ impl Action {
 /// Verdicts are totally ordered by `(epoch, producer, seq)` — the same
 /// key the pipeline's merge layers use — so a verdict log is a
 /// canonical, diffable artifact: two runs diverge at the first
-/// differing line (see `dui_replay::diverge::first_line_divergence`).
+/// differing line, the `file:line` that `experiments verify-determinism`
+/// reports.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Verdict {
     /// Producer-local logical time bucket of the frame.

@@ -54,7 +54,6 @@ pub mod parallel;
 pub mod sim;
 pub mod time;
 pub mod topology;
-pub mod trace;
 pub mod wheel;
 
 /// Commonly used items, re-exported for glob import.

@@ -206,6 +206,6 @@ pub(crate) fn run_window(sim: &mut Simulator, end_excl: SimTime, target: SimTime
         let ext = sim.core.domain.as_mut().expect("checked above");
         ext.records.push((time, key));
         ext.cur_intra = 0;
-        sim.dispatch(time, event);
+        sim.dispatch(event);
     }
 }

@@ -103,10 +103,9 @@ fn assign(load: &[u64], k: usize, threads: usize) -> Vec<usize> {
 /// The parallel preconditions. Each names engine machinery whose
 /// sequential semantics a domain cannot reproduce locally: taps and
 /// random faults consume the single sequential RNG/interception stream,
-/// traces and spans record a single interleaved timeline, and a
-/// single-domain partition has nothing to parallelize. Anything else —
-/// link up/down state, routing edits, node logic of every kind — is
-/// either domain-local or exchanged at barriers.
+/// and a single-domain partition has nothing to parallelize. Anything
+/// else — link up/down state, routing edits, node logic of every kind —
+/// is either domain-local or exchanged at barriers.
 fn preconditions(sim: &Simulator, map: &DomainMap) -> Result<(), FallbackReason> {
     if map.domain_count() < 2 {
         return Err(FallbackReason::SingleDomain);
@@ -120,12 +119,6 @@ fn preconditions(sim: &Simulator, map: &DomainMap) -> Result<(), FallbackReason>
                 return Err(FallbackReason::ActiveFaults);
             }
         }
-    }
-    if sim.core.trace.is_enabled() {
-        return Err(FallbackReason::TraceEnabled);
-    }
-    if sim.core.spans.is_some() {
-        return Err(FallbackReason::SpansEnabled);
     }
     Ok(())
 }

@@ -52,10 +52,10 @@
 //! topologies — the null-message degenerate case, since a cut with
 //! sub-floor lookahead is contracted away rather than throttled) or
 //! where machinery consumes inherently sequential streams (link taps,
-//! probabilistic faults, tracing, span recording), `run_parallel`
-//! returns a [`FallbackReason`] and the caller falls through to the
-//! sequential loop. The outcome of the most recent `run_until` is
-//! queryable via `Simulator::last_parallel_outcome`.
+//! probabilistic faults), `run_parallel` returns a [`FallbackReason`]
+//! and the caller falls through to the sequential loop. The outcome of
+//! the most recent `run_until` is queryable via
+//! `Simulator::last_parallel_outcome`.
 //!
 //! # Contract: packet ids of in-flight packets are engine-internal
 //!
@@ -63,8 +63,8 @@
 //! are re-numbered at the barrier. Node logic must therefore not read
 //! `pkt.id` of packets it did not create and key behavior on it;
 //! logics that do (e.g. dedup maps keyed on observed ids) are only
-//! sequential-safe. Ids in results, traces, and checkpoints are always
-//! final.
+//! sequential-safe. Ids in results, recordings, and checkpoints are
+//! always final.
 //!
 //! # Structural telemetry scope
 //!
@@ -106,12 +106,6 @@ pub enum FallbackReason {
     /// Probabilistic link faults (drop probability or jitter) are
     /// active; they consume the engine's single sequential RNG stream.
     ActiveFaults,
-    /// Event tracing is enabled; the trace records one interleaved
-    /// timeline.
-    TraceEnabled,
-    /// Span recording is enabled; spans record one interleaved
-    /// timeline.
-    SpansEnabled,
 }
 
 impl FallbackReason {
@@ -122,8 +116,6 @@ impl FallbackReason {
             FallbackReason::SingleDomain => "single_domain",
             FallbackReason::TapsInstalled => "taps",
             FallbackReason::ActiveFaults => "faults",
-            FallbackReason::TraceEnabled => "trace",
-            FallbackReason::SpansEnabled => "spans",
         }
     }
 }
@@ -134,8 +126,6 @@ impl std::fmt::Display for FallbackReason {
             FallbackReason::SingleDomain => "topology partitions into a single domain",
             FallbackReason::TapsInstalled => "link taps installed",
             FallbackReason::ActiveFaults => "probabilistic link faults active",
-            FallbackReason::TraceEnabled => "event tracing enabled",
-            FallbackReason::SpansEnabled => "span recording enabled",
         };
         f.write_str(s)
     }

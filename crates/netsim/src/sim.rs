@@ -8,11 +8,10 @@ use crate::node::NodeLogic;
 use crate::packet::{Addr, Packet, Prefix};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{LinkId, NodeId, PrefixTable, Routing, Topology};
-use crate::trace::{Counters, Trace, TraceEvent, TraceKind};
 use crate::wheel::WheelStats;
 use dui_stats::digest::StateDigest;
 use dui_stats::Rng;
-use dui_telemetry::{CounterId, GaugeId, HistId, Registry, Snapshot, SpanRecorder};
+use dui_telemetry::{CounterId, GaugeId, HistId, Registry, Snapshot};
 
 /// Where every per-event digest of [`Simulator::step_limited`] starts:
 /// the label is hashed once, at compile time, not once per event.
@@ -81,6 +80,40 @@ impl EngineMetrics {
     }
 }
 
+/// Global drop/delivery accounting: a by-value view over the engine's
+/// `netsim.` registry counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Counters {
+    /// Packets delivered to a node (including routers, i.e. per hop).
+    pub delivered: u64,
+    /// Deliveries to nodes with no logic installed.
+    pub sunk: u64,
+    /// Drops: DropTail queue overflow.
+    pub dropped_queue: u64,
+    /// Drops: decided by a MitM tap.
+    pub dropped_tap: u64,
+    /// Drops: fault injection or failed link.
+    pub dropped_fault: u64,
+    /// Drops: TTL expired at a router.
+    pub dropped_ttl: u64,
+    /// Drops: decided by a data-plane program.
+    pub dropped_program: u64,
+    /// Drops: no route / unannounced destination.
+    pub dropped_no_route: u64,
+}
+
+impl Counters {
+    /// Sum of all drop categories.
+    pub fn total_drops(&self) -> u64 {
+        self.dropped_queue
+            + self.dropped_tap
+            + self.dropped_fault
+            + self.dropped_ttl
+            + self.dropped_program
+            + self.dropped_no_route
+    }
+}
+
 /// Engine state shared with node logic through [`Ctx`]. Node behaviors are
 /// stored *outside* this struct so a node can freely send packets / arm
 /// timers while its own `&mut self` is live.
@@ -94,8 +127,6 @@ pub struct SimCore {
     pub(crate) links: Vec<LinkRuntime>,
     pub(crate) registry: Registry,
     pub(crate) metrics: EngineMetrics,
-    pub(crate) spans: Option<SpanRecorder>,
-    pub(crate) trace: Trace,
     pub(crate) rng: Rng,
     pub(crate) next_pkt_id: u64,
     /// Present while this core runs as one domain of the parallel engine
@@ -202,8 +233,6 @@ impl SimCore {
                 self.registry.inc(self.metrics.created);
             }
             self.registry.inc(self.metrics.dropped_no_route);
-            self.trace
-                .record(self.now, TraceKind::NoRoute, Some(from), &pkt);
             return;
         };
         if dst_node == from {
@@ -220,8 +249,6 @@ impl SimCore {
                 self.registry.inc(self.metrics.created);
             }
             self.registry.inc(self.metrics.dropped_no_route);
-            self.trace
-                .record(self.now, TraceKind::NoRoute, Some(from), &pkt);
             return;
         };
         self.send_via(from, next, pkt);
@@ -274,9 +301,7 @@ impl SimCore {
         let mut extra = SimDuration::ZERO;
         if !self.links[link.0].apply_fault(dir, &mut self.rng, &mut extra) {
             self.registry.inc(self.metrics.dropped_fault);
-            let dropped = self.take_pkt(pkt);
-            self.trace
-                .record(self.now, TraceKind::FaultDrop, None, &dropped);
+            self.take_pkt(pkt);
             return;
         }
         // 2. taps (MitM)
@@ -312,9 +337,7 @@ impl SimCore {
             TapAction::Drop => {
                 self.links[link.0].stats_mut(dir).dropped_tap += 1;
                 self.registry.inc(self.metrics.dropped_tap);
-                let dropped = self.take_pkt(pkt);
-                self.trace
-                    .record(self.now, TraceKind::TapDrop, None, &dropped);
+                self.take_pkt(pkt);
                 return;
             }
             TapAction::Delay(d) => {
@@ -344,9 +367,7 @@ impl SimCore {
                 self.registry.inc(self.metrics.dropped_queue);
                 self.registry
                     .record(self.metrics.queue_depth, depth as u64);
-                let dropped = self.take_pkt(pkt);
-                self.trace
-                    .record(self.now, TraceKind::QueueDrop, None, &dropped);
+                self.take_pkt(pkt);
                 return;
             }
             st.queue.push_back(pkt);
@@ -356,21 +377,9 @@ impl SimCore {
         self.registry.record(self.metrics.queue_depth, depth as u64);
     }
 
-    #[expect(
-        clippy::expect_used,
-        reason = "the engine resolves only handles it issued and has not yet taken"
-    )]
     fn start_tx(&mut self, link: LinkId, dir: Dir, pkt: PacketRef) {
         let bw = self.links[link.0].info.bandwidth;
         let ser = bw.serialization_delay(self.pkt(pkt).size);
-        self.trace.record(
-            self.now,
-            TraceKind::TxStart,
-            None,
-            self.arena
-                .get(pkt)
-                .expect("engine holds a stale packet ref"),
-        );
         self.links[link.0].dir_state(dir).in_flight = Some(pkt);
         self.schedule_event(self.now + ser, Event::TxComplete { link, dir });
     }
@@ -616,9 +625,9 @@ pub struct LinkCheckpoint {
 /// The checkpoint captures everything [`Simulator::state_hash`] hashes:
 /// clock, RNG, pending events (in dispatch order), link state, routing,
 /// prefix announcements, and per-node logic state (as opaque blobs from
-/// [`NodeLogic::save_state`]). Telemetry (metrics registry, traces,
-/// spans) is observability, not logical state, and is deliberately
-/// excluded. Byte serialization of this struct is `dui-replay`'s job.
+/// [`NodeLogic::save_state`]). Telemetry (the metrics registry) is
+/// observability, not logical state, and is deliberately excluded.
+/// Byte serialization of this struct is `dui-replay`'s job.
 #[derive(Debug)]
 pub struct EngineCheckpoint {
     /// Simulated time the checkpoint was taken at.
@@ -716,8 +725,6 @@ impl Simulator {
                 links,
                 registry,
                 metrics,
-                spans: None,
-                trace: Trace::disabled(),
                 rng: Rng::new(seed),
                 next_pkt_id: 0,
                 domain: None,
@@ -738,10 +745,9 @@ impl Simulator {
     /// makes results byte-identical across every `n` (see
     /// [`crate::parallel`] for the full determinism argument). Runs that
     /// fail the parallel preconditions (taps installed, active
-    /// random-loss/jitter faults, tracing or spans enabled, or a topology
-    /// that partitions into a single domain) silently fall back to the
-    /// sequential engine; [`Simulator::last_parallel_outcome`] reports
-    /// which path was taken.
+    /// random-loss/jitter faults, or a topology that partitions into a
+    /// single domain) silently fall back to the sequential engine;
+    /// [`Simulator::last_parallel_outcome`] reports which path was taken.
     pub fn set_sim_threads(&mut self, n: usize) {
         self.sim_threads = n;
     }
@@ -816,23 +822,6 @@ impl Simulator {
         *self.core.links[link.0].stats(dir)
     }
 
-    /// Enable bounded in-memory tracing (for examples / debugging).
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.core.trace = Trace::enabled(capacity);
-    }
-
-    /// Enable span tracing of the event loop: each dispatched event is
-    /// recorded as a span keyed by deterministic `SimTime` nanoseconds,
-    /// in a ring holding at most `capacity` completed spans.
-    pub fn enable_spans(&mut self, capacity: usize) {
-        self.core.spans = Some(SpanRecorder::new(capacity));
-    }
-
-    /// The event-loop span recorder, if [`Self::enable_spans`] was called.
-    pub fn spans(&self) -> Option<&SpanRecorder> {
-        self.core.spans.as_ref()
-    }
-
     /// Freeze the metrics registry into a mergeable snapshot, folding in
     /// every node logic's own metrics ([`NodeLogic::export_metrics`]).
     ///
@@ -848,11 +837,6 @@ impl Simulator {
         }
         snap.merge(&node_reg.snapshot());
         snap
-    }
-
-    /// Recorded trace events.
-    pub fn trace_events(&self) -> &[TraceEvent] {
-        self.core.trace.events()
     }
 
     /// Current simulated time.
@@ -917,33 +901,20 @@ impl Simulator {
         while let Some((time, event)) = self.core.queue.pop_due(t) {
             debug_assert!(time >= self.core.now, "time went backwards");
             self.core.now = time;
-            self.dispatch(time, event);
+            self.dispatch(event);
         }
         self.core.now = t;
         self.core.sync_structural_metrics();
     }
 
-    /// Dispatch one event, maintaining delivery counters and (when
-    /// enabled) recording the dispatch as a sim-time span.
-    pub(crate) fn dispatch(&mut self, time: SimTime, event: Event) {
-        if let Some(spans) = self.core.spans.as_mut() {
-            let label = match &event {
-                Event::Deliver { .. } => "deliver",
-                Event::TxComplete { .. } => "tx_complete",
-                Event::Timer { .. } => "timer",
-                Event::Offer { .. } => "offer",
-            };
-            spans.enter(label, time.as_nanos());
-        }
+    /// Dispatch one event, maintaining delivery counters.
+    pub(crate) fn dispatch(&mut self, event: Event) {
         match event {
             Event::Deliver { node, pkt } => {
                 self.core.registry.inc(self.core.metrics.delivered);
                 // Delivery retires the handle: the body moves out of the
                 // arena (recycling the slot) and into the node logic.
                 let body = self.core.take_pkt(pkt);
-                self.core
-                    .trace
-                    .record(time, TraceKind::Deliver, Some(node), &body);
                 if let Some(mut logic) = self.logics[node.0].take() {
                     if self.core.topo.node(node).kind == crate::topology::NodeKind::Host {
                         self.core
@@ -974,9 +945,6 @@ impl Simulator {
             }
             Event::Offer { link, dir, pkt } => self.core.enqueue_link(link, dir, pkt),
         }
-        if let Some(spans) = self.core.spans.as_mut() {
-            spans.exit(self.core.now.as_nanos());
-        }
     }
 
     /// Dispatch exactly one pending event, provided it is due at or
@@ -994,7 +962,7 @@ impl Simulator {
             let mut d = EVENT_DIGEST;
             event.state_digest(&mut d, &self.core.arena);
             let digest = d.finish();
-            self.dispatch(time, event);
+            self.dispatch(event);
             return Some(SteppedEvent { time, kind, digest });
         }
         self.core.now = limit;
@@ -1007,7 +975,7 @@ impl Simulator {
     /// routing, prefix announcements, and every node logic's
     /// [`NodeLogic::state_digest`] contribution.
     ///
-    /// Telemetry (metrics registry, traces, spans) is excluded: it is
+    /// Telemetry (the metrics registry) is excluded: it is
     /// observability about the run, not state that influences it.
     pub fn state_digest(&self, d: &mut StateDigest) {
         d.write_u64(self.core.now.0);
@@ -1334,9 +1302,28 @@ impl Simulator {
             self.core.now = time;
             n += 1;
             assert!(n <= max, "simulation did not quiesce within {max} events");
-            self.dispatch(time, event);
+            self.dispatch(event);
         }
         self.core.sync_structural_metrics();
         n
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Counters;
+
+    #[test]
+    fn counters_sum() {
+        let c = Counters {
+            dropped_queue: 1,
+            dropped_tap: 2,
+            dropped_fault: 3,
+            dropped_ttl: 4,
+            dropped_program: 5,
+            dropped_no_route: 6,
+            ..Default::default()
+        };
+        assert_eq!(c.total_drops(), 21);
     }
 }

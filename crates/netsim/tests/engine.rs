@@ -26,6 +26,20 @@ fn udp_key() -> FlowKey {
     FlowKey::udp(Addr::new(10, 0, 0, 1), 5000, Addr::new(10, 0, 0, 2), 80)
 }
 
+/// Run to `until` and return when the sink at `node` received each
+/// packet: every `step_limited` event after which its count rose.
+fn arrivals(sim: &mut Simulator, node: NodeId, until: SimTime) -> Vec<SimTime> {
+    let (mut seen, mut times) = (0, Vec::new());
+    while let Some(ev) = sim.step_limited(until) {
+        let got = sim.logic_mut::<SinkHost>(node).total_packets;
+        if got > seen {
+            seen = got;
+            times.push(ev.time);
+        }
+    }
+    times
+}
+
 #[test]
 fn packet_crosses_two_links_with_correct_latency() {
     let (mut sim, h1, _r, h2) = basic_sim();
@@ -71,16 +85,9 @@ fn serialization_is_pipelined_not_parallel() {
     b.link(h1, h2, Bandwidth::mbps(1), SimDuration::ZERO, 16);
     let mut sim = Simulator::new(b.build(), 1);
     sim.set_logic(h2, Box::new(SinkHost::new()));
-    sim.enable_trace(100);
     sim.inject(h1, Packet::udp(udp_key(), 972)); // 1000 B on wire = 8 ms at 1 Mbps
     sim.inject(h1, Packet::udp(udp_key(), 972));
-    sim.run_until(SimTime::from_secs(1));
-    let delivers: Vec<_> = sim
-        .trace_events()
-        .iter()
-        .filter(|e| matches!(e.kind, dui_netsim::trace::TraceKind::Deliver))
-        .map(|e| e.time)
-        .collect();
+    let delivers = arrivals(&mut sim, h2, SimTime::from_secs(1));
     assert_eq!(delivers.len(), 2);
     let gap = delivers[1].since(delivers[0]);
     assert_eq!(gap, SimDuration::from_millis(8));
@@ -208,19 +215,16 @@ impl LinkTap for Delayer {
 #[test]
 fn mitm_tap_can_delay() {
     let (mut sim, h1, _r, h2) = basic_sim();
-    sim.enable_trace(100);
     sim.install_tap(
         LinkId(1),
         Dir::AtoB,
         Box::new(Delayer(SimDuration::from_millis(100))),
     );
     sim.inject(h1, Packet::udp(udp_key(), 100));
-    sim.run_until(SimTime::from_secs(1));
-    let sink: &mut SinkHost = sim.logic_mut(h2);
-    assert_eq!(sink.total_packets, 1);
+    let delivers = arrivals(&mut sim, h2, SimTime::from_secs(1));
+    assert_eq!(delivers.len(), 1);
     // Arrival must be >= 100ms (the tap delay) + 2ms propagation.
-    let last = sim.trace_events().last().unwrap().time;
-    assert!(last >= SimTime::from_secs_f64(0.102));
+    assert!(delivers[0] >= SimTime::from_secs_f64(0.102));
 }
 
 /// Tap that injects a copy of each packet (a rudimentary duplicator).
@@ -297,44 +301,35 @@ fn timers_drive_periodic_behavior() {
     assert_eq!(p.got_replies, 4);
 }
 
-/// `enable_spans` records every dispatched event as a span labelled by
-/// event kind and stamped with simulated (not wall-clock) nanoseconds —
-/// and, being an observer the sharded engine cannot merge yet, makes
-/// `set_sim_threads` fall back to the sequential engine and count it.
+/// `step_limited` yields every dispatched event labelled by its kind and
+/// stamped with simulated (not wall-clock) time.
 #[test]
-fn spans_record_each_dispatch_at_sim_time_and_force_the_sequential_engine() {
+fn step_limited_yields_each_dispatch_at_sim_time() {
     let (mut sim, h1, _r, _h2) = basic_sim();
     let dst = Addr::new(10, 0, 0, 2);
     sim.set_logic(h1, Box::new(Pinger { dst, sent: 0, got_replies: 0 }));
-    assert!(sim.spans().is_none());
-    sim.enable_spans(1024);
-    sim.set_sim_threads(2);
-    sim.run_until(SimTime::from_secs(1));
+    let mut events = Vec::new();
+    while let Some(ev) = sim.step_limited(SimTime::from_secs(1)) {
+        events.push(ev);
+    }
 
-    let recorder = sim.spans().expect("spans were enabled");
-    assert_eq!((recorder.wrapped(), recorder.open_depth()), (0, 0));
-    let spans = recorder.spans();
-    let starts_of = |name: &str| -> Vec<u64> {
-        spans.iter().filter(|s| s.name == name).map(|s| s.start_ns).collect()
+    let times_of = |kind: &str| -> Vec<u64> {
+        events.iter().filter(|e| e.kind == kind).map(|e| e.time.as_nanos()).collect()
     };
     // The pinger's timer fires every 10 ms of simulated time: four pings
     // and the tick that finds nothing left to send.
-    assert_eq!(starts_of("timer"), [10, 20, 30, 40, 50].map(|ms| ms * 1_000_000));
+    assert_eq!(times_of("timer"), [10, 20, 30, 40, 50].map(|ms| ms * 1_000_000));
     // Each ping and its reply cross two links: a transmission and a
     // delivery per hop.
-    assert_eq!(starts_of("deliver").len(), 16);
-    assert_eq!(starts_of("tx_complete").len(), 16);
-    assert_eq!(spans.len(), 5 + 16 + 16);
-    // An event is dispatched at one instant, in time order.
-    assert!(spans.iter().all(|s| s.depth == 0 && s.start_ns == s.end_ns));
-    assert!(spans.windows(2).all(|w| w[0].start_ns <= w[1].start_ns));
+    assert_eq!(times_of("deliver").len(), 16);
+    assert_eq!(times_of("tx_complete").len(), 16);
+    assert_eq!(events.len(), 5 + 16 + 16);
+    // Events are dispatched in time order.
+    assert!(events.windows(2).all(|w| w[0].time <= w[1].time));
     // First hop of the first ping: 64 B at 100 Mbit/s, then 1 ms of wire.
-    assert_eq!(starts_of("tx_complete")[0], 10_000_000 + 5_120);
-    assert_eq!(starts_of("deliver")[0], 10_000_000 + 5_120 + 1_000_000);
+    assert_eq!(times_of("tx_complete")[0], 10_000_000 + 5_120);
+    assert_eq!(times_of("deliver")[0], 10_000_000 + 5_120 + 1_000_000);
 
-    let metrics = sim.metrics_snapshot();
-    assert_eq!(metrics.counter("netsim.parallel.fallback"), 1);
-    assert_eq!(metrics.counter("netsim.parallel.fallback.spans"), 1);
     let p: &mut Pinger = sim.logic_mut(h1);
     assert_eq!((p.sent, p.got_replies), (4, 4));
 }

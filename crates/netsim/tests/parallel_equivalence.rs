@@ -445,17 +445,6 @@ fn fallback_reasons_are_reported_and_results_still_match() {
         sim.last_parallel_outcome(),
         Some(&ParallelOutcome::Fallback(FallbackReason::ActiveFaults))
     );
-
-    // Tracing on a multi-domain topology.
-    let (topo, routers, hosts, addrs) = random_clustered(3);
-    let mut sim = wire(topo, &routers, &hosts, &addrs, 3);
-    sim.enable_trace(1024);
-    sim.set_sim_threads(2);
-    sim.run_until(at_ms(50));
-    assert_eq!(
-        sim.last_parallel_outcome(),
-        Some(&ParallelOutcome::Fallback(FallbackReason::TraceEnabled))
-    );
 }
 
 #[test]

@@ -193,61 +193,6 @@ pub fn first_divergence(a: &Recording, b: &Recording) -> Option<Divergence> {
     })
 }
 
-/// Where two canonical line-oriented logs (e.g. supervisord verdict
-/// JSONL, where each line is one totally-ordered record) first differ.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LineDivergence {
-    /// 0-based index of the first differing line.
-    pub line: usize,
-    /// That line in log A (`None` when A ended first).
-    pub a: Option<String>,
-    /// That line in log B (`None` when B ended first).
-    pub b: Option<String>,
-    /// Line counts of the two logs.
-    pub lengths: (usize, usize),
-}
-
-impl LineDivergence {
-    /// A human-readable report, mirroring [`Divergence::render`].
-    pub fn render(&self) -> String {
-        let mut out = format!("first divergent line: #{}\n", self.line);
-        match &self.a {
-            Some(l) => out.push_str(&format!("  A: {l}\n")),
-            None => out.push_str(&format!("  A: <ended at {} lines>\n", self.lengths.0)),
-        }
-        match &self.b {
-            Some(l) => out.push_str(&format!("  B: {l}\n")),
-            None => out.push_str(&format!("  B: <ended at {} lines>\n", self.lengths.1)),
-        }
-        out
-    }
-}
-
-/// Compare two canonical logs line-by-line and report the first
-/// divergence, or `None` when they are byte-identical. Because
-/// supervisord verdict logs are totally ordered by
-/// `(epoch, producer, seq)`, the first differing line names the exact
-/// frame where two runs (e.g. different worker counts, or a replayed
-/// producer) parted ways — the same "first divergence" contract as the
-/// recording-level search above.
-pub fn first_line_divergence(a: &str, b: &str) -> Option<LineDivergence> {
-    let la: Vec<&str> = a.lines().collect();
-    let lb: Vec<&str> = b.lines().collect();
-    let lengths = (la.len(), lb.len());
-    for i in 0..la.len().max(lb.len()) {
-        let (xa, xb) = (la.get(i), lb.get(i));
-        if xa != xb {
-            return Some(LineDivergence {
-                line: i,
-                a: xa.map(|s| s.to_string()),
-                b: xb.map(|s| s.to_string()),
-                lengths,
-            });
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,28 +277,5 @@ mod tests {
         assert_eq!(div.event_index, None, "shared prefix matches");
         assert_eq!(div.lengths, (100, 60));
         assert!(div.render().contains("lengths differ"));
-    }
-
-    #[test]
-    fn line_divergence_pinpoints_first_differing_line() {
-        let a = "{\"seq\":0}\n{\"seq\":1,\"risk\":0.1}\n{\"seq\":2}\n";
-        let b = "{\"seq\":0}\n{\"seq\":1,\"risk\":0.9}\n{\"seq\":2}\n";
-        assert_eq!(first_line_divergence(a, a), None);
-        let div = first_line_divergence(a, b).expect("must diverge");
-        assert_eq!(div.line, 1);
-        assert!(div.a.as_deref().is_some_and(|l| l.contains("0.1")));
-        assert!(div.b.as_deref().is_some_and(|l| l.contains("0.9")));
-        assert!(div.render().contains("#1"));
-    }
-
-    #[test]
-    fn line_divergence_reports_truncation() {
-        let a = "x\ny\nz\n";
-        let b = "x\ny\n";
-        let div = first_line_divergence(a, b).expect("must diverge");
-        assert_eq!(div.line, 2);
-        assert_eq!(div.b, None);
-        assert_eq!(div.lengths, (3, 2));
-        assert!(div.render().contains("<ended at 2 lines>"));
     }
 }

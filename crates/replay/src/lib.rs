@@ -35,7 +35,7 @@ pub mod record;
 pub mod replay;
 pub mod subjects;
 
-pub use diverge::{first_divergence, first_line_divergence, ComponentDiff, Divergence, LineDivergence};
+pub use diverge::{first_divergence, ComponentDiff, Divergence};
 pub use record::{CheckpointFrame, EventFrame, Recorder, Recording};
 pub use replay::{Capture, ReplayError, ReplayReport, ReplaySubject, Replayer, StepInfo};
 pub use subjects::{FastSimSubject, SimulatorSubject};

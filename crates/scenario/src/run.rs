@@ -201,15 +201,15 @@ impl Compiled {
                 samples.push(Sample {
                     t,
                     delivered: b.sim.metrics_snapshot().counter("netsim.delivered.endpoint"),
-                    reroutes: b.reroutes().unwrap_or(0) as u64,
-                    on_primary: b.on_primary().unwrap_or(true),
+                    reroutes: b.reroutes() as u64,
+                    on_primary: b.on_primary(),
                 });
             }
         }
         let blink = BlinkObs {
-            reroutes: b.reroutes().unwrap_or(0) as u64,
-            on_primary: b.on_primary().unwrap_or(true),
-            malicious_cells: b.malicious_cells().unwrap_or(0) as u64,
+            reroutes: b.reroutes() as u64,
+            on_primary: b.on_primary(),
+            malicious_cells: b.malicious_cells() as u64,
             vetoed: b.vetoed(),
         };
         Observed {

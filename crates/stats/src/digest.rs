@@ -16,8 +16,8 @@
 //!   allocator artifacts;
 //! * **no unordered iteration** — a `HashMap`/`HashSet` is digested
 //!   through a sorted view or [`StateDigest::write_unordered`];
-//! * **no telemetry** — metrics, traces and spans are observations
-//!   about a run, not state that influences it.
+//! * **no telemetry** — metrics are observations about a run, not
+//!   state that influences it.
 //!
 //! Three properties of the primitive itself matter and are guaranteed
 //! here:

@@ -1,5 +1,5 @@
 //! `dui-telemetry`: zero-dependency observability substrate for the DUI
-//! workspace — a metrics registry and span tracing.
+//! workspace — a metrics registry and its streaming transport.
 //!
 //! The paper's §5 supervisor (Fig. 3) is a feedback loop that needs the
 //! system to observe itself: input quality at point III, decision rates
@@ -18,9 +18,6 @@
 //! * [`channel`] — a bounded SPSC channel (`Mutex` + `Condvar`) with
 //!   blocking backpressure, the transport between producers and
 //!   supervisord workers.
-//! * [`span`] — nested spans in a bounded ring buffer, timestamped with
-//!   caller-supplied nanoseconds (the simulator passes deterministic
-//!   `SimTime` nanos; no clock is read here).
 //! * [`json`] — the deterministic float/string JSON formatting shared
 //!   by every byte-compared exporter.
 //!
@@ -61,9 +58,7 @@ pub mod delta;
 pub mod hist;
 pub mod json;
 pub mod registry;
-pub mod span;
 
 pub use delta::{DeltaEncoder, Frame};
 pub use hist::LogHistogram;
 pub use registry::{CounterId, GaugeId, HistId, Registry, Snapshot};
-pub use span::{Span, SpanRecorder};

@@ -20,23 +20,23 @@ fn base_cfg() -> BlinkScenarioConfig {
 fn real_failure_detected_and_rerouted() {
     let mut sc = BlinkScenario::build(&base_cfg());
     sc.sim.run_until(SimTime::from_secs(20));
-    assert!(sc.on_primary().unwrap());
+    assert!(sc.on_primary());
     sc.fail_primary_forward();
     sc.sim.run_until(SimTime::from_secs(28));
     assert!(
-        !sc.on_primary().unwrap(),
+        !sc.on_primary(),
         "Blink must reroute around a real failure within seconds"
     );
-    assert_eq!(sc.reroutes().unwrap(), 1);
+    assert_eq!(sc.reroutes(), 1);
 }
 
 #[test]
 fn attacker_flows_capture_cells_over_time() {
     let mut sc = BlinkScenario::build(&base_cfg());
     sc.sim.run_until(SimTime::from_secs(15));
-    let early = sc.malicious_cells().unwrap();
+    let early = sc.malicious_cells();
     sc.sim.run_until(SimTime::from_secs(80));
-    let late = sc.malicious_cells().unwrap();
+    let late = sc.malicious_cells();
     assert!(late > early, "occupancy must grow: {early} -> {late}");
     assert!(
         late >= 32,
@@ -52,16 +52,16 @@ fn fake_retransmission_burst_triggers_spurious_reroute() {
     };
     let mut sc = BlinkScenario::build(&cfg);
     sc.sim.run_until(SimTime::from_secs(69));
-    assert!(sc.on_primary().unwrap(), "no reroute before the trigger");
-    assert!(sc.malicious_cells().unwrap() >= 32, "attack prerequisites met");
+    assert!(sc.on_primary(), "no reroute before the trigger");
+    assert!(sc.malicious_cells() >= 32, "attack prerequisites met");
     sc.sim.run_until(SimTime::from_secs(73));
     assert!(
-        sc.reroutes().unwrap() >= 1,
+        sc.reroutes() >= 1,
         "the burst must look like a failure to Blink"
     );
     // Before the 5 s hold-down admits a second event, traffic sits on the
     // backup (later triggers cycle the two-entry next-hop list).
-    assert!(!sc.on_primary().unwrap(), "traffic steered off the healthy path");
+    assert!(!sc.on_primary(), "traffic steered off the healthy path");
 }
 
 #[test]
@@ -74,7 +74,7 @@ fn rto_guard_vetoes_fake_but_passes_real() {
     };
     let mut sc = BlinkScenario::build(&cfg);
     sc.sim.run_until(SimTime::from_secs(80));
-    assert!(sc.on_primary().unwrap(), "guarded Blink must not fall for the burst");
+    assert!(sc.on_primary(), "guarded Blink must not fall for the burst");
     assert!(sc.vetoed() > 0, "the guard must have actually vetoed");
 
     // Guarded, real failure.
@@ -88,7 +88,7 @@ fn rto_guard_vetoes_fake_but_passes_real() {
     sc.fail_primary_forward();
     sc.sim.run_until(SimTime::from_secs(30));
     assert!(
-        !sc.on_primary().unwrap(),
+        !sc.on_primary(),
         "the guard must not suppress genuine failure recovery"
     );
 }
@@ -104,7 +104,7 @@ fn scenario_is_deterministic_per_seed() {
         };
         let mut sc = BlinkScenario::build(&cfg);
         sc.sim.run_until(SimTime::from_secs(40));
-        (sc.malicious_cells().unwrap(), sc.sim.counters().delivered)
+        (sc.malicious_cells(), sc.sim.counters().delivered)
     };
     assert_eq!(run(5), run(5));
     assert_ne!(run(5), run(6));
@@ -149,11 +149,11 @@ fn sharded_engine_matches_sequential_on_blink() {
                     "{threads} threads, t = {t} s: {outcome:?}"
                 );
             }
-            cells.push(sc.malicious_cells().unwrap());
+            cells.push(sc.malicious_cells());
         }
         let snap = sc.metrics();
         assert_eq!(snap.counter("netsim.parallel.fallback"), 0, "{threads} threads");
-        (cells, sc.reroutes().unwrap(), sc.vetoed(), sc.sim.state_hash(), logical(snap))
+        (cells, sc.reroutes(), sc.vetoed(), sc.sim.state_hash(), logical(snap))
     };
     for guarded in [false, true] {
         let (cells, reroutes, vetoed, hash, metrics) = run(guarded, 0);

@@ -29,14 +29,14 @@ fn run(guarded: bool) -> BlinkScenario {
 #[test]
 fn ablation_numbers_unchanged_by_refactor() {
     let mut attacked = run(false);
-    assert_eq!(attacked.reroutes().unwrap(), 2, "attacked reroutes");
+    assert_eq!(attacked.reroutes(), 2, "attacked reroutes");
     assert_eq!(attacked.vetoed(), 0, "attacked vetoes");
-    assert_eq!(attacked.malicious_cells().unwrap(), 33, "attacked malicious cells");
+    assert_eq!(attacked.malicious_cells(), 33, "attacked malicious cells");
 
     let mut defended = run(true);
-    assert_eq!(defended.reroutes().unwrap(), 0, "defended reroutes");
+    assert_eq!(defended.reroutes(), 0, "defended reroutes");
     assert_eq!(defended.vetoed(), 2, "defended vetoes");
-    assert_eq!(defended.malicious_cells().unwrap(), 33, "defended malicious cells");
+    assert_eq!(defended.malicious_cells(), 33, "defended malicious cells");
 }
 
 /// The same signals must be available through the metrics registry — this
@@ -46,9 +46,9 @@ fn registry_snapshot_agrees_with_direct_api() {
     for guarded in [false, true] {
         let mut sc = run(guarded);
         let direct = (
-            sc.reroutes().unwrap() as u64,
+            sc.reroutes() as u64,
             sc.vetoed(),
-            sc.malicious_cells().unwrap() as u64,
+            sc.malicious_cells() as u64,
         );
         let snap = sc.metrics();
         assert_eq!(snap.counter("blink.reroutes"), direct.0, "guarded={guarded}");

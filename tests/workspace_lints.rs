@@ -11,9 +11,9 @@
 //! exempt from the clock ban and which crates may name the crate that
 //! holds them, that the chapter lists
 //! exactly what is declared, and that the architecture chapter maps
-//! exactly the crates there are.
+//! exactly the crates and public modules there are.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::process::Command;
 
@@ -298,17 +298,58 @@ fn package_name(manifest: &str) -> &str {
         .expect("a package name")
 }
 
+/// The `pub mod` names declared at the top level of a library root,
+/// file-backed (`pub mod sim;`) or inline (`pub mod prelude { … }`).
+fn pub_mods(lib: &str) -> BTreeSet<String> {
+    lib.lines()
+        .filter_map(|l| l.strip_prefix("pub mod "))
+        .map(|rest| rest.trim_end_matches([';', '{', ' ']).to_string())
+        .collect()
+}
+
+/// The modules a crate-map "Key modules" cell names: the leading
+/// backticked word of each item between top-level commas (commas inside
+/// parentheses belong to an item's gloss). Items that open with prose
+/// name no module, and file paths such as `bin/experiments.rs` are
+/// exempt.
+fn mapped_modules(cell: &str) -> BTreeSet<String> {
+    let mut items = Vec::new();
+    let (mut depth, mut start) = (0i32, 0);
+    for (i, c) in cell.char_indices() {
+        match c {
+            '(' => depth += 1,
+            ')' => depth -= 1,
+            ',' if depth == 0 => {
+                items.push(&cell[start..i]);
+                start = i + 1;
+            }
+            _ => {}
+        }
+    }
+    items.push(&cell[start..]);
+    items
+        .iter()
+        .filter_map(|item| item.trim().strip_prefix('`')?.split('`').next())
+        .filter(|m| !m.contains(['/', '.']))
+        .map(str::to_string)
+        .collect()
+}
+
 /// docs/architecture.md (and the book's contents page) state the crate
-/// count in words, and the chapter's crate map has one row per crate:
-/// both follow `crates/`, so folding, adding or deleting a crate cannot
-/// leave the chapter stale.
+/// count in words, and the chapter's crate map has one row per crate
+/// whose "Key modules" column names exactly the `pub mod`s of that
+/// crate's `lib.rs`: all three follow `crates/`, so folding, adding or
+/// deleting a crate or a public module cannot leave the chapter stale.
 #[test]
 fn architecture_chapter_maps_exactly_the_crates() {
     const WORDS: &str = "zero one two three four five six seven eight nine ten eleven twelve \
                          thirteen fourteen fifteen sixteen seventeen eighteen nineteen twenty";
-    let crates: BTreeSet<String> = crate_dirs()
+    let crates: BTreeMap<String, BTreeSet<String>> = crate_dirs()
         .iter()
-        .map(|d| package_name(&read(&format!("{d}/Cargo.toml"))).to_string())
+        .map(|d| {
+            let name = package_name(&read(&format!("{d}/Cargo.toml"))).to_string();
+            (name, pub_mods(&read(&format!("{d}/src/lib.rs"))))
+        })
         .collect();
     let count = WORDS
         .split_whitespace()
@@ -328,15 +369,35 @@ fn architecture_chapter_maps_exactly_the_crates() {
         .unwrap_or_else(|| panic!("no '{heading}' in docs/architecture.md"));
     let body = &chapter[at + heading.len()..];
     let body = &body[..body.find("\n## ").unwrap_or(body.len())];
-    let mapped: BTreeSet<String> = body
+    let mapped: BTreeMap<String, BTreeSet<String>> = body
         .lines()
         .filter_map(|l| l.strip_prefix("| `"))
-        .filter_map(|l| l.split('`').next())
-        .map(str::to_string)
+        .filter_map(|l| {
+            let (name, rest) = l.split_once('`')?;
+            let cell = rest.splitn(3, '|').nth(2)?.trim_end().trim_end_matches('|');
+            Some((name.to_string(), mapped_modules(cell)))
+        })
         .collect();
     assert_eq!(
-        mapped, crates,
+        mapped.keys().collect::<Vec<_>>(),
+        crates.keys().collect::<Vec<_>>(),
         "docs/architecture.md §The crates should have one row per crate under crates/"
+    );
+    let stale: Vec<String> = crates
+        .iter()
+        .filter(|(name, real)| mapped[*name] != **real)
+        .map(|(name, real)| {
+            let named = &mapped[name];
+            let missing: Vec<&String> = real.difference(named).collect();
+            let unknown: Vec<&String> = named.difference(real).collect();
+            format!("{name}: missing {missing:?}, no such module {unknown:?}")
+        })
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "docs/architecture.md §The crates: each row's Key modules should name \
+         exactly the crate's `pub mod`s:\n{}",
+        stale.join("\n")
     );
 }
 
