@@ -810,6 +810,104 @@ mod tests {
         }
     }
 
+    fn t(ms: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_millis(ms)
+    }
+
+    /// Deliver every queued segment of `from` to `to` except those whose
+    /// position is in `lose`; returns what was delivered.
+    fn pipe(p: &mut FlowPool, from: FlowRef, to: FlowRef, now: SimTime, lose: &[usize]) -> usize {
+        let pkts = p.take_out(from).unwrap();
+        let mut n = 0;
+        for (k, pkt) in pkts.iter().enumerate() {
+            if !lose.contains(&k) {
+                p.on_segment(to, now, pkt).unwrap();
+                n += 1;
+            }
+        }
+        n
+    }
+
+    /// One fixed pool holding every kind of state a slot can carry:
+    /// handshake senders mid-transfer with unacknowledged segments,
+    /// listeners in SYN-RCVD, handshake-less receivers holding
+    /// out-of-order data, and slots that changed kind through `free`.
+    fn mixed_pool() -> FlowPool {
+        let hs = |total: u64| TcpSenderConfig {
+            total_bytes: Some(total),
+            handshake: true,
+            ..Default::default()
+        };
+        let mut p = FlowPool::new();
+        // Two handshake pairs: SYN, SYN-ACK, then the first window with
+        // its second and fifth segments lost on the way to the listener.
+        let mut pairs = Vec::new();
+        for k in 0..2u16 {
+            let s = p.insert_sender(key(100 + k), hs(40_000), 1_000 + u32::from(k));
+            let l = p.insert_listener(key(100 + k));
+            p.on_start(s, t(0)).unwrap();
+            pipe(&mut p, s, l, t(1), &[]);
+            pipe(&mut p, l, s, t(2), &[]);
+            pipe(&mut p, s, l, t(3), &[2, 5]);
+            pipe(&mut p, l, s, t(4), &[]);
+            pairs.push((s, l));
+        }
+        // A handshake-less sender feeding a handshake-less receiver all
+        // but its first segment: the receiver holds out-of-order data.
+        let bulk = p.insert_sender(key(200), cfg(30_000), 77);
+        let ooo = p.insert_receiver(key(200), 77);
+        p.on_start(bulk, t(0)).unwrap();
+        pipe(&mut p, bulk, ooo, t(5), &[0]);
+        let _ = p.take_out(ooo).unwrap();
+        // Listeners left in SYN-RCVD: their SYN-ACKs are lost.
+        let mut half_open = Vec::new();
+        for k in 0..3u16 {
+            let s = p.insert_sender(key(300 + k), hs(1_000), 5 + u32::from(k));
+            let l = p.insert_listener(key(300 + k));
+            p.on_start(s, t(6)).unwrap();
+            pipe(&mut p, s, l, t(7), &[]);
+            let _ = p.take_out(l).unwrap();
+            half_open.push((s, l));
+        }
+        assert!(half_open
+            .iter()
+            .all(|&(_, l)| p.state(l) == Ok(TcpState::SynRcvd)));
+        // Kind changes: two senders' slots go to receivers, a receiver's
+        // slot to a sender, and a listener's slot to a receiver.
+        p.free(bulk).unwrap();
+        p.free(half_open[0].1).unwrap();
+        p.free(half_open[1].0).unwrap();
+        let late = p.insert_receiver(key(400), 9);
+        let late_s = p.insert_sender(key(401), hs(3_000), 11);
+        let late_l = p.insert_listener(key(401));
+        p.on_start(late_s, t(8)).unwrap();
+        pipe(&mut p, late_s, late_l, t(9), &[]);
+        let _ = p.take_out(late_l).unwrap();
+        p.free(pairs[1].1).unwrap();
+        let _ = p.insert_receiver(key(402), 13);
+        assert_eq!(p.kind(late).unwrap(), FlowKind::Receiver);
+        for r in p.iter_refs().collect::<Vec<_>>() {
+            let _ = p.take_out(r).unwrap();
+        }
+        p
+    }
+
+    #[test]
+    fn mixed_pool_state_and_bytes_are_pinned() {
+        let p = mixed_pool();
+        let live = p.iter_refs().collect::<Vec<_>>();
+        assert!(live.iter().any(|&r| p.state(r) == Ok(TcpState::SynRcvd)));
+        let senders = live.iter().filter(|&&r| p.kind(r) == Ok(FlowKind::Sender));
+        assert!(senders.clone().count() >= 4);
+        let mut d = StateDigest::new();
+        p.state_digest(&mut d);
+        let mut b = StateDigest::new();
+        b.write_bytes(&p.to_bytes().unwrap());
+        // Captured from the layout that kept every column per slot.
+        assert_eq!(d.finish(), 0x660b_43d7_53e6_98aa, "state digest");
+        assert_eq!(b.finish(), 0x08d6_060e_d3b3_9e7e, "checkpoint bytes");
+    }
+
     #[test]
     fn insert_start_take_free_round_trip() {
         let mut p = FlowPool::new();
