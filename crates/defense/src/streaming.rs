@@ -45,6 +45,15 @@ fn push_bounded<T>(win: &mut VecDeque<T>, len: usize, item: T) {
     win.push_back(item);
 }
 
+/// Does a gauge sample `(sum, n)` carry evidence? An empty sample has
+/// none, and a non-finite sum would poison every window mean it joins:
+/// a NaN turns the risk into a NaN that `f64::max` then drops, and
+/// sorting it panics `mad_band`. Both are dropped at ingest, so a
+/// producer's bad sample reads as a frame without it.
+fn usable((sum, n): (f64, u64)) -> bool {
+    n > 0 && sum.is_finite()
+}
+
 /// Streaming Blink signal: windowed occupancy of a gauge against a
 /// capacity.
 ///
@@ -76,8 +85,10 @@ impl OccupancyWindow {
 
     /// Fold one snapshot delta in and return the refreshed risk.
     pub fn observe(&mut self, delta: &Snapshot) -> Risk {
-        if let Some(&(sum, n @ 1..)) = delta.gauges.get(self.metric.as_str()) {
-            push_bounded(&mut self.recent, self.window, (sum, n));
+        if let Some(&sample) = delta.gauges.get(self.metric.as_str()) {
+            if usable(sample) {
+                push_bounded(&mut self.recent, self.window, sample);
+            }
         }
         let (sum, n) = self
             .recent
@@ -137,7 +148,7 @@ impl GroupOutlierWindow {
             if !name.starts_with(prefix) {
                 break;
             }
-            if n == 0 {
+            if !usable((sum, n)) {
                 continue;
             }
             let full = self.members.len() >= Self::MAX_MEMBERS;
@@ -149,12 +160,14 @@ impl GroupOutlierWindow {
             push_bounded(win, self.window, sum / n as f64);
         }
         // BTreeMap iteration makes the member order — and thus the
-        // median/MAD float folds — deterministic.
-        let means: Vec<f64> = self
+        // median/MAD float folds — deterministic. Finite samples can
+        // still sum past `f64::MAX`; such a member sits out.
+        let mut means: Vec<f64> = self
             .members
             .values()
             .map(|w| w.iter().sum::<f64>() / w.len() as f64)
             .collect();
+        means.retain(|m| m.is_finite());
         if means.len() < 4 {
             return Risk::NONE;
         }
@@ -265,6 +278,7 @@ impl SynBacklogWindow {
             .gauges
             .get(self.live.as_str())
             .copied()
+            .filter(|&sample| usable(sample))
             .unwrap_or((0.0, 0));
         let row = (
             gsum,
@@ -455,6 +469,83 @@ mod tests {
         // Five attempts, all refused — too few to accuse; no gauge
         // observations means occupancy stays silent too.
         assert_eq!(s.observe(&reg.snapshot()), Risk::NONE);
+    }
+
+    /// `snap` without its non-finite gauge samples.
+    fn scrubbed(snap: &Snapshot) -> Snapshot {
+        let mut clean = snap.clone();
+        clean.gauges.retain(|_, (sum, _)| sum.is_finite());
+        clean
+    }
+
+    #[test]
+    fn non_finite_gauge_samples_read_as_absent() {
+        // Each window is fed a stream carrying NaN, ∞ and -∞ samples
+        // and, beside it, the same stream without them.
+        const BAD: [f64; 3] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let (mut dirty, mut clean) = (
+            OccupancyWindow::new("cells", 64.0, 4),
+            OccupancyWindow::new("cells", 64.0, 4),
+        );
+        for v in [56.0, BAD[0], 56.0, BAD[1], 8.0, BAD[2], 56.0] {
+            let snap = gauge_delta(&[("cells", v)]);
+            assert_eq!(dirty.observe(&snap), clean.observe(&scrubbed(&snap)), "cells {v}");
+        }
+        // The window holds the four finite samples: (56 + 56 + 8 + 56) / 4.
+        assert_eq!(dirty.observe(&Snapshot::default()).0, 44.0 / 64.0);
+
+        // Six members, c5 dragged low from frame 2, c1 poisoned on
+        // frames 1, 3 and 5.
+        let (mut dirty, mut clean) = (
+            GroupOutlierWindow::new("qoe.", 3),
+            GroupOutlierWindow::new("qoe.", 3),
+        );
+        let mut flagged = 0;
+        for frame in 0..8 {
+            let mut pairs: Vec<(String, f64)> = (0..6)
+                .map(|m| {
+                    let low = m == 5 && frame >= 2;
+                    (format!("qoe.c{m}"), if low { 0.1 } else { 0.8 + 0.01 * m as f64 })
+                })
+                .collect();
+            if frame % 2 == 1 && frame < 6 {
+                pairs[1].1 = BAD[frame / 2];
+            }
+            let named: Vec<(&str, f64)> = pairs.iter().map(|(n, v)| (n.as_str(), *v)).collect();
+            let snap = gauge_delta(&named);
+            let risk = dirty.observe(&snap);
+            assert_eq!(risk, clean.observe(&scrubbed(&snap)), "frame {frame}");
+            flagged += usize::from(risk.0 > 0.0);
+        }
+        assert!(flagged > 0, "the dragged member is never flagged");
+        // Finite samples whose window sum overflows: on the second frame
+        // three of five members' means are ∞, and they sit out.
+        let mut huge = GroupOutlierWindow::new("qoe.", 2);
+        let big: Vec<(String, f64)> = (0..5)
+            .map(|m| (format!("qoe.c{m}"), if m < 3 { f64::MAX } else { 0.8 }))
+            .collect();
+        let named: Vec<(&str, f64)> = big.iter().map(|(n, v)| (n.as_str(), *v)).collect();
+        assert_eq!(huge.observe(&gauge_delta(&named)).0, 0.8);
+        assert_eq!(huge.observe(&gauge_delta(&named)), Risk::NONE);
+
+        let syn = |live: f64| {
+            let mut reg = Registry::new();
+            let g = reg.gauge("tcp.handshake.synrcvd_live");
+            reg.observe(g, live);
+            let d = reg.counter("tcp.handshake.syn_dropped");
+            reg.add(d, 3);
+            let e = reg.counter("tcp.handshake.synrcvd");
+            reg.add(e, 5);
+            reg.snapshot()
+        };
+        let (mut dirty, mut clean) = (
+            SynBacklogWindow::new("tcp.handshake", 64.0, 4),
+            SynBacklogWindow::new("tcp.handshake", 64.0, 4),
+        );
+        for v in [16.0, BAD[0], 48.0, BAD[1], BAD[2], 16.0] {
+            let snap = syn(v);
+            assert_eq!(dirty.observe(&snap), clean.observe(&scrubbed(&snap)), "live {v}");
+        }
     }
 
     #[test]

@@ -254,7 +254,7 @@ fn worker_loop(
 mod tests {
     use super::*;
     use dui_telemetry::delta::DeltaEncoder;
-    use dui_telemetry::Registry;
+    use dui_telemetry::{Registry, Snapshot};
 
     /// A deterministic synthetic producer: ramps the Blink gauge when
     /// `attacked`, keeps it low otherwise.
@@ -356,6 +356,54 @@ mod tests {
             vec![(spec(0, "g"), frames(0, false, 4).into_iter())],
         );
         assert_eq!(report.to_jsonl(), clockless.to_jsonl());
+    }
+
+    /// Frames of one member of a shared group: a Pytheas QoE gauge
+    /// (member 4 dragged low) and a Blink gauge every epoch. Member 2
+    /// reports NaN at epoch 3 and ±∞ at epoch 6 with `poison`, and
+    /// nothing at those epochs without it.
+    fn member_frames(id: u32, epochs: u64, poison: bool) -> Vec<Frame> {
+        (0..epochs)
+            .map(|e| {
+                let sample = match (id, e) {
+                    (2, 3) => poison.then_some((f64::NAN, f64::NAN)),
+                    (2, 6) => poison.then_some((f64::INFINITY, f64::NEG_INFINITY)),
+                    (4, _) => Some((0.2, 40.0)),
+                    _ => Some((0.8 + 0.01 * f64::from(id), 4.0 * e as f64)),
+                };
+                let mut delta = Snapshot::default();
+                if let Some((qoe, cells)) = sample {
+                    delta.gauges.insert(format!("pytheas.qoe.c{id}").into(), (qoe, 1));
+                    delta.gauges.insert("blink.cells.malicious".into(), (cells, 1));
+                }
+                Frame {
+                    producer: id,
+                    seq: e,
+                    epoch: e,
+                    ingest_ns: 0,
+                    delta,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_nan_producer_leaves_the_verdict_log_as_without_its_samples() {
+        let log = |workers: usize, poison: bool| {
+            let cfg = Config {
+                workers,
+                ..Config::default()
+            };
+            let producers: Vec<_> = (0..6u32)
+                .map(|id| (spec(id, "site"), member_frames(id, 10, poison).into_iter()))
+                .collect();
+            run(&cfg, producers)
+        };
+        let clean = log(1, false);
+        assert!(clean.verdicts.iter().any(|v| v.pytheas > 0.0), "member 4 never flagged");
+        for workers in [1, 2] {
+            assert_eq!(log(workers, true).to_jsonl(), clean.to_jsonl(), "workers = {workers}");
+        }
     }
 
     #[test]

@@ -201,6 +201,18 @@ mod tests {
     }
 
     #[test]
+    fn a_nan_sample_does_not_blind_the_blink_signal() {
+        let mut bank = SignalBank::new(&SignalConfig::default());
+        for (seq, cells) in [56.0, f64::NAN, 56.0].into_iter().enumerate() {
+            let mut reg = Registry::new();
+            let g = reg.gauge("blink.cells.malicious");
+            reg.observe(g, cells);
+            let v = bank.observe("g", &frame(seq as u64, reg.snapshot()));
+            assert_eq!((v.action, v.risk), (Action::Veto, 0.875), "frame {seq}");
+        }
+    }
+
+    #[test]
     fn blink_occupancy_escalates_to_veto() {
         let mut bank = SignalBank::new(&SignalConfig {
             window: 1,

@@ -7,23 +7,32 @@
 //! flows instead of packets: each column of connection state — congestion
 //! window, RTT estimator, sequence space, retransmission queue, lifecycle
 //! metadata — lives in its own `Vec`, and an 8-byte generational
-//! [`FlowRef`] handle addresses one flow across all columns.
+//! [`FlowRef`] handle addresses one flow.
 //!
-//! Slots are recycled through an intrusive free list, so connection churn
-//! (SYN floods, short flows) allocates nothing in steady state. Generations
-//! make recycling safe: freeing a slot bumps its generation, and every
-//! accessor checks the handle's generation first — a stale [`FlowRef`]
-//! (e.g. a timer that fires after its flow was evicted) is a typed
-//! [`StaleFlowRef`] error, never a silent read of whichever flow now
-//! occupies the slot.
+//! Columns are split by endpoint kind. The four every flow needs
+//! (generation, kind, key, output queue) are indexed by slot, 52 B a
+//! slot; a sender's seven columns live in a sender row table (336 B a
+//! row) and a receiver's two in a receiver row table (88 B a row). A
+//! live slot's kind word carries its row index, so a slot pays only for
+//! its own kind, and the generation check that every accessor makes
+//! already yields the row. Rows are internal: handles, iteration order,
+//! digests and the checkpoint bytes see slots only.
+//!
+//! Slots are recycled through an intrusive free list and rows through
+//! one LIFO free list per table, so connection churn (SYN floods, short
+//! flows) grows no column in steady state. Generations make recycling
+//! safe: freeing a slot bumps its generation, and every accessor checks
+//! the handle's generation first — a stale [`FlowRef`] (e.g. a timer
+//! that fires after its flow was evicted) is a typed [`StaleFlowRef`]
+//! error, never a silent read of whichever flow now occupies the slot.
 //!
 //! The protocol logic itself is *not* duplicated here: the pool assembles
-//! borrowed `SenderCols`/`RecvCols` views over its columns and calls
-//! the one implementation in `conn.rs`.
+//! borrowed `SenderCols`/`RecvCols` views over a slot and its row and
+//! calls the one implementation in `conn.rs`.
 
 use crate::conn::{
-    digest_recv_cols, digest_sender_cols, RcvState, RecvCols, RtxQueue, SegmentRecord, SenderCols,
-    SenderMeta, SenderStats, SeqState, ReceiverStats, TcpSenderConfig, TcpState,
+    digest_recv_cols, digest_sender_cols, RcvState, ReceiverStats, RecvCols, RtxQueue,
+    SegmentRecord, SenderCols, SenderMeta, SenderStats, SeqState, TcpSenderConfig, TcpState,
 };
 use crate::reno::Reno;
 use crate::rtt::RttEstimator;
@@ -121,37 +130,115 @@ pub enum FlowKind {
     Receiver,
 }
 
-/// Slot occupancy column: a live endpoint or a link in the free list.
+/// Slot occupancy column: a live endpoint and its row in that kind's
+/// table, or a link in the slot free list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SlotKind {
     Free { next_free: u32 },
-    Sender,
-    Receiver,
+    Sender { row: u32 },
+    Receiver { row: u32 },
 }
 
-/// Generational struct-of-arrays pool of TCP connection state.
-///
-/// Every column is indexed by slot; a slot holds either a sender (its
-/// sender columns are meaningful) or a receiver (its `rcv` column is).
-/// The unused columns of a slot sit at their cheap `Default` values.
+/// A live slot's row in its kind's table.
+#[derive(Debug, Clone, Copy)]
+enum Row {
+    Sender(usize),
+    Receiver(usize),
+}
+
+/// The sender columns, indexed by sender row.
 #[derive(Debug, Default)]
-pub struct FlowPool {
-    gens: Vec<u32>,
-    kind: Vec<SlotKind>,
-    keys: Vec<FlowKey>,
-    // Sender columns.
+struct SenderRows {
     cfgs: Vec<TcpSenderConfig>,
     cc: Vec<Reno>,
     rtt: Vec<RttEstimator>,
     seq: Vec<SeqState>,
     rtx: Vec<RtxQueue>,
     meta: Vec<SenderMeta>,
-    sstats: Vec<SenderStats>,
-    // Receiver column.
+    stats: Vec<SenderStats>,
+    /// Vacant rows, reused LIFO.
+    free: Vec<u32>,
+}
+
+impl SenderRows {
+    /// Claim a row (recycling LIFO) for a sender with `cfg` and ISN
+    /// `isn`. A vacant row's retransmission queue is already empty.
+    fn claim(&mut self, cfg: TcpSenderConfig, isn: u32) -> usize {
+        let row = match self.free.pop() {
+            Some(row) => row as usize,
+            None => {
+                self.cfgs.push(TcpSenderConfig::default());
+                self.cc.push(Reno::default());
+                self.rtt.push(RttEstimator::default());
+                self.seq.push(SeqState::default());
+                self.rtx.push(RtxQueue::default());
+                self.meta.push(SenderMeta::default());
+                self.stats.push(SenderStats::default());
+                self.cfgs.len() - 1
+            }
+        };
+        self.cc[row] = Reno::new(cfg.initial_cwnd);
+        self.cfgs[row] = cfg;
+        self.rtt[row] = RttEstimator::default();
+        self.seq[row] = SeqState::new(isn);
+        self.meta[row] = SenderMeta::default();
+        self.stats[row] = SenderStats::default();
+        row
+    }
+
+    /// Vacate `row`, dropping its retransmission queue's buffer.
+    fn release(&mut self, row: usize) {
+        self.rtx[row] = RtxQueue::default();
+        self.free.push(row as u32);
+    }
+}
+
+/// The receiver columns, indexed by receiver row.
+#[derive(Debug, Default)]
+struct RecvRows {
     rcv: Vec<RcvState>,
-    rstats: Vec<ReceiverStats>,
-    // Shared.
+    stats: Vec<ReceiverStats>,
+    /// Vacant rows, reused LIFO.
+    free: Vec<u32>,
+}
+
+impl RecvRows {
+    /// Claim a row for a receiver starting in `rcv`.
+    fn claim(&mut self, rcv: RcvState) -> usize {
+        if let Some(row) = self.free.pop() {
+            let i = row as usize;
+            self.rcv[i] = rcv;
+            self.stats[i] = ReceiverStats::default();
+            return i;
+        }
+        self.rcv.push(rcv);
+        self.stats.push(ReceiverStats::default());
+        self.rcv.len() - 1
+    }
+
+    /// Vacate `row`, dropping its reassembly map.
+    fn release(&mut self, row: usize) {
+        self.rcv[row] = RcvState::default();
+        self.free.push(row as u32);
+    }
+}
+
+/// Generational pool of TCP connection state.
+///
+/// The slot columns (`gens`, `kind`, `keys`, `out`) are indexed by slot,
+/// the handle's index. A live slot's `kind` names its row in the sender
+/// or the receiver table, so a slot carries only its own kind's state;
+/// the tables are struct-of-arrays too and recycle their rows through
+/// their own LIFO free lists. Rows never leave the pool: handles,
+/// digests and checkpoints see slots only.
+#[derive(Debug, Default)]
+pub struct FlowPool {
+    gens: Vec<u32>,
+    kind: Vec<SlotKind>,
+    keys: Vec<FlowKey>,
     out: Vec<Vec<Packet>>,
+    send: SenderRows,
+    recv: RecvRows,
     free_head: u32,
     live: usize,
     high_water: usize,
@@ -167,17 +254,13 @@ impl FlowPool {
         }
     }
 
-    fn placeholder_key() -> FlowKey {
-        FlowKey::tcp(Addr(0), 0, Addr(0), 0)
-    }
-
-    /// Claim a slot (recycling LIFO) and return `(idx, gen)`.
-    fn claim(&mut self) -> (u32, u32) {
+    /// Claim a slot (recycling LIFO) for `kind`, returning the handle.
+    fn claim(&mut self, key: FlowKey, kind: SlotKind) -> FlowRef {
         self.live += 1;
         if self.live > self.high_water {
             self.high_water = self.live;
         }
-        if self.free_head != NIL {
+        let idx = if self.free_head != NIL {
             let idx = self.free_head;
             let next_free = match self.kind[idx as usize] {
                 SlotKind::Free { next_free } => next_free,
@@ -185,67 +268,46 @@ impl FlowPool {
             };
             self.free_head = next_free;
             self.recycled += 1;
-            (idx, self.gens[idx as usize])
+            idx
         } else {
-            (self.push_slot(), 0)
+            self.push_slot()
+        };
+        let i = idx as usize;
+        self.kind[i] = kind;
+        self.keys[i] = key;
+        FlowRef {
+            idx,
+            gen: self.gens[i],
         }
     }
 
-    /// Append one vacant slot at generation 0 to every column.
+    /// Append one vacant slot at generation 0 to every slot column.
     fn push_slot(&mut self) -> u32 {
         let idx = self.gens.len() as u32;
         assert!(idx != NIL, "flow pool exhausted u32 index space");
         self.gens.push(0);
         self.kind.push(SlotKind::Free { next_free: NIL });
-        self.keys.push(Self::placeholder_key());
-        self.cfgs.push(TcpSenderConfig::default());
-        self.cc.push(Reno::default());
-        self.rtt.push(RttEstimator::default());
-        self.seq.push(SeqState::default());
-        self.rtx.push(RtxQueue::default());
-        self.meta.push(SenderMeta::default());
-        self.sstats.push(SenderStats::default());
-        self.rcv.push(RcvState::default());
-        self.rstats.push(ReceiverStats::default());
+        self.keys.push(FlowKey::tcp(Addr(0), 0, Addr(0), 0));
         self.out.push(Vec::new());
         idx
     }
 
     /// Store a new sender for `key` (ISN `isn`), returning its handle.
     pub fn insert_sender(&mut self, key: FlowKey, cfg: TcpSenderConfig, isn: u32) -> FlowRef {
-        let (idx, gen) = self.claim();
-        let i = idx as usize;
-        self.kind[i] = SlotKind::Sender;
-        self.keys[i] = key;
-        self.cc[i] = Reno::new(cfg.initial_cwnd);
-        self.cfgs[i] = cfg;
-        self.rtt[i] = RttEstimator::default();
-        self.seq[i] = SeqState::new(isn);
-        self.meta[i] = SenderMeta::default();
-        self.sstats[i] = SenderStats::default();
-        FlowRef { idx, gen }
+        let row = self.send.claim(cfg, isn);
+        self.claim(key, SlotKind::Sender { row: row as u32 })
     }
 
     /// Store a new handshake-less receiver expecting first byte `isn`.
     pub fn insert_receiver(&mut self, key: FlowKey, isn: u32) -> FlowRef {
-        let (idx, gen) = self.claim();
-        let i = idx as usize;
-        self.kind[i] = SlotKind::Receiver;
-        self.keys[i] = key;
-        self.rcv[i] = RcvState::new(isn);
-        self.rstats[i] = ReceiverStats::default();
-        FlowRef { idx, gen }
+        let row = self.recv.claim(RcvState::new(isn));
+        self.claim(key, SlotKind::Receiver { row: row as u32 })
     }
 
     /// Store a new passive-open (LISTEN) receiver for `key`.
     pub fn insert_listener(&mut self, key: FlowKey) -> FlowRef {
-        let (idx, gen) = self.claim();
-        let i = idx as usize;
-        self.kind[i] = SlotKind::Receiver;
-        self.keys[i] = key;
-        self.rcv[i] = RcvState::listen();
-        self.rstats[i] = ReceiverStats::default();
-        FlowRef { idx, gen }
+        let row = self.recv.claim(RcvState::listen());
+        self.claim(key, SlotKind::Receiver { row: row as u32 })
     }
 
     fn stale(&self, r: FlowRef) -> StaleFlowRef {
@@ -265,14 +327,16 @@ impl FlowPool {
         }
     }
 
-    /// Generation-check `r`; `Ok(idx)` only for a live, matching slot.
-    fn check(&self, r: FlowRef) -> Result<usize, StaleFlowRef> {
+    /// Generation-check `r`; `Ok((slot, row))` only for a live, matching
+    /// slot.
+    fn check(&self, r: FlowRef) -> Result<(usize, Row), StaleFlowRef> {
         let i = r.idx as usize;
         match (self.gens.get(i), self.kind.get(i)) {
-            (Some(gen), Some(kind))
-                if *gen == r.gen && !matches!(kind, SlotKind::Free { .. }) =>
-            {
-                Ok(i)
+            (Some(gen), Some(SlotKind::Sender { row })) if *gen == r.gen => {
+                Ok((i, Row::Sender(*row as usize)))
+            }
+            (Some(gen), Some(SlotKind::Receiver { row })) if *gen == r.gen => {
+                Ok((i, Row::Receiver(*row as usize)))
             }
             _ => Err(self.stale(r)),
         }
@@ -280,55 +344,72 @@ impl FlowPool {
 
     /// What kind of endpoint `r` addresses.
     pub fn kind(&self, r: FlowRef) -> Result<FlowKind, StaleFlowRef> {
-        let i = self.check(r)?;
-        Ok(match self.kind[i] {
-            SlotKind::Sender => FlowKind::Sender,
-            SlotKind::Receiver => FlowKind::Receiver,
-            SlotKind::Free { .. } => unreachable!("check() rejects free slots"),
+        Ok(match self.check(r)?.1 {
+            Row::Sender(_) => FlowKind::Sender,
+            Row::Receiver(_) => FlowKind::Receiver,
         })
     }
 
     /// Forward-direction flow key of `r`.
     pub fn key(&self, r: FlowRef) -> Result<FlowKey, StaleFlowRef> {
-        let i = self.check(r)?;
+        let (i, _) = self.check(r)?;
         Ok(self.keys[i])
     }
 
-    fn check_kind(&self, r: FlowRef, want: SlotKind) -> Result<usize, StaleFlowRef> {
-        let i = self.check(r)?;
-        assert_eq!(
-            self.kind[i], want,
-            "flow {r} is not a {want:?} (host dispatch bug)"
-        );
-        Ok(i)
+    /// Slot and sender row of `r` (panics if `r` is a receiver — the
+    /// host's by-key dispatch guarantees the kind).
+    fn sender_row(&self, r: FlowRef) -> Result<(usize, usize), StaleFlowRef> {
+        match self.check(r)? {
+            (i, Row::Sender(row)) => Ok((i, row)),
+            (_, Row::Receiver(_)) => unreachable!("flow {r} is not a sender (host dispatch bug)"),
+        }
     }
 
-    /// Borrowed sender view over slot `r` (panics if `r` is a receiver —
-    /// the host's by-key dispatch guarantees the kind).
+    /// Slot and receiver row of `r` (panics if `r` is a sender).
+    fn recv_row(&self, r: FlowRef) -> Result<(usize, usize), StaleFlowRef> {
+        match self.check(r)? {
+            (i, Row::Receiver(row)) => Ok((i, row)),
+            (_, Row::Sender(_)) => unreachable!("flow {r} is not a receiver (host dispatch bug)"),
+        }
+    }
+
+    /// Borrowed sender view over slot `i`, sender row `row`.
+    fn sender_at(&mut self, i: usize, row: usize) -> SenderCols<'_> {
+        let s = &mut self.send;
+        SenderCols {
+            key: self.keys[i],
+            cfg: &s.cfgs[row],
+            cc: &mut s.cc[row],
+            rtt: &mut s.rtt[row],
+            seq: &mut s.seq[row],
+            rtx: &mut s.rtx[row],
+            meta: &mut s.meta[row],
+            out: &mut self.out[i],
+            stats: &mut s.stats[row],
+        }
+    }
+
+    /// Borrowed receiver view over slot `i`, receiver row `row`.
+    fn recv_at(&mut self, i: usize, row: usize) -> RecvCols<'_> {
+        RecvCols {
+            key: self.keys[i],
+            rcv: &mut self.recv.rcv[row],
+            out: &mut self.out[i],
+            stats: &mut self.recv.stats[row],
+        }
+    }
+
+    /// Borrowed sender view over `r` (panics if `r` is a receiver).
     pub(crate) fn sender_cols(&mut self, r: FlowRef) -> Result<SenderCols<'_>, StaleFlowRef> {
-        let i = self.check_kind(r, SlotKind::Sender)?;
-        Ok(SenderCols {
-            key: self.keys[i],
-            cfg: &self.cfgs[i],
-            cc: &mut self.cc[i],
-            rtt: &mut self.rtt[i],
-            seq: &mut self.seq[i],
-            rtx: &mut self.rtx[i],
-            meta: &mut self.meta[i],
-            out: &mut self.out[i],
-            stats: &mut self.sstats[i],
-        })
+        let (i, row) = self.sender_row(r)?;
+        Ok(self.sender_at(i, row))
     }
 
-    /// Borrowed receiver view over slot `r`.
+    /// Borrowed receiver view over `r` (panics if `r` is a sender).
+    #[cfg(test)]
     pub(crate) fn recv_cols(&mut self, r: FlowRef) -> Result<RecvCols<'_>, StaleFlowRef> {
-        let i = self.check_kind(r, SlotKind::Receiver)?;
-        Ok(RecvCols {
-            key: self.keys[i],
-            rcv: &mut self.rcv[i],
-            out: &mut self.out[i],
-            stats: &mut self.rstats[i],
-        })
+        let (i, row) = self.recv_row(r)?;
+        Ok(self.recv_at(i, row))
     }
 
     /// Begin transmitting on sender `r`.
@@ -338,102 +419,97 @@ impl FlowPool {
     }
 
     /// Deliver a segment to the endpoint behind `r`.
-    pub fn on_segment(&mut self, r: FlowRef, now: SimTime, pkt: &Packet) -> Result<(), StaleFlowRef> {
-        match self.kind(r)? {
-            FlowKind::Sender => self.sender_cols(r)?.on_segment(now, pkt),
-            FlowKind::Receiver => self.recv_cols(r)?.on_segment(now, pkt),
+    pub fn on_segment(
+        &mut self,
+        r: FlowRef,
+        now: SimTime,
+        pkt: &Packet,
+    ) -> Result<(), StaleFlowRef> {
+        match self.check(r)? {
+            (i, Row::Sender(row)) => self.sender_at(i, row).on_segment(now, pkt),
+            (i, Row::Receiver(row)) => self.recv_at(i, row).on_segment(now, pkt),
         }
         Ok(())
     }
 
     /// Clock tick for sender `r` (receivers are purely reactive).
     pub fn on_tick(&mut self, r: FlowRef, now: SimTime) -> Result<(), StaleFlowRef> {
-        if self.kind(r)? == FlowKind::Sender {
-            self.sender_cols(r)?.on_tick(now);
+        if let (i, Row::Sender(row)) = self.check(r)? {
+            self.sender_at(i, row).on_tick(now);
         }
         Ok(())
     }
 
     /// Drain outgoing packets of `r`.
     pub fn take_out(&mut self, r: FlowRef) -> Result<Vec<Packet>, StaleFlowRef> {
-        let i = self.check(r)?;
+        let (i, _) = self.check(r)?;
         Ok(std::mem::take(&mut self.out[i]))
     }
 
     /// Earliest time sender `r` needs a tick (`None` for receivers).
     pub fn next_event_time(&self, r: FlowRef) -> Result<Option<SimTime>, StaleFlowRef> {
-        let i = self.check(r)?;
-        Ok(match self.kind[i] {
-            SlotKind::Sender => crate::conn::sender_next_event_time(&self.meta[i]),
-            _ => None,
+        Ok(match self.check(r)?.1 {
+            Row::Sender(row) => crate::conn::sender_next_event_time(&self.send.meta[row]),
+            Row::Receiver(_) => None,
         })
     }
 
     /// Lifecycle state of `r`.
     pub fn state(&self, r: FlowRef) -> Result<TcpState, StaleFlowRef> {
-        let i = self.check(r)?;
-        Ok(match self.kind[i] {
-            SlotKind::Sender => self.meta[i].state,
-            SlotKind::Receiver => self.rcv[i].state,
-            SlotKind::Free { .. } => unreachable!("check() rejects free slots"),
+        Ok(match self.check(r)?.1 {
+            Row::Sender(row) => self.send.meta[row].state,
+            Row::Receiver(row) => self.recv.rcv[row].state,
         })
     }
 
     /// Did the endpoint behind `r` finish (sender fully closed, receiver
     /// consumed the FIN)?
     pub fn is_done(&self, r: FlowRef) -> Result<bool, StaleFlowRef> {
-        let i = self.check(r)?;
-        Ok(match self.kind[i] {
-            SlotKind::Sender => self.meta[i].state == TcpState::Closed,
-            SlotKind::Receiver => self.rcv[i].done,
-            SlotKind::Free { .. } => unreachable!("check() rejects free slots"),
+        Ok(match self.check(r)?.1 {
+            Row::Sender(row) => self.send.meta[row].state == TcpState::Closed,
+            Row::Receiver(row) => self.recv.rcv[row].done,
         })
     }
 
     /// Sender statistics of `r`.
     pub fn sender_stats(&self, r: FlowRef) -> Result<SenderStats, StaleFlowRef> {
-        let i = self.check_kind(r, SlotKind::Sender)?;
-        Ok(self.sstats[i])
+        let (_, row) = self.sender_row(r)?;
+        Ok(self.send.stats[row])
     }
 
     /// Receiver statistics of `r`.
     pub fn receiver_stats(&self, r: FlowRef) -> Result<ReceiverStats, StaleFlowRef> {
-        let i = self.check_kind(r, SlotKind::Receiver)?;
-        Ok(self.rstats[i])
+        let (_, row) = self.recv_row(r)?;
+        Ok(self.recv.stats[row])
     }
 
     /// Override receiver `r`'s advertised window.
     pub fn set_advertised_window(&mut self, r: FlowRef, w: u32) -> Result<(), StaleFlowRef> {
-        let i = self.check_kind(r, SlotKind::Receiver)?;
-        self.rcv[i].advertised_window = w;
+        let (_, row) = self.recv_row(r)?;
+        self.recv.rcv[row].advertised_window = w;
         Ok(())
     }
 
-    /// Free the flow behind `r`, recycling its slot (LIFO). The handle
-    /// (and any copy of it, e.g. inside a pending timer token) is stale
-    /// afterwards. The output queue is cleared in place, so churn reuses
-    /// its buffer. Every other column, the retransmission queue and the
-    /// reassembly map included, is reset to its default, which frees the
-    /// queue's buffer: clearing it in place instead, on a 400k-slot pool,
-    /// cost 9 % more peak memory and saved no time.
+    /// Free the flow behind `r`, recycling its slot and its row (each
+    /// LIFO). The handle (and any copy of it, e.g. inside a pending timer
+    /// token) is stale afterwards. The output queue is cleared in place,
+    /// so churn reuses its buffer. The freed row's retransmission queue
+    /// or reassembly map is dropped, which frees its buffer: clearing it
+    /// in place instead, on a 400k-slot pool, cost 9 % more peak memory
+    /// and saved no time. The row's other columns are left for the next
+    /// `insert_*` of its kind to overwrite.
     pub fn free(&mut self, r: FlowRef) -> Result<(), StaleFlowRef> {
-        let i = self.check(r)?;
+        let (i, row) = self.check(r)?;
+        match row {
+            Row::Sender(row) => self.send.release(row),
+            Row::Receiver(row) => self.recv.release(row),
+        }
         self.gens[i] = self.gens[i].wrapping_add(1);
         self.kind[i] = SlotKind::Free {
             next_free: self.free_head,
         };
         self.free_head = r.idx;
         self.live -= 1;
-        self.keys[i] = Self::placeholder_key();
-        self.cfgs[i] = TcpSenderConfig::default();
-        self.cc[i] = Reno::default();
-        self.rtt[i] = RttEstimator::default();
-        self.seq[i] = SeqState::default();
-        self.rtx[i] = RtxQueue::default();
-        self.meta[i] = SenderMeta::default();
-        self.sstats[i] = SenderStats::default();
-        self.rcv[i] = RcvState::default();
-        self.rstats[i] = ReceiverStats::default();
         self.out[i].clear();
         Ok(())
     }
@@ -482,30 +558,32 @@ impl FlowPool {
     pub fn state_digest(&self, d: &mut StateDigest) {
         d.write_len(self.live);
         for (i, kind) in self.kind.iter().enumerate() {
-            match kind {
+            match *kind {
                 SlotKind::Free { .. } => continue,
-                SlotKind::Sender => {
+                SlotKind::Sender { row } => {
+                    let (s, row) = (&self.send, row as usize);
                     d.write_u32(i as u32);
                     d.write_u32(self.gens[i]);
                     d.write_u8(0);
                     digest_sender_cols(
                         d,
                         &self.keys[i],
-                        &self.cfgs[i],
-                        &self.cc[i],
-                        &self.rtt[i],
-                        &self.seq[i],
-                        &self.rtx[i],
-                        &self.meta[i],
+                        &s.cfgs[row],
+                        &s.cc[row],
+                        &s.rtt[row],
+                        &s.seq[row],
+                        &s.rtx[row],
+                        &s.meta[row],
                         &self.out[i],
-                        &self.sstats[i],
+                        &s.stats[row],
                     );
                 }
-                SlotKind::Receiver => {
+                SlotKind::Receiver { row } => {
+                    let (rv, row) = (&self.recv, row as usize);
                     d.write_u32(i as u32);
                     d.write_u32(self.gens[i]);
                     d.write_u8(1);
-                    digest_recv_cols(d, &self.keys[i], &self.rcv[i], &self.out[i], &self.rstats[i]);
+                    digest_recv_cols(d, &self.keys[i], &rv.rcv[row], &self.out[i], &rv.stats[row]);
                 }
             }
         }
@@ -530,29 +608,30 @@ impl FlowPool {
                     w.u8(0);
                     w.u32(next_free);
                 }
-                SlotKind::Sender => {
+                SlotKind::Sender { row } => {
+                    let (s, row) = (&self.send, row as usize);
                     w.u8(1);
                     self.keys[i].encode(&mut w);
-                    put_cfg(&mut w, &self.cfgs[i]);
-                    let (cwnd, ssthresh) = self.cc[i].to_parts();
+                    put_cfg(&mut w, &s.cfgs[row]);
+                    let (cwnd, ssthresh) = s.cc[row].to_parts();
                     w.f64(cwnd);
                     w.f64(ssthresh);
-                    let (srtt, rttvar, rto, backoff, min_rto, max_rto) = self.rtt[i].to_parts();
+                    let (srtt, rttvar, rto, backoff, min_rto, max_rto) = s.rtt[row].to_parts();
                     w.opt(srtt, Writer::u64);
                     w.u64(rttvar);
                     w.u64(rto);
                     w.u32(backoff);
                     w.u64(min_rto);
                     w.u64(max_rto);
-                    let s = &self.seq[i];
-                    w.u32(s.isn);
-                    w.u32(s.snd_una);
-                    w.u32(s.snd_nxt);
-                    w.u64(s.app_sent);
-                    w.opt(s.fin_seq, Writer::u32);
-                    w.opt(s.syn_seq, Writer::u32);
-                    w.opt(s.recovery_until, Writer::u32);
-                    let q = &self.rtx[i];
+                    let sq = &s.seq[row];
+                    w.u32(sq.isn);
+                    w.u32(sq.snd_una);
+                    w.u32(sq.snd_nxt);
+                    w.u64(sq.app_sent);
+                    w.opt(sq.fin_seq, Writer::u32);
+                    w.opt(sq.syn_seq, Writer::u32);
+                    w.opt(sq.recovery_until, Writer::u32);
+                    let q = &s.rtx[row];
                     w.u32(q.len() as u32);
                     for (seq, rec) in q.iter() {
                         w.u32(seq);
@@ -560,7 +639,7 @@ impl FlowPool {
                         w.bool(rec.retransmitted);
                         w.u32(rec.len);
                     }
-                    let m = &self.meta[i];
+                    let m = &s.meta[row];
                     w.u64(m.started_at.0);
                     w.u32(m.dupacks);
                     w.opt(m.rto_deadline.map(|t| t.0), Writer::u64);
@@ -568,7 +647,7 @@ impl FlowPool {
                     w.opt(m.timewait_deadline.map(|t| t.0), Writer::u64);
                     w.u32(m.peer_rwnd);
                     w.u8(m.state.code());
-                    let st = &self.sstats[i];
+                    let st = &s.stats[row];
                     w.u64(st.bytes_acked);
                     w.u64(st.segments_sent);
                     w.u64(st.retransmissions);
@@ -576,10 +655,10 @@ impl FlowPool {
                     w.u64(st.timeouts);
                     w.opt(st.completed_at.map(|t| t.0), Writer::u64);
                 }
-                SlotKind::Receiver => {
+                SlotKind::Receiver { row } => {
                     w.u8(2);
                     self.keys[i].encode(&mut w);
-                    let rv = &self.rcv[i];
+                    let rv = &self.recv.rcv[row as usize];
                     w.u32(rv.rcv_nxt);
                     w.u32(rv.ooo.len() as u32);
                     for (seq, len) in &rv.ooo {
@@ -592,7 +671,7 @@ impl FlowPool {
                     w.u8(rv.state.code());
                     w.bool(rv.handshake);
                     w.bool(rv.our_fin_sent);
-                    let st = &self.rstats[i];
+                    let st = &self.recv.stats[row as usize];
                     w.u64(st.bytes_delivered);
                     w.u64(st.duplicate_segments);
                     w.u64(st.out_of_order_segments);
@@ -626,11 +705,12 @@ impl FlowPool {
                     };
                 }
                 1 => {
-                    p.kind[i] = SlotKind::Sender;
                     p.keys[i] = get_tcp_key(&mut r)?;
-                    p.cfgs[i] = get_cfg(&mut r)?;
-                    p.cc[i] = Reno::from_parts(r.f64("cwnd")?, r.f64("ssthresh")?);
-                    p.rtt[i] = RttEstimator::from_parts(
+                    let row = p.send.claim(get_cfg(&mut r)?, 0);
+                    p.kind[i] = SlotKind::Sender { row: row as u32 };
+                    let s = &mut p.send;
+                    s.cc[row] = Reno::from_parts(r.f64("cwnd")?, r.f64("ssthresh")?);
+                    s.rtt[row] = RttEstimator::from_parts(
                         r.opt("srtt", Reader::quantity)?,
                         r.quantity("rttvar")?,
                         r.quantity("rto")?,
@@ -639,14 +719,14 @@ impl FlowPool {
                         r.quantity("max rto")?,
                     )
                     .ok_or_else(|| r.error("rtt estimator", ErrorKind::Invalid))?;
-                    let s = &mut p.seq[i];
-                    s.isn = r.u32("isn")?;
-                    s.snd_una = r.u32("snd_una")?;
-                    s.snd_nxt = r.u32("snd_nxt")?;
-                    s.app_sent = r.quantity("app_sent")?;
-                    s.fin_seq = r.opt("fin_seq", Reader::u32)?;
-                    s.syn_seq = r.opt("syn_seq", Reader::u32)?;
-                    s.recovery_until = r.opt("recovery point", Reader::u32)?;
+                    let sq = &mut s.seq[row];
+                    sq.isn = r.u32("isn")?;
+                    sq.snd_una = r.u32("snd_una")?;
+                    sq.snd_nxt = r.u32("snd_nxt")?;
+                    sq.app_sent = r.quantity("app_sent")?;
+                    sq.fin_seq = r.opt("fin_seq", Reader::u32)?;
+                    sq.syn_seq = r.opt("syn_seq", Reader::u32)?;
+                    sq.recovery_until = r.opt("recovery point", Reader::u32)?;
                     for _ in 0..r.count("rtx queue length", Reader::u32, MIN_RTX_BYTES)? {
                         let seq = r.u32("rtx seq")?;
                         let rec = SegmentRecord {
@@ -654,9 +734,9 @@ impl FlowPool {
                             retransmitted: r.bool("rtx retransmitted")?,
                             len: get_segment_len(&mut r, "rtx len")?,
                         };
-                        p.rtx[i].push(seq, rec);
+                        s.rtx[row].push(seq, rec);
                     }
-                    let m = &mut p.meta[i];
+                    let m = &mut s.meta[row];
                     m.started_at = SimTime(r.quantity("started_at")?);
                     m.dupacks = r.u32("dupacks")?;
                     m.rto_deadline = r.opt("rto deadline", get_time)?;
@@ -664,7 +744,7 @@ impl FlowPool {
                     m.timewait_deadline = r.opt("time-wait deadline", get_time)?;
                     m.peer_rwnd = r.u32("peer rwnd")?;
                     m.state = get_state(&mut r)?;
-                    let st = &mut p.sstats[i];
+                    let st = &mut s.stats[row];
                     st.bytes_acked = r.quantity("bytes acked")?;
                     st.segments_sent = r.quantity("segments sent")?;
                     st.retransmissions = r.quantity("retransmissions")?;
@@ -673,9 +753,10 @@ impl FlowPool {
                     st.completed_at = r.opt("completed_at", get_time)?;
                 }
                 2 => {
-                    p.kind[i] = SlotKind::Receiver;
                     p.keys[i] = get_tcp_key(&mut r)?;
-                    let rv = &mut p.rcv[i];
+                    let row = p.recv.claim(RcvState::default());
+                    p.kind[i] = SlotKind::Receiver { row: row as u32 };
+                    let rv = &mut p.recv.rcv[row];
                     rv.rcv_nxt = r.u32("rcv_nxt")?;
                     for _ in 0..r.count("reassembly length", Reader::u32, 8)? {
                         let (seq, len) = (r.u32("reassembly seq")?, r.u32("reassembly len")?);
@@ -696,7 +777,7 @@ impl FlowPool {
                     rv.state = get_state(&mut r)?;
                     rv.handshake = r.bool("receiver handshake")?;
                     rv.our_fin_sent = r.bool("receiver fin sent")?;
-                    let st = &mut p.rstats[i];
+                    let st = &mut p.recv.stats[row];
                     st.bytes_delivered = r.quantity("bytes delivered")?;
                     st.duplicate_segments = r.quantity("duplicate segments")?;
                     st.out_of_order_segments = r.quantity("out-of-order segments")?;
@@ -909,6 +990,49 @@ mod tests {
     }
 
     #[test]
+    fn a_slot_carries_only_its_own_kinds_row() {
+        use std::mem::size_of;
+        let slot = size_of::<u32>()
+            + size_of::<SlotKind>()
+            + size_of::<FlowKey>()
+            + size_of::<Vec<Packet>>();
+        let sender = size_of::<TcpSenderConfig>()
+            + size_of::<Reno>()
+            + size_of::<RttEstimator>()
+            + size_of::<SeqState>()
+            + size_of::<RtxQueue>()
+            + size_of::<SenderMeta>()
+            + size_of::<SenderStats>();
+        let receiver = size_of::<RcvState>() + size_of::<ReceiverStats>();
+        assert_eq!((slot, sender, receiver), (52, 336, 88));
+        let n = 64;
+        let mut listeners = FlowPool::new();
+        for k in 0..n {
+            listeners.insert_listener(key(k));
+        }
+        let mut senders = FlowPool::new();
+        for k in 0..n {
+            senders.insert_sender(key(k), cfg(100), 1);
+        }
+        let s = &listeners.send;
+        let sender_cols = [
+            s.cfgs.capacity(),
+            s.cc.capacity(),
+            s.rtt.capacity(),
+            s.seq.capacity(),
+            s.rtx.capacity(),
+            s.meta.capacity(),
+            s.stats.capacity(),
+        ];
+        assert_eq!(sender_cols, [0; 7], "listeners hold sender rows");
+        assert_eq!(listeners.recv.rcv.len(), usize::from(n));
+        let r = &senders.recv;
+        let receiver_cols = [r.rcv.capacity(), r.stats.capacity()];
+        assert_eq!(receiver_cols, [0; 2], "senders hold receiver rows");
+        assert_eq!(senders.send.cfgs.len(), usize::from(n));
+    }
+
+    #[test]
     fn insert_start_take_free_round_trip() {
         let mut p = FlowPool::new();
         let r = p.insert_sender(key(1000), cfg(1460), 1);
@@ -1064,11 +1188,17 @@ mod tests {
         p.insert_receiver(key(1), 1);
         let mut blob = p.to_bytes().unwrap();
         set_u32(&mut blob, 0, u32::MAX);
-        assert_eq!(FlowPool::from_bytes(&blob).unwrap_err().kind, ErrorKind::Count);
+        assert_eq!(
+            FlowPool::from_bytes(&blob).unwrap_err().kind,
+            ErrorKind::Count
+        );
         // Twelve columns are never grown for a count the input cannot hold.
         let mut w = Writer::new();
         w.u32(u32::MAX);
-        assert_eq!(FlowPool::from_bytes(&w.into_bytes()).unwrap_err().kind, ErrorKind::Count);
+        assert_eq!(
+            FlowPool::from_bytes(&w.into_bytes()).unwrap_err().kind,
+            ErrorKind::Count
+        );
     }
 
     #[test]

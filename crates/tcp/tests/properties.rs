@@ -10,19 +10,29 @@
 //!    insert/free/op calls never panic, freed handles always come back
 //!    `Err(StaleFlowRef)`, and recycled slots carry fresh generations —
 //!    the use-after-free class the pool was designed to make loud.
-//! 2. **State-machine legality.** A sender/receiver pair driven over a
+//! 2. **Per-kind rows.** Slots and the sender and receiver row tables
+//!    recycle independently, yet every live handle reads exactly the
+//!    state a pool holding that flow alone would hold, and the
+//!    checkpoint codec reproduces the pool's state digest.
+//! 3. **State-machine legality.** A sender/receiver pair driven over a
 //!    lossy, reordering, duplicating network only ever moves along the
 //!    RFC 9293 transition diagram (or stays put): no path back out of
 //!    CLOSED, no jumps the diagram does not connect.
 
 use dui_netsim::packet::{Addr, FlowKey, Packet, TcpFlags};
 use dui_netsim::time::{SimDuration, SimTime};
+use dui_stats::digest::StateDigest;
 use dui_stats::{prop_assert, prop_assert_eq, prop_assert_ne, prop_check};
 use dui_tcp::seq::{seq_dist, seq_ge, seq_le, seq_lt};
 use dui_tcp::{FlowKind, FlowPool, FlowRef, RttEstimator, TcpSenderConfig, TcpState};
 
 fn pool_key(sport: u16) -> FlowKey {
-    FlowKey::tcp(Addr::new(10, 0, 0, 1), sport.max(1), Addr::new(10, 0, 0, 2), 80)
+    FlowKey::tcp(
+        Addr::new(10, 0, 0, 1),
+        sport.max(1),
+        Addr::new(10, 0, 0, 2),
+        80,
+    )
 }
 
 fn t(ms: u64) -> SimTime {
@@ -301,6 +311,110 @@ prop_check! {
             prop_assert!(pool.state(*old).is_err(), "old handle revived by recycling");
         }
         prop_assert_eq!(pool.live(), n);
+    }
+
+    fn mixed_kind_recycling_keeps_every_flow_its_own_state(g) {
+        // Each live flow also lives alone in a pool of its own, where no
+        // slot or row was ever recycled; both copies see the same calls.
+        // Senders are admitted with a peer (`pair` names the two ends);
+        // freeing either end leaves the other talking to nobody.
+        struct Flow {
+            r: FlowRef,
+            alone: FlowPool,
+            a: FlowRef,
+            pair: Option<usize>,
+        }
+        let mut pool = FlowPool::new();
+        let mut live: Vec<Flow> = Vec::new();
+        let mut now = 0;
+        for pair in 0..g.usize(1..200) {
+            now += g.u64(1..50);
+            let k = pool_key(g.any_u16());
+            let isn = g.any_u32();
+            match g.u32(0..8) {
+                0 | 1 => {
+                    let cfg = TcpSenderConfig {
+                        total_bytes: Some(g.u64(0..30_000)),
+                        handshake: g.bool(),
+                        time_wait: SimDuration::from_millis(g.u64(1..100)),
+                        ..Default::default()
+                    };
+                    let peer = |p: &mut FlowPool| {
+                        if cfg.handshake {
+                            p.insert_listener(k)
+                        } else {
+                            p.insert_receiver(k, isn)
+                        }
+                    };
+                    let (mut alone_s, mut alone_r) = (FlowPool::new(), FlowPool::new());
+                    let (r, a) = (pool.insert_sender(k, cfg.clone(), isn), alone_s.insert_sender(k, cfg.clone(), isn));
+                    pool.on_start(r, t(now)).unwrap();
+                    alone_s.on_start(a, t(now)).unwrap();
+                    live.push(Flow { r, alone: alone_s, a, pair: Some(pair) });
+                    let (r, a) = (peer(&mut pool), peer(&mut alone_r));
+                    live.push(Flow { r, alone: alone_r, a, pair: Some(pair) });
+                }
+                2 | 3 => {
+                    let mut alone = FlowPool::new();
+                    let (r, a) = if g.bool() {
+                        (pool.insert_receiver(k, isn), alone.insert_receiver(k, isn))
+                    } else {
+                        (pool.insert_listener(k), alone.insert_listener(k))
+                    };
+                    live.push(Flow { r, alone, a, pair: None });
+                }
+                4 if !live.is_empty() => {
+                    let gone = live.swap_remove(g.usize(0..live.len()));
+                    pool.free(gone.r).unwrap();
+                }
+                _ if !live.is_empty() => {
+                    // Hand one flow's output to its peer, a segment lost
+                    // now and then; a sender without a peer ticks.
+                    let from = g.usize(0..live.len());
+                    let to = live[from].pair.and_then(|id| {
+                        (0..live.len()).find(|&j| j != from && live[j].pair == Some(id))
+                    });
+                    let f = &mut live[from];
+                    let pkts = pool.take_out(f.r).unwrap();
+                    prop_assert_eq!(&pkts, &f.alone.take_out(f.a).unwrap());
+                    match to {
+                        Some(j) => {
+                            let f = &mut live[j];
+                            for pkt in pkts.iter().filter(|_| g.u32(0..8) != 0) {
+                                pool.on_segment(f.r, t(now), pkt).unwrap();
+                                f.alone.on_segment(f.a, t(now), pkt).unwrap();
+                            }
+                        }
+                        None => {
+                            pool.on_tick(f.r, t(now)).unwrap();
+                            f.alone.on_tick(f.a, t(now)).unwrap();
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        prop_assert_eq!(pool.live(), live.len());
+        for Flow { r, alone, a, .. } in &mut live {
+            let kind = pool.kind(*r).unwrap();
+            prop_assert_eq!(kind, alone.kind(*a).unwrap());
+            prop_assert_eq!(pool.key(*r), alone.key(*a));
+            prop_assert_eq!(pool.state(*r), alone.state(*a));
+            prop_assert_eq!(pool.is_done(*r), alone.is_done(*a));
+            prop_assert_eq!(pool.next_event_time(*r), alone.next_event_time(*a));
+            match kind {
+                FlowKind::Sender => prop_assert_eq!(pool.sender_stats(*r), alone.sender_stats(*a)),
+                FlowKind::Receiver => {
+                    prop_assert_eq!(pool.receiver_stats(*r), alone.receiver_stats(*a))
+                }
+            }
+            prop_assert_eq!(pool.take_out(*r).unwrap(), alone.take_out(*a).unwrap());
+        }
+        let restored = FlowPool::from_bytes(&pool.to_bytes().unwrap()).unwrap();
+        let (mut d1, mut d2) = (StateDigest::new(), StateDigest::new());
+        pool.state_digest(&mut d1);
+        restored.state_digest(&mut d2);
+        prop_assert_eq!(d1.finish(), d2.finish(), "checkpoint changed the pool");
     }
 
     fn lifecycle_transitions_stay_on_rfc9293_edges(g) {

@@ -52,6 +52,14 @@ echo "== Blink selector differential at depth (2000 propcheck cases; seconds) ==
 # which takes the cell a caller kept (fastsim, the fuzzer).
 PROPCHECK_CASES=2000 cargo test -q --offline -p dui-blink --test properties selector
 
+echo "== flow pool suites at depth (2000 propcheck cases; about a second) =="
+# Every TCP flow lives in `FlowPool`: slots and the sender and receiver
+# row tables recycle independently, so random mixed-kind insert/free
+# interleavings must leave every live handle the state it would have
+# alone, stale handles refused, the checkpoint codec digest-exact, and
+# the RFC 9293 lifecycle on its edges.
+PROPCHECK_CASES=2000 cargo test -q --offline -p dui-tcp --test properties
+
 echo "== state digest suite at depth (2000 propcheck cases; under a second) =="
 # Every recording, golden and checkpoint hash is a `StateDigest`: its
 # fold must change the digest whenever any one written word changes,
