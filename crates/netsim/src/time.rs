@@ -183,10 +183,21 @@ impl Bandwidth {
 
     /// Time to serialize `bytes` onto the wire.
     pub fn serialization_delay(&self, bytes: u32) -> SimDuration {
-        // ns = bytes*8 / (bits/s) * 1e9 — computed in u128 and saturated so
-        // pathological (bytes, bandwidth) combinations cannot wrap.
-        let ns = (bytes as u128 * 8 * 1_000_000_000) / self.0 as u128;
-        SimDuration(ns.min(u64::MAX as u128) as u64)
+        // ns = bytes*8 / (bits/s) * 1e9. Every packet-sized count fits
+        // the numerator in a u64 (up to 2.3 GB); only a larger one takes
+        // the 128-bit division, whose software routine is measurable on
+        // the per-packet path.
+        match u64::from(bytes).checked_mul(8_000_000_000) {
+            Some(bits_ns) => SimDuration(bits_ns / self.0),
+            None => self.serialization_delay_wide(bytes),
+        }
+    }
+
+    /// [`Bandwidth::serialization_delay`] in u128, saturated so
+    /// pathological (bytes, bandwidth) combinations cannot wrap.
+    fn serialization_delay_wide(&self, bytes: u32) -> SimDuration {
+        let ns = (u128::from(bytes) * 8_000_000_000) / u128::from(self.0);
+        SimDuration(ns.min(u128::from(u64::MAX)) as u64)
     }
 }
 
@@ -225,6 +236,34 @@ mod tests {
         // 1 GB at 1 bps does not overflow
         let d = Bandwidth::bps(1).serialization_delay(u32::MAX);
         assert!(d.as_secs_f64() > 1e10); // saturates at u64::MAX ns
+        assert_eq!(d, SimDuration(u64::MAX));
+    }
+
+    #[test]
+    fn serialization_delay_u64_path_agrees_with_u128() {
+        let agree = |bytes: u32, bps: u64| {
+            let bw = Bandwidth::bps(bps);
+            assert_eq!(
+                bw.serialization_delay(bytes),
+                bw.serialization_delay_wide(bytes),
+                "{bytes} B at {bps} bps"
+            );
+        };
+        let edges = [1 << 31, (1 << 31) + 1, u32::MAX];
+        for bytes in edges {
+            for bps in [1, 7, 1_000_000_007, 1 << 40, u64::MAX] {
+                agree(bytes, bps);
+            }
+        }
+        // 2^31 B still takes the u64 path; u32::MAX B does not.
+        assert!(u64::from(1u32 << 31).checked_mul(8_000_000_000).is_some());
+        assert!(u64::from(u32::MAX).checked_mul(8_000_000_000).is_none());
+        let mut rng = dui_stats::Rng::new(11);
+        for _ in 0..10_000 {
+            let bytes = rng.next_u32() >> rng.below(32);
+            let bps = (rng.next_u64() >> rng.below(64)).max(1);
+            agree(bytes, bps);
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Sans-I/O TCP sender and receiver state machines.
 //!
 //! Both machines consume events (`on_segment`, `on_tick`) and produce
-//! outgoing packets into the slot's output buffer (drained with
-//! [`FlowPool::take_out`](crate::pool::FlowPool::take_out)), plus a
+//! outgoing packets into the slot's output list (drained with
+//! [`FlowPool::drain_out`](crate::pool::FlowPool::drain_out)), plus a
 //! `next_event_time` deadline the host must arm a timer for. No simulator
 //! types beyond `Packet`/`SimTime` leak in, so every protocol behavior is
 //! unit-testable below without an event loop.
@@ -10,13 +10,16 @@
 //! ## Column layout
 //!
 //! All per-connection state is factored into small column structs —
-//! `SeqState`, `RtxQueue`, `SenderMeta`, `RcvState` — and the
-//! protocol logic is written once against *borrowed views* over those
-//! columns (`SenderCols`, `RecvCols`). [`crate::pool::FlowPool`] owns
-//! `Vec`s of the columns (the struct-of-arrays shape a
-//! [`crate::host::TcpHost`] runs millions of flows on) and hands out one
-//! view per slot through split borrows over the disjoint column vectors;
-//! the tests below drive a pool of one sender and one receiver.
+//! `SeqState`, `RtxQueue`, `SenderMeta`, `RcvState` — grouped into one
+//! row per endpoint: a `SenderRow` holds a sender's seven columns and a
+//! `RecvRow` a receiver's two. The protocol logic is written once
+//! against *borrowed views* over a row's columns (`SenderCols`,
+//! `RecvCols`). [`crate::pool::FlowPool`] keeps the rows in chunks that
+//! never move, one table per kind (the shape a [`crate::host::TcpHost`]
+//! runs millions of flows on), and hands out one view per slot through
+//! split borrows of its row, its key and its output list
+//! (`Outbox`); the tests below drive a pool of one sender and one
+//! receiver.
 //!
 //! ## Lifecycle
 //!
@@ -28,6 +31,7 @@
 //! CLOSE-WAIT / LAST-ACK and a timed TIME-WAIT — which is what the
 //! SYN-flood and connection-churn workloads exercise.
 
+use crate::pool::Outbox;
 use crate::reno::Reno;
 use crate::rtt::RttEstimator;
 use crate::seq::{seq_dist, seq_ge, seq_gt, seq_lt};
@@ -282,9 +286,52 @@ impl Default for SenderMeta {
     }
 }
 
+/// One sender's columns, stored together: a sender event touches one
+/// contiguous row.
+#[derive(Debug, Default)]
+pub(crate) struct SenderRow {
+    pub(crate) cfg: TcpSenderConfig,
+    pub(crate) cc: Reno,
+    pub(crate) rtt: RttEstimator,
+    pub(crate) seq: SeqState,
+    pub(crate) rtx: RtxQueue,
+    pub(crate) meta: SenderMeta,
+    pub(crate) stats: SenderStats,
+}
+
+impl SenderRow {
+    /// A sender with `cfg` and ISN `isn` that has not started yet.
+    pub(crate) fn new(cfg: TcpSenderConfig, isn: u32) -> Self {
+        SenderRow {
+            cc: Reno::new(cfg.initial_cwnd),
+            cfg,
+            rtt: RttEstimator::default(),
+            seq: SeqState::new(isn),
+            rtx: RtxQueue::default(),
+            meta: SenderMeta::default(),
+            stats: SenderStats::default(),
+        }
+    }
+
+    /// Borrowed view over this row for the flow `key`, emitting into `out`.
+    pub(crate) fn cols<'a>(&'a mut self, key: FlowKey, out: Outbox<'a>) -> SenderCols<'a> {
+        SenderCols {
+            key,
+            cfg: &self.cfg,
+            cc: &mut self.cc,
+            rtt: &mut self.rtt,
+            seq: &mut self.seq,
+            rtx: &mut self.rtx,
+            meta: &mut self.meta,
+            out,
+            stats: &mut self.stats,
+        }
+    }
+}
+
 /// Borrowed view over one sender's columns. The protocol implementation
 /// lives here; [`crate::pool::FlowPool`] constructs this view over one
-/// slot of its columns.
+/// slot's row and output list.
 pub(crate) struct SenderCols<'a> {
     pub(crate) key: FlowKey,
     pub(crate) cfg: &'a TcpSenderConfig,
@@ -293,7 +340,7 @@ pub(crate) struct SenderCols<'a> {
     pub(crate) seq: &'a mut SeqState,
     pub(crate) rtx: &'a mut RtxQueue,
     pub(crate) meta: &'a mut SenderMeta,
-    pub(crate) out: &'a mut Vec<Packet>,
+    pub(crate) out: Outbox<'a>,
     pub(crate) stats: &'a mut SenderStats,
 }
 
@@ -700,20 +747,23 @@ pub(crate) fn sender_next_event_time(meta: &SenderMeta) -> Option<SimTime> {
 
 /// Fold one sender's complete column set into `d`: configuration,
 /// congestion control, RTT estimator, sequence space, the retransmission
-/// queue (send order — already canonical, no sorting) and statistics.
-#[expect(clippy::too_many_arguments, reason = "one parameter per sender column")]
-pub(crate) fn digest_sender_cols(
+/// queue (send order — already canonical, no sorting), the staged output
+/// (oldest first) and statistics.
+pub(crate) fn digest_sender_row<'a>(
     d: &mut StateDigest,
     key: &FlowKey,
-    cfg: &TcpSenderConfig,
-    cc: &Reno,
-    rtt: &RttEstimator,
-    seq: &SeqState,
-    rtx: &RtxQueue,
-    meta: &SenderMeta,
-    out: &[Packet],
-    stats: &SenderStats,
+    row: &SenderRow,
+    out: impl Iterator<Item = &'a Packet> + Clone,
 ) {
+    let SenderRow {
+        cfg,
+        cc,
+        rtt,
+        seq,
+        rtx,
+        meta,
+        stats,
+    } = row;
     digest_flow_key(d, key);
     d.write_u32(cfg.mss);
     d.write_opt_u64(cfg.total_bytes);
@@ -738,10 +788,7 @@ pub(crate) fn digest_sender_cols(
     d.write_opt_u64(seq.syn_seq.map(u64::from));
     d.write_opt_u64(seq.recovery_until.map(u64::from));
     d.write_u8(meta.state.code());
-    d.write_len(out.len());
-    for p in out {
-        p.state_digest(d);
-    }
+    digest_out(d, out);
     d.write_u64(stats.bytes_acked);
     d.write_u64(stats.segments_sent);
     d.write_u64(stats.retransmissions);
@@ -814,11 +861,30 @@ impl Default for RcvState {
     }
 }
 
+/// One receiver's columns, stored together.
+#[derive(Debug, Default)]
+pub(crate) struct RecvRow {
+    pub(crate) rcv: RcvState,
+    pub(crate) stats: ReceiverStats,
+}
+
+impl RecvRow {
+    /// Borrowed view over this row for the flow `key`, emitting into `out`.
+    pub(crate) fn cols<'a>(&'a mut self, key: FlowKey, out: Outbox<'a>) -> RecvCols<'a> {
+        RecvCols {
+            key,
+            rcv: &mut self.rcv,
+            out,
+            stats: &mut self.stats,
+        }
+    }
+}
+
 /// Borrowed view over one receiver's columns (see `SenderCols`).
 pub(crate) struct RecvCols<'a> {
     pub(crate) key: FlowKey,
     pub(crate) rcv: &'a mut RcvState,
-    pub(crate) out: &'a mut Vec<Packet>,
+    pub(crate) out: Outbox<'a>,
     pub(crate) stats: &'a mut ReceiverStats,
 }
 
@@ -950,13 +1016,13 @@ impl RecvCols<'_> {
 
 /// Fold one receiver's complete column set into `d` (the reassembly
 /// buffer is a `BTreeMap`, so iteration order is already stable).
-pub(crate) fn digest_recv_cols(
+pub(crate) fn digest_recv_row<'a>(
     d: &mut StateDigest,
     key: &FlowKey,
-    rcv: &RcvState,
-    out: &[Packet],
-    stats: &ReceiverStats,
+    row: &RecvRow,
+    out: impl Iterator<Item = &'a Packet> + Clone,
 ) {
+    let RecvRow { rcv, stats } = row;
     digest_flow_key(d, key);
     d.write_u32(rcv.rcv_nxt);
     d.write_len(rcv.ooo.len());
@@ -970,14 +1036,20 @@ pub(crate) fn digest_recv_cols(
     d.write_u8(rcv.state.code());
     d.write_bool(rcv.handshake);
     d.write_bool(rcv.our_fin_sent);
-    d.write_len(out.len());
-    for p in out {
-        p.state_digest(d);
-    }
+    digest_out(d, out);
     d.write_u64(stats.bytes_delivered);
     d.write_u64(stats.duplicate_segments);
     d.write_u64(stats.out_of_order_segments);
     d.write_opt_u64(stats.finished_at.map(|t| t.0));
+}
+
+/// Fold a slot's staged output into `d`: its length, then each packet,
+/// oldest first.
+fn digest_out<'a>(d: &mut StateDigest, out: impl Iterator<Item = &'a Packet> + Clone) {
+    d.write_len(out.clone().count());
+    for p in out {
+        p.state_digest(d);
+    }
 }
 
 #[cfg(test)]

@@ -24,6 +24,7 @@ use dui_stats::digest::StateDigest;
 use dui_stats::hash::FixedState;
 use dui_stats::wire::{DecodeError, ErrorKind, Reader, Writer};
 use std::any::Any;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 
 /// Declarative description of a flow a host should source.
@@ -213,19 +214,26 @@ impl HostCounters {
 
 /// A host that runs TCP senders (from a [`FlowSource`]) and spawns
 /// receivers on demand for incoming flows. All per-flow state lives in a
-/// [`FlowPool`]; `by_key` is a lookup index only and is never iterated
-/// (pool slot order is the canonical iteration order).
+/// [`FlowPool`]; `by_key` and `shadowed` are lookup indexes only and are
+/// never iterated (pool slot order is the canonical iteration order).
 pub struct TcpHost {
     source: Box<dyn FlowSource>,
     pool: FlowPool,
-    /// Forward key -> live pool handle. Lookup only — never iterated.
-    /// Keyless hasher: the keys are minted in this process by seeded
-    /// generators (`flowgen`, `attacks::syn_flood`) and arrive over
-    /// simulated links, never from a socket. The one outside source is
-    /// [`NodeLogic::load_state`] rebuilding the index from a checkpoint:
-    /// keys crafted to collide can slow that one call, quadratically in
-    /// the flow count the blob's own length bounds.
+    /// Live pool handles by the key their segments *arrive* with: a
+    /// sender under its forward key reversed (its ACKs), a receiver under
+    /// its own key — so an arriving segment costs one probe. Lookup only
+    /// — never iterated. Keyless hasher: the keys are minted in this
+    /// process by seeded generators (`flowgen`, `attacks::syn_flood`) and
+    /// arrive over simulated links, never from a socket. The one outside
+    /// source is [`NodeLogic::load_state`] rebuilding the index from a
+    /// checkpoint: keys crafted to collide can slow that one call,
+    /// quadratically in the flow count the blob's own length bounds.
     by_key: HashMap<FlowKey, FlowRef, FixedState>,
+    /// Receivers whose arrival key a later sender took over in `by_key`
+    /// (a sender's ACKs take precedence over a receiver's data), by that
+    /// key. They get no segments while the sender lives and take the
+    /// entry back when it leaves. Empty unless keys collide.
+    shadowed: HashMap<FlowKey, FlowRef, FixedState>,
     /// Sender creation order, for stable stats iteration.
     order: Vec<FlowKey>,
     cfg: TcpHostConfig,
@@ -278,6 +286,7 @@ impl TcpHost {
             source,
             pool: FlowPool::new(),
             by_key: HashMap::default(),
+            shadowed: HashMap::default(),
             order: Vec::new(),
             cfg: TcpHostConfig::default(),
             agg: HostCounters::default(),
@@ -308,7 +317,7 @@ impl TcpHost {
     /// Sender statistics for a flow sourced by this host (`None` if the
     /// flow never existed or was evicted).
     pub fn sender_stats(&self, key: &FlowKey) -> Option<SenderStats> {
-        let r = *self.by_key.get(key)?;
+        let r = *self.by_key.get(&key.reversed())?;
         match self.pool.kind(r).ok()? {
             FlowKind::Sender => self.pool.sender_stats(r).ok(),
             FlowKind::Receiver => None,
@@ -317,11 +326,11 @@ impl TcpHost {
 
     /// Receiver statistics for a flow sunk by this host.
     pub fn receiver_stats(&self, key: &FlowKey) -> Option<ReceiverStats> {
-        let r = *self.by_key.get(key)?;
-        match self.pool.kind(r).ok()? {
-            FlowKind::Receiver => self.pool.receiver_stats(r).ok(),
-            FlowKind::Sender => None,
-        }
+        let r = match self.by_key.get(key) {
+            Some(&r) if self.pool.kind(r) == Ok(FlowKind::Receiver) => r,
+            _ => *self.shadowed.get(key)?,
+        };
+        self.pool.receiver_stats(r).ok()
     }
 
     /// All live sender stats, in flow creation order (evicted flows are
@@ -386,16 +395,64 @@ impl TcpHost {
             self.wake_at[slot] = None;
             self.agg.admitted += 1;
             live(self.pool.on_start(r, now));
-            for pkt in live(self.pool.take_out(r)) {
-                ctx.send(pkt);
-            }
+            live(self.pool.drain_out(r, |pkt| ctx.send(pkt)));
             self.arm_for(r, ctx);
             self.order.push(spec.key);
-            self.by_key.insert(spec.key, r);
+            self.index_sender(spec.key, r);
         }
         if let Some(next) = self.source.peek_start() {
             let delay = next.since(now).max(SimDuration::from_nanos(1));
             ctx.set_timer(delay, TOKEN_WAKE);
+        }
+    }
+
+    /// Index sender `r`, forward key `key`, under the key its ACKs arrive
+    /// with. It takes that entry from a receiver, which waits in
+    /// `shadowed` until the sender leaves: the sender's segments came
+    /// first when the index held forward keys. A receiver under `key`
+    /// itself leaves the index for good, as the forward-key entry the
+    /// sender overwrote did.
+    fn index_sender(&mut self, key: FlowKey, r: FlowRef) {
+        if let Entry::Occupied(e) = self.by_key.entry(key) {
+            if self.pool.kind(*e.get()) == Ok(FlowKind::Receiver) {
+                e.remove();
+            }
+        }
+        self.shadowed.remove(&key);
+        let at = key.reversed();
+        if let Some(old) = self.by_key.insert(at, r) {
+            if self.pool.kind(old) == Ok(FlowKind::Receiver) {
+                self.shadowed.insert(at, old);
+            }
+        }
+    }
+
+    /// Drop live flow `r` from the index, leaving an entry that maps to
+    /// another flow alone; a sender's entry goes back to the receiver it
+    /// shadowed.
+    fn unindex(&mut self, r: FlowRef) {
+        let key = live(self.pool.key(r));
+        match live(self.pool.kind(r)) {
+            FlowKind::Sender => {
+                let at = key.reversed();
+                if let Entry::Occupied(mut e) = self.by_key.entry(at) {
+                    if *e.get() == r {
+                        match self.shadowed.remove(&at) {
+                            Some(rcv) => e.insert(rcv),
+                            None => e.remove(),
+                        };
+                    }
+                }
+            }
+            FlowKind::Receiver => {
+                for index in [&mut self.by_key, &mut self.shadowed] {
+                    if let Entry::Occupied(e) = index.entry(key) {
+                        if *e.get() == r {
+                            e.remove();
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -446,7 +503,6 @@ impl TcpHost {
         if !self.cfg.evict_closed || self.pool.state(r) != Ok(TcpState::Closed) {
             return;
         }
-        let key = live(self.pool.key(r));
         match live(self.pool.kind(r)) {
             FlowKind::Sender => {
                 let stats = live(self.pool.sender_stats(r));
@@ -461,7 +517,7 @@ impl TcpHost {
                 self.agg.evicted_done_receivers += 1;
             }
         }
-        self.by_key.remove(&key);
+        self.unindex(r);
         live(self.pool.free(r));
         self.agg.evictions += 1;
     }
@@ -469,9 +525,7 @@ impl TcpHost {
     /// Deliver one event-side effect bundle for `r`: pump its output,
     /// re-arm its timer, account the state transition, maybe evict.
     fn finish_event(&mut self, r: FlowRef, pre: TcpState, ctx: &mut Ctx) {
-        for p in live(self.pool.take_out(r)) {
-            ctx.send(p);
-        }
+        live(self.pool.drain_out(r, |p| ctx.send(p)));
         self.arm_for(r, ctx);
         let post = live(self.pool.state(r));
         self.note_transition(pre, post);
@@ -495,22 +549,19 @@ impl NodeLogic for TcpHost {
             return; // hosts here only speak TCP
         };
         let now = ctx.now();
-        // An incoming packet belongs to a sender if its *reverse* key is a
-        // sender's forward key (it is an ACK), otherwise it is data for a
-        // receiver keyed by the forward direction.
-        let fwd = pkt.key;
-        let rev = pkt.key.reversed();
-        if let Some(&r) = self.by_key.get(&rev) {
-            if self.pool.kind(r) == Ok(FlowKind::Sender) {
-                let pre = live(self.pool.state(r));
-                live(self.pool.on_segment(r, now, &pkt));
-                self.finish_event(r, pre, ctx);
-                return;
-            }
-        }
-        let r = match self.by_key.get(&fwd) {
+        // One probe finds a sender (the segment is an ACK on its reversed
+        // key) or a receiver (data on its own key).
+        let r = match self.by_key.get(&pkt.key) {
             Some(&r) => r,
             None => {
+                // Never a receiver for one of this host's senders' own
+                // forward keys: such a segment is ignored.
+                let rev = pkt.key.reversed();
+                if let Some(&s) = self.by_key.get(&rev) {
+                    if self.pool.kind(s) == Ok(FlowKind::Sender) {
+                        return;
+                    }
+                }
                 let r = if flags.syn {
                     // Passive open: a SYN creates a listener walking the
                     // full lifecycle — subject to the backlog cap.
@@ -520,7 +571,7 @@ impl NodeLogic for TcpHost {
                             return;
                         }
                     }
-                    let r = self.pool.insert_listener(fwd);
+                    let r = self.pool.insert_listener(pkt.key);
                     if let Some(timeout) = self.cfg.syn_rcvd_timeout {
                         ctx.set_timer(timeout, Self::flow_token(r));
                     }
@@ -528,15 +579,12 @@ impl NodeLogic for TcpHost {
                 } else {
                     // Data (or a stray pure ACK) with no matching sender:
                     // spawn a handshake-less receiver expecting `seq`.
-                    self.pool.insert_receiver(fwd, seq)
+                    self.pool.insert_receiver(pkt.key, seq)
                 };
-                self.by_key.insert(fwd, r);
+                self.by_key.insert(pkt.key, r);
                 r
             }
         };
-        if self.pool.kind(r) != Ok(FlowKind::Receiver) {
-            return;
-        }
         let pre = live(self.pool.state(r));
         live(self.pool.on_segment(r, now, &pkt));
         self.finish_event(r, pre, ctx);
@@ -570,8 +618,7 @@ impl NodeLogic for TcpHost {
             Ok(FlowKind::Receiver) => {
                 // The only receiver timer is the SYN-RCVD reaper.
                 if self.pool.state(r) == Ok(TcpState::SynRcvd) {
-                    let key = live(self.pool.key(r));
-                    self.by_key.remove(&key);
+                    self.unindex(r);
                     live(self.pool.free(r));
                     self.agg.synrcvd_live = self.agg.synrcvd_live.saturating_sub(1);
                     self.agg.syn_timeouts += 1;
@@ -670,17 +717,36 @@ impl NodeLogic for TcpHost {
             .opt("syn-rcvd timeout", Reader::quantity)?
             .map(SimDuration);
         r.finish("tcp host state")?;
-        // Rebuild the lookup index from the restored pool.
-        let mut by_key = HashMap::default();
+        // Rebuild the lookup index from the restored pool: first by
+        // forward key, the later slot taking a shared key, then each
+        // entry under its arrival key, a receiver shadowed by a sender
+        // that owns the reverse key.
+        let mut fwd: HashMap<FlowKey, FlowRef, FixedState> = HashMap::default();
         for flow in pool.iter_refs() {
             if pool.kind(flow) == Ok(FlowKind::Sender) && flow.index() as usize >= wake_at.len() {
                 return Err(r.error("tcp host sender without a wake entry", ErrorKind::Invalid));
             }
-            by_key.insert(live(pool.key(flow)), flow);
+            fwd.insert(live(pool.key(flow)), flow);
+        }
+        let is_sender = |r: &FlowRef| pool.kind(*r) == Ok(FlowKind::Sender);
+        let (mut by_key, mut shadowed) = (HashMap::default(), HashMap::default());
+        for flow in pool.iter_refs() {
+            let key = live(pool.key(flow));
+            if fwd.get(&key) != Some(&flow) {
+                continue;
+            }
+            if is_sender(&flow) {
+                by_key.insert(key.reversed(), flow);
+            } else if fwd.get(&key.reversed()).is_some_and(is_sender) {
+                shadowed.insert(key, flow);
+            } else {
+                by_key.insert(key, flow);
+            }
         }
         self.source = Box::new(VecSource::new(specs));
         self.pool = pool;
         self.by_key = by_key;
+        self.shadowed = shadowed;
         self.order = order;
         self.next_isn = next_isn;
         self.wake_at = wake_at;
@@ -738,7 +804,7 @@ mod tests {
 
     use super::*;
     use dui_netsim::event::SavedEvent;
-    use dui_netsim::packet::Addr;
+    use dui_netsim::packet::{Addr, TcpFlags};
     use dui_netsim::prelude::{Bandwidth, Dir, FaultConfig, LinkId, RouterLogic, Simulator};
     use dui_netsim::topology::{NodeId, Topology, TopologyBuilder};
     use dui_stats::propcheck::Gen;
@@ -1006,6 +1072,209 @@ mod tests {
                 kind: ErrorKind::Invalid,
             })
         );
+    }
+
+    /// Peer that sends each scripted segment, whatever its key, to its
+    /// one neighbour at the scripted millisecond and records every
+    /// segment that reaches it.
+    struct Script {
+        to: NodeId,
+        segments: Vec<(u64, Option<Packet>)>,
+        seen: Vec<(u64, FlowKey, Header)>,
+    }
+
+    impl NodeLogic for Script {
+        fn on_start(&mut self, ctx: &mut Ctx) {
+            for (i, (ms, _)) in self.segments.iter().enumerate() {
+                ctx.set_timer(SimDuration::from_millis(*ms), i as u64);
+            }
+        }
+
+        fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
+            if let Some(pkt) = self.segments[token as usize].1.take() {
+                ctx.send_via(self.to, pkt);
+            }
+        }
+
+        fn on_packet(&mut self, ctx: &mut Ctx, pkt: Packet) {
+            let ms = ctx.now().as_nanos() / 1_000_000;
+            self.seen.push((ms, pkt.key, pkt.header));
+        }
+
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// Senders `K1` and `K2` start on keys whose reverse already holds a
+    /// receiver, and `K3` on a key that itself holds one; then segments
+    /// arrive on both directions of each key. The outcomes, evictions
+    /// included, are the ones the index keyed by forward key produced:
+    /// the sender takes the reverse key's segments while it lives, a
+    /// segment on its own key is ignored, the shadowed receiver keeps its
+    /// stats and takes its segments back once the sender is evicted, and
+    /// reaping a shadowed receiver leaves the sender's entry alone.
+    #[test]
+    fn a_sender_shadows_the_receiver_on_its_reverse_key() {
+        let (a, b) = (Addr::new(10, 0, 0, 1), Addr::new(10, 0, 0, 2));
+        let (k1, k2) = (FlowKey::tcp(a, 1000, b, 80), FlowKey::tcp(a, 2000, b, 80));
+        let k3 = FlowKey::tcp(a, 3000, b, 80);
+        let flags = |syn, ack, fin| TcpFlags {
+            syn,
+            ack,
+            fin,
+            ..TcpFlags::default()
+        };
+        let seg = |key, seq, ack, f, payload| Some(Packet::tcp(key, seq, ack, f, payload));
+        let (r1, r2) = (k1.reversed(), k2.reversed());
+        let segments = vec![
+            (1, seg(r1, 7_000, 0, flags(true, false, false), 0)),
+            (2, seg(r2, 8_000, 0, flags(true, false, false), 0)),
+            (5, seg(r1, 7_001, 1, flags(false, true, false), 100)),
+            // A receiver on K3 itself, whose ACK comes back to this host
+            // and spawns a receiver on K3's reverse.
+            (10, seg(k3, 9_000, 0, flags(false, false, false), 100)),
+            // Senders K1, K2 and K3 start at 20 ms; R2's reaper fires at 27.
+            (30, seg(r1, 7_101, 1_461, flags(false, true, false), 100)),
+            (32, seg(k1, 9_000, 0, flags(false, false, false), 100)),
+            (34, seg(k2, 9_000, 0, flags(false, false, false), 100)),
+            (36, seg(k3, 9_100, 0, flags(false, false, false), 100)),
+            (40, seg(r1, 7_101, 1_462, flags(false, true, false), 0)),
+            (50, seg(r1, 7_101, 1, flags(false, true, false), 100)),
+            (55, seg(r1, 7_201, 1, flags(false, true, true), 0)),
+            (60, seg(r1, 7_202, 1, flags(false, true, false), 0)),
+            (75, seg(k1, 9_000, 0, flags(false, false, false), 100)),
+        ];
+        let mut topo = TopologyBuilder::new();
+        let (h1, h2) = (topo.host("h1", a), topo.host("h2", b));
+        topo.link(h1, h2, Bandwidth::mbps(10), SimDuration::from_millis(1), 64);
+        let mut sim = Simulator::new(topo.build(), 5);
+        let spec = |key, total| FlowSpec {
+            key,
+            start: SimTime::ZERO + SimDuration::from_millis(20),
+            config: TcpSenderConfig {
+                total_bytes: Some(total),
+                ..Default::default()
+            },
+        };
+        let flows = vec![spec(k1, 1_460), spec(k2, 1_000_000), spec(k3, 1_460)];
+        let mut host = TcpHost::with_flows(flows);
+        host.set_config(TcpHostConfig {
+            evict_closed: true,
+            syn_rcvd_timeout: Some(SimDuration::from_millis(25)),
+            ..Default::default()
+        });
+        sim.set_logic(h1, Box::new(host));
+        let peer = Script {
+            to: h1,
+            segments,
+            seen: Vec::new(),
+        };
+        sim.set_logic(h2, Box::new(peer));
+        let at = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
+        let delivered = |sim: &mut Simulator, key: FlowKey| {
+            let host: &mut TcpHost = sim.logic_mut(h1);
+            host.receiver_stats(&key).map(|s| s.bytes_delivered)
+        };
+        let sending = |sim: &mut Simulator, key: FlowKey| {
+            let host: &mut TcpHost = sim.logic_mut(h1);
+            host.sender_stats(&key).map(|s| s.bytes_acked)
+        };
+
+        sim.run_until(at(25));
+        let answers = |host: &TcpHost| {
+            let rcv = [r1, r2, k3, k3.reversed()].map(|k| host.receiver_stats(&k));
+            (
+                rcv.map(|s| s.map(|s| s.bytes_delivered)),
+                host.sender_stats(&k1).map(|s| s.bytes_acked),
+            )
+        };
+        let host: &mut TcpHost = sim.logic_mut(h1);
+        // R1 and R2 shadowed by K1 and K2; K3 took its own key and
+        // shadows the receiver on its reverse.
+        assert_eq!(
+            answers(host),
+            ([Some(100), Some(0), None, Some(0)], Some(0))
+        );
+        let mut restored = TcpHost::new();
+        let blob = host.save_state().expect("restorable");
+        restored.load_state(&blob).expect("valid");
+        assert_eq!(
+            answers(&restored),
+            answers(host),
+            "restore rebuilds the index"
+        );
+        sim.run_until(at(38));
+        assert_eq!(delivered(&mut sim, k3), None, "K3's key stays ignored");
+        assert_eq!(delivered(&mut sim, r2), None, "R2 reaped");
+        assert_eq!(delivered(&mut sim, r1), Some(100), "K1 took R1's segment");
+        assert_eq!(sending(&mut sim, k1), Some(1_460));
+        assert_eq!(sending(&mut sim, k2), Some(0), "reaping R2 kept K2");
+        sim.run_until(at(45));
+        assert_eq!(sending(&mut sim, k1), None, "K1 evicted");
+        sim.run_until(at(52));
+        assert_eq!(delivered(&mut sim, r1), Some(200), "R1 is back");
+        sim.run_until(at(70));
+        assert_eq!(delivered(&mut sim, r1), None, "R1 evicted");
+        sim.run_until(at(100));
+        // A receiver on K1 now, whose ACK (on R1's key, to this host)
+        // spawns another receiver on R1's key.
+        assert_eq!(delivered(&mut sim, k1), Some(100));
+        assert_eq!(delivered(&mut sim, r1), Some(0));
+
+        let host: &mut TcpHost = sim.logic_mut(h1);
+        let c = *host.counters();
+        assert_eq!(
+            (
+                c.admitted,
+                c.evictions,
+                c.syn_timeouts,
+                c.handshakes_completed
+            ),
+            (3, 3, 1, 1)
+        );
+        assert_eq!(
+            (c.evicted_bytes_acked, c.evicted_bytes_received),
+            (1_460, 200)
+        );
+        let peer: &mut Script = sim.logic_mut(h2);
+        // What reached the peer, as (ms, sport, seq, ack).
+        let seen: Vec<(u64, u16, u32, u32)> = peer
+            .seen
+            .iter()
+            .filter_map(|(ms, key, h)| match *h {
+                Header::Tcp { seq, ack, .. } => Some((*ms, key.sport, seq, ack)),
+                _ => None,
+            })
+            .collect();
+        // R1's SYN-ACK and ACK, R2's SYN-ACK, K1's segment and FIN, K2's
+        // first window, K3's segment and FIN, then, once R1 is back, its
+        // ACK of the data and its ACK and FIN; nothing for the segments on
+        // K1, K2 and K3 themselves.
+        let mut want = vec![
+            (3, 1000, 0, 7_001),
+            (4, 2000, 0, 8_001),
+            (7, 1000, 0, 7_101),
+        ];
+        want.extend([(22, 1000, 1, 0), (22, 1000, 1_461, 0)]);
+        let k2_window = [23, 24, 25, 27, 28, 29, 30, 31, 33, 34];
+        want.extend(
+            (0..)
+                .zip(k2_window)
+                .map(|(i, ms)| (ms, 2000, 0x0100_0002 + 1_460 * i, 0)),
+        );
+        want.extend([
+            (35, 3000, 0x0200_0003, 0),
+            (35, 3000, 0x0200_0003 + 1_460, 0),
+        ]);
+        want.extend([
+            (52, 1000, 0, 7_201),
+            (57, 1000, 0, 7_202),
+            (57, 1000, 0, 7_202),
+        ]);
+        assert_eq!(seen, want);
+        // Captured with the index keyed by forward key.
+        assert_eq!(sim.state_hash(), 0xb57a_3afd_a63a_df20);
     }
 
     #[test]

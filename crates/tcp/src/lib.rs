@@ -19,11 +19,12 @@
 //! `dui-netsim` event loop. This keeps the protocol logic directly
 //! unit-testable.
 //!
-//! Per-flow state is stored column-wise in a generational
-//! [`pool::FlowPool`] (same handle contract as `dui-netsim`'s
-//! `PacketArena`): 8-byte [`pool::FlowRef`] handles, an intrusive free
-//! list, and typed stale-handle errors. The protocol cores in [`conn`]
-//! are written once against borrowed column *views* over pool slots; a
+//! Per-flow state is stored in a generational [`pool::FlowPool`] (same
+//! handle contract as `dui-netsim`'s `PacketArena`): 8-byte
+//! [`pool::FlowRef`] handles, an intrusive free list, typed stale-handle
+//! errors, one row per endpoint and one pool-wide list of staged
+//! packets. The protocol cores in [`conn`] are written once against
+//! borrowed column *views* over pool slots; a
 //! single connection — what the unit tests drive — is a pool holding one
 //! sender and one receiver.
 //!

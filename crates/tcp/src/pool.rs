@@ -1,22 +1,30 @@
-//! Generational struct-of-arrays storage for per-flow TCP state.
+//! Generational storage for per-flow TCP state.
 //!
 //! [`crate::host::TcpHost`] used to hold a `HashMap<FlowKey, Endpoint>` of
 //! by-value connection structs: every lookup hashed a 13-byte key, every
 //! digest sorted the keys, and a million flows meant a million scattered
 //! heap boxes. The pool applies the `PacketArena` pattern (dui-netsim) to
-//! flows instead of packets: each column of connection state — congestion
-//! window, RTT estimator, sequence space, retransmission queue, lifecycle
-//! metadata — lives in its own `Vec`, and an 8-byte generational
-//! [`FlowRef`] handle addresses one flow.
+//! flows instead of packets: slot columns indexed by an 8-byte
+//! generational [`FlowRef`] handle, per-kind rows of connection state
+//! (congestion window, RTT estimator, sequence space, retransmission
+//! queue, lifecycle metadata), and one pool-wide list of staged output.
 //!
-//! Columns are split by endpoint kind. The four every flow needs
-//! (generation, kind, key, output queue) are indexed by slot, 52 B a
-//! slot; a sender's seven columns live in a sender row table (336 B a
-//! row) and a receiver's two in a receiver row table (88 B a row). A
-//! live slot's kind word carries its row index, so a slot pays only for
-//! its own kind, and the generation check that every accessor makes
-//! already yields the row. Rows are internal: handles, iteration order,
-//! digests and the checkpoint bytes see slots only.
+//! The four slot columns every flow needs (generation, kind, key, output
+//! list) are indexed by slot, 36 B a slot. A sender's seven columns are
+//! one `SenderRow` (336 B a row) in the sender table, a receiver's two
+//! one `RecvRow` (88 B a row) in the receiver table. A live slot's kind
+//! word carries its row index, so a slot pays only for its own kind, and
+//! the generation check that every accessor makes already yields the
+//! row. Rows are internal: handles, iteration order, digests and the
+//! checkpoint bytes see slots only.
+//!
+//! Output is staged in one slab of packet nodes shared by the whole pool:
+//! a slot's output list is the head and tail of a FIFO threaded through
+//! the slab, and draining or freeing a slot returns its nodes to the
+//! slab's free list. Both row tables and the slab are `Chunks`:
+//! 1024-element chunks, each allocated at full size and never
+//! reallocated, so growth never copies a row (only the first chunk grows
+//! like a `Vec`, so that a small pool costs only what it holds).
 //!
 //! Slots are recycled through an intrusive free list and rows through
 //! one LIFO free list per table, so connection churn (SYN floods, short
@@ -27,12 +35,12 @@
 //! error, never a silent read of whichever flow now occupies the slot.
 //!
 //! The protocol logic itself is *not* duplicated here: the pool assembles
-//! borrowed `SenderCols`/`RecvCols` views over a slot and its row and
-//! calls the one implementation in `conn.rs`.
+//! borrowed `SenderCols`/`RecvCols` views over a slot's row and output
+//! list and calls the one implementation in `conn.rs`.
 
 use crate::conn::{
-    digest_recv_cols, digest_sender_cols, RcvState, ReceiverStats, RecvCols, RtxQueue,
-    SegmentRecord, SenderCols, SenderMeta, SenderStats, SeqState, TcpSenderConfig, TcpState,
+    digest_recv_row, digest_sender_row, RcvState, ReceiverStats, RecvCols, RecvRow, RtxQueue,
+    SegmentRecord, SenderCols, SenderRow, SenderStats, TcpSenderConfig, TcpState,
 };
 use crate::reno::Reno;
 use crate::rtt::RttEstimator;
@@ -41,8 +49,9 @@ use dui_netsim::time::{SimDuration, SimTime};
 use dui_stats::digest::StateDigest;
 use dui_stats::wire::{DecodeError, ErrorKind, Reader, Writer};
 use std::fmt;
+use std::ops::{Index, IndexMut};
 
-/// Sentinel for "no next free slot" in the intrusive free list.
+/// Sentinel for "no next" in the intrusive free and output lists.
 const NIL: u32 = u32::MAX;
 
 /// An 8-byte generational handle to a flow stored in a [`FlowPool`].
@@ -146,80 +155,235 @@ enum Row {
     Receiver(usize),
 }
 
-/// The sender columns, indexed by sender row.
-#[derive(Debug, Default)]
-struct SenderRows {
-    cfgs: Vec<TcpSenderConfig>,
-    cc: Vec<Reno>,
-    rtt: Vec<RttEstimator>,
-    seq: Vec<SeqState>,
-    rtx: Vec<RtxQueue>,
-    meta: Vec<SenderMeta>,
-    stats: Vec<SenderStats>,
-    /// Vacant rows, reused LIFO.
-    free: Vec<u32>,
+/// Elements a [`Chunks`] chunk holds (a power of two).
+const CHUNK: usize = 1 << 10;
+
+/// An append-only table in chunks of `CHUNK` elements. Every chunk but
+/// the first is allocated at full size when the table reaches it and is
+/// never reallocated, so once a table has outgrown one chunk its
+/// elements never move: growth copies nothing, where a `Vec` copies
+/// every element into a buffer twice the size and holds both until the
+/// copy is done. The first chunk grows like a `Vec` up to `CHUNK`
+/// elements, so a small table costs only what it holds.
+#[derive(Debug)]
+struct Chunks<T> {
+    chunks: Vec<Vec<T>>,
+    len: usize,
 }
 
-impl SenderRows {
-    /// Claim a row (recycling LIFO) for a sender with `cfg` and ISN
-    /// `isn`. A vacant row's retransmission queue is already empty.
-    fn claim(&mut self, cfg: TcpSenderConfig, isn: u32) -> usize {
-        let row = match self.free.pop() {
-            Some(row) => row as usize,
-            None => {
-                self.cfgs.push(TcpSenderConfig::default());
-                self.cc.push(Reno::default());
-                self.rtt.push(RttEstimator::default());
-                self.seq.push(SeqState::default());
-                self.rtx.push(RtxQueue::default());
-                self.meta.push(SenderMeta::default());
-                self.stats.push(SenderStats::default());
-                self.cfgs.len() - 1
-            }
-        };
-        self.cc[row] = Reno::new(cfg.initial_cwnd);
-        self.cfgs[row] = cfg;
-        self.rtt[row] = RttEstimator::default();
-        self.seq[row] = SeqState::new(isn);
-        self.meta[row] = SenderMeta::default();
-        self.stats[row] = SenderStats::default();
-        row
-    }
-
-    /// Vacate `row`, dropping its retransmission queue's buffer.
-    fn release(&mut self, row: usize) {
-        self.rtx[row] = RtxQueue::default();
-        self.free.push(row as u32);
-    }
-}
-
-/// The receiver columns, indexed by receiver row.
-#[derive(Debug, Default)]
-struct RecvRows {
-    rcv: Vec<RcvState>,
-    stats: Vec<ReceiverStats>,
-    /// Vacant rows, reused LIFO.
-    free: Vec<u32>,
-}
-
-impl RecvRows {
-    /// Claim a row for a receiver starting in `rcv`.
-    fn claim(&mut self, rcv: RcvState) -> usize {
-        if let Some(row) = self.free.pop() {
-            let i = row as usize;
-            self.rcv[i] = rcv;
-            self.stats[i] = ReceiverStats::default();
-            return i;
+impl<T> Default for Chunks<T> {
+    fn default() -> Self {
+        Chunks {
+            chunks: Vec::new(),
+            len: 0,
         }
-        self.rcv.push(rcv);
-        self.stats.push(ReceiverStats::default());
-        self.rcv.len() - 1
+    }
+}
+
+impl<T> Chunks<T> {
+    /// Append `v`, returning its index.
+    fn push(&mut self, v: T) -> usize {
+        let i = self.len;
+        if i.is_multiple_of(CHUNK) {
+            let full = if i == 0 { 0 } else { CHUNK };
+            self.chunks.push(Vec::with_capacity(full));
+        }
+        // A full-size chunk never reallocates: it takes `CHUNK` pushes.
+        self.chunks[i / CHUNK].push(v);
+        self.len += 1;
+        i
     }
 
-    /// Vacate `row`, dropping its reassembly map.
-    fn release(&mut self, row: usize) {
-        self.rcv[row] = RcvState::default();
-        self.free.push(row as u32);
+    /// Elements the allocated chunks have room for.
+    #[cfg(test)]
+    fn capacity(&self) -> usize {
+        self.chunks.iter().map(Vec::capacity).sum()
+    }
+}
+
+impl<T> Index<usize> for Chunks<T> {
+    type Output = T;
+
+    fn index(&self, i: usize) -> &T {
+        &self.chunks[i / CHUNK][i % CHUNK]
+    }
+}
+
+impl<T> IndexMut<usize> for Chunks<T> {
+    fn index_mut(&mut self, i: usize) -> &mut T {
+        &mut self.chunks[i / CHUNK][i % CHUNK]
+    }
+}
+
+/// One kind's rows, vacant ones reused LIFO.
+#[derive(Debug)]
+struct Rows<T> {
+    rows: Chunks<T>,
+    free: Vec<u32>,
+}
+
+impl<T> Default for Rows<T> {
+    fn default() -> Self {
+        Rows {
+            rows: Chunks::default(),
+            free: Vec::new(),
+        }
+    }
+}
+
+impl<T> Rows<T> {
+    /// Store `row` in a vacant row (the most recently vacated) or a new
+    /// one, returning its index.
+    fn claim(&mut self, row: T) -> usize {
+        match self.free.pop() {
+            Some(i) => {
+                self.rows[i as usize] = row;
+                i as usize
+            }
+            None => self.rows.push(row),
+        }
+    }
+
+    /// Vacate row `i`, letting `vacate` drop what it holds on the heap.
+    fn release(&mut self, i: usize, vacate: impl FnOnce(&mut T)) {
+        vacate(&mut self.rows[i]);
+        self.free.push(i as u32);
+    }
+}
+
+/// A slot's staged output: a FIFO threaded through the [`Slab`], oldest
+/// packet at `head` (both `NIL` when empty).
+#[derive(Debug, Clone, Copy)]
+struct OutList {
+    head: u32,
+    tail: u32,
+}
+
+impl OutList {
+    const EMPTY: OutList = OutList {
+        head: NIL,
+        tail: NIL,
+    };
+}
+
+/// One staged packet and the next node in its list: the next packet of
+/// the same slot, or the next vacant node.
+#[derive(Debug)]
+struct Node {
+    pkt: Option<Packet>,
+    next: u32,
+}
+
+/// The pool-wide store of staged packets, vacant nodes reused LIFO.
+#[derive(Debug)]
+struct Slab {
+    nodes: Chunks<Node>,
+    free: u32,
+}
+
+impl Default for Slab {
+    fn default() -> Self {
+        Slab {
+            nodes: Chunks::default(),
+            free: NIL,
+        }
+    }
+}
+
+impl Slab {
+    /// Append `pkt` to `list`.
+    fn push(&mut self, list: &mut OutList, pkt: Packet) {
+        let node = Node {
+            pkt: Some(pkt),
+            next: NIL,
+        };
+        let at = if self.free == NIL {
+            let at = self.nodes.push(node);
+            assert!(at < NIL as usize, "packet slab exhausted u32 index space");
+            at as u32
+        } else {
+            let at = self.free;
+            self.free = self.nodes[at as usize].next;
+            self.nodes[at as usize] = node;
+            at
+        };
+        match list.tail {
+            NIL => list.head = at,
+            tail => self.nodes[tail as usize].next = at,
+        }
+        list.tail = at;
+    }
+
+    /// Empty `list`, handing its packets to `f` oldest first and its
+    /// nodes back to the free list.
+    fn drain(&mut self, list: &mut OutList, mut f: impl FnMut(Packet)) {
+        let mut at = list.head;
+        *list = OutList::EMPTY;
+        while at != NIL {
+            let node = &mut self.nodes[at as usize];
+            let pkt = node.pkt.take();
+            let next = std::mem::replace(&mut node.next, self.free);
+            self.free = at;
+            at = next;
+            if let Some(pkt) = pkt {
+                f(pkt);
+            }
+        }
+    }
+
+    /// The packets of `list`, oldest first.
+    fn iter(&self, list: OutList) -> OutIter<'_> {
+        OutIter {
+            slab: self,
+            at: list.head,
+        }
+    }
+
+    /// Nodes holding a packet (walks the free list).
+    #[cfg(test)]
+    fn live(&self) -> usize {
+        let mut vacant = 0;
+        let mut at = self.free;
+        while at != NIL {
+            vacant += 1;
+            at = self.nodes[at as usize].next;
+        }
+        self.nodes.len - vacant
+    }
+}
+
+/// Iterator over one output list (see [`Slab::iter`]).
+#[derive(Clone)]
+struct OutIter<'a> {
+    slab: &'a Slab,
+    at: u32,
+}
+
+impl<'a> Iterator for OutIter<'a> {
+    type Item = &'a Packet;
+
+    fn next(&mut self) -> Option<&'a Packet> {
+        if self.at == NIL {
+            return None;
+        }
+        let node = &self.slab.nodes[self.at as usize];
+        self.at = node.next;
+        // A node on a list always holds its packet.
+        node.pkt.as_ref()
+    }
+}
+
+/// Where a borrowed `SenderCols`/`RecvCols` view emits: one slot's
+/// output list and the slab it is threaded through.
+pub(crate) struct Outbox<'a> {
+    slab: &'a mut Slab,
+    list: &'a mut OutList,
+}
+
+impl Outbox<'_> {
+    /// Stage `pkt` behind the slot's earlier output.
+    pub(crate) fn push(&mut self, pkt: Packet) {
+        self.slab.push(self.list, pkt);
     }
 }
 
@@ -227,18 +391,19 @@ impl RecvRows {
 ///
 /// The slot columns (`gens`, `kind`, `keys`, `out`) are indexed by slot,
 /// the handle's index. A live slot's `kind` names its row in the sender
-/// or the receiver table, so a slot carries only its own kind's state;
-/// the tables are struct-of-arrays too and recycle their rows through
-/// their own LIFO free lists. Rows never leave the pool: handles,
-/// digests and checkpoints see slots only.
+/// or the receiver table, so a slot carries only its own kind's state,
+/// and its `out` list threads its staged packets through the pool-wide
+/// slab. Rows and slab nodes never leave the pool: handles, digests and
+/// checkpoints see slots only.
 #[derive(Debug, Default)]
 pub struct FlowPool {
     gens: Vec<u32>,
     kind: Vec<SlotKind>,
     keys: Vec<FlowKey>,
-    out: Vec<Vec<Packet>>,
-    send: SenderRows,
-    recv: RecvRows,
+    out: Vec<OutList>,
+    slab: Slab,
+    send: Rows<SenderRow>,
+    recv: Rows<RecvRow>,
     free_head: u32,
     live: usize,
     high_water: usize,
@@ -288,25 +453,31 @@ impl FlowPool {
         self.gens.push(0);
         self.kind.push(SlotKind::Free { next_free: NIL });
         self.keys.push(FlowKey::tcp(Addr(0), 0, Addr(0), 0));
-        self.out.push(Vec::new());
+        self.out.push(OutList::EMPTY);
         idx
     }
 
     /// Store a new sender for `key` (ISN `isn`), returning its handle.
     pub fn insert_sender(&mut self, key: FlowKey, cfg: TcpSenderConfig, isn: u32) -> FlowRef {
-        let row = self.send.claim(cfg, isn);
+        let row = self.send.claim(SenderRow::new(cfg, isn));
         self.claim(key, SlotKind::Sender { row: row as u32 })
     }
 
     /// Store a new handshake-less receiver expecting first byte `isn`.
     pub fn insert_receiver(&mut self, key: FlowKey, isn: u32) -> FlowRef {
-        let row = self.recv.claim(RcvState::new(isn));
-        self.claim(key, SlotKind::Receiver { row: row as u32 })
+        self.insert_recv(key, RcvState::new(isn))
     }
 
     /// Store a new passive-open (LISTEN) receiver for `key`.
     pub fn insert_listener(&mut self, key: FlowKey) -> FlowRef {
-        let row = self.recv.claim(RcvState::listen());
+        self.insert_recv(key, RcvState::listen())
+    }
+
+    fn insert_recv(&mut self, key: FlowKey, rcv: RcvState) -> FlowRef {
+        let row = self.recv.claim(RecvRow {
+            rcv,
+            stats: ReceiverStats::default(),
+        });
         self.claim(key, SlotKind::Receiver { row: row as u32 })
     }
 
@@ -375,28 +546,20 @@ impl FlowPool {
 
     /// Borrowed sender view over slot `i`, sender row `row`.
     fn sender_at(&mut self, i: usize, row: usize) -> SenderCols<'_> {
-        let s = &mut self.send;
-        SenderCols {
-            key: self.keys[i],
-            cfg: &s.cfgs[row],
-            cc: &mut s.cc[row],
-            rtt: &mut s.rtt[row],
-            seq: &mut s.seq[row],
-            rtx: &mut s.rtx[row],
-            meta: &mut s.meta[row],
-            out: &mut self.out[i],
-            stats: &mut s.stats[row],
-        }
+        let out = Outbox {
+            slab: &mut self.slab,
+            list: &mut self.out[i],
+        };
+        self.send.rows[row].cols(self.keys[i], out)
     }
 
     /// Borrowed receiver view over slot `i`, receiver row `row`.
     fn recv_at(&mut self, i: usize, row: usize) -> RecvCols<'_> {
-        RecvCols {
-            key: self.keys[i],
-            rcv: &mut self.recv.rcv[row],
-            out: &mut self.out[i],
-            stats: &mut self.recv.stats[row],
-        }
+        let out = Outbox {
+            slab: &mut self.slab,
+            list: &mut self.out[i],
+        };
+        self.recv.rows[row].cols(self.keys[i], out)
     }
 
     /// Borrowed sender view over `r` (panics if `r` is a receiver).
@@ -440,16 +603,28 @@ impl FlowPool {
         Ok(())
     }
 
-    /// Drain outgoing packets of `r`.
-    pub fn take_out(&mut self, r: FlowRef) -> Result<Vec<Packet>, StaleFlowRef> {
+    /// Drain the packets `r` has staged, handing each to `f`, oldest
+    /// first. Their slab nodes go straight back to the pool, so a host
+    /// that drains after every event allocates nothing once the slab
+    /// has grown to its high-water mark.
+    pub fn drain_out(&mut self, r: FlowRef, f: impl FnMut(Packet)) -> Result<(), StaleFlowRef> {
         let (i, _) = self.check(r)?;
-        Ok(std::mem::take(&mut self.out[i]))
+        self.slab.drain(&mut self.out[i], f);
+        Ok(())
+    }
+
+    /// Drain the packets `r` has staged into a `Vec`, oldest first (see
+    /// [`FlowPool::drain_out`]).
+    pub fn take_out(&mut self, r: FlowRef) -> Result<Vec<Packet>, StaleFlowRef> {
+        let mut pkts = Vec::new();
+        self.drain_out(r, |p| pkts.push(p))?;
+        Ok(pkts)
     }
 
     /// Earliest time sender `r` needs a tick (`None` for receivers).
     pub fn next_event_time(&self, r: FlowRef) -> Result<Option<SimTime>, StaleFlowRef> {
         Ok(match self.check(r)?.1 {
-            Row::Sender(row) => crate::conn::sender_next_event_time(&self.send.meta[row]),
+            Row::Sender(row) => crate::conn::sender_next_event_time(&self.send.rows[row].meta),
             Row::Receiver(_) => None,
         })
     }
@@ -457,8 +632,8 @@ impl FlowPool {
     /// Lifecycle state of `r`.
     pub fn state(&self, r: FlowRef) -> Result<TcpState, StaleFlowRef> {
         Ok(match self.check(r)?.1 {
-            Row::Sender(row) => self.send.meta[row].state,
-            Row::Receiver(row) => self.recv.rcv[row].state,
+            Row::Sender(row) => self.send.rows[row].meta.state,
+            Row::Receiver(row) => self.recv.rows[row].rcv.state,
         })
     }
 
@@ -466,43 +641,43 @@ impl FlowPool {
     /// consumed the FIN)?
     pub fn is_done(&self, r: FlowRef) -> Result<bool, StaleFlowRef> {
         Ok(match self.check(r)?.1 {
-            Row::Sender(row) => self.send.meta[row].state == TcpState::Closed,
-            Row::Receiver(row) => self.recv.rcv[row].done,
+            Row::Sender(row) => self.send.rows[row].meta.state == TcpState::Closed,
+            Row::Receiver(row) => self.recv.rows[row].rcv.done,
         })
     }
 
     /// Sender statistics of `r`.
     pub fn sender_stats(&self, r: FlowRef) -> Result<SenderStats, StaleFlowRef> {
         let (_, row) = self.sender_row(r)?;
-        Ok(self.send.stats[row])
+        Ok(self.send.rows[row].stats)
     }
 
     /// Receiver statistics of `r`.
     pub fn receiver_stats(&self, r: FlowRef) -> Result<ReceiverStats, StaleFlowRef> {
         let (_, row) = self.recv_row(r)?;
-        Ok(self.recv.stats[row])
+        Ok(self.recv.rows[row].stats)
     }
 
     /// Override receiver `r`'s advertised window.
     pub fn set_advertised_window(&mut self, r: FlowRef, w: u32) -> Result<(), StaleFlowRef> {
         let (_, row) = self.recv_row(r)?;
-        self.recv.rcv[row].advertised_window = w;
+        self.recv.rows[row].rcv.advertised_window = w;
         Ok(())
     }
 
     /// Free the flow behind `r`, recycling its slot and its row (each
     /// LIFO). The handle (and any copy of it, e.g. inside a pending timer
-    /// token) is stale afterwards. The output queue is cleared in place,
-    /// so churn reuses its buffer. The freed row's retransmission queue
-    /// or reassembly map is dropped, which frees its buffer: clearing it
-    /// in place instead, on a 400k-slot pool, cost 9 % more peak memory
-    /// and saved no time. The row's other columns are left for the next
-    /// `insert_*` of its kind to overwrite.
+    /// token) is stale afterwards. Packets still staged on the slot are
+    /// dropped and their nodes return to the slab. The freed row's
+    /// retransmission queue or reassembly map is dropped, which frees its
+    /// buffer: clearing it in place instead, on a 400k-slot pool, cost
+    /// 9 % more peak memory and saved no time. The row's other columns
+    /// are left for the next `insert_*` of its kind to overwrite.
     pub fn free(&mut self, r: FlowRef) -> Result<(), StaleFlowRef> {
         let (i, row) = self.check(r)?;
         match row {
-            Row::Sender(row) => self.send.release(row),
-            Row::Receiver(row) => self.recv.release(row),
+            Row::Sender(row) => self.send.release(row, |s| s.rtx = RtxQueue::default()),
+            Row::Receiver(row) => self.recv.release(row, |v| v.rcv = RcvState::default()),
         }
         self.gens[i] = self.gens[i].wrapping_add(1);
         self.kind[i] = SlotKind::Free {
@@ -510,7 +685,7 @@ impl FlowPool {
         };
         self.free_head = r.idx;
         self.live -= 1;
-        self.out[i].clear();
+        self.slab.drain(&mut self.out[i], drop);
         Ok(())
     }
 
@@ -561,29 +736,18 @@ impl FlowPool {
             match *kind {
                 SlotKind::Free { .. } => continue,
                 SlotKind::Sender { row } => {
-                    let (s, row) = (&self.send, row as usize);
                     d.write_u32(i as u32);
                     d.write_u32(self.gens[i]);
                     d.write_u8(0);
-                    digest_sender_cols(
-                        d,
-                        &self.keys[i],
-                        &s.cfgs[row],
-                        &s.cc[row],
-                        &s.rtt[row],
-                        &s.seq[row],
-                        &s.rtx[row],
-                        &s.meta[row],
-                        &self.out[i],
-                        &s.stats[row],
-                    );
+                    let row = &self.send.rows[row as usize];
+                    digest_sender_row(d, &self.keys[i], row, self.slab.iter(self.out[i]));
                 }
                 SlotKind::Receiver { row } => {
-                    let (rv, row) = (&self.recv, row as usize);
                     d.write_u32(i as u32);
                     d.write_u32(self.gens[i]);
                     d.write_u8(1);
-                    digest_recv_cols(d, &self.keys[i], &rv.rcv[row], &self.out[i], &rv.stats[row]);
+                    let row = &self.recv.rows[row as usize];
+                    digest_recv_row(d, &self.keys[i], row, self.slab.iter(self.out[i]));
                 }
             }
         }
@@ -599,7 +763,7 @@ impl FlowPool {
         let mut w = Writer::new();
         w.u32(self.gens.len() as u32);
         for i in 0..self.gens.len() {
-            if !self.out[i].is_empty() {
+            if self.out[i].head != NIL {
                 return Err(format!("flow slot {i} has undrained output"));
             }
             w.u32(self.gens[i]);
@@ -609,21 +773,21 @@ impl FlowPool {
                     w.u32(next_free);
                 }
                 SlotKind::Sender { row } => {
-                    let (s, row) = (&self.send, row as usize);
+                    let s = &self.send.rows[row as usize];
                     w.u8(1);
                     self.keys[i].encode(&mut w);
-                    put_cfg(&mut w, &s.cfgs[row]);
-                    let (cwnd, ssthresh) = s.cc[row].to_parts();
+                    put_cfg(&mut w, &s.cfg);
+                    let (cwnd, ssthresh) = s.cc.to_parts();
                     w.f64(cwnd);
                     w.f64(ssthresh);
-                    let (srtt, rttvar, rto, backoff, min_rto, max_rto) = s.rtt[row].to_parts();
+                    let (srtt, rttvar, rto, backoff, min_rto, max_rto) = s.rtt.to_parts();
                     w.opt(srtt, Writer::u64);
                     w.u64(rttvar);
                     w.u64(rto);
                     w.u32(backoff);
                     w.u64(min_rto);
                     w.u64(max_rto);
-                    let sq = &s.seq[row];
+                    let sq = &s.seq;
                     w.u32(sq.isn);
                     w.u32(sq.snd_una);
                     w.u32(sq.snd_nxt);
@@ -631,7 +795,7 @@ impl FlowPool {
                     w.opt(sq.fin_seq, Writer::u32);
                     w.opt(sq.syn_seq, Writer::u32);
                     w.opt(sq.recovery_until, Writer::u32);
-                    let q = &s.rtx[row];
+                    let q = &s.rtx;
                     w.u32(q.len() as u32);
                     for (seq, rec) in q.iter() {
                         w.u32(seq);
@@ -639,7 +803,7 @@ impl FlowPool {
                         w.bool(rec.retransmitted);
                         w.u32(rec.len);
                     }
-                    let m = &s.meta[row];
+                    let m = &s.meta;
                     w.u64(m.started_at.0);
                     w.u32(m.dupacks);
                     w.opt(m.rto_deadline.map(|t| t.0), Writer::u64);
@@ -647,7 +811,7 @@ impl FlowPool {
                     w.opt(m.timewait_deadline.map(|t| t.0), Writer::u64);
                     w.u32(m.peer_rwnd);
                     w.u8(m.state.code());
-                    let st = &s.stats[row];
+                    let st = &s.stats;
                     w.u64(st.bytes_acked);
                     w.u64(st.segments_sent);
                     w.u64(st.retransmissions);
@@ -658,7 +822,7 @@ impl FlowPool {
                 SlotKind::Receiver { row } => {
                     w.u8(2);
                     self.keys[i].encode(&mut w);
-                    let rv = &self.recv.rcv[row as usize];
+                    let RecvRow { rcv: rv, stats: st } = &self.recv.rows[row as usize];
                     w.u32(rv.rcv_nxt);
                     w.u32(rv.ooo.len() as u32);
                     for (seq, len) in &rv.ooo {
@@ -671,7 +835,6 @@ impl FlowPool {
                     w.u8(rv.state.code());
                     w.bool(rv.handshake);
                     w.bool(rv.our_fin_sent);
-                    let st = &self.recv.stats[row as usize];
                     w.u64(st.bytes_delivered);
                     w.u64(st.duplicate_segments);
                     w.u64(st.out_of_order_segments);
@@ -706,11 +869,11 @@ impl FlowPool {
                 }
                 1 => {
                     p.keys[i] = get_tcp_key(&mut r)?;
-                    let row = p.send.claim(get_cfg(&mut r)?, 0);
+                    let row = p.send.claim(SenderRow::new(get_cfg(&mut r)?, 0));
                     p.kind[i] = SlotKind::Sender { row: row as u32 };
-                    let s = &mut p.send;
-                    s.cc[row] = Reno::from_parts(r.f64("cwnd")?, r.f64("ssthresh")?);
-                    s.rtt[row] = RttEstimator::from_parts(
+                    let s = &mut p.send.rows[row];
+                    s.cc = Reno::from_parts(r.f64("cwnd")?, r.f64("ssthresh")?);
+                    s.rtt = RttEstimator::from_parts(
                         r.opt("srtt", Reader::quantity)?,
                         r.quantity("rttvar")?,
                         r.quantity("rto")?,
@@ -719,7 +882,7 @@ impl FlowPool {
                         r.quantity("max rto")?,
                     )
                     .ok_or_else(|| r.error("rtt estimator", ErrorKind::Invalid))?;
-                    let sq = &mut s.seq[row];
+                    let sq = &mut s.seq;
                     sq.isn = r.u32("isn")?;
                     sq.snd_una = r.u32("snd_una")?;
                     sq.snd_nxt = r.u32("snd_nxt")?;
@@ -734,9 +897,9 @@ impl FlowPool {
                             retransmitted: r.bool("rtx retransmitted")?,
                             len: get_segment_len(&mut r, "rtx len")?,
                         };
-                        s.rtx[row].push(seq, rec);
+                        s.rtx.push(seq, rec);
                     }
-                    let m = &mut s.meta[row];
+                    let m = &mut s.meta;
                     m.started_at = SimTime(r.quantity("started_at")?);
                     m.dupacks = r.u32("dupacks")?;
                     m.rto_deadline = r.opt("rto deadline", get_time)?;
@@ -744,7 +907,7 @@ impl FlowPool {
                     m.timewait_deadline = r.opt("time-wait deadline", get_time)?;
                     m.peer_rwnd = r.u32("peer rwnd")?;
                     m.state = get_state(&mut r)?;
-                    let st = &mut s.stats[row];
+                    let st = &mut s.stats;
                     st.bytes_acked = r.quantity("bytes acked")?;
                     st.segments_sent = r.quantity("segments sent")?;
                     st.retransmissions = r.quantity("retransmissions")?;
@@ -754,9 +917,9 @@ impl FlowPool {
                 }
                 2 => {
                     p.keys[i] = get_tcp_key(&mut r)?;
-                    let row = p.recv.claim(RcvState::default());
+                    let row = p.recv.claim(RecvRow::default());
                     p.kind[i] = SlotKind::Receiver { row: row as u32 };
-                    let rv = &mut p.recv.rcv[row];
+                    let RecvRow { rcv: rv, stats: st } = &mut p.recv.rows[row];
                     rv.rcv_nxt = r.u32("rcv_nxt")?;
                     for _ in 0..r.count("reassembly length", Reader::u32, 8)? {
                         let (seq, len) = (r.u32("reassembly seq")?, r.u32("reassembly len")?);
@@ -777,7 +940,6 @@ impl FlowPool {
                     rv.state = get_state(&mut r)?;
                     rv.handshake = r.bool("receiver handshake")?;
                     rv.our_fin_sent = r.bool("receiver fin sent")?;
-                    let st = &mut p.recv.stats[row];
                     st.bytes_delivered = r.quantity("bytes delivered")?;
                     st.duplicate_segments = r.quantity("duplicate segments")?;
                     st.out_of_order_segments = r.quantity("out-of-order segments")?;
@@ -879,6 +1041,7 @@ pub(crate) fn get_cfg(r: &mut Reader) -> Result<TcpSenderConfig, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dui_netsim::packet::TcpFlags;
 
     fn key(sport: u16) -> FlowKey {
         FlowKey::tcp(Addr::new(10, 0, 0, 1), sport, Addr::new(10, 0, 0, 2), 80)
@@ -990,21 +1153,32 @@ mod tests {
     }
 
     #[test]
+    fn chunks_keep_every_element_where_it_was_pushed() {
+        let mut t = Chunks::default();
+        for i in 0..CHUNK {
+            assert_eq!(t.push(i), i);
+        }
+        // The first chunk grew like a `Vec`; later ones are allocated
+        // full-size, and no element moves once the first chunk is full.
+        let at: Vec<*const usize> = (0..CHUNK).map(|i| std::ptr::from_ref(&t[i])).collect();
+        for i in CHUNK..4 * CHUNK + 5 {
+            assert_eq!(t.push(i), i);
+        }
+        assert!((0..t.len).all(|i| t[i] == i));
+        assert!((0..CHUNK).all(|i| std::ptr::eq(&t[i], at[i])));
+        assert_eq!(t.chunks.len(), 5);
+        assert!(t.chunks[1..].iter().all(|c| c.capacity() == CHUNK));
+    }
+
+    #[test]
     fn a_slot_carries_only_its_own_kinds_row() {
         use std::mem::size_of;
-        let slot = size_of::<u32>()
-            + size_of::<SlotKind>()
-            + size_of::<FlowKey>()
-            + size_of::<Vec<Packet>>();
-        let sender = size_of::<TcpSenderConfig>()
-            + size_of::<Reno>()
-            + size_of::<RttEstimator>()
-            + size_of::<SeqState>()
-            + size_of::<RtxQueue>()
-            + size_of::<SenderMeta>()
-            + size_of::<SenderStats>();
-        let receiver = size_of::<RcvState>() + size_of::<ReceiverStats>();
-        assert_eq!((slot, sender, receiver), (52, 336, 88));
+        let slot =
+            size_of::<u32>() + size_of::<SlotKind>() + size_of::<FlowKey>() + size_of::<OutList>();
+        let sender = size_of::<SenderRow>();
+        let receiver = size_of::<RecvRow>();
+        let node = size_of::<Node>();
+        assert_eq!((slot, sender, receiver, node), (36, 336, 88, 72));
         let n = 64;
         let mut listeners = FlowPool::new();
         for k in 0..n {
@@ -1014,22 +1188,75 @@ mod tests {
         for k in 0..n {
             senders.insert_sender(key(k), cfg(100), 1);
         }
-        let s = &listeners.send;
-        let sender_cols = [
-            s.cfgs.capacity(),
-            s.cc.capacity(),
-            s.rtt.capacity(),
-            s.seq.capacity(),
-            s.rtx.capacity(),
-            s.meta.capacity(),
-            s.stats.capacity(),
-        ];
-        assert_eq!(sender_cols, [0; 7], "listeners hold sender rows");
-        assert_eq!(listeners.recv.rcv.len(), usize::from(n));
-        let r = &senders.recv;
-        let receiver_cols = [r.rcv.capacity(), r.stats.capacity()];
-        assert_eq!(receiver_cols, [0; 2], "senders hold receiver rows");
-        assert_eq!(senders.send.cfgs.len(), usize::from(n));
+        assert_eq!(
+            listeners.send.rows.capacity(),
+            0,
+            "listeners hold sender rows"
+        );
+        assert_eq!(listeners.recv.rows.len, usize::from(n));
+        assert_eq!(
+            senders.recv.rows.capacity(),
+            0,
+            "senders hold receiver rows"
+        );
+        assert_eq!(senders.send.rows.len, usize::from(n));
+    }
+
+    dui_stats::prop_check! {
+        fn the_slab_holds_one_node_per_staged_packet(g) {
+            // Random emissions, drains and frees across many slots: every
+            // slab node not on the free list is on some slot's list.
+            let mut p = FlowPool::new();
+            let mut live = Vec::new();
+            let mut now = 0;
+            for _ in 0..g.usize(1..300) {
+                now += g.u64(0..600);
+                match g.u32(0..6) {
+                    0 => {
+                        let cfg = TcpSenderConfig {
+                            total_bytes: Some(g.u64(0..20_000)),
+                            handshake: g.bool(),
+                            ..Default::default()
+                        };
+                        let r = p.insert_sender(key(g.any_u16()), cfg, g.any_u32());
+                        p.on_start(r, t(now)).unwrap();
+                        live.push(r);
+                    }
+                    1 => {
+                        let k = key(g.any_u16());
+                        let r = p.insert_listener(k);
+                        let syn = TcpFlags { syn: true, ..TcpFlags::default() };
+                        p.on_segment(r, t(now), &Packet::tcp(k, 5, 0, syn, 0)).unwrap();
+                        live.push(r);
+                    }
+                    2 if !live.is_empty() => {
+                        let r = live[g.usize(0..live.len())];
+                        let k = p.key(r).unwrap();
+                        match p.kind(r).unwrap() {
+                            FlowKind::Sender => p.on_tick(r, t(now)).unwrap(),
+                            FlowKind::Receiver => {
+                                let data = Packet::tcp(k, 6, 0, TcpFlags::default(), 100);
+                                p.on_segment(r, t(now), &data).unwrap();
+                            }
+                        }
+                    }
+                    3 if !live.is_empty() => {
+                        let r = live[g.usize(0..live.len())];
+                        if g.bool() {
+                            p.take_out(r).unwrap();
+                        } else {
+                            p.drain_out(r, drop).unwrap();
+                        }
+                    }
+                    4 if !live.is_empty() => {
+                        p.free(live.swap_remove(g.usize(0..live.len()))).unwrap();
+                    }
+                    _ => {}
+                }
+                let staged: usize = p.out.iter().map(|&list| p.slab.iter(list).count()).sum();
+                dui_stats::prop_assert_eq!(p.slab.live(), staged);
+            }
+        }
     }
 
     #[test]
@@ -1192,7 +1419,7 @@ mod tests {
             FlowPool::from_bytes(&blob).unwrap_err().kind,
             ErrorKind::Count
         );
-        // Twelve columns are never grown for a count the input cannot hold.
+        // No column or row table is grown for a count the input cannot hold.
         let mut w = Writer::new();
         w.u32(u32::MAX);
         assert_eq!(

@@ -3,8 +3,8 @@
 //! flow-pool handle safety, and RFC 9293 state-machine legality (via
 //! the in-tree `propcheck` engine).
 //!
-//! The pool and lifecycle properties are the safety net for the SoA
-//! refactor:
+//! The pool and lifecycle properties are the safety net for the pool's
+//! storage layout:
 //!
 //! 1. **Generational handle safety.** Random interleavings of
 //!    insert/free/op calls never panic, freed handles always come back
@@ -14,7 +14,11 @@
 //!    recycle independently, yet every live handle reads exactly the
 //!    state a pool holding that flow alone would hold, and the
 //!    checkpoint codec reproduces the pool's state digest.
-//! 3. **State-machine legality.** A sender/receiver pair driven over a
+//! 3. **Output lists.** Every slot's staged output, threaded through the
+//!    pool-wide packet slab, drains as a FIFO of exactly what that slot
+//!    emitted, whether through `take_out` or `drain_out`; packets never
+//!    cross slots, and a freed slot's undrained packets are gone.
+//! 4. **State-machine legality.** A sender/receiver pair driven over a
 //!    lossy, reordering, duplicating network only ever moves along the
 //!    RFC 9293 transition diagram (or stays put): no path back out of
 //!    CLOSED, no jumps the diagram does not connect.
@@ -25,6 +29,7 @@ use dui_stats::digest::StateDigest;
 use dui_stats::{prop_assert, prop_assert_eq, prop_assert_ne, prop_check};
 use dui_tcp::seq::{seq_dist, seq_ge, seq_le, seq_lt};
 use dui_tcp::{FlowKind, FlowPool, FlowRef, RttEstimator, TcpSenderConfig, TcpState};
+use std::collections::VecDeque;
 
 fn pool_key(sport: u16) -> FlowKey {
     FlowKey::tcp(
@@ -415,6 +420,125 @@ prop_check! {
         pool.state_digest(&mut d1);
         restored.state_digest(&mut d2);
         prop_assert_eq!(d1.finish(), d2.finish(), "checkpoint changed the pool");
+    }
+
+    fn output_lists_drain_what_each_slot_emitted(g) {
+        // Each flow also lives alone in a pool of its own, drained after
+        // every call: what a call emits there is appended to the flow's
+        // model queue, and the shared pool must drain exactly that queue.
+        struct Flow {
+            r: FlowRef,
+            alone: FlowPool,
+            a: FlowRef,
+            key: FlowKey,
+            isn: u32,
+            started: bool,
+            model: VecDeque<Packet>,
+        }
+        let mut pool = FlowPool::new();
+        let mut live: Vec<Flow> = Vec::new();
+        let mut freed: Vec<FlowRef> = Vec::new();
+        let mut now = 0;
+        for _ in 0..g.usize(1..300) {
+            now += g.u64(0..400);
+            match g.u32(0..10) {
+                0 | 1 => {
+                    let (key, isn) = (pool_key(g.any_u16()), g.any_u32());
+                    let mut alone = FlowPool::new();
+                    let (r, a) = match g.u32(0..3) {
+                        0 => {
+                            let cfg = TcpSenderConfig {
+                                total_bytes: Some(g.u64(0..40_000)),
+                                handshake: g.bool(),
+                                initial_cwnd: g.f64(1.0..12.0),
+                                ..Default::default()
+                            };
+                            let r = pool.insert_sender(key, cfg.clone(), isn);
+                            (r, alone.insert_sender(key, cfg, isn))
+                        }
+                        1 => {
+                            let r = pool.insert_receiver(key, isn);
+                            (r, alone.insert_receiver(key, isn))
+                        }
+                        _ => (pool.insert_listener(key), alone.insert_listener(key)),
+                    };
+                    let model = VecDeque::new();
+                    let started = false;
+                    live.push(Flow { r, alone, a, key, isn, started, model });
+                }
+                2..=5 if !live.is_empty() => {
+                    // One emitting call, made on both copies.
+                    let f = g.usize(0..live.len());
+                    let f = &mut live[f];
+                    let at = t(now);
+                    match pool.kind(f.r).unwrap() {
+                        FlowKind::Sender if !f.started => {
+                            f.started = true;
+                            pool.on_start(f.r, at).unwrap();
+                            f.alone.on_start(f.a, at).unwrap();
+                        }
+                        FlowKind::Sender if g.bool() => {
+                            pool.on_tick(f.r, at).unwrap();
+                            f.alone.on_tick(f.a, at).unwrap();
+                        }
+                        FlowKind::Sender => {
+                            let ack = f.isn.wrapping_add(g.u32(0..20_000));
+                            let flags = TcpFlags {
+                                ack: true,
+                                syn: g.u32(0..4) == 0,
+                                ..TcpFlags::default()
+                            };
+                            let pkt = Packet::tcp(f.key.reversed(), 0, ack, flags, 0);
+                            pool.on_segment(f.r, at, &pkt).unwrap();
+                            f.alone.on_segment(f.a, at, &pkt).unwrap();
+                        }
+                        FlowKind::Receiver => {
+                            let seq = f.isn.wrapping_add(g.u32(0..8) * 1_000);
+                            let flags = TcpFlags {
+                                syn: g.u32(0..4) == 0,
+                                fin: g.u32(0..8) == 0,
+                                ..TcpFlags::default()
+                            };
+                            let pkt = Packet::tcp(f.key, seq, 0, flags, g.u32(0..2) * 1_000);
+                            pool.on_segment(f.r, at, &pkt).unwrap();
+                            f.alone.on_segment(f.a, at, &pkt).unwrap();
+                        }
+                    }
+                    f.model.extend(f.alone.take_out(f.a).unwrap());
+                }
+                6 | 7 if !live.is_empty() => {
+                    let f = g.usize(0..live.len());
+                    let f = &mut live[f];
+                    let want: Vec<Packet> = f.model.drain(..).collect();
+                    let got = if g.bool() {
+                        pool.take_out(f.r).unwrap()
+                    } else {
+                        let mut got = Vec::new();
+                        pool.drain_out(f.r, |p| got.push(p)).unwrap();
+                        got
+                    };
+                    prop_assert_eq!(got, want);
+                }
+                8 if !live.is_empty() => {
+                    // Undrained packets go with the flow.
+                    let gone = live.swap_remove(g.usize(0..live.len()));
+                    pool.free(gone.r).unwrap();
+                    freed.push(gone.r);
+                }
+                9 if !freed.is_empty() => {
+                    let r = freed[g.usize(0..freed.len())];
+                    prop_assert!(pool.drain_out(r, |_| {}).is_err());
+                    prop_assert!(pool.take_out(r).is_err());
+                }
+                _ => {}
+            }
+        }
+        prop_assert_eq!(pool.live(), live.len());
+        for f in &mut live {
+            let want = Vec::from(std::mem::take(&mut f.model));
+            prop_assert_eq!(pool.take_out(f.r).unwrap(), want);
+        }
+        prop_assert!(pool.to_bytes().is_ok(), "a drained pool checkpoints");
     }
 
     fn lifecycle_transitions_stay_on_rfc9293_edges(g) {

@@ -10,8 +10,9 @@
 //! opt in, which roots carry the library-only denies, which files are
 //! exempt from the clock ban and which crates may name the crate that
 //! holds them, that the chapter lists
-//! exactly what is declared, and that the architecture chapter maps
-//! exactly the crates and public modules there are.
+//! exactly what is declared, that the architecture chapter maps
+//! exactly the crates and public modules there are, and that the flow
+//! pool chapter states the sizes the pool's layout test pins.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -398,6 +399,68 @@ fn architecture_chapter_maps_exactly_the_crates() {
         "docs/architecture.md §The crates: each row's Key modules should name \
          exactly the crate's `pub mod`s:\n{}",
         stale.join("\n")
+    );
+}
+
+/// docs/flow-pool.md's Layout block states the pool's sizes as "N B a
+/// slot", "N B a row" and "N B a node", and each must be the size the
+/// code has. The types are private to `dui-tcp`, so the figures are held
+/// to the one place that takes their `size_of`: the tuple `pool.rs`'s
+/// `a_slot_carries_only_its_own_kinds_row` asserts. A layout change then
+/// fails that unit test until the tuple moves, and this one until the
+/// chapter moves with it.
+#[test]
+fn flow_pool_layout_block_states_the_pinned_sizes() {
+    let chapter = read("docs/flow-pool.md");
+    let block = chapter
+        .split("## Layout")
+        .nth(1)
+        .and_then(|s| s.split("```").nth(1))
+        .expect("docs/flow-pool.md has a code block under '## Layout'");
+    // The line each figure sits on, in the order pool.rs pins them.
+    let figures = [
+        ("slot columns", "a slot"),
+        ("sender rows", "a row"),
+        ("receiver rows", "a row"),
+        ("output slab", "a node"),
+    ];
+    let stated: Vec<u64> = figures
+        .iter()
+        .map(|(label, unit)| {
+            let line = block
+                .lines()
+                .find(|l| l.contains(label))
+                .unwrap_or_else(|| panic!("the Layout block has no '{label}' line"));
+            let end = line
+                .find(&format!(" B {unit}"))
+                .unwrap_or_else(|| panic!("'{line}' states no 'N B {unit}'"));
+            let n = line[..end].rsplit(' ').next().unwrap_or_default();
+            n.parse()
+                .unwrap_or_else(|_| panic!("'{n}' in '{line}' is not a size"))
+        })
+        .collect();
+    assert_eq!(
+        block.matches(" B a ").count(),
+        figures.len(),
+        "every 'N B a …' figure in the Layout block should be one of {figures:?}"
+    );
+    let pool = read("crates/tcp/src/pool.rs");
+    let pin = "assert_eq!((slot, sender, receiver, node), (";
+    let at = pool
+        .find(pin)
+        .expect("pool.rs pins (slot, sender, receiver, node)")
+        + pin.len();
+    let pinned: Vec<u64> = pool[at..]
+        .split(')')
+        .next()
+        .unwrap_or_default()
+        .split(',')
+        .map(|n| n.trim().parse().expect("a pinned size"))
+        .collect();
+    assert_eq!(
+        stated, pinned,
+        "docs/flow-pool.md's Layout block should state the (slot, sender row, \
+         receiver row, slab node) sizes pool.rs pins"
     );
 }
 
