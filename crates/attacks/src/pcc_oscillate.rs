@@ -12,7 +12,7 @@ use crate::privilege::{AttackDescriptor, Privilege, Target};
 use dui_netsim::link::{Dir, LinkTap, TapAction};
 use dui_netsim::packet::{FlowKey, Packet};
 use dui_netsim::time::{SimDuration, SimTime};
-use dui_pcc::utility::{allegro_utility, UtilityParams};
+use dui_pcc::utility::allegro_utility;
 use std::collections::VecDeque;
 
 /// Descriptor for the attack.
@@ -30,7 +30,6 @@ pub fn descriptor() -> AttackDescriptor {
 pub struct PccEqualizerTap {
     /// Flow under attack (forward = data direction).
     key: FlowKey,
-    utility: UtilityParams,
     /// Recent packet (time, size) observations for instantaneous rate.
     window: VecDeque<(SimTime, u32)>,
     /// Rate-estimation window length (should be ≲ one monitor interval).
@@ -93,7 +92,6 @@ impl PccEqualizerTap {
     ) -> Self {
         PccEqualizerTap {
             key,
-            utility: UtilityParams::default(),
             window: VecDeque::new(),
             window_len,
             rate_samples: VecDeque::new(),
@@ -202,7 +200,7 @@ impl PccEqualizerTap {
         // Mirror the trial: a +ε phase is made to look exactly like the
         // matching −ε phase.
         let mirror = (2.0 * base - rate).max(0.5 * base);
-        let u_target = allegro_utility(mirror / 125_000.0, 0.0, &self.utility);
+        let u_target = allegro_utility(mirror / 125_000.0, 0.0);
         self.bisect_drop(rate, u_target)
     }
 
@@ -234,20 +232,20 @@ impl PccEqualizerTap {
             if rate <= target * 1.005 {
                 return 0.0;
             }
-            let u_target = allegro_utility(mirror / 125_000.0, 0.0, &self.utility);
+            let u_target = allegro_utility(mirror / 125_000.0, 0.0);
             self.bisect_drop(rate, u_target)
         }
     }
 
     fn bisect_drop(&self, rate: f64, u_target: f64) -> f64 {
         let x = rate / 125_000.0;
-        if allegro_utility(x, 0.0, &self.utility) <= u_target {
+        if allegro_utility(x, 0.0) <= u_target {
             return 0.0;
         }
         let (mut lo, mut hi) = (0.0f64, 0.5f64);
         for _ in 0..40 {
             let mid = 0.5 * (lo + hi);
-            if allegro_utility(x, mid, &self.utility) > u_target {
+            if allegro_utility(x, mid) > u_target {
                 lo = mid;
             } else {
                 hi = mid;

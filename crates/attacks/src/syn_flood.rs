@@ -19,15 +19,17 @@ use dui_stats::digest::StateDigest;
 use dui_stats::Rng;
 use std::any::Any;
 
+/// Destination port of every SYN.
+const DPORT: u16 = 80;
+/// Spoofed source addresses are drawn uniformly from this prefix:
+/// TEST-NET-2, guaranteed to collide with no legitimate flow.
+const SPOOF_PREFIX: Prefix = Prefix::new(Addr::new(198, 51, 100, 0), 24);
+
 /// Parameters of a spoofed SYN flood.
 #[derive(Debug, Clone, Copy)]
 pub struct SynFloodConfig {
     /// The address the SYNs are aimed at.
     pub victim: Addr,
-    /// Destination port of every SYN.
-    pub dport: u16,
-    /// Spoofed source addresses are drawn uniformly from this prefix.
-    pub spoof_prefix: Prefix,
     /// SYNs per second while the flood is on.
     pub rate_per_sec: u64,
     /// When the flood starts.
@@ -42,9 +44,6 @@ impl Default for SynFloodConfig {
     fn default() -> Self {
         SynFloodConfig {
             victim: Addr::new(10, 0, 0, 1),
-            dport: 80,
-            // TEST-NET-2: guaranteed to collide with no legitimate flow.
-            spoof_prefix: Prefix::new(Addr::new(198, 51, 100, 0), 24),
             rate_per_sec: 1000,
             start: SimTime::ZERO,
             duration: SimDuration::from_secs(10),
@@ -75,11 +74,11 @@ impl SynFloodHost {
     }
 
     fn spoofed_key(&mut self) -> FlowKey {
-        let p = self.cfg.spoof_prefix;
+        let p = SPOOF_PREFIX;
         let hosts = 1u64 << (32 - p.len as u32);
         let src = Addr(p.addr.0 | (self.rng.below(hosts) as u32));
         let sport = 1024 + (self.rng.below(64_511) as u16);
-        FlowKey::tcp(src, sport, self.cfg.victim, self.cfg.dport)
+        FlowKey::tcp(src, sport, self.cfg.victim, DPORT)
     }
 }
 
@@ -124,9 +123,9 @@ impl NodeLogic for SynFloodHost {
             d.write_u64(w);
         }
         d.write_u32(self.cfg.victim.0);
-        d.write_u16(self.cfg.dport);
-        d.write_u32(self.cfg.spoof_prefix.addr.0);
-        d.write_u8(self.cfg.spoof_prefix.len);
+        d.write_u16(DPORT);
+        d.write_u32(SPOOF_PREFIX.addr.0);
+        d.write_u8(SPOOF_PREFIX.len);
         d.write_u64(self.cfg.rate_per_sec);
         d.write_u64(self.cfg.start.0);
         d.write_u64(self.cfg.duration.as_nanos());
@@ -148,7 +147,7 @@ mod tests {
         let mut keys = std::collections::BTreeSet::new();
         for _ in 0..100 {
             let k = h.spoofed_key();
-            assert!(h.cfg.spoof_prefix.contains(k.src), "{:?}", k.src);
+            assert!(SPOOF_PREFIX.contains(k.src), "{:?}", k.src);
             assert_eq!(k.dst, h.cfg.victim);
             assert!(k.sport >= 1024);
             keys.insert((k.src.0, k.sport));

@@ -34,15 +34,16 @@
 //!
 //! ```sh
 //! cargo run --release -p dui-bench --bin experiments -- record <name>
-//! cargo run --release -p dui-bench --bin experiments -- replay results/<name>.duir --check
+//! cargo run --release -p dui-bench --bin experiments -- replay results/<name>.duir
 //! cargo run --release -p dui-bench --bin experiments -- replay results/<name>.duir --resume mid
 //! ```
 //!
 //! `record <name>` captures a deterministic run of a recordable stage
 //! (a row of `dui_bench::recordings::RECORDINGS`) as a `dui-replay`
-//! recording under `results/<name>.duir`; `replay <file> [--check]`
-//! re-drives the same stage against the recording, verifying every
-//! event digest and checkpoint hash; `--resume <idx|mid>` restores a
+//! recording under `results/<name>.duir`, with a checkpoint every
+//! `ckpt_every` events of its row; `replay <file>` re-drives the same
+//! stage against the recording, verifying every event digest and
+//! checkpoint hash; `--resume <idx|mid>` restores a
 //! mid-run checkpoint first and replays only the tail. Runs of the
 //! flow-level fast simulation additionally emit their occupancy series
 //! CSV after `record`, `replay` and `--resume`, so a resumed run can be
@@ -121,8 +122,8 @@ fn usage() -> ! {
         "usage: experiments [<stage> | all] [--jobs N] [--metrics]\n\
          \x20      experiments verify-determinism [<stage>...]\n\
          \x20      experiments scenario <FILE|DIR> [--jobs N]\n\
-         \x20      experiments record <recordable> [--out FILE] [--ckpt-every N]\n\
-         \x20      experiments replay <FILE> [--check] [--resume <idx|mid>]\n\
+         \x20      experiments record <recordable>\n\
+         \x20      experiments replay <FILE> [--resume <idx|mid>]\n\
          stages: {}\n\
          recordable: {}",
         stage_names(),
@@ -207,22 +208,10 @@ fn emit_series(stage: &str, subject: StageSubject, tag: &str) {
 }
 
 fn cmd_record(args: &[String]) -> ! {
-    let mut stage: Option<String> = None;
-    let mut out: Option<PathBuf> = None;
-    let mut every: Option<u64> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => out = Some(PathBuf::from(it.next().unwrap_or_else(|| usage()))),
-            "--ckpt-every" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                every = Some(v.parse().unwrap_or_else(|_| usage()));
-            }
-            s if stage.is_none() && !s.starts_with('-') => stage = Some(s.to_string()),
-            _ => usage(),
-        }
+    let [stage] = args else { usage() };
+    if stage.starts_with('-') {
+        usage();
     }
-    let stage = stage.unwrap_or_else(|| usage());
     let Some(row) = RECORDINGS.iter().find(|r| r.name == stage) else {
         eprintln!(
             "unknown recordable stage '{stage}'. Available: {}",
@@ -231,14 +220,11 @@ fn cmd_record(args: &[String]) -> ! {
         std::process::exit(2);
     };
     let mut subject = (row.build)();
-    let every = every.unwrap_or(row.ckpt_every);
-    let out = out.unwrap_or_else(|| results_dir().join(format!("{stage}.duir")));
+    let out = results_dir().join(format!("{stage}.duir"));
     let t0 = std::time::Instant::now();
     let digest = subject.as_subject_mut().config_digest();
-    let rec = Recorder::new(&stage, digest, every).record(subject.as_subject_mut());
-    if let Some(parent) = out.parent().filter(|p| !p.as_os_str().is_empty()) {
-        std::fs::create_dir_all(parent).expect("create output directory");
-    }
+    let rec = Recorder::new(stage, digest, row.ckpt_every).record(subject.as_subject_mut());
+    std::fs::create_dir_all(results_dir()).expect("create results dir");
     rec.save(&out).expect("write recording");
     println!(
         "[recorded {}: {} events, {} checkpoints, final hash {:016x}]",
@@ -248,7 +234,7 @@ fn cmd_record(args: &[String]) -> ! {
         rec.final_hash
     );
     println!("[saved {}]", out.display());
-    emit_series(&stage, subject, "recorded");
+    emit_series(stage, subject, "recorded");
     println!("[done in {:.1} s]", t0.elapsed().as_secs_f64());
     std::process::exit(0);
 }
@@ -259,9 +245,6 @@ fn cmd_replay(args: &[String]) -> ! {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            // Verification is always on; the flag exists so scripts can
-            // state their intent explicitly.
-            "--check" => {}
             "--resume" => resume = Some(it.next().unwrap_or_else(|| usage()).to_string()),
             s if file.is_none() && !s.starts_with('-') => file = Some(PathBuf::from(s)),
             _ => usage(),

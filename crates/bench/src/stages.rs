@@ -20,7 +20,7 @@ pub use contract::verify_determinism;
 use crate::par::{run_indexed, task_seed};
 use crate::{mean, measure_residencies};
 use dui_core::blink::fastsim::{AttackSim, AttackSimConfig};
-use dui_core::blink::selector::BlinkParams;
+use dui_core::blink::selector::{BlinkParams, CELLS};
 use dui_core::blink::theory::{effective_qm, AttackModel, FixedKeysModel};
 use dui_core::defense::pcc_guard::PccLossPatternMonitor;
 use dui_core::defense::streaming::OccupancyWindow;
@@ -28,7 +28,7 @@ use dui_core::flowgen::{CaidaLikeConfig, CaidaLikeTrace};
 use dui_core::nethide::obfuscate::{obfuscate, ObfuscationConfig};
 use dui_core::netsim::time::{SimDuration, SimTime};
 use dui_core::netsim::topology::Routing;
-use dui_core::pcc::control::ControlConfig;
+use dui_core::pcc::control::{ControlConfig, EPS_MIN};
 use dui_core::pcc::endpoint::PccSender;
 use dui_core::pytheas::engine::{EngineConfig, PoisonStrategy, Throttle};
 use dui_core::scenario::{
@@ -771,11 +771,12 @@ pub(crate) fn unattacked(cfg: &PccScenarioConfig) -> PccScenarioConfig {
     }
 }
 
-/// `cfg` under the §5 defense: the controller's ε clamped to 1 %.
+/// `cfg` under the §5 defense: the controller's ε cap clamped to its
+/// floor, 1 %.
 fn eps_clamped(cfg: &PccScenarioConfig) -> PccScenarioConfig {
     PccScenarioConfig {
         control: ControlConfig {
-            eps_max: 0.01,
+            eps_max: EPS_MIN,
             ..cfg.control
         },
         ..cfg.clone()
@@ -956,7 +957,6 @@ fn nethide(jobs: usize) -> StageOutput {
                 &ObfuscationConfig {
                     max_density: budget,
                     max_extra_hops: 3,
-                    ..Default::default()
                 },
                 &[],
             )
@@ -1042,8 +1042,9 @@ fn defenses(jobs: usize) -> StageOutput {
 
     // Fig. 3 point III/IV: a supervisor that never touches the data plane
     // assesses risk purely from the registry snapshots the runs exported.
-    let assess =
-        |snap: &Snapshot| OccupancyWindow::new("blink.cells.malicious", 64.0, 1).observe(snap);
+    let assess = |snap: &Snapshot| {
+        OccupancyWindow::new("blink.cells.malicious", CELLS as f64, 1).observe(snap)
+    };
     let attacked_risk = assess(&vals[0].1);
     let defended_risk = assess(&vals[1].1);
     let _ = writeln!(
@@ -1246,7 +1247,6 @@ fn fuzz(jobs: usize) -> StageOutput {
             sequence_len: 800,
             iterations: 4000,
             seed,
-            ..Default::default()
         });
         (seed, f.search())
     });

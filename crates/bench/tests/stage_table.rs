@@ -67,6 +67,49 @@ fn docs_document_the_stage_table_row_for_row() {
     }
 }
 
+/// The subcommand lines of `experiments --help`, without the `usage:`
+/// label and the indent.
+fn synopsis() -> Vec<String> {
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments")).arg("--help").output().unwrap();
+    let usage = String::from_utf8(out.stderr).unwrap();
+    usage
+        .lines()
+        .map(|l| l.strip_prefix("usage:").unwrap_or(l).trim())
+        .filter(|l| l.starts_with("experiments"))
+        .map(str::to_string)
+        .collect()
+}
+
+/// docs/operations.md's fenced synopsis is the CLI's usage text, line
+/// for line, and every flag its flag table explains is one the usage
+/// offers.
+#[test]
+fn docs_synopsis_and_flag_table_match_the_usage() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let chapter = std::fs::read_to_string(root.join("docs/operations.md")).unwrap();
+    let usage = synopsis();
+    let at = chapter.find("## The `experiments` CLI").expect("CLI section");
+    let section = &chapter[at..];
+    let section = &section[..section.find("\n## ").unwrap_or(section.len())];
+    let fence = section.find("```\n").expect("fenced synopsis") + 4;
+    let block: Vec<&str> = section[fence..section[fence..].find("```").unwrap() + fence]
+        .lines()
+        .collect();
+    assert_eq!(block, usage, "docs/operations.md's synopsis should read:\n{}\n", usage.join("\n"));
+    let flags: Vec<&str> = section
+        .lines()
+        .filter(|l| l.starts_with("| `"))
+        .filter_map(|l| l.split('|').nth(1))
+        .flat_map(|cell| cell.split([' ', '`', '=']))
+        .filter(|w| w.starts_with("--"))
+        .collect();
+    assert!(flags.contains(&"--jobs") && flags.contains(&"--resume"), "{flags:?}");
+    for flag in flags {
+        let offered = usage.iter().any(|l| l.split([' ', '[', ']']).any(|w| w == flag));
+        assert!(offered, "the flag table explains {flag}, which `experiments --help` does not offer");
+    }
+}
+
 #[test]
 fn cli_usage_and_errors_come_from_the_tables() {
     let run = |args: &[&str]| {
@@ -107,11 +150,15 @@ fn cli_usage_and_errors_come_from_the_tables() {
     // runs the sequential engine.
     let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/scenarios");
     let inline = format!("{sharded}=2");
+    // So are the record/replay flags that only restated a default.
     for args in [
         &["--workers", "2"][..],
         &[sharded, "2"],
         &["blink-packet", &inline],
         &["scenario", corpus, sharded, "2"],
+        &["record", "fig2-small", "--out", "fig2.duir"],
+        &["record", "fig2-small", "--ckpt-every", "5"],
+        &["replay", "results/fig2-small.duir", "--check"],
     ] {
         assert_eq!(experiments(args), (Some(2), usage.clone()), "{args:?}");
     }
@@ -130,7 +177,7 @@ fn replay_refuses_a_version_1_recording() {
     let file = Path::new(env!("CARGO_TARGET_TMPDIR")).join("version-1.duir");
     std::fs::write(&file, bytes).unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
-        .args(["replay".as_ref(), file.as_os_str(), "--check".as_ref()])
+        .args(["replay".as_ref(), file.as_os_str()])
         .output()
         .unwrap();
     let stderr = String::from_utf8(out.stderr).unwrap();

@@ -48,6 +48,7 @@
 //! same entries, whatever was restored.
 
 use crate::selector::{BlinkParams, FlowSelector, SelectorSnapshot, SelectorStats};
+use crate::theory::{FIG2_LEGIT_FLOWS, FIG2_MALICIOUS_FLOWS};
 use dui_flowgen::flows::random_key_in_prefix;
 use dui_netsim::packet::{Addr, FlowKey, Prefix};
 use dui_netsim::time::{SimDuration, SimTime};
@@ -84,8 +85,8 @@ impl AttackSimConfig {
     pub fn fig2() -> Self {
         AttackSimConfig {
             params: BlinkParams::default(),
-            legit_flows: 2000,
-            malicious_flows: 105,
+            legit_flows: FIG2_LEGIT_FLOWS,
+            malicious_flows: FIG2_MALICIOUS_FLOWS,
             // target tR 8.37 s ≈ mean lifetime + 2 s eviction lag
             mean_lifetime_secs: 6.37,
             pkt_interval: SimDuration::from_millis(250),

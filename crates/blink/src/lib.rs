@@ -40,7 +40,7 @@ pub mod theory;
 
 pub use fastsim::{AttackSim, AttackSimConfig};
 pub use inference::FailureDetector;
-pub use program::{BlinkConfig, BlinkProgram};
+pub use program::BlinkProgram;
 pub use reroute::RerouteState;
 pub use selector::{BlinkParams, FlowSelector};
 pub use theory::AttackModel;

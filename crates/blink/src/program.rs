@@ -19,23 +19,8 @@ pub trait RerouteGuard: Send {
     fn allow(&mut self, now: SimTime, selector: &FlowSelector) -> bool;
 }
 
-/// Program-level configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct BlinkConfig {
-    /// Selector parameters (shared by all monitored prefixes).
-    pub params: BlinkParams,
-    /// Minimum spacing between failure events for one prefix.
-    pub hold_down: SimDuration,
-}
-
-impl Default for BlinkConfig {
-    fn default() -> Self {
-        BlinkConfig {
-            params: BlinkParams::default(),
-            hold_down: SimDuration::from_secs(5),
-        }
-    }
-}
+/// Minimum spacing between failure events for one prefix.
+const HOLD_DOWN: SimDuration = SimDuration::from_secs(5);
 
 /// Per-prefix monitoring state.
 pub struct PrefixState {
@@ -50,9 +35,10 @@ pub struct PrefixState {
 }
 
 /// The Blink pipeline: per-prefix flow selection, retransmission-surge
-/// failure inference, and next-hop switching.
+/// failure inference, and next-hop switching. Every monitored prefix
+/// gets the paper's selector ([`BlinkParams::default`]).
+#[derive(Default)]
 pub struct BlinkProgram {
-    cfg: BlinkConfig,
     prefixes: Vec<PrefixState>,
     guard: Option<Box<dyn RerouteGuard>>,
     /// Reroutes vetoed by the guard.
@@ -60,16 +46,6 @@ pub struct BlinkProgram {
 }
 
 impl BlinkProgram {
-    /// Empty program.
-    pub fn new(cfg: BlinkConfig) -> Self {
-        BlinkProgram {
-            cfg,
-            prefixes: Vec::new(),
-            guard: None,
-            vetoed: 0,
-        }
-    }
-
     /// Install a reroute guard (the supervisor of the paper's Fig. 3).
     pub fn with_guard(mut self, guard: Box<dyn RerouteGuard>) -> Self {
         self.guard = Some(guard);
@@ -81,8 +57,8 @@ impl BlinkProgram {
     pub fn monitor_prefix(&mut self, prefix: Prefix, next_hops: Vec<NodeId>) {
         self.prefixes.push(PrefixState {
             prefix,
-            selector: FlowSelector::new(self.cfg.params),
-            detector: FailureDetector::new(self.cfg.hold_down),
+            selector: FlowSelector::new(BlinkParams::default()),
+            detector: FailureDetector::new(HOLD_DOWN),
             reroute: RerouteState::new(next_hops),
         });
     }
@@ -179,13 +155,14 @@ impl DataPlaneProgram for BlinkProgram {
     }
 
     fn state_digest(&self, d: &mut dui_stats::digest::StateDigest) {
-        d.write_usize(self.cfg.params.cells);
-        d.write_usize(self.cfg.params.threshold);
-        d.write_u64(self.cfg.params.retx_window.as_nanos());
-        d.write_u64(self.cfg.params.eviction_timeout.as_nanos());
-        d.write_u64(self.cfg.params.reset_interval.as_nanos());
-        d.write_u64(self.cfg.params.salt);
-        d.write_u64(self.cfg.hold_down.as_nanos());
+        let params = BlinkParams::default();
+        d.write_usize(params.cells);
+        d.write_usize(params.threshold);
+        d.write_u64(params.retx_window.as_nanos());
+        d.write_u64(params.eviction_timeout.as_nanos());
+        d.write_u64(params.reset_interval.as_nanos());
+        d.write_u64(params.salt);
+        d.write_u64(HOLD_DOWN.as_nanos());
         d.write_len(self.prefixes.len());
         for p in &self.prefixes {
             d.write_u32(p.prefix.addr.0);
@@ -222,7 +199,7 @@ mod tests {
     }
 
     fn program() -> BlinkProgram {
-        let mut p = BlinkProgram::new(BlinkConfig::default());
+        let mut p = BlinkProgram::default();
         p.monitor_prefix(prefix(), vec![NodeId(10), NodeId(11)]);
         p
     }
@@ -294,7 +271,7 @@ mod tests {
         // too, or the attacker keeps pushing), Blink advances again —
         // walking the next-hop list rather than sticking with a dead
         // backup.
-        let mut p = BlinkProgram::new(BlinkConfig::default());
+        let mut p = BlinkProgram::default();
         p.monitor_prefix(prefix(), vec![NodeId(10), NodeId(11), NodeId(12)]);
         for i in 0..200u16 {
             p.process(t(0), &data_pkt(i, 100), Some(NodeId(10)));

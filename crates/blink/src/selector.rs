@@ -63,6 +63,14 @@ use dui_stats::digest::StateDigest;
 /// at every `now`, so only a zero `eviction_timeout` lets a scan through.
 const NO_OCCUPANT: SimTime = SimTime(u64::MAX);
 
+/// Cells (monitored flows) per prefix in Blink's selector: 64.
+pub const CELLS: usize = 64;
+/// Flows with an in-window retransmission that make Blink infer a
+/// failure: 32, half the cells.
+pub const THRESHOLD: usize = 32;
+/// Period of Blink's sample reset `tB`: 8.5 min.
+pub const RESET_INTERVAL: SimDuration = SimDuration::from_secs(510);
+
 /// Selector parameters (defaults are the Blink paper constants the
 /// HotNets'19 analysis assumes).
 #[derive(Debug, Clone, Copy)]
@@ -85,11 +93,11 @@ pub struct BlinkParams {
 impl Default for BlinkParams {
     fn default() -> Self {
         BlinkParams {
-            cells: 64,
+            cells: CELLS,
             eviction_timeout: SimDuration::from_secs(2),
-            reset_interval: SimDuration::from_millis(510_000), // 8.5 min
+            reset_interval: RESET_INTERVAL,
             retx_window: SimDuration::from_millis(800),
-            threshold: 32,
+            threshold: THRESHOLD,
             salt: 0,
         }
     }

@@ -17,7 +17,18 @@
 //! (32 of 64), which for the paper's parameters (tR = 8.37 s,
 //! qm = 0.0525) happens on average after ≈ 172 s.
 
+use crate::selector::{CELLS, RESET_INTERVAL, THRESHOLD};
 use dui_stats::Binomial;
+
+/// Concurrent legitimate flows of the paper's Fig. 2 scenario.
+pub const FIG2_LEGIT_FLOWS: usize = 2000;
+/// Malicious flows of the paper's Fig. 2 scenario.
+pub const FIG2_MALICIOUS_FLOWS: usize = 105;
+/// Mean sampled residency `tR` (seconds) of a legitimate flow in the
+/// paper's Fig. 2 scenario.
+pub const FIG2_T_R: f64 = 8.37;
+/// Malicious traffic fraction `qm` of the paper's Fig. 2 scenario.
+pub const FIG2_Q_M: f64 = 0.0525;
 
 /// Parameters of the attack model.
 #[derive(Debug, Clone, Copy)]
@@ -38,11 +49,11 @@ impl AttackModel {
     /// The paper's Fig. 2 configuration.
     pub fn fig2() -> Self {
         AttackModel {
-            cells: 64,
-            threshold: 32,
-            t_r: 8.37,
-            q_m: 0.0525,
-            t_b: 510.0,
+            cells: CELLS as u32,
+            threshold: THRESHOLD as u32,
+            t_r: FIG2_T_R,
+            q_m: FIG2_Q_M,
+            t_b: RESET_INTERVAL.as_secs_f64(),
         }
     }
 
@@ -171,12 +182,12 @@ impl FixedKeysModel {
     /// The Fig. 2 scenario (2000 legitimate, 105 malicious, equal rates).
     pub fn fig2() -> Self {
         FixedKeysModel {
-            cells: 64,
-            threshold: 32,
-            t_r: 8.37,
-            t_b: 510.0,
-            malicious_flows: 105,
-            legit_concurrent: 2000.0,
+            cells: CELLS as u32,
+            threshold: THRESHOLD as u32,
+            t_r: FIG2_T_R,
+            t_b: RESET_INTERVAL.as_secs_f64(),
+            malicious_flows: FIG2_MALICIOUS_FLOWS as u32,
+            legit_concurrent: FIG2_LEGIT_FLOWS as f64,
             rate_ratio: 1.0,
         }
     }

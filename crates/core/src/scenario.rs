@@ -13,7 +13,7 @@
 
 use dui_attacks::blink_takeover::{BlinkTakeover, MaliciousRetxHost};
 use dui_attacks::pcc_oscillate::PccEqualizerTap;
-use dui_blink::program::{BlinkConfig, BlinkProgram, PrefixState};
+use dui_blink::program::{BlinkProgram, PrefixState};
 use dui_defense::blink_guard::BlinkRtoGuard;
 use dui_flowgen::flows::{DurationDist, FlowPopulation, FlowPopulationConfig};
 use dui_flowgen::{MaliciousFlowSet, MaliciousFlowSetConfig};
@@ -40,8 +40,6 @@ pub struct BlinkScenarioConfig {
     pub mean_lifetime_secs: f64,
     /// Packet interval of all flows while active.
     pub pkt_interval: SimDuration,
-    /// Blink configuration at the ingress.
-    pub blink: BlinkConfig,
     /// When the attacker's flows first appear (after the legitimate
     /// population has filled the selector; a t=0 start would win free
     /// cells unrealistically).
@@ -64,7 +62,6 @@ impl Default for BlinkScenarioConfig {
             malicious_flows: 16,
             mean_lifetime_secs: 6.0,
             pkt_interval: SimDuration::from_millis(250),
-            blink: BlinkConfig::default(),
             attack_start: SimTime::from_secs(5),
             trigger_at: None,
             guarded: false,
@@ -125,7 +122,7 @@ impl BlinkScenario {
         sim.announce_prefix(prefix, victim);
 
         // Blink at the ingress.
-        let mut blink = BlinkProgram::new(cfg.blink);
+        let mut blink = BlinkProgram::default();
         if cfg.guarded {
             blink = blink.with_guard(Box::new(BlinkRtoGuard::default()));
         }

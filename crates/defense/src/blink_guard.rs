@@ -21,33 +21,23 @@ use dui_blink::program::RerouteGuard;
 use dui_blink::selector::FlowSelector;
 use dui_netsim::time::{SimDuration, SimTime};
 
+/// Gaps at or above this count as plausible RTOs (conservative floor:
+/// modern stacks never time out faster).
+const MIN_PLAUSIBLE_GAP: SimDuration = SimDuration::from_millis(500);
+/// Gaps above this are *also* implausible (no sane RTO exceeds it during
+/// an outage of interest).
+const MAX_PLAUSIBLE_GAP: SimDuration = SimDuration::from_secs(8);
+/// Minimum fraction of retransmitting flows with plausible gaps for a
+/// reroute to pass.
+const MIN_PLAUSIBLE_FRACTION: f64 = 0.6;
+
 /// RTO-plausibility reroute guard.
+#[derive(Default)]
 pub struct BlinkRtoGuard {
-    /// Gaps at or above this count as plausible RTOs (conservative floor:
-    /// modern stacks never time out faster).
-    pub min_plausible_gap: SimDuration,
-    /// Gaps above this are *also* implausible (no sane RTO exceeds it
-    /// during an outage of interest).
-    pub max_plausible_gap: SimDuration,
-    /// Minimum fraction of retransmitting flows with plausible gaps for a
-    /// reroute to pass.
-    pub min_plausible_fraction: f64,
     /// Decisions assessed.
     pub assessed: u64,
     /// Last computed risk.
     pub last_risk: Risk,
-}
-
-impl Default for BlinkRtoGuard {
-    fn default() -> Self {
-        BlinkRtoGuard {
-            min_plausible_gap: SimDuration::from_millis(500),
-            max_plausible_gap: SimDuration::from_secs(8),
-            min_plausible_fraction: 0.6,
-            assessed: 0,
-            last_risk: Risk::NONE,
-        }
-    }
 }
 
 impl BlinkRtoGuard {
@@ -64,7 +54,7 @@ impl BlinkRtoGuard {
             }
             retransmitting += 1;
             if let Some(gap) = cell.last_retx_gap {
-                if gap >= self.min_plausible_gap && gap <= self.max_plausible_gap {
+                if (MIN_PLAUSIBLE_GAP..=MAX_PLAUSIBLE_GAP).contains(&gap) {
                     plausible += 1;
                 }
             }
@@ -81,7 +71,7 @@ impl RerouteGuard for BlinkRtoGuard {
         self.assessed += 1;
         let frac = self.plausible_fraction(now, selector);
         self.last_risk = Risk::clamped(1.0 - frac);
-        frac >= self.min_plausible_fraction
+        frac >= MIN_PLAUSIBLE_FRACTION
     }
 }
 
@@ -183,7 +173,7 @@ mod tests {
 
     #[test]
     fn guard_integrates_with_blink_program() {
-        use dui_blink::program::{BlinkConfig, BlinkProgram};
+        use dui_blink::program::BlinkProgram;
         use dui_netsim::node::DataPlaneProgram;
         use dui_netsim::packet::{Packet, Prefix, TcpFlags};
         use dui_netsim::topology::NodeId;
@@ -191,8 +181,7 @@ mod tests {
         let prefix = Prefix::new(Addr::new(10, 0, 0, 0), 16);
         let mk = |i: u16, seq: u32| Packet::tcp(key(i), seq, 0, TcpFlags::default(), 1000);
         let run = |attack_gap_ms: u64| {
-            let mut p = BlinkProgram::new(BlinkConfig::default())
-                .with_guard(Box::new(BlinkRtoGuard::default()));
+            let mut p = BlinkProgram::default().with_guard(Box::new(BlinkRtoGuard::default()));
             p.monitor_prefix(prefix, vec![NodeId(1), NodeId(2)]);
             for i in 0..300u16 {
                 let _ = p.process(t(0), &mk(i, 100), Some(NodeId(1)));

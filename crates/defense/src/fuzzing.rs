@@ -12,7 +12,7 @@
 //! the paper's position that automated adversarial-input discovery for
 //! stateful data-plane programs is within reach (cf. Kang et al.).
 
-use dui_blink::selector::{BlinkParams, FlowSelector};
+use dui_blink::selector::{BlinkParams, FlowSelector, THRESHOLD};
 use dui_netsim::packet::{Addr, FlowKey, Prefix};
 use dui_netsim::time::{SimDuration, SimTime};
 use dui_stats::Rng;
@@ -30,21 +30,22 @@ pub struct FuzzPacket {
     pub repeat_seq: bool,
 }
 
+/// Size of the spoofed-flow pool the fuzzer may use.
+const POOL: usize = 64;
+/// Mutations applied per iteration.
+const MUTATION_RATE: usize = 24;
+
+/// Prefix under test; the victim pipeline is the paper's selector
+/// ([`BlinkParams::default`]).
+const PREFIX: Prefix = Prefix::new(Addr::new(10, 77, 0, 0), 16);
+
 /// Fuzzer configuration.
 #[derive(Debug, Clone)]
 pub struct FuzzConfig {
-    /// Victim pipeline parameters.
-    pub params: BlinkParams,
-    /// Prefix under test.
-    pub prefix: Prefix,
-    /// Size of the spoofed-flow pool the fuzzer may use.
-    pub pool: usize,
     /// Packets per candidate sequence.
     pub sequence_len: usize,
     /// Search iterations (mutations).
     pub iterations: usize,
-    /// Mutations applied per iteration.
-    pub mutation_rate: usize,
     /// Seed.
     pub seed: u64,
 }
@@ -52,12 +53,8 @@ pub struct FuzzConfig {
 impl Default for FuzzConfig {
     fn default() -> Self {
         FuzzConfig {
-            params: BlinkParams::default(),
-            prefix: Prefix::new(Addr::new(10, 77, 0, 0), 16),
-            pool: 64,
             sequence_len: 600,
             iterations: 400,
-            mutation_rate: 24,
             seed: 1,
         }
     }
@@ -80,7 +77,7 @@ pub struct FuzzReport {
 pub struct BlinkFuzzer {
     cfg: FuzzConfig,
     /// Each spoofed 5-tuple with the selector cell it hashes to under
-    /// `cfg.params`, which no replay changes.
+    /// the paper's selector parameters, which no replay changes.
     pool: Vec<(FlowKey, usize)>,
     rng: Rng,
 }
@@ -89,11 +86,11 @@ impl BlinkFuzzer {
     /// Build with a fresh spoofed-flow pool.
     pub fn new(cfg: FuzzConfig) -> Self {
         let mut rng = Rng::new(cfg.seed);
-        let selector = FlowSelector::new(cfg.params);
-        let pool = (0..cfg.pool)
+        let selector = FlowSelector::new(BlinkParams::default());
+        let pool = (0..POOL)
             .map(|i| {
                 let key = dui_flowgen::flows::random_key_in_prefix(
-                    cfg.prefix,
+                    PREFIX,
                     &mut rng,
                     10_000 + (i % 50_000) as u16,
                 );
@@ -114,7 +111,7 @@ impl BlinkFuzzer {
     /// search.
     pub fn evaluate_full(&self, seq: &[FuzzPacket]) -> (usize, u64) {
         use dui_blink::selector::Observation;
-        let mut selector = FlowSelector::new(self.cfg.params);
+        let mut selector = FlowSelector::new(BlinkParams::default());
         let mut seqs = vec![1_000u32; self.pool.len()];
         let mut now = SimTime::ZERO;
         let mut peak = 0;
@@ -138,7 +135,7 @@ impl BlinkFuzzer {
 
     fn random_packet(&mut self) -> FuzzPacket {
         FuzzPacket {
-            flow: self.rng.below(self.cfg.pool as u64) as u16,
+            flow: self.rng.below(POOL as u64) as u16,
             // Spacing up to 150 ms — ordinary interactive-traffic pacing.
             gap_ms: self.rng.below(150) as u16,
             repeat_seq: self.rng.chance(0.15),
@@ -149,10 +146,10 @@ impl BlinkFuzzer {
     /// generic macro operators (local time compression and packet
     /// stuttering). None encodes anything Blink-specific.
     fn mutate(&mut self, seq: &mut Vec<FuzzPacket>) {
-        for _ in 0..self.cfg.mutation_rate {
+        for _ in 0..MUTATION_RATE {
             let i = self.rng.below_usize(seq.len());
             match self.rng.below(7) {
-                0 => seq[i].flow = self.rng.below(self.cfg.pool as u64) as u16,
+                0 => seq[i].flow = self.rng.below(POOL as u64) as u16,
                 1 => seq[i].gap_ms = self.rng.below(150) as u16,
                 2 => seq[i].repeat_seq = !seq[i].repeat_seq,
                 3 => {
@@ -209,7 +206,7 @@ impl BlinkFuzzer {
             }
         }
         FuzzReport {
-            triggered: best_eval.0 >= self.cfg.params.threshold,
+            triggered: best_eval.0 >= THRESHOLD,
             sequence: best,
             peak_retransmitting: best_eval.0,
             found_at,
@@ -241,7 +238,6 @@ mod tests {
             sequence_len: 800,
             iterations: 4000,
             seed: 3,
-            ..Default::default()
         });
         let report = f.search();
         assert!(

@@ -13,11 +13,11 @@
 //! score of a single frozen snapshot is a window of one.
 
 /// Risk that the driver's current inputs are adversarial, in `[0, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, PartialOrd)]
 pub struct Risk(pub f64);
 
 impl Risk {
-    /// No evidence of manipulation.
+    /// No evidence of manipulation (the default).
     pub const NONE: Risk = Risk(0.0);
     /// Certain manipulation.
     pub const CERTAIN: Risk = Risk(1.0);

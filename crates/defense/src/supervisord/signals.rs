@@ -4,54 +4,45 @@
 use super::verdict::{Action, Verdict};
 use crate::pcc_guard::recommended_eps_max;
 use crate::streaming::{DropPatternWindow, GroupOutlierWindow, OccupancyWindow, SynBacklogWindow};
+use dui_blink::selector::CELLS;
+use dui_pcc::control::{EPS_MAX, EPS_MIN};
 use dui_telemetry::delta::Frame;
 
+/// Metric-name prefix (`<prefix>.{synrcvd_live,syn_dropped,synrcvd}`)
+/// feeding the SYN-backlog signal.
+const SYN_PREFIX: &str = "tcp.handshake";
+/// Listener backlog capacity (risk 1.0 occupancy) for the SYN-backlog
+/// signal.
+const SYN_BACKLOG: f64 = 64.0;
+/// Risk above which verdicts constrain the drivers.
+const CONSTRAIN_ABOVE: f64 = 0.25;
+/// Risk above which verdicts veto proposals outright.
+const VETO_ABOVE: f64 = 0.5;
+
 /// Configuration for the per-group signal bank: which metrics feed
-/// each signal and how verdicts map risk to actions.
+/// each signal. The Blink signal's full scale (risk 1.0) is the
+/// selector's [`CELLS`]; the ε clamp spans PCC's [`EPS_MIN`] to
+/// [`EPS_MAX`].
 #[derive(Debug, Clone)]
 pub struct SignalConfig {
     /// Gauge watched by the Blink occupancy signal.
     pub blink_metric: String,
-    /// Full-scale occupancy (risk 1.0) for the Blink signal — 64 cells
-    /// in the paper's selector.
-    pub blink_capacity: f64,
     /// Gauge-name prefix whose members feed the Pytheas outlier signal.
     pub pytheas_prefix: String,
     /// Counter-name prefix (`<prefix>.{high,low}_{lossy,total}`) feeding
     /// the PCC drop-pattern signal.
     pub pcc_prefix: String,
-    /// Metric-name prefix (`<prefix>.{synrcvd_live,syn_dropped,synrcvd}`)
-    /// feeding the SYN-backlog signal.
-    pub syn_prefix: String,
-    /// Listener backlog capacity (risk 1.0 occupancy) for the
-    /// SYN-backlog signal.
-    pub syn_backlog: f64,
     /// Window length, in frames, for every signal's state.
     pub window: usize,
-    /// PCC ε bounds for the amplitude clamp.
-    pub eps_min: f64,
-    /// See `eps_min`.
-    pub eps_max: f64,
-    /// Risk above which verdicts constrain the drivers.
-    pub constrain_above: f64,
-    /// Risk above which verdicts veto proposals outright.
-    pub veto_above: f64,
 }
 
 impl Default for SignalConfig {
     fn default() -> Self {
         SignalConfig {
             blink_metric: "blink.cells.malicious".to_string(),
-            blink_capacity: 64.0,
             pytheas_prefix: "pytheas.qoe.".to_string(),
             pcc_prefix: "pcc.mi".to_string(),
-            syn_prefix: "tcp.handshake".to_string(),
-            syn_backlog: 64.0,
             window: 8,
-            eps_min: 0.01,
-            eps_max: 0.05,
-            constrain_above: 0.25,
-            veto_above: 0.5,
         }
     }
 }
@@ -66,24 +57,16 @@ pub struct SignalBank {
     pytheas: GroupOutlierWindow,
     pcc: DropPatternWindow,
     syn: SynBacklogWindow,
-    eps_min: f64,
-    eps_max: f64,
-    constrain_above: f64,
-    veto_above: f64,
 }
 
 impl SignalBank {
     /// Fresh signal state for one group.
     pub fn new(cfg: &SignalConfig) -> Self {
         SignalBank {
-            blink: OccupancyWindow::new(&cfg.blink_metric, cfg.blink_capacity, cfg.window),
+            blink: OccupancyWindow::new(&cfg.blink_metric, CELLS as f64, cfg.window),
             pytheas: GroupOutlierWindow::new(&cfg.pytheas_prefix, cfg.window),
             pcc: DropPatternWindow::new(&cfg.pcc_prefix, cfg.window),
-            syn: SynBacklogWindow::new(&cfg.syn_prefix, cfg.syn_backlog, cfg.window),
-            eps_min: cfg.eps_min,
-            eps_max: cfg.eps_max,
-            constrain_above: cfg.constrain_above,
-            veto_above: cfg.veto_above,
+            syn: SynBacklogWindow::new(SYN_PREFIX, SYN_BACKLOG, cfg.window),
         }
     }
 
@@ -100,9 +83,9 @@ impl SignalBank {
         // carry no tcp.handshake.* metrics score 0.0 here.
         let syn = self.syn.observe(&frame.delta).0;
         let risk = blink.max(pytheas).max(pcc.0).max(syn);
-        let action = if risk > self.veto_above {
+        let action = if risk > VETO_ABOVE {
             Action::Veto
-        } else if risk > self.constrain_above {
+        } else if risk > CONSTRAIN_ABOVE {
             Action::Constrain
         } else {
             Action::Allow
@@ -116,7 +99,7 @@ impl SignalBank {
             pytheas,
             pcc: pcc.0,
             risk,
-            eps_max: recommended_eps_max(pcc, self.eps_min, self.eps_max),
+            eps_max: recommended_eps_max(pcc, EPS_MIN, EPS_MAX),
             action,
         }
     }
@@ -180,7 +163,6 @@ mod tests {
     #[test]
     fn syn_backlog_pressure_escalates_to_veto() {
         let mut bank = SignalBank::new(&SignalConfig {
-            syn_backlog: 64.0,
             window: 1,
             ..SignalConfig::default()
         });

@@ -22,19 +22,20 @@ use crate::prefixes::PrefixPopulation;
 use dui_netsim::time::SimDuration;
 use dui_stats::Rng;
 
+/// Number of prefixes ("top-N"); the paper analyzes 20.
+pub const PREFIX_COUNT: usize = 20;
+/// Zipf exponent for per-prefix traffic shares.
+const ZIPF_S: f64 = 1.0;
+/// Total flow arrival rate across all prefixes (flows/s).
+const TOTAL_ARRIVAL_RATE: f64 = 400.0;
+/// Trace horizon.
+const HORIZON: SimDuration = SimDuration::from_secs(120);
+/// Packet inter-arrival while a flow is active.
+const PKT_INTERVAL: SimDuration = SimDuration::from_millis(100);
+
 /// Configuration for the CAIDA-like multi-prefix trace.
 #[derive(Debug, Clone)]
 pub struct CaidaLikeConfig {
-    /// Number of prefixes ("top-N"); the paper analyzes 20.
-    pub prefix_count: usize,
-    /// Zipf exponent for per-prefix traffic shares.
-    pub zipf_s: f64,
-    /// Total flow arrival rate across all prefixes (flows/s).
-    pub total_arrival_rate: f64,
-    /// Trace horizon.
-    pub horizon: SimDuration,
-    /// Packet inter-arrival while a flow is active.
-    pub pkt_interval: SimDuration,
     /// Per-prefix lifetime scale factors are drawn log-uniformly from this
     /// range and multiply the base duration distribution; this produces the
     /// across-prefix spread of mean residencies the paper reports.
@@ -44,11 +45,6 @@ pub struct CaidaLikeConfig {
 impl Default for CaidaLikeConfig {
     fn default() -> Self {
         CaidaLikeConfig {
-            prefix_count: 20,
-            zipf_s: 1.0,
-            total_arrival_rate: 400.0,
-            horizon: SimDuration::from_secs(120),
-            pkt_interval: SimDuration::from_millis(100),
             // 0.4x..4x around the ~5 s body median: prefixes span ~2 s to
             // ~20 s mean lifetime, matching "median ≈5 s, half ≥10 s after
             // weighting by the heavy tail".
@@ -71,13 +67,13 @@ pub struct CaidaLikeTrace {
 impl CaidaLikeTrace {
     /// Generate the trace.
     pub fn generate(cfg: &CaidaLikeConfig, rng: &mut Rng) -> Self {
-        let prefixes = PrefixPopulation::new(cfg.prefix_count, cfg.zipf_s);
-        let rates = prefixes.arrival_rates(cfg.total_arrival_rate);
+        let prefixes = PrefixPopulation::new(PREFIX_COUNT, ZIPF_S);
+        let rates = prefixes.arrival_rates(TOTAL_ARRIVAL_RATE);
         let (lo, hi) = cfg.lifetime_scale_range;
         assert!(lo > 0.0 && hi >= lo, "bad lifetime scale range");
-        let mut populations = Vec::with_capacity(cfg.prefix_count);
-        let mut lifetime_scales = Vec::with_capacity(cfg.prefix_count);
-        for rate in rates.iter().take(cfg.prefix_count) {
+        let mut populations = Vec::with_capacity(PREFIX_COUNT);
+        let mut lifetime_scales = Vec::with_capacity(PREFIX_COUNT);
+        for rate in rates.iter().take(PREFIX_COUNT) {
             // Log-uniform scale.
             let u = rng.f64();
             let scale = (lo.ln() + u * (hi.ln() - lo.ln())).exp();
@@ -93,8 +89,8 @@ impl CaidaLikeTrace {
                 prefix: prefixes.prefix(populations.len()),
                 arrival_rate: rate.max(0.05),
                 duration,
-                pkt_interval: cfg.pkt_interval,
-                horizon: cfg.horizon,
+                pkt_interval: PKT_INTERVAL,
+                horizon: HORIZON,
                 warm_start: None,
             };
             populations.push(FlowPopulation::generate(&pop_cfg, rng));
@@ -145,7 +141,6 @@ mod tests {
     fn scaled_prefixes_have_scaled_mean_durations() {
         let cfg = CaidaLikeConfig {
             lifetime_scale_range: (0.2, 8.0),
-            ..Default::default()
         };
         let trace = CaidaLikeTrace::generate(&cfg, &mut Rng::new(4));
         // Correlation check: the prefix with the largest scale should have a

@@ -19,6 +19,11 @@ use dui_netsim::packet::Addr;
 use dui_netsim::topology::{NodeId, Routing, Topology};
 use std::collections::HashMap;
 
+/// Maximum candidate paths kept per flow.
+const CANDIDATES_PER_FLOW: usize = 16;
+/// Local-search iterations.
+const MAX_ITERATIONS: usize = 10_000;
+
 /// Obfuscation parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct ObfuscationConfig {
@@ -26,10 +31,6 @@ pub struct ObfuscationConfig {
     pub max_density: usize,
     /// Candidate paths may exceed the shortest path by this many hops.
     pub max_extra_hops: usize,
-    /// Maximum candidate paths kept per flow.
-    pub candidates_per_flow: usize,
-    /// Local-search iterations.
-    pub max_iterations: usize,
 }
 
 impl Default for ObfuscationConfig {
@@ -37,8 +38,6 @@ impl Default for ObfuscationConfig {
         ObfuscationConfig {
             max_density: 4,
             max_extra_hops: 2,
-            candidates_per_flow: 16,
-            max_iterations: 10_000,
         }
     }
 }
@@ -228,7 +227,7 @@ pub fn obfuscate(
                 .map(|p| p[1..].iter().map(|&n| topo.node(n).addr).collect())
                 .collect();
         cands.sort_by(|a, b| path_accuracy(&phys, b).total_cmp(&path_accuracy(&phys, a)));
-        cands.truncate(cfg.candidates_per_flow);
+        cands.truncate(CANDIDATES_PER_FLOW);
         physical.push(phys);
         candidates.push(cands);
     }
@@ -264,7 +263,7 @@ pub fn obfuscate(
     };
     let mut iterations = 0;
     loop {
-        if iterations >= cfg.max_iterations {
+        if iterations >= MAX_ITERATIONS {
             break;
         }
         let current = paths_of(&chosen, &candidates);

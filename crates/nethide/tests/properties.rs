@@ -88,7 +88,7 @@ prop_check! {
             flows.push((hosts[a], hosts[c]));
         }
         for budget in [8usize, 4, 2, 1] {
-            let cfg = ObfuscationConfig { max_density: budget, max_extra_hops: 3, ..Default::default() };
+            let cfg = ObfuscationConfig { max_density: budget, max_extra_hops: 3 };
             let (_vt, rep) = obfuscate(&topo, &routing, &flows, &cfg, &[]).unwrap();
             // The solver's contract: a within-budget report really is
             // within budget, accuracy is a valid fraction and is perfect

@@ -18,7 +18,7 @@ pub struct Addr(pub u32);
 
 impl Addr {
     /// Dotted-quad constructor.
-    pub fn new(a: u8, b: u8, c: u8, d: u8) -> Self {
+    pub const fn new(a: u8, b: u8, c: u8, d: u8) -> Self {
         Addr(u32::from_be_bytes([a, b, c, d]))
     }
 }
@@ -42,7 +42,7 @@ pub struct Prefix {
 
 impl Prefix {
     /// Construct, masking off host bits.
-    pub fn new(addr: Addr, len: u8) -> Self {
+    pub const fn new(addr: Addr, len: u8) -> Self {
         assert!(len <= 32, "prefix length must be <= 32");
         Prefix {
             addr: Addr(addr.0 & Self::mask(len)),
@@ -50,7 +50,7 @@ impl Prefix {
         }
     }
 
-    fn mask(len: u8) -> u32 {
+    const fn mask(len: u8) -> u32 {
         if len == 0 {
             0
         } else {

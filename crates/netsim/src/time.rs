@@ -21,7 +21,7 @@ impl SimTime {
     pub const ZERO: SimTime = SimTime(0);
 
     /// Construct from whole seconds.
-    pub fn from_secs(s: u64) -> Self {
+    pub const fn from_secs(s: u64) -> Self {
         SimTime(s * 1_000_000_000)
     }
 
@@ -52,22 +52,22 @@ impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0);
 
     /// From whole seconds.
-    pub fn from_secs(s: u64) -> Self {
+    pub const fn from_secs(s: u64) -> Self {
         SimDuration(s * 1_000_000_000)
     }
 
     /// From milliseconds.
-    pub fn from_millis(ms: u64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms * 1_000_000)
     }
 
     /// From microseconds.
-    pub fn from_micros(us: u64) -> Self {
+    pub const fn from_micros(us: u64) -> Self {
         SimDuration(us * 1_000)
     }
 
     /// From nanoseconds.
-    pub fn from_nanos(ns: u64) -> Self {
+    pub const fn from_nanos(ns: u64) -> Self {
         SimDuration(ns)
     }
 

@@ -19,35 +19,36 @@
 use dui_stats::Rng;
 use std::collections::VecDeque;
 
+/// Initial / minimum experiment amplitude (Allegro: 1%).
+pub const EPS_MIN: f64 = 0.01;
+/// Default amplitude cap (Allegro: 5%; the attack pins ε here).
+pub const EPS_MAX: f64 = 0.05;
+/// Escalation step on inconclusive decisions.
+const EPS_STEP: f64 = 0.01;
+/// Relative utility margin a direction must win by to be conclusive.
+/// Sub-margin differences count as ties — this is the "large-enough
+/// utility difference" of the paper's §4.2; an attacker equalizing
+/// utilities to within the margin forces perpetual inconclusives.
+const DECISION_MARGIN: f64 = 0.005;
+
 /// Controller tuning (Allegro defaults).
 #[derive(Debug, Clone, Copy)]
 pub struct ControlConfig {
-    /// Initial / minimum experiment amplitude.
-    pub eps_min: f64,
-    /// Escalation step on inconclusive decisions.
-    pub eps_step: f64,
-    /// Amplitude cap (5% in Allegro; the attack pins ε here).
+    /// Amplitude cap ([`EPS_MAX`] in Allegro; the §5 defense lowers it
+    /// toward [`EPS_MIN`]).
     pub eps_max: f64,
     /// Rate floor (bytes/s).
     pub min_rate: f64,
     /// Rate ceiling (bytes/s).
     pub max_rate: f64,
-    /// Relative utility margin a direction must win by to be conclusive.
-    /// Sub-margin differences count as ties — this is the "large-enough
-    /// utility difference" of the paper's §4.2; an attacker equalizing
-    /// utilities to within the margin forces perpetual inconclusives.
-    pub decision_margin: f64,
 }
 
 impl Default for ControlConfig {
     fn default() -> Self {
         ControlConfig {
-            eps_min: 0.01,
-            eps_step: 0.01,
-            eps_max: 0.05,
+            eps_max: EPS_MAX,
             min_rate: 10_000.0,
             max_rate: 1.25e9,
-            decision_margin: 0.005,
         }
     }
 }
@@ -126,11 +127,11 @@ impl Controller {
     /// New controller starting at `initial_rate` bytes/s.
     pub fn new(cfg: ControlConfig, initial_rate: f64, seed: u64) -> Self {
         assert!(initial_rate > 0.0, "rate must be positive");
-        assert!(cfg.eps_min > 0.0 && cfg.eps_max >= cfg.eps_min);
+        assert!(cfg.eps_max >= EPS_MIN);
         Controller {
             cfg,
             rate: initial_rate.clamp(cfg.min_rate, cfg.max_rate),
-            eps: cfg.eps_min,
+            eps: EPS_MIN,
             phase: Phase::Starting,
             rng: Rng::new(seed),
             plan: Vec::new(),
@@ -198,7 +199,7 @@ impl Controller {
             }
             Phase::Moving => {
                 let sign = if self.moving_dir_up { 1.0 } else { -1.0 };
-                let r = (self.rate * (1.0 + sign * self.moving_step as f64 * self.cfg.eps_min))
+                let r = (self.rate * (1.0 + sign * self.moving_step as f64 * EPS_MIN))
                     .clamp(self.cfg.min_rate, self.cfg.max_rate);
                 (MiKind::Moving { rate: r }, r)
             }
@@ -290,19 +291,19 @@ impl Controller {
         let scale = [min_up, max_up, min_down, max_down]
             .iter()
             .fold(0.0f64, |m, v| m.max(v.abs()));
-        let margin = self.cfg.decision_margin * scale;
+        let margin = DECISION_MARGIN * scale;
         if min_up > max_down + margin {
             self.rate = (self.rate * (1.0 + self.eps)).clamp(self.cfg.min_rate, self.cfg.max_rate);
             self.decisions.push(Decision::Up(self.rate));
-            self.eps = self.cfg.eps_min;
+            self.eps = EPS_MIN;
             self.enter_moving(true);
         } else if min_down > max_up + margin {
             self.rate = (self.rate * (1.0 - self.eps)).clamp(self.cfg.min_rate, self.cfg.max_rate);
             self.decisions.push(Decision::Down(self.rate));
-            self.eps = self.cfg.eps_min;
+            self.eps = EPS_MIN;
             self.enter_moving(false);
         } else {
-            self.eps = (self.eps + self.cfg.eps_step).min(self.cfg.eps_max);
+            self.eps = (self.eps + EPS_STEP).min(self.cfg.eps_max);
             self.decisions.push(Decision::Inconclusive(self.eps));
             // Stay in Decision; a fresh plan is drawn on the next MI.
         }
@@ -319,12 +320,12 @@ impl Controller {
     /// RNG, the outstanding-MI queue and trial bookkeeping, and the
     /// decision log.
     pub fn state_digest(&self, d: &mut dui_stats::digest::StateDigest) {
-        d.write_f64(self.cfg.eps_min);
-        d.write_f64(self.cfg.eps_step);
+        d.write_f64(EPS_MIN);
+        d.write_f64(EPS_STEP);
         d.write_f64(self.cfg.eps_max);
         d.write_f64(self.cfg.min_rate);
         d.write_f64(self.cfg.max_rate);
-        d.write_f64(self.cfg.decision_margin);
+        d.write_f64(DECISION_MARGIN);
         d.write_f64(self.rate);
         d.write_f64(self.eps);
         d.write_u8(match self.phase {
@@ -401,7 +402,7 @@ impl Controller {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::utility::{allegro_utility, equalizing_drop_rate, UtilityParams};
+    use crate::utility::{allegro_utility, equalizing_drop_rate};
 
     fn ctl() -> Controller {
         Controller::new(ControlConfig::default(), 1e6, 42)
@@ -411,7 +412,6 @@ mod tests {
     /// loss = excess fraction when above capacity, for `mis` intervals.
     /// Returns the rate trace.
     fn drive_path(ctl: &mut Controller, capacity: f64, mis: usize) -> Vec<f64> {
-        let p = UtilityParams::default();
         let mut rates = Vec::new();
         for _ in 0..mis {
             let rate = ctl.next_mi_rate();
@@ -420,7 +420,7 @@ mod tests {
             } else {
                 0.0
             };
-            let u = allegro_utility(rate / 1e6, loss, &p);
+            let u = allegro_utility(rate / 1e6, loss);
             ctl.on_report(u);
             rates.push(rate);
         }
@@ -564,7 +564,6 @@ mod tests {
         // measured utility at u(r*(1−ε₀)). All trials then look equally
         // good, decisions stay inconclusive, ε escalates to the 5% cap,
         // and the rate never converges anywhere.
-        let p = UtilityParams::default();
         let mut c = ctl();
         let _ = c.next_mi_rate();
         c.on_report(1.0);
@@ -575,23 +574,23 @@ mod tests {
         // then measures exactly this utility (low trials reach it cleanly,
         // high trials are dropped down to it), so no direction ever wins.
         let low_rate = r_star * (1.0 - 0.05);
-        let u_ref = allegro_utility(low_rate / 1e6, 0.0, &p);
+        let u_ref = allegro_utility(low_rate / 1e6, 0.0);
         let clamp = |rate: f64| -> f64 {
             let x = rate / 1e6;
-            if allegro_utility(x, 0.0, &p) <= u_ref {
-                return allegro_utility(x, 0.0, &p);
+            if allegro_utility(x, 0.0) <= u_ref {
+                return allegro_utility(x, 0.0);
             }
             // Bisect the drop fraction that pins utility at u_ref.
             let (mut lo, mut hi) = (0.0f64, 0.5f64);
             for _ in 0..60 {
                 let mid = 0.5 * (lo + hi);
-                if allegro_utility(x, mid, &p) > u_ref {
+                if allegro_utility(x, mid) > u_ref {
                     lo = mid;
                 } else {
                     hi = mid;
                 }
             }
-            allegro_utility(x, 0.5 * (lo + hi), &p)
+            allegro_utility(x, 0.5 * (lo + hi))
         };
         for _ in 0..120 {
             let rate = c.next_mi_rate();
@@ -613,7 +612,7 @@ mod tests {
         );
         assert!((c.epsilon() - 0.05).abs() < 1e-9, "ε pinned at 5%");
         // Sanity: equalizing_drop_rate agrees a positive drop is needed.
-        assert!(equalizing_drop_rate(r_star / 1e6, 0.05, 0.0, &p).unwrap() > 0.0);
+        assert!(equalizing_drop_rate(r_star / 1e6, 0.05, 0.0).unwrap() > 0.0);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use crate::control::{ControlConfig, Controller, Decision};
 use crate::monitor::MonitorAccounting;
-use crate::utility::{allegro_utility, UtilityParams};
+use crate::utility::allegro_utility;
 use dui_netsim::packet::{FlowKey, Header, Packet, TcpFlags};
 use dui_netsim::prelude::{Ctx, NodeLogic};
 use dui_netsim::time::{SimDuration, SimTime};
@@ -13,39 +13,34 @@ use dui_stats::TimeSeries;
 use std::any::Any;
 use std::collections::HashMap;
 
+/// Initial rate (bytes/s): 2 Mbps.
+const INITIAL_RATE: f64 = 250_000.0;
+/// Payload bytes per packet.
+const PKT_PAYLOAD: u32 = 1000;
+/// Monitor-interval length (≈1.5 RTT in Allegro; fixed here for a
+/// ~20 ms RTT path).
+const MI_DURATION: SimDuration = SimDuration::from_millis(50);
+/// Extra wait after an MI ends before computing its loss, so in-flight
+/// ACKs arrive (≈1 RTT).
+const GRACE: SimDuration = SimDuration::from_millis(30);
+
 /// Sender configuration.
 #[derive(Debug, Clone)]
 pub struct PccSenderConfig {
     /// Flow 5-tuple.
     pub key: FlowKey,
-    /// Initial rate (bytes/s).
-    pub initial_rate: f64,
-    /// Payload bytes per packet.
-    pub pkt_payload: u32,
-    /// Monitor-interval length (≈1.5 RTT in Allegro; fixed here).
-    pub mi_duration: SimDuration,
-    /// Extra wait after an MI ends before computing its loss, so in-flight
-    /// ACKs arrive (≈1 RTT).
-    pub grace: SimDuration,
     /// Controller tuning.
     pub control: ControlConfig,
-    /// Utility parameters.
-    pub utility: UtilityParams,
     /// RNG seed for trial-order randomization.
     pub seed: u64,
 }
 
 impl PccSenderConfig {
-    /// Reasonable defaults for a ~20 ms RTT path.
+    /// Default controller tuning for flow `key`.
     pub fn new(key: FlowKey, seed: u64) -> Self {
         PccSenderConfig {
             key,
-            initial_rate: 250_000.0, // 2 Mbps
-            pkt_payload: 1000,
-            mi_duration: SimDuration::from_millis(50),
-            grace: SimDuration::from_millis(30),
             control: ControlConfig::default(),
-            utility: UtilityParams::default(),
             seed,
         }
     }
@@ -76,7 +71,7 @@ pub struct PccSender {
 impl PccSender {
     /// Build from config.
     pub fn new(cfg: PccSenderConfig) -> Self {
-        let controller = Controller::new(cfg.control, cfg.initial_rate, cfg.seed);
+        let controller = Controller::new(cfg.control, INITIAL_RATE, cfg.seed);
         PccSender {
             cfg,
             controller,
@@ -138,24 +133,24 @@ impl PccSender {
         let util = reg.gauge("pcc.mi.utility");
         for r in self.acct.history() {
             let mbps = r.rate / 125_000.0;
-            reg.observe(util, allegro_utility(mbps, r.loss, &self.cfg.utility));
+            reg.observe(util, allegro_utility(mbps, r.loss));
         }
     }
 
     fn rotate_mi(&mut self, ctx: &mut Ctx) {
         let now = ctx.now();
         let rate = self.controller.next_mi_rate();
-        let end = now + self.cfg.mi_duration;
+        let end = now + MI_DURATION;
         let id = self.acct.open_mi(now, end, rate);
         self.current_mi = Some((id, end, rate));
         self.rate_trace.push(now.as_secs_f64(), rate);
         self.mi_meta.push((id, rate, self.controller.base_rate()));
         // Finalize check after this MI ends plus grace.
-        ctx.set_timer(self.cfg.mi_duration + self.cfg.grace, TOKEN_FINALIZE);
+        ctx.set_timer(MI_DURATION + GRACE, TOKEN_FINALIZE);
     }
 
     fn pacing_gap(&self, rate: f64) -> SimDuration {
-        let wire = (self.cfg.pkt_payload + 40) as f64;
+        let wire = (PKT_PAYLOAD + 40) as f64;
         SimDuration::from_secs_f64(wire / rate.max(1.0))
     }
 
@@ -172,7 +167,7 @@ impl PccSender {
             seq as u32,
             0,
             TcpFlags::default(),
-            self.cfg.pkt_payload,
+            PKT_PAYLOAD,
         );
         ctx.send(pkt);
         ctx.set_timer(self.pacing_gap(rate), TOKEN_SEND);
@@ -213,7 +208,7 @@ impl NodeLogic for PccSender {
                 let reports = self.acct.finalize_due(now, SimDuration::ZERO);
                 for r in reports {
                     let mbps = r.rate / 125_000.0;
-                    let u = allegro_utility(mbps, r.loss, &self.cfg.utility);
+                    let u = allegro_utility(mbps, r.loss);
                     self.controller.on_report(u);
                 }
             }
@@ -226,10 +221,10 @@ impl NodeLogic for PccSender {
         d.write_u32(self.cfg.key.dst.0);
         d.write_u16(self.cfg.key.sport);
         d.write_u16(self.cfg.key.dport);
-        d.write_f64(self.cfg.initial_rate);
-        d.write_u32(self.cfg.pkt_payload);
-        d.write_u64(self.cfg.mi_duration.as_nanos());
-        d.write_u64(self.cfg.grace.as_nanos());
+        d.write_f64(INITIAL_RATE);
+        d.write_u32(PKT_PAYLOAD);
+        d.write_u64(MI_DURATION.as_nanos());
+        d.write_u64(GRACE.as_nanos());
         d.write_u64(self.cfg.seed);
         self.controller.state_digest(d);
         self.acct.state_digest(d);

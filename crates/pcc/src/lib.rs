@@ -37,4 +37,4 @@ pub mod utility;
 pub use control::{ControlConfig, Controller, Decision, Phase};
 pub use endpoint::{PccReceiver, PccSender, PccSenderConfig};
 pub use monitor::{MiReport, MonitorAccounting};
-pub use utility::{allegro_utility, UtilityParams};
+pub use utility::allegro_utility;

@@ -3,9 +3,9 @@
 //! `propcheck` engine).
 
 use dui_netsim::time::{SimDuration, SimTime};
-use dui_pcc::control::{ControlConfig, Controller};
+use dui_pcc::control::{ControlConfig, Controller, EPS_MIN};
 use dui_pcc::monitor::MonitorAccounting;
-use dui_pcc::utility::{allegro_utility, equalizing_drop_rate, UtilityParams};
+use dui_pcc::utility::{allegro_utility, equalizing_drop_rate};
 use dui_stats::{prop_assert, prop_assert_eq, prop_check};
 
 prop_check! {
@@ -13,25 +13,22 @@ prop_check! {
         let x = g.f64(0.1..1000.0);
         let dx = g.f64(0.001..100.0);
         let loss = g.f64(0.0..0.02);
-        let p = UtilityParams::default();
-        prop_assert!(allegro_utility(x + dx, loss, &p) > allegro_utility(x, loss, &p));
+        prop_assert!(allegro_utility(x + dx, loss) > allegro_utility(x, loss));
     }
 
     fn utility_decreasing_in_loss(g) {
         let x = g.f64(0.1..1000.0);
         let l = g.f64(0.0..0.9);
         let dl = g.f64(0.001..0.1);
-        let p = UtilityParams::default();
-        prop_assert!(allegro_utility(x, (l + dl).min(1.0), &p) <= allegro_utility(x, l, &p) + 1e-9);
+        prop_assert!(allegro_utility(x, (l + dl).min(1.0)) <= allegro_utility(x, l) + 1e-9);
     }
 
     fn equalizer_root_actually_equalizes(g) {
         let rate = g.f64(1.0..100.0);
         let eps = g.f64(0.005..0.3);
-        let p = UtilityParams::default();
-        if let Some(d) = equalizing_drop_rate(rate, eps, 0.0, &p) {
-            let u_hi = allegro_utility(rate * (1.0 + eps), d, &p);
-            let u_lo = allegro_utility(rate * (1.0 - eps), 0.0, &p);
+        if let Some(d) = equalizing_drop_rate(rate, eps, 0.0) {
+            let u_hi = allegro_utility(rate * (1.0 + eps), d);
+            let u_lo = allegro_utility(rate * (1.0 - eps), 0.0);
             prop_assert!((u_hi - u_lo).abs() <= 1e-5 * (1.0 + u_lo.abs()), "{u_hi} vs {u_lo}");
         }
     }
@@ -46,7 +43,7 @@ prop_check! {
             prop_assert!(r >= cfg.min_rate && r <= cfg.max_rate);
             c.on_report(u);
             prop_assert!(c.base_rate() >= cfg.min_rate && c.base_rate() <= cfg.max_rate);
-            prop_assert!(c.epsilon() >= cfg.eps_min - 1e-12 && c.epsilon() <= cfg.eps_max + 1e-12);
+            prop_assert!(c.epsilon() >= EPS_MIN - 1e-12 && c.epsilon() <= cfg.eps_max + 1e-12);
         }
     }
 

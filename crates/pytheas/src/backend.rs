@@ -68,24 +68,11 @@ impl Feature {
     }
 }
 
-/// Backend analysis configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct BackendConfig {
-    /// Minimum sessions per (feature-value, arm) cell to trust its mean.
-    pub min_support: usize,
-    /// Minimum per-arm QoE difference between partitions for a feature to
-    /// count as critical.
-    pub gap_threshold: f64,
-}
-
-impl Default for BackendConfig {
-    fn default() -> Self {
-        BackendConfig {
-            min_support: 10,
-            gap_threshold: 0.15,
-        }
-    }
-}
+/// Minimum sessions per (feature-value, arm) cell to trust its mean.
+const MIN_SUPPORT: usize = 10;
+/// Minimum per-arm QoE difference between partitions for a feature to
+/// count as critical.
+const GAP_THRESHOLD: f64 = 0.15;
 
 /// A detected critical feature with its evidence.
 #[derive(Debug, Clone)]
@@ -120,7 +107,7 @@ fn partition_means(
 /// Find the most critical feature of a group's history, if any: a feature
 /// for which two values see a per-arm QoE gap above the threshold (with
 /// enough support on both sides).
-pub fn critical_feature(records: &[SessionRecord], cfg: &BackendConfig) -> Option<CriticalFeature> {
+pub fn critical_feature(records: &[SessionRecord]) -> Option<CriticalFeature> {
     let mut best: Option<CriticalFeature> = None;
     for feature in Feature::all() {
         let means = partition_means(records, feature);
@@ -134,7 +121,7 @@ pub fn critical_feature(records: &[SessionRecord], cfg: &BackendConfig) -> Optio
             let cells: Vec<(f64, usize)> = values
                 .iter()
                 .filter_map(|&v| means.get(&(v, arm)).copied())
-                .filter(|&(_, n)| n >= cfg.min_support)
+                .filter(|&(_, n)| n >= MIN_SUPPORT)
                 .collect();
             if cells.len() < 2 {
                 continue;
@@ -142,7 +129,7 @@ pub fn critical_feature(records: &[SessionRecord], cfg: &BackendConfig) -> Optio
             let hi = cells.iter().map(|&(m, _)| m).fold(f64::MIN, f64::max);
             let lo = cells.iter().map(|&(m, _)| m).fold(f64::MAX, f64::min);
             let gap = hi - lo;
-            if gap >= cfg.gap_threshold && best.as_ref().map(|b| gap > b.gap).unwrap_or(true) {
+            if gap >= GAP_THRESHOLD && best.as_ref().map(|b| gap > b.gap).unwrap_or(true) {
                 best = Some(CriticalFeature { feature, gap, arm });
             }
         }
@@ -199,7 +186,7 @@ mod tests {
     fn homogeneous_group_has_no_critical_feature() {
         let mut rng = Rng::new(1);
         let records = homogeneous(600, &mut rng);
-        assert!(critical_feature(&records, &BackendConfig::default()).is_none());
+        assert!(critical_feature(&records).is_none());
     }
 
     #[test]
@@ -221,8 +208,7 @@ mod tests {
                 qoe: (qoe + (rng.f64() - 0.5) * 0.05).clamp(0.0, 1.0),
             });
         }
-        let cf = critical_feature(&records, &BackendConfig::default())
-            .expect("location gap must be detected");
+        let cf = critical_feature(&records).expect("location gap must be detected");
         assert_eq!(cf.feature, Feature::Location);
         assert_eq!(cf.arm, 1);
         assert!(cf.gap > 0.4, "gap = {}", cf.gap);
@@ -253,7 +239,7 @@ mod tests {
                 qoe: (qoe + (rng.f64() - 0.5) * 0.05).clamp(0.0, 1.0),
             });
         }
-        let cf = critical_feature(&records, &BackendConfig::default()).expect("detect");
+        let cf = critical_feature(&records).expect("detect");
         assert_eq!(cf.feature, Feature::Content);
     }
 
@@ -277,14 +263,14 @@ mod tests {
         }
         // The bots drag arm 1's mean down *uniformly across all feature
         // values*, so no split explains the variance.
-        assert!(critical_feature(&records, &BackendConfig::default()).is_none());
+        assert!(critical_feature(&records).is_none());
     }
 
     #[test]
     fn insufficient_support_is_not_accused() {
         let mut rng = Rng::new(5);
         let mut records = homogeneous(600, &mut rng);
-        // 3 outlier sessions at a unique location: below min_support there,
+        // 3 outlier sessions at a unique location: below MIN_SUPPORT there,
         // and too dilute to shift any other feature's cell means.
         for _ in 0..3 {
             records.push(SessionRecord {
@@ -293,7 +279,7 @@ mod tests {
                 qoe: 0.0,
             });
         }
-        assert!(critical_feature(&records, &BackendConfig::default()).is_none());
+        assert!(critical_feature(&records).is_none());
     }
 
     #[test]

@@ -67,15 +67,15 @@ impl ReportFilter for AcceptAll {
     }
 }
 
-/// Engine configuration.
+/// Discounted-UCB discount factor `γ` of every group's bandit.
+pub const GAMMA: f64 = 0.995;
+/// Discounted-UCB exploration coefficient `c` of every group's bandit.
+pub const C: f64 = 0.3;
+
+/// Engine configuration. The number of decision arms (CDN choices) is
+/// the QoE model's.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Number of decision arms (CDN choices).
-    pub arms: usize,
-    /// UCB discount factor.
-    pub gamma: f64,
-    /// UCB exploration coefficient.
-    pub c: f64,
     /// Sessions arriving per group per round.
     pub sessions_per_round: usize,
     /// Fraction of sessions that are attacker bots.
@@ -89,9 +89,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            arms: 3,
-            gamma: 0.995,
-            c: 0.3,
             sessions_per_round: 20,
             poison_fraction: 0.0,
             poison: PoisonStrategy::None,
@@ -118,10 +115,7 @@ pub struct RoundStats {
 /// use dui_pytheas::qoe::QoeModel;
 ///
 /// let model = QoeModel::new(vec![0.3, 0.9], 0.05);
-/// let mut e = PytheasEngine::new(model, EngineConfig {
-///     arms: 2,
-///     ..Default::default()
-/// }, &make_groups(1), 7);
+/// let mut e = PytheasEngine::new(model, EngineConfig::default(), &make_groups(1), 7);
 /// let qoe = e.run(200, &mut AcceptAll);
 /// assert!(qoe > 0.8, "the group converges onto the good arm: {qoe}");
 /// ```
@@ -145,16 +139,15 @@ pub struct PytheasEngine {
 impl PytheasEngine {
     /// Build an engine over `groups` sharing ground truth `model`.
     pub fn new(model: QoeModel, cfg: EngineConfig, groups: &[GroupKey], seed: u64) -> Self {
-        assert_eq!(model.arms(), cfg.arms, "model and config disagree on arms");
         assert!(
             (0.0..=1.0).contains(&cfg.poison_fraction),
             "poison fraction is a fraction"
         );
         let map = groups
             .iter()
-            .map(|&g| (g, DiscountedUcb::new(cfg.arms, cfg.gamma, cfg.c)))
+            .map(|&g| (g, DiscountedUcb::new(model.arms(), GAMMA, C)))
             .collect();
-        let arms = cfg.arms;
+        let arms = model.arms();
         PytheasEngine {
             model,
             cfg,
@@ -178,7 +171,7 @@ impl PytheasEngine {
         let mut honest_n = 0u64;
         let mut best_picks = 0u64;
         let mut total_picks = 0u64;
-        let mut arm_counts = vec![0u64; self.cfg.arms];
+        let mut arm_counts = vec![0u64; self.model.arms()];
         let best = self.model.best_arm();
         let group_keys: Vec<GroupKey> = self.groups.keys().copied().collect();
         for key in group_keys {
@@ -313,9 +306,9 @@ impl PytheasEngine {
             d.write_f64(q);
         }
         d.write_f64(self.model.noise);
-        d.write_usize(self.cfg.arms);
-        d.write_f64(self.cfg.gamma);
-        d.write_f64(self.cfg.c);
+        d.write_usize(self.model.arms());
+        d.write_f64(GAMMA);
+        d.write_f64(C);
         d.write_usize(self.cfg.sessions_per_round);
         d.write_f64(self.cfg.poison_fraction);
         match self.cfg.poison {
@@ -384,7 +377,7 @@ impl PytheasEngine {
     pub fn steady_state_arm_share(&self, window: usize) -> Vec<f64> {
         let n = self.history.len();
         let tail = &self.history[n.saturating_sub(window.max(1))..];
-        let mut share = vec![0.0; self.cfg.arms];
+        let mut share = vec![0.0; self.model.arms()];
         for r in tail {
             for (i, &s) in r.arm_share.iter().enumerate() {
                 share[i] += s;

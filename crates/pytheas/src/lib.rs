@@ -33,7 +33,7 @@ pub mod engine;
 pub mod qoe;
 pub mod session;
 
-pub use backend::{critical_feature, BackendConfig, Feature, SessionRecord};
+pub use backend::{critical_feature, Feature, SessionRecord};
 pub use e2::DiscountedUcb;
 pub use engine::{EngineConfig, PytheasEngine, ReportFilter, RoundStats};
 pub use qoe::{QoeModel, Report};

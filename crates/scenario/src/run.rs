@@ -15,7 +15,6 @@ use crate::ast::{ChaosKind, WorkloadSpec};
 use crate::compile::{build_topology, Compiled, Plan, ResolvedChaos, TcpPlan};
 use crate::expect::{evaluate, BlinkObs, CheckResult, Observed, PccObs, PytheasObs, Sample};
 use dui_core::attacks::{BounceProgram, SynFloodConfig, SynFloodHost};
-use dui_core::blink::program::BlinkConfig;
 use dui_core::flowgen::flows::{DurationDist, FlowPopulation, FlowPopulationConfig};
 use dui_core::flowgen::stream::{FlowStream, StreamSource};
 use dui_core::netsim::link::{Dir, FaultConfig};
@@ -136,7 +135,6 @@ impl Compiled {
             malicious_flows: *malicious_flows,
             mean_lifetime_secs: mean_lifetime.as_secs_f64(),
             pkt_interval: *pkt_interval,
-            blink: BlinkConfig::default(),
             attack_start: *attack_start,
             trigger_at: *trigger_at,
             guarded: *guarded,
@@ -470,7 +468,6 @@ impl Compiled {
                 start: *attack_start,
                 duration: *attack_duration,
                 seed: sc.seed ^ 0x5f1d_f00d,
-                ..SynFloodConfig::default()
             };
             sim.set_logic(attacker, Box::new(SynFloodHost::new(cfg)));
         }

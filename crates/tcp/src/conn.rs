@@ -403,6 +403,12 @@ impl SenderCols<'_> {
         {
             return;
         }
+        // RFC 9293 §3.10.7.4: an ACK for data never sent is dropped
+        // before it touches the window, the dup-ACK count or a FIN. No
+        // ACK goes back (docs/flow-pool.md, "Deviations").
+        if seq_gt(ack, self.seq.snd_nxt) {
+            return;
+        }
         self.meta.peer_rwnd = window;
         if seq_gt(ack, self.seq.snd_una) {
             let prev_una = self.seq.snd_una;

@@ -52,12 +52,6 @@ pub trait FlowSource: Send {
     /// Start time of the next (not yet admitted) flow, if any.
     fn peek_start(&self) -> Option<SimTime>;
 
-    /// Add a flow (used by harnesses that script arrivals). Sources that
-    /// derive arrivals generatively may refuse.
-    fn inject(&mut self, _spec: FlowSpec) -> Result<(), String> {
-        Err("this flow source does not support injection".into())
-    }
-
     /// Fold the source's remaining-arrivals state into `d`.
     fn state_digest(&self, d: &mut StateDigest);
 
@@ -107,14 +101,6 @@ impl FlowSource for VecSource {
 
     fn peek_start(&self) -> Option<SimTime> {
         self.pending.front().map(|f| f.start)
-    }
-
-    fn inject(&mut self, spec: FlowSpec) -> Result<(), String> {
-        // Insert after every earlier-or-equal start so ties keep insertion
-        // order, matching the old stable sort_by_key behavior.
-        let at = self.pending.partition_point(|f| f.start <= spec.start);
-        self.pending.insert(at, spec);
-        Ok(())
     }
 
     fn state_digest(&self, d: &mut StateDigest) {
@@ -299,19 +285,6 @@ impl TcpHost {
     /// the simulation starts.
     pub fn set_config(&mut self, cfg: TcpHostConfig) {
         self.cfg = cfg;
-    }
-
-    /// Queue another outgoing flow (must be called before the simulation
-    /// reaches `spec.start`, and the source must support injection —
-    /// [`VecSource`] does).
-    #[expect(
-        clippy::expect_used,
-        reason = "documented contract — add_flow requires an injectable source"
-    )]
-    pub fn add_flow(&mut self, spec: FlowSpec) {
-        self.source
-            .inject(spec)
-            .expect("flow source refused injection");
     }
 
     /// Sender statistics for a flow sourced by this host (`None` if the

@@ -652,6 +652,14 @@ impl FlowPool {
         Ok(self.send.rows[row].stats)
     }
 
+    /// Sender `r`'s `(snd_una, snd_nxt)`: its oldest unacknowledged
+    /// sequence number and the next one it will send.
+    pub fn send_seq(&self, r: FlowRef) -> Result<(u32, u32), StaleFlowRef> {
+        let (_, row) = self.sender_row(r)?;
+        let seq = &self.send.rows[row].seq;
+        Ok((seq.snd_una, seq.snd_nxt))
+    }
+
     /// Receiver statistics of `r`.
     pub fn receiver_stats(&self, r: FlowRef) -> Result<ReceiverStats, StaleFlowRef> {
         let (_, row) = self.recv_row(r)?;
@@ -1150,6 +1158,59 @@ mod tests {
         // Captured from the layout that kept every column per slot.
         assert_eq!(d.finish(), 0x660b_43d7_53e6_98aa, "state digest");
         assert_eq!(b.finish(), 0x08d6_060e_d3b3_9e7e, "checkpoint bytes");
+    }
+
+    /// RFC 9293 §3.10.7.4. The worst case, an ACK 2³¹ − 1 past
+    /// `snd_una` that also carries a FIN and a zero window, would
+    /// otherwise run `Reno::on_ack` about 1.5 M times and move `snd_una`
+    /// past `snd_nxt`.
+    #[test]
+    fn an_ack_for_data_never_sent_is_dropped() {
+        let mut p = FlowPool::new();
+        let hs = TcpSenderConfig {
+            total_bytes: Some(40_000),
+            handshake: true,
+            ..Default::default()
+        };
+        let s = p.insert_sender(key(100), hs, 1_000);
+        let l = p.insert_listener(key(100));
+        p.on_start(s, t(0)).unwrap();
+        pipe(&mut p, s, l, t(1), &[]);
+        pipe(&mut p, l, s, t(2), &[]);
+        assert_eq!(p.state(s), Ok(TcpState::Established));
+        let staged = |p: &FlowPool| {
+            let list = p.out[s.index() as usize];
+            p.slab
+                .iter(list)
+                .map(|pkt| format!("{pkt:?}"))
+                .collect::<Vec<_>>()
+        };
+        let digest = |p: &FlowPool| {
+            let mut d = StateDigest::new();
+            p.state_digest(&mut d);
+            d.finish()
+        };
+        let (before, out_before) = (digest(&p), staged(&p));
+        assert!(!out_before.is_empty(), "the first window is in flight");
+        let snd_una = p.sender_cols(s).unwrap().seq.snd_una;
+        let mut forged = Packet::tcp(
+            key(100).reversed(),
+            1,
+            snd_una.wrapping_add((1 << 31) - 1),
+            TcpFlags {
+                ack: true,
+                fin: true,
+                ..TcpFlags::default()
+            },
+            0,
+        );
+        if let dui_netsim::packet::Header::Tcp { window, .. } = &mut forged.header {
+            *window = 0;
+        }
+        p.on_segment(s, t(3), &forged).unwrap();
+        assert_eq!(digest(&p), before);
+        assert_eq!(staged(&p), out_before);
+        assert_eq!(p.state(s), Ok(TcpState::Established));
     }
 
     #[test]

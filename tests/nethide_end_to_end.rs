@@ -98,7 +98,6 @@ fn security_budget_trades_against_accuracy() {
             &ObfuscationConfig {
                 max_density: budget,
                 max_extra_hops: 3,
-                ..Default::default()
             },
             &[], // protect everything
         ).unwrap();

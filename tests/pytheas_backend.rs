@@ -2,7 +2,7 @@
 //! history — distinguishing feature-aligned damage (split the group) from
 //! feature-invisible poisoning (filter the reports).
 
-use dui::pytheas::backend::{critical_feature, BackendConfig, Feature};
+use dui::pytheas::backend::{critical_feature, Feature};
 use dui::pytheas::engine::{
     make_groups, AcceptAll, EngineConfig, PoisonStrategy, PytheasEngine, Throttle,
 };
@@ -35,7 +35,7 @@ fn throttle_on_one_group_is_feature_aligned_and_detected() {
     }
     let mut records = clean.records.clone();
     records.extend(throttled.records.iter().copied());
-    let cf = critical_feature(&records, &BackendConfig::default())
+    let cf = critical_feature(&records)
         .expect("feature-aligned damage must be detected");
     // The two groups differ in asn/prefix/location; any of those splits
     // quarantines the attacked population (content would not).
@@ -58,7 +58,7 @@ fn botnet_poisoning_is_not_feature_aligned() {
         e.run_round(&mut AcceptAll);
     }
     assert!(
-        critical_feature(&e.records, &BackendConfig::default()).is_none(),
+        critical_feature(&e.records).is_none(),
         "uniform poisoning offers no clean split"
     );
 }

@@ -6,13 +6,15 @@
 //! `#![deny]` attributes at the library roots and digest modules
 //! (docs/lint.md tabulates them). `clippy_gate_is_clean` runs the same
 //! command `scripts/verify.sh` runs first, so `cargo test` alone fails on
-//! a finding. The other tests check what no lint can see: which manifests
-//! opt in, which roots carry the library-only denies, which files are
-//! exempt from the clock ban and which crates may name the crate that
-//! holds them, that the chapter lists
-//! exactly what is declared, that the architecture chapter maps
-//! exactly the crates and public modules there are, and that the flow
-//! pool chapter states the sizes the pool's layout test pins.
+//! a finding, and `benchmark_package_builds` checks that `ledger/`, which
+//! `cargo test --workspace` never compiles, still builds. The other tests
+//! check what no lint can see: which manifests opt in, which roots carry
+//! the library-only denies, which files are exempt from the clock ban and
+//! which crates may name the crate that holds them, that the chapter
+//! lists exactly what is declared, that the architecture chapter maps
+//! exactly the crates and public modules there are, that the flow pool
+//! chapter states the sizes the pool's layout test pins, and that the
+//! reproduction map states the paper constants the code declares.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -152,6 +154,114 @@ fn clippy_gate_is_clean() {
         "the clippy gate failed (fix the finding, or state the invariant in an \
          #[expect(…, reason = \"…\")] — docs/lint.md):\n{}",
         String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+/// The benchmark package (`ledger/`, outside the workspace) still builds
+/// against the crates' public API: `cargo check --all-targets` of its
+/// manifest, in a target directory of its own. The check runs on a copy
+/// of `ledger/Cargo.toml` under `target/tmp/` whose path dependencies
+/// and binary point back at the repository, so nothing is written under
+/// `ledger/`: its `Cargo.lock` is untracked, and `--locked` on a
+/// checkout without one refuses to create it.
+#[test]
+fn benchmark_package_builds() {
+    let root = repo_root().display().to_string();
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("ledger-check");
+    std::fs::create_dir_all(&dir).expect("create the check directory");
+    let manifest = read("ledger/Cargo.toml").replace("path = \"../", &format!("path = \"{root}/"));
+    let manifest =
+        format!("{manifest}\n[[bin]]\nname = \"ledger\"\npath = \"{root}/ledger/src/main.rs\"\n");
+    std::fs::write(dir.join("Cargo.toml"), manifest).expect("write the manifest copy");
+    let cargo = std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into());
+    let out = Command::new(cargo)
+        .env("CARGO_TARGET_DIR", dir.join("target"))
+        .args(["check", "--offline", "--all-targets", "--manifest-path"])
+        .arg(dir.join("Cargo.toml"))
+        .output()
+        .expect("cargo runs");
+    assert!(
+        out.status.success(),
+        "ledger/ no longer builds against the workspace (the benchmark's code \
+         changes only in a benchmark change; keep the API it calls):\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+/// docs/reproduction-map.md §8 names, for every paper parameter, the one
+/// `const` that declares it and its value; each row must read what the
+/// constant holds, and every constant must have its row.
+#[test]
+fn reproduction_map_states_the_paper_constants() {
+    use dui::blink::{selector, theory};
+    let declared = [
+        ("dui_blink::selector::CELLS", selector::CELLS.to_string()),
+        (
+            "dui_blink::selector::THRESHOLD",
+            selector::THRESHOLD.to_string(),
+        ),
+        (
+            "dui_blink::selector::RESET_INTERVAL",
+            format!("{} s", selector::RESET_INTERVAL.as_secs_f64()),
+        ),
+        (
+            "dui_blink::theory::FIG2_LEGIT_FLOWS",
+            theory::FIG2_LEGIT_FLOWS.to_string(),
+        ),
+        (
+            "dui_blink::theory::FIG2_MALICIOUS_FLOWS",
+            theory::FIG2_MALICIOUS_FLOWS.to_string(),
+        ),
+        (
+            "dui_blink::theory::FIG2_T_R",
+            format!("{} s", theory::FIG2_T_R),
+        ),
+        ("dui_blink::theory::FIG2_Q_M", theory::FIG2_Q_M.to_string()),
+        (
+            "dui_flowgen::caida_like::PREFIX_COUNT",
+            dui::flowgen::caida_like::PREFIX_COUNT.to_string(),
+        ),
+        (
+            "dui_pytheas::engine::GAMMA",
+            dui::pytheas::engine::GAMMA.to_string(),
+        ),
+        (
+            "dui_pytheas::engine::C",
+            dui::pytheas::engine::C.to_string(),
+        ),
+        (
+            "dui_pcc::control::EPS_MIN",
+            dui::pcc::control::EPS_MIN.to_string(),
+        ),
+        (
+            "dui_pcc::control::EPS_MAX",
+            dui::pcc::control::EPS_MAX.to_string(),
+        ),
+        (
+            "dui_pcc::utility::LOSS_KNEE",
+            dui::pcc::utility::LOSS_KNEE.to_string(),
+        ),
+    ];
+    let chapter = read("docs/reproduction-map.md");
+    let section = chapter
+        .split("## 8. Paper parameters")
+        .nth(1)
+        .expect("docs/reproduction-map.md has '## 8. Paper parameters'");
+    let rows: Vec<(String, String)> = section
+        .lines()
+        .filter(|l| l.starts_with("| ") && l.contains("| `dui_"))
+        .map(|l| {
+            let cells: Vec<&str> = l.split('|').map(str::trim).collect();
+            (cells[4].trim_matches('`').to_string(), cells[3].to_string())
+        })
+        .collect();
+    let want: Vec<(String, String)> = declared
+        .iter()
+        .map(|(path, v)| (path.to_string(), v.clone()))
+        .collect();
+    assert_eq!(
+        rows, want,
+        "docs/reproduction-map.md §8 rows (const, value)"
     );
 }
 
