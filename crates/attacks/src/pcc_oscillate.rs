@@ -255,14 +255,6 @@ impl PccEqualizerTap {
     }
 }
 
-impl PccEqualizerTap {
-    /// Equalizing drop probability against the learned baseline (test
-    /// convenience; mirror mode).
-    pub fn equalizing_drop(&self, rate: f64) -> f64 {
-        self.mirror_drop(rate)
-    }
-}
-
 impl LinkTap for PccEqualizerTap {
     fn intercept(
         &mut self,
@@ -411,7 +403,7 @@ mod tests {
     fn equalizing_drop_is_moderate() {
         let mut tap = PccEqualizerTap::new(key(), SimDuration::from_millis(25), 4);
         feed(&mut tap, 0, 250_000.0, 3000);
-        let p = tap.equalizing_drop(262_500.0);
+        let p = tap.mirror_drop(262_500.0);
         // Somewhere between 0 and ~2*eps_max + knee slack.
         assert!(p > 0.0 && p < 0.12, "p = {p}");
     }

@@ -173,17 +173,19 @@ fn replay_refuses_a_version_1_recording() {
         ..Default::default()
     }
     .to_bytes();
-    bytes[dui_core::replay::record::MAGIC.len()] = 1;
-    let file = Path::new(env!("CARGO_TARGET_TMPDIR")).join("version-1.duir");
-    std::fs::write(&file, bytes).unwrap();
-    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
-        .args(["replay".as_ref(), file.as_os_str()])
-        .output()
-        .unwrap();
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(
-        stderr.contains("recording version: undefined tag"),
-        "{stderr}"
-    );
+    for version in [1, 2] {
+        bytes[dui_core::replay::record::MAGIC.len()] = version;
+        let file = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("version-{version}.duir"));
+        std::fs::write(&file, &bytes).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(["replay".as_ref(), file.as_os_str()])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(
+            stderr.contains("recording version: undefined tag"),
+            "{stderr}"
+        );
+    }
 }

@@ -54,6 +54,7 @@ use dui_netsim::packet::{Addr, FlowKey, Prefix};
 use dui_netsim::time::{SimDuration, SimTime};
 use dui_stats::digest::StateDigest;
 use dui_stats::dist;
+use dui_stats::wire::{DecodeError, Encoder, Reader, Writer};
 use dui_stats::{Rng, TimeSeries};
 use std::collections::{HashSet, VecDeque};
 
@@ -166,7 +167,7 @@ pub struct AttackSim {
 
 /// Plain-data checkpoint of a mid-run [`AttackSim`] (everything except
 /// the configuration, which the restoring side supplies). Produced by
-/// [`AttackSim::snapshot`]; byte encoding lives in `dui-replay`.
+/// [`AttackSim::snapshot`]; encoded by [`attack_sim_snapshot_to_bytes`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttackSimSnapshot {
     /// Raw xoshiro256++ generator state.
@@ -189,6 +190,118 @@ pub struct AttackSimSnapshot {
     pub packets: u64,
     /// Whether the run already reached its horizon.
     pub done: bool,
+}
+
+impl AttackSimSnapshot {
+    /// The checkpoint encoder's sections, in order, each with the seed
+    /// of its component digest: a checkpoint's component digests are
+    /// these sections, each folded on its own, and the whole encoder is
+    /// the run's state digest.
+    pub const SECTIONS: [(&'static str, StateDigest); 5] = [
+        ("rng", StateDigest::labeled("rng")),
+        ("selector", StateDigest::labeled("selector")),
+        ("flows", StateDigest::labeled("flows")),
+        ("schedule", StateDigest::labeled("schedule")),
+        ("series", StateDigest::labeled("series")),
+    ];
+
+    /// Section `i` of the checkpoint encoder, named in `SECTIONS[i]`.
+    pub fn encode_section<E: Encoder>(&self, i: usize, e: &mut E) {
+        match i {
+            0 => self.rng.iter().for_each(|&w| e.u64(w)),
+            1 => self.selector.encode(e),
+            2 => {
+                e.seq(&self.flows, |e, f| {
+                    f.key.encode_varint(e);
+                    e.varint(u64::from(f.seq));
+                    e.opt(f.dies_at, |e, t| e.varint(t.0));
+                });
+                e.varint(u64::from(self.sport));
+            }
+            3 => e.seq(&self.schedule, |e, &(t, flow)| {
+                e.varint(t.0);
+                e.varint_usize(flow);
+            }),
+            _ => {
+                e.seq(&self.series, |e, &(t, v)| {
+                    e.f64(t);
+                    e.f64(v);
+                });
+                e.varint(self.next_sample.0);
+            }
+        }
+    }
+
+    /// The checkpoint encoder: every section, in order, then what no
+    /// component digest covers — the takeover time, the packet count
+    /// and the done flag.
+    pub fn encode<E: Encoder>(&self, e: &mut E) {
+        for i in 0..Self::SECTIONS.len() {
+            self.encode_section(i, e);
+        }
+        e.opt(self.takeover_time, E::f64);
+        e.varint(self.packets);
+        e.bool(self.done);
+    }
+}
+
+/// Encode a fast-simulation checkpoint.
+pub fn attack_sim_snapshot_to_bytes(s: &AttackSimSnapshot) -> Vec<u8> {
+    let mut w = Writer::with_capacity(256);
+    s.encode(&mut w);
+    w.into_bytes()
+}
+
+// Smallest encodings inside a fast-simulation snapshot: a flow is a key,
+// a sequence number and a flag; a schedule entry two varints; a series
+// point two floats.
+const MIN_FLOW_BYTES: usize = 5 + 1 + 1;
+const MIN_SCHEDULE_BYTES: usize = 2;
+const MIN_SERIES_BYTES: usize = 16;
+
+/// Decode a fast-simulation checkpoint (strict: trailing bytes are an
+/// error).
+pub fn attack_sim_snapshot_from_bytes(bytes: &[u8]) -> Result<AttackSimSnapshot, DecodeError> {
+    let mut r = Reader::new(bytes);
+    let mut rng = [0u64; 4];
+    for word in &mut rng {
+        *word = r.u64("fastsim rng")?;
+    }
+    let selector = SelectorSnapshot::decode(&mut r)?;
+    let flows = r.seq("flow count", Reader::varint, MIN_FLOW_BYTES, |r| {
+        Ok(FlowState {
+            key: FlowKey::decode_varint(r)?,
+            seq: r.varint_u32("flow seq")?,
+            dies_at: r.opt("flow dies_at", Reader::varint_quantity)?.map(SimTime),
+        })
+    })?;
+    let sport = r.varint_u16("sport cursor")?;
+    let schedule = r.seq("schedule length", Reader::varint, MIN_SCHEDULE_BYTES, |r| {
+        Ok((
+            SimTime(r.varint_quantity("schedule time")?),
+            r.varint_usize("schedule flow index")?,
+        ))
+    })?;
+    let series = r.seq("series length", Reader::varint, MIN_SERIES_BYTES, |r| {
+        Ok((r.f64("series time")?, r.f64("series value")?))
+    })?;
+    let next_sample = SimTime(r.varint_quantity("next sample time")?);
+    let takeover_time = r.opt("takeover time", Reader::f64)?;
+    let packets = r.varint_quantity("packet count")?;
+    let done = r.bool("done flag")?;
+    r.finish("fastsim snapshot")?;
+    Ok(AttackSimSnapshot {
+        rng,
+        selector,
+        flows,
+        sport,
+        schedule,
+        series,
+        next_sample,
+        takeover_time,
+        packets,
+        done,
+    })
 }
 
 impl AttackSim {
@@ -356,47 +469,13 @@ impl AttackSim {
         self.rng = Rng::from_state(s);
     }
 
-    /// Fold the run's complete logical state into `d`.
-    ///
-    /// The pending schedule is folded commutatively (a set of
-    /// `(time, flow)` pairs, whatever container holds them); everything
-    /// else is hashed in fixed field order. The malicious key set and the
-    /// per-flow cells are *not* hashed — they are derived state, fully
+    /// Fold the run's complete logical state into `d`: its snapshot's
+    /// checkpoint encoder. The schedule is written in pop order, which
+    /// the ring keeps sorted. The malicious key set and the per-flow
+    /// cells are *not* written — they are derived state, fully
     /// determined by `flows` and the parameters.
     pub fn state_digest(&self, d: &mut StateDigest) {
-        for w in self.rng.state() {
-            d.write_u64(w);
-        }
-        self.selector.state_digest(d);
-        d.write_len(self.flows.len());
-        for f in &self.flows {
-            d.write_u64(f.key.digest(0));
-            d.write_u32(f.seq);
-            d.write_opt_u64(f.dies_at.map(|t| t.0));
-        }
-        d.write_u16(self.sport);
-        d.write_len(self.schedule.len());
-        for &(t, i) in &self.schedule {
-            let mut e = StateDigest::labeled("sched");
-            e.write_u64(t.0);
-            e.write_usize(i);
-            d.write_unordered(e.finish());
-        }
-        d.write_len(self.series.points().len());
-        for &(t, v) in self.series.points() {
-            d.write_f64(t);
-            d.write_f64(v);
-        }
-        d.write_u64(self.next_sample.0);
-        match self.takeover_time {
-            None => d.write_u8(0),
-            Some(t) => {
-                d.write_u8(1);
-                d.write_f64(t);
-            }
-        }
-        d.write_u64(self.packets);
-        d.write_bool(self.done);
+        self.snapshot().encode(d);
     }
 
     /// 64-bit digest of the run's complete logical state.

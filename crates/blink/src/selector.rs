@@ -58,6 +58,7 @@
 use dui_netsim::packet::FlowKey;
 use dui_netsim::time::{SimDuration, SimTime};
 use dui_stats::digest::StateDigest;
+use dui_stats::wire::{DecodeError, Encoder, Reader};
 
 /// `oldest_seen` while no cell is known to be occupied: `since` it is zero
 /// at every `now`, so only a zero `eviction_timeout` lets a scan through.
@@ -388,48 +389,10 @@ impl FlowSelector {
         &self.cells
     }
 
-    /// Fold the selector's complete logical state into `d`.
-    ///
-    /// Iteration is over the cell *array* (a fixed, index-ordered Vec),
-    /// so the digest is stable across runs and platforms.
+    /// Fold the selector's complete logical state into `d`: its
+    /// snapshot's checkpoint encoder.
     pub fn state_digest(&self, d: &mut StateDigest) {
-        d.write_len(self.cells.len());
-        for slot in &self.cells {
-            match slot {
-                None => d.write_u8(0),
-                Some(cell) => {
-                    d.write_u8(1);
-                    d.write_u64(cell.flow.digest(0));
-                    d.write_u64(cell.last_seen.0);
-                    d.write_u64(cell.sampled_at.0);
-                    d.write_u32(cell.last_seq);
-                    d.write_opt_u64(cell.last_retx.map(|t| t.0));
-                    d.write_opt_u64(cell.last_retx_gap.map(|g| g.as_nanos()));
-                }
-            }
-        }
-        d.write_u64(self.last_reset.0);
-        d.write_u64(self.resets);
-        for c in [
-            self.stats.sampled,
-            self.stats.evicted_fin,
-            self.stats.evicted_idle,
-            self.stats.evicted_reset,
-            self.stats.retransmissions,
-            self.stats.not_monitored,
-        ] {
-            d.write_u64(c);
-        }
-        match &self.residencies {
-            None => d.write_u8(0),
-            Some(rs) => {
-                d.write_u8(1);
-                d.write_len(rs.len());
-                for r in rs {
-                    d.write_u64(r.as_nanos());
-                }
-            }
-        }
+        self.snapshot().encode(d);
     }
 
     /// Capture the selector's mutable state as plain data.
@@ -476,8 +439,7 @@ impl FlowSelector {
 
 /// Plain-data snapshot of a [`FlowSelector`]'s mutable state, produced
 /// by [`FlowSelector::snapshot`] and consumed by
-/// [`FlowSelector::from_snapshot`]. Serialization to bytes is the
-/// record/replay layer's job (`dui-replay`).
+/// [`FlowSelector::from_snapshot`], with its checkpoint codec.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SelectorSnapshot {
     /// Cell array contents (index order preserved).
@@ -490,6 +452,87 @@ pub struct SelectorSnapshot {
     pub stats: SelectorStats,
     /// Completed occupancy durations, if recording was enabled.
     pub residencies: Option<Vec<SimDuration>>,
+}
+
+impl SelectorSnapshot {
+    /// The checkpoint encoder, which is also the selector's state
+    /// digest: the cell array in index order, the reset clock, the
+    /// counts and the residencies.
+    pub fn encode<E: Encoder>(&self, e: &mut E) {
+        e.seq(&self.cells, |e, cell| {
+            e.opt(cell.as_ref(), |e, c| c.encode(e))
+        });
+        e.varint(self.last_reset.0);
+        e.varint(self.resets);
+        for v in [
+            self.stats.sampled,
+            self.stats.evicted_fin,
+            self.stats.evicted_idle,
+            self.stats.evicted_reset,
+            self.stats.retransmissions,
+            self.stats.not_monitored,
+        ] {
+            e.varint(v);
+        }
+        e.opt(self.residencies.as_deref(), |e, res| {
+            e.seq(res, |e, d| e.varint(d.0))
+        });
+    }
+
+    /// Inverse of [`SelectorSnapshot::encode`].
+    pub fn decode(r: &mut Reader) -> Result<SelectorSnapshot, DecodeError> {
+        let cells = r.seq("cell count", Reader::varint, 1, |r| {
+            r.opt("cell", |r, _| Cell::decode(r))
+        })?;
+        let last_reset = SimTime(r.varint_quantity("selector last_reset")?);
+        let resets = r.varint_quantity("selector resets")?;
+        let stats = SelectorStats {
+            sampled: r.varint_quantity("selector sampled")?,
+            evicted_fin: r.varint_quantity("selector evicted_fin")?,
+            evicted_idle: r.varint_quantity("selector evicted_idle")?,
+            evicted_reset: r.varint_quantity("selector evicted_reset")?,
+            retransmissions: r.varint_quantity("selector retransmissions")?,
+            not_monitored: r.varint_quantity("selector not_monitored")?,
+        };
+        let residencies = r.opt("residencies", |r, what| {
+            r.seq(what, Reader::varint, 1, |r| {
+                Ok(SimDuration(r.varint_quantity("residency")?))
+            })
+        })?;
+        Ok(SelectorSnapshot {
+            cells,
+            last_reset,
+            resets,
+            stats,
+            residencies,
+        })
+    }
+}
+
+impl Cell {
+    fn encode<E: Encoder>(&self, e: &mut E) {
+        self.flow.encode_varint(e);
+        e.varint(self.last_seen.0);
+        e.varint(self.sampled_at.0);
+        e.varint(u64::from(self.last_seq));
+        e.opt(self.last_retx, |e, t| e.varint(t.0));
+        e.opt(self.last_retx_gap, |e, g| e.varint(g.0));
+    }
+
+    fn decode(r: &mut Reader) -> Result<Cell, DecodeError> {
+        Ok(Cell {
+            flow: FlowKey::decode_varint(r)?,
+            last_seen: SimTime(r.varint_quantity("cell last_seen")?),
+            sampled_at: SimTime(r.varint_quantity("cell sampled_at")?),
+            last_seq: r.varint_u32("cell last_seq")?,
+            last_retx: r
+                .opt("cell last_retx", Reader::varint_quantity)?
+                .map(SimTime),
+            last_retx_gap: r
+                .opt("cell retx gap", Reader::varint_quantity)?
+                .map(SimDuration),
+        })
+    }
 }
 
 #[cfg(test)]

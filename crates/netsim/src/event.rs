@@ -9,8 +9,8 @@
 //!
 //! Live events carry packets as 8-byte [`PacketRef`] handles into the
 //! [`PacketArena`]; the self-contained [`SavedEvent`] twin (with the packet
-//! by value) exists for checkpoints and the `dui-replay` byte codec, whose
-//! formats and digests predate the arena and must not change.
+//! by value) exists for checkpoints and their byte codec, whose formats
+//! and digests predate the arena and must not change.
 
 use crate::arena::{PacketArena, PacketRef};
 use crate::link::Dir;
@@ -19,6 +19,7 @@ use crate::time::SimTime;
 use crate::topology::{LinkId, NodeId};
 use crate::wheel::{TimerWheel, WheelStats};
 use dui_stats::digest::StateDigest;
+use dui_stats::wire::{DecodeError, Encoder, ErrorKind, Reader};
 
 /// Things that can happen. Packet-carrying variants hold an arena handle,
 /// so an `Event` is a small `Copy` value (~24 bytes) regardless of packet
@@ -69,43 +70,38 @@ impl Event {
         }
     }
 
-    /// Fold the event's full content into `d` (kind tag first, so
-    /// different kinds can never collide structurally). Handles are an
-    /// implementation detail: packet *contents* are resolved through
-    /// `arena` and digested by value, byte-identical to [`SavedEvent`]'s
-    /// digest — this is what keeps pre-refactor golden hashes valid.
+    /// Fold the event's full content into `d`: the words its
+    /// [`SavedEvent`] twin's encoder writes. Handles are an
+    /// implementation detail: the packet is resolved through `arena` in
+    /// place (no copy — this runs once per recorded event) and digested
+    /// by its encoder.
     #[expect(
         clippy::expect_used,
         reason = "a pending event's packet handle stays live until the event is dispatched"
     )]
     pub fn state_digest(&self, d: &mut StateDigest, arena: &PacketArena) {
-        match self {
-            Event::Deliver { node, pkt } => {
-                d.write_u8(0);
-                d.write_usize(node.0);
-                let p = arena
-                    .get(*pkt)
-                    .expect("live event holds a stale packet ref");
-                p.state_digest(d);
+        let pkt = |r| arena.get(r).expect("live event holds a stale packet ref");
+        match *self {
+            Event::Deliver { node, pkt: r } => {
+                d.u8(0);
+                d.varint_usize(node.0);
+                pkt(r).encode(d);
             }
             Event::TxComplete { link, dir } => {
-                d.write_u8(1);
-                d.write_usize(link.0);
-                d.write_bool(*dir == Dir::BtoA);
+                d.u8(1);
+                d.varint_usize(link.0);
+                d.bool(dir == Dir::BtoA);
             }
             Event::Timer { node, token } => {
-                d.write_u8(2);
-                d.write_usize(node.0);
-                d.write_u64(*token);
+                d.u8(2);
+                d.varint_usize(node.0);
+                d.varint(token);
             }
-            Event::Offer { link, dir, pkt } => {
-                d.write_u8(3);
-                d.write_usize(link.0);
-                d.write_bool(*dir == Dir::BtoA);
-                let p = arena
-                    .get(*pkt)
-                    .expect("live event holds a stale packet ref");
-                p.state_digest(d);
+            Event::Offer { link, dir, pkt: r } => {
+                d.u8(3);
+                d.varint_usize(link.0);
+                d.bool(dir == Dir::BtoA);
+                pkt(r).encode(d);
             }
         }
     }
@@ -138,8 +134,8 @@ impl Event {
 }
 
 /// A self-contained event: identical shape to [`Event`] but carrying
-/// packets by value. This is the representation checkpoints store and the
-/// `dui-replay` codec serializes — it needs no arena to interpret, and its
+/// packets by value. This is the representation checkpoints store and
+/// [`SavedEvent::encode`] writes — it needs no arena to interpret, and its
 /// byte format and digests are unchanged from the pre-arena engine.
 #[derive(Debug, PartialEq)]
 pub enum SavedEvent {
@@ -186,32 +182,63 @@ impl SavedEvent {
         }
     }
 
-    /// Fold the event's full content into `d` — byte-identical to
-    /// [`Event::state_digest`] on the live twin.
-    pub fn state_digest(&self, d: &mut StateDigest) {
+    /// The kind tag first, so different kinds can never collide
+    /// structurally, then the fields.
+    pub fn encode<E: Encoder>(&self, e: &mut E) {
         match self {
             SavedEvent::Deliver { node, pkt } => {
-                d.write_u8(0);
-                d.write_usize(node.0);
-                pkt.state_digest(d);
+                e.u8(0);
+                e.varint_usize(node.0);
+                pkt.encode(e);
             }
             SavedEvent::TxComplete { link, dir } => {
-                d.write_u8(1);
-                d.write_usize(link.0);
-                d.write_bool(*dir == Dir::BtoA);
+                e.u8(1);
+                e.varint_usize(link.0);
+                e.bool(*dir == Dir::BtoA);
             }
             SavedEvent::Timer { node, token } => {
-                d.write_u8(2);
-                d.write_usize(node.0);
-                d.write_u64(*token);
+                e.u8(2);
+                e.varint_usize(node.0);
+                e.varint(*token);
             }
             SavedEvent::Offer { link, dir, pkt } => {
-                d.write_u8(3);
-                d.write_usize(link.0);
-                d.write_bool(*dir == Dir::BtoA);
-                pkt.state_digest(d);
+                e.u8(3);
+                e.varint_usize(link.0);
+                e.bool(*dir == Dir::BtoA);
+                pkt.encode(e);
             }
         }
+    }
+
+    /// Inverse of [`SavedEvent::encode`].
+    pub fn decode(r: &mut Reader) -> Result<SavedEvent, DecodeError> {
+        let dir = |r: &mut Reader| {
+            Ok(if r.bool("link direction")? {
+                Dir::BtoA
+            } else {
+                Dir::AtoB
+            })
+        };
+        Ok(match r.u8("event tag")? {
+            0 => SavedEvent::Deliver {
+                node: NodeId(r.varint_usize("event node")?),
+                pkt: Packet::decode(r)?,
+            },
+            1 => SavedEvent::TxComplete {
+                link: LinkId(r.varint_usize("event link")?),
+                dir: dir(r)?,
+            },
+            2 => SavedEvent::Timer {
+                node: NodeId(r.varint_usize("event node")?),
+                token: r.varint("timer token")?,
+            },
+            3 => SavedEvent::Offer {
+                link: LinkId(r.varint_usize("event link")?),
+                dir: dir(r)?,
+                pkt: Packet::decode(r)?,
+            },
+            _ => return Err(r.error("event tag", ErrorKind::Tag)),
+        })
     }
 
     /// Rehydrate into a live [`Event`], moving any packet into `arena`
@@ -418,7 +445,7 @@ mod tests {
             pkt: arena.insert(pkt),
         };
         let mut d1 = StateDigest::labeled("event");
-        saved.state_digest(&mut d1);
+        saved.encode(&mut d1);
         let mut d2 = StateDigest::labeled("event");
         live.state_digest(&mut d2, &arena);
         assert_eq!(d1.finish(), d2.finish());

@@ -175,15 +175,6 @@ impl LinkRuntime {
         }
     }
 
-    /// The node a packet travelling `dir` departs from.
-    #[cfg_attr(not(test), expect(dead_code, reason = "read only by the unit tests"))]
-    pub fn src_node(&self, dir: Dir) -> NodeId {
-        match dir {
-            Dir::AtoB => self.info.a,
-            Dir::BtoA => self.info.b,
-        }
-    }
-
     /// Direction for a packet leaving `from` over this link.
     pub fn dir_from(&self, from: NodeId) -> Dir {
         if from == self.info.a {
@@ -243,7 +234,6 @@ mod tests {
     fn dir_geometry() {
         let l = LinkRuntime::new(info());
         assert_eq!(l.dst_node(Dir::AtoB), NodeId(1));
-        assert_eq!(l.src_node(Dir::AtoB), NodeId(0));
         assert_eq!(l.dir_from(NodeId(1)), Dir::BtoA);
         assert_eq!(Dir::AtoB.flipped(), Dir::BtoA);
     }

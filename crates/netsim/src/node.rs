@@ -7,7 +7,7 @@ use crate::sim::Ctx;
 use crate::time::SimTime;
 use crate::topology::NodeId;
 use dui_stats::digest::StateDigest;
-use dui_stats::wire::{DecodeError, ErrorKind, Reader, Writer};
+use dui_stats::wire::{DecodeError, Encoder, ErrorKind, Reader, Writer};
 use std::any::Any;
 use std::collections::HashMap;
 
@@ -372,12 +372,20 @@ impl SinkHost {
         self.flows.len()
     }
 
-    /// Flow table entries sorted by 5-tuple — the canonical order used
-    /// by both hashing and checkpointing (the backing map is unordered).
-    fn flows_sorted(&self) -> Vec<(crate::packet::FlowKey, SinkFlowStats)> {
-        let mut v: Vec<_> = self.flows.iter().map(|(k, s)| (*k, *s)).collect();
-        v.sort_unstable_by_key(|(k, _)| sort_key(k));
-        v
+    /// The checkpoint encoder, which is also the state digest: the flow
+    /// table sorted by 5-tuple (the backing map is unordered), then the
+    /// totals.
+    fn encode<E: Encoder>(&self, e: &mut E) {
+        let mut flows: Vec<_> = self.flows.iter().collect();
+        flows.sort_unstable_by_key(|(k, _)| sort_key(k));
+        e.u64(flows.len() as u64);
+        for (k, s) in flows {
+            k.encode(e);
+            e.u64(s.packets);
+            e.u64(s.bytes);
+        }
+        e.u64(self.total_bytes);
+        e.u64(self.total_packets);
     }
 }
 
@@ -417,29 +425,12 @@ impl NodeLogic for SinkHost {
     }
 
     fn state_digest(&self, d: &mut StateDigest) {
-        // sorted iteration (see flows_sorted) — no RandomState order leak
-        let flows = self.flows_sorted();
-        d.write_len(flows.len());
-        for (k, s) in flows {
-            d.write_u64(k.digest(0));
-            d.write_u64(s.packets);
-            d.write_u64(s.bytes);
-        }
-        d.write_u64(self.total_bytes);
-        d.write_u64(self.total_packets);
+        self.encode(d);
     }
 
     fn save_state(&self) -> Option<Vec<u8>> {
-        let flows = self.flows_sorted();
-        let mut w = Writer::with_capacity(8 + flows.len() * SINK_FLOW_BYTES + 16);
-        w.u64(flows.len() as u64);
-        for (k, s) in flows {
-            k.encode(&mut w);
-            w.u64(s.packets);
-            w.u64(s.bytes);
-        }
-        w.u64(self.total_bytes);
-        w.u64(self.total_packets);
+        let mut w = Writer::with_capacity(8 + self.flows.len() * SINK_FLOW_BYTES + 16);
+        self.encode(&mut w);
         Some(w.into_bytes())
     }
 

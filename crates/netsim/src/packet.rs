@@ -9,7 +9,7 @@
 //! Internet either); that asymmetry is the paper's whole point.
 
 use crate::time::SimTime;
-use dui_stats::wire::{DecodeError, ErrorKind, Reader, Writer};
+use dui_stats::wire::{DecodeError, Encoder, ErrorKind, Reader};
 use std::fmt;
 
 /// An IPv4-style 32-bit address.
@@ -101,6 +101,11 @@ impl Proto {
             _ => None,
         }
     }
+
+    fn decode(r: &mut Reader) -> Result<Proto, DecodeError> {
+        Proto::from_code(r.u8("flow key proto")?)
+            .ok_or_else(|| r.error("flow key proto", ErrorKind::Tag))
+    }
 }
 
 /// A flow 5-tuple. Blink's flow selector hashes this to pick monitored
@@ -147,12 +152,12 @@ impl FlowKey {
 
     /// Fixed-width form used by node-state blobs: `src`, `dst` (`u32`),
     /// `sport`, `dport` (`u16`), then the protocol code.
-    pub fn encode(&self, w: &mut Writer) {
-        w.u32(self.src.0);
-        w.u32(self.dst.0);
-        w.u16(self.sport);
-        w.u16(self.dport);
-        w.u8(self.proto.code());
+    pub fn encode<E: Encoder>(&self, e: &mut E) {
+        e.u32(self.src.0);
+        e.u32(self.dst.0);
+        e.u16(self.sport);
+        e.u16(self.dport);
+        e.u8(self.proto.code());
     }
 
     /// Inverse of [`FlowKey::encode`].
@@ -162,8 +167,28 @@ impl FlowKey {
             dst: Addr(r.u32("flow key dst")?),
             sport: r.u16("flow key sport")?,
             dport: r.u16("flow key dport")?,
-            proto: Proto::from_code(r.u8("flow key proto")?)
-                .ok_or_else(|| r.error("flow key proto", ErrorKind::Tag))?,
+            proto: Proto::decode(r)?,
+        })
+    }
+
+    /// Varint form used by checkpoint payloads: the fields of
+    /// [`FlowKey::encode`] in the same order, so both forms digest alike.
+    pub fn encode_varint<E: Encoder>(&self, e: &mut E) {
+        e.varint(u64::from(self.src.0));
+        e.varint(u64::from(self.dst.0));
+        e.varint(u64::from(self.sport));
+        e.varint(u64::from(self.dport));
+        e.u8(self.proto.code());
+    }
+
+    /// Inverse of [`FlowKey::encode_varint`].
+    pub fn decode_varint(r: &mut Reader) -> Result<FlowKey, DecodeError> {
+        Ok(FlowKey {
+            src: Addr(r.varint_u32("flow key src")?),
+            dst: Addr(r.varint_u32("flow key dst")?),
+            sport: r.varint_u16("flow key sport")?,
+            dport: r.varint_u16("flow key dport")?,
+            proto: Proto::decode(r)?,
         })
     }
 
@@ -376,19 +401,32 @@ impl Packet {
         matches!(self.header, Header::Tcp { .. }) && self.payload > 0
     }
 
-    /// Fold the packet's full content into a state digest.
-    pub fn state_digest(&self, d: &mut dui_stats::digest::StateDigest) {
-        d.write_u64(self.id);
-        d.write_u32(self.key.src.0);
-        d.write_u32(self.key.dst.0);
-        d.write_u16(self.key.sport);
-        d.write_u16(self.key.dport);
-        d.write_u8(self.key.proto.code());
-        self.header.state_digest(d);
-        d.write_u32(self.size);
-        d.write_u8(self.ttl);
-        d.write_u64(self.sent_at.0);
-        d.write_u32(self.payload);
+    /// Smallest encoded packet: one-byte varints around a UDP header.
+    pub const MIN_WIRE_BYTES: usize = 1 + 5 + 1 + 1 + 1 + 1 + 1;
+
+    /// The packet's full content, as checkpoints and the engine's state
+    /// digest carry it.
+    pub fn encode<E: Encoder>(&self, e: &mut E) {
+        e.varint(self.id);
+        self.key.encode_varint(e);
+        self.header.encode(e);
+        e.varint(u64::from(self.size));
+        e.u8(self.ttl);
+        e.varint(self.sent_at.0);
+        e.varint(u64::from(self.payload));
+    }
+
+    /// Inverse of [`Packet::encode`].
+    pub fn decode(r: &mut Reader) -> Result<Packet, DecodeError> {
+        Ok(Packet {
+            id: r.varint("packet id")?,
+            key: FlowKey::decode_varint(r)?,
+            header: Header::decode(r)?,
+            size: r.varint_u32("packet size")?,
+            ttl: r.u8("packet ttl")?,
+            sent_at: SimTime(r.varint_quantity("packet sent_at")?),
+            payload: r.varint_u32("packet payload")?,
+        })
     }
 }
 
@@ -411,8 +449,8 @@ impl TcpFlags {
 }
 
 impl Header {
-    /// Fold the header (kind tag first, then fields) into a digest.
-    pub fn state_digest(&self, d: &mut dui_stats::digest::StateDigest) {
+    /// The kind tag, then the fields.
+    pub fn encode<E: Encoder>(&self, e: &mut E) {
         match self {
             Header::Tcp {
                 seq,
@@ -420,34 +458,62 @@ impl Header {
                 flags,
                 window,
             } => {
-                d.write_u8(0);
-                d.write_u32(*seq);
-                d.write_u32(*ack);
-                d.write_u8(flags.bits());
-                d.write_u32(*window);
+                e.u8(0);
+                e.varint(u64::from(*seq));
+                e.varint(u64::from(*ack));
+                e.u8(flags.bits());
+                e.varint(u64::from(*window));
             }
-            Header::Udp => d.write_u8(1),
+            Header::Udp => e.u8(1),
             Header::IcmpEchoRequest { ident, seq } => {
-                d.write_u8(2);
-                d.write_u16(*ident);
-                d.write_u16(*seq);
+                e.u8(2);
+                e.varint(u64::from(*ident));
+                e.varint(u64::from(*seq));
             }
             Header::IcmpEchoReply { ident, seq } => {
-                d.write_u8(3);
-                d.write_u16(*ident);
-                d.write_u16(*seq);
+                e.u8(3);
+                e.varint(u64::from(*ident));
+                e.varint(u64::from(*seq));
             }
             Header::IcmpTimeExceeded {
                 reported_by,
                 probe_ident,
                 probe_seq,
             } => {
-                d.write_u8(4);
-                d.write_u32(reported_by.0);
-                d.write_u16(*probe_ident);
-                d.write_u16(*probe_seq);
+                e.u8(4);
+                e.varint(u64::from(reported_by.0));
+                e.varint(u64::from(*probe_ident));
+                e.varint(u64::from(*probe_seq));
             }
         }
+    }
+
+    /// Inverse of [`Header::encode`].
+    pub fn decode(r: &mut Reader) -> Result<Header, DecodeError> {
+        Ok(match r.u8("header tag")? {
+            0 => Header::Tcp {
+                seq: r.varint_u32("tcp seq")?,
+                ack: r.varint_u32("tcp ack")?,
+                flags: TcpFlags::from_bits(r.u8("tcp flags")?)
+                    .ok_or_else(|| r.error("tcp flags", ErrorKind::Tag))?,
+                window: r.varint_u32("tcp window")?,
+            },
+            1 => Header::Udp,
+            2 => Header::IcmpEchoRequest {
+                ident: r.varint_u16("icmp ident")?,
+                seq: r.varint_u16("icmp seq")?,
+            },
+            3 => Header::IcmpEchoReply {
+                ident: r.varint_u16("icmp ident")?,
+                seq: r.varint_u16("icmp seq")?,
+            },
+            4 => Header::IcmpTimeExceeded {
+                reported_by: Addr(r.varint_u32("icmp reporter")?),
+                probe_ident: r.varint_u16("icmp probe ident")?,
+                probe_seq: r.varint_u16("icmp probe seq")?,
+            },
+            _ => return Err(r.error("header tag", ErrorKind::Tag)),
+        })
     }
 }
 
@@ -520,6 +586,45 @@ mod tests {
     fn tcp_constructor_rejects_udp_key() {
         let k = FlowKey::udp(Addr::new(1, 1, 1, 1), 1, Addr::new(2, 2, 2, 2), 2);
         let _ = Packet::tcp(k, 0, 0, TcpFlags::default(), 0);
+    }
+
+    #[test]
+    fn packet_codec_round_trips_all_headers() {
+        use dui_stats::wire::Writer;
+        let key = FlowKey::tcp(Addr::new(10, 0, 0, 1), 443, Addr::new(10, 0, 0, 2), 5001);
+        let headers = [
+            Header::Tcp {
+                seq: 1,
+                ack: u32::MAX,
+                flags: TcpFlags::from_bits(0b1010).unwrap(),
+                window: 65_535,
+            },
+            Header::Udp,
+            Header::IcmpEchoRequest { ident: 1, seq: 2 },
+            Header::IcmpEchoReply { ident: 3, seq: 4 },
+            Header::IcmpTimeExceeded {
+                reported_by: Addr::new(9, 9, 9, 9),
+                probe_ident: 5,
+                probe_seq: 6,
+            },
+        ];
+        for h in headers {
+            let p = Packet {
+                id: 77,
+                key,
+                header: h,
+                size: 1500,
+                ttl: 63,
+                sent_at: SimTime(123_456),
+                payload: 1460,
+            };
+            let mut w = Writer::new();
+            p.encode(&mut w);
+            let buf = w.into_bytes();
+            let mut r = Reader::new(&buf);
+            assert_eq!(Packet::decode(&mut r), Ok(p));
+            assert_eq!(r.finish("packet"), Ok(()));
+        }
     }
 
     #[test]

@@ -492,8 +492,7 @@ impl<'a> Ctx<'a> {
         self.core.topo()
     }
 
-    /// The routing tables (read-only; routing changes are operator actions
-    /// done through [`Simulator::core_mut`]).
+    /// The routing tables (read-only).
     pub fn routing(&self) -> &Routing {
         self.core.routing()
     }
@@ -791,12 +790,6 @@ impl Simulator {
         &self.core
     }
 
-    /// Mutable access to the engine core (routing changes, etc.). This is
-    /// the operator-privilege surface.
-    pub fn core_mut(&mut self) -> &mut SimCore {
-        &mut self.core
-    }
-
     /// Announce a destination prefix as sunk by `node`.
     pub fn announce_prefix(&mut self, prefix: Prefix, node: NodeId) {
         self.core.prefixes.announce(prefix, node);
@@ -999,13 +992,13 @@ impl Simulator {
             for (st, stats) in [(&lr.ab, &lr.stats_ab), (&lr.ba, &lr.stats_ba)] {
                 d.write_len(st.queue.len());
                 for p in &st.queue {
-                    self.core.pkt(*p).state_digest(d);
+                    self.core.pkt(*p).encode(d);
                 }
                 match st.in_flight {
                     None => d.write_u8(0),
                     Some(p) => {
                         d.write_u8(1);
-                        self.core.pkt(p).state_digest(d);
+                        self.core.pkt(p).encode(d);
                     }
                 }
                 d.write_f64(st.fault.drop_prob);

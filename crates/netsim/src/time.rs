@@ -87,12 +87,6 @@ impl SimDuration {
         self.0
     }
 
-    /// Scale by a non-negative factor.
-    pub fn mul_f64(&self, k: f64) -> Self {
-        assert!(k.is_finite() && k >= 0.0, "scale must be non-negative");
-        SimDuration((self.0 as f64 * k).round() as u64)
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(&self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
@@ -272,14 +266,6 @@ mod tests {
         assert_eq!(format!("{}", SimDuration::from_millis(2)), "2.000ms");
         assert_eq!(format!("{}", SimDuration::from_micros(2)), "2.000us");
         assert_eq!(format!("{}", SimDuration::from_nanos(2)), "2ns");
-    }
-
-    #[test]
-    fn mul_f64_rounds() {
-        assert_eq!(
-            SimDuration::from_secs(1).mul_f64(0.5),
-            SimDuration::from_millis(500)
-        );
     }
 
     #[test]

@@ -209,8 +209,6 @@ pub struct Routing {
     /// `next_hop[src][dst]` — neighbor to forward to, `None` if unreachable
     /// or `src == dst`.
     next_hop: Vec<Vec<Option<NodeId>>>,
-    /// `dist[src][dst]` in nanoseconds of propagation delay.
-    dist: Vec<Vec<u64>>,
 }
 
 impl Routing {
@@ -218,7 +216,6 @@ impl Routing {
     pub fn shortest_paths(topo: &Topology) -> Self {
         let n = topo.node_count();
         let mut next_hop = vec![vec![None; n]; n];
-        let mut dist = vec![vec![u64::MAX; n]; n];
         for src in 0..n {
             // Dijkstra from src.
             let mut d = vec![u64::MAX; n];
@@ -244,10 +241,9 @@ impl Routing {
                     }
                 }
             }
-            dist[src].copy_from_slice(&d);
             next_hop[src].copy_from_slice(&first);
         }
-        Routing { next_hop, dist }
+        Routing { next_hop }
     }
 
     /// Next hop from `src` towards `dst` (`None` if unreachable or equal).
@@ -259,11 +255,6 @@ impl Routing {
     /// operator-level actions (and by tests) to steer paths.
     pub fn set_next_hop(&mut self, src: NodeId, dst: NodeId, via: Option<NodeId>) {
         self.next_hop[src.0][dst.0] = via;
-    }
-
-    /// Propagation distance (ns) between two nodes; `u64::MAX` if unreachable.
-    pub fn distance_ns(&self, src: NodeId, dst: NodeId) -> u64 {
-        self.dist[src.0][dst.0]
     }
 
     /// The full path `src..=dst` (inclusive), following next hops.
@@ -368,10 +359,6 @@ mod tests {
         let t = b.build();
         let routing = Routing::shortest_paths(&t);
         assert_eq!(routing.next_hop(a, d), Some(bb));
-        assert_eq!(
-            routing.distance_ns(a, d),
-            SimDuration::from_millis(2).as_nanos()
-        );
     }
 
     #[test]

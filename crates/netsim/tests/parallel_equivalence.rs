@@ -6,7 +6,7 @@
 use dui_netsim::parallel::ParallelOutcome;
 use dui_netsim::prelude::*;
 use dui_stats::digest::StateDigest;
-use dui_stats::wire::{DecodeError, Reader, Writer};
+use dui_stats::wire::{DecodeError, Encoder, Reader, Writer};
 use std::any::Any;
 
 /// Thread counts every equivalence case runs at: one (the same loop with

@@ -1,17 +1,19 @@
 //! The recording format: a compact, versioned binary event stream with
-//! periodic state checkpoints, plus the byte codecs for restorable
-//! checkpoint payloads.
+//! periodic state checkpoints, plus the engine checkpoint's byte codec.
+//! The codecs of what an engine checkpoint carries (packets and events,
+//! in `dui-netsim`) and of the fast-simulation payload (in `dui-blink`)
+//! sit beside their types.
 //!
 //! Everything is built on the primitives of [`dui_stats::wire`] — LEB128
 //! varints for counts/times and fixed 8-byte little-endian words for
 //! digests (which are full-entropy and would *expand* under varint
 //! coding). No serde, no external crates.
 //!
-//! ## Layout (version 2)
+//! ## Layout (version 3)
 //!
 //! ```text
 //! magic      "DUIR"
-//! version    varint (= 2)
+//! version    varint (= 3)
 //! stage      varint len + utf8
 //! config     8-byte LE config digest
 //! names      varint count, each varint len + utf8   (kinds + components)
@@ -29,23 +31,23 @@
 //! ```
 
 use crate::replay::ReplaySubject;
-use dui_blink::fastsim::{AttackSimSnapshot, FlowState};
-use dui_blink::selector::{Cell, SelectorSnapshot, SelectorStats};
 use dui_netsim::event::SavedEvent;
-use dui_netsim::link::{Dir, FaultConfig, LinkDirStats};
-use dui_netsim::packet::{Addr, FlowKey, Header, Packet, Prefix, Proto, TcpFlags};
+use dui_netsim::link::{FaultConfig, LinkDirStats};
+use dui_netsim::packet::{Addr, Packet, Prefix};
 use dui_netsim::sim::{DirCheckpoint, EngineCheckpoint, LinkCheckpoint};
 use dui_netsim::time::{SimDuration, SimTime};
-use dui_netsim::topology::{LinkId, NodeId};
-use dui_stats::wire::{DecodeError, ErrorKind, Reader, Writer};
+use dui_netsim::topology::NodeId;
+use dui_stats::wire::{DecodeError, Encoder, ErrorKind, Reader, Writer};
 
 /// Recording format magic bytes.
 pub const MAGIC: [u8; 4] = *b"DUIR";
-/// Current format version. Version 2 changed no byte of the layout; it
-/// marks the change of every digest in it (the `StateDigest` fold), so
-/// a version-1 file is refused by name rather than failing as a config
-/// mismatch or a divergence at event 0.
-pub const VERSION: u64 = 2;
+/// Current format version. Versions 2 and 3 changed no byte of the
+/// layout; each marks a change of the digests in it — version 2 the
+/// `StateDigest` fold, version 3 the component digests that became
+/// their checkpoint encoders — so an older file is refused by name
+/// rather than failing as a config mismatch or a divergence at its
+/// first checkpoint.
+pub const VERSION: u64 = 3;
 
 // ---------------------------------------------------------------------------
 // Frames and the Recording container
@@ -302,176 +304,6 @@ impl Recorder {
 // Checkpoint payload codecs
 // ---------------------------------------------------------------------------
 
-// The varint form of a flow key (checkpoint payloads); node-state blobs
-// use the fixed-width `FlowKey::encode`.
-fn write_flow_key(w: &mut Writer, k: &FlowKey) {
-    w.varint(u64::from(k.src.0));
-    w.varint(u64::from(k.dst.0));
-    w.varint(u64::from(k.sport));
-    w.varint(u64::from(k.dport));
-    w.u8(k.proto.code());
-}
-
-fn read_flow_key(r: &mut Reader) -> Result<FlowKey, DecodeError> {
-    Ok(FlowKey {
-        src: Addr(r.varint_u32("flow key src")?),
-        dst: Addr(r.varint_u32("flow key dst")?),
-        sport: r.varint_u16("flow key sport")?,
-        dport: r.varint_u16("flow key dport")?,
-        proto: Proto::from_code(r.u8("flow key proto")?)
-            .ok_or_else(|| r.error("flow key proto", ErrorKind::Tag))?,
-    })
-}
-
-fn write_header(w: &mut Writer, h: &Header) {
-    match h {
-        Header::Tcp {
-            seq,
-            ack,
-            flags,
-            window,
-        } => {
-            w.u8(0);
-            w.varint(u64::from(*seq));
-            w.varint(u64::from(*ack));
-            w.u8(flags.bits());
-            w.varint(u64::from(*window));
-        }
-        Header::Udp => w.u8(1),
-        Header::IcmpEchoRequest { ident, seq } => {
-            w.u8(2);
-            w.varint(u64::from(*ident));
-            w.varint(u64::from(*seq));
-        }
-        Header::IcmpEchoReply { ident, seq } => {
-            w.u8(3);
-            w.varint(u64::from(*ident));
-            w.varint(u64::from(*seq));
-        }
-        Header::IcmpTimeExceeded {
-            reported_by,
-            probe_ident,
-            probe_seq,
-        } => {
-            w.u8(4);
-            w.varint(u64::from(reported_by.0));
-            w.varint(u64::from(*probe_ident));
-            w.varint(u64::from(*probe_seq));
-        }
-    }
-}
-
-fn read_header(r: &mut Reader) -> Result<Header, DecodeError> {
-    Ok(match r.u8("header tag")? {
-        0 => Header::Tcp {
-            seq: r.varint_u32("tcp seq")?,
-            ack: r.varint_u32("tcp ack")?,
-            flags: TcpFlags::from_bits(r.u8("tcp flags")?)
-                .ok_or_else(|| r.error("tcp flags", ErrorKind::Tag))?,
-            window: r.varint_u32("tcp window")?,
-        },
-        1 => Header::Udp,
-        2 => Header::IcmpEchoRequest {
-            ident: r.varint_u16("icmp ident")?,
-            seq: r.varint_u16("icmp seq")?,
-        },
-        3 => Header::IcmpEchoReply {
-            ident: r.varint_u16("icmp ident")?,
-            seq: r.varint_u16("icmp seq")?,
-        },
-        4 => Header::IcmpTimeExceeded {
-            reported_by: Addr(r.varint_u32("icmp reporter")?),
-            probe_ident: r.varint_u16("icmp probe ident")?,
-            probe_seq: r.varint_u16("icmp probe seq")?,
-        },
-        _ => return Err(r.error("header tag", ErrorKind::Tag)),
-    })
-}
-
-/// Encode one packet.
-pub fn write_packet(w: &mut Writer, p: &Packet) {
-    w.varint(p.id);
-    write_flow_key(w, &p.key);
-    write_header(w, &p.header);
-    w.varint(u64::from(p.size));
-    w.u8(p.ttl);
-    w.varint(p.sent_at.0);
-    w.varint(u64::from(p.payload));
-}
-
-/// Decode one packet.
-pub fn read_packet(r: &mut Reader) -> Result<Packet, DecodeError> {
-    Ok(Packet {
-        id: r.varint("packet id")?,
-        key: read_flow_key(r)?,
-        header: read_header(r)?,
-        size: r.varint_u32("packet size")?,
-        ttl: r.u8("packet ttl")?,
-        sent_at: SimTime(r.varint_quantity("packet sent_at")?),
-        payload: r.varint_u32("packet payload")?,
-    })
-}
-
-/// Smallest encoded packet: one-byte varints around a UDP header.
-const MIN_PACKET_BYTES: usize = 1 + 5 + 1 + 1 + 1 + 1 + 1;
-
-fn read_dir(r: &mut Reader) -> Result<Dir, DecodeError> {
-    Ok(if r.bool("link direction")? {
-        Dir::BtoA
-    } else {
-        Dir::AtoB
-    })
-}
-
-fn write_event(w: &mut Writer, e: &SavedEvent) {
-    match e {
-        SavedEvent::Deliver { node, pkt } => {
-            w.u8(0);
-            w.varint_usize(node.0);
-            write_packet(w, pkt);
-        }
-        SavedEvent::TxComplete { link, dir } => {
-            w.u8(1);
-            w.varint_usize(link.0);
-            w.bool(*dir == Dir::BtoA);
-        }
-        SavedEvent::Timer { node, token } => {
-            w.u8(2);
-            w.varint_usize(node.0);
-            w.varint(*token);
-        }
-        SavedEvent::Offer { link, dir, pkt } => {
-            w.u8(3);
-            w.varint_usize(link.0);
-            w.bool(*dir == Dir::BtoA);
-            write_packet(w, pkt);
-        }
-    }
-}
-
-fn read_event(r: &mut Reader) -> Result<SavedEvent, DecodeError> {
-    Ok(match r.u8("event tag")? {
-        0 => SavedEvent::Deliver {
-            node: NodeId(r.varint_usize("event node")?),
-            pkt: read_packet(r)?,
-        },
-        1 => SavedEvent::TxComplete {
-            link: LinkId(r.varint_usize("event link")?),
-            dir: read_dir(r)?,
-        },
-        2 => SavedEvent::Timer {
-            node: NodeId(r.varint_usize("event node")?),
-            token: r.varint("timer token")?,
-        },
-        3 => SavedEvent::Offer {
-            link: LinkId(r.varint_usize("event link")?),
-            dir: read_dir(r)?,
-            pkt: read_packet(r)?,
-        },
-        _ => return Err(r.error("event tag", ErrorKind::Tag)),
-    })
-}
-
 fn write_fault(w: &mut Writer, f: &FaultConfig) {
     w.f64(f.drop_prob);
     w.opt(f.jitter_max, |w, j| w.varint(j.0));
@@ -487,15 +319,20 @@ fn read_fault(r: &mut Reader) -> Result<FaultConfig, DecodeError> {
 }
 
 fn write_dir_ckpt(w: &mut Writer, d: &DirCheckpoint) {
-    w.seq(&d.queue, write_packet);
-    w.opt(d.in_flight.as_ref(), write_packet);
+    w.seq(&d.queue, |w, p| p.encode(w));
+    w.opt(d.in_flight.as_ref(), |w, p| p.encode(w));
     write_fault(w, &d.fault);
 }
 
 fn read_dir_ckpt(r: &mut Reader) -> Result<DirCheckpoint, DecodeError> {
     Ok(DirCheckpoint {
-        queue: r.seq("link queue", Reader::varint, MIN_PACKET_BYTES, read_packet)?,
-        in_flight: r.opt("in-flight packet", |r, _| read_packet(r))?,
+        queue: r.seq(
+            "link queue",
+            Reader::varint,
+            Packet::MIN_WIRE_BYTES,
+            Packet::decode,
+        )?,
+        in_flight: r.opt("in-flight packet", |r, _| Packet::decode(r))?,
         fault: read_fault(r)?,
     })
 }
@@ -535,7 +372,7 @@ pub fn engine_checkpoint_to_bytes(c: &EngineCheckpoint) -> Vec<u8> {
     w.bool(c.started);
     w.seq(&c.events, |w, (t, e)| {
         w.varint(t.0);
-        write_event(w, e);
+        e.encode(w);
     });
     w.seq(&c.links, |w, l| {
         w.bool(l.up);
@@ -575,7 +412,10 @@ pub fn engine_checkpoint_from_bytes(bytes: &[u8]) -> Result<EngineCheckpoint, De
     let next_pkt_id = r.varint_quantity("next packet id")?;
     let started = r.bool("started flag")?;
     let events = r.seq("pending events", Reader::varint, MIN_PENDING_BYTES, |r| {
-        Ok((SimTime(r.varint_quantity("event time")?), read_event(r)?))
+        Ok((
+            SimTime(r.varint_quantity("event time")?),
+            SavedEvent::decode(r)?,
+        ))
     })?;
     let links = r.seq("link count", Reader::varint, MIN_LINK_BYTES, |r| {
         Ok(LinkCheckpoint {
@@ -620,157 +460,6 @@ pub fn engine_checkpoint_from_bytes(bytes: &[u8]) -> Result<EngineCheckpoint, De
         routing,
         prefixes,
         state_hash,
-    })
-}
-
-fn write_cell(w: &mut Writer, c: &Cell) {
-    write_flow_key(w, &c.flow);
-    w.varint(c.last_seen.0);
-    w.varint(c.sampled_at.0);
-    w.varint(u64::from(c.last_seq));
-    w.opt(c.last_retx, |w, t| w.varint(t.0));
-    w.opt(c.last_retx_gap, |w, g| w.varint(g.0));
-}
-
-fn read_cell(r: &mut Reader) -> Result<Cell, DecodeError> {
-    Ok(Cell {
-        flow: read_flow_key(r)?,
-        last_seen: SimTime(r.varint_quantity("cell last_seen")?),
-        sampled_at: SimTime(r.varint_quantity("cell sampled_at")?),
-        last_seq: r.varint_u32("cell last_seq")?,
-        last_retx: r
-            .opt("cell last_retx", Reader::varint_quantity)?
-            .map(SimTime),
-        last_retx_gap: r
-            .opt("cell retx gap", Reader::varint_quantity)?
-            .map(SimDuration),
-    })
-}
-
-fn write_selector_snapshot(w: &mut Writer, s: &SelectorSnapshot) {
-    w.seq(&s.cells, |w, cell| w.opt(cell.as_ref(), write_cell));
-    w.varint(s.last_reset.0);
-    w.varint(s.resets);
-    for v in [
-        s.stats.sampled,
-        s.stats.evicted_fin,
-        s.stats.evicted_idle,
-        s.stats.evicted_reset,
-        s.stats.retransmissions,
-        s.stats.not_monitored,
-    ] {
-        w.varint(v);
-    }
-    w.opt(s.residencies.as_deref(), |w, res| {
-        w.seq(res, |w, d| w.varint(d.0))
-    });
-}
-
-fn read_selector_snapshot(r: &mut Reader) -> Result<SelectorSnapshot, DecodeError> {
-    let cells = r.seq("cell count", Reader::varint, 1, |r| {
-        r.opt("cell", |r, _| read_cell(r))
-    })?;
-    let last_reset = SimTime(r.varint_quantity("selector last_reset")?);
-    let resets = r.varint_quantity("selector resets")?;
-    let stats = SelectorStats {
-        sampled: r.varint_quantity("selector sampled")?,
-        evicted_fin: r.varint_quantity("selector evicted_fin")?,
-        evicted_idle: r.varint_quantity("selector evicted_idle")?,
-        evicted_reset: r.varint_quantity("selector evicted_reset")?,
-        retransmissions: r.varint_quantity("selector retransmissions")?,
-        not_monitored: r.varint_quantity("selector not_monitored")?,
-    };
-    let residencies = r.opt("residencies", |r, what| {
-        r.seq(what, Reader::varint, 1, |r| {
-            Ok(SimDuration(r.varint_quantity("residency")?))
-        })
-    })?;
-    Ok(SelectorSnapshot {
-        cells,
-        last_reset,
-        resets,
-        stats,
-        residencies,
-    })
-}
-
-/// Encode a fast-simulation checkpoint.
-pub fn attack_sim_snapshot_to_bytes(s: &AttackSimSnapshot) -> Vec<u8> {
-    let mut w = Writer::with_capacity(256);
-    for word in s.rng {
-        w.u64(word);
-    }
-    write_selector_snapshot(&mut w, &s.selector);
-    w.seq(&s.flows, |w, f| {
-        write_flow_key(w, &f.key);
-        w.varint(u64::from(f.seq));
-        w.opt(f.dies_at, |w, t| w.varint(t.0));
-    });
-    w.varint(u64::from(s.sport));
-    w.seq(&s.schedule, |w, (t, i)| {
-        w.varint(t.0);
-        w.varint_usize(*i);
-    });
-    w.seq(&s.series, |w, (t, v)| {
-        w.f64(*t);
-        w.f64(*v);
-    });
-    w.varint(s.next_sample.0);
-    w.opt(s.takeover_time, Writer::f64);
-    w.varint(s.packets);
-    w.bool(s.done);
-    w.into_bytes()
-}
-
-// Smallest encodings inside a fast-simulation snapshot: a flow is a key,
-// a sequence number and a flag; a schedule entry two varints; a series
-// point two floats.
-const MIN_FLOW_BYTES: usize = 5 + 1 + 1;
-const MIN_SCHEDULE_BYTES: usize = 2;
-const MIN_SERIES_BYTES: usize = 16;
-
-/// Decode a fast-simulation checkpoint (strict: trailing bytes are an
-/// error).
-pub fn attack_sim_snapshot_from_bytes(bytes: &[u8]) -> Result<AttackSimSnapshot, DecodeError> {
-    let mut r = Reader::new(bytes);
-    let mut rng = [0u64; 4];
-    for word in &mut rng {
-        *word = r.u64("fastsim rng")?;
-    }
-    let selector = read_selector_snapshot(&mut r)?;
-    let flows = r.seq("flow count", Reader::varint, MIN_FLOW_BYTES, |r| {
-        Ok(FlowState {
-            key: read_flow_key(r)?,
-            seq: r.varint_u32("flow seq")?,
-            dies_at: r.opt("flow dies_at", Reader::varint_quantity)?.map(SimTime),
-        })
-    })?;
-    let sport = r.varint_u16("sport cursor")?;
-    let schedule = r.seq("schedule length", Reader::varint, MIN_SCHEDULE_BYTES, |r| {
-        Ok((
-            SimTime(r.varint_quantity("schedule time")?),
-            r.varint_usize("schedule flow index")?,
-        ))
-    })?;
-    let series = r.seq("series length", Reader::varint, MIN_SERIES_BYTES, |r| {
-        Ok((r.f64("series time")?, r.f64("series value")?))
-    })?;
-    let next_sample = SimTime(r.varint_quantity("next sample time")?);
-    let takeover_time = r.opt("takeover time", Reader::f64)?;
-    let packets = r.varint_quantity("packet count")?;
-    let done = r.bool("done flag")?;
-    r.finish("fastsim snapshot")?;
-    Ok(AttackSimSnapshot {
-        rng,
-        selector,
-        flows,
-        sport,
-        schedule,
-        series,
-        next_sample,
-        takeover_time,
-        packets,
-        done,
     })
 }
 
@@ -830,49 +519,13 @@ mod tests {
         let mut bytes = Recording::default().to_bytes();
         assert_eq!(
             bytes[MAGIC.len()],
-            2,
+            3,
             "the version varint follows the magic"
         );
-        bytes[MAGIC.len()] = 1;
-        let err = Recording::from_bytes(&bytes).unwrap_err();
-        assert_eq!((err.what, err.kind), ("recording version", ErrorKind::Tag));
-    }
-
-    #[test]
-    fn packet_codec_round_trips_all_headers() {
-        let key = FlowKey::tcp(Addr::new(10, 0, 0, 1), 443, Addr::new(10, 0, 0, 2), 5001);
-        let headers = [
-            Header::Tcp {
-                seq: 1,
-                ack: u32::MAX,
-                flags: TcpFlags::from_bits(0b1010).unwrap(),
-                window: 65_535,
-            },
-            Header::Udp,
-            Header::IcmpEchoRequest { ident: 1, seq: 2 },
-            Header::IcmpEchoReply { ident: 3, seq: 4 },
-            Header::IcmpTimeExceeded {
-                reported_by: Addr::new(9, 9, 9, 9),
-                probe_ident: 5,
-                probe_seq: 6,
-            },
-        ];
-        for h in headers {
-            let p = Packet {
-                id: 77,
-                key,
-                header: h,
-                size: 1500,
-                ttl: 63,
-                sent_at: SimTime(123_456),
-                payload: 1460,
-            };
-            let mut w = Writer::new();
-            write_packet(&mut w, &p);
-            let buf = w.into_bytes();
-            let mut r = Reader::new(&buf);
-            assert_eq!(read_packet(&mut r), Ok(p));
-            assert_eq!(r.finish("packet"), Ok(()));
+        for old in [1, 2] {
+            bytes[MAGIC.len()] = old;
+            let err = Recording::from_bytes(&bytes).unwrap_err();
+            assert_eq!((err.what, err.kind), ("recording version", ErrorKind::Tag));
         }
     }
 }

@@ -9,12 +9,12 @@
 //!   when every node logic supports `save_state` and no taps are
 //!   installed, hash-only otherwise.
 
-use crate::record::{
-    attack_sim_snapshot_from_bytes, attack_sim_snapshot_to_bytes, engine_checkpoint_from_bytes,
-    engine_checkpoint_to_bytes,
-};
+use crate::record::{engine_checkpoint_from_bytes, engine_checkpoint_to_bytes};
 use crate::replay::{Capture, ReplaySubject, StepInfo};
-use dui_blink::fastsim::{AttackSim, AttackSimConfig, AttackSimSnapshot};
+use dui_blink::fastsim::{
+    attack_sim_snapshot_from_bytes, attack_sim_snapshot_to_bytes, AttackSim, AttackSimConfig,
+    AttackSimSnapshot,
+};
 use dui_netsim::sim::{EngineCheckpoint, Simulator};
 use dui_netsim::time::SimTime;
 use dui_stats::digest::StateDigest;
@@ -41,57 +41,16 @@ pub fn attack_sim_config_digest(cfg: &AttackSimConfig, seed: u64) -> u64 {
     d.finish()
 }
 
+/// A checkpoint's component digests: each section of the checkpoint
+/// encoder, folded on its own under its name.
 fn snapshot_component_digests(snap: &AttackSimSnapshot) -> Vec<(&'static str, u64)> {
-    let mut rng = StateDigest::labeled("rng");
-    for w in snap.rng {
-        rng.write_u64(w);
-    }
-    let mut selector = StateDigest::labeled("selector");
-    selector.write_len(snap.selector.cells.len());
-    for cell in &snap.selector.cells {
-        match cell {
-            None => selector.write_u8(0),
-            Some(c) => {
-                selector.write_u8(1);
-                selector.write_u64(c.flow.digest(0));
-                selector.write_u64(c.last_seen.0);
-                selector.write_u64(c.sampled_at.0);
-                selector.write_u32(c.last_seq);
-                selector.write_opt_u64(c.last_retx.map(|t| t.0));
-                selector.write_opt_u64(c.last_retx_gap.map(|g| g.0));
-            }
-        }
-    }
-    selector.write_u64(snap.selector.last_reset.0);
-    selector.write_u64(snap.selector.resets);
-    let mut flows = StateDigest::labeled("flows");
-    flows.write_len(snap.flows.len());
-    for f in &snap.flows {
-        flows.write_u64(f.key.digest(0));
-        flows.write_u32(f.seq);
-        flows.write_opt_u64(f.dies_at.map(|t| t.0));
-    }
-    flows.write_u16(snap.sport);
-    let mut schedule = StateDigest::labeled("schedule");
-    schedule.write_len(snap.schedule.len());
-    for &(t, i) in &snap.schedule {
-        schedule.write_u64(t.0);
-        schedule.write_usize(i);
-    }
-    let mut series = StateDigest::labeled("series");
-    series.write_len(snap.series.len());
-    for &(t, v) in &snap.series {
-        series.write_f64(t);
-        series.write_f64(v);
-    }
-    series.write_u64(snap.next_sample.0);
-    vec![
-        ("rng", rng.finish()),
-        ("selector", selector.finish()),
-        ("flows", flows.finish()),
-        ("schedule", schedule.finish()),
-        ("series", series.finish()),
-    ]
+    (0..)
+        .zip(AttackSimSnapshot::SECTIONS)
+        .map(|(i, (name, mut d))| {
+            snap.encode_section(i, &mut d);
+            (name, d.finish())
+        })
+        .collect()
 }
 
 /// The Blink flow-level fast simulation as a replay subject.
@@ -196,7 +155,7 @@ fn engine_component_digests(c: &EngineCheckpoint) -> Vec<(&'static str, u64)> {
     queue.write_len(c.events.len());
     for (t, e) in &c.events {
         queue.write_u64(t.0);
-        e.state_digest(&mut queue);
+        e.encode(&mut queue);
     }
     let mut links = StateDigest::labeled("links");
     links.write_len(c.links.len());
@@ -205,13 +164,13 @@ fn engine_component_digests(c: &EngineCheckpoint) -> Vec<(&'static str, u64)> {
         for d in [&l.ab, &l.ba] {
             links.write_len(d.queue.len());
             for p in &d.queue {
-                p.state_digest(&mut links);
+                p.encode(&mut links);
             }
             match &d.in_flight {
                 None => links.write_u8(0),
                 Some(p) => {
                     links.write_u8(1);
-                    p.state_digest(&mut links);
+                    p.encode(&mut links);
                 }
             }
         }

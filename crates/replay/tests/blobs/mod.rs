@@ -12,10 +12,10 @@
     reason = "each test binary that includes this module uses a subset"
 )]
 
-use dui_blink::fastsim::{AttackSim, AttackSimConfig};
+use dui_blink::fastsim::{attack_sim_snapshot_to_bytes, AttackSim, AttackSimConfig};
 use dui_blink::selector::BlinkParams;
 use dui_netsim::prelude::*;
-use dui_replay::record::{attack_sim_snapshot_to_bytes, engine_checkpoint_to_bytes};
+use dui_replay::record::engine_checkpoint_to_bytes;
 use dui_replay::{FastSimSubject, Recorder, Recording, ReplaySubject, SimulatorSubject};
 use dui_tcp::{FlowPool, FlowSpec, TcpHost, TcpHostConfig, TcpSenderConfig};
 

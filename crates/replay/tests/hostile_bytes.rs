@@ -17,13 +17,12 @@
 
 mod blobs;
 
-use dui_blink::fastsim::AttackSimSnapshot;
+use dui_blink::fastsim::{
+    attack_sim_snapshot_from_bytes, attack_sim_snapshot_to_bytes, AttackSimSnapshot,
+};
 use dui_netsim::prelude::*;
 use dui_netsim::sim::EngineCheckpoint;
-use dui_replay::record::{
-    attack_sim_snapshot_from_bytes, attack_sim_snapshot_to_bytes, engine_checkpoint_from_bytes,
-    engine_checkpoint_to_bytes,
-};
+use dui_replay::record::{engine_checkpoint_from_bytes, engine_checkpoint_to_bytes};
 use dui_replay::{Recording, ReplaySubject, Replayer};
 use dui_stats::digest::StateDigest;
 use dui_stats::propcheck::{self, Config, PropError};

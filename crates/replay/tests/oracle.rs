@@ -1,0 +1,282 @@
+//! The determinism oracle's own check: for every component whose state
+//! digest runs its checkpoint encoder, two states digest equal if and
+//! only if they encode to the same bytes.
+//!
+//! Each property builds two states from one generated operation
+//! sequence, the second with part of it permuted (or, in about half the
+//! cases, not), exactly where order could hide state:
+//!
+//! * two `FlowPool`s free the same slots in different orders, and then
+//!   take the same inserts;
+//! * a `TcpHost` and a `SinkHost` receive the same segments in
+//!   different orders, and run on past the half-open reaper;
+//! * two `TcpHost`s run transfers whose sizes are permuted among the
+//!   flows, so the flows close, and free their slots, in another order;
+//! * an `AttackSim` and its `FlowSelector` are stepped to the same
+//!   point, or not, by a fresh run and by a run restored from the
+//!   first's checkpoint.
+//!
+//! A digest that skips state its bytes carry reads "equal" where the
+//! bytes differ — the divergence then surfaces only later, at the wrong
+//! event — and a digest that folds something the bytes do not carry
+//! reads "different" where they agree.
+
+use dui_blink::fastsim::{attack_sim_snapshot_to_bytes, AttackSim, AttackSimConfig};
+use dui_blink::selector::FlowSelector;
+use dui_netsim::prelude::*;
+use dui_stats::digest::StateDigest;
+use dui_stats::propcheck::{Gen, PropResult};
+use dui_stats::wire::Writer;
+use dui_stats::{prop_assert_eq, prop_check};
+use dui_tcp::{FlowPool, FlowSpec, TcpHost, TcpHostConfig, TcpSenderConfig};
+
+/// Equal digests exactly when the bytes are equal.
+fn digest_iff_bytes(what: &str, a: (u64, Vec<u8>), b: (u64, Vec<u8>)) -> PropResult {
+    prop_assert_eq!(
+        a.0 == b.0,
+        a.1 == b.1,
+        "{what}: digests {:#018x} / {:#018x}, bytes equal: {}",
+        a.0,
+        b.0,
+        a.1 == b.1
+    );
+    Ok(())
+}
+
+fn digest(write: impl FnOnce(&mut StateDigest)) -> u64 {
+    let mut d = StateDigest::new();
+    write(&mut d);
+    d.finish()
+}
+
+/// `items` in an order drawn from `g`: unchanged in about half the
+/// cases, otherwise shuffled.
+fn maybe_permuted<'a, T>(g: &mut Gen, items: &'a [T]) -> Vec<&'a T> {
+    let mut out: Vec<_> = items.iter().collect();
+    if g.bool() {
+        for i in (1..out.len()).rev() {
+            out.swap(i, g.usize(0..i + 1));
+        }
+    }
+    out
+}
+
+fn key(sport: u16) -> FlowKey {
+    FlowKey::tcp(Addr::new(10, 0, 0, 1), sport, Addr::new(10, 0, 0, 2), 80)
+}
+
+/// A pool of mixed flows, every output drained.
+fn pool_with(kinds: &[u8]) -> (FlowPool, Vec<dui_tcp::FlowRef>) {
+    let mut p = FlowPool::new();
+    let now = SimTime::ZERO;
+    let refs: Vec<_> = kinds
+        .iter()
+        .zip(1000u16..)
+        .map(|(&kind, sport)| match kind {
+            0 => {
+                let cfg = TcpSenderConfig {
+                    total_bytes: Some(20_000),
+                    handshake: sport % 2 == 0,
+                    ..Default::default()
+                };
+                let r = p.insert_sender(key(sport), cfg, u32::from(sport));
+                p.on_start(r, now).expect("live");
+                r
+            }
+            1 => p.insert_listener(key(sport)),
+            _ => p.insert_receiver(key(sport), 1),
+        })
+        .collect();
+    for &r in &refs {
+        p.drain_out(r, drop).expect("live");
+    }
+    (p, refs)
+}
+
+fn pool_state(p: &FlowPool) -> (u64, Vec<u8>) {
+    (
+        digest(|d| p.state_digest(d)),
+        p.to_bytes().expect("drained"),
+    )
+}
+
+fn host_state(h: &mut dyn NodeLogic) -> (u64, Vec<u8>) {
+    (
+        digest(|d| h.state_digest(d)),
+        h.save_state().expect("restorable"),
+    )
+}
+
+/// `src` sends every packet of `pkts` at time zero into a TCP host and
+/// a sink, which run until `until`.
+fn hosts_after(pkts: &[&Packet], until: SimTime) -> Simulator {
+    let mut b = TopologyBuilder::new();
+    let src = b.host("src", Addr::new(10, 0, 0, 1));
+    let tcp = b.host("tcp", Addr::new(10, 0, 0, 2));
+    let sink = b.host("sink", Addr::new(10, 0, 0, 3));
+    let (bw, delay) = (Bandwidth::mbps(100), SimDuration::from_millis(1));
+    b.link(src, tcp, bw, delay, 64);
+    b.link(src, sink, bw, delay, 64);
+    let mut sim = Simulator::new(b.build(), 3);
+    let mut host = TcpHost::new();
+    host.set_config(TcpHostConfig {
+        listen_backlog: Some(6),
+        evict_closed: true,
+        syn_rcvd_timeout: Some(SimDuration::from_millis(20)),
+    });
+    sim.set_logic(src, Box::new(SinkHost::new()));
+    sim.set_logic(tcp, Box::new(host));
+    sim.set_logic(sink, Box::new(SinkHost::new()));
+    for p in pkts {
+        sim.inject(src, p.duplicate());
+    }
+    sim.run_until(until);
+    sim
+}
+
+/// Flows of `sizes` bytes from one TCP host to another, walking the full
+/// lifecycle, both hosts evicting closed flows, run until every transfer
+/// has closed on both sides.
+fn transfers_after(sizes: &[&u64]) -> Simulator {
+    let mut b = TopologyBuilder::new();
+    let src = b.host("src", Addr::new(10, 0, 0, 1));
+    let dst = b.host("dst", Addr::new(10, 0, 0, 2));
+    b.link(
+        src,
+        dst,
+        Bandwidth::mbps(100),
+        SimDuration::from_millis(1),
+        256,
+    );
+    let mut sim = Simulator::new(b.build(), 3);
+    let flows = (5000u16..)
+        .zip(sizes)
+        .map(|(sport, &&size)| FlowSpec {
+            key: key(sport),
+            start: SimTime::ZERO,
+            config: TcpSenderConfig {
+                total_bytes: Some(size),
+                handshake: true,
+                time_wait: SimDuration::from_millis(5),
+                ..Default::default()
+            },
+        })
+        .collect();
+    let evicting = TcpHostConfig {
+        evict_closed: true,
+        ..TcpHostConfig::default()
+    };
+    let mut sender = TcpHost::with_flows(flows);
+    sender.set_config(evicting.clone());
+    let mut receiver = TcpHost::new();
+    receiver.set_config(evicting);
+    sim.set_logic(src, Box::new(sender));
+    sim.set_logic(dst, Box::new(receiver));
+    sim.run_until(SimTime::from_secs(5));
+    sim
+}
+
+prop_check! {
+    fn pool_digest_is_its_bytes(g) {
+        let kinds = g.vec(2..10, |g| g.u8(0..3));
+        let (mut a, refs) = pool_with(&kinds);
+        let (mut b, _) = pool_with(&kinds);
+        let freed: Vec<_> = refs.into_iter().filter(|_| g.bool()).collect();
+        for &r in &freed {
+            a.free(r).expect("live");
+        }
+        for &r in maybe_permuted(g, &freed) {
+            b.free(r).expect("live");
+        }
+        digest_iff_bytes("after the frees", pool_state(&a), pool_state(&b))?;
+        // The same inserts now land in the slots each free list names.
+        for sport in 2000..2000 + g.u16(0..4) {
+            a.insert_listener(key(sport));
+            b.insert_listener(key(sport));
+        }
+        digest_iff_bytes("after the inserts", pool_state(&a), pool_state(&b))?;
+    }
+
+    fn hosts_digest_their_bytes(g) {
+        let pkts: Vec<Packet> = (0..g.usize(1..10))
+            .map(|i| {
+                let sport = 3000 + g.u16(0..5);
+                let flags = TcpFlags {
+                    syn: g.bool(),
+                    ..TcpFlags::default()
+                };
+                if i % 3 == 2 {
+                    let k = FlowKey::udp(Addr::new(10, 0, 0, 1), sport, Addr::new(10, 0, 0, 3), 53);
+                    Packet::udp(k, 100)
+                } else {
+                    let payload = if flags.syn { 0 } else { 500 };
+                    Packet::tcp(key(sport), g.u32(0..4) * 500, 0, flags, payload)
+                }
+            })
+            .collect();
+        let until = SimTime::ZERO + SimDuration::from_millis(g.u64(1..40));
+        let mut a = hosts_after(&pkts.iter().collect::<Vec<_>>(), until);
+        let mut b = hosts_after(&maybe_permuted(g, &pkts), until);
+        for (what, node) in [("tcp host", NodeId(1)), ("sink host", NodeId(2))] {
+            let (a, b): (&mut dyn NodeLogic, &mut dyn NodeLogic) = if node == NodeId(1) {
+                (a.logic_mut::<TcpHost>(node), b.logic_mut::<TcpHost>(node))
+            } else {
+                (a.logic_mut::<SinkHost>(node), b.logic_mut::<SinkHost>(node))
+            };
+            digest_iff_bytes(what, host_state(a), host_state(b))?;
+        }
+    }
+
+    fn closing_hosts_digest_their_bytes(g) {
+        let sizes = g.vec(2..5, |g| g.u64(1..12) * 1460);
+        let mut a = transfers_after(&sizes.iter().collect::<Vec<_>>());
+        let mut b = transfers_after(&maybe_permuted(g, &sizes));
+        for node in [NodeId(0), NodeId(1)] {
+            let (a, b) = (a.logic_mut::<TcpHost>(node), b.logic_mut::<TcpHost>(node));
+            prop_assert_eq!(a.counters().evictions, sizes.len() as u64);
+            digest_iff_bytes("closing host", host_state(a), host_state(b))?;
+        }
+    }
+
+    fn fastsim_digest_is_its_bytes(g) {
+        let cfg = AttackSimConfig {
+            legit_flows: g.usize(3..20),
+            malicious_flows: g.usize(0..4),
+            horizon: SimDuration::from_secs(3),
+            ..AttackSimConfig::fig2()
+        };
+        let seed = g.u64(0..3);
+        let steps = g.usize(0..200);
+        let mut a = AttackSim::new(&cfg, seed);
+        for _ in 0..steps {
+            a.step();
+        }
+        // The second run is either restored from the first's checkpoint
+        // or fresh, then stepped to the same point or a little past it.
+        let mut b = if g.bool() {
+            AttackSim::restore(&cfg, a.snapshot()).expect("own snapshot")
+        } else {
+            let mut b = AttackSim::new(&cfg, g.u64(0..3));
+            for _ in 0..steps {
+                b.step();
+            }
+            b
+        };
+        for _ in 0..g.usize(0..3) {
+            b.step();
+        }
+        let (sa, sb) = (a.snapshot(), b.snapshot());
+        digest_iff_bytes(
+            "attack sim",
+            (digest(|d| a.state_digest(d)), attack_sim_snapshot_to_bytes(&sa)),
+            (digest(|d| b.state_digest(d)), attack_sim_snapshot_to_bytes(&sb)),
+        )?;
+        let selector = |snap: &dui_blink::selector::SelectorSnapshot| {
+            let live = FlowSelector::from_snapshot(cfg.params, snap.clone());
+            let mut w = Writer::new();
+            snap.encode(&mut w);
+            (digest(|d| live.state_digest(d)), w.into_bytes())
+        };
+        digest_iff_bytes("selector", selector(&sa.selector), selector(&sb.selector))?;
+    }
+}

@@ -2,11 +2,13 @@
 //! `propcheck` engine): codec round-trips and checkpoint/restore
 //! fixed points under randomized scenarios.
 
-use dui_blink::fastsim::{AttackSim, AttackSimConfig};
+use dui_blink::fastsim::{
+    attack_sim_snapshot_from_bytes, attack_sim_snapshot_to_bytes, AttackSim, AttackSimConfig,
+};
 use dui_netsim::prelude::*;
 use dui_replay::record::{
-    attack_sim_snapshot_from_bytes, attack_sim_snapshot_to_bytes, engine_checkpoint_from_bytes,
-    engine_checkpoint_to_bytes, CheckpointFrame, EventFrame, Recording,
+    engine_checkpoint_from_bytes, engine_checkpoint_to_bytes, CheckpointFrame, EventFrame,
+    Recording,
 };
 use dui_replay::replay::ReplaySubject;
 use dui_replay::{FastSimSubject, Recorder, Replayer};

@@ -16,9 +16,9 @@ use dui_stats::hash::FixedState;
 use std::hash::BuildHasher;
 
 const PINNED: &[(&str, usize, u64)] = &[
-    ("duir_fastsim", 4408, 0xb5d3c89bbf4291ba),
-    ("duir_engine", 11898, 0x6ca8a92384d94627),
-    ("engine_checkpoint", 1898, 0xd4bb66eaae439de4),
+    ("duir_fastsim", 4408, 0xf728b8f9c7bbf2a5),
+    ("duir_engine", 11898, 0x348e6301e11b0b4b),
+    ("engine_checkpoint", 1898, 0x692c8a0d8296bfb2),
     ("fastsim_snapshot", 737, 0xc194732c8bda8ce5),
     ("tcp_host", 907, 0x7dfd0a0bb2d94735),
     ("flow_pool", 554, 0xcd22838b1ffc9853),

@@ -15,11 +15,18 @@
 //! * **logical state only** — no memory addresses, capacities or
 //!   allocator artifacts;
 //! * **no unordered iteration** — a `HashMap`/`HashSet` is digested
-//!   through a sorted view or [`StateDigest::write_unordered`];
+//!   through a sorted view (clippy's `iter_over_hash_type` refuses a
+//!   `for` loop over a hash container anywhere in the workspace);
 //! * **no telemetry** — metrics are observations about a run, not
 //!   state that influences it.
 //!
-//! Three properties of the primitive itself matter and are guaranteed
+//! A component that has a checkpoint codec keeps the contract by
+//! construction: its encoder is generic over [`Encoder`], and its
+//! `state_digest` runs that encoder into the digest, which folds each
+//! primitive as one word. Equal bytes then mean equal digests, and
+//! (up to a 64-bit collision) the converse.
+//!
+//! Two properties of the primitive itself matter and are guaranteed
 //! here:
 //!
 //! 1. **Cross-run stability.** The digest is a pure function of the
@@ -32,12 +39,6 @@
 //!    sequences via [`StateDigest::write_len`]) are length-prefixed so
 //!    concatenation ambiguities (`"ab" + "c"` vs `"a" + "bc"`) cannot
 //!    collide by construction.
-//! 3. **Order-insensitive folding** for unordered containers: callers
-//!    hashing a `HashMap` must either iterate in a sorted order or
-//!    combine independent per-entry digests with
-//!    [`StateDigest::write_unordered`], which is commutative. (Clippy's
-//!    `iter_over_hash_type` refuses a `for` loop over a hash container
-//!    anywhere in the workspace.)
 //!
 //! ```
 //! use dui_stats::digest::StateDigest;
@@ -60,6 +61,7 @@
 )]
 
 use crate::hash::fold;
+use crate::wire::Encoder;
 
 /// Incremental, deterministic 64-bit digest over logical state.
 ///
@@ -204,28 +206,44 @@ impl StateDigest {
         self.write_bytes(s.as_bytes());
     }
 
-    /// Commutatively fold an already-finished sub-digest.
-    ///
-    /// `write_unordered(a); write_unordered(b)` equals
-    /// `write_unordered(b); write_unordered(a)`, so unordered
-    /// containers (hash maps, sets) can be hashed without sorting:
-    /// digest each entry independently (key and value together) and
-    /// fold the per-entry digests here. Wrapping addition of mixed
-    /// entries keeps collisions unlikely while being order-free.
-    #[inline]
-    pub fn write_unordered(&mut self, entry_digest: u64) {
-        // mix once so raw entry digests are decorrelated before the
-        // commutative sum; do NOT chain through `state`.
-        self.state = self
-            .state
-            .wrapping_add(crate::rng::hash64(entry_digest ^ 0xA5A5_5A5A_C3C3_3C3C));
-    }
-
     /// Final 64-bit digest (one extra mixing round so short inputs
     /// still avalanche).
     #[inline]
     pub fn finish(&self) -> u64 {
         crate::rng::hash64(self.state ^ 0x9E37_79B9_7F4A_7C15)
+    }
+}
+
+/// Each primitive is one word, whatever its width or wire form.
+impl Encoder for StateDigest {
+    #[inline]
+    fn u8(&mut self, v: u8) {
+        self.write_u8(v);
+    }
+
+    #[inline]
+    fn u16(&mut self, v: u16) {
+        self.write_u16(v);
+    }
+
+    #[inline]
+    fn u32(&mut self, v: u32) {
+        self.write_u32(v);
+    }
+
+    #[inline]
+    fn u64(&mut self, v: u64) {
+        self.write_u64(v);
+    }
+
+    #[inline]
+    fn varint(&mut self, v: u64) {
+        self.write_u64(v);
+    }
+
+    #[inline]
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.write_bytes(bytes);
     }
 }
 
@@ -255,20 +273,6 @@ mod tests {
         b.write_u64(2);
         b.write_u64(1);
         assert_ne!(a.finish(), b.finish());
-    }
-
-    #[test]
-    fn write_unordered_is_commutative() {
-        let (x, y, z) = (0xdead_beef, 0xfeed_face, 7);
-        let mut a = StateDigest::new();
-        a.write_unordered(x);
-        a.write_unordered(y);
-        a.write_unordered(z);
-        let mut b = StateDigest::new();
-        b.write_unordered(z);
-        b.write_unordered(x);
-        b.write_unordered(y);
-        assert_eq!(a.finish(), b.finish());
     }
 
     #[test]

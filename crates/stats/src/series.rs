@@ -65,15 +65,6 @@ impl TimeSeries {
             .map(|&(_, v)| v)
             .fold(None, |m, v| Some(m.map_or(v, |m: f64| m.max(v))))
     }
-
-    /// Summary over the values.
-    pub fn value_summary(&self) -> Summary {
-        let mut s = Summary::new();
-        for &(_, v) in &self.points {
-            s.add(v);
-        }
-        s
-    }
 }
 
 /// Per-time-point aggregate over many aligned runs of the same experiment.
@@ -189,9 +180,8 @@ mod tests {
     }
 
     #[test]
-    fn max_value_and_summary() {
+    fn max_value() {
         let s = series(&[(0.0, 1.0), (1.0, 5.0), (2.0, 3.0)]);
         assert_eq!(s.max_value(), Some(5.0));
-        assert!((s.value_summary().mean() - 3.0).abs() < 1e-12);
     }
 }

@@ -76,16 +76,6 @@ impl Summary {
         self.mean() * self.n as f64
     }
 
-    /// Half-width of the normal-approximation 95% confidence interval of the
-    /// mean. Zero for < 2 observations.
-    pub fn ci95_half_width(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            1.96 * self.std_dev() / (self.n as f64).sqrt()
-        }
-    }
-
     /// Coefficient of variation (std dev / mean); 0 if mean is 0.
     ///
     /// The PCC experiment (paper §4.2) reports traffic *fluctuation* at the
@@ -245,19 +235,6 @@ mod tests {
         let dirty = [10.0, 10.5, 9.5, 10.2, 1000.0];
         assert!(mad(&dirty) < 3.0, "MAD should shrug off one outlier");
         assert!(mad(&clean) < 1.5);
-    }
-
-    #[test]
-    fn ci_shrinks_with_samples() {
-        let mut small = Summary::new();
-        let mut big = Summary::new();
-        for i in 0..10 {
-            small.add((i % 3) as f64);
-        }
-        for i in 0..1000 {
-            big.add((i % 3) as f64);
-        }
-        assert!(big.ci95_half_width() < small.ci95_half_width());
     }
 
     #[test]

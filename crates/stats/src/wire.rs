@@ -12,8 +12,13 @@
 //! `0`/`1` booleans and option flags), so an accepted input re-encodes
 //! to itself.
 //!
+//! A state encoder is written once, generic over [`Encoder`]: run into a
+//! [`Writer`] it yields a checkpoint's bytes, run into a
+//! [`StateDigest`](crate::digest::StateDigest) it yields the component's
+//! state digest, so the two cannot cover different state.
+//!
 //! ```
-//! use dui_stats::wire::{Reader, Writer};
+//! use dui_stats::wire::{Encoder, Reader, Writer};
 //! let mut w = Writer::new();
 //! w.varint(300);
 //! w.str("link");
@@ -321,7 +326,78 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// The mirror of [`Reader`]: appends the same primitives to a buffer.
+/// Where a state encoder writes: the primitives of the wire format.
+///
+/// [`Writer`] encodes each as bytes. [`StateDigest`](crate::digest::StateDigest)
+/// folds each as one 64-bit word — a `bytes` run as its length and then
+/// its 8-byte words — so a fixed-width value and a varint of the same
+/// value fold alike, and an encoder's digest covers exactly what its
+/// bytes carry. Generic methods keep every encoder statically
+/// dispatched.
+pub trait Encoder {
+    /// One byte.
+    fn u8(&mut self, v: u8);
+
+    /// Fixed-width `u16`.
+    fn u16(&mut self, v: u16);
+
+    /// Fixed-width `u32`.
+    fn u32(&mut self, v: u32);
+
+    /// Fixed-width `u64`.
+    fn u64(&mut self, v: u64);
+
+    /// An LEB128 varint.
+    fn varint(&mut self, v: u64);
+
+    /// A length, then the bytes.
+    fn bytes(&mut self, bytes: &[u8]);
+
+    /// An `f64` as its bit pattern in a `u64`.
+    #[inline]
+    fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+
+    /// A one-byte boolean.
+    #[inline]
+    fn bool(&mut self, v: bool) {
+        self.u8(u8::from(v));
+    }
+
+    /// A `usize` length or index as a varint.
+    #[inline]
+    fn varint_usize(&mut self, v: usize) {
+        self.varint(v as u64);
+    }
+
+    /// A one-byte presence flag, then the value if present.
+    #[inline]
+    fn opt<T>(&mut self, v: Option<T>, write: impl FnOnce(&mut Self, T)) {
+        self.bool(v.is_some());
+        if let Some(v) = v {
+            write(self, v);
+        }
+    }
+
+    /// A varint element count, then each element as `write` writes it —
+    /// the mirror of a [`Reader::seq`] with a `Reader::varint` prefix.
+    #[inline]
+    fn seq<I>(&mut self, items: I, mut write: impl FnMut(&mut Self, I::Item))
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let items = items.into_iter();
+        self.varint_usize(items.len());
+        for item in items {
+            write(self, item);
+        }
+    }
+}
+
+/// The mirror of [`Reader`]: appends the [`Encoder`] primitives to a
+/// buffer.
 #[derive(Debug, Clone, Default)]
 pub struct Writer {
     buf: Vec<u8>,
@@ -351,45 +427,38 @@ impl Writer {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// One byte.
+    /// A varint length, then the UTF-8 bytes.
+    pub fn str(&mut self, s: &str) {
+        self.bytes(s.as_bytes());
+    }
+}
+
+impl Encoder for Writer {
     #[inline]
-    pub fn u8(&mut self, v: u8) {
+    fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
-    /// Fixed-width little-endian `u16`.
+    /// Little-endian.
     #[inline]
-    pub fn u16(&mut self, v: u16) {
+    fn u16(&mut self, v: u16) {
         self.raw(&v.to_le_bytes());
     }
 
-    /// Fixed-width little-endian `u32`.
+    /// Little-endian.
     #[inline]
-    pub fn u32(&mut self, v: u32) {
+    fn u32(&mut self, v: u32) {
         self.raw(&v.to_le_bytes());
     }
 
-    /// Fixed-width little-endian `u64`.
+    /// Little-endian.
     #[inline]
-    pub fn u64(&mut self, v: u64) {
+    fn u64(&mut self, v: u64) {
         self.raw(&v.to_le_bytes());
     }
 
-    /// An `f64` as its bit pattern in a little-endian `u64`.
     #[inline]
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    /// A one-byte boolean.
-    #[inline]
-    pub fn bool(&mut self, v: bool) {
-        self.u8(u8::from(v));
-    }
-
-    /// An LEB128 varint.
-    #[inline]
-    pub fn varint(&mut self, mut v: u64) {
+    fn varint(&mut self, mut v: u64) {
         while v >= 0x80 {
             self.buf.push(v as u8 | 0x80);
             v >>= 7;
@@ -397,38 +466,11 @@ impl Writer {
         self.buf.push(v as u8);
     }
 
-    /// A `usize` length or index as a varint.
-    #[inline]
-    pub fn varint_usize(&mut self, v: usize) {
-        self.varint(v as u64);
-    }
-
-    /// A one-byte presence flag, then the value if present.
-    pub fn opt<T>(&mut self, v: Option<T>, write: impl FnOnce(&mut Self, T)) {
-        self.bool(v.is_some());
-        if let Some(v) = v {
-            write(self, v);
-        }
-    }
-
-    /// A varint element count, then each element as `write` writes it —
-    /// the mirror of a [`Reader::seq`] with a `Reader::varint` prefix.
-    pub fn seq<T>(&mut self, items: &[T], mut write: impl FnMut(&mut Self, &T)) {
-        self.varint_usize(items.len());
-        for item in items {
-            write(self, item);
-        }
-    }
-
     /// A varint length, then the bytes.
-    pub fn bytes(&mut self, bytes: &[u8]) {
+    #[inline]
+    fn bytes(&mut self, bytes: &[u8]) {
         self.varint_usize(bytes.len());
         self.raw(bytes);
-    }
-
-    /// A varint length, then the UTF-8 bytes.
-    pub fn str(&mut self, s: &str) {
-        self.bytes(s.as_bytes());
     }
 }
 

@@ -67,7 +67,6 @@ labels!(
     "pytheas",
     "queue",
     "rng",
-    "sched",
     "schedule",
     "selector",
     "series",

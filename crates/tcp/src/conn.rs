@@ -37,17 +37,7 @@ use crate::rtt::RttEstimator;
 use crate::seq::{seq_dist, seq_ge, seq_gt, seq_lt};
 use dui_netsim::packet::{FlowKey, Header, Packet, TcpFlags};
 use dui_netsim::time::{SimDuration, SimTime};
-use dui_stats::digest::StateDigest;
 use std::collections::{BTreeMap, VecDeque};
-
-/// Fold a flow key into `d` field by field (src, dst, sport, dport, proto).
-pub(crate) fn digest_flow_key(d: &mut StateDigest, key: &FlowKey) {
-    d.write_u32(key.src.0);
-    d.write_u32(key.dst.0);
-    d.write_u16(key.sport);
-    d.write_u16(key.dport);
-    d.write_u8(key.proto.code());
-}
 
 /// RFC 9293 connection states (plus `Idle`, the pre-open CLOSED a sender
 /// sits in between construction and `on_start`).
@@ -212,17 +202,6 @@ impl RtxQueue {
 
     pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, &SegmentRecord)> {
         self.q.iter().map(|(s, r)| (*s, r))
-    }
-
-    /// Queue-order digest (send order is the canonical order).
-    pub(crate) fn state_digest(&self, d: &mut StateDigest) {
-        d.write_len(self.q.len());
-        for (seq, rec) in &self.q {
-            d.write_u32(*seq);
-            d.write_u64(rec.sent_at.0);
-            d.write_bool(rec.retransmitted);
-            d.write_u32(rec.len);
-        }
     }
 }
 
@@ -751,58 +730,6 @@ pub(crate) fn sender_next_event_time(meta: &SenderMeta) -> Option<SimTime> {
     .min()
 }
 
-/// Fold one sender's complete column set into `d`: configuration,
-/// congestion control, RTT estimator, sequence space, the retransmission
-/// queue (send order — already canonical, no sorting), the staged output
-/// (oldest first) and statistics.
-pub(crate) fn digest_sender_row<'a>(
-    d: &mut StateDigest,
-    key: &FlowKey,
-    row: &SenderRow,
-    out: impl Iterator<Item = &'a Packet> + Clone,
-) {
-    let SenderRow {
-        cfg,
-        cc,
-        rtt,
-        seq,
-        rtx,
-        meta,
-        stats,
-    } = row;
-    digest_flow_key(d, key);
-    d.write_u32(cfg.mss);
-    d.write_opt_u64(cfg.total_bytes);
-    d.write_opt_u64(cfg.app_rate);
-    d.write_f64(cfg.initial_cwnd);
-    d.write_bool(cfg.handshake);
-    d.write_u64(cfg.time_wait.as_nanos());
-    cc.state_digest(d);
-    rtt.state_digest(d);
-    d.write_u32(seq.isn);
-    d.write_u32(seq.snd_una);
-    d.write_u32(seq.snd_nxt);
-    d.write_u64(seq.app_sent);
-    d.write_u64(meta.started_at.0);
-    rtx.state_digest(d);
-    d.write_u32(meta.dupacks);
-    d.write_opt_u64(meta.rto_deadline.map(|t| t.0));
-    d.write_opt_u64(meta.pace_deadline.map(|t| t.0));
-    d.write_opt_u64(meta.timewait_deadline.map(|t| t.0));
-    d.write_u32(meta.peer_rwnd);
-    d.write_opt_u64(seq.fin_seq.map(u64::from));
-    d.write_opt_u64(seq.syn_seq.map(u64::from));
-    d.write_opt_u64(seq.recovery_until.map(u64::from));
-    d.write_u8(meta.state.code());
-    digest_out(d, out);
-    d.write_u64(stats.bytes_acked);
-    d.write_u64(stats.segments_sent);
-    d.write_u64(stats.retransmissions);
-    d.write_u64(stats.fast_retransmits);
-    d.write_u64(stats.timeouts);
-    d.write_opt_u64(stats.completed_at.map(|t| t.0));
-}
-
 /// Receiver-side statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ReceiverStats {
@@ -1017,44 +944,6 @@ impl RecvCols<'_> {
             *window = self.rcv.advertised_window;
         }
         self.out.push(p);
-    }
-}
-
-/// Fold one receiver's complete column set into `d` (the reassembly
-/// buffer is a `BTreeMap`, so iteration order is already stable).
-pub(crate) fn digest_recv_row<'a>(
-    d: &mut StateDigest,
-    key: &FlowKey,
-    row: &RecvRow,
-    out: impl Iterator<Item = &'a Packet> + Clone,
-) {
-    let RecvRow { rcv, stats } = row;
-    digest_flow_key(d, key);
-    d.write_u32(rcv.rcv_nxt);
-    d.write_len(rcv.ooo.len());
-    for (seq, len) in &rcv.ooo {
-        d.write_u32(*seq);
-        d.write_u32(*len);
-    }
-    d.write_opt_u64(rcv.fin_seq.map(u64::from));
-    d.write_bool(rcv.done);
-    d.write_u32(rcv.advertised_window);
-    d.write_u8(rcv.state.code());
-    d.write_bool(rcv.handshake);
-    d.write_bool(rcv.our_fin_sent);
-    digest_out(d, out);
-    d.write_u64(stats.bytes_delivered);
-    d.write_u64(stats.duplicate_segments);
-    d.write_u64(stats.out_of_order_segments);
-    d.write_opt_u64(stats.finished_at.map(|t| t.0));
-}
-
-/// Fold a slot's staged output into `d`: its length, then each packet,
-/// oldest first.
-fn digest_out<'a>(d: &mut StateDigest, out: impl Iterator<Item = &'a Packet> + Clone) {
-    d.write_len(out.clone().count());
-    for p in out {
-        p.state_digest(d);
     }
 }
 

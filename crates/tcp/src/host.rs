@@ -13,7 +13,7 @@
 //! pending per sender: the engine has no timer cancellation, so re-arming
 //! on every ACK would leave a chain of wakes that each find nothing due.
 
-use crate::conn::{digest_flow_key, ReceiverStats, SenderStats, TcpSenderConfig, TcpState};
+use crate::conn::{ReceiverStats, SenderStats, TcpSenderConfig, TcpState};
 use crate::pool::{
     get_cfg, get_tcp_key, put_cfg, FlowKind, FlowPool, FlowRef, StaleFlowRef, MIN_CFG_BYTES,
 };
@@ -22,7 +22,7 @@ use dui_netsim::prelude::{Ctx, NodeLogic};
 use dui_netsim::time::{SimDuration, SimTime};
 use dui_stats::digest::StateDigest;
 use dui_stats::hash::FixedState;
-use dui_stats::wire::{DecodeError, ErrorKind, Reader, Writer};
+use dui_stats::wire::{DecodeError, Encoder, ErrorKind, Reader, Writer};
 use std::any::Any;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
@@ -63,15 +63,16 @@ pub trait FlowSource: Send {
     }
 }
 
-fn digest_flow_spec(d: &mut StateDigest, spec: &FlowSpec) {
-    digest_flow_key(d, &spec.key);
-    d.write_u64(spec.start.0);
-    d.write_u32(spec.config.mss);
-    d.write_opt_u64(spec.config.total_bytes);
-    d.write_opt_u64(spec.config.app_rate);
-    d.write_f64(spec.config.initial_cwnd);
-    d.write_bool(spec.config.handshake);
-    d.write_u64(spec.config.time_wait.as_nanos());
+/// The checkpoint form of a source's remaining flows, which is also
+/// [`VecSource`]'s digest: a `u32` count, then each spec's key, start
+/// time and sender configuration.
+fn encode_specs<'a, E: Encoder>(e: &mut E, specs: impl ExactSizeIterator<Item = &'a FlowSpec>) {
+    e.u32(specs.len() as u32);
+    for spec in specs {
+        spec.key.encode(e);
+        e.u64(spec.start.0);
+        put_cfg(e, &spec.config);
+    }
 }
 
 /// The materialized [`FlowSource`]: a start-sorted queue of specs.
@@ -104,10 +105,7 @@ impl FlowSource for VecSource {
     }
 
     fn state_digest(&self, d: &mut StateDigest) {
-        d.write_len(self.pending.len());
-        for spec in &self.pending {
-            digest_flow_spec(d, spec);
-        }
+        encode_specs(d, self.pending.iter());
     }
 
     fn remaining(&self) -> Option<Vec<FlowSpec>> {
@@ -166,7 +164,7 @@ pub struct HostCounters {
 }
 
 impl HostCounters {
-    /// Every counter, in the order digests and checkpoints use.
+    /// Every counter, in the order the checkpoint encoder uses.
     fn fields(&self) -> [u64; 14] {
         let mut copy = *self;
         copy.fields_mut().map(|v| *v)
@@ -189,12 +187,6 @@ impl HostCounters {
             &mut self.evicted_bytes_received,
             &mut self.evicted_done_receivers,
         ]
-    }
-
-    fn state_digest(&self, d: &mut StateDigest) {
-        for v in self.fields() {
-            d.write_u64(v);
-        }
     }
 }
 
@@ -449,6 +441,26 @@ impl TcpHost {
         ctx.set_timer(fire.since(now), Self::flow_token(r));
     }
 
+    /// The host's own fields, after the source and the pool in both its
+    /// checkpoint and its digest.
+    fn encode_own<E: Encoder>(&self, e: &mut E) {
+        e.u32(self.order.len() as u32);
+        for k in &self.order {
+            k.encode(e);
+        }
+        e.u32(self.next_isn);
+        e.u32(self.wake_at.len() as u32);
+        for wake in &self.wake_at {
+            e.opt(wake.map(|t| t.0), E::u64);
+        }
+        for v in self.agg.fields() {
+            e.u64(v);
+        }
+        e.opt(self.cfg.listen_backlog.map(|v| v as u64), E::u64);
+        e.bool(self.cfg.evict_closed);
+        e.opt(self.cfg.syn_rcvd_timeout.map(|t| t.as_nanos()), E::u64);
+    }
+
     /// Update handshake counters for an observed state transition.
     fn note_transition(&mut self, pre: TcpState, post: TcpState) {
         if pre == post {
@@ -602,23 +614,12 @@ impl NodeLogic for TcpHost {
     }
 
     fn state_digest(&self, d: &mut StateDigest) {
+        // Digest-only: the source is a trait object, and a generative
+        // stream has a digest but no codec. `VecSource`'s digest is its
+        // checkpoint form.
         self.source.state_digest(d);
-        // Pool digest walks slots in handle order — already canonical, no
-        // key sorting.
         self.pool.state_digest(d);
-        d.write_len(self.order.len());
-        for k in &self.order {
-            digest_flow_key(d, k);
-        }
-        d.write_u32(self.next_isn);
-        d.write_len(self.wake_at.len());
-        for w in &self.wake_at {
-            d.write_opt_u64(w.map(|t| t.0));
-        }
-        self.agg.state_digest(d);
-        d.write_opt_u64(self.cfg.listen_backlog.map(|v| v as u64));
-        d.write_bool(self.cfg.evict_closed);
-        d.write_opt_u64(self.cfg.syn_rcvd_timeout.map(|t| t.as_nanos()));
+        self.encode_own(d);
     }
 
     fn save_state(&self) -> Option<Vec<u8>> {
@@ -629,29 +630,11 @@ impl NodeLogic for TcpHost {
         let pool = self.pool.to_bytes().ok()?;
         let mut w = Writer::new();
         w.raw(&STATE_TAG);
-        w.u32(remaining.len() as u32);
-        for spec in &remaining {
-            spec.key.encode(&mut w);
-            w.u64(spec.start.0);
-            put_cfg(&mut w, &spec.config);
-        }
+        encode_specs(&mut w, remaining.iter());
+        // The pool's length frames its blob; its digest needs no frame.
         w.u64(pool.len() as u64);
         w.raw(&pool);
-        w.u32(self.order.len() as u32);
-        for k in &self.order {
-            k.encode(&mut w);
-        }
-        w.u32(self.next_isn);
-        w.u32(self.wake_at.len() as u32);
-        for wake in &self.wake_at {
-            w.opt(wake.map(|t| t.0), Writer::u64);
-        }
-        for v in self.agg.fields() {
-            w.u64(v);
-        }
-        w.opt(self.cfg.listen_backlog.map(|v| v as u64), Writer::u64);
-        w.bool(self.cfg.evict_closed);
-        w.opt(self.cfg.syn_rcvd_timeout.map(|t| t.as_nanos()), Writer::u64);
+        self.encode_own(&mut w);
         Some(w.into_bytes())
     }
 
@@ -1246,8 +1229,9 @@ mod tests {
             (57, 1000, 0, 7_202),
         ]);
         assert_eq!(seen, want);
-        // Captured with the index keyed by forward key.
-        assert_eq!(sim.state_hash(), 0xb57a_3afd_a63a_df20);
+        // The host's pool digest covers the three evicted flows' free
+        // slots as well as the live ones.
+        assert_eq!(sim.state_hash(), 0x1edd_257b_b318_55fe);
     }
 
     #[test]

@@ -39,15 +39,15 @@
 //! list and calls the one implementation in `conn.rs`.
 
 use crate::conn::{
-    digest_recv_row, digest_sender_row, RcvState, ReceiverStats, RecvCols, RecvRow, RtxQueue,
-    SegmentRecord, SenderCols, SenderRow, SenderStats, TcpSenderConfig, TcpState,
+    RcvState, ReceiverStats, RecvCols, RecvRow, RtxQueue, SegmentRecord, SenderCols, SenderRow,
+    SenderStats, TcpSenderConfig, TcpState,
 };
 use crate::reno::Reno;
 use crate::rtt::RttEstimator;
 use dui_netsim::packet::{Addr, FlowKey, Packet, Proto};
 use dui_netsim::time::{SimDuration, SimTime};
 use dui_stats::digest::StateDigest;
-use dui_stats::wire::{DecodeError, ErrorKind, Reader, Writer};
+use dui_stats::wire::{DecodeError, Encoder, ErrorKind, Reader, Writer};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -735,126 +735,115 @@ impl FlowPool {
         self.recycled
     }
 
-    /// Fold every live flow into `d` in slot order (handle order *is* the
-    /// canonical order — this is what retired the sort-keys-then-iterate
-    /// dance the HashMap layout forced on `TcpHost::state_digest`).
+    /// Fold the pool into `d`: its checkpoint encoder, every slot in slot
+    /// order (free slots and the free list included, since they pick the
+    /// next insert's slot), then the staged output. Output is digest-only:
+    /// checkpoints fall between events, and [`FlowPool::to_bytes`]
+    /// refuses undrained output.
     pub fn state_digest(&self, d: &mut StateDigest) {
-        d.write_len(self.live);
-        for (i, kind) in self.kind.iter().enumerate() {
-            match *kind {
-                SlotKind::Free { .. } => continue,
-                SlotKind::Sender { row } => {
-                    d.write_u32(i as u32);
-                    d.write_u32(self.gens[i]);
-                    d.write_u8(0);
-                    let row = &self.send.rows[row as usize];
-                    digest_sender_row(d, &self.keys[i], row, self.slab.iter(self.out[i]));
-                }
-                SlotKind::Receiver { row } => {
-                    d.write_u32(i as u32);
-                    d.write_u32(self.gens[i]);
-                    d.write_u8(1);
-                    let row = &self.recv.rows[row as usize];
-                    digest_recv_row(d, &self.keys[i], row, self.slab.iter(self.out[i]));
+        self.encode(d);
+        for (i, list) in self.out.iter().enumerate() {
+            if list.head != NIL {
+                let staged = self.slab.iter(*list);
+                d.write_usize(i);
+                d.write_len(staged.clone().count());
+                for p in staged {
+                    p.encode(d);
                 }
             }
         }
-        d.write_u64(self.recycled);
-        d.write_usize(self.high_water);
+        d.write_u32(NIL);
     }
 
     /// Serialize the whole pool for checkpointing. Fails if any output
     /// queue is undrained (hosts drain after every event, so a checkpoint
-    /// boundary never sees buffered packets — serializing them would drag
-    /// the full packet codec in here for a case that cannot occur).
+    /// boundary never sees buffered packets).
     pub fn to_bytes(&self) -> Result<Vec<u8>, String> {
+        if let Some(i) = self.out.iter().position(|list| list.head != NIL) {
+            return Err(format!("flow slot {i} has undrained output"));
+        }
         let mut w = Writer::new();
-        w.u32(self.gens.len() as u32);
+        self.encode(&mut w);
+        Ok(w.into_bytes())
+    }
+
+    /// The checkpoint encoder behind [`FlowPool::to_bytes`] and
+    /// [`FlowPool::state_digest`].
+    fn encode<E: Encoder>(&self, e: &mut E) {
+        e.u32(self.gens.len() as u32);
         for i in 0..self.gens.len() {
-            if self.out[i].head != NIL {
-                return Err(format!("flow slot {i} has undrained output"));
-            }
-            w.u32(self.gens[i]);
+            e.u32(self.gens[i]);
             match self.kind[i] {
                 SlotKind::Free { next_free } => {
-                    w.u8(0);
-                    w.u32(next_free);
+                    e.u8(0);
+                    e.u32(next_free);
                 }
                 SlotKind::Sender { row } => {
                     let s = &self.send.rows[row as usize];
-                    w.u8(1);
-                    self.keys[i].encode(&mut w);
-                    put_cfg(&mut w, &s.cfg);
-                    let (cwnd, ssthresh) = s.cc.to_parts();
-                    w.f64(cwnd);
-                    w.f64(ssthresh);
-                    let (srtt, rttvar, rto, backoff, min_rto, max_rto) = s.rtt.to_parts();
-                    w.opt(srtt, Writer::u64);
-                    w.u64(rttvar);
-                    w.u64(rto);
-                    w.u32(backoff);
-                    w.u64(min_rto);
-                    w.u64(max_rto);
+                    e.u8(1);
+                    self.keys[i].encode(e);
+                    put_cfg(e, &s.cfg);
+                    s.cc.encode(e);
+                    s.rtt.encode(e);
                     let sq = &s.seq;
-                    w.u32(sq.isn);
-                    w.u32(sq.snd_una);
-                    w.u32(sq.snd_nxt);
-                    w.u64(sq.app_sent);
-                    w.opt(sq.fin_seq, Writer::u32);
-                    w.opt(sq.syn_seq, Writer::u32);
-                    w.opt(sq.recovery_until, Writer::u32);
+                    e.u32(sq.isn);
+                    e.u32(sq.snd_una);
+                    e.u32(sq.snd_nxt);
+                    e.u64(sq.app_sent);
+                    e.opt(sq.fin_seq, E::u32);
+                    e.opt(sq.syn_seq, E::u32);
+                    e.opt(sq.recovery_until, E::u32);
                     let q = &s.rtx;
-                    w.u32(q.len() as u32);
+                    e.u32(q.len() as u32);
                     for (seq, rec) in q.iter() {
-                        w.u32(seq);
-                        w.u64(rec.sent_at.0);
-                        w.bool(rec.retransmitted);
-                        w.u32(rec.len);
+                        e.u32(seq);
+                        e.u64(rec.sent_at.0);
+                        e.bool(rec.retransmitted);
+                        e.u32(rec.len);
                     }
                     let m = &s.meta;
-                    w.u64(m.started_at.0);
-                    w.u32(m.dupacks);
-                    w.opt(m.rto_deadline.map(|t| t.0), Writer::u64);
-                    w.opt(m.pace_deadline.map(|t| t.0), Writer::u64);
-                    w.opt(m.timewait_deadline.map(|t| t.0), Writer::u64);
-                    w.u32(m.peer_rwnd);
-                    w.u8(m.state.code());
+                    e.u64(m.started_at.0);
+                    e.u32(m.dupacks);
+                    e.opt(m.rto_deadline.map(|t| t.0), E::u64);
+                    e.opt(m.pace_deadline.map(|t| t.0), E::u64);
+                    e.opt(m.timewait_deadline.map(|t| t.0), E::u64);
+                    e.u32(m.peer_rwnd);
+                    e.u8(m.state.code());
                     let st = &s.stats;
-                    w.u64(st.bytes_acked);
-                    w.u64(st.segments_sent);
-                    w.u64(st.retransmissions);
-                    w.u64(st.fast_retransmits);
-                    w.u64(st.timeouts);
-                    w.opt(st.completed_at.map(|t| t.0), Writer::u64);
+                    e.u64(st.bytes_acked);
+                    e.u64(st.segments_sent);
+                    e.u64(st.retransmissions);
+                    e.u64(st.fast_retransmits);
+                    e.u64(st.timeouts);
+                    e.opt(st.completed_at.map(|t| t.0), E::u64);
                 }
                 SlotKind::Receiver { row } => {
-                    w.u8(2);
-                    self.keys[i].encode(&mut w);
+                    e.u8(2);
+                    self.keys[i].encode(e);
                     let RecvRow { rcv: rv, stats: st } = &self.recv.rows[row as usize];
-                    w.u32(rv.rcv_nxt);
-                    w.u32(rv.ooo.len() as u32);
+                    e.u32(rv.rcv_nxt);
+                    e.u32(rv.ooo.len() as u32);
                     for (seq, len) in &rv.ooo {
-                        w.u32(*seq);
-                        w.u32(*len);
+                        e.u32(*seq);
+                        e.u32(*len);
                     }
-                    w.opt(rv.fin_seq, Writer::u32);
-                    w.bool(rv.done);
-                    w.u32(rv.advertised_window);
-                    w.u8(rv.state.code());
-                    w.bool(rv.handshake);
-                    w.bool(rv.our_fin_sent);
-                    w.u64(st.bytes_delivered);
-                    w.u64(st.duplicate_segments);
-                    w.u64(st.out_of_order_segments);
-                    w.opt(st.finished_at.map(|t| t.0), Writer::u64);
+                    e.opt(rv.fin_seq, E::u32);
+                    e.bool(rv.done);
+                    e.u32(rv.advertised_window);
+                    e.u8(rv.state.code());
+                    e.bool(rv.handshake);
+                    e.bool(rv.our_fin_sent);
+                    e.u64(st.bytes_delivered);
+                    e.u64(st.duplicate_segments);
+                    e.u64(st.out_of_order_segments);
+                    e.opt(st.finished_at.map(|t| t.0), E::u64);
                 }
             }
         }
-        w.u32(self.free_head);
-        w.u64(self.live as u64);
-        w.u64(self.high_water as u64);
-        w.u64(self.recycled);
-        Ok(w.into_bytes())
+        e.u32(self.free_head);
+        e.u64(self.live as u64);
+        e.u64(self.high_water as u64);
+        e.u64(self.recycled);
     }
 
     /// Restore a pool serialized with [`FlowPool::to_bytes`].
@@ -880,16 +869,8 @@ impl FlowPool {
                     let row = p.send.claim(SenderRow::new(get_cfg(&mut r)?, 0));
                     p.kind[i] = SlotKind::Sender { row: row as u32 };
                     let s = &mut p.send.rows[row];
-                    s.cc = Reno::from_parts(r.f64("cwnd")?, r.f64("ssthresh")?);
-                    s.rtt = RttEstimator::from_parts(
-                        r.opt("srtt", Reader::quantity)?,
-                        r.quantity("rttvar")?,
-                        r.quantity("rto")?,
-                        r.u32("rto backoff")?,
-                        r.quantity("min rto")?,
-                        r.quantity("max rto")?,
-                    )
-                    .ok_or_else(|| r.error("rtt estimator", ErrorKind::Invalid))?;
+                    s.cc = Reno::decode(&mut r)?;
+                    s.rtt = RttEstimator::decode(&mut r)?;
                     let sq = &mut s.seq;
                     sq.isn = r.u32("isn")?;
                     sq.snd_una = r.u32("snd_una")?;
@@ -1012,13 +993,13 @@ pub(crate) fn get_tcp_key(r: &mut Reader) -> Result<FlowKey, DecodeError> {
 /// Smallest encoded [`TcpSenderConfig`] (both options absent).
 pub(crate) const MIN_CFG_BYTES: usize = 4 + 1 + 1 + 8 + 1 + 8;
 
-pub(crate) fn put_cfg(w: &mut Writer, cfg: &TcpSenderConfig) {
-    w.u32(cfg.mss);
-    w.opt(cfg.total_bytes, Writer::u64);
-    w.opt(cfg.app_rate, Writer::u64);
-    w.f64(cfg.initial_cwnd);
-    w.bool(cfg.handshake);
-    w.u64(cfg.time_wait.as_nanos());
+pub(crate) fn put_cfg<E: Encoder>(e: &mut E, cfg: &TcpSenderConfig) {
+    e.u32(cfg.mss);
+    e.opt(cfg.total_bytes, E::u64);
+    e.opt(cfg.app_rate, E::u64);
+    e.f64(cfg.initial_cwnd);
+    e.bool(cfg.handshake);
+    e.u64(cfg.time_wait.as_nanos());
 }
 
 /// A `u32` segment length of at most 65 535 (what the 16-bit MSS option
@@ -1155,8 +1136,9 @@ mod tests {
         p.state_digest(&mut d);
         let mut b = StateDigest::new();
         b.write_bytes(&p.to_bytes().unwrap());
-        // Captured from the layout that kept every column per slot.
-        assert_eq!(d.finish(), 0x660b_43d7_53e6_98aa, "state digest");
+        // The bytes are those of the layout that kept every column per
+        // slot.
+        assert_eq!(d.finish(), 0x32ad_6367_8bc7_bb45, "state digest");
         assert_eq!(b.finish(), 0x08d6_060e_d3b3_9e7e, "checkpoint bytes");
     }
 

@@ -4,6 +4,8 @@
 //! This is the "hard-coded rules (e.g., cut rate by half on loss)" control
 //! the PCC paper — and the HotNets'19 paper's §4.2 — contrast PCC against.
 
+use dui_stats::wire::{DecodeError, Encoder, Reader};
+
 /// Reno congestion state. `cwnd` is in segments (fractional during
 /// congestion avoidance).
 #[derive(Debug, Clone)]
@@ -63,21 +65,19 @@ impl Reno {
         self.cwnd = 1.0;
     }
 
-    /// Fold the congestion-control state into `d`.
-    pub fn state_digest(&self, d: &mut dui_stats::digest::StateDigest) {
-        d.write_f64(self.cwnd);
-        d.write_f64(self.ssthresh);
+    /// The checkpoint form: `cwnd`, then `ssthresh` (which may be
+    /// infinite).
+    pub fn encode<E: Encoder>(&self, e: &mut E) {
+        e.f64(self.cwnd);
+        e.f64(self.ssthresh);
     }
 
-    /// Raw state for checkpoint codecs (paired with
-    /// [`Reno::from_parts`]). `ssthresh` may be infinite.
-    pub fn to_parts(&self) -> (f64, f64) {
-        (self.cwnd, self.ssthresh)
-    }
-
-    /// Restore from [`Reno::to_parts`] output.
-    pub fn from_parts(cwnd: f64, ssthresh: f64) -> Self {
-        Reno { cwnd, ssthresh }
+    /// Inverse of [`Reno::encode`].
+    pub fn decode(r: &mut Reader) -> Result<Reno, DecodeError> {
+        Ok(Reno {
+            cwnd: r.f64("cwnd")?,
+            ssthresh: r.f64("ssthresh")?,
+        })
     }
 }
 

@@ -8,6 +8,7 @@
 //! back-off pattern this module encodes.
 
 use dui_netsim::time::SimDuration;
+use dui_stats::wire::{DecodeError, Encoder, ErrorKind, Reader};
 
 /// Jacobson/Karn smoothed RTT estimator with RFC 6298 RTO computation and
 /// exponential back-off.
@@ -88,52 +89,36 @@ impl RttEstimator {
         self.srtt
     }
 
-    /// Raw state for checkpoint codecs (paired with
-    /// [`RttEstimator::from_parts`]): `(srtt, rttvar, rto, backoff_exp,
-    /// min_rto, max_rto)`, durations in nanoseconds.
-    pub fn to_parts(&self) -> (Option<u64>, u64, u64, u32, u64, u64) {
-        (
-            self.srtt.map(|s| s.as_nanos()),
-            self.rttvar.as_nanos(),
-            self.rto.as_nanos(),
-            self.backoff_exp,
-            self.min_rto.as_nanos(),
-            self.max_rto.as_nanos(),
-        )
+    /// The checkpoint form: `srtt`, `rttvar`, `rto`, the back-off
+    /// exponent, `min_rto`, `max_rto`, durations in nanoseconds.
+    pub fn encode<E: Encoder>(&self, e: &mut E) {
+        e.opt(self.srtt.map(|s| s.as_nanos()), E::u64);
+        e.u64(self.rttvar.as_nanos());
+        e.u64(self.rto.as_nanos());
+        e.u32(self.backoff_exp);
+        e.u64(self.min_rto.as_nanos());
+        e.u64(self.max_rto.as_nanos());
     }
 
-    /// Restore from [`RttEstimator::to_parts`] output. `None` for parts
-    /// the estimator cannot have produced and could not compute on: a
-    /// back-off exponent past its cap of 16, or a floor above the ceiling.
-    pub fn from_parts(
-        srtt: Option<u64>,
-        rttvar: u64,
-        rto: u64,
-        backoff_exp: u32,
-        min_rto: u64,
-        max_rto: u64,
-    ) -> Option<Self> {
-        if backoff_exp > 16 || min_rto > max_rto {
-            return None;
+    /// Inverse of [`RttEstimator::encode`]. Refuses what the estimator
+    /// cannot have produced and could not compute on: a back-off exponent
+    /// past its cap of 16, or a floor above the ceiling.
+    pub fn decode(r: &mut Reader) -> Result<RttEstimator, DecodeError> {
+        fn duration(r: &mut Reader, what: &'static str) -> Result<SimDuration, DecodeError> {
+            r.quantity(what).map(SimDuration::from_nanos)
         }
-        Some(RttEstimator {
-            srtt: srtt.map(SimDuration::from_nanos),
-            rttvar: SimDuration::from_nanos(rttvar),
-            rto: SimDuration::from_nanos(rto),
-            backoff_exp,
-            min_rto: SimDuration::from_nanos(min_rto),
-            max_rto: SimDuration::from_nanos(max_rto),
-        })
-    }
-
-    /// Fold the estimator state into `d`.
-    pub fn state_digest(&self, d: &mut dui_stats::digest::StateDigest) {
-        d.write_opt_u64(self.srtt.map(|s| s.as_nanos()));
-        d.write_u64(self.rttvar.as_nanos());
-        d.write_u64(self.rto.as_nanos());
-        d.write_u32(self.backoff_exp);
-        d.write_u64(self.min_rto.as_nanos());
-        d.write_u64(self.max_rto.as_nanos());
+        let est = RttEstimator {
+            srtt: r.opt("srtt", duration)?,
+            rttvar: duration(r, "rttvar")?,
+            rto: duration(r, "rto")?,
+            backoff_exp: r.u32("rto backoff")?,
+            min_rto: duration(r, "min rto")?,
+            max_rto: duration(r, "max rto")?,
+        };
+        if est.backoff_exp > 16 || est.min_rto > est.max_rto {
+            return Err(r.error("rtt estimator", ErrorKind::Invalid));
+        }
+        Ok(est)
     }
 }
 

@@ -60,6 +60,13 @@ echo "== flow pool suites at depth (2000 propcheck cases; about a second) =="
 # the RFC 9293 lifecycle on its edges.
 PROPCHECK_CASES=2000 cargo test -q --offline -p dui-tcp --test properties
 
+echo "== digest oracle at depth (2000 propcheck cases; under a second) =="
+# Every golden and replay check trusts that equal digests mean equal
+# state: for each component whose digest is its checkpoint encoder, two
+# states built from permuted operation sequences must digest equal
+# exactly when their checkpoint bytes are equal.
+PROPCHECK_CASES=2000 cargo test -q --offline -p dui-replay --test oracle
+
 echo "== state digest suite at depth (2000 propcheck cases; under a second) =="
 # Every recording, golden and checkpoint hash is a `StateDigest`: its
 # fold must change the digest whenever any one written word changes,
@@ -90,7 +97,9 @@ echo "== golden checkpoint hashes (byte-identity, no re-bless) =="
 # in the work tree — never via GOLDEN_BLESS — and the fixture files must
 # be untouched relative to HEAD. A refactor that changes simulation
 # *representation* (packet arena, timer wheel) must not change the
-# *logical* state hashes these files pin.
+# *logical* state hashes these files pin. They move only with a
+# declared change of what a digest covers, made together with a `.duir`
+# version bump (docs/determinism.md, "Re-blesses").
 if [ -n "${GOLDEN_BLESS:-}" ]; then
   echo "refusing to verify with GOLDEN_BLESS set" >&2
   exit 1

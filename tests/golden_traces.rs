@@ -269,7 +269,7 @@ fn component_digests_are_pinned() {
     let want = [
         0x50ce_9318_0460_b894_u64,
         0xcc81_fa29_fddf_f4dc,
-        0x85ad_b169_d3a0_e098,
+        0x3013_4592_d296_b200,
         0xf0f1_a6f9_dcc6_95e4,
     ];
     for ((what, got), want) in got.into_iter().zip(want) {
