@@ -23,8 +23,8 @@ use crate::privilege::{AttackDescriptor, Privilege, Target};
 use dui_netsim::node::{DataPlaneProgram, Verdict};
 use dui_netsim::packet::{Packet, DEFAULT_TTL};
 use dui_netsim::time::SimTime;
-use dui_stats::digest::StateDigest;
 use dui_netsim::topology::NodeId;
+use dui_stats::digest::StateDigest;
 use std::any::Any;
 
 /// Descriptor for the attack.

@@ -129,7 +129,8 @@ impl PccEqualizerTap {
         // them a search lands on does not matter.
         let rank = |sorted: &[f64], r: f64| sorted.partition_point(|s| s.total_cmp(&r).is_lt());
         self.rate_samples.push_back((now, rate));
-        self.sorted_rates.insert(rank(&self.sorted_rates, rate), rate);
+        self.sorted_rates
+            .insert(rank(&self.sorted_rates, rate), rate);
         while let Some(&(t, old)) = self.rate_samples.front() {
             if now.since(t) > self.median_span {
                 self.rate_samples.pop_front();

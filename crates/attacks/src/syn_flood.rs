@@ -152,7 +152,11 @@ mod tests {
             assert!(k.sport >= 1024);
             keys.insert((k.src.0, k.sport));
         }
-        assert!(keys.len() > 90, "spoofed tuples barely vary: {}", keys.len());
+        assert!(
+            keys.len() > 90,
+            "spoofed tuples barely vary: {}",
+            keys.len()
+        );
     }
 
     #[test]

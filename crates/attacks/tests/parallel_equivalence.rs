@@ -111,11 +111,23 @@ fn build(seed: u64, bounces: u32) -> (Simulator, NodeId, NodeId, NodeId) {
     for h in 0..3u8 {
         let addr = Addr::new(10, 0, h, 1);
         let node = b.host(&format!("src{h}"), addr);
-        b.link(node, r1, Bandwidth::gbps(1), SimDuration::from_nanos(400), 64);
+        b.link(
+            node,
+            r1,
+            Bandwidth::gbps(1),
+            SimDuration::from_nanos(400),
+            64,
+        );
         sources.push((node, addr));
     }
     let victim = b.host("victim", victim_addr);
-    b.link(victim, r2, Bandwidth::gbps(1), SimDuration::from_nanos(400), 64);
+    b.link(
+        victim,
+        r2,
+        Bandwidth::gbps(1),
+        SimDuration::from_nanos(400),
+        64,
+    );
     b.link(r1, r2, Bandwidth::mbps(50), SimDuration::from_millis(3), 32);
     let mut sim = Simulator::new(b.build(), seed);
     let matcher = |p: &Packet| p.key.dport == 9000;
@@ -138,7 +150,12 @@ fn build(seed: u64, bounces: u32) -> (Simulator, NodeId, NodeId, NodeId) {
     for (i, &(node, addr)) in sources.iter().enumerate() {
         sim.set_logic(
             node,
-            Box::new(BurstHost::new(addr, victim_addr, seed ^ ((i as u64) << 8), 30)),
+            Box::new(BurstHost::new(
+                addr,
+                victim_addr,
+                seed ^ ((i as u64) << 8),
+                30,
+            )),
         );
     }
     sim.set_logic(victim, Box::new(SinkHost::new()));
@@ -187,7 +204,11 @@ fn bounce_scenario_matches_sequential_across_thread_counts() {
                 }
                 other => panic!("expected a parallel run, got {other:?}"),
             }
-            assert_eq!(sim.counters(), want_counters, "seed {seed}, {threads} threads");
+            assert_eq!(
+                sim.counters(),
+                want_counters,
+                "seed {seed}, {threads} threads"
+            );
             assert_eq!(
                 (bounced(&mut sim, r1), bounced(&mut sim, r2)),
                 want_bounced,

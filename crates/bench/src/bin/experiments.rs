@@ -114,7 +114,11 @@ fn stage_names() -> String {
 }
 
 fn recordable_names() -> String {
-    RECORDINGS.iter().map(|r| r.name).collect::<Vec<_>>().join(" ")
+    RECORDINGS
+        .iter()
+        .map(|r| r.name)
+        .collect::<Vec<_>>()
+        .join(" ")
 }
 
 fn usage() -> ! {
@@ -140,7 +144,10 @@ fn select(names: &[String]) -> Vec<&'static Stage> {
     }
     let row = |name: &String| {
         Stage::named(name).unwrap_or_else(|| {
-            eprintln!("unknown experiment '{name}'. Available: {} all", stage_names());
+            eprintln!(
+                "unknown experiment '{name}'. Available: {} all",
+                stage_names()
+            );
             std::process::exit(2);
         })
     };
@@ -156,7 +163,13 @@ fn jobs_opt(arg: &str, rest: &mut impl Iterator<Item = String>) -> Option<usize>
     } else {
         arg.strip_prefix("--jobs=")?.to_string()
     };
-    Some(value.parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| usage()))
+    Some(
+        value
+            .parse()
+            .ok()
+            .filter(|&n| n >= 1)
+            .unwrap_or_else(|| usage()),
+    )
 }
 
 /// `experiments scenario <file|dir>`: run a declarative scenario corpus
@@ -191,7 +204,10 @@ fn cmd_scenario(args: &[String]) -> ! {
     print!("{}", report.text);
     std::fs::create_dir_all(results_dir()).expect("create results dir");
     let csv_path = results_dir().join("scenarios.csv");
-    report.csv.write_csv(&csv_path).expect("write scenarios.csv");
+    report
+        .csv
+        .write_csv(&csv_path)
+        .expect("write scenarios.csv");
     println!("[saved {}]", csv_path.display());
     println!("[done in {:.1} s]", t0.elapsed().as_secs_f64());
     std::process::exit(if report.failed == 0 { 0 } else { 1 });
@@ -278,7 +294,10 @@ fn cmd_replay(args: &[String]) -> ! {
                 rec.checkpoints.len(),
                 rec.checkpoints.get(idx).map_or(0, |c| c.event_index)
             );
-            (replayer.resume_from(subject.as_subject_mut(), idx), "resumed")
+            (
+                replayer.resume_from(subject.as_subject_mut(), idx),
+                "resumed",
+            )
         }
     };
     match result {
@@ -315,9 +334,15 @@ fn cmd_verify_determinism(args: &[String]) -> ! {
         }
         let across = if row.jobs { ", across --jobs" } else { "" };
         let secs = ts.elapsed().as_secs_f64();
-        println!("{:<16} same bytes run to run{across}: OK ({secs:.1} s)", row.name);
+        println!(
+            "{:<16} same bytes run to run{across}: OK ({secs:.1} s)",
+            row.name
+        );
     }
-    println!("[the determinism contract holds; done in {:.1} s]", t0.elapsed().as_secs_f64());
+    println!(
+        "[the determinism contract holds; done in {:.1} s]",
+        t0.elapsed().as_secs_f64()
+    );
     std::process::exit(0);
 }
 
@@ -382,7 +407,10 @@ fn main() {
         let path = results_dir().join("metrics.jsonl");
         std::fs::write(&path, jsonl).expect("write metrics.jsonl");
         println!("[saved {}]", path.display());
-        let _ = writeln!(tail, "== telemetry per stage (sim-time, deterministic) ==\n");
+        let _ = writeln!(
+            tail,
+            "== telemetry per stage (sim-time, deterministic) ==\n"
+        );
         let _ = writeln!(tail, "{}", metrics_summary(&ran).to_text());
     }
     if all {

@@ -119,7 +119,11 @@ mod tests {
     fn results_in_index_order_regardless_of_jobs() {
         for jobs in [1, 2, 3, 8, 64] {
             let out = run_indexed(37, jobs, |i| i * 3);
-            assert_eq!(out, (0..37).map(|i| i * 3).collect::<Vec<_>>(), "jobs={jobs}");
+            assert_eq!(
+                out,
+                (0..37).map(|i| i * 3).collect::<Vec<_>>(),
+                "jobs={jobs}"
+            );
         }
     }
 
@@ -141,8 +145,7 @@ mod tests {
 
     #[test]
     fn task_seeds_are_distinct() {
-        let seeds: std::collections::HashSet<u64> =
-            (0..1000).map(|i| task_seed(42, i)).collect();
+        let seeds: std::collections::HashSet<u64> = (0..1000).map(|i| task_seed(42, i)).collect();
         assert_eq!(seeds.len(), 1000);
     }
 

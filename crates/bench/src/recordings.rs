@@ -94,7 +94,10 @@ pub const RECORDINGS: &[Recordable] = &[
 /// Build the live subject for a [`RECORDINGS`] name. `None` for an
 /// unknown stage.
 pub fn build_subject(stage: &str) -> Option<StageSubject> {
-    RECORDINGS.iter().find(|r| r.name == stage).map(|r| (r.build)())
+    RECORDINGS
+        .iter()
+        .find(|r| r.name == stage)
+        .map(|r| (r.build)())
 }
 
 /// A live simulation ready to be driven by a `Recorder` or `Replayer`.

@@ -53,8 +53,8 @@ pub fn collect_files(path: &Path) -> Result<Vec<PathBuf>, String> {
 pub fn load(files: &[PathBuf]) -> Result<Vec<Compiled>, String> {
     let mut out = Vec::with_capacity(files.len());
     for f in files {
-        let text = std::fs::read_to_string(f)
-            .map_err(|e| format!("cannot read {}: {e}", f.display()))?;
+        let text =
+            std::fs::read_to_string(f).map_err(|e| format!("cannot read {}: {e}", f.display()))?;
         let name = f
             .file_name()
             .and_then(|n| n.to_str())

@@ -633,9 +633,8 @@ fn blink_packet(jobs: usize) -> StageOutput {
         (occupancy, reroutes, sc.vetoed(), on_primary, snap)
     };
     let both = run_indexed(2, jobs, |i| run(i == 1));
-    let Ok(
-        [(occ, reroutes, _, on_primary, snap), (_, g_reroutes, g_vetoed, g_on_primary, g_snap)],
-    ) = <[_; 2]>::try_from(both)
+    let Ok([(occ, reroutes, _, on_primary, snap), (_, g_reroutes, g_vetoed, g_on_primary, g_snap)]) =
+        <[_; 2]>::try_from(both)
     else {
         out.report = "blink-packet: run_indexed(2, ..) did not return two runs".to_string();
         return out;
@@ -1394,7 +1393,11 @@ fn supervisord(jobs: usize) -> StageOutput {
         "flagged_groups",
     ]);
     let count = |report: &supervisord::PipelineReport, action: supervisord::Action| {
-        report.verdicts.iter().filter(|v| v.action == action).count()
+        report
+            .verdicts
+            .iter()
+            .filter(|v| v.action == action)
+            .count()
     };
     let allow = count(reference, supervisord::Action::Allow);
     let constrain = count(reference, supervisord::Action::Constrain);
@@ -1487,9 +1490,9 @@ fn flow_scale_run(n: usize, seed: u64) -> FlowScaleRow {
     use dui_core::flowgen::flows::{DurationDist, FlowPopulationConfig};
     use dui_core::flowgen::FlowStream;
     use dui_core::netsim::packet::{Addr, Prefix};
+    use dui_core::stats::digest::StateDigest;
     use dui_core::tcp::pool::{FlowPool, FlowRef};
     use dui_core::tcp::{StaleFlowRef, TcpState};
-    use dui_core::stats::digest::StateDigest;
 
     /// Unwrap a pool call on a handle the stage still owns (everything
     /// before the evict phase); stale refs there are stage bugs.

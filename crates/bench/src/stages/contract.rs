@@ -13,11 +13,18 @@ type Comparable = Vec<(&'static str, String)>;
 /// declares, as `stage · file:1 · what`.
 pub(super) fn comparable(row: &Stage, out: &StageOutput) -> Result<Comparable, String> {
     let tables = out.tables.iter().map(|(name, t)| (name, t.to_csv()));
-    let artifacts = out.artifacts.iter().map(|(name, text)| (name, text.clone()));
+    let artifacts = out
+        .artifacts
+        .iter()
+        .map(|(name, text)| (name, text.clone()));
     let emitted: Vec<(&String, String)> = tables.chain(artifacts).collect();
     let names: Vec<&str> = emitted.iter().map(|(name, _)| name.as_str()).collect();
     if names != row.outputs {
-        let at = names.iter().zip(row.outputs).take_while(|(a, b)| a == b).count();
+        let at = names
+            .iter()
+            .zip(row.outputs)
+            .take_while(|(a, b)| a == b)
+            .count();
         let file = names.get(at).or(row.outputs.get(at)).unwrap_or(&"");
         return Err(format!(
             "{} · {file}:1 · the stage emitted [{}], its row declares [{}]",
@@ -46,7 +53,10 @@ fn same(
             continue;
         }
         let line = x.lines().zip(y.lines()).take_while(|(p, q)| p == q).count();
-        let (p, q) = (x.lines().nth(line).unwrap_or(""), y.lines().nth(line).unwrap_or(""));
+        let (p, q) = (
+            x.lines().nth(line).unwrap_or(""),
+            y.lines().nth(line).unwrap_or(""),
+        );
         let common = p.chars().zip(q.chars()).take_while(|(c, d)| c == d).count();
         let skip = common.saturating_sub(30);
         let excerpt = |l: &str| l.chars().skip(skip).take(90).collect::<String>();
@@ -71,7 +81,11 @@ pub fn verify_determinism(rows: &[&Stage]) -> Result<(), String> {
     for row in rows {
         let run = |jobs| comparable(row, &(row.run)(jobs));
         let first = run(4)?;
-        same(row, ("run 1", &first), ("run 2 (same configuration)", &run(4)?))?;
+        same(
+            row,
+            ("run 1", &first),
+            ("run 2 (same configuration)", &run(4)?),
+        )?;
         if row.jobs {
             same(row, ("--jobs 4", &first), ("--jobs 1", &run(1)?))?;
         }

@@ -38,8 +38,15 @@ fn fig2_csv_identical_across_jobs() {
     let seq = fig2_with(&opts, 1);
     let par4 = fig2_with(&opts, 4);
     assert!(!csv_bytes(&seq).is_empty());
-    assert_eq!(csv_bytes(&seq), csv_bytes(&par4), "fig2 CSVs must be jobs-invariant");
-    assert_eq!(seq.report, par4.report, "fig2 report must be jobs-invariant");
+    assert_eq!(
+        csv_bytes(&seq),
+        csv_bytes(&par4),
+        "fig2 CSVs must be jobs-invariant"
+    );
+    assert_eq!(
+        seq.report, par4.report,
+        "fig2 report must be jobs-invariant"
+    );
     // The telemetry snapshot — counters, float gauges, histograms — must
     // serialize to the same metrics.jsonl line at any thread count.
     assert!(!seq.metrics.is_empty(), "fig2 must export metrics");
@@ -54,7 +61,11 @@ fn fig2_csv_identical_across_jobs() {
 fn blink_sweep_csv_identical_across_jobs() {
     let seq = blink_sweep_with(3, 1);
     let par4 = blink_sweep_with(3, 4);
-    assert_eq!(csv_bytes(&seq).len(), 3, "sweep, cells ablation, salt ablation");
+    assert_eq!(
+        csv_bytes(&seq).len(),
+        3,
+        "sweep, cells ablation, salt ablation"
+    );
     assert_eq!(
         csv_bytes(&seq),
         csv_bytes(&par4),
@@ -103,7 +114,11 @@ fn checkpoint_hashes(stage: &str, every: u64) -> (Vec<(u64, u64)>, u64) {
 fn fastsim_checkpoint_hashes_identical_across_runs() {
     let a = checkpoint_hashes("fig2-small", 4_000);
     let b = checkpoint_hashes("fig2-small", 4_000);
-    assert!(a.0.len() >= 4, "enough checkpoints to compare: {}", a.0.len());
+    assert!(
+        a.0.len() >= 4,
+        "enough checkpoints to compare: {}",
+        a.0.len()
+    );
     assert_eq!(a, b, "fig2 state hashes must be run-invariant");
 }
 
@@ -111,7 +126,11 @@ fn fastsim_checkpoint_hashes_identical_across_runs() {
 fn engine_checkpoint_hashes_identical_across_runs() {
     let a = checkpoint_hashes("blink-packet-small", 20_000);
     let b = checkpoint_hashes("blink-packet-small", 20_000);
-    assert!(a.0.len() >= 4, "enough checkpoints to compare: {}", a.0.len());
+    assert!(
+        a.0.len() >= 4,
+        "enough checkpoints to compare: {}",
+        a.0.len()
+    );
     assert_eq!(a, b, "packet-level state hashes must be run-invariant");
 }
 
@@ -126,10 +145,16 @@ fn metrics_jsonl_identical_across_jobs() {
     // measurement, so both are compared whole.
     const HEAVY: [&str; 4] = ["fig2", "blink-packet", "pcc", "flow-scale"];
     for name in HEAVY {
-        assert!(Stage::named(name).is_some(), "excluded stage '{name}' is not a row");
+        assert!(
+            Stage::named(name).is_some(),
+            "excluded stage '{name}' is not a row"
+        );
     }
     let light: Vec<&Stage> = STAGES.iter().filter(|s| !HEAVY.contains(&s.name)).collect();
-    assert!(light.iter().any(|s| s.name == "supervisord"), "supervisord is a light row");
+    assert!(
+        light.iter().any(|s| s.name == "supervisord"),
+        "supervisord is a light row"
+    );
     verify_determinism(&light).unwrap_or_else(|diff| panic!("{diff}"));
 
     // What `experiments all --metrics` writes is exactly one
@@ -149,7 +174,10 @@ fn metrics_jsonl_identical_across_jobs() {
             out.metrics.to_json_line(s.name) + "\n"
         })
         .collect();
-    assert!(jsonl.contains("blink.reroutes"), "defenses must export blink metrics");
+    assert!(
+        jsonl.contains("blink.reroutes"),
+        "defenses must export blink metrics"
+    );
     // 40 of the 64 cells are malicious in both runs; the full `f64` is
     // pinned so a change to how a snapshot is scored shows up here.
     assert!(jsonl.contains(
@@ -169,7 +197,10 @@ fn fake_output(vary: &str, v: u64) -> StageOutput {
     t.row(["7"]);
     t.row([cell("cell")]);
     out.tables.push(("t.csv".to_string(), t));
-    out.artifacts.push(("a.jsonl".to_string(), format!("{{}}\n{}\n", cell("artifact"))));
+    out.artifacts.push((
+        "a.jsonl".to_string(),
+        format!("{{}}\n{}\n", cell("artifact")),
+    ));
     let mut reg = Registry::new();
     let c = reg.counter("fake.key");
     reg.add(c, if vary == "metric" { v } else { 0 });
@@ -181,7 +212,14 @@ fn fake_output(vary: &str, v: u64) -> StageOutput {
 /// A row declaring [`fake_output`]'s two files.
 fn fake(run: fn(usize) -> StageOutput) -> Stage {
     let outputs = &["t.csv", "a.jsonl"];
-    Stage { name: "fake", claim: "T", about: "a test row", jobs: true, outputs, run }
+    Stage {
+        name: "fake",
+        claim: "T",
+        about: "a test row",
+        jobs: true,
+        outputs,
+        run,
+    }
 }
 
 fn verdict(row: Stage) -> Result<(), String> {
@@ -230,21 +268,31 @@ fn gate_refuses_outputs_the_row_does_not_declare() {
     };
     let undeclared = |_| {
         let mut out = fake_output("", 0);
-        out.tables.push(("extra.csv".to_string(), Table::new(["x"])));
+        out.tables
+            .push(("extra.csv".to_string(), Table::new(["x"])));
         out
     };
-    refused(undeclared, "fake · extra.csv:1 · the stage emitted [t.csv, extra.csv, a.jsonl]");
+    refused(
+        undeclared,
+        "fake · extra.csv:1 · the stage emitted [t.csv, extra.csv, a.jsonl]",
+    );
     let missing = |_| {
         let mut out = fake_output("", 0);
         out.artifacts.clear();
         out
     };
-    refused(missing, "fake · a.jsonl:1 · the stage emitted [t.csv], its row declares [t.csv, a.jsonl]");
+    refused(
+        missing,
+        "fake · a.jsonl:1 · the stage emitted [t.csv], its row declares [t.csv, a.jsonl]",
+    );
     let out_of_order = |_| {
         let mut out = fake_output("", 0);
         let (name, text) = out.artifacts.remove(0);
         out.tables.insert(0, (name, Table::new([text])));
         out
     };
-    refused(out_of_order, "fake · a.jsonl:1 · the stage emitted [a.jsonl, t.csv]");
+    refused(
+        out_of_order,
+        "fake · a.jsonl:1 · the stage emitted [a.jsonl, t.csv]",
+    );
 }

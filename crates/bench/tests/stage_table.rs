@@ -15,12 +15,26 @@ fn rows_are_well_formed() {
     let mut files = BTreeSet::new();
     for s in STAGES {
         let kebab = s.name.split('-').all(|w| {
-            !w.is_empty() && w.bytes().all(|b| b.is_ascii_lowercase() || b.is_ascii_digit())
+            !w.is_empty()
+                && w.bytes()
+                    .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit())
         });
         assert!(kebab, "stage name '{}' is not kebab-case", s.name);
-        assert!(names.insert(s.name), "stage name '{}' appears twice", s.name);
-        assert!(!s.claim.is_empty() && !s.about.is_empty(), "{}: empty claim or about", s.name);
-        assert!(!s.outputs.is_empty(), "{}: a stage emits at least one file", s.name);
+        assert!(
+            names.insert(s.name),
+            "stage name '{}' appears twice",
+            s.name
+        );
+        assert!(
+            !s.claim.is_empty() && !s.about.is_empty(),
+            "{}: empty claim or about",
+            s.name
+        );
+        assert!(
+            !s.outputs.is_empty(),
+            "{}: a stage emits at least one file",
+            s.name
+        );
         for file in s.outputs {
             assert!(files.insert(file), "'{file}' is declared by two rows");
         }
@@ -29,7 +43,11 @@ fn rows_are_well_formed() {
 
 fn ticked(items: impl IntoIterator<Item = &'static str>) -> String {
     let cells: Vec<String> = items.into_iter().map(|i| format!("`{i}`")).collect();
-    if cells.is_empty() { "—".to_string() } else { cells.join(" ") }
+    if cells.is_empty() {
+        "—".to_string()
+    } else {
+        cells.join(" ")
+    }
 }
 
 fn stage_doc_row(s: &Stage) -> String {
@@ -51,26 +69,38 @@ fn stage_doc_row(s: &Stage) -> String {
 fn docs_document_the_stage_table_row_for_row() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let chapter = std::fs::read_to_string(root.join("docs/operations.md")).unwrap();
-    let outputs = STAGES
-        .iter()
-        .flat_map(|s| s.outputs.iter().map(move |file| format!("| `{file}` | `{}` |", s.name)));
+    let outputs = STAGES.iter().flat_map(|s| {
+        s.outputs
+            .iter()
+            .map(move |file| format!("| `{file}` | `{}` |", s.name))
+    });
     let tables: [(&str, Vec<String>); 2] = [
         ("## Stages", STAGES.iter().map(stage_doc_row).collect()),
         ("## Stage outputs", outputs.collect()),
     ];
     for (heading, expected) in tables {
-        let at = chapter.find(heading).unwrap_or_else(|| panic!("no '{heading}' in docs/operations.md"));
+        let at = chapter
+            .find(heading)
+            .unwrap_or_else(|| panic!("no '{heading}' in docs/operations.md"));
         let body = &chapter[at + heading.len()..];
         let body = &body[..body.find("\n## ").unwrap_or(body.len())];
         let documented: Vec<&str> = body.lines().filter(|l| l.starts_with("| `")).collect();
-        assert_eq!(documented, expected, "{heading} should read:\n{}\n", expected.join("\n"));
+        assert_eq!(
+            documented,
+            expected,
+            "{heading} should read:\n{}\n",
+            expected.join("\n")
+        );
     }
 }
 
 /// The subcommand lines of `experiments --help`, without the `usage:`
 /// label and the indent.
 fn synopsis() -> Vec<String> {
-    let out = Command::new(env!("CARGO_BIN_EXE_experiments")).arg("--help").output().unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .arg("--help")
+        .output()
+        .unwrap();
     let usage = String::from_utf8(out.stderr).unwrap();
     usage
         .lines()
@@ -88,14 +118,21 @@ fn docs_synopsis_and_flag_table_match_the_usage() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let chapter = std::fs::read_to_string(root.join("docs/operations.md")).unwrap();
     let usage = synopsis();
-    let at = chapter.find("## The `experiments` CLI").expect("CLI section");
+    let at = chapter
+        .find("## The `experiments` CLI")
+        .expect("CLI section");
     let section = &chapter[at..];
     let section = &section[..section.find("\n## ").unwrap_or(section.len())];
     let fence = section.find("```\n").expect("fenced synopsis") + 4;
     let block: Vec<&str> = section[fence..section[fence..].find("```").unwrap() + fence]
         .lines()
         .collect();
-    assert_eq!(block, usage, "docs/operations.md's synopsis should read:\n{}\n", usage.join("\n"));
+    assert_eq!(
+        block,
+        usage,
+        "docs/operations.md's synopsis should read:\n{}\n",
+        usage.join("\n")
+    );
     let flags: Vec<&str> = section
         .lines()
         .filter(|l| l.starts_with("| `"))
@@ -103,17 +140,28 @@ fn docs_synopsis_and_flag_table_match_the_usage() {
         .flat_map(|cell| cell.split([' ', '`', '=']))
         .filter(|w| w.starts_with("--"))
         .collect();
-    assert!(flags.contains(&"--jobs") && flags.contains(&"--resume"), "{flags:?}");
+    assert!(
+        flags.contains(&"--jobs") && flags.contains(&"--resume"),
+        "{flags:?}"
+    );
     for flag in flags {
-        let offered = usage.iter().any(|l| l.split([' ', '[', ']']).any(|w| w == flag));
-        assert!(offered, "the flag table explains {flag}, which `experiments --help` does not offer");
+        let offered = usage
+            .iter()
+            .any(|l| l.split([' ', '[', ']']).any(|w| w == flag));
+        assert!(
+            offered,
+            "the flag table explains {flag}, which `experiments --help` does not offer"
+        );
     }
 }
 
 #[test]
 fn cli_usage_and_errors_come_from_the_tables() {
     let run = |args: &[&str]| {
-        Command::new(env!("CARGO_BIN_EXE_experiments")).args(args).output().unwrap()
+        Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(args)
+            .output()
+            .unwrap()
     };
     let experiments = |args: &[&str]| {
         let out = run(args);
@@ -126,15 +174,31 @@ fn cli_usage_and_errors_come_from_the_tables() {
         line.split(' ').skip(1).collect::<Vec<_>>()
     };
     let stages = listed("stages:");
-    assert_eq!(stages, STAGES.iter().map(|s| s.name).collect::<Vec<_>>(), "{usage}");
+    assert_eq!(
+        stages,
+        STAGES.iter().map(|s| s.name).collect::<Vec<_>>(),
+        "{usage}"
+    );
     assert_eq!(stages.len(), 13, "{usage}");
     for r in RECORDINGS {
-        assert!(listed("recordable:").contains(&r.name), "usage omits '{}':\n{usage}", r.name);
+        assert!(
+            listed("recordable:").contains(&r.name),
+            "usage omits '{}':\n{usage}",
+            r.name
+        );
     }
     let (code, unknown) = experiments(&["no-such-stage"]);
     assert_eq!(code, Some(2));
-    assert!(unknown.starts_with("unknown experiment 'no-such-stage'. Available: "), "{unknown}");
-    assert!(STAGES.iter().all(|s| unknown.split(' ').any(|w| w == s.name)), "{unknown}");
+    assert!(
+        unknown.starts_with("unknown experiment 'no-such-stage'. Available: "),
+        "{unknown}"
+    );
+    assert!(
+        STAGES
+            .iter()
+            .all(|s| unknown.split(' ').any(|w| w == s.name)),
+        "{unknown}"
+    );
     // The retired engine flag, spelled in halves so that a grep of this
     // crate for it finds nothing that still drives the sharded engine.
     let sharded = concat!("--sim", "-threads");
@@ -142,9 +206,15 @@ fn cli_usage_and_errors_come_from_the_tables() {
     let gate = run(&["verify-determinism", "fig2-rates", "survey"]).stdout;
     let gate = String::from_utf8(gate).unwrap();
     let lines: Vec<&str> = gate.lines().take(2).collect();
-    assert!(lines[0].starts_with("fig2-rates       same bytes run to run: OK ("), "{gate}");
+    assert!(
+        lines[0].starts_with("fig2-rates       same bytes run to run: OK ("),
+        "{gate}"
+    );
     assert!(lines[1].starts_with("survey           same bytes run to run, across --jobs: OK ("));
-    assert!(!gate.contains(sharded) && !usage.contains(sharded), "{gate}{usage}");
+    assert!(
+        !gate.contains(sharded) && !usage.contains(sharded),
+        "{gate}{usage}"
+    );
     // Retired flags are refused, not ignored: the supervisord stage
     // sweeps its worker counts itself, and every stage and scenario
     // runs the sequential engine.

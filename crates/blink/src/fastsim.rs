@@ -382,7 +382,8 @@ impl AttackSim {
             let evil = self
                 .selector
                 .count_matching(|k| self.malicious_keys.contains(k));
-            self.series.push(self.next_sample.as_secs_f64(), evil as f64);
+            self.series
+                .push(self.next_sample.as_secs_f64(), evil as f64);
             if self.takeover_time.is_none() && evil >= threshold {
                 self.takeover_time = Some(self.next_sample.as_secs_f64());
             }
@@ -523,7 +524,11 @@ impl AttackSim {
         }
         // Points are pushed in time order, the next one at `next_sample`.
         let mut last = f64::NEG_INFINITY;
-        for &(t, _) in snap.series.iter().chain([&(snap.next_sample.as_secs_f64(), 0.0)]) {
+        for &(t, _) in snap
+            .series
+            .iter()
+            .chain([&(snap.next_sample.as_secs_f64(), 0.0)])
+        {
             if t.is_nan() || t < last {
                 return Err("snapshot series times are not non-decreasing".into());
             }

@@ -404,7 +404,9 @@ mod tests {
             ..AttackModel::fig2()
         };
         let th = high.mean_takeover_time().unwrap();
-        if let Some(tl) = low.mean_takeover_time() { assert!(tl > th) }
+        if let Some(tl) = low.mean_takeover_time() {
+            assert!(tl > th)
+        }
     }
 
     #[test]

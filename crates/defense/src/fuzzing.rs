@@ -247,11 +247,7 @@ mod tests {
         );
         // The discovered sequence leans on repeated sequence numbers —
         // the defining feature of the §3.1 attack.
-        let repeats = report
-            .sequence
-            .iter()
-            .filter(|p| p.repeat_seq)
-            .count() as f64
+        let repeats = report.sequence.iter().filter(|p| p.repeat_seq).count() as f64
             / report.sequence.len() as f64;
         assert!(
             repeats > 0.15,

@@ -359,8 +359,7 @@ mod tests {
             .map(|i| (format!("qoe.c{i}"), 0.8 + 0.01 * i as f64))
             .collect();
         pairs.push(("qoe.poisoned".to_string(), 0.01));
-        let named: Vec<(&str, f64)> =
-            pairs.iter().map(|(n, v)| (n.as_str(), *v)).collect();
+        let named: Vec<(&str, f64)> = pairs.iter().map(|(n, v)| (n.as_str(), *v)).collect();
         let delta = gauge_delta(&named);
         let risk = s.observe(&delta);
         assert!(risk.0 > 0.2, "risk = {}", risk.0);
@@ -489,7 +488,11 @@ mod tests {
         );
         for v in [56.0, BAD[0], 56.0, BAD[1], 8.0, BAD[2], 56.0] {
             let snap = gauge_delta(&[("cells", v)]);
-            assert_eq!(dirty.observe(&snap), clean.observe(&scrubbed(&snap)), "cells {v}");
+            assert_eq!(
+                dirty.observe(&snap),
+                clean.observe(&scrubbed(&snap)),
+                "cells {v}"
+            );
         }
         // The window holds the four finite samples: (56 + 56 + 8 + 56) / 4.
         assert_eq!(dirty.observe(&Snapshot::default()).0, 44.0 / 64.0);
@@ -505,7 +508,10 @@ mod tests {
             let mut pairs: Vec<(String, f64)> = (0..6)
                 .map(|m| {
                     let low = m == 5 && frame >= 2;
-                    (format!("qoe.c{m}"), if low { 0.1 } else { 0.8 + 0.01 * m as f64 })
+                    (
+                        format!("qoe.c{m}"),
+                        if low { 0.1 } else { 0.8 + 0.01 * m as f64 },
+                    )
                 })
                 .collect();
             if frame % 2 == 1 && frame < 6 {
@@ -544,7 +550,11 @@ mod tests {
         );
         for v in [16.0, BAD[0], 48.0, BAD[1], BAD[2], 16.0] {
             let snap = syn(v);
-            assert_eq!(dirty.observe(&snap), clean.observe(&scrubbed(&snap)), "live {v}");
+            assert_eq!(
+                dirty.observe(&snap),
+                clean.observe(&scrubbed(&snap)),
+                "live {v}"
+            );
         }
     }
 

@@ -325,7 +325,10 @@ mod tests {
             .map(|v| v.producer)
             .collect();
         assert!(!flagged.is_empty(), "attack never flagged");
-        assert!(flagged.iter().all(|&p| p == 4), "false positives: {flagged:?}");
+        assert!(
+            flagged.iter().all(|&p| p == 4),
+            "false positives: {flagged:?}"
+        );
         // No clock injected: no latency samples.
         assert_eq!(report.latency_ns.count(), 0);
     }
@@ -373,8 +376,12 @@ mod tests {
                 };
                 let mut delta = Snapshot::default();
                 if let Some((qoe, cells)) = sample {
-                    delta.gauges.insert(format!("pytheas.qoe.c{id}").into(), (qoe, 1));
-                    delta.gauges.insert("blink.cells.malicious".into(), (cells, 1));
+                    delta
+                        .gauges
+                        .insert(format!("pytheas.qoe.c{id}").into(), (qoe, 1));
+                    delta
+                        .gauges
+                        .insert("blink.cells.malicious".into(), (cells, 1));
                 }
                 Frame {
                     producer: id,
@@ -400,9 +407,16 @@ mod tests {
             run(&cfg, producers)
         };
         let clean = log(1, false);
-        assert!(clean.verdicts.iter().any(|v| v.pytheas > 0.0), "member 4 never flagged");
+        assert!(
+            clean.verdicts.iter().any(|v| v.pytheas > 0.0),
+            "member 4 never flagged"
+        );
         for workers in [1, 2] {
-            assert_eq!(log(workers, true).to_jsonl(), clean.to_jsonl(), "workers = {workers}");
+            assert_eq!(
+                log(workers, true).to_jsonl(),
+                clean.to_jsonl(),
+                "workers = {workers}"
+            );
         }
     }
 

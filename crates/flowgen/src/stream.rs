@@ -252,8 +252,8 @@ mod tests {
 
     #[test]
     fn handshake_lowering_sets_config() {
-        let src = StreamSource::new(FlowStream::new(config(), Rng::new(5)), 1460)
-            .with_handshake(true);
+        let src =
+            StreamSource::new(FlowStream::new(config(), Rng::new(5)), 1460).with_handshake(true);
         assert!(src.next.as_ref().unwrap().config.handshake);
     }
 }

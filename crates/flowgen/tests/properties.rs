@@ -5,8 +5,8 @@
 //! `FlowSource` adapter lowers exactly the population `generate`
 //! collects.
 
-use dui_flowgen::{FlowPopulation, FlowPopulationConfig, FlowStream, StreamSource};
 use dui_flowgen::flows::DurationDist;
+use dui_flowgen::{FlowPopulation, FlowPopulationConfig, FlowStream, StreamSource};
 use dui_netsim::packet::{Addr, Prefix};
 use dui_netsim::time::{SimDuration, SimTime};
 use dui_stats::{prop_assert, prop_assert_eq, prop_check, Rng};

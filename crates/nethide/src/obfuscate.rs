@@ -218,8 +218,7 @@ pub fn obfuscate(
     let mut physical: Vec<Vec<Addr>> = Vec::with_capacity(flows.len());
     let mut candidates: Vec<Vec<Vec<Addr>>> = Vec::with_capacity(flows.len());
     for &(s, d) in flows {
-        let phys = node_path_addrs(topo, routing, s, d)
-            .ok_or(UnroutableFlow { src: s, dst: d })?;
+        let phys = node_path_addrs(topo, routing, s, d).ok_or(UnroutableFlow { src: s, dst: d })?;
         let shortest = phys.len();
         let mut cands: Vec<Vec<Addr>> =
             simple_paths(topo, s, d, shortest + cfg.max_extra_hops, 256)

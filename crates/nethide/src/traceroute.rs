@@ -104,17 +104,15 @@ impl NodeLogic for TracerouteProber {
                 reported_by,
                 probe_ident,
                 probe_seq,
+            } if probe_ident == self.ident && probe_seq == self.awaiting_seq && !self.answered => {
+                self.answered = true;
+                self.result.hops.push(Some(reported_by));
             }
-                if probe_ident == self.ident && probe_seq == self.awaiting_seq && !self.answered => {
-                    self.answered = true;
-                    self.result.hops.push(Some(reported_by));
-                }
-            Header::IcmpEchoReply { ident, .. }
-                if ident == self.ident && !self.answered => {
-                    self.answered = true;
-                    self.result.hops.push(Some(pkt.key.src));
-                    self.result.reached = true;
-                }
+            Header::IcmpEchoReply { ident, .. } if ident == self.ident && !self.answered => {
+                self.answered = true;
+                self.result.hops.push(Some(pkt.key.src));
+                self.result.reached = true;
+            }
             _ => {}
         }
     }

@@ -481,7 +481,10 @@ mod tests {
         let mut sink = SinkHost::new();
         for i in 0..3u16 {
             let key = FlowKey::tcp(Addr::new(10, 0, 0, 1), 1000 + i, Addr::new(10, 0, 0, 2), 80);
-            let stats = SinkFlowStats { packets: 2 + u64::from(i), bytes: 2920 };
+            let stats = SinkFlowStats {
+                packets: 2 + u64::from(i),
+                bytes: 2920,
+            };
             sink.flows.insert(key, stats);
             sink.total_packets += stats.packets;
             sink.total_bytes += stats.bytes;

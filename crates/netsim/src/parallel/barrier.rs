@@ -70,7 +70,11 @@ pub(crate) fn publish(sim: &mut Simulator, mail: &RwLock<Mailbox>, parity: usize
     e.records.clear();
     e.id_recs.clear();
     e.outbox.clear();
-    [wheel, fresh, sent].into_iter().flatten().min().unwrap_or(u64::MAX)
+    [wheel, fresh, sent]
+        .into_iter()
+        .flatten()
+        .min()
+        .unwrap_or(u64::MAX)
 }
 
 /// Leader, with every thread waiting (so all mailboxes are locked for
@@ -103,7 +107,11 @@ pub(crate) fn merge_window<'a>(
         heads.push(b.records.first().map(|&(t, raw)| (t.0, raw)));
     }
     loop {
-        let best = heads.iter().enumerate().filter_map(|(d, h)| h.map(|h| (h, d))).min();
+        let best = heads
+            .iter()
+            .enumerate()
+            .filter_map(|(d, h)| h.map(|h| (h, d)))
+            .min();
         let Some((_, d)) = best else { break };
         let b = &mut boxes[d];
         let rec = b.global_of.len();

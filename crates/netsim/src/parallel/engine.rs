@@ -28,7 +28,10 @@ use std::thread::Thread;
 
 /// Run the event loop to `t` under the parallel engine, or report why
 /// the sequential engine must be used instead.
-pub(crate) fn run_parallel(sim: &mut Simulator, t: SimTime) -> Result<ParallelReport, FallbackReason> {
+pub(crate) fn run_parallel(
+    sim: &mut Simulator,
+    t: SimTime,
+) -> Result<ParallelReport, FallbackReason> {
     let map = match &sim.domain_map {
         Some(m) => Arc::clone(m),
         None => {
@@ -326,7 +329,11 @@ fn run_windows(
     let window_end = |due: u64| {
         (due < u64::MAX && due <= target.0).then(|| SimTime(due.saturating_add(map.lookahead().0)))
     };
-    let first = doms.iter_mut().filter_map(|s| s.core.queue.peek_key()).map(|(w, _)| w.0).min();
+    let first = doms
+        .iter_mut()
+        .filter_map(|s| s.core.queue.peek_key())
+        .map(|(w, _)| w.0)
+        .min();
     let Some(end) = window_end(first.unwrap_or(u64::MAX)) else {
         return 0;
     };
@@ -350,14 +357,20 @@ fn run_windows(
         let sh = &sh;
         let spawn = |part| {
             scope.spawn(move || {
-                let _guard = ExitGuard { sync: &sh.sync, wake: &[] };
+                let _guard = ExitGuard {
+                    sync: &sh.sync,
+                    wake: &[],
+                };
                 own_windows(part, end, sh, || sh.sync.arrive_and_wait());
             })
         };
         let handles: Vec<_> = parts.map(spawn).collect();
         let workers: Vec<Thread> = handles.iter().map(|h| h.thread().clone()).collect();
         let (mut boxes, mut heads) = (Vec::new(), Vec::new());
-        let guard = ExitGuard { sync: &sh.sync, wake: &workers };
+        let guard = ExitGuard {
+            sync: &sh.sync,
+            wake: &workers,
+        };
         own_windows(mine, end, sh, || {
             sh.sync.collect() && {
                 merge_window(&sh.mail, g, &mut boxes, &mut heads);
@@ -402,7 +415,8 @@ fn own_windows(
     for parity in [0, 1].into_iter().cycle() {
         for s in mine.iter_mut() {
             run_window(s, end, sh.target);
-            sh.due.fetch_min(publish(s, &sh.mail[domain(s)], parity), Relaxed);
+            sh.due
+                .fetch_min(publish(s, &sh.mail[domain(s)], parity), Relaxed);
         }
         if !meet() {
             return;

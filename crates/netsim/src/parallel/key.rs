@@ -91,7 +91,10 @@ pub fn is_provisional(key: u128) -> bool {
 /// ```
 pub fn provisional_parts(key: u128) -> (u32, u32) {
     debug_assert!(is_provisional(key));
-    (((key >> 32) & 0xFFFF_FFFF) as u32, (key & 0xFFFF_FFFF) as u32)
+    (
+        ((key >> 32) & 0xFFFF_FFFF) as u32,
+        (key & 0xFFFF_FFFF) as u32,
+    )
 }
 
 /// Resolve a key against this window's record→global-index table:
@@ -124,7 +127,10 @@ mod tests {
     #[test]
     fn resolve_rewrites_only_provisionals() {
         let global_of = vec![41, 42];
-        assert_eq!(resolve_key(provisional_key(1, 3), &global_of), final_key(42, 3));
+        assert_eq!(
+            resolve_key(provisional_key(1, 3), &global_of),
+            final_key(42, 3)
+        );
         assert_eq!(resolve_key(final_key(7, 7), &global_of), final_key(7, 7));
         assert_eq!(resolve_key(initial_key(9), &global_of), 9);
     }

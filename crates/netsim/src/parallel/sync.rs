@@ -36,7 +36,13 @@ pub(crate) struct WindowSync {
 impl WindowSync {
     pub fn new(workers: usize) -> Self {
         let (epoch, done, poisoned) = Default::default();
-        WindowSync { workers, epoch, done, poisoned, leader: std::thread::current() }
+        WindowSync {
+            workers,
+            epoch,
+            done,
+            poisoned,
+            leader: std::thread::current(),
+        }
     }
 
     /// Spin, yield, park until `ready`; `false` if poisoned meanwhile.
@@ -116,7 +122,11 @@ mod tests {
                     scope.spawn(|| {
                         for e in 0..epochs {
                             // Between releases the counter is the leader's.
-                            assert_eq!(counter.load(Ordering::Relaxed) % (n as u64 + 1), 0, "epoch {e}");
+                            assert_eq!(
+                                counter.load(Ordering::Relaxed) % (n as u64 + 1),
+                                0,
+                                "epoch {e}"
+                            );
                             assert!(sync.arrive_and_wait());
                             counter.fetch_add(1, Ordering::Relaxed);
                             assert!(sync.arrive_and_wait());
@@ -130,7 +140,10 @@ mod tests {
                 assert_eq!(counter.load(Ordering::Relaxed), e * (n as u64 + 1));
                 sync.release(&threads);
                 assert!(sync.collect());
-                assert_eq!(counter.fetch_add(1, Ordering::Relaxed), e * (n as u64 + 1) + n as u64);
+                assert_eq!(
+                    counter.fetch_add(1, Ordering::Relaxed),
+                    e * (n as u64 + 1) + n as u64
+                );
                 sync.release(&threads);
             }
         });
@@ -151,12 +164,21 @@ mod tests {
             // One worker parks in the rendezvous, the other unwinds.
             let waiter = scope.spawn(|| sync.arrive_and_wait());
             let panicker = scope.spawn(|| {
-                let _guard = ExitGuard { sync: &sync, wake: &[] };
+                let _guard = ExitGuard {
+                    sync: &sync,
+                    wake: &[],
+                };
                 panic!("worker failed");
             });
             assert!(!sync.collect(), "leader must see the poison");
-            drop(ExitGuard { sync: &sync, wake: &[waiter.thread().clone()] });
-            assert!(!waiter.join().expect("waiter returns"), "waiter must see the poison");
+            drop(ExitGuard {
+                sync: &sync,
+                wake: &[waiter.thread().clone()],
+            });
+            assert!(
+                !waiter.join().expect("waiter returns"),
+                "waiter must see the poison"
+            );
             assert!(panicker.join().is_err());
         });
     }

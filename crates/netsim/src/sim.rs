@@ -365,8 +365,7 @@ impl SimCore {
             if depth >= cap {
                 lr.stats_mut(dir).dropped_queue += 1;
                 self.registry.inc(self.metrics.dropped_queue);
-                self.registry
-                    .record(self.metrics.queue_depth, depth as u64);
+                self.registry.record(self.metrics.queue_depth, depth as u64);
                 self.take_pkt(pkt);
                 return;
             }
@@ -454,12 +453,11 @@ impl SimCore {
         );
         m.last_wheel = ws;
         let recycled = self.arena.recycled();
-        self.registry.add(
-            m.arena_recycled,
-            recycled.saturating_sub(m.last_recycled),
-        );
+        self.registry
+            .add(m.arena_recycled, recycled.saturating_sub(m.last_recycled));
         m.last_recycled = recycled;
-        self.registry.observe(m.arena_live, self.arena.live() as f64);
+        self.registry
+            .observe(m.arena_live, self.arena.live() as f64);
         self.registry
             .observe(m.arena_capacity, self.arena.capacity() as f64);
         self.registry
@@ -885,8 +883,7 @@ impl Simulator {
                         .registry
                         .counter(&format!("netsim.parallel.fallback.{}", reason.key()));
                     self.core.registry.inc(by_reason);
-                    self.last_parallel =
-                        Some(crate::parallel::ParallelOutcome::Fallback(reason));
+                    self.last_parallel = Some(crate::parallel::ParallelOutcome::Fallback(reason));
                     // fall through to the sequential engine
                 }
             }
@@ -910,9 +907,7 @@ impl Simulator {
                 let body = self.core.take_pkt(pkt);
                 if let Some(mut logic) = self.logics[node.0].take() {
                     if self.core.topo.node(node).kind == crate::topology::NodeKind::Host {
-                        self.core
-                            .registry
-                            .inc(self.core.metrics.delivered_endpoint);
+                        self.core.registry.inc(self.core.metrics.delivered_endpoint);
                     }
                     let mut ctx = Ctx {
                         core: &mut self.core,
@@ -1227,11 +1222,9 @@ impl Simulator {
         }
         for src in 0..n {
             for dst in 0..n {
-                self.core.routing.set_next_hop(
-                    NodeId(src),
-                    NodeId(dst),
-                    ckpt.routing[src][dst],
-                );
+                self.core
+                    .routing
+                    .set_next_hop(NodeId(src), NodeId(dst), ckpt.routing[src][dst]);
             }
         }
         self.core.prefixes = PrefixTable::new();

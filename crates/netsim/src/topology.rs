@@ -115,10 +115,7 @@ impl Topology {
 
     /// Node id by name (`None` if absent).
     pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
-        self.nodes
-            .iter()
-            .position(|n| n.name == name)
-            .map(NodeId)
+        self.nodes.iter().position(|n| n.name == name).map(NodeId)
     }
 }
 

@@ -307,18 +307,32 @@ fn timers_drive_periodic_behavior() {
 fn step_limited_yields_each_dispatch_at_sim_time() {
     let (mut sim, h1, _r, _h2) = basic_sim();
     let dst = Addr::new(10, 0, 0, 2);
-    sim.set_logic(h1, Box::new(Pinger { dst, sent: 0, got_replies: 0 }));
+    sim.set_logic(
+        h1,
+        Box::new(Pinger {
+            dst,
+            sent: 0,
+            got_replies: 0,
+        }),
+    );
     let mut events = Vec::new();
     while let Some(ev) = sim.step_limited(SimTime::from_secs(1)) {
         events.push(ev);
     }
 
     let times_of = |kind: &str| -> Vec<u64> {
-        events.iter().filter(|e| e.kind == kind).map(|e| e.time.as_nanos()).collect()
+        events
+            .iter()
+            .filter(|e| e.kind == kind)
+            .map(|e| e.time.as_nanos())
+            .collect()
     };
     // The pinger's timer fires every 10 ms of simulated time: four pings
     // and the tick that finds nothing left to send.
-    assert_eq!(times_of("timer"), [10, 20, 30, 40, 50].map(|ms| ms * 1_000_000));
+    assert_eq!(
+        times_of("timer"),
+        [10, 20, 30, 40, 50].map(|ms| ms * 1_000_000)
+    );
     // Each ping and its reply cross two links: a transmission and a
     // delivery per hop.
     assert_eq!(times_of("deliver").len(), 16);

@@ -194,7 +194,13 @@ fn clustered(
     }
     if idle_leaf {
         let leaf = b.router("idle");
-        b.link(routers[0], leaf, Bandwidth::mbps(10), SimDuration::from_millis(3), 8);
+        b.link(
+            routers[0],
+            leaf,
+            Bandwidth::mbps(10),
+            SimDuration::from_millis(3),
+            8,
+        );
         routers.push(leaf);
     }
     (b.build(), routers, hosts, addrs)
@@ -202,7 +208,13 @@ fn clustered(
 
 /// Build a fully wired simulator over `topo`: routers route, every host
 /// pulses traffic at every other host.
-fn wire(topo: Topology, routers: &[NodeId], hosts: &[NodeId], addrs: &[Addr], seed: u64) -> Simulator {
+fn wire(
+    topo: Topology,
+    routers: &[NodeId],
+    hosts: &[NodeId],
+    addrs: &[Addr],
+    seed: u64,
+) -> Simulator {
     let mut sim = Simulator::new(topo, seed);
     for &r in routers {
         sim.set_logic(r, Box::new(RouterLogic::new()));
@@ -290,13 +302,28 @@ fn assert_equivalent(build: impl Fn() -> Simulator, drive: impl Fn(&mut Simulato
     for threads in THREADS {
         let mut sim = build();
         sim.set_sim_threads(threads);
-        assert_eq!(drive(&mut sim), want, "state hashes diverged at {threads} threads");
+        assert_eq!(
+            drive(&mut sim),
+            want,
+            "state hashes diverged at {threads} threads"
+        );
         let outcome = sim.last_parallel_outcome();
-        assert!(matches!(outcome, Some(ParallelOutcome::Ran(_))), "fell back: {outcome:?}");
+        assert!(
+            matches!(outcome, Some(ParallelOutcome::Ran(_))),
+            "fell back: {outcome:?}"
+        );
         assert_eq!(sim.counters(), reference.counters(), "{threads} threads");
-        assert_eq!(logical_metrics(&sim), logical_metrics(&reference), "{threads} threads");
+        assert_eq!(
+            logical_metrics(&sim),
+            logical_metrics(&reference),
+            "{threads} threads"
+        );
         let all = sim.metrics_snapshot().to_json_line("all");
-        assert_eq!(*full.get_or_insert(all.clone()), all, "structural metrics at {threads} threads");
+        assert_eq!(
+            *full.get_or_insert(all.clone()),
+            all,
+            "structural metrics at {threads} threads"
+        );
     }
 }
 
@@ -370,7 +397,11 @@ fn stale_cross_domain_handles_from_in_window_drops() {
     let topo = b.build();
     let routers = [r1, r2];
     let hosts = [a1, a2, z1];
-    let addrs = [Addr::new(10, 0, 0, 1), Addr::new(10, 0, 1, 1), Addr::new(10, 1, 0, 1)];
+    let addrs = [
+        Addr::new(10, 0, 0, 1),
+        Addr::new(10, 0, 1, 1),
+        Addr::new(10, 1, 0, 1),
+    ];
 
     let mut reference = wire(topo.clone(), &routers, &hosts, &addrs, 11);
     reference.run_until(at_ms(400));
@@ -419,7 +450,13 @@ fn fallback_reasons_are_reported_and_results_still_match() {
     let mut sim = Simulator::new(b.build(), 1);
     sim.set_logic(h2, Box::new(SinkHost::new()));
     sim.set_sim_threads(4);
-    sim.inject(h1, Packet::udp(FlowKey::udp(Addr::new(10, 0, 0, 1), 1, Addr::new(10, 0, 0, 2), 2), 100));
+    sim.inject(
+        h1,
+        Packet::udp(
+            FlowKey::udp(Addr::new(10, 0, 0, 1), 1, Addr::new(10, 0, 0, 2), 2),
+            100,
+        ),
+    );
     sim.run_until(at_ms(10));
     assert_eq!(
         sim.last_parallel_outcome(),
@@ -515,13 +552,24 @@ fn panic_in_host_resurfaces(armed: usize) {
         b.link(h0, h1, Bandwidth::mbps(10), SimDuration::from_millis(2), 8);
         let mut sim = Simulator::new(b.build(), 1);
         for (i, h) in [h0, h1].into_iter().enumerate() {
-            sim.set_logic(h, Box::new(FifthTickPanics { armed: i == armed, ticks: 0 }));
+            sim.set_logic(
+                h,
+                Box::new(FifthTickPanics {
+                    armed: i == armed,
+                    ticks: 0,
+                }),
+            );
         }
         sim.set_sim_threads(2);
         let run = std::panic::AssertUnwindSafe(|| sim.run_until(at_ms(50)));
         let message = std::panic::catch_unwind(run).map_err(|payload| {
             payload.downcast_ref::<&str>().map_or_else(
-                || payload.downcast_ref::<String>().cloned().unwrap_or_default(),
+                || {
+                    payload
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .unwrap_or_default()
+                },
                 |s| s.to_string(),
             )
         });

@@ -50,14 +50,8 @@ impl Divergence {
         match (self.event_index, &self.a_event, &self.b_event) {
             (Some(i), Some(a), Some(b)) => {
                 out.push_str(&format!("first divergent event: #{i}\n"));
-                out.push_str(&format!(
-                    "  A: {} @{}ns digest {:#018x}\n",
-                    a.1, a.0, a.2
-                ));
-                out.push_str(&format!(
-                    "  B: {} @{}ns digest {:#018x}\n",
-                    b.1, b.0, b.2
-                ));
+                out.push_str(&format!("  A: {} @{}ns digest {:#018x}\n", a.1, a.0, a.2));
+                out.push_str(&format!("  B: {} @{}ns digest {:#018x}\n", b.1, b.0, b.2));
             }
             _ => {
                 if self.lengths.0 != self.lengths.1 {
@@ -67,9 +61,7 @@ impl Divergence {
                         self.lengths.0, self.lengths.1
                     ));
                 } else {
-                    out.push_str(
-                        "event streams agree; state diverges only at a checkpoint\n",
-                    );
+                    out.push_str("event streams agree; state diverges only at a checkpoint\n");
                 }
             }
         }
@@ -150,11 +142,7 @@ pub fn first_divergence(a: &Recording, b: &Recording) -> Option<Divergence> {
         let mut components = Vec::new();
         for (na, da) in &ca.components {
             let name = a.name(*na);
-            if let Some((_, db)) = cb
-                .components
-                .iter()
-                .find(|(nb, _)| b.name(*nb) == name)
-            {
+            if let Some((_, db)) = cb.components.iter().find(|(nb, _)| b.name(*nb) == name) {
                 if da != db {
                     components.push(ComponentDiff {
                         name: name.to_string(),

@@ -511,7 +511,10 @@ mod tests {
         let mut bytes = rec.to_bytes();
         bytes.push(0);
         assert!(Recording::from_bytes(&bytes).is_err(), "trailing bytes");
-        assert!(Recording::from_bytes(&rec.to_bytes()[..5]).is_err(), "truncated");
+        assert!(
+            Recording::from_bytes(&rec.to_bytes()[..5]).is_err(),
+            "truncated"
+        );
     }
 
     #[test]

@@ -142,7 +142,11 @@ impl std::fmt::Display for ReplayError {
                      recorded {recorded:#018x}, live {live:#018x}"
                 )?;
                 for c in components {
-                    write!(f, "\n  component {}: {:#018x} vs {:#018x}", c.name, c.a, c.b)?;
+                    write!(
+                        f,
+                        "\n  component {}: {:#018x} vs {:#018x}",
+                        c.name, c.a, c.b
+                    )?;
                 }
                 Ok(())
             }
@@ -341,16 +345,12 @@ impl<'a> Replayer<'a> {
                 live: subject.config_digest(),
             });
         }
-        let ckpt = self
-            .rec
-            .checkpoints
-            .get(ckpt_idx)
-            .ok_or_else(|| {
-                ReplayError::Malformed(format!(
-                    "checkpoint {ckpt_idx} out of range (recording has {})",
-                    self.rec.checkpoints.len()
-                ))
-            })?;
+        let ckpt = self.rec.checkpoints.get(ckpt_idx).ok_or_else(|| {
+            ReplayError::Malformed(format!(
+                "checkpoint {ckpt_idx} out of range (recording has {})",
+                self.rec.checkpoints.len()
+            ))
+        })?;
         let payload = ckpt.payload.as_deref().ok_or_else(|| {
             ReplayError::Malformed(format!(
                 "checkpoint {ckpt_idx} carries no restorable payload (hash-only recording)"

@@ -95,7 +95,11 @@ fn one_bit_rng_mutation_is_pinpointed_to_the_exact_event() {
     // The mutation lands before event MUTATE_AT is taken; its frame
     // digest folds the RNG words, so that exact frame is the first to
     // differ.
-    assert_eq!(div.event_index, Some(MUTATE_AT), "exact first divergent event");
+    assert_eq!(
+        div.event_index,
+        Some(MUTATE_AT),
+        "exact first divergent event"
+    );
     // The first divergent checkpoint is the next boundary after the
     // mutation, and its component diff names the RNG.
     let ckpt = div.checkpoint_index.expect("a checkpoint catches it");
@@ -111,7 +115,10 @@ fn one_bit_rng_mutation_is_pinpointed_to_the_exact_event() {
     );
 
     let report = div.render();
-    assert!(report.contains(&format!("#{MUTATE_AT}")), "report: {report}");
+    assert!(
+        report.contains(&format!("#{MUTATE_AT}")),
+        "report: {report}"
+    );
     assert!(report.contains("rng"), "report: {report}");
 }
 

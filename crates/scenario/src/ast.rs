@@ -259,7 +259,10 @@ spec! { WorkloadSpec in workload:
 impl WorkloadSpec {
     /// The packet-level run horizon (`None` for round-based Pytheas).
     pub fn horizon(&self) -> Option<SimDuration> {
-        let (_, v) = self.fields().into_iter().find(|f| f.0 == keys::workload::HORIZON)?;
+        let (_, v) = self
+            .fields()
+            .into_iter()
+            .find(|f| f.0 == keys::workload::HORIZON)?;
         Typed::of(v)
     }
 }
@@ -485,10 +488,19 @@ pub fn time(t: SimTime) -> String {
 
 /// Append one `[section]`: its header, `kind` if it has one, then every
 /// set field as `key = value`.
-fn section(s: &mut String, si: usize, kind: Option<&'static str>, fields: Vec<(usize, Option<Val>)>) {
+fn section(
+    s: &mut String,
+    si: usize,
+    kind: Option<&'static str>,
+    fields: Vec<(usize, Option<Val>)>,
+) {
     let sec = &SECTIONS[si];
     let _ = writeln!(s, "{}[{}]", if s.is_empty() { "" } else { "\n" }, sec.name);
-    for (row, v) in kind.map(|k| (0, Some(Val::Kind(k)))).into_iter().chain(fields) {
+    for (row, v) in kind
+        .map(|k| (0, Some(Val::Kind(k))))
+        .into_iter()
+        .chain(fields)
+    {
         if let Some(v) = v {
             let _ = writeln!(s, "{} = {v}", sec.keys[row].name);
         }
@@ -500,17 +512,40 @@ impl Scenario {
     pub fn print(&self) -> String {
         use keys::scenario::*;
         let mut s = String::new();
-        let fields = [(NAME, self.name.val()), (SEED, self.seed.val()), (SAMPLE_EVERY, self.sample_every.val())];
+        let fields = [
+            (NAME, self.name.val()),
+            (SEED, self.seed.val()),
+            (SAMPLE_EVERY, self.sample_every.val()),
+        ];
         section(&mut s, keys::SCENARIO, None, fields.into());
-        section(&mut s, keys::TOPOLOGY, Some(self.topology.kind()), self.topology.fields());
-        section(&mut s, keys::WORKLOAD, Some(self.workload.kind()), self.workload.fields());
+        section(
+            &mut s,
+            keys::TOPOLOGY,
+            Some(self.topology.kind()),
+            self.topology.fields(),
+        );
+        section(
+            &mut s,
+            keys::WORKLOAD,
+            Some(self.workload.kind()),
+            self.workload.fields(),
+        );
         if self.chaos_seed.is_some() || !self.chaos.is_empty() {
-            section(&mut s, keys::CHAOS, None, vec![(keys::chaos::SEED, self.chaos_seed.val())]);
-            self.chaos.iter().for_each(|decl| s.push_str(&(decl.line() + "\n")));
+            section(
+                &mut s,
+                keys::CHAOS,
+                None,
+                vec![(keys::chaos::SEED, self.chaos_seed.val())],
+            );
+            self.chaos
+                .iter()
+                .for_each(|decl| s.push_str(&(decl.line() + "\n")));
         }
         if !self.expect.is_empty() {
             section(&mut s, keys::EXPECT, None, Vec::new());
-            self.expect.iter().for_each(|e| s.push_str(&(e.line() + "\n")));
+            self.expect
+                .iter()
+                .for_each(|e| s.push_str(&(e.line() + "\n")));
         }
         s
     }
@@ -526,7 +561,11 @@ impl ChaosDecl {
         v += &match &self.kind {
             ChaosKind::LinkFlap { a, b, down: d } if b.is_empty() => format!(" {a}{at}{}", down(d)),
             ChaosKind::LinkFlap { a, b, down: d } => format!(" {a}-{b}{at}{}", down(d)),
-            ChaosKind::Partition { left, right, down: d } => {
+            ChaosKind::Partition {
+                left,
+                right,
+                down: d,
+            } => {
                 format!(" {} | {}{at}{}", left.join(","), right.join(","), down(d))
             }
             ChaosKind::RouterChurn { node, down: d } => format!(" {node}{at}{}", down(d)),

@@ -12,9 +12,7 @@
 //! parameters, so the runner can rebuild the identical topology later and
 //! the resolved ids stay valid — nothing heavyweight is retained here.
 
-use crate::ast::{
-    AttackSpec, ChaosKind, Expectation, Scenario, TopologySpec, WorkloadSpec,
-};
+use crate::ast::{AttackSpec, ChaosKind, Expectation, Scenario, TopologySpec, WorkloadSpec};
 use crate::chaos::{expand, ChaosWindow};
 use crate::keys::{PRIMARY, TCP_FAMILY};
 use dui_core::netsim::topology::{LinkId, NodeId, NodeKind, Topology};
@@ -122,7 +120,10 @@ impl fmt::Display for CompileError {
             }
             CompileError::PartitionNoCut => write!(f, "partition cuts no links"),
             CompileError::ChaosUnsupported { workload, chaos } => {
-                write!(f, "chaos '{chaos}' is not supported on workload '{workload}'")
+                write!(
+                    f,
+                    "chaos '{chaos}' is not supported on workload '{workload}'"
+                )
             }
             CompileError::PrimaryAlias => write!(
                 f,
@@ -527,9 +528,11 @@ mod tests {
 
     #[test]
     fn tcp_names_resolve_and_chaos_lowers() {
-        let s = sc("[scenario]\nname = x\n[topology]\nkind = linear\nnodes = 4\n\
+        let s = sc(
+            "[scenario]\nname = x\n[topology]\nkind = linear\nnodes = 4\n\
                     [workload]\nkind = tcp\nsrc = h0\ndst = h3\n\
-                    [chaos]\nlink_flap = r1-r2 at=10s down=5s\nrouter_churn = r2 at=30s down=2s\n");
+                    [chaos]\nlink_flap = r1-r2 at=10s down=5s\nrouter_churn = r2 at=30s down=2s\n",
+        );
         let c = compile(&s).unwrap();
         assert_eq!(c.windows.len(), 2);
         match &c.plan {
@@ -552,7 +555,9 @@ mod tests {
         let c = compile(&s).unwrap();
         match &c.plan {
             // The ring r0-r1-r2-r3 is cut at r1-r2 and r3-r0.
-            Plan::Tcp(p) => assert!(matches!(&p.actions[0], ResolvedChaos::Fault(ls) if ls.len() == 2)),
+            Plan::Tcp(p) => {
+                assert!(matches!(&p.actions[0], ResolvedChaos::Fault(ls) if ls.len() == 2))
+            }
             _ => panic!("expected a tcp plan"),
         }
     }
@@ -570,9 +575,11 @@ mod tests {
 
     #[test]
     fn recovery_needs_a_fault_to_recover_from() {
-        let s = sc("[scenario]\nname = x\n[topology]\nkind = linear\nnodes = 3\n\
+        let s = sc(
+            "[scenario]\nname = x\n[topology]\nkind = linear\nnodes = 3\n\
                     [workload]\nkind = tcp\nsrc = h0\ndst = h2\n\
-                    [expect]\nrecovery_within = 5s\n");
+                    [expect]\nrecovery_within = 5s\n",
+        );
         assert_eq!(compile(&s).unwrap_err(), CompileError::RecoveryWithoutChaos);
     }
 

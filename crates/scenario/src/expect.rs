@@ -239,12 +239,20 @@ fn reroute_within(d: SimDuration, faults: &[&ChaosWindow], samples: &[Sample]) -
             return if s.t <= f + d {
                 (
                     true,
-                    format!("rerouted by {} ({} after fault)", time(s.t), dur(SimDuration(s.t.0 - f.0))),
+                    format!(
+                        "rerouted by {} ({} after fault)",
+                        time(s.t),
+                        dur(SimDuration(s.t.0 - f.0))
+                    ),
                 )
             } else {
                 (
                     false,
-                    format!("first reroute at {} ({} after fault)", time(s.t), dur(SimDuration(s.t.0 - f.0))),
+                    format!(
+                        "first reroute at {} ({} after fault)",
+                        time(s.t),
+                        dur(SimDuration(s.t.0 - f.0))
+                    ),
                 )
             };
         }
@@ -307,7 +315,10 @@ fn blackout(faults: &[&ChaosWindow], samples: &[Sample]) -> (bool, String) {
             }
         }
     }
-    (false, "every sampling interval delivered packets".to_string())
+    (
+        false,
+        "every sampling interval delivered packets".to_string(),
+    )
 }
 
 #[cfg(test)]
@@ -372,8 +383,7 @@ mod tests {
         let w = window(10, 70);
         let faults = vec![&w];
         let samples = [s(10, 100), s(40, 100)];
-        let (pass, detail) =
-            recovery_within(SimDuration::from_secs(3), &sc, &faults, &samples);
+        let (pass, detail) = recovery_within(SimDuration::from_secs(3), &sc, &faults, &samples);
         assert!(!pass);
         assert!(detail.contains("no heal"), "{detail}");
     }

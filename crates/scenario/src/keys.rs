@@ -44,7 +44,16 @@ pub const PRIMARY: &str = "primary";
 
 /// The workloads that move packets between named hosts.
 pub const TCP_FAMILY: &[&str] = &[TCP, CHURN, SYN_FLOOD];
-const TOPOLOGY_KINDS: &[&str] = &[BLINK, PCC, PYTHEAS, RING, CHORDED_RING, LINEAR, FAT_TREE, BOWTIE];
+const TOPOLOGY_KINDS: &[&str] = &[
+    BLINK,
+    PCC,
+    PYTHEAS,
+    RING,
+    CHORDED_RING,
+    LINEAR,
+    FAT_TREE,
+    BOWTIE,
+];
 const WORKLOAD_KINDS: &[&str] = &[BLINK, PCC, PYTHEAS, TCP, CHURN, SYN_FLOOD];
 const FAULT_DECLS: &[&str] = &[LINK_FLAP, PARTITION, ROUTER_CHURN];
 const ALL_DECLS: &[&str] = &[LINK_FLAP, PARTITION, ROUTER_CHURN, LOAD_SURGE];
@@ -142,9 +151,17 @@ impl fmt::Display for Val {
             Val::Str(s) => f.write_str(s),
             Val::List(l) => f.write_str(&l.join(",")),
             Val::Pair(a, b) => write!(f, "{a}-{b}"),
-            Val::Attack(AttackSpec::Bounce { via: (a, b), bounces }) => {
+            Val::Attack(AttackSpec::Bounce {
+                via: (a, b),
+                bounces,
+            }) => {
                 let o = |i: usize| opt::KEYS[i].name;
-                write!(f, "{BOUNCE} {}={a}-{b} {}={bounces}", o(opt::VIA), o(opt::BOUNCES))
+                write!(
+                    f,
+                    "{BOUNCE} {}={a}-{b} {}={bounces}",
+                    o(opt::VIA),
+                    o(opt::BOUNCES)
+                )
             }
             Val::Counter(c, n) => write!(f, "{c} {n}"),
             Val::Kind(k) => f.write_str(k),
@@ -506,11 +523,26 @@ pub struct Section {
 
 /// The sections, in canonical print order; the constants below index it.
 pub const SECTIONS: [Section; 5] = [
-    Section { name: "scenario", keys: scenario::KEYS },
-    Section { name: "topology", keys: topology::KEYS },
-    Section { name: "workload", keys: workload::KEYS },
-    Section { name: "chaos", keys: chaos::KEYS },
-    Section { name: "expect", keys: expect::KEYS },
+    Section {
+        name: "scenario",
+        keys: scenario::KEYS,
+    },
+    Section {
+        name: "topology",
+        keys: topology::KEYS,
+    },
+    Section {
+        name: "workload",
+        keys: workload::KEYS,
+    },
+    Section {
+        name: "chaos",
+        keys: chaos::KEYS,
+    },
+    Section {
+        name: "expect",
+        keys: expect::KEYS,
+    },
 ];
 /// `[scenario]` in [`SECTIONS`].
 pub const SCENARIO: usize = 0;
@@ -532,7 +564,9 @@ mod tests {
     #[test]
     fn kind_lists_match_their_expected_text() {
         for keys in [topology::KEYS, workload::KEYS] {
-            let Ty::Kind(list, one_of) = keys[0].ty else { panic!("kind row without a list") };
+            let Ty::Kind(list, one_of) = keys[0].ty else {
+                panic!("kind row without a list")
+            };
             assert_eq!(one_of, format!("one of {}", list.join(", ")));
         }
     }
@@ -541,8 +575,16 @@ mod tests {
     fn names_are_unique_per_section_and_cases_disjoint() {
         for sec in SECTIONS.iter().map(|s| s.keys).chain([opt::KEYS]) {
             for (i, k) in sec.iter().enumerate() {
-                assert!(!sec[..i].iter().any(|o| o.name == k.name), "{} twice", k.name);
-                let kinds: Vec<&str> = k.cases.iter().flat_map(|c| c.kinds.iter().copied()).collect();
+                assert!(
+                    !sec[..i].iter().any(|o| o.name == k.name),
+                    "{} twice",
+                    k.name
+                );
+                let kinds: Vec<&str> = k
+                    .cases
+                    .iter()
+                    .flat_map(|c| c.kinds.iter().copied())
+                    .collect();
                 for (j, x) in kinds.iter().enumerate() {
                     assert!(!kinds[..j].contains(x), "{}: kind {x} in two cases", k.name);
                 }

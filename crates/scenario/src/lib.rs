@@ -32,7 +32,7 @@ pub mod parse;
 pub mod run;
 
 pub use ast::Scenario;
-pub use compile::{compile, Compiled, CompileError};
+pub use compile::{compile, CompileError, Compiled};
 pub use expect::CheckResult;
 pub use parse::{parse_str, ParseError, ParseErrorKind};
 pub use run::RunReport;

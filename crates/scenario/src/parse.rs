@@ -132,7 +132,10 @@ impl fmt::Display for ParseErrorKind {
                 write!(f, "the first key in [{section}] must be 'kind'")
             }
             ParseErrorKind::InvalidValue { key, expected, got } => {
-                write!(f, "invalid value for '{key}': expected {expected}, got '{got}'")
+                write!(
+                    f,
+                    "invalid value for '{key}': expected {expected}, got '{got}'"
+                )
             }
             ParseErrorKind::UnknownOption { decl, opt } => {
                 write!(f, "unknown option '{opt}' in '{decl}'")
@@ -220,7 +223,9 @@ fn duration(v: &str) -> Option<SimDuration> {
 }
 
 fn is_name(s: &str) -> bool {
-    !s.is_empty() && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
+    !s.is_empty()
+        && s.chars()
+            .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
 }
 
 fn is_node_name(s: &str) -> bool {
@@ -239,7 +244,11 @@ fn scalar(ty: Ty, v: &str) -> Option<Val> {
         Ty::Duration | Ty::Time => Val::Dur(duration(v)?),
         Ty::Name => Val::Str(is_name(v).then(|| v.to_string())?),
         Ty::Node => Val::Str(node(v)?),
-        Ty::Nodes => Val::List(v.split(',').map(|s| node(s.trim())).collect::<Option<_>>()?),
+        Ty::Nodes => Val::List(
+            v.split(',')
+                .map(|s| node(s.trim()))
+                .collect::<Option<_>>()?,
+        ),
         Ty::Pair => {
             let (a, b) = v.split_once('-')?;
             Val::Pair(node(a)?, node(b)?)
@@ -281,14 +290,16 @@ pub(crate) struct Slots<'a> {
 const NO_OPTIONS: [Option<Slot>; opt::KEYS.len()] = [const { None }; opt::KEYS.len()];
 
 impl<'a> Slots<'a> {
-
     fn missing(&self, i: usize) -> ParseError {
         let name = self.keys[i].name;
         self.ctx.err(
             self.at,
             match self.owner {
                 Owner::Section(section) => ParseErrorKind::MissingKey { section, key: name },
-                Owner::Decl(decl) => ParseErrorKind::MissingOption { decl: decl.to_string(), opt: name },
+                Owner::Decl(decl) => ParseErrorKind::MissingOption {
+                    decl: decl.to_string(),
+                    opt: name,
+                },
             },
         )
     }
@@ -301,7 +312,12 @@ impl<'a> Slots<'a> {
         let val = match self.slots[i].take() {
             Some(Slot { pos, val }) => {
                 if let Some(c) = case.filter(|c| self.deferred && !c.bound.admits(&val)) {
-                    return Err(self.ctx.invalid(pos, key.name, c.bound.expected, &val.to_string()));
+                    return Err(self.ctx.invalid(
+                        pos,
+                        key.name,
+                        c.bound.expected,
+                        &val.to_string(),
+                    ));
                 }
                 Some(val)
             }
@@ -317,11 +333,19 @@ impl<'a> Slots<'a> {
 
 impl Ctx<'_> {
     /// Parse `text` as `key`'s type, then check `bound`.
-    fn typed(&self, key: &Key, bound: &keys::Bound, pos: Pos, text: &str) -> Result<Val, ParseError> {
+    fn typed(
+        &self,
+        key: &Key,
+        bound: &keys::Bound,
+        pos: Pos,
+        text: &str,
+    ) -> Result<Val, ParseError> {
         let v = match key.ty {
             Ty::Attack => self.attack(pos, key.name, text)?,
             Ty::Counter => self.counter(pos, key, text)?,
-            ty => scalar(ty, text).ok_or_else(|| self.invalid(pos, key.name, ty.expected(), text))?,
+            ty => {
+                scalar(ty, text).ok_or_else(|| self.invalid(pos, key.name, ty.expected(), text))?
+            }
         };
         if bound.admits(&v) {
             Ok(v)
@@ -337,7 +361,10 @@ impl Ctx<'_> {
         match (toks.next(), toks.next(), toks.next()) {
             (Some((_, name)), Some((col, n)), None) if name.chars().all(named) => {
                 let Some(Val::Int(n)) = scalar(Ty::Int, n) else {
-                    let npos = Pos { line: vpos.line, col };
+                    let npos = Pos {
+                        line: vpos.line,
+                        col,
+                    };
                     return Err(self.invalid(npos, key.name, Ty::Int.expected(), n));
                 };
                 Ok(Val::Counter(name.to_string(), n))
@@ -359,7 +386,15 @@ impl Ctx<'_> {
         mut positional: Option<&mut Vec<(u32, &'t str)>>,
     ) -> Result<Slots<'s>, ParseError> {
         let (keys, owner) = (opt::KEYS, Owner::Decl(decl));
-        let found = Slots { ctx: self, keys, owner, at, kind: Some(kind), deferred: false, slots };
+        let found = Slots {
+            ctx: self,
+            keys,
+            owner,
+            at,
+            kind: Some(kind),
+            deferred: false,
+            slots,
+        };
         for (col, t) in toks {
             let tpos = Pos { line: at.line, col };
             let unknown = |opt: &str| {
@@ -374,7 +409,8 @@ impl Ctx<'_> {
                 continue;
             };
             let row = opt::KEYS.iter().position(|k| k.name == name);
-            let Some((i, case)) = row.and_then(|i| Some((i, opt::KEYS[i].case(Some(kind))?))) else {
+            let Some((i, case)) = row.and_then(|i| Some((i, opt::KEYS[i].case(Some(kind))?)))
+            else {
                 return Err(unknown(name));
             };
             let val = self.typed(&opt::KEYS[i], &case.bound, tpos, v)?;
@@ -391,7 +427,10 @@ impl Ctx<'_> {
         }
         let mut store = NO_OPTIONS;
         let mut o = self.options(key, kind::BOUNCE, vpos, toks, &mut store, None)?;
-        Ok(Val::Attack(AttackSpec::Bounce { via: o.get(opt::VIA)?, bounces: o.get(opt::BOUNCES)? }))
+        Ok(Val::Attack(AttackSpec::Bounce {
+            via: o.get(opt::VIA)?,
+            bounces: o.get(opt::BOUNCES)?,
+        }))
     }
 
     /// Parse one `[chaos]` declaration line.
@@ -406,8 +445,16 @@ impl Ctx<'_> {
         if repeat > 1 && every.is_none() {
             return Err(o.missing(opt::EVERY));
         }
-        let tpos = |col: u32| Pos { line: vpos.line, col };
-        let first = |expected| target.first().copied().ok_or_else(|| self.invalid(vpos, key, expected, val));
+        let tpos = |col: u32| Pos {
+            line: vpos.line,
+            col,
+        };
+        let first = |expected| {
+            target
+                .first()
+                .copied()
+                .ok_or_else(|| self.invalid(vpos, key, expected, val))
+        };
         let kind = match key {
             kind::LINK_FLAP => {
                 let expected = "a link target '<a>-<b>' or 'primary'";
@@ -418,24 +465,36 @@ impl Ctx<'_> {
                     Typed::of(scalar(Ty::Pair, link))
                         .ok_or_else(|| self.invalid(tpos(col), key, expected, link))?
                 };
-                ChaosKind::LinkFlap { a, b, down: o.get(opt::DOWN)? }
+                ChaosKind::LinkFlap {
+                    a,
+                    b,
+                    down: o.get(opt::DOWN)?,
+                }
             }
             kind::PARTITION => {
                 let expr = target.iter().map(|&(_, t)| t).collect::<Vec<_>>().join(" ");
-                let bad = |got: &str| self.invalid(vpos, key, "two node groups '<a>,<b> | <c>,<d>'", got);
+                let bad =
+                    |got: &str| self.invalid(vpos, key, "two node groups '<a>,<b> | <c>,<d>'", got);
                 let mut sides = expr.split('|');
                 let (Some(l), Some(r), None) = (sides.next(), sides.next(), sides.next()) else {
                     return Err(bad(&expr));
                 };
                 let side = |side: &str| -> Result<Vec<String>, ParseError> {
-                    let names: Vec<&str> =
-                        side.split(',').map(str::trim).filter(|s| !s.is_empty()).collect();
+                    let names: Vec<&str> = side
+                        .split(',')
+                        .map(str::trim)
+                        .filter(|s| !s.is_empty())
+                        .collect();
                     if names.is_empty() || !names.iter().all(|n| is_node_name(n)) {
                         return Err(bad(side.trim()));
                     }
                     Ok(names.into_iter().map(String::from).collect())
                 };
-                ChaosKind::Partition { left: side(l)?, right: side(r)?, down: o.get(opt::DOWN)? }
+                ChaosKind::Partition {
+                    left: side(l)?,
+                    right: side(r)?,
+                    down: o.get(opt::DOWN)?,
+                }
             }
             kind::ROUTER_CHURN => {
                 let expected = "a router name";
@@ -443,14 +502,20 @@ impl Ctx<'_> {
                 if !is_node_name(node) {
                     return Err(self.invalid(tpos(col), key, expected, node));
                 }
-                ChaosKind::RouterChurn { node: node.to_string(), down: o.get(opt::DOWN)? }
+                ChaosKind::RouterChurn {
+                    node: node.to_string(),
+                    down: o.get(opt::DOWN)?,
+                }
             }
             _ => {
                 if let Some(&(col, t)) = target.first() {
                     let (decl, opt) = (key.to_string(), t.to_string());
                     return Err(self.err(tpos(col), ParseErrorKind::UnknownOption { decl, opt }));
                 }
-                ChaosKind::LoadSurge { flows: o.get(opt::FLOWS)?, duration: o.get(opt::DURATION)? }
+                ChaosKind::LoadSurge {
+                    flows: o.get(opt::FLOWS)?,
+                    duration: o.get(opt::DURATION)?,
+                }
             }
         };
         Ok(ChaosDecl {
@@ -492,7 +557,10 @@ pub fn parse_str(file: &str, text: &str) -> Result<Scenario, ParseError> {
             continue;
         }
         let lead = content.len() - content.trim_start().len();
-        let pos = Pos { line: lineno, col: content[..lead].chars().count() as u32 + 1 };
+        let pos = Pos {
+            line: lineno,
+            col: content[..lead].chars().count() as u32 + 1,
+        };
 
         if let Some(rest) = trimmed.strip_prefix('[') {
             let Some(sec_name) = rest.strip_suffix(']') else {
@@ -509,7 +577,15 @@ pub fn parse_str(file: &str, text: &str) -> Result<Scenario, ParseError> {
             let (slots, others) = std::mem::take(&mut free).split_at_mut(rows);
             free = others;
             let deferred = si == keys::TOPOLOGY;
-            secs[si] = Some(Slots { ctx: &ctx, keys, owner, at: pos, kind: None, deferred, slots });
+            secs[si] = Some(Slots {
+                ctx: &ctx,
+                keys,
+                owner,
+                at: pos,
+                kind: None,
+                deferred,
+                slots,
+            });
             current = Some(si);
             continue;
         }
@@ -523,7 +599,10 @@ pub fn parse_str(file: &str, text: &str) -> Result<Scenario, ParseError> {
         let val_raw = &content[val_off..];
         let val = val_raw.trim();
         let vindent = val_raw.chars().take_while(|c| c.is_whitespace()).count() as u32;
-        let vpos = Pos { line: lineno, col: val_off as u32 + vindent + 1 };
+        let vpos = Pos {
+            line: lineno,
+            col: val_off as u32 + vindent + 1,
+        };
         if key.is_empty() {
             return Err(ctx.err(pos, ParseErrorKind::MissingEquals));
         }
@@ -536,7 +615,13 @@ pub fn parse_str(file: &str, text: &str) -> Result<Scenario, ParseError> {
         // `[chaos]` declarations and `[expect]` lines repeat (they are
         // pushed, never slotted); any other key may appear once.
         if row.is_some_and(|i| st.slots.get(i).is_some_and(Option::is_some)) {
-            return Err(ctx.err(pos, ParseErrorKind::DuplicateKey { section, key: key.to_string() }));
+            return Err(ctx.err(
+                pos,
+                ParseErrorKind::DuplicateKey {
+                    section,
+                    key: key.to_string(),
+                },
+            ));
         }
         // Sections that open with `kind` gate every other key on it.
         let gated = matches!(st.keys[0].ty, Ty::Kind(..));
@@ -546,16 +631,32 @@ pub fn parse_str(file: &str, text: &str) -> Result<Scenario, ParseError> {
             return Err(kind_first());
         }
         let Some(i) = row else {
-            return Err(ctx.err(pos, ParseErrorKind::UnknownKey { section, key: key.to_string() }));
+            return Err(ctx.err(
+                pos,
+                ParseErrorKind::UnknownKey {
+                    section,
+                    key: key.to_string(),
+                },
+            ));
         };
         if kindless {
             return Err(kind_first());
         }
         let k = &st.keys[i];
         // (`[expect]` cases list workloads, which `compile` checks.)
-        let Some(case) = (if gated { k.case(st.kind) } else { k.cases.first() }) else {
+        let Some(case) = (if gated {
+            k.case(st.kind)
+        } else {
+            k.cases.first()
+        }) else {
             let what = format!("{section} kind '{}'", st.kind.unwrap_or_default());
-            return Err(ctx.err(pos, ParseErrorKind::KeyNotApplicable { key: key.to_string(), what }));
+            return Err(ctx.err(
+                pos,
+                ParseErrorKind::KeyNotApplicable {
+                    key: key.to_string(),
+                    what,
+                },
+            ));
         };
         if k.ty == Ty::Decl {
             chaos.push(ctx.chaos_decl(vpos, k.name, val)?);
@@ -573,7 +674,10 @@ pub fn parse_str(file: &str, text: &str) -> Result<Scenario, ParseError> {
         st.slots[i] = Some(Slot { pos: vpos, val: v });
     }
 
-    let eof = Pos { line: last_line + 1, col: 1 };
+    let eof = Pos {
+        line: last_line + 1,
+        col: 1,
+    };
     let [scn, topo, wl, cha, _] = secs;
     let absent = |si: usize| ctx.err(eof, ParseErrorKind::MissingSection(SECTIONS[si].name));
     let mut scn = scn.ok_or_else(|| absent(keys::SCENARIO))?;
@@ -591,7 +695,10 @@ pub fn parse_str(file: &str, text: &str) -> Result<Scenario, ParseError> {
         sample_every: scn.get(keys::scenario::SAMPLE_EVERY)?,
         topology,
         workload,
-        chaos_seed: cha.map(|mut c| c.get(keys::chaos::SEED)).transpose()?.flatten(),
+        chaos_seed: cha
+            .map(|mut c| c.get(keys::chaos::SEED))
+            .transpose()?
+            .flatten(),
         chaos,
         expect,
     })
@@ -620,7 +727,9 @@ dst = h2
         assert_eq!(sc.seed, 1);
         assert_eq!(sc.topology, TopologySpec::Linear { nodes: 3 });
         match &sc.workload {
-            WorkloadSpec::Tcp { src, dst, flows, .. } => {
+            WorkloadSpec::Tcp {
+                src, dst, flows, ..
+            } => {
                 assert_eq!(src, &vec!["h0".to_string()]);
                 assert_eq!(dst, "h2");
                 assert_eq!(*flows, 40);
@@ -634,7 +743,10 @@ dst = h2
         let text = "[scenario]\nname = x\nbogus = 1\n";
         let e = parse_str("f.dsc", text).unwrap_err();
         assert_eq!((e.line, e.col), (3, 1));
-        assert_eq!(e.to_string(), "f.dsc:3:1: unknown key 'bogus' in [scenario]");
+        assert_eq!(
+            e.to_string(),
+            "f.dsc:3:1: unknown key 'bogus' in [scenario]"
+        );
     }
 
     #[test]
@@ -689,14 +801,26 @@ dst = h2
     fn workload_error_precedence() {
         let topo = "[topology]\nkind = pcc\n[workload]\n";
         let e = |rest: &str| first_err(&format!("{topo}{rest}"));
-        assert_eq!(e("bogus = 1\n"), "f:6:1: the first key in [workload] must be 'kind'");
-        assert_eq!(e("kind = pcc\nbogus = 1\n"), "f:7:1: unknown key 'bogus' in [workload]");
+        assert_eq!(
+            e("bogus = 1\n"),
+            "f:6:1: the first key in [workload] must be 'kind'"
+        );
+        assert_eq!(
+            e("kind = pcc\nbogus = 1\n"),
+            "f:7:1: unknown key 'bogus' in [workload]"
+        );
         assert_eq!(
             e("kind = pcc\nlegit_flows = nope\n"),
             "f:7:1: key 'legit_flows' does not apply to workload kind 'pcc'"
         );
-        assert_eq!(e("kind = pcc\nflows = 3\nflows = nope\n"), "f:8:1: duplicate key 'flows' in [workload]");
-        assert_eq!(e("kind = pcc\nkind = nope\n"), "f:7:1: duplicate key 'kind' in [workload]");
+        assert_eq!(
+            e("kind = pcc\nflows = 3\nflows = nope\n"),
+            "f:8:1: duplicate key 'flows' in [workload]"
+        );
+        assert_eq!(
+            e("kind = pcc\nkind = nope\n"),
+            "f:7:1: duplicate key 'kind' in [workload]"
+        );
         assert_eq!(
             e("kind = pcc\nflows = 250\n"),
             "f:7:9: invalid value for 'flows': expected an integer in 1..250, got '250'"
@@ -710,18 +834,30 @@ dst = h2
     fn topology_error_precedence() {
         let e = |rest: &str| first_err(&format!("[topology]\n{rest}"));
         assert_eq!(e("bogus = 1\n"), "f:4:1: unknown key 'bogus' in [topology]");
-        assert_eq!(e("nodes = 4\n"), "f:4:1: the first key in [topology] must be 'kind'");
+        assert_eq!(
+            e("nodes = 4\n"),
+            "f:4:1: the first key in [topology] must be 'kind'"
+        );
         assert_eq!(
             e("kind = blink\nnodes = nope\n"),
             "f:5:1: key 'nodes' does not apply to topology kind 'blink'"
         );
-        assert_eq!(e("kind = ring\nnodes = 4\nnodes = nope\n"), "f:6:1: duplicate key 'nodes' in [topology]");
-        assert_eq!(e("kind = ring\nkind = nope\n"), "f:5:1: duplicate key 'kind' in [topology]");
+        assert_eq!(
+            e("kind = ring\nnodes = 4\nnodes = nope\n"),
+            "f:6:1: duplicate key 'nodes' in [topology]"
+        );
+        assert_eq!(
+            e("kind = ring\nkind = nope\n"),
+            "f:5:1: duplicate key 'kind' in [topology]"
+        );
         let wl = "[workload]\nkind = tcp\nsrc = h0\ndst = h1\n";
         assert_eq!(
             e(&format!("kind = ring\nnodes =  02\n{wl}")),
             "f:5:10: invalid value for 'nodes': expected an integer in 3..=256, got '2'"
         );
-        assert_eq!(e(&format!("kind = ring\nnodes = 2\n{wl}oops\n")), "f:10:1: expected 'key = value'");
+        assert_eq!(
+            e(&format!("kind = ring\nnodes = 2\n{wl}oops\n")),
+            "f:10:1: expected 'key = value'"
+        );
     }
 }

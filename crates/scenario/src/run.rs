@@ -198,7 +198,10 @@ impl Compiled {
             if self.on_grid(t) {
                 samples.push(Sample {
                     t,
-                    delivered: b.sim.metrics_snapshot().counter("netsim.delivered.endpoint"),
+                    delivered: b
+                        .sim
+                        .metrics_snapshot()
+                        .counter("netsim.delivered.endpoint"),
                     reroutes: b.reroutes() as u64,
                     on_primary: b.on_primary(),
                 });
@@ -416,8 +419,7 @@ impl Compiled {
             let logic = match plan.bounce {
                 Some((a, b, bounces)) if r == a || r == b => {
                     let partner = if r == a { b } else { a };
-                    let matcher =
-                        Box::new(move |p: &Packet| prefix.contains(p.key.dst));
+                    let matcher = Box::new(move |p: &Packet| prefix.contains(p.key.dst));
                     RouterLogic::new()
                         .with_program(Box::new(BounceProgram::new(matcher, partner, bounces)))
                 }
@@ -577,13 +579,11 @@ mod tests {
 
     #[test]
     fn linear_flap_blacks_out_and_recovers() {
-        let report = run(
-            "[scenario]\nname = t\nseed = 7\n\
+        let report = run("[scenario]\nname = t\nseed = 7\n\
              [topology]\nkind = linear\nnodes = 3\n\
              [workload]\nkind = tcp\nflows = 12\nsrc = h0\ndst = h2\nhorizon = 30s\n\
              [chaos]\nlink_flap = r0-r1 at=10s down=5s\n\
-             [expect]\nblackout_during_chaos = true\nrecovery_within = 5s\ndelivered_min = 1000\n",
-        );
+             [expect]\nblackout_during_chaos = true\nrecovery_within = 5s\ndelivered_min = 1000\n");
         for c in &report.checks {
             assert!(c.pass, "{}: {}", c.label, c.detail);
         }
@@ -591,13 +591,11 @@ mod tests {
 
     #[test]
     fn churn_streams_flows_and_recycles_pool_slots() {
-        let report = run(
-            "[scenario]\nname = t\nseed = 9\n\
+        let report = run("[scenario]\nname = t\nseed = 9\n\
              [topology]\nkind = linear\nnodes = 3\n\
              [workload]\nkind = churn\nflows = 10\nmean_lifetime = 4s\nsrc = h0\ndst = h2\n\
              horizon = 25s\n\
-             [expect]\nhandshake_completed_min = 10\ncounter_min = tcp.pool.recycled 1\n",
-        );
+             [expect]\nhandshake_completed_min = 10\ncounter_min = tcp.pool.recycled 1\n");
         assert_eq!(report.kind, "churn");
         for c in &report.checks {
             assert!(c.pass, "{}: {}", c.label, c.detail);
@@ -606,15 +604,13 @@ mod tests {
 
     #[test]
     fn syn_flood_saturates_the_backlog_but_not_beyond() {
-        let report = run(
-            "[scenario]\nname = t\nseed = 9\n\
+        let report = run("[scenario]\nname = t\nseed = 9\n\
              [topology]\nkind = linear\nnodes = 3\n\
              [workload]\nkind = syn_flood\nflows = 8\nsrc = h0\ndst = h2\nattacker = h1\n\
              syn_rate = 500\nbacklog = 16\nsyn_timeout = 3s\n\
              attack_start = 5s\nattack_duration = 10s\nhorizon = 30s\n\
              [expect]\nsynrcvd_peak_max = 16\nhandshake_completed_min = 8\n\
-             counter_min = tcp.handshake.syn_dropped 100\n",
-        );
+             counter_min = tcp.handshake.syn_dropped 100\n");
         assert_eq!(report.kind, "syn_flood");
         for c in &report.checks {
             assert!(c.pass, "{}: {}", c.label, c.detail);

@@ -48,12 +48,16 @@ fn shipped_files() -> Vec<PathBuf> {
 #[test]
 fn examples_roundtrip_through_canonical_print() {
     let files = shipped_files();
-    assert!(files.len() >= 16 + 2, "corpus shrank to {} files", files.len());
+    assert!(
+        files.len() >= 16 + 2,
+        "corpus shrank to {} files",
+        files.len()
+    );
     for path in files {
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
         let text = fs::read_to_string(&path).unwrap();
-        let first = parse_str(&name, &text)
-            .unwrap_or_else(|e| panic!("{name} failed to parse: {e}"));
+        let first =
+            parse_str(&name, &text).unwrap_or_else(|e| panic!("{name} failed to parse: {e}"));
         let printed = first.print();
         let second = parse_str(&name, &printed)
             .unwrap_or_else(|e| panic!("{name} canonical form failed to re-parse: {e}"));
@@ -116,7 +120,11 @@ router_churn = r2 at=10s down=1s repeat=2 every=6s jitter=2s
 fn bad_fixtures_fail_with_recorded_diagnostics() {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/bad");
     let files = dsc_files(&dir);
-    assert!(files.len() >= 14, "bad corpus shrank to {} files", files.len());
+    assert!(
+        files.len() >= 14,
+        "bad corpus shrank to {} files",
+        files.len()
+    );
     let mut mismatches = Vec::new();
     for path in files {
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
@@ -130,7 +138,9 @@ fn bad_fixtures_fail_with_recorded_diagnostics() {
             .map(|s| s.trim().to_string())
             .unwrap_or_else(|_| "<missing .err file>".to_string());
         if actual != expected {
-            mismatches.push(format!("{name}:\n  expected: {expected}\n  actual:   {actual}"));
+            mismatches.push(format!(
+                "{name}:\n  expected: {expected}\n  actual:   {actual}"
+            ));
         }
     }
     assert!(
@@ -164,8 +174,16 @@ fn value(key: &Key, case: &Case, at: At) -> String {
         At::Hi => hi,
         At::Mid(r) => lo + r % (hi - lo).clamp(1, 9_999),
     };
-    let n = if matches!(case.bound.check, Check::Even(..)) { n - n % 2 } else { n };
-    let top = if let Check::Unit(hi) = case.bound.check { hi } else { 1000.0 };
+    let n = if matches!(case.bound.check, Check::Even(..)) {
+        n - n % 2
+    } else {
+        n
+    };
+    let top = if let Check::Unit(hi) = case.bound.check {
+        hi
+    } else {
+        1000.0
+    };
     match (key.ty, at) {
         (Ty::Int | Ty::U32, _) => n.to_string(),
         (Ty::F64, At::Lo) => "0".to_string(),
@@ -180,7 +198,11 @@ fn value(key: &Key, case: &Case, at: At) -> String {
         (Ty::Nodes, _) if case.bound.check == Check::Single => format!("h{}", n % 100),
         (Ty::Nodes, _) => "h0, h1 ,r2".to_string(),
         (Ty::Pair, _) => "r0-r1".to_string(),
-        (Ty::Attack, at) => format!("{}{}", kind::BOUNCE, options(kind::BOUNCE, &mut |_| Some(at))),
+        (Ty::Attack, at) => format!(
+            "{}{}",
+            kind::BOUNCE,
+            options(kind::BOUNCE, &mut |_| Some(at))
+        ),
         (Ty::Counter, _) => format!("netsim.drop.ttl   {n}"),
         (Ty::Kind(list, _), _) => list[(n % list.len() as u64) as usize].to_string(),
         (Ty::Decl, at) => {
@@ -204,7 +226,9 @@ fn options(decl: &str, take: &mut dyn FnMut(&Key) -> Option<At>) -> String {
     let mut out = String::new();
     let mut repeats = false;
     for (i, key) in opt::KEYS.iter().enumerate() {
-        let Some(case) = key.case(Some(decl)) else { continue };
+        let Some(case) = key.case(Some(decl)) else {
+            continue;
+        };
         let forced = case.dflt == Dflt::Required || (i == opt::EVERY && repeats);
         if let Some(at) = take(key).or(forced.then_some(At::Lo)) {
             let v = value(key, case, at);
@@ -225,7 +249,11 @@ fn scenario_text(
     tail: &str,
 ) -> String {
     let mut out = String::new();
-    for (si, kind) in [(keys::SCENARIO, None), (keys::TOPOLOGY, Some(tk)), (keys::WORKLOAD, Some(wk))] {
+    for (si, kind) in [
+        (keys::SCENARIO, None),
+        (keys::TOPOLOGY, Some(tk)),
+        (keys::WORKLOAD, Some(wk)),
+    ] {
         out += &format!("[{}]\n", SECTIONS[si].name);
         for key in SECTIONS[si].keys {
             let v = match (key.ty, key.case(kind)) {
@@ -248,17 +276,25 @@ fn fixed_point(text: &str) -> Result<Scenario, String> {
     let printed = s.print();
     let again = parse_str("printed.dsc", &printed).map_err(|e| format!("{e}\n{printed}"))?;
     if again != s {
-        return Err(format!("parse(print(s)) != s\n{text}\n-- printed --\n{printed}"));
+        return Err(format!(
+            "parse(print(s)) != s\n{text}\n-- printed --\n{printed}"
+        ));
     }
     if again.print() != printed {
-        return Err(format!("print is not a fixed point\n{text}\n-- printed --\n{printed}"));
+        return Err(format!(
+            "print is not a fixed point\n{text}\n-- printed --\n{printed}"
+        ));
     }
     Ok(s)
 }
 
 /// Every kind a case covers; the one kindless pseudo-kind otherwise.
 fn kinds_of(case: &Case) -> Vec<&'static str> {
-    if case.kinds.is_empty() { vec![kind::BLINK] } else { case.kinds.to_vec() }
+    if case.kinds.is_empty() {
+        vec![kind::BLINK]
+    } else {
+        case.kinds.to_vec()
+    }
 }
 
 /// Every key of the three required sections, on every kind it applies
@@ -268,24 +304,40 @@ fn kinds_of(case: &Case) -> Vec<&'static str> {
 fn every_key_on_every_kind_round_trips() {
     let mut checked = 0;
     for si in [keys::SCENARIO, keys::TOPOLOGY, keys::WORKLOAD] {
-        for key in SECTIONS[si].keys.iter().filter(|k| !matches!(k.ty, Ty::Kind(..))) {
-            for (case, kind) in key.cases.iter().flat_map(|c| kinds_of(c).into_iter().map(move |k| (c, k))) {
+        for key in SECTIONS[si]
+            .keys
+            .iter()
+            .filter(|k| !matches!(k.ty, Ty::Kind(..)))
+        {
+            for (case, kind) in key
+                .cases
+                .iter()
+                .flat_map(|c| kinds_of(c).into_iter().map(move |k| (c, k)))
+            {
                 let (tk, wk) = match si {
                     keys::TOPOLOGY => (kind, kind::BLINK),
                     keys::WORKLOAD => (kind::BLINK, kind),
                     _ => (kind::BLINK, kind::BLINK),
                 };
                 let with = |text: Option<String>| {
-                    let mut take = |s: usize, k: &Key, _: &Case| text.clone().filter(|_| s == si && k.name == key.name);
-                    fixed_point(&scenario_text(tk, wk, &mut take, ""))
-                        .unwrap_or_else(|e| panic!("[{}] {} on {kind}: {e}", SECTIONS[si].name, key.name))
+                    let mut take = |s: usize, k: &Key, _: &Case| {
+                        text.clone().filter(|_| s == si && k.name == key.name)
+                    };
+                    fixed_point(&scenario_text(tk, wk, &mut take, "")).unwrap_or_else(|e| {
+                        panic!("[{}] {} on {kind}: {e}", SECTIONS[si].name, key.name)
+                    })
                 };
                 for at in [At::Lo, At::Hi, At::Mid(7)] {
                     with(Some(value(key, case, at)));
                     checked += 1;
                 }
                 if let Dflt::Is(default) = case.dflt {
-                    assert_eq!(with(None), with(Some(default.to_string())), "{} default on {kind}", key.name);
+                    assert_eq!(
+                        with(None),
+                        with(Some(default.to_string())),
+                        "{} default on {kind}",
+                        key.name
+                    );
                 } else if case.dflt == Dflt::Unset {
                     with(None);
                 }
@@ -306,8 +358,13 @@ fn every_chaos_and_expect_row_round_trips() {
             for at in [At::Lo, At::Hi, At::Mid(12_345)] {
                 let line = format!("{} = {}", key.name, value(key, &key.cases[0], at));
                 let tail = format!("[{}]\n{line}\n", SECTIONS[si].name);
-                let s = fixed_point(&scenario_text(kind::LINEAR, kind::TCP, &mut |_, _, _| None, &tail))
-                    .unwrap_or_else(|e| panic!("{line}: {e}"));
+                let s = fixed_point(&scenario_text(
+                    kind::LINEAR,
+                    kind::TCP,
+                    &mut |_, _, _| None,
+                    &tail,
+                ))
+                .unwrap_or_else(|e| panic!("{line}: {e}"));
                 let parsed = s.chaos.len() + s.expect.len() + usize::from(s.chaos_seed.is_some());
                 assert_eq!(parsed, 1, "{line}");
             }
@@ -363,10 +420,19 @@ fn seed_files() -> Vec<(String, Vec<u8>)> {
     let bad = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/bad");
     let mut files = shipped_files();
     files.extend(dsc_files(&bad));
-    assert!(files.len() >= 16 + 2 + 14, "seed corpus shrank to {} files", files.len());
+    assert!(
+        files.len() >= 16 + 2 + 14,
+        "seed corpus shrank to {} files",
+        files.len()
+    );
     files
         .into_iter()
-        .map(|p| (p.file_name().unwrap().to_string_lossy().into_owned(), fs::read(&p).unwrap()))
+        .map(|p| {
+            (
+                p.file_name().unwrap().to_string_lossy().into_owned(),
+                fs::read(&p).unwrap(),
+            )
+        })
         .collect()
 }
 
@@ -377,7 +443,10 @@ fn parses_or_points_inside(what: &str, bytes: &[u8]) {
     let text = String::from_utf8_lossy(bytes);
     if let Err(e) = parse_str("mutant.dsc", &text) {
         let lines = text.lines().count() as u32;
-        assert!((1..=lines + 1).contains(&e.line) && e.col >= 1, "{what}: {e} outside {lines} lines");
+        assert!(
+            (1..=lines + 1).contains(&e.line) && e.col >= 1,
+            "{what}: {e} outside {lines} lines"
+        );
     }
 }
 
@@ -407,7 +476,9 @@ fn mutated_corpus_never_panics_the_parser() {
         for round in 0..400 {
             let mut m = bytes.clone();
             for _ in 0..=rng.below(3) {
-                let i = rng.below_usize(m.len().max(1)).min(m.len().saturating_sub(1));
+                let i = rng
+                    .below_usize(m.len().max(1))
+                    .min(m.len().saturating_sub(1));
                 match rng.below(3) {
                     0 if !m.is_empty() => m[i] ^= 1 << rng.below(8),
                     1 => m.insert(i.min(m.len()), *rng.pick(b"=[]#-,| \n\t0x\xc3\xff")),
@@ -428,7 +499,11 @@ fn doc_row(key: &Key, case: &Case) -> String {
         Ty::Kind(..) => "kind".to_string(),
         ty => format!("{ty:?}").to_lowercase(),
     };
-    let kinds = if case.kinds.is_empty() { "—".to_string() } else { case.kinds.join(", ") };
+    let kinds = if case.kinds.is_empty() {
+        "—".to_string()
+    } else {
+        case.kinds.join(", ")
+    };
     let default = match case.dflt {
         Dflt::Required => "*(required)*".to_string(),
         Dflt::Unset => "*(unset)*".to_string(),
@@ -436,7 +511,12 @@ fn doc_row(key: &Key, case: &Case) -> String {
     };
     let bound = match (key.ty, case.bound) {
         (Ty::Kind(_, one_of), _) => one_of,
-        (_, Bound { check: Check::Any, .. }) => "—",
+        (
+            _,
+            Bound {
+                check: Check::Any, ..
+            },
+        ) => "—",
         (_, Bound { expected, .. }) => expected,
     };
     format!("| `{}` | {ty} | {kinds} | {default} | {bound} |", key.name)
@@ -453,14 +533,21 @@ fn docs_document_the_key_table_row_for_row() {
         .map(|s| (format!("### `[{}]`", s.name), s.keys))
         .chain([("### Declaration options".to_string(), opt::KEYS)]);
     for (heading, rows) in tables {
-        let at = chapter.find(&heading).unwrap_or_else(|| panic!("no '{heading}' in docs/scenarios.md"));
+        let at = chapter
+            .find(&heading)
+            .unwrap_or_else(|| panic!("no '{heading}' in docs/scenarios.md"));
         let body = &chapter[at + heading.len()..];
         let body = &body[..body.find("\n#").unwrap_or(body.len())];
         let documented: Vec<&str> = body.lines().filter(|l| l.starts_with("| `")).collect();
-        let expected: Vec<String> =
-            rows.iter().flat_map(|k| k.cases.iter().map(move |c| doc_row(k, c))).collect();
+        let expected: Vec<String> = rows
+            .iter()
+            .flat_map(|k| k.cases.iter().map(move |c| doc_row(k, c)))
+            .collect();
         for (want, got) in expected.iter().zip(&documented) {
-            assert!(got.starts_with(want.as_str()), "{heading}:\n  keys.rs: {want}\n  docs:    {got}");
+            assert!(
+                got.starts_with(want.as_str()),
+                "{heading}:\n  keys.rs: {want}\n  docs:    {got}"
+            );
         }
         assert_eq!(documented.len(), expected.len(), "{heading}: row count");
     }

@@ -447,14 +447,7 @@ pub fn check(name: &str, cfg: &Config, prop: impl FnMut(&mut Gen) -> PropResult)
             "propcheck '{name}' failed (case {} of {}, seed {:#x}, \
              {} shrink steps)\nminimal counterexample: {}\nchoices: {:?}\n\
              replay: PROPCHECK_SEED={} PROPCHECK_CASES={}",
-            f.case,
-            cfg.cases,
-            f.seed,
-            f.shrink_steps,
-            f.message,
-            f.choices,
-            cfg.seed,
-            cfg.cases,
+            f.case, cfg.cases, f.seed, f.shrink_steps, f.message, f.choices, cfg.seed, cfg.cases,
         );
     }
 }

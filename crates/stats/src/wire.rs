@@ -530,19 +530,30 @@ mod tests {
         let read16 = |v: u64| Reader::new(&varint_bytes(v)).varint_u16("port");
         assert_eq!(read16(u64::from(u16::MAX) - 1), Ok(u16::MAX - 1));
         assert_eq!(read16(u64::from(u16::MAX)), Ok(u16::MAX));
-        assert_eq!(read16(u64::from(u16::MAX) + 1).unwrap_err().kind, ErrorKind::Range);
+        assert_eq!(
+            read16(u64::from(u16::MAX) + 1).unwrap_err().kind,
+            ErrorKind::Range
+        );
         // The value that used to wrap to 4464.
         assert_eq!(read16(70_000).unwrap_err().kind, ErrorKind::Range);
         let read32 = |v: u64| Reader::new(&varint_bytes(v)).varint_u32("seq");
         assert_eq!(read32(u64::from(u32::MAX)), Ok(u32::MAX));
-        assert_eq!(read32(u64::from(u32::MAX) + 1).unwrap_err().kind, ErrorKind::Range);
+        assert_eq!(
+            read32(u64::from(u32::MAX) + 1).unwrap_err().kind,
+            ErrorKind::Range
+        );
         let read_usize = |v: u64| Reader::new(&varint_bytes(v)).varint_usize("index");
         assert_eq!(read_usize(usize::MAX as u64), Ok(usize::MAX));
     }
 
     #[test]
     fn quantities_stop_at_two_to_the_sixty() {
-        for (v, ok) in [(0, true), (QUANTITY_MAX, true), (QUANTITY_MAX + 1, false), (u64::MAX, false)] {
+        for (v, ok) in [
+            (0, true),
+            (QUANTITY_MAX, true),
+            (QUANTITY_MAX + 1, false),
+            (u64::MAX, false),
+        ] {
             let mut w = Writer::new();
             w.u64(v);
             w.varint(v);
@@ -560,7 +571,9 @@ mod tests {
         let count = |n: u64, rest: usize, min: usize| {
             let mut bytes = varint_bytes(n);
             bytes.resize(bytes.len() + rest, 0);
-            Reader::new(&bytes).count("slots", Reader::varint, min).map_err(|e| e.kind)
+            Reader::new(&bytes)
+                .count("slots", Reader::varint, min)
+                .map_err(|e| e.kind)
         };
         // 27 bytes, 9 per record: exactly 3 fit.
         assert_eq!(count(2, 27, 9), Ok(2));
@@ -578,7 +591,13 @@ mod tests {
         // Fixed-width prefixes go through the same check.
         let mut w = Writer::new();
         w.u32(u32::MAX);
-        assert_eq!(Reader::new(&w.into_bytes()).count("slots", Reader::u32, 9).unwrap_err().kind, ErrorKind::Count);
+        assert_eq!(
+            Reader::new(&w.into_bytes())
+                .count("slots", Reader::u32, 9)
+                .unwrap_err()
+                .kind,
+            ErrorKind::Count
+        );
     }
 
     #[test]
@@ -586,7 +605,8 @@ mod tests {
         let mut w = Writer::new();
         w.seq(&[7u16, 8, 9], |w, v| w.u16(*v));
         let bytes = w.into_bytes();
-        let read = |bytes: &[u8]| Reader::new(bytes).seq("ports", Reader::varint, 2, |r| r.u16("port"));
+        let read =
+            |bytes: &[u8]| Reader::new(bytes).seq("ports", Reader::varint, 2, |r| r.u16("port"));
         assert_eq!(read(&bytes), Ok(vec![7, 8, 9]));
         assert_eq!(read(&bytes[..6]).unwrap_err().kind, ErrorKind::Count);
         assert_eq!(read(&[0]), Ok(vec![]));
@@ -606,12 +626,30 @@ mod tests {
         assert_eq!(e.to_string(), "flag: undefined tag at byte 5");
         assert_eq!(r.str("name"), Ok("ok"));
         assert_eq!(r.finish("blob"), Ok(()));
-        assert_eq!(Reader::new(b"DUIX").tag("magic", b"DUIR").unwrap_err().kind, ErrorKind::Tag);
-        assert_eq!(Reader::new(b"DU").tag("magic", b"DUIR").unwrap_err().kind, ErrorKind::Tag);
-        assert_eq!(Reader::new(&[2, 0xff, 0xfe]).str("s").unwrap_err().kind, ErrorKind::Utf8);
-        assert_eq!(Reader::new(&[9, 1]).bytes("b").unwrap_err().kind, ErrorKind::Truncated);
-        assert_eq!(Reader::new(&[0]).finish("blob").unwrap_err().kind, ErrorKind::Trailing);
-        assert_eq!(Reader::new(&[1, 2, 3]).u32("word").unwrap_err().kind, ErrorKind::Truncated);
+        assert_eq!(
+            Reader::new(b"DUIX").tag("magic", b"DUIR").unwrap_err().kind,
+            ErrorKind::Tag
+        );
+        assert_eq!(
+            Reader::new(b"DU").tag("magic", b"DUIR").unwrap_err().kind,
+            ErrorKind::Tag
+        );
+        assert_eq!(
+            Reader::new(&[2, 0xff, 0xfe]).str("s").unwrap_err().kind,
+            ErrorKind::Utf8
+        );
+        assert_eq!(
+            Reader::new(&[9, 1]).bytes("b").unwrap_err().kind,
+            ErrorKind::Truncated
+        );
+        assert_eq!(
+            Reader::new(&[0]).finish("blob").unwrap_err().kind,
+            ErrorKind::Trailing
+        );
+        assert_eq!(
+            Reader::new(&[1, 2, 3]).u32("word").unwrap_err().kind,
+            ErrorKind::Truncated
+        );
     }
 
     /// One field of a random sequence: how it is written, and what reading

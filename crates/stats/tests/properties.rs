@@ -2,9 +2,9 @@
 //! `propcheck` engine).
 
 use dui_stats::dist::{self, Binomial, Zipf};
-use dui_stats::{prop_assert, prop_assert_eq, prop_check};
 use dui_stats::summary::{mad, median, percentile, Summary};
 use dui_stats::Rng;
+use dui_stats::{prop_assert, prop_assert_eq, prop_check};
 
 prop_check! {
     fn rng_below_always_bounded(g) {

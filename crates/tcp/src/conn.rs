@@ -376,10 +376,7 @@ impl SenderCols<'_> {
         else {
             return;
         };
-        if !flags.ack
-            || self.meta.state == TcpState::Idle
-            || self.meta.state == TcpState::Closed
-        {
+        if !flags.ack || self.meta.state == TcpState::Idle || self.meta.state == TcpState::Closed {
             return;
         }
         // RFC 9293 §3.10.7.4: an ACK for data never sent is dropped

@@ -414,11 +414,7 @@ impl Snapshot {
             rows.push(("counter".to_string(), k.to_string(), v.to_string()));
         }
         for (k, &(sum, n)) in &self.gauges {
-            rows.push((
-                "gauge".to_string(),
-                k.to_string(),
-                json_f64(sum / n as f64),
-            ));
+            rows.push(("gauge".to_string(), k.to_string(), json_f64(sum / n as f64)));
         }
         for (k, h) in &self.hists {
             for (stat, val) in [
@@ -557,8 +553,12 @@ mod tests {
         let h = r.histogram("h");
         r.record(h, 7);
         let rows = r.snapshot().rows();
-        assert!(rows.iter().any(|(k, n, v)| k == "counter" && n == "c" && v == "1"));
-        assert!(rows.iter().any(|(k, n, v)| k == "gauge" && n == "g" && v == "4.0"));
+        assert!(rows
+            .iter()
+            .any(|(k, n, v)| k == "counter" && n == "c" && v == "1"));
+        assert!(rows
+            .iter()
+            .any(|(k, n, v)| k == "gauge" && n == "g" && v == "4.0"));
         assert!(rows.iter().any(|(k, n, _)| k == "hist" && n == "h.count"));
     }
 }

@@ -152,14 +152,27 @@ fn sharded_engine_matches_sequential_on_blink() {
             cells.push(sc.malicious_cells());
         }
         let snap = sc.metrics();
-        assert_eq!(snap.counter("netsim.parallel.fallback"), 0, "{threads} threads");
-        (cells, sc.reroutes(), sc.vetoed(), sc.sim.state_hash(), logical(snap))
+        assert_eq!(
+            snap.counter("netsim.parallel.fallback"),
+            0,
+            "{threads} threads"
+        );
+        (
+            cells,
+            sc.reroutes(),
+            sc.vetoed(),
+            sc.sim.state_hash(),
+            logical(snap),
+        )
     };
     for guarded in [false, true] {
         let (cells, reroutes, vetoed, hash, metrics) = run(guarded, 0);
         // The attack engages, so the comparison covers the trigger path.
         if guarded {
-            assert!(vetoed > 0 && reroutes == 0, "guard vetoed {vetoed}, rerouted {reroutes}");
+            assert!(
+                vetoed > 0 && reroutes == 0,
+                "guard vetoed {vetoed}, rerouted {reroutes}"
+            );
         } else {
             assert!(reroutes >= 1, "the burst must reroute unguarded Blink");
         }
@@ -167,7 +180,11 @@ fn sharded_engine_matches_sequential_on_blink() {
             let at = format!("guarded = {guarded}, {threads} threads");
             let sharded = run(guarded, threads);
             assert_eq!(sharded.0, cells, "malicious_cells series, {at}");
-            assert_eq!((sharded.1, sharded.2), (reroutes, vetoed), "reroutes, vetoed, {at}");
+            assert_eq!(
+                (sharded.1, sharded.2),
+                (reroutes, vetoed),
+                "reroutes, vetoed, {at}"
+            );
             assert_eq!(sharded.3, hash, "state hash, {at}");
             assert!(sharded.4 == metrics, "metrics snapshot, {at}");
         }

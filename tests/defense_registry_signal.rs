@@ -51,7 +51,11 @@ fn registry_snapshot_agrees_with_direct_api() {
             sc.malicious_cells() as u64,
         );
         let snap = sc.metrics();
-        assert_eq!(snap.counter("blink.reroutes"), direct.0, "guarded={guarded}");
+        assert_eq!(
+            snap.counter("blink.reroutes"),
+            direct.0,
+            "guarded={guarded}"
+        );
         assert_eq!(snap.counter("blink.vetoed"), direct.1, "guarded={guarded}");
         assert_eq!(
             snap.gauge_mean("blink.cells.malicious"),

@@ -47,7 +47,10 @@ fn packets_created_equals_terminal_accounts() {
     .map(|name| snap.counter(name))
     .sum();
 
-    assert!(created > 10_000, "attack scenario must move traffic: {created}");
+    assert!(
+        created > 10_000,
+        "attack scenario must move traffic: {created}"
+    );
     assert!(endpoint > 0, "hosts must have consumed packets");
     assert_eq!(
         created,

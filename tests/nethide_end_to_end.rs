@@ -57,7 +57,8 @@ fn obfuscated_traceroute_matches_solver_output_exactly() {
             ..Default::default()
         },
         &[(c1, c2)],
-    ).unwrap();
+    )
+    .unwrap();
     assert!(report.within_budget);
     let vt = Arc::new(vt);
     for &(src, dst) in &flows {
@@ -100,7 +101,8 @@ fn security_budget_trades_against_accuracy() {
                 max_extra_hops: 3,
             },
             &[], // protect everything
-        ).unwrap();
+        )
+        .unwrap();
         assert!(
             report.accuracy <= last_accuracy + 1e-9,
             "tighter budgets cannot increase accuracy"

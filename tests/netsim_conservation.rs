@@ -12,8 +12,7 @@ use dui_stats::{prop_assert, prop_assert_eq, prop_check};
 fn conservation_holds(stats: &LinkDirStats) -> bool {
     // in-flight/queued remainder is implied: offered >= the accounted sum,
     // and the gap is bounded by the queue capacity + 1.
-    let accounted =
-        stats.delivered + stats.dropped_queue + stats.dropped_tap + stats.dropped_fault;
+    let accounted = stats.delivered + stats.dropped_queue + stats.dropped_tap + stats.dropped_fault;
     stats.offered >= accounted
 }
 

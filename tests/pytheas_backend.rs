@@ -35,11 +35,14 @@ fn throttle_on_one_group_is_feature_aligned_and_detected() {
     }
     let mut records = clean.records.clone();
     records.extend(throttled.records.iter().copied());
-    let cf = critical_feature(&records)
-        .expect("feature-aligned damage must be detected");
+    let cf = critical_feature(&records).expect("feature-aligned damage must be detected");
     // The two groups differ in asn/prefix/location; any of those splits
     // quarantines the attacked population (content would not).
-    assert_ne!(cf.feature, Feature::Content, "damage aligns with group identity");
+    assert_ne!(
+        cf.feature,
+        Feature::Content,
+        "damage aligns with group identity"
+    );
     assert!(cf.gap > 0.3, "gap = {}", cf.gap);
     assert_eq!(cf.arm, 1, "the throttled arm exhibits the gap");
 }

@@ -395,7 +395,10 @@ fn clock_reads_are_confined_to_two_bench_modules() {
     exempt.sort();
     assert_eq!(
         exempt,
-        ["crates/bench/src/bin/experiments.rs", "crates/bench/src/harness.rs"],
+        [
+            "crates/bench/src/bin/experiments.rs",
+            "crates/bench/src/harness.rs"
+        ],
         "only the wall-clock readers may expect the clock lints"
     );
 }
