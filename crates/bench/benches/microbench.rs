@@ -138,7 +138,6 @@ fn bench_histogram(s: &mut Suite) {
 
 fn bench_checkpoint_codec(s: &mut Suite) {
     use dui_core::netsim::prelude::*;
-    use dui_core::replay::record::{engine_checkpoint_from_bytes, engine_checkpoint_to_bytes};
 
     // A loaded engine: two links, a router, 256 in-flight UDP packets —
     // what a mid-run checkpoint of a packet-level experiment looks like.
@@ -160,16 +159,16 @@ fn bench_checkpoint_codec(s: &mut Suite) {
         sim
     }
     {
-        let ckpt = loaded_engine().checkpoint().expect("restorable engine");
+        let sim = loaded_engine();
         s.bench("engine_checkpoint_encode", move || {
-            engine_checkpoint_to_bytes(&ckpt)
+            sim.checkpoint().expect("restorable engine")
         });
     }
     {
-        let bytes =
-            engine_checkpoint_to_bytes(&loaded_engine().checkpoint().expect("restorable engine"));
+        let bytes = loaded_engine().checkpoint().expect("restorable engine");
+        let mut sim = loaded_engine();
         s.bench("engine_checkpoint_decode", move || {
-            engine_checkpoint_from_bytes(&bytes).expect("decodes")
+            sim.restore(&bytes).expect("restores")
         });
     }
 }

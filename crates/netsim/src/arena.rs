@@ -219,13 +219,6 @@ impl PacketArena {
         }
     }
 
-    /// Copy the packet behind `r` out of the arena (checkpoint
-    /// materialization). `Packet` is not `Clone`: everywhere else
-    /// packets move by handle.
-    pub fn snapshot_packet(&self, r: PacketRef) -> Result<Packet, StaleRef> {
-        self.get(r).map(Packet::duplicate)
-    }
-
     /// Mutable iteration over every live packet, in slot order. Used by
     /// the parallel engine's barrier to patch provisional packet ids in
     /// one sweep (packet bodies re-home to new slots on every forwarding
@@ -302,7 +295,6 @@ mod tests {
         assert!(err.vacant);
         assert!(a.get_mut(r).is_err());
         assert!(a.take(r).is_err());
-        assert!(a.snapshot_packet(r).is_err());
     }
 
     #[test]

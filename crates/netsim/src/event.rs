@@ -8,9 +8,9 @@
 //! contract.
 //!
 //! Live events carry packets as 8-byte [`PacketRef`] handles into the
-//! [`PacketArena`]; the self-contained [`SavedEvent`] twin (with the packet
-//! by value) exists for checkpoints and their byte codec, whose formats
-//! and digests predate the arena and must not change.
+//! [`PacketArena`]; [`Event::encode`] resolves them in place, so an
+//! event's digest and checkpoint bytes carry the packet's content, never
+//! its slot.
 
 use crate::arena::{PacketArena, PacketRef};
 use crate::link::Dir;
@@ -18,7 +18,6 @@ use crate::packet::Packet;
 use crate::time::SimTime;
 use crate::topology::{LinkId, NodeId};
 use crate::wheel::{TimerWheel, WheelStats};
-use dui_stats::digest::StateDigest;
 use dui_stats::wire::{DecodeError, Encoder, ErrorKind, Reader};
 
 /// Things that can happen. Packet-carrying variants hold an arena handle,
@@ -70,148 +69,44 @@ impl Event {
         }
     }
 
-    /// Fold the event's full content into `d`: the words its
-    /// [`SavedEvent`] twin's encoder writes. Handles are an
-    /// implementation detail: the packet is resolved through `arena` in
-    /// place (no copy — this runs once per recorded event) and digested
-    /// by its encoder.
+    /// The event encoder: the kind tag first, so different kinds can
+    /// never collide structurally, then the fields. Handles are an
+    /// implementation detail: a packet is resolved through `arena` in
+    /// place (no copy — this runs once per recorded event) and written
+    /// by its own encoder.
     #[expect(
         clippy::expect_used,
         reason = "a pending event's packet handle stays live until the event is dispatched"
     )]
-    pub fn state_digest(&self, d: &mut StateDigest, arena: &PacketArena) {
+    pub fn encode<E: Encoder>(&self, e: &mut E, arena: &PacketArena) {
         let pkt = |r| arena.get(r).expect("live event holds a stale packet ref");
         match *self {
             Event::Deliver { node, pkt: r } => {
-                d.u8(0);
-                d.varint_usize(node.0);
-                pkt(r).encode(d);
-            }
-            Event::TxComplete { link, dir } => {
-                d.u8(1);
-                d.varint_usize(link.0);
-                d.bool(dir == Dir::BtoA);
-            }
-            Event::Timer { node, token } => {
-                d.u8(2);
-                d.varint_usize(node.0);
-                d.varint(token);
-            }
-            Event::Offer { link, dir, pkt: r } => {
-                d.u8(3);
-                d.varint_usize(link.0);
-                d.bool(dir == Dir::BtoA);
-                pkt(r).encode(d);
-            }
-        }
-    }
-
-    /// Materialize a self-contained [`SavedEvent`], cloning any packet out
-    /// of `arena` (the copy happens inside the arena module).
-    #[expect(
-        clippy::expect_used,
-        reason = "a pending event's packet handle stays live until the event is dispatched"
-    )]
-    pub fn to_saved(&self, arena: &PacketArena) -> SavedEvent {
-        match *self {
-            Event::Deliver { node, pkt } => SavedEvent::Deliver {
-                node,
-                pkt: arena
-                    .snapshot_packet(pkt)
-                    .expect("live event holds a stale packet ref"),
-            },
-            Event::TxComplete { link, dir } => SavedEvent::TxComplete { link, dir },
-            Event::Timer { node, token } => SavedEvent::Timer { node, token },
-            Event::Offer { link, dir, pkt } => SavedEvent::Offer {
-                link,
-                dir,
-                pkt: arena
-                    .snapshot_packet(pkt)
-                    .expect("live event holds a stale packet ref"),
-            },
-        }
-    }
-}
-
-/// A self-contained event: identical shape to [`Event`] but carrying
-/// packets by value. This is the representation checkpoints store and
-/// [`SavedEvent::encode`] writes — it needs no arena to interpret, and its
-/// byte format and digests are unchanged from the pre-arena engine.
-#[derive(Debug, PartialEq)]
-pub enum SavedEvent {
-    /// A packet arrives at a node.
-    Deliver {
-        /// Receiving node.
-        node: NodeId,
-        /// The packet, by value.
-        pkt: Packet,
-    },
-    /// A link direction finished serializing its in-flight packet.
-    TxComplete {
-        /// The link.
-        link: LinkId,
-        /// Direction that completed.
-        dir: Dir,
-    },
-    /// A node timer fired.
-    Timer {
-        /// Owning node.
-        node: NodeId,
-        /// Opaque token chosen by the node when arming the timer.
-        token: u64,
-    },
-    /// A (tap-delayed) packet is re-offered to a link queue.
-    Offer {
-        /// The link.
-        link: LinkId,
-        /// Direction.
-        dir: Dir,
-        /// The packet, by value.
-        pkt: Packet,
-    },
-}
-
-impl SavedEvent {
-    /// Short label for the event kind.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            SavedEvent::Deliver { .. } => "deliver",
-            SavedEvent::TxComplete { .. } => "tx_complete",
-            SavedEvent::Timer { .. } => "timer",
-            SavedEvent::Offer { .. } => "offer",
-        }
-    }
-
-    /// The kind tag first, so different kinds can never collide
-    /// structurally, then the fields.
-    pub fn encode<E: Encoder>(&self, e: &mut E) {
-        match self {
-            SavedEvent::Deliver { node, pkt } => {
                 e.u8(0);
                 e.varint_usize(node.0);
-                pkt.encode(e);
+                pkt(r).encode(e);
             }
-            SavedEvent::TxComplete { link, dir } => {
+            Event::TxComplete { link, dir } => {
                 e.u8(1);
                 e.varint_usize(link.0);
-                e.bool(*dir == Dir::BtoA);
+                e.bool(dir == Dir::BtoA);
             }
-            SavedEvent::Timer { node, token } => {
+            Event::Timer { node, token } => {
                 e.u8(2);
                 e.varint_usize(node.0);
-                e.varint(*token);
+                e.varint(token);
             }
-            SavedEvent::Offer { link, dir, pkt } => {
+            Event::Offer { link, dir, pkt: r } => {
                 e.u8(3);
                 e.varint_usize(link.0);
-                e.bool(*dir == Dir::BtoA);
-                pkt.encode(e);
+                e.bool(dir == Dir::BtoA);
+                pkt(r).encode(e);
             }
         }
     }
 
-    /// Inverse of [`SavedEvent::encode`].
-    pub fn decode(r: &mut Reader) -> Result<SavedEvent, DecodeError> {
+    /// Inverse of [`Event::encode`]: any packet moves into `arena`.
+    pub fn decode(r: &mut Reader, arena: &mut PacketArena) -> Result<Event, DecodeError> {
         let dir = |r: &mut Reader| {
             Ok(if r.bool("link direction")? {
                 Dir::BtoA
@@ -220,43 +115,25 @@ impl SavedEvent {
             })
         };
         Ok(match r.u8("event tag")? {
-            0 => SavedEvent::Deliver {
+            0 => Event::Deliver {
                 node: NodeId(r.varint_usize("event node")?),
-                pkt: Packet::decode(r)?,
+                pkt: arena.insert(Packet::decode(r)?),
             },
-            1 => SavedEvent::TxComplete {
+            1 => Event::TxComplete {
                 link: LinkId(r.varint_usize("event link")?),
                 dir: dir(r)?,
             },
-            2 => SavedEvent::Timer {
+            2 => Event::Timer {
                 node: NodeId(r.varint_usize("event node")?),
                 token: r.varint("timer token")?,
             },
-            3 => SavedEvent::Offer {
+            3 => Event::Offer {
                 link: LinkId(r.varint_usize("event link")?),
                 dir: dir(r)?,
-                pkt: Packet::decode(r)?,
+                pkt: arena.insert(Packet::decode(r)?),
             },
             _ => return Err(r.error("event tag", ErrorKind::Tag)),
         })
-    }
-
-    /// Rehydrate into a live [`Event`], moving any packet into `arena`
-    /// (no clone — restore consumes the saved event).
-    pub fn into_live(self, arena: &mut PacketArena) -> Event {
-        match self {
-            SavedEvent::Deliver { node, pkt } => Event::Deliver {
-                node,
-                pkt: arena.insert(pkt),
-            },
-            SavedEvent::TxComplete { link, dir } => Event::TxComplete { link, dir },
-            SavedEvent::Timer { node, token } => Event::Timer { node, token },
-            SavedEvent::Offer { link, dir, pkt } => Event::Offer {
-                link,
-                dir,
-                pkt: arena.insert(pkt),
-            },
-        }
     }
 }
 
@@ -345,21 +222,12 @@ impl EventQueue {
         v.sort_unstable_by_key(|&(t, q, _)| (t, q));
         v.into_iter().map(|(t, _, e)| (SimTime(t), e)).collect()
     }
-
-    /// Pending events materialized in dispatch order for checkpointing:
-    /// each packet is cloned out of `arena` exactly once, into the
-    /// returned Vec.
-    pub fn snapshot_sorted(&self, arena: &PacketArena) -> Vec<(SimTime, SavedEvent)> {
-        self.snapshot_refs()
-            .into_iter()
-            .map(|(t, e)| (t, e.to_saved(arena)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dui_stats::digest::StateDigest;
 
     fn timer(node: usize, token: u64) -> Event {
         Event::Timer {
@@ -429,28 +297,40 @@ mod tests {
     }
 
     #[test]
-    fn saved_event_digest_matches_live() {
+    fn events_round_trip_through_another_arena() {
         use crate::packet::{Addr, FlowKey};
+        use dui_stats::wire::Writer;
         let mut arena = PacketArena::new();
-        let pkt = Packet::udp(
-            FlowKey::udp(Addr::new(10, 0, 0, 1), 1, Addr::new(10, 0, 0, 2), 2),
-            99,
-        );
-        let saved = SavedEvent::Deliver {
-            node: NodeId(3),
-            pkt: pkt.duplicate(),
-        };
-        let live = Event::Deliver {
-            node: NodeId(3),
-            pkt: arena.insert(pkt),
-        };
-        let mut d1 = StateDigest::labeled("event");
-        saved.encode(&mut d1);
-        let mut d2 = StateDigest::labeled("event");
-        live.state_digest(&mut d2, &arena);
-        assert_eq!(d1.finish(), d2.finish());
-        // Round trip: live → saved → live → saved.
-        let live2 = live.to_saved(&arena).into_live(&mut arena);
-        assert_eq!(live2.to_saved(&arena), saved);
+        let key = FlowKey::udp(Addr::new(10, 0, 0, 1), 1, Addr::new(10, 0, 0, 2), 2);
+        let events = [
+            Event::Deliver {
+                node: NodeId(3),
+                pkt: arena.insert(Packet::udp(key, 99)),
+            },
+            Event::TxComplete {
+                link: LinkId(1),
+                dir: Dir::BtoA,
+            },
+            timer(2, 7),
+            Event::Offer {
+                link: LinkId(0),
+                dir: Dir::AtoB,
+                pkt: arena.insert(Packet::udp(key, 5)),
+            },
+        ];
+        let mut other = PacketArena::new();
+        other.insert(Packet::udp(key, 1));
+        for event in events {
+            let mut w = Writer::new();
+            event.encode(&mut w, &arena);
+            let bytes = w.into_bytes();
+            let mut r = Reader::new(&bytes);
+            let back = Event::decode(&mut r, &mut other).unwrap();
+            assert_eq!(r.finish("event"), Ok(()));
+            let (mut d1, mut d2) = (StateDigest::labeled("event"), StateDigest::labeled("event"));
+            event.encode(&mut d1, &arena);
+            back.encode(&mut d2, &other);
+            assert_eq!(d1.finish(), d2.finish(), "{}", event.kind());
+        }
     }
 }

@@ -52,6 +52,7 @@ pub mod node;
 pub mod packet;
 pub mod parallel;
 pub mod sim;
+pub mod state;
 pub mod time;
 pub mod topology;
 pub mod wheel;

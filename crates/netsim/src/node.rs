@@ -182,6 +182,22 @@ impl RouterLogic {
             .expect("program has a different concrete type")
     }
 
+    /// The router's state encoder: the reply flag, each program's label
+    /// and what `program` writes for it, then whether a rewriter is
+    /// installed.
+    fn encode<E: Encoder>(
+        &self,
+        e: &mut E,
+        mut program: impl FnMut(&mut E, &dyn DataPlaneProgram),
+    ) {
+        e.bool(self.respond_time_exceeded);
+        e.seq(&self.programs, |e, p| {
+            e.bytes(p.label().as_bytes());
+            program(e, p.as_ref());
+        });
+        e.bool(self.icmp_rewriter.is_some());
+    }
+
     fn handle_local(&mut self, ctx: &mut Ctx, pkt: Packet) {
         // The only local traffic routers answer is ping.
         if let Header::IcmpEchoRequest { ident, seq } = pkt.header {
@@ -304,23 +320,19 @@ impl NodeLogic for RouterLogic {
     }
 
     fn state_digest(&self, d: &mut StateDigest) {
-        d.write_bool(self.respond_time_exceeded);
-        d.write_len(self.programs.len());
-        for p in &self.programs {
-            d.write_str(p.label());
-            p.state_digest(d);
-        }
-        d.write_bool(self.icmp_rewriter.is_some());
+        self.encode(d, |d, p| p.state_digest(d));
     }
 
     fn save_state(&self) -> Option<Vec<u8>> {
         // Programs and rewriters are opaque trait objects with no
         // serialization contract; a plain router is the only restorable
-        // configuration.
+        // configuration, so no program is ever written here.
         if !self.programs.is_empty() || self.icmp_rewriter.is_some() {
             return None;
         }
-        Some(vec![self.respond_time_exceeded as u8])
+        let mut w = Writer::with_capacity(3);
+        self.encode(&mut w, |_, _| {});
+        Some(w.into_bytes())
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), DecodeError> {
@@ -329,6 +341,9 @@ impl NodeLogic for RouterLogic {
             return Err(r.error("router with programs installed", ErrorKind::Invalid));
         }
         let respond = r.bool("router respond_time_exceeded")?;
+        if r.varint("router program count")? != 0 || r.bool("router icmp rewriter")? {
+            return Err(r.error("router programs", ErrorKind::Invalid));
+        }
         r.finish("router checkpoint")?;
         self.respond_time_exceeded = respond;
         Ok(())

@@ -2,8 +2,8 @@
 //! the top-level [`Simulator`].
 
 use crate::arena::{PacketArena, PacketRef};
-use crate::event::{Event, EventQueue, SavedEvent};
-use crate::link::{Dir, FaultConfig, LinkDirStats, LinkRuntime, LinkTap, TapAction};
+use crate::event::{Event, EventQueue};
+use crate::link::{Dir, FaultConfig, LinkRuntime, LinkTap, TapAction};
 use crate::node::NodeLogic;
 use crate::packet::{Addr, Packet, Prefix};
 use crate::time::{SimDuration, SimTime};
@@ -157,6 +157,11 @@ impl SimCore {
         &self.prefixes
     }
 
+    /// Pending events in dispatch order, as borrows.
+    pub fn pending(&self) -> Vec<(SimTime, &Event)> {
+        self.queue.snapshot_refs()
+    }
+
     /// Global counters, reconstructed as a plain-struct view over the
     /// metrics registry.
     pub fn counters(&self) -> Counters {
@@ -280,7 +285,7 @@ impl SimCore {
         clippy::expect_used,
         reason = "the engine resolves only handles it issued and has not yet taken"
     )]
-    fn pkt(&self, r: PacketRef) -> &Packet {
+    pub(crate) fn pkt(&self, r: PacketRef) -> &Packet {
         self.arena.get(r).expect("engine holds a stale packet ref")
     }
 
@@ -588,69 +593,6 @@ impl<'a> Ctx<'a> {
     }
 }
 
-/// One link direction's restorable state (queue contents, in-flight
-/// packet, fault configuration).
-#[derive(Debug)]
-pub struct DirCheckpoint {
-    /// Queued packets, head first.
-    pub queue: Vec<Packet>,
-    /// Packet currently being serialized, if any.
-    pub in_flight: Option<Packet>,
-    /// Fault-injection configuration.
-    pub fault: FaultConfig,
-}
-
-/// One link's restorable state (both directions plus statistics).
-#[derive(Debug)]
-pub struct LinkCheckpoint {
-    /// Administrative up/down state.
-    pub up: bool,
-    /// The a→b direction.
-    pub ab: DirCheckpoint,
-    /// The b→a direction.
-    pub ba: DirCheckpoint,
-    /// a→b statistics.
-    pub stats_ab: LinkDirStats,
-    /// b→a statistics.
-    pub stats_ba: LinkDirStats,
-}
-
-/// A restorable, structured checkpoint of a [`Simulator`]'s logical
-/// state, produced by [`Simulator::checkpoint`] and consumed by
-/// [`Simulator::restore`].
-///
-/// The checkpoint captures everything [`Simulator::state_hash`] hashes:
-/// clock, RNG, pending events (in dispatch order), link state, routing,
-/// prefix announcements, and per-node logic state (as opaque blobs from
-/// [`NodeLogic::save_state`]). Telemetry (the metrics registry) is
-/// observability, not logical state, and is deliberately excluded.
-/// Byte serialization of this struct is `dui-replay`'s job.
-#[derive(Debug)]
-pub struct EngineCheckpoint {
-    /// Simulated time the checkpoint was taken at.
-    pub now: SimTime,
-    /// Engine RNG state.
-    pub rng: [u64; 4],
-    /// Packet id allocator cursor.
-    pub next_pkt_id: u64,
-    /// Whether `on_start` hooks have already run.
-    pub started: bool,
-    /// Pending events, sorted in dispatch order (self-contained: packets
-    /// by value, no arena needed to interpret them).
-    pub events: Vec<(SimTime, SavedEvent)>,
-    /// Per-link state, indexed by `LinkId`.
-    pub links: Vec<LinkCheckpoint>,
-    /// Per-node logic blobs (`None` = no logic installed on that node).
-    pub logics: Vec<Option<Vec<u8>>>,
-    /// Flattened routing table: `routing[src][dst]` = next hop.
-    pub routing: Vec<Vec<Option<NodeId>>>,
-    /// Announced prefixes.
-    pub prefixes: Vec<(Prefix, NodeId)>,
-    /// [`Simulator::state_hash`] at checkpoint time (lets consumers
-    /// verify a restore reproduced the exact state).
-    pub state_hash: u64,
-}
-
 /// What [`Simulator::step_limited`] dispatched: the event's time, kind
 /// label, and full-content digest — the per-event record the
 /// `dui-replay` recorder writes.
@@ -948,7 +890,7 @@ impl Simulator {
             self.core.now = time;
             let kind = event.kind();
             let mut d = EVENT_DIGEST;
-            event.state_digest(&mut d, &self.core.arena);
+            event.encode(&mut d, &self.core.arena);
             let digest = d.finish();
             self.dispatch(event);
             return Some(SteppedEvent { time, kind, digest });
@@ -956,327 +898,6 @@ impl Simulator {
         self.core.now = limit;
         self.core.sync_structural_metrics();
         None
-    }
-
-    /// Fold the engine's complete logical state into `d`: clock, RNG,
-    /// pending events (dispatch order), link queues and statistics,
-    /// routing, prefix announcements, and every node logic's
-    /// [`NodeLogic::state_digest`] contribution.
-    ///
-    /// Telemetry (the metrics registry) is excluded: it is
-    /// observability about the run, not state that influences it.
-    pub fn state_digest(&self, d: &mut StateDigest) {
-        d.write_u64(self.core.now.0);
-        d.write_u64(self.core.next_pkt_id);
-        for w in self.core.rng.state() {
-            d.write_u64(w);
-        }
-        d.write_bool(self.started);
-        // Events and link queues hold handles; resolve each through the
-        // arena and digest the packet *contents*, byte-identical to the
-        // pre-arena engine (golden hashes must not change).
-        let events = self.core.queue.snapshot_refs();
-        d.write_len(events.len());
-        for (t, e) in &events {
-            d.write_u64(t.0);
-            e.state_digest(d, &self.core.arena);
-        }
-        d.write_len(self.core.links.len());
-        for lr in &self.core.links {
-            d.write_bool(lr.up);
-            for (st, stats) in [(&lr.ab, &lr.stats_ab), (&lr.ba, &lr.stats_ba)] {
-                d.write_len(st.queue.len());
-                for p in &st.queue {
-                    self.core.pkt(*p).encode(d);
-                }
-                match st.in_flight {
-                    None => d.write_u8(0),
-                    Some(p) => {
-                        d.write_u8(1);
-                        self.core.pkt(p).encode(d);
-                    }
-                }
-                d.write_f64(st.fault.drop_prob);
-                d.write_opt_u64(st.fault.jitter_max.map(|j| j.as_nanos()));
-                for c in [
-                    stats.offered,
-                    stats.delivered,
-                    stats.bytes_delivered,
-                    stats.dropped_queue,
-                    stats.dropped_tap,
-                    stats.dropped_fault,
-                ] {
-                    d.write_u64(c);
-                }
-            }
-            d.write_usize(lr.taps_ab.len());
-            d.write_usize(lr.taps_ba.len());
-        }
-        let n = self.core.topo.node_count();
-        for src in 0..n {
-            for dst in 0..n {
-                d.write_opt_u64(
-                    self.core
-                        .routing
-                        .next_hop(NodeId(src), NodeId(dst))
-                        .map(|h| h.0 as u64),
-                );
-            }
-        }
-        d.write_len(self.core.prefixes.entries().len());
-        for (p, node) in self.core.prefixes.entries() {
-            d.write_u32(p.addr.0);
-            d.write_u8(p.len);
-            d.write_usize(node.0);
-        }
-        d.write_len(self.logics.len());
-        for logic in &self.logics {
-            match logic {
-                None => d.write_u8(0),
-                Some(l) => {
-                    d.write_u8(1);
-                    l.state_digest(d);
-                }
-            }
-        }
-    }
-
-    /// 64-bit digest of the engine's complete logical state (see
-    /// [`Simulator::state_digest`] for what is covered).
-    pub fn state_hash(&self) -> u64 {
-        let mut d = StateDigest::labeled("netsim");
-        self.state_digest(&mut d);
-        d.finish()
-    }
-
-    /// Capture a restorable checkpoint of the engine's logical state.
-    ///
-    /// Fails (all-or-nothing) if any installed node logic does not
-    /// support [`NodeLogic::save_state`] or if MitM taps are installed
-    /// (trait objects with no serialization contract) — recordings of
-    /// such simulations remain hash-checkable, just not resumable.
-    pub fn checkpoint(&self) -> Result<EngineCheckpoint, String> {
-        for lr in &self.core.links {
-            if !lr.taps_ab.is_empty() || !lr.taps_ba.is_empty() {
-                return Err("cannot checkpoint a simulation with link taps installed".into());
-            }
-        }
-        let mut logics = Vec::with_capacity(self.logics.len());
-        for (i, logic) in self.logics.iter().enumerate() {
-            match logic {
-                None => logics.push(None),
-                Some(l) => match l.save_state() {
-                    Some(bytes) => logics.push(Some(bytes)),
-                    None => {
-                        return Err(format!(
-                            "node '{}' has logic that does not support checkpointing",
-                            self.core.topo.node(NodeId(i)).name
-                        ))
-                    }
-                },
-            }
-        }
-        // Materialize link queues through the arena: each packet is
-        // copied exactly once, inside the arena module.
-        let arena = &self.core.arena;
-        #[expect(
-            clippy::expect_used,
-            reason = "the engine resolves only handles it issued and has not yet taken"
-        )]
-        let dir_ckpt = |st: &crate::link::DirState| DirCheckpoint {
-            queue: st
-                .queue
-                .iter()
-                .map(|r| {
-                    arena
-                        .snapshot_packet(*r)
-                        .expect("engine holds a stale packet ref")
-                })
-                .collect(),
-            in_flight: st.in_flight.map(|r| {
-                arena
-                    .snapshot_packet(r)
-                    .expect("engine holds a stale packet ref")
-            }),
-            fault: st.fault,
-        };
-        let links = self
-            .core
-            .links
-            .iter()
-            .map(|lr| LinkCheckpoint {
-                up: lr.up,
-                ab: dir_ckpt(&lr.ab),
-                ba: dir_ckpt(&lr.ba),
-                stats_ab: lr.stats_ab,
-                stats_ba: lr.stats_ba,
-            })
-            .collect();
-        let n = self.core.topo.node_count();
-        let routing = (0..n)
-            .map(|src| {
-                (0..n)
-                    .map(|dst| self.core.routing.next_hop(NodeId(src), NodeId(dst)))
-                    .collect()
-            })
-            .collect();
-        Ok(EngineCheckpoint {
-            now: self.core.now,
-            rng: self.core.rng.state(),
-            next_pkt_id: self.core.next_pkt_id,
-            started: self.started,
-            events: self.core.queue.snapshot_sorted(&self.core.arena),
-            links,
-            logics,
-            routing,
-            prefixes: self.core.prefixes.entries().to_vec(),
-            state_hash: self.state_hash(),
-        })
-    }
-
-    /// Restore a checkpoint taken from a simulator with the same
-    /// topology and node logics (typically a freshly rebuilt scenario).
-    /// Consumes the checkpoint: packet bodies *move* into the rebuilt
-    /// arena, no re-clone.
-    ///
-    /// Pending events are re-scheduled in dispatch order — `(time,
-    /// seq)` ordering is total, so the rebuilt queue pops identically
-    /// regardless of the original sequence numbers. Arena slot assignment
-    /// and wheel internals are rebuilt fresh; both are implementation
-    /// detail outside the logical state, so [`Simulator::state_hash`]
-    /// still reproduces the checkpoint's hash. Telemetry counters are
-    /// *not* restored (they remain whatever the receiving simulator
-    /// accumulated), matching their exclusion from the state hash.
-    pub fn restore(&mut self, ckpt: EngineCheckpoint) -> Result<(), String> {
-        if ckpt.logics.len() != self.logics.len() {
-            return Err("checkpoint node count does not match topology".into());
-        }
-        if ckpt.links.len() != self.core.links.len() {
-            return Err("checkpoint link count does not match topology".into());
-        }
-        let n = self.core.topo.node_count();
-        if ckpt.routing.len() != n || ckpt.routing.iter().any(|row| row.len() != n) {
-            return Err("checkpoint routing table does not match topology".into());
-        }
-        self.check_references(&ckpt)?;
-        for lr in &self.core.links {
-            if !lr.taps_ab.is_empty() || !lr.taps_ba.is_empty() {
-                return Err("cannot restore into a simulation with link taps installed".into());
-            }
-        }
-        for (i, blob) in ckpt.logics.iter().enumerate() {
-            match (&mut self.logics[i], blob) {
-                (Some(l), Some(bytes)) => l.load_state(bytes).map_err(|e| e.to_string())?,
-                (None, None) => {}
-                (Some(_), None) => {
-                    return Err(format!(
-                        "checkpoint has no state for node '{}' which has logic installed",
-                        self.core.topo.node(NodeId(i)).name
-                    ))
-                }
-                (None, Some(_)) => {
-                    return Err(format!(
-                        "checkpoint has state for node '{}' which has no logic installed",
-                        self.core.topo.node(NodeId(i)).name
-                    ))
-                }
-            }
-        }
-        self.core.now = ckpt.now;
-        self.core.rng = Rng::from_state(ckpt.rng);
-        self.core.next_pkt_id = ckpt.next_pkt_id;
-        self.started = ckpt.started;
-        // Rebuild arena + queue together: every saved packet moves into a
-        // fresh arena exactly once (no clone — the checkpoint is consumed).
-        self.core.arena = PacketArena::new();
-        let mut queue = EventQueue::new();
-        for (t, e) in ckpt.events {
-            let live = e.into_live(&mut self.core.arena);
-            queue.schedule(t, live);
-        }
-        self.core.queue = queue;
-        // Counters in the registry export deltas against the last synced
-        // wheel/arena stats; both were just reset, so re-baseline.
-        self.core.metrics.last_wheel = self.core.queue.wheel_stats();
-        self.core.metrics.last_recycled = self.core.arena.recycled();
-        for (lr, lc) in self.core.links.iter_mut().zip(ckpt.links) {
-            lr.up = lc.up;
-            lr.ab.queue = lc
-                .ab
-                .queue
-                .into_iter()
-                .map(|p| self.core.arena.insert(p))
-                .collect();
-            lr.ab.in_flight = lc.ab.in_flight.map(|p| self.core.arena.insert(p));
-            lr.ab.fault = lc.ab.fault;
-            lr.ba.queue = lc
-                .ba
-                .queue
-                .into_iter()
-                .map(|p| self.core.arena.insert(p))
-                .collect();
-            lr.ba.in_flight = lc.ba.in_flight.map(|p| self.core.arena.insert(p));
-            lr.ba.fault = lc.ba.fault;
-            lr.stats_ab = lc.stats_ab;
-            lr.stats_ba = lc.stats_ba;
-        }
-        for src in 0..n {
-            for dst in 0..n {
-                self.core
-                    .routing
-                    .set_next_hop(NodeId(src), NodeId(dst), ckpt.routing[src][dst]);
-            }
-        }
-        self.core.prefixes = PrefixTable::new();
-        for (p, node) in &ckpt.prefixes {
-            self.core.prefixes.announce(*p, *node);
-        }
-        Ok(())
-    }
-
-    /// The part of [`Simulator::restore`] that trusts nothing: every id
-    /// a checkpoint names must exist in this topology, and the invariants
-    /// dispatch relies on must hold — no event in the past, next hops
-    /// adjacent, exactly one pending `TxComplete` per busy transmitter.
-    fn check_references(&self, ckpt: &EngineCheckpoint) -> Result<(), String> {
-        let n = self.core.topo.node_count();
-        let mut completions = vec![[0usize; 2]; ckpt.links.len()];
-        for (t, e) in &ckpt.events {
-            let (node, link) = match e {
-                SavedEvent::Deliver { node, .. } | SavedEvent::Timer { node, .. } => {
-                    (Some(node), None)
-                }
-                SavedEvent::Offer { link, .. } => (None, Some(link)),
-                SavedEvent::TxComplete { link, dir } => {
-                    if let Some(c) = completions.get_mut(link.0) {
-                        c[(*dir == Dir::BtoA) as usize] += 1;
-                    }
-                    (None, Some(link))
-                }
-            };
-            if *t < ckpt.now
-                || node.is_some_and(|node| node.0 >= n)
-                || link.is_some_and(|link| link.0 >= ckpt.links.len())
-            {
-                return Err("checkpoint event in the past, or at an unknown node or link".into());
-            }
-        }
-        for (lc, done) in ckpt.links.iter().zip(&completions) {
-            if [&lc.ab, &lc.ba].map(|d| d.in_flight.is_some() as usize) != *done {
-                return Err("checkpoint transmitters and pending completions disagree".into());
-            }
-        }
-        for (src, row) in ckpt.routing.iter().enumerate() {
-            for hop in row.iter().flatten() {
-                if hop.0 >= n || self.core.topo.link_between(NodeId(src), *hop).is_none() {
-                    return Err("checkpoint routes through a non-adjacent hop".into());
-                }
-            }
-        }
-        if ckpt.prefixes.iter().any(|(_, node)| node.0 >= n) {
-            return Err("checkpoint announces a prefix at an unknown node".into());
-        }
-        Ok(())
     }
 
     /// Run until the event queue drains (or `max` events, as a hang guard).

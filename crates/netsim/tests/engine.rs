@@ -459,13 +459,12 @@ fn checkpoint_restore_is_a_state_hash_fixed_point() {
     // Stop mid-flight so the checkpoint carries pending events and queued packets.
     orig.run_until(SimTime::from_secs_f64(0.001));
     let ckpt = orig.checkpoint().expect("checkpointable");
-    assert_eq!(ckpt.state_hash, orig.state_hash());
 
-    // Restore into a freshly built scenario and verify the hash fixed point.
+    // Restore into a freshly built scenario and verify the fixed point.
     let (mut resumed, _h1, _h2) = build();
-    let expected_hash = ckpt.state_hash;
-    resumed.restore(ckpt).expect("restorable");
-    assert_eq!(resumed.state_hash(), expected_hash);
+    resumed.restore(&ckpt).expect("restorable");
+    assert_eq!(resumed.state_hash(), orig.state_hash());
+    assert_eq!(resumed.checkpoint(), Ok(ckpt));
 
     // Both must now evolve identically to quiescence.
     orig.run_until(SimTime::from_secs(5));

@@ -432,7 +432,7 @@ fn checkpoint_after_parallel_run_is_interchangeable() {
     // A checkpoint taken after a parallel run restores into the
     // sequential twin (and vice versa) and both continue identically.
     let ckpt = par.checkpoint().expect("post-parallel checkpoint");
-    seq.restore(ckpt).expect("restore parallel checkpoint");
+    seq.restore(&ckpt).expect("restore parallel checkpoint");
     seq.run_until(at_ms(300));
     par.run_until(at_ms(300));
     assert_eq!(par.state_hash(), seq.state_hash());

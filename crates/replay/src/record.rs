@@ -1,19 +1,18 @@
 //! The recording format: a compact, versioned binary event stream with
-//! periodic state checkpoints, plus the engine checkpoint's byte codec.
-//! The codecs of what an engine checkpoint carries (packets and events,
-//! in `dui-netsim`) and of the fast-simulation payload (in `dui-blink`)
-//! sit beside their types.
+//! periodic state checkpoints. A checkpoint's payload is its subject's
+//! own codec, beside the subject's type: the engine's in `dui-netsim`
+//! (`Simulator::checkpoint`), the fast simulation's in `dui-blink`.
 //!
 //! Everything is built on the primitives of [`dui_stats::wire`] — LEB128
 //! varints for counts/times and fixed 8-byte little-endian words for
 //! digests (which are full-entropy and would *expand* under varint
 //! coding). No serde, no external crates.
 //!
-//! ## Layout (version 3)
+//! ## Layout (version 4)
 //!
 //! ```text
 //! magic      "DUIR"
-//! version    varint (= 3)
+//! version    varint (= 4)
 //! stage      varint len + utf8
 //! config     8-byte LE config digest
 //! names      varint count, each varint len + utf8   (kinds + components)
@@ -31,23 +30,18 @@
 //! ```
 
 use crate::replay::ReplaySubject;
-use dui_netsim::event::SavedEvent;
-use dui_netsim::link::{FaultConfig, LinkDirStats};
-use dui_netsim::packet::{Addr, Packet, Prefix};
-use dui_netsim::sim::{DirCheckpoint, EngineCheckpoint, LinkCheckpoint};
-use dui_netsim::time::{SimDuration, SimTime};
-use dui_netsim::topology::NodeId;
 use dui_stats::wire::{DecodeError, Encoder, ErrorKind, Reader, Writer};
 
 /// Recording format magic bytes.
 pub const MAGIC: [u8; 4] = *b"DUIR";
-/// Current format version. Versions 2 and 3 changed no byte of the
-/// layout; each marks a change of the digests in it — version 2 the
+/// Current format version. Versions 2 to 4 changed no byte of the
+/// layout; each marks a change of what it carries — version 2 the
 /// `StateDigest` fold, version 3 the component digests that became
-/// their checkpoint encoders — so an older file is refused by name
-/// rather than failing as a config mismatch or a divergence at its
-/// first checkpoint.
-pub const VERSION: u64 = 3;
+/// their checkpoint encoders, version 4 the engine's checkpoint payload
+/// and component list, both now sections of its one state encoder — so
+/// an older file is refused by name rather than failing as a config
+/// mismatch or a divergence at its first checkpoint.
+pub const VERSION: u64 = 4;
 
 // ---------------------------------------------------------------------------
 // Frames and the Recording container
@@ -300,169 +294,6 @@ impl Recorder {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Checkpoint payload codecs
-// ---------------------------------------------------------------------------
-
-fn write_fault(w: &mut Writer, f: &FaultConfig) {
-    w.f64(f.drop_prob);
-    w.opt(f.jitter_max, |w, j| w.varint(j.0));
-}
-
-fn read_fault(r: &mut Reader) -> Result<FaultConfig, DecodeError> {
-    Ok(FaultConfig {
-        drop_prob: r.f64("fault drop_prob")?,
-        jitter_max: r
-            .opt("fault jitter", Reader::varint_quantity)?
-            .map(SimDuration),
-    })
-}
-
-fn write_dir_ckpt(w: &mut Writer, d: &DirCheckpoint) {
-    w.seq(&d.queue, |w, p| p.encode(w));
-    w.opt(d.in_flight.as_ref(), |w, p| p.encode(w));
-    write_fault(w, &d.fault);
-}
-
-fn read_dir_ckpt(r: &mut Reader) -> Result<DirCheckpoint, DecodeError> {
-    Ok(DirCheckpoint {
-        queue: r.seq(
-            "link queue",
-            Reader::varint,
-            Packet::MIN_WIRE_BYTES,
-            Packet::decode,
-        )?,
-        in_flight: r.opt("in-flight packet", |r, _| Packet::decode(r))?,
-        fault: read_fault(r)?,
-    })
-}
-
-fn write_link_stats(w: &mut Writer, s: &LinkDirStats) {
-    for v in [
-        s.offered,
-        s.delivered,
-        s.bytes_delivered,
-        s.dropped_queue,
-        s.dropped_tap,
-        s.dropped_fault,
-    ] {
-        w.varint(v);
-    }
-}
-
-fn read_link_stats(r: &mut Reader) -> Result<LinkDirStats, DecodeError> {
-    Ok(LinkDirStats {
-        offered: r.varint_quantity("link offered")?,
-        delivered: r.varint_quantity("link delivered")?,
-        bytes_delivered: r.varint_quantity("link bytes delivered")?,
-        dropped_queue: r.varint_quantity("link queue drops")?,
-        dropped_tap: r.varint_quantity("link tap drops")?,
-        dropped_fault: r.varint_quantity("link fault drops")?,
-    })
-}
-
-/// Encode a full engine checkpoint.
-pub fn engine_checkpoint_to_bytes(c: &EngineCheckpoint) -> Vec<u8> {
-    let mut w = Writer::with_capacity(256);
-    w.varint(c.now.0);
-    for word in c.rng {
-        w.u64(word);
-    }
-    w.varint(c.next_pkt_id);
-    w.bool(c.started);
-    w.seq(&c.events, |w, (t, e)| {
-        w.varint(t.0);
-        e.encode(w);
-    });
-    w.seq(&c.links, |w, l| {
-        w.bool(l.up);
-        write_dir_ckpt(w, &l.ab);
-        write_dir_ckpt(w, &l.ba);
-        write_link_stats(w, &l.stats_ab);
-        write_link_stats(w, &l.stats_ba);
-    });
-    w.seq(&c.logics, |w, logic| w.opt(logic.as_deref(), Writer::bytes));
-    w.seq(&c.routing, |w, row| {
-        w.seq(row, |w, hop| w.opt(*hop, |w, h| w.varint_usize(h.0)));
-    });
-    w.seq(&c.prefixes, |w, (p, node)| {
-        w.varint(u64::from(p.addr.0));
-        w.u8(p.len);
-        w.varint_usize(node.0);
-    });
-    w.u64(c.state_hash);
-    w.into_bytes()
-}
-
-// Smallest encodings inside an engine checkpoint: a pending event is a
-// time, a tag and a `TxComplete`; a link is its flag, two empty
-// directions (count, flag, fault) and twelve counters.
-const MIN_PENDING_BYTES: usize = 1 + 1 + 2;
-const MIN_LINK_BYTES: usize = 1 + 2 * (1 + 1 + 9) + 12;
-const MIN_PREFIX_BYTES: usize = 3;
-
-/// Decode a full engine checkpoint (strict: trailing bytes are an error).
-pub fn engine_checkpoint_from_bytes(bytes: &[u8]) -> Result<EngineCheckpoint, DecodeError> {
-    let mut r = Reader::new(bytes);
-    let now = SimTime(r.varint_quantity("engine clock")?);
-    let mut rng = [0u64; 4];
-    for word in &mut rng {
-        *word = r.u64("engine rng")?;
-    }
-    let next_pkt_id = r.varint_quantity("next packet id")?;
-    let started = r.bool("started flag")?;
-    let events = r.seq("pending events", Reader::varint, MIN_PENDING_BYTES, |r| {
-        Ok((
-            SimTime(r.varint_quantity("event time")?),
-            SavedEvent::decode(r)?,
-        ))
-    })?;
-    let links = r.seq("link count", Reader::varint, MIN_LINK_BYTES, |r| {
-        Ok(LinkCheckpoint {
-            up: r.bool("link up flag")?,
-            ab: read_dir_ckpt(r)?,
-            ba: read_dir_ckpt(r)?,
-            stats_ab: read_link_stats(r)?,
-            stats_ba: read_link_stats(r)?,
-        })
-    })?;
-    let logics = r.seq("node count", Reader::varint, 1, |r| {
-        r.opt("node state", |r, what| Ok(r.bytes(what)?.to_vec()))
-    })?;
-    let routing = r.seq("routing row count", Reader::varint, 1, |r| {
-        r.seq("routing row length", Reader::varint, 1, |r| {
-            Ok(r.opt("next hop", Reader::varint_usize)?.map(NodeId))
-        })
-    })?;
-    let prefixes = r.seq("prefix count", Reader::varint, MIN_PREFIX_BYTES, |r| {
-        let addr = Addr(r.varint_u32("prefix address")?);
-        let len = r.u8("prefix length")?;
-        // `Prefix::new` asserts the length and masks host bits off; a
-        // blob that relies on either is not one the encoder wrote.
-        if len > 32 || Prefix::new(addr, len).addr != addr {
-            return Err(r.error("prefix", ErrorKind::Range));
-        }
-        Ok((
-            Prefix::new(addr, len),
-            NodeId(r.varint_usize("prefix node")?),
-        ))
-    })?;
-    let state_hash = r.u64("engine state hash")?;
-    r.finish("engine checkpoint")?;
-    Ok(EngineCheckpoint {
-        now,
-        rng,
-        next_pkt_id,
-        started,
-        events,
-        links,
-        logics,
-        routing,
-        prefixes,
-        state_hash,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -522,10 +353,10 @@ mod tests {
         let mut bytes = Recording::default().to_bytes();
         assert_eq!(
             bytes[MAGIC.len()],
-            3,
+            4,
             "the version varint follows the magic"
         );
-        for old in [1, 2] {
+        for old in [1, 2, 3] {
             bytes[MAGIC.len()] = old;
             let err = Recording::from_bytes(&bytes).unwrap_err();
             assert_eq!((err.what, err.kind), ("recording version", ErrorKind::Tag));

@@ -8,14 +8,16 @@
 //!   (`dui-netsim`'s `Simulator`) run to a fixed end time — restorable
 //!   when every node logic supports `save_state` and no taps are
 //!   installed, hash-only otherwise.
+//!
+//! Either way a checkpoint's component digests are the sections of the
+//! subject's one state encoder, each folded on its own under its name.
 
-use crate::record::{engine_checkpoint_from_bytes, engine_checkpoint_to_bytes};
 use crate::replay::{Capture, ReplaySubject, StepInfo};
 use dui_blink::fastsim::{
     attack_sim_snapshot_from_bytes, attack_sim_snapshot_to_bytes, AttackSim, AttackSimConfig,
     AttackSimSnapshot,
 };
-use dui_netsim::sim::{EngineCheckpoint, Simulator};
+use dui_netsim::sim::Simulator;
 use dui_netsim::time::SimTime;
 use dui_stats::digest::StateDigest;
 
@@ -41,13 +43,16 @@ pub fn attack_sim_config_digest(cfg: &AttackSimConfig, seed: u64) -> u64 {
     d.finish()
 }
 
-/// A checkpoint's component digests: each section of the checkpoint
-/// encoder, folded on its own under its name.
-fn snapshot_component_digests(snap: &AttackSimSnapshot) -> Vec<(&'static str, u64)> {
+/// Component digests: section `i` of `sections`, as `encode` writes it,
+/// folded from its own seed.
+fn section_digests(
+    sections: impl IntoIterator<Item = (&'static str, StateDigest)>,
+    mut encode: impl FnMut(usize, &mut StateDigest),
+) -> Vec<(&'static str, u64)> {
     (0..)
-        .zip(AttackSimSnapshot::SECTIONS)
+        .zip(sections)
         .map(|(i, (name, mut d))| {
-            snap.encode_section(i, &mut d);
+            encode(i, &mut d);
             (name, d.finish())
         })
         .collect()
@@ -132,7 +137,9 @@ impl ReplaySubject for FastSimSubject {
         let snap = self.sim.snapshot();
         Capture {
             state_hash: self.sim.state_hash(),
-            components: snapshot_component_digests(&snap),
+            components: section_digests(AttackSimSnapshot::SECTIONS, |i, d| {
+                snap.encode_section(i, d)
+            }),
             payload: Some(attack_sim_snapshot_to_bytes(&snap)),
         }
     }
@@ -144,54 +151,6 @@ impl ReplaySubject for FastSimSubject {
         self.now = now;
         Ok(())
     }
-}
-
-fn engine_component_digests(c: &EngineCheckpoint) -> Vec<(&'static str, u64)> {
-    let mut rng = StateDigest::labeled("rng");
-    for w in c.rng {
-        rng.write_u64(w);
-    }
-    let mut queue = StateDigest::labeled("queue");
-    queue.write_len(c.events.len());
-    for (t, e) in &c.events {
-        queue.write_u64(t.0);
-        e.encode(&mut queue);
-    }
-    let mut links = StateDigest::labeled("links");
-    links.write_len(c.links.len());
-    for l in &c.links {
-        links.write_bool(l.up);
-        for d in [&l.ab, &l.ba] {
-            links.write_len(d.queue.len());
-            for p in &d.queue {
-                p.encode(&mut links);
-            }
-            match &d.in_flight {
-                None => links.write_u8(0),
-                Some(p) => {
-                    links.write_u8(1);
-                    p.encode(&mut links);
-                }
-            }
-        }
-    }
-    let mut nodes = StateDigest::labeled("nodes");
-    nodes.write_len(c.logics.len());
-    for logic in &c.logics {
-        match logic {
-            None => nodes.write_u8(0),
-            Some(b) => {
-                nodes.write_u8(1);
-                nodes.write_bytes(b);
-            }
-        }
-    }
-    vec![
-        ("rng", rng.finish()),
-        ("queue", queue.finish()),
-        ("links", links.finish()),
-        ("nodes", nodes.finish()),
-    ]
 }
 
 /// The packet-level discrete-event engine, run until a fixed end time,
@@ -268,33 +227,16 @@ impl ReplaySubject for SimulatorSubject {
     }
 
     fn capture(&self) -> Capture {
-        // A successful engine checkpoint carries the state hash, yields
-        // a per-subsystem breakdown and is the payload; with taps or
-        // opaque node logics, fall back to the monolithic hash
-        // (divergence is then pinned by the event stream, which is exact
-        // anyway).
-        match self.sim.checkpoint() {
-            Ok(c) => Capture {
-                state_hash: c.state_hash,
-                components: engine_component_digests(&c),
-                payload: Some(engine_checkpoint_to_bytes(&c)),
-            },
-            Err(_) => {
-                let state_hash = self.sim.state_hash();
-                Capture {
-                    state_hash,
-                    components: vec![("engine", state_hash)],
-                    payload: None,
-                }
-            }
+        Capture {
+            state_hash: self.sim.state_hash(),
+            components: section_digests(Simulator::SECTIONS, |i, d| self.sim.digest_section(i, d)),
+            payload: self.sim.checkpoint().ok(),
         }
     }
 
     fn load_checkpoint(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let ckpt = engine_checkpoint_from_bytes(bytes).map_err(|e| e.to_string())?;
-        let now = ckpt.now;
-        self.sim.restore(ckpt)?;
-        self.done = now >= self.end;
+        self.sim.restore(bytes)?;
+        self.done = self.sim.now() >= self.end;
         Ok(())
     }
 }

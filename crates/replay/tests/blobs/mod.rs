@@ -15,7 +15,6 @@
 use dui_blink::fastsim::{attack_sim_snapshot_to_bytes, AttackSim, AttackSimConfig};
 use dui_blink::selector::BlinkParams;
 use dui_netsim::prelude::*;
-use dui_replay::record::engine_checkpoint_to_bytes;
 use dui_replay::{FastSimSubject, Recorder, Recording, ReplaySubject, SimulatorSubject};
 use dui_tcp::{FlowPool, FlowSpec, TcpHost, TcpHostConfig, TcpSenderConfig};
 
@@ -163,7 +162,41 @@ pub fn engine_mid_run() -> Simulator {
 
 /// Engine checkpoint blob of [`engine_mid_run`].
 pub fn engine_checkpoint() -> Vec<u8> {
-    engine_checkpoint_to_bytes(&engine_mid_run().checkpoint().expect("checkpointable"))
+    engine_mid_run().checkpoint().expect("checkpointable")
+}
+
+/// Valid checkpoints of two other topologies, neither restorable into
+/// [`engine`]: one a node short, and one with as many nodes and links
+/// but the sink hung off `h2`, so its routes name hops `engine` has no
+/// link for.
+pub fn foreign_engine_checkpoints() -> Vec<Vec<u8>> {
+    [false, true]
+        .into_iter()
+        .map(|sink_behind_h2| {
+            let mut b = TopologyBuilder::new();
+            let h1 = b.host("h1", Addr::new(10, 0, 0, 1));
+            let r = b.router("r");
+            let h2 = b.host("h2", Addr::new(10, 0, 0, 2));
+            let (bw, delay) = (Bandwidth::mbps(10), SimDuration::from_millis(2));
+            b.link(h1, r, bw, delay, 32);
+            b.link(r, h2, bw, delay, 8);
+            if sink_behind_h2 {
+                let s = b.host("s", Addr::new(10, 0, 1, 1));
+                b.link(h2, s, bw, delay, 8);
+            }
+            let mut sim = Simulator::new(b.build(), 5);
+            sim.set_logic(h1, Box::new(TcpHost::new()));
+            sim.set_logic(r, Box::new(RouterLogic::new()));
+            sim.set_logic(h2, Box::new(TcpHost::new()));
+            if sink_behind_h2 {
+                sim.set_logic(NodeId(3), Box::new(SinkHost::new()));
+            }
+            let k = FlowKey::udp(Addr::new(10, 0, 0, 1), 2000, Addr::new(10, 0, 0, 2), 53);
+            sim.inject(h1, Packet::udp(k, 200));
+            sim.run_until(SimTime::ZERO + SimDuration::from_millis(3));
+            sim.checkpoint().expect("checkpointable")
+        })
+        .collect()
 }
 
 /// A fresh engine subject (what a `.duir` of it replays against).
@@ -176,28 +209,27 @@ pub fn engine_recording() -> Recording {
     Recorder::new("blink-packet-small", ENGINE_DIGEST, 150).record(&mut engine_subject())
 }
 
-fn logic_blob(node: usize) -> Vec<u8> {
-    let ckpt = engine_mid_run().checkpoint().expect("checkpointable");
-    ckpt.logics[node].clone().expect("node has logic")
+fn logic_blob<T: NodeLogic + 'static>(mut sim: Simulator, node: usize) -> Vec<u8> {
+    sim.logic_mut::<T>(NodeId(node))
+        .save_state()
+        .expect("node has restorable logic")
 }
 
 /// `TcpHost::save_state` of the sending host, mid-transfer.
 pub fn tcp_host_state() -> Vec<u8> {
-    logic_blob(0)
+    logic_blob::<TcpHost>(engine_mid_run(), 0)
 }
 
 /// `RouterLogic::save_state`.
 pub fn router_state() -> Vec<u8> {
-    logic_blob(1)
+    logic_blob::<RouterLogic>(engine_mid_run(), 1)
 }
 
 /// `SinkHost::save_state` after three UDP flows.
 pub fn sink_state() -> Vec<u8> {
     let mut sim = engine(true);
     sim.run_until(SimTime::ZERO + SimDuration::from_millis(30));
-    sim.checkpoint().expect("checkpointable").logics[3]
-        .clone()
-        .expect("sink has logic")
+    logic_blob::<SinkHost>(sim, 3)
 }
 
 /// A pool with a sender mid-transfer, a listener, a receiver holding

@@ -12,6 +12,10 @@
 //! * allocate, while decoding, at most `k × max(len, FLOOR)` bytes, with
 //!   `k` stated per kind below and measured by the counting allocator
 //!   local to this test binary.
+//!
+//! An engine checkpoint decodes through `Simulator::restore` into the
+//! fixture engine; a valid checkpoint of another topology must be
+//! refused there too.
 
 #![expect(unsafe_code, reason = "a counting `GlobalAlloc` is an `unsafe impl`")]
 
@@ -21,12 +25,9 @@ use dui_blink::fastsim::{
     attack_sim_snapshot_from_bytes, attack_sim_snapshot_to_bytes, AttackSimSnapshot,
 };
 use dui_netsim::prelude::*;
-use dui_netsim::sim::EngineCheckpoint;
-use dui_replay::record::{engine_checkpoint_from_bytes, engine_checkpoint_to_bytes};
 use dui_replay::{Recording, ReplaySubject, Replayer};
 use dui_stats::digest::StateDigest;
 use dui_stats::propcheck::{self, Config, PropError};
-use dui_stats::wire::DecodeError;
 use dui_tcp::{FlowKind, FlowPool, TcpHost, TcpSenderConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -94,7 +95,7 @@ const FLOOR: usize = 64;
 enum Kind {
     DuirFastsim,
     DuirEngine,
-    EngineCheckpoint,
+    Engine,
     FastsimSnapshot,
     TcpHost,
     FlowPool,
@@ -108,7 +109,7 @@ impl Kind {
         match self {
             Kind::DuirFastsim => blobs::fastsim_recording().to_bytes(),
             Kind::DuirEngine => blobs::engine_recording().to_bytes(),
-            Kind::EngineCheckpoint => blobs::engine_checkpoint(),
+            Kind::Engine => blobs::engine_checkpoint(),
             Kind::FastsimSnapshot => blobs::fastsim_snapshot(),
             Kind::TcpHost => blobs::tcp_host_state(),
             Kind::FlowPool => blobs::pool_state(),
@@ -119,7 +120,8 @@ impl Kind {
 
     /// Peak decode allocation allowed per input byte. The driver of each:
     /// `.duir` — a 24-byte `String` per 1-byte name; engine checkpoint —
-    /// an 88-byte pending event per 4 input bytes; fast-sim snapshot — a
+    /// `Simulator::restore`, staging and committing the decoded state
+    /// (worst mutant 8.3); fast-sim snapshot — a
     /// 64-byte `Option<Cell>` per flag byte; `TcpHost` — its pool;
     /// `FlowPool` — ~500 bytes of columns per 9-byte vacant slot, doubled
     /// while a column grows; `SinkHost` — a 40-byte map entry per 29-byte
@@ -127,7 +129,7 @@ impl Kind {
     fn k(self) -> usize {
         match self {
             Kind::DuirFastsim | Kind::DuirEngine => 32,
-            Kind::EngineCheckpoint => 32,
+            Kind::Engine => 32,
             Kind::FastsimSnapshot => 72,
             Kind::TcpHost | Kind::FlowPool => 128,
             Kind::SinkHost => 8,
@@ -150,7 +152,7 @@ impl Kind {
 /// A successfully decoded blob.
 enum Value {
     Recording(Recording),
-    Engine(EngineCheckpoint),
+    Engine(Box<Simulator>),
     FastSim(AttackSimSnapshot),
     Host(Box<TcpHost>),
     Pool(FlowPool),
@@ -158,10 +160,20 @@ enum Value {
     Router(RouterLogic),
 }
 
-fn decode(kind: Kind, bytes: &[u8]) -> Result<Value, DecodeError> {
+/// Decode `bytes` as `kind`; an engine checkpoint restores into
+/// `target`, built before the allocation count starts.
+fn decode(
+    kind: Kind,
+    bytes: &[u8],
+    target: Option<Box<Simulator>>,
+) -> Result<Value, Box<dyn std::error::Error>> {
     Ok(match kind {
         Kind::DuirFastsim | Kind::DuirEngine => Value::Recording(Recording::from_bytes(bytes)?),
-        Kind::EngineCheckpoint => Value::Engine(engine_checkpoint_from_bytes(bytes)?),
+        Kind::Engine => {
+            let mut sim = target.expect("an engine to restore into");
+            sim.restore(bytes)?;
+            Value::Engine(sim)
+        }
         Kind::FastsimSnapshot => Value::FastSim(attack_sim_snapshot_from_bytes(bytes)?),
         Kind::TcpHost => {
             let mut host = Box::new(TcpHost::new());
@@ -186,7 +198,7 @@ impl Value {
     fn encode(&self) -> Vec<u8> {
         match self {
             Value::Recording(rec) => rec.to_bytes(),
-            Value::Engine(ckpt) => engine_checkpoint_to_bytes(ckpt),
+            Value::Engine(sim) => sim.checkpoint().expect("a restored engine checkpoints"),
             Value::FastSim(snap) => attack_sim_snapshot_to_bytes(snap),
             Value::Host(host) => host.save_state().expect("a restored host is restorable"),
             Value::Pool(pool) => pool.to_bytes().expect("a restored pool is drained"),
@@ -212,12 +224,7 @@ impl Value {
                     let _ = Replayer::new(&rec).resume_from(fresh().as_mut(), idx);
                 }
             }
-            Value::Engine(ckpt) => {
-                let mut sim = blobs::engine(false);
-                if sim.restore(ckpt).is_ok() {
-                    run_100_events(&mut sim);
-                }
-            }
+            Value::Engine(mut sim) => run_100_events(&mut sim),
             Value::FastSim(snap) => {
                 let mut subject = blobs::fastsim_subject();
                 if subject
@@ -314,7 +321,8 @@ fn with_logic(node: NodeId, logic: Box<dyn NodeLogic>) {
 
 /// Decode one mutant and hold it to the harness's three conditions.
 fn check(kind: Kind, mutant: &[u8], exercise: bool) -> Result<bool, String> {
-    let (decoded, peak) = peak_during(|| decode(kind, mutant));
+    let target = (kind == Kind::Engine).then(|| Box::new(blobs::engine(false)));
+    let (decoded, peak) = peak_during(|| decode(kind, mutant, target));
     let bound = kind.k() * mutant.len().max(FLOOR);
     if peak > bound {
         return Err(format!(
@@ -341,6 +349,16 @@ fn exhaustive(kind: Kind) {
         Ok(true),
         "the unmutated blob is accepted"
     );
+    if kind == Kind::Engine {
+        for foreign in blobs::foreign_engine_checkpoints() {
+            let outcome = std::panic::catch_unwind(|| check(kind, &foreign, true));
+            assert_eq!(
+                outcome.ok(),
+                Some(Ok(false)),
+                "another topology's checkpoint is refused"
+            );
+        }
+    }
     blobs::exhaustive_mutants(&blob, |family, at, mutant| {
         let exercise = at % kind.exercise_every() == 0;
         let outcome = std::panic::catch_unwind(|| check(kind, mutant, exercise));
@@ -398,7 +416,7 @@ macro_rules! hostile {
 hostile! {
     duir_fastsim => Kind::DuirFastsim;
     duir_engine => Kind::DuirEngine;
-    engine_checkpoint => Kind::EngineCheckpoint;
+    engine_checkpoint => Kind::Engine;
     fastsim_snapshot => Kind::FastsimSnapshot;
     tcp_host => Kind::TcpHost;
     flow_pool => Kind::FlowPool;

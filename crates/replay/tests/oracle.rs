@@ -14,7 +14,11 @@
 //!   flows, so the flows close, and free their slots, in another order;
 //! * an `AttackSim` and its `FlowSelector` are stepped to the same
 //!   point, or not, by a fresh run and by a run restored from the
-//!   first's checkpoint.
+//!   first's checkpoint;
+//! * two engines — a TCP host and a sink behind a plain router, which
+//!   answers expired probes or not — take the same packets in
+//!   different orders, and the same faults and link flaps in different
+//!   orders, section by section and as a whole.
 //!
 //! A digest that skips state its bytes carry reads "equal" where the
 //! bytes differ — the divergence then surfaces only later, at the wrong
@@ -26,7 +30,7 @@ use dui_blink::selector::FlowSelector;
 use dui_netsim::prelude::*;
 use dui_stats::digest::StateDigest;
 use dui_stats::propcheck::{Gen, PropResult};
-use dui_stats::wire::Writer;
+use dui_stats::wire::{Encoder, Writer};
 use dui_stats::{prop_assert_eq, prop_check};
 use dui_tcp::{FlowPool, FlowSpec, TcpHost, TcpHostConfig, TcpSenderConfig};
 
@@ -176,6 +180,65 @@ fn transfers_after(sizes: &[&u64]) -> Simulator {
     sim
 }
 
+/// A link operation applied mid-run.
+#[derive(Debug, Clone, Copy)]
+enum LinkOp {
+    Fault(LinkId, Dir, FaultConfig),
+    Up(LinkId, bool),
+}
+
+/// `src` — router — {TCP host, sink}: every packet of `pkts` is injected
+/// at `src` at time zero, the run pauses at 3 ms for `ops`, then goes on
+/// to `until`.
+fn engine_after(pkts: &[&Packet], ops: &[&LinkOp], respond: bool, until: SimTime) -> Simulator {
+    let mut b = TopologyBuilder::new();
+    let src = b.host("src", Addr::new(10, 0, 0, 1));
+    let r = b.router("r");
+    let tcp = b.host("tcp", Addr::new(10, 0, 0, 2));
+    let sink = b.host("sink", Addr::new(10, 0, 0, 3));
+    let (bw, delay) = (Bandwidth::mbps(10), SimDuration::from_millis(1));
+    b.link(src, r, bw, delay, 8);
+    b.link(r, tcp, bw, delay, 8);
+    b.link(r, sink, bw, delay, 8);
+    let mut sim = Simulator::new(b.build(), 3);
+    let mut router = RouterLogic::new();
+    router.respond_time_exceeded = respond;
+    sim.set_logic(src, Box::new(SinkHost::new()));
+    sim.set_logic(r, Box::new(router));
+    sim.set_logic(tcp, Box::new(TcpHost::new()));
+    sim.set_logic(sink, Box::new(SinkHost::new()));
+    for p in pkts {
+        sim.inject(src, p.duplicate());
+    }
+    sim.run_until(SimTime::ZERO + SimDuration::from_millis(3));
+    for op in ops {
+        match **op {
+            LinkOp::Fault(link, dir, fault) => sim.set_fault(link, dir, fault),
+            LinkOp::Up(link, up) => sim.set_link_up(link, up),
+        }
+    }
+    sim.run_until(until);
+    sim
+}
+
+/// Section `i` of `sim`'s state encoder: its digest, and its bytes with
+/// each node logic's checkpoint blob.
+fn section_state(sim: &Simulator, i: usize) -> (u64, Vec<u8>) {
+    let mut w = Writer::new();
+    sim.encode_section(i, &mut w, &mut |w, _, l| {
+        w.bytes(&l.save_state().expect("restorable"));
+    });
+    (digest(|d| sim.digest_section(i, d)), w.into_bytes())
+}
+
+/// The state hash, and the checkpoint bytes without the state hash they
+/// end with.
+fn engine_state(sim: &Simulator) -> (u64, Vec<u8>) {
+    let mut bytes = sim.checkpoint().expect("restorable");
+    bytes.truncate(bytes.len() - 8);
+    (sim.state_hash(), bytes)
+}
+
 prop_check! {
     fn pool_digest_is_its_bytes(g) {
         let kinds = g.vec(2..10, |g| g.u8(0..3));
@@ -278,5 +341,58 @@ prop_check! {
             (digest(|d| live.state_digest(d)), w.into_bytes())
         };
         digest_iff_bytes("selector", selector(&sa.selector), selector(&sb.selector))?;
+    }
+
+    fn engine_digest_is_its_bytes(g) {
+        let pkts: Vec<Packet> = (0..g.usize(1..12))
+            .map(|i| {
+                let sport = 3000 + g.u16(0..4);
+                match i % 3 {
+                    0 => Packet::probe(Addr::new(10, 0, 0, 1), Addr::new(10, 0, 0, 3), 7, i as u16, g.u8(1..3)),
+                    1 => {
+                        let k = FlowKey::udp(Addr::new(10, 0, 0, 1), sport, Addr::new(10, 0, 0, 3), 53);
+                        Packet::udp(k, 100 + g.u32(0..3) * 400)
+                    }
+                    _ => {
+                        let flags = TcpFlags { syn: g.bool(), ..TcpFlags::default() };
+                        let payload = if flags.syn { 0 } else { 500 };
+                        Packet::tcp(key(sport), g.u32(0..4) * 500, 0, flags, payload)
+                    }
+                }
+            })
+            .collect();
+        let ops: Vec<LinkOp> = (0..g.usize(0..5))
+            .map(|_| {
+                let link = LinkId(g.usize(0..3));
+                if g.bool() {
+                    LinkOp::Up(link, g.bool())
+                } else {
+                    let dir = if g.bool() { Dir::AtoB } else { Dir::BtoA };
+                    LinkOp::Fault(link, dir, FaultConfig {
+                        drop_prob: [0.0, 0.3][g.usize(0..2)],
+                        jitter_max: g.bool().then(|| SimDuration::from_micros(g.u64(1..500))),
+                    })
+                }
+            })
+            .collect();
+        let respond = g.bool();
+        let until = SimTime::ZERO + SimDuration::from_millis(g.u64(3..30));
+        let a = engine_after(&pkts.iter().collect::<Vec<_>>(), &ops.iter().collect::<Vec<_>>(), respond, until);
+        let b = engine_after(
+            &maybe_permuted(g, &pkts),
+            &maybe_permuted(g, &ops),
+            respond ^ (g.u8(0..4) == 0),
+            until,
+        );
+        for (i, &(name, _)) in Simulator::SECTIONS.iter().enumerate() {
+            digest_iff_bytes(name, section_state(&a, i), section_state(&b, i))?;
+        }
+        digest_iff_bytes("engine", engine_state(&a), engine_state(&b))?;
+        // The state hash is every section folded in order under one label.
+        let mut whole = StateDigest::labeled("netsim");
+        for i in 0..Simulator::SECTIONS.len() {
+            a.encode_section(i, &mut whole, &mut |d, _, l| l.state_digest(d));
+        }
+        prop_assert_eq!(whole.finish(), a.state_hash());
     }
 }

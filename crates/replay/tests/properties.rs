@@ -6,10 +6,7 @@ use dui_blink::fastsim::{
     attack_sim_snapshot_from_bytes, attack_sim_snapshot_to_bytes, AttackSim, AttackSimConfig,
 };
 use dui_netsim::prelude::*;
-use dui_replay::record::{
-    engine_checkpoint_from_bytes, engine_checkpoint_to_bytes, CheckpointFrame, EventFrame,
-    Recording,
-};
+use dui_replay::record::{CheckpointFrame, EventFrame, Recording};
 use dui_replay::replay::ReplaySubject;
 use dui_replay::{FastSimSubject, Recorder, Replayer};
 use dui_stats::propcheck::Gen;
@@ -95,25 +92,11 @@ prop_check! {
         prop_assert_eq!(back, rec);
     }
 
-    fn engine_checkpoint_codec_round_trips(g) {
+    fn engine_restore_is_a_byte_for_byte_fixed_point(g) {
         let sim = partial_engine(g);
-        let ckpt = sim.checkpoint().expect("checkpointable");
-        let bytes = engine_checkpoint_to_bytes(&ckpt);
-        let back = engine_checkpoint_from_bytes(&bytes).unwrap();
-        // Codec fidelity: re-encoding the decoded checkpoint is
-        // byte-identical, and the carried state hash survives.
-        prop_assert_eq!(engine_checkpoint_to_bytes(&back), bytes);
-        prop_assert_eq!(back.state_hash, ckpt.state_hash);
-    }
-
-    fn engine_restore_is_a_state_hash_fixed_point(g) {
-        let sim = partial_engine(g);
-        let ckpt = sim.checkpoint().expect("checkpointable");
-        prop_assert_eq!(ckpt.state_hash, sim.state_hash());
-        // Round-trip the checkpoint through the byte codec, then restore
-        // into a freshly built same-topology engine.
-        let bytes = engine_checkpoint_to_bytes(&ckpt);
-        let decoded = engine_checkpoint_from_bytes(&bytes).unwrap();
+        let bytes = sim.checkpoint().expect("checkpointable");
+        // Restore into a freshly built same-topology engine: it carries
+        // the state hash and re-encodes to the same bytes.
         let mut b = TopologyBuilder::new();
         let h1 = b.host("h1", Addr::new(10, 0, 0, 1));
         let r = b.router("r");
@@ -123,8 +106,9 @@ prop_check! {
         let mut fresh = Simulator::new(b.build(), 0);
         fresh.set_logic(r, Box::new(RouterLogic::new()));
         fresh.set_logic(h2, Box::new(SinkHost::new()));
-        fresh.restore(decoded).expect("restorable");
-        prop_assert_eq!(fresh.state_hash(), ckpt.state_hash);
+        fresh.restore(&bytes).expect("restorable");
+        prop_assert_eq!(fresh.state_hash(), sim.state_hash());
+        prop_assert_eq!(fresh.checkpoint().expect("checkpointable"), bytes);
     }
 
     fn fastsim_snapshot_codec_round_trips(g) {

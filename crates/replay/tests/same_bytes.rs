@@ -16,14 +16,14 @@ use dui_stats::hash::FixedState;
 use std::hash::BuildHasher;
 
 const PINNED: &[(&str, usize, u64)] = &[
-    ("duir_fastsim", 4408, 0xf728b8f9c7bbf2a5),
-    ("duir_engine", 11898, 0x348e6301e11b0b4b),
-    ("engine_checkpoint", 1898, 0x692c8a0d8296bfb2),
+    ("duir_fastsim", 4408, 0x455121ab58715354),
+    ("duir_engine", 11954, 0x7247e0a78770ee5a),
+    ("engine_checkpoint", 1901, 0x91cb8ab1aeb23e4d),
     ("fastsim_snapshot", 737, 0xc194732c8bda8ce5),
     ("tcp_host", 907, 0x7dfd0a0bb2d94735),
     ("flow_pool", 554, 0xcd22838b1ffc9853),
     ("sink_host", 111, 0xe874643b29ff27ee),
-    ("router", 1, 0xc9bba4dc13a03817),
+    ("router", 3, 0xce55215a7ad596d7),
 ];
 
 #[test]

@@ -1,0 +1,122 @@
+//! A packet-level replay divergence always names a section of the
+//! engine's state encoder.
+//!
+//! A small engine run is recorded twice: restorable, and hash-only (the
+//! router runs a data-plane program, which has no codec). Each replay
+//! perturbs one piece of state before the first checkpoint — a link's
+//! fault, its up flag, a prefix announcement, a node logic's state — and
+//! the `HashMismatch` must name exactly the section that holds it.
+
+mod blobs;
+
+use dui_netsim::prelude::*;
+use dui_replay::{Recorder, Recording, ReplayError, Replayer, SimulatorSubject};
+use dui_stats::digest::StateDigest;
+use std::any::Any;
+
+/// A data-plane program that counts what it sees.
+#[derive(Default)]
+struct Tally(u64);
+
+impl DataPlaneProgram for Tally {
+    fn process(&mut self, _: SimTime, _: &Packet, _: Option<NodeId>) -> Option<Verdict> {
+        self.0 += 1;
+        None
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+
+    fn state_digest(&self, d: &mut StateDigest) {
+        d.write_u64(self.0);
+    }
+}
+
+/// The fixture engine, its router running [`Tally`] if `program`.
+fn subject(program: bool) -> SimulatorSubject {
+    let mut sim = blobs::engine(true);
+    if program {
+        sim.set_logic(
+            NodeId(1),
+            Box::new(RouterLogic::new().with_program(Box::new(Tally::default()))),
+        );
+    }
+    SimulatorSubject::new(sim, blobs::ENGINE_END, blobs::ENGINE_DIGEST)
+}
+
+fn record(program: bool) -> Recording {
+    Recorder::new("sections", blobs::ENGINE_DIGEST, 150).record(&mut subject(program))
+}
+
+/// A perturbation's name, the perturbation, and the one section it must
+/// show up in.
+type Perturbation = (&'static str, fn(&mut Simulator), &'static str);
+
+const PERTURBATIONS: [Perturbation; 4] = [
+    (
+        "fault",
+        |sim| {
+            let fault = FaultConfig {
+                drop_prob: 0.0,
+                jitter_max: Some(SimDuration::from_micros(1)),
+            };
+            sim.set_fault(LinkId(0), Dir::BtoA, fault);
+        },
+        "links",
+    ),
+    (
+        "link down",
+        |sim| sim.set_link_up(LinkId(2), false),
+        "links",
+    ),
+    (
+        "prefix",
+        |sim| sim.announce_prefix(Prefix::new(Addr::new(10, 0, 2, 0), 24), NodeId(2)),
+        "routes",
+    ),
+    (
+        "node state",
+        |sim| sim.logic_mut::<SinkHost>(NodeId(3)).total_packets += 1,
+        "nodes",
+    ),
+];
+
+#[test]
+fn every_perturbation_names_its_section() {
+    for program in [false, true] {
+        let rec = record(program);
+        assert_eq!(
+            rec.checkpoints[0].payload.is_none(),
+            program,
+            "a router program makes the recording hash-only"
+        );
+        for (what, perturb, section) in PERTURBATIONS {
+            let mut live = subject(program);
+            perturb(live.sim_mut());
+            match Replayer::new(&rec).verify(&mut live) {
+                Err(ReplayError::HashMismatch {
+                    checkpoint: 0,
+                    components,
+                    ..
+                }) => {
+                    let names: Vec<&str> = components.iter().map(|c| c.name.as_str()).collect();
+                    assert_eq!(names, [section], "{what} (program: {program})");
+                }
+                other => panic!("{what} (program: {program}): {other:?}"),
+            }
+        }
+    }
+}
+
+#[test]
+fn every_recording_lists_the_sections() {
+    for program in [false, true] {
+        let rec = record(program);
+        for ckpt in &rec.checkpoints {
+            let names: Vec<&str> = ckpt.components.iter().map(|&(i, _)| rec.name(i)).collect();
+            let sections: Vec<&str> = Simulator::SECTIONS.iter().map(|&(name, _)| name).collect();
+            assert_eq!(names, sections);
+        }
+    }
+}

@@ -7,7 +7,7 @@
 use dui_stats::digest::StateDigest;
 use dui_stats::{prop_assert_ne, prop_check};
 use std::collections::BTreeSet;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 prop_check! {
     fn replacing_any_one_word_changes_the_digest(g) {
@@ -47,6 +47,7 @@ macro_rules! labels {
 // `every_label_in_the_tree_is_listed` fails if a new one is missing.
 labels!(
     "blink-scenario",
+    "core",
     "counter",
     "dsc-corpus",
     "event",
@@ -67,6 +68,7 @@ labels!(
     "pytheas",
     "queue",
     "rng",
+    "routes",
     "schedule",
     "selector",
     "series",
@@ -84,13 +86,14 @@ fn const_labels_equal_their_runtime_digests() {
 }
 
 /// The string literals passed to `labeled(` in every `.rs` file under
-/// `dir` (build outputs skipped).
-fn labels_in(dir: &Path, found: &mut BTreeSet<String>) {
+/// `dir` (build outputs skipped), and every directory visited.
+fn labels_in(dir: &Path, found: &mut BTreeSet<String>, visited: &mut BTreeSet<PathBuf>) {
+    visited.insert(dir.to_path_buf());
     for entry in std::fs::read_dir(dir).unwrap() {
         let path = entry.unwrap().path();
         if path.is_dir() {
             if path.file_name().is_some_and(|n| n != "target") {
-                labels_in(&path, found);
+                labels_in(&path, found, visited);
             }
         } else if path.extension().is_some_and(|e| e == "rs") {
             let text = std::fs::read_to_string(&path).unwrap();
@@ -104,15 +107,23 @@ fn labels_in(dir: &Path, found: &mut BTreeSet<String>) {
 #[test]
 fn every_label_in_the_tree_is_listed() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let mut found = BTreeSet::new();
+    let (mut found, mut visited) = (BTreeSet::new(), BTreeSet::new());
     for dir in ["crates", "ledger", "tests", "examples"] {
-        labels_in(&root.join(dir), &mut found);
+        labels_in(&root.join(dir), &mut found, &mut visited);
     }
-    // A scan of the wrong directory would find nothing and pass.
-    assert!(
-        found.len() >= 20,
-        "the scan found too few labels: {found:?}"
-    );
+    // A scan of the wrong directories would find nothing and pass: it
+    // must have walked every crate's sources and met labels known to be
+    // there.
+    for krate in std::fs::read_dir(root.join("crates")).unwrap() {
+        let src = krate.unwrap().path().join("src");
+        assert!(visited.contains(&src), "the scan skipped {}", src.display());
+    }
+    for known in ["netsim", "rng"] {
+        assert!(
+            found.contains(known),
+            "the scan missed {known:?}: {found:?}"
+        );
+    }
     let listed: BTreeSet<String> = LABELS.iter().map(|l| l.to_string()).collect();
     let missing: Vec<&String> = found.difference(&listed).collect();
     assert!(missing.is_empty(), "add to LABELS: {missing:?}");

@@ -759,7 +759,7 @@ mod tests {
     //! checkpoint bytes.
 
     use super::*;
-    use dui_netsim::event::SavedEvent;
+    use dui_netsim::event::Event;
     use dui_netsim::packet::{Addr, TcpFlags};
     use dui_netsim::prelude::{Bandwidth, Dir, FaultConfig, LinkId, RouterLogic, Simulator};
     use dui_netsim::topology::{NodeId, Topology, TopologyBuilder};
@@ -852,9 +852,9 @@ mod tests {
     /// Pending per-flow wakes of node `host`, by timer token, in firing order.
     fn pending_wakes(sim: &Simulator, host: NodeId) -> BTreeMap<u64, Vec<SimTime>> {
         let mut wakes: BTreeMap<u64, Vec<SimTime>> = BTreeMap::new();
-        for (at, ev) in sim.checkpoint().expect("checkpointable").events {
-            match ev {
-                SavedEvent::Timer { node, token } if node == host && token >= TOKEN_FLOW_BASE => {
+        for (at, ev) in sim.core().pending() {
+            match *ev {
+                Event::Timer { node, token } if node == host && token >= TOKEN_FLOW_BASE => {
                     wakes.entry(token).or_default().push(at);
                 }
                 _ => {}
@@ -942,7 +942,7 @@ mod tests {
             sim.run_until(SimTime::ZERO + SimDuration::from_millis(g.u64(1..4_000)));
             let ckpt = sim.checkpoint().expect("checkpointable");
             let (mut resumed, _) = build(Vec::new());
-            resumed.restore(ckpt).expect("restorable");
+            resumed.restore(&ckpt).expect("restorable");
             prop_assert_eq!(resumed.state_hash(), sim.state_hash());
             // The restored wake bookkeeping must also *behave* the same.
             let end = SimTime::from_secs(30);

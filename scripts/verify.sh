@@ -26,13 +26,15 @@ same_bytes() {
   rm -rf "$kept"
 }
 
-echo "== lint gate (rustc + clippy, every target, warnings are errors) =="
+echo "== lint gate (rustc + clippy, every target, warnings are errors; rustfmt) =="
 # No wall clock or ambient randomness outside dui-bench, no raw byte
 # decoding outside dui_stats::wire, no bare unwrap on library paths, and
 # the rest of docs/lint.md's table, declared in [workspace.lints],
 # clippy.toml and the library roots. The only escape is an
-# #[expect(…, reason = "…")] that still suppresses something.
+# #[expect(…, reason = "…")] that still suppresses something. The
+# workspace is also rustfmt-clean, so a diff carries no reformatting.
 cargo clippy -q --offline --workspace --all-targets -- -D warnings
+cargo fmt --all -- --check
 
 echo "== build (release, offline) =="
 cargo build --release --offline

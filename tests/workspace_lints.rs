@@ -577,6 +577,100 @@ fn flow_pool_layout_block_states_the_pinned_sizes() {
     );
 }
 
+/// Whether `src` defines `item`: `Type::member` is a `fn` or `const`
+/// named `member` inside an `impl` block of `Type` (inherent or trait),
+/// a bare name a top-level `fn`.
+fn defines(src: &str, item: &str) -> bool {
+    let declares = |line: &str, name: &str| {
+        ["fn ", "const "].iter().any(|kw| {
+            line.split(kw).skip(1).any(|rest| {
+                rest.strip_prefix(name)
+                    .is_some_and(|tail| tail.starts_with(['(', '<', ':']))
+            })
+        })
+    };
+    let Some((ty, member)) = item.split_once("::") else {
+        return src
+            .lines()
+            .any(|l| !l.starts_with(' ') && declares(l, item));
+    };
+    let mut lines = src.lines();
+    while let Some(line) = lines.next() {
+        let Some(header) = line.strip_prefix("impl") else {
+            continue;
+        };
+        // The implemented type is the header's last path segment once
+        // generic arguments are dropped: `impl<T> NodeLogic for Wrap<T> {`.
+        let (mut depth, mut bare) = (0, String::new());
+        for c in header.trim_end_matches('{').chars() {
+            match c {
+                '<' => depth += 1,
+                '>' => depth -= 1,
+                _ if depth == 0 => bare.push(c),
+                _ => {}
+            }
+        }
+        let implemented = bare.split_whitespace().last().unwrap_or_default();
+        let body = lines.by_ref().take_while(|l| *l != "}");
+        if implemented.rsplit("::").next() == Some(ty)
+            && body.into_iter().any(|l| declares(l, member))
+        {
+            return true;
+        }
+    }
+    false
+}
+
+/// docs/determinism.md's "Digest coverage" table names each encoder with
+/// the module it lives in — the items in a row's Encoder cell belong to
+/// the next `dui_…` path after them — and every one is defined there.
+#[test]
+fn digest_coverage_names_encoders_where_they_live() {
+    let chapter = read("docs/determinism.md");
+    let section = chapter
+        .split("## Digest coverage")
+        .nth(1)
+        .and_then(|s| s.split("\n## ").next())
+        .expect("docs/determinism.md has a '## Digest coverage' section");
+    let mut named = 0;
+    for row in section
+        .lines()
+        .filter(|l| l.starts_with("| `"))
+        .take_while(|l| l.split('|').count() == 5)
+    {
+        let cell = row.split('|').nth(2).unwrap_or_default();
+        let mut items: Vec<&str> = Vec::new();
+        for code in cell.split('`').skip(1).step_by(2) {
+            let Some(module) = code.strip_prefix("dui_") else {
+                items.push(code);
+                continue;
+            };
+            let (krate, path) = module.split_once("::").unwrap_or((module, "lib"));
+            let base = format!("crates/{krate}/src/{}", path.replace("::", "/"));
+            let file = [format!("{base}.rs"), format!("{base}/mod.rs")]
+                .into_iter()
+                .find(|f| repo_root().join(f).is_file())
+                .unwrap_or_else(|| panic!("{code} (in '{row}') is no module: no {base}.rs"));
+            let src = read(&file);
+            for item in items.drain(..) {
+                assert!(
+                    defines(&src, item),
+                    "{item} is not defined in {file} ('{row}')"
+                );
+                named += 1;
+            }
+        }
+        assert!(
+            items.is_empty(),
+            "{items:?} in '{row}' name no module after them"
+        );
+    }
+    assert!(
+        named >= 10,
+        "the coverage table named only {named} encoders"
+    );
+}
+
 /// docs/lint.md's "The lints" table has one row per declared lint —
 /// `[workspace.lints]`, and every `#![deny]` under a `src/` directory —
 /// and no other; every path `clippy.toml` disallows is named in the
