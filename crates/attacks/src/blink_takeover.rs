@@ -12,6 +12,7 @@ use dui_flowgen::MaliciousFlowSet;
 use dui_netsim::packet::{Packet, TcpFlags};
 use dui_netsim::prelude::{Ctx, NodeLogic};
 use dui_netsim::time::{SimDuration, SimTime};
+use dui_stats::wire::{Encoder, Sink};
 use std::any::Any;
 
 /// Descriptor for the attack.
@@ -139,24 +140,18 @@ impl NodeLogic for MaliciousRetxHost {
         ctx.set_timer(interval, TOKEN_TICK);
     }
 
-    fn state_digest(&self, d: &mut dui_stats::digest::StateDigest) {
-        d.write_len(self.attack.flows.keys.len());
-        for k in &self.attack.flows.keys {
-            d.write_u32(k.src.0);
-            d.write_u32(k.dst.0);
-            d.write_u16(k.sport);
-            d.write_u16(k.dport);
-        }
-        d.write_u64(self.attack.flows.keepalive.as_nanos());
-        d.write_u64(self.attack.start.0);
-        d.write_u64(self.attack.trigger_at.0);
-        d.write_u64(self.attack.trigger_duration.as_nanos());
-        d.write_len(self.seqs.len());
-        for &s in &self.seqs {
-            d.write_u32(s);
-        }
-        d.write_u64(self.sent);
-        d.write_bool(self.started);
+    /// The attack (flow keys, keepalive, schedule), the per-flow
+    /// sequence numbers, the send count and the started flag.
+    fn encode(&self, s: &mut Sink<'_>) {
+        s.refuse("a malicious retransmitting host has no checkpoint decoder");
+        s.seq(&self.attack.flows.keys, |s, k| k.encode(s));
+        s.u64(self.attack.flows.keepalive.as_nanos());
+        s.u64(self.attack.start.0);
+        s.u64(self.attack.trigger_at.0);
+        s.u64(self.attack.trigger_duration.as_nanos());
+        s.seq(&self.seqs, |s, &seq| s.u32(seq));
+        s.u64(self.sent);
+        s.bool(self.started);
     }
 
     fn as_any_mut(&mut self) -> &mut dyn Any {

@@ -24,7 +24,7 @@ use dui_netsim::node::{DataPlaneProgram, Verdict};
 use dui_netsim::packet::{Packet, DEFAULT_TTL};
 use dui_netsim::time::SimTime;
 use dui_netsim::topology::NodeId;
-use dui_stats::digest::StateDigest;
+use dui_stats::wire::{Encoder, Sink};
 use std::any::Any;
 
 /// Descriptor for the attack.
@@ -38,6 +38,10 @@ pub fn descriptor() -> AttackDescriptor {
             "data-plane program ping-pongs selected traffic between devices to inflate latency",
     }
 }
+
+/// The TTL a matched packet carries when it first reaches the pair: the
+/// entry router decrements before its programs run.
+const ENTRY_TTL: u8 = DEFAULT_TTL - 1;
 
 /// Which packets to torment.
 pub type TrafficMatcher = Box<dyn Fn(&Packet) -> bool + Send>;
@@ -57,8 +61,6 @@ pub struct BounceProgram {
     matcher: TrafficMatcher,
     /// The partner router to bounce via.
     partner: NodeId,
-    /// The TTL a matched packet carries when it first reaches the pair.
-    entry_ttl: u8,
     /// Release threshold: bounce while `pkt.ttl > release_ttl`.
     release_ttl: u8,
     /// Packets tormented so far (counted at their entry TTL, so each
@@ -70,12 +72,10 @@ impl BounceProgram {
     /// Bounce matching traffic to `partner` and back `bounces` times.
     pub fn new(matcher: TrafficMatcher, partner: NodeId, bounces: u32) -> Self {
         assert!(bounces >= 1);
-        let entry_ttl = DEFAULT_TTL - 1;
         BounceProgram {
             matcher,
             partner,
-            entry_ttl,
-            release_ttl: entry_ttl.saturating_sub((2 * bounces).min(u8::MAX as u32) as u8),
+            release_ttl: ENTRY_TTL.saturating_sub((2 * bounces).min(u8::MAX as u32) as u8),
             bounced_packets: 0,
         }
     }
@@ -92,7 +92,7 @@ impl DataPlaneProgram for BounceProgram {
             return None;
         }
         if pkt.ttl > self.release_ttl {
-            if pkt.ttl == self.entry_ttl {
+            if pkt.ttl == ENTRY_TTL {
                 self.bounced_packets += 1;
             }
             return Some(Verdict::Forward(self.partner));
@@ -108,10 +108,12 @@ impl DataPlaneProgram for BounceProgram {
         self
     }
 
-    fn state_digest(&self, d: &mut StateDigest) {
-        d.write_u8(self.entry_ttl);
-        d.write_u8(self.release_ttl);
-        d.write_u64(self.bounced_packets);
+    /// The partner, the release TTL and the bounce count.
+    fn encode(&self, s: &mut Sink<'_>) {
+        s.refuse("a bounce program has no checkpoint decoder");
+        s.varint_usize(self.partner.0);
+        s.u8(self.release_ttl);
+        s.u64(self.bounced_packets);
     }
 }
 

@@ -13,6 +13,7 @@ use dui_netsim::link::{Dir, LinkTap, TapAction};
 use dui_netsim::packet::{FlowKey, Packet};
 use dui_netsim::time::{SimDuration, SimTime};
 use dui_pcc::utility::allegro_utility;
+use dui_stats::wire::{Encoder, Sink};
 use std::collections::VecDeque;
 
 /// Descriptor for the attack.
@@ -25,6 +26,9 @@ pub fn descriptor() -> AttackDescriptor {
         summary: "selective drops equalize PCC's A/B utilities, pinning rates at ±5% oscillation",
     }
 }
+
+/// Span of the equalizer's rolling median.
+const MEDIAN_SPAN: SimDuration = SimDuration::from_millis(600);
 
 /// The equalizer tap.
 pub struct PccEqualizerTap {
@@ -44,8 +48,6 @@ pub struct PccEqualizerTap {
     /// median `baseline()` reads once or twice per packet is an index, not
     /// a sort of the window.
     sorted_rates: Vec<f64>,
-    /// Span of the rolling median.
-    median_span: SimDuration,
     /// Observation period: the tap watches silently for this long (letting
     /// the victim converge), then freezes its baseline estimate and starts
     /// dropping — pinning the victim oscillating ±5% around the locked
@@ -96,7 +98,6 @@ impl PccEqualizerTap {
             window_len,
             rate_samples: VecDeque::new(),
             sorted_rates: Vec::new(),
-            median_span: SimDuration::from_millis(600),
             arm_after,
             first_seen: None,
             armed: false,
@@ -132,7 +133,7 @@ impl PccEqualizerTap {
         self.sorted_rates
             .insert(rank(&self.sorted_rates, rate), rate);
         while let Some(&(t, old)) = self.rate_samples.front() {
-            if now.since(t) > self.median_span {
+            if now.since(t) > MEDIAN_SPAN {
                 self.rate_samples.pop_front();
                 self.sorted_rates.remove(rank(&self.sorted_rates, old));
             } else {
@@ -304,6 +305,33 @@ impl LinkTap for PccEqualizerTap {
 
     fn label(&self) -> &str {
         "pcc-equalizer"
+    }
+
+    /// The target flow, the rate window, the median window's samples
+    /// (their sorted copy is derived), the arming state, the pin and
+    /// sway, the drop debt and the counters.
+    fn encode(&self, s: &mut Sink<'_>) {
+        self.key.encode(s);
+        s.seq(&self.window, |s, &(t, size)| {
+            s.u64(t.0);
+            s.u32(size);
+        });
+        s.u64(self.window_len.as_nanos());
+        s.seq(&self.rate_samples, |s, &(t, rate)| {
+            s.u64(t.0);
+            s.f64(rate);
+        });
+        s.u64(self.arm_after.as_nanos());
+        s.opt(self.first_seen, |s, t| s.u64(t.0));
+        s.bool(self.armed);
+        s.opt(self.pin_to, Sink::f64);
+        s.opt(self.sway, |s, (frac, period)| {
+            s.f64(frac);
+            s.u64(period.as_nanos());
+        });
+        s.f64(self.drop_debt);
+        s.u64(self.dropped);
+        s.u64(self.observed);
     }
 }
 

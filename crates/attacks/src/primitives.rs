@@ -7,6 +7,7 @@
 use dui_netsim::link::{Dir, LinkTap, TapAction};
 use dui_netsim::packet::{FlowKey, Header, Packet};
 use dui_netsim::time::SimTime;
+use dui_stats::wire::{Encoder, Sink};
 
 /// Predicate selecting which packets a tap touches.
 pub type PacketFilter = Box<dyn Fn(&Packet) -> bool + Send>;
@@ -59,6 +60,12 @@ impl LinkTap for WindowClamper {
 
     fn label(&self) -> &str {
         "window-clamper"
+    }
+
+    /// The clamp and the rewrite count.
+    fn encode(&self, s: &mut Sink<'_>) {
+        s.u32(self.clamp);
+        s.u64(self.rewritten);
     }
 }
 

@@ -15,7 +15,7 @@ use dui_netsim::node::NodeLogic;
 use dui_netsim::packet::{Addr, FlowKey, Packet, Prefix, TcpFlags};
 use dui_netsim::sim::Ctx;
 use dui_netsim::time::{SimDuration, SimTime};
-use dui_stats::digest::StateDigest;
+use dui_stats::wire::{Encoder, Sink};
 use dui_stats::Rng;
 use std::any::Any;
 
@@ -118,18 +118,15 @@ impl NodeLogic for SynFloodHost {
         ctx.set_timer(self.interval(), TOKEN_TICK);
     }
 
-    fn state_digest(&self, d: &mut StateDigest) {
-        for w in self.rng.state() {
-            d.write_u64(w);
-        }
-        d.write_u32(self.cfg.victim.0);
-        d.write_u16(DPORT);
-        d.write_u32(SPOOF_PREFIX.addr.0);
-        d.write_u8(SPOOF_PREFIX.len);
-        d.write_u64(self.cfg.rate_per_sec);
-        d.write_u64(self.cfg.start.0);
-        d.write_u64(self.cfg.duration.as_nanos());
-        d.write_u64(self.sent);
+    /// The spoofed-tuple RNG, the flood's settings and the send count.
+    fn encode(&self, s: &mut Sink<'_>) {
+        s.refuse("a SYN flood host has no checkpoint decoder");
+        self.rng.state().into_iter().for_each(|w| s.u64(w));
+        s.u32(self.cfg.victim.0);
+        s.u64(self.cfg.rate_per_sec);
+        s.u64(self.cfg.start.0);
+        s.u64(self.cfg.duration.as_nanos());
+        s.u64(self.sent);
     }
 
     fn as_any_mut(&mut self) -> &mut dyn Any {

@@ -11,6 +11,7 @@ use crate::privilege::{AttackDescriptor, Privilege, Target};
 use dui_netsim::link::{Dir, LinkTap, TapAction};
 use dui_netsim::packet::{Addr, Header, Packet};
 use dui_netsim::time::SimTime;
+use dui_stats::wire::{Encoder, Sink};
 use std::collections::HashMap;
 
 /// Descriptor for the attack.
@@ -63,6 +64,18 @@ impl LinkTap for IcmpSpoofTap {
 
     fn label(&self) -> &str {
         "icmp-spoof"
+    }
+
+    /// The substitutions in address order (the map is unordered), then
+    /// the rewrite count.
+    fn encode(&self, s: &mut Sink<'_>) {
+        let mut subs: Vec<_> = self.substitutions.iter().collect();
+        subs.sort_unstable_by_key(|&(real, _)| real.0);
+        s.seq(subs, |s, (real, fake)| {
+            s.u32(real.0);
+            s.u32(fake.0);
+        });
+        s.u64(self.rewritten);
     }
 }
 

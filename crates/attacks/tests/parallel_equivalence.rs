@@ -11,7 +11,7 @@
 use dui_attacks::BounceProgram;
 use dui_netsim::parallel::ParallelOutcome;
 use dui_netsim::prelude::*;
-use dui_stats::digest::StateDigest;
+use dui_stats::wire::{Encoder, Sink};
 use std::any::Any;
 
 fn at_ms(ms: u64) -> SimTime {
@@ -91,11 +91,12 @@ impl NodeLogic for BurstHost {
         self
     }
 
-    fn state_digest(&self, d: &mut StateDigest) {
-        d.write_u64(self.rng.0);
-        d.write_u64(self.bursts_left as u64);
-        d.write_u64(self.sent);
-        d.write_u64(self.got_packets);
+    fn encode(&self, s: &mut Sink<'_>) {
+        s.refuse("a test burst host has no checkpoint decoder");
+        s.u64(self.rng.0);
+        s.u64(self.bursts_left as u64);
+        s.u64(self.sent);
+        s.u64(self.got_packets);
     }
 }
 

@@ -212,7 +212,7 @@ impl AttackSimSnapshot {
             1 => self.selector.encode(e),
             2 => {
                 e.seq(&self.flows, |e, f| {
-                    f.key.encode_varint(e);
+                    f.key.encode(e);
                     e.varint(u64::from(f.seq));
                     e.opt(f.dies_at, |e, t| e.varint(t.0));
                 });
@@ -255,7 +255,7 @@ pub fn attack_sim_snapshot_to_bytes(s: &AttackSimSnapshot) -> Vec<u8> {
 // Smallest encodings inside a fast-simulation snapshot: a flow is a key,
 // a sequence number and a flag; a schedule entry two varints; a series
 // point two floats.
-const MIN_FLOW_BYTES: usize = 5 + 1 + 1;
+const MIN_FLOW_BYTES: usize = FlowKey::WIRE_BYTES + 1 + 1;
 const MIN_SCHEDULE_BYTES: usize = 2;
 const MIN_SERIES_BYTES: usize = 16;
 
@@ -270,7 +270,7 @@ pub fn attack_sim_snapshot_from_bytes(bytes: &[u8]) -> Result<AttackSimSnapshot,
     let selector = SelectorSnapshot::decode(&mut r)?;
     let flows = r.seq("flow count", Reader::varint, MIN_FLOW_BYTES, |r| {
         Ok(FlowState {
-            key: FlowKey::decode_varint(r)?,
+            key: FlowKey::decode(r)?,
             seq: r.varint_u32("flow seq")?,
             dies_at: r.opt("flow dies_at", Reader::varint_quantity)?.map(SimTime),
         })

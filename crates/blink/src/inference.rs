@@ -7,6 +7,7 @@
 
 use crate::selector::FlowSelector;
 use dui_netsim::time::{SimDuration, SimTime};
+use dui_stats::wire::Encoder;
 
 /// A detected failure event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,15 +64,14 @@ impl FailureDetector {
         self.events.len()
     }
 
-    /// Fold the detector state into `d`.
-    pub fn state_digest(&self, d: &mut dui_stats::digest::StateDigest) {
-        d.write_u64(self.hold_down.as_nanos());
-        d.write_opt_u64(self.last_fire.map(|t| t.0));
-        d.write_len(self.events.len());
-        for ev in &self.events {
-            d.write_u64(ev.at.0);
-            d.write_usize(ev.retransmitting);
-        }
+    /// The detector's state: the last firing and every event (the
+    /// hold-down is configuration).
+    pub fn encode<E: Encoder>(&self, e: &mut E) {
+        e.opt(self.last_fire, |e, t| e.u64(t.0));
+        e.seq(&self.events, |e, ev| {
+            e.u64(ev.at.0);
+            e.varint_usize(ev.retransmitting);
+        });
     }
 }
 

@@ -8,6 +8,7 @@ use dui_netsim::node::{DataPlaneProgram, Verdict};
 use dui_netsim::packet::{Header, Packet, Prefix};
 use dui_netsim::time::{SimDuration, SimTime};
 use dui_netsim::topology::NodeId;
+use dui_stats::wire::{Encoder, Sink};
 use std::any::Any;
 
 /// Veto hook consulted before every reroute — the integration point for
@@ -154,25 +155,19 @@ impl DataPlaneProgram for BlinkProgram {
         "blink"
     }
 
-    fn state_digest(&self, d: &mut dui_stats::digest::StateDigest) {
-        let params = BlinkParams::default();
-        d.write_usize(params.cells);
-        d.write_usize(params.threshold);
-        d.write_u64(params.retx_window.as_nanos());
-        d.write_u64(params.eviction_timeout.as_nanos());
-        d.write_u64(params.reset_interval.as_nanos());
-        d.write_u64(params.salt);
-        d.write_u64(HOLD_DOWN.as_nanos());
-        d.write_len(self.prefixes.len());
-        for p in &self.prefixes {
-            d.write_u32(p.prefix.addr.0);
-            d.write_u8(p.prefix.len);
-            p.selector.state_digest(d);
-            p.detector.state_digest(d);
-            p.reroute.state_digest(d);
-        }
-        d.write_bool(self.guard.is_some());
-        d.write_u64(self.vetoed);
+    /// Each monitored prefix with its selector, detector and next hops,
+    /// then whether a guard is installed and the veto count.
+    fn encode(&self, s: &mut Sink<'_>) {
+        s.refuse("a Blink program has no checkpoint decoder");
+        s.seq(&self.prefixes, |s, p| {
+            s.u32(p.prefix.addr.0);
+            s.u8(p.prefix.len);
+            p.selector.snapshot().encode(s);
+            p.detector.encode(s);
+            p.reroute.encode(s);
+        });
+        s.bool(self.guard.is_some());
+        s.u64(self.vetoed);
     }
 
     fn as_any_mut(&mut self) -> &mut dyn Any {

@@ -7,6 +7,7 @@
 
 use dui_netsim::time::SimTime;
 use dui_netsim::topology::NodeId;
+use dui_stats::wire::Encoder;
 
 /// One reroute decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,19 +75,15 @@ impl RerouteState {
         self.events.len()
     }
 
-    /// Fold the reroute state into `d`.
-    pub fn state_digest(&self, d: &mut dui_stats::digest::StateDigest) {
-        d.write_len(self.next_hops.len());
-        for h in &self.next_hops {
-            d.write_usize(h.0);
-        }
-        d.write_usize(self.active);
-        d.write_len(self.events.len());
-        for ev in &self.events {
-            d.write_u64(ev.at.0);
-            d.write_usize(ev.from.0);
-            d.write_usize(ev.to.0);
-        }
+    /// The next hops, the active one, and every reroute taken.
+    pub fn encode<E: Encoder>(&self, e: &mut E) {
+        e.seq(&self.next_hops, |e, h| e.varint_usize(h.0));
+        e.varint_usize(self.active);
+        e.seq(&self.events, |e, ev| {
+            e.u64(ev.at.0);
+            e.varint_usize(ev.from.0);
+            e.varint_usize(ev.to.0);
+        });
     }
 }
 

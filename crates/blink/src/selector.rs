@@ -49,15 +49,14 @@
 //! or reset. What needs no upkeep: emptying a cell (`cells[idx] = None`)
 //! and `last_seen` moving forward both leave a lower bound a lower bound —
 //! it merely goes stale, and the next scan it lets through tightens it.
-//! Neither summary is state: they are not in [`SelectorSnapshot`] nor in
-//! [`FlowSelector::state_digest`], and [`FlowSelector::from_snapshot`]
+//! Neither summary is state: they are not in [`SelectorSnapshot`], which
+//! is also the selector's digest, and [`FlowSelector::from_snapshot`]
 //! recomputes them in one pass. Under constant eviction or a
 //! retransmission storm every packet still scans, at the old cost plus
 //! one compare.
 
 use dui_netsim::packet::FlowKey;
 use dui_netsim::time::{SimDuration, SimTime};
-use dui_stats::digest::StateDigest;
 use dui_stats::wire::{DecodeError, Encoder, Reader};
 
 /// `oldest_seen` while no cell is known to be occupied: `since` it is zero
@@ -389,12 +388,6 @@ impl FlowSelector {
         &self.cells
     }
 
-    /// Fold the selector's complete logical state into `d`: its
-    /// snapshot's checkpoint encoder.
-    pub fn state_digest(&self, d: &mut StateDigest) {
-        self.snapshot().encode(d);
-    }
-
     /// Capture the selector's mutable state as plain data.
     ///
     /// The parameters are *not* part of the snapshot — they belong to
@@ -511,7 +504,7 @@ impl SelectorSnapshot {
 
 impl Cell {
     fn encode<E: Encoder>(&self, e: &mut E) {
-        self.flow.encode_varint(e);
+        self.flow.encode(e);
         e.varint(self.last_seen.0);
         e.varint(self.sampled_at.0);
         e.varint(u64::from(self.last_seq));
@@ -521,7 +514,7 @@ impl Cell {
 
     fn decode(r: &mut Reader) -> Result<Cell, DecodeError> {
         Ok(Cell {
-            flow: FlowKey::decode_varint(r)?,
+            flow: FlowKey::decode(r)?,
             last_seen: SimTime(r.varint_quantity("cell last_seen")?),
             sampled_at: SimTime(r.varint_quantity("cell sampled_at")?),
             last_seq: r.varint_u32("cell last_seq")?,

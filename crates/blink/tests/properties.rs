@@ -170,7 +170,7 @@ fn scan_evaluate(
 
 fn selector_hash(s: &FlowSelector) -> u64 {
     let mut d = StateDigest::labeled("selector");
-    s.state_digest(&mut d);
+    s.snapshot().encode(&mut d);
     d.finish()
 }
 

@@ -6,59 +6,25 @@
 //! a producer that never stops inventing names
 //! (`GroupOutlierWindow::MAX_MEMBERS`).
 //!
-//! The counts come from a counting `GlobalAlloc` local to this test
-//! binary (the pattern of `crates/netsim/tests/wheel_alloc.rs`; no
-//! library crate carries an `unsafe_code` expectation).
-
-#![expect(unsafe_code, reason = "a counting `GlobalAlloc` is an `unsafe impl`")]
+//! The counts come from the workspace's one counting allocator
+//! (`tests/support/counting_alloc.rs`).
 
 use dui_defense::streaming::GroupOutlierWindow;
 use dui_defense::supervisord::{SignalBank, SignalConfig};
 use dui_stats::Rng;
 use dui_telemetry::registry::{CounterId, GaugeId};
 use dui_telemetry::{DeltaEncoder, Registry};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-thread_local! {
-    /// This thread's `(allocations, bytes)` so far.
-    static ALLOCATED: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
-}
-
-/// Forwards to the system allocator, counting this thread's allocations
-/// and their bytes (`realloc` defaults to `alloc` + `dealloc`, so growth
-/// counts too).
-struct Counting;
-
-// SAFETY: every call forwards unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the bookkeeping touches only a `Cell`
-// thread-local with a const initializer and no destructor, so it neither
-// allocates nor can observe a destroyed value.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATED.try_with(|a| {
-            let (n, bytes) = a.get();
-            a.set((n + 1, bytes + layout.size() as u64));
-        });
-        // SAFETY: the caller's obligations are exactly `System.alloc`'s.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        // SAFETY: the caller's obligations are exactly `System.dealloc`'s.
-        unsafe { System.dealloc(p, layout) }
-    }
-}
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
+static ALLOCATOR: counting_alloc::Counting = counting_alloc::Counting;
 
 /// `(allocations, bytes)` this thread made while running `f`.
 fn allocated_by(f: impl FnOnce()) -> (u64, u64) {
-    let (n0, b0) = ALLOCATED.with(Cell::get);
-    f();
-    let (n1, b1) = ALLOCATED.with(Cell::get);
-    (n1 - n0, b1 - b0)
+    let ((), counts) = counting_alloc::during(f);
+    (counts.allocations, counts.bytes)
 }
 
 /// The `ledger` benchmark's telemetry source (`supervisord_stream`): one

@@ -11,6 +11,7 @@
 use crate::flows::{random_key_in_prefix, FlowPopulationConfig, SyntheticFlow};
 use dui_netsim::time::SimTime;
 use dui_stats::digest::StateDigest;
+use dui_stats::wire::{Encoder, Sink};
 use dui_stats::{dist, Rng};
 use dui_tcp::{FlowSource, FlowSpec};
 
@@ -74,18 +75,21 @@ impl FlowStream {
         self.rng
     }
 
-    /// Fold the stream's resume state into a digest: the RNG words plus
-    /// the generation counters fully determine every future flow.
+    /// The stream's resume state: the RNG words plus the generation
+    /// counters fully determine every future flow.
+    pub fn encode<E: Encoder>(&self, e: &mut E) {
+        self.rng.state().into_iter().for_each(|w| e.u64(w));
+        e.varint_usize(self.warm_total);
+        e.varint_usize(self.warm_emitted);
+        e.f64(self.t);
+        e.u64(self.emitted);
+        e.u16(self.sport);
+        e.bool(self.done);
+    }
+
+    /// Fold [`FlowStream::encode`] into a digest.
     pub fn state_digest(&self, d: &mut StateDigest) {
-        for w in self.rng.state() {
-            d.write_u64(w);
-        }
-        d.write_u64(self.warm_total as u64);
-        d.write_u64(self.warm_emitted as u64);
-        d.write_u64(self.t.to_bits());
-        d.write_u64(self.emitted);
-        d.write_u32(u32::from(self.sport));
-        d.write_bool(self.done);
+        self.encode(d);
     }
 }
 
@@ -133,9 +137,9 @@ impl Iterator for FlowStream {
 /// synthetic flow onto a sender spec as the host asks for it. Holds one
 /// look-ahead flow so the host can arm its wake timer.
 ///
-/// Generative by design: `remaining()` stays `None`, which tells the
-/// host it cannot checkpoint mid-stream (use [`VecSource`] workloads for
-/// record/replay runs).
+/// Generative by design: it refuses to be written as checkpoint bytes,
+/// so its host cannot checkpoint mid-stream (use [`VecSource`] workloads
+/// for record/replay runs).
 ///
 /// [`VecSource`]: dui_tcp::VecSource
 pub struct StreamSource {
@@ -192,18 +196,12 @@ impl FlowSource for StreamSource {
         self.next.as_ref().map(|s| s.start)
     }
 
-    fn state_digest(&self, d: &mut StateDigest) {
-        self.stream.state_digest(d);
-        d.write_u32(self.mss);
-        d.write_bool(self.handshake);
-        d.write_bool(self.next.is_some());
-        if let Some(spec) = &self.next {
-            d.write_u32(spec.key.src.0);
-            d.write_u32(spec.key.dst.0);
-            d.write_u32(u32::from(spec.key.sport));
-            d.write_u32(u32::from(spec.key.dport));
-            d.write_u64(spec.start.0);
-        }
+    fn encode(&self, s: &mut Sink<'_>) {
+        s.refuse("a generative flow stream has no checkpoint decoder");
+        self.stream.encode(s);
+        s.u32(self.mss);
+        s.bool(self.handshake);
+        s.opt(self.next.as_ref(), |s, spec| spec.encode(s));
     }
 }
 

@@ -17,6 +17,7 @@
 use crate::metrics::{accuracy, path_accuracy, utility};
 use dui_netsim::packet::Addr;
 use dui_netsim::topology::{NodeId, Routing, Topology};
+use dui_stats::wire::Encoder;
 use std::collections::HashMap;
 
 /// Maximum candidate paths kept per flow.
@@ -111,6 +112,18 @@ impl VirtualTopology {
     /// True when no flows are covered.
     pub fn is_empty(&self) -> bool {
         self.paths.is_empty()
+    }
+
+    /// Every advertised path, by `(src, dst)` in address order (the map
+    /// is unordered).
+    pub fn encode<E: Encoder>(&self, e: &mut E) {
+        let mut paths: Vec<_> = self.paths.iter().collect();
+        paths.sort_unstable_by_key(|&(&(src, dst), _)| (src.0, dst.0));
+        e.seq(paths, |e, (&(src, dst), path)| {
+            e.u32(src.0);
+            e.u32(dst.0);
+            e.seq(path, |e, hop| e.u32(hop.0));
+        });
     }
 }
 

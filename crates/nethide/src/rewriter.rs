@@ -6,6 +6,7 @@ use crate::obfuscate::VirtualTopology;
 use dui_netsim::node::IcmpRewriter;
 use dui_netsim::packet::{Addr, Header, Packet};
 use dui_netsim::topology::NodeId;
+use dui_stats::wire::{Encoder, Sink};
 use std::any::Any;
 use std::sync::Arc;
 
@@ -58,6 +59,13 @@ impl IcmpRewriter for VirtualTopologyRewriter {
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
+
+    /// The honest address, then the shared virtual topology.
+    fn encode(&self, s: &mut Sink<'_>) {
+        s.refuse("a virtual-topology rewriter has no checkpoint decoder");
+        s.u32(self.honest.0);
+        self.vt.encode(s);
+    }
 }
 
 /// The malicious-operator variant: a fixed fictitious hop sequence shown
@@ -100,6 +108,15 @@ impl IcmpRewriter for FictionRewriter {
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
+    }
+
+    /// The fiction, whether it goes dark past its end, and the honest
+    /// address.
+    fn encode(&self, s: &mut Sink<'_>) {
+        s.refuse("a fiction rewriter has no checkpoint decoder");
+        s.seq(&self.fiction, |s, hop| s.u32(hop.0));
+        s.bool(self.dark_beyond);
+        s.u32(self.honest.0);
     }
 }
 

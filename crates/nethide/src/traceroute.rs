@@ -11,6 +11,7 @@ use dui_netsim::packet::{Addr, Header, Packet};
 use dui_netsim::prelude::{Ctx, NodeLogic};
 use dui_netsim::time::SimDuration;
 use dui_netsim::topology::{NodeId, Routing, Topology};
+use dui_stats::wire::{Encoder, Sink};
 use std::any::Any;
 
 /// Ground truth: the addresses of the physical path `src → dst`
@@ -35,6 +36,10 @@ pub struct TracerouteResult {
 }
 
 const TOKEN_NEXT_PROBE: u64 = 1;
+/// Wait per hop before declaring a timeout.
+const HOP_TIMEOUT: SimDuration = SimDuration::from_millis(500);
+/// The ident every probe carries.
+const IDENT: u16 = 7;
 
 /// A host that runs one traceroute when the simulation starts.
 pub struct TracerouteProber {
@@ -42,15 +47,10 @@ pub struct TracerouteProber {
     dst: Addr,
     /// Maximum TTL to probe.
     max_ttl: u8,
-    /// Wait per hop before declaring a timeout.
-    hop_timeout: SimDuration,
-    ident: u16,
     current_ttl: u8,
     answered: bool,
     /// The accumulated result.
     pub result: TracerouteResult,
-    /// Probe sequence the prober is currently waiting on.
-    awaiting_seq: u16,
 }
 
 impl TracerouteProber {
@@ -60,12 +60,9 @@ impl TracerouteProber {
         TracerouteProber {
             dst,
             max_ttl,
-            hop_timeout: SimDuration::from_millis(500),
-            ident: 7,
             current_ttl: 0,
             answered: false,
             result: TracerouteResult::default(),
-            awaiting_seq: 0,
         }
     }
 
@@ -80,16 +77,15 @@ impl TracerouteProber {
         }
         self.current_ttl += 1;
         self.answered = false;
-        self.awaiting_seq = self.current_ttl as u16;
         let probe = Packet::probe(
             ctx.addr(),
             self.dst,
-            self.ident,
+            IDENT,
             self.current_ttl as u16, // seq encodes initial TTL
             self.current_ttl,
         );
         ctx.send(probe);
-        ctx.set_timer(self.hop_timeout, TOKEN_NEXT_PROBE);
+        ctx.set_timer(HOP_TIMEOUT, TOKEN_NEXT_PROBE);
     }
 }
 
@@ -99,16 +95,18 @@ impl NodeLogic for TracerouteProber {
     }
 
     fn on_packet(&mut self, _ctx: &mut Ctx, pkt: Packet) {
+        // The probe of the current TTL is the one awaited.
+        let awaited = u16::from(self.current_ttl);
         match pkt.header {
             Header::IcmpTimeExceeded {
                 reported_by,
                 probe_ident,
                 probe_seq,
-            } if probe_ident == self.ident && probe_seq == self.awaiting_seq && !self.answered => {
+            } if probe_ident == IDENT && probe_seq == awaited && !self.answered => {
                 self.answered = true;
                 self.result.hops.push(Some(reported_by));
             }
-            Header::IcmpEchoReply { ident, .. } if ident == self.ident && !self.answered => {
+            Header::IcmpEchoReply { ident, .. } if ident == IDENT && !self.answered => {
                 self.answered = true;
                 self.result.hops.push(Some(pkt.key.src));
                 self.result.reached = true;
@@ -129,6 +127,18 @@ impl NodeLogic for TracerouteProber {
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
+    }
+
+    /// The target and TTL budget, the TTL cursor, whose probe is the one
+    /// awaited, whether that hop answered, and the hops so far.
+    fn encode(&self, s: &mut Sink<'_>) {
+        s.refuse("a traceroute prober has no checkpoint decoder");
+        s.u32(self.dst.0);
+        s.u8(self.max_ttl);
+        s.u8(self.current_ttl);
+        s.bool(self.answered);
+        s.seq(&self.result.hops, |s, hop| s.opt(*hop, |s, a| s.u32(a.0)));
+        s.bool(self.result.reached);
     }
 }
 

@@ -17,6 +17,7 @@ use crate::arena::PacketRef;
 use crate::packet::Packet;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{LinkInfo, NodeId};
+use dui_stats::wire::Sink;
 use dui_stats::Rng;
 use std::collections::VecDeque;
 
@@ -73,6 +74,11 @@ pub trait LinkTap: Send {
     fn label(&self) -> &str {
         "tap"
     }
+
+    /// Write the tap's logical state into the engine's `links` section
+    /// (see [`crate::node::NodeLogic::encode`]). No tap is ever read
+    /// back: the engine refuses to checkpoint a tapped link.
+    fn encode(&self, s: &mut Sink<'_>);
 }
 
 /// Random loss / jitter on a link direction (benign impairment, distinct
@@ -212,6 +218,7 @@ mod tests {
     use crate::packet::{Addr, FlowKey, Packet};
     use crate::time::Bandwidth;
     use crate::topology::LinkId;
+    use dui_stats::wire::Encoder;
 
     fn info() -> LinkInfo {
         LinkInfo {
@@ -290,6 +297,10 @@ mod tests {
             } else {
                 TapAction::Forward
             }
+        }
+
+        fn encode(&self, s: &mut Sink<'_>) {
+            s.u32(self.0);
         }
     }
 

@@ -6,8 +6,7 @@ use crate::packet::{Addr, Header, Packet, Prefix, DEFAULT_TTL};
 use crate::sim::Ctx;
 use crate::time::SimTime;
 use crate::topology::NodeId;
-use dui_stats::digest::StateDigest;
-use dui_stats::wire::{DecodeError, Encoder, ErrorKind, Reader, Writer};
+use dui_stats::wire::{DecodeError, Encoder, ErrorKind, Reader, Sink};
 use std::any::Any;
 use std::collections::HashMap;
 
@@ -27,24 +26,13 @@ pub trait NodeLogic: Send {
     /// Downcasting hook so tests and harnesses can inspect concrete state.
     fn as_any_mut(&mut self) -> &mut dyn Any;
 
-    /// Fold this node's logical state into an engine state digest.
-    ///
-    /// The default contributes nothing (the node's state is then
-    /// invisible to [`crate::sim::Simulator::state_hash`]); stateful
-    /// logics should override it, hashing unordered containers in a
-    /// sorted or commutative way — never raw `HashMap` iteration order.
-    fn state_digest(&self, _d: &mut StateDigest) {}
+    /// Write this node's logical state, which is both what the state
+    /// hash folds and what a checkpoint carries; unordered containers go
+    /// in sorted order. A logic with no [`NodeLogic::load_state`] calls
+    /// [`Sink::refuse`]: its simulation is hashed but not saved.
+    fn encode(&self, s: &mut Sink<'_>);
 
-    /// Serialize this node's state for a restorable checkpoint.
-    ///
-    /// `None` (the default) marks the logic as *not restorable*, which
-    /// makes [`crate::sim::Simulator::checkpoint`] fail — recordings of
-    /// such simulations are still hash-checkable, just not resumable.
-    fn save_state(&self) -> Option<Vec<u8>> {
-        None
-    }
-
-    /// Restore state previously produced by [`NodeLogic::save_state`].
+    /// Restore state previously written by [`NodeLogic::encode`].
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), DecodeError> {
         Err(Reader::new(bytes).error("node logic without checkpoint restore", ErrorKind::Invalid))
     }
@@ -96,10 +84,10 @@ pub trait DataPlaneProgram: Send {
     /// Downcasting hook for harness inspection.
     fn as_any_mut(&mut self) -> &mut dyn Any;
 
-    /// Fold the program's logical state into an engine state digest
-    /// (default: nothing; see [`NodeLogic::state_digest`] for the
-    /// ordering rules).
-    fn state_digest(&self, _d: &mut StateDigest) {}
+    /// Write the program's logical state (see [`NodeLogic::encode`]).
+    /// A program has no decoder, so one that is stateful calls
+    /// [`Sink::refuse`].
+    fn encode(&self, s: &mut Sink<'_>);
 }
 
 /// Decides what ICMP time-exceeded reply (if any) a router sends when a
@@ -123,6 +111,10 @@ pub trait IcmpRewriter: Send {
 
     /// Downcasting hook.
     fn as_any_mut(&mut self) -> &mut dyn Any;
+
+    /// Write the rewriter's state (see [`NodeLogic::encode`]). A
+    /// rewriter has no decoder, so it calls [`Sink::refuse`].
+    fn encode(&self, s: &mut Sink<'_>);
 }
 
 /// A forwarding device: decrements TTL, answers expired traceroute probes
@@ -180,22 +172,6 @@ impl RouterLogic {
             .as_any_mut()
             .downcast_mut::<T>()
             .expect("program has a different concrete type")
-    }
-
-    /// The router's state encoder: the reply flag, each program's label
-    /// and what `program` writes for it, then whether a rewriter is
-    /// installed.
-    fn encode<E: Encoder>(
-        &self,
-        e: &mut E,
-        mut program: impl FnMut(&mut E, &dyn DataPlaneProgram),
-    ) {
-        e.bool(self.respond_time_exceeded);
-        e.seq(&self.programs, |e, p| {
-            e.bytes(p.label().as_bytes());
-            program(e, p.as_ref());
-        });
-        e.bool(self.icmp_rewriter.is_some());
     }
 
     fn handle_local(&mut self, ctx: &mut Ctx, pkt: Packet) {
@@ -319,20 +295,15 @@ impl NodeLogic for RouterLogic {
         self
     }
 
-    fn state_digest(&self, d: &mut StateDigest) {
-        self.encode(d, |d, p| p.state_digest(d));
-    }
-
-    fn save_state(&self) -> Option<Vec<u8>> {
-        // Programs and rewriters are opaque trait objects with no
-        // serialization contract; a plain router is the only restorable
-        // configuration, so no program is ever written here.
-        if !self.programs.is_empty() || self.icmp_rewriter.is_some() {
-            return None;
-        }
-        let mut w = Writer::with_capacity(3);
-        self.encode(&mut w, |_, _| {});
-        Some(w.into_bytes())
+    /// The reply flag, each program's label and state, then the
+    /// rewriter's, if one is installed.
+    fn encode(&self, s: &mut Sink<'_>) {
+        s.bool(self.respond_time_exceeded);
+        s.seq(&self.programs, |s, p| {
+            s.bytes(p.label().as_bytes());
+            p.encode(s);
+        });
+        s.opt(self.icmp_rewriter.as_deref(), |s, rw| rw.encode(s));
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), DecodeError> {
@@ -386,22 +357,6 @@ impl SinkHost {
     pub fn flow_count(&self) -> usize {
         self.flows.len()
     }
-
-    /// The checkpoint encoder, which is also the state digest: the flow
-    /// table sorted by 5-tuple (the backing map is unordered), then the
-    /// totals.
-    fn encode<E: Encoder>(&self, e: &mut E) {
-        let mut flows: Vec<_> = self.flows.iter().collect();
-        flows.sort_unstable_by_key(|(k, _)| sort_key(k));
-        e.u64(flows.len() as u64);
-        for (k, s) in flows {
-            k.encode(e);
-            e.u64(s.packets);
-            e.u64(s.bytes);
-        }
-        e.u64(self.total_bytes);
-        e.u64(self.total_packets);
-    }
 }
 
 fn sort_key(k: &crate::packet::FlowKey) -> (u32, u32, u16, u16, u8) {
@@ -439,14 +394,19 @@ impl NodeLogic for SinkHost {
         self
     }
 
-    fn state_digest(&self, d: &mut StateDigest) {
-        self.encode(d);
-    }
-
-    fn save_state(&self) -> Option<Vec<u8>> {
-        let mut w = Writer::with_capacity(8 + self.flows.len() * SINK_FLOW_BYTES + 16);
-        self.encode(&mut w);
-        Some(w.into_bytes())
+    /// The flow table sorted by 5-tuple (the backing map is unordered),
+    /// then the totals.
+    fn encode(&self, s: &mut Sink<'_>) {
+        let mut flows: Vec<_> = self.flows.iter().collect();
+        flows.sort_unstable_by_key(|(k, _)| sort_key(k));
+        s.u64(flows.len() as u64);
+        for (k, st) in flows {
+            k.encode(s);
+            s.u64(st.packets);
+            s.u64(st.bytes);
+        }
+        s.u64(self.total_bytes);
+        s.u64(self.total_packets);
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), DecodeError> {
@@ -456,7 +416,7 @@ impl NodeLogic for SinkHost {
         let mut prev = None;
         for _ in 0..n {
             let key = crate::packet::FlowKey::decode(&mut r)?;
-            // Canonical order, as `save_state` writes it: no duplicate
+            // Canonical order, as `encode` writes it: no duplicate
             // can shadow an earlier record.
             if prev.replace(sort_key(&key)) >= Some(sort_key(&key)) {
                 return Err(r.error("sink flows out of order", ErrorKind::Invalid));
@@ -504,7 +464,7 @@ mod tests {
             sink.total_packets += stats.packets;
             sink.total_bytes += stats.bytes;
         }
-        sink.save_state().expect("sinks checkpoint")
+        Sink::save(|s| sink.encode(s)).expect("sinks checkpoint")
     }
 
     #[test]
@@ -518,7 +478,7 @@ mod tests {
         let mut restored = SinkHost::new();
         assert_eq!(restored.load_state(&good), Ok(()));
         assert_eq!((restored.flow_count(), restored.total_packets), (3, 9));
-        assert_eq!(restored.save_state(), Some(good.clone()));
+        assert_eq!(Sink::save(|s| restored.encode(s)), Ok(good.clone()));
 
         // The 8-byte blob that used to reserve a 2^64-entry map (a
         // capacity-overflow panic), alone and with records behind it.

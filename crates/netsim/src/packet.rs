@@ -150,8 +150,8 @@ impl FlowKey {
     /// Size of the fixed-width form [`FlowKey::encode`] writes.
     pub const WIRE_BYTES: usize = 13;
 
-    /// Fixed-width form used by node-state blobs: `src`, `dst` (`u32`),
-    /// `sport`, `dport` (`u16`), then the protocol code.
+    /// Fixed width: `src`, `dst` (`u32`), `sport`, `dport` (`u16`), then
+    /// the protocol code.
     pub fn encode<E: Encoder>(&self, e: &mut E) {
         e.u32(self.src.0);
         e.u32(self.dst.0);
@@ -167,27 +167,6 @@ impl FlowKey {
             dst: Addr(r.u32("flow key dst")?),
             sport: r.u16("flow key sport")?,
             dport: r.u16("flow key dport")?,
-            proto: Proto::decode(r)?,
-        })
-    }
-
-    /// Varint form used by checkpoint payloads: the fields of
-    /// [`FlowKey::encode`] in the same order, so both forms digest alike.
-    pub fn encode_varint<E: Encoder>(&self, e: &mut E) {
-        e.varint(u64::from(self.src.0));
-        e.varint(u64::from(self.dst.0));
-        e.varint(u64::from(self.sport));
-        e.varint(u64::from(self.dport));
-        e.u8(self.proto.code());
-    }
-
-    /// Inverse of [`FlowKey::encode_varint`].
-    pub fn decode_varint(r: &mut Reader) -> Result<FlowKey, DecodeError> {
-        Ok(FlowKey {
-            src: Addr(r.varint_u32("flow key src")?),
-            dst: Addr(r.varint_u32("flow key dst")?),
-            sport: r.varint_u16("flow key sport")?,
-            dport: r.varint_u16("flow key dport")?,
             proto: Proto::decode(r)?,
         })
     }
@@ -401,14 +380,15 @@ impl Packet {
         matches!(self.header, Header::Tcp { .. }) && self.payload > 0
     }
 
-    /// Smallest encoded packet: one-byte varints around a UDP header.
-    pub const MIN_WIRE_BYTES: usize = 1 + 5 + 1 + 1 + 1 + 1 + 1;
+    /// Smallest encoded packet: the key and one-byte varints around a UDP
+    /// header.
+    pub const MIN_WIRE_BYTES: usize = 1 + FlowKey::WIRE_BYTES + 1 + 1 + 1 + 1 + 1;
 
     /// The packet's full content, as checkpoints and the engine's state
     /// digest carry it.
     pub fn encode<E: Encoder>(&self, e: &mut E) {
         e.varint(self.id);
-        self.key.encode_varint(e);
+        self.key.encode(e);
         self.header.encode(e);
         e.varint(u64::from(self.size));
         e.u8(self.ttl);
@@ -420,7 +400,7 @@ impl Packet {
     pub fn decode(r: &mut Reader) -> Result<Packet, DecodeError> {
         Ok(Packet {
             id: r.varint("packet id")?,
-            key: FlowKey::decode_varint(r)?,
+            key: FlowKey::decode(r)?,
             header: Header::decode(r)?,
             size: r.varint_u32("packet size")?,
             ttl: r.u8("packet ttl")?,

@@ -1,18 +1,20 @@
 //! The engine's logical state, written once.
 //!
 //! [`Simulator::encode_section`] is the one description of that state:
-//! five named sections, in order, generic over [`Encoder`]. Folded into
+//! five named sections, in order, written into a [`Sink`]. Folded into
 //! one [`StateDigest`] they are [`Simulator::state_hash`]; folded one
 //! section at a time they are the component digests a replay divergence
-//! names; written with a [`Writer`] they are the bytes of
-//! [`Simulator::checkpoint`]. [`Simulator::restore`], beside it, is the
-//! decoder.
+//! names; written as bytes they are [`Simulator::checkpoint`], behind a
+//! fingerprint of the static configuration. [`Simulator::restore`],
+//! beside it, is the decoder.
 //!
-//! The digest and the bytes differ in one place, an installed node
-//! logic: the digest folds its [`NodeLogic::state_digest`], the bytes
-//! carry its [`NodeLogic::save_state`] blob. Data-plane programs and
-//! ICMP rewriters are trait objects with no codec, so a node running
-//! one can be hashed but not saved.
+//! Each node logic and link tap writes its own state through its one
+//! `encode` (a router through its programs and rewriter, a TCP host
+//! through its flow source), so the hash sees every part the bytes
+//! carry. A part with no decoder refuses the bytes as it writes them —
+//! a tap, a program, a rewriter, a generative flow source, a logic
+//! without `load_state` — so its simulation can be hashed but not
+//! saved.
 //!
 //! Telemetry (the metrics registry) is observability about a run, not
 //! state that influences it, and is in no section. Arena slots, wheel
@@ -22,13 +24,12 @@
 use crate::arena::PacketArena;
 use crate::event::{Event, EventQueue};
 use crate::link::{Dir, FaultConfig, LinkDirStats, LinkRuntime};
-use crate::node::NodeLogic;
 use crate::packet::{Addr, Packet, Prefix};
 use crate::sim::Simulator;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, PrefixTable, Routing};
 use dui_stats::digest::StateDigest;
-use dui_stats::wire::{DecodeError, Encoder, ErrorKind, Reader, Writer};
+use dui_stats::wire::{DecodeError, Encoder, ErrorKind, Reader, Sink, Writer};
 use dui_stats::Rng;
 
 // Smallest encodings, for `Reader::count`: a pending event is a time, a
@@ -55,35 +56,31 @@ impl Simulator {
     /// * `core` — clock, packet-id cursor, RNG words, started flag;
     /// * `queue` — pending events in dispatch order;
     /// * `links` — per link its up flag; per direction its queue,
-    ///   in-flight packet, fault and statistics; then its tap counts;
+    ///   in-flight packet, fault and statistics; then each direction's
+    ///   taps, each as it encodes itself;
     /// * `routes` — every next hop, then the announced prefixes;
-    /// * `nodes` — per node whether a logic is installed, and what
-    ///   `logic` writes for it.
-    pub fn encode_section<E: Encoder>(
-        &self,
-        i: usize,
-        e: &mut E,
-        logic: &mut impl FnMut(&mut E, NodeId, &dyn NodeLogic),
-    ) {
+    /// * `nodes` — per node whether a logic is installed, and its state
+    ///   as one blob.
+    pub fn encode_section(&self, i: usize, s: &mut Sink<'_>) {
         let core = &self.core;
         match i {
             0 => {
-                e.varint(core.now.0);
-                e.varint(core.next_pkt_id);
-                core.rng.state().into_iter().for_each(|w| e.u64(w));
-                e.bool(self.started);
+                s.varint(core.now.0);
+                s.varint(core.next_pkt_id);
+                core.rng.state().into_iter().for_each(|w| s.u64(w));
+                s.bool(self.started);
             }
-            1 => e.seq(core.queue.snapshot_refs(), |e, (t, event)| {
-                e.varint(t.0);
-                event.encode(e, &core.arena);
+            1 => s.seq(core.queue.snapshot_refs(), |s, (t, event)| {
+                s.varint(t.0);
+                event.encode(s, &core.arena);
             }),
-            2 => e.seq(&core.links, |e, lr| {
-                e.bool(lr.up);
+            2 => s.seq(&core.links, |s, lr| {
+                s.bool(lr.up);
                 for (st, stats) in [(&lr.ab, &lr.stats_ab), (&lr.ba, &lr.stats_ba)] {
-                    e.seq(&st.queue, |e, &p| core.pkt(p).encode(e));
-                    e.opt(st.in_flight, |e, p| core.pkt(p).encode(e));
-                    e.f64(st.fault.drop_prob);
-                    e.opt(st.fault.jitter_max, |e, j| e.varint(j.0));
+                    s.seq(&st.queue, |s, &p| core.pkt(p).encode(s));
+                    s.opt(st.in_flight, |s, p| core.pkt(p).encode(s));
+                    s.f64(st.fault.drop_prob);
+                    s.opt(st.fault.jitter_max, |s, j| s.varint(j.0));
                     for c in [
                         stats.offered,
                         stats.delivered,
@@ -92,85 +89,78 @@ impl Simulator {
                         stats.dropped_tap,
                         stats.dropped_fault,
                     ] {
-                        e.varint(c);
+                        s.varint(c);
                     }
                 }
-                e.varint_usize(lr.taps_ab.len());
-                e.varint_usize(lr.taps_ba.len());
+                for taps in [&lr.taps_ab, &lr.taps_ba] {
+                    if !taps.is_empty() {
+                        s.refuse("cannot checkpoint a simulation with link taps installed");
+                    }
+                    s.seq(taps, |s, tap| tap.encode(s));
+                }
             }),
             3 => {
                 let n = core.topo.node_count();
                 for src in 0..n {
                     for dst in 0..n {
                         let hop = core.routing.next_hop(NodeId(src), NodeId(dst));
-                        e.opt(hop, |e, h| e.varint_usize(h.0));
+                        s.opt(hop, |s, h| s.varint_usize(h.0));
                     }
                 }
-                e.seq(core.prefixes.entries(), |e, &(p, node)| {
-                    e.u32(p.addr.0);
-                    e.u8(p.len);
-                    e.varint_usize(node.0);
+                s.seq(core.prefixes.entries(), |s, &(p, node)| {
+                    s.u32(p.addr.0);
+                    s.u8(p.len);
+                    s.varint_usize(node.0);
                 });
             }
-            _ => e.seq(self.logics.iter().enumerate(), |e, (node, l)| {
-                e.opt(l.as_deref(), |e, l| logic(e, NodeId(node), l));
+            _ => s.seq(&self.logics, |s, l| {
+                s.opt(l.as_deref(), |s, l| s.blob(|s| l.encode(s)));
             }),
         }
     }
 
-    /// Fold section `i` into `d` the way the state hash folds it: an
-    /// installed node logic contributes its [`NodeLogic::state_digest`].
-    pub fn digest_section(&self, i: usize, d: &mut StateDigest) {
-        self.encode_section(i, d, &mut |d, _, l| l.state_digest(d));
-    }
-
-    /// Fold the engine's complete logical state into `d`: every section
-    /// of [`Simulator::encode_section`], in order.
-    pub fn state_digest(&self, d: &mut StateDigest) {
-        for i in 0..Self::SECTIONS.len() {
-            self.digest_section(i, d);
-        }
-    }
-
-    /// 64-bit digest of the engine's complete logical state.
+    /// 64-bit digest of the engine's complete logical state: every
+    /// section of [`Simulator::encode_section`], in order, under one
+    /// label.
     pub fn state_hash(&self) -> u64 {
         let mut d = StateDigest::labeled("netsim");
-        self.state_digest(&mut d);
+        for i in 0..Self::SECTIONS.len() {
+            self.encode_section(i, &mut Sink::Digest(&mut d));
+        }
         d.finish()
     }
 
-    /// A restorable checkpoint: every section written as bytes, then
-    /// the state hash.
+    /// Digest of the static configuration a checkpoint binds to: the
+    /// node count, then each link's bandwidth, delay and queue capacity.
+    /// It heads every checkpoint and is in no state hash.
+    pub fn fingerprint(&self) -> u64 {
+        let topo = &self.core.topo;
+        let mut d = StateDigest::labeled("config");
+        d.varint_usize(topo.node_count());
+        d.seq(topo.links(), |d, l| {
+            d.u64(l.bandwidth.0);
+            d.u64(l.delay.0);
+            d.varint_usize(l.queue_cap);
+        });
+        d.finish()
+    }
+
+    /// A restorable checkpoint: the [`Simulator::fingerprint`], every
+    /// section written as bytes, then the state hash.
     ///
-    /// Fails (all-or-nothing) if a link tap is installed or an installed
-    /// node logic has no [`NodeLogic::save_state`] — both are trait
-    /// objects with no serialization contract. Recordings of such
-    /// simulations remain hash-checkable, just not resumable.
+    /// Fails with the first refusal written — a link tap, or a node
+    /// whose logic (or a program, rewriter or flow source inside it)
+    /// has no decoder. Recordings of such simulations remain
+    /// hash-checkable, just not resumable.
     pub fn checkpoint(&self) -> Result<Vec<u8>, String> {
-        if self.tapped() {
-            return Err("cannot checkpoint a simulation with link taps installed".into());
-        }
-        let blobs = self
-            .logics
-            .iter()
-            .enumerate()
-            .map(|(i, logic)| match logic {
-                None => Ok(None),
-                Some(l) => l.save_state().map(Some).ok_or_else(|| {
-                    format!(
-                        "node '{}' has logic that does not support checkpointing",
-                        self.core.topo.node(NodeId(i)).name
-                    )
-                }),
-            })
-            .collect::<Result<Vec<_>, String>>()?;
         let mut w = Writer::with_capacity(256);
+        w.u64(self.fingerprint());
+        let mut s = Sink::Bytes(&mut w, None);
         for i in 0..Self::SECTIONS.len() {
-            self.encode_section(i, &mut w, &mut |w, node, _| {
-                if let Some(Some(blob)) = blobs.get(node.0) {
-                    w.bytes(blob);
-                }
-            });
+            self.encode_section(i, &mut s);
+            if let Some(why) = s.refusal() {
+                return Err(why.into());
+            }
         }
         w.u64(self.state_hash());
         Ok(w.into_bytes())
@@ -179,8 +169,10 @@ impl Simulator {
     /// Restore a checkpoint taken from a simulator with the same
     /// topology and node logics (typically a freshly rebuilt scenario).
     ///
-    /// Nothing is committed until the bytes have decoded and every id
-    /// they name has been checked against this topology; the restored
+    /// A checkpoint whose fingerprint is not this simulator's is refused
+    /// first, as [`ErrorKind::Config`]. Nothing is committed until the
+    /// bytes have decoded and every id they name has been checked
+    /// against this topology and its installed logics; the restored
     /// state must then reproduce the checkpoint's state hash. (A node
     /// logic that refuses its blob, or a hash that does not reproduce,
     /// fails the restore after the commit has begun.) Pending events are
@@ -188,22 +180,24 @@ impl Simulator {
     /// identically; arena slots and wheel internals are rebuilt fresh.
     /// Telemetry counters are not restored, matching their absence from
     /// the state hash.
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), String> {
-        if self.tapped() {
-            return Err("cannot restore into a simulation with link taps installed".into());
+    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), DecodeError> {
+        let mut r = Reader::new(bytes);
+        // Taps have no decoder: a tapped simulation is hashed, not restored.
+        if self
+            .core
+            .links
+            .iter()
+            .any(|lr| lr.taps_ab.len() + lr.taps_ba.len() > 0)
+        {
+            return Err(r.error("restore target with link taps", ErrorKind::Invalid));
         }
-        let c = self.decode(bytes).map_err(|e| e.to_string())?;
-        for (i, (logic, blob)) in self.logics.iter().zip(&c.blobs).enumerate() {
-            if logic.is_some() != blob.is_some() {
-                return Err(format!(
-                    "checkpoint and simulator disagree on whether node '{}' has logic installed",
-                    self.core.topo.node(NodeId(i)).name
-                ));
-            }
+        if r.u64("configuration fingerprint")? != self.fingerprint() {
+            return Err(r.error("configuration fingerprint", ErrorKind::Config));
         }
+        let c = self.decode(r)?;
         for (logic, blob) in self.logics.iter_mut().zip(&c.blobs) {
             if let (Some(l), Some(bytes)) = (logic, blob) {
-                l.load_state(bytes).map_err(|e| e.to_string())?;
+                l.load_state(bytes)?;
             }
         }
         self.core.now = c.now;
@@ -224,27 +218,24 @@ impl Simulator {
         self.core.routing = c.routing;
         self.core.prefixes = c.prefixes;
         if self.state_hash() != c.state_hash {
-            return Err("restored state does not reproduce the checkpoint's state hash".into());
+            return Err(DecodeError {
+                what: "engine state hash",
+                at: bytes.len() - 8,
+                kind: ErrorKind::Invalid,
+            });
         }
         Ok(())
     }
 
-    /// Whether a link tap is installed: taps are trait objects with no
-    /// codec, so such a simulation can be hashed but not saved.
-    fn tapped(&self) -> bool {
-        let taps = |lr: &LinkRuntime| lr.taps_ab.len() + lr.taps_ba.len();
-        self.core.links.iter().any(|lr| taps(lr) > 0)
-    }
-
-    /// The decoder of [`Simulator::checkpoint`]'s bytes. It trusts
-    /// nothing: every count must be this topology's, every id must exist
-    /// in it, and the invariants dispatch relies on must hold — no event
-    /// in the past or out of order, next hops adjacent, exactly one
-    /// pending `TxComplete` per busy transmitter, no taps.
-    fn decode<'a>(&self, bytes: &'a [u8]) -> Result<Decoded<'a>, DecodeError> {
+    /// The decoder of [`Simulator::checkpoint`]'s bytes after the
+    /// fingerprint. It trusts nothing: every count must be this
+    /// topology's, every id must exist in it, and the invariants dispatch
+    /// relies on must hold — no event in the past or out of order, next
+    /// hops adjacent, exactly one pending `TxComplete` per busy
+    /// transmitter, no taps, a blob for exactly each installed logic.
+    fn decode<'a>(&self, mut r: Reader<'a>) -> Result<Decoded<'a>, DecodeError> {
         let topo = &self.core.topo;
         let n = topo.node_count();
-        let mut r = Reader::new(bytes);
         let now = SimTime(r.varint_quantity("engine clock")?);
         let next_pkt_id = r.varint_quantity("next packet id")?;
         let mut rng = [0u64; 4];
@@ -350,8 +341,9 @@ impl Simulator {
         let blobs = r.seq("node count", Reader::varint, 1, |r| {
             r.opt("node state", |r, what| r.bytes(what))
         })?;
-        if blobs.len() != n {
-            return Err(r.error("node count", ErrorKind::Invalid));
+        let installed = self.logics.iter().map(Option::is_some);
+        if !blobs.iter().map(Option::is_some).eq(installed) {
+            return Err(r.error("installed node logics", ErrorKind::Invalid));
         }
         let state_hash = r.u64("engine state hash")?;
         r.finish("engine checkpoint")?;

@@ -2,6 +2,7 @@
 //! routing, TTL handling, taps, fault injection, timers, determinism.
 
 use dui_netsim::prelude::*;
+use dui_stats::wire::{Encoder, Sink};
 use std::any::Any;
 
 fn line() -> (Topology, NodeId, NodeId, NodeId) {
@@ -179,6 +180,10 @@ impl LinkTap for AlternatingDropper {
             TapAction::Forward
         }
     }
+
+    fn encode(&self, s: &mut Sink<'_>) {
+        s.u64(self.seen);
+    }
 }
 
 #[test]
@@ -209,6 +214,10 @@ impl LinkTap for Delayer {
         _inject: &mut Vec<Packet>,
     ) -> TapAction {
         TapAction::Delay(self.0)
+    }
+
+    fn encode(&self, s: &mut Sink<'_>) {
+        s.u64(self.0.as_nanos());
     }
 }
 
@@ -242,6 +251,9 @@ impl LinkTap for Duplicator {
         inject.push(copy);
         TapAction::Forward
     }
+
+    // Stateless: writes nothing.
+    fn encode(&self, _s: &mut Sink<'_>) {}
 }
 
 #[test]
@@ -281,6 +293,12 @@ impl NodeLogic for Pinger {
     }
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
+    }
+    fn encode(&self, s: &mut Sink<'_>) {
+        s.refuse("a test pinger has no checkpoint decoder");
+        s.u32(self.dst.0);
+        s.u32(self.sent);
+        s.u32(self.got_replies);
     }
 }
 

@@ -5,8 +5,7 @@
 
 use dui_netsim::parallel::ParallelOutcome;
 use dui_netsim::prelude::*;
-use dui_stats::digest::StateDigest;
-use dui_stats::wire::{DecodeError, Encoder, Reader, Writer};
+use dui_stats::wire::{DecodeError, Encoder, Reader, Sink};
 use std::any::Any;
 
 /// Thread counts every equivalence case runs at: one (the same loop with
@@ -95,16 +94,7 @@ impl NodeLogic for PulseHost {
         self
     }
 
-    fn state_digest(&self, d: &mut StateDigest) {
-        d.write_u64(self.rng.0);
-        d.write_u64(self.bursts_left as u64);
-        d.write_u64(self.sent);
-        d.write_u64(self.got_packets);
-        d.write_u64(self.got_bytes);
-    }
-
-    fn save_state(&self) -> Option<Vec<u8>> {
-        let mut w = Writer::with_capacity(40);
+    fn encode(&self, s: &mut Sink<'_>) {
         for v in [
             self.rng.0,
             self.bursts_left as u64,
@@ -112,9 +102,8 @@ impl NodeLogic for PulseHost {
             self.got_packets,
             self.got_bytes,
         ] {
-            w.u64(v);
+            s.u64(v);
         }
-        Some(w.into_bytes())
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), DecodeError> {
@@ -536,6 +525,12 @@ impl NodeLogic for FifthTickPanics {
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
+    }
+
+    fn encode(&self, s: &mut Sink<'_>) {
+        s.refuse("a test ticker has no checkpoint decoder");
+        s.bool(self.armed);
+        s.u32(self.ticks);
     }
 }
 

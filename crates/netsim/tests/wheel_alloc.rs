@@ -2,44 +2,17 @@
 //! slab has grown to the run's high-water mark of pending entries, a
 //! schedule, a cascade and a pop are index relinks and nothing else.
 //!
-//! The count comes from a counting `GlobalAlloc` local to this test
-//! binary (the `dui-replay` `hostile_bytes` pattern; no library crate
-//! carries an `unsafe_code` expectation).
-
-#![expect(unsafe_code, reason = "a counting `GlobalAlloc` is an `unsafe impl`")]
+//! The count comes from the workspace's one counting allocator
+//! (`tests/support/counting_alloc.rs`).
 
 use dui_netsim::wheel::TimerWheel;
 use dui_stats::Rng;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Forwards to the system allocator, counting this thread's allocations
-/// (`realloc` defaults to `alloc` + `dealloc`, so growth counts too).
-struct Counting;
-
-// SAFETY: every call forwards unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the bookkeeping touches only a `Cell<u64>`
-// thread-local with a const initializer and no destructor, so it neither
-// allocates nor can observe a destroyed value.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's obligations are exactly `System.alloc`'s.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        // SAFETY: the caller's obligations are exactly `System.dealloc`'s.
-        unsafe { System.dealloc(p, layout) }
-    }
-}
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
+static ALLOCATOR: counting_alloc::Counting = counting_alloc::Counting;
 
 /// The packet engine's schedule distances on the C4 run (the mix
 /// `event_queue_engine_mix_*` benches): 46 % at +12 µs, 46 % at +2/5/8 ms,
@@ -69,10 +42,11 @@ fn wheel_steady_state_makes_no_allocations() {
     // Warm-up: long enough for every level in the mix to cascade.
     cycle(&mut wheel, 100_000);
     let cascades = wheel.stats().cascades;
-    let before = ALLOCATIONS.with(Cell::get);
-    cycle(&mut wheel, 1_000_000);
-    let allocated = ALLOCATIONS.with(Cell::get) - before;
-    assert_eq!(allocated, 0, "steady-state schedule/pop cycles allocated");
+    let ((), counts) = counting_alloc::during(|| cycle(&mut wheel, 1_000_000));
+    assert_eq!(
+        counts.allocations, 0,
+        "steady-state schedule/pop cycles allocated"
+    );
     assert!(
         wheel.stats().cascades > cascades + 10_000,
         "the mix must keep cascading"

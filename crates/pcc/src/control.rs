@@ -16,6 +16,7 @@
 //!   step count while utility keeps improving; on the first decrease,
 //!   revert to the last good rate and go back to Decision.
 
+use dui_stats::wire::Encoder;
 use dui_stats::Rng;
 use std::collections::VecDeque;
 
@@ -316,86 +317,58 @@ impl Controller {
         self.moving_last = None;
     }
 
-    /// Fold the controller's complete state into `d`: phase, rate, ε,
+    /// The controller's complete state: its tuning, phase, rate, ε,
     /// RNG, the outstanding-MI queue and trial bookkeeping, and the
     /// decision log.
-    pub fn state_digest(&self, d: &mut dui_stats::digest::StateDigest) {
-        d.write_f64(EPS_MIN);
-        d.write_f64(EPS_STEP);
-        d.write_f64(self.cfg.eps_max);
-        d.write_f64(self.cfg.min_rate);
-        d.write_f64(self.cfg.max_rate);
-        d.write_f64(DECISION_MARGIN);
-        d.write_f64(self.rate);
-        d.write_f64(self.eps);
-        d.write_u8(match self.phase {
+    pub fn encode<E: Encoder>(&self, e: &mut E) {
+        e.f64(self.cfg.eps_max);
+        e.f64(self.cfg.min_rate);
+        e.f64(self.cfg.max_rate);
+        e.f64(self.rate);
+        e.f64(self.eps);
+        e.u8(match self.phase {
             Phase::Starting => 0,
             Phase::Decision => 1,
             Phase::Moving => 2,
         });
-        for w in self.rng.state() {
-            d.write_u64(w);
-        }
-        d.write_len(self.plan.len());
-        for up in &self.plan {
-            d.write_bool(*up);
-        }
-        d.write_len(self.trial_results.len());
-        for (up, u) in &self.trial_results {
-            d.write_bool(*up);
-            d.write_f64(*u);
-        }
-        d.write_len(self.pending.len());
-        for (kind, rate) in &self.pending {
+        self.rng.state().into_iter().for_each(|w| e.u64(w));
+        e.seq(&self.plan, |e, &up| e.bool(up));
+        e.seq(&self.trial_results, |e, &(up, u)| {
+            e.bool(up);
+            e.f64(u);
+        });
+        e.seq(&self.pending, |e, &(kind, rate)| {
             match kind {
-                MiKind::Starting => d.write_u8(0),
+                MiKind::Starting => e.u8(0),
                 MiKind::Trial { up } => {
-                    d.write_u8(1);
-                    d.write_bool(*up);
+                    e.u8(1);
+                    e.bool(up);
                 }
                 MiKind::Moving { rate } => {
-                    d.write_u8(2);
-                    d.write_f64(*rate);
+                    e.u8(2);
+                    e.f64(rate);
                 }
-                MiKind::Filler => d.write_u8(3),
+                MiKind::Filler => e.u8(3),
             }
-            d.write_f64(*rate);
-        }
-        match self.last_starting {
-            None => d.write_u8(0),
-            Some((r, u)) => {
-                d.write_u8(1);
-                d.write_f64(r);
-                d.write_f64(u);
-            }
-        }
-        d.write_bool(self.moving_dir_up);
-        d.write_u32(self.moving_step);
-        match self.moving_last {
-            None => d.write_u8(0),
-            Some((r, u)) => {
-                d.write_u8(1);
-                d.write_f64(r);
-                d.write_f64(u);
-            }
-        }
-        d.write_len(self.decisions.len());
-        for dec in &self.decisions {
-            match dec {
-                Decision::Up(r) => {
-                    d.write_u8(0);
-                    d.write_f64(*r);
-                }
-                Decision::Down(r) => {
-                    d.write_u8(1);
-                    d.write_f64(*r);
-                }
-                Decision::Inconclusive(e) => {
-                    d.write_u8(2);
-                    d.write_f64(*e);
-                }
-            }
-        }
+            e.f64(rate);
+        });
+        let pair = |e: &mut E, (r, u): (f64, f64)| {
+            e.f64(r);
+            e.f64(u);
+        };
+        e.opt(self.last_starting, pair);
+        e.bool(self.moving_dir_up);
+        e.u32(self.moving_step);
+        e.opt(self.moving_last, pair);
+        e.seq(&self.decisions, |e, d| {
+            let (tag, v) = match *d {
+                Decision::Up(r) => (0, r),
+                Decision::Down(r) => (1, r),
+                Decision::Inconclusive(eps) => (2, eps),
+            };
+            e.u8(tag);
+            e.f64(v);
+        });
     }
 }
 

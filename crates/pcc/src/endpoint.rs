@@ -9,6 +9,7 @@ use crate::utility::allegro_utility;
 use dui_netsim::packet::{FlowKey, Header, Packet, TcpFlags};
 use dui_netsim::prelude::{Ctx, NodeLogic};
 use dui_netsim::time::{SimDuration, SimTime};
+use dui_stats::wire::{Encoder, Sink};
 use dui_stats::TimeSeries;
 use std::any::Any;
 use std::collections::HashMap;
@@ -216,41 +217,31 @@ impl NodeLogic for PccSender {
         }
     }
 
-    fn state_digest(&self, d: &mut dui_stats::digest::StateDigest) {
-        d.write_u32(self.cfg.key.src.0);
-        d.write_u32(self.cfg.key.dst.0);
-        d.write_u16(self.cfg.key.sport);
-        d.write_u16(self.cfg.key.dport);
-        d.write_f64(INITIAL_RATE);
-        d.write_u32(PKT_PAYLOAD);
-        d.write_u64(MI_DURATION.as_nanos());
-        d.write_u64(GRACE.as_nanos());
-        d.write_u64(self.cfg.seed);
-        self.controller.state_digest(d);
-        self.acct.state_digest(d);
-        match self.current_mi {
-            None => d.write_u8(0),
-            Some((id, end, rate)) => {
-                d.write_u8(1);
-                d.write_u64(id);
-                d.write_u64(end.0);
-                d.write_f64(rate);
-            }
-        }
-        d.write_u64(self.next_seq);
-        d.write_len(self.rate_trace.len());
-        for &(t, v) in self.rate_trace.points() {
-            d.write_f64(t);
-            d.write_f64(v);
-        }
-        d.write_len(self.mi_meta.len());
-        for (id, trial, base) in &self.mi_meta {
-            d.write_u64(*id);
-            d.write_f64(*trial);
-            d.write_f64(*base);
-        }
-        d.write_u64(self.sent);
-        d.write_u64(self.acked);
+    /// The flow and its seed, the controller and MI accounting, the
+    /// current MI, the sequence cursor, the traces and the counters.
+    fn encode(&self, s: &mut Sink<'_>) {
+        s.refuse("a PCC sender has no checkpoint decoder");
+        self.cfg.key.encode(s);
+        s.u64(self.cfg.seed);
+        self.controller.encode(s);
+        self.acct.encode(s);
+        s.opt(self.current_mi, |s, (id, end, rate)| {
+            s.u64(id);
+            s.u64(end.0);
+            s.f64(rate);
+        });
+        s.u64(self.next_seq);
+        s.seq(self.rate_trace.points(), |s, &(t, v)| {
+            s.f64(t);
+            s.f64(v);
+        });
+        s.seq(&self.mi_meta, |s, &(id, trial, base)| {
+            s.u64(id);
+            s.f64(trial);
+            s.f64(base);
+        });
+        s.u64(self.sent);
+        s.u64(self.acked);
     }
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
@@ -318,17 +309,18 @@ impl NodeLogic for PccReceiver {
         ctx.send(ack);
     }
 
-    fn state_digest(&self, d: &mut dui_stats::digest::StateDigest) {
-        d.write_u64(self.bin.as_nanos());
-        // HashMap iteration order is arbitrary: sort bin indices (sorted).
-        let mut idxs: Vec<u64> = self.bins.keys().copied().collect();
-        idxs.sort_unstable();
-        d.write_len(idxs.len());
-        for i in idxs {
-            d.write_u64(i);
-            d.write_u64(self.bins[&i]);
-        }
-        d.write_u64(self.total_bytes);
+    /// The bin width, the bins in index order (the map is unordered),
+    /// then the byte total.
+    fn encode(&self, s: &mut Sink<'_>) {
+        s.refuse("a PCC receiver has no checkpoint decoder");
+        s.u64(self.bin.as_nanos());
+        let mut bins: Vec<_> = self.bins.iter().collect();
+        bins.sort_unstable();
+        s.seq(bins, |s, (&i, &bytes)| {
+            s.u64(i);
+            s.u64(bytes);
+        });
+        s.u64(self.total_bytes);
     }
 
     fn as_any_mut(&mut self) -> &mut dyn Any {

@@ -2,6 +2,7 @@
 //! MIs and producing per-MI reports.
 
 use dui_netsim::time::{SimDuration, SimTime};
+use dui_stats::wire::Encoder;
 
 /// The finalized measurement of one monitor interval.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -136,35 +137,32 @@ impl MonitorAccounting {
         &self.finalized
     }
 
-    /// Fold the accounting state into `d` (all containers are `Vec`s in
-    /// insertion order, so iteration is already stable).
-    pub fn state_digest(&self, d: &mut dui_stats::digest::StateDigest) {
-        d.write_len(self.open.len());
-        for m in &self.open {
-            d.write_u64(m.id);
-            d.write_f64(m.rate);
-            d.write_u64(m.start.0);
-            d.write_u64(m.end.0);
-            d.write_u64(m.sent);
-            d.write_u64(m.delivered);
-        }
-        d.write_len(self.ranges.len());
-        for (a, b, id) in &self.ranges {
-            d.write_u64(*a);
-            d.write_u64(*b);
-            d.write_u64(*id);
-        }
-        d.write_u64(self.next_mi);
-        d.write_len(self.finalized.len());
-        for r in &self.finalized {
-            d.write_u64(r.id);
-            d.write_f64(r.rate);
-            d.write_u64(r.sent);
-            d.write_u64(r.delivered);
-            d.write_f64(r.loss);
-            d.write_u64(r.start.0);
-            d.write_u64(r.duration.as_nanos());
-        }
+    /// The accounting state (all containers are `Vec`s in insertion
+    /// order, so iteration is already stable).
+    pub fn encode<E: Encoder>(&self, e: &mut E) {
+        e.seq(&self.open, |e, m| {
+            e.u64(m.id);
+            e.f64(m.rate);
+            e.u64(m.start.0);
+            e.u64(m.end.0);
+            e.u64(m.sent);
+            e.u64(m.delivered);
+        });
+        e.seq(&self.ranges, |e, &(a, b, id)| {
+            e.u64(a);
+            e.u64(b);
+            e.u64(id);
+        });
+        e.u64(self.next_mi);
+        e.seq(&self.finalized, |e, r| {
+            e.u64(r.id);
+            e.f64(r.rate);
+            e.u64(r.sent);
+            e.u64(r.delivered);
+            e.f64(r.loss);
+            e.u64(r.start.0);
+            e.u64(r.duration.as_nanos());
+        });
     }
 }
 

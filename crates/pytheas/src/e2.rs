@@ -7,6 +7,7 @@
 //! attacker steer the group quickly — history fades, so a burst of fake
 //! reports dominates recent evidence.
 
+use dui_stats::wire::Encoder;
 use dui_stats::Rng;
 
 /// Discounted UCB over `k` arms.
@@ -100,15 +101,13 @@ impl DiscountedUcb {
             .unwrap_or(0)
     }
 
-    /// Fold the bandit state into `d`.
-    pub fn state_digest(&self, d: &mut dui_stats::digest::StateDigest) {
-        d.write_len(self.counts.len());
-        for (&n, &s) in self.counts.iter().zip(&self.sums) {
-            d.write_f64(n);
-            d.write_f64(s);
-        }
-        d.write_f64(self.gamma);
-        d.write_f64(self.c);
+    /// The bandit's per-arm discounted counts and sums (γ and c are the
+    /// engine's constants).
+    pub fn encode<E: Encoder>(&self, e: &mut E) {
+        e.seq(self.counts.iter().zip(&self.sums), |e, (&n, &s)| {
+            e.f64(n);
+            e.f64(s);
+        });
     }
 }
 

@@ -19,6 +19,7 @@ use crate::backend::SessionRecord;
 use crate::e2::DiscountedUcb;
 use crate::qoe::{QoeModel, Report};
 use crate::session::{GroupKey, SessionFeatures};
+use dui_stats::wire::Encoder;
 use dui_stats::Rng;
 use std::collections::BTreeMap;
 
@@ -297,79 +298,59 @@ impl PytheasEngine {
         tail.iter().map(|r| r.on_best_fraction).sum::<f64>() / tail.len() as f64
     }
 
-    /// Fold the engine's complete logical state into `d`: model, config,
-    /// per-group bandits (the group map is a `BTreeMap`, so iteration is
-    /// already stable), RNG, and accumulated history/records.
-    pub fn state_digest(&self, d: &mut dui_stats::digest::StateDigest) {
-        d.write_len(self.model.qualities.len());
-        for &q in &self.model.qualities {
-            d.write_f64(q);
-        }
-        d.write_f64(self.model.noise);
-        d.write_usize(self.model.arms());
-        d.write_f64(GAMMA);
-        d.write_f64(C);
-        d.write_usize(self.cfg.sessions_per_round);
-        d.write_f64(self.cfg.poison_fraction);
+    /// The engine's complete logical state: model, config, per-group
+    /// bandits (the group map is a `BTreeMap`, so iteration is already
+    /// stable), RNG, and accumulated history/records.
+    pub fn encode<E: Encoder>(&self, e: &mut E) {
+        e.seq(&self.model.qualities, |e, &q| e.f64(q));
+        e.f64(self.model.noise);
+        e.varint_usize(self.cfg.sessions_per_round);
+        e.f64(self.cfg.poison_fraction);
         match self.cfg.poison {
-            PoisonStrategy::None => d.write_u8(0),
+            PoisonStrategy::None => e.u8(0),
             PoisonStrategy::DragDownArm(a) => {
-                d.write_u8(1);
-                d.write_usize(a);
+                e.u8(1);
+                e.varint_usize(a);
             }
             PoisonStrategy::Promote { down, up } => {
-                d.write_u8(2);
-                d.write_usize(down);
-                d.write_usize(up);
+                e.u8(2);
+                e.varint_usize(down);
+                e.varint_usize(up);
             }
         }
-        match self.cfg.throttle {
-            None => d.write_u8(0),
-            Some(t) => {
-                d.write_u8(1);
-                d.write_usize(t.arm);
-                d.write_f64(t.factor);
-                d.write_f64(t.affected_fraction);
-            }
-        }
-        d.write_len(self.groups.len());
-        for (key, ucb) in &self.groups {
-            d.write_u32(key.asn);
-            d.write_u16(key.prefix16);
-            d.write_u16(key.location);
-            ucb.state_digest(d);
-        }
-        for w in self.rng.state() {
-            d.write_u64(w);
-        }
-        d.write_len(self.history.len());
-        for r in &self.history {
-            d.write_f64(r.honest_qoe);
-            d.write_f64(r.on_best_fraction);
-            for &s in &r.arm_share {
-                d.write_f64(s);
-            }
-        }
-        d.write_len(self.records.len());
-        for r in &self.records {
-            d.write_u32(r.features.asn);
-            d.write_u16(r.features.prefix16);
-            d.write_u16(r.features.location);
-            d.write_u16(r.features.content);
-            d.write_usize(r.arm);
-            d.write_f64(r.qoe);
-        }
-        d.write_len(self.arm_pulls.len());
-        for &p in &self.arm_pulls {
-            d.write_u64(p);
-        }
-        d.write_u64(self.filtered_reports);
+        e.opt(self.cfg.throttle, |e, t| {
+            e.varint_usize(t.arm);
+            e.f64(t.factor);
+            e.f64(t.affected_fraction);
+        });
+        e.seq(&self.groups, |e, (key, ucb)| {
+            e.u32(key.asn);
+            e.u16(key.prefix16);
+            e.u16(key.location);
+            ucb.encode(e);
+        });
+        self.rng.state().into_iter().for_each(|w| e.u64(w));
+        e.seq(&self.history, |e, r| {
+            e.f64(r.honest_qoe);
+            e.f64(r.on_best_fraction);
+            r.arm_share.iter().for_each(|&s| e.f64(s));
+        });
+        e.seq(&self.records, |e, r| {
+            e.u32(r.features.asn);
+            e.u16(r.features.prefix16);
+            e.u16(r.features.location);
+            e.u16(r.features.content);
+            e.varint_usize(r.arm);
+            e.f64(r.qoe);
+        });
+        e.seq(&self.arm_pulls, |e, &p| e.u64(p));
+        e.u64(self.filtered_reports);
     }
 
     /// 64-bit digest of the engine's complete logical state.
     pub fn state_hash(&self) -> u64 {
         let mut d = dui_stats::digest::StateDigest::labeled("pytheas");
-        self.state_digest(&mut d);
+        self.encode(&mut d);
         d.finish()
     }
 

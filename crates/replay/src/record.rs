@@ -34,14 +34,12 @@ use dui_stats::wire::{DecodeError, Encoder, ErrorKind, Reader, Writer};
 
 /// Recording format magic bytes.
 pub const MAGIC: [u8; 4] = *b"DUIR";
-/// Current format version. Versions 2 to 4 changed no byte of the
-/// layout; each marks a change of what it carries — version 2 the
-/// `StateDigest` fold, version 3 the component digests that became
-/// their checkpoint encoders, version 4 the engine's checkpoint payload
-/// and component list, both now sections of its one state encoder — so
-/// an older file is refused by name rather than failing as a config
-/// mismatch or a divergence at its first checkpoint.
-pub const VERSION: u64 = 4;
+/// Current format version. Versions 2 to 5 changed no byte of the
+/// layout; each marks a change of what it carries (docs/determinism.md,
+/// "Re-blesses"), so an older file is refused by name rather than
+/// failing as a config mismatch or a divergence at its first
+/// checkpoint.
+pub const VERSION: u64 = 5;
 
 // ---------------------------------------------------------------------------
 // Frames and the Recording container
@@ -353,10 +351,10 @@ mod tests {
         let mut bytes = Recording::default().to_bytes();
         assert_eq!(
             bytes[MAGIC.len()],
-            4,
+            5,
             "the version varint follows the magic"
         );
-        for old in [1, 2, 3] {
+        for old in [1, 2, 3, 4] {
             bytes[MAGIC.len()] = old;
             let err = Recording::from_bytes(&bytes).unwrap_err();
             assert_eq!((err.what, err.kind), ("recording version", ErrorKind::Tag));

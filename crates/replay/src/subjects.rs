@@ -6,8 +6,9 @@
 //!   support mid-run resume.
 //! * [`SimulatorSubject`] wraps the packet-level discrete-event engine
 //!   (`dui-netsim`'s `Simulator`) run to a fixed end time — restorable
-//!   when every node logic supports `save_state` and no taps are
-//!   installed, hash-only otherwise.
+//!   when no part of its state refuses to be written as bytes (no link
+//!   tap, program, rewriter or logic without a decoder), hash-only
+//!   otherwise.
 //!
 //! Either way a checkpoint's component digests are the sections of the
 //! subject's one state encoder, each folded on its own under its name.
@@ -20,6 +21,7 @@ use dui_blink::fastsim::{
 use dui_netsim::sim::Simulator;
 use dui_netsim::time::SimTime;
 use dui_stats::digest::StateDigest;
+use dui_stats::wire::{Encoder, Sink};
 
 /// Digest of an [`AttackSimConfig`] plus seed: binds a recording to one
 /// exact fast-simulation setup.
@@ -37,8 +39,8 @@ pub fn attack_sim_config_digest(cfg: &AttackSimConfig, seed: u64) -> u64 {
     d.write_u64(cfg.pkt_interval.0);
     d.write_u64(cfg.horizon.0);
     d.write_u64(cfg.sample_every.0);
-    d.write_u32(cfg.prefix.addr.0);
-    d.write_u8(cfg.prefix.len);
+    d.u32(cfg.prefix.addr.0);
+    d.u8(cfg.prefix.len);
     d.write_u64(seed);
     d.finish()
 }
@@ -157,7 +159,7 @@ impl ReplaySubject for FastSimSubject {
 /// as a replay subject.
 ///
 /// Checkpoints are restorable when [`Simulator::checkpoint`] succeeds
-/// (no taps, every node logic saves state); otherwise the recording is
+/// (nothing in the engine refused its bytes); otherwise the recording is
 /// hash-only — still fully verifiable, just not resumable.
 pub struct SimulatorSubject {
     sim: Simulator,
@@ -229,13 +231,15 @@ impl ReplaySubject for SimulatorSubject {
     fn capture(&self) -> Capture {
         Capture {
             state_hash: self.sim.state_hash(),
-            components: section_digests(Simulator::SECTIONS, |i, d| self.sim.digest_section(i, d)),
+            components: section_digests(Simulator::SECTIONS, |i, d| {
+                self.sim.encode_section(i, &mut Sink::Digest(d))
+            }),
             payload: self.sim.checkpoint().ok(),
         }
     }
 
     fn load_checkpoint(&mut self, bytes: &[u8]) -> Result<(), String> {
-        self.sim.restore(bytes)?;
+        self.sim.restore(bytes).map_err(|e| e.to_string())?;
         self.done = self.sim.now() >= self.end;
         Ok(())
     }

@@ -16,6 +16,7 @@ use dui_blink::fastsim::{attack_sim_snapshot_to_bytes, AttackSim, AttackSimConfi
 use dui_blink::selector::BlinkParams;
 use dui_netsim::prelude::*;
 use dui_replay::{FastSimSubject, Recorder, Recording, ReplaySubject, SimulatorSubject};
+use dui_stats::wire::Sink;
 use dui_tcp::{FlowPool, FlowSpec, TcpHost, TcpHostConfig, TcpSenderConfig};
 
 /// Seed of every fast-simulation fixture.
@@ -106,15 +107,27 @@ fn flows() -> Vec<FlowSpec> {
 /// ends, a lossy jittered hop, an announced prefix. `with_flows` false
 /// builds the empty twin a checkpoint is restored into.
 pub fn engine(with_flows: bool) -> Simulator {
+    engine_on(with_flows, None)
+}
+
+/// [`engine`]'s empty twin with every link at 1 Mbit/s, 50 ms and a
+/// two-packet queue: the same shape on another configuration.
+pub fn reshaped_engine() -> Simulator {
+    let links = (Bandwidth::mbps(1), SimDuration::from_millis(50), 2);
+    engine_on(false, Some(links))
+}
+
+fn engine_on(with_flows: bool, links: Option<(Bandwidth, SimDuration, usize)>) -> Simulator {
     let mut b = TopologyBuilder::new();
     let h1 = b.host("h1", Addr::new(10, 0, 0, 1));
     let r = b.router("r");
     let h2 = b.host("h2", Addr::new(10, 0, 0, 2));
     let s = b.host("s", Addr::new(10, 0, 1, 1));
-    let (bw, delay) = (Bandwidth::mbps(10), SimDuration::from_millis(2));
-    b.link(h1, r, bw, delay, 32);
-    b.link(r, h2, bw, delay, 8);
-    b.link(r, s, bw, delay, 8);
+    for (x, y, cap) in [(h1, r, 32), (r, h2, 8), (r, s, 8)] {
+        let (bw, delay, cap) =
+            links.unwrap_or((Bandwidth::mbps(10), SimDuration::from_millis(2), cap));
+        b.link(x, y, bw, delay, cap);
+    }
     let mut sim = Simulator::new(b.build(), 5);
     let mut src = TcpHost::with_flows(if with_flows { flows() } else { Vec::new() });
     src.set_config(TcpHostConfig {
@@ -210,22 +223,21 @@ pub fn engine_recording() -> Recording {
 }
 
 fn logic_blob<T: NodeLogic + 'static>(mut sim: Simulator, node: usize) -> Vec<u8> {
-    sim.logic_mut::<T>(NodeId(node))
-        .save_state()
-        .expect("node has restorable logic")
+    let logic = sim.logic_mut::<T>(NodeId(node));
+    Sink::save(|s| logic.encode(s)).expect("node has restorable logic")
 }
 
-/// `TcpHost::save_state` of the sending host, mid-transfer.
+/// `TcpHost::encode` of the sending host, mid-transfer.
 pub fn tcp_host_state() -> Vec<u8> {
     logic_blob::<TcpHost>(engine_mid_run(), 0)
 }
 
-/// `RouterLogic::save_state`.
+/// `RouterLogic::encode`.
 pub fn router_state() -> Vec<u8> {
     logic_blob::<RouterLogic>(engine_mid_run(), 1)
 }
 
-/// `SinkHost::save_state` after three UDP flows.
+/// `SinkHost::encode` after three UDP flows.
 pub fn sink_state() -> Vec<u8> {
     let mut sim = engine(true);
     sim.run_until(SimTime::ZERO + SimDuration::from_millis(30));

@@ -10,14 +10,12 @@
 //! * when accepted, survive further use — a replay, 100 engine events,
 //!   100 pool operations — without panicking;
 //! * allocate, while decoding, at most `k × max(len, FLOOR)` bytes, with
-//!   `k` stated per kind below and measured by the counting allocator
-//!   local to this test binary.
+//!   `k` stated per kind below and measured by the workspace's one
+//!   counting allocator (`tests/support/counting_alloc.rs`).
 //!
 //! An engine checkpoint decodes through `Simulator::restore` into the
 //! fixture engine; a valid checkpoint of another topology must be
 //! refused there too.
-
-#![expect(unsafe_code, reason = "a counting `GlobalAlloc` is an `unsafe impl`")]
 
 mod blobs;
 
@@ -28,60 +26,15 @@ use dui_netsim::prelude::*;
 use dui_replay::{Recording, ReplaySubject, Replayer};
 use dui_stats::digest::StateDigest;
 use dui_stats::propcheck::{self, Config, PropError};
+use dui_stats::wire::ErrorKind;
+use dui_stats::wire::Sink;
 use dui_tcp::{FlowKind, FlowPool, TcpHost, TcpSenderConfig};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-// ---------------------------------------------------------------------------
-// Counting allocator
-// ---------------------------------------------------------------------------
-
-thread_local! {
-    static LIVE: Cell<usize> = const { Cell::new(0) };
-    static PEAK: Cell<usize> = const { Cell::new(0) };
-}
-
-/// Forwards to the system allocator, tracking this thread's live and peak
-/// bytes (tests run on parallel threads; one thread's decode must not
-/// see another's allocations).
-struct Counting;
-
-// SAFETY: every call forwards unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the bookkeeping touches only `Cell<usize>`
-// thread-locals with const initializers and no destructor, so it neither
-// allocates nor can observe a destroyed value.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller's obligations are exactly `System.alloc`'s.
-        let p = unsafe { System.alloc(layout) };
-        if !p.is_null() {
-            let _ = LIVE.try_with(|live| {
-                live.set(live.get() + layout.size());
-                let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
-            });
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        // A block may be freed on a thread that did not allocate it.
-        let _ = LIVE.try_with(|live| live.set(live.get().saturating_sub(layout.size())));
-        // SAFETY: the caller's obligations are exactly `System.dealloc`'s.
-        unsafe { System.dealloc(p, layout) }
-    }
-}
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// Run `f`, returning its result and the peak bytes this thread held
-/// above its level on entry.
-fn peak_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let base = LIVE.with(Cell::get);
-    PEAK.with(|p| p.set(base));
-    let out = f();
-    (out, PEAK.with(Cell::get).saturating_sub(base))
-}
+static ALLOCATOR: counting_alloc::Counting = counting_alloc::Counting;
 
 // ---------------------------------------------------------------------------
 // Blob kinds
@@ -200,10 +153,14 @@ impl Value {
             Value::Recording(rec) => rec.to_bytes(),
             Value::Engine(sim) => sim.checkpoint().expect("a restored engine checkpoints"),
             Value::FastSim(snap) => attack_sim_snapshot_to_bytes(snap),
-            Value::Host(host) => host.save_state().expect("a restored host is restorable"),
+            Value::Host(host) => {
+                Sink::save(|s| host.encode(s)).expect("a restored host is restorable")
+            }
             Value::Pool(pool) => pool.to_bytes().expect("a restored pool is drained"),
-            Value::Sink(sink) => sink.save_state().expect("sinks checkpoint"),
-            Value::Router(router) => router.save_state().expect("plain routers checkpoint"),
+            Value::Sink(sink) => Sink::save(|s| sink.encode(s)).expect("sinks checkpoint"),
+            Value::Router(router) => {
+                Sink::save(|s| router.encode(s)).expect("plain routers checkpoint")
+            }
         }
     }
 
@@ -322,7 +279,8 @@ fn with_logic(node: NodeId, logic: Box<dyn NodeLogic>) {
 /// Decode one mutant and hold it to the harness's three conditions.
 fn check(kind: Kind, mutant: &[u8], exercise: bool) -> Result<bool, String> {
     let target = (kind == Kind::Engine).then(|| Box::new(blobs::engine(false)));
-    let (decoded, peak) = peak_during(|| decode(kind, mutant, target));
+    let (decoded, counts) = counting_alloc::during(|| decode(kind, mutant, target));
+    let peak = counts.peak as usize;
     let bound = kind.k() * mutant.len().max(FLOOR);
     if peak > bound {
         return Err(format!(
@@ -393,6 +351,24 @@ fn random(kind: Kind) {
                 .map_err(fail)
         },
     );
+}
+
+/// A valid checkpoint restored into the fixture's shape on another link
+/// configuration is refused by its fingerprint before anything is
+/// committed; the fixture's own configuration takes it.
+#[test]
+fn a_checkpoint_of_another_configuration_is_refused() {
+    let ckpt = blobs::engine_checkpoint();
+    let mut sim = blobs::reshaped_engine();
+    let before = sim.state_hash();
+    let err = sim.restore(&ckpt).expect_err("another configuration");
+    assert_eq!(err.kind, ErrorKind::Config, "{err}");
+    assert_eq!(
+        sim.state_hash(),
+        before,
+        "a refused restore commits nothing"
+    );
+    assert_eq!(blobs::engine(false).restore(&ckpt), Ok(()));
 }
 
 macro_rules! hostile {

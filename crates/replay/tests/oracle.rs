@@ -18,19 +18,31 @@
 //! * two engines — a TCP host and a sink behind a plain router, which
 //!   answers expired probes or not — take the same packets in
 //!   different orders, and the same faults and link flaps in different
-//!   orders, section by section and as a whole.
+//!   orders, section by section and as a whole;
+//! * two `Rng`s are drawn to the same point, or not.
 //!
 //! A digest that skips state its bytes carry reads "equal" where the
 //! bytes differ — the divergence then surfaces only later, at the wrong
 //! event — and a digest that folds something the bytes do not carry
 //! reads "different" where they agree.
+//!
+//! Parts with no decoder (link taps, a PCC endpoint, a traceroute
+//! prober) have no bytes to compare, so the last property holds their
+//! digests to what they are for: two engines whose state hashes agree
+//! run on to agreeing state hashes. The engines carry the §4.2 PCC
+//! equalizer tap and a traceroute prober, built from one generated
+//! configuration or from two that differ in one setting.
 
+use dui_attacks::{IcmpSpoofTap, PccEqualizerTap};
 use dui_blink::fastsim::{attack_sim_snapshot_to_bytes, AttackSim, AttackSimConfig};
 use dui_blink::selector::FlowSelector;
+use dui_nethide::TracerouteProber;
 use dui_netsim::prelude::*;
+use dui_pcc::{PccReceiver, PccSender, PccSenderConfig};
 use dui_stats::digest::StateDigest;
 use dui_stats::propcheck::{Gen, PropResult};
-use dui_stats::wire::{Encoder, Writer};
+use dui_stats::wire::{Encoder, Sink, Writer};
+use dui_stats::Rng;
 use dui_stats::{prop_assert_eq, prop_check};
 use dui_tcp::{FlowPool, FlowSpec, TcpHost, TcpHostConfig, TcpSenderConfig};
 
@@ -106,8 +118,8 @@ fn pool_state(p: &FlowPool) -> (u64, Vec<u8>) {
 
 fn host_state(h: &mut dyn NodeLogic) -> (u64, Vec<u8>) {
     (
-        digest(|d| h.state_digest(d)),
-        h.save_state().expect("restorable"),
+        digest(|d| h.encode(&mut Sink::Digest(d))),
+        Sink::save(|s| h.encode(s)).expect("restorable"),
     )
 }
 
@@ -221,14 +233,13 @@ fn engine_after(pkts: &[&Packet], ops: &[&LinkOp], respond: bool, until: SimTime
     sim
 }
 
-/// Section `i` of `sim`'s state encoder: its digest, and its bytes with
-/// each node logic's checkpoint blob.
+/// Section `i` of `sim`'s state encoder: its digest, and its bytes.
 fn section_state(sim: &Simulator, i: usize) -> (u64, Vec<u8>) {
-    let mut w = Writer::new();
-    sim.encode_section(i, &mut w, &mut |w, _, l| {
-        w.bytes(&l.save_state().expect("restorable"));
-    });
-    (digest(|d| sim.digest_section(i, d)), w.into_bytes())
+    let bytes = Sink::save(|s| sim.encode_section(i, s)).expect("restorable");
+    (
+        digest(|d| sim.encode_section(i, &mut Sink::Digest(d))),
+        bytes,
+    )
 }
 
 /// The state hash, and the checkpoint bytes without the state hash they
@@ -239,7 +250,110 @@ fn engine_state(sim: &Simulator) -> (u64, Vec<u8>) {
     (sim.state_hash(), bytes)
 }
 
+/// One engine of the equal-future property: a PCC sender `h1` and a
+/// traceroute prober `h3` behind router `r`, the PCC receiver `h2` on a
+/// 10 Mbit/s bottleneck carrying the equalizer tap, and, if `spoof`, a
+/// tap that rewrites `r`'s time-exceeded claims on their way to `h3`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Attacked {
+    arm_after_ms: u64,
+    max_ttl: u8,
+    spoof: bool,
+}
+
+impl Attacked {
+    fn build(self) -> Simulator {
+        let mut b = TopologyBuilder::new();
+        let h1 = b.host("h1", Addr::new(10, 0, 0, 1));
+        let h3 = b.host("h3", Addr::new(10, 0, 0, 3));
+        let r = b.router("r");
+        let h2 = b.host("h2", Addr::new(10, 0, 0, 2));
+        let ms = SimDuration::from_millis;
+        b.link(h1, r, Bandwidth::mbps(100), ms(2), 64);
+        let probes = b.link(h3, r, Bandwidth::mbps(100), ms(2), 64);
+        let bottleneck = b.link(r, h2, Bandwidth::mbps(10), ms(5), 32);
+        let topo = b.build();
+        let r_addr = topo.node(r).addr;
+        let mut sim = Simulator::new(topo, 5);
+        let key = FlowKey::tcp(Addr::new(10, 0, 0, 1), 5001, Addr::new(10, 0, 0, 2), 5001);
+        sim.set_logic(h1, Box::new(PccSender::new(PccSenderConfig::new(key, 7))));
+        sim.set_logic(h2, Box::new(PccReceiver::new(ms(100))));
+        sim.set_logic(r, Box::new(RouterLogic::new()));
+        sim.set_logic(
+            h3,
+            Box::new(TracerouteProber::new(Addr::new(10, 0, 0, 2), self.max_ttl)),
+        );
+        let tap = PccEqualizerTap::with_arm_delay(key, ms(25), ms(self.arm_after_ms), 9);
+        sim.install_tap(bottleneck, Dir::AtoB, Box::new(tap));
+        if self.spoof {
+            let fake = std::iter::once((r_addr, Addr::new(10, 66, 0, 1))).collect();
+            sim.install_tap(probes, Dir::BtoA, Box::new(IcmpSpoofTap::new(fake)));
+        }
+        sim
+    }
+}
+
 prop_check! {
+    fn rng_digest_is_its_bytes(g) {
+        let mut a = Rng::new(g.u64(0..3));
+        for _ in 0..g.usize(0..4) {
+            a.next_u64();
+        }
+        let mut b = if g.bool() {
+            Rng::from_state(a.state())
+        } else {
+            let mut b = Rng::new(g.u64(0..3));
+            for _ in 0..g.usize(0..4) {
+                b.next_u64();
+            }
+            b
+        };
+        let state = |r: &Rng| {
+            let words = |s: &mut Sink<'_>| r.state().into_iter().for_each(|w| s.u64(w));
+            (
+                digest(|d| words(&mut Sink::Digest(d))),
+                Sink::save(words).expect("an rng refuses nothing"),
+            )
+        };
+        let (sa, sb) = (state(&a), state(&b));
+        let equal = sa.1 == sb.1;
+        digest_iff_bytes("rng", sa, sb)?;
+        if equal {
+            prop_assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
+
+    fn equal_digest_means_equal_future(g) {
+        let a = Attacked {
+            arm_after_ms: [20, 40][g.usize(0..2)],
+            max_ttl: g.u8(2..4),
+            spoof: g.bool(),
+        };
+        let b = match g.u8(0..4) {
+            0 => Attacked { arm_after_ms: 60 - a.arm_after_ms, ..a },
+            1 => Attacked { max_ttl: 5 - a.max_ttl, ..a },
+            2 => Attacked { spoof: !a.spoof, ..a },
+            _ => a,
+        };
+        let (mut sa, mut sb) = (a.build(), b.build());
+        prop_assert_eq!(sa.fingerprint(), sb.fingerprint());
+        let t1 = SimTime::ZERO + SimDuration::from_millis(g.u64(10..1200));
+        sa.run_until(t1);
+        sb.run_until(t1);
+        let equal = sa.state_hash() == sb.state_hash();
+        prop_assert_eq!(equal || a != b, true, "one configuration, two hashes");
+        let t2 = t1 + SimDuration::from_millis(g.u64(1..400));
+        sa.run_until(t2);
+        sb.run_until(t2);
+        if equal {
+            prop_assert_eq!(
+                sa.state_hash(),
+                sb.state_hash(),
+                "equal at {t1:?} under {a:?} / {b:?}, apart at {t2:?}"
+            );
+        }
+    }
+
     fn pool_digest_is_its_bytes(g) {
         let kinds = g.vec(2..10, |g| g.u8(0..3));
         let (mut a, refs) = pool_with(&kinds);
@@ -338,7 +452,7 @@ prop_check! {
             let live = FlowSelector::from_snapshot(cfg.params, snap.clone());
             let mut w = Writer::new();
             snap.encode(&mut w);
-            (digest(|d| live.state_digest(d)), w.into_bytes())
+            (digest(|d| live.snapshot().encode(d)), w.into_bytes())
         };
         digest_iff_bytes("selector", selector(&sa.selector), selector(&sb.selector))?;
     }
@@ -391,7 +505,7 @@ prop_check! {
         // The state hash is every section folded in order under one label.
         let mut whole = StateDigest::labeled("netsim");
         for i in 0..Simulator::SECTIONS.len() {
-            a.encode_section(i, &mut whole, &mut |d, _, l| l.state_digest(d));
+            a.encode_section(i, &mut Sink::Digest(&mut whole));
         }
         prop_assert_eq!(whole.finish(), a.state_hash());
     }

@@ -16,11 +16,11 @@ use dui_stats::hash::FixedState;
 use std::hash::BuildHasher;
 
 const PINNED: &[(&str, usize, u64)] = &[
-    ("duir_fastsim", 4408, 0x455121ab58715354),
-    ("duir_engine", 11954, 0x7247e0a78770ee5a),
-    ("engine_checkpoint", 1901, 0x91cb8ab1aeb23e4d),
-    ("fastsim_snapshot", 737, 0xc194732c8bda8ce5),
-    ("tcp_host", 907, 0x7dfd0a0bb2d94735),
+    ("duir_fastsim", 4408, 0x542eb4e9215e3723),
+    ("duir_engine", 11985, 0xd16d371d0a606208),
+    ("engine_checkpoint", 1915, 0xbc9d1d532343c77d),
+    ("fastsim_snapshot", 737, 0x274088656fe2e3c2),
+    ("tcp_host", 901, 0x20b1e2c7581b638c),
     ("flow_pool", 554, 0xcd22838b1ffc9853),
     ("sink_host", 111, 0xe874643b29ff27ee),
     ("router", 3, 0xce55215a7ad596d7),

@@ -2,7 +2,7 @@
 //! engine's state encoder.
 //!
 //! A small engine run is recorded twice: restorable, and hash-only (the
-//! router runs a data-plane program, which has no codec). Each replay
+//! router runs a data-plane program, which has no decoder). Each replay
 //! perturbs one piece of state before the first checkpoint — a link's
 //! fault, its up flag, a prefix announcement, a node logic's state — and
 //! the `HashMismatch` must name exactly the section that holds it.
@@ -11,7 +11,7 @@ mod blobs;
 
 use dui_netsim::prelude::*;
 use dui_replay::{Recorder, Recording, ReplayError, Replayer, SimulatorSubject};
-use dui_stats::digest::StateDigest;
+use dui_stats::wire::{Encoder, Sink};
 use std::any::Any;
 
 /// A data-plane program that counts what it sees.
@@ -28,8 +28,9 @@ impl DataPlaneProgram for Tally {
         self
     }
 
-    fn state_digest(&self, d: &mut StateDigest) {
-        d.write_u64(self.0);
+    fn encode(&self, s: &mut Sink<'_>) {
+        s.refuse("a tally program has no checkpoint decoder");
+        s.u64(self.0);
     }
 }
 

@@ -28,7 +28,7 @@ use dui_core::pytheas::engine::{EngineConfig, PoisonStrategy};
 use dui_core::scenario::{
     pytheas_run, BlinkScenario, BlinkScenarioConfig, PccScenario, PccScenarioConfig,
 };
-use dui_core::stats::digest::StateDigest;
+use dui_core::stats::wire::{Encoder, Sink};
 use dui_core::stats::Rng;
 use dui_core::tcp::{FlowSource, FlowSpec, TcpHost, TcpHostConfig};
 
@@ -533,9 +533,10 @@ impl FlowSource for RewriteSrc {
         self.inner.peek_start()
     }
 
-    fn state_digest(&self, d: &mut StateDigest) {
-        self.inner.state_digest(d);
-        d.write_u32(self.src_addr.0);
+    /// The wrapped stream (which refuses), then the pinned address.
+    fn encode(&self, s: &mut Sink<'_>) {
+        self.inner.encode(s);
+        s.u32(self.src_addr.0);
     }
 }
 
@@ -575,6 +576,38 @@ mod tests {
     fn run(text: &str) -> RunReport {
         let sc = parse_str("test.dsc", text).unwrap();
         compile(&sc).unwrap().run()
+    }
+
+    /// A rewritten stream writes its stream and the address it pins, and
+    /// refuses the bytes: two sources that differ in either one digest
+    /// apart.
+    #[test]
+    fn rewrite_src_digest_covers_its_stream_and_address() {
+        let source = |seed, host| {
+            let cfg = FlowPopulationConfig {
+                prefix: Prefix::new(Addr::new(10, 0, 1, 0), 24),
+                arrival_rate: 5.0,
+                duration: DurationDist::default(),
+                pkt_interval: SimDuration::from_millis(10),
+                horizon: SimDuration::from_secs(1),
+                warm_start: Some(1),
+            };
+            let stream = FlowStream::new(cfg, Rng::new(seed));
+            RewriteSrc {
+                inner: StreamSource::new(stream, 1460),
+                src_addr: Addr::new(10, 0, 0, host),
+            }
+        };
+        let digest = |r: &RewriteSrc| {
+            let mut d = dui_core::stats::digest::StateDigest::new();
+            r.encode(&mut Sink::Digest(&mut d));
+            d.finish()
+        };
+        let base = digest(&source(1, 1));
+        assert_eq!(digest(&source(1, 1)), base);
+        assert_ne!(digest(&source(2, 1)), base, "the stream");
+        assert_ne!(digest(&source(1, 2)), base, "the pinned address");
+        assert!(Sink::save(|s| source(1, 1).encode(s)).is_err());
     }
 
     #[test]

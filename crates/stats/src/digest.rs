@@ -6,11 +6,13 @@
 //! into one of these, and the resulting 64-bit digest is what gets
 //! recorded, compared across runs, and bisected when two runs diverge.
 //!
-//! A component exposes its digest as an inherent
-//! `state_digest(&self, d: &mut StateDigest)` (and, where it is a whole
-//! subject, a domain-labeled `state_hash(&self) -> u64`). The contract
-//! every such method keeps — two runs are in the same logical state if
-//! and only if their hashes agree, across processes and platforms:
+//! A component writes its state through one encoder generic over
+//! [`Encoder`] — or, behind an engine trait object, through one
+//! `encode(&self, s: &mut Sink)` into the concrete
+//! [`Sink`](crate::wire::Sink) — and a whole subject adds a
+//! domain-labeled `state_hash(&self) -> u64`. The contract every such
+//! encoder keeps — two runs are in the same logical state if and only
+//! if their hashes agree, across processes and platforms:
 //!
 //! * **logical state only** — no memory addresses, capacities or
 //!   allocator artifacts;
@@ -20,11 +22,11 @@
 //! * **no telemetry** — metrics are observations about a run, not
 //!   state that influences it.
 //!
-//! A component that has a checkpoint codec keeps the contract by
-//! construction: its encoder is generic over [`Encoder`], and its
-//! `state_digest` runs that encoder into the digest, which folds each
-//! primitive as one word. Equal bytes then mean equal digests, and
-//! (up to a 64-bit collision) the converse.
+//! The encoder is also the component's checkpoint form, so the contract
+//! holds by construction: run into a digest it folds each primitive as
+//! one word, run into bytes it writes them. Equal bytes then mean equal
+//! digests, and (up to a 64-bit collision) the converse. A part with no
+//! decoder writes the same words into the digest and refuses the bytes.
 //!
 //! Two properties of the primitive itself matter and are guaranteed
 //! here:
@@ -121,24 +123,6 @@ impl StateDigest {
         self.state = fold(self.state, v);
     }
 
-    /// Fold a `u8`.
-    #[inline]
-    pub fn write_u8(&mut self, v: u8) {
-        self.write_u64(u64::from(v));
-    }
-
-    /// Fold a `u16`.
-    #[inline]
-    pub fn write_u16(&mut self, v: u16) {
-        self.write_u64(u64::from(v));
-    }
-
-    /// Fold a `u32`.
-    #[inline]
-    pub fn write_u32(&mut self, v: u32) {
-        self.write_u64(u64::from(v));
-    }
-
     /// Fold a `usize` (widened to 64 bits; digests are therefore
     /// identical across 32/64-bit targets for values that fit).
     #[inline]
@@ -166,10 +150,10 @@ impl StateDigest {
     pub fn write_opt_u64(&mut self, v: Option<u64>) {
         match v {
             Some(x) => {
-                self.write_u8(1);
+                self.write_u64(1);
                 self.write_u64(x);
             }
-            None => self.write_u8(0),
+            None => self.write_u64(0),
         }
     }
 
@@ -218,17 +202,17 @@ impl StateDigest {
 impl Encoder for StateDigest {
     #[inline]
     fn u8(&mut self, v: u8) {
-        self.write_u8(v);
+        self.write_u64(u64::from(v));
     }
 
     #[inline]
     fn u16(&mut self, v: u16) {
-        self.write_u16(v);
+        self.write_u64(u64::from(v));
     }
 
     #[inline]
     fn u32(&mut self, v: u32) {
-        self.write_u32(v);
+        self.write_u64(u64::from(v));
     }
 
     #[inline]

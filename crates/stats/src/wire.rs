@@ -14,8 +14,10 @@
 //!
 //! A state encoder is written once, generic over [`Encoder`]: run into a
 //! [`Writer`] it yields a checkpoint's bytes, run into a
-//! [`StateDigest`](crate::digest::StateDigest) it yields the component's
-//! state digest, so the two cannot cover different state.
+//! [`StateDigest`] it yields the component's
+//! state digest, so the two cannot cover different state. A component
+//! behind a trait object writes into a [`Sink`], the one concrete
+//! encoder over both.
 //!
 //! ```
 //! use dui_stats::wire::{Encoder, Reader, Writer};
@@ -34,6 +36,7 @@
     reason = "the fixed-width primitives every other codec reads and writes through"
 )]
 
+use crate::digest::StateDigest;
 use std::fmt;
 
 /// Why a decode was refused.
@@ -55,6 +58,8 @@ pub enum ErrorKind {
     Trailing,
     /// Well-formed bytes describing a state the decoder refuses.
     Invalid,
+    /// A checkpoint of another configuration than the one restoring it.
+    Config,
 }
 
 /// A refused decode: which field (`what`), at which input offset (`at`),
@@ -80,6 +85,7 @@ impl fmt::Display for DecodeError {
             ErrorKind::Utf8 => "invalid utf-8",
             ErrorKind::Trailing => "trailing bytes",
             ErrorKind::Invalid => "inconsistent state",
+            ErrorKind::Config => "taken on another configuration",
         };
         write!(f, "{}: {why} at byte {}", self.what, self.at)
     }
@@ -328,7 +334,7 @@ impl<'a> Reader<'a> {
 
 /// Where a state encoder writes: the primitives of the wire format.
 ///
-/// [`Writer`] encodes each as bytes. [`StateDigest`](crate::digest::StateDigest)
+/// [`Writer`] encodes each as bytes. [`StateDigest`]
 /// folds each as one 64-bit word — a `bytes` run as its length and then
 /// its 8-byte words — so a fixed-width value and a varint of the same
 /// value fold alike, and an encoder's digest covers exactly what its
@@ -472,6 +478,83 @@ impl Encoder for Writer {
         self.varint_usize(bytes.len());
         self.raw(bytes);
     }
+}
+
+/// The encoder a trait object writes its state into: a state digest, or
+/// checkpoint bytes.
+///
+/// [`Encoder`]'s generic methods keep it off `dyn`, so every engine trait
+/// (node logics, data-plane programs, ICMP rewriters, link taps, flow
+/// sources) takes this one concrete type, and a single `encode` serves
+/// the state hash and the checkpoint. A component whose state cannot be
+/// read back calls [`Sink::refuse`]: a digest ignores that — every state
+/// can be hashed — and bytes keep the first refusal, which fails the
+/// checkpoint.
+pub enum Sink<'a> {
+    /// Fold each primitive into a digest.
+    Digest(&'a mut StateDigest),
+    /// Append each primitive to checkpoint bytes, with the first refusal.
+    Bytes(&'a mut Writer, Option<&'static str>),
+}
+
+impl<'a> Sink<'a> {
+    /// What is being written cannot be decoded, because `why`.
+    pub fn refuse(&mut self, why: &'static str) {
+        if let Sink::Bytes(_, refusal @ None) = self {
+            *refusal = Some(why);
+        }
+    }
+
+    /// The first refusal written into checkpoint bytes.
+    pub fn refusal(&self) -> Option<&'static str> {
+        match self {
+            Sink::Digest(_) => None,
+            Sink::Bytes(_, refusal) => *refusal,
+        }
+    }
+
+    /// What `write` writes, as one length-prefixed blob in bytes; a
+    /// digest folds it in place, since its words already fix its extent.
+    pub fn blob(&mut self, write: impl FnOnce(&mut Sink<'_>)) {
+        match self {
+            Sink::Digest(d) => write(&mut Sink::Digest(d)),
+            Sink::Bytes(w, refusal) => {
+                let mut inner = Writer::new();
+                let mut s = Sink::Bytes(&mut inner, *refusal);
+                write(&mut s);
+                *refusal = s.refusal();
+                w.bytes(&inner.into_bytes());
+            }
+        }
+    }
+
+    /// The bytes `write` writes, or its first refusal.
+    pub fn save(write: impl FnOnce(&mut Sink<'_>)) -> Result<Vec<u8>, &'static str> {
+        let mut w = Writer::new();
+        let mut s = Sink::Bytes(&mut w, None);
+        write(&mut s);
+        match s.refusal() {
+            Some(why) => Err(why),
+            None => Ok(w.into_bytes()),
+        }
+    }
+}
+
+/// Each primitive goes on to the digest or the bytes.
+macro_rules! forward {
+    ($($method:ident($t:ty)),*) => {$(
+        #[inline]
+        fn $method(&mut self, v: $t) {
+            match self {
+                Sink::Digest(d) => d.$method(v),
+                Sink::Bytes(w, _) => w.$method(v),
+            }
+        }
+    )*};
+}
+
+impl Encoder for Sink<'_> {
+    forward! { u8(u8), u16(u16), u32(u32), u64(u64), varint(u64), bytes(&[u8]) }
 }
 
 #[cfg(test)]
@@ -650,6 +733,31 @@ mod tests {
             Reader::new(&[1, 2, 3]).u32("word").unwrap_err().kind,
             ErrorKind::Truncated
         );
+    }
+
+    #[test]
+    fn sinks_keep_the_first_refusal_and_frame_blobs_in_bytes_only() {
+        let write = |s: &mut Sink<'_>| {
+            s.u16(7);
+            s.blob(|s| {
+                s.varint(300);
+                s.refuse("first");
+            });
+            s.refuse("second");
+        };
+        assert_eq!(Sink::save(write), Err("first"));
+        let mut w = Writer::new();
+        let mut s = Sink::Bytes(&mut w, None);
+        s.blob(|s| s.varint(300));
+        assert_eq!(s.refusal(), None);
+        assert_eq!(w.into_bytes(), [2, 0xac, 0x02]);
+        // A digest ignores refusals and folds a blob's words unframed.
+        let mut d = StateDigest::new();
+        d.u16(7);
+        d.varint(300);
+        let mut folded = StateDigest::new();
+        write(&mut Sink::Digest(&mut folded));
+        assert_eq!(folded.finish(), d.finish());
     }
 
     /// One field of a random sequence: how it is written, and what reading

@@ -47,6 +47,7 @@ macro_rules! labels {
 // `every_label_in_the_tree_is_listed` fails if a new one is missing.
 labels!(
     "blink-scenario",
+    "config",
     "core",
     "counter",
     "dsc-corpus",

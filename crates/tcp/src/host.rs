@@ -20,9 +20,8 @@ use crate::pool::{
 use dui_netsim::packet::{FlowKey, Header, Packet};
 use dui_netsim::prelude::{Ctx, NodeLogic};
 use dui_netsim::time::{SimDuration, SimTime};
-use dui_stats::digest::StateDigest;
 use dui_stats::hash::FixedState;
-use dui_stats::wire::{DecodeError, Encoder, ErrorKind, Reader, Writer};
+use dui_stats::wire::{DecodeError, Encoder, ErrorKind, Reader, Sink};
 use std::any::Any;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
@@ -52,26 +51,18 @@ pub trait FlowSource: Send {
     /// Start time of the next (not yet admitted) flow, if any.
     fn peek_start(&self) -> Option<SimTime>;
 
-    /// Fold the source's remaining-arrivals state into `d`.
-    fn state_digest(&self, d: &mut StateDigest);
-
-    /// Materialize every not-yet-admitted flow for checkpointing.
-    /// `None` (the default) marks the source — and thus the host — as
-    /// not restorable.
-    fn remaining(&self) -> Option<Vec<FlowSpec>> {
-        None
-    }
+    /// Write the source's remaining-arrivals state into its host's (see
+    /// [`NodeLogic::encode`]). A restored host reads back a [`VecSource`]'s
+    /// form only, so any other source calls [`Sink::refuse`].
+    fn encode(&self, s: &mut Sink<'_>);
 }
 
-/// The checkpoint form of a source's remaining flows, which is also
-/// [`VecSource`]'s digest: a `u32` count, then each spec's key, start
-/// time and sender configuration.
-fn encode_specs<'a, E: Encoder>(e: &mut E, specs: impl ExactSizeIterator<Item = &'a FlowSpec>) {
-    e.u32(specs.len() as u32);
-    for spec in specs {
-        spec.key.encode(e);
-        e.u64(spec.start.0);
-        put_cfg(e, &spec.config);
+impl FlowSpec {
+    /// The spec's key, start time and sender configuration.
+    pub fn encode<E: Encoder>(&self, e: &mut E) {
+        self.key.encode(e);
+        e.u64(self.start.0);
+        put_cfg(e, &self.config);
     }
 }
 
@@ -104,12 +95,10 @@ impl FlowSource for VecSource {
         self.pending.front().map(|f| f.start)
     }
 
-    fn state_digest(&self, d: &mut StateDigest) {
-        encode_specs(d, self.pending.iter());
-    }
-
-    fn remaining(&self) -> Option<Vec<FlowSpec>> {
-        Some(self.pending.iter().cloned().collect())
+    /// A `u32` count, then each pending spec.
+    fn encode(&self, s: &mut Sink<'_>) {
+        s.u32(self.pending.len() as u32);
+        self.pending.iter().for_each(|spec| spec.encode(s));
     }
 }
 
@@ -165,11 +154,6 @@ pub struct HostCounters {
 
 impl HostCounters {
     /// Every counter, in the order the checkpoint encoder uses.
-    fn fields(&self) -> [u64; 14] {
-        let mut copy = *self;
-        copy.fields_mut().map(|v| *v)
-    }
-
     fn fields_mut(&mut self) -> [&mut u64; 14] {
         [
             &mut self.admitted,
@@ -441,26 +425,6 @@ impl TcpHost {
         ctx.set_timer(fire.since(now), Self::flow_token(r));
     }
 
-    /// The host's own fields, after the source and the pool in both its
-    /// checkpoint and its digest.
-    fn encode_own<E: Encoder>(&self, e: &mut E) {
-        e.u32(self.order.len() as u32);
-        for k in &self.order {
-            k.encode(e);
-        }
-        e.u32(self.next_isn);
-        e.u32(self.wake_at.len() as u32);
-        for wake in &self.wake_at {
-            e.opt(wake.map(|t| t.0), E::u64);
-        }
-        for v in self.agg.fields() {
-            e.u64(v);
-        }
-        e.opt(self.cfg.listen_backlog.map(|v| v as u64), E::u64);
-        e.bool(self.cfg.evict_closed);
-        e.opt(self.cfg.syn_rcvd_timeout.map(|t| t.as_nanos()), E::u64);
-    }
-
     /// Update handshake counters for an observed state transition.
     fn note_transition(&mut self, pre: TcpState, post: TcpState) {
         if pre == post {
@@ -613,29 +577,30 @@ impl NodeLogic for TcpHost {
         }
     }
 
-    fn state_digest(&self, d: &mut StateDigest) {
-        // Digest-only: the source is a trait object, and a generative
-        // stream has a digest but no codec. `VecSource`'s digest is its
-        // checkpoint form.
-        self.source.state_digest(d);
-        self.pool.state_digest(d);
-        self.encode_own(d);
-    }
-
-    fn save_state(&self) -> Option<Vec<u8>> {
-        // Restorable only when the source can materialize its remainder
-        // (VecSource can; generative streams opt out) and every output
-        // queue is drained (always true between events).
-        let remaining = self.source.remaining()?;
-        let pool = self.pool.to_bytes().ok()?;
-        let mut w = Writer::new();
-        w.raw(&STATE_TAG);
-        encode_specs(&mut w, remaining.iter());
-        // The pool's length frames its blob; its digest needs no frame.
-        w.u64(pool.len() as u64);
-        w.raw(&pool);
-        self.encode_own(&mut w);
-        Some(w.into_bytes())
+    /// The tag, the source, the pool as one blob, then the host's own
+    /// fields. Output is drained after every event, so a pool with
+    /// packets still staged is refused rather than written.
+    fn encode(&self, s: &mut Sink<'_>) {
+        STATE_TAG.iter().for_each(|&b| s.u8(b));
+        self.source.encode(s);
+        if !self.pool.drained() {
+            s.refuse("a TCP host with undrained output");
+        }
+        s.blob(|s| self.pool.encode(s));
+        s.u32(self.order.len() as u32);
+        for k in &self.order {
+            k.encode(s);
+        }
+        s.u32(self.next_isn);
+        s.u32(self.wake_at.len() as u32);
+        for wake in &self.wake_at {
+            s.opt(wake.map(|t| t.0), Sink::u64);
+        }
+        let mut agg = self.agg;
+        agg.fields_mut().into_iter().for_each(|v| s.u64(*v));
+        s.opt(self.cfg.listen_backlog.map(|v| v as u64), Sink::u64);
+        s.bool(self.cfg.evict_closed);
+        s.opt(self.cfg.syn_rcvd_timeout.map(|t| t.as_nanos()), Sink::u64);
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), DecodeError> {
@@ -648,8 +613,7 @@ impl NodeLogic for TcpHost {
                 config: get_cfg(r)?,
             })
         })?;
-        let plen = r.u64("pool blob length")?;
-        let pool = FlowPool::from_bytes(r.take("pool blob", plen)?)?;
+        let pool = FlowPool::from_bytes(r.bytes("pool blob")?)?;
         let order = r.seq(
             "creation-order count",
             Reader::u32,
@@ -747,8 +711,9 @@ impl NodeLogic for TcpHost {
 
 /// Leading tag of the host-state blob; the digit is the codec version.
 /// Version 2 added the `wake_at` section — an untagged version-1 blob
-/// must be refused, not misparsed.
-const STATE_TAG: [u8; 4] = *b"TCH2";
+/// must be refused, not misparsed — and version 3 framed the pool blob
+/// with a varint length instead of a `u64`.
+const STATE_TAG: [u8; 4] = *b"TCH3";
 /// Smallest encoded [`FlowSpec`]: key, start time, config.
 const MIN_SPEC_BYTES: usize = FlowKey::WIRE_BYTES + 8 + MIN_CFG_BYTES;
 
@@ -807,11 +772,10 @@ mod tests {
             self
         }
 
-        // Never restored: it only lets `Simulator::checkpoint` succeed, which
-        // is the one public window onto the pending-event queue.
-        fn save_state(&self) -> Option<Vec<u8>> {
-            Some(Vec::new())
-        }
+        // Writes nothing and refuses nothing: it is never restored, and
+        // only lets `Simulator::checkpoint` succeed, which is the one
+        // public window onto the pending-event queue.
+        fn encode(&self, _s: &mut Sink<'_>) {}
     }
 
     /// h1 — mid — h2 on 10 Mbit/s, 5 ms links.
@@ -972,7 +936,7 @@ mod tests {
         sim.set_logic(h2, Box::new(TcpHost::new()));
         sim.run_until(SimTime::ZERO + SimDuration::from_millis(40));
         let host: &mut TcpHost = sim.logic_mut(h1);
-        host.save_state().expect("VecSource host is restorable")
+        Sink::save(|s| host.encode(s)).expect("VecSource host is restorable")
     }
 
     #[test]
@@ -1001,11 +965,16 @@ mod tests {
         let nspec = u32::from_le_bytes([good[4], good[5], good[6], good[7]]) as usize;
         assert_eq!(nspec, 1, "one flow not yet admitted");
         let plen_at = 8 + MIN_SPEC_BYTES + 8; // this spec carries one Some(u64)
-        let plen = u64::from_le_bytes(good[plen_at..plen_at + 8].try_into().unwrap()) as usize;
-        let mut huge_pool = good.clone();
-        huge_pool[plen_at..plen_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let mut r = Reader::new(&good[plen_at..]);
+        let plen = r.varint_usize("pool length").unwrap();
+        let pool_at = good.len() - r.remaining();
+        let mut huge_pool = good[..plen_at].to_vec();
+        let mut w = dui_stats::wire::Writer::new();
+        w.varint(u64::MAX);
+        huge_pool.extend_from_slice(&w.into_bytes());
+        huge_pool.extend_from_slice(&good[pool_at..]);
         assert_eq!(kind(&huge_pool), Err(ErrorKind::Truncated));
-        let norder_at = plen_at + 8 + plen;
+        let norder_at = pool_at + plen;
         let mut huge_order = good.clone();
         huge_order[norder_at..norder_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(kind(&huge_order), Err(ErrorKind::Count));
@@ -1060,6 +1029,9 @@ mod tests {
         fn as_any_mut(&mut self) -> &mut dyn Any {
             self
         }
+
+        // Never hashed or saved: writes nothing.
+        fn encode(&self, _s: &mut Sink<'_>) {}
     }
 
     /// Senders `K1` and `K2` start on keys whose reverse already holds a
@@ -1153,7 +1125,7 @@ mod tests {
             ([Some(100), Some(0), None, Some(0)], Some(0))
         );
         let mut restored = TcpHost::new();
-        let blob = host.save_state().expect("restorable");
+        let blob = Sink::save(|s| host.encode(s)).expect("restorable");
         restored.load_state(&blob).expect("valid");
         assert_eq!(
             answers(&restored),
@@ -1231,7 +1203,7 @@ mod tests {
         assert_eq!(seen, want);
         // The host's pool digest covers the three evicted flows' free
         // slots as well as the live ones.
-        assert_eq!(sim.state_hash(), 0x1edd_257b_b318_55fe);
+        assert_eq!(sim.state_hash(), 0xb3fb_08a6_a3c0_de9d);
     }
 
     #[test]

@@ -752,7 +752,7 @@ impl FlowPool {
                 }
             }
         }
-        d.write_u32(NIL);
+        d.u32(NIL);
     }
 
     /// Serialize the whole pool for checkpointing. Fails if any output
@@ -767,9 +767,15 @@ impl FlowPool {
         Ok(w.into_bytes())
     }
 
+    /// Whether every output queue is drained, as [`FlowPool::to_bytes`]
+    /// requires.
+    pub(crate) fn drained(&self) -> bool {
+        self.out.iter().all(|list| list.head == NIL)
+    }
+
     /// The checkpoint encoder behind [`FlowPool::to_bytes`] and
     /// [`FlowPool::state_digest`].
-    fn encode<E: Encoder>(&self, e: &mut E) {
+    pub(crate) fn encode<E: Encoder>(&self, e: &mut E) {
         e.u32(self.gens.len() as u32);
         for i in 0..self.gens.len() {
             e.u32(self.gens[i]);

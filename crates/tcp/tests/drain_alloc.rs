@@ -3,45 +3,18 @@
 //! window, a data segment and its ACK are staged, drained with
 //! `FlowPool::drain_out` and delivered without touching the allocator.
 //!
-//! The count comes from a counting `GlobalAlloc` local to this test
-//! binary (the pattern of `crates/netsim/tests/wheel_alloc.rs`; no
-//! library crate carries an `unsafe_code` expectation).
-
-#![expect(unsafe_code, reason = "a counting `GlobalAlloc` is an `unsafe impl`")]
+//! The count comes from the workspace's one counting allocator
+//! (`tests/support/counting_alloc.rs`).
 
 use dui_netsim::packet::{Addr, FlowKey, Packet};
 use dui_netsim::time::{SimDuration, SimTime};
 use dui_tcp::{FlowPool, FlowRef, TcpSenderConfig};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Forwards to the system allocator, counting this thread's allocations
-/// (`realloc` defaults to `alloc` + `dealloc`, so growth counts too).
-struct Counting;
-
-// SAFETY: every call forwards unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the bookkeeping touches only a `Cell<u64>`
-// thread-local with a const initializer and no destructor, so it neither
-// allocates nor can observe a destroyed value.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's obligations are exactly `System.alloc`'s.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        // SAFETY: the caller's obligations are exactly `System.dealloc`'s.
-        unsafe { System.dealloc(p, layout) }
-    }
-}
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
+static ALLOCATOR: counting_alloc::Counting = counting_alloc::Counting;
 
 /// An unbounded sender and its receiver, whose advertised window holds
 /// the sender to eight segments in flight.
@@ -99,10 +72,8 @@ fn steady_exchanges_through_drain_out_make_no_allocations() {
     let mut t = Transfer::new();
     t.run(1_000);
     let acked = t.pool.sender_stats(t.s).expect("live").bytes_acked;
-    let before = ALLOCATIONS.with(Cell::get);
-    t.run(100_000);
-    let allocated = ALLOCATIONS.with(Cell::get) - before;
-    assert_eq!(allocated, 0, "steady data/ACK exchanges allocated");
+    let ((), counts) = counting_alloc::during(|| t.run(100_000));
+    assert_eq!(counts.allocations, 0, "steady data/ACK exchanges allocated");
     let moved = t.pool.sender_stats(t.s).expect("live").bytes_acked - acked;
     assert!(moved >= 99_000 * 1460, "only {moved} bytes acknowledged");
 }

@@ -66,7 +66,9 @@ echo "== digest oracle at depth (2000 propcheck cases; under a second) =="
 # Every golden and replay check trusts that equal digests mean equal
 # state: for each component whose digest is its checkpoint encoder, two
 # states built from permuted operation sequences must digest equal
-# exactly when their checkpoint bytes are equal.
+# exactly when their checkpoint bytes are equal, and two engines carrying
+# the PCC equalizer tap and a traceroute prober (which have no bytes)
+# whose state hashes agree must agree after the same further run.
 PROPCHECK_CASES=2000 cargo test -q --offline -p dui-replay --test oracle
 
 echo "== state digest suite at depth (2000 propcheck cases; under a second) =="
@@ -165,5 +167,9 @@ echo "paper runs all-pass: OK"
 echo "== docs (intra-repo links) =="
 bash scripts/check_docs.sh
 echo "docs links: OK"
+
+echo "== library size (non-blank, non-test lines of crates/*/src) =="
+# The count the simplicity claims in CHANGES.md are made in.
+bash scripts/loc.sh
 
 echo "verify: OK"

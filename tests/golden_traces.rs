@@ -142,7 +142,7 @@ fn syn_flood_digest() -> u64 {
     sim.run_until(SimTime::ZERO + SimDuration::from_micros(49_500));
     let host: &mut SynFloodHost = sim.logic_mut(attacker);
     assert_eq!(host.sent, 50);
-    digest_of(|d| host.state_digest(d))
+    digest_of(|d| host.encode(&mut dui::stats::wire::Sink::Digest(d)))
 }
 
 /// The canonical 3-arm Pytheas engine after 20 rounds at its defaults.
@@ -153,7 +153,7 @@ fn pytheas_digest() -> u64 {
     let model = QoeModel::new(vec![0.4, 0.85, 0.7], 0.05);
     let mut e = PytheasEngine::new(model, EngineConfig::default(), &make_groups(2), 9);
     e.run(20, &mut AcceptAll);
-    digest_of(|d| e.state_digest(d))
+    digest_of(|d| e.encode(d))
 }
 
 /// The final state hash of a small guarded Blink run whose trigger the
@@ -176,6 +176,153 @@ fn guarded_blink_hash() -> u64 {
     sc.sim.run_until(SimTime::from_secs(30));
     assert!(sc.vetoed() > 0, "the guard must rule on the trigger");
     sc.sim.state_hash()
+}
+
+/// The state hash of a small attacked PCC run once the §4.2 equalizer
+/// has armed and dropped.
+fn armed_equalizer_hash() -> u64 {
+    use dui::netsim::prelude::Bandwidth;
+    use dui::netsim::time::SimTime;
+    use dui::scenario::{PccScenario, PccScenarioConfig};
+
+    let mut sc = PccScenario::build(&PccScenarioConfig {
+        bottleneck: Bandwidth::mbps(5),
+        attacked: true,
+        seed: 3,
+        ..PccScenarioConfig::default()
+    });
+    sc.sim.run_until(SimTime::from_secs(12));
+    assert!(
+        sc.sim.counters().dropped_tap > 0,
+        "the equalizer must have armed"
+    );
+    sc.sim.state_hash()
+}
+
+/// The state hash of a traceroute across two routers, its third probe
+/// in flight.
+fn traceroute_hash() -> u64 {
+    use dui::nethide::traceroute::TracerouteProber;
+    use dui::netsim::prelude::*;
+
+    let mut b = TopologyBuilder::new();
+    let h1 = b.host("h1", Addr::new(10, 0, 0, 1));
+    let r1 = b.router("r1");
+    let r2 = b.router("r2");
+    let h2 = b.host("h2", Addr::new(10, 0, 0, 2));
+    for (a, c) in [(h1, r1), (r1, r2), (r2, h2)] {
+        b.link(a, c, Bandwidth::mbps(100), SimDuration::from_millis(1), 32);
+    }
+    let mut sim = Simulator::new(b.build(), 1);
+    sim.set_logic(r1, Box::new(RouterLogic::new()));
+    sim.set_logic(r2, Box::new(RouterLogic::new()));
+    sim.set_logic(h2, Box::new(SinkHost::new()));
+    sim.set_logic(
+        h1,
+        Box::new(TracerouteProber::new(Addr::new(10, 0, 0, 2), 8)),
+    );
+    sim.run_until(SimTime::from_secs_f64(1.002));
+    let prober: &mut TracerouteProber = sim.logic_mut(h1);
+    assert_eq!(prober.result.hops.len(), 2, "two hops answered");
+    sim.state_hash()
+}
+
+/// The state hash of a short run carrying every other attack part: a
+/// bounce program and an ICMP rewriter on each of two routers, a window
+/// clamp and an ICMP spoof tap, and a TCP host fed by a flow stream.
+fn attack_parts_hash() -> u64 {
+    use dui::attacks::primitives::WindowClamper;
+    use dui::attacks::{BounceProgram, IcmpSpoofTap};
+    use dui::flowgen::flows::{DurationDist, FlowPopulationConfig};
+    use dui::flowgen::stream::{FlowStream, StreamSource};
+    use dui::nethide::{FictionRewriter, VirtualTopology, VirtualTopologyRewriter};
+    use dui::netsim::prelude::*;
+    use dui::tcp::TcpHost;
+    use std::sync::Arc;
+
+    let mut b = TopologyBuilder::new();
+    let h1 = b.host("h1", Addr::new(10, 0, 0, 1));
+    let r1 = b.router("r1");
+    let r2 = b.router("r2");
+    let h2 = b.host("h2", Addr::new(10, 0, 1, 1));
+    let (bw, delay) = (Bandwidth::mbps(100), SimDuration::from_millis(1));
+    let edge = b.link(h1, r1, bw, delay, 64);
+    b.link(r1, r2, bw, delay, 64);
+    let last = b.link(r2, h2, bw, delay, 64);
+    let topo = b.build();
+    let (a1, a2, dst) = (topo.node(r1).addr, topo.node(r2).addr, topo.node(h2).addr);
+    let mut sim = Simulator::new(topo, 11);
+    let prefix = Prefix::new(Addr::new(10, 0, 1, 0), 24);
+    sim.announce_prefix(prefix, h2);
+    let bounce = |partner| {
+        Box::new(BounceProgram::new(
+            Box::new(|p: &Packet| p.payload > 0),
+            partner,
+            1,
+        ))
+    };
+    let fiction = FictionRewriter::new(vec![Addr::new(10, 66, 0, 1)], false, a1);
+    sim.set_logic(
+        r1,
+        Box::new(
+            RouterLogic::new()
+                .with_program(bounce(r2))
+                .with_icmp_rewriter(Box::new(fiction)),
+        ),
+    );
+    let mut vt = VirtualTopology::default();
+    vt.set_path(
+        Addr::new(10, 0, 0, 1),
+        dst,
+        vec![Addr::new(10, 66, 0, 1), a2, dst],
+    );
+    let virtual_rw = VirtualTopologyRewriter::new(Arc::new(vt), a2);
+    sim.set_logic(
+        r2,
+        Box::new(
+            RouterLogic::new()
+                .with_program(bounce(r1))
+                .with_icmp_rewriter(Box::new(virtual_rw)),
+        ),
+    );
+    let stream = FlowStream::new(
+        FlowPopulationConfig {
+            prefix,
+            arrival_rate: 20.0,
+            duration: DurationDist::default(),
+            pkt_interval: SimDuration::from_millis(10),
+            horizon: SimDuration::from_secs(1),
+            warm_start: Some(2),
+        },
+        dui::stats::Rng::new(4),
+    );
+    sim.set_logic(
+        h1,
+        Box::new(TcpHost::with_source(Box::new(StreamSource::new(
+            stream, 1460,
+        )))),
+    );
+    sim.set_logic(h2, Box::new(TcpHost::new()));
+    sim.install_tap(
+        last,
+        Dir::BtoA,
+        Box::new(WindowClamper::new(Box::new(|_| true), 4 * 1460)),
+    );
+    let spoof = std::iter::once((a2, Addr::new(10, 66, 0, 2))).collect();
+    sim.install_tap(edge, Dir::BtoA, Box::new(IcmpSpoofTap::new(spoof)));
+    for ttl in 1..4 {
+        sim.inject(
+            h1,
+            Packet::probe(Addr::new(10, 0, 0, 1), dst, 9, u16::from(ttl), ttl),
+        );
+    }
+    sim.run_until(SimTime::from_secs_f64(0.3));
+    let router: &mut RouterLogic = sim.logic_mut(r1);
+    assert!(
+        router.program_mut::<BounceProgram>(0).bounced_packets > 0,
+        "r1 bounced"
+    );
+    sim.state_hash()
 }
 
 /// A digest of the verdict log of a short fixed stream in which every
@@ -257,7 +404,9 @@ fn supervisord_verdicts_digest() -> u64 {
 
 /// Pins the components whose settings are fixed constants and that no
 /// golden trace covers: the SYN flood host, the Pytheas engine, the
-/// RTO guard inside a Blink run, and the supervisor's signal bank.
+/// RTO guard inside a Blink run, the supervisor's signal bank, the
+/// armed PCC equalizer tap, a traceroute prober mid-run, and the other
+/// attack programs, rewriters, taps and a streamed flow source.
 #[test]
 fn component_digests_are_pinned() {
     let got = [
@@ -265,12 +414,18 @@ fn component_digests_are_pinned() {
         ("pytheas engine", pytheas_digest()),
         ("guarded blink", guarded_blink_hash()),
         ("supervisord verdicts", supervisord_verdicts_digest()),
+        ("armed equalizer", armed_equalizer_hash()),
+        ("traceroute", traceroute_hash()),
+        ("attack parts", attack_parts_hash()),
     ];
     let want = [
-        0x50ce_9318_0460_b894_u64,
-        0xcc81_fa29_fddf_f4dc,
-        0x3013_4592_d296_b200,
+        0x035d_7b08_6818_3c05_u64,
+        0x39bc_dbdd_5095_6129,
+        0x4b3a_acc7_d783_ee77,
         0xf0f1_a6f9_dcc6_95e4,
+        0x81b7_36e3_cf31_100a,
+        0x97c1_569a_b94e_b711,
+        0x76ba_52db_848d_dd1b,
     ];
     for ((what, got), want) in got.into_iter().zip(want) {
         assert_eq!(got, want, "{what}: digest {got:#018x}");

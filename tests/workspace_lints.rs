@@ -671,6 +671,63 @@ fn digest_coverage_names_encoders_where_they_live() {
     );
 }
 
+/// Every `impl` of an engine trait object in library code (outside its
+/// file's `#[cfg(test)] mod tests`) names its type in the first column
+/// of docs/determinism.md's "Digest coverage" table: no logic, program,
+/// rewriter, tap or flow source reaches the state hash unlisted.
+#[test]
+fn every_engine_trait_impl_has_a_coverage_row() {
+    const TRAITS: [&str; 5] = [
+        "NodeLogic",
+        "DataPlaneProgram",
+        "IcmpRewriter",
+        "LinkTap",
+        "FlowSource",
+    ];
+    let chapter = read("docs/determinism.md");
+    let section = chapter
+        .split("## Digest coverage")
+        .nth(1)
+        .and_then(|s| s.split("\n## ").next())
+        .expect("docs/determinism.md has a '## Digest coverage' section");
+    let listed: BTreeSet<&str> = section
+        .lines()
+        .filter(|l| l.starts_with("| `"))
+        .filter_map(|l| l.split('|').nth(1))
+        .flat_map(|cell| cell.split('`').skip(1).step_by(2))
+        .collect();
+    let mut impls = 0;
+    for dir in crate_dirs() {
+        let mut files = Vec::new();
+        rust_files(&format!("{dir}/src"), &mut files);
+        for path in files {
+            let src = read(&path);
+            let lib = src
+                .split("#[cfg(test)]\nmod tests")
+                .next()
+                .unwrap_or_default();
+            for header in lib.lines().filter_map(|l| l.strip_prefix("impl")) {
+                let Some((tr, ty)) = header.split_once(" for ") else {
+                    continue;
+                };
+                let tr = tr.split_whitespace().last().unwrap_or_default();
+                if !TRAITS.contains(&tr.rsplit("::").next().unwrap_or_default()) {
+                    continue;
+                }
+                let ty = ty.trim_end_matches('{').trim();
+                let ty = ty.split('<').next().unwrap_or_default();
+                assert!(
+                    listed.contains(ty),
+                    "{path}: `impl {tr} for {ty}` has no row in docs/determinism.md's \
+                     \"Digest coverage\" table"
+                );
+                impls += 1;
+            }
+        }
+    }
+    assert!(impls >= 18, "found only {impls} engine trait impls");
+}
+
 /// docs/lint.md's "The lints" table has one row per declared lint —
 /// `[workspace.lints]`, and every `#![deny]` under a `src/` directory —
 /// and no other; every path `clippy.toml` disallows is named in the
