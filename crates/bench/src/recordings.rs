@@ -181,10 +181,12 @@ fn blink_subject(cfg: &BlinkScenarioConfig, end: SimTime) -> StageSubject {
     StageSubject::Engine(SimulatorSubject::new(sc.sim, end, digest))
 }
 
-/// The clean (unattacked) C6 convergence run up to `end`: the §4.2
-/// equalizer tap is a hidden observer the engine refuses to checkpoint,
-/// so the recordable scenario is the baseline the attack is measured
-/// against.
+/// The clean (unattacked) C6 convergence run up to `end`. A PCC engine
+/// is hash-only with or without the §4.2 equalizer tap (`PccSender` has
+/// no checkpoint decoder), so restorability does not pick the run: the
+/// clean one is the baseline every `pcc` row is measured against, and
+/// its trace (`tests/golden/pcc.hashes`) pins the engine's PCC path. The
+/// armed tap's state is pinned apart, by `component_digests_are_pinned`.
 fn pcc_subject(end: SimTime) -> StageSubject {
     let cfg = unattacked(&c6_pcc_pin().0);
     let digest = pcc_config_digest(&cfg, end);

@@ -54,7 +54,7 @@ use dui_netsim::packet::{Addr, FlowKey, Prefix};
 use dui_netsim::time::{SimDuration, SimTime};
 use dui_stats::digest::StateDigest;
 use dui_stats::dist;
-use dui_stats::wire::{DecodeError, Encoder, Reader, Writer};
+use dui_stats::wire::{self, DecodeError, Encoder, Reader, Walk, Writer};
 use dui_stats::{Rng, TimeSeries};
 use std::collections::{HashSet, VecDeque};
 
@@ -194,9 +194,7 @@ pub struct AttackSimSnapshot {
 
 impl AttackSimSnapshot {
     /// The checkpoint encoder's sections, in order, each with the seed
-    /// of its component digest: a checkpoint's component digests are
-    /// these sections, each folded on its own, and the whole encoder is
-    /// the run's state digest.
+    /// of its component digest.
     pub const SECTIONS: [(&'static str, StateDigest); 5] = [
         ("rng", StateDigest::labeled("rng")),
         ("selector", StateDigest::labeled("selector")),
@@ -206,6 +204,8 @@ impl AttackSimSnapshot {
     ];
 
     /// Section `i` of the checkpoint encoder, named in `SECTIONS[i]`.
+    /// The last one ends with the takeover time, the packet count and
+    /// the done flag.
     pub fn encode_section<E: Encoder>(&self, i: usize, e: &mut E) {
         match i {
             0 => self.rng.iter().for_each(|&w| e.u64(w)),
@@ -228,27 +228,27 @@ impl AttackSimSnapshot {
                     e.f64(v);
                 });
                 e.varint(self.next_sample.0);
+                e.opt(self.takeover_time, E::f64);
+                e.varint(self.packets);
+                e.bool(self.done);
             }
         }
     }
 
-    /// The checkpoint encoder: every section, in order, then what no
-    /// component digest covers — the takeover time, the packet count
-    /// and the done flag.
-    pub fn encode<E: Encoder>(&self, e: &mut E) {
-        for i in 0..Self::SECTIONS.len() {
-            self.encode_section(i, e);
-        }
-        e.opt(self.takeover_time, E::f64);
-        e.varint(self.packets);
-        e.bool(self.done);
+    /// One walk over the checkpoint encoder, labelled `fastsim`: the
+    /// section digests, the state hash and, if `bytes`, the bytes.
+    pub fn walk(&self, bytes: bool) -> Walk {
+        let w = bytes.then(|| Writer::with_capacity(256));
+        wire::walk("fastsim", &Self::SECTIONS, w, |i, s| {
+            self.encode_section(i, s)
+        })
     }
 }
 
-/// Encode a fast-simulation checkpoint.
+/// Encode a fast-simulation checkpoint: every section, in order.
 pub fn attack_sim_snapshot_to_bytes(s: &AttackSimSnapshot) -> Vec<u8> {
     let mut w = Writer::with_capacity(256);
-    s.encode(&mut w);
+    (0..AttackSimSnapshot::SECTIONS.len()).for_each(|i| s.encode_section(i, &mut w));
     w.into_bytes()
 }
 
@@ -470,20 +470,13 @@ impl AttackSim {
         self.rng = Rng::from_state(s);
     }
 
-    /// Fold the run's complete logical state into `d`: its snapshot's
-    /// checkpoint encoder. The schedule is written in pop order, which
-    /// the ring keeps sorted. The malicious key set and the per-flow
-    /// cells are *not* written — they are derived state, fully
-    /// determined by `flows` and the parameters.
-    pub fn state_digest(&self, d: &mut StateDigest) {
-        self.snapshot().encode(d);
-    }
-
-    /// 64-bit digest of the run's complete logical state.
+    /// 64-bit digest of the run's complete logical state: its
+    /// snapshot's [walk](AttackSimSnapshot::walk). The schedule is
+    /// written in pop order, which the ring keeps sorted. The malicious
+    /// key set and the per-flow cells are *not* written — they are
+    /// derived state, fully determined by `flows` and the parameters.
     pub fn state_hash(&self) -> u64 {
-        let mut d = StateDigest::labeled("fastsim");
-        self.state_digest(&mut d);
-        d.finish()
+        self.snapshot().walk(false).hash
     }
 
     /// Capture the run as plain data (restorable checkpoint).

@@ -1,12 +1,13 @@
 //! The engine's logical state, written once.
 //!
 //! [`Simulator::encode_section`] is the one description of that state:
-//! five named sections, in order, written into a [`Sink`]. Folded into
-//! one [`StateDigest`] they are [`Simulator::state_hash`]; folded one
-//! section at a time they are the component digests a replay divergence
-//! names; written as bytes they are [`Simulator::checkpoint`], behind a
-//! fingerprint of the static configuration. [`Simulator::restore`],
-//! beside it, is the decoder.
+//! five named sections, in order, written into a [`Sink`]. One pass over
+//! them, [`Simulator::walk`], folds each section into its own digest —
+//! the component digests a replay divergence names — folds those in
+//! order into [`Simulator::state_hash`], and, when asked, writes the
+//! same primitives as [`Simulator::checkpoint`]'s bytes, behind a
+//! fingerprint of the static configuration and ahead of the state hash.
+//! [`Simulator::restore`], beside it, is the decoder.
 //!
 //! Each node logic and link tap writes its own state through its one
 //! `encode` (a router through its programs and rewriter, a TCP host
@@ -29,7 +30,7 @@ use crate::sim::Simulator;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, PrefixTable, Routing};
 use dui_stats::digest::StateDigest;
-use dui_stats::wire::{DecodeError, Encoder, ErrorKind, Reader, Sink, Writer};
+use dui_stats::wire::{self, DecodeError, Encoder, ErrorKind, Reader, Sink, Walk, Writer};
 use dui_stats::Rng;
 
 // Smallest encodings, for `Reader::count`: a pending event is a time, a
@@ -119,15 +120,29 @@ impl Simulator {
         }
     }
 
-    /// 64-bit digest of the engine's complete logical state: every
-    /// section of [`Simulator::encode_section`], in order, under one
-    /// label.
-    pub fn state_hash(&self) -> u64 {
-        let mut d = StateDigest::labeled("netsim");
-        for i in 0..Self::SECTIONS.len() {
-            self.encode_section(i, &mut Sink::Digest(&mut d));
+    /// One walk over the state encoder, labelled `netsim`: the section
+    /// digests, the state hash and, if `bytes`, the checkpoint — the
+    /// [`Simulator::fingerprint`], every section, the state hash — unless
+    /// a link tap or a part with no decoder refused it.
+    pub fn walk(&self, bytes: bool) -> Walk {
+        let head = bytes.then(|| {
+            let mut w = Writer::with_capacity(256);
+            w.u64(self.fingerprint());
+            w
+        });
+        let mut walk = wire::walk("netsim", &Self::SECTIONS, head, |i, s| {
+            self.encode_section(i, s)
+        });
+        if let Some(w) = &mut walk.bytes {
+            w.u64(walk.hash);
         }
-        d.finish()
+        walk
+    }
+
+    /// 64-bit digest of the engine's complete logical state
+    /// ([`Simulator::walk`]).
+    pub fn state_hash(&self) -> u64 {
+        self.walk(false).hash
     }
 
     /// Digest of the static configuration a checkpoint binds to: the
@@ -145,25 +160,13 @@ impl Simulator {
         d.finish()
     }
 
-    /// A restorable checkpoint: the [`Simulator::fingerprint`], every
-    /// section written as bytes, then the state hash.
-    ///
-    /// Fails with the first refusal written — a link tap, or a node
-    /// whose logic (or a program, rewriter or flow source inside it)
-    /// has no decoder. Recordings of such simulations remain
-    /// hash-checkable, just not resumable.
+    /// A restorable checkpoint ([`Simulator::walk`]), or the first
+    /// refusal written.
     pub fn checkpoint(&self) -> Result<Vec<u8>, String> {
-        let mut w = Writer::with_capacity(256);
-        w.u64(self.fingerprint());
-        let mut s = Sink::Bytes(&mut w, None);
-        for i in 0..Self::SECTIONS.len() {
-            self.encode_section(i, &mut s);
-            if let Some(why) = s.refusal() {
-                return Err(why.into());
-            }
-        }
-        w.u64(self.state_hash());
-        Ok(w.into_bytes())
+        let walk = self.walk(true);
+        walk.bytes
+            .map(Writer::into_bytes)
+            .ok_or_else(|| walk.refusal.unwrap_or_default().into())
     }
 
     /// Restore a checkpoint taken from a simulator with the same

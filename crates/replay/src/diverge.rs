@@ -22,6 +22,24 @@ pub struct ComponentDiff {
     pub b: u64,
 }
 
+impl ComponentDiff {
+    /// Each component of `a` whose digest in `b` differs; one that `b`
+    /// lacks reads 0 there.
+    pub(crate) fn between<'n>(
+        a: impl IntoIterator<Item = (&'n str, u64)>,
+        b: impl IntoIterator<Item = (&'n str, u64)>,
+    ) -> Vec<ComponentDiff> {
+        let b: Vec<_> = b.into_iter().collect();
+        a.into_iter()
+            .filter_map(|(name, a)| {
+                let b = b.iter().find(|&&(n, _)| n == name).map_or(0, |&(_, d)| d);
+                (a != b).then(|| (name.to_string(), a, b))
+            })
+            .map(|(name, a, b)| ComponentDiff { name, a, b })
+            .collect()
+    }
+}
+
 /// Where and how two recordings first diverge.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Divergence {
@@ -139,19 +157,10 @@ pub fn first_divergence(a: &Recording, b: &Recording) -> Option<Divergence> {
     let (scan_to, checkpoint_index, components) = if first_bad_pair < paired.len() {
         let (i, j) = paired[first_bad_pair];
         let (ca, cb) = (&a.checkpoints[i], &b.checkpoints[j]);
-        let mut components = Vec::new();
-        for (na, da) in &ca.components {
-            let name = a.name(*na);
-            if let Some((_, db)) = cb.components.iter().find(|(nb, _)| b.name(*nb) == name) {
-                if da != db {
-                    components.push(ComponentDiff {
-                        name: name.to_string(),
-                        a: *da,
-                        b: *db,
-                    });
-                }
-            }
-        }
+        let components = ComponentDiff::between(
+            ca.components.iter().map(|&(n, d)| (a.name(n), d)),
+            cb.components.iter().map(|&(n, d)| (b.name(n), d)),
+        );
         (ca.event_index, Some(i as u64), components)
     } else {
         (u64::MAX, None, Vec::new())

@@ -37,5 +37,5 @@ pub mod subjects;
 
 pub use diverge::{first_divergence, ComponentDiff, Divergence};
 pub use record::{CheckpointFrame, EventFrame, Recorder, Recording};
-pub use replay::{Capture, ReplayError, ReplayReport, ReplaySubject, Replayer, StepInfo};
+pub use replay::{ReplayError, ReplayReport, ReplaySubject, Replayer, StepInfo};
 pub use subjects::{FastSimSubject, SimulatorSubject};

@@ -8,11 +8,11 @@
 //! digests (which are full-entropy and would *expand* under varint
 //! coding). No serde, no external crates.
 //!
-//! ## Layout (version 4)
+//! ## Layout
 //!
 //! ```text
 //! magic      "DUIR"
-//! version    varint (= 4)
+//! version    varint (= VERSION)
 //! stage      varint len + utf8
 //! config     8-byte LE config digest
 //! names      varint count, each varint len + utf8   (kinds + components)
@@ -34,12 +34,12 @@ use dui_stats::wire::{DecodeError, Encoder, ErrorKind, Reader, Writer};
 
 /// Recording format magic bytes.
 pub const MAGIC: [u8; 4] = *b"DUIR";
-/// Current format version. Versions 2 to 5 changed no byte of the
+/// Current format version. Versions 2 and later changed no byte of the
 /// layout; each marks a change of what it carries (docs/determinism.md,
 /// "Re-blesses"), so an older file is refused by name rather than
 /// failing as a config mismatch or a divergence at its first
 /// checkpoint.
-pub const VERSION: u64 = 5;
+pub const VERSION: u64 = 6;
 
 // ---------------------------------------------------------------------------
 // Frames and the Recording container
@@ -233,22 +233,22 @@ impl Recorder {
         }
     }
 
-    /// Append one checkpoint frame; returns the state hash it holds.
+    /// Append one checkpoint frame, one walk; returns its state hash.
     fn take_checkpoint<S: ReplaySubject + ?Sized>(&mut self, subject: &S, event_index: u64) -> u64 {
-        let capture = subject.capture();
-        let components = capture
-            .components
+        let walk = subject.capture(true);
+        let components = walk
+            .sections
             .into_iter()
             .map(|(name, digest)| (self.rec.intern(name), digest))
             .collect();
         self.rec.checkpoints.push(CheckpointFrame {
             event_index,
             time: subject.now_ns(),
-            state_hash: capture.state_hash,
+            state_hash: walk.hash,
             components,
-            payload: capture.payload,
+            payload: walk.bytes.map(Writer::into_bytes),
         });
-        capture.state_hash
+        walk.hash
     }
 
     /// Run `subject` to completion, recording every event and a
@@ -350,11 +350,11 @@ mod tests {
     fn version_1_recordings_are_refused_by_name() {
         let mut bytes = Recording::default().to_bytes();
         assert_eq!(
-            bytes[MAGIC.len()],
-            5,
+            u64::from(bytes[MAGIC.len()]),
+            VERSION,
             "the version varint follows the magic"
         );
-        for old in [1, 2, 3, 4] {
+        for old in [1, 2, 3, 4, 5] {
             bytes[MAGIC.len()] = old;
             let err = Recording::from_bytes(&bytes).unwrap_err();
             assert_eq!((err.what, err.kind), ("recording version", ErrorKind::Tag));

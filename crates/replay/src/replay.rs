@@ -11,6 +11,7 @@
 
 use crate::diverge::ComponentDiff;
 use crate::record::{CheckpointFrame, Recording};
+use dui_stats::wire::Walk;
 
 /// What one dispatched event looked like from the outside.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,20 +22,6 @@ pub struct StepInfo {
     pub kind: &'static str,
     /// Digest of the event's content.
     pub digest: u64,
-}
-
-/// Everything a checkpoint frame holds about a subject, taken in one
-/// pass over its state.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Capture {
-    /// Full state hash (what [`ReplaySubject::state_hash`] returns).
-    pub state_hash: u64,
-    /// Named sub-digests of the major state components, in a stable
-    /// order. These are what divergence reports diff.
-    pub components: Vec<(&'static str, u64)>,
-    /// Restorable serialized state, or `None` if this subject cannot be
-    /// resumed (hash-only recording).
-    pub payload: Option<Vec<u8>>,
 }
 
 /// A deterministic, steppable, hashable simulation that can be recorded
@@ -51,13 +38,12 @@ pub trait ReplaySubject {
     /// Advance by one event; `None` when the run is complete.
     fn step(&mut self) -> Option<StepInfo>;
 
-    /// Full state hash right now.
-    fn state_hash(&self) -> u64;
-
-    /// State hash, component digests and restorable payload at once:
-    /// what the recorder stores per checkpoint, from a single snapshot
-    /// of the subject.
-    fn capture(&self) -> Capture;
+    /// One walk over the subject's state: its state hash, its named
+    /// component digests in a stable order (what divergence reports
+    /// diff), and — if `payload` and the subject can be resumed — its
+    /// restorable bytes. The recorder asks for the payload, the replayer
+    /// does not.
+    fn capture(&self, payload: bool) -> Walk;
 
     /// Restore state previously produced by
     /// [`capture`](ReplaySubject::capture)'s payload.
@@ -96,8 +82,10 @@ pub enum ReplayError {
         recorded: u64,
         /// State hash from the live run.
         live: u64,
-        /// Components whose digests differ (empty if the component
-        /// breakdown itself agrees — a digest-scheme bug).
+        /// Components whose digests differ. A subject whose state hash
+        /// folds its component digests names at least one at every
+        /// checkpoint; empty for the final hash, which a recording holds
+        /// no components for.
         components: Vec<ComponentDiff>,
     },
     /// The live run ended before the recording did, or vice versa.
@@ -183,48 +171,26 @@ impl<'a> Replayer<'a> {
         Replayer { rec }
     }
 
-    fn diff_components(
-        &self,
-        ckpt: &CheckpointFrame,
-        live: &[(&'static str, u64)],
-    ) -> Vec<ComponentDiff> {
-        let mut diffs = Vec::new();
-        for (idx, recorded) in &ckpt.components {
-            let name = self.rec.name(*idx);
-            let live_digest = live.iter().find(|(n, _)| *n == name).map(|(_, d)| *d);
-            match live_digest {
-                Some(d) if d == *recorded => {}
-                Some(d) => diffs.push(ComponentDiff {
-                    name: name.to_string(),
-                    a: *recorded,
-                    b: d,
-                }),
-                None => diffs.push(ComponentDiff {
-                    name: name.to_string(),
-                    a: *recorded,
-                    b: 0,
-                }),
-            }
-        }
-        diffs
-    }
-
+    /// Check `ckpt` against one walk over `subject`.
     fn check_checkpoint<S: ReplaySubject + ?Sized>(
         &self,
         subject: &S,
         ckpt_idx: usize,
         ckpt: &CheckpointFrame,
     ) -> Result<(), ReplayError> {
-        let live = subject.state_hash();
-        if live == ckpt.state_hash {
+        let live = subject.capture(false);
+        if live.hash == ckpt.state_hash {
             return Ok(());
         }
         Err(ReplayError::HashMismatch {
             checkpoint: ckpt_idx as u64,
             event_index: ckpt.event_index,
             recorded: ckpt.state_hash,
-            live,
-            components: self.diff_components(ckpt, &subject.capture().components),
+            live: live.hash,
+            components: ComponentDiff::between(
+                ckpt.components.iter().map(|&(n, d)| (self.rec.name(n), d)),
+                live.sections,
+            ),
         })
     }
 
@@ -313,7 +279,7 @@ impl<'a> Replayer<'a> {
             self.check_checkpoint(subject, i, c)?;
             verified += 1;
         }
-        let live = subject.state_hash();
+        let live = subject.capture(false).hash;
         if live != self.rec.final_hash {
             return Err(ReplayError::HashMismatch {
                 checkpoint: self.rec.checkpoints.len() as u64,
@@ -369,6 +335,8 @@ impl<'a> Replayer<'a> {
 mod tests {
     use super::*;
     use crate::record::Recorder;
+    use dui_stats::digest::StateDigest;
+    use dui_stats::wire::{self, Encoder, Reader, Writer};
 
     /// A toy deterministic subject: a counter driven by an RNG, with a
     /// restorable checkpoint. Exercises the whole record→verify→resume
@@ -391,10 +359,6 @@ mod tests {
         }
     }
 
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "a fixed six-word checkpoint layout, private to this test subject"
-    )]
     impl ReplaySubject for Counter {
         fn config_digest(&self) -> u64 {
             self.limit ^ 0xC0FFEE
@@ -418,44 +382,28 @@ mod tests {
             })
         }
 
-        fn state_hash(&self) -> u64 {
-            let mut d = dui_stats::digest::StateDigest::labeled("counter");
-            for w in self.rng.state() {
-                d.write_u64(w);
-            }
-            d.write_u64(self.ticks);
-            d.write_u64(self.total);
-            d.finish()
-        }
-
-        fn capture(&self) -> Capture {
-            let rng = self.rng.state().into_iter().fold(0, dui_stats::rng::mix64);
-            let mut buf = Vec::new();
-            for w in self.rng.state() {
-                buf.extend_from_slice(&w.to_le_bytes());
-            }
-            buf.extend_from_slice(&self.ticks.to_le_bytes());
-            buf.extend_from_slice(&self.total.to_le_bytes());
-            Capture {
-                state_hash: self.state_hash(),
-                components: vec![("rng", rng), ("total", self.total)],
-                payload: Some(buf),
-            }
+        fn capture(&self, payload: bool) -> Walk {
+            const SECTIONS: [(&str, StateDigest); 2] = [
+                ("rng", StateDigest::labeled("rng")),
+                ("total", StateDigest::labeled("total")),
+            ];
+            let w = payload.then(Writer::new);
+            wire::walk("counter", &SECTIONS, w, |i, s| match i {
+                0 => self.rng.state().into_iter().for_each(|w| s.u64(w)),
+                _ => {
+                    s.u64(self.ticks);
+                    s.u64(self.total);
+                }
+            })
         }
 
         fn load_checkpoint(&mut self, bytes: &[u8]) -> Result<(), String> {
-            if bytes.len() != 48 {
-                return Err(format!("expected 48 bytes, got {}", bytes.len()));
-            }
-            let word = |i: usize| {
-                let mut w = [0u8; 8];
-                w.copy_from_slice(&bytes[i * 8..i * 8 + 8]);
-                u64::from_le_bytes(w)
-            };
-            self.rng = dui_stats::Rng::from_state([word(0), word(1), word(2), word(3)]);
-            self.ticks = word(4);
-            self.total = word(5);
-            Ok(())
+            let mut r = Reader::new(bytes);
+            let mut word = || r.u64("counter word").map_err(|e| e.to_string());
+            self.rng = dui_stats::Rng::from_state([word()?, word()?, word()?, word()?]);
+            self.ticks = word()?;
+            self.total = word()?;
+            r.finish("counter").map_err(|e| e.to_string())
         }
     }
 

@@ -10,18 +10,17 @@
 //!   tap, program, rewriter or logic without a decoder), hash-only
 //!   otherwise.
 //!
-//! Either way a checkpoint's component digests are the sections of the
-//! subject's one state encoder, each folded on its own under its name.
+//! Either way a checkpoint is one walk over the subject's sectioned
+//! state encoder (`dui_stats::wire::walk`): each section folded under its
+//! name is a component digest, and those digests, folded in order, are
+//! the state hash.
 
-use crate::replay::{Capture, ReplaySubject, StepInfo};
-use dui_blink::fastsim::{
-    attack_sim_snapshot_from_bytes, attack_sim_snapshot_to_bytes, AttackSim, AttackSimConfig,
-    AttackSimSnapshot,
-};
+use crate::replay::{ReplaySubject, StepInfo};
+use dui_blink::fastsim::{attack_sim_snapshot_from_bytes, AttackSim, AttackSimConfig};
 use dui_netsim::sim::Simulator;
 use dui_netsim::time::SimTime;
 use dui_stats::digest::StateDigest;
-use dui_stats::wire::{Encoder, Sink};
+use dui_stats::wire::{Encoder, Walk};
 
 /// Digest of an [`AttackSimConfig`] plus seed: binds a recording to one
 /// exact fast-simulation setup.
@@ -45,25 +44,10 @@ pub fn attack_sim_config_digest(cfg: &AttackSimConfig, seed: u64) -> u64 {
     d.finish()
 }
 
-/// Component digests: section `i` of `sections`, as `encode` writes it,
-/// folded from its own seed.
-fn section_digests(
-    sections: impl IntoIterator<Item = (&'static str, StateDigest)>,
-    mut encode: impl FnMut(usize, &mut StateDigest),
-) -> Vec<(&'static str, u64)> {
-    (0..)
-        .zip(sections)
-        .map(|(i, (name, mut d))| {
-            encode(i, &mut d);
-            (name, d.finish())
-        })
-        .collect()
-}
-
 /// The Blink flow-level fast simulation as a replay subject.
 ///
 /// Fully restorable: every checkpoint carries an
-/// [`AttackSimSnapshot`], so recordings of this subject support
+/// [`AttackSimSnapshot`](dui_blink::fastsim::AttackSimSnapshot), so recordings of this subject support
 /// mid-run resume.
 pub struct FastSimSubject {
     cfg: AttackSimConfig,
@@ -131,19 +115,8 @@ impl ReplaySubject for FastSimSubject {
         })
     }
 
-    fn state_hash(&self) -> u64 {
-        self.sim.state_hash()
-    }
-
-    fn capture(&self) -> Capture {
-        let snap = self.sim.snapshot();
-        Capture {
-            state_hash: self.sim.state_hash(),
-            components: section_digests(AttackSimSnapshot::SECTIONS, |i, d| {
-                snap.encode_section(i, d)
-            }),
-            payload: Some(attack_sim_snapshot_to_bytes(&snap)),
-        }
+    fn capture(&self, payload: bool) -> Walk {
+        self.sim.snapshot().walk(payload)
     }
 
     fn load_checkpoint(&mut self, bytes: &[u8]) -> Result<(), String> {
@@ -224,18 +197,8 @@ impl ReplaySubject for SimulatorSubject {
         }
     }
 
-    fn state_hash(&self) -> u64 {
-        self.sim.state_hash()
-    }
-
-    fn capture(&self) -> Capture {
-        Capture {
-            state_hash: self.sim.state_hash(),
-            components: section_digests(Simulator::SECTIONS, |i, d| {
-                self.sim.encode_section(i, &mut Sink::Digest(d))
-            }),
-            payload: self.sim.checkpoint().ok(),
-        }
+    fn capture(&self, payload: bool) -> Walk {
+        self.sim.walk(payload)
     }
 
     fn load_checkpoint(&mut self, bytes: &[u8]) -> Result<(), String> {

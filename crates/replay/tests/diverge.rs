@@ -52,11 +52,8 @@ fn record_run(seed: u64, ckpt_every: u64, mutate_at: Option<u64>) -> Recording {
                     self.steps += 1;
                     self.inner.step()
                 }
-                fn state_hash(&self) -> u64 {
-                    self.inner.state_hash()
-                }
-                fn capture(&self) -> dui_replay::replay::Capture {
-                    self.inner.capture()
+                fn capture(&self, payload: bool) -> dui_stats::wire::Walk {
+                    self.inner.capture(payload)
                 }
                 fn load_checkpoint(&mut self, bytes: &[u8]) -> Result<(), String> {
                     self.inner.load_checkpoint(bytes)

@@ -193,7 +193,7 @@ impl Value {
                             break;
                         }
                     }
-                    let _ = subject.capture();
+                    let _ = subject.capture(true);
                 }
             }
             Value::Host(host) => with_logic(NodeId(0), host),

@@ -118,7 +118,7 @@ fn pool_state(p: &FlowPool) -> (u64, Vec<u8>) {
 
 fn host_state(h: &mut dyn NodeLogic) -> (u64, Vec<u8>) {
     (
-        digest(|d| h.encode(&mut Sink::Digest(d))),
+        digest(|d| h.encode(&mut Sink::digest(d))),
         Sink::save(|s| h.encode(s)).expect("restorable"),
     )
 }
@@ -237,7 +237,7 @@ fn engine_after(pkts: &[&Packet], ops: &[&LinkOp], respond: bool, until: SimTime
 fn section_state(sim: &Simulator, i: usize) -> (u64, Vec<u8>) {
     let bytes = Sink::save(|s| sim.encode_section(i, s)).expect("restorable");
     (
-        digest(|d| sim.encode_section(i, &mut Sink::Digest(d))),
+        digest(|d| sim.encode_section(i, &mut Sink::digest(d))),
         bytes,
     )
 }
@@ -311,7 +311,7 @@ prop_check! {
         let state = |r: &Rng| {
             let words = |s: &mut Sink<'_>| r.state().into_iter().for_each(|w| s.u64(w));
             (
-                digest(|d| words(&mut Sink::Digest(d))),
+                digest(|d| words(&mut Sink::digest(d))),
                 Sink::save(words).expect("an rng refuses nothing"),
             )
         };
@@ -445,8 +445,8 @@ prop_check! {
         let (sa, sb) = (a.snapshot(), b.snapshot());
         digest_iff_bytes(
             "attack sim",
-            (digest(|d| a.state_digest(d)), attack_sim_snapshot_to_bytes(&sa)),
-            (digest(|d| b.state_digest(d)), attack_sim_snapshot_to_bytes(&sb)),
+            (a.state_hash(), attack_sim_snapshot_to_bytes(&sa)),
+            (b.state_hash(), attack_sim_snapshot_to_bytes(&sb)),
         )?;
         let selector = |snap: &dui_blink::selector::SelectorSnapshot| {
             let live = FlowSelector::from_snapshot(cfg.params, snap.clone());
@@ -502,11 +502,19 @@ prop_check! {
             digest_iff_bytes(name, section_state(&a, i), section_state(&b, i))?;
         }
         digest_iff_bytes("engine", engine_state(&a), engine_state(&b))?;
-        // The state hash is every section folded in order under one label.
+        // Each section folds from its seed, and the state hash is those
+        // digests folded in order under one label.
         let mut whole = StateDigest::labeled("netsim");
-        for i in 0..Simulator::SECTIONS.len() {
-            a.encode_section(i, &mut Sink::Digest(&mut whole));
+        let mut sections = Vec::new();
+        for (i, (name, seed)) in Simulator::SECTIONS.iter().enumerate() {
+            let mut d = seed.clone();
+            a.encode_section(i, &mut Sink::digest(&mut d));
+            sections.push((*name, d.finish()));
+            whole.write_u64(d.finish());
         }
-        prop_assert_eq!(whole.finish(), a.state_hash());
+        let walk = a.walk(false);
+        prop_assert_eq!(&walk.sections, &sections);
+        prop_assert_eq!(whole.finish(), walk.hash);
+        prop_assert_eq!(walk.hash, a.state_hash());
     }
 }

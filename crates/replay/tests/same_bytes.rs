@@ -16,9 +16,9 @@ use dui_stats::hash::FixedState;
 use std::hash::BuildHasher;
 
 const PINNED: &[(&str, usize, u64)] = &[
-    ("duir_fastsim", 4408, 0x542eb4e9215e3723),
-    ("duir_engine", 11985, 0xd16d371d0a606208),
-    ("engine_checkpoint", 1915, 0xbc9d1d532343c77d),
+    ("duir_fastsim", 4408, 0xdbd9bd58ed8a09f3),
+    ("duir_engine", 11985, 0xeecc9101fa304cd7),
+    ("engine_checkpoint", 1915, 0xd60383647ee41b36),
     ("fastsim_snapshot", 737, 0x274088656fe2e3c2),
     ("tcp_host", 901, 0x20b1e2c7581b638c),
     ("flow_pool", 554, 0xcd22838b1ffc9853),

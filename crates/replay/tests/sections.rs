@@ -6,6 +6,8 @@
 //! perturbs one piece of state before the first checkpoint — a link's
 //! fault, its up flag, a prefix announcement, a node logic's state — and
 //! the `HashMismatch` must name exactly the section that holds it.
+//! The program also counts how often recording and verifying walk the
+//! engine's state.
 
 mod blobs;
 
@@ -13,14 +15,20 @@ use dui_netsim::prelude::*;
 use dui_replay::{Recorder, Recording, ReplayError, Replayer, SimulatorSubject};
 use dui_stats::wire::{Encoder, Sink};
 use std::any::Any;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
-/// A data-plane program that counts what it sees.
+/// A data-plane program that counts what it sees, and how often its
+/// state is encoded.
 #[derive(Default)]
-struct Tally(u64);
+struct Tally {
+    seen: u64,
+    encodes: Arc<AtomicUsize>,
+}
 
 impl DataPlaneProgram for Tally {
     fn process(&mut self, _: SimTime, _: &Packet, _: Option<NodeId>) -> Option<Verdict> {
-        self.0 += 1;
+        self.seen += 1;
         None
     }
 
@@ -29,25 +37,30 @@ impl DataPlaneProgram for Tally {
     }
 
     fn encode(&self, s: &mut Sink<'_>) {
+        self.encodes.fetch_add(1, Ordering::Relaxed);
         s.refuse("a tally program has no checkpoint decoder");
-        s.u64(self.0);
+        s.u64(self.seen);
     }
 }
 
-/// The fixture engine, its router running [`Tally`] if `program`.
-fn subject(program: bool) -> SimulatorSubject {
+/// The fixture engine, its router running a [`Tally`] if `program`, and
+/// that tally's encode count.
+fn subject(program: bool) -> (SimulatorSubject, Arc<AtomicUsize>) {
     let mut sim = blobs::engine(true);
+    let tally = Tally::default();
+    let encodes = Arc::clone(&tally.encodes);
     if program {
         sim.set_logic(
             NodeId(1),
-            Box::new(RouterLogic::new().with_program(Box::new(Tally::default()))),
+            Box::new(RouterLogic::new().with_program(Box::new(tally))),
         );
     }
-    SimulatorSubject::new(sim, blobs::ENGINE_END, blobs::ENGINE_DIGEST)
+    let subject = SimulatorSubject::new(sim, blobs::ENGINE_END, blobs::ENGINE_DIGEST);
+    (subject, encodes)
 }
 
 fn record(program: bool) -> Recording {
-    Recorder::new("sections", blobs::ENGINE_DIGEST, 150).record(&mut subject(program))
+    Recorder::new("sections", blobs::ENGINE_DIGEST, 150).record(&mut subject(program).0)
 }
 
 /// A perturbation's name, the perturbation, and the one section it must
@@ -93,7 +106,7 @@ fn every_perturbation_names_its_section() {
             "a router program makes the recording hash-only"
         );
         for (what, perturb, section) in PERTURBATIONS {
-            let mut live = subject(program);
+            let (mut live, _) = subject(program);
             perturb(live.sim_mut());
             match Replayer::new(&rec).verify(&mut live) {
                 Err(ReplayError::HashMismatch {
@@ -120,4 +133,20 @@ fn every_recording_lists_the_sections() {
             assert_eq!(names, sections);
         }
     }
+}
+
+/// Recording walks the engine's state once per checkpoint it keeps — the
+/// hash, the section digests and the bytes together — and verifying at
+/// most once more, for the final hash.
+#[test]
+fn each_checkpoint_is_one_walk() {
+    let (mut recorded, encodes) = subject(true);
+    let rec = Recorder::new("sections", blobs::ENGINE_DIGEST, 150).record(&mut recorded);
+    let k = rec.checkpoints.len();
+    assert!(k > 2, "{k} checkpoints");
+    assert_eq!(encodes.load(Ordering::Relaxed), k, "recording");
+    assert_eq!(rec.final_hash, recorded.sim().state_hash());
+    let (mut live, encodes) = subject(true);
+    Replayer::new(&rec).verify(&mut live).expect("replays");
+    assert!(encodes.load(Ordering::Relaxed) <= k + 1, "verifying");
 }

@@ -600,7 +600,7 @@ mod tests {
         };
         let digest = |r: &RewriteSrc| {
             let mut d = dui_core::stats::digest::StateDigest::new();
-            r.encode(&mut Sink::Digest(&mut d));
+            r.encode(&mut Sink::digest(&mut d));
             d.finish()
         };
         let base = digest(&source(1, 1));

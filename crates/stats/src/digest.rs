@@ -9,8 +9,9 @@
 //! A component writes its state through one encoder generic over
 //! [`Encoder`] — or, behind an engine trait object, through one
 //! `encode(&self, s: &mut Sink)` into the concrete
-//! [`Sink`](crate::wire::Sink) — and a whole subject adds a
-//! domain-labeled `state_hash(&self) -> u64`. The contract every such
+//! [`Sink`](crate::wire::Sink) — and a whole subject's state hash is
+//! its section digests folded in order under its label, all from one
+//! [`walk`](crate::wire::walk). The contract every such
 //! encoder keeps — two runs are in the same logical state if and only
 //! if their hashes agree, across processes and platforms:
 //!

@@ -17,7 +17,9 @@
 //! [`StateDigest`] it yields the component's
 //! state digest, so the two cannot cover different state. A component
 //! behind a trait object writes into a [`Sink`], the one concrete
-//! encoder over both.
+//! encoder over either or both at once. A whole subject's encoder is a
+//! list of named sections, and [`walk`] runs it once for its section
+//! digests, its state hash and, when asked, its bytes.
 //!
 //! ```
 //! use dui_stats::wire::{Encoder, Reader, Writer};
@@ -480,74 +482,78 @@ impl Encoder for Writer {
     }
 }
 
-/// The encoder a trait object writes its state into: a state digest, or
-/// checkpoint bytes.
+/// The encoder a trait object writes its state into: a state digest,
+/// checkpoint bytes, or both at once ([`walk`]).
 ///
 /// [`Encoder`]'s generic methods keep it off `dyn`, so every engine trait
 /// (node logics, data-plane programs, ICMP rewriters, link taps, flow
-/// sources) takes this one concrete type, and a single `encode` serves
-/// the state hash and the checkpoint. A component whose state cannot be
-/// read back calls [`Sink::refuse`]: a digest ignores that — every state
-/// can be hashed — and bytes keep the first refusal, which fails the
-/// checkpoint.
-pub enum Sink<'a> {
-    /// Fold each primitive into a digest.
-    Digest(&'a mut StateDigest),
-    /// Append each primitive to checkpoint bytes, with the first refusal.
-    Bytes(&'a mut Writer, Option<&'static str>),
+/// sources) takes this one concrete type. A component whose state cannot
+/// be read back calls [`Sink::refuse`]: the sink keeps the first refusal
+/// and writes no byte after it; its digest goes on.
+pub struct Sink<'a> {
+    digest: Option<&'a mut StateDigest>,
+    bytes: Option<&'a mut Writer>,
+    refusal: Option<&'static str>,
 }
 
 impl<'a> Sink<'a> {
-    /// What is being written cannot be decoded, because `why`.
-    pub fn refuse(&mut self, why: &'static str) {
-        if let Sink::Bytes(_, refusal @ None) = self {
-            *refusal = Some(why);
+    fn new(digest: Option<&'a mut StateDigest>, bytes: Option<&'a mut Writer>) -> Self {
+        Sink {
+            digest,
+            bytes,
+            refusal: None,
         }
     }
 
-    /// The first refusal written into checkpoint bytes.
-    pub fn refusal(&self) -> Option<&'static str> {
-        match self {
-            Sink::Digest(_) => None,
-            Sink::Bytes(_, refusal) => *refusal,
-        }
+    /// A sink that folds each primitive into `d`.
+    pub fn digest(d: &'a mut StateDigest) -> Self {
+        Sink::new(Some(d), None)
+    }
+
+    /// What is being written cannot be decoded, because `why`. The first
+    /// refusal is kept, and the bytes stop there.
+    pub fn refuse(&mut self, why: &'static str) {
+        self.refusal.get_or_insert(why);
+        self.bytes = None;
     }
 
     /// What `write` writes, as one length-prefixed blob in bytes; a
     /// digest folds it in place, since its words already fix its extent.
     pub fn blob(&mut self, write: impl FnOnce(&mut Sink<'_>)) {
-        match self {
-            Sink::Digest(d) => write(&mut Sink::Digest(d)),
-            Sink::Bytes(w, refusal) => {
-                let mut inner = Writer::new();
-                let mut s = Sink::Bytes(&mut inner, *refusal);
-                write(&mut s);
-                *refusal = s.refusal();
-                w.bytes(&inner.into_bytes());
-            }
+        let Some(w) = self.bytes.as_deref_mut() else {
+            return write(self);
+        };
+        let mut inner = Writer::new();
+        let mut s = Sink::new(self.digest.as_deref_mut(), Some(&mut inner));
+        write(&mut s);
+        match s.refusal {
+            None => w.bytes(&inner.into_bytes()),
+            Some(why) => self.refuse(why),
         }
     }
 
     /// The bytes `write` writes, or its first refusal.
     pub fn save(write: impl FnOnce(&mut Sink<'_>)) -> Result<Vec<u8>, &'static str> {
         let mut w = Writer::new();
-        let mut s = Sink::Bytes(&mut w, None);
+        let mut s = Sink::new(None, Some(&mut w));
         write(&mut s);
-        match s.refusal() {
+        match s.refusal {
             Some(why) => Err(why),
             None => Ok(w.into_bytes()),
         }
     }
 }
 
-/// Each primitive goes on to the digest or the bytes.
+/// Each primitive goes on to the digest and the bytes the sink carries.
 macro_rules! forward {
     ($($method:ident($t:ty)),*) => {$(
         #[inline]
         fn $method(&mut self, v: $t) {
-            match self {
-                Sink::Digest(d) => d.$method(v),
-                Sink::Bytes(w, _) => w.$method(v),
+            if let Some(d) = self.digest.as_deref_mut() {
+                d.$method(v);
+            }
+            if let Some(w) = self.bytes.as_deref_mut() {
+                w.$method(v);
             }
         }
     )*};
@@ -555,6 +561,55 @@ macro_rules! forward {
 
 impl Encoder for Sink<'_> {
     forward! { u8(u8), u16(u16), u32(u32), u64(u64), varint(u64), bytes(&[u8]) }
+}
+
+/// What one [`walk`] over a sectioned state encoder yields.
+#[derive(Debug, Clone)]
+pub struct Walk {
+    /// The section digests, folded in order under the subject's label.
+    pub hash: u64,
+    /// Each section's name and digest.
+    pub sections: Vec<(&'static str, u64)>,
+    /// The writer passed in, every section appended; `None` if none was
+    /// passed, or a section refused.
+    pub bytes: Option<Writer>,
+    /// The first refusal a section wrote.
+    pub refusal: Option<&'static str>,
+}
+
+/// Run a labelled, sectioned state encoder once: section `i`, as
+/// `encode(i, ..)` writes it, folds from the seed of `sections[i]`, the
+/// section digests fold in order under `label` into the state hash, and
+/// the same primitives go on to `bytes`, if given, until the first
+/// refusal, which drops the bytes but no digest.
+pub fn walk(
+    label: &str,
+    sections: &[(&'static str, StateDigest)],
+    mut bytes: Option<Writer>,
+    mut encode: impl FnMut(usize, &mut Sink<'_>),
+) -> Walk {
+    let mut hash = StateDigest::labeled(label);
+    let mut refusal = None;
+    let sections = sections
+        .iter()
+        .enumerate()
+        .map(|(i, (name, seed))| {
+            let mut d = seed.clone();
+            let mut s = Sink::new(Some(&mut d), bytes.as_mut());
+            encode(i, &mut s);
+            refusal = refusal.or(s.refusal);
+            bytes = bytes.take().filter(|_| refusal.is_none());
+            let digest = d.finish();
+            hash.write_u64(digest);
+            (*name, digest)
+        })
+        .collect();
+    Walk {
+        hash: hash.finish(),
+        sections,
+        bytes,
+        refusal,
+    }
 }
 
 #[cfg(test)]
@@ -746,18 +801,62 @@ mod tests {
             s.refuse("second");
         };
         assert_eq!(Sink::save(write), Err("first"));
-        let mut w = Writer::new();
-        let mut s = Sink::Bytes(&mut w, None);
-        s.blob(|s| s.varint(300));
-        assert_eq!(s.refusal(), None);
-        assert_eq!(w.into_bytes(), [2, 0xac, 0x02]);
-        // A digest ignores refusals and folds a blob's words unframed.
+        assert_eq!(
+            Sink::save(|s| s.blob(|s| s.varint(300))),
+            Ok(vec![2, 0xac, 0x02])
+        );
+        // A digest keeps the refusal too, and folds a blob's words unframed.
         let mut d = StateDigest::new();
         d.u16(7);
         d.varint(300);
         let mut folded = StateDigest::new();
-        write(&mut Sink::Digest(&mut folded));
+        let mut s = Sink::digest(&mut folded);
+        write(&mut s);
+        assert_eq!(s.refusal, Some("first"));
         assert_eq!(folded.finish(), d.finish());
+    }
+
+    #[test]
+    fn a_walk_folds_its_sections_and_drops_its_bytes_at_a_refusal() {
+        const SECTIONS: [(&str, StateDigest); 2] = [
+            ("rng", StateDigest::labeled("rng")),
+            ("total", StateDigest::labeled("total")),
+        ];
+        let encode = |refuse: bool| {
+            move |i: usize, s: &mut Sink<'_>| {
+                s.varint(i as u64 + 1);
+                if refuse && i == 0 {
+                    s.refuse("no decoder");
+                }
+                s.u8(9);
+            }
+        };
+        let mut head = Writer::new();
+        head.u8(0xee);
+        let walk = super::walk("subject", &SECTIONS, Some(head), encode(false));
+        assert_eq!(
+            walk.bytes.map(Writer::into_bytes),
+            Some(vec![0xee, 1, 9, 2, 9])
+        );
+        let digest = |label: &str, words: &[u64]| {
+            let mut d = StateDigest::labeled(label);
+            words.iter().for_each(|&w| d.write_u64(w));
+            d.finish()
+        };
+        let sections = [
+            ("rng", digest("rng", &[1, 9])),
+            ("total", digest("total", &[2, 9])),
+        ];
+        assert_eq!(walk.sections, sections);
+        assert_eq!(
+            walk.hash,
+            digest("subject", &[sections[0].1, sections[1].1])
+        );
+        assert_eq!(walk.refusal, None);
+        let refused = super::walk("subject", &SECTIONS, Some(Writer::new()), encode(true));
+        assert!(refused.bytes.is_none());
+        assert_eq!(refused.refusal, Some("no decoder"));
+        assert_eq!((refused.hash, refused.sections), (walk.hash, walk.sections));
     }
 
     /// One field of a random sequence: how it is written, and what reading

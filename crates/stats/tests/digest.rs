@@ -73,6 +73,7 @@ labels!(
     "schedule",
     "selector",
     "series",
+    "total",
     "verdicts",
 );
 

@@ -1203,7 +1203,7 @@ mod tests {
         assert_eq!(seen, want);
         // The host's pool digest covers the three evicted flows' free
         // slots as well as the live ones.
-        assert_eq!(sim.state_hash(), 0xb3fb_08a6_a3c0_de9d);
+        assert_eq!(sim.state_hash(), 0x1b66_2b60_c3a3_25f3);
     }
 
     #[test]

@@ -129,12 +129,13 @@ echo "== record/replay gate (dui-replay) =="
 # Record a run and replay it with full hash checking; then resume it from
 # the midpoint checkpoint and demand the resumed run's CSV is
 # byte-identical to the uninterrupted one; then the same record+check for
-# a hash-only packet-level recording.
+# the two hash-only packet-level recordings, Blink and PCC.
 same_bytes \
   "'$EXP' record fig2-small && '$EXP' replay results/fig2-small.duir" \
   "'$EXP' replay results/fig2-small.duir --resume mid &&
    mv results/fig2-small_resumed.csv results/fig2-small_recorded.csv &&
-   '$EXP' record blink-packet-small && '$EXP' replay results/blink-packet-small.duir" \
+   '$EXP' record blink-packet-small && '$EXP' replay results/blink-packet-small.duir &&
+   '$EXP' record pcc-small && '$EXP' replay results/pcc-small.duir" \
   results/fig2-small_recorded.csv
 echo "record/replay gate, resume CSV byte-identical: OK"
 
