@@ -245,11 +245,10 @@ impl AttackSimSnapshot {
     }
 }
 
-/// Encode a fast-simulation checkpoint: every section, in order.
+/// Encode a fast-simulation checkpoint: the bytes of its
+/// [walk](AttackSimSnapshot::walk), which no section refuses.
 pub fn attack_sim_snapshot_to_bytes(s: &AttackSimSnapshot) -> Vec<u8> {
-    let mut w = Writer::with_capacity(256);
-    (0..AttackSimSnapshot::SECTIONS.len()).for_each(|i| s.encode_section(i, &mut w));
-    w.into_bytes()
+    s.walk(true).bytes.map_or_else(Vec::new, Writer::into_bytes)
 }
 
 // Smallest encodings inside a fast-simulation snapshot: a flow is a key,

@@ -18,7 +18,8 @@ pub struct ComponentDiff {
     pub name: String,
     /// Digest in recording A (or the recorded side during replay).
     pub a: u64,
-    /// Digest in recording B (or the live side during replay).
+    /// Digest in recording B (or the live side during replay); 0 if
+    /// that side lacks the component.
     pub b: u64,
 }
 

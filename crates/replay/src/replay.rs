@@ -171,16 +171,17 @@ impl<'a> Replayer<'a> {
         Replayer { rec }
     }
 
-    /// Check `ckpt` against one walk over `subject`.
+    /// Check `ckpt` against one walk over `subject`; returns the live
+    /// state hash.
     fn check_checkpoint<S: ReplaySubject + ?Sized>(
         &self,
         subject: &S,
         ckpt_idx: usize,
         ckpt: &CheckpointFrame,
-    ) -> Result<(), ReplayError> {
+    ) -> Result<u64, ReplayError> {
         let live = subject.capture(false);
         if live.hash == ckpt.state_hash {
-            return Ok(());
+            return Ok(live.hash);
         }
         Err(ReplayError::HashMismatch {
             checkpoint: ckpt_idx as u64,
@@ -269,6 +270,8 @@ impl<'a> Replayer<'a> {
                 live: applied + 1,
             });
         }
+        // The post-terminal checkpoint's walk also yields the final hash.
+        let mut last = None;
         for (i, c) in ckpts {
             if c.event_index != applied {
                 return Err(ReplayError::Malformed(format!(
@@ -276,10 +279,10 @@ impl<'a> Replayer<'a> {
                     c.event_index, total
                 )));
             }
-            self.check_checkpoint(subject, i, c)?;
+            last = Some(self.check_checkpoint(subject, i, c)?);
             verified += 1;
         }
-        let live = subject.capture(false).hash;
+        let live = last.unwrap_or_else(|| subject.capture(false).hash);
         if live != self.rec.final_hash {
             return Err(ReplayError::HashMismatch {
                 checkpoint: self.rec.checkpoints.len() as u64,

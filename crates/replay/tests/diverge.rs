@@ -126,3 +126,33 @@ fn divergence_of_different_seeds_is_event_zero() {
     let div = first_divergence(&a, &b).expect("different seeds diverge");
     assert_eq!(div.event_index, Some(0));
 }
+
+#[test]
+fn a_component_recording_b_lacks_is_reported_against_zero() {
+    let a = record_run(7, 64, None);
+    let rng = |c: &dui_replay::CheckpointFrame| {
+        c.components
+            .iter()
+            .position(|&(n, _)| a.name(n) == "rng")
+            .expect("an rng component")
+    };
+    // From checkpoint 1 on, B lacks the rng component and its hash
+    // differs, as a run that diverged there would.
+    let mut b = a.clone();
+    for c in &mut b.checkpoints[1..] {
+        c.state_hash ^= 1;
+        c.components.remove(rng(c));
+    }
+    let div = first_divergence(&a, &b).expect("the checkpoints differ");
+    assert_eq!(div.event_index, None);
+    assert_eq!(div.checkpoint_index, Some(1));
+    let at = &a.checkpoints[1];
+    assert_eq!(
+        div.components,
+        vec![dui_replay::ComponentDiff {
+            name: "rng".to_string(),
+            a: at.components[rng(at)].1,
+            b: 0,
+        }]
+    );
+}

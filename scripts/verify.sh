@@ -37,7 +37,10 @@ cargo clippy -q --offline --workspace --all-targets -- -D warnings
 cargo fmt --all -- --check
 
 echo "== build (release, offline) =="
+# The root build leaves the experiments binary the gates below run as it
+# was; build it by package.
 cargo build --release --offline
+cargo build --release --offline -p dui-bench --bin experiments
 
 echo "== timer-wheel suites at depth (2000 propcheck cases; seconds) =="
 # Every engine run's event order rests on the wheel popping exactly what
