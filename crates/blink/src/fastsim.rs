@@ -47,7 +47,7 @@
 //! search and a shift), so the pop order is that of a min-heap over the
 //! same entries, whatever was restored.
 
-use crate::selector::{BlinkParams, FlowSelector, SelectorSnapshot, SelectorStats};
+use crate::selector::{BlinkParams, FlowSelector, SelectorSnapshot, SelectorState, SelectorStats};
 use crate::theory::{FIG2_LEGIT_FLOWS, FIG2_MALICIOUS_FLOWS};
 use dui_flowgen::flows::random_key_in_prefix;
 use dui_netsim::packet::{Addr, FlowKey, Prefix};
@@ -203,27 +203,71 @@ impl AttackSimSnapshot {
         ("series", StateDigest::labeled("series")),
     ];
 
-    /// Section `i` of the checkpoint encoder, named in `SECTIONS[i]`.
-    /// The last one ends with the takeover time, the packet count and
-    /// the done flag.
-    pub fn encode_section<E: Encoder>(&self, i: usize, e: &mut E) {
+    /// One walk over the checkpoint encoder, labelled `fastsim`: the
+    /// section digests, the state hash and, if `bytes`, the bytes.
+    pub fn walk(&self, bytes: bool) -> Walk {
+        self.state().walk(bytes)
+    }
+
+    fn state(&self) -> RunState<'_> {
+        RunState {
+            rng: self.rng,
+            selector: self.selector.state(),
+            flows: &self.flows,
+            sport: self.sport,
+            schedule: [&self.schedule, &[]],
+            series: &self.series,
+            next_sample: self.next_sample,
+            takeover_time: self.takeover_time,
+            packets: self.packets,
+            done: self.done,
+        }
+    }
+}
+
+/// A run's state as the checkpoint encoder reads it, borrowed from a live
+/// [`AttackSim`] or from an [`AttackSimSnapshot`]: the one encoder of
+/// both, so hashing a live run copies nothing.
+struct RunState<'a> {
+    rng: [u64; 4],
+    selector: SelectorState<'a>,
+    flows: &'a [FlowState],
+    sport: u16,
+    /// The packet clocks in pop order, as the two halves of a ring.
+    schedule: [&'a [(SimTime, usize)]; 2],
+    series: &'a [(f64, f64)],
+    next_sample: SimTime,
+    takeover_time: Option<f64>,
+    packets: u64,
+    done: bool,
+}
+
+impl RunState<'_> {
+    /// Section `i` of the checkpoint encoder, named in
+    /// [`AttackSimSnapshot::SECTIONS`]`[i]`. The last one ends with the
+    /// takeover time, the packet count and the done flag.
+    fn encode_section<E: Encoder>(&self, i: usize, e: &mut E) {
         match i {
             0 => self.rng.iter().for_each(|&w| e.u64(w)),
             1 => self.selector.encode(e),
             2 => {
-                e.seq(&self.flows, |e, f| {
+                e.seq(self.flows, |e, f| {
                     f.key.encode(e);
                     e.varint(u64::from(f.seq));
                     e.opt(f.dies_at, |e, t| e.varint(t.0));
                 });
                 e.varint(u64::from(self.sport));
             }
-            3 => e.seq(&self.schedule, |e, &(t, flow)| {
-                e.varint(t.0);
-                e.varint_usize(flow);
-            }),
+            3 => {
+                let [front, back] = self.schedule;
+                e.varint_usize(front.len() + back.len());
+                for &(t, flow) in front.iter().chain(back) {
+                    e.varint(t.0);
+                    e.varint_usize(flow);
+                }
+            }
             _ => {
-                e.seq(&self.series, |e, &(t, v)| {
+                e.seq(self.series, |e, &(t, v)| {
                     e.f64(t);
                     e.f64(v);
                 });
@@ -235,11 +279,9 @@ impl AttackSimSnapshot {
         }
     }
 
-    /// One walk over the checkpoint encoder, labelled `fastsim`: the
-    /// section digests, the state hash and, if `bytes`, the bytes.
-    pub fn walk(&self, bytes: bool) -> Walk {
+    fn walk(&self, bytes: bool) -> Walk {
         let w = bytes.then(|| Writer::with_capacity(256));
-        wire::walk("fastsim", &Self::SECTIONS, w, |i, s| {
+        wire::walk("fastsim", &AttackSimSnapshot::SECTIONS, w, |i, s| {
             self.encode_section(i, s)
         })
     }
@@ -397,16 +439,11 @@ impl AttackSim {
         if self.done {
             return None;
         }
-        // Past-horizon events stay in the schedule (its contents feed the
-        // state digest), so peek first and only pop what we consume.
-        let (t, i) = match self.schedule.front() {
-            Some(&(t, i)) if t.as_nanos() <= self.cfg.horizon.as_nanos() => (t, i),
-            _ => {
-                self.done = true;
-                // Flush remaining sample points up to the horizon.
-                self.emit_due_samples(SimTime::ZERO + self.cfg.horizon);
-                return None;
-            }
+        let Some((t, i)) = self.next_due() else {
+            self.done = true;
+            // Flush remaining sample points up to the horizon.
+            self.emit_due_samples(SimTime::ZERO + self.cfg.horizon);
+            return None;
         };
         self.schedule.pop_front();
         // Emit samples up to t.
@@ -469,13 +506,48 @@ impl AttackSim {
         self.rng = Rng::from_state(s);
     }
 
-    /// 64-bit digest of the run's complete logical state: its
-    /// snapshot's [walk](AttackSimSnapshot::walk). The schedule is
-    /// written in pop order, which the ring keeps sorted. The malicious
-    /// key set and the per-flow cells are *not* written — they are
-    /// derived state, fully determined by `flows` and the parameters.
+    /// 64-bit digest of the run's complete logical state: the hash of
+    /// its [walk](AttackSim::walk). The schedule is written in pop
+    /// order, which the ring keeps sorted. The malicious key set and the
+    /// per-flow cells are *not* written — they are derived state, fully
+    /// determined by `flows` and the parameters.
     pub fn state_hash(&self) -> u64 {
-        self.snapshot().walk(false).hash
+        self.walk(false).hash
+    }
+
+    /// One walk over the live run with its snapshot's encoder: the same
+    /// section digests, state hash and, if `bytes`, bytes as
+    /// [`AttackSimSnapshot::walk`] of [`AttackSim::snapshot`], without
+    /// the copy.
+    pub fn walk(&self, bytes: bool) -> Walk {
+        let (front, back) = self.schedule.as_slices();
+        RunState {
+            rng: self.rng.state(),
+            selector: self.selector.state(),
+            flows: &self.flows,
+            sport: self.sport,
+            schedule: [front, back],
+            series: self.series.points(),
+            next_sample: self.next_sample,
+            takeover_time: self.takeover_time,
+            packets: self.packets,
+            done: self.done,
+        }
+        .walk(bytes)
+    }
+
+    /// Whether the run is over: the next [`AttackSim::step`] returns
+    /// `None` (flushing the tail samples, if it has not yet).
+    pub fn finished(&self) -> bool {
+        self.done || self.next_due().is_none()
+    }
+
+    /// The next packet clock, if it falls within the horizon.
+    /// Past-horizon clocks stay in the schedule: its contents feed the
+    /// state digest.
+    fn next_due(&self) -> Option<(SimTime, usize)> {
+        let horizon = self.cfg.horizon.as_nanos();
+        (self.schedule.front().copied()).filter(|&(t, _)| t.as_nanos() <= horizon)
     }
 
     /// Capture the run as plain data (restorable checkpoint).
@@ -760,6 +832,38 @@ mod tests {
         assert_eq!(stepped.packets, oneshot.packets);
         assert_eq!(stepped.takeover_time, oneshot.takeover_time);
         assert_eq!(stepped.selector_stats, oneshot.selector_stats);
+    }
+
+    /// Hashing a live run walks its fields with the snapshot's encoder:
+    /// at every point checked, the live walk is the walk of a snapshot
+    /// taken there, and `finished` foretells the step that ends the run.
+    #[test]
+    fn a_live_walk_is_its_snapshots_walk() {
+        let mut sim = AttackSim::new(&small(), 3);
+        let (mut checked, mut split) = (0, 0);
+        for n in 0u64.. {
+            if n % 997 == 0 || sim.finished() {
+                assert_eq!(
+                    sim.state_hash(),
+                    sim.snapshot().walk(false).hash,
+                    "event {n}"
+                );
+                assert_eq!(sim.walk(true), sim.snapshot().walk(true), "event {n}");
+                checked += 1;
+                split += usize::from(!sim.schedule.as_slices().1.is_empty());
+            }
+            let finished = sim.finished();
+            assert_eq!(sim.step().is_none(), finished, "event {n}");
+            if finished {
+                break;
+            }
+        }
+        assert!(sim.finished());
+        assert_eq!(sim.walk(true), sim.snapshot().walk(true), "after the run");
+        assert!(
+            checked > 10 && split > 0,
+            "{checked} points, {split} with a split ring"
+        );
     }
 
     #[test]

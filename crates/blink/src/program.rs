@@ -162,7 +162,7 @@ impl DataPlaneProgram for BlinkProgram {
         s.seq(&self.prefixes, |s, p| {
             s.u32(p.prefix.addr.0);
             s.u8(p.prefix.len);
-            p.selector.snapshot().encode(s);
+            p.selector.encode(s);
             p.detector.encode(s);
             p.reroute.encode(s);
         });

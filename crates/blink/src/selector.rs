@@ -402,6 +402,23 @@ impl FlowSelector {
         }
     }
 
+    /// The selector's state digest and checkpoint bytes, written from
+    /// the live selector: [`SelectorSnapshot::encode`] of its
+    /// [`snapshot`](FlowSelector::snapshot), without the copy.
+    pub fn encode<E: Encoder>(&self, e: &mut E) {
+        self.state().encode(e);
+    }
+
+    pub(crate) fn state(&self) -> SelectorState<'_> {
+        SelectorState {
+            cells: &self.cells,
+            last_reset: self.last_reset,
+            resets: self.resets,
+            stats: self.stats,
+            residencies: self.residencies.as_deref(),
+        }
+    }
+
     /// Rebuild a selector from a snapshot plus its original parameters.
     ///
     /// Panics if the snapshot's cell count disagrees with
@@ -452,24 +469,17 @@ impl SelectorSnapshot {
     /// digest: the cell array in index order, the reset clock, the
     /// counts and the residencies.
     pub fn encode<E: Encoder>(&self, e: &mut E) {
-        e.seq(&self.cells, |e, cell| {
-            e.opt(cell.as_ref(), |e, c| c.encode(e))
-        });
-        e.varint(self.last_reset.0);
-        e.varint(self.resets);
-        for v in [
-            self.stats.sampled,
-            self.stats.evicted_fin,
-            self.stats.evicted_idle,
-            self.stats.evicted_reset,
-            self.stats.retransmissions,
-            self.stats.not_monitored,
-        ] {
-            e.varint(v);
+        self.state().encode(e);
+    }
+
+    pub(crate) fn state(&self) -> SelectorState<'_> {
+        SelectorState {
+            cells: &self.cells,
+            last_reset: self.last_reset,
+            resets: self.resets,
+            stats: self.stats,
+            residencies: self.residencies.as_deref(),
         }
-        e.opt(self.residencies.as_deref(), |e, res| {
-            e.seq(res, |e, d| e.varint(d.0))
-        });
     }
 
     /// Inverse of [`SelectorSnapshot::encode`].
@@ -499,6 +509,38 @@ impl SelectorSnapshot {
             stats,
             residencies,
         })
+    }
+}
+
+/// A selector's state as its encoder reads it, borrowed from a live
+/// [`FlowSelector`] or from a [`SelectorSnapshot`]: the one encoder of
+/// both.
+pub(crate) struct SelectorState<'a> {
+    cells: &'a [Option<Cell>],
+    last_reset: SimTime,
+    resets: u64,
+    stats: SelectorStats,
+    residencies: Option<&'a [SimDuration]>,
+}
+
+impl SelectorState<'_> {
+    pub(crate) fn encode<E: Encoder>(&self, e: &mut E) {
+        e.seq(self.cells, |e, cell| {
+            e.opt(cell.as_ref(), |e, c| c.encode(e))
+        });
+        e.varint(self.last_reset.0);
+        e.varint(self.resets);
+        for v in [
+            self.stats.sampled,
+            self.stats.evicted_fin,
+            self.stats.evicted_idle,
+            self.stats.evicted_reset,
+            self.stats.retransmissions,
+            self.stats.not_monitored,
+        ] {
+            e.varint(v);
+        }
+        e.opt(self.residencies, |e, res| e.seq(res, |e, d| e.varint(d.0)));
     }
 }
 

@@ -166,6 +166,11 @@ impl EventQueue {
         self.wheel.pop_due(limit.0).map(|(t, e)| (SimTime(t), e))
     }
 
+    /// Time of the earliest pending event.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.wheel.peek_time().map(SimTime)
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.wheel.len()

@@ -900,6 +900,12 @@ impl Simulator {
         None
     }
 
+    /// Whether [`Simulator::step_limited`] at `limit` would dispatch no
+    /// event: the engine has started, and nothing is due by `limit`.
+    pub fn idle_until(&self, limit: SimTime) -> bool {
+        self.started && self.core.queue.peek_time().is_none_or(|t| t > limit)
+    }
+
     /// Run until the event queue drains (or `max` events, as a hang guard).
     /// Returns the number of events processed.
     pub fn run_to_quiescence(&mut self, max: u64) -> u64 {

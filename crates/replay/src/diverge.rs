@@ -9,7 +9,7 @@
 //! that went bad, which turns "the CSVs differ" into "event 48 312, the
 //! RNG stream, at t=261.03s".
 
-use crate::record::Recording;
+use crate::record::{EventFrame, Recording};
 
 /// One state component whose digests disagree.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,20 +97,27 @@ impl Divergence {
     }
 }
 
-fn event_tuple(rec: &Recording, i: usize) -> (u64, String, u64) {
-    let e = &rec.events[i];
+fn event_tuple(rec: &Recording, e: EventFrame) -> (u64, String, u64) {
     (e.time, rec.name(e.kind).to_string(), e.digest)
 }
 
 /// Scan events `[from, to)` of both recordings for the first differing
-/// frame.
-fn first_event_diff(a: &Recording, b: &Recording, from: u64, to: u64) -> Option<usize> {
-    let shared = a.events.len().min(b.events.len());
-    let bound = |i: u64| usize::try_from(i).map_or(shared, |i| i.min(shared));
-    (bound(from)..bound(to)).find(|&i| {
-        let (ea, eb) = (&a.events[i], &b.events[i]);
-        ea.time != eb.time || ea.digest != eb.digest || a.name(ea.kind) != b.name(eb.kind)
-    })
+/// frame: its index and both frames.
+fn first_event_diff(
+    a: &Recording,
+    b: &Recording,
+    from: u64,
+    to: u64,
+) -> Option<(u64, EventFrame, EventFrame)> {
+    let bound = |i: u64| usize::try_from(i).unwrap_or(usize::MAX);
+    (a.events.iter().zip(b.events.iter()))
+        .zip(0u64..)
+        .take(bound(to))
+        .skip(bound(from))
+        .find(|((ea, eb), _)| {
+            ea.time != eb.time || ea.digest != eb.digest || a.name(ea.kind) != b.name(eb.kind)
+        })
+        .map(|((ea, eb), i)| (i, ea, eb))
 }
 
 /// Compare two recordings of the same stage and report the first point
@@ -182,9 +189,9 @@ pub fn first_divergence(a: &Recording, b: &Recording) -> Option<Divergence> {
     }
 
     Some(Divergence {
-        event_index: event_index.map(|i| i as u64),
-        a_event: event_index.map(|i| event_tuple(a, i)),
-        b_event: event_index.map(|i| event_tuple(b, i)),
+        event_index: event_index.map(|(i, _, _)| i),
+        a_event: event_index.map(|(_, ea, _)| event_tuple(a, ea)),
+        b_event: event_index.map(|(_, _, eb)| event_tuple(b, eb)),
         checkpoint_index,
         components,
         lengths,
@@ -194,7 +201,7 @@ pub fn first_divergence(a: &Recording, b: &Recording) -> Option<Divergence> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{CheckpointFrame, EventFrame, Recording};
+    use crate::record::{CheckpointFrame, Recording};
 
     /// Build a synthetic recording: `n` events with digests from `f`,
     /// checkpoints every `every` events with state hash = xor of digests

@@ -36,6 +36,6 @@ pub mod replay;
 pub mod subjects;
 
 pub use diverge::{first_divergence, ComponentDiff, Divergence};
-pub use record::{CheckpointFrame, EventFrame, Recorder, Recording};
+pub use record::{CheckpointFrame, EventFrame, EventLog, Events, Recorder, Recording};
 pub use replay::{ReplayError, ReplayReport, ReplaySubject, Replayer, StepInfo};
 pub use subjects::{FastSimSubject, SimulatorSubject};

@@ -28,6 +28,12 @@
 //!              payload flag (0/1) + varint len + bytes   (restorable state)
 //! final      8-byte LE final state hash
 //! ```
+//!
+//! In memory a [`Recording`] keeps its events in this same encoding: its
+//! [`EventLog`] is the bytes of the `events` section after the count,
+//! about 11 bytes an event where an [`EventFrame`] takes 24. Encoding
+//! copies them, decoding checks them and copies them once, and a replay
+//! decodes one event at a time as it goes.
 
 use crate::replay::ReplaySubject;
 use dui_stats::wire::{DecodeError, Encoder, ErrorKind, Reader, Writer};
@@ -57,6 +63,109 @@ pub struct EventFrame {
     pub digest: u64,
 }
 
+/// A recording's event stream, in dispatch order, held as the `.duir`
+/// `events` section encodes it: each event a varint delta-time, a varint
+/// kind and an 8-byte digest. Its bytes are written by [`EventLog::push`]
+/// or checked by the strict decoder, both of which know only the
+/// shortest varints, so two logs hold equal events exactly when they
+/// hold equal bytes.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct EventLog {
+    wire: Writer,
+    len: usize,
+    /// Time of the last event (ns): what the next delta counts from.
+    last: u64,
+}
+
+impl EventLog {
+    /// Number of events.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the log holds no event.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Append one event. Its time is a delta from the event before it,
+    /// which cannot be negative: an event earlier than that one is kept
+    /// at that one's time. (A run never dispatches into its past.)
+    pub fn push(&mut self, e: EventFrame) {
+        let time = e.time.max(self.last);
+        self.wire.varint(time - self.last);
+        self.wire.varint(u64::from(e.kind));
+        self.wire.u64(e.digest);
+        self.last = time;
+        self.len += 1;
+    }
+
+    /// The events in order, each decoded as it is reached.
+    pub fn iter(&self) -> Events<'_> {
+        Events {
+            r: Reader::new(self.wire.as_bytes()),
+            left: self.len,
+            time: 0,
+        }
+    }
+
+    /// The section: the count, then the events' bytes as they are held.
+    fn write(&self, w: &mut Writer) {
+        w.varint_usize(self.len);
+        w.raw(self.wire.as_bytes());
+    }
+
+    /// Check a section event by event, as strictly as every other field,
+    /// then copy its bytes once.
+    fn read(r: &mut Reader<'_>) -> Result<EventLog, DecodeError> {
+        let len = r.count("event count", Reader::varint, MIN_EVENT_BYTES)?;
+        let mut section = r.clone();
+        let mut last = 0u64;
+        for _ in 0..len {
+            let dt = r.varint("event delta-time")?;
+            last = last
+                .checked_add(dt)
+                .ok_or_else(|| r.error("event time", ErrorKind::Range))?;
+            r.varint_u32("event kind")?;
+            r.u64("event digest")?;
+        }
+        let bytes = section.take("events", (section.remaining() - r.remaining()) as u64)?;
+        let mut wire = Writer::with_capacity(bytes.len());
+        wire.raw(bytes);
+        Ok(EventLog { wire, len, last })
+    }
+}
+
+/// The events of an [`EventLog`], decoded one at a time.
+#[derive(Debug, Clone)]
+pub struct Events<'a> {
+    r: Reader<'a>,
+    left: usize,
+    time: u64,
+}
+
+impl Iterator for Events<'_> {
+    type Item = EventFrame;
+
+    fn next(&mut self) -> Option<EventFrame> {
+        self.left = self.left.checked_sub(1)?;
+        // The log holds only bytes it wrote or checked: every field
+        // decodes, and no time passes `u64::MAX`.
+        self.time += self.r.varint("event delta-time").ok()?;
+        Some(EventFrame {
+            time: self.time,
+            kind: self.r.varint_u32("event kind").ok()?,
+            digest: self.r.u64("event digest").ok()?,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Events<'_> {}
+
 /// A periodic state checkpoint taken between events.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointFrame {
@@ -84,7 +193,7 @@ pub struct Recording {
     /// Interned names: event kinds and checkpoint component names.
     pub names: Vec<String>,
     /// The event stream, in dispatch order.
-    pub events: Vec<EventFrame>,
+    pub events: EventLog,
     /// Periodic checkpoints, in event order.
     pub checkpoints: Vec<CheckpointFrame>,
     /// State hash after the final event.
@@ -121,19 +230,18 @@ impl Recording {
 
     /// Serialize to the versioned binary format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::with_capacity(64 + self.events.len() * 12);
+        // Room for the events as held, and a checkpoint's fields around
+        // its payload.
+        let ckpts: usize = (self.checkpoints.iter())
+            .map(|c| 40 + 9 * c.components.len() + c.payload.as_ref().map_or(0, Vec::len))
+            .sum();
+        let mut w = Writer::with_capacity(64 + self.events.wire.as_bytes().len() + ckpts);
         w.raw(&MAGIC);
         w.varint(VERSION);
         w.str(&self.stage);
         w.u64(self.config_digest);
         w.seq(&self.names, |w, n| w.str(n));
-        let mut prev = 0u64;
-        w.seq(&self.events, |w, e| {
-            w.varint(e.time.saturating_sub(prev));
-            prev = e.time;
-            w.varint(u64::from(e.kind));
-            w.u64(e.digest);
-        });
+        self.events.write(&mut w);
         w.seq(&self.checkpoints, |w, c| {
             w.varint(c.event_index);
             w.varint(c.time);
@@ -161,16 +269,7 @@ impl Recording {
         let names = r.seq("name count", Reader::varint, 1, |r| {
             Ok(r.str("name")?.to_string())
         })?;
-        let mut time = 0u64;
-        let events = r.seq("event count", Reader::varint, MIN_EVENT_BYTES, |r| {
-            let dt = r.varint("event delta-time")?;
-            time = time
-                .checked_add(dt)
-                .ok_or_else(|| r.error("event time", ErrorKind::Range))?;
-            let kind = r.varint_u32("event kind")?;
-            let digest = r.u64("event digest")?;
-            Ok(EventFrame { time, kind, digest })
-        })?;
+        let events = EventLog::read(&mut r)?;
         let checkpoints = r.seq("checkpoints", Reader::varint, MIN_CKPT_BYTES, |r| {
             Ok(CheckpointFrame {
                 event_index: r.varint("checkpoint event index")?,
@@ -258,27 +357,38 @@ impl Recorder {
     /// itself mutate state — the packet engine advances its clock to the
     /// limit, the fast simulation flushes its tail samples. The final
     /// checkpoint is therefore always taken *after* that terminal step,
-    /// replacing any boundary checkpoint that landed on the same event
-    /// index, and the [`Replayer`](crate::replay::Replayer) performs the
-    /// terminal step before checking it.
+    /// in place of any boundary checkpoint at the same event index, and
+    /// the [`Replayer`](crate::replay::Replayer) performs the terminal
+    /// step before checking it. A subject that knows it is
+    /// [`finished`](ReplaySubject::finished) is not walked for that
+    /// boundary checkpoint at all, so K checkpoints are K walks.
     pub fn record<S: ReplaySubject + ?Sized>(mut self, subject: &mut S) -> Recording {
+        // Each kind's name index, found by the address of its `&'static
+        // str`: once a kind has been seen, no string is compared.
+        let mut kinds: Vec<(&'static str, u32)> = Vec::new();
         let mut n = 0u64;
-        self.take_checkpoint(subject, 0);
-        while let Some(step) = subject.step() {
-            let kind = self.rec.intern(step.kind);
+        loop {
+            if n.is_multiple_of(self.ckpt_every) && !subject.finished() {
+                self.take_checkpoint(subject, n);
+            }
+            let Some(step) = subject.step() else { break };
+            let kind = match kinds.iter().find(|&&(k, _)| std::ptr::eq(k, step.kind)) {
+                Some(&(_, i)) => i,
+                None => {
+                    let i = self.rec.intern(step.kind);
+                    kinds.push((step.kind, i));
+                    i
+                }
+            };
             self.rec.events.push(EventFrame {
                 time: step.time,
                 kind,
                 digest: step.digest,
             });
             n += 1;
-            if n.is_multiple_of(self.ckpt_every) {
-                self.take_checkpoint(subject, n);
-            }
         }
-        // The terminal step already ran; a boundary checkpoint taken just
-        // before it would capture pre-terminal state under the same event
-        // index. Keep exactly one post-terminal checkpoint at index n.
+        // A subject that could not tell the run was over had its boundary
+        // checkpoint walked before the terminal step: replace it.
         if self
             .rec
             .checkpoints
@@ -344,6 +454,84 @@ mod tests {
             Recording::from_bytes(&rec.to_bytes()[..5]).is_err(),
             "truncated"
         );
+    }
+
+    /// A `.duir` with no names and no checkpoints around the `events`
+    /// section that `events` writes, count included.
+    fn with_events(events: impl FnOnce(&mut Writer)) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.raw(&MAGIC);
+        w.varint(VERSION);
+        w.str("x");
+        w.u64(0);
+        w.varint(0);
+        events(&mut w);
+        w.varint(0);
+        w.u64(0);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn a_bad_event_section_is_refused_by_field() {
+        let refusal = |bytes: &[u8]| {
+            let err = Recording::from_bytes(bytes).unwrap_err();
+            (err.what, err.kind)
+        };
+        // Three events of 12 bytes each, cut inside the last digest: the
+        // count still fits what is left.
+        let mut rec = Recording::default();
+        for i in 1..=3 {
+            rec.events.push(EventFrame {
+                time: i * 1_000_000,
+                kind: 0,
+                digest: i,
+            });
+        }
+        let bytes = rec.to_bytes();
+        let digest_end = bytes.len() - 1 - 8;
+        assert_eq!(
+            refusal(&bytes[..digest_end - 4]),
+            ("event digest", ErrorKind::Truncated)
+        );
+        // 5 spelled in two bytes.
+        let overlong = with_events(|w| {
+            w.varint(1);
+            w.raw(&[0x85, 0x00]);
+            w.varint(0);
+            w.u64(7);
+        });
+        assert_eq!(refusal(&overlong), ("event delta-time", ErrorKind::Varint));
+        let past_u64 = with_events(|w| {
+            w.varint(2);
+            for dt in [u64::MAX, 1] {
+                w.varint(dt);
+                w.varint(0);
+                w.u64(7);
+            }
+        });
+        assert_eq!(refusal(&past_u64), ("event time", ErrorKind::Range));
+        let too_many = with_events(|w| {
+            w.varint(1_000);
+            w.varint(1);
+            w.varint(0);
+            w.u64(7);
+        });
+        assert_eq!(refusal(&too_many), ("event count", ErrorKind::Count));
+        assert!(Recording::from_bytes(&with_events(|w| w.varint(0))).is_ok());
+    }
+
+    #[test]
+    fn the_log_iterates_what_was_pushed() {
+        let mut log = EventLog::default();
+        let frames = [(5, 0, 1), (5, 1, u64::MAX), (300, 0, 0), (1 << 40, 2, 9)]
+            .map(|(time, kind, digest)| EventFrame { time, kind, digest });
+        for e in frames {
+            log.push(e);
+        }
+        assert_eq!(log.len(), 4);
+        assert_eq!(log.iter().len(), 4);
+        assert!(log.iter().eq(frames));
+        assert!(log.iter().skip(2).eq(frames[2..].iter().copied()));
     }
 
     #[test]

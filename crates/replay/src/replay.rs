@@ -38,6 +38,15 @@ pub trait ReplaySubject {
     /// Advance by one event; `None` when the run is complete.
     fn step(&mut self) -> Option<StepInfo>;
 
+    /// Whether the run is complete: the next [`step`](ReplaySubject::step)
+    /// returns `None`, though it may still change state. Asked without
+    /// stepping, it spares the recorder the walk of a boundary checkpoint
+    /// that the terminal step would replace. The default, `false`, suits
+    /// a subject that cannot tell; it costs that one walk.
+    fn finished(&self) -> bool {
+        false
+    }
+
     /// One walk over the subject's state: its state hash, its named
     /// component digests in a stable order (what divergence reports
     /// diff), and — if `payload` and the subject can be resumed — its
@@ -226,7 +235,12 @@ impl<'a> Replayer<'a> {
         let mut ckpts = ckpts.peekable();
         let mut verified = already_verified;
         let mut applied = start;
-        while applied < total {
+        // The live kind each recorded kind was last matched by: a subject
+        // names a kind with a `&'static str`, so after one comparison of
+        // the names its address matches, with no string compared.
+        let mut matched: Vec<Option<&'static str>> = vec![None; self.rec.names.len()];
+        let skip = usize::try_from(start).unwrap_or(usize::MAX);
+        for frame in self.rec.events.iter().skip(skip) {
             while let Some((i, c)) = ckpts.peek() {
                 if c.event_index != applied {
                     break;
@@ -235,21 +249,23 @@ impl<'a> Replayer<'a> {
                 verified += 1;
                 ckpts.next();
             }
-            #[expect(
-                clippy::cast_possible_truncation,
-                reason = "applied < total, which is events.len(), a usize"
-            )]
-            let frame = &self.rec.events[applied as usize];
             let Some(step) = subject.step() else {
                 return Err(ReplayError::LengthMismatch {
                     recorded: total,
                     live: applied,
                 });
             };
-            if step.time != frame.time
-                || step.kind != self.rec.name(frame.kind)
-                || step.digest != frame.digest
-            {
+            let same_kind = match matched.get_mut(frame.kind as usize) {
+                Some(Some(k)) if std::ptr::eq(*k, step.kind) => true,
+                seen => {
+                    let same = self.rec.name(frame.kind) == step.kind;
+                    if let Some(seen) = seen.filter(|_| same) {
+                        *seen = Some(step.kind);
+                    }
+                    same
+                }
+            };
+            if step.time != frame.time || step.digest != frame.digest || !same_kind {
                 return Err(ReplayError::EventMismatch {
                     index: applied,
                     recorded: (
@@ -372,7 +388,7 @@ mod tests {
         }
 
         fn step(&mut self) -> Option<StepInfo> {
-            if self.ticks >= self.limit {
+            if self.finished() {
                 return None;
             }
             let draw = self.rng.next_u64() % 100;
@@ -383,6 +399,10 @@ mod tests {
                 kind: "tick",
                 digest: draw ^ self.total,
             })
+        }
+
+        fn finished(&self) -> bool {
+            self.ticks >= self.limit
         }
 
         fn capture(&self, payload: bool) -> Walk {

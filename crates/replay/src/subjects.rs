@@ -115,8 +115,12 @@ impl ReplaySubject for FastSimSubject {
         })
     }
 
+    fn finished(&self) -> bool {
+        self.sim.finished()
+    }
+
     fn capture(&self, payload: bool) -> Walk {
-        self.sim.snapshot().walk(payload)
+        self.sim.walk(payload)
     }
 
     fn load_checkpoint(&mut self, bytes: &[u8]) -> Result<(), String> {
@@ -195,6 +199,10 @@ impl ReplaySubject for SimulatorSubject {
                 None
             }
         }
+    }
+
+    fn finished(&self) -> bool {
+        self.done || self.sim.idle_until(self.end)
     }
 
     fn capture(&self, payload: bool) -> Walk {

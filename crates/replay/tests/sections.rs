@@ -138,15 +138,34 @@ fn every_recording_lists_the_sections() {
 /// Recording walks the engine's state once per checkpoint it keeps — the
 /// hash, the section digests and the bytes together — and verifying once
 /// per checkpoint it checks, the last walk also giving the final hash.
+/// At a cadence of 128 the 384-event run ends on a checkpoint boundary,
+/// which the recorder does not walk before the terminal step replaces it.
 #[test]
 fn each_checkpoint_is_one_walk() {
-    let (mut recorded, encodes) = subject(true);
-    let rec = Recorder::new("sections", blobs::ENGINE_DIGEST, 150).record(&mut recorded);
-    let k = rec.checkpoints.len();
-    assert!(k > 2, "{k} checkpoints");
-    assert_eq!(encodes.load(Ordering::Relaxed), k, "recording");
-    assert_eq!(rec.final_hash, recorded.sim().state_hash());
-    let (mut live, encodes) = subject(true);
-    Replayer::new(&rec).verify(&mut live).expect("replays");
-    assert_eq!(encodes.load(Ordering::Relaxed), k, "verifying");
+    for every in [150, 128] {
+        let (mut recorded, encodes) = subject(true);
+        let rec = Recorder::new("sections", blobs::ENGINE_DIGEST, every).record(&mut recorded);
+        let k = rec.checkpoints.len();
+        let ends_on_boundary = (rec.events.len() as u64).is_multiple_of(every);
+        assert_eq!(
+            ends_on_boundary,
+            every == 128,
+            "{} events",
+            rec.events.len()
+        );
+        assert!(k > 2, "{k} checkpoints");
+        assert_eq!(
+            encodes.load(Ordering::Relaxed),
+            k,
+            "recording every {every}"
+        );
+        assert_eq!(rec.final_hash, recorded.sim().state_hash());
+        let (mut live, encodes) = subject(true);
+        Replayer::new(&rec).verify(&mut live).expect("replays");
+        assert_eq!(
+            encodes.load(Ordering::Relaxed),
+            k,
+            "verifying every {every}"
+        );
+    }
 }

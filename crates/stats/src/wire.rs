@@ -406,7 +406,7 @@ pub trait Encoder {
 
 /// The mirror of [`Reader`]: appends the [`Encoder`] primitives to a
 /// buffer.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Writer {
     buf: Vec<u8>,
 }
@@ -427,6 +427,11 @@ impl Writer {
     /// The bytes written.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
+    }
+
+    /// The bytes written so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
     }
 
     /// Literal bytes, no prefix (tags, pre-encoded blobs).
@@ -564,7 +569,7 @@ impl Encoder for Sink<'_> {
 }
 
 /// What one [`walk`] over a sectioned state encoder yields.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Walk {
     /// The section digests, folded in order under the subject's label.
     pub hash: u64,

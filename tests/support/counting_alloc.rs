@@ -1,6 +1,6 @@
 //! The workspace's one counting allocator, for the test binaries that
 //! measure allocation (`drain_alloc`, `frame_alloc`, `wheel_alloc`,
-//! `hostile_bytes`). A binary includes this file by `#[path]` and
+//! `hostile_bytes`, `recording_memory`). A binary includes this file by `#[path]` and
 //! installs it with its own line:
 //!
 //! ```ignore
