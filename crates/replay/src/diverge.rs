@@ -101,23 +101,29 @@ fn event_tuple(rec: &Recording, e: EventFrame) -> (u64, String, u64) {
     (e.time, rec.name(e.kind).to_string(), e.digest)
 }
 
-/// Scan events `[from, to)` of both recordings for the first differing
-/// frame: its index and both frames.
+/// The first frame at which both recordings' shared prefix differs: its
+/// index and both frames. One inside the window `[from, to)` the
+/// checkpoint search points at wins over an earlier one. Each log is
+/// decoded once, up to the frame returned.
 fn first_event_diff(
     a: &Recording,
     b: &Recording,
     from: u64,
     to: u64,
 ) -> Option<(u64, EventFrame, EventFrame)> {
-    let bound = |i: u64| usize::try_from(i).unwrap_or(usize::MAX);
-    (a.events.iter().zip(b.events.iter()))
-        .zip(0u64..)
-        .take(bound(to))
-        .skip(bound(from))
-        .find(|((ea, eb), _)| {
-            ea.time != eb.time || ea.digest != eb.digest || a.name(ea.kind) != b.name(eb.kind)
-        })
-        .map(|((ea, eb), i)| (i, ea, eb))
+    let mut before = None;
+    for ((ea, eb), i) in a.events.iter().zip(b.events.iter()).zip(0u64..) {
+        if i >= to && before.is_some() {
+            break;
+        }
+        if ea.time != eb.time || ea.digest != eb.digest || a.name(ea.kind) != b.name(eb.kind) {
+            if i >= from {
+                return Some((i, ea, eb));
+            }
+            before = before.or(Some((i, ea, eb)));
+        }
+    }
+    before
 }
 
 /// Compare two recordings of the same stage and report the first point
@@ -174,11 +180,10 @@ pub fn first_divergence(a: &Recording, b: &Recording) -> Option<Divergence> {
         (u64::MAX, None, Vec::new())
     };
 
-    let event_index = first_event_diff(a, b, scan_from, scan_to)
-        // The mutation may sit between the last good checkpoint and a
-        // stream end / unpaired region; fall back to a full scan of the
-        // shared prefix if the window missed it.
-        .or_else(|| first_event_diff(a, b, 0, u64::MAX));
+    // The mutation may sit outside the window, between the last good
+    // checkpoint and a stream end or unpaired region: the scan then
+    // returns the first difference of the shared prefix.
+    let event_index = first_event_diff(a, b, scan_from, scan_to);
 
     let diverged = event_index.is_some()
         || checkpoint_index.is_some()
@@ -272,6 +277,21 @@ mod tests {
         let report = div.render();
         assert!(report.contains("#47"), "report names the event: {report}");
         assert!(report.contains("core"), "report names the component");
+    }
+
+    /// The one-pass scan returns what a window scan followed by a full
+    /// scan of the shared prefix would.
+    #[test]
+    fn event_scan_prefers_the_window_then_the_first_difference() {
+        let at =
+            |bad: &'static [u64]| synth(100, 10, move |i| if bad.contains(&i) { 1 } else { 0 });
+        let a = at(&[]);
+        let index = |b: &Recording, from, to| first_event_diff(&a, b, from, to).map(|d| d.0);
+        assert_eq!(index(&at(&[5, 30, 70]), 20, 40), Some(30));
+        assert_eq!(index(&at(&[5, 70]), 40, 60), Some(5));
+        assert_eq!(index(&at(&[70]), 20, 40), Some(70));
+        assert_eq!(index(&at(&[5]), 20, u64::MAX), Some(5));
+        assert_eq!(index(&at(&[]), 20, 40), None);
     }
 
     #[test]

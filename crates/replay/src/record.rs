@@ -359,9 +359,9 @@ impl Recorder {
     /// checkpoint is therefore always taken *after* that terminal step,
     /// in place of any boundary checkpoint at the same event index, and
     /// the [`Replayer`](crate::replay::Replayer) performs the terminal
-    /// step before checking it. A subject that knows it is
-    /// [`finished`](ReplaySubject::finished) is not walked for that
-    /// boundary checkpoint at all, so K checkpoints are K walks.
+    /// step before checking it. No boundary checkpoint is walked once the
+    /// subject is [`finished`](ReplaySubject::finished), so K checkpoints
+    /// are K walks.
     pub fn record<S: ReplaySubject + ?Sized>(mut self, subject: &mut S) -> Recording {
         // Each kind's name index, found by the address of its `&'static
         // str`: once a kind has been seen, no string is compared.
@@ -387,16 +387,13 @@ impl Recorder {
             });
             n += 1;
         }
-        // A subject that could not tell the run was over had its boundary
-        // checkpoint walked before the terminal step: replace it.
-        if self
-            .rec
-            .checkpoints
-            .last()
-            .is_some_and(|c| c.event_index == n)
-        {
-            self.rec.checkpoints.pop();
-        }
+        debug_assert!(
+            self.rec
+                .checkpoints
+                .last()
+                .is_none_or(|c| c.event_index < n),
+            "a boundary checkpoint was walked at the last event"
+        );
         self.rec.final_hash = self.take_checkpoint(subject, n);
         self.rec
     }

@@ -39,13 +39,11 @@ pub trait ReplaySubject {
     fn step(&mut self) -> Option<StepInfo>;
 
     /// Whether the run is complete: the next [`step`](ReplaySubject::step)
-    /// returns `None`, though it may still change state. Asked without
-    /// stepping, it spares the recorder the walk of a boundary checkpoint
-    /// that the terminal step would replace. The default, `false`, suits
-    /// a subject that cannot tell; it costs that one walk.
-    fn finished(&self) -> bool {
-        false
-    }
+    /// returns `None`, though it may still change state. The recorder
+    /// asks it before walking a boundary checkpoint, which the terminal
+    /// step would replace. A wrong answer records a checkpoint the
+    /// replayer then fails as a hash mismatch.
+    fn finished(&self) -> bool;
 
     /// One walk over the subject's state: its state hash, its named
     /// component digests in a stable order (what divergence reports

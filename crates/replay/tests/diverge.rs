@@ -52,6 +52,9 @@ fn record_run(seed: u64, ckpt_every: u64, mutate_at: Option<u64>) -> Recording {
                     self.steps += 1;
                     self.inner.step()
                 }
+                fn finished(&self) -> bool {
+                    self.inner.finished()
+                }
                 fn capture(&self, payload: bool) -> dui_stats::wire::Walk {
                     self.inner.capture(payload)
                 }
