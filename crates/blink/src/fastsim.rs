@@ -40,21 +40,20 @@
 //! order is the contract) and orders them once, by a counting pass over
 //! equal-width phase buckets (`order_clocks`).
 //!
-//! [`AttackSim::restore`] accepts *any* schedule — one clock per flow is
-//! not required, nor are clocks within one interval of each other — and
-//! sorts it on the way in. On such a schedule a push may land before the
-//! back; `step` then inserts it at its sorted position instead (a binary
-//! search and a shift), so the pop order is that of a min-heap over the
-//! same entries, whatever was restored.
+//! [`AttackSim::from_bytes`] accepts only a schedule a run can reach, the
+//! invariant under which that push keeps the ring sorted: every held flow
+//! exactly once, ascending by `(time, flow index)`, and the last entry no
+//! later than `(first time + pkt_interval, first flow)` — the clock the
+//! front flow pushes when it is popped.
 
-use crate::selector::{BlinkParams, FlowSelector, SelectorSnapshot, SelectorState, SelectorStats};
+use crate::selector::{BlinkParams, FlowSelector, SelectorStats};
 use crate::theory::{FIG2_LEGIT_FLOWS, FIG2_MALICIOUS_FLOWS};
 use dui_flowgen::flows::random_key_in_prefix;
 use dui_netsim::packet::{Addr, FlowKey, Prefix};
 use dui_netsim::time::{SimDuration, SimTime};
 use dui_stats::digest::StateDigest;
 use dui_stats::dist;
-use dui_stats::wire::{self, DecodeError, Encoder, Reader, Walk, Writer};
+use dui_stats::wire::{self, DecodeError, Encoder, ErrorKind, Reader, Walk, Writer};
 use dui_stats::{Rng, TimeSeries};
 use std::collections::{HashSet, VecDeque};
 
@@ -141,7 +140,7 @@ pub struct FlowState {
 /// exact per-seed output), but the simulation can also be driven one
 /// packet event at a time via [`AttackSim::step`], hashed mid-run via
 /// [`AttackSim::state_hash`], and checkpointed/resumed via
-/// [`AttackSim::snapshot`] / [`AttackSim::restore`] — the hooks the
+/// [`AttackSim::walk`] / [`AttackSim::from_bytes`] — the hooks the
 /// `dui-replay` record/replay subsystem builds on.
 pub struct AttackSim {
     cfg: AttackSimConfig,
@@ -150,7 +149,7 @@ pub struct AttackSim {
     flows: Vec<FlowState>,
     /// `flows[i]`'s selector cell, `None` until its next packet hashes its
     /// current key. Derived, like `malicious_keys`: not hashed, not in the
-    /// snapshot, and cold after `new`, `restore` and every key replacement
+    /// checkpoint, and cold after `new`, `from_bytes` and every key replacement
     /// — filled lazily, because hashing every key in `new` would put 2,105
     /// digests into a replicate's set-up.
     flow_cells: Vec<Option<usize>>,
@@ -165,34 +164,14 @@ pub struct AttackSim {
     done: bool,
 }
 
-/// Plain-data checkpoint of a mid-run [`AttackSim`] (everything except
-/// the configuration, which the restoring side supplies). Produced by
-/// [`AttackSim::snapshot`]; encoded by [`attack_sim_snapshot_to_bytes`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct AttackSimSnapshot {
-    /// Raw xoshiro256++ generator state.
-    pub rng: [u64; 4],
-    /// Selector state.
-    pub selector: SelectorSnapshot,
-    /// Per-flow states (malicious flows are the `dies_at == None` ones).
-    pub flows: Vec<FlowState>,
-    /// Ephemeral source-port allocator cursor.
-    pub sport: u16,
-    /// Pending per-flow packet clocks, sorted by `(time, flow index)`.
-    pub schedule: Vec<(SimTime, usize)>,
-    /// Output series points emitted so far.
-    pub series: Vec<(f64, f64)>,
-    /// Next sample emission time.
-    pub next_sample: SimTime,
-    /// Takeover time if already reached.
-    pub takeover_time: Option<f64>,
-    /// Packets processed so far.
-    pub packets: u64,
-    /// Whether the run already reached its horizon.
-    pub done: bool,
-}
+// Smallest encodings inside a fast-simulation checkpoint: a flow is a
+// key, a sequence number and a flag; a schedule entry two varints; a
+// series point two floats.
+const MIN_FLOW_BYTES: usize = FlowKey::WIRE_BYTES + 1 + 1;
+const MIN_SCHEDULE_BYTES: usize = 2;
+const MIN_SERIES_BYTES: usize = 16;
 
-impl AttackSimSnapshot {
+impl AttackSim {
     /// The checkpoint encoder's sections, in order, each with the seed
     /// of its component digest.
     pub const SECTIONS: [(&'static str, StateDigest); 5] = [
@@ -203,149 +182,6 @@ impl AttackSimSnapshot {
         ("series", StateDigest::labeled("series")),
     ];
 
-    /// One walk over the checkpoint encoder, labelled `fastsim`: the
-    /// section digests, the state hash and, if `bytes`, the bytes.
-    pub fn walk(&self, bytes: bool) -> Walk {
-        self.state().walk(bytes)
-    }
-
-    fn state(&self) -> RunState<'_> {
-        RunState {
-            rng: self.rng,
-            selector: self.selector.state(),
-            flows: &self.flows,
-            sport: self.sport,
-            schedule: [&self.schedule, &[]],
-            series: &self.series,
-            next_sample: self.next_sample,
-            takeover_time: self.takeover_time,
-            packets: self.packets,
-            done: self.done,
-        }
-    }
-}
-
-/// A run's state as the checkpoint encoder reads it, borrowed from a live
-/// [`AttackSim`] or from an [`AttackSimSnapshot`]: the one encoder of
-/// both, so hashing a live run copies nothing.
-struct RunState<'a> {
-    rng: [u64; 4],
-    selector: SelectorState<'a>,
-    flows: &'a [FlowState],
-    sport: u16,
-    /// The packet clocks in pop order, as the two halves of a ring.
-    schedule: [&'a [(SimTime, usize)]; 2],
-    series: &'a [(f64, f64)],
-    next_sample: SimTime,
-    takeover_time: Option<f64>,
-    packets: u64,
-    done: bool,
-}
-
-impl RunState<'_> {
-    /// Section `i` of the checkpoint encoder, named in
-    /// [`AttackSimSnapshot::SECTIONS`]`[i]`. The last one ends with the
-    /// takeover time, the packet count and the done flag.
-    fn encode_section<E: Encoder>(&self, i: usize, e: &mut E) {
-        match i {
-            0 => self.rng.iter().for_each(|&w| e.u64(w)),
-            1 => self.selector.encode(e),
-            2 => {
-                e.seq(self.flows, |e, f| {
-                    f.key.encode(e);
-                    e.varint(u64::from(f.seq));
-                    e.opt(f.dies_at, |e, t| e.varint(t.0));
-                });
-                e.varint(u64::from(self.sport));
-            }
-            3 => {
-                let [front, back] = self.schedule;
-                e.varint_usize(front.len() + back.len());
-                for &(t, flow) in front.iter().chain(back) {
-                    e.varint(t.0);
-                    e.varint_usize(flow);
-                }
-            }
-            _ => {
-                e.seq(self.series, |e, &(t, v)| {
-                    e.f64(t);
-                    e.f64(v);
-                });
-                e.varint(self.next_sample.0);
-                e.opt(self.takeover_time, E::f64);
-                e.varint(self.packets);
-                e.bool(self.done);
-            }
-        }
-    }
-
-    fn walk(&self, bytes: bool) -> Walk {
-        let w = bytes.then(|| Writer::with_capacity(256));
-        wire::walk("fastsim", &AttackSimSnapshot::SECTIONS, w, |i, s| {
-            self.encode_section(i, s)
-        })
-    }
-}
-
-/// Encode a fast-simulation checkpoint: the bytes of its
-/// [walk](AttackSimSnapshot::walk), which no section refuses.
-pub fn attack_sim_snapshot_to_bytes(s: &AttackSimSnapshot) -> Vec<u8> {
-    s.walk(true).bytes.map_or_else(Vec::new, Writer::into_bytes)
-}
-
-// Smallest encodings inside a fast-simulation snapshot: a flow is a key,
-// a sequence number and a flag; a schedule entry two varints; a series
-// point two floats.
-const MIN_FLOW_BYTES: usize = FlowKey::WIRE_BYTES + 1 + 1;
-const MIN_SCHEDULE_BYTES: usize = 2;
-const MIN_SERIES_BYTES: usize = 16;
-
-/// Decode a fast-simulation checkpoint (strict: trailing bytes are an
-/// error).
-pub fn attack_sim_snapshot_from_bytes(bytes: &[u8]) -> Result<AttackSimSnapshot, DecodeError> {
-    let mut r = Reader::new(bytes);
-    let mut rng = [0u64; 4];
-    for word in &mut rng {
-        *word = r.u64("fastsim rng")?;
-    }
-    let selector = SelectorSnapshot::decode(&mut r)?;
-    let flows = r.seq("flow count", Reader::varint, MIN_FLOW_BYTES, |r| {
-        Ok(FlowState {
-            key: FlowKey::decode(r)?,
-            seq: r.varint_u32("flow seq")?,
-            dies_at: r.opt("flow dies_at", Reader::varint_quantity)?.map(SimTime),
-        })
-    })?;
-    let sport = r.varint_u16("sport cursor")?;
-    let schedule = r.seq("schedule length", Reader::varint, MIN_SCHEDULE_BYTES, |r| {
-        Ok((
-            SimTime(r.varint_quantity("schedule time")?),
-            r.varint_usize("schedule flow index")?,
-        ))
-    })?;
-    let series = r.seq("series length", Reader::varint, MIN_SERIES_BYTES, |r| {
-        Ok((r.f64("series time")?, r.f64("series value")?))
-    })?;
-    let next_sample = SimTime(r.varint_quantity("next sample time")?);
-    let takeover_time = r.opt("takeover time", Reader::f64)?;
-    let packets = r.varint_quantity("packet count")?;
-    let done = r.bool("done flag")?;
-    r.finish("fastsim snapshot")?;
-    Ok(AttackSimSnapshot {
-        rng,
-        selector,
-        flows,
-        sport,
-        schedule,
-        series,
-        next_sample,
-        takeover_time,
-        packets,
-        done,
-    })
-}
-
-impl AttackSim {
     /// Build a ready-to-step simulation (flow population, packet
     /// clocks, and phases are drawn here, in the exact order the
     /// original one-shot `run` used).
@@ -469,13 +305,11 @@ impl AttackSim {
             .on_packet_in_cell(idx, t, flow.key, flow.seq, false);
         self.packets += 1;
         let next = (t + cfg.pkt_interval, i);
-        if self.schedule.back().is_none_or(|&last| last <= next) {
-            self.schedule.push_back(next);
-        } else {
-            // Only a restored schedule gets here (module docs).
-            let at = self.schedule.partition_point(|&e| e < next);
-            self.schedule.insert(at, next);
-        }
+        debug_assert!(
+            self.schedule.back().is_none_or(|&last| last <= next),
+            "the ring stays ascending (module docs)"
+        );
+        self.schedule.push_back(next);
         Some(t)
     }
 
@@ -487,6 +321,11 @@ impl AttackSim {
     /// Configuration this run was built under.
     pub fn config(&self) -> &AttackSimConfig {
         &self.cfg
+    }
+
+    /// The run's flow selector.
+    pub fn selector(&self) -> &FlowSelector {
+        &self.selector
     }
 
     /// Packets processed so far.
@@ -515,25 +354,111 @@ impl AttackSim {
         self.walk(false).hash
     }
 
-    /// One walk over the live run with its snapshot's encoder: the same
-    /// section digests, state hash and, if `bytes`, bytes as
-    /// [`AttackSimSnapshot::walk`] of [`AttackSim::snapshot`], without
-    /// the copy.
+    /// One walk over the checkpoint encoder, labelled `fastsim`: the
+    /// section digests, the state hash and, if `bytes`, the checkpoint
+    /// bytes [`AttackSim::from_bytes`] decodes. Everything but the
+    /// configuration is written, which the restoring side supplies.
     pub fn walk(&self, bytes: bool) -> Walk {
-        let (front, back) = self.schedule.as_slices();
-        RunState {
-            rng: self.rng.state(),
-            selector: self.selector.state(),
-            flows: &self.flows,
-            sport: self.sport,
-            schedule: [front, back],
-            series: self.series.points(),
-            next_sample: self.next_sample,
-            takeover_time: self.takeover_time,
-            packets: self.packets,
-            done: self.done,
+        let w = bytes.then(|| Writer::with_capacity(256));
+        wire::walk("fastsim", &Self::SECTIONS, w, |i, s| {
+            self.encode_section(i, s)
+        })
+    }
+
+    /// Section `i` of the checkpoint encoder, named in
+    /// [`AttackSim::SECTIONS`]`[i]`. The last one ends with the takeover
+    /// time, the packet count and the done flag.
+    fn encode_section<E: Encoder>(&self, i: usize, e: &mut E) {
+        match i {
+            0 => self.rng.encode(e),
+            1 => self.selector.encode(e),
+            2 => {
+                e.seq(&self.flows, |e, f| {
+                    f.key.encode(e);
+                    e.varint(u64::from(f.seq));
+                    e.opt(f.dies_at, |e, t| e.varint(t.0));
+                });
+                e.varint(u64::from(self.sport));
+            }
+            3 => e.seq(&self.schedule, |e, &(t, flow)| {
+                e.varint(t.0);
+                e.varint_usize(flow);
+            }),
+            _ => {
+                e.seq(self.series.points(), |e, &(t, v)| {
+                    e.f64(t);
+                    e.f64(v);
+                });
+                e.varint(self.next_sample.0);
+                e.opt(self.takeover_time, E::f64);
+                e.varint(self.packets);
+                e.bool(self.done);
+            }
         }
-        .walk(bytes)
+    }
+
+    /// Rebuild a run from its checkpoint bytes plus its original
+    /// configuration (strict: trailing bytes are an error). The run
+    /// continues exactly where the checkpoint was taken; the malicious
+    /// key set is rebuilt from the immortal (`dies_at == None`) flows.
+    ///
+    /// The bytes may come from a file, so nothing `step` relies on is
+    /// trusted: a cell count or cadence that does not fit `cfg` is
+    /// [`ErrorKind::Config`]; a schedule no run reaches (module docs) or
+    /// series times that go backwards are [`ErrorKind::Invalid`].
+    pub fn from_bytes(cfg: &AttackSimConfig, bytes: &[u8]) -> Result<AttackSim, DecodeError> {
+        let mut r = Reader::new(bytes);
+        // A zero cadence never reaches the horizon (`AttackSim::new`).
+        if cfg.pkt_interval == SimDuration::ZERO || cfg.sample_every == SimDuration::ZERO {
+            return Err(r.error("fastsim cadence", ErrorKind::Config));
+        }
+        let rng = Rng::decode(&mut r, "fastsim rng")?;
+        let selector = FlowSelector::decode(cfg.params, &mut r)?;
+        let flows = r.seq("flow count", Reader::varint, MIN_FLOW_BYTES, |r| {
+            Ok(FlowState {
+                key: FlowKey::decode(r)?,
+                seq: r.varint_u32("flow seq")?,
+                dies_at: r.opt("flow dies_at", Reader::varint_quantity)?.map(SimTime),
+            })
+        })?;
+        let sport = r.varint_u16("sport cursor")?;
+        let schedule = decode_schedule(&mut r, flows.len(), cfg.pkt_interval)?;
+        // Points are pushed in time order, the next one at `next_sample`.
+        let mut series = TimeSeries::new();
+        let mut last = f64::NEG_INFINITY;
+        for _ in 0..r.count("series length", Reader::varint, MIN_SERIES_BYTES)? {
+            let (t, v) = (r.f64("series time")?, r.f64("series value")?);
+            if t.is_nan() || t < last {
+                return Err(r.error("series time", ErrorKind::Invalid));
+            }
+            last = t;
+            series.push(t, v);
+        }
+        let next_sample = SimTime(r.varint_quantity("next sample time")?);
+        if next_sample.as_secs_f64() < last {
+            return Err(r.error("next sample time", ErrorKind::Invalid));
+        }
+        let takeover_time = r.opt("takeover time", Reader::f64)?;
+        let packets = r.varint_quantity("packet count")?;
+        let done = r.bool("done flag")?;
+        r.finish("fastsim snapshot")?;
+        Ok(AttackSim {
+            cfg: cfg.clone(),
+            rng,
+            selector,
+            flow_cells: vec![None; flows.len()],
+            malicious_keys: (flows.iter().filter(|f| f.dies_at.is_none()))
+                .map(|f| f.key)
+                .collect(),
+            flows,
+            sport,
+            schedule,
+            series,
+            next_sample,
+            takeover_time,
+            packets,
+            done,
+        })
     }
 
     /// Whether the run is over: the next [`AttackSim::step`] returns
@@ -542,89 +467,17 @@ impl AttackSim {
         self.done || self.next_due().is_none()
     }
 
+    /// The earliest pending packet clock, within the horizon or past it.
+    pub fn next_clock(&self) -> Option<SimTime> {
+        self.schedule.front().map(|&(t, _)| t)
+    }
+
     /// The next packet clock, if it falls within the horizon.
     /// Past-horizon clocks stay in the schedule: its contents feed the
     /// state digest.
     fn next_due(&self) -> Option<(SimTime, usize)> {
         let horizon = self.cfg.horizon.as_nanos();
         (self.schedule.front().copied()).filter(|&(t, _)| t.as_nanos() <= horizon)
-    }
-
-    /// Capture the run as plain data (restorable checkpoint).
-    pub fn snapshot(&self) -> AttackSimSnapshot {
-        AttackSimSnapshot {
-            rng: self.rng.state(),
-            selector: self.selector.snapshot(),
-            flows: self.flows.clone(),
-            sport: self.sport,
-            schedule: self.schedule.iter().copied().collect(),
-            series: self.series.points().to_vec(),
-            next_sample: self.next_sample,
-            takeover_time: self.takeover_time,
-            packets: self.packets,
-            done: self.done,
-        }
-    }
-
-    /// Rebuild a run from a snapshot plus its original configuration.
-    ///
-    /// The restored run continues exactly where the snapshot was taken:
-    /// the schedule is sorted on the way in, so the pop order does not
-    /// depend on the order the snapshot lists it in, and the malicious
-    /// key set is reconstructed from the immortal (`dies_at == None`)
-    /// flows.
-    ///
-    /// A snapshot may come from a file: one that does not fit `cfg`, or
-    /// that `step` could not run on, is refused rather than trusted.
-    pub fn restore(cfg: &AttackSimConfig, snap: AttackSimSnapshot) -> Result<Self, String> {
-        if cfg.pkt_interval == SimDuration::ZERO || cfg.sample_every == SimDuration::ZERO {
-            return Err("configuration has a zero pkt_interval or sample_every".into());
-        }
-        if snap.selector.cells.len() != cfg.params.cells {
-            return Err("snapshot cell count does not match the configuration".into());
-        }
-        if snap.schedule.iter().any(|&(_, i)| i >= snap.flows.len()) {
-            return Err("snapshot schedules a flow it does not hold".into());
-        }
-        // Points are pushed in time order, the next one at `next_sample`.
-        let mut last = f64::NEG_INFINITY;
-        for &(t, _) in snap
-            .series
-            .iter()
-            .chain([&(snap.next_sample.as_secs_f64(), 0.0)])
-        {
-            if t.is_nan() || t < last {
-                return Err("snapshot series times are not non-decreasing".into());
-            }
-            last = t;
-        }
-        let malicious_keys: HashSet<FlowKey> = snap
-            .flows
-            .iter()
-            .filter(|f| f.dies_at.is_none())
-            .map(|f| f.key)
-            .collect();
-        let mut schedule = snap.schedule;
-        schedule.sort_unstable();
-        let mut series = TimeSeries::new();
-        for (t, v) in snap.series {
-            series.push(t, v);
-        }
-        Ok(AttackSim {
-            cfg: cfg.clone(),
-            rng: Rng::from_state(snap.rng),
-            selector: FlowSelector::from_snapshot(cfg.params, snap.selector),
-            flow_cells: vec![None; snap.flows.len()],
-            flows: snap.flows,
-            malicious_keys,
-            sport: snap.sport,
-            schedule: schedule.into(),
-            series,
-            next_sample: snap.next_sample,
-            takeover_time: snap.takeover_time,
-            packets: snap.packets,
-            done: snap.done,
-        })
     }
 
     /// Finish the run (stepping to the horizon if needed) and produce
@@ -670,6 +523,41 @@ impl AttackSim {
             .map(|i| Self::run(cfg, base_seed + i as u64))
             .collect()
     }
+}
+
+/// The schedule section of a checkpoint holding `flows` flows, refused
+/// unless a run can reach it (module docs): `flows` entries, one per flow,
+/// strictly ascending, the last no later than `(first time + interval,
+/// first flow)`.
+fn decode_schedule(
+    r: &mut Reader,
+    flows: usize,
+    interval: SimDuration,
+) -> Result<VecDeque<(SimTime, usize)>, DecodeError> {
+    if r.count("schedule length", Reader::varint, MIN_SCHEDULE_BYTES)? != flows {
+        return Err(r.error("schedule length", ErrorKind::Invalid));
+    }
+    let mut scheduled = vec![false; flows];
+    let mut schedule = VecDeque::with_capacity(flows);
+    for _ in 0..flows {
+        let entry = (
+            SimTime(r.varint_quantity("schedule time")?),
+            r.varint_usize("schedule flow index")?,
+        );
+        let ascends = schedule.back().is_none_or(|&prev| prev < entry);
+        match scheduled.get_mut(entry.1) {
+            Some(s) if ascends && !*s => *s = true,
+            _ => return Err(r.error("schedule entry", ErrorKind::Invalid)),
+        }
+        schedule.push_back(entry);
+    }
+    if let (Some(&(t, flow)), Some(&last)) = (schedule.front(), schedule.back()) {
+        let bound = t.0.checked_add(interval.0).map(|end| (SimTime(end), flow));
+        if bound.is_none_or(|bound| last > bound) {
+            return Err(r.error("schedule span", ErrorKind::Invalid));
+        }
+    }
+    Ok(schedule)
 }
 
 /// `clocks` in `(time, flow index)` order — what `sort_unstable` returns —
@@ -834,21 +722,23 @@ mod tests {
         assert_eq!(stepped.selector_stats, oneshot.selector_stats);
     }
 
-    /// Hashing a live run walks its fields with the snapshot's encoder:
-    /// at every point checked, the live walk is the walk of a snapshot
-    /// taken there, and `finished` foretells the step that ends the run.
+    fn checkpoint(sim: &AttackSim) -> Vec<u8> {
+        sim.walk(true).bytes.expect("nothing refuses").into_bytes()
+    }
+
+    /// At every point checked, the checkpoint decodes to a run that walks
+    /// exactly as the original — bytes, sections and hash, over a split
+    /// ring too — and `finished` foretells the step that ends the run.
     #[test]
-    fn a_live_walk_is_its_snapshots_walk() {
-        let mut sim = AttackSim::new(&small(), 3);
+    fn a_checkpoint_decodes_to_a_run_that_walks_alike() {
+        let cfg = small();
+        let mut sim = AttackSim::new(&cfg, 3);
         let (mut checked, mut split) = (0, 0);
         for n in 0u64.. {
             if n % 997 == 0 || sim.finished() {
-                assert_eq!(
-                    sim.state_hash(),
-                    sim.snapshot().walk(false).hash,
-                    "event {n}"
-                );
-                assert_eq!(sim.walk(true), sim.snapshot().walk(true), "event {n}");
+                let back = AttackSim::from_bytes(&cfg, &checkpoint(&sim)).expect("own bytes");
+                assert_eq!(back.walk(true), sim.walk(true), "event {n}");
+                assert_eq!(back.state_hash(), sim.state_hash(), "event {n}");
                 checked += 1;
                 split += usize::from(!sim.schedule.as_slices().1.is_empty());
             }
@@ -859,7 +749,8 @@ mod tests {
             }
         }
         assert!(sim.finished());
-        assert_eq!(sim.walk(true), sim.snapshot().walk(true), "after the run");
+        let back = AttackSim::from_bytes(&cfg, &checkpoint(&sim)).expect("own bytes");
+        assert_eq!(back.walk(true), sim.walk(true), "after the run");
         assert!(
             checked > 10 && split > 0,
             "{checked} points, {split} with a split ring"
@@ -867,13 +758,13 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_resumes_identically() {
+    fn a_decoded_checkpoint_resumes_identically() {
         let cfg = small();
         let mut sim = AttackSim::new(&cfg, 5);
         for _ in 0..20_000 {
             sim.step();
         }
-        let resumed = AttackSim::restore(&cfg, sim.snapshot()).expect("own snapshot");
+        let resumed = AttackSim::from_bytes(&cfg, &checkpoint(&sim)).expect("own bytes");
         assert_eq!(sim.state_hash(), resumed.state_hash());
         let a = sim.into_result();
         let b = resumed.into_result();
@@ -925,8 +816,8 @@ mod tests {
     }
 
     #[test]
-    fn restore_refuses_a_zero_cadence() {
-        let snap = AttackSim::new(&small(), 1).snapshot();
+    fn from_bytes_refuses_a_zero_cadence() {
+        let bytes = checkpoint(&AttackSim::new(&small(), 1));
         for cfg in [
             AttackSimConfig {
                 pkt_interval: SimDuration::ZERO,
@@ -937,9 +828,10 @@ mod tests {
                 ..small()
             },
         ] {
-            assert!(AttackSim::restore(&cfg, snap.clone()).is_err());
+            let err = AttackSim::from_bytes(&cfg, &bytes).err().expect("refused");
+            assert_eq!(err.kind, ErrorKind::Config);
         }
-        assert!(AttackSim::restore(&small(), snap).is_ok());
+        assert!(AttackSim::from_bytes(&small(), &bytes).is_ok());
     }
 
     dui_stats::prop_check! {

@@ -49,15 +49,15 @@
 //! or reset. What needs no upkeep: emptying a cell (`cells[idx] = None`)
 //! and `last_seen` moving forward both leave a lower bound a lower bound —
 //! it merely goes stale, and the next scan it lets through tightens it.
-//! Neither summary is state: they are not in [`SelectorSnapshot`], which
-//! is also the selector's digest, and [`FlowSelector::from_snapshot`]
+//! Neither summary is state: [`FlowSelector::encode`], which is also the
+//! selector's digest, does not write them, and [`FlowSelector::decode`]
 //! recomputes them in one pass. Under constant eviction or a
 //! retransmission storm every packet still scans, at the old cost plus
 //! one compare.
 
 use dui_netsim::packet::FlowKey;
 use dui_netsim::time::{SimDuration, SimTime};
-use dui_stats::wire::{DecodeError, Encoder, Reader};
+use dui_stats::wire::{DecodeError, Encoder, ErrorKind, Reader};
 
 /// `oldest_seen` while no cell is known to be occupied: `since` it is zero
 /// at every `now`, so only a zero `eviction_timeout` lets a scan through.
@@ -388,105 +388,45 @@ impl FlowSelector {
         &self.cells
     }
 
-    /// Capture the selector's mutable state as plain data.
-    ///
-    /// The parameters are *not* part of the snapshot — they belong to
-    /// the configuration a restored run is reconstructed under.
-    pub fn snapshot(&self) -> SelectorSnapshot {
-        SelectorSnapshot {
-            cells: self.cells.clone(),
-            last_reset: self.last_reset,
-            resets: self.resets,
-            stats: self.stats,
-            residencies: self.residencies.clone(),
-        }
-    }
-
-    /// The selector's state digest and checkpoint bytes, written from
-    /// the live selector: [`SelectorSnapshot::encode`] of its
-    /// [`snapshot`](FlowSelector::snapshot), without the copy.
+    /// The checkpoint encoder, which is also the selector's state digest:
+    /// the cell array in index order, the reset clock, the counts and the
+    /// residencies. The parameters are *not* written — they belong to the
+    /// configuration a restored run is rebuilt under — nor are the two
+    /// summaries, which [`FlowSelector::decode`] recomputes.
     pub fn encode<E: Encoder>(&self, e: &mut E) {
-        self.state().encode(e);
-    }
-
-    pub(crate) fn state(&self) -> SelectorState<'_> {
-        SelectorState {
-            cells: &self.cells,
-            last_reset: self.last_reset,
-            resets: self.resets,
-            stats: self.stats,
-            residencies: self.residencies.as_deref(),
+        e.seq(&self.cells, |e, cell| {
+            e.opt(cell.as_ref(), |e, c| c.encode(e))
+        });
+        e.varint(self.last_reset.0);
+        e.varint(self.resets);
+        let s = &self.stats;
+        for v in [
+            s.sampled,
+            s.evicted_fin,
+            s.evicted_idle,
+            s.evicted_reset,
+            s.retransmissions,
+            s.not_monitored,
+        ] {
+            e.varint(v);
         }
+        e.opt(self.residencies.as_deref(), |e, res| {
+            e.seq(res, |e, d| e.varint(d.0))
+        });
     }
 
-    /// Rebuild a selector from a snapshot plus its original parameters.
-    ///
-    /// Panics if the snapshot's cell count disagrees with
-    /// `params.cells` (it was taken under a different configuration).
-    pub fn from_snapshot(params: BlinkParams, snap: SelectorSnapshot) -> Self {
-        assert_eq!(
-            snap.cells.len(),
-            params.cells,
-            "snapshot cell count does not match params"
-        );
-        let occupants = snap.cells.iter().flatten();
-        FlowSelector {
-            params,
-            oldest_seen: occupants
-                .clone()
-                .map(|c| c.last_seen)
-                .min()
-                .unwrap_or(NO_OCCUPANT),
-            retx_cells: occupants.filter(|c| c.last_retx.is_some()).count(),
-            cells: snap.cells,
-            last_reset: snap.last_reset,
-            resets: snap.resets,
-            stats: snap.stats,
-            residencies: snap.residencies,
+    /// Inverse of [`FlowSelector::encode`], under the parameters of the
+    /// configuration being restored: a cell count other than
+    /// `params.cells` is [`ErrorKind::Config`]. Recomputes both summaries
+    /// in one pass.
+    pub fn decode(params: BlinkParams, r: &mut Reader) -> Result<FlowSelector, DecodeError> {
+        if r.count("cell count", Reader::varint, 1)? != params.cells {
+            return Err(r.error("cell count", ErrorKind::Config));
         }
-    }
-}
-
-/// Plain-data snapshot of a [`FlowSelector`]'s mutable state, produced
-/// by [`FlowSelector::snapshot`] and consumed by
-/// [`FlowSelector::from_snapshot`], with its checkpoint codec.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SelectorSnapshot {
-    /// Cell array contents (index order preserved).
-    pub cells: Vec<Option<Cell>>,
-    /// Time of the last periodic sample reset.
-    pub last_reset: SimTime,
-    /// Number of sample resets performed.
-    pub resets: u64,
-    /// Cumulative event counts.
-    pub stats: SelectorStats,
-    /// Completed occupancy durations, if recording was enabled.
-    pub residencies: Option<Vec<SimDuration>>,
-}
-
-impl SelectorSnapshot {
-    /// The checkpoint encoder, which is also the selector's state
-    /// digest: the cell array in index order, the reset clock, the
-    /// counts and the residencies.
-    pub fn encode<E: Encoder>(&self, e: &mut E) {
-        self.state().encode(e);
-    }
-
-    pub(crate) fn state(&self) -> SelectorState<'_> {
-        SelectorState {
-            cells: &self.cells,
-            last_reset: self.last_reset,
-            resets: self.resets,
-            stats: self.stats,
-            residencies: self.residencies.as_deref(),
+        let mut cells = Vec::with_capacity(params.cells);
+        for _ in 0..params.cells {
+            cells.push(r.opt("cell", |r, _| Cell::decode(r))?);
         }
-    }
-
-    /// Inverse of [`SelectorSnapshot::encode`].
-    pub fn decode(r: &mut Reader) -> Result<SelectorSnapshot, DecodeError> {
-        let cells = r.seq("cell count", Reader::varint, 1, |r| {
-            r.opt("cell", |r, _| Cell::decode(r))
-        })?;
         let last_reset = SimTime(r.varint_quantity("selector last_reset")?);
         let resets = r.varint_quantity("selector resets")?;
         let stats = SelectorStats {
@@ -502,45 +442,21 @@ impl SelectorSnapshot {
                 Ok(SimDuration(r.varint_quantity("residency")?))
             })
         })?;
-        Ok(SelectorSnapshot {
+        let occupants = cells.iter().flatten();
+        Ok(FlowSelector {
+            params,
+            oldest_seen: occupants
+                .clone()
+                .map(|c| c.last_seen)
+                .min()
+                .unwrap_or(NO_OCCUPANT),
+            retx_cells: occupants.filter(|c| c.last_retx.is_some()).count(),
             cells,
             last_reset,
             resets,
             stats,
             residencies,
         })
-    }
-}
-
-/// A selector's state as its encoder reads it, borrowed from a live
-/// [`FlowSelector`] or from a [`SelectorSnapshot`]: the one encoder of
-/// both.
-pub(crate) struct SelectorState<'a> {
-    cells: &'a [Option<Cell>],
-    last_reset: SimTime,
-    resets: u64,
-    stats: SelectorStats,
-    residencies: Option<&'a [SimDuration]>,
-}
-
-impl SelectorState<'_> {
-    pub(crate) fn encode<E: Encoder>(&self, e: &mut E) {
-        e.seq(self.cells, |e, cell| {
-            e.opt(cell.as_ref(), |e, c| c.encode(e))
-        });
-        e.varint(self.last_reset.0);
-        e.varint(self.resets);
-        for v in [
-            self.stats.sampled,
-            self.stats.evicted_fin,
-            self.stats.evicted_idle,
-            self.stats.evicted_reset,
-            self.stats.retransmissions,
-            self.stats.not_monitored,
-        ] {
-            e.varint(v);
-        }
-        e.opt(self.residencies, |e, res| e.seq(res, |e, d| e.varint(d.0)));
     }
 }
 
@@ -800,6 +716,37 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn decode_rebuilds_the_selector_and_refuses_another_cell_count() {
+        let mut s = selector();
+        s.record_residencies();
+        for i in 0..40 {
+            s.on_packet(
+                t(u64::from(i) * 300),
+                key(i % 9),
+                u32::from(i % 2),
+                i % 7 == 0,
+            );
+        }
+        let encoded = |s: &FlowSelector| {
+            let mut w = dui_stats::wire::Writer::new();
+            s.encode(&mut w);
+            w.into_bytes()
+        };
+        let bytes = encoded(&s);
+        let mut r = Reader::new(&bytes);
+        let back = FlowSelector::decode(*s.params(), &mut r).expect("its own bytes");
+        assert_eq!(r.finish("selector"), Ok(()));
+        assert_eq!(encoded(&back), bytes);
+        assert_eq!(back.retx_cells, s.retx_cells);
+        let other = BlinkParams {
+            cells: 32,
+            ..Default::default()
+        };
+        let err = FlowSelector::decode(other, &mut Reader::new(&bytes)).unwrap_err();
+        assert_eq!((err.what, err.kind), ("cell count", ErrorKind::Config));
     }
 
     #[test]

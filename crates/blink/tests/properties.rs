@@ -3,16 +3,13 @@
 
 use dui_blink::fastsim::{AttackSim, AttackSimConfig};
 use dui_blink::inference::{FailureDetector, FailureEvent};
-use dui_blink::selector::{
-    BlinkParams, Cell, FlowSelector, Observation, SelectorSnapshot, SelectorStats,
-};
+use dui_blink::selector::{BlinkParams, Cell, FlowSelector, Observation, SelectorStats};
 use dui_blink::theory::{effective_qm, AttackModel, FixedKeysModel};
 use dui_netsim::packet::{Addr, FlowKey};
 use dui_netsim::time::{SimDuration, SimTime};
 use dui_stats::digest::StateDigest;
-use dui_stats::{prop_assert, prop_assert_eq, prop_check};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use dui_stats::wire::{DecodeError, Encoder, ErrorKind, Reader, Writer, QUANTITY_MAX};
+use dui_stats::{prop_assert, prop_assert_eq, prop_check, Rng};
 
 fn key(i: u32) -> FlowKey {
     FlowKey::tcp(
@@ -135,14 +132,53 @@ impl ScanSelector {
             .count()
     }
 
-    fn snapshot(&self) -> SelectorSnapshot {
-        SelectorSnapshot {
-            cells: self.cells.clone(),
-            last_reset: self.last_reset,
-            resets: self.resets,
-            stats: self.stats,
-            residencies: self.residencies.clone(),
+    /// Whether it stores a time or duration past `QUANTITY_MAX`, which
+    /// no checkpoint holds: the gaps the differential draws reach the end
+    /// of time.
+    fn past_quantity_max(&self) -> bool {
+        let cells = self.cells.iter().flatten().flat_map(|c| {
+            let retx = [c.last_retx.map(|t| t.0), c.last_retx_gap.map(|d| d.0)];
+            [c.last_seen.0, c.sampled_at.0]
+                .into_iter()
+                .chain(retx.into_iter().flatten())
+        });
+        let residencies = self.residencies.iter().flatten().map(|d| d.0);
+        cells
+            .chain(residencies)
+            .chain([self.last_reset.0])
+            .any(|v| v > QUANTITY_MAX)
+    }
+
+    /// Every stored field, in the selector's checkpoint layout.
+    fn bytes(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.seq(&self.cells, |w, cell| {
+            w.opt(cell.as_ref(), |w, c| {
+                c.flow.encode(w);
+                w.varint(c.last_seen.0);
+                w.varint(c.sampled_at.0);
+                w.varint(u64::from(c.last_seq));
+                w.opt(c.last_retx, |w, t| w.varint(t.0));
+                w.opt(c.last_retx_gap, |w, d| w.varint(d.0));
+            })
+        });
+        w.varint(self.last_reset.0);
+        w.varint(self.resets);
+        let s = &self.stats;
+        for v in [
+            s.sampled,
+            s.evicted_fin,
+            s.evicted_idle,
+            s.evicted_reset,
+            s.retransmissions,
+            s.not_monitored,
+        ] {
+            w.varint(v);
         }
+        w.opt(self.residencies.as_deref(), |w, res| {
+            w.seq(res, |w, d| w.varint(d.0))
+        });
+        w.into_bytes()
     }
 }
 
@@ -170,8 +206,44 @@ fn scan_evaluate(
 
 fn selector_hash(s: &FlowSelector) -> u64 {
     let mut d = StateDigest::labeled("selector");
-    s.snapshot().encode(&mut d);
+    s.encode(&mut d);
     d.finish()
+}
+
+fn selector_bytes(s: &FlowSelector) -> Vec<u8> {
+    let mut w = Writer::new();
+    s.encode(&mut w);
+    w.into_bytes()
+}
+
+fn decode_selector(params: BlinkParams, bytes: &[u8]) -> Result<FlowSelector, DecodeError> {
+    let mut r = Reader::new(bytes);
+    let s = FlowSelector::decode(params, &mut r)?;
+    r.finish("selector")?;
+    Ok(s)
+}
+
+fn checkpoint(sim: &AttackSim) -> Vec<u8> {
+    sim.walk(true).bytes.expect("nothing refuses").into_bytes()
+}
+
+/// The schedule section of a fast-simulation checkpoint: where it starts,
+/// its `(time, flow index)` entries, and where it ends.
+fn schedule_of(cfg: &AttackSimConfig, bytes: &[u8]) -> (usize, Vec<(u64, u64)>, usize) {
+    let mut r = Reader::new(bytes);
+    Rng::decode(&mut r, "rng").expect("a checkpoint");
+    FlowSelector::decode(cfg.params, &mut r).expect("a checkpoint");
+    for _ in 0..r.varint("flow count").unwrap() {
+        FlowKey::decode(&mut r).unwrap();
+        r.varint("flow seq").unwrap();
+        r.opt("flow dies_at", Reader::varint).unwrap();
+    }
+    r.varint("sport cursor").unwrap();
+    let start = bytes.len() - r.remaining();
+    let entries = (0..r.varint("schedule length").unwrap())
+        .map(|_| (r.varint("time").unwrap(), r.varint("flow").unwrap()))
+        .collect();
+    (start, entries, bytes.len() - r.remaining())
 }
 
 prop_check! {
@@ -216,7 +288,11 @@ prop_check! {
                     lib.apply_time(now);
                     model.apply_time(now);
                 }
-                1 => lib = FlowSelector::from_snapshot(params, lib.snapshot()),
+                1 => {
+                    if let Ok(rebuilt) = decode_selector(params, &selector_bytes(&lib)) {
+                        lib = rebuilt;
+                    }
+                }
                 _ => {
                     let (flow, seq, fin) = (key(g.u32(0..12)), g.u32(0..3), g.u8(0..8) == 0);
                     // Both entry points, the one that hashes the key and
@@ -229,17 +305,24 @@ prop_check! {
                     prop_assert_eq!(observed, model.on_packet(now, flow, seq, fin));
                 }
             }
-            // `snapshot` is every stored field — `cells()`, `stats`,
+            // The bytes are every stored field — `cells()`, `stats`,
             // `resets`, the last reset, the residencies in the order
             // `achieved_t_r` sums them.
-            prop_assert_eq!(lib.snapshot(), model.snapshot());
+            prop_assert_eq!(selector_bytes(&lib), model.bytes());
             prop_assert_eq!(lib.residencies(), model.residencies.as_deref().unwrap_or(&[]));
-            // The summaries are derived: a selector rebuilt from the
-            // model's fields alone hashes like the live one.
-            prop_assert_eq!(
-                selector_hash(&lib),
-                selector_hash(&FlowSelector::from_snapshot(params, model.snapshot()))
-            );
+            // The summaries are derived: a selector decoded from the
+            // model's bytes alone hashes like the live one — unless they
+            // hold a time past `QUANTITY_MAX`, which is out of range.
+            match decode_selector(params, &model.bytes()) {
+                Ok(rebuilt) => {
+                    prop_assert!(!model.past_quantity_max());
+                    prop_assert_eq!(selector_hash(&rebuilt), selector_hash(&lib));
+                }
+                Err(e) => {
+                    prop_assert!(model.past_quantity_max(), "{e}");
+                    prop_assert_eq!(e.kind, ErrorKind::Range);
+                }
+            }
             prop_assert_eq!(lib.occupied(), model.cells.iter().flatten().count());
             // Asked at the packet's time and at one that may lie in the
             // past or beyond the window.
@@ -255,46 +338,48 @@ prop_check! {
         }
     }
 
-    fn restored_schedule_steps_in_heap_order(g) {
-        // One clock per flow, each within an interval of the others, is
-        // what `AttackSim::new` builds; `restore` promises nothing of the
-        // sort is needed. Shuffled, with duplicates and clocks many
-        // intervals apart, a restored run pops what a binary heap pops.
+    fn fastsim_checkpoint_round_trips_and_refuses_reordering(g) {
+        // A run stepped any number of times decodes from its checkpoint
+        // to a run with the same bytes that steps on exactly as it does;
+        // its schedule in any other order is none a run reaches.
         let cfg = AttackSimConfig {
-            legit_flows: 5,
-            malicious_flows: 2,
+            legit_flows: g.usize(0..6),
+            malicious_flows: g.usize(0..3),
             pkt_interval: SimDuration::from_millis(g.u64(1..400)),
             horizon: SimDuration::from_secs(8),
             ..AttackSimConfig::fig2()
         };
-        let mut snap = AttackSim::new(&cfg, g.any_u64()).snapshot();
-        prop_assert!(snap.schedule.is_sorted());
-        snap.schedule = g.vec(0..24, |g| {
-            let coarse = SimDuration::from_millis(g.u64(0..10) * 700).0;
-            (SimTime(coarse + g.u64(0..3)), g.usize(0..7))
-        });
-        if let (true, Some(&again)) = (g.bool(), snap.schedule.first()) {
-            snap.schedule.push(again);
+        let mut sim = AttackSim::new(&cfg, g.any_u64());
+        for _ in 0..g.usize(0..300) {
+            sim.step();
         }
-        let mut heap: BinaryHeap<_> = snap.schedule.iter().copied().map(Reverse).collect();
-        let mut sim = AttackSim::restore(&cfg, snap).expect("schedule names held flows");
-        for _ in 0..g.usize(0..200) {
-            let due = heap.peek().map(|&Reverse((t, _))| t).filter(|t| t.0 <= cfg.horizon.0);
-            prop_assert_eq!(sim.step(), due);
-            if due.is_none() {
-                break;
-            }
-            let Reverse((t, i)) = heap.pop().expect("peeked");
-            heap.push(Reverse((t + cfg.pkt_interval, i)));
-            if g.u8(0..16) == 0 {
-                let mut pending: Vec<_> = heap.iter().map(|&Reverse(e)| e).collect();
-                pending.sort_unstable();
-                prop_assert_eq!(sim.snapshot().schedule, pending);
-            }
+        let bytes = checkpoint(&sim);
+        let mut back = AttackSim::from_bytes(&cfg, &bytes).expect("its own checkpoint");
+        prop_assert_eq!(checkpoint(&back), bytes);
+        for _ in 0..g.usize(0..100) {
+            let t = sim.step();
+            prop_assert_eq!(back.step(), t);
         }
-        let mut pending: Vec<_> = heap.into_iter().map(|Reverse(e)| e).collect();
-        pending.sort_unstable();
-        prop_assert_eq!(sim.snapshot().schedule, pending);
+        prop_assert_eq!(back.walk(true), sim.walk(true));
+        let (start, mut entries, end) = schedule_of(&cfg, &bytes);
+        if entries.len() > 1 {
+            let sorted = entries.clone();
+            for i in (1..entries.len()).rev() {
+                entries.swap(i, g.usize(0..i + 1));
+            }
+            if entries == sorted {
+                entries.swap(0, 1);
+            }
+            let mut w = Writer::new();
+            w.raw(&bytes[..start]);
+            w.seq(&entries, |w, &(t, flow)| {
+                w.varint(t);
+                w.varint(flow);
+            });
+            w.raw(&bytes[end..]);
+            let err = AttackSim::from_bytes(&cfg, &w.into_bytes()).err();
+            prop_assert_eq!(err.map(|e| e.kind), Some(ErrorKind::Invalid));
+        }
     }
 
     fn selector_occupancy_bounded(g) {

@@ -68,7 +68,7 @@ impl Simulator {
             0 => {
                 s.varint(core.now.0);
                 s.varint(core.next_pkt_id);
-                core.rng.state().into_iter().for_each(|w| s.u64(w));
+                core.rng.encode(s);
                 s.bool(self.started);
             }
             1 => s.seq(core.queue.snapshot_refs(), |s, (t, event)| {
@@ -205,7 +205,7 @@ impl Simulator {
         }
         self.core.now = c.now;
         self.core.next_pkt_id = c.next_pkt_id;
-        self.core.rng = Rng::from_state(c.rng);
+        self.core.rng = c.rng;
         self.started = c.started;
         self.core.arena = c.arena;
         let mut queue = EventQueue::new();
@@ -241,10 +241,7 @@ impl Simulator {
         let n = topo.node_count();
         let now = SimTime(r.varint_quantity("engine clock")?);
         let next_pkt_id = r.varint_quantity("next packet id")?;
-        let mut rng = [0u64; 4];
-        for word in &mut rng {
-            *word = r.u64("engine rng")?;
-        }
+        let rng = Rng::decode(&mut r, "engine rng")?;
         let started = r.bool("started flag")?;
 
         let mut arena = PacketArena::new();
@@ -370,7 +367,7 @@ impl Simulator {
 struct Decoded<'a> {
     now: SimTime,
     next_pkt_id: u64,
-    rng: [u64; 4],
+    rng: Rng,
     started: bool,
     arena: PacketArena,
     events: Vec<(SimTime, Event)>,

@@ -353,7 +353,7 @@ mod tests {
     use super::*;
     use crate::record::Recorder;
     use dui_stats::digest::StateDigest;
-    use dui_stats::wire::{self, Encoder, Reader, Writer};
+    use dui_stats::wire::{self, DecodeError, Encoder, Reader, Writer};
 
     /// A toy deterministic subject: a counter driven by an RNG, with a
     /// restorable checkpoint. Exercises the whole record→verify→resume
@@ -410,7 +410,7 @@ mod tests {
             ];
             let w = payload.then(Writer::new);
             wire::walk("counter", &SECTIONS, w, |i, s| match i {
-                0 => self.rng.state().into_iter().for_each(|w| s.u64(w)),
+                0 => self.rng.encode(s),
                 _ => {
                     s.u64(self.ticks);
                     s.u64(self.total);
@@ -420,11 +420,11 @@ mod tests {
 
         fn load_checkpoint(&mut self, bytes: &[u8]) -> Result<(), String> {
             let mut r = Reader::new(bytes);
-            let mut word = || r.u64("counter word").map_err(|e| e.to_string());
-            self.rng = dui_stats::Rng::from_state([word()?, word()?, word()?, word()?]);
-            self.ticks = word()?;
-            self.total = word()?;
-            r.finish("counter").map_err(|e| e.to_string())
+            let err = |e: DecodeError| e.to_string();
+            self.rng = dui_stats::Rng::decode(&mut r, "counter rng").map_err(err)?;
+            self.ticks = r.u64("counter word").map_err(err)?;
+            self.total = r.u64("counter word").map_err(err)?;
+            r.finish("counter").map_err(err)
         }
     }
 

@@ -16,7 +16,7 @@
 //! the state hash.
 
 use crate::replay::{ReplaySubject, StepInfo};
-use dui_blink::fastsim::{attack_sim_snapshot_from_bytes, AttackSim, AttackSimConfig};
+use dui_blink::fastsim::{AttackSim, AttackSimConfig};
 use dui_netsim::sim::Simulator;
 use dui_netsim::time::SimTime;
 use dui_stats::digest::StateDigest;
@@ -46,11 +46,10 @@ pub fn attack_sim_config_digest(cfg: &AttackSimConfig, seed: u64) -> u64 {
 
 /// The Blink flow-level fast simulation as a replay subject.
 ///
-/// Fully restorable: every checkpoint carries an
-/// [`AttackSimSnapshot`](dui_blink::fastsim::AttackSimSnapshot), so recordings of this subject support
-/// mid-run resume.
+/// Fully restorable: every checkpoint carries the run's bytes
+/// ([`AttackSim::walk`], decoded by [`AttackSim::from_bytes`]), so
+/// recordings of this subject support mid-run resume.
 pub struct FastSimSubject {
-    cfg: AttackSimConfig,
     sim: AttackSim,
     config_digest: u64,
     now: u64,
@@ -62,7 +61,6 @@ impl FastSimSubject {
         let config_digest = attack_sim_config_digest(&cfg, seed);
         let sim = AttackSim::new(&cfg, seed);
         FastSimSubject {
-            cfg,
             sim,
             config_digest,
             now: 0,
@@ -124,10 +122,8 @@ impl ReplaySubject for FastSimSubject {
     }
 
     fn load_checkpoint(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let snap = attack_sim_snapshot_from_bytes(bytes).map_err(|e| e.to_string())?;
-        let now = snap.schedule.first().map_or(0, |&(t, _)| t.0);
-        self.sim = AttackSim::restore(&self.cfg, snap)?;
-        self.now = now;
+        self.sim = AttackSim::from_bytes(self.sim.config(), bytes).map_err(|e| e.to_string())?;
+        self.now = self.sim.next_clock().map_or(0, |t| t.0);
         Ok(())
     }
 }

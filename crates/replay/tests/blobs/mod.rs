@@ -12,7 +12,7 @@
     reason = "each test binary that includes this module uses a subset"
 )]
 
-use dui_blink::fastsim::{attack_sim_snapshot_to_bytes, AttackSim, AttackSimConfig};
+use dui_blink::fastsim::{AttackSim, AttackSimConfig};
 use dui_blink::selector::BlinkParams;
 use dui_netsim::prelude::*;
 use dui_replay::{FastSimSubject, Recorder, Recording, ReplaySubject, SimulatorSubject};
@@ -46,13 +46,13 @@ pub fn fastsim_subject() -> FastSimSubject {
     FastSimSubject::new(fastsim_cfg(), FASTSIM_SEED)
 }
 
-/// The fast simulation 60 packets in, as a snapshot blob.
+/// The fast simulation 60 packets in: its checkpoint bytes.
 pub fn fastsim_snapshot() -> Vec<u8> {
     let mut sim = AttackSim::new(&fastsim_cfg(), FASTSIM_SEED);
     for _ in 0..60 {
         sim.step();
     }
-    attack_sim_snapshot_to_bytes(&sim.snapshot())
+    sim.walk(true).bytes.expect("nothing refuses").into_bytes()
 }
 
 /// `.duir` of the fast simulation, checkpointed every 40 events.

@@ -13,21 +13,22 @@
 //!   `k` stated per kind below and measured by the workspace's one
 //!   counting allocator (`tests/support/counting_alloc.rs`).
 //!
-//! An engine checkpoint decodes through `Simulator::restore` into the
-//! fixture engine; a valid checkpoint of another topology must be
-//! refused there too.
+//! Every kind re-encodes the value it restored, the one its consumer
+//! would run: an engine checkpoint decodes through `Simulator::restore`
+//! into the fixture engine (a valid checkpoint of another topology must
+//! be refused there too), a fast-simulation checkpoint through
+//! `AttackSim::from_bytes` under the fixture's configuration.
 
 mod blobs;
 
-use dui_blink::fastsim::{
-    attack_sim_snapshot_from_bytes, attack_sim_snapshot_to_bytes, AttackSimSnapshot,
-};
+use dui_blink::fastsim::AttackSim;
+use dui_blink::selector::FlowSelector;
 use dui_netsim::prelude::*;
 use dui_replay::{Recording, ReplaySubject, Replayer};
 use dui_stats::digest::StateDigest;
 use dui_stats::propcheck::{self, Config, PropError};
-use dui_stats::wire::ErrorKind;
-use dui_stats::wire::Sink;
+use dui_stats::wire::{Encoder, ErrorKind, Reader, Sink, Writer};
+use dui_stats::Rng;
 use dui_tcp::{FlowKind, FlowPool, TcpHost, TcpSenderConfig};
 
 #[path = "../../../tests/support/counting_alloc.rs"]
@@ -74,8 +75,8 @@ impl Kind {
     /// Peak decode allocation allowed per input byte. The driver of each:
     /// `.duir` — a 24-byte `String` per 1-byte name; engine checkpoint —
     /// `Simulator::restore`, staging and committing the decoded state
-    /// (worst mutant 8.3); fast-sim snapshot — a
-    /// 64-byte `Option<Cell>` per flag byte; `TcpHost` — its pool;
+    /// (worst mutant 8.3); fast-sim snapshot — the configuration's cells,
+    /// 72 bytes each (worst mutant 9.0); `TcpHost` — its pool;
     /// `FlowPool` — ~500 bytes of columns per 9-byte vacant slot, doubled
     /// while a column grows; `SinkHost` — a 40-byte map entry per 29-byte
     /// record at the table's 8/7 load factor, rounded up to a power of two.
@@ -106,7 +107,7 @@ impl Kind {
 enum Value {
     Recording(Recording),
     Engine(Box<Simulator>),
-    FastSim(AttackSimSnapshot),
+    FastSim(Box<AttackSim>),
     Host(Box<TcpHost>),
     Pool(FlowPool),
     Sink(SinkHost),
@@ -127,7 +128,10 @@ fn decode(
             sim.restore(bytes)?;
             Value::Engine(sim)
         }
-        Kind::FastsimSnapshot => Value::FastSim(attack_sim_snapshot_from_bytes(bytes)?),
+        Kind::FastsimSnapshot => Value::FastSim(Box::new(AttackSim::from_bytes(
+            &blobs::fastsim_cfg(),
+            bytes,
+        )?)),
         Kind::TcpHost => {
             let mut host = Box::new(TcpHost::new());
             host.load_state(bytes)?;
@@ -152,7 +156,7 @@ impl Value {
         match self {
             Value::Recording(rec) => rec.to_bytes(),
             Value::Engine(sim) => sim.checkpoint().expect("a restored engine checkpoints"),
-            Value::FastSim(snap) => attack_sim_snapshot_to_bytes(snap),
+            Value::FastSim(sim) => sim.walk(true).bytes.expect("nothing refuses").into_bytes(),
             Value::Host(host) => {
                 Sink::save(|s| host.encode(s)).expect("a restored host is restorable")
             }
@@ -182,19 +186,13 @@ impl Value {
                 }
             }
             Value::Engine(mut sim) => run_100_events(&mut sim),
-            Value::FastSim(snap) => {
-                let mut subject = blobs::fastsim_subject();
-                if subject
-                    .load_checkpoint(&attack_sim_snapshot_to_bytes(&snap))
-                    .is_ok()
-                {
-                    for _ in 0..100 {
-                        if subject.step().is_none() {
-                            break;
-                        }
+            Value::FastSim(mut sim) => {
+                for _ in 0..100 {
+                    if sim.step().is_none() {
+                        break;
                     }
-                    let _ = subject.capture(true);
                 }
+                let _ = sim.walk(true);
             }
             Value::Host(host) => with_logic(NodeId(0), host),
             Value::Sink(sink) => with_logic(NodeId(3), Box::new(sink)),
@@ -369,6 +367,83 @@ fn a_checkpoint_of_another_configuration_is_refused() {
         "a refused restore commits nothing"
     );
     assert_eq!(blobs::engine(false).restore(&ckpt), Ok(()));
+}
+
+/// The fast-simulation fixture with its schedule section rewritten by
+/// `edit`, as `(time, flow index)` pairs; every other byte as it was.
+fn with_schedule(edit: impl FnOnce(&mut Vec<(u64, u64)>)) -> Vec<u8> {
+    let blob = blobs::fastsim_snapshot();
+    let mut r = Reader::new(&blob);
+    Rng::decode(&mut r, "rng").expect("fixture");
+    FlowSelector::decode(blobs::fastsim_cfg().params, &mut r).expect("fixture");
+    for _ in 0..r.varint("flow count").expect("fixture") {
+        FlowKey::decode(&mut r).expect("fixture");
+        r.varint("flow seq").expect("fixture");
+        r.opt("flow dies_at", Reader::varint).expect("fixture");
+    }
+    r.varint("sport cursor").expect("fixture");
+    let start = blob.len() - r.remaining();
+    let mut entries: Vec<(u64, u64)> = (0..r.varint("schedule length").expect("fixture"))
+        .map(|_| {
+            (
+                r.varint("time").expect("fixture"),
+                r.varint("flow").expect("fixture"),
+            )
+        })
+        .collect();
+    let end = blob.len() - r.remaining();
+    edit(&mut entries);
+    let mut w = Writer::new();
+    w.raw(&blob[..start]);
+    w.seq(&entries, |w, &(t, flow)| {
+        w.varint(t);
+        w.varint(flow);
+    });
+    w.raw(&blob[end..]);
+    w.into_bytes()
+}
+
+/// Checkpoints no run writes are refused, each with its kind: the
+/// decoder holds the schedule to the invariant `step` keeps it sorted by
+/// and the generator to a state xoshiro256++ can be in.
+#[test]
+fn fastsim_checkpoints_no_run_reaches_are_refused() {
+    let cfg = blobs::fastsim_cfg();
+    let interval = cfg.pkt_interval.as_nanos();
+    assert_eq!(with_schedule(|_| {}), blobs::fastsim_snapshot());
+    let mut zero_rng = blobs::fastsim_snapshot();
+    zero_rng[..32].fill(0);
+    let mut other_cells = blobs::fastsim_snapshot();
+    assert_eq!(other_cells[32], 8, "the cell count follows the rng words");
+    other_cells[32] = 9;
+    let cases = [
+        ("all-zero rng words", zero_rng, ErrorKind::Invalid),
+        (
+            "two entries swapped",
+            with_schedule(|s| s.swap(3, 4)),
+            ErrorKind::Invalid,
+        ),
+        (
+            "a flow scheduled twice",
+            with_schedule(|s| s[4].1 = s[3].1),
+            ErrorKind::Invalid,
+        ),
+        (
+            "a span past one interval",
+            with_schedule(|s| {
+                let first = s[0].0;
+                s.last_mut().expect("14 flows").0 = first + interval + 1;
+            }),
+            ErrorKind::Invalid,
+        ),
+        ("another cell count", other_cells, ErrorKind::Config),
+    ];
+    for (case, bytes, kind) in cases {
+        match AttackSim::from_bytes(&cfg, &bytes) {
+            Ok(_) => panic!("{case}: accepted"),
+            Err(err) => assert_eq!(err.kind, kind, "{case}: {err}"),
+        }
+    }
 }
 
 macro_rules! hostile {

@@ -34,14 +34,14 @@
 //! configuration or from two that differ in one setting.
 
 use dui_attacks::{IcmpSpoofTap, PccEqualizerTap};
-use dui_blink::fastsim::{attack_sim_snapshot_to_bytes, AttackSim, AttackSimConfig};
+use dui_blink::fastsim::{AttackSim, AttackSimConfig};
 use dui_blink::selector::FlowSelector;
 use dui_nethide::TracerouteProber;
 use dui_netsim::prelude::*;
 use dui_pcc::{PccReceiver, PccSender, PccSenderConfig};
 use dui_stats::digest::StateDigest;
 use dui_stats::propcheck::{Gen, PropResult};
-use dui_stats::wire::{Encoder, Sink, Writer};
+use dui_stats::wire::{Reader, Sink, Writer};
 use dui_stats::Rng;
 use dui_stats::{prop_assert_eq, prop_check};
 use dui_tcp::{FlowPool, FlowSpec, TcpHost, TcpHostConfig, TcpSenderConfig};
@@ -63,6 +63,11 @@ fn digest(write: impl FnOnce(&mut StateDigest)) -> u64 {
     let mut d = StateDigest::new();
     write(&mut d);
     d.finish()
+}
+
+/// A fast simulation's checkpoint bytes.
+fn sim_bytes(sim: &AttackSim) -> Vec<u8> {
+    sim.walk(true).bytes.expect("nothing refuses").into_bytes()
 }
 
 /// `items` in an order drawn from `g`: unchanged in about half the
@@ -309,7 +314,7 @@ prop_check! {
             b
         };
         let state = |r: &Rng| {
-            let words = |s: &mut Sink<'_>| r.state().into_iter().for_each(|w| s.u64(w));
+            let words = |s: &mut Sink<'_>| r.encode(s);
             (
                 digest(|d| words(&mut Sink::digest(d))),
                 Sink::save(words).expect("an rng refuses nothing"),
@@ -431,7 +436,7 @@ prop_check! {
         // The second run is either restored from the first's checkpoint
         // or fresh, then stepped to the same point or a little past it.
         let mut b = if g.bool() {
-            AttackSim::restore(&cfg, a.snapshot()).expect("own snapshot")
+            AttackSim::from_bytes(&cfg, &sim_bytes(&a)).expect("own checkpoint")
         } else {
             let mut b = AttackSim::new(&cfg, g.u64(0..3));
             for _ in 0..steps {
@@ -442,19 +447,22 @@ prop_check! {
         for _ in 0..g.usize(0..3) {
             b.step();
         }
-        let (sa, sb) = (a.snapshot(), b.snapshot());
         digest_iff_bytes(
             "attack sim",
-            (a.state_hash(), attack_sim_snapshot_to_bytes(&sa)),
-            (b.state_hash(), attack_sim_snapshot_to_bytes(&sb)),
+            (a.state_hash(), sim_bytes(&a)),
+            (b.state_hash(), sim_bytes(&b)),
         )?;
-        let selector = |snap: &dui_blink::selector::SelectorSnapshot| {
-            let live = FlowSelector::from_snapshot(cfg.params, snap.clone());
+        // The selector's digest, taken of the selector decoded from its
+        // bytes, against those bytes.
+        let selector = |sim: &AttackSim| {
             let mut w = Writer::new();
-            snap.encode(&mut w);
-            (digest(|d| live.snapshot().encode(d)), w.into_bytes())
+            sim.selector().encode(&mut w);
+            let bytes = w.into_bytes();
+            let decoded = FlowSelector::decode(cfg.params, &mut Reader::new(&bytes))
+                .expect("its own bytes");
+            (digest(|d| decoded.encode(d)), bytes)
         };
-        digest_iff_bytes("selector", selector(&sa.selector), selector(&sb.selector))?;
+        digest_iff_bytes("selector", selector(&a), selector(&b))?;
     }
 
     fn engine_digest_is_its_bytes(g) {

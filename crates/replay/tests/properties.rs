@@ -2,9 +2,7 @@
 //! `propcheck` engine): codec round-trips and checkpoint/restore
 //! fixed points under randomized scenarios.
 
-use dui_blink::fastsim::{
-    attack_sim_snapshot_from_bytes, attack_sim_snapshot_to_bytes, AttackSim, AttackSimConfig,
-};
+use dui_blink::fastsim::{AttackSim, AttackSimConfig};
 use dui_netsim::prelude::*;
 use dui_replay::record::{CheckpointFrame, EventFrame, Recording};
 use dui_replay::replay::ReplaySubject;
@@ -121,13 +119,11 @@ prop_check! {
                 break;
             }
         }
-        let snap = sim.snapshot();
-        let bytes = attack_sim_snapshot_to_bytes(&snap);
-        let back = attack_sim_snapshot_from_bytes(&bytes).unwrap();
-        prop_assert_eq!(attack_sim_snapshot_to_bytes(&back), bytes);
-        // Restoring the decoded snapshot is a state-hash fixed point.
-        let restored = AttackSim::restore(&cfg, back).expect("restorable");
-        prop_assert_eq!(restored.state_hash(), sim.state_hash());
+        let walk = sim.walk(true);
+        let bytes = walk.bytes.clone().expect("nothing refuses").into_bytes();
+        let back = AttackSim::from_bytes(&cfg, &bytes).unwrap();
+        // The decoded run walks alike: same bytes, sections and hash.
+        prop_assert_eq!(back.walk(true), walk);
     }
 
     fn fastsim_record_verify_resume_round_trips(g) {

@@ -6,6 +6,8 @@
 //! crucially for a simulator — its output for a given seed is a stable part
 //! of this crate's API: experiments cite seeds and must replay identically.
 
+use crate::wire::{DecodeError, Encoder, ErrorKind, Reader};
+
 /// Advance a splitmix64 state and return the next output.
 ///
 /// Used for seeding and for cheap stateless hashing (e.g. the Blink flow
@@ -63,10 +65,10 @@ impl Rng {
 
     /// Snapshot the raw xoshiro256++ state.
     ///
-    /// Together with [`Rng::from_state`] this makes the generator
-    /// checkpointable: record/replay (`dui-replay`) captures the four
-    /// words mid-run and later resumes the exact stream. The words are
-    /// the algorithm's state, not its output — treat them as opaque.
+    /// Checkpoints carry these words ([`Rng::encode`] /
+    /// [`Rng::decode`]): record/replay (`dui-replay`) captures them
+    /// mid-run and later resumes the exact stream. The words are the
+    /// algorithm's state, not its output — treat them as opaque.
     #[inline]
     pub fn state(&self) -> [u64; 4] {
         self.s
@@ -75,15 +77,37 @@ impl Rng {
     /// Rebuild a generator from a [`Rng::state`] snapshot.
     ///
     /// The all-zero state is a fixed point of xoshiro256++ (the stream
-    /// would be constant zero), so it is rejected by mapping to
-    /// `Rng::new(0)`'s state; every snapshot taken from a real
-    /// generator is non-zero and round-trips exactly.
+    /// would be constant zero), so it is mapped to `Rng::new(0)`'s state;
+    /// every snapshot taken from a real generator is non-zero and
+    /// round-trips exactly. Bytes from outside go through
+    /// [`Rng::decode`], which refuses that state instead.
     #[inline]
     pub fn from_state(s: [u64; 4]) -> Self {
         if s == [0; 4] {
             return Rng::new(0);
         }
         Rng { s }
+    }
+
+    /// The checkpoint encoding: the four [`Rng::state`] words, fixed
+    /// width.
+    #[inline]
+    pub fn encode<E: Encoder>(&self, e: &mut E) {
+        self.s.iter().for_each(|&w| e.u64(w));
+    }
+
+    /// Inverse of [`Rng::encode`], every word read as `what`. The
+    /// all-zero state is refused as [`ErrorKind::Invalid`]: xoshiro256++
+    /// never reaches it from any other state, so no generator wrote it.
+    pub fn decode(r: &mut Reader, what: &'static str) -> Result<Rng, DecodeError> {
+        let mut s = [0u64; 4];
+        for w in &mut s {
+            *w = r.u64(what)?;
+        }
+        if s == [0; 4] {
+            return Err(r.error(what, ErrorKind::Invalid));
+        }
+        Ok(Rng { s })
     }
 
     /// Derive an independent child generator.
@@ -219,6 +243,25 @@ mod tests {
         assert_ne!(hash(&a), hash(&b), "drawing changes state");
         let restored = Rng::from_state(a.state());
         assert_eq!(hash(&a), hash(&restored));
+    }
+
+    #[test]
+    fn codec_round_trips_and_refuses_the_zero_state() {
+        use crate::wire::Writer;
+        let mut a = Rng::new(5);
+        a.next_u64();
+        let mut w = Writer::new();
+        a.encode(&mut w);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 32);
+        let mut r = Reader::new(&bytes);
+        assert_eq!(Rng::decode(&mut r, "rng"), Ok(a));
+        let zero = [0u8; 32];
+        let err = Rng::decode(&mut Reader::new(&zero), "rng").unwrap_err();
+        assert_eq!(
+            (err.what, err.at, err.kind),
+            ("rng", 32, ErrorKind::Invalid)
+        );
     }
 
     #[test]

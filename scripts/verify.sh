@@ -48,14 +48,17 @@ echo "== timer-wheel suites at depth (2000 propcheck cases; seconds) =="
 # count, this one looks harder first.
 PROPCHECK_CASES=2000 cargo test -q --offline -p dui-netsim --test properties wheel
 
-echo "== Blink selector differential at depth (2000 propcheck cases; seconds) =="
+echo "== Blink selector differential and fast-sim checkpoints at depth (2000 propcheck cases; seconds) =="
 # The selector skips its cell scans on two derived summaries; the suite
 # holds it, op by op, to the scan-every-packet selector it replaced
 # (`ScanSelector` in the test file), which is what Fig. 2 and every
 # packet-level Blink digest rest on. Both packet entry points are held to
 # that model: `on_packet`, which hashes the key, and `on_packet_in_cell`,
-# which takes the cell a caller kept (fastsim, the fuzzer).
-PROPCHECK_CASES=2000 cargo test -q --offline -p dui-blink --test properties selector
+# which takes the cell a caller kept (fastsim, the fuzzer). The
+# `checkpoint` property holds the fast simulation's decoder to its runs:
+# every run round-trips byte for byte and steps on alike, and every
+# reordering of its schedule is refused.
+PROPCHECK_CASES=2000 cargo test -q --offline -p dui-blink --test properties -- selector checkpoint
 
 echo "== flow pool suites at depth (2000 propcheck cases; about a second) =="
 # Every TCP flow lives in `FlowPool`: slots and the sender and receiver
