@@ -8,6 +8,7 @@ use dui_blink::theory::{effective_qm, AttackModel, FixedKeysModel};
 use dui_netsim::packet::{Addr, FlowKey};
 use dui_netsim::time::{SimDuration, SimTime};
 use dui_stats::digest::StateDigest;
+use dui_stats::propcheck::{Gen, PropError};
 use dui_stats::wire::{DecodeError, Encoder, ErrorKind, Reader, Writer, QUANTITY_MAX};
 use dui_stats::{prop_assert, prop_assert_eq, prop_check, Rng};
 
@@ -246,96 +247,118 @@ fn schedule_of(cfg: &AttackSimConfig, bytes: &[u8]) -> (usize, Vec<(u64, u64)>, 
     (start, entries, bytes.len() - r.remaining())
 }
 
-prop_check! {
-    fn selector_matches_the_scan_every_packet_model(g) {
-        // Few cells and fewer keys than a hash can spread, so flows
-        // collide; timeouts a handful of nanoseconds long, so the gaps
-        // below land under, on and over every boundary.
-        let cells = g.usize(1..9);
-        let params = BlinkParams {
-            cells,
-            eviction_timeout: SimDuration(g.u64(0..40)),
-            reset_interval: SimDuration(g.u64(0..400)),
-            retx_window: SimDuration(g.u64(0..60)),
-            threshold: g.usize(0..cells + 1),
-            salt: g.any_u64(),
+/// Drive the library selector and the scan model through the same
+/// random packets, clock moves and checkpoint round trips, comparing
+/// every observation, byte and failure verdict. With `end_of_time`, one
+/// clock move in eight is a gap of about `u64::MAX`, which saturates
+/// the clock, and a selector holding a time past `QUANTITY_MAX` must be
+/// refused by `FlowSelector::decode` with `Range`; without it, every
+/// state round-trips.
+fn selector_against_the_scan_model(g: &mut Gen, end_of_time: bool) -> Result<(), PropError> {
+    // Few cells and fewer keys than a hash can spread, so flows
+    // collide; timeouts a handful of nanoseconds long, so the gaps
+    // below land under, on and over every boundary.
+    let cells = g.usize(1..9);
+    let params = BlinkParams {
+        cells,
+        eviction_timeout: SimDuration(g.u64(0..40)),
+        reset_interval: SimDuration(g.u64(0..400)),
+        retx_window: SimDuration(g.u64(0..60)),
+        threshold: g.usize(0..cells + 1),
+        salt: g.any_u64(),
+    };
+    let hold_down = SimDuration(g.u64(0..80));
+    let mut lib = FlowSelector::new(params);
+    let mut model = ScanSelector::new(params);
+    if g.bool() {
+        lib.record_residencies();
+        model.residencies = Some(Vec::new());
+    }
+    let mut detector = FailureDetector::new(hold_down);
+    let mut last_fire = None;
+    let mut now = SimTime(g.u64(0..100));
+    for _ in 0..g.usize(0..120) {
+        let gap = match g.u8(0..8) {
+            0 => 0,
+            1..=4 => g.u64(0..2 * params.eviction_timeout.0 + 3),
+            5 => g.u64(0..90),
+            6 => g.u64(0..900),
+            _ if end_of_time => u64::MAX - g.u64(0..3),
+            _ => g.u64(0..900),
         };
-        let hold_down = SimDuration(g.u64(0..80));
-        let mut lib = FlowSelector::new(params);
-        let mut model = ScanSelector::new(params);
-        if g.bool() {
-            lib.record_residencies();
-            model.residencies = Some(Vec::new());
+        now = if g.u8(0..6) == 0 {
+            SimTime(now.0.saturating_sub(gap))
+        } else {
+            now + SimDuration(gap)
+        };
+        match g.u8(0..10) {
+            0 => {
+                lib.apply_time(now);
+                model.apply_time(now);
+            }
+            1 => match decode_selector(params, &selector_bytes(&lib)) {
+                Ok(rebuilt) => lib = rebuilt,
+                Err(e) => prop_assert!(end_of_time, "{e}"),
+            },
+            _ => {
+                let (flow, seq, fin) = (key(g.u32(0..12)), g.u32(0..3), g.u8(0..8) == 0);
+                // Both entry points, the one that hashes the key and
+                // the one handed the cell a caller kept.
+                let observed = if g.bool() {
+                    lib.on_packet_in_cell(lib.index_of(&flow), now, flow, seq, fin)
+                } else {
+                    lib.on_packet(now, flow, seq, fin)
+                };
+                prop_assert_eq!(observed, model.on_packet(now, flow, seq, fin));
+            }
         }
-        let mut detector = FailureDetector::new(hold_down);
-        let mut last_fire = None;
-        let mut now = SimTime(g.u64(0..100));
-        for _ in 0..g.usize(0..120) {
-            let gap = match g.u8(0..8) {
-                0 => 0,
-                1..=4 => g.u64(0..2 * params.eviction_timeout.0 + 3),
-                5 => g.u64(0..90),
-                6 => g.u64(0..900),
-                _ => u64::MAX - g.u64(0..3), // saturates at the end of time
-            };
-            now = if g.u8(0..6) == 0 {
-                SimTime(now.0.saturating_sub(gap))
-            } else {
-                now + SimDuration(gap)
-            };
-            match g.u8(0..10) {
-                0 => {
-                    lib.apply_time(now);
-                    model.apply_time(now);
-                }
-                1 => {
-                    if let Ok(rebuilt) = decode_selector(params, &selector_bytes(&lib)) {
-                        lib = rebuilt;
-                    }
-                }
-                _ => {
-                    let (flow, seq, fin) = (key(g.u32(0..12)), g.u32(0..3), g.u8(0..8) == 0);
-                    // Both entry points, the one that hashes the key and
-                    // the one handed the cell a caller kept.
-                    let observed = if g.bool() {
-                        lib.on_packet_in_cell(lib.index_of(&flow), now, flow, seq, fin)
-                    } else {
-                        lib.on_packet(now, flow, seq, fin)
-                    };
-                    prop_assert_eq!(observed, model.on_packet(now, flow, seq, fin));
-                }
+        // The bytes are every stored field — `cells()`, `stats`,
+        // `resets`, the last reset, the residencies in the order
+        // `achieved_t_r` sums them.
+        prop_assert_eq!(selector_bytes(&lib), model.bytes());
+        prop_assert_eq!(
+            lib.residencies(),
+            model.residencies.as_deref().unwrap_or(&[])
+        );
+        // The summaries are derived: a selector decoded from the
+        // model's bytes alone hashes like the live one — unless they
+        // hold a time past `QUANTITY_MAX`, which is out of range.
+        match decode_selector(params, &model.bytes()) {
+            Ok(rebuilt) => {
+                prop_assert!(!model.past_quantity_max());
+                prop_assert_eq!(selector_hash(&rebuilt), selector_hash(&lib));
             }
-            // The bytes are every stored field — `cells()`, `stats`,
-            // `resets`, the last reset, the residencies in the order
-            // `achieved_t_r` sums them.
-            prop_assert_eq!(selector_bytes(&lib), model.bytes());
-            prop_assert_eq!(lib.residencies(), model.residencies.as_deref().unwrap_or(&[]));
-            // The summaries are derived: a selector decoded from the
-            // model's bytes alone hashes like the live one — unless they
-            // hold a time past `QUANTITY_MAX`, which is out of range.
-            match decode_selector(params, &model.bytes()) {
-                Ok(rebuilt) => {
-                    prop_assert!(!model.past_quantity_max());
-                    prop_assert_eq!(selector_hash(&rebuilt), selector_hash(&lib));
-                }
-                Err(e) => {
-                    prop_assert!(model.past_quantity_max(), "{e}");
-                    prop_assert_eq!(e.kind, ErrorKind::Range);
-                }
+            Err(e) => {
+                prop_assert!(end_of_time && model.past_quantity_max(), "{e}");
+                prop_assert_eq!(e.kind, ErrorKind::Range);
             }
-            prop_assert_eq!(lib.occupied(), model.cells.iter().flatten().count());
-            // Asked at the packet's time and at one that may lie in the
-            // past or beyond the window.
-            for at in [now, SimTime(g.u64(0..2 * now.0.min(1 << 20) + 100))] {
-                let retransmitting = model.retransmitting_flows(at);
-                prop_assert_eq!(lib.retransmitting_flows(at), retransmitting);
-                prop_assert_eq!(lib.failure_indicated(at), retransmitting >= params.threshold);
-            }
+        }
+        prop_assert_eq!(lib.occupied(), model.cells.iter().flatten().count());
+        // Asked at the packet's time and at one that may lie in the
+        // past or beyond the window.
+        for at in [now, SimTime(g.u64(0..2 * now.0.min(1 << 20) + 100))] {
+            let retransmitting = model.retransmitting_flows(at);
+            prop_assert_eq!(lib.retransmitting_flows(at), retransmitting);
             prop_assert_eq!(
-                detector.evaluate(now, &lib),
-                scan_evaluate(&mut last_fire, hold_down, now, &model)
+                lib.failure_indicated(at),
+                retransmitting >= params.threshold
             );
         }
+        prop_assert_eq!(
+            detector.evaluate(now, &lib),
+            scan_evaluate(&mut last_fire, hold_down, now, &model)
+        );
+    }
+    Ok(())
+}
+
+prop_check! {
+    fn selector_matches_the_scan_every_packet_model(g) {
+        selector_against_the_scan_model(g, false)?;
+    }
+
+    fn selector_saturates_at_the_end_of_time(g) {
+        selector_against_the_scan_model(g, true)?;
     }
 
     fn fastsim_checkpoint_round_trips_and_refuses_reordering(g) {

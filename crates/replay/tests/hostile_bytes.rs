@@ -76,16 +76,18 @@ impl Kind {
     /// `.duir` — a 24-byte `String` per 1-byte name; engine checkpoint —
     /// `Simulator::restore`, staging and committing the decoded state
     /// (worst mutant 8.3); fast-sim snapshot — the configuration's cells,
-    /// 72 bytes each (worst mutant 9.0); `TcpHost` — its pool;
-    /// `FlowPool` — ~500 bytes of columns per 9-byte vacant slot, doubled
-    /// while a column grows; `SinkHost` — a 40-byte map entry per 29-byte
-    /// record at the table's 8/7 load factor, rounded up to a power of two.
+    /// 72 bytes each (worst mutant 9.0); `TcpHost` — its pool (worst
+    /// mutant 11.3); `FlowPool` — a sender row claimed before its fields
+    /// are read, in a first chunk with room for four 312-byte rows
+    /// (worst mutant 23.3, a 64-byte input); `SinkHost` — a 40-byte map
+    /// entry per 29-byte record at the table's 8/7 load factor, rounded
+    /// up to a power of two.
     fn k(self) -> usize {
         match self {
             Kind::DuirFastsim | Kind::DuirEngine => 32,
             Kind::Engine => 32,
-            Kind::FastsimSnapshot => 72,
-            Kind::TcpHost | Kind::FlowPool => 128,
+            Kind::FastsimSnapshot => 16,
+            Kind::TcpHost | Kind::FlowPool => 32,
             Kind::SinkHost => 8,
             Kind::Router => 1,
         }

@@ -10,16 +10,17 @@
 //! ## Column layout
 //!
 //! All per-connection state is factored into small column structs —
-//! `SeqState`, `RtxQueue`, `SenderMeta`, `RcvState` — grouped into one
-//! row per endpoint: a `SenderRow` holds a sender's seven columns and a
+//! `SeqState`, `SenderMeta`, `RcvState` — grouped into one row per
+//! endpoint: a `SenderRow` holds a sender's seven columns and a
 //! `RecvRow` a receiver's two. The protocol logic is written once
 //! against *borrowed views* over a row's columns (`SenderCols`,
 //! `RecvCols`). [`crate::pool::FlowPool`] keeps the rows in chunks that
 //! never move, one table per kind (the shape a [`crate::host::TcpHost`]
 //! runs millions of flows on), and hands out one view per slot through
-//! split borrows of its row, its key and its output list
-//! (`Outbox`); the tests below drive a pool of one sender and one
-//! receiver.
+//! split borrows of its row, its key and the lists the row and slot
+//! thread through the pool's slabs: its output (`Outbox`) and, for a
+//! sender, its outstanding segments (`RtxQueue`). The tests below drive
+//! a pool of one sender and one receiver.
 //!
 //! ## Lifecycle
 //!
@@ -31,13 +32,13 @@
 //! CLOSE-WAIT / LAST-ACK and a timed TIME-WAIT — which is what the
 //! SYN-flood and connection-churn workloads exercise.
 
-use crate::pool::Outbox;
+use crate::pool::{List, Outbox, RtxQueue, RtxSlab};
 use crate::reno::Reno;
 use crate::rtt::RttEstimator;
 use crate::seq::{seq_dist, seq_ge, seq_gt, seq_lt};
 use dui_netsim::packet::{FlowKey, Header, Packet, TcpFlags};
 use dui_netsim::time::{SimDuration, SimTime};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// RFC 9293 connection states (plus `Idle`, the pre-open CLOSED a sender
 /// sits in between construction and `on_start`).
@@ -167,44 +168,6 @@ pub(crate) struct SegmentRecord {
     pub(crate) len: u32,
 }
 
-/// The retransmission queue: outstanding segments in send order.
-///
-/// Send order *is* sequence order (`snd_nxt` only grows; retransmissions
-/// update records in place), so the queue replaces the old
-/// `HashMap<u32, SegmentRecord>` with a layout whose iteration order is
-/// already canonical — digests walk the queue front-to-back with no
-/// sort-before-iterate dance, and cumulative ACKs pop from the front.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct RtxQueue {
-    q: VecDeque<(u32, SegmentRecord)>,
-}
-
-impl RtxQueue {
-    pub(crate) fn push(&mut self, seq: u32, rec: SegmentRecord) {
-        self.q.push_back((seq, rec));
-    }
-
-    pub(crate) fn front(&self) -> Option<(u32, &SegmentRecord)> {
-        self.q.front().map(|(s, r)| (*s, r))
-    }
-
-    pub(crate) fn front_mut(&mut self) -> Option<(u32, &mut SegmentRecord)> {
-        self.q.front_mut().map(|(s, r)| (*s, r))
-    }
-
-    pub(crate) fn pop_front(&mut self) -> Option<(u32, SegmentRecord)> {
-        self.q.pop_front()
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.q.len()
-    }
-
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, &SegmentRecord)> {
-        self.q.iter().map(|(s, r)| (*s, r))
-    }
-}
-
 /// Sequence-space column: ISN, send cursor and the phantom-byte markers.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SeqState {
@@ -267,13 +230,14 @@ impl Default for SenderMeta {
 
 /// One sender's columns, stored together: a sender event touches one
 /// contiguous row.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct SenderRow {
     pub(crate) cfg: TcpSenderConfig,
     pub(crate) cc: Reno,
     pub(crate) rtt: RttEstimator,
     pub(crate) seq: SeqState,
-    pub(crate) rtx: RtxQueue,
+    /// Head and tail of the outstanding segments (see [`RtxQueue`]).
+    pub(crate) rtx: List,
     pub(crate) meta: SenderMeta,
     pub(crate) stats: SenderStats,
 }
@@ -286,21 +250,27 @@ impl SenderRow {
             cfg,
             rtt: RttEstimator::default(),
             seq: SeqState::new(isn),
-            rtx: RtxQueue::default(),
+            rtx: List::EMPTY,
             meta: SenderMeta::default(),
             stats: SenderStats::default(),
         }
     }
 
-    /// Borrowed view over this row for the flow `key`, emitting into `out`.
-    pub(crate) fn cols<'a>(&'a mut self, key: FlowKey, out: Outbox<'a>) -> SenderCols<'a> {
+    /// Borrowed view over this row for the flow `key`, emitting into `out`
+    /// and keeping its outstanding segments in `rtx`.
+    pub(crate) fn cols<'a>(
+        &'a mut self,
+        key: FlowKey,
+        out: Outbox<'a>,
+        rtx: &'a mut RtxSlab,
+    ) -> SenderCols<'a> {
         SenderCols {
             key,
             cfg: &self.cfg,
             cc: &mut self.cc,
             rtt: &mut self.rtt,
             seq: &mut self.seq,
-            rtx: &mut self.rtx,
+            rtx: RtxQueue::new(rtx, &mut self.rtx),
             meta: &mut self.meta,
             out,
             stats: &mut self.stats,
@@ -317,7 +287,7 @@ pub(crate) struct SenderCols<'a> {
     pub(crate) cc: &'a mut Reno,
     pub(crate) rtt: &'a mut RttEstimator,
     pub(crate) seq: &'a mut SeqState,
-    pub(crate) rtx: &'a mut RtxQueue,
+    pub(crate) rtx: RtxQueue<'a>,
     pub(crate) meta: &'a mut SenderMeta,
     pub(crate) out: Outbox<'a>,
     pub(crate) stats: &'a mut SenderStats,
@@ -333,14 +303,14 @@ impl SenderCols<'_> {
             self.meta.state = TcpState::SynSent;
             let syn = self.seq.isn;
             self.seq.syn_seq = Some(syn);
-            self.rtx.push(
+            self.rtx.push((
                 syn,
                 SegmentRecord {
                     sent_at: now,
                     retransmitted: false,
                     len: 1, // SYN occupies one sequence number
                 },
-            );
+            ));
             self.seq.snd_nxt = syn.wrapping_add(1);
             self.stats.segments_sent += 1;
             self.out.push(Packet::tcp(
@@ -392,7 +362,7 @@ impl SenderCols<'_> {
             let advanced = seq_dist(self.seq.snd_una, ack);
             // RTT sample from the segment that started at old snd_una,
             // if it was never retransmitted (Karn's rule).
-            if let Some((head, rec)) = self.rtx.front() {
+            if let Some(&(head, rec)) = self.rtx.front() {
                 if head == self.seq.snd_una && !rec.retransmitted {
                     self.rtt.sample(now.since(rec.sent_at));
                 }
@@ -402,7 +372,7 @@ impl SenderCols<'_> {
             let mut cursor = self.seq.snd_una;
             while seq_lt(cursor, ack) {
                 let len = match self.rtx.front() {
-                    Some((head, rec)) if head == cursor => {
+                    Some(&(head, rec)) if head == cursor => {
                         let len = rec.len;
                         self.rtx.pop_front();
                         len
@@ -588,7 +558,7 @@ impl SenderCols<'_> {
         let Some((seq, rec)) = self.rtx.front_mut() else {
             return;
         };
-        if seq != head {
+        if *seq != head {
             return;
         }
         rec.retransmitted = true;
@@ -654,14 +624,14 @@ impl SenderCols<'_> {
                 if self.seq.fin_seq.is_none() {
                     let fin = self.seq.snd_nxt;
                     self.seq.fin_seq = Some(fin);
-                    self.rtx.push(
+                    self.rtx.push((
                         fin,
                         SegmentRecord {
                             sent_at: now,
                             retransmitted: false,
                             len: 1, // FIN occupies one sequence number
                         },
-                    );
+                    ));
                     self.seq.snd_nxt = self.seq.snd_nxt.wrapping_add(1);
                     self.meta.state = TcpState::FinWait1;
                     self.stats.segments_sent += 1;
@@ -695,14 +665,14 @@ impl SenderCols<'_> {
                 break;
             }
             let seq = self.seq.snd_nxt;
-            self.rtx.push(
+            self.rtx.push((
                 seq,
                 SegmentRecord {
                     sent_at: now,
                     retransmitted: false,
                     len,
                 },
-            );
+            ));
             self.seq.snd_nxt = self.seq.snd_nxt.wrapping_add(len);
             self.seq.app_sent += len as u64;
             self.stats.segments_sent += 1;

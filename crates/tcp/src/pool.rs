@@ -11,18 +11,21 @@
 //!
 //! The four slot columns every flow needs (generation, kind, key, output
 //! list) are indexed by slot, 36 B a slot. A sender's seven columns are
-//! one `SenderRow` (336 B a row) in the sender table, a receiver's two
+//! one `SenderRow` (312 B a row) in the sender table, a receiver's two
 //! one `RecvRow` (88 B a row) in the receiver table. A live slot's kind
 //! word carries its row index, so a slot pays only for its own kind, and
 //! the generation check that every accessor makes already yields the
 //! row. Rows are internal: handles, iteration order, digests and the
 //! checkpoint bytes see slots only.
 //!
-//! Output is staged in one slab of packet nodes shared by the whole pool:
-//! a slot's output list is the head and tail of a FIFO threaded through
-//! the slab, and draining or freeing a slot returns its nodes to the
-//! slab's free list. Both row tables and the slab are `Chunks`:
-//! 1024-element chunks, each allocated at full size and never
+//! Lists live in two pool-wide `Slab`s: a slot's staged output is the
+//! head and tail of a FIFO threaded through the packet slab (72 B a
+//! node), a sender's outstanding segments one threaded through the
+//! retransmission slab (32 B a node). Draining a list, or freeing its
+//! flow, returns its nodes to its slab's free list, so a pooled flow
+//! owns no heap of its own beyond a receiver's reassembly map. Both row
+//! tables and both slabs are `Chunks`: 1024-element chunks (128 for the
+//! retransmission slab), each allocated at full size and never
 //! reallocated, so growth never copies a row (only the first chunk grows
 //! like a `Vec`, so that a small pool costs only what it holds).
 //!
@@ -35,12 +38,12 @@
 //! error, never a silent read of whichever flow now occupies the slot.
 //!
 //! The protocol logic itself is *not* duplicated here: the pool assembles
-//! borrowed `SenderCols`/`RecvCols` views over a slot's row and output
-//! list and calls the one implementation in `conn.rs`.
+//! borrowed `SenderCols`/`RecvCols` views over a slot's row and its lists
+//! and calls the one implementation in `conn.rs`.
 
 use crate::conn::{
-    RcvState, ReceiverStats, RecvCols, RecvRow, RtxQueue, SegmentRecord, SenderCols, SenderRow,
-    SenderStats, TcpSenderConfig, TcpState,
+    RcvState, ReceiverStats, RecvCols, RecvRow, SegmentRecord, SenderCols, SenderRow, SenderStats,
+    TcpSenderConfig, TcpState,
 };
 use crate::reno::Reno;
 use crate::rtt::RttEstimator;
@@ -51,7 +54,7 @@ use dui_stats::wire::{DecodeError, Encoder, ErrorKind, Reader, Writer};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
-/// Sentinel for "no next" in the intrusive free and output lists.
+/// Sentinel for "no next" in the intrusive free and slab lists.
 const NIL: u32 = u32::MAX;
 
 /// An 8-byte generational handle to a flow stored in a [`FlowPool`].
@@ -155,23 +158,35 @@ enum Row {
     Receiver(usize),
 }
 
-/// Elements a [`Chunks`] chunk holds (a power of two).
+/// Elements a [`Chunks`] chunk holds by default (a power of two).
 const CHUNK: usize = 1 << 10;
 
-/// An append-only table in chunks of `CHUNK` elements. Every chunk but
-/// the first is allocated at full size when the table reaches it and is
-/// never reallocated, so once a table has outgrown one chunk its
-/// elements never move: growth copies nothing, where a `Vec` copies
-/// every element into a buffer twice the size and holds both until the
-/// copy is done. The first chunk grows like a `Vec` up to `CHUNK`
-/// elements, so a small table costs only what it holds.
+/// Elements a retransmission-slab chunk holds: 4 KiB of nodes. A growing
+/// pool leaves free holes behind it (the old buffers of the first chunks
+/// and of the slot columns), which each sender's own 96 B queue buffer
+/// used to fill. This slab grows with every started sender, and chunks
+/// this small fill the holes as they appear. Left open (1024-element
+/// chunks leave holes of 4–32 KiB in a 400 k-slot pool), a hole took the
+/// process's next small long-lived allocation instead of the top of the
+/// heap, and glibc handed the whole pool back to the kernel when it was
+/// dropped, so a pool built again faulted its pages in anew. The other
+/// tables keep `CHUNK`, whose chunk lists stay a few KiB.
+const RTX_CHUNK: usize = 1 << 7;
+
+/// An append-only table in chunks of `LEN` elements (a power of two).
+/// Every chunk but the first is allocated at full size when the table
+/// reaches it and is never reallocated, so once a table has outgrown one
+/// chunk its elements never move: growth copies nothing, where a `Vec`
+/// copies every element into a buffer twice the size and holds both
+/// until the copy is done. The first chunk grows like a `Vec` up to
+/// `LEN` elements, so a small table costs only what it holds.
 #[derive(Debug)]
-struct Chunks<T> {
+struct Chunks<T, const LEN: usize = CHUNK> {
     chunks: Vec<Vec<T>>,
     len: usize,
 }
 
-impl<T> Default for Chunks<T> {
+impl<T, const LEN: usize> Default for Chunks<T, LEN> {
     fn default() -> Self {
         Chunks {
             chunks: Vec::new(),
@@ -180,16 +195,16 @@ impl<T> Default for Chunks<T> {
     }
 }
 
-impl<T> Chunks<T> {
+impl<T, const LEN: usize> Chunks<T, LEN> {
     /// Append `v`, returning its index.
     fn push(&mut self, v: T) -> usize {
         let i = self.len;
-        if i.is_multiple_of(CHUNK) {
-            let full = if i == 0 { 0 } else { CHUNK };
+        if i.is_multiple_of(LEN) {
+            let full = if i == 0 { 0 } else { LEN };
             self.chunks.push(Vec::with_capacity(full));
         }
-        // A full-size chunk never reallocates: it takes `CHUNK` pushes.
-        self.chunks[i / CHUNK].push(v);
+        // A full-size chunk never reallocates: it takes `LEN` pushes.
+        self.chunks[i / LEN].push(v);
         self.len += 1;
         i
     }
@@ -201,17 +216,17 @@ impl<T> Chunks<T> {
     }
 }
 
-impl<T> Index<usize> for Chunks<T> {
+impl<T, const LEN: usize> Index<usize> for Chunks<T, LEN> {
     type Output = T;
 
     fn index(&self, i: usize) -> &T {
-        &self.chunks[i / CHUNK][i % CHUNK]
+        &self.chunks[i / LEN][i % LEN]
     }
 }
 
-impl<T> IndexMut<usize> for Chunks<T> {
+impl<T, const LEN: usize> IndexMut<usize> for Chunks<T, LEN> {
     fn index_mut(&mut self, i: usize) -> &mut T {
-        &mut self.chunks[i / CHUNK][i % CHUNK]
+        &mut self.chunks[i / LEN][i % LEN]
     }
 }
 
@@ -244,44 +259,46 @@ impl<T> Rows<T> {
         }
     }
 
-    /// Vacate row `i`, letting `vacate` drop what it holds on the heap.
+    /// Vacate row `i`, letting `vacate` give back what it holds outside
+    /// the row.
     fn release(&mut self, i: usize, vacate: impl FnOnce(&mut T)) {
         vacate(&mut self.rows[i]);
         self.free.push(i as u32);
     }
 }
 
-/// A slot's staged output: a FIFO threaded through the [`Slab`], oldest
-/// packet at `head` (both `NIL` when empty).
+/// A FIFO threaded through a [`Slab`], oldest element at `head` (both
+/// `NIL` when empty): a slot's staged output, or a sender's outstanding
+/// segments.
 #[derive(Debug, Clone, Copy)]
-struct OutList {
+pub(crate) struct List {
     head: u32,
     tail: u32,
 }
 
-impl OutList {
-    const EMPTY: OutList = OutList {
+impl List {
+    pub(crate) const EMPTY: List = List {
         head: NIL,
         tail: NIL,
     };
 }
 
-/// One staged packet and the next node in its list: the next packet of
-/// the same slot, or the next vacant node.
+/// One element and the next node in its list: the next element of the
+/// same list, or the next vacant node.
 #[derive(Debug)]
-struct Node {
-    pkt: Option<Packet>,
+struct Node<T> {
+    val: Option<T>,
     next: u32,
 }
 
-/// The pool-wide store of staged packets, vacant nodes reused LIFO.
+/// A pool-wide store of list elements, vacant nodes reused LIFO.
 #[derive(Debug)]
-struct Slab {
-    nodes: Chunks<Node>,
+pub(crate) struct Slab<T, const LEN: usize = CHUNK> {
+    nodes: Chunks<Node<T>, LEN>,
     free: u32,
 }
 
-impl Default for Slab {
+impl<T, const LEN: usize> Default for Slab<T, LEN> {
     fn default() -> Self {
         Slab {
             nodes: Chunks::default(),
@@ -290,16 +307,16 @@ impl Default for Slab {
     }
 }
 
-impl Slab {
-    /// Append `pkt` to `list`.
-    fn push(&mut self, list: &mut OutList, pkt: Packet) {
+impl<T, const LEN: usize> Slab<T, LEN> {
+    /// Append `val` to `list`.
+    fn push(&mut self, list: &mut List, val: T) {
         let node = Node {
-            pkt: Some(pkt),
+            val: Some(val),
             next: NIL,
         };
         let at = if self.free == NIL {
             let at = self.nodes.push(node);
-            assert!(at < NIL as usize, "packet slab exhausted u32 index space");
+            assert!(at < NIL as usize, "slab exhausted u32 index space");
             at as u32
         } else {
             let at = self.free;
@@ -314,32 +331,38 @@ impl Slab {
         list.tail = at;
     }
 
-    /// Empty `list`, handing its packets to `f` oldest first and its
-    /// nodes back to the free list.
-    fn drain(&mut self, list: &mut OutList, mut f: impl FnMut(Packet)) {
-        let mut at = list.head;
-        *list = OutList::EMPTY;
-        while at != NIL {
-            let node = &mut self.nodes[at as usize];
-            let pkt = node.pkt.take();
-            let next = std::mem::replace(&mut node.next, self.free);
-            self.free = at;
-            at = next;
-            if let Some(pkt) = pkt {
-                f(pkt);
-            }
+    /// Unlink the oldest element of `list`, its node going back to the
+    /// free list.
+    fn pop_front(&mut self, list: &mut List) -> Option<T> {
+        let at = list.head;
+        if at == NIL {
+            return None;
+        }
+        let node = &mut self.nodes[at as usize];
+        list.head = std::mem::replace(&mut node.next, self.free);
+        if list.head == NIL {
+            list.tail = NIL;
+        }
+        self.free = at;
+        node.val.take()
+    }
+
+    /// Empty `list`, handing its elements to `f` oldest first.
+    fn drain(&mut self, list: &mut List, mut f: impl FnMut(T)) {
+        while let Some(val) = self.pop_front(list) {
+            f(val);
         }
     }
 
-    /// The packets of `list`, oldest first.
-    fn iter(&self, list: OutList) -> OutIter<'_> {
-        OutIter {
+    /// The elements of `list`, oldest first.
+    fn iter(&self, list: List) -> Iter<'_, T, LEN> {
+        Iter {
             slab: self,
             at: list.head,
         }
     }
 
-    /// Nodes holding a packet (walks the free list).
+    /// Nodes holding an element (walks the free list).
     #[cfg(test)]
     fn live(&self) -> usize {
         let mut vacant = 0;
@@ -352,40 +375,74 @@ impl Slab {
     }
 }
 
-/// Iterator over one output list (see [`Slab::iter`]).
-#[derive(Clone)]
-struct OutIter<'a> {
-    slab: &'a Slab,
+/// Iterator over one list (see [`Slab::iter`]).
+struct Iter<'a, T, const LEN: usize> {
+    slab: &'a Slab<T, LEN>,
     at: u32,
 }
 
-impl<'a> Iterator for OutIter<'a> {
-    type Item = &'a Packet;
+impl<'a, T, const LEN: usize> Iterator for Iter<'a, T, LEN> {
+    type Item = &'a T;
 
-    fn next(&mut self) -> Option<&'a Packet> {
+    fn next(&mut self) -> Option<&'a T> {
         if self.at == NIL {
             return None;
         }
         let node = &self.slab.nodes[self.at as usize];
         self.at = node.next;
-        // A node on a list always holds its packet.
-        node.pkt.as_ref()
+        // A node on a list always holds its element.
+        node.val.as_ref()
     }
 }
 
-/// Where a borrowed `SenderCols`/`RecvCols` view emits: one slot's
-/// output list and the slab it is threaded through.
-pub(crate) struct Outbox<'a> {
-    slab: &'a mut Slab,
-    list: &'a mut OutList,
+/// A borrowed view over one list and the slab it is threaded through:
+/// where a `SenderCols`/`RecvCols` view emits ([`Outbox`]), and a
+/// sender's retransmission queue (`RtxQueue`).
+pub(crate) struct Fifo<'a, T, const LEN: usize = CHUNK> {
+    slab: &'a mut Slab<T, LEN>,
+    list: &'a mut List,
 }
 
-impl Outbox<'_> {
-    /// Stage `pkt` behind the slot's earlier output.
-    pub(crate) fn push(&mut self, pkt: Packet) {
-        self.slab.push(self.list, pkt);
+impl<'a, T, const LEN: usize> Fifo<'a, T, LEN> {
+    pub(crate) fn new(slab: &'a mut Slab<T, LEN>, list: &'a mut List) -> Self {
+        Fifo { slab, list }
+    }
+
+    /// Append `val` behind the list's earlier elements.
+    pub(crate) fn push(&mut self, val: T) {
+        self.slab.push(self.list, val);
+    }
+
+    pub(crate) fn front(&self) -> Option<&T> {
+        self.slab.iter(*self.list).next()
+    }
+
+    pub(crate) fn front_mut(&mut self) -> Option<&mut T> {
+        match self.list.head {
+            NIL => None,
+            at => self.slab.nodes[at as usize].val.as_mut(),
+        }
+    }
+
+    pub(crate) fn pop_front(&mut self) -> Option<T> {
+        self.slab.pop_front(self.list)
     }
 }
+
+/// One slot's output list.
+pub(crate) type Outbox<'a> = Fifo<'a, Packet>;
+
+/// The pool's store of outstanding segments.
+pub(crate) type RtxSlab = Slab<(u32, SegmentRecord), RTX_CHUNK>;
+
+/// The retransmission queue: a sender's outstanding segments in send
+/// order, a list threaded through the [`RtxSlab`].
+///
+/// Send order *is* sequence order (`snd_nxt` only grows; retransmissions
+/// update records in place), so iteration order is already canonical —
+/// digests walk the queue front-to-back with no sort-before-iterate
+/// dance, and cumulative ACKs pop from the front.
+pub(crate) type RtxQueue<'a> = Fifo<'a, (u32, SegmentRecord), RTX_CHUNK>;
 
 /// Generational pool of TCP connection state.
 ///
@@ -393,15 +450,17 @@ impl Outbox<'_> {
 /// the handle's index. A live slot's `kind` names its row in the sender
 /// or the receiver table, so a slot carries only its own kind's state,
 /// and its `out` list threads its staged packets through the pool-wide
-/// slab. Rows and slab nodes never leave the pool: handles, digests and
-/// checkpoints see slots only.
+/// packet slab, as a sender row's `rtx` list threads its outstanding
+/// segments through the retransmission slab. Rows and slab nodes never
+/// leave the pool: handles, digests and checkpoints see slots only.
 #[derive(Debug, Default)]
 pub struct FlowPool {
     gens: Vec<u32>,
     kind: Vec<SlotKind>,
     keys: Vec<FlowKey>,
-    out: Vec<OutList>,
-    slab: Slab,
+    out: Vec<List>,
+    slab: Slab<Packet>,
+    rtx: RtxSlab,
     send: Rows<SenderRow>,
     recv: Rows<RecvRow>,
     free_head: u32,
@@ -453,7 +512,7 @@ impl FlowPool {
         self.gens.push(0);
         self.kind.push(SlotKind::Free { next_free: NIL });
         self.keys.push(FlowKey::tcp(Addr(0), 0, Addr(0), 0));
-        self.out.push(OutList::EMPTY);
+        self.out.push(List::EMPTY);
         idx
     }
 
@@ -546,19 +605,13 @@ impl FlowPool {
 
     /// Borrowed sender view over slot `i`, sender row `row`.
     fn sender_at(&mut self, i: usize, row: usize) -> SenderCols<'_> {
-        let out = Outbox {
-            slab: &mut self.slab,
-            list: &mut self.out[i],
-        };
-        self.send.rows[row].cols(self.keys[i], out)
+        let out = Outbox::new(&mut self.slab, &mut self.out[i]);
+        self.send.rows[row].cols(self.keys[i], out, &mut self.rtx)
     }
 
     /// Borrowed receiver view over slot `i`, receiver row `row`.
     fn recv_at(&mut self, i: usize, row: usize) -> RecvCols<'_> {
-        let out = Outbox {
-            slab: &mut self.slab,
-            list: &mut self.out[i],
-        };
+        let out = Outbox::new(&mut self.slab, &mut self.out[i]);
         self.recv.rows[row].cols(self.keys[i], out)
     }
 
@@ -675,16 +728,15 @@ impl FlowPool {
 
     /// Free the flow behind `r`, recycling its slot and its row (each
     /// LIFO). The handle (and any copy of it, e.g. inside a pending timer
-    /// token) is stale afterwards. Packets still staged on the slot are
-    /// dropped and their nodes return to the slab. The freed row's
-    /// retransmission queue or reassembly map is dropped, which frees its
-    /// buffer: clearing it in place instead, on a 400k-slot pool, cost
-    /// 9 % more peak memory and saved no time. The row's other columns
-    /// are left for the next `insert_*` of its kind to overwrite.
+    /// token) is stale afterwards. Packets still staged on the slot and a
+    /// sender's outstanding segments are dropped, their nodes returning
+    /// to their slabs. A receiver's reassembly map is dropped, which
+    /// frees its buffer. The row's other columns are left for the next
+    /// `insert_*` of its kind to overwrite.
     pub fn free(&mut self, r: FlowRef) -> Result<(), StaleFlowRef> {
         let (i, row) = self.check(r)?;
         match row {
-            Row::Sender(row) => self.send.release(row, |s| s.rtx = RtxQueue::default()),
+            Row::Sender(row) => self.send.release(row, |s| self.rtx.drain(&mut s.rtx, drop)),
             Row::Receiver(row) => self.recv.release(row, |v| v.rcv = RcvState::default()),
         }
         self.gens[i] = self.gens[i].wrapping_add(1);
@@ -744,10 +796,9 @@ impl FlowPool {
         self.encode(d);
         for (i, list) in self.out.iter().enumerate() {
             if list.head != NIL {
-                let staged = self.slab.iter(*list);
                 d.write_usize(i);
-                d.write_len(staged.clone().count());
-                for p in staged {
+                d.write_len(self.slab.iter(*list).count());
+                for p in self.slab.iter(*list) {
                     p.encode(d);
                 }
             }
@@ -799,9 +850,8 @@ impl FlowPool {
                     e.opt(sq.fin_seq, E::u32);
                     e.opt(sq.syn_seq, E::u32);
                     e.opt(sq.recovery_until, E::u32);
-                    let q = &s.rtx;
-                    e.u32(q.len() as u32);
-                    for (seq, rec) in q.iter() {
+                    e.u32(self.rtx.iter(s.rtx).count() as u32);
+                    for &(seq, rec) in self.rtx.iter(s.rtx) {
                         e.u32(seq);
                         e.u64(rec.sent_at.0);
                         e.bool(rec.retransmitted);
@@ -892,7 +942,7 @@ impl FlowPool {
                             retransmitted: r.bool("rtx retransmitted")?,
                             len: get_segment_len(&mut r, "rtx len")?,
                         };
-                        s.rtx.push(seq, rec);
+                        p.rtx.push(&mut s.rtx, (seq, rec));
                     }
                     let m = &mut s.meta;
                     m.started_at = SimTime(r.quantity("started_at")?);
@@ -975,7 +1025,7 @@ impl FlowPool {
 
 /// Smallest slot record: generation, tag, and a vacant slot's link.
 const MIN_SLOT_BYTES: usize = 4 + 1 + 4;
-/// One retransmission-queue record.
+/// One retransmission record.
 const MIN_RTX_BYTES: usize = 4 + 8 + 1 + 4;
 
 fn get_time(r: &mut Reader, what: &'static str) -> Result<SimTime, DecodeError> {
@@ -1203,7 +1253,7 @@ mod tests {
 
     #[test]
     fn chunks_keep_every_element_where_it_was_pushed() {
-        let mut t = Chunks::default();
+        let mut t = Chunks::<usize>::default();
         for i in 0..CHUNK {
             assert_eq!(t.push(i), i);
         }
@@ -1223,11 +1273,12 @@ mod tests {
     fn a_slot_carries_only_its_own_kinds_row() {
         use std::mem::size_of;
         let slot =
-            size_of::<u32>() + size_of::<SlotKind>() + size_of::<FlowKey>() + size_of::<OutList>();
+            size_of::<u32>() + size_of::<SlotKind>() + size_of::<FlowKey>() + size_of::<List>();
         let sender = size_of::<SenderRow>();
         let receiver = size_of::<RecvRow>();
-        let node = size_of::<Node>();
-        assert_eq!((slot, sender, receiver, node), (36, 336, 88, 72));
+        let node = size_of::<Node<Packet>>();
+        let rtx = size_of::<Node<(u32, SegmentRecord)>>();
+        assert_eq!((slot, sender, receiver, node, rtx), (36, 312, 88, 72, 32));
         let n = 64;
         let mut listeners = FlowPool::new();
         for k in 0..n {
@@ -1252,9 +1303,11 @@ mod tests {
     }
 
     dui_stats::prop_check! {
-        fn the_slab_holds_one_node_per_staged_packet(g) {
-            // Random emissions, drains and frees across many slots: every
-            // slab node not on the free list is on some slot's list.
+        fn the_slabs_hold_one_node_per_staged_packet_and_outstanding_segment(g) {
+            // Random emissions, ACKs, retransmissions, drains and frees
+            // across many slots: every packet-slab node not on the free
+            // list is on some slot's output list, and every
+            // retransmission-slab node on some live sender's queue.
             let mut p = FlowPool::new();
             let mut live = Vec::new();
             let mut now = 0;
@@ -1300,10 +1353,30 @@ mod tests {
                     4 if !live.is_empty() => {
                         p.free(live.swap_remove(g.usize(0..live.len()))).unwrap();
                     }
+                    5 if !live.is_empty() => {
+                        // An ACK from the peer: a duplicate, or one that
+                        // covers some of what is outstanding.
+                        let r = live[g.usize(0..live.len())];
+                        if p.kind(r).unwrap() == FlowKind::Sender {
+                            let (una, nxt) = p.send_seq(r).unwrap();
+                            let ack = una.wrapping_add(g.u32(0..nxt.wrapping_sub(una) + 1));
+                            let flags = TcpFlags { ack: true, ..TcpFlags::default() };
+                            let k = p.key(r).unwrap().reversed();
+                            p.on_segment(r, t(now), &Packet::tcp(k, 1, ack, flags, 0)).unwrap();
+                        }
+                    }
                     _ => {}
                 }
                 let staged: usize = p.out.iter().map(|&list| p.slab.iter(list).count()).sum();
                 dui_stats::prop_assert_eq!(p.slab.live(), staged);
+                let outstanding: usize = p
+                    .iter_refs()
+                    .filter_map(|r| match p.check(r) {
+                        Ok((_, Row::Sender(row))) => Some(p.rtx.iter(p.send.rows[row].rtx).count()),
+                        _ => None,
+                    })
+                    .sum();
+                dui_stats::prop_assert_eq!(p.rtx.live(), outstanding);
             }
         }
     }

@@ -1,5 +1,5 @@
 //! The flow pool's allocation-free steady state, measured: once the
-//! packet slab and the retransmission queue have grown to a transfer's
+//! packet and retransmission slabs have grown to a transfer's
 //! window, a data segment and its ACK are staged, drained with
 //! `FlowPool::drain_out` and delivered without touching the allocator.
 //!

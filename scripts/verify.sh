@@ -54,7 +54,10 @@ echo "== Blink selector differential and fast-sim checkpoints at depth (2000 pro
 # (`ScanSelector` in the test file), which is what Fig. 2 and every
 # packet-level Blink digest rest on. Both packet entry points are held to
 # that model: `on_packet`, which hashes the key, and `on_packet_in_cell`,
-# which takes the cell a caller kept (fastsim, the fuzzer). The
+# which takes the cell a caller kept (fastsim, the fuzzer). There every
+# state round-trips through `FlowSelector::decode`; clocks saturated at
+# the end of time, whose selectors hold a time decode must refuse with
+# `Range`, are a property of their own. The
 # `checkpoint` property holds the fast simulation's decoder to its runs:
 # every run round-trips byte for byte and steps on alike, and every
 # reordering of its schedule is refused.
@@ -65,8 +68,11 @@ echo "== flow pool suites at depth (2000 propcheck cases; about a second) =="
 # row tables recycle independently, so random mixed-kind insert/free
 # interleavings must leave every live handle the state it would have
 # alone, stale handles refused, the checkpoint codec digest-exact, and
-# the RFC 9293 lifecycle on its edges.
-PROPCHECK_CASES=2000 cargo test -q --offline -p dui-tcp --test properties
+# the RFC 9293 lifecycle on its edges. The pool's two shared slabs must
+# hold exactly one node per staged packet and one per segment on a live
+# sender's retransmission list, under random sends, ACKs,
+# retransmissions, drains and frees (the `--lib` property in pool.rs).
+PROPCHECK_CASES=2000 cargo test -q --offline -p dui-tcp --lib --test properties
 
 echo "== digest oracle at depth (2000 propcheck cases; under a second) =="
 # Every golden and replay check trusts that equal digests mean equal

@@ -1,7 +1,7 @@
 //! The workspace's one counting allocator, for the test binaries that
 //! measure allocation (`drain_alloc`, `frame_alloc`, `wheel_alloc`,
-//! `hostile_bytes`, `recording_memory`). A binary includes this file by `#[path]` and
-//! installs it with its own line:
+//! `hostile_bytes`, `recording_memory`, `flow_pool_budget`). A binary
+//! includes this file by `#[path]` and installs it with its own line:
 //!
 //! ```ignore
 //! #[global_allocator]

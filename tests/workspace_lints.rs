@@ -536,6 +536,7 @@ fn flow_pool_layout_block_states_the_pinned_sizes() {
         ("sender rows", "a row"),
         ("receiver rows", "a row"),
         ("output slab", "a node"),
+        ("retransmission slab", "a node"),
     ];
     let stated: Vec<u64> = figures
         .iter()
@@ -558,10 +559,10 @@ fn flow_pool_layout_block_states_the_pinned_sizes() {
         "every 'N B a …' figure in the Layout block should be one of {figures:?}"
     );
     let pool = read("crates/tcp/src/pool.rs");
-    let pin = "assert_eq!((slot, sender, receiver, node), (";
+    let pin = "assert_eq!((slot, sender, receiver, node, rtx), (";
     let at = pool
         .find(pin)
-        .expect("pool.rs pins (slot, sender, receiver, node)")
+        .expect("pool.rs pins (slot, sender, receiver, node, rtx)")
         + pin.len();
     let pinned: Vec<u64> = pool[at..]
         .split(')')
@@ -573,7 +574,7 @@ fn flow_pool_layout_block_states_the_pinned_sizes() {
     assert_eq!(
         stated, pinned,
         "docs/flow-pool.md's Layout block should state the (slot, sender row, \
-         receiver row, slab node) sizes pool.rs pins"
+         receiver row, packet node, retransmission node) sizes pool.rs pins"
     );
 }
 
