@@ -12,7 +12,7 @@ use dui_flowgen::MaliciousFlowSet;
 use dui_netsim::packet::{Packet, TcpFlags};
 use dui_netsim::prelude::{Ctx, NodeLogic};
 use dui_netsim::time::{SimDuration, SimTime};
-use dui_stats::wire::{Encoder, Sink};
+use dui_stats::wire::{Encoder, Sink, Wire};
 use std::any::Any;
 
 /// Descriptor for the attack.
@@ -144,7 +144,7 @@ impl NodeLogic for MaliciousRetxHost {
     /// sequence numbers, the send count and the started flag.
     fn encode(&self, s: &mut Sink<'_>) {
         s.refuse("a malicious retransmitting host has no checkpoint decoder");
-        s.seq(&self.attack.flows.keys, |s, k| k.encode(s));
+        s.seq(&self.attack.flows.keys, |s, k| k.put(s));
         s.u64(self.attack.flows.keepalive.as_nanos());
         s.u64(self.attack.start.0);
         s.u64(self.attack.trigger_at.0);

@@ -13,7 +13,7 @@ use dui_netsim::link::{Dir, LinkTap, TapAction};
 use dui_netsim::packet::{FlowKey, Packet};
 use dui_netsim::time::{SimDuration, SimTime};
 use dui_pcc::utility::allegro_utility;
-use dui_stats::wire::{Encoder, Sink};
+use dui_stats::wire::{Encoder, Sink, Wire};
 use std::collections::VecDeque;
 
 /// Descriptor for the attack.
@@ -311,7 +311,7 @@ impl LinkTap for PccEqualizerTap {
     /// (their sorted copy is derived), the arming state, the pin and
     /// sway, the drop debt and the counters.
     fn encode(&self, s: &mut Sink<'_>) {
-        self.key.encode(s);
+        self.key.put(s);
         s.seq(&self.window, |s, &(t, size)| {
             s.u64(t.0);
             s.u32(size);

@@ -53,7 +53,10 @@ use dui_netsim::packet::{Addr, FlowKey, Prefix};
 use dui_netsim::time::{SimDuration, SimTime};
 use dui_stats::digest::StateDigest;
 use dui_stats::dist;
-use dui_stats::wire::{self, DecodeError, Encoder, ErrorKind, Reader, Walk, Writer};
+use dui_stats::wire::{
+    self, wire_struct, DecodeError, Encoder, Encoding, ErrorKind, Reader, Seq, Var, VarQty,
+};
+use dui_stats::wire::{Walk, Wire, Writer};
 use dui_stats::{Rng, TimeSeries};
 use std::collections::{HashSet, VecDeque};
 
@@ -164,12 +167,12 @@ pub struct AttackSim {
     done: bool,
 }
 
-// Smallest encodings inside a fast-simulation checkpoint: a flow is a
-// key, a sequence number and a flag; a schedule entry two varints; a
-// series point two floats.
-const MIN_FLOW_BYTES: usize = FlowKey::WIRE_BYTES + 1 + 1;
-const MIN_SCHEDULE_BYTES: usize = 2;
-const MIN_SERIES_BYTES: usize = 16;
+wire_struct!(FlowState { key: FlowKey, seq: Var<u32>, dies_at: Option<VarQty<SimTime>> });
+
+/// A pending packet clock: its time, then its flow's index.
+type Clock = (VarQty<SimTime>, Var<usize>);
+/// A series point: time, then value.
+type Point = (f64, f64);
 
 impl AttackSim {
     /// The checkpoint encoder's sections, in order, each with the seed
@@ -370,25 +373,15 @@ impl AttackSim {
     /// time, the packet count and the done flag.
     fn encode_section<E: Encoder>(&self, i: usize, e: &mut E) {
         match i {
-            0 => self.rng.encode(e),
+            0 => self.rng.put(e),
             1 => self.selector.encode(e),
             2 => {
-                e.seq(&self.flows, |e, f| {
-                    f.key.encode(e);
-                    e.varint(u64::from(f.seq));
-                    e.opt(f.dies_at, |e, t| e.varint(t.0));
-                });
+                Seq::<FlowState>::write(&self.flows, e);
                 e.varint(u64::from(self.sport));
             }
-            3 => e.seq(&self.schedule, |e, &(t, flow)| {
-                e.varint(t.0);
-                e.varint_usize(flow);
-            }),
+            3 => e.seq(&self.schedule, |e, clock| Clock::write(clock, e)),
             _ => {
-                e.seq(self.series.points(), |e, &(t, v)| {
-                    e.f64(t);
-                    e.f64(v);
-                });
+                e.seq(self.series.points(), |e, point| Point::write(point, e));
                 e.varint(self.next_sample.0);
                 e.opt(self.takeover_time, E::f64);
                 e.varint(self.packets);
@@ -412,34 +405,28 @@ impl AttackSim {
         if cfg.pkt_interval == SimDuration::ZERO || cfg.sample_every == SimDuration::ZERO {
             return Err(r.error("fastsim cadence", ErrorKind::Config));
         }
-        let rng = Rng::decode(&mut r, "fastsim rng")?;
+        let rng = Rng::take(&mut r)?;
         let selector = FlowSelector::decode(cfg.params, &mut r)?;
-        let flows = r.seq("flow count", Reader::varint, MIN_FLOW_BYTES, |r| {
-            Ok(FlowState {
-                key: FlowKey::decode(r)?,
-                seq: r.varint_u32("flow seq")?,
-                dies_at: r.opt("flow dies_at", Reader::varint_quantity)?.map(SimTime),
-            })
-        })?;
-        let sport = r.varint_u16("sport cursor")?;
+        let flows = Seq::<FlowState>::read(&mut r, "flows")?;
+        let sport = Var::read(&mut r, "sport")?;
         let schedule = decode_schedule(&mut r, flows.len(), cfg.pkt_interval)?;
         // Points are pushed in time order, the next one at `next_sample`.
         let mut series = TimeSeries::new();
         let mut last = f64::NEG_INFINITY;
-        for _ in 0..r.count("series length", Reader::varint, MIN_SERIES_BYTES)? {
-            let (t, v) = (r.f64("series time")?, r.f64("series value")?);
+        for _ in 0..r.count("series length", Reader::varint, Point::LEAST)? {
+            let (t, v) = Point::read(&mut r, "series point")?;
             if t.is_nan() || t < last {
                 return Err(r.error("series time", ErrorKind::Invalid));
             }
             last = t;
             series.push(t, v);
         }
-        let next_sample = SimTime(r.varint_quantity("next sample time")?);
+        let next_sample: SimTime = VarQty::read(&mut r, "next sample time")?;
         if next_sample.as_secs_f64() < last {
             return Err(r.error("next sample time", ErrorKind::Invalid));
         }
-        let takeover_time = r.opt("takeover time", Reader::f64)?;
-        let packets = r.varint_quantity("packet count")?;
+        let takeover_time = Option::<f64>::read(&mut r, "takeover time")?;
+        let packets = VarQty::read(&mut r, "packet count")?;
         let done = r.bool("done flag")?;
         r.finish("fastsim snapshot")?;
         Ok(AttackSim {
@@ -534,16 +521,13 @@ fn decode_schedule(
     flows: usize,
     interval: SimDuration,
 ) -> Result<VecDeque<(SimTime, usize)>, DecodeError> {
-    if r.count("schedule length", Reader::varint, MIN_SCHEDULE_BYTES)? != flows {
+    if r.count("schedule length", Reader::varint, Clock::LEAST)? != flows {
         return Err(r.error("schedule length", ErrorKind::Invalid));
     }
     let mut scheduled = vec![false; flows];
     let mut schedule = VecDeque::with_capacity(flows);
     for _ in 0..flows {
-        let entry = (
-            SimTime(r.varint_quantity("schedule time")?),
-            r.varint_usize("schedule flow index")?,
-        );
+        let entry = Clock::read(r, "schedule entry")?;
         let ascends = schedule.back().is_none_or(|&prev| prev < entry);
         match scheduled.get_mut(entry.1) {
             Some(s) if ascends && !*s => *s = true,

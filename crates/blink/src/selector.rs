@@ -57,7 +57,9 @@
 
 use dui_netsim::packet::FlowKey;
 use dui_netsim::time::{SimDuration, SimTime};
-use dui_stats::wire::{DecodeError, Encoder, ErrorKind, Reader};
+use dui_stats::wire::{
+    wire_struct, DecodeError, Encoder, Encoding, ErrorKind, Reader, Seq, Var, VarQty, Wire,
+};
 
 /// `oldest_seen` while no cell is known to be occupied: `since` it is zero
 /// at every `now`, so only a zero `eviction_timeout` lets a scan through.
@@ -394,25 +396,11 @@ impl FlowSelector {
     /// configuration a restored run is rebuilt under — nor are the two
     /// summaries, which [`FlowSelector::decode`] recomputes.
     pub fn encode<E: Encoder>(&self, e: &mut E) {
-        e.seq(&self.cells, |e, cell| {
-            e.opt(cell.as_ref(), |e, c| c.encode(e))
-        });
+        Seq::<Option<Cell>>::write(&self.cells, e);
         e.varint(self.last_reset.0);
         e.varint(self.resets);
-        let s = &self.stats;
-        for v in [
-            s.sampled,
-            s.evicted_fin,
-            s.evicted_idle,
-            s.evicted_reset,
-            s.retransmissions,
-            s.not_monitored,
-        ] {
-            e.varint(v);
-        }
-        e.opt(self.residencies.as_deref(), |e, res| {
-            e.seq(res, |e, d| e.varint(d.0))
-        });
+        self.stats.put(e);
+        Option::<Seq<VarQty<SimDuration>>>::write(&self.residencies, e);
     }
 
     /// Inverse of [`FlowSelector::encode`], under the parameters of the
@@ -420,28 +408,14 @@ impl FlowSelector {
     /// `params.cells` is [`ErrorKind::Config`]. Recomputes both summaries
     /// in one pass.
     pub fn decode(params: BlinkParams, r: &mut Reader) -> Result<FlowSelector, DecodeError> {
-        if r.count("cell count", Reader::varint, 1)? != params.cells {
+        if r.clone().varint("cell count")? != params.cells as u64 {
             return Err(r.error("cell count", ErrorKind::Config));
         }
-        let mut cells = Vec::with_capacity(params.cells);
-        for _ in 0..params.cells {
-            cells.push(r.opt("cell", |r, _| Cell::decode(r))?);
-        }
-        let last_reset = SimTime(r.varint_quantity("selector last_reset")?);
-        let resets = r.varint_quantity("selector resets")?;
-        let stats = SelectorStats {
-            sampled: r.varint_quantity("selector sampled")?,
-            evicted_fin: r.varint_quantity("selector evicted_fin")?,
-            evicted_idle: r.varint_quantity("selector evicted_idle")?,
-            evicted_reset: r.varint_quantity("selector evicted_reset")?,
-            retransmissions: r.varint_quantity("selector retransmissions")?,
-            not_monitored: r.varint_quantity("selector not_monitored")?,
-        };
-        let residencies = r.opt("residencies", |r, what| {
-            r.seq(what, Reader::varint, 1, |r| {
-                Ok(SimDuration(r.varint_quantity("residency")?))
-            })
-        })?;
+        let cells = Seq::<Option<Cell>>::read(r, "cells")?;
+        let last_reset = VarQty::read(r, "last_reset")?;
+        let resets = VarQty::read(r, "resets")?;
+        let stats = SelectorStats::take(r)?;
+        let residencies = Option::<Seq<VarQty<SimDuration>>>::read(r, "residencies")?;
         let occupants = cells.iter().flatten();
         Ok(FlowSelector {
             params,
@@ -460,31 +434,19 @@ impl FlowSelector {
     }
 }
 
-impl Cell {
-    fn encode<E: Encoder>(&self, e: &mut E) {
-        self.flow.encode(e);
-        e.varint(self.last_seen.0);
-        e.varint(self.sampled_at.0);
-        e.varint(u64::from(self.last_seq));
-        e.opt(self.last_retx, |e, t| e.varint(t.0));
-        e.opt(self.last_retx_gap, |e, g| e.varint(g.0));
-    }
+wire_struct!(Cell {
+    flow: FlowKey, last_seen: VarQty<SimTime>, sampled_at: VarQty<SimTime>, last_seq: Var<u32>,
+    last_retx: Option<VarQty<SimTime>>, last_retx_gap: Option<VarQty<SimDuration>>,
+});
 
-    fn decode(r: &mut Reader) -> Result<Cell, DecodeError> {
-        Ok(Cell {
-            flow: FlowKey::decode(r)?,
-            last_seen: SimTime(r.varint_quantity("cell last_seen")?),
-            sampled_at: SimTime(r.varint_quantity("cell sampled_at")?),
-            last_seq: r.varint_u32("cell last_seq")?,
-            last_retx: r
-                .opt("cell last_retx", Reader::varint_quantity)?
-                .map(SimTime),
-            last_retx_gap: r
-                .opt("cell retx gap", Reader::varint_quantity)?
-                .map(SimDuration),
-        })
-    }
-}
+wire_struct!(SelectorStats {
+    sampled: VarQty,
+    evicted_fin: VarQty,
+    evicted_idle: VarQty,
+    evicted_reset: VarQty,
+    retransmissions: VarQty,
+    not_monitored: VarQty,
+});
 
 #[cfg(test)]
 mod tests {

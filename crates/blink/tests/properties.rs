@@ -1,7 +1,7 @@
 //! Property-based tests of the Blink pipeline and attack theory (via
 //! the in-tree `propcheck` engine).
 
-use dui_blink::fastsim::{AttackSim, AttackSimConfig};
+use dui_blink::fastsim::{AttackSim, AttackSimConfig, FlowState};
 use dui_blink::inference::{FailureDetector, FailureEvent};
 use dui_blink::selector::{BlinkParams, Cell, FlowSelector, Observation, SelectorStats};
 use dui_blink::theory::{effective_qm, AttackModel, FixedKeysModel};
@@ -9,7 +9,8 @@ use dui_netsim::packet::{Addr, FlowKey};
 use dui_netsim::time::{SimDuration, SimTime};
 use dui_stats::digest::StateDigest;
 use dui_stats::propcheck::{Gen, PropError};
-use dui_stats::wire::{DecodeError, Encoder, ErrorKind, Reader, Writer, QUANTITY_MAX};
+use dui_stats::wire::QUANTITY_MAX;
+use dui_stats::wire::{DecodeError, Encoder, Encoding, ErrorKind, Reader, Seq, Wire, Writer};
 use dui_stats::{prop_assert, prop_assert_eq, prop_check, Rng};
 
 fn key(i: u32) -> FlowKey {
@@ -155,7 +156,7 @@ impl ScanSelector {
         let mut w = Writer::new();
         w.seq(&self.cells, |w, cell| {
             w.opt(cell.as_ref(), |w, c| {
-                c.flow.encode(w);
+                c.flow.put(w);
                 w.varint(c.last_seen.0);
                 w.varint(c.sampled_at.0);
                 w.varint(u64::from(c.last_seq));
@@ -232,13 +233,9 @@ fn checkpoint(sim: &AttackSim) -> Vec<u8> {
 /// its `(time, flow index)` entries, and where it ends.
 fn schedule_of(cfg: &AttackSimConfig, bytes: &[u8]) -> (usize, Vec<(u64, u64)>, usize) {
     let mut r = Reader::new(bytes);
-    Rng::decode(&mut r, "rng").expect("a checkpoint");
+    Rng::take(&mut r).expect("a checkpoint");
     FlowSelector::decode(cfg.params, &mut r).expect("a checkpoint");
-    for _ in 0..r.varint("flow count").unwrap() {
-        FlowKey::decode(&mut r).unwrap();
-        r.varint("flow seq").unwrap();
-        r.opt("flow dies_at", Reader::varint).unwrap();
-    }
+    Seq::<FlowState>::read(&mut r, "flows").expect("a checkpoint");
     r.varint("sport cursor").unwrap();
     let start = bytes.len() - r.remaining();
     let entries = (0..r.varint("schedule length").unwrap())

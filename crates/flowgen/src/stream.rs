@@ -11,7 +11,7 @@
 use crate::flows::{random_key_in_prefix, FlowPopulationConfig, SyntheticFlow};
 use dui_netsim::time::SimTime;
 use dui_stats::digest::StateDigest;
-use dui_stats::wire::{Encoder, Sink};
+use dui_stats::wire::{Encoder, Sink, Wire};
 use dui_stats::{dist, Rng};
 use dui_tcp::{FlowSource, FlowSpec};
 
@@ -201,7 +201,7 @@ impl FlowSource for StreamSource {
         self.stream.encode(s);
         s.u32(self.mss);
         s.bool(self.handshake);
-        s.opt(self.next.as_ref(), |s, spec| spec.encode(s));
+        s.opt(self.next.as_ref(), |s, spec| spec.put(s));
     }
 }
 

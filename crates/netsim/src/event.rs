@@ -18,7 +18,7 @@ use crate::packet::Packet;
 use crate::time::SimTime;
 use crate::topology::{LinkId, NodeId};
 use crate::wheel::{TimerWheel, WheelStats};
-use dui_stats::wire::{DecodeError, Encoder, ErrorKind, Reader};
+use dui_stats::wire::{DecodeError, Encoder, Encoding, ErrorKind, Reader, Var, Wire};
 
 /// Things that can happen. Packet-carrying variants hold an arena handle,
 /// so an `Event` is a small `Copy` value (~24 bytes) regardless of packet
@@ -84,7 +84,7 @@ impl Event {
             Event::Deliver { node, pkt: r } => {
                 e.u8(0);
                 e.varint_usize(node.0);
-                pkt(r).encode(e);
+                pkt(r).put(e);
             }
             Event::TxComplete { link, dir } => {
                 e.u8(1);
@@ -100,37 +100,35 @@ impl Event {
                 e.u8(3);
                 e.varint_usize(link.0);
                 e.bool(dir == Dir::BtoA);
-                pkt(r).encode(e);
+                pkt(r).put(e);
             }
         }
     }
 
+    /// The fewest bytes an encoded event takes: a `TxComplete`'s tag,
+    /// link and direction.
+    pub const MIN_BYTES: usize = 1 + Var::<LinkId>::LEAST + bool::LEAST;
+
     /// Inverse of [`Event::encode`]: any packet moves into `arena`.
     pub fn decode(r: &mut Reader, arena: &mut PacketArena) -> Result<Event, DecodeError> {
-        let dir = |r: &mut Reader| {
-            Ok(if r.bool("link direction")? {
-                Dir::BtoA
-            } else {
-                Dir::AtoB
-            })
-        };
+        let dir = |r: &mut Reader| Ok(if r.bool("dir")? { Dir::BtoA } else { Dir::AtoB });
         Ok(match r.u8("event tag")? {
             0 => Event::Deliver {
-                node: NodeId(r.varint_usize("event node")?),
-                pkt: arena.insert(Packet::decode(r)?),
+                node: Var::read(r, "node")?,
+                pkt: arena.insert(Packet::take(r)?),
             },
             1 => Event::TxComplete {
-                link: LinkId(r.varint_usize("event link")?),
+                link: Var::read(r, "link")?,
                 dir: dir(r)?,
             },
             2 => Event::Timer {
-                node: NodeId(r.varint_usize("event node")?),
-                token: r.varint("timer token")?,
+                node: Var::read(r, "node")?,
+                token: r.varint("token")?,
             },
             3 => Event::Offer {
-                link: LinkId(r.varint_usize("event link")?),
+                link: Var::read(r, "link")?,
                 dir: dir(r)?,
-                pkt: arena.insert(Packet::decode(r)?),
+                pkt: arena.insert(Packet::take(r)?),
             },
             _ => return Err(r.error("event tag", ErrorKind::Tag)),
         })

@@ -17,7 +17,7 @@ use crate::arena::PacketRef;
 use crate::packet::Packet;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{LinkInfo, NodeId};
-use dui_stats::wire::Sink;
+use dui_stats::wire::{wire_struct, Sink, VarQty};
 use dui_stats::Rng;
 use std::collections::VecDeque;
 
@@ -118,6 +118,17 @@ pub struct LinkDirStats {
     /// Drops from fault injection or the link being down.
     pub dropped_fault: u64,
 }
+
+// A checkpoint writes each direction's fault and counters as listed.
+wire_struct!(FaultConfig { drop_prob: f64, jitter_max: Option<VarQty<SimDuration>> });
+wire_struct!(LinkDirStats {
+    offered: VarQty,
+    delivered: VarQty,
+    bytes_delivered: VarQty,
+    dropped_queue: VarQty,
+    dropped_tap: VarQty,
+    dropped_fault: VarQty,
+});
 
 /// Runtime state of one link (both directions).
 pub(crate) struct LinkRuntime {

@@ -2,11 +2,13 @@
 //! with its data-plane program hook (our stand-in for a P4-programmable
 //! switch), and a simple [`SinkHost`].
 
-use crate::packet::{Addr, Header, Packet, Prefix, DEFAULT_TTL};
+use crate::packet::{Addr, FlowKey, Header, Packet, Prefix, DEFAULT_TTL};
 use crate::sim::Ctx;
 use crate::time::SimTime;
 use crate::topology::NodeId;
-use dui_stats::wire::{DecodeError, Encoder, ErrorKind, Reader, Sink};
+use dui_stats::wire::{
+    wire_struct, DecodeError, Encoder, Encoding, ErrorKind, Qty, Reader, Sink, Wire,
+};
 use std::any::Any;
 use std::collections::HashMap;
 
@@ -212,7 +214,7 @@ impl NodeLogic for RouterLogic {
                     if let Some(claimed) = claimed {
                         let reply = Packet {
                             id: 0,
-                            key: crate::packet::FlowKey {
+                            key: FlowKey {
                                 src: claimed,
                                 dst: pkt.key.src,
                                 sport: 0,
@@ -248,7 +250,7 @@ impl NodeLogic for RouterLogic {
                 if let Some(claimed) = rw.capture_at_edge(me, &pkt) {
                     let reply = Packet {
                         id: 0,
-                        key: crate::packet::FlowKey {
+                        key: FlowKey {
                             src: claimed,
                             dst: pkt.key.src,
                             sport: 0,
@@ -335,7 +337,7 @@ pub struct SinkFlowStats {
 /// endpoint in the Blink experiments.
 #[derive(Default)]
 pub struct SinkHost {
-    flows: HashMap<crate::packet::FlowKey, SinkFlowStats>,
+    flows: HashMap<FlowKey, SinkFlowStats>,
     /// Total payload bytes received.
     pub total_bytes: u64,
     /// Total packets received.
@@ -349,7 +351,7 @@ impl SinkHost {
     }
 
     /// Stats for one flow key, if seen.
-    pub fn flow(&self, key: &crate::packet::FlowKey) -> Option<SinkFlowStats> {
+    pub fn flow(&self, key: &FlowKey) -> Option<SinkFlowStats> {
         self.flows.get(key).copied()
     }
 
@@ -359,13 +361,18 @@ impl SinkHost {
     }
 }
 
-fn sort_key(k: &crate::packet::FlowKey) -> (u32, u32, u16, u16, u8) {
+fn sort_key(k: &FlowKey) -> (u32, u32, u16, u16, u8) {
     (k.src.0, k.dst.0, k.sport, k.dport, k.proto.code())
 }
 
-/// One flow record of a sink checkpoint: the key, then the packet and
-/// byte counts.
-const SINK_FLOW_BYTES: usize = crate::packet::FlowKey::WIRE_BYTES + 8 + 8;
+// A sink checkpoint's flow record is its key, then these counts.
+wire_struct!(SinkFlowStats {
+    packets: Qty,
+    bytes: Qty
+});
+
+/// One flow record of a sink checkpoint.
+type FlowRecord = (FlowKey, SinkFlowStats);
 
 impl NodeLogic for SinkHost {
     fn on_packet(&mut self, ctx: &mut Ctx, pkt: Packet) {
@@ -401,9 +408,8 @@ impl NodeLogic for SinkHost {
         flows.sort_unstable_by_key(|(k, _)| sort_key(k));
         s.u64(flows.len() as u64);
         for (k, st) in flows {
-            k.encode(s);
-            s.u64(st.packets);
-            s.u64(st.bytes);
+            k.put(s);
+            st.put(s);
         }
         s.u64(self.total_bytes);
         s.u64(self.total_packets);
@@ -411,24 +417,19 @@ impl NodeLogic for SinkHost {
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), DecodeError> {
         let mut r = Reader::new(bytes);
-        let n = r.count("sink flow count", Reader::u64, SINK_FLOW_BYTES)?;
+        let n = r.count("sink flow count", Reader::u64, FlowRecord::LEAST)?;
         let mut flows = HashMap::with_capacity(n);
         let mut prev = None;
         for _ in 0..n {
-            let key = crate::packet::FlowKey::decode(&mut r)?;
+            let (key, stats) = FlowRecord::read(&mut r, "sink flow")?;
             // Canonical order, as `encode` writes it: no duplicate
             // can shadow an earlier record.
             if prev.replace(sort_key(&key)) >= Some(sort_key(&key)) {
                 return Err(r.error("sink flows out of order", ErrorKind::Invalid));
             }
-            let stats = SinkFlowStats {
-                packets: r.quantity("sink flow packets")?,
-                bytes: r.quantity("sink flow bytes")?,
-            };
             flows.insert(key, stats);
         }
-        let total_bytes = r.quantity("sink total bytes")?;
-        let total_packets = r.quantity("sink total packets")?;
+        let [total_bytes, total_packets] = <[Qty; 2]>::read(&mut r, "sink totals")?;
         r.finish("sink checkpoint")?;
         self.flows = flows;
         self.total_bytes = total_bytes;
@@ -449,7 +450,6 @@ pub struct Announcement {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::FlowKey;
 
     /// A sink that has seen three flows, checkpointed.
     fn saved_sink_state() -> Vec<u8> {
@@ -474,7 +474,7 @@ mod tests {
     )]
     fn load_state_round_trips_and_refuses_counts_the_bytes_cannot_hold() {
         let good = saved_sink_state();
-        assert_eq!(good.len(), 8 + 3 * SINK_FLOW_BYTES + 16);
+        assert_eq!(good.len(), 8 + 3 * FlowRecord::LEAST + 16);
         let mut restored = SinkHost::new();
         assert_eq!(restored.load_state(&good), Ok(()));
         assert_eq!((restored.flow_count(), restored.total_packets), (3, 9));

@@ -9,7 +9,9 @@
 //! Internet either); that asymmetry is the paper's whole point.
 
 use crate::time::SimTime;
-use dui_stats::wire::{DecodeError, Encoder, ErrorKind, Reader};
+use dui_stats::wire::{
+    wire_struct, DecodeError, Encoder, Encoding, ErrorKind, Reader, Var, VarQty, Wire,
+};
 use std::fmt;
 
 /// An IPv4-style 32-bit address.
@@ -20,6 +22,21 @@ impl Addr {
     /// Dotted-quad constructor.
     pub const fn new(a: u8, b: u8, c: u8, d: u8) -> Self {
         Addr(u32::from_be_bytes([a, b, c, d]))
+    }
+}
+
+/// Fixed width, as keys and prefixes write it ([`Var`] where a header
+/// field does).
+impl Encoding for Addr {
+    type Value = Addr;
+    const LEAST: usize = 4;
+    #[inline]
+    fn write<E: Encoder>(v: &Addr, e: &mut E) {
+        e.u32(v.0);
+    }
+    #[inline]
+    fn read(r: &mut Reader, what: &'static str) -> Result<Addr, DecodeError> {
+        r.u32(what).map(Addr)
     }
 }
 
@@ -82,8 +99,8 @@ pub enum Proto {
 }
 
 impl Proto {
-    /// Stable wire code (IANA protocol numbers), used by digests and
-    /// the record/replay byte format.
+    /// Stable code (IANA protocol numbers), as digests and the wire form
+    /// below write it.
     pub fn code(self) -> u8 {
         match self {
             Proto::Tcp => 6,
@@ -91,22 +108,10 @@ impl Proto {
             Proto::Icmp => 1,
         }
     }
-
-    /// Inverse of [`Proto::code`].
-    pub fn from_code(code: u8) -> Option<Proto> {
-        match code {
-            6 => Some(Proto::Tcp),
-            17 => Some(Proto::Udp),
-            1 => Some(Proto::Icmp),
-            _ => None,
-        }
-    }
-
-    fn decode(r: &mut Reader) -> Result<Proto, DecodeError> {
-        Proto::from_code(r.u8("flow key proto")?)
-            .ok_or_else(|| r.error("flow key proto", ErrorKind::Tag))
-    }
 }
+
+// The `Proto::code` byte.
+wire_struct!(enum Proto { 6 => Tcp {}, 17 => Udp {}, 1 => Icmp {} });
 
 /// A flow 5-tuple. Blink's flow selector hashes this to pick monitored
 /// flows; spoofing hosts can fabricate arbitrary 5-tuples.
@@ -147,30 +152,6 @@ impl FlowKey {
         }
     }
 
-    /// Size of the fixed-width form [`FlowKey::encode`] writes.
-    pub const WIRE_BYTES: usize = 13;
-
-    /// Fixed width: `src`, `dst` (`u32`), `sport`, `dport` (`u16`), then
-    /// the protocol code.
-    pub fn encode<E: Encoder>(&self, e: &mut E) {
-        e.u32(self.src.0);
-        e.u32(self.dst.0);
-        e.u16(self.sport);
-        e.u16(self.dport);
-        e.u8(self.proto.code());
-    }
-
-    /// Inverse of [`FlowKey::encode`].
-    pub fn decode(r: &mut Reader) -> Result<FlowKey, DecodeError> {
-        Ok(FlowKey {
-            src: Addr(r.u32("flow key src")?),
-            dst: Addr(r.u32("flow key dst")?),
-            sport: r.u16("flow key sport")?,
-            dport: r.u16("flow key dport")?,
-            proto: Proto::decode(r)?,
-        })
-    }
-
     /// The reverse direction of this flow.
     pub fn reversed(&self) -> FlowKey {
         FlowKey {
@@ -199,6 +180,16 @@ impl FlowKey {
         dui_stats::rng::mix64(dui_stats::rng::mix64(a, b), salt)
     }
 }
+
+// Fixed width wherever a key is written: `src`, `dst`, the ports, then
+// the protocol code.
+wire_struct!(FlowKey {
+    src: Addr,
+    dst: Addr,
+    sport: u16,
+    dport: u16,
+    proto: Proto
+});
 
 impl fmt::Display for FlowKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -379,36 +370,14 @@ impl Packet {
     pub fn is_tcp_data(&self) -> bool {
         matches!(self.header, Header::Tcp { .. }) && self.payload > 0
     }
-
-    /// Smallest encoded packet: the key and one-byte varints around a UDP
-    /// header.
-    pub const MIN_WIRE_BYTES: usize = 1 + FlowKey::WIRE_BYTES + 1 + 1 + 1 + 1 + 1;
-
-    /// The packet's full content, as checkpoints and the engine's state
-    /// digest carry it.
-    pub fn encode<E: Encoder>(&self, e: &mut E) {
-        e.varint(self.id);
-        self.key.encode(e);
-        self.header.encode(e);
-        e.varint(u64::from(self.size));
-        e.u8(self.ttl);
-        e.varint(self.sent_at.0);
-        e.varint(u64::from(self.payload));
-    }
-
-    /// Inverse of [`Packet::encode`].
-    pub fn decode(r: &mut Reader) -> Result<Packet, DecodeError> {
-        Ok(Packet {
-            id: r.varint("packet id")?,
-            key: FlowKey::decode(r)?,
-            header: Header::decode(r)?,
-            size: r.varint_u32("packet size")?,
-            ttl: r.u8("packet ttl")?,
-            sent_at: SimTime(r.varint_quantity("packet sent_at")?),
-            payload: r.varint_u32("packet payload")?,
-        })
-    }
 }
+
+// The packet's full content, as checkpoints and the engine's state
+// digest carry it.
+wire_struct!(Packet {
+    id: Var, key: FlowKey, header: Header, size: Var<u32>,
+    ttl: u8, sent_at: VarQty<SimTime>, payload: Var<u32>,
+});
 
 impl TcpFlags {
     /// Pack the four flags into a stable bitfield (`syn` = bit 0).
@@ -428,74 +397,27 @@ impl TcpFlags {
     }
 }
 
-impl Header {
-    /// The kind tag, then the fields.
-    pub fn encode<E: Encoder>(&self, e: &mut E) {
-        match self {
-            Header::Tcp {
-                seq,
-                ack,
-                flags,
-                window,
-            } => {
-                e.u8(0);
-                e.varint(u64::from(*seq));
-                e.varint(u64::from(*ack));
-                e.u8(flags.bits());
-                e.varint(u64::from(*window));
-            }
-            Header::Udp => e.u8(1),
-            Header::IcmpEchoRequest { ident, seq } => {
-                e.u8(2);
-                e.varint(u64::from(*ident));
-                e.varint(u64::from(*seq));
-            }
-            Header::IcmpEchoReply { ident, seq } => {
-                e.u8(3);
-                e.varint(u64::from(*ident));
-                e.varint(u64::from(*seq));
-            }
-            Header::IcmpTimeExceeded {
-                reported_by,
-                probe_ident,
-                probe_seq,
-            } => {
-                e.u8(4);
-                e.varint(u64::from(reported_by.0));
-                e.varint(u64::from(*probe_ident));
-                e.varint(u64::from(*probe_seq));
-            }
-        }
+/// The [`TcpFlags::bits`] byte.
+impl Wire for TcpFlags {
+    const MIN_BYTES: usize = 1;
+    #[inline]
+    fn put<E: Encoder>(&self, e: &mut E) {
+        e.u8(self.bits());
     }
-
-    /// Inverse of [`Header::encode`].
-    pub fn decode(r: &mut Reader) -> Result<Header, DecodeError> {
-        Ok(match r.u8("header tag")? {
-            0 => Header::Tcp {
-                seq: r.varint_u32("tcp seq")?,
-                ack: r.varint_u32("tcp ack")?,
-                flags: TcpFlags::from_bits(r.u8("tcp flags")?)
-                    .ok_or_else(|| r.error("tcp flags", ErrorKind::Tag))?,
-                window: r.varint_u32("tcp window")?,
-            },
-            1 => Header::Udp,
-            2 => Header::IcmpEchoRequest {
-                ident: r.varint_u16("icmp ident")?,
-                seq: r.varint_u16("icmp seq")?,
-            },
-            3 => Header::IcmpEchoReply {
-                ident: r.varint_u16("icmp ident")?,
-                seq: r.varint_u16("icmp seq")?,
-            },
-            4 => Header::IcmpTimeExceeded {
-                reported_by: Addr(r.varint_u32("icmp reporter")?),
-                probe_ident: r.varint_u16("icmp probe ident")?,
-                probe_seq: r.varint_u16("icmp probe seq")?,
-            },
-            _ => return Err(r.error("header tag", ErrorKind::Tag)),
-        })
+    #[inline]
+    fn take(r: &mut Reader) -> Result<TcpFlags, DecodeError> {
+        TcpFlags::from_bits(r.u8("tcp flags")?).ok_or_else(|| r.error("tcp flags", ErrorKind::Tag))
     }
 }
+
+// The kind tag, then the fields.
+wire_struct!(enum Header {
+    0 => Tcp { seq: Var<u32>, ack: Var<u32>, flags: TcpFlags, window: Var<u32> },
+    1 => Udp {},
+    2 => IcmpEchoRequest { ident: Var<u16>, seq: Var<u16> },
+    3 => IcmpEchoReply { ident: Var<u16>, seq: Var<u16> },
+    4 => IcmpTimeExceeded { reported_by: Var<Addr>, probe_ident: Var<u16>, probe_seq: Var<u16> },
+});
 
 #[cfg(test)]
 mod tests {
@@ -599,10 +521,10 @@ mod tests {
                 payload: 1460,
             };
             let mut w = Writer::new();
-            p.encode(&mut w);
+            p.put(&mut w);
             let buf = w.into_bytes();
             let mut r = Reader::new(&buf);
-            assert_eq!(Packet::decode(&mut r), Ok(p));
+            assert_eq!(Packet::take(&mut r), Ok(p));
             assert_eq!(r.finish("packet"), Ok(()));
         }
     }

@@ -27,19 +27,12 @@ use crate::event::{Event, EventQueue};
 use crate::link::{Dir, FaultConfig, LinkDirStats, LinkRuntime};
 use crate::packet::{Addr, Packet, Prefix};
 use crate::sim::Simulator;
-use crate::time::{SimDuration, SimTime};
-use crate::topology::{NodeId, PrefixTable, Routing};
+use crate::time::SimTime;
+use crate::topology::{NodeId, PrefixTable};
 use dui_stats::digest::StateDigest;
-use dui_stats::wire::{self, DecodeError, Encoder, ErrorKind, Reader, Sink, Walk, Writer};
+use dui_stats::wire::{self, DecodeError, Encoder, Encoding, ErrorKind, Reader, Sink, Var, VarQty};
+use dui_stats::wire::{Walk, Wire, Writer};
 use dui_stats::Rng;
-
-// Smallest encodings, for `Reader::count`: a pending event is a time, a
-// tag and a `TxComplete`; a link its flag, two empty directions (count,
-// flag, fault, six counters) and two tap counts; a prefix an address, a
-// length and a node.
-const MIN_PENDING_BYTES: usize = 1 + 1 + 2;
-const MIN_LINK_BYTES: usize = 1 + 2 * (1 + 1 + 9 + 6) + 2;
-const MIN_PREFIX_BYTES: usize = 4 + 1 + 1;
 
 impl Simulator {
     /// The state encoder's sections, in order, each with the seed of its
@@ -68,7 +61,7 @@ impl Simulator {
             0 => {
                 s.varint(core.now.0);
                 s.varint(core.next_pkt_id);
-                core.rng.encode(s);
+                core.rng.put(s);
                 s.bool(self.started);
             }
             1 => s.seq(core.queue.snapshot_refs(), |s, (t, event)| {
@@ -78,20 +71,10 @@ impl Simulator {
             2 => s.seq(&core.links, |s, lr| {
                 s.bool(lr.up);
                 for (st, stats) in [(&lr.ab, &lr.stats_ab), (&lr.ba, &lr.stats_ba)] {
-                    s.seq(&st.queue, |s, &p| core.pkt(p).encode(s));
-                    s.opt(st.in_flight, |s, p| core.pkt(p).encode(s));
-                    s.f64(st.fault.drop_prob);
-                    s.opt(st.fault.jitter_max, |s, j| s.varint(j.0));
-                    for c in [
-                        stats.offered,
-                        stats.delivered,
-                        stats.bytes_delivered,
-                        stats.dropped_queue,
-                        stats.dropped_tap,
-                        stats.dropped_fault,
-                    ] {
-                        s.varint(c);
-                    }
+                    s.seq(&st.queue, |s, &p| core.pkt(p).put(s));
+                    s.opt(st.in_flight, |s, p| core.pkt(p).put(s));
+                    st.fault.put(s);
+                    stats.put(s);
                 }
                 for taps in [&lr.taps_ab, &lr.taps_ba] {
                     if !taps.is_empty() {
@@ -175,8 +158,12 @@ impl Simulator {
     /// A checkpoint whose fingerprint is not this simulator's is refused
     /// first, as [`ErrorKind::Config`]. Nothing is committed until the
     /// bytes have decoded and every id they name has been checked
-    /// against this topology and its installed logics; the restored
-    /// state must then reproduce the checkpoint's state hash. (A node
+    /// against this topology and its installed logics, with the
+    /// invariants dispatch relies on: no event in the past or out of
+    /// order, next hops adjacent, exactly one pending `TxComplete` per
+    /// busy transmitter, no taps, a blob for exactly each installed
+    /// logic. The restored state must then reproduce the checkpoint's
+    /// state hash. (A node
     /// logic that refuses its blob, or a hash that does not reproduce,
     /// fails the restore after the commit has begun.) Pending events are
     /// re-scheduled in dispatch order, so the rebuilt queue pops
@@ -197,59 +184,20 @@ impl Simulator {
         if r.u64("configuration fingerprint")? != self.fingerprint() {
             return Err(r.error("configuration fingerprint", ErrorKind::Config));
         }
-        let c = self.decode(r)?;
-        for (logic, blob) in self.logics.iter_mut().zip(&c.blobs) {
-            if let (Some(l), Some(bytes)) = (logic, blob) {
-                l.load_state(bytes)?;
-            }
-        }
-        self.core.now = c.now;
-        self.core.next_pkt_id = c.next_pkt_id;
-        self.core.rng = c.rng;
-        self.started = c.started;
-        self.core.arena = c.arena;
-        let mut queue = EventQueue::new();
-        for (t, event) in c.events {
-            queue.schedule(t, event);
-        }
-        self.core.queue = queue;
-        // Counters in the registry export deltas against the last synced
-        // wheel/arena stats; both were just replaced, so re-baseline.
-        self.core.metrics.last_wheel = self.core.queue.wheel_stats();
-        self.core.metrics.last_recycled = self.core.arena.recycled();
-        self.core.links = c.links;
-        self.core.routing = c.routing;
-        self.core.prefixes = c.prefixes;
-        if self.state_hash() != c.state_hash {
-            return Err(DecodeError {
-                what: "engine state hash",
-                at: bytes.len() - 8,
-                kind: ErrorKind::Invalid,
-            });
-        }
-        Ok(())
-    }
-
-    /// The decoder of [`Simulator::checkpoint`]'s bytes after the
-    /// fingerprint. It trusts nothing: every count must be this
-    /// topology's, every id must exist in it, and the invariants dispatch
-    /// relies on must hold — no event in the past or out of order, next
-    /// hops adjacent, exactly one pending `TxComplete` per busy
-    /// transmitter, no taps, a blob for exactly each installed logic.
-    fn decode<'a>(&self, mut r: Reader<'a>) -> Result<Decoded<'a>, DecodeError> {
         let topo = &self.core.topo;
         let n = topo.node_count();
-        let now = SimTime(r.varint_quantity("engine clock")?);
-        let next_pkt_id = r.varint_quantity("next packet id")?;
-        let rng = Rng::decode(&mut r, "engine rng")?;
+        let now: SimTime = VarQty::read(&mut r, "engine clock")?;
+        let next_pkt_id = VarQty::read(&mut r, "next packet id")?;
+        let rng = Rng::take(&mut r)?;
         let started = r.bool("started flag")?;
 
         let mut arena = PacketArena::new();
         let mut prev = now;
         // Pending `TxComplete`s per link direction.
         let mut completions = vec![[0usize; 2]; self.core.links.len()];
-        let events = r.seq("pending events", Reader::varint, MIN_PENDING_BYTES, |r| {
-            let t = SimTime(r.varint_quantity("event time")?);
+        let least = VarQty::<SimTime>::LEAST + Event::MIN_BYTES;
+        let events = r.seq("pending events", Reader::varint, least, |r| {
+            let t: SimTime = VarQty::read(r, "event time")?;
             let event = Event::decode(r, &mut arena)?;
             let known = match event {
                 Event::Deliver { node, .. } | Event::Timer { node, .. } => node.0 < n,
@@ -266,7 +214,7 @@ impl Simulator {
             Ok((t, event))
         })?;
 
-        if r.count("link count", Reader::varint, MIN_LINK_BYTES)? != self.core.links.len() {
+        if r.varint("link count")? != self.core.links.len() as u64 {
             return Err(r.error("link count", ErrorKind::Invalid));
         }
         let mut links = Vec::with_capacity(self.core.links.len());
@@ -278,27 +226,12 @@ impl Simulator {
                 (&mut lr.ba, &mut lr.stats_ba),
             ];
             for ((st, stats), busy) in dirs.into_iter().zip(busy) {
-                let queue = r.seq("link queue", Reader::varint, Packet::MIN_WIRE_BYTES, |r| {
-                    Ok(arena.insert(Packet::decode(r)?))
-                })?;
+                let mut packet = |r: &mut Reader| Ok(arena.insert(Packet::take(r)?));
+                let queue = r.seq("link queue", Reader::varint, Packet::MIN_BYTES, &mut packet)?;
                 st.queue = queue.into();
-                st.in_flight = r.opt("in-flight packet", |r, _| {
-                    Ok(arena.insert(Packet::decode(r)?))
-                })?;
-                st.fault = FaultConfig {
-                    drop_prob: r.f64("fault drop_prob")?,
-                    jitter_max: r
-                        .opt("fault jitter", Reader::varint_quantity)?
-                        .map(SimDuration),
-                };
-                *stats = LinkDirStats {
-                    offered: r.varint_quantity("link offered")?,
-                    delivered: r.varint_quantity("link delivered")?,
-                    bytes_delivered: r.varint_quantity("link bytes delivered")?,
-                    dropped_queue: r.varint_quantity("link queue drops")?,
-                    dropped_tap: r.varint_quantity("link tap drops")?,
-                    dropped_fault: r.varint_quantity("link fault drops")?,
-                };
+                st.in_flight = r.opt("in-flight packet", |r, _| packet(r))?;
+                st.fault = FaultConfig::take(&mut r)?;
+                *stats = LinkDirStats::take(&mut r)?;
                 if busy != usize::from(st.in_flight.is_some()) {
                     return Err(r.error("pending transmitter completions", ErrorKind::Invalid));
                 }
@@ -312,7 +245,7 @@ impl Simulator {
         let mut routing = self.core.routing.clone();
         for src in (0..n).map(NodeId) {
             for dst in (0..n).map(NodeId) {
-                let hop = r.opt("next hop", Reader::varint_usize)?.map(NodeId);
+                let hop = Option::<Var<NodeId>>::read(&mut r, "next hop")?;
                 if hop.is_some_and(|h| h.0 >= n || topo.link_between(src, h).is_none()) {
                     return Err(r.error("next hop", ErrorKind::Invalid));
                 }
@@ -320,7 +253,7 @@ impl Simulator {
             }
         }
         let mut prefixes = PrefixTable::new();
-        for _ in 0..r.count("prefix count", Reader::varint, MIN_PREFIX_BYTES)? {
+        for _ in 0..r.varint("prefix count")? {
             let addr = Addr(r.u32("prefix address")?);
             let len = r.u8("prefix length")?;
             // `Prefix::new` asserts the length and masks host bits off; a
@@ -328,7 +261,7 @@ impl Simulator {
             if len > 32 || Prefix::new(addr, len).addr != addr {
                 return Err(r.error("prefix", ErrorKind::Range));
             }
-            let node = NodeId(r.varint_usize("prefix node")?);
+            let node: NodeId = Var::read(&mut r, "prefix node")?;
             // The table keeps longest prefixes first; a blob in another
             // order would be re-sorted, not restored.
             let longer = prefixes.entries().last().is_some_and(|(p, _)| p.len < len);
@@ -347,33 +280,35 @@ impl Simulator {
         }
         let state_hash = r.u64("engine state hash")?;
         r.finish("engine checkpoint")?;
-        Ok(Decoded {
-            now,
-            next_pkt_id,
-            rng,
-            started,
-            arena,
-            events,
-            links,
-            routing,
-            prefixes,
-            blobs,
-            state_hash,
-        })
+        for (logic, blob) in self.logics.iter_mut().zip(&blobs) {
+            if let (Some(l), Some(bytes)) = (logic, blob) {
+                l.load_state(bytes)?;
+            }
+        }
+        self.core.now = now;
+        self.core.next_pkt_id = next_pkt_id;
+        self.core.rng = rng;
+        self.started = started;
+        self.core.arena = arena;
+        let mut queue = EventQueue::new();
+        for (t, event) in events {
+            queue.schedule(t, event);
+        }
+        self.core.queue = queue;
+        // Counters in the registry export deltas against the last synced
+        // wheel/arena stats; both were just replaced, so re-baseline.
+        self.core.metrics.last_wheel = self.core.queue.wheel_stats();
+        self.core.metrics.last_recycled = self.core.arena.recycled();
+        self.core.links = links;
+        self.core.routing = routing;
+        self.core.prefixes = prefixes;
+        if self.state_hash() != state_hash {
+            return Err(DecodeError {
+                what: "engine state hash",
+                at: bytes.len() - 8,
+                kind: ErrorKind::Invalid,
+            });
+        }
+        Ok(())
     }
-}
-
-/// A decoded, checked checkpoint, not yet committed.
-struct Decoded<'a> {
-    now: SimTime,
-    next_pkt_id: u64,
-    rng: Rng,
-    started: bool,
-    arena: PacketArena,
-    events: Vec<(SimTime, Event)>,
-    links: Vec<LinkRuntime>,
-    routing: Routing,
-    prefixes: PrefixTable,
-    blobs: Vec<Option<&'a [u8]>>,
-    state_hash: u64,
 }

@@ -16,6 +16,18 @@ pub struct SimTime(pub u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(pub u64);
 
+/// Each newtype over an integer is written as its integer (by
+/// `dui_stats::wire::{Var, Qty, VarQty}`).
+macro_rules! word {
+    ($($t:ty: $int:ty),*) => {$(impl dui_stats::wire::Word for $t {
+        #[inline] fn word(self) -> u64 { self.0 as u64 }
+        #[inline] fn from_word(w: u64) -> Option<Self> { <$int>::try_from(w).ok().map(Self) }
+    })*};
+}
+
+word!(SimTime: u64, SimDuration: u64, crate::packet::Addr: u32);
+word!(crate::topology::NodeId: usize, crate::topology::LinkId: usize);
+
 impl SimTime {
     /// Simulation start.
     pub const ZERO: SimTime = SimTime(0);

@@ -9,7 +9,7 @@ use crate::utility::allegro_utility;
 use dui_netsim::packet::{FlowKey, Header, Packet, TcpFlags};
 use dui_netsim::prelude::{Ctx, NodeLogic};
 use dui_netsim::time::{SimDuration, SimTime};
-use dui_stats::wire::{Encoder, Sink};
+use dui_stats::wire::{Encoder, Sink, Wire};
 use dui_stats::TimeSeries;
 use std::any::Any;
 use std::collections::HashMap;
@@ -221,7 +221,7 @@ impl NodeLogic for PccSender {
     /// current MI, the sequence cursor, the traces and the counters.
     fn encode(&self, s: &mut Sink<'_>) {
         s.refuse("a PCC sender has no checkpoint decoder");
-        self.cfg.key.encode(s);
+        self.cfg.key.put(s);
         s.u64(self.cfg.seed);
         self.controller.encode(s);
         self.acct.encode(s);

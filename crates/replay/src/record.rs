@@ -36,7 +36,8 @@
 //! decodes one event at a time as it goes.
 
 use crate::replay::ReplaySubject;
-use dui_stats::wire::{DecodeError, Encoder, ErrorKind, Reader, Writer};
+use dui_stats::wire::{wire_struct, Writer};
+use dui_stats::wire::{Bytes, DecodeError, Encoder, Encoding, ErrorKind, Reader, Seq, Var};
 
 /// Recording format magic bytes.
 pub const MAGIC: [u8; 4] = *b"DUIR";
@@ -118,7 +119,7 @@ impl EventLog {
     /// Check a section event by event, as strictly as every other field,
     /// then copy its bytes once.
     fn read(r: &mut Reader<'_>) -> Result<EventLog, DecodeError> {
-        let len = r.count("event count", Reader::varint, MIN_EVENT_BYTES)?;
+        let len = r.count("event count", Reader::varint, EventRecord::LEAST)?;
         let mut section = r.clone();
         let mut last = 0u64;
         for _ in 0..len {
@@ -126,7 +127,7 @@ impl EventLog {
             last = last
                 .checked_add(dt)
                 .ok_or_else(|| r.error("event time", ErrorKind::Range))?;
-            r.varint_u32("event kind")?;
+            Var::<u32>::read(r, "event kind")?;
             r.u64("event digest")?;
         }
         let bytes = section.take("events", (section.remaining() - r.remaining()) as u64)?;
@@ -154,7 +155,7 @@ impl Iterator for Events<'_> {
         self.time += self.r.varint("event delta-time").ok()?;
         Some(EventFrame {
             time: self.time,
-            kind: self.r.varint_u32("event kind").ok()?,
+            kind: Var::<u32>::read(&mut self.r, "event kind").ok()?,
             digest: self.r.u64("event digest").ok()?,
         })
     }
@@ -182,6 +183,11 @@ pub struct CheckpointFrame {
     pub payload: Option<Vec<u8>>,
 }
 
+wire_struct!(CheckpointFrame {
+    event_index: Var, time: Var, state_hash: u64,
+    components: Seq<(Var<u32>, u64)>, payload: Option<Bytes>,
+});
+
 /// One run's complete recording.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Recording {
@@ -200,13 +206,8 @@ pub struct Recording {
     pub final_hash: u64,
 }
 
-// Smallest encodings, for `Reader::count`: an event is two one-byte
-// varints and a digest; a component a varint and a digest; a checkpoint
-// two varints, a hash, a component count and a flag. (A name can be one
-// length byte.)
-const MIN_EVENT_BYTES: usize = 1 + 1 + 8;
-const MIN_COMP_BYTES: usize = 1 + 8;
-const MIN_CKPT_BYTES: usize = 1 + 1 + 8 + 1 + 1;
+/// An event as the log holds it: delta-time, kind, digest.
+type EventRecord = (Var, (Var<u32>, u64));
 
 impl Recording {
     /// Intern `name`, returning its table index.
@@ -242,16 +243,7 @@ impl Recording {
         w.u64(self.config_digest);
         w.seq(&self.names, |w, n| w.str(n));
         self.events.write(&mut w);
-        w.seq(&self.checkpoints, |w, c| {
-            w.varint(c.event_index);
-            w.varint(c.time);
-            w.u64(c.state_hash);
-            w.seq(&c.components, |w, (name, digest)| {
-                w.varint(u64::from(*name));
-                w.u64(*digest);
-            });
-            w.opt(c.payload.as_deref(), Writer::bytes);
-        });
+        Seq::<CheckpointFrame>::write(&self.checkpoints, &mut w);
         w.u64(self.final_hash);
         w.into_bytes()
     }
@@ -270,17 +262,7 @@ impl Recording {
             Ok(r.str("name")?.to_string())
         })?;
         let events = EventLog::read(&mut r)?;
-        let checkpoints = r.seq("checkpoints", Reader::varint, MIN_CKPT_BYTES, |r| {
-            Ok(CheckpointFrame {
-                event_index: r.varint("checkpoint event index")?,
-                time: r.varint("checkpoint time")?,
-                state_hash: r.u64("checkpoint state hash")?,
-                components: r.seq("component count", Reader::varint, MIN_COMP_BYTES, |r| {
-                    Ok((r.varint_u32("component name")?, r.u64("component digest")?))
-                })?,
-                payload: r.opt("checkpoint payload", |r, what| Ok(r.bytes(what)?.to_vec()))?,
-            })
-        })?;
+        let checkpoints = Seq::<CheckpointFrame>::read(&mut r, "checkpoints")?;
         let final_hash = r.u64("final hash")?;
         r.finish("recording")?;
         Ok(Recording {

@@ -353,7 +353,7 @@ mod tests {
     use super::*;
     use crate::record::Recorder;
     use dui_stats::digest::StateDigest;
-    use dui_stats::wire::{self, DecodeError, Encoder, Reader, Writer};
+    use dui_stats::wire::{self, DecodeError, Encoder, Reader, Wire, Writer};
 
     /// A toy deterministic subject: a counter driven by an RNG, with a
     /// restorable checkpoint. Exercises the whole record→verify→resume
@@ -410,7 +410,7 @@ mod tests {
             ];
             let w = payload.then(Writer::new);
             wire::walk("counter", &SECTIONS, w, |i, s| match i {
-                0 => self.rng.encode(s),
+                0 => self.rng.put(s),
                 _ => {
                     s.u64(self.ticks);
                     s.u64(self.total);
@@ -421,7 +421,7 @@ mod tests {
         fn load_checkpoint(&mut self, bytes: &[u8]) -> Result<(), String> {
             let mut r = Reader::new(bytes);
             let err = |e: DecodeError| e.to_string();
-            self.rng = dui_stats::Rng::decode(&mut r, "counter rng").map_err(err)?;
+            self.rng = dui_stats::Rng::take(&mut r).map_err(err)?;
             self.ticks = r.u64("counter word").map_err(err)?;
             self.total = r.u64("counter word").map_err(err)?;
             r.finish("counter").map_err(err)

@@ -21,15 +21,15 @@
 
 mod blobs;
 
-use dui_blink::fastsim::AttackSim;
+use dui_blink::fastsim::{AttackSim, FlowState};
 use dui_blink::selector::FlowSelector;
 use dui_netsim::prelude::*;
 use dui_replay::{Recording, ReplaySubject, Replayer};
 use dui_stats::digest::StateDigest;
 use dui_stats::propcheck::{self, Config, PropError};
-use dui_stats::wire::{Encoder, ErrorKind, Reader, Sink, Writer};
+use dui_stats::wire::{Encoder, Encoding, ErrorKind, Reader, Seq, Sink, Wire, Writer};
 use dui_stats::Rng;
-use dui_tcp::{FlowKind, FlowPool, TcpHost, TcpSenderConfig};
+use dui_tcp::{FlowKind, FlowPool, FlowSpec, TcpHost, TcpSenderConfig};
 
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -73,22 +73,23 @@ impl Kind {
     }
 
     /// Peak decode allocation allowed per input byte. The driver of each:
-    /// `.duir` — a 24-byte `String` per 1-byte name; engine checkpoint —
-    /// `Simulator::restore`, staging and committing the decoded state
-    /// (worst mutant 8.3); fast-sim snapshot — the configuration's cells,
-    /// 72 bytes each (worst mutant 9.0); `TcpHost` — its pool (worst
-    /// mutant 11.3); `FlowPool` — a sender row claimed before its fields
-    /// are read, in a first chunk with room for four 312-byte rows
-    /// (worst mutant 23.3, a 64-byte input); `SinkHost` — a 40-byte map
-    /// entry per 29-byte record at the table's 8/7 load factor, rounded
-    /// up to a power of two.
+    /// `.duir` — the name table, a 24-byte `String` per name (worst
+    /// mutant 4.1); engine checkpoint — `Simulator::restore`, staging and
+    /// committing the decoded state (worst mutant 7.9); fast-sim
+    /// snapshot — the configuration's cells, 72 bytes each (worst mutant
+    /// 9.0); `TcpHost` — its pool (worst mutant 11.3); `FlowPool` — its
+    /// slot columns and, once its fields have decoded, a sender row in a
+    /// first chunk with room for four 312-byte rows (worst mutant 7.3);
+    /// `SinkHost` — a 40-byte map entry per 29-byte record at the
+    /// table's 8/7 load factor, rounded up to a power of two (worst
+    /// mutant 1.6).
     fn k(self) -> usize {
         match self {
-            Kind::DuirFastsim | Kind::DuirEngine => 32,
-            Kind::Engine => 32,
+            Kind::DuirFastsim | Kind::DuirEngine => 8,
+            Kind::Engine => 16,
             Kind::FastsimSnapshot => 16,
-            Kind::TcpHost | Kind::FlowPool => 32,
-            Kind::SinkHost => 8,
+            Kind::TcpHost | Kind::FlowPool => 16,
+            Kind::SinkHost => 4,
             Kind::Router => 1,
         }
     }
@@ -376,13 +377,9 @@ fn a_checkpoint_of_another_configuration_is_refused() {
 fn with_schedule(edit: impl FnOnce(&mut Vec<(u64, u64)>)) -> Vec<u8> {
     let blob = blobs::fastsim_snapshot();
     let mut r = Reader::new(&blob);
-    Rng::decode(&mut r, "rng").expect("fixture");
+    Rng::take(&mut r).expect("fixture");
     FlowSelector::decode(blobs::fastsim_cfg().params, &mut r).expect("fixture");
-    for _ in 0..r.varint("flow count").expect("fixture") {
-        FlowKey::decode(&mut r).expect("fixture");
-        r.varint("flow seq").expect("fixture");
-        r.opt("flow dies_at", Reader::varint).expect("fixture");
-    }
+    Seq::<FlowState>::read(&mut r, "flows").expect("fixture");
     r.varint("sport cursor").expect("fixture");
     let start = blob.len() - r.remaining();
     let mut entries: Vec<(u64, u64)> = (0..r.varint("schedule length").expect("fixture"))
@@ -446,6 +443,36 @@ fn fastsim_checkpoints_no_run_reaches_are_refused() {
             Err(err) => assert_eq!(err.kind, kind, "{case}: {err}"),
         }
     }
+}
+
+/// A host checkpoint no host writes: two pending flow specs out of start
+/// order, which `VecSource::new` would re-sort, so the restored host
+/// would re-encode to other bytes. Refused as `Invalid`; specs with equal
+/// starts, which the stable sort keeps in place, are taken.
+#[test]
+fn tcp_host_specs_out_of_start_order_are_refused() {
+    let spec = |sport, ms| FlowSpec {
+        key: FlowKey::tcp(Addr::new(10, 0, 0, 1), sport, Addr::new(10, 0, 0, 2), 80),
+        start: SimTime::ZERO + SimDuration::from_millis(ms),
+        config: TcpSenderConfig::default(),
+    };
+    let blob = |a, b| {
+        let host = TcpHost::with_flows(vec![spec(1000, a), spec(1001, b)]);
+        Sink::save(|s| host.encode(s)).expect("a VecSource host checkpoints")
+    };
+    // The `start` words, swapped: past the tag, the count and a key.
+    let mut swapped = blob(100, 200);
+    let start = |i: usize| 8 + i * FlowSpec::MIN_BYTES + FlowKey::MIN_BYTES;
+    let first: Vec<u8> = swapped[start(0)..start(0) + 8].to_vec();
+    swapped.copy_within(start(1)..start(1) + 8, start(0));
+    swapped[start(1)..start(1) + 8].copy_from_slice(&first);
+    assert_eq!(swapped.len(), blob(100, 200).len());
+    let err = TcpHost::new()
+        .load_state(&swapped)
+        .expect_err("out of start order");
+    assert_eq!(err.kind, ErrorKind::Invalid, "{err}");
+    let tied = blob(200, 200);
+    assert_eq!(check(Kind::TcpHost, &tied, true), Ok(true));
 }
 
 macro_rules! hostile {

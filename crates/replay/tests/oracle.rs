@@ -26,6 +26,13 @@
 //! event — and a digest that folds something the bytes do not carry
 //! reads "different" where they agree.
 //!
+//! Every field list (`wire_struct!`) and hand-written `Wire` shape is
+//! also held, row by row of `WIRE_SHAPES`, to the round trip its one
+//! description promises: a value decodes from its own bytes to itself,
+//! its bytes re-encode to themselves, its digest and bytes agree with a
+//! neighbour's, every strict prefix is refused, and `MIN_BYTES` is the
+//! shortest encoding reached.
+//!
 //! Parts with no decoder (link taps, a PCC endpoint, a traceroute
 //! prober) have no bytes to compare, so the last property holds their
 //! digests to what they are for: two engines whose state hashes agree
@@ -34,17 +41,24 @@
 //! configuration or from two that differ in one setting.
 
 use dui_attacks::{IcmpSpoofTap, PccEqualizerTap};
-use dui_blink::fastsim::{AttackSim, AttackSimConfig};
-use dui_blink::selector::FlowSelector;
+use dui_blink::fastsim::{AttackSim, AttackSimConfig, FlowState};
+use dui_blink::selector::{Cell, FlowSelector, SelectorStats};
 use dui_nethide::TracerouteProber;
+use dui_netsim::link::LinkDirStats;
+use dui_netsim::node::SinkFlowStats;
 use dui_netsim::prelude::*;
 use dui_pcc::{PccReceiver, PccSender, PccSenderConfig};
+use dui_replay::record::CheckpointFrame;
 use dui_stats::digest::StateDigest;
-use dui_stats::propcheck::{Gen, PropResult};
-use dui_stats::wire::{Reader, Sink, Writer};
+use dui_stats::propcheck::{self, Config, Gen, PropError, PropResult};
+use dui_stats::wire::{ErrorKind, Reader, Sink, Wire, Writer};
 use dui_stats::Rng;
-use dui_stats::{prop_assert_eq, prop_check};
-use dui_tcp::{FlowPool, FlowSpec, TcpHost, TcpHostConfig, TcpSenderConfig};
+use dui_stats::{prop_assert, prop_assert_eq, prop_check};
+use dui_tcp::conn::{RcvState, ReceiverStats, RecvRow, SegmentRecord, SenderMeta, SenderStats};
+use dui_tcp::conn::{SeqState, TcpState};
+use dui_tcp::TcpSenderConfig;
+use dui_tcp::{FlowPool, FlowSpec, HostCounters, Reno, RttEstimator, TcpHost, TcpHostConfig};
+use std::fmt::Debug;
 
 /// Equal digests exactly when the bytes are equal.
 fn digest_iff_bytes(what: &str, a: (u64, Vec<u8>), b: (u64, Vec<u8>)) -> PropResult {
@@ -314,7 +328,7 @@ prop_check! {
             b
         };
         let state = |r: &Rng| {
-            let words = |s: &mut Sink<'_>| r.encode(s);
+            let words = |s: &mut Sink<'_>| r.put(s);
             (
                 digest(|d| words(&mut Sink::digest(d))),
                 Sink::save(words).expect("an rng refuses nothing"),
@@ -525,4 +539,143 @@ prop_check! {
         prop_assert_eq!(whole.finish(), walk.hash);
         prop_assert_eq!(walk.hash, a.state_hash());
     }
+}
+
+/// Every `Wire` shape, each the round-trip property at it.
+/// `tests/workspace_lints.rs` requires a row for every field list.
+const WIRE_SHAPES: [fn(); 27] = [
+    round_trips::<Rng>,
+    round_trips::<Proto>,
+    round_trips::<FlowKey>,
+    round_trips::<TcpFlags>,
+    round_trips::<Header>,
+    round_trips::<Packet>,
+    round_trips::<SinkFlowStats>,
+    round_trips::<FaultConfig>,
+    round_trips::<LinkDirStats>,
+    round_trips::<Reno>,
+    round_trips::<RttEstimator>,
+    round_trips::<TcpState>,
+    round_trips::<TcpSenderConfig>,
+    round_trips::<SenderStats>,
+    round_trips::<SegmentRecord>,
+    round_trips::<SeqState>,
+    round_trips::<SenderMeta>,
+    round_trips::<ReceiverStats>,
+    round_trips::<RcvState>,
+    round_trips::<RecvRow>,
+    round_trips::<FlowSpec>,
+    round_trips::<HostCounters>,
+    round_trips::<TcpHostConfig>,
+    round_trips::<Cell>,
+    round_trips::<SelectorStats>,
+    round_trips::<FlowState>,
+    round_trips::<CheckpointFrame>,
+];
+
+#[test]
+fn every_wire_shape_round_trips() {
+    WIRE_SHAPES.iter().for_each(|round_trip| round_trip());
+}
+
+/// One generated byte: mostly the small values flags, tags, counts and
+/// short varints take, the more often zero the higher `zeros` (of 16).
+fn wire_byte(g: &mut Gen, zeros: u8) -> u8 {
+    if g.u8(0..16) < zeros {
+        return 0;
+    }
+    match g.u8(0..8) {
+        0 => 1,
+        1 => 6,
+        2 => 17,
+        3 => 0x40,
+        _ => g.u8(0..255),
+    }
+}
+
+/// A value of `T` and its encoding, decoded from generated bytes: bytes
+/// are drawn as the decoder asks for them, and a refusal redraws either
+/// the last few bytes before where it stopped or all bytes since a
+/// random point before it. `None` if no value turns up within the
+/// budget.
+fn generate<T: Wire>(g: &mut Gen) -> Option<(T, Vec<u8>)> {
+    let zeros = [6, 12, 15][g.usize(0..3)];
+    let mut bytes = Vec::new();
+    for _ in 0..4_000 {
+        let mut r = Reader::new(&bytes);
+        let err = match T::take(&mut r) {
+            Ok(v) => {
+                let used = bytes.len() - r.remaining();
+                bytes.truncate(used);
+                return Some((v, bytes));
+            }
+            Err(err) => err,
+        };
+        // A field's refusal stops just past that field, a `check`'s past
+        // the whole shape.
+        let keep = match err.kind {
+            ErrorKind::Truncated => bytes.len(),
+            _ if g.bool() => err.at.saturating_sub(g.usize(1..9)),
+            _ => g.usize(0..err.at.max(1)),
+        };
+        bytes.truncate(keep);
+        // Room past the field, so that a count of several elements fits;
+        // a redraw after a refusal takes fewer zeros.
+        let (more, zeros) = match err.kind {
+            ErrorKind::Truncated => (g.usize(8..64), zeros),
+            _ => (g.usize(8..64), 6),
+        };
+        bytes.extend((0..more).map(|_| wire_byte(g, zeros)));
+    }
+    None
+}
+
+/// `T`'s round trip over generated values: `take(put(v))` is `v`, the
+/// bytes `v` was decoded from are `put(v)`, equal digests mean equal
+/// bytes (against `v` itself or a value decoded from its bytes with one
+/// byte redrawn), every strict prefix of the bytes is refused, and the
+/// shortest encoding generated is `MIN_BYTES` long.
+fn round_trips<T: Wire + Debug>() {
+    let name = std::any::type_name::<T>();
+    let bytes_of = |v: &T| {
+        let mut w = Writer::new();
+        v.put(&mut w);
+        w.into_bytes()
+    };
+    let state = |v: &T| (digest(|d| v.put(d)), bytes_of(v));
+    let mut shortest = usize::MAX;
+    propcheck::check(name, &Config::default(), |g| {
+        let Some((v, bytes)) = generate::<T>(g) else {
+            return Err(PropError::Discard);
+        };
+        prop_assert_eq!(bytes_of(&v), bytes.clone(), "{name}: {v:?}");
+        let back = T::take(&mut Reader::new(&bytes));
+        prop_assert_eq!(
+            format!("{back:?}"),
+            format!("{:?}", Ok::<_, ()>(&v)),
+            "{name}"
+        );
+        for cut in 0..bytes.len() {
+            let prefix = T::take(&mut Reader::new(&bytes[..cut]));
+            prop_assert!(
+                prefix.is_err(),
+                "{name}: {bytes:?} cut to {cut} bytes decoded"
+            );
+        }
+        let mut near = bytes.clone();
+        if g.bool() {
+            let at = g.usize(0..near.len());
+            near[at] = wire_byte(g, 6);
+        }
+        if let Ok(w) = T::take(&mut Reader::new(&near)) {
+            digest_iff_bytes(name, state(&v), state(&w))?;
+        }
+        shortest = shortest.min(bytes.len());
+        Ok(())
+    });
+    assert_eq!(
+        shortest,
+        T::MIN_BYTES,
+        "{name}: the shortest encoding generated"
+    );
 }

@@ -6,7 +6,7 @@
 //! crucially for a simulator — its output for a given seed is a stable part
 //! of this crate's API: experiments cite seeds and must replay identically.
 
-use crate::wire::{DecodeError, Encoder, ErrorKind, Reader};
+use crate::wire::{wire_struct, ErrorKind};
 
 /// Advance a splitmix64 state and return the next output.
 ///
@@ -50,6 +50,15 @@ pub struct Rng {
     s: [u64; 4],
 }
 
+// The checkpoint form: the four state words, fixed width. The all-zero
+// state is refused: xoshiro256++ never reaches it from any other state,
+// so no generator wrote it.
+wire_struct!(Rng { s: [u64; 4] = "rng" } check(rng, r) {
+    if rng.s == [0; 4] {
+        return Err(r.error("rng", ErrorKind::Invalid));
+    }
+});
+
 impl Rng {
     /// Create a generator from a 64-bit seed (expanded via splitmix64).
     pub fn new(seed: u64) -> Self {
@@ -65,9 +74,8 @@ impl Rng {
 
     /// Snapshot the raw xoshiro256++ state.
     ///
-    /// Checkpoints carry these words ([`Rng::encode`] /
-    /// [`Rng::decode`]): record/replay (`dui-replay`) captures them
-    /// mid-run and later resumes the exact stream. The words are the
+    /// Checkpoints carry these words (its [`Wire`](crate::wire::Wire)
+    /// field list): record/replay (`dui-replay`) captures them mid-run and later resumes the exact stream. The words are the
     /// algorithm's state, not its output — treat them as opaque.
     #[inline]
     pub fn state(&self) -> [u64; 4] {
@@ -80,34 +88,13 @@ impl Rng {
     /// would be constant zero), so it is mapped to `Rng::new(0)`'s state;
     /// every snapshot taken from a real generator is non-zero and
     /// round-trips exactly. Bytes from outside go through
-    /// [`Rng::decode`], which refuses that state instead.
+    /// [`Rng::take`](crate::wire::Wire::take), which refuses that state instead.
     #[inline]
     pub fn from_state(s: [u64; 4]) -> Self {
         if s == [0; 4] {
             return Rng::new(0);
         }
         Rng { s }
-    }
-
-    /// The checkpoint encoding: the four [`Rng::state`] words, fixed
-    /// width.
-    #[inline]
-    pub fn encode<E: Encoder>(&self, e: &mut E) {
-        self.s.iter().for_each(|&w| e.u64(w));
-    }
-
-    /// Inverse of [`Rng::encode`], every word read as `what`. The
-    /// all-zero state is refused as [`ErrorKind::Invalid`]: xoshiro256++
-    /// never reaches it from any other state, so no generator wrote it.
-    pub fn decode(r: &mut Reader, what: &'static str) -> Result<Rng, DecodeError> {
-        let mut s = [0u64; 4];
-        for w in &mut s {
-            *w = r.u64(what)?;
-        }
-        if s == [0; 4] {
-            return Err(r.error(what, ErrorKind::Invalid));
-        }
-        Ok(Rng { s })
     }
 
     /// Derive an independent child generator.
@@ -216,6 +203,7 @@ impl Rng {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::Wire;
 
     #[test]
     fn deterministic_for_seed() {
@@ -247,17 +235,17 @@ mod tests {
 
     #[test]
     fn codec_round_trips_and_refuses_the_zero_state() {
-        use crate::wire::Writer;
+        use crate::wire::{Reader, Writer};
         let mut a = Rng::new(5);
         a.next_u64();
         let mut w = Writer::new();
-        a.encode(&mut w);
+        a.put(&mut w);
         let bytes = w.into_bytes();
         assert_eq!(bytes.len(), 32);
         let mut r = Reader::new(&bytes);
-        assert_eq!(Rng::decode(&mut r, "rng"), Ok(a));
+        assert_eq!(Rng::take(&mut r), Ok(a));
         let zero = [0u8; 32];
-        let err = Rng::decode(&mut Reader::new(&zero), "rng").unwrap_err();
+        let err = Rng::take(&mut Reader::new(&zero)).unwrap_err();
         assert_eq!(
             (err.what, err.at, err.kind),
             ("rng", 32, ErrorKind::Invalid)

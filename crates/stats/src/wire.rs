@@ -21,16 +21,30 @@
 //! list of named sections, and [`walk`] runs it once for its section
 //! digests, its state hash and, when asked, its bytes.
 //!
+//! A state shape is described once, too: one [`wire_struct!`] field
+//! list, each field with its [`Encoding`], expands to both halves of its
+//! [`Wire`] codec — the encoder writes the fields in order, the decoder
+//! reads them in the same order and refuses each under the field's name
+//! — and to its `MIN_BYTES`, the sum of the fields' least sizes, which
+//! bounds every counted [`Seq`] of it before anything is allocated. What
+//! no field list can say stays hand-written in the list's one `check`
+//! hook: a state the decoded fields spell but no run reaches.
+//!
 //! ```
-//! use dui_stats::wire::{Encoder, Reader, Writer};
+//! use dui_stats::wire::{wire_struct, ErrorKind, Reader, Var, Wire, Writer};
+//! #[derive(Debug)] struct Hop { node: usize, ttl: u8 }
+//! wire_struct!(Hop { node: Var<usize>, ttl: u8 } check(hop, r) {
+//!     if hop.ttl == 0 {
+//!         return Err(r.error("expired hop", ErrorKind::Invalid));
+//!     }
+//! });
 //! let mut w = Writer::new();
-//! w.varint(300);
-//! w.str("link");
+//! Hop { node: 300, ttl: 9 }.put(&mut w);
 //! let bytes = w.into_bytes();
-//! let mut r = Reader::new(&bytes);
-//! assert_eq!(r.varint("n"), Ok(300));
-//! assert_eq!(r.str("name"), Ok("link"));
-//! assert_eq!(r.finish("example"), Ok(()));
+//! assert_eq!((bytes.as_slice(), Hop::MIN_BYTES), (&[0xac, 0x02, 9][..], 2));
+//! let hop = Hop::take(&mut Reader::new(&bytes)).unwrap();
+//! assert_eq!((hop.node, hop.ttl), (300, 9));
+//! assert_eq!(Hop::take(&mut Reader::new(&[1, 0])).unwrap_err().kind, ErrorKind::Invalid);
 //! ```
 
 #![expect(
@@ -39,7 +53,9 @@
 )]
 
 use crate::digest::StateDigest;
+use std::collections::BTreeMap;
 use std::fmt;
+use std::marker::PhantomData;
 
 /// Why a decode was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,30 +186,6 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.array(what)?))
     }
 
-    /// A fixed-width clock reading, duration or event count: a `u64` of
-    /// at most [`QUANTITY_MAX`].
-    #[inline]
-    pub fn quantity(&mut self, what: &'static str) -> Result<u64, DecodeError> {
-        let v = self.u64(what)?;
-        self.bounded(what, v)
-    }
-
-    /// A varint clock reading, duration or event count (see
-    /// [`Reader::quantity`]).
-    #[inline]
-    pub fn varint_quantity(&mut self, what: &'static str) -> Result<u64, DecodeError> {
-        let v = self.varint(what)?;
-        self.bounded(what, v)
-    }
-
-    #[inline]
-    fn bounded(&self, what: &'static str, v: u64) -> Result<u64, DecodeError> {
-        if v > QUANTITY_MAX {
-            return Err(self.error(what, ErrorKind::Range));
-        }
-        Ok(v)
-    }
-
     /// An `f64` stored as its bit pattern in a little-endian `u64`.
     #[inline]
     pub fn f64(&mut self, what: &'static str) -> Result<f64, DecodeError> {
@@ -232,27 +224,6 @@ impl<'a> Reader<'a> {
     /// Narrow an already-read `v` to the field's type, or refuse it.
     pub fn narrow<T: TryFrom<u64>>(&self, what: &'static str, v: u64) -> Result<T, DecodeError> {
         T::try_from(v).map_err(|_| self.error(what, ErrorKind::Range))
-    }
-
-    /// A varint that must fit a `u16`.
-    #[inline]
-    pub fn varint_u16(&mut self, what: &'static str) -> Result<u16, DecodeError> {
-        let v = self.varint(what)?;
-        self.narrow(what, v)
-    }
-
-    /// A varint that must fit a `u32`.
-    #[inline]
-    pub fn varint_u32(&mut self, what: &'static str) -> Result<u32, DecodeError> {
-        let v = self.varint(what)?;
-        self.narrow(what, v)
-    }
-
-    /// A varint that must fit a `usize`.
-    #[inline]
-    pub fn varint_usize(&mut self, what: &'static str) -> Result<usize, DecodeError> {
-        let v = self.varint(what)?;
-        self.narrow(what, v)
     }
 
     /// A one-byte presence flag (`0`/`1`), then — if set — the value,
@@ -617,6 +588,234 @@ pub fn walk(
     }
 }
 
+/// How one field is written: the encoding of a `Value` that both halves
+/// of a [`wire_struct!`] field list use. The fixed-width primitives
+/// (`u8`, `u16`, `u32`, `u64`, `f64`, `bool`) are their own encodings;
+/// [`Var`], [`Qty`], [`VarQty`], [`Bytes`], `Option<T>`, [`Seq`],
+/// [`Map`], pairs and arrays are the others, and every [`Wire`] shape is
+/// its own.
+pub trait Encoding {
+    /// The field's type.
+    type Value;
+    /// The fewest bytes an encoded value takes.
+    const LEAST: usize;
+    /// Write `v`.
+    fn write<E: Encoder>(v: &Self::Value, e: &mut E);
+    /// Read a value, refused as field `what`.
+    fn read(r: &mut Reader, what: &'static str) -> Result<Self::Value, DecodeError>;
+}
+
+/// A state shape with one description, its [`wire_struct!`] field list.
+pub trait Wire: Sized {
+    /// The fewest bytes an encoded value takes: its fields' least sizes.
+    const MIN_BYTES: usize;
+    /// The encoder: each field in list order.
+    fn put<E: Encoder>(&self, e: &mut E);
+    /// The decoder: each field in list order, refused under its name,
+    /// then the list's `check`.
+    fn take(r: &mut Reader) -> Result<Self, DecodeError>;
+}
+
+impl<T: Wire> Encoding for T {
+    type Value = T;
+    const LEAST: usize = T::MIN_BYTES;
+    fn write<E: Encoder>(v: &T, e: &mut E) {
+        v.put(e);
+    }
+    fn read(r: &mut Reader, _: &'static str) -> Result<T, DecodeError> {
+        <T as Wire>::take(r)
+    }
+}
+
+/// A value written as one unsigned integer, by [`Var`], [`Qty`] and
+/// [`VarQty`].
+pub trait Word: Copy {
+    /// The integer written.
+    fn word(self) -> u64;
+    /// The value an integer read back spells, if any.
+    fn from_word(w: u64) -> Option<Self>;
+}
+
+macro_rules! word {
+    ($($t:ty),*) => {$(impl Word for $t {
+        #[inline] fn word(self) -> u64 { self as u64 }
+        #[inline] fn from_word(w: u64) -> Option<Self> { Self::try_from(w).ok() }
+    })*};
+}
+
+word!(u16, u32, u64, usize);
+
+/// `w` read as field `what`, refused past `max` or past what a `T` holds.
+#[inline]
+fn word<T: Word>(r: &Reader, what: &'static str, w: u64, max: u64) -> Result<T, DecodeError> {
+    T::from_word(w)
+        .filter(|_| w <= max)
+        .ok_or_else(|| r.error(what, ErrorKind::Range))
+}
+
+/// Encoding: a shortest-form varint, refused unless it fits the field.
+pub struct Var<T = u64>(PhantomData<T>);
+
+/// Encoding: a fixed-width `u64` of at most [`QUANTITY_MAX`] — a clock
+/// reading, a duration or an event count.
+pub struct Qty<T = u64>(PhantomData<T>);
+
+/// Encoding: a varint of at most [`QUANTITY_MAX`].
+pub struct VarQty<T = u64>(PhantomData<T>);
+
+/// Encoding: a varint length, then that many bytes.
+pub struct Bytes;
+
+/// Encoding: an element count as `N`, then each element as `T`. The
+/// count is refused, before anything is allocated, unless that many
+/// elements of `T::LEAST` bytes fit in the bytes left ([`Reader::seq`]).
+pub struct Seq<T, N = Var>(PhantomData<(T, N)>);
+
+/// Encoding: a count as `N`, then each entry, key `K` then value `V`, in
+/// the map's order; a key not above the one before it is refused, since
+/// it could only shadow an earlier entry.
+pub struct Map<K, V, N = Var>(PhantomData<(K, V, N)>);
+
+/// How a [`Seq`] or a [`Map`] writes its element count: `u32`, `u64`
+/// or [`Var`].
+pub trait Count: Encoding<Value: Into<u64>> {
+    /// An element count as the count's value.
+    fn of(n: usize) -> Self::Value;
+}
+
+macro_rules! count {
+    ($($t:ty => $v:ty),*) => {$(impl Count for $t { #[inline] fn of(n: usize) -> $v { n as $v } })*};
+}
+
+count!(u32 => u32, u64 => u64, Var => u64);
+
+/// One [`Encoding`] per row: `[generics] Encoding => Value, least size,
+/// |value, encoder| write, |reader, what| read`.
+macro_rules! encodings {
+    ($([$($g:tt)*] $m:ty => $v:ty, $n:expr,
+        |$x:ident, $e:ident| $write:expr, |$r:ident, $what:ident| $read:expr;)*) => {$(
+        impl<$($g)*> Encoding for $m {
+            type Value = $v;
+            const LEAST: usize = $n;
+            #[inline] fn write<E: Encoder>($x: &$v, $e: &mut E) { $write; }
+            #[inline] fn read($r: &mut Reader, $what: &'static str) -> Result<$v, DecodeError> { $read }
+        }
+    )*};
+}
+
+encodings! {
+    [] u8 => u8, 1, |v, e| e.u8(*v), |r, what| r.u8(what);
+    [] u16 => u16, 2, |v, e| e.u16(*v), |r, what| r.u16(what);
+    [] u32 => u32, 4, |v, e| e.u32(*v), |r, what| r.u32(what);
+    [] u64 => u64, 8, |v, e| e.u64(*v), |r, what| r.u64(what);
+    [] f64 => f64, 8, |v, e| e.f64(*v), |r, what| r.f64(what);
+    [] bool => bool, 1, |v, e| e.bool(*v), |r, what| r.bool(what);
+    [T: Word] Var<T> => T, 1, |v, e| e.varint(v.word()),
+        |r, what| { let w = r.varint(what)?; word(r, what, w, u64::MAX) };
+    [T: Word] Qty<T> => T, 8, |v, e| e.u64(v.word()),
+        |r, what| { let w = r.u64(what)?; word(r, what, w, QUANTITY_MAX) };
+    [T: Word] VarQty<T> => T, 1, |v, e| e.varint(v.word()),
+        |r, what| { let w = r.varint(what)?; word(r, what, w, QUANTITY_MAX) };
+    [] Bytes => Vec<u8>, 1, |v, e| e.bytes(v), |r, what| Ok(r.bytes(what)?.to_vec());
+    [T: Encoding] Option<T> => Option<T::Value>, 1,
+        |v, e| e.opt(v.as_ref(), |e, v| T::write(v, e)), |r, what| r.opt(what, T::read);
+    [A: Encoding, B: Encoding] (A, B) => (A::Value, B::Value), A::LEAST + B::LEAST,
+        |v, e| { A::write(&v.0, e); B::write(&v.1, e) },
+        |r, what| Ok((A::read(r, what)?, B::read(r, what)?));
+    [T: Encoding<Value: Copy + Default>, const N: usize] [T; N] => [T::Value; N], N * T::LEAST,
+        |v, e| v.iter().for_each(|v| T::write(v, e)),
+        |r, what| {
+            let mut a = [T::Value::default(); N];
+            for v in &mut a {
+                *v = T::read(r, what)?;
+            }
+            Ok(a)
+        };
+    [T: Encoding, N: Count] Seq<T, N> => Vec<T::Value>, N::LEAST,
+        |v, e| { N::write(&N::of(v.len()), e); v.iter().for_each(|v| T::write(v, e)) },
+        |r, what| r.seq(what, N::read, T::LEAST, |r| T::read(r, what));
+    [K: Encoding<Value: Ord>, V: Encoding, N: Count] Map<K, V, N> => BTreeMap<K::Value, V::Value>,
+        N::LEAST,
+        |m, e| {
+            N::write(&N::of(m.len()), e);
+            m.iter().for_each(|(k, v)| { K::write(k, e); V::write(v, e) })
+        },
+        |r, what| {
+            let mut m = BTreeMap::new();
+            for _ in 0..r.count(what, N::read, K::LEAST + V::LEAST)? {
+                let (k, v) = (K::read(r, what)?, V::read(r, what)?);
+                if m.last_key_value().is_some_and(|(last, _)| *last >= k) {
+                    return Err(r.error(what, ErrorKind::Invalid));
+                }
+                m.insert(k, v);
+            }
+            Ok(m)
+        };
+}
+
+/// Implements [`Wire`] for a struct from one field list, `name: Encoding`
+/// in wire order (`name: Encoding = "what"` refuses under another name
+/// than the field's). An optional `check(value, reader) { … }` runs on
+/// each decoded value and may refuse it. The `enum` form gives each
+/// variant a one-byte tag and a field list, written tag first.
+#[macro_export]
+macro_rules! wire_struct {
+    (@what $f:ident) => { stringify!($f) };
+    (@what $f:ident $what:literal) => { $what };
+    (enum $ty:ident { $($tag:literal => $var:ident { $($f:ident: $enc:ty),* $(,)? }),* $(,)? }) => {
+        impl $crate::wire::Wire for $ty {
+            const MIN_BYTES: usize = 1 + {
+                let mut least = usize::MAX;
+                $(let n = 0 $(+ <$enc as $crate::wire::Encoding>::LEAST)*;
+                if n < least { least = n; })*
+                least
+            };
+            #[inline]
+            fn put<E: $crate::wire::Encoder>(&self, e: &mut E) {
+                match self {
+                    $($ty::$var { $($f),* } => {
+                        e.u8($tag);
+                        $(<$enc as $crate::wire::Encoding>::write($f, e);)*
+                    })*
+                }
+            }
+            #[inline]
+            fn take(r: &mut $crate::wire::Reader) -> Result<Self, $crate::wire::DecodeError> {
+                const TAG: &str = concat!(stringify!($ty), " tag");
+                Ok(match r.u8(TAG)? {
+                    $($tag => $ty::$var {
+                        $($f: <$enc as $crate::wire::Encoding>::read(r, stringify!($f))?),*
+                    },)*
+                    _ => return Err(r.error(TAG, $crate::wire::ErrorKind::Tag)),
+                })
+            }
+        }
+    };
+    ($ty:ident { $($f:ident: $enc:ty $(= $what:literal)?),* $(,)? }
+        $(check($v:ident, $r:ident) $check:block)?) => {
+        impl $crate::wire::Wire for $ty {
+            const MIN_BYTES: usize = 0 $(+ <$enc as $crate::wire::Encoding>::LEAST)*;
+            #[inline]
+            fn put<E: $crate::wire::Encoder>(&self, e: &mut E) {
+                $(<$enc as $crate::wire::Encoding>::write(&self.$f, e);)*
+            }
+            #[inline]
+            fn take(r: &mut $crate::wire::Reader) -> Result<Self, $crate::wire::DecodeError> {
+                let value = $ty {
+                    $($f: <$enc as $crate::wire::Encoding>::read(
+                        r,
+                        $crate::wire_struct!(@what $f $($what)?),
+                    )?,)*
+                };
+                $(let ($v, $r) = (&value, &*r); $check)?
+                Ok(value)
+            }
+        }
+    };
+}
+
+pub use crate::wire_struct;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -670,7 +869,7 @@ mod tests {
 
     #[test]
     fn narrowing_is_checked_at_max_plus_one() {
-        let read16 = |v: u64| Reader::new(&varint_bytes(v)).varint_u16("port");
+        let read16 = |v: u64| Var::<u16>::read(&mut Reader::new(&varint_bytes(v)), "port");
         assert_eq!(read16(u64::from(u16::MAX) - 1), Ok(u16::MAX - 1));
         assert_eq!(read16(u64::from(u16::MAX)), Ok(u16::MAX));
         assert_eq!(
@@ -679,13 +878,13 @@ mod tests {
         );
         // The value that used to wrap to 4464.
         assert_eq!(read16(70_000).unwrap_err().kind, ErrorKind::Range);
-        let read32 = |v: u64| Reader::new(&varint_bytes(v)).varint_u32("seq");
+        let read32 = |v: u64| Var::<u32>::read(&mut Reader::new(&varint_bytes(v)), "seq");
         assert_eq!(read32(u64::from(u32::MAX)), Ok(u32::MAX));
         assert_eq!(
             read32(u64::from(u32::MAX) + 1).unwrap_err().kind,
             ErrorKind::Range
         );
-        let read_usize = |v: u64| Reader::new(&varint_bytes(v)).varint_usize("index");
+        let read_usize = |v: u64| Var::<usize>::read(&mut Reader::new(&varint_bytes(v)), "index");
         assert_eq!(read_usize(usize::MAX as u64), Ok(usize::MAX));
     }
 
@@ -703,8 +902,11 @@ mod tests {
             let bytes = w.into_bytes();
             let mut r = Reader::new(&bytes);
             let want = if ok { Ok(v) } else { Err(ErrorKind::Range) };
-            assert_eq!(r.quantity("clock").map_err(|e| e.kind), want);
-            assert_eq!(r.varint_quantity("clock").map_err(|e| e.kind), want);
+            assert_eq!(Qty::<u64>::read(&mut r, "clock").map_err(|e| e.kind), want);
+            assert_eq!(
+                VarQty::<u64>::read(&mut r, "clock").map_err(|e| e.kind),
+                want
+            );
         }
     }
 

@@ -38,6 +38,7 @@ use crate::rtt::RttEstimator;
 use crate::seq::{seq_dist, seq_ge, seq_gt, seq_lt};
 use dui_netsim::packet::{FlowKey, Header, Packet, TcpFlags};
 use dui_netsim::time::{SimDuration, SimTime};
+use dui_stats::wire::{wire_struct, ErrorKind, Map, Qty};
 use std::collections::BTreeMap;
 
 /// RFC 9293 connection states (plus `Idle`, the pre-open CLOSED a sender
@@ -70,44 +71,12 @@ pub enum TcpState {
     Closed,
 }
 
-impl TcpState {
-    /// Stable one-byte code for state digests and checkpoint codecs.
-    pub fn code(self) -> u8 {
-        match self {
-            TcpState::Idle => 0,
-            TcpState::Listen => 1,
-            TcpState::SynSent => 2,
-            TcpState::SynRcvd => 3,
-            TcpState::Established => 4,
-            TcpState::FinWait1 => 5,
-            TcpState::FinWait2 => 6,
-            TcpState::Closing => 7,
-            TcpState::CloseWait => 8,
-            TcpState::LastAck => 9,
-            TcpState::TimeWait => 10,
-            TcpState::Closed => 11,
-        }
-    }
-
-    /// Inverse of [`TcpState::code`].
-    pub fn from_code(c: u8) -> Option<TcpState> {
-        Some(match c {
-            0 => TcpState::Idle,
-            1 => TcpState::Listen,
-            2 => TcpState::SynSent,
-            3 => TcpState::SynRcvd,
-            4 => TcpState::Established,
-            5 => TcpState::FinWait1,
-            6 => TcpState::FinWait2,
-            7 => TcpState::Closing,
-            8 => TcpState::CloseWait,
-            9 => TcpState::LastAck,
-            10 => TcpState::TimeWait,
-            11 => TcpState::Closed,
-            _ => return None,
-        })
-    }
-}
+// A state is its one-byte code.
+wire_struct!(enum TcpState {
+    0 => Idle {}, 1 => Listen {}, 2 => SynSent {}, 3 => SynRcvd {}, 4 => Established {},
+    5 => FinWait1 {}, 6 => FinWait2 {}, 7 => Closing {}, 8 => CloseWait {}, 9 => LastAck {},
+    10 => TimeWait {}, 11 => Closed {},
+});
 
 /// Sender configuration.
 #[derive(Debug, Clone)]
@@ -143,6 +112,22 @@ impl Default for TcpSenderConfig {
     }
 }
 
+// A configuration the protocol code can run on: an MSS the 16-bit MSS
+// option can announce, so that a segment built from it cannot overflow
+// its size, and not zero, which would never fill a window; an initial
+// window of at least a segment, which `Reno::new` asserts.
+wire_struct!(TcpSenderConfig {
+    mss: u32, total_bytes: Option<Qty>, app_rate: Option<u64>,
+    initial_cwnd: f64, handshake: bool, time_wait: Qty<SimDuration>,
+} check(cfg, r) {
+    if cfg.mss > SEGMENT_MAX {
+        return Err(r.error("mss", ErrorKind::Range));
+    }
+    if cfg.mss == 0 || cfg.initial_cwnd.is_nan() || cfg.initial_cwnd < 1.0 {
+        return Err(r.error("sender config", ErrorKind::Invalid));
+    }
+});
+
 /// Sender-side statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SenderStats {
@@ -160,17 +145,31 @@ pub struct SenderStats {
     pub completed_at: Option<SimTime>,
 }
 
+wire_struct!(SenderStats {
+    bytes_acked: Qty, segments_sent: Qty, retransmissions: Qty, fast_retransmits: Qty,
+    timeouts: Qty, completed_at: Option<Qty<SimTime>>,
+});
+
 /// One outstanding segment awaiting acknowledgement.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct SegmentRecord {
+pub struct SegmentRecord {
     pub(crate) sent_at: SimTime,
     pub(crate) retransmitted: bool,
     pub(crate) len: u32,
 }
 
+/// The longest segment: what the 16-bit MSS option can announce.
+const SEGMENT_MAX: u32 = u16::MAX as u32;
+
+wire_struct!(SegmentRecord { sent_at: Qty<SimTime>, retransmitted: bool, len: u32 } check(rec, r) {
+    if rec.len > SEGMENT_MAX {
+        return Err(r.error("len", ErrorKind::Range));
+    }
+});
+
 /// Sequence-space column: ISN, send cursor and the phantom-byte markers.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct SeqState {
+pub struct SeqState {
     pub(crate) isn: u32,
     pub(crate) snd_una: u32,
     pub(crate) snd_nxt: u32,
@@ -202,9 +201,14 @@ impl Default for SeqState {
     }
 }
 
+wire_struct!(SeqState {
+    isn: u32, snd_una: u32, snd_nxt: u32, app_sent: Qty,
+    fin_seq: Option<u32>, syn_seq: Option<u32>, recovery_until: Option<u32>,
+});
+
 /// Timer/window column: everything the sender consults between segments.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct SenderMeta {
+pub struct SenderMeta {
     pub(crate) started_at: SimTime,
     pub(crate) dupacks: u32,
     pub(crate) rto_deadline: Option<SimTime>,
@@ -227,6 +231,12 @@ impl Default for SenderMeta {
         }
     }
 }
+
+wire_struct!(SenderMeta {
+    started_at: Qty<SimTime>, dupacks: u32,
+    rto_deadline: Option<Qty<SimTime>>, pace_deadline: Option<Qty<SimTime>>,
+    timewait_deadline: Option<Qty<SimTime>>, peer_rwnd: u32, state: TcpState,
+});
 
 /// One sender's columns, stored together: a sender event touches one
 /// contiguous row.
@@ -711,10 +721,15 @@ pub struct ReceiverStats {
     pub finished_at: Option<SimTime>,
 }
 
+wire_struct!(ReceiverStats {
+    bytes_delivered: Qty, duplicate_segments: Qty, out_of_order_segments: Qty,
+    finished_at: Option<Qty<SimTime>>,
+});
+
 /// Receiver-side column: cumulative-ACK cursor, reassembly buffer and the
 /// passive-open lifecycle state.
 #[derive(Debug, Clone)]
-pub(crate) struct RcvState {
+pub struct RcvState {
     pub(crate) rcv_nxt: u32,
     /// Out-of-order segments keyed by absolute sequence number. Segment
     /// boundaries from a single sender are stable, so exact-key lookup at
@@ -761,12 +776,22 @@ impl Default for RcvState {
     }
 }
 
+wire_struct!(RcvState {
+    rcv_nxt: u32, ooo: Map<u32, u32, u32>, fin_seq: Option<u32>, done: bool,
+    advertised_window: u32, state: TcpState, handshake: bool, our_fin_sent: bool,
+});
+
 /// One receiver's columns, stored together.
 #[derive(Debug, Default)]
-pub(crate) struct RecvRow {
+pub struct RecvRow {
     pub(crate) rcv: RcvState,
     pub(crate) stats: ReceiverStats,
 }
+
+wire_struct!(RecvRow {
+    rcv: RcvState,
+    stats: ReceiverStats
+});
 
 impl RecvRow {
     /// Borrowed view over this row for the flow `key`, emitting into `out`.

@@ -14,14 +14,14 @@
 //! on every ACK would leave a chain of wakes that each find nothing due.
 
 use crate::conn::{ReceiverStats, SenderStats, TcpSenderConfig, TcpState};
-use crate::pool::{
-    get_cfg, get_tcp_key, put_cfg, FlowKind, FlowPool, FlowRef, StaleFlowRef, MIN_CFG_BYTES,
-};
+use crate::pool::{FlowKind, FlowPool, FlowRef, StaleFlowRef, TcpKey};
 use dui_netsim::packet::{FlowKey, Header, Packet};
 use dui_netsim::prelude::{Ctx, NodeLogic};
 use dui_netsim::time::{SimDuration, SimTime};
 use dui_stats::hash::FixedState;
-use dui_stats::wire::{DecodeError, Encoder, ErrorKind, Reader, Sink};
+use dui_stats::wire::{
+    wire_struct, DecodeError, Encoder, Encoding, ErrorKind, Qty, Reader, Seq, Sink, Wire,
+};
 use std::any::Any;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
@@ -57,14 +57,7 @@ pub trait FlowSource: Send {
     fn encode(&self, s: &mut Sink<'_>);
 }
 
-impl FlowSpec {
-    /// The spec's key, start time and sender configuration.
-    pub fn encode<E: Encoder>(&self, e: &mut E) {
-        self.key.encode(e);
-        e.u64(self.start.0);
-        put_cfg(e, &self.config);
-    }
-}
+wire_struct!(FlowSpec { key: TcpKey, start: Qty<SimTime>, config: TcpSenderConfig });
 
 /// The materialized [`FlowSource`]: a start-sorted queue of specs.
 #[derive(Default)]
@@ -98,7 +91,7 @@ impl FlowSource for VecSource {
     /// A `u32` count, then each pending spec.
     fn encode(&self, s: &mut Sink<'_>) {
         s.u32(self.pending.len() as u32);
-        self.pending.iter().for_each(|spec| spec.encode(s));
+        self.pending.iter().for_each(|spec| spec.put(s));
     }
 }
 
@@ -117,6 +110,11 @@ pub struct TcpHostConfig {
     /// defense / realism knob). `None` = half-open connections persist.
     pub syn_rcvd_timeout: Option<SimDuration>,
 }
+
+wire_struct!(TcpHostConfig {
+    listen_backlog: Option<Qty<usize>>, evict_closed: bool,
+    syn_rcvd_timeout: Option<Qty<SimDuration>>,
+});
 
 /// Aggregate host counters: lifecycle transitions observed across all
 /// flows plus the stats of evicted (no longer pooled) flows.
@@ -152,27 +150,22 @@ pub struct HostCounters {
     pub evicted_done_receivers: u64,
 }
 
-impl HostCounters {
-    /// Every counter, in the order the checkpoint encoder uses.
-    fn fields_mut(&mut self) -> [&mut u64; 14] {
-        [
-            &mut self.admitted,
-            &mut self.evictions,
-            &mut self.stale_wakes,
-            &mut self.syn_dropped,
-            &mut self.syn_timeouts,
-            &mut self.synrcvd_live,
-            &mut self.synrcvd_peak,
-            &mut self.synrcvd_total,
-            &mut self.timewait_entered,
-            &mut self.handshakes_completed,
-            &mut self.evicted_completed_senders,
-            &mut self.evicted_bytes_acked,
-            &mut self.evicted_bytes_received,
-            &mut self.evicted_done_receivers,
-        ]
-    }
-}
+wire_struct!(HostCounters {
+    admitted: Qty,
+    evictions: Qty,
+    stale_wakes: Qty,
+    syn_dropped: Qty,
+    syn_timeouts: Qty,
+    synrcvd_live: Qty,
+    synrcvd_peak: Qty,
+    synrcvd_total: Qty,
+    timewait_entered: Qty,
+    handshakes_completed: Qty,
+    evicted_completed_senders: Qty,
+    evicted_bytes_acked: Qty,
+    evicted_bytes_received: Qty,
+    evicted_done_receivers: Qty,
+});
 
 /// A host that runs TCP senders (from a [`FlowSource`]) and spawns
 /// receivers on demand for incoming flows. All per-flow state lives in a
@@ -587,55 +580,27 @@ impl NodeLogic for TcpHost {
             s.refuse("a TCP host with undrained output");
         }
         s.blob(|s| self.pool.encode(s));
-        s.u32(self.order.len() as u32);
-        for k in &self.order {
-            k.encode(s);
-        }
+        Seq::<TcpKey, u32>::write(&self.order, s);
         s.u32(self.next_isn);
-        s.u32(self.wake_at.len() as u32);
-        for wake in &self.wake_at {
-            s.opt(wake.map(|t| t.0), Sink::u64);
-        }
-        let mut agg = self.agg;
-        agg.fields_mut().into_iter().for_each(|v| s.u64(*v));
-        s.opt(self.cfg.listen_backlog.map(|v| v as u64), Sink::u64);
-        s.bool(self.cfg.evict_closed);
-        s.opt(self.cfg.syn_rcvd_timeout.map(|t| t.as_nanos()), Sink::u64);
+        Wakes::write(&self.wake_at, s);
+        self.agg.put(s);
+        self.cfg.put(s);
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), DecodeError> {
         let mut r = Reader::new(bytes);
         r.tag("tcp host state tag", &STATE_TAG)?;
-        let specs = r.seq("flow spec count", Reader::u32, MIN_SPEC_BYTES, |r| {
-            Ok(FlowSpec {
-                key: get_tcp_key(r)?,
-                start: SimTime(r.quantity("flow start")?),
-                config: get_cfg(r)?,
-            })
-        })?;
-        let pool = FlowPool::from_bytes(r.bytes("pool blob")?)?;
-        let order = r.seq(
-            "creation-order count",
-            Reader::u32,
-            FlowKey::WIRE_BYTES,
-            get_tcp_key,
-        )?;
-        let next_isn = r.u32("next isn")?;
-        let wake_at = r.seq("wake count", Reader::u32, 1, |r| {
-            Ok(r.opt("wake", Reader::quantity)?.map(SimTime))
-        })?;
-        let mut agg = HostCounters::default();
-        for slot in agg.fields_mut() {
-            *slot = r.quantity("host counter")?;
+        let specs = Seq::<FlowSpec, u32>::read(&mut r, "flow specs")?;
+        // `VecSource::new` sorts by start time: specs out of that order
+        // would restore as another list.
+        if specs.windows(2).any(|w| w[1].start < w[0].start) {
+            return Err(r.error("flow spec order", ErrorKind::Invalid));
         }
-        let listen_backlog = r.opt("listen backlog", |r, what| {
-            let v = r.u64(what)?;
-            r.narrow(what, v)
-        })?;
-        let evict_closed = r.bool("evict_closed flag")?;
-        let syn_rcvd_timeout = r
-            .opt("syn-rcvd timeout", Reader::quantity)?
-            .map(SimDuration);
+        let pool = FlowPool::from_bytes(r.bytes("pool blob")?)?;
+        let order = Seq::<TcpKey, u32>::read(&mut r, "creation order")?;
+        let next_isn = r.u32("next isn")?;
+        let wake_at = Wakes::read(&mut r, "wakes")?;
+        let (agg, cfg) = (HostCounters::take(&mut r)?, TcpHostConfig::take(&mut r)?);
         r.finish("tcp host state")?;
         // Rebuild the lookup index from the restored pool: first by
         // forward key, the later slot taking a shared key, then each
@@ -671,11 +636,7 @@ impl NodeLogic for TcpHost {
         self.next_isn = next_isn;
         self.wake_at = wake_at;
         self.agg = agg;
-        self.cfg = TcpHostConfig {
-            listen_backlog,
-            evict_closed,
-            syn_rcvd_timeout,
-        };
+        self.cfg = cfg;
         Ok(())
     }
 
@@ -714,8 +675,8 @@ impl NodeLogic for TcpHost {
 /// must be refused, not misparsed — and version 3 framed the pool blob
 /// with a varint length instead of a `u64`.
 const STATE_TAG: [u8; 4] = *b"TCH3";
-/// Smallest encoded [`FlowSpec`]: key, start time, config.
-const MIN_SPEC_BYTES: usize = FlowKey::WIRE_BYTES + 8 + MIN_CFG_BYTES;
+/// The wake column: a `u32` count, then each slot's optional fire time.
+type Wakes = Seq<Option<Qty<SimTime>>, u32>;
 
 #[cfg(test)]
 mod tests {
@@ -964,9 +925,9 @@ mod tests {
         // in; overwrite each with all-ones in turn.
         let nspec = u32::from_le_bytes([good[4], good[5], good[6], good[7]]) as usize;
         assert_eq!(nspec, 1, "one flow not yet admitted");
-        let plen_at = 8 + MIN_SPEC_BYTES + 8; // this spec carries one Some(u64)
+        let plen_at = 8 + FlowSpec::MIN_BYTES + 8; // this spec carries one Some(u64)
         let mut r = Reader::new(&good[plen_at..]);
-        let plen = r.varint_usize("pool length").unwrap();
+        let plen = r.varint("pool length").unwrap() as usize;
         let pool_at = good.len() - r.remaining();
         let mut huge_pool = good[..plen_at].to_vec();
         let mut w = dui_stats::wire::Writer::new();
@@ -980,7 +941,7 @@ mod tests {
         assert_eq!(kind(&huge_order), Err(ErrorKind::Count));
         // One sender admitted so far: one key, then the ISN cursor, then
         // the wake count.
-        let nwake_at = norder_at + 4 + FlowKey::WIRE_BYTES + 4;
+        let nwake_at = norder_at + 4 + FlowKey::MIN_BYTES + 4;
         let mut huge_wakes = good.clone();
         huge_wakes[nwake_at..nwake_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(kind(&huge_wakes), Err(ErrorKind::Count));
@@ -1204,6 +1165,38 @@ mod tests {
         // The host's pool digest covers the three evicted flows' free
         // slots as well as the live ones.
         assert_eq!(sim.state_hash(), 0x1b66_2b60_c3a3_25f3);
+    }
+
+    /// Two pending specs written in start order, their `start` words then
+    /// swapped: `VecSource::new` would re-sort them, and the restored host
+    /// re-encode to other bytes, so the blob is refused. Equal starts,
+    /// which a stable sort keeps in place, load and re-encode to themselves.
+    #[test]
+    fn load_state_refuses_specs_out_of_start_order() {
+        let spec = |sport, ms| FlowSpec {
+            key: FlowKey::tcp(Addr::new(10, 0, 0, 1), sport, Addr::new(10, 0, 0, 2), 80),
+            start: SimTime::ZERO + SimDuration::from_millis(ms),
+            config: TcpSenderConfig::default(),
+        };
+        let blob = |a, b| {
+            let host = TcpHost::with_flows(vec![spec(1000, a), spec(1001, b)]);
+            Sink::save(|s| host.encode(s)).expect("restorable")
+        };
+        let mut swapped = blob(100, 200);
+        // Tag and count, then each spec's key before its start.
+        let start = |i: usize| 8 + i * FlowSpec::MIN_BYTES + FlowKey::MIN_BYTES;
+        let first: Vec<u8> = swapped[start(0)..start(0) + 8].to_vec();
+        swapped.copy_within(start(1)..start(1) + 8, start(0));
+        swapped[start(1)..start(1) + 8].copy_from_slice(&first);
+        let err = TcpHost::new().load_state(&swapped).unwrap_err();
+        assert_eq!(
+            (err.what, err.kind),
+            ("flow spec order", ErrorKind::Invalid)
+        );
+        let tied = blob(100, 100);
+        let mut host = TcpHost::new();
+        assert_eq!(host.load_state(&tied), Ok(()));
+        assert_eq!(Sink::save(|s| host.encode(s)), Ok(tied));
     }
 
     #[test]

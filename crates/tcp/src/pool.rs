@@ -42,15 +42,15 @@
 //! and calls the one implementation in `conn.rs`.
 
 use crate::conn::{
-    RcvState, ReceiverStats, RecvCols, RecvRow, SegmentRecord, SenderCols, SenderRow, SenderStats,
-    TcpSenderConfig, TcpState,
+    RcvState, ReceiverStats, RecvCols, RecvRow, SegmentRecord, SenderCols, SenderMeta, SenderRow,
+    SenderStats, SeqState, TcpSenderConfig, TcpState,
 };
 use crate::reno::Reno;
 use crate::rtt::RttEstimator;
 use dui_netsim::packet::{Addr, FlowKey, Packet, Proto};
-use dui_netsim::time::{SimDuration, SimTime};
+use dui_netsim::time::SimTime;
 use dui_stats::digest::StateDigest;
-use dui_stats::wire::{DecodeError, Encoder, ErrorKind, Reader, Writer};
+use dui_stats::wire::{DecodeError, Encoder, Encoding, ErrorKind, Qty, Reader, Wire, Writer};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -799,7 +799,7 @@ impl FlowPool {
                 d.write_usize(i);
                 d.write_len(self.slab.iter(*list).count());
                 for p in self.slab.iter(*list) {
-                    p.encode(d);
+                    p.put(d);
                 }
             }
         }
@@ -838,61 +838,22 @@ impl FlowPool {
                 SlotKind::Sender { row } => {
                     let s = &self.send.rows[row as usize];
                     e.u8(1);
-                    self.keys[i].encode(e);
-                    put_cfg(e, &s.cfg);
-                    s.cc.encode(e);
-                    s.rtt.encode(e);
-                    let sq = &s.seq;
-                    e.u32(sq.isn);
-                    e.u32(sq.snd_una);
-                    e.u32(sq.snd_nxt);
-                    e.u64(sq.app_sent);
-                    e.opt(sq.fin_seq, E::u32);
-                    e.opt(sq.syn_seq, E::u32);
-                    e.opt(sq.recovery_until, E::u32);
+                    self.keys[i].put(e);
+                    s.cfg.put(e);
+                    s.cc.put(e);
+                    s.rtt.put(e);
+                    s.seq.put(e);
                     e.u32(self.rtx.iter(s.rtx).count() as u32);
-                    for &(seq, rec) in self.rtx.iter(s.rtx) {
-                        e.u32(seq);
-                        e.u64(rec.sent_at.0);
-                        e.bool(rec.retransmitted);
-                        e.u32(rec.len);
-                    }
-                    let m = &s.meta;
-                    e.u64(m.started_at.0);
-                    e.u32(m.dupacks);
-                    e.opt(m.rto_deadline.map(|t| t.0), E::u64);
-                    e.opt(m.pace_deadline.map(|t| t.0), E::u64);
-                    e.opt(m.timewait_deadline.map(|t| t.0), E::u64);
-                    e.u32(m.peer_rwnd);
-                    e.u8(m.state.code());
-                    let st = &s.stats;
-                    e.u64(st.bytes_acked);
-                    e.u64(st.segments_sent);
-                    e.u64(st.retransmissions);
-                    e.u64(st.fast_retransmits);
-                    e.u64(st.timeouts);
-                    e.opt(st.completed_at.map(|t| t.0), E::u64);
+                    self.rtx
+                        .iter(s.rtx)
+                        .for_each(|rec| RtxRecord::write(rec, e));
+                    s.meta.put(e);
+                    s.stats.put(e);
                 }
                 SlotKind::Receiver { row } => {
                     e.u8(2);
-                    self.keys[i].encode(e);
-                    let RecvRow { rcv: rv, stats: st } = &self.recv.rows[row as usize];
-                    e.u32(rv.rcv_nxt);
-                    e.u32(rv.ooo.len() as u32);
-                    for (seq, len) in &rv.ooo {
-                        e.u32(*seq);
-                        e.u32(*len);
-                    }
-                    e.opt(rv.fin_seq, E::u32);
-                    e.bool(rv.done);
-                    e.u32(rv.advertised_window);
-                    e.u8(rv.state.code());
-                    e.bool(rv.handshake);
-                    e.bool(rv.our_fin_sent);
-                    e.u64(st.bytes_delivered);
-                    e.u64(st.duplicate_segments);
-                    e.u64(st.out_of_order_segments);
-                    e.opt(st.finished_at.map(|t| t.0), E::u64);
+                    self.keys[i].put(e);
+                    self.recv.rows[row as usize].put(e);
                 }
             }
         }
@@ -909,94 +870,43 @@ impl FlowPool {
     /// the bytes behind it, and the free list link by link.
     pub fn from_bytes(bytes: &[u8]) -> Result<FlowPool, DecodeError> {
         let mut r = Reader::new(bytes);
-        let cap = r.count("flow slot count", Reader::u32, MIN_SLOT_BYTES)?;
+        // The least slot record: generation, tag and a vacant slot's link.
+        let cap = r.count("flow slot count", Reader::u32, u32::LEAST * 2 + u8::LEAST)?;
         let mut p = FlowPool::new();
         for _ in 0..cap {
             let i = p.push_slot() as usize;
             p.gens[i] = r.u32("slot generation")?;
-            match r.u8("flow slot tag")? {
-                0 => {
-                    p.kind[i] = SlotKind::Free {
-                        next_free: r.u32("next free slot")?,
-                    };
-                }
+            p.kind[i] = match r.u8("flow slot tag")? {
+                0 => SlotKind::Free {
+                    next_free: r.u32("next free slot")?,
+                },
                 1 => {
-                    p.keys[i] = get_tcp_key(&mut r)?;
-                    let row = p.send.claim(SenderRow::new(get_cfg(&mut r)?, 0));
-                    p.kind[i] = SlotKind::Sender { row: row as u32 };
-                    let s = &mut p.send.rows[row];
-                    s.cc = Reno::decode(&mut r)?;
-                    s.rtt = RttEstimator::decode(&mut r)?;
-                    let sq = &mut s.seq;
-                    sq.isn = r.u32("isn")?;
-                    sq.snd_una = r.u32("snd_una")?;
-                    sq.snd_nxt = r.u32("snd_nxt")?;
-                    sq.app_sent = r.quantity("app_sent")?;
-                    sq.fin_seq = r.opt("fin_seq", Reader::u32)?;
-                    sq.syn_seq = r.opt("syn_seq", Reader::u32)?;
-                    sq.recovery_until = r.opt("recovery point", Reader::u32)?;
-                    for _ in 0..r.count("rtx queue length", Reader::u32, MIN_RTX_BYTES)? {
-                        let seq = r.u32("rtx seq")?;
-                        let rec = SegmentRecord {
-                            sent_at: SimTime(r.quantity("rtx sent_at")?),
-                            retransmitted: r.bool("rtx retransmitted")?,
-                            len: get_segment_len(&mut r, "rtx len")?,
-                        };
-                        p.rtx.push(&mut s.rtx, (seq, rec));
+                    p.keys[i] = TcpKey::read(&mut r, "flow key")?;
+                    let mut s = SenderRow::new(TcpSenderConfig::take(&mut r)?, 0);
+                    s.cc = Reno::take(&mut r)?;
+                    s.rtt = RttEstimator::take(&mut r)?;
+                    s.seq = SeqState::take(&mut r)?;
+                    for _ in 0..r.count("rtx queue length", Reader::u32, RtxRecord::LEAST)? {
+                        p.rtx
+                            .push(&mut s.rtx, RtxRecord::read(&mut r, "rtx record")?);
                     }
-                    let m = &mut s.meta;
-                    m.started_at = SimTime(r.quantity("started_at")?);
-                    m.dupacks = r.u32("dupacks")?;
-                    m.rto_deadline = r.opt("rto deadline", get_time)?;
-                    m.pace_deadline = r.opt("pace deadline", get_time)?;
-                    m.timewait_deadline = r.opt("time-wait deadline", get_time)?;
-                    m.peer_rwnd = r.u32("peer rwnd")?;
-                    m.state = get_state(&mut r)?;
-                    let st = &mut s.stats;
-                    st.bytes_acked = r.quantity("bytes acked")?;
-                    st.segments_sent = r.quantity("segments sent")?;
-                    st.retransmissions = r.quantity("retransmissions")?;
-                    st.fast_retransmits = r.quantity("fast retransmits")?;
-                    st.timeouts = r.quantity("timeouts")?;
-                    st.completed_at = r.opt("completed_at", get_time)?;
+                    s.meta = SenderMeta::take(&mut r)?;
+                    s.stats = SenderStats::take(&mut r)?;
+                    let row = p.send.claim(s) as u32;
+                    SlotKind::Sender { row }
                 }
                 2 => {
-                    p.keys[i] = get_tcp_key(&mut r)?;
-                    let row = p.recv.claim(RecvRow::default());
-                    p.kind[i] = SlotKind::Receiver { row: row as u32 };
-                    let RecvRow { rcv: rv, stats: st } = &mut p.recv.rows[row];
-                    rv.rcv_nxt = r.u32("rcv_nxt")?;
-                    for _ in 0..r.count("reassembly length", Reader::u32, 8)? {
-                        let (seq, len) = (r.u32("reassembly seq")?, r.u32("reassembly len")?);
-                        // Ascending, as the map iterates: a duplicate
-                        // would silently replace an earlier entry.
-                        if rv
-                            .ooo
-                            .last_key_value()
-                            .is_some_and(|(last, _)| *last >= seq)
-                        {
-                            return Err(r.error("reassembly seq", ErrorKind::Invalid));
-                        }
-                        rv.ooo.insert(seq, len);
-                    }
-                    rv.fin_seq = r.opt("receiver fin_seq", Reader::u32)?;
-                    rv.done = r.bool("receiver done")?;
-                    rv.advertised_window = r.u32("advertised window")?;
-                    rv.state = get_state(&mut r)?;
-                    rv.handshake = r.bool("receiver handshake")?;
-                    rv.our_fin_sent = r.bool("receiver fin sent")?;
-                    st.bytes_delivered = r.quantity("bytes delivered")?;
-                    st.duplicate_segments = r.quantity("duplicate segments")?;
-                    st.out_of_order_segments = r.quantity("out-of-order segments")?;
-                    st.finished_at = r.opt("finished_at", get_time)?;
+                    p.keys[i] = TcpKey::read(&mut r, "flow key")?;
+                    let row = p.recv.claim(RecvRow::take(&mut r)?) as u32;
+                    SlotKind::Receiver { row }
                 }
                 _ => return Err(r.error("flow slot tag", ErrorKind::Tag)),
-            }
+            };
         }
         p.free_head = r.u32("free list head")?;
         let live = r.u64("live count")?;
         let high_water = r.u64("high water")?;
-        p.recycled = r.quantity("recycled count")?;
+        p.recycled = Qty::read(&mut r, "recycled count")?;
         // Walk the free list: every link in range and on a vacant slot,
         // and exactly as many links as vacant slots — a cycle or a stray
         // head would otherwise surface as a panic in the next `claim`.
@@ -1023,70 +933,33 @@ impl FlowPool {
     }
 }
 
-/// Smallest slot record: generation, tag, and a vacant slot's link.
-const MIN_SLOT_BYTES: usize = 4 + 1 + 4;
-/// One retransmission record.
-const MIN_RTX_BYTES: usize = 4 + 8 + 1 + 4;
+/// A retransmission record: the segment's sequence number, then its record.
+type RtxRecord = (u32, SegmentRecord);
 
-fn get_time(r: &mut Reader, what: &'static str) -> Result<SimTime, DecodeError> {
-    r.quantity(what).map(SimTime)
-}
+/// Encoding: a fixed-width flow key that must be TCP (the pool builds TCP
+/// segments from it).
+pub(crate) struct TcpKey;
 
-fn get_state(r: &mut Reader) -> Result<TcpState, DecodeError> {
-    TcpState::from_code(r.u8("tcp state")?).ok_or_else(|| r.error("tcp state", ErrorKind::Tag))
-}
-
-/// A fixed-width flow key that must be TCP (the pool builds TCP segments
-/// from it).
-pub(crate) fn get_tcp_key(r: &mut Reader) -> Result<FlowKey, DecodeError> {
-    let key = FlowKey::decode(r)?;
-    if key.proto != Proto::Tcp {
-        return Err(r.error("flow key proto", ErrorKind::Invalid));
+impl Encoding for TcpKey {
+    type Value = FlowKey;
+    const LEAST: usize = FlowKey::MIN_BYTES;
+    fn write<E: Encoder>(key: &FlowKey, e: &mut E) {
+        key.put(e);
     }
-    Ok(key)
-}
-
-/// Smallest encoded [`TcpSenderConfig`] (both options absent).
-pub(crate) const MIN_CFG_BYTES: usize = 4 + 1 + 1 + 8 + 1 + 8;
-
-pub(crate) fn put_cfg<E: Encoder>(e: &mut E, cfg: &TcpSenderConfig) {
-    e.u32(cfg.mss);
-    e.opt(cfg.total_bytes, E::u64);
-    e.opt(cfg.app_rate, E::u64);
-    e.f64(cfg.initial_cwnd);
-    e.bool(cfg.handshake);
-    e.u64(cfg.time_wait.as_nanos());
-}
-
-/// A `u32` segment length of at most 65 535 (what the 16-bit MSS option
-/// can announce), so a segment built from it cannot overflow its size.
-fn get_segment_len(r: &mut Reader, what: &'static str) -> Result<u32, DecodeError> {
-    let len = r.u32(what)?;
-    Ok(u32::from(r.narrow::<u16>(what, u64::from(len))?))
-}
-
-/// Decode a sender configuration the protocol code can run on: a zero
-/// MSS would never fill a window, a sub-segment initial window is what
-/// `Reno::new` asserts against.
-pub(crate) fn get_cfg(r: &mut Reader) -> Result<TcpSenderConfig, DecodeError> {
-    let cfg = TcpSenderConfig {
-        mss: get_segment_len(r, "mss")?,
-        total_bytes: r.opt("total bytes", Reader::quantity)?,
-        app_rate: r.opt("app rate", Reader::u64)?,
-        initial_cwnd: r.f64("initial cwnd")?,
-        handshake: r.bool("handshake flag")?,
-        time_wait: SimDuration::from_nanos(r.quantity("time-wait")?),
-    };
-    if cfg.mss == 0 || cfg.initial_cwnd.is_nan() || cfg.initial_cwnd < 1.0 {
-        return Err(r.error("sender config", ErrorKind::Invalid));
+    fn read(r: &mut Reader, _: &'static str) -> Result<FlowKey, DecodeError> {
+        let key = FlowKey::take(r)?;
+        if key.proto != Proto::Tcp {
+            return Err(r.error("flow key proto", ErrorKind::Invalid));
+        }
+        Ok(key)
     }
-    Ok(cfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dui_netsim::packet::TcpFlags;
+    use dui_netsim::time::SimDuration;
 
     fn key(sport: u16) -> FlowKey {
         FlowKey::tcp(Addr::new(10, 0, 0, 1), sport, Addr::new(10, 0, 0, 2), 80)
@@ -1480,9 +1353,9 @@ mod tests {
     }
 
     /// Offset of slot `i`'s `next_free` link in a blob whose first `i`
-    /// slots are vacant too.
+    /// slots are vacant too (a vacant slot's record is 9 bytes).
     fn link_at(i: usize) -> usize {
-        4 + i * MIN_SLOT_BYTES + 5
+        4 + i * 9 + 5
     }
 
     fn set_u32(blob: &mut [u8], at: usize, v: u32) {

@@ -4,7 +4,7 @@
 //! This is the "hard-coded rules (e.g., cut rate by half on loss)" control
 //! the PCC paper — and the HotNets'19 paper's §4.2 — contrast PCC against.
 
-use dui_stats::wire::{DecodeError, Encoder, Reader};
+use dui_stats::wire_struct;
 
 /// Reno congestion state. `cwnd` is in segments (fractional during
 /// congestion avoidance).
@@ -64,22 +64,13 @@ impl Reno {
         self.ssthresh = (self.cwnd / 2.0).max(2.0);
         self.cwnd = 1.0;
     }
-
-    /// The checkpoint form: `cwnd`, then `ssthresh` (which may be
-    /// infinite).
-    pub fn encode<E: Encoder>(&self, e: &mut E) {
-        e.f64(self.cwnd);
-        e.f64(self.ssthresh);
-    }
-
-    /// Inverse of [`Reno::encode`].
-    pub fn decode(r: &mut Reader) -> Result<Reno, DecodeError> {
-        Ok(Reno {
-            cwnd: r.f64("cwnd")?,
-            ssthresh: r.f64("ssthresh")?,
-        })
-    }
 }
+
+// The checkpoint form: `cwnd`, then `ssthresh` (which may be infinite).
+wire_struct!(Reno {
+    cwnd: f64,
+    ssthresh: f64
+});
 
 impl Default for Reno {
     fn default() -> Self {

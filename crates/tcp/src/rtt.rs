@@ -8,7 +8,7 @@
 //! back-off pattern this module encodes.
 
 use dui_netsim::time::SimDuration;
-use dui_stats::wire::{DecodeError, Encoder, ErrorKind, Reader};
+use dui_stats::wire::{wire_struct, ErrorKind, Qty};
 
 /// Jacobson/Karn smoothed RTT estimator with RFC 6298 RTO computation and
 /// exponential back-off.
@@ -88,39 +88,19 @@ impl RttEstimator {
     pub fn srtt(&self) -> Option<SimDuration> {
         self.srtt
     }
-
-    /// The checkpoint form: `srtt`, `rttvar`, `rto`, the back-off
-    /// exponent, `min_rto`, `max_rto`, durations in nanoseconds.
-    pub fn encode<E: Encoder>(&self, e: &mut E) {
-        e.opt(self.srtt.map(|s| s.as_nanos()), E::u64);
-        e.u64(self.rttvar.as_nanos());
-        e.u64(self.rto.as_nanos());
-        e.u32(self.backoff_exp);
-        e.u64(self.min_rto.as_nanos());
-        e.u64(self.max_rto.as_nanos());
-    }
-
-    /// Inverse of [`RttEstimator::encode`]. Refuses what the estimator
-    /// cannot have produced and could not compute on: a back-off exponent
-    /// past its cap of 16, or a floor above the ceiling.
-    pub fn decode(r: &mut Reader) -> Result<RttEstimator, DecodeError> {
-        fn duration(r: &mut Reader, what: &'static str) -> Result<SimDuration, DecodeError> {
-            r.quantity(what).map(SimDuration::from_nanos)
-        }
-        let est = RttEstimator {
-            srtt: r.opt("srtt", duration)?,
-            rttvar: duration(r, "rttvar")?,
-            rto: duration(r, "rto")?,
-            backoff_exp: r.u32("rto backoff")?,
-            min_rto: duration(r, "min rto")?,
-            max_rto: duration(r, "max rto")?,
-        };
-        if est.backoff_exp > 16 || est.min_rto > est.max_rto {
-            return Err(r.error("rtt estimator", ErrorKind::Invalid));
-        }
-        Ok(est)
-    }
 }
+
+// The checkpoint form, durations in nanoseconds. The decoder refuses what
+// the estimator cannot have produced and could not compute on: a back-off
+// exponent past its cap of 16, or a floor above the ceiling.
+wire_struct!(RttEstimator {
+    srtt: Option<Qty<SimDuration>>, rttvar: Qty<SimDuration>, rto: Qty<SimDuration>,
+    backoff_exp: u32, min_rto: Qty<SimDuration>, max_rto: Qty<SimDuration>,
+} check(est, r) {
+    if est.backoff_exp > 16 || est.min_rto > est.max_rto {
+        return Err(r.error("rtt estimator", ErrorKind::Invalid));
+    }
+});
 
 impl Default for RttEstimator {
     /// 1 s initial RTO and 1 s floor (both per RFC 6298), 60 s ceiling.

@@ -74,13 +74,18 @@ echo "== flow pool suites at depth (2000 propcheck cases; about a second) =="
 # retransmissions, drains and frees (the `--lib` property in pool.rs).
 PROPCHECK_CASES=2000 cargo test -q --offline -p dui-tcp --lib --test properties
 
-echo "== digest oracle at depth (2000 propcheck cases; under a second) =="
+echo "== digest oracle and wire round trips at depth (2000 propcheck cases; seconds) =="
 # Every golden and replay check trusts that equal digests mean equal
 # state: for each component whose digest is its checkpoint encoder, two
 # states built from permuted operation sequences must digest equal
 # exactly when their checkpoint bytes are equal, and two engines carrying
 # the PCC equalizer tap and a traceroute prober (which have no bytes)
-# whose state hashes agree must agree after the same further run.
+# whose state hashes agree must agree after the same further run. The
+# same suite's `every_wire_shape_round_trips` holds every field list
+# (`wire_struct!`) and hand-written `Wire` shape to its round trip over
+# generated values: a value decodes from its bytes to itself, its bytes
+# re-encode to themselves, equal digests mean equal bytes, every strict
+# prefix is refused, and `MIN_BYTES` is the shortest encoding reached.
 PROPCHECK_CASES=2000 cargo test -q --offline -p dui-replay --test oracle
 
 echo "== state digest suite at depth (2000 propcheck cases; under a second) =="

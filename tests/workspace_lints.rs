@@ -578,9 +578,18 @@ fn flow_pool_layout_block_states_the_pinned_sizes() {
     );
 }
 
+/// The type a field list `wire_struct!(Type {` (or `wire_struct!(enum
+/// Type {`) on `line` describes.
+fn field_list(line: &str) -> Option<&str> {
+    let rest = line.strip_prefix("wire_struct!(")?;
+    let rest = rest.strip_prefix("enum ").unwrap_or(rest);
+    rest.split_once(" {").map(|(ty, _)| ty)
+}
+
 /// Whether `src` defines `item`: `Type::member` is a `fn` or `const`
 /// named `member` inside an `impl` block of `Type` (inherent or trait),
-/// a bare name a top-level `fn`.
+/// or `Type`'s encoder `put` or decoder `take` where a field list
+/// declares them; a bare name is a top-level `fn`.
 fn defines(src: &str, item: &str) -> bool {
     let declares = |line: &str, name: &str| {
         ["fn ", "const "].iter().any(|kw| {
@@ -595,6 +604,9 @@ fn defines(src: &str, item: &str) -> bool {
             .lines()
             .any(|l| !l.starts_with(' ') && declares(l, item));
     };
+    if ["put", "take"].contains(&member) && src.lines().any(|l| field_list(l) == Some(ty)) {
+        return true;
+    }
     let mut lines = src.lines();
     while let Some(line) = lines.next() {
         let Some(header) = line.strip_prefix("impl") else {
@@ -727,6 +739,36 @@ fn every_engine_trait_impl_has_a_coverage_row() {
         }
     }
     assert!(impls >= 18, "found only {impls} engine trait impls");
+}
+
+/// Every field list in library code (outside its file's
+/// `#[cfg(test)] mod tests`) has a row in the round-trip table
+/// `WIRE_SHAPES` of `crates/replay/tests/oracle.rs`, so no shape's
+/// encoder and decoder go untested against each other.
+#[test]
+fn every_field_list_has_a_round_trip_row() {
+    let oracle = read("crates/replay/tests/oracle.rs");
+    let table = oracle
+        .split("const WIRE_SHAPES")
+        .nth(1)
+        .and_then(|s| s.split("];").next())
+        .expect("oracle.rs declares the WIRE_SHAPES table");
+    let mut lists = 0;
+    for path in library_sources() {
+        let src = read(&path);
+        let lib = src
+            .split("#[cfg(test)]\nmod tests")
+            .next()
+            .unwrap_or_default();
+        for ty in lib.lines().filter_map(field_list) {
+            assert!(
+                table.contains(&format!("round_trips::<{ty}>")),
+                "{path}: the field list of `{ty}` has no row in oracle.rs's WIRE_SHAPES"
+            );
+            lists += 1;
+        }
+    }
+    assert!(lists >= 20, "found only {lists} field lists");
 }
 
 /// docs/lint.md's "The lints" table has one row per declared lint —
