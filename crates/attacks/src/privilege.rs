@@ -112,51 +112,19 @@ impl AttackDescriptor {
     }
 }
 
-/// The catalogue of implemented attacks.
+/// The catalogue of implemented attacks: each attack module's own
+/// descriptor.
 pub fn catalogue() -> Vec<AttackDescriptor> {
+    use crate::{blink_takeover, operator, pcc_oscillate, pytheas_poison};
+    use crate::{syn_flood, traceroute_spoof};
     vec![
-        AttackDescriptor {
-            name: "blink-takeover",
-            section: "§3.1",
-            privilege: Privilege::Host,
-            target: Target::Infrastructure,
-            summary: "fake TCP retransmissions capture Blink's flow sample and trigger spurious rerouting",
-        },
-        AttackDescriptor {
-            name: "pytheas-botnet-poison",
-            section: "§4.1",
-            privilege: Privilege::Host,
-            target: Target::Endpoints,
-            summary: "bot sessions report fake QoE, driving group-wide decisions for honest clients",
-        },
-        AttackDescriptor {
-            name: "pytheas-cdn-throttle",
-            section: "§4.1",
-            privilege: Privilege::Mitm,
-            target: Target::Endpoints,
-            summary: "throttling one CDN's flows herds whole groups onto other sites",
-        },
-        AttackDescriptor {
-            name: "pcc-oscillate",
-            section: "§4.2",
-            privilege: Privilege::Mitm,
-            target: Target::Endpoints,
-            summary: "selective drops equalize PCC's A/B utilities, pinning rates at ±5% oscillation",
-        },
-        AttackDescriptor {
-            name: "operator-bounce",
-            section: "§4.1",
-            privilege: Privilege::Operator,
-            target: Target::Endpoints,
-            summary: "data-plane program ping-pongs selected traffic between devices to inflate latency",
-        },
-        AttackDescriptor {
-            name: "traceroute-spoof",
-            section: "§4.3",
-            privilege: Privilege::Mitm,
-            target: Target::Endpoints,
-            summary: "rewriting unauthenticated ICMP time-exceeded replies fakes the topology users see",
-        },
+        blink_takeover::descriptor(),
+        pytheas_poison::botnet_descriptor(),
+        pytheas_poison::throttle_descriptor(),
+        pcc_oscillate::descriptor(),
+        operator::descriptor(),
+        traceroute_spoof::descriptor(),
+        syn_flood::descriptor(),
     ]
 }
 

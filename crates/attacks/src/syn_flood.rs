@@ -11,6 +11,7 @@
 //! SYN-RCVD reaper. The defense knobs under test are the listener's
 //! `listen_backlog` cap and `syn_rcvd_timeout`.
 
+use crate::privilege::{AttackDescriptor, Privilege, Target};
 use dui_netsim::node::NodeLogic;
 use dui_netsim::packet::{Addr, FlowKey, Packet, Prefix, TcpFlags};
 use dui_netsim::sim::Ctx;
@@ -18,6 +19,17 @@ use dui_netsim::time::{SimDuration, SimTime};
 use dui_stats::wire::{Encoder, Sink};
 use dui_stats::Rng;
 use std::any::Any;
+
+/// Descriptor for the threat-model catalogue.
+pub fn descriptor() -> AttackDescriptor {
+    AttackDescriptor {
+        name: "syn-flood",
+        section: "§2",
+        privilege: Privilege::Host,
+        target: Target::Infrastructure,
+        summary: "spoofed SYNs exhaust a stateful listener's half-open backlog",
+    }
+}
 
 /// Destination port of every SYN.
 const DPORT: u16 = 80;

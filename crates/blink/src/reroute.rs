@@ -60,16 +60,6 @@ impl RerouteState {
         to
     }
 
-    /// Restore the primary (operator/supervisor action).
-    pub fn restore_primary(&mut self, now: SimTime) {
-        if self.active != 0 {
-            let from = self.active();
-            self.active = 0;
-            let to = self.active();
-            self.events.push(RerouteEvent { at: now, from, to });
-        }
-    }
-
     /// Number of reroutes performed.
     pub fn reroute_count(&self) -> usize {
         self.events.len()
@@ -123,17 +113,6 @@ mod tests {
                 to: NodeId(2)
             }
         );
-    }
-
-    #[test]
-    fn restore_primary_noop_when_on_primary() {
-        let mut r = RerouteState::new(vec![NodeId(1), NodeId(2)]);
-        r.restore_primary(t(1));
-        assert_eq!(r.reroute_count(), 0);
-        r.advance(t(2));
-        r.restore_primary(t(3));
-        assert!(r.on_primary());
-        assert_eq!(r.reroute_count(), 2);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use dui_attacks::blink_takeover::{BlinkTakeover, MaliciousRetxHost};
 use dui_attacks::pcc_oscillate::PccEqualizerTap;
 use dui_blink::program::{BlinkProgram, PrefixState};
 use dui_defense::blink_guard::BlinkRtoGuard;
-use dui_flowgen::flows::{DurationDist, FlowPopulation, FlowPopulationConfig};
+use dui_flowgen::flows::{FlowPopulation, FlowPopulationConfig};
 use dui_flowgen::{MaliciousFlowSet, MaliciousFlowSetConfig};
 use dui_netsim::link::{Dir, FaultConfig};
 use dui_netsim::node::RouterLogic;
@@ -135,27 +135,14 @@ impl BlinkScenario {
         sim.set_logic(backup, Box::new(RouterLogic::new()));
         sim.set_logic(victim, Box::new(TcpHost::new()));
 
-        // Legitimate workload: stationary churn around `legit_flows`
-        // concurrent flows with the requested mean lifetime. The lognormal
-        // is parameterized so its mean equals the target
-        // (mean = exp(mu + sigma^2/2)).
-        let sigma = 1.0f64;
-        let duration = DurationDist {
-            ln_mu: cfg.mean_lifetime_secs.ln() - 0.5 * sigma * sigma,
-            ln_sigma: sigma,
-            tail_prob: 0.0,
-            tail_xm: 10.0,
-            tail_alpha: 1.5,
-            max_secs: 600.0,
-        };
-        let pop_cfg = FlowPopulationConfig {
+        // Legitimate workload: stationary churn around `legit_flows` flows.
+        let pop_cfg = FlowPopulationConfig::stationary(
             prefix,
-            arrival_rate: cfg.legit_flows as f64 / cfg.mean_lifetime_secs,
-            duration,
-            pkt_interval: cfg.pkt_interval,
-            horizon: cfg.horizon,
-            warm_start: Some(cfg.legit_flows),
-        };
+            cfg.legit_flows,
+            cfg.mean_lifetime_secs,
+            cfg.pkt_interval,
+            cfg.horizon,
+        );
         let pop = FlowPopulation::generate(&pop_cfg, &mut rng);
         let specs = pop
             .flows

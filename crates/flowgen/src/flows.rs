@@ -129,6 +129,36 @@ pub struct FlowPopulationConfig {
     pub warm_start: Option<usize>,
 }
 
+impl FlowPopulationConfig {
+    /// Stationary churn around `flows` concurrent flows toward `prefix`,
+    /// warm-started, with lognormal lifetimes (σ = 1, no Pareto tail)
+    /// whose mean is `mean_lifetime_secs` (mean = exp(μ + σ²/2)).
+    pub fn stationary(
+        prefix: Prefix,
+        flows: usize,
+        mean_lifetime_secs: f64,
+        pkt_interval: SimDuration,
+        horizon: SimDuration,
+    ) -> Self {
+        let sigma = 1.0f64;
+        FlowPopulationConfig {
+            prefix,
+            arrival_rate: flows as f64 / mean_lifetime_secs,
+            duration: DurationDist {
+                ln_mu: mean_lifetime_secs.ln() - 0.5 * sigma * sigma,
+                ln_sigma: sigma,
+                tail_prob: 0.0,
+                tail_xm: 10.0,
+                tail_alpha: 1.5,
+                max_secs: 600.0,
+            },
+            pkt_interval,
+            horizon,
+            warm_start: Some(flows),
+        }
+    }
+}
+
 /// A generated population of legitimate flows toward one prefix.
 #[derive(Debug, Clone)]
 pub struct FlowPopulation {
@@ -171,18 +201,6 @@ impl FlowPopulation {
     /// Number of flows active at `t`.
     pub fn active_at(&self, t: SimTime) -> usize {
         self.flows.iter().filter(|f| f.active_at(t)).count()
-    }
-
-    /// Mean flow duration in the population.
-    pub fn mean_duration_secs(&self) -> f64 {
-        if self.flows.is_empty() {
-            return 0.0;
-        }
-        self.flows
-            .iter()
-            .map(|f| f.duration.as_secs_f64())
-            .sum::<f64>()
-            / self.flows.len() as f64
     }
 }
 

@@ -76,12 +76,6 @@ impl MaliciousFlowSet {
     pub fn is_empty(&self) -> bool {
         self.keys.is_empty()
     }
-
-    /// The attacker's traffic fraction `qm` given the legitimate
-    /// concurrently-active flow count.
-    pub fn traffic_fraction(&self, legit_flows: usize) -> f64 {
-        self.len() as f64 / (self.len() + legit_flows) as f64
-    }
 }
 
 #[cfg(test)]
@@ -113,18 +107,6 @@ mod tests {
         for k in &set.keys {
             assert!(prefix.contains(k.dst));
         }
-    }
-
-    #[test]
-    fn paper_fraction_reproduced() {
-        // 105 malicious / (105 + 1895 legit) = 0.0525, the paper's qm.
-        let cfg = MaliciousFlowSetConfig {
-            count: 105,
-            ..Default::default()
-        };
-        let set = MaliciousFlowSet::generate(&cfg, &mut Rng::new(3));
-        let qm = set.traffic_fraction(1895);
-        assert!((qm - 0.0525).abs() < 1e-12);
     }
 
     #[test]

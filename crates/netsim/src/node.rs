@@ -2,7 +2,7 @@
 //! with its data-plane program hook (our stand-in for a P4-programmable
 //! switch), and a simple [`SinkHost`].
 
-use crate::packet::{Addr, FlowKey, Header, Packet, Prefix, DEFAULT_TTL};
+use crate::packet::{Addr, FlowKey, Header, Packet, Prefix};
 use crate::sim::Ctx;
 use crate::time::SimTime;
 use crate::topology::NodeId;
@@ -178,17 +178,7 @@ impl RouterLogic {
 
     fn handle_local(&mut self, ctx: &mut Ctx, pkt: Packet) {
         // The only local traffic routers answer is ping.
-        if let Header::IcmpEchoRequest { ident, seq } = pkt.header {
-            let mut reply = Packet {
-                id: 0,
-                key: pkt.key.reversed(),
-                header: Header::IcmpEchoReply { ident, seq },
-                size: 64,
-                ttl: DEFAULT_TTL,
-                sent_at: SimTime::ZERO,
-                payload: 0,
-            };
-            reply.key.src = ctx.addr();
+        if let Some(reply) = pkt.echo_reply(ctx.addr()) {
             ctx.send(reply);
         }
     }
@@ -212,26 +202,7 @@ impl NodeLogic for RouterLogic {
                         None => Some(ctx.addr()),
                     };
                     if let Some(claimed) = claimed {
-                        let reply = Packet {
-                            id: 0,
-                            key: FlowKey {
-                                src: claimed,
-                                dst: pkt.key.src,
-                                sport: 0,
-                                dport: 0,
-                                proto: crate::packet::Proto::Icmp,
-                            },
-                            header: Header::IcmpTimeExceeded {
-                                reported_by: claimed,
-                                probe_ident: ident,
-                                probe_seq: seq,
-                            },
-                            size: 56,
-                            ttl: DEFAULT_TTL,
-                            sent_at: SimTime::ZERO,
-                            payload: 0,
-                        };
-                        ctx.send(reply);
+                        ctx.send(Packet::time_exceeded(claimed, pkt.key.src, ident, seq));
                     }
                 }
             }
@@ -248,26 +219,7 @@ impl NodeLogic for RouterLogic {
             if dst_node.is_some() && default_next == dst_node {
                 let me = ctx.node;
                 if let Some(claimed) = rw.capture_at_edge(me, &pkt) {
-                    let reply = Packet {
-                        id: 0,
-                        key: FlowKey {
-                            src: claimed,
-                            dst: pkt.key.src,
-                            sport: 0,
-                            dport: 0,
-                            proto: crate::packet::Proto::Icmp,
-                        },
-                        header: Header::IcmpTimeExceeded {
-                            reported_by: claimed,
-                            probe_ident: *ident,
-                            probe_seq: *seq,
-                        },
-                        size: 56,
-                        ttl: DEFAULT_TTL,
-                        sent_at: SimTime::ZERO,
-                        payload: 0,
-                    };
-                    ctx.send(reply);
+                    ctx.send(Packet::time_exceeded(claimed, pkt.key.src, *ident, *seq));
                     return;
                 }
             }
@@ -376,17 +328,7 @@ type FlowRecord = (FlowKey, SinkFlowStats);
 
 impl NodeLogic for SinkHost {
     fn on_packet(&mut self, ctx: &mut Ctx, pkt: Packet) {
-        if let Header::IcmpEchoRequest { ident, seq } = pkt.header {
-            let mut reply = Packet {
-                id: 0,
-                key: pkt.key.reversed(),
-                header: Header::IcmpEchoReply { ident, seq },
-                size: 64,
-                ttl: DEFAULT_TTL,
-                sent_at: SimTime::ZERO,
-                payload: 0,
-            };
-            reply.key.src = ctx.addr();
+        if let Some(reply) = pkt.echo_reply(ctx.addr()) {
             ctx.send(reply);
             return;
         }

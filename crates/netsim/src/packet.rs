@@ -141,6 +141,17 @@ impl FlowKey {
         }
     }
 
+    /// The key of an ICMP message (no ports).
+    pub(crate) fn icmp(src: Addr, dst: Addr) -> Self {
+        FlowKey {
+            src,
+            dst,
+            sport: 0,
+            dport: 0,
+            proto: Proto::Icmp,
+        }
+    }
+
     /// UDP 5-tuple convenience constructor.
     pub fn udp(src: Addr, sport: u16, dst: Addr, dport: u16) -> Self {
         FlowKey {
@@ -298,56 +309,75 @@ impl Packet {
         }
     }
 
-    /// Build a TCP data/ack segment. `size` is payload + 40 B of headers.
-    pub fn tcp(key: FlowKey, seq: u32, ack: u32, flags: TcpFlags, payload: u32) -> Self {
-        assert_eq!(key.proto, Proto::Tcp, "tcp packet needs a tcp key");
+    /// A packet as its sender builds it: unnumbered, unsent, at the
+    /// default TTL.
+    fn fresh(key: FlowKey, header: Header, size: u32, payload: u32) -> Self {
         Packet {
             id: 0,
             key,
-            header: Header::Tcp {
-                seq,
-                ack,
-                flags,
-                window: 65_535,
-            },
-            size: payload + 40,
+            header,
+            size,
             ttl: DEFAULT_TTL,
             sent_at: SimTime::ZERO,
             payload,
         }
+    }
+
+    /// Build a TCP data/ack segment. `size` is payload + 40 B of headers.
+    pub fn tcp(key: FlowKey, seq: u32, ack: u32, flags: TcpFlags, payload: u32) -> Self {
+        assert_eq!(key.proto, Proto::Tcp, "tcp packet needs a tcp key");
+        let window = 65_535;
+        let header = Header::Tcp {
+            seq,
+            ack,
+            flags,
+            window,
+        };
+        Packet::fresh(key, header, payload + 40, payload)
     }
 
     /// Build a UDP datagram. `size` is payload + 28 B of headers.
     pub fn udp(key: FlowKey, payload: u32) -> Self {
         assert_eq!(key.proto, Proto::Udp, "udp packet needs a udp key");
-        Packet {
-            id: 0,
-            key,
-            header: Header::Udp,
-            size: payload + 28,
-            ttl: DEFAULT_TTL,
-            sent_at: SimTime::ZERO,
-            payload,
-        }
+        Packet::fresh(key, Header::Udp, payload + 28, payload)
     }
 
     /// Build a traceroute probe: ICMP echo request with an explicit TTL.
     pub fn probe(src: Addr, dst: Addr, ident: u16, seq: u16, ttl: u8) -> Self {
+        let header = Header::IcmpEchoRequest { ident, seq };
         Packet {
-            id: 0,
-            key: FlowKey {
-                src,
-                dst,
-                sport: 0,
-                dport: 0,
-                proto: Proto::Icmp,
-            },
-            header: Header::IcmpEchoRequest { ident, seq },
-            size: 64,
             ttl,
-            sent_at: SimTime::ZERO,
-            payload: 0,
+            ..Packet::fresh(FlowKey::icmp(src, dst), header, 64, 0)
         }
+    }
+
+    /// The echo reply `from` sends back to this packet, if it is an echo
+    /// request: the request's flow key reversed, sourced at `from`.
+    pub(crate) fn echo_reply(&self, from: Addr) -> Option<Packet> {
+        let Header::IcmpEchoRequest { ident, seq } = self.header else {
+            return None;
+        };
+        let key = FlowKey {
+            src: from,
+            ..self.key.reversed()
+        };
+        Some(Packet::fresh(
+            key,
+            Header::IcmpEchoReply { ident, seq },
+            64,
+            0,
+        ))
+    }
+
+    /// The ICMP time-exceeded reply to probe (`ident`, `seq`), sent to
+    /// `to` by a router claiming to be `reported_by`.
+    pub(crate) fn time_exceeded(reported_by: Addr, to: Addr, ident: u16, seq: u16) -> Self {
+        let header = Header::IcmpTimeExceeded {
+            reported_by,
+            probe_ident: ident,
+            probe_seq: seq,
+        };
+        Packet::fresh(FlowKey::icmp(reported_by, to), header, 56, 0)
     }
 
     /// The TCP sequence number, if this is a TCP packet.
@@ -364,11 +394,6 @@ impl Packet {
             Header::Tcp { flags, .. } => Some(flags),
             _ => None,
         }
-    }
-
-    /// Is this a TCP segment that carries payload (the kind Blink monitors)?
-    pub fn is_tcp_data(&self) -> bool {
-        matches!(self.header, Header::Tcp { .. }) && self.payload > 0
     }
 }
 
@@ -464,11 +489,21 @@ mod tests {
     }
 
     #[test]
+    fn only_an_echo_request_has_an_echo_reply() {
+        let (a, b) = (Addr::new(10, 0, 0, 1), Addr::new(10, 0, 0, 2));
+        let reply = Packet::probe(a, b, 7, 3, 5).echo_reply(b).unwrap();
+        assert_eq!((reply.key.src, reply.key.dst), (b, a));
+        assert_eq!(reply.header, Header::IcmpEchoReply { ident: 7, seq: 3 });
+        assert_eq!(reply.ttl, DEFAULT_TTL);
+        assert!(reply.echo_reply(a).is_none());
+    }
+
+    #[test]
     fn tcp_packet_sizes() {
         let k = FlowKey::tcp(Addr::new(1, 1, 1, 1), 1, Addr::new(2, 2, 2, 2), 2);
         let p = Packet::tcp(k, 100, 0, TcpFlags::default(), 1460);
         assert_eq!(p.size, 1500);
-        assert!(p.is_tcp_data());
+        assert!(matches!(p.header, Header::Tcp { .. }) && p.payload > 0);
         let ack = Packet::tcp(
             k,
             100,
@@ -479,7 +514,7 @@ mod tests {
             },
             0,
         );
-        assert!(!ack.is_tcp_data());
+        assert_eq!((ack.size, ack.payload), (40, 0));
         assert_eq!(p.tcp_seq(), Some(100));
     }
 

@@ -161,17 +161,6 @@ impl Controller {
         self.phase
     }
 
-    /// Consecutive inconclusive decisions at the ε cap — the attack-success
-    /// signal (§4.2: PCC pinned at ±5%).
-    pub fn pinned_at_eps_max(&self, window: usize) -> bool {
-        if self.decisions.len() < window {
-            return false;
-        }
-        self.decisions[self.decisions.len() - window..].iter().all(
-            |d| matches!(d, Decision::Inconclusive(e) if (*e - self.cfg.eps_max).abs() < 1e-12),
-        )
-    }
-
     /// Rate to use for the next monitor interval.
     pub fn next_mi_rate(&mut self) -> f64 {
         let (kind, rate) = match self.phase {
@@ -499,11 +488,14 @@ mod tests {
         }
         assert_eq!(c.base_rate(), base, "rate must not converge anywhere");
         assert!((c.epsilon() - 0.05).abs() < 1e-12, "ε pinned at 5%");
-        assert!(c.pinned_at_eps_max(4));
         assert!(c
             .decisions
             .iter()
             .all(|d| matches!(d, Decision::Inconclusive(_))));
+        let last4 = &c.decisions[c.decisions.len() - 4..];
+        assert!(last4
+            .iter()
+            .all(|d| matches!(d, Decision::Inconclusive(e) if (*e - 0.05).abs() < 1e-12)));
     }
 
     #[test]

@@ -137,17 +137,6 @@ pub fn critical_feature(records: &[SessionRecord]) -> Option<CriticalFeature> {
     best
 }
 
-/// Split a group's records by a feature, yielding `(value, records)`
-/// partitions — each becomes its own group for the frontend.
-pub fn split_by(records: &[SessionRecord], feature: Feature) -> Vec<(u32, Vec<SessionRecord>)> {
-    let mut out: std::collections::BTreeMap<u32, Vec<SessionRecord>> =
-        std::collections::BTreeMap::new();
-    for r in records {
-        out.entry(feature.value(&r.features)).or_default().push(*r);
-    }
-    out.into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,11 +201,6 @@ mod tests {
         assert_eq!(cf.feature, Feature::Location);
         assert_eq!(cf.arm, 1);
         assert!(cf.gap > 0.4, "gap = {}", cf.gap);
-        let parts = split_by(&records, cf.feature);
-        assert!(parts.iter().any(|(v, _)| *v == 9));
-        // The throttled partition is cleanly separated.
-        let (_, throttled) = parts.iter().find(|(v, _)| *v == 9).unwrap();
-        assert!(throttled.iter().all(|r| r.features.location == 9));
     }
 
     #[test]
@@ -280,15 +264,5 @@ mod tests {
             });
         }
         assert!(critical_feature(&records).is_none());
-    }
-
-    #[test]
-    fn split_partitions_cover_everything() {
-        let mut rng = Rng::new(6);
-        let records = homogeneous(300, &mut rng);
-        let parts = split_by(&records, Feature::Location);
-        let total: usize = parts.iter().map(|(_, rs)| rs.len()).sum();
-        assert_eq!(total, records.len());
-        assert_eq!(parts.len(), 3);
     }
 }

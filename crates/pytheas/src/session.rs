@@ -33,17 +33,6 @@ pub struct GroupKey {
     pub location: u16,
 }
 
-impl SessionFeatures {
-    /// The session's group key.
-    pub fn group_key(&self) -> GroupKey {
-        GroupKey {
-            asn: self.asn,
-            prefix16: self.prefix16,
-            location: self.location,
-        }
-    }
-}
-
 impl fmt::Display for GroupKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "AS{}/{:04x}@{}", self.asn, self.prefix16, self.location)
@@ -53,30 +42,6 @@ impl fmt::Display for GroupKey {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn same_features_same_group() {
-        let a = SessionFeatures {
-            asn: 3303,
-            prefix16: 0x0a00,
-            location: 1,
-            content: 7,
-        };
-        let b = SessionFeatures { content: 99, ..a };
-        assert_eq!(a.group_key(), b.group_key(), "content is not in the key");
-    }
-
-    #[test]
-    fn different_asn_different_group() {
-        let a = SessionFeatures {
-            asn: 3303,
-            prefix16: 0,
-            location: 0,
-            content: 0,
-        };
-        let b = SessionFeatures { asn: 6830, ..a };
-        assert_ne!(a.group_key(), b.group_key());
-    }
 
     #[test]
     fn display_is_readable() {

@@ -47,6 +47,10 @@ pub const MAGIC: [u8; 4] = *b"DUIR";
 /// failing as a config mismatch or a divergence at its first
 /// checkpoint.
 pub const VERSION: u64 = 6;
+/// Most names one recording holds: its subject's event kinds and
+/// checkpoint component names, a few dozen at most. A `.duir` naming
+/// more is refused before a slot is reserved for any of them.
+pub const MAX_NAMES: usize = 64;
 
 // ---------------------------------------------------------------------------
 // Frames and the Recording container
@@ -210,15 +214,20 @@ pub struct Recording {
 type EventRecord = (Var, (Var<u32>, u64));
 
 impl Recording {
-    /// Intern `name`, returning its table index.
+    /// Intern `name`, returning its table index. Panics on a new name
+    /// once the table holds [`MAX_NAMES`]: no reader would take it.
     #[expect(
         clippy::cast_possible_truncation,
-        reason = "names are the subject's event kinds and component names — a few dozen, far below u32::MAX"
+        reason = "the table holds at most MAX_NAMES names, far below u32::MAX"
     )]
     pub fn intern(&mut self, name: &str) -> u32 {
         if let Some(i) = self.names.iter().position(|n| n == name) {
             return i as u32;
         }
+        assert!(
+            self.names.len() < MAX_NAMES,
+            "a recording's names past MAX_NAMES"
+        );
         self.names.push(name.to_string());
         (self.names.len() - 1) as u32
     }
@@ -258,7 +267,11 @@ impl Recording {
         }
         let stage = r.str("stage")?.to_string();
         let config_digest = r.u64("config digest")?;
-        let names = r.seq("name count", Reader::varint, 1, |r| {
+        let name_count = |r: &mut Reader, what| match r.varint(what)? {
+            n if n > MAX_NAMES as u64 => Err(r.error(what, ErrorKind::Count)),
+            n => Ok(n),
+        };
+        let names = r.seq("name count", name_count, 1, |r| {
             Ok(r.str("name")?.to_string())
         })?;
         let events = EventLog::read(&mut r)?;

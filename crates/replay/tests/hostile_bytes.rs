@@ -73,7 +73,8 @@ impl Kind {
     }
 
     /// Peak decode allocation allowed per input byte. The driver of each:
-    /// `.duir` — the name table, a 24-byte `String` per name (worst
+    /// `.duir` — the checkpoint frames, a 72-byte frame per 12-byte
+    /// shortest record, with the name table held to `MAX_NAMES` (worst
     /// mutant 4.1); engine checkpoint — `Simulator::restore`, staging and
     /// committing the decoded state (worst mutant 7.9); fast-sim
     /// snapshot — the configuration's cells, 72 bytes each (worst mutant
@@ -473,6 +474,27 @@ fn tcp_host_specs_out_of_start_order_are_refused() {
     assert_eq!(err.kind, ErrorKind::Invalid, "{err}");
     let tied = blob(200, 200);
     assert_eq!(check(Kind::TcpHost, &tied, true), Ok(true));
+}
+
+/// A `.duir` whose name count equals the bytes left after it, every
+/// name empty: one byte a name, which no mutant of a valid recording
+/// reaches. The count is refused as `Count` before a slot is reserved
+/// for any name (a `String` slot is 24 bytes, three times the `.duir`
+/// `k`).
+#[test]
+fn a_name_count_past_the_bound_is_refused() {
+    let names = 4096;
+    let mut w = Writer::new();
+    w.raw(&dui_replay::record::MAGIC);
+    w.varint(dui_replay::record::VERSION);
+    w.str("crafted");
+    w.u64(0);
+    w.varint(names);
+    w.raw(&vec![0; names as usize]);
+    let bytes = w.into_bytes();
+    assert_eq!(check(Kind::DuirEngine, &bytes, true), Ok(false));
+    let err = Recording::from_bytes(&bytes).expect_err("too many names");
+    assert_eq!((err.what, err.kind), ("name count", ErrorKind::Count));
 }
 
 macro_rules! hostile {

@@ -257,14 +257,56 @@ spec! { WorkloadSpec in workload:
 }
 
 impl WorkloadSpec {
+    /// The value of `[workload]` row `row` among a kind's `fields`;
+    /// `None` if the kind has no such key or leaves it unset.
+    fn field<T: Typed>(fields: &[(usize, Option<Val>)], row: usize) -> Option<T> {
+        T::of(fields.iter().find(|f| f.0 == row)?.1.clone())
+    }
+
     /// The packet-level run horizon (`None` for round-based Pytheas).
     pub fn horizon(&self) -> Option<SimDuration> {
-        let (_, v) = self
-            .fields()
-            .into_iter()
-            .find(|f| f.0 == keys::workload::HORIZON)?;
-        Typed::of(v)
+        Self::field(&self.fields(), keys::workload::HORIZON)
     }
+
+    /// The fields the tcp family (`tcp`, `churn`, `syn_flood`) shares,
+    /// all required; `None` for any other kind. Churn's one source reads
+    /// as a one-name list.
+    pub(crate) fn tcp_family(&self) -> Option<TcpFamily> {
+        use keys::workload::{DST, FLOWS, HORIZON, MEAN_LIFETIME, PKT_INTERVAL, SRC};
+        if !keys::TCP_FAMILY.contains(&self.kind()) {
+            return None;
+        }
+        let f = &self.fields();
+        Some(TcpFamily {
+            flows: Self::field(f, FLOWS)?,
+            mean_lifetime: Self::field(f, MEAN_LIFETIME)?,
+            pkt_interval: Self::field(f, PKT_INTERVAL)?,
+            horizon: Self::field(f, HORIZON)?,
+            src: match self {
+                Self::Churn { src, .. } => vec![src.clone()],
+                _ => Self::field(f, SRC)?,
+            },
+            dst: Self::field(f, DST)?,
+        })
+    }
+}
+
+/// The population and endpoints every tcp-family workload declares
+/// ([`WorkloadSpec::tcp_family`]).
+#[derive(Debug, Clone)]
+pub(crate) struct TcpFamily {
+    /// Concurrent flows at steady state.
+    pub flows: usize,
+    /// Mean flow lifetime.
+    pub mean_lifetime: SimDuration,
+    /// Packet interval while active.
+    pub pkt_interval: SimDuration,
+    /// Run horizon.
+    pub horizon: SimDuration,
+    /// Source host names, in `src =` order.
+    pub src: Vec<String>,
+    /// Destination host name.
+    pub dst: String,
 }
 
 /// An in-path attack for the generic TCP workload.

@@ -229,132 +229,29 @@ pub fn build_topology(spec: &TopologySpec) -> Topology {
 /// Lower a scenario, checking every cross-section constraint.
 pub fn compile(sc: &Scenario) -> Result<Compiled, CompileError> {
     check_kinds(sc)?;
-    let plan = match &sc.workload {
+    // The chaos each workload lowers: blink only flaps its primary, pcc
+    // and pytheas take none, and churn's streamed admission cannot absorb
+    // arrivals baked into a materialized schedule (load surges).
+    let lowers = |k: &ChaosKind| match &sc.workload {
         WorkloadSpec::Blink { .. } => {
-            for d in &sc.chaos {
-                match &d.kind {
-                    ChaosKind::LinkFlap { a, b, .. } if a == PRIMARY && b.is_empty() => {}
-                    k => {
-                        return Err(CompileError::ChaosUnsupported {
-                            workload: sc.workload.kind(),
-                            chaos: k.key(),
-                        })
-                    }
-                }
-            }
-            Plan::Blink
+            matches!(k, ChaosKind::LinkFlap { a, b, .. } if a == PRIMARY && b.is_empty())
         }
-        WorkloadSpec::Pcc { .. } | WorkloadSpec::Pytheas { .. } => {
-            if let Some(d) = sc.chaos.first() {
-                return Err(CompileError::ChaosUnsupported {
-                    workload: sc.workload.kind(),
-                    chaos: d.kind.key(),
-                });
-            }
-            if matches!(sc.workload, WorkloadSpec::Pcc { .. }) {
-                Plan::Pcc
-            } else {
-                Plan::Pytheas
-            }
-        }
-        WorkloadSpec::Tcp {
-            src, dst, attack, ..
-        } => {
-            let topo = build_topology(&sc.topology);
-            let mut src_hosts = Vec::new();
-            for name in src {
-                src_hosts.push(host(&topo, name)?);
-                if name == dst {
-                    return Err(CompileError::SrcIsDst { name: name.clone() });
-                }
-            }
-            let dst_host = host(&topo, dst)?;
-            let mut actions = Vec::new();
-            for d in &sc.chaos {
-                actions.push(resolve_chaos(&topo, &d.kind)?);
-            }
-            let bounce = match attack {
-                Some(AttackSpec::Bounce { via, bounces }) => {
-                    let a = router(&topo, &via.0)?;
-                    let b = router(&topo, &via.1)?;
-                    if topo.link_between(a, b).is_none() {
-                        return Err(CompileError::NoSuchLink {
-                            a: via.0.clone(),
-                            b: via.1.clone(),
-                        });
-                    }
-                    Some((a, b, *bounces))
-                }
-                None => None,
-            };
-            Plan::Tcp(TcpPlan {
-                src_hosts,
-                dst_host,
-                actions,
-                bounce,
-                attacker: None,
-            })
-        }
-        WorkloadSpec::Churn { src, dst, .. } => {
-            // Streamed admission cannot absorb arrivals baked into a
-            // materialized schedule, so load surges don't lower here.
-            if let Some(d) = sc
-                .chaos
-                .iter()
-                .find(|d| matches!(d.kind, ChaosKind::LoadSurge { .. }))
-            {
-                return Err(CompileError::ChaosUnsupported {
-                    workload: sc.workload.kind(),
-                    chaos: d.kind.key(),
-                });
-            }
-            let topo = build_topology(&sc.topology);
-            if src == dst {
-                return Err(CompileError::SrcIsDst { name: src.clone() });
-            }
-            let src_hosts = vec![host(&topo, src)?];
-            let dst_host = host(&topo, dst)?;
-            let mut actions = Vec::new();
-            for d in &sc.chaos {
-                actions.push(resolve_chaos(&topo, &d.kind)?);
-            }
-            Plan::Tcp(TcpPlan {
-                src_hosts,
-                dst_host,
-                actions,
-                bounce: None,
-                attacker: None,
-            })
-        }
-        WorkloadSpec::SynFlood {
-            src, dst, attacker, ..
-        } => {
-            let topo = build_topology(&sc.topology);
-            let mut src_hosts = Vec::new();
-            for name in src {
-                src_hosts.push(host(&topo, name)?);
-                if name == dst {
-                    return Err(CompileError::SrcIsDst { name: name.clone() });
-                }
-            }
-            if attacker == dst || src.contains(attacker) {
-                return Err(CompileError::AttackerNotFree {
-                    name: attacker.clone(),
-                });
-            }
-            let dst_host = host(&topo, dst)?;
-            let attacker_host = host(&topo, attacker)?;
-            let mut actions = Vec::new();
-            for d in &sc.chaos {
-                actions.push(resolve_chaos(&topo, &d.kind)?);
-            }
-            Plan::Tcp(TcpPlan {
-                src_hosts,
-                dst_host,
-                actions,
-                bounce: None,
-                attacker: Some(attacker_host),
-            })
+        WorkloadSpec::Pcc { .. } | WorkloadSpec::Pytheas { .. } => false,
+        WorkloadSpec::Churn { .. } => !matches!(k, ChaosKind::LoadSurge { .. }),
+        WorkloadSpec::Tcp { .. } | WorkloadSpec::SynFlood { .. } => true,
+    };
+    if let Some(d) = sc.chaos.iter().find(|d| !lowers(&d.kind)) {
+        return Err(CompileError::ChaosUnsupported {
+            workload: sc.workload.kind(),
+            chaos: d.kind.key(),
+        });
+    }
+    let plan = match &sc.workload {
+        WorkloadSpec::Blink { .. } => Plan::Blink,
+        WorkloadSpec::Pcc { .. } => Plan::Pcc,
+        WorkloadSpec::Pytheas { .. } => Plan::Pytheas,
+        WorkloadSpec::Tcp { .. } | WorkloadSpec::Churn { .. } | WorkloadSpec::SynFlood { .. } => {
+            Plan::Tcp(tcp_plan(sc)?)
         }
     };
     let windows = expand(&sc.chaos, sc.chaos_seed.unwrap_or(sc.seed));
@@ -363,6 +260,65 @@ pub fn compile(sc: &Scenario) -> Result<Compiled, CompileError> {
         scenario: sc.clone(),
         windows,
         plan,
+    })
+}
+
+/// Lower a tcp-family workload: its sources, destination, chaos
+/// targets, then its kind's extra (tcp's bounce pair, syn_flood's
+/// attacker), each checked in the order the kind always checked them.
+fn tcp_plan(sc: &Scenario) -> Result<TcpPlan, CompileError> {
+    let Some(w) = sc.workload.tcp_family() else {
+        unreachable!("tcp_plan lowers a tcp-family workload")
+    };
+    let churn = matches!(sc.workload, WorkloadSpec::Churn { .. });
+    let topo = build_topology(&sc.topology);
+    let mut src_hosts = Vec::new();
+    for name in &w.src {
+        // Churn compares its one source with `dst` before resolving it;
+        // tcp and syn_flood resolve it first.
+        if !churn {
+            host(&topo, name)?;
+        }
+        if *name == w.dst {
+            return Err(CompileError::SrcIsDst { name: name.clone() });
+        }
+        src_hosts.push(host(&topo, name)?);
+    }
+    let attacker = match &sc.workload {
+        WorkloadSpec::SynFlood { attacker, .. } => Some(attacker),
+        _ => None,
+    };
+    if let Some(name) = attacker.filter(|a| **a == w.dst || w.src.contains(a)) {
+        return Err(CompileError::AttackerNotFree { name: name.clone() });
+    }
+    let dst_host = host(&topo, &w.dst)?;
+    let attacker = attacker.map(|name| host(&topo, name)).transpose()?;
+    let actions = (sc.chaos.iter())
+        .map(|d| resolve_chaos(&topo, &d.kind))
+        .collect::<Result<_, _>>()?;
+    let bounce = match &sc.workload {
+        WorkloadSpec::Tcp {
+            attack: Some(AttackSpec::Bounce { via, bounces }),
+            ..
+        } => {
+            let a = router(&topo, &via.0)?;
+            let b = router(&topo, &via.1)?;
+            if topo.link_between(a, b).is_none() {
+                return Err(CompileError::NoSuchLink {
+                    a: via.0.clone(),
+                    b: via.1.clone(),
+                });
+            }
+            Some((a, b, *bounces))
+        }
+        _ => None,
+    };
+    Ok(TcpPlan {
+        src_hosts,
+        dst_host,
+        actions,
+        bounce,
+        attacker,
     })
 }
 
@@ -581,6 +537,262 @@ mod tests {
                     [expect]\nrecovery_within = 5s\n",
         );
         assert_eq!(compile(&s).unwrap_err(), CompileError::RecoveryWithoutChaos);
+    }
+
+    /// The message `compile` gives for `[workload]` and later sections
+    /// over a four-router line (`h0-r0-r1-r2-r3-h3`, `hi` on `ri`).
+    fn linear_error(rest: &str) -> String {
+        let text = format!("[scenario]\nname = x\n[topology]\nkind = linear\nnodes = 4\n{rest}");
+        compile(&sc(&text)).unwrap_err().to_string()
+    }
+
+    /// Every `CompileError` variant, each with its exact message, and
+    /// the order in which each workload kind runs its checks (where two
+    /// checks could both fire, the case names the one that wins).
+    #[test]
+    fn every_semantic_error_has_its_message() {
+        let blink = |rest: &str| {
+            let text = format!("[scenario]\nname = x\n[topology]\nkind = blink\n{rest}");
+            compile(&sc(&text)).unwrap_err().to_string()
+        };
+        let cases = [
+            (
+                "kind mismatch",
+                blink("[workload]\nkind = pcc\n"),
+                "workload 'pcc' cannot run on topology 'blink'",
+            ),
+            (
+                "unknown source",
+                linear_error("[workload]\nkind = tcp\nsrc = h9\ndst = h3\n"),
+                "no node named 'h9'",
+            ),
+            (
+                "router as source",
+                linear_error("[workload]\nkind = tcp\nsrc = r0\ndst = h3\n"),
+                "'r0' is not a host",
+            ),
+            (
+                "router as destination",
+                linear_error("[workload]\nkind = churn\nsrc = h0\ndst = r3\n"),
+                "'r3' is not a host",
+            ),
+            (
+                "host as churned router",
+                linear_error(
+                    "[workload]\nkind = tcp\nsrc = h0\ndst = h3\n\
+                     [chaos]\nrouter_churn = h1 at=10s down=1s\n",
+                ),
+                "'h1' is not a router",
+            ),
+            (
+                "host as bounce router",
+                linear_error(
+                    "[workload]\nkind = tcp\nsrc = h0\ndst = h3\n\
+                     attack = bounce via=h1-r1 bounces=2\n",
+                ),
+                "'h1' is not a router",
+            ),
+            (
+                "flap of no link",
+                linear_error(
+                    "[workload]\nkind = tcp\nsrc = h0\ndst = h3\n\
+                     [chaos]\nlink_flap = r0-r2 at=10s down=5s\n",
+                ),
+                "no link between 'r0' and 'r2'",
+            ),
+            (
+                "bounce over no link",
+                linear_error(
+                    "[workload]\nkind = tcp\nsrc = h0\ndst = h3\n\
+                     attack = bounce via=r0-r2 bounces=2\n",
+                ),
+                "no link between 'r0' and 'r2'",
+            ),
+            (
+                "partition leaves r1 out",
+                linear_error(
+                    "[workload]\nkind = tcp\nsrc = h0\ndst = h3\n\
+                     [chaos]\npartition = r0 | r3 at=10s down=5s\n",
+                ),
+                "partition leaves 'r1' on neither side",
+            ),
+            (
+                "partition lists r1 twice",
+                linear_error(
+                    "[workload]\nkind = tcp\nsrc = h0\ndst = h3\n\
+                     [chaos]\npartition = r0,r1 | r1,r2,r3 at=10s down=5s\n",
+                ),
+                "partition lists 'r1' on both sides",
+            ),
+            (
+                "blink flap off the primary",
+                blink("[workload]\nkind = blink\n[chaos]\nlink_flap = ingress-backup at=10s down=5s\n"),
+                "chaos 'link_flap' is not supported on workload 'blink'",
+            ),
+            (
+                "pcc with chaos",
+                compile(&sc("[scenario]\nname = x\n[topology]\nkind = pcc\n\
+                             [workload]\nkind = pcc\n\
+                             [chaos]\nlink_flap = primary at=10s down=5s\n"))
+                .unwrap_err()
+                .to_string(),
+                "chaos 'link_flap' is not supported on workload 'pcc'",
+            ),
+            (
+                "churn with a load surge",
+                linear_error(
+                    "[workload]\nkind = churn\nsrc = h0\ndst = h3\n\
+                     [chaos]\nload_surge = at=20s flows=8 duration=5s\n",
+                ),
+                "chaos 'load_surge' is not supported on workload 'churn'",
+            ),
+            (
+                "primary off blink",
+                linear_error(
+                    "[workload]\nkind = tcp\nsrc = h0\ndst = h3\n\
+                     [chaos]\nlink_flap = primary at=10s down=5s\n",
+                ),
+                "link_flap target 'primary' is only valid on the blink workload",
+            ),
+            (
+                "unobservable expectation",
+                linear_error(
+                    "[workload]\nkind = tcp\nsrc = h0\ndst = h3\n\
+                     [expect]\nfinal_on_primary = true\n",
+                ),
+                "expectation 'final_on_primary' is not observable on workload 'tcp'",
+            ),
+            (
+                "recovery without a fault",
+                linear_error(
+                    "[workload]\nkind = tcp\nsrc = h0\ndst = h3\n\
+                     [expect]\nrecovery_within = 5s\n",
+                ),
+                "recovery_within requires at least one link-cutting chaos declaration",
+            ),
+            (
+                "blackout without a fault",
+                linear_error(
+                    "[workload]\nkind = tcp\nsrc = h0\ndst = h3\n\
+                     [expect]\nblackout_during_chaos = true\n",
+                ),
+                "blackout_during_chaos requires at least one link-cutting chaos declaration",
+            ),
+            (
+                "tcp source is the destination",
+                linear_error("[workload]\nkind = tcp\nsrc = h0,h3\ndst = h3\n"),
+                "'h3' is both a source and the destination",
+            ),
+            (
+                "churn source is the destination",
+                linear_error("[workload]\nkind = churn\nsrc = h3\ndst = h3\n"),
+                "'h3' is both a source and the destination",
+            ),
+            (
+                "syn_flood source is the destination",
+                linear_error("[workload]\nkind = syn_flood\nsrc = h3\ndst = h3\nattacker = h1\n"),
+                "'h3' is both a source and the destination",
+            ),
+            (
+                "attacker is a source",
+                linear_error("[workload]\nkind = syn_flood\nsrc = h0\ndst = h3\nattacker = h0\n"),
+                "attacker host 'h0' is also a workload endpoint",
+            ),
+            (
+                "attacker is the destination",
+                linear_error("[workload]\nkind = syn_flood\nsrc = h0\ndst = h3\nattacker = h3\n"),
+                "attacker host 'h3' is also a workload endpoint",
+            ),
+            // Check order, kind by kind.
+            (
+                "churn compares its source with dst before resolving it",
+                linear_error("[workload]\nkind = churn\nsrc = h9\ndst = h9\n"),
+                "'h9' is both a source and the destination",
+            ),
+            (
+                "churn refuses a surge before anything else",
+                linear_error(
+                    "[workload]\nkind = churn\nsrc = h9\ndst = h9\n\
+                     [chaos]\nload_surge = at=20s flows=8 duration=5s\n",
+                ),
+                "chaos 'load_surge' is not supported on workload 'churn'",
+            ),
+            (
+                "tcp resolves each source before comparing it",
+                linear_error("[workload]\nkind = tcp\nsrc = h9\ndst = h9\n"),
+                "no node named 'h9'",
+            ),
+            (
+                "tcp compares a source before resolving the next",
+                linear_error("[workload]\nkind = tcp\nsrc = h3,h9\ndst = h3\n"),
+                "'h3' is both a source and the destination",
+            ),
+            (
+                "syn_flood resolves each source before comparing it",
+                linear_error("[workload]\nkind = syn_flood\nsrc = h9\ndst = h9\nattacker = h1\n"),
+                "no node named 'h9'",
+            ),
+            (
+                "syn_flood checks its attacker before resolving dst",
+                linear_error("[workload]\nkind = syn_flood\nsrc = h0\ndst = h9\nattacker = h9\n"),
+                "attacker host 'h9' is also a workload endpoint",
+            ),
+            (
+                "syn_flood resolves dst before the attacker",
+                linear_error("[workload]\nkind = syn_flood\nsrc = h0\ndst = h8\nattacker = h9\n"),
+                "no node named 'h8'",
+            ),
+            (
+                "syn_flood resolves the attacker before the chaos",
+                linear_error(
+                    "[workload]\nkind = syn_flood\nsrc = h0\ndst = h3\nattacker = h9\n\
+                     [chaos]\nlink_flap = r0-r8 at=10s down=5s\n",
+                ),
+                "no node named 'h9'",
+            ),
+            (
+                "dst before the chaos",
+                linear_error(
+                    "[workload]\nkind = churn\nsrc = h0\ndst = h9\n\
+                     [chaos]\nlink_flap = r0-r8 at=10s down=5s\n",
+                ),
+                "no node named 'h9'",
+            ),
+            (
+                "chaos before the bounce pair",
+                linear_error(
+                    "[workload]\nkind = tcp\nsrc = h0\ndst = h3\n\
+                     attack = bounce via=r0-r2 bounces=2\n\
+                     [chaos]\nlink_flap = r0-r8 at=10s down=5s\n",
+                ),
+                "no node named 'r8'",
+            ),
+            (
+                "chaos before the expectations",
+                linear_error(
+                    "[workload]\nkind = tcp\nsrc = h0\ndst = h3\n\
+                     [chaos]\nlink_flap = primary at=10s down=5s\n\
+                     [expect]\nfinal_on_primary = true\n",
+                ),
+                "link_flap target 'primary' is only valid on the blink workload",
+            ),
+        ];
+        for (case, got, want) in cases {
+            assert_eq!(got, want, "{case}");
+        }
+        // No parametric topology is disconnected, so no `.dsc` reaches
+        // a partition that cuts nothing: two hosts and no link do.
+        let mut b = dui_core::netsim::topology::TopologyBuilder::new();
+        let addr = dui_core::netsim::packet::Addr::new;
+        b.host("a", addr(10, 0, 0, 1));
+        b.host("b", addr(10, 0, 0, 2));
+        let split = ChaosKind::Partition {
+            left: vec!["a".into()],
+            right: vec!["b".into()],
+            down: dui_core::netsim::time::SimDuration::from_secs(1),
+        };
+        let err = resolve_chaos(&b.build(), &split).unwrap_err();
+        assert_eq!(err.to_string(), "partition cuts no links");
     }
 
     #[test]

@@ -12,10 +12,11 @@
 //! experiment stages that run the paper's own `.dsc` files.
 
 use crate::ast::{ChaosKind, WorkloadSpec};
+use crate::chaos::ChaosWindow;
 use crate::compile::{build_topology, Compiled, Plan, ResolvedChaos, TcpPlan};
 use crate::expect::{evaluate, BlinkObs, CheckResult, Observed, PccObs, PytheasObs, Sample};
 use dui_core::attacks::{BounceProgram, SynFloodConfig, SynFloodHost};
-use dui_core::flowgen::flows::{DurationDist, FlowPopulation, FlowPopulationConfig};
+use dui_core::flowgen::flows::{FlowPopulation, FlowPopulationConfig};
 use dui_core::flowgen::stream::{FlowStream, StreamSource};
 use dui_core::netsim::link::{Dir, FaultConfig};
 use dui_core::netsim::node::RouterLogic;
@@ -110,8 +111,43 @@ impl Compiled {
         ts
     }
 
-    fn on_grid(&self, t: SimTime) -> bool {
-        t.0.is_multiple_of(self.scenario.sample_every.0.max(1))
+    /// The boundary loop of both packet-level runners: at each boundary,
+    /// advance `sim(state)`, `flip` the windows ending there off and those
+    /// starting there on, and on the grid record deliveries and a `sample`.
+    fn boundary_loop<T>(
+        &self,
+        state: &mut T,
+        sim: fn(&mut T) -> &mut Simulator,
+        key: fn(&ChaosWindow) -> usize,
+        mut flip: impl FnMut(&mut T, usize, bool),
+        mut sample: impl FnMut(&mut T) -> Sample,
+    ) -> Vec<Sample> {
+        let mut active = vec![0usize; self.scenario.chaos.len().max(1)];
+        let mut samples = Vec::new();
+        for t in self.boundaries() {
+            sim(state).run_until(t);
+            // Windows sharing a key flip once: on as the first opens, off
+            // as the last closes (the count leaves or returns to zero).
+            let ends = self.windows.iter().filter(|w| w.end == t && w.start <= t);
+            let starts = self.windows.iter().filter(|w| w.start == t);
+            for (w, on) in ends.map(|w| (w, false)).chain(starts.map(|w| (w, true))) {
+                let was = active[key(w)];
+                active[key(w)] = if on { was + 1 } else { was - 1 };
+                if was.min(active[key(w)]) == 0 {
+                    flip(state, w.decl, on);
+                }
+            }
+            if t.0.is_multiple_of(self.scenario.sample_every.0.max(1)) {
+                let snapshot = sim(state).metrics_snapshot();
+                let delivered = snapshot.counter("netsim.delivered.endpoint");
+                samples.push(Sample {
+                    t,
+                    delivered,
+                    ..sample(state)
+                });
+            }
+        }
+        samples
     }
 
     /// The Blink builder's configuration of a `blink` workload; `None`
@@ -173,40 +209,25 @@ impl Compiled {
         };
         let mut b = BlinkScenario::build(&cfg);
         b.sim.set_sim_threads(sim_threads);
-        // Every blink chaos window is a primary flap (compile-checked);
-        // count overlaps so nested windows fail once and heal last.
-        let mut active = 0usize;
-        let mut samples = Vec::new();
-        for t in self.boundaries() {
-            b.sim.run_until(t);
-            for w in &self.windows {
-                if w.end == t && w.start <= t {
-                    active -= 1;
-                    if active == 0 {
-                        b.heal_primary();
-                    }
+        // Every blink window flaps the primary (compile-checked): one key
+        // for all, so nested windows fail once and heal last.
+        let samples = self.boundary_loop(
+            &mut b,
+            |b| &mut b.sim,
+            |_| 0,
+            |b, _, on| {
+                if on {
+                    b.fail_primary_forward()
+                } else {
+                    b.heal_primary()
                 }
-            }
-            for w in &self.windows {
-                if w.start == t {
-                    if active == 0 {
-                        b.fail_primary_forward();
-                    }
-                    active += 1;
-                }
-            }
-            if self.on_grid(t) {
-                samples.push(Sample {
-                    t,
-                    delivered: b
-                        .sim
-                        .metrics_snapshot()
-                        .counter("netsim.delivered.endpoint"),
-                    reroutes: b.reroutes() as u64,
-                    on_primary: b.on_primary(),
-                });
-            }
-        }
+            },
+            |b| Sample {
+                reroutes: b.reroutes() as u64,
+                on_primary: b.on_primary(),
+                ..Sample::default()
+            },
+        );
         let blink = BlinkObs {
             reroutes: b.reroutes() as u64,
             on_primary: b.on_primary(),
@@ -300,53 +321,23 @@ impl Compiled {
         let sc = &self.scenario;
         // Plan::Tcp covers the whole tcp family; the three kinds share
         // the population parameters and differ in admission + lifecycle.
-        let (flows, mean_lifetime, pkt_interval, horizon) = match &sc.workload {
-            WorkloadSpec::Tcp {
-                flows,
-                mean_lifetime,
-                pkt_interval,
-                horizon,
-                ..
-            }
-            | WorkloadSpec::Churn {
-                flows,
-                mean_lifetime,
-                pkt_interval,
-                horizon,
-                ..
-            }
-            | WorkloadSpec::SynFlood {
-                flows,
-                mean_lifetime,
-                pkt_interval,
-                horizon,
-                ..
-            } => (*flows, *mean_lifetime, *pkt_interval, *horizon),
-            _ => unreachable!("tcp plan carries a tcp-family workload"),
+        let Some(fam) = sc.workload.tcp_family() else {
+            unreachable!("tcp plan carries a tcp-family workload")
         };
         let topo = build_topology(&sc.topology);
         let prefix = Prefix::new(Addr::new(TCP_PREFIX.0, TCP_PREFIX.1, 0, 0), 16);
         let mut rng = Rng::new(sc.seed);
-
-        // Same lognormal parameterization as the Blink builder: mean of
-        // the distribution equals the requested mean lifetime.
-        let sigma = 1.0f64;
-        let mean = mean_lifetime.as_secs_f64();
-        let duration = DurationDist {
-            ln_mu: mean.ln() - 0.5 * sigma * sigma,
-            ln_sigma: sigma,
-            tail_prob: 0.0,
-            tail_xm: 10.0,
-            tail_alpha: 1.5,
-            max_secs: 600.0,
-        };
-        let pop_cfg = FlowPopulationConfig {
+        let pop_cfg = FlowPopulationConfig::stationary(
             prefix,
-            arrival_rate: flows as f64 / mean,
-            duration,
-            pkt_interval,
-            horizon,
-            warm_start: Some(flows),
+            fam.flows,
+            fam.mean_lifetime.as_secs_f64(),
+            fam.pkt_interval,
+            fam.horizon,
+        );
+        // Hosts whose flows handshake free each flow's slot on close.
+        let evicting = TcpHostConfig {
+            evict_closed: true,
+            ..TcpHostConfig::default()
         };
 
         // Per-source host logic, built per workload kind.
@@ -360,10 +351,7 @@ impl Compiled {
             let inner = StreamSource::new(stream, 1460).with_handshake(true);
             let src_addr = topo.node(plan.src_hosts[0]).addr;
             let mut h = TcpHost::with_source(Box::new(RewriteSrc { inner, src_addr }));
-            h.set_config(TcpHostConfig {
-                evict_closed: true,
-                ..TcpHostConfig::default()
-            });
+            h.set_config(evicting.clone());
             src_logic.push(h);
         } else {
             let handshake = matches!(sc.workload, WorkloadSpec::SynFlood { .. });
@@ -402,10 +390,7 @@ impl Compiled {
             for specs in per_src {
                 let mut h = TcpHost::with_flows(specs);
                 if handshake {
-                    h.set_config(TcpHostConfig {
-                        evict_closed: true,
-                        ..TcpHostConfig::default()
-                    });
+                    h.set_config(evicting.clone());
                 }
                 src_logic.push(h);
             }
@@ -429,18 +414,15 @@ impl Compiled {
         }
         let mut dst = TcpHost::new();
         match &sc.workload {
-            WorkloadSpec::Churn { .. } => dst.set_config(TcpHostConfig {
-                evict_closed: true,
-                ..TcpHostConfig::default()
-            }),
+            WorkloadSpec::Churn { .. } => dst.set_config(evicting),
             WorkloadSpec::SynFlood {
                 backlog,
                 syn_timeout,
                 ..
             } => dst.set_config(TcpHostConfig {
                 listen_backlog: Some(*backlog),
-                evict_closed: true,
                 syn_rcvd_timeout: *syn_timeout,
+                ..evicting
             }),
             _ => {}
         }
@@ -474,35 +456,14 @@ impl Compiled {
             sim.set_logic(attacker, Box::new(SynFloodHost::new(cfg)));
         }
 
-        // Boundary loop: advance, heal, fail, observe.
-        let mut active = vec![0usize; sc.chaos.len()];
-        let mut samples = Vec::new();
-        for t in self.boundaries() {
-            sim.run_until(t);
-            for w in &self.windows {
-                if w.end == t && w.start <= t {
-                    active[w.decl] -= 1;
-                    if active[w.decl] == 0 {
-                        apply_chaos(&mut sim, &plan.actions[w.decl], false);
-                    }
-                }
-            }
-            for w in &self.windows {
-                if w.start == t {
-                    if active[w.decl] == 0 {
-                        apply_chaos(&mut sim, &plan.actions[w.decl], true);
-                    }
-                    active[w.decl] += 1;
-                }
-            }
-            if self.on_grid(t) {
-                samples.push(Sample {
-                    t,
-                    delivered: sim.metrics_snapshot().counter("netsim.delivered.endpoint"),
-                    ..Default::default()
-                });
-            }
-        }
+        // Each declaration counts its own overlapping windows.
+        let samples = self.boundary_loop(
+            &mut sim,
+            |sim| sim,
+            |w| w.decl,
+            |sim, decl, on| apply_chaos(sim, &plan.actions[decl], on),
+            |_| Sample::default(),
+        );
         Observed {
             samples,
             snapshot: sim.metrics_snapshot(),
@@ -572,6 +533,7 @@ mod tests {
     use super::*;
     use crate::compile::compile;
     use crate::parse::parse_str;
+    use dui_core::flowgen::flows::DurationDist;
 
     fn run(text: &str) -> RunReport {
         let sc = parse_str("test.dsc", text).unwrap();

@@ -255,23 +255,6 @@ pub fn geometric(rng: &mut Rng, p: f64) -> u64 {
     (rng.f64_open().ln() / (1.0 - p).ln()).floor() as u64
 }
 
-/// Draw a sample from a discrete distribution given unnormalized weights.
-pub fn weighted_index(rng: &mut Rng, weights: &[f64]) -> usize {
-    let total: f64 = weights.iter().sum();
-    assert!(
-        total > 0.0 && total.is_finite(),
-        "weights must have positive finite sum"
-    );
-    let mut u = rng.f64() * total;
-    for (i, w) in weights.iter().enumerate() {
-        if u < *w {
-            return i;
-        }
-        u -= w;
-    }
-    weights.len() - 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -407,18 +390,6 @@ mod tests {
         // mean failures before success = (1-p)/p = 3 for p = 0.25
         let m = mean_of((0..200_000).map(|_| geometric(&mut r, 0.25) as f64));
         assert!((m - 3.0).abs() < 0.05, "m = {m}");
-    }
-
-    #[test]
-    fn weighted_index_prefers_heavy() {
-        let mut r = Rng::new(9);
-        let w = [1.0, 0.0, 9.0];
-        let mut counts = [0u32; 3];
-        for _ in 0..10_000 {
-            counts[weighted_index(&mut r, &w)] += 1;
-        }
-        assert_eq!(counts[1], 0);
-        assert!(counts[2] > 8 * counts[0] / 2);
     }
 
     #[test]

@@ -57,14 +57,6 @@ impl TimeSeries {
             .find(|&&(_, v)| v >= threshold)
             .map(|&(t, _)| t)
     }
-
-    /// Maximum value (`None` if empty).
-    pub fn max_value(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|&(_, v)| v)
-            .fold(None, |m, v| Some(m.map_or(v, |m: f64| m.max(v))))
-    }
 }
 
 /// Per-time-point aggregate over many aligned runs of the same experiment.
@@ -177,11 +169,5 @@ mod tests {
         assert!((env.mean[1] - 20.0).abs() < 1e-12);
         assert_eq!(env.lo[1], 10.0);
         assert_eq!(env.hi[1], 30.0);
-    }
-
-    #[test]
-    fn max_value() {
-        let s = series(&[(0.0, 1.0), (1.0, 5.0), (2.0, 3.0)]);
-        assert_eq!(s.max_value(), Some(5.0));
     }
 }

@@ -164,13 +164,16 @@ echo "== determinism contract, every stage (experiments verify-determinism) =="
 # stops making progress fails the gate instead of stalling it.
 timeout 900 "$EXP" verify-determinism
 
-echo "== scenario corpus (experiments scenario, --jobs byte-identity) =="
+echo "== scenario corpus (experiments scenario, --jobs and cross-commit byte-identity) =="
 # Every shipped .dsc must parse, compile, and pass its expectations —
 # a file that fails to parse exits the runner with status 2 and fails
-# the gate — and the verdict CSV must not depend on --jobs.
-same_bytes "'$EXP' scenario '$CORPUS' --jobs 4" "'$EXP' scenario '$CORPUS' --jobs 1" \
+# the gate — and the verdict CSV must not depend on --jobs, nor differ
+# from tests/golden/scenarios.csv, the verdicts of the commit that
+# added it (the golden step above refuses an edit to that file).
+same_bytes "'$EXP' scenario '$CORPUS' --jobs 4" \
+  "'$EXP' scenario '$CORPUS' --jobs 1 && cmp results/scenarios.csv '$PWD/tests/golden/scenarios.csv'" \
   results/scenarios.csv
-echo "scenario corpus all-pass and CSV byte-identical at --jobs 1 vs 4: OK"
+echo "scenario corpus all-pass, CSV byte-identical at --jobs 1 vs 4 and to the golden: OK"
 
 echo "== paper runs (experiments scenario examples/scenarios/paper; ~5 s) =="
 # The paper's own C4 and C6 configurations, which the blink-packet, pcc

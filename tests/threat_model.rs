@@ -25,6 +25,11 @@ fn catalogue_matches_paper_case_studies() {
 
     let tr = by_name("traceroute-spoof");
     assert_eq!(tr.privilege, Privilege::Mitm);
+
+    let syn = by_name("syn-flood");
+    assert_eq!(syn.privilege, Privilege::Host);
+    assert_eq!(syn.target, Target::Infrastructure);
+    assert_eq!(syn.section, "§2");
 }
 
 #[test]
