@@ -17,7 +17,7 @@
 use dui_pytheas::engine::ReportFilter;
 use dui_pytheas::qoe::Report;
 use dui_pytheas::session::GroupKey;
-use dui_stats::summary::{mad, median};
+use dui_stats::summary::median_mad_in_place;
 
 /// Band half-width in MAD units.
 const K: f64 = 4.0;
@@ -27,8 +27,11 @@ const FLOOR: f64 = 0.15;
 /// The plausible band of `values`: `(median, half_width)` with
 /// `half_width = max(K·MAD, FLOOR)`, `K = 4`, `FLOOR = 0.15`. A value
 /// deviating from the median by more than `half_width` is an outlier.
-pub(crate) fn mad_band(values: &[f64]) -> (f64, f64) {
-    (median(values), (K * mad(values)).max(FLOOR))
+/// Works in `values` itself, which it leaves holding the sorted absolute
+/// deviations.
+pub(crate) fn mad_band(values: &mut [f64]) -> (f64, f64) {
+    let (med, mad) = median_mad_in_place(values);
+    (med, (K * mad).max(FLOOR))
 }
 
 /// Median/MAD report filter: rejects reports outside their arm's
@@ -58,7 +61,7 @@ impl ReportFilter for MadReportFilter {
         let mut keep = Vec::with_capacity(reports.len());
         let arms: std::collections::BTreeSet<usize> = reports.iter().map(|r| r.arm).collect();
         for arm in arms {
-            let values: Vec<f64> = reports
+            let mut values: Vec<f64> = reports
                 .iter()
                 .filter(|r| r.arm == arm)
                 .map(|r| r.value)
@@ -68,7 +71,7 @@ impl ReportFilter for MadReportFilter {
                 keep.extend(reports.iter().filter(|r| r.arm == arm).cloned());
                 continue;
             }
-            let (med, half_width) = mad_band(&values);
+            let (med, half_width) = mad_band(&mut values);
             for r in reports.iter().filter(|r| r.arm == arm) {
                 if (r.value - med).abs() > half_width {
                     self.rejected += 1;

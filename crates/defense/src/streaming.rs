@@ -121,6 +121,9 @@ pub struct GroupOutlierWindow {
     prefix: String,
     window: usize,
     members: BTreeMap<Arc<str>, VecDeque<f64>>,
+    /// Per-frame scratch, kept so that a frame allocates nothing: the
+    /// members' windowed means, then a copy that `mad_band` works in.
+    scratch: Vec<f64>,
 }
 
 impl GroupOutlierWindow {
@@ -137,6 +140,7 @@ impl GroupOutlierWindow {
             prefix: prefix.to_string(),
             window: window.max(1),
             members: BTreeMap::new(),
+            scratch: Vec::new(),
         }
     }
 
@@ -162,18 +166,22 @@ impl GroupOutlierWindow {
         // BTreeMap iteration makes the member order — and thus the
         // median/MAD float folds — deterministic. Finite samples can
         // still sum past `f64::MAX`; such a member sits out.
-        let mut means: Vec<f64> = self
-            .members
-            .values()
-            .map(|w| w.iter().sum::<f64>() / w.len() as f64)
-            .collect();
-        means.retain(|m| m.is_finite());
-        if means.len() < 4 {
+        self.scratch.clear();
+        self.scratch.extend(
+            self.members
+                .values()
+                .map(|w| w.iter().sum::<f64>() / w.len() as f64)
+                .filter(|m| m.is_finite()),
+        );
+        let n = self.scratch.len();
+        if n < 4 {
             return Risk::NONE;
         }
-        let (med, half_width) = mad_band(&means);
+        self.scratch.extend_from_within(..);
+        let (means, work) = self.scratch.split_at_mut(n);
+        let (med, half_width) = mad_band(work);
         let outliers = means.iter().filter(|&&m| med - m > half_width).count();
-        Risk::clamped(2.0 * outliers as f64 / means.len() as f64)
+        Risk::clamped(2.0 * outliers as f64 / n as f64)
     }
 }
 

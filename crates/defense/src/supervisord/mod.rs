@@ -49,4 +49,4 @@ pub mod verdict;
 
 pub use pipeline::{run, Clock, Config, PipelineReport, ProducerSpec};
 pub use signals::{SignalBank, SignalConfig};
-pub use verdict::{Action, Verdict};
+pub use verdict::{Action, GroupName, Verdict};

@@ -21,7 +21,7 @@
 //! comes from an injected [`Clock`] and is reported out-of-band.
 
 use super::signals::{SignalBank, SignalConfig};
-use super::verdict::{to_jsonl, Verdict};
+use super::verdict::{to_jsonl, GroupName, Verdict};
 use dui_telemetry::channel::{bounded, Receiver};
 use dui_telemetry::delta::Frame;
 use dui_telemetry::LogHistogram;
@@ -111,7 +111,7 @@ fn shard_of(group: &str, workers: usize) -> usize {
 /// One receiver a worker merges from, with its addressing.
 struct WorkerInput {
     producer: u32,
-    group: String,
+    group: GroupName,
     rx: Receiver<Frame>,
 }
 
@@ -121,10 +121,26 @@ struct WorkerInput {
 /// report. Producer sources are plain frame iterators (typically driven
 /// by a [`DeltaEncoder`](dui_telemetry::delta::DeltaEncoder)); the
 /// frames of each producer must carry strictly increasing `seq`.
+///
+/// # Panics
+///
+/// If two producers share an id: their frames would tie on the
+/// canonical key, and the log would then depend on the worker count.
 pub fn run<I>(cfg: &Config, producers: Vec<(ProducerSpec, I)>) -> PipelineReport
 where
     I: Iterator<Item = Frame> + Send,
 {
+    let mut ids: Vec<u32> = producers.iter().map(|(spec, _)| spec.id).collect();
+    ids.sort_unstable();
+    if let Some(pair) = ids.windows(2).find(|pair| pair[0] == pair[1]) {
+        #[expect(
+            clippy::panic,
+            reason = "a duplicate id is the caller's bug, documented under `# Panics`"
+        )]
+        {
+            panic!("supervisord: producer id {} is used twice", pair[0]);
+        }
+    }
     let workers = cfg.workers.max(1);
     let mut inputs: Vec<Vec<WorkerInput>> = (0..workers).map(|_| Vec::new()).collect();
     let mut sources = Vec::new();
@@ -132,19 +148,19 @@ where
         let (tx, rx) = bounded::<Frame>(cfg.channel_capacity.max(1));
         inputs[shard_of(&spec.group, workers)].push(WorkerInput {
             producer: spec.id,
-            group: spec.group.clone(),
+            group: spec.group.as_str().into(),
             rx,
         });
-        sources.push((spec, iter, tx));
+        sources.push((spec.id, iter, tx));
     }
 
     let mut results: Vec<(Vec<Verdict>, LogHistogram)> = Vec::new();
     thread::scope(|s| {
-        for (spec, iter, tx) in sources {
+        for (id, iter, tx) in sources {
             let clock = cfg.clock.clone();
             s.spawn(move || {
                 for mut frame in iter {
-                    frame.producer = spec.id;
+                    frame.producer = id;
                     if let Some(c) = &clock {
                         frame.ingest_ns = c();
                     }
@@ -179,14 +195,24 @@ where
     let mut verdicts = Vec::new();
     let mut latency_ns = LogHistogram::new();
     // Fold in worker-index order so the (non-compared) histogram is at
-    // least stable for a fixed worker count.
+    // least stable for a fixed worker count. A lone shard's vector is
+    // taken as it is, not copied.
     for (v, hist) in results {
-        verdicts.extend(v);
+        if verdicts.is_empty() {
+            verdicts = v;
+        } else {
+            verdicts.extend(v);
+        }
         latency_ns.merge(&hist);
     }
-    // The canonical total order: unique per frame, so the sort fully
-    // erases worker scheduling and worker count.
-    verdicts.sort_by_key(Verdict::key);
+    // The canonical total order: unique per frame (ids are), so the
+    // sort fully erases worker scheduling and worker count. A lone
+    // shard's merge already emits it when every producer's epochs
+    // rise with its `seq`; a stable sort of a sorted log is the log,
+    // so that case skips the sort and its scratch copy.
+    if !verdicts.is_sorted_by_key(Verdict::key) {
+        verdicts.sort_by_key(Verdict::key);
+    }
     PipelineReport {
         frames: verdicts.len() as u64,
         verdicts,
@@ -199,7 +225,8 @@ where
 /// bank. Blocks on the laggard channel so the merge always compares a
 /// full set of heads — that (plus SPSC FIFO order) is what makes the
 /// per-group processing order independent of which other groups share
-/// the worker.
+/// the worker. Each input's bank is resolved once, here, so a frame
+/// costs no map lookup and no allocation beyond its verdict's slot.
 fn worker_loop(
     chans: Vec<WorkerInput>,
     signals: &SignalConfig,
@@ -207,7 +234,17 @@ fn worker_loop(
 ) -> (Vec<Verdict>, LogHistogram) {
     let mut heads: Vec<Option<Frame>> = (0..chans.len()).map(|_| None).collect();
     let mut open = vec![true; chans.len()];
-    let mut banks: BTreeMap<String, SignalBank> = BTreeMap::new();
+    let mut bank_of_group: BTreeMap<&str, usize> = BTreeMap::new();
+    let bank_of: Vec<usize> = chans
+        .iter()
+        .map(|c| {
+            let next = bank_of_group.len();
+            *bank_of_group.entry(c.group.as_str()).or_insert(next)
+        })
+        .collect();
+    let mut banks: Vec<SignalBank> = (0..bank_of_group.len())
+        .map(|_| SignalBank::new(signals))
+        .collect();
     let mut verdicts = Vec::new();
     let mut latency = LogHistogram::new();
     loop {
@@ -234,14 +271,7 @@ fn worker_loop(
         let Some(frame) = heads[i].take() else {
             break; // unreachable: `best` only indexes filled heads
         };
-        let group = chans[i].group.as_str();
-        let bank = match banks.get_mut(group) {
-            Some(bank) => bank,
-            None => banks
-                .entry(group.to_string())
-                .or_insert_with(|| SignalBank::new(signals)),
-        };
-        let verdict = bank.observe(group, &frame);
+        let verdict = banks[bank_of[i]].observe_named(chans[i].group.clone(), &frame);
         if let Some(c) = &clock {
             latency.record(c().saturating_sub(frame.ingest_ns));
         }
@@ -311,6 +341,24 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "producer id 7 is used twice")]
+    fn duplicate_producer_ids_are_refused() {
+        // Groups "b" and "a" land on shards 1 and 0 at two workers: with
+        // equal keys the sink's stable sort would keep shard order, and
+        // one worker's log would differ from two workers'.
+        assert_eq!((shard_of("b", 2), shard_of("a", 2)), (1, 0));
+        let cfg = Config {
+            workers: 2,
+            ..Config::default()
+        };
+        let producers = vec![
+            (spec(7, "b"), frames(7, true, 4).into_iter()),
+            (spec(7, "a"), frames(7, false, 4).into_iter()),
+        ];
+        run(&cfg, producers);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Per-group signal state: the windowed risk signals evaluated on every
 //! frame of a group, and the action and PCC ε clamp they sanction.
 
-use super::verdict::{Action, Verdict};
+use super::verdict::{Action, GroupName, Verdict};
 use crate::pcc_guard::recommended_eps_max;
 use crate::streaming::{DropPatternWindow, GroupOutlierWindow, OccupancyWindow, SynBacklogWindow};
 use dui_blink::selector::CELLS;
@@ -47,10 +47,9 @@ impl Default for SignalConfig {
     }
 }
 
-/// The windowed signal state of one group. Created lazily when the
-/// group's first frame arrives; owned by exactly one worker (a group's
-/// frames always hash to a single shard), so no cross-worker
-/// synchronization is needed.
+/// The windowed signal state of one group. Created when its worker
+/// starts; owned by exactly one worker (a group's frames always hash to
+/// a single shard), so no cross-worker synchronization is needed.
 #[derive(Debug, Clone)]
 pub struct SignalBank {
     blink: OccupancyWindow,
@@ -72,8 +71,17 @@ impl SignalBank {
 
     /// Fold one frame's delta into the windowed state and rule on it.
     /// Deterministic: the verdict is a pure function of the frame
-    /// sequence observed so far (`ingest_ns` is ignored).
+    /// sequence observed so far (`ingest_ns` is ignored). Builds the
+    /// verdict's [`GroupName`] from `group`; a caller that rules on many
+    /// frames of one group builds it once and calls
+    /// [`observe_named`](Self::observe_named).
     pub fn observe(&mut self, group: &str, frame: &Frame) -> Verdict {
+        self.observe_named(group.into(), frame)
+    }
+
+    /// [`observe`](Self::observe) under a name the caller already
+    /// holds: allocates nothing once every window is full.
+    pub fn observe_named(&mut self, group: GroupName, frame: &Frame) -> Verdict {
         let blink = self.blink.observe(&frame.delta).0;
         let pytheas = self.pytheas.observe(&frame.delta).0;
         let pcc = self.pcc.observe(&frame.delta);
@@ -94,7 +102,7 @@ impl SignalBank {
             epoch: frame.epoch,
             producer: frame.producer,
             seq: frame.seq,
-            group: group.to_string(),
+            group,
             blink,
             pytheas,
             pcc: pcc.0,

@@ -2,7 +2,43 @@
 //! JSONL serialization.
 
 use dui_telemetry::json::{push_json_f64, push_json_str};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+use std::ops::Deref;
+use std::sync::Arc;
+
+/// A group key, shared: [`run`](super::run) builds one per producer
+/// input and every verdict of that input holds a clone of it, so a
+/// verdict owns no heap of its own. Compares and prints (`Debug`) as
+/// the bare string.
+#[derive(Clone, PartialEq, Eq)]
+pub struct GroupName(Arc<str>);
+
+impl GroupName {
+    /// The name as a string slice.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl From<&str> for GroupName {
+    fn from(name: &str) -> Self {
+        GroupName(name.into())
+    }
+}
+
+impl Deref for GroupName {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl fmt::Debug for GroupName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
 
 /// What the supervisor sanctions for the epoch the frame covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,7 +81,7 @@ pub struct Verdict {
     /// Per-producer sequence number of the frame.
     pub seq: u64,
     /// Group key the frame was sharded by.
-    pub group: String,
+    pub group: GroupName,
     /// Blink cell-occupancy risk in `[0, 1]`.
     pub blink: f64,
     /// Pytheas group-outlier risk in `[0, 1]`.
@@ -113,7 +149,7 @@ mod tests {
             epoch: 3,
             producer: 1,
             seq: 7,
-            group: "site-a".to_string(),
+            group: "site-a".into(),
             blink: 0.5,
             pytheas: 0.0,
             pcc: 0.25,

@@ -10,7 +10,7 @@
 //! (`tests/support/counting_alloc.rs`).
 
 use dui_defense::streaming::GroupOutlierWindow;
-use dui_defense::supervisord::{SignalBank, SignalConfig};
+use dui_defense::supervisord::{GroupName, SignalBank, SignalConfig};
 use dui_stats::Rng;
 use dui_telemetry::registry::{CounterId, GaugeId};
 use dui_telemetry::{DeltaEncoder, Registry};
@@ -39,6 +39,8 @@ struct Producer {
     pcc: [CounterId; 4],
     enc: DeltaEncoder,
     bank: SignalBank,
+    /// Built once, as `supervisord::run` builds one per producer input.
+    group: GroupName,
     epoch: u64,
 }
 
@@ -68,6 +70,7 @@ impl Producer {
             pcc,
             enc: DeltaEncoder::new(0),
             bank: SignalBank::new(&signals),
+            group: "site-g0".into(),
             epoch: 0,
         }
     }
@@ -88,7 +91,7 @@ impl Producer {
         let cost = allocated_by(|| {
             let snap = self.reg.snapshot();
             let frame = self.enc.encode(self.epoch, &snap, 0);
-            let verdict = self.bank.observe("site-g0", &frame);
+            let verdict = self.bank.observe_named(self.group.clone(), &frame);
             assert_eq!(frame.delta.gauges.len() + frame.delta.counters.len(), 10);
             drop(frame);
             drop(verdict);
@@ -118,12 +121,15 @@ fn a_frame_allocates_a_fixed_amount_whatever_its_names_weigh() {
         per_frame.0, per_frame.1
     );
     assert!(short.iter().all(|&c| c == per_frame), "{short:?}");
-    // Two map nodes for the snapshot, two for the delta, the verdict's
-    // group string and the outlier signal's median/MAD scratch: 10
-    // allocations, 1503 bytes. Before names were interned this same
-    // step read 48 allocations (38 of them copies of metric names) and
-    // 3087 bytes at 8 characters, 9807 bytes at 200.
-    assert!(per_frame.0 <= 10, "allocations per frame: {}", per_frame.0);
+    // Two B-tree nodes for the snapshot and two for the delta: 4
+    // allocations, 1296 bytes. The supervisor's share is none: the
+    // verdict clones a shared `GroupName`, and the outlier signal takes
+    // its median and MAD in a scratch vector it keeps. Before that this
+    // step read 10 allocations and 1503 bytes (a `group` string per
+    // verdict and five median/MAD vectors); before names were interned,
+    // 48 allocations (38 of them copies of metric names) and 3087 bytes
+    // at 8 characters, 9807 bytes at 200.
+    assert_eq!(per_frame.0, 4, "allocations per frame");
     assert_eq!(
         long, short,
         "a 200-character name must cost what an 8-character one does"

@@ -62,9 +62,6 @@ pub enum CompileError {
         /// The doubly-listed node.
         name: String,
     },
-    /// A partition cuts no links (both sides already disconnected, or one
-    /// side empty).
-    PartitionNoCut,
     /// This chaos kind cannot be lowered onto this workload.
     ChaosUnsupported {
         /// Workload kind token.
@@ -118,7 +115,6 @@ impl fmt::Display for CompileError {
             CompileError::PartitionOverlap { name } => {
                 write!(f, "partition lists '{name}' on both sides")
             }
-            CompileError::PartitionNoCut => write!(f, "partition cuts no links"),
             CompileError::ChaosUnsupported { workload, chaos } => {
                 write!(
                     f,
@@ -414,16 +410,15 @@ fn resolve_chaos(topo: &Topology, kind: &ChaosKind) -> Result<ResolvedChaos, Com
                     name: topo.node(NodeId(i)).name.clone(),
                 });
             }
-            let cut: Vec<LinkId> = topo
+            // Never empty: parse refuses an empty side and every
+            // parametric topology is connected.
+            let cut = topo
                 .links()
                 .iter()
                 .enumerate()
                 .filter(|(_, l)| side[&l.a.0] != side[&l.b.0])
                 .map(|(i, _)| LinkId(i))
                 .collect();
-            if cut.is_empty() {
-                return Err(CompileError::PartitionNoCut);
-            }
             Ok(ResolvedChaos::Fault(cut))
         }
         ChaosKind::RouterChurn { node: name, .. } => {
@@ -780,19 +775,6 @@ mod tests {
         for (case, got, want) in cases {
             assert_eq!(got, want, "{case}");
         }
-        // No parametric topology is disconnected, so no `.dsc` reaches
-        // a partition that cuts nothing: two hosts and no link do.
-        let mut b = dui_core::netsim::topology::TopologyBuilder::new();
-        let addr = dui_core::netsim::packet::Addr::new;
-        b.host("a", addr(10, 0, 0, 1));
-        b.host("b", addr(10, 0, 0, 2));
-        let split = ChaosKind::Partition {
-            left: vec!["a".into()],
-            right: vec!["b".into()],
-            down: dui_core::netsim::time::SimDuration::from_secs(1),
-        };
-        let err = resolve_chaos(&b.build(), &split).unwrap_err();
-        assert_eq!(err.to_string(), "partition cuts no links");
     }
 
     #[test]

@@ -116,12 +116,17 @@ impl Summary {
 /// [`percentile_sorted`].
 pub fn percentile(data: &[f64], q: f64) -> f64 {
     let mut v = data.to_vec();
+    sort_floats(&mut v);
+    percentile_sorted(&v, q)
+}
+
+/// Sort ascending, in place (stable, so equal values keep their order).
+fn sort_floats(v: &mut [f64]) {
     #[expect(
         clippy::expect_used,
         reason = "documented precondition — percentile input contains no NaN"
     )]
     v.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs in percentile input"));
-    percentile_sorted(&v, q)
 }
 
 /// Percentile of an already-sorted batch.
@@ -140,7 +145,7 @@ pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
 
 /// Median convenience wrapper.
 pub fn median(data: &[f64]) -> f64 {
-    percentile(data, 50.0)
+    median_in_place(&mut data.to_vec())
 }
 
 /// Median absolute deviation (scaled by 1.4826 to be consistent with the
@@ -149,9 +154,25 @@ pub fn median(data: &[f64]) -> f64 {
 /// The Pytheas countermeasure (paper §5) filters per-group QoE reports whose
 /// deviation from the group median exceeds a MAD multiple.
 pub fn mad(data: &[f64]) -> f64 {
-    let med = median(data);
-    let deviations: Vec<f64> = data.iter().map(|x| (x - med).abs()).collect();
-    1.4826 * median(&deviations)
+    median_mad_in_place(&mut data.to_vec()).1
+}
+
+/// [`median`] of `buf`, which it leaves sorted: no copy.
+fn median_in_place(buf: &mut [f64]) -> f64 {
+    sort_floats(buf);
+    percentile_sorted(buf, 50.0)
+}
+
+/// `(median, mad)` of `buf` in one median pass and no copy; `buf` is
+/// left holding the sorted absolute deviations. Bit for bit what sorting
+/// a fresh copy for each median gives: a deviation is never `-0.0`, so
+/// the sorted deviations do not depend on the order they were taken in.
+pub fn median_mad_in_place(buf: &mut [f64]) -> (f64, f64) {
+    let med = median_in_place(buf);
+    for x in buf.iter_mut() {
+        *x = (*x - med).abs();
+    }
+    (med, 1.4826 * median_in_place(buf))
 }
 
 #[cfg(test)]

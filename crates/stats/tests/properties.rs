@@ -2,7 +2,7 @@
 //! `propcheck` engine).
 
 use dui_stats::dist::{self, Binomial, Zipf};
-use dui_stats::summary::{mad, median, percentile, Summary};
+use dui_stats::summary::{mad, median, median_mad_in_place, percentile, Summary};
 use dui_stats::Rng;
 use dui_stats::{prop_assert, prop_assert_eq, prop_check};
 
@@ -109,6 +109,30 @@ prop_check! {
         let above = xs.iter().filter(|&&x| x >= m - 1e-12).count();
         prop_assert!(below * 2 >= xs.len());
         prop_assert!(above * 2 >= xs.len());
+    }
+
+    fn median_and_mad_match_the_copying_reference_bit_for_bit(g) {
+        // Repeats and both zeros, where a sort's tie order could show.
+        let xs = g.vec(1..40, |g| match g.usize(0..4) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => g.f64(-2.0..2.0).round(),
+            _ => g.f64(-1e3..1e3),
+        });
+        // The three-copy form `median` and `mad` had before they shared
+        // one in-place body.
+        let sorted_median = |v: &[f64]| {
+            let mut v = v.to_vec();
+            v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            percentile(&v, 50.0)
+        };
+        let med = sorted_median(&xs);
+        let deviations: Vec<f64> = xs.iter().map(|x| (x - med).abs()).collect();
+        let want = (med, 1.4826 * sorted_median(&deviations));
+        let got = median_mad_in_place(&mut xs.clone());
+        prop_assert_eq!((got.0.to_bits(), got.1.to_bits()), (want.0.to_bits(), want.1.to_bits()));
+        prop_assert_eq!(median(&xs).to_bits(), want.0.to_bits());
+        prop_assert_eq!(mad(&xs).to_bits(), want.1.to_bits());
     }
 
     fn mad_nonnegative_and_zero_for_constant(g) {

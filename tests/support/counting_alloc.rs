@@ -1,6 +1,7 @@
 //! The workspace's one counting allocator, for the test binaries that
-//! measure allocation (`drain_alloc`, `frame_alloc`, `wheel_alloc`,
-//! `hostile_bytes`, `recording_memory`, `flow_pool_budget`). A binary
+//! measure allocation (`drain_alloc`, `frame_alloc`, `supervisor_budget`,
+//! `wheel_alloc`, `hostile_bytes`, `recording_memory`,
+//! `flow_pool_budget`). A binary
 //! includes this file by `#[path]` and installs it with its own line:
 //!
 //! ```ignore
