@@ -11,12 +11,11 @@
 //! no-interference cost.
 //!
 //! ```
-//! use dui_bench::harness::{BenchConfig, run_bench};
+//! use dui_bench::harness::{BenchConfig, Suite};
 //!
-//! let cfg = BenchConfig { warmup_ms: 1, samples: 5, min_batch_us: 50 };
-//! let m = run_bench("sum_1k", &cfg, || {
-//!     std::hint::black_box((0..1000u64).sum::<u64>())
-//! });
+//! let mut suite = Suite::new(BenchConfig { warmup_ms: 1, samples: 5, min_batch_us: 50 });
+//! suite.bench("sum_1k", || std::hint::black_box((0..1000u64).sum::<u64>()));
+//! let m = &suite.results()[0];
 //! assert!(m.median_ns > 0.0 && m.p95_ns >= m.median_ns);
 //! assert_eq!(m.name, "sum_1k");
 //! ```
@@ -70,7 +69,7 @@ pub struct Measurement {
 }
 
 /// Format a nanosecond quantity with an adaptive unit.
-pub fn fmt_ns(ns: f64) -> String {
+fn fmt_ns(ns: f64) -> String {
     if ns < 1_000.0 {
         format!("{ns:8.1} ns")
     } else if ns < 1_000_000.0 {
@@ -96,7 +95,7 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 /// The return value of `f` is passed through [`std::hint::black_box`],
 /// so benchmark closures can simply return the value they compute and
 /// the optimizer cannot delete the work.
-pub fn run_bench<T, F: FnMut() -> T>(name: &str, cfg: &BenchConfig, mut f: F) -> Measurement {
+fn run_bench<T, F: FnMut() -> T>(name: &str, cfg: &BenchConfig, mut f: F) -> Measurement {
     // Warmup: run for the budget, counting iterations to calibrate.
     let warmup = Duration::from_millis(cfg.warmup_ms.max(1));
     let start = Instant::now();

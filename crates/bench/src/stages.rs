@@ -244,7 +244,7 @@ pub struct Fig2Opts {
 impl Fig2Opts {
     /// The paper-scale configuration: 50 replicates of the Fig. 2
     /// scenario under master seed 1.
-    pub fn paper() -> Self {
+    fn paper() -> Self {
         Fig2Opts {
             cfg: AttackSimConfig::fig2(),
             replicates: 50,

@@ -66,7 +66,7 @@ impl AttackModel {
     }
 
     /// Distribution of the malicious cell count at time `t`.
-    pub fn count_distribution(&self, t: f64) -> Binomial {
+    fn count_distribution(&self, t: f64) -> Binomial {
         Binomial::new(self.cells, self.cell_probability(t))
     }
 

@@ -2,19 +2,25 @@
 //! *timing* is plausible before rerouting.
 //!
 //! On a real path failure, each flow's first retransmission arrives one
-//! retransmission timeout after its last delivered segment — so the gap
-//! between a monitored flow's previous packet and its retransmission
-//! follows the (learned) RTO distribution: for fresh flows around the
-//! 1 s initial RTO, for established flows `srtt + 4·rttvar` with a
-//! ~200 ms floor. An attacker forging retransmissions on its own schedule
-//! produces gaps that match its keep-alive cadence instead. "Manipulating
-//! Blink would then require an attacker to know the RTT distribution of
-//! the legitimate flows forwarded by the Blink router, information that
-//! is hard to obtain for an attacker with host or MitM privileges."
+//! retransmission timeout after its last delivered segment, so the gap
+//! between a monitored flow's previous packet and its retransmission is
+//! an RTO. Every `TcpHost` flow uses `RttEstimator::default()`, whose RTO
+//! has RFC 6298's 1 s floor: the 1 s initial RTO for fresh flows,
+//! `max(1 s, srtt + 4·rttvar)` for established ones. An attacker forging
+//! retransmissions on its own schedule produces gaps that match its
+//! keep-alive cadence instead.
 //!
-//! The guard learns the expected gap band during peacetime and, when the
-//! detector fires, computes the fraction of retransmitting flows whose
-//! gap falls inside the band; below a threshold, the reroute is vetoed.
+//! The band of plausible gaps is fixed, not learned: `MIN_PLAUSIBLE_GAP`
+//! = 500 ms to `MAX_PLAUSIBLE_GAP` = 8 s. When the detector fires, the
+//! guard computes the fraction of the retransmitting monitored flows
+//! whose last retransmission gap falls inside the band, and vetoes the
+//! reroute when it is below `MIN_PLAUSIBLE_FRACTION` = 0.6. So an
+//! attacker that paces its fakes at gaps of 1 s or more passes. The
+//! paper's suggestion is stronger: monitor the RTT distribution of the
+//! flows and approximate the expected RTO distribution on a failure, so
+//! that "manipulating Blink would then require an attacker to know the
+//! RTT distribution of the legitimate flows forwarded by the Blink
+//! router". This guard does not monitor RTTs.
 
 use crate::supervisor::Risk;
 use dui_blink::program::RerouteGuard;
@@ -43,7 +49,7 @@ pub struct BlinkRtoGuard {
 impl BlinkRtoGuard {
     /// Fraction of currently-retransmitting monitored flows whose
     /// retransmission gap is RTO-plausible.
-    pub fn plausible_fraction(&self, now: SimTime, selector: &FlowSelector) -> f64 {
+    fn plausible_fraction(&self, now: SimTime, selector: &FlowSelector) -> f64 {
         let window = selector.params().retx_window;
         let mut retransmitting = 0u32;
         let mut plausible = 0u32;
@@ -89,34 +95,39 @@ mod tests {
         SimTime::ZERO + SimDuration::from_millis(ms)
     }
 
-    /// Populate a selector and retransmit from every monitored flow with
-    /// the given gap between last packet and retransmission.
-    fn storm_with_gap(gap_ms: u64) -> (FlowSelector, SimTime) {
-        let mut s = FlowSelector::new(BlinkParams::default());
+    /// Populate a selector with one monitored flow per entry of `gaps_ms`,
+    /// and have each retransmit at the same instant, that flow's gap after
+    /// its previous segment. Returns the selector and the instant. The
+    /// selector neither evicts nor resets a flow within the storm, so every
+    /// gap reaches the guard: the default 2 s eviction timeout would drop a
+    /// flow silent for longer before it retransmits.
+    fn storm(gaps_ms: &[u64]) -> (FlowSelector, SimTime) {
+        let mut s = FlowSelector::new(BlinkParams {
+            eviction_timeout: SimDuration::from_secs(60),
+            reset_interval: SimDuration::from_secs(60),
+            ..BlinkParams::default()
+        });
         let mut monitored = Vec::new();
         let mut i = 0u16;
-        while monitored.len() < 48 && i < 5000 {
+        while monitored.len() < gaps_ms.len() && i < 5000 {
             i += 1;
             if s.on_packet(t(0), key(i), 100, false) == Observation::Sampled {
                 monitored.push(key(i));
             }
         }
-        // Each flow sends a normal segment at t=1000, then "retransmits"
-        // gap_ms later.
-        for k in &monitored {
-            s.on_packet(t(1000), *k, 200, false);
+        assert_eq!(monitored.len(), gaps_ms.len(), "enough flows sampled");
+        let now = t(20_000);
+        for (k, &gap) in monitored.iter().zip(gaps_ms) {
+            s.on_packet(t(20_000 - gap), *k, 200, false);
+            s.on_packet(now, *k, 200, false);
         }
-        let retx_t = t(1000 + gap_ms);
-        for k in &monitored {
-            s.on_packet(retx_t, *k, 200, false);
-        }
-        (s, retx_t)
+        (s, now)
     }
 
     #[test]
     fn genuine_rto_storm_passes() {
         // Real failure: flows retransmit after ~1 s (initial RTO).
-        let (s, now) = storm_with_gap(1000);
+        let (s, now) = storm(&[1000; 48]);
         let mut g = BlinkRtoGuard::default();
         assert!(g.allow(now, &s), "RTO-consistent storm must pass");
         assert!(g.last_risk.0 < 0.4);
@@ -126,7 +137,7 @@ mod tests {
     fn fast_fake_storm_vetoed() {
         // Attacker retransmits 250 ms after the previous packet — its
         // keep-alive cadence, well under the 1 s RFC 6298 RTO floor.
-        let (s, now) = storm_with_gap(250);
+        let (s, now) = storm(&[250; 48]);
         let mut g = BlinkRtoGuard::default();
         assert!(!g.allow(now, &s), "sub-RTO gaps are implausible");
         assert!(g.last_risk.0 > 0.6);
@@ -139,36 +150,40 @@ mod tests {
         assert_eq!(g.plausible_fraction(t(0), &s), 1.0);
     }
 
+    /// The band is the fixed 500 ms – 8 s, inclusive, whatever the flows'
+    /// RTTs: 1 s and 8 s gaps pass, 250 ms and just over 8 s do not.
     #[test]
-    fn mixed_storm_scored_proportionally() {
-        // Half the flows retransmit plausibly, half too fast: fraction ≈ 0.5,
-        // below the 0.6 default bar.
-        let mut s = FlowSelector::new(BlinkParams::default());
-        let mut monitored = Vec::new();
-        let mut i = 0u16;
-        while monitored.len() < 40 && i < 5000 {
-            i += 1;
-            if s.on_packet(t(0), key(i), 100, false) == Observation::Sampled {
-                monitored.push(key(i));
-            }
-        }
-        for k in &monitored {
-            s.on_packet(t(1000), *k, 200, false);
-        }
-        for (n, k) in monitored.iter().enumerate() {
-            // Plausible half retransmits at +1000 ms, the rest at +20 ms —
-            // but all inside the detector window relative to "now".
-            let gap = if n % 2 == 0 { 1000 } else { 20 };
-            s.on_packet(t(1000 + gap), *k, 200, false);
-        }
-        let now = t(2000);
+    fn the_plausible_band_is_fixed_at_half_a_second_to_eight_seconds() {
         let g = BlinkRtoGuard::default();
-        let frac = g.plausible_fraction(now, &s);
-        // Only the +1000ms retransmissions are still in the 800 ms window
-        // at t=2000... choose now inside both windows instead:
-        let now = t(2010);
-        let frac2 = g.plausible_fraction(now, &s);
-        assert!(frac <= 1.0 && frac2 <= 1.0);
+        for (gap_ms, plausible) in [
+            (250, false),
+            (499, false),
+            (500, true),
+            (1000, true),
+            (8000, true),
+            (8001, false),
+        ] {
+            let (s, now) = storm(&[gap_ms; 48]);
+            let want = if plausible { 1.0 } else { 0.0 };
+            assert_eq!(g.plausible_fraction(now, &s), want, "{gap_ms} ms");
+        }
+    }
+
+    /// A reroute passes when at least 0.6 of the retransmitting flows'
+    /// gaps are plausible: 24 of 40 pass, 23 of 40 do not.
+    #[test]
+    fn a_reroute_needs_three_fifths_of_the_gaps_plausible() {
+        assert_eq!(MIN_PLAUSIBLE_FRACTION, 0.6);
+        let gaps = |plausible: usize| -> Vec<u64> {
+            (0..40)
+                .map(|n| if n < plausible { 1000 } else { 250 })
+                .collect()
+        };
+        let mut g = BlinkRtoGuard::default();
+        let (s, now) = storm(&gaps(24));
+        assert!(g.allow(now, &s), "24 of 40 plausible");
+        let (s, now) = storm(&gaps(23));
+        assert!(!g.allow(now, &s), "23 of 40 plausible");
     }
 
     #[test]

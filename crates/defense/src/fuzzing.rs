@@ -109,7 +109,7 @@ impl BlinkFuzzer {
     /// Replay and return `(peak retransmitting flows, total retransmission
     /// events)` — the second term smooths the fitness landscape for the
     /// search.
-    pub fn evaluate_full(&self, seq: &[FuzzPacket]) -> (usize, u64) {
+    fn evaluate_full(&self, seq: &[FuzzPacket]) -> (usize, u64) {
         use dui_blink::selector::Observation;
         let mut selector = FlowSelector::new(BlinkParams::default());
         let mut seqs = vec![1_000u32; self.pool.len()];

@@ -9,9 +9,8 @@
 //! |---|---|---|
 //! | [`supervisor`] | Fig. 3, points III–IV | generic: the [`Risk`] estimate every signal returns |
 //! | [`blink_guard`] | "Blink could monitor the RTT distribution … approximate the expected RTO distribution upon a failure" | Blink (§3.1 attack) |
-//! | [`pytheas_guard`] | "look at the distribution of throughput across all clients in a group … the low-throughput clients can be tackled separately" | Pytheas (§4.1 attack) |
+//! | [`pytheas_guard`] | "look at the distribution of throughput across all clients in a group … the low-throughput clients can be tackled separately"; its `mad_band` is also point I's "many independent inputs": a median over many inputs | Pytheas (§4.1 attack) |
 //! | [`pcc_guard`] | "monitor when packets are dropped in every +ε or −ε phase as well as limit the amplitude of the oscillations" | PCC (§4.2 attack) |
-//! | [`input_quality`] | point I: "improving input quality by using many independent inputs" | generic |
 //! | [`fuzzing`] | point II: "fuzzing techniques that enable auto-generation of (realistic) adversarial inputs" | testing Blink |
 //! | [`streaming`] | Fig. 3's loop: incremental `observe(delta) -> Risk` with windowed state | all three — online in [`supervisord`], with a window of one in the `defenses` stage |
 //! | [`supervisord`] | Fig. 3, point IV: the supervisor outside the fast path | all three — sharded online evaluation of the [`streaming`] signals, risk mapped to allow / constrain / veto |
@@ -20,7 +19,6 @@
 
 pub mod blink_guard;
 pub mod fuzzing;
-pub mod input_quality;
 pub mod pcc_guard;
 pub mod pytheas_guard;
 pub mod streaming;

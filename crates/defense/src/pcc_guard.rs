@@ -88,7 +88,7 @@ impl PccLossPatternMonitor {
     /// More sensitive than presence asymmetry when benign congestion loss
     /// afflicts both directions and the attack merely adds extra loss on
     /// top of the high side.
-    pub fn magnitude_asymmetry(&self) -> f64 {
+    fn magnitude_asymmetry(&self) -> f64 {
         if self.high_total == 0 || self.low_total == 0 {
             return 0.0;
         }
@@ -104,7 +104,7 @@ impl PccLossPatternMonitor {
     /// Risk that the path is adversarial: the stronger of the presence
     /// asymmetry `P(loss | high) − P(loss | low)` (near 0 on honest
     /// paths, near +1 under the §4.2 equalizer) and the
-    /// [magnitude](Self::magnitude_asymmetry) one. Fewer than 10
+    /// magnitude one, `(L̄_high − L̄_low) / (L̄_high + L̄_low)`. Fewer than 10
     /// intervals on either side is too few to accuse anyone. The one
     /// body of the rule, streamed by
     /// [`DropPatternWindow`](crate::streaming::DropPatternWindow).

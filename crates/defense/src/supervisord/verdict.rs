@@ -106,7 +106,7 @@ impl Verdict {
     /// (no trailing newline). Field order is fixed and floats print via
     /// the workspace's deterministic formatter, so equal verdicts always
     /// produce equal bytes.
-    pub fn write_json_line(&self, out: &mut String) {
+    fn write_json_line(&self, out: &mut String) {
         let _ = write!(
             out,
             "{{\"epoch\":{},\"producer\":{},\"seq\":{},\"group\":",

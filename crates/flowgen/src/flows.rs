@@ -32,11 +32,6 @@ impl SyntheticFlow {
         self.start + self.duration
     }
 
-    /// Is the flow active at `t`?
-    pub fn active_at(&self, t: SimTime) -> bool {
-        t >= self.start && t < self.end()
-    }
-
     /// Number of packets the flow emits.
     pub fn packet_count(&self) -> u64 {
         if self.pkt_interval == SimDuration::ZERO {
@@ -197,11 +192,6 @@ impl FlowPopulation {
             prefix: self.prefix,
         }
     }
-
-    /// Number of flows active at `t`.
-    pub fn active_at(&self, t: SimTime) -> usize {
-        self.flows.iter().filter(|f| f.active_at(t)).count()
-    }
 }
 
 /// Draw a random flow key whose destination lies inside `prefix`.
@@ -309,17 +299,13 @@ mod tests {
     }
 
     #[test]
-    fn active_at_counts() {
+    fn packet_count_includes_both_ends() {
         let f = SyntheticFlow {
             key: random_key_in_prefix(prefix(), &mut Rng::new(7), 1),
             start: SimTime::from_secs(10),
             duration: SimDuration::from_secs(5),
             pkt_interval: SimDuration::from_millis(100),
         };
-        assert!(!f.active_at(SimTime::from_secs(9)));
-        assert!(f.active_at(SimTime::from_secs(10)));
-        assert!(f.active_at(SimTime::from_secs(14)));
-        assert!(!f.active_at(SimTime::from_secs(15)));
         assert_eq!(f.packet_count(), 51);
     }
 

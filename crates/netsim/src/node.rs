@@ -2,7 +2,7 @@
 //! with its data-plane program hook (our stand-in for a P4-programmable
 //! switch), and a simple [`SinkHost`].
 
-use crate::packet::{Addr, FlowKey, Header, Packet, Prefix};
+use crate::packet::{Addr, FlowKey, Header, Packet};
 use crate::sim::Ctx;
 use crate::time::SimTime;
 use crate::topology::NodeId;
@@ -378,15 +378,6 @@ impl NodeLogic for SinkHost {
         self.total_packets = total_packets;
         Ok(())
     }
-}
-
-/// Announce helper: a `(prefix, node)` pair bundled for scenario builders.
-#[derive(Debug, Clone, Copy)]
-pub struct Announcement {
-    /// The prefix.
-    pub prefix: Prefix,
-    /// The sink node.
-    pub node: NodeId,
 }
 
 #[cfg(test)]

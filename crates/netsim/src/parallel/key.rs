@@ -68,28 +68,21 @@ pub fn final_key(origin: u64, pos: u32) -> u128 {
 /// `record`-th domain-local dispatch as its `pos`-th schedule call.
 ///
 /// ```
-/// use dui_netsim::parallel::key::{final_key, is_provisional, provisional_key};
+/// use dui_netsim::parallel::key::{final_key, provisional_key};
 /// // Provisional keys sort after every resolved key at the same time.
 /// assert!(provisional_key(0, 0) > final_key(u64::MAX, u32::MAX));
-/// assert!(is_provisional(provisional_key(3, 1)));
-/// assert!(!is_provisional(final_key(3, 1)));
 /// ```
 pub fn provisional_key(record: u32, pos: u32) -> u128 {
     PROVISIONAL_BIT | ((record as u128) << 32) | pos as u128
 }
 
 /// Is this a provisional (unresolved) key?
-pub fn is_provisional(key: u128) -> bool {
+fn is_provisional(key: u128) -> bool {
     key & PROVISIONAL_BIT != 0
 }
 
 /// Split a provisional key back into `(record, pos)`.
-///
-/// ```
-/// use dui_netsim::parallel::key::{provisional_key, provisional_parts};
-/// assert_eq!(provisional_parts(provisional_key(7, 42)), (7, 42));
-/// ```
-pub fn provisional_parts(key: u128) -> (u32, u32) {
+fn provisional_parts(key: u128) -> (u32, u32) {
     debug_assert!(is_provisional(key));
     (
         ((key >> 32) & 0xFFFF_FFFF) as u32,
@@ -122,6 +115,13 @@ mod tests {
         assert!(final_key(5, 9) < final_key(6, 0));
         // Provisional keys are lexicographic in (record, pos).
         assert!(provisional_key(1, 9) < provisional_key(2, 0));
+    }
+
+    #[test]
+    fn provisional_keys_are_marked_and_split_back() {
+        assert!(is_provisional(provisional_key(3, 1)));
+        assert!(!is_provisional(final_key(3, 1)));
+        assert_eq!(provisional_parts(provisional_key(7, 42)), (7, 42));
     }
 
     #[test]

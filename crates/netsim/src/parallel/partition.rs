@@ -13,7 +13,7 @@
 //! in the worst case, to a single domain and a sequential run).
 
 use crate::time::SimDuration;
-use crate::topology::{LinkId, NodeId, Topology};
+use crate::topology::{NodeId, Topology};
 
 /// Default lookahead floor: links faster than this are contracted into
 /// one domain. One microsecond comfortably exceeds every serialization
@@ -29,7 +29,6 @@ pub fn default_lookahead_floor() -> SimDuration {
 pub struct DomainMap {
     domain_of: Vec<u32>,
     domains: Vec<Vec<NodeId>>,
-    cut_links: Vec<LinkId>,
     lookahead: SimDuration,
 }
 
@@ -94,22 +93,17 @@ impl DomainMap {
             domain_of[i] = domain_of[root];
             domains[domain_of[i] as usize].push(NodeId(i));
         }
-        // Cut links and the lookahead they permit.
-        let mut cut_links = Vec::new();
-        let mut lookahead = SimDuration(u64::MAX);
-        for (li, link) in topo.links().iter().enumerate() {
-            if domain_of[link.a.0] != domain_of[link.b.0] {
-                cut_links.push(LinkId(li));
-                lookahead = lookahead.min(link.delay);
-            }
-        }
-        if cut_links.is_empty() {
-            lookahead = SimDuration::ZERO;
-        }
+        // The lookahead the cut links permit.
+        let lookahead = topo
+            .links()
+            .iter()
+            .filter(|link| domain_of[link.a.0] != domain_of[link.b.0])
+            .map(|link| link.delay)
+            .min()
+            .unwrap_or(SimDuration::ZERO);
         DomainMap {
             domain_of,
             domains,
-            cut_links,
             lookahead,
         }
     }
@@ -127,11 +121,6 @@ impl DomainMap {
     /// Member nodes per domain (each sorted ascending by node id).
     pub fn domains(&self) -> &[Vec<NodeId>] {
         &self.domains
-    }
-
-    /// Links whose endpoints live in different domains.
-    pub fn cut_links(&self) -> &[LinkId] {
-        &self.cut_links
     }
 
     /// Conservative lookahead: the minimum propagation delay over the cut
@@ -173,13 +162,21 @@ mod tests {
         b.build()
     }
 
+    /// Links whose endpoints live in different domains.
+    fn cut_count(topo: &Topology, map: &DomainMap) -> usize {
+        topo.links()
+            .iter()
+            .filter(|l| map.domain_of(l.a) != map.domain_of(l.b))
+            .count()
+    }
+
     #[test]
     fn all_slow_links_make_singleton_domains() {
         let d = SimDuration::from_millis(2);
         let topo = chain(&[d, d, d]);
         let map = DomainMap::partition(&topo, default_lookahead_floor());
         assert_eq!(map.domain_count(), 4);
-        assert_eq!(map.cut_links().len(), 3);
+        assert_eq!(cut_count(&topo, &map), 3);
         assert_eq!(map.lookahead(), d);
     }
 
@@ -190,7 +187,7 @@ mod tests {
         let topo = chain(&[fast, slow, fast]);
         let map = DomainMap::partition(&topo, default_lookahead_floor());
         assert_eq!(map.domain_count(), 2);
-        assert_eq!(map.cut_links().len(), 1);
+        assert_eq!(cut_count(&topo, &map), 1);
         assert_eq!(map.lookahead(), slow);
         assert_eq!(map.domain_of(NodeId(0)), map.domain_of(NodeId(1)));
         assert_eq!(map.domain_of(NodeId(2)), map.domain_of(NodeId(3)));

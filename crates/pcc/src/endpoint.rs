@@ -91,11 +91,6 @@ impl PccSender {
         self.acct.history()
     }
 
-    /// The controller (for assertions on decisions/phase).
-    pub fn controller(&self) -> &Controller {
-        &self.controller
-    }
-
     /// Completed decisions.
     pub fn decisions(&self) -> &[Decision] {
         &self.controller.decisions

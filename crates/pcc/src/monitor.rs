@@ -23,13 +23,6 @@ pub struct MiReport {
     pub duration: SimDuration,
 }
 
-impl MiReport {
-    /// Achieved goodput in bytes/second given `pkt_size` payload bytes.
-    pub fn goodput(&self, pkt_size: u32) -> f64 {
-        self.delivered as f64 * pkt_size as f64 / self.duration.as_secs_f64().max(1e-9)
-    }
-}
-
 #[derive(Debug, Clone)]
 struct OpenMi {
     id: u64,
@@ -253,19 +246,5 @@ mod tests {
         acc.open_mi(t(0), t(100), 1e6);
         let reports = acc.finalize_due(t(500), SimDuration::ZERO);
         assert_eq!(reports[0].loss, 0.0);
-    }
-
-    #[test]
-    fn goodput_math() {
-        let r = MiReport {
-            id: 0,
-            rate: 0.0,
-            sent: 100,
-            delivered: 50,
-            loss: 0.5,
-            start: t(0),
-            duration: SimDuration::from_millis(100),
-        };
-        assert!((r.goodput(1000) - 500_000.0).abs() < 1.0);
     }
 }

@@ -50,7 +50,7 @@ pub const VERSION: u64 = 6;
 /// Most names one recording holds: its subject's event kinds and
 /// checkpoint component names, a few dozen at most. A `.duir` naming
 /// more is refused before a slot is reserved for any of them.
-pub const MAX_NAMES: usize = 64;
+const MAX_NAMES: usize = 64;
 
 // ---------------------------------------------------------------------------
 // Frames and the Recording container
@@ -215,7 +215,7 @@ type EventRecord = (Var, (Var<u32>, u64));
 
 impl Recording {
     /// Intern `name`, returning its table index. Panics on a new name
-    /// once the table holds [`MAX_NAMES`]: no reader would take it.
+    /// once the table holds `MAX_NAMES` (64): no reader would take it.
     #[expect(
         clippy::cast_possible_truncation,
         reason = "the table holds at most MAX_NAMES names, far below u32::MAX"

@@ -24,7 +24,7 @@ use dui_stats::wire::{Encoder, Walk};
 
 /// Digest of an [`AttackSimConfig`] plus seed: binds a recording to one
 /// exact fast-simulation setup.
-pub fn attack_sim_config_digest(cfg: &AttackSimConfig, seed: u64) -> u64 {
+fn attack_sim_config_digest(cfg: &AttackSimConfig, seed: u64) -> u64 {
     let mut d = StateDigest::labeled("fastsim-config");
     d.write_usize(cfg.params.cells);
     d.write_u64(cfg.params.eviction_timeout.0);

@@ -52,13 +52,6 @@ pub struct RunReport {
     pub delivered: u64,
 }
 
-impl RunReport {
-    /// Did every expectation hold?
-    pub fn passed(&self) -> bool {
-        self.checks.iter().all(|c| c.pass)
-    }
-}
-
 impl Compiled {
     /// Run sequentially (the reference configuration).
     pub fn run(&self) -> RunReport {

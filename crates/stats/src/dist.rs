@@ -32,7 +32,7 @@ pub fn pareto(rng: &mut Rng, xm: f64, alpha: f64) -> f64 {
 }
 
 /// Sample a standard normal via Box–Muller.
-pub fn std_normal(rng: &mut Rng) -> f64 {
+fn std_normal(rng: &mut Rng) -> f64 {
     let u1 = rng.f64_open();
     let u2 = rng.f64();
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
@@ -243,18 +243,6 @@ impl Binomial {
     }
 }
 
-/// Sample a geometric count: number of Bernoulli(`p`) failures before the
-/// first success. Returns `u64::MAX` if `p <= 0` would loop forever (callers
-/// should validate, this is a backstop).
-pub fn geometric(rng: &mut Rng, p: f64) -> u64 {
-    assert!(p > 0.0 && p <= 1.0, "geometric needs p in (0,1]");
-    // Inverse CDF: floor(ln(U)/ln(1-p)).
-    if p >= 1.0 {
-        return 0;
-    }
-    (rng.f64_open().ln() / (1.0 - p).ln()).floor() as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,14 +370,6 @@ mod tests {
         let mut r = Rng::new(7);
         let m = mean_of((0..20_000).map(|_| b.sample(&mut r) as f64));
         assert!((m - b.mean()).abs() < 0.1, "m = {m}");
-    }
-
-    #[test]
-    fn geometric_mean() {
-        let mut r = Rng::new(8);
-        // mean failures before success = (1-p)/p = 3 for p = 0.25
-        let m = mean_of((0..200_000).map(|_| geometric(&mut r, 0.25) as f64));
-        assert!((m - 3.0).abs() < 0.05, "m = {m}");
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::wire::{wire_struct, ErrorKind};
 /// Used for seeding and for cheap stateless hashing (e.g. the Blink flow
 /// selector hashes 5-tuples with it).
 #[inline]
-pub fn splitmix64(state: &mut u64) -> u64 {
+fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -49,14 +49,6 @@ impl TimeSeries {
             i => Some(self.points[i - 1].1),
         }
     }
-
-    /// First time at which the value reaches `threshold` (>=). `None` if never.
-    pub fn first_crossing(&self, threshold: f64) -> Option<f64> {
-        self.points
-            .iter()
-            .find(|&&(_, v)| v >= threshold)
-            .map(|&(t, _)| t)
-    }
 }
 
 /// Per-time-point aggregate over many aligned runs of the same experiment.
@@ -148,13 +140,6 @@ mod tests {
         assert_eq!(s.at(2.9), Some(10.0));
         assert_eq!(s.at(3.0), Some(30.0));
         assert_eq!(s.at(99.0), Some(30.0));
-    }
-
-    #[test]
-    fn first_crossing_finds_threshold() {
-        let s = series(&[(0.0, 0.0), (10.0, 16.0), (20.0, 32.0), (30.0, 40.0)]);
-        assert_eq!(s.first_crossing(32.0), Some(20.0));
-        assert_eq!(s.first_crossing(100.0), None);
     }
 
     #[test]

@@ -112,8 +112,7 @@ impl Summary {
 
 /// Percentile of a batch by linear interpolation between closest ranks.
 ///
-/// `q` in `[0, 100]`. Sorts a copy; for hot paths pre-sort and use
-/// [`percentile_sorted`].
+/// `q` in `[0, 100]`. Sorts a copy.
 pub fn percentile(data: &[f64], q: f64) -> f64 {
     let mut v = data.to_vec();
     sort_floats(&mut v);
@@ -130,7 +129,7 @@ fn sort_floats(v: &mut [f64]) {
 }
 
 /// Percentile of an already-sorted batch.
-pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
+fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
     assert!((0.0..=100.0).contains(&q), "q must be in [0,100]");
     assert!(!sorted.is_empty(), "percentile of empty data");
     if sorted.len() == 1 {

@@ -134,7 +134,7 @@ impl DapperDiagnoser {
     }
 
     /// Loss rate proxy: retransmitted fraction of data segments.
-    pub fn retx_rate(&self) -> f64 {
+    fn retx_rate(&self) -> f64 {
         if self.data_segments == 0 {
             0.0
         } else {
@@ -144,7 +144,7 @@ impl DapperDiagnoser {
 
     /// Fraction of samples where the flight filled ≥80% of the advertised
     /// window.
-    pub fn rwnd_pressure_rate(&self) -> f64 {
+    fn rwnd_pressure_rate(&self) -> f64 {
         if self.rwnd_samples == 0 {
             0.0
         } else {
@@ -153,7 +153,7 @@ impl DapperDiagnoser {
     }
 
     /// Idle-gap rate per data segment.
-    pub fn idle_rate(&self) -> f64 {
+    fn idle_rate(&self) -> f64 {
         if self.data_segments == 0 {
             0.0
         } else {

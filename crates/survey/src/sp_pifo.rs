@@ -70,11 +70,6 @@ impl SpPifo {
         self.queues.len()
     }
 
-    /// Current bounds (for inspection).
-    pub fn bounds(&self) -> &[i64] {
-        &self.bounds
-    }
-
     /// Packets currently enqueued.
     pub fn len(&self) -> usize {
         self.queues.iter().map(|q| q.len()).sum()

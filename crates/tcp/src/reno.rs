@@ -29,18 +29,8 @@ impl Reno {
         self.cwnd.max(1.0) as u32
     }
 
-    /// Raw fractional window.
-    pub fn cwnd(&self) -> f64 {
-        self.cwnd
-    }
-
-    /// Slow-start threshold.
-    pub fn ssthresh(&self) -> f64 {
-        self.ssthresh
-    }
-
     /// In slow start?
-    pub fn in_slow_start(&self) -> bool {
+    fn in_slow_start(&self) -> bool {
         self.cwnd < self.ssthresh
     }
 
@@ -101,13 +91,13 @@ mod tests {
         let mut r = Reno::new(10.0);
         r.on_fast_retransmit(); // ssthresh = 5, cwnd = 5 -> now in CA
         assert!(!r.in_slow_start());
-        let start = r.cwnd();
+        let start = r.cwnd;
         // cwnd ACKs ≈ one RTT => +1 segment.
         for _ in 0..(start as u32) {
             r.on_ack();
         }
         // cwnd-many ACKs give slightly less than +1 (harmonic sum), ~0.93.
-        assert!((r.cwnd() - (start + 1.0)).abs() < 0.15);
+        assert!((r.cwnd - (start + 1.0)).abs() < 0.15);
     }
 
     #[test]
@@ -115,7 +105,7 @@ mod tests {
         let mut r = Reno::new(16.0);
         r.on_fast_retransmit();
         assert_eq!(r.cwnd_segments(), 8);
-        assert_eq!(r.ssthresh(), 8.0);
+        assert_eq!(r.ssthresh, 8.0);
     }
 
     #[test]
@@ -123,7 +113,7 @@ mod tests {
         let mut r = Reno::new(16.0);
         r.on_timeout();
         assert_eq!(r.cwnd_segments(), 1);
-        assert_eq!(r.ssthresh(), 8.0);
+        assert_eq!(r.ssthresh, 8.0);
         assert!(r.in_slow_start());
     }
 
@@ -131,7 +121,7 @@ mod tests {
     fn ssthresh_floor_is_two() {
         let mut r = Reno::new(1.0);
         r.on_timeout();
-        assert_eq!(r.ssthresh(), 2.0);
+        assert_eq!(r.ssthresh, 2.0);
     }
 
     #[test]

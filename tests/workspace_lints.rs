@@ -13,8 +13,10 @@
 //! which crates may name the crate that holds them, that the chapter
 //! lists exactly what is declared, that the architecture chapter maps
 //! exactly the crates and public modules there are, that the flow pool
-//! chapter states the sizes the pool's layout test pins, and that the
-//! reproduction map states the paper constants the code declares.
+//! chapter states the sizes the pool's layout test pins, that the
+//! reproduction map states the paper constants the code declares, and
+//! that every public item in library code has a caller outside its file
+//! (docs/lint.md §Reachability).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -820,4 +822,279 @@ fn docs_list_exactly_the_declared_lints() {
             );
         }
     }
+}
+
+/// Public items that fail the reachability lint and stay, as `(file,
+/// name, reason)`. A row goes when its item does or when a caller
+/// appears: `every_public_item_has_a_caller` fails on a stale row.
+const KEPT: &[(&str, &str, &str)] = &[
+    (
+        "crates/survey/src/ron.rs",
+        "set_true_path",
+        "the one writer of RON's ground-truth paths: ron.rs's unit tests \
+         genuine_failure_recovered_via_relay and latency_tiebreak_prefers_faster_relay \
+         set up genuine loss and delay with it, and a test-local copy would write the \
+         overlay's private fields",
+    ),
+    (
+        "crates/survey/src/ron.rs",
+        "true_delivery",
+        "the one reader of RON's ground-truth paths: ron.rs's unit tests \
+         healthy_overlay_routes_direct and genuine_failure_recovered_via_relay check \
+         routing around genuine loss with it, and a test-local copy would read the \
+         overlay's private fields",
+    ),
+];
+
+/// Whether `line` (trimmed) opens a re-export or a module declaration,
+/// `pub use …` or `pub mod …` (with any visibility restriction): a name
+/// there exports an item, it does not use it.
+fn reexports(line: &str) -> bool {
+    let Some(rest) = line.strip_prefix("pub") else {
+        return false;
+    };
+    let rest = match rest.strip_prefix('(') {
+        Some(inner) => inner.split_once(')').map_or("", |(_, r)| r),
+        None => rest,
+    };
+    rest.starts_with(" use ") || rest.starts_with(" mod ")
+}
+
+/// The identifiers in `text`, in order.
+fn identifiers(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|w| w.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_'))
+}
+
+/// The public item `line` (trimmed) declares, as (`is_type`, name):
+/// `pub fn`, `pub const fn`, `pub const`, `pub static`, `pub struct`,
+/// `pub enum`, `pub trait` or `pub type`. `pub(crate)` and narrower items
+/// are not public.
+fn public_item(line: &str) -> Option<(bool, &str)> {
+    let rest = line.strip_prefix("pub ")?;
+    let rest = rest
+        .strip_prefix("const ")
+        .filter(|r| r.starts_with("fn "))
+        .unwrap_or(rest);
+    let (kw, rest) = rest.split_once(' ')?;
+    let is_type = match kw {
+        "fn" | "const" | "static" => false,
+        "struct" | "enum" | "trait" | "type" => true,
+        _ => return None,
+    };
+    let name = identifiers(rest).next()?;
+    rest.starts_with(name).then_some((is_type, name))
+}
+
+/// The identifiers an `impl` header names outside generic arguments: the
+/// implemented type and the trait, which do not count as a use of either.
+fn impl_header_names(line: &str) -> BTreeSet<String> {
+    let (mut depth, mut bare) = (0, String::new());
+    for c in line.chars() {
+        match c {
+            '<' => depth += 1,
+            '>' => depth -= 1,
+            _ if depth == 0 => bare.push(c),
+            _ => {}
+        }
+    }
+    identifiers(&bare).map(str::to_string).collect()
+}
+
+/// `line` with its string literals' contents and any trailing comment
+/// blanked, except an identifier right after a `{` in a string (an
+/// inline format argument). `in_str` carries a string that runs on past
+/// the end of the line.
+fn blank_strings(line: &str, in_str: &mut bool) -> String {
+    let c: Vec<char> = line.chars().collect();
+    let mut out = String::with_capacity(line.len());
+    let mut i = 0;
+    while i < c.len() {
+        let (ch, next) = (c[i], c.get(i + 1).copied());
+        i += 1;
+        if *in_str {
+            match ch {
+                '\\' => i += 1,
+                '"' => *in_str = false,
+                '{' => {
+                    while c
+                        .get(i)
+                        .is_some_and(|d| d.is_ascii_alphanumeric() || *d == '_')
+                    {
+                        out.push(c[i]);
+                        i += 1;
+                    }
+                }
+                _ => {}
+            }
+            out.push(' ');
+            continue;
+        }
+        match (ch, next) {
+            ('"', _) => {
+                *in_str = true;
+                out.push(' ');
+            }
+            ('/', Some('/')) => break,
+            // A character literal: `'"'`, or an escape such as `'\''`.
+            ('\'', Some('\\')) => i += 3,
+            ('\'', _) if c.get(i + 1) == Some(&'\'') => i += 2,
+            _ => out.push(ch),
+        }
+    }
+    out
+}
+
+/// The reachability scan over `(path, source, is_library)` files: every
+/// public item in the library part (above `mod tests`) of a library file
+/// that no other file names, as `path: name`. A name counts where code
+/// names it; comments (doc-tests among them), string literals and
+/// `pub use` / `pub mod` statements do not. A type or trait also counts
+/// as named when its own file's library part names it outside its
+/// definition line and the `impl` headers. Each file is tokenised once.
+fn unreached(files: &[(&str, &str, bool)]) -> Vec<String> {
+    // In how many files each identifier appears.
+    let mut spread: BTreeMap<String, usize> = BTreeMap::new();
+    let mut scans = Vec::new();
+    for (path, src, is_library) in files {
+        let (mut named, mut own, mut items) = (BTreeSet::new(), BTreeSet::new(), Vec::new());
+        let (mut in_tests, mut in_reexport, mut in_str) = (false, false, false);
+        for line in code_lines(src).lines() {
+            in_tests |= line.starts_with("mod tests");
+            let line = blank_strings(line, &mut in_str);
+            let trimmed = line.trim_start();
+            if in_reexport || reexports(trimmed) {
+                in_reexport = !trimmed.contains(';');
+                continue;
+            }
+            named.extend(identifiers(&line).map(str::to_string));
+            if !is_library || in_tests {
+                continue;
+            }
+            let item = public_item(trimmed);
+            let skip = if trimmed.starts_with("impl") {
+                impl_header_names(trimmed)
+            } else {
+                item.iter().map(|&(_, name)| name.to_string()).collect()
+            };
+            own.extend(
+                identifiers(&line)
+                    .filter(|w| !skip.contains(*w))
+                    .map(str::to_string),
+            );
+            items.extend(item.map(|(is_type, name)| (is_type, name.to_string())));
+        }
+        for w in &named {
+            *spread.entry(w.clone()).or_default() += 1;
+        }
+        scans.push((path, named, own, items));
+    }
+    let mut out = Vec::new();
+    for (path, named, own, items) in &scans {
+        for (is_type, name) in items {
+            let elsewhere = spread[name] > usize::from(named.contains(name));
+            if !(elsewhere || *is_type && own.contains(name)) {
+                out.push(format!("{path}: {name}"));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn the_reachability_scan_sees_only_code_callers() {
+    let lib = "pub fn lonely() {}\n\
+               pub fn documented() {}\n\
+               pub fn self_tested() {}\n\
+               pub fn reexported() {}\n\
+               pub fn benchmarked() {}\n\
+               pub fn called() {}\n\
+               pub fn quoted() {}\n\
+               pub const FORMATTED: u8 = 1;\n\
+               pub struct Shown;\n\
+               pub struct Hidden;\n\
+               impl Hidden {}\n\
+               pub fn show() -> Shown { Shown }\n\
+               #[cfg(test)]\n\
+               mod tests {\n    fn t() { super::self_tested(); super::lonely(); }\n}\n";
+    let other = "/// `documented()` is in a doc comment.\n\
+                 // documented\n\
+                 pub use crate::a::{\n    reexported,\n};\n\
+                 fn f() { crate::a::called(); crate::a::show(); }\n\
+                 fn g() { println!(\"quoted {FORMATTED}\"); }\n";
+    let ledger = "fn main() { dui::benchmarked(); }\n";
+    let files = [
+        ("crates/x/src/a.rs", lib, true),
+        ("crates/x/src/b.rs", other, true),
+        ("ledger/src/main.rs", ledger, false),
+    ];
+    assert_eq!(
+        unreached(&files),
+        [
+            "crates/x/src/a.rs: lonely",
+            "crates/x/src/a.rs: documented",
+            "crates/x/src/a.rs: self_tested",
+            "crates/x/src/a.rs: reexported",
+            "crates/x/src/a.rs: quoted",
+            "crates/x/src/a.rs: Hidden",
+        ]
+    );
+}
+
+/// Every public item in library code is named by code in another file —
+/// library code, the `experiments` binary, `tests/`, a crate's tests or
+/// benches, `examples/` or the benchmark package's `ledger/src` — or has
+/// a `KEPT` row saying why it stays. rustc's `dead_code` lint stays
+/// silent on a `pub` item; this finds the ones nothing calls.
+#[test]
+fn every_public_item_has_a_caller() {
+    let library = library_sources();
+    let mut users = Vec::new();
+    for dir in ["tests", "examples", "ledger/src"] {
+        if repo_root().join(dir).is_dir() {
+            rust_files(dir, &mut users);
+        }
+    }
+    for krate in crate_dirs() {
+        for dir in ["tests", "benches"] {
+            let dir = format!("{krate}/{dir}");
+            if repo_root().join(&dir).is_dir() {
+                rust_files(&dir, &mut users);
+            }
+        }
+    }
+    let texts: Vec<(String, String, bool)> = library
+        .into_iter()
+        .map(|p| (p, true))
+        .chain(users.into_iter().map(|p| (p, false)))
+        .map(|(p, lib)| {
+            let text = read(&p);
+            (p, text, lib)
+        })
+        .collect();
+    let files: Vec<(&str, &str, bool)> = texts
+        .iter()
+        .map(|(p, t, lib)| (p.as_str(), t.as_str(), *lib))
+        .collect();
+    let found = unreached(&files);
+    let kept: Vec<String> = KEPT
+        .iter()
+        .map(|(file, name, _)| format!("{file}: {name}"))
+        .collect();
+    let uncalled: Vec<&String> = found.iter().filter(|f| !kept.contains(f)).collect();
+    assert!(
+        uncalled.is_empty(),
+        "public items that no other file's code names (make each private if \
+         its own file calls it, delete it otherwise, or give it a KEPT row):\n{}",
+        uncalled
+            .iter()
+            .map(|s| s.as_str())
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
+    let stale: Vec<&String> = kept.iter().filter(|k| !found.contains(k)).collect();
+    assert!(
+        stale.is_empty(),
+        "KEPT rows whose item is gone or now has a caller: {stale:?}"
+    );
 }
