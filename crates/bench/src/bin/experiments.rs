@@ -96,9 +96,9 @@ fn metrics_summary(ran: &[(&str, f64, StageOutput)]) -> Table {
             .sum();
         t.row([
             name.to_string(),
-            m.counters.len().to_string(),
-            m.gauges.len().to_string(),
-            m.hists.len().to_string(),
+            m.counters.iter().count().to_string(),
+            m.gauges.iter().count().to_string(),
+            m.hists.iter().count().to_string(),
             if delivered > 0 {
                 delivered.to_string()
             } else {

@@ -15,12 +15,20 @@
 //! guard computes the fraction of the retransmitting monitored flows
 //! whose last retransmission gap falls inside the band, and vetoes the
 //! reroute when it is below `MIN_PLAUSIBLE_FRACTION` = 0.6. So an
-//! attacker that paces its fakes at gaps of 1 s or more passes. The
-//! paper's suggestion is stronger: monitor the RTT distribution of the
-//! flows and approximate the expected RTO distribution on a failure, so
-//! that "manipulating Blink would then require an attacker to know the
-//! RTT distribution of the legitimate flows forwarded by the Blink
-//! router". This guard does not monitor RTTs.
+//! attacker that paces its fakes at gaps of 1 s or more passes.
+//!
+//! On a default selector the effective band is 500 ms to 2 s.
+//! `FlowSelector::apply_time` evicts a flow that has been silent for
+//! `BlinkParams::default()`'s 2 s `eviction_timeout` before its next
+//! packet is processed, so `last_retx_gap` is always under 2 s and
+//! `MAX_PLAUSIBLE_GAP` never decides. An RTO-backed-off flow's second
+//! retransmission, 2 s after its first, arrives as a new flow.
+//!
+//! The paper's suggestion is stronger: monitor the RTT distribution of
+//! the flows and approximate the expected RTO distribution on a
+//! failure, so that "manipulating Blink would then require an attacker
+//! to know the RTT distribution of the legitimate flows forwarded by
+//! the Blink router". This guard does not monitor RTTs.
 
 use crate::supervisor::Risk;
 use dui_blink::program::RerouteGuard;
@@ -166,6 +174,40 @@ mod tests {
             let (s, now) = storm(&[gap_ms; 48]);
             let want = if plausible { 1.0 } else { 0.0 };
             assert_eq!(g.plausible_fraction(now, &s), want, "{gap_ms} ms");
+        }
+    }
+
+    /// On `BlinkParams::default()` the band's upper end never decides.
+    /// `FlowSelector::apply_time` evicts a flow that has been silent for
+    /// the 2 s eviction timeout before its next packet is processed, so a
+    /// retransmission 2.5 s after the flow's last segment arrives as a new
+    /// flow, and no gap is recorded; 1.5 s still is.
+    #[test]
+    fn a_default_selector_records_no_retransmission_gap_of_two_seconds() {
+        for (gap_ms, recorded) in [(1500, true), (2500, false)] {
+            let mut s = FlowSelector::new(BlinkParams::default());
+            let mut monitored = Vec::new();
+            for i in 1..=300 {
+                if s.on_packet(t(0), key(i), 100, false) == Observation::Sampled {
+                    monitored.push(key(i));
+                }
+            }
+            for &k in &monitored {
+                s.on_packet(t(1000), k, 200, false);
+            }
+            let now = t(1000 + gap_ms);
+            for &k in &monitored {
+                s.on_packet(now, k, 200, false);
+            }
+            let gaps: Vec<_> = s
+                .cells()
+                .iter()
+                .flatten()
+                .map(|c| c.last_retx_gap)
+                .collect();
+            assert!(!gaps.is_empty());
+            let want = recorded.then_some(SimDuration::from_millis(gap_ms));
+            assert!(gaps.iter().all(|&g| g == want), "{gap_ms} ms: {gaps:?}");
         }
     }
 

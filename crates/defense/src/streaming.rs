@@ -34,7 +34,6 @@ use crate::pytheas_guard::mad_band;
 use crate::supervisor::Risk;
 use dui_telemetry::Snapshot;
 use std::collections::{BTreeMap, VecDeque};
-use std::ops::Bound;
 use std::sync::Arc;
 
 /// Append `item` to a window of at most `len` entries, evicting the oldest.
@@ -146,12 +145,7 @@ impl GroupOutlierWindow {
 
     /// Fold one snapshot delta in and return the refreshed risk.
     pub fn observe(&mut self, delta: &Snapshot) -> Risk {
-        let prefix = self.prefix.as_str();
-        let from_prefix = (Bound::Included(prefix), Bound::Unbounded);
-        for (name, &(sum, n)) in delta.gauges.range::<str, _>(from_prefix) {
-            if !name.starts_with(prefix) {
-                break;
-            }
+        for (name, &(sum, n)) in delta.gauges.prefixed(&self.prefix) {
             if !usable((sum, n)) {
                 continue;
             }

@@ -422,15 +422,16 @@ mod tests {
                     (4, _) => Some((0.2, 40.0)),
                     _ => Some((0.8 + 0.01 * f64::from(id), 4.0 * e as f64)),
                 };
-                let mut delta = Snapshot::default();
-                if let Some((qoe, cells)) = sample {
-                    delta
-                        .gauges
-                        .insert(format!("pytheas.qoe.c{id}").into(), (qoe, 1));
-                    delta
-                        .gauges
-                        .insert("blink.cells.malicious".into(), (cells, 1));
-                }
+                let gauges = sample.map(|(qoe, cells)| {
+                    [
+                        (format!("pytheas.qoe.c{id}"), (qoe, 1)),
+                        ("blink.cells.malicious".to_string(), (cells, 1)),
+                    ]
+                });
+                let delta = Snapshot {
+                    gauges: gauges.into_iter().flatten().collect(),
+                    ..Snapshot::default()
+                };
                 Frame {
                     producer: id,
                     seq: e,

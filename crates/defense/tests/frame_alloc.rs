@@ -1,9 +1,11 @@
-//! What one frame costs the allocator, counted: metric names are
-//! interned at registration (`Arc<str>`), so a steady-state
+//! What telemetry costs the allocator, counted. Metric names are
+//! interned at registration (`Arc<str>`) and a snapshot shares its
+//! registry's sorted name table, so a steady-state
 //! `snapshot → encode → observe → drop(frame)` step allocates a small
 //! fixed number of times and **no per-frame byte depends on a name's
-//! length** — and the supervisor's own per-group state stays flat under
-//! a producer that never stops inventing names
+//! length**. Setting a producer up allocates less than it did before
+//! snapshots shared that table, and the supervisor's own per-group
+//! state stays flat under a producer that never stops inventing names
 //! (`GroupOutlierWindow::MAX_MEMBERS`).
 //!
 //! The counts come from the workspace's one counting allocator
@@ -13,7 +15,7 @@ use dui_defense::streaming::GroupOutlierWindow;
 use dui_defense::supervisord::{GroupName, SignalBank, SignalConfig};
 use dui_stats::Rng;
 use dui_telemetry::registry::{CounterId, GaugeId};
-use dui_telemetry::{DeltaEncoder, Registry};
+use dui_telemetry::{DeltaEncoder, Registry, Snapshot};
 
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -92,7 +94,10 @@ impl Producer {
             let snap = self.reg.snapshot();
             let frame = self.enc.encode(self.epoch, &snap, 0);
             let verdict = self.bank.observe_named(self.group.clone(), &frame);
-            assert_eq!(frame.delta.gauges.len() + frame.delta.counters.len(), 10);
+            assert_eq!(
+                frame.delta.gauges.iter().count() + frame.delta.counters.iter().count(),
+                10
+            );
             drop(frame);
             drop(verdict);
         });
@@ -121,15 +126,19 @@ fn a_frame_allocates_a_fixed_amount_whatever_its_names_weigh() {
         per_frame.0, per_frame.1
     );
     assert!(short.iter().all(|&c| c == per_frame), "{short:?}");
-    // Two B-tree nodes for the snapshot and two for the delta: 4
-    // allocations, 1296 bytes. The supervisor's share is none: the
+    // One value vector per non-empty metric kind, for the snapshot and
+    // again for the delta: 6 gauge slots of 24 bytes and 4 counter
+    // slots of 16, twice, is 4 allocations and 416 bytes; the names are
+    // one shared table per kind. The supervisor's share is none: the
     // verdict clones a shared `GroupName`, and the outlier signal takes
-    // its median and MAD in a scratch vector it keeps. Before that this
-    // step read 10 allocations and 1503 bytes (a `group` string per
-    // verdict and five median/MAD vectors); before names were interned,
-    // 48 allocations (38 of them copies of metric names) and 3087 bytes
-    // at 8 characters, 9807 bytes at 200.
-    assert_eq!(per_frame.0, 4, "allocations per frame");
+    // its median and MAD in a scratch vector it keeps. With snapshots as
+    // `BTreeMap`s this read 4 allocations and 1296 bytes (two B-tree
+    // nodes each for the snapshot and the delta); before that, 10
+    // allocations and 1503 bytes (a `group` string per verdict and five
+    // median/MAD vectors); before names were interned, 48 allocations
+    // (38 of them copies of metric names) and 3087 bytes at 8
+    // characters, 9807 bytes at 200.
+    assert_eq!(per_frame, (4, 416), "allocations and bytes per frame");
     assert_eq!(
         long, short,
         "a 200-character name must cost what an 8-character one does"
@@ -164,4 +173,37 @@ fn a_name_flood_does_not_grow_the_group_window() {
         }
     }
     assert!(costs.iter().all(|&c| c == costs[0]), "{costs:?}");
+}
+
+#[test]
+fn a_producer_sets_up_in_fewer_allocations_and_an_empty_snapshot_in_none() {
+    // What the `ledger` benchmark's setup builds per producer: a
+    // registry, its ten metrics and an encoder. The names are formatted
+    // first, so only the telemetry's own allocations count.
+    let gauges: Vec<String> = std::iter::once("blink.cells.malicious".to_string())
+        .chain((0..5).map(|k| format!("pytheas.qoe.p3.c{k}")))
+        .collect();
+    let counters =
+        ["high_lossy", "high_total", "low_lossy", "low_total"].map(|s| format!("pcc.mi.{s}"));
+    let cost = allocated_by(|| {
+        let mut reg = Registry::new();
+        for name in &gauges {
+            reg.gauge(name);
+        }
+        for name in &counters {
+            reg.counter(name);
+        }
+        drop((reg, DeltaEncoder::new(3)));
+    });
+    // The sorted name tables are built by the first snapshot, not at
+    // registration, and a registry keeps its names only as the keys of
+    // its name→id map. With snapshots as `BTreeMap`s, when each kind
+    // also kept its names in a vector, this read 17 allocations and
+    // 1144 bytes.
+    assert_eq!(
+        cost,
+        (14, 888),
+        "allocations and bytes of a producer's setup"
+    );
+    assert_eq!(allocated_by(|| drop(Snapshot::default())), (0, 0));
 }

@@ -153,8 +153,7 @@ fn check(
             let drops: u64 = obs
                 .snapshot
                 .counters
-                .iter()
-                .filter(|(k, _)| k.starts_with("netsim.drop."))
+                .prefixed("netsim.drop.")
                 .map(|(_, v)| v)
                 .sum();
             let rate = if created == 0 {

@@ -18,6 +18,10 @@
 //! back together in that canonical order reconstructs its cumulative
 //! snapshot regardless of how the frames were sharded in between.
 //!
+//! A delta shares the name tables of the snapshot it encodes, and
+//! [`DeltaEncoder`] overwrites its previous snapshot in place, so a
+//! steady-state `encode` allocates only the delta's value vectors.
+//!
 //! ```
 //! use dui_telemetry::{delta::DeltaEncoder, Registry, Snapshot};
 //!
@@ -125,14 +129,14 @@ mod tests {
         // `prev` is updated in place, so it must also *lose* what the
         // latest snapshot no longer carries: a metric that vanishes and
         // comes back is diffed against nothing, not against its old self.
-        let with_x = |v: u64| {
-            let mut s = Snapshot::default();
-            s.counters.insert("x".into(), v);
-            s.counters.insert("y".into(), v);
-            s
+        let with_x = |v: u64| Snapshot {
+            counters: [("x", v), ("y", v)].into_iter().collect(),
+            ..Snapshot::default()
         };
-        let mut without_x = with_x(6);
-        without_x.counters.remove("x");
+        let without_x = Snapshot {
+            counters: [("y", 6)].into_iter().collect(),
+            ..Snapshot::default()
+        };
         let mut enc = DeltaEncoder::new(0);
         assert_eq!(enc.encode(0, &with_x(5), 0).delta.counter("x"), 5);
         let gone = enc.encode(1, &without_x, 0).delta;

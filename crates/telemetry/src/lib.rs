@@ -11,7 +11,9 @@
 //!
 //! * [`registry`] — named counters, gauges, and log-linear
 //!   [`hist::LogHistogram`]s behind copyable ids; freeze with
-//!   [`Registry::snapshot`] into mergeable, exportable [`Snapshot`]s.
+//!   [`Registry::snapshot`] into mergeable, exportable [`Snapshot`]s,
+//!   whose per-kind [`registry::Metrics`] columns share the registry's
+//!   sorted name tables.
 //! * [`delta`] — snapshot delta/sequence framing ([`Frame`],
 //!   [`DeltaEncoder`]) for streaming telemetry to the
 //!   `dui_defense::supervisord` detection pipeline.

@@ -6,25 +6,25 @@
 //! `inc`/`observe`/`record` is one bounds-checked array access — the
 //! name→id `BTreeMap` is only consulted at registration time.
 //!
-//! A [`Snapshot`] freezes the registry into `BTreeMap`s keyed by metric
-//! name. Snapshots merge (counters add, gauges accumulate `(sum, n)`,
+//! A name is interned once, at registration, as an `Arc<str>` key of
+//! that map. The first snapshot after a registration builds from it,
+//! per metric kind, a shared *table* of the kind's names in name order.
+//! A [`Snapshot`] holds one [`Metrics`] column per kind — that table and
+//! a value slot per name — so freezing, diffing and dropping a snapshot
+//! cost one reference count per non-empty kind, never one per metric.
+//!
+//! Snapshots merge (counters add, gauges accumulate `(sum, n)`,
 //! histograms merge element-wise), can be re-namespaced with
 //! [`Snapshot::with_prefix`], and export as a deterministic JSON line or
 //! as `(kind, name, value)` rows for the workspace's hand-rolled CSV
-//! writer.
-//!
-//! A name is interned once, at registration, as an `Arc<str>` that
-//! every snapshot, delta and frame of that registry shares — so
-//! freezing, diffing and dropping a snapshot cost a reference count per
-//! metric, never a copy of the name. `Arc<str>` orders and borrows as
-//! `str`, so lookups take a plain `&str`, and iteration order and every
-//! exported byte are those of `String` keys.
+//! writer, in `str` order: the bytes `String` keys in a sorted map give.
 
 use crate::hist::LogHistogram;
 use crate::json::{json_f64, push_json_f64, push_json_str};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Handle to a registered counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,6 +38,7 @@ pub struct GaugeId(u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistId(u32);
 
+/// A metric's kind; its discriminant indexes [`NOUNS`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MetricKind {
     Counter,
@@ -45,16 +46,20 @@ enum MetricKind {
     Hist,
 }
 
+const NOUNS: [&str; 3] = ["counter", "gauge", "histogram"];
+
+/// A kind's names in name order (`None`: it has none), and each one's id.
+type Table = (Option<Arc<[Arc<str>]>>, Box<[u32]>);
+
 /// A registry of named metrics with cheap record paths.
 #[derive(Debug, Default)]
 pub struct Registry {
-    names: BTreeMap<Arc<str>, (MetricKind, u32)>,
-    counter_names: Vec<Arc<str>>,
+    ids: BTreeMap<Arc<str>, (MetricKind, u32)>,
     counters: Vec<u64>,
-    gauge_names: Vec<Arc<str>>,
     gauges: Vec<(f64, u64)>,
-    hist_names: Vec<Arc<str>>,
     hists: Vec<LogHistogram>,
+    /// A [`Table`] per [`MetricKind`], built by the first snapshot after a registration.
+    tables: OnceLock<Box<[Table; 3]>>,
 }
 
 impl Registry {
@@ -69,17 +74,7 @@ impl Registry {
     /// # Panics
     /// Panics if `name` is already registered as a different metric kind.
     pub fn counter(&mut self, name: &str) -> CounterId {
-        if let Some(&(kind, idx)) = self.names.get(name) {
-            assert!(kind == MetricKind::Counter, "{name} is not a counter");
-            return CounterId(idx);
-        }
-        let idx = self.counters.len() as u32;
-        let name: Arc<str> = name.into();
-        self.names
-            .insert(Arc::clone(&name), (MetricKind::Counter, idx));
-        self.counter_names.push(name);
-        self.counters.push(0);
-        CounterId(idx)
+        CounterId(self.register(name, MetricKind::Counter))
     }
 
     /// Register (or look up) a gauge by name.
@@ -87,17 +82,7 @@ impl Registry {
     /// # Panics
     /// Panics if `name` is already registered as a different metric kind.
     pub fn gauge(&mut self, name: &str) -> GaugeId {
-        if let Some(&(kind, idx)) = self.names.get(name) {
-            assert!(kind == MetricKind::Gauge, "{name} is not a gauge");
-            return GaugeId(idx);
-        }
-        let idx = self.gauges.len() as u32;
-        let name: Arc<str> = name.into();
-        self.names
-            .insert(Arc::clone(&name), (MetricKind::Gauge, idx));
-        self.gauge_names.push(name);
-        self.gauges.push((0.0, 0));
-        GaugeId(idx)
+        GaugeId(self.register(name, MetricKind::Gauge))
     }
 
     /// Register (or look up) a histogram by name.
@@ -105,17 +90,22 @@ impl Registry {
     /// # Panics
     /// Panics if `name` is already registered as a different metric kind.
     pub fn histogram(&mut self, name: &str) -> HistId {
-        if let Some(&(kind, idx)) = self.names.get(name) {
-            assert!(kind == MetricKind::Hist, "{name} is not a histogram");
-            return HistId(idx);
+        HistId(self.register(name, MetricKind::Hist))
+    }
+
+    fn register(&mut self, name: &str, kind: MetricKind) -> u32 {
+        if let Some(&(was, idx)) = self.ids.get(name) {
+            assert!(was == kind, "{name} is not a {}", NOUNS[kind as usize]);
+            return idx;
         }
-        let idx = self.hists.len() as u32;
-        let name: Arc<str> = name.into();
-        self.names
-            .insert(Arc::clone(&name), (MetricKind::Hist, idx));
-        self.hist_names.push(name);
-        self.hists.push(LogHistogram::new());
-        HistId(idx)
+        let idx = match kind {
+            MetricKind::Counter => push(&mut self.counters, 0),
+            MetricKind::Gauge => push(&mut self.gauges, (0.0, 0)),
+            MetricKind::Hist => push(&mut self.hists, LogHistogram::new()),
+        };
+        self.ids.insert(name.into(), (kind, idx));
+        self.tables.take();
+        idx
     }
 
     /// Increment a counter by 1.
@@ -139,9 +129,7 @@ impl Registry {
     /// observations.
     #[inline]
     pub fn observe(&mut self, id: GaugeId, v: f64) {
-        let slot = &mut self.gauges[id.0 as usize];
-        slot.0 += v;
-        slot.1 += 1;
+        add_gauge(&mut self.gauges[id.0 as usize], &(v, 1));
     }
 
     /// Record a histogram sample.
@@ -158,21 +146,19 @@ impl Registry {
     /// Fold a snapshot's metrics into this registry *by name*: counters
     /// add, gauges accumulate `(sum, n)`, histograms merge
     /// element-wise. Metrics not yet registered here are registered on
-    /// the fly (snapshot `BTreeMap` iteration keeps the order — and
+    /// the fly (walking the columns in name order keeps the order — and
     /// thus float-sum bytes — stable). This is how the parallel engine
     /// merges per-domain registries back into the merged simulator's.
     pub fn absorb(&mut self, snap: &Snapshot) {
-        for (name, &v) in &snap.counters {
+        for (name, &v) in snap.counters.iter() {
             let id = self.counter(name);
             self.add(id, v);
         }
-        for (name, &(sum, n)) in &snap.gauges {
+        for (name, sample) in snap.gauges.iter() {
             let id = self.gauge(name);
-            let slot = &mut self.gauges[id.0 as usize];
-            slot.0 += sum;
-            slot.1 += n;
+            add_gauge(&mut self.gauges[id.0 as usize], sample);
         }
-        for (name, h) in &snap.hists {
+        for (name, h) in snap.hists.iter() {
             let id = self.histogram(name);
             self.hists[id.0 as usize].merge(h);
         }
@@ -180,39 +166,227 @@ impl Registry {
 
     /// Freeze the registry into a mergeable, exportable snapshot.
     pub fn snapshot(&self) -> Snapshot {
-        let mut snap = Snapshot::default();
-        for (name, &v) in self.counter_names.iter().zip(self.counters.iter()) {
-            if v > 0 {
-                snap.counters.insert(name.clone(), v);
-            }
+        let [counters, gauges, hists] = &**self.tables.get_or_init(|| {
+            Box::new(
+                [MetricKind::Counter, MetricKind::Gauge, MetricKind::Hist].map(|kind| {
+                    let of_kind = self.ids.iter().filter(|(_, id)| id.0 == kind);
+                    let (names, slots): (Vec<_>, Vec<_>) =
+                        of_kind.map(|(name, id)| (Arc::clone(name), id.1)).unzip();
+                    ((!names.is_empty()).then(|| names.into()), slots.into())
+                }),
+            )
+        });
+        Snapshot {
+            counters: column(counters, &self.counters, |&v| v > 0),
+            gauges: column(gauges, &self.gauges, |&(_, n)| n > 0),
+            hists: column(hists, &self.hists, |h| h.count() > 0),
         }
-        for (name, &(sum, n)) in self.gauge_names.iter().zip(self.gauges.iter()) {
-            if n > 0 {
-                snap.gauges.insert(name.clone(), (sum, n));
-            }
-        }
-        for (name, h) in self.hist_names.iter().zip(self.hists.iter()) {
-            if h.count() > 0 {
-                snap.hists.insert(name.clone(), h.clone());
-            }
-        }
-        snap
     }
 }
 
-/// A frozen, mergeable view of a registry's metrics, keyed by name.
+/// Append `zero` to a kind's values; its index is the new metric's id.
+fn push<V>(values: &mut Vec<V>, zero: V) -> u32 {
+    values.push(zero);
+    (values.len() - 1) as u32
+}
+
+/// A snapshot column over `table`: every value `live` keeps.
+fn column<V: Clone>((names, slots): &Table, values: &[V], live: fn(&V) -> bool) -> Metrics<V> {
+    let value = |&i: &u32| Some(&values[i as usize]).filter(|v| live(v)).cloned();
+    let (names, values) = (names.clone(), slots.iter().map(value).collect());
+    Metrics { names, values }
+}
+
+/// One metric kind of a [`Snapshot`]: a sorted name table that every
+/// snapshot and delta of one registry shares, and a value slot per name,
+/// empty (not zero) where the metric is absent. Read it like a sorted
+/// map; build one by hand by `collect`ing `(name, value)` pairs.
+#[derive(Debug, Default)]
+pub struct Metrics<V> {
+    /// `None` when there are no names, so an empty column holds no `Arc`.
+    names: Option<Arc<[Arc<str>]>>,
+    values: Vec<Option<V>>,
+}
+
+/// `str` order, eight bytes at a time: a lookup compares a few short
+/// names, for which a call to `memcmp` costs more than the comparison.
+fn cmp_names(a: &str, b: &str) -> Ordering {
+    let (mut a, mut b) = (a.as_bytes(), b.as_bytes());
+    while let (Some((x, rest_a)), Some((y, rest_b))) =
+        (a.split_first_chunk::<8>(), b.split_first_chunk::<8>())
+    {
+        if x != y {
+            return u64::from_be_bytes(*x).cmp(&u64::from_be_bytes(*y));
+        }
+        (a, b) = (rest_a, rest_b);
+    }
+    a.iter().cmp(b)
+}
+
+fn table(names: &Option<Arc<[Arc<str>]>>) -> &[Arc<str>] {
+    names.as_deref().unwrap_or(&[])
+}
+
+/// A name of either of two tables, with its slot in each.
+type Step<'a> = (&'a Arc<str>, Option<usize>, Option<usize>);
+
+/// The names of two sorted tables merged, in name order. Names compare
+/// by pointer before bytes: two tables of one registry compare no string.
+fn join<'a>(a: &'a [Arc<str>], b: &'a [Arc<str>]) -> impl Iterator<Item = Step<'a>> + Clone {
+    let (mut i, mut j) = (0, 0);
+    std::iter::from_fn(move || {
+        let step = match (a.get(i), b.get(j)) {
+            (None, None) => return None,
+            (Some(x), Some(y)) if Arc::ptr_eq(x, y) || x == y => (x, Some(i), Some(j)),
+            (Some(x), Some(y)) if x < y => (x, Some(i), None),
+            (Some(x), None) => (x, Some(i), None),
+            (_, Some(y)) => (y, None, Some(j)),
+        };
+        i += usize::from(step.1.is_some());
+        j += usize::from(step.2.is_some());
+        Some(step)
+    })
+}
+
+impl<V> Metrics<V> {
+    /// The value of `name`, if this column carries it.
+    pub fn get(&self, name: &str) -> Option<&V> {
+        let i = table(&self.names)
+            .binary_search_by(|k| cmp_names(k, name))
+            .ok()?;
+        self.values[i].as_ref()
+    }
+
+    /// Every metric carried, in name order.
+    pub fn iter(&self) -> impl Iterator<Item = (&Arc<str>, &V)> {
+        let slots = table(&self.names).iter().zip(&self.values);
+        slots.filter_map(|(k, v)| Some((k, v.as_ref()?)))
+    }
+
+    /// The metrics whose names start with `prefix`, in name order.
+    pub fn prefixed<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = (&'a Arc<str>, &'a V)> {
+        let names = table(&self.names);
+        let from = names.partition_point(|k| cmp_names(k, prefix).is_lt());
+        let slots = names[from..].iter().zip(&self.values[from..]);
+        let slots = slots.take_while(move |(k, _)| k.starts_with(prefix));
+        slots.filter_map(|(k, v)| Some((k, v.as_ref()?)))
+    }
+
+    /// True when the column carries no metric.
+    pub fn is_empty(&self) -> bool {
+        self.values.iter().all(Option::is_none)
+    }
+
+    /// Drop every metric `keep` refuses.
+    pub fn retain(&mut self, mut keep: impl FnMut(&str, &V) -> bool) {
+        for (k, v) in table(&self.names).iter().zip(&mut self.values) {
+            if v.as_ref().is_some_and(|v| !keep(k, v)) {
+                *v = None;
+            }
+        }
+    }
+}
+
+impl<V: Clone> Metrics<V> {
+    /// Fold `other` in by name: `add` combines a name's two values, onto
+    /// `zero()` where `self` lacks it. Keeps `self`'s table if it has every name.
+    fn merge_with(&mut self, other: &Metrics<V>, zero: fn() -> V, add: fn(&mut V, &V)) {
+        let union = join(table(&self.names), table(&other.names));
+        let names = if union.clone().all(|(_, a, _)| a.is_some()) {
+            self.names.clone()
+        } else {
+            Some(union.clone().map(|(k, _, _)| Arc::clone(k)).collect())
+        };
+        let values = union.map(|(_, a, b)| {
+            let mine = a.and_then(|i| self.values[i].take());
+            let Some(theirs) = b.and_then(|j| other.values[j].as_ref()) else {
+                return mine;
+            };
+            let mut v = mine.unwrap_or_else(zero);
+            add(&mut v, theirs);
+            Some(v)
+        });
+        let values = values.collect();
+        *self = Metrics { names, values };
+    }
+
+    /// The per-metric [`Diff`]s of `now` against `self`, on `now`'s
+    /// table, leaving `self` equal to `now`.
+    fn advance_to(&mut self, now: &Metrics<V>, diff: Diff<V>) -> Metrics<V> {
+        let mut values = Vec::with_capacity(now.values.len());
+        for (_, was, cur) in join(table(&self.names), table(&now.names)) {
+            let Some(cur) = cur else { continue };
+            let was = was.and_then(|p| self.values[p].as_ref());
+            values.push(now.values[cur].as_ref().and_then(|v| diff(v, was)));
+        }
+        self.clone_from(now);
+        let names = now.names.clone();
+        Metrics { names, values }
+    }
+}
+
+impl<V: Clone> Clone for Metrics<V> {
+    fn clone(&self) -> Self {
+        let (names, values) = (self.names.clone(), self.values.clone());
+        Metrics { names, values }
+    }
+
+    /// Reuses `self`'s value buffer, and keeps its table when `source`
+    /// shares it: the [`DeltaEncoder`](crate::DeltaEncoder)'s step.
+    fn clone_from(&mut self, source: &Self) {
+        let at = |m: &Self| m.names.as_ref().map(|t| t.as_ptr());
+        if at(self) != at(source) {
+            self.names.clone_from(&source.names);
+        }
+        self.values.clone_from(&source.values);
+    }
+}
+
+impl<V: PartialEq> PartialEq for Metrics<V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl<K: Into<Arc<str>>, V> FromIterator<(K, V)> for Metrics<V> {
+    /// A column of the given metrics; a repeated name keeps its last value.
+    fn from_iter<I: IntoIterator<Item = (K, V)>>(pairs: I) -> Self {
+        let sorted: BTreeMap<Arc<str>, V> = pairs.into_iter().map(|(k, v)| (k.into(), v)).collect();
+        let (names, values): (Vec<_>, _) = sorted.into_iter().map(|(k, v)| (k, Some(v))).unzip();
+        let names = (!names.is_empty()).then(|| names.into());
+        Metrics { names, values }
+    }
+}
+
+/// A frozen, mergeable view of a registry's metrics, one [`Metrics`]
+/// column per kind.
 ///
-/// Keys are the registry's interned names: look up by `&str`
-/// (`snap.gauges.get("load")`), insert with `name.into()`.
+/// Look up by `&str` (`snap.gauges.get("load")`); iteration is in name
+/// order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
     /// Counter totals.
-    pub counters: BTreeMap<Arc<str>, u64>,
+    pub counters: Metrics<u64>,
     /// Gauge accumulators as `(sum, observation_count)`; exported as the
     /// mean so that merging across replicates stays associative.
-    pub gauges: BTreeMap<Arc<str>, (f64, u64)>,
+    pub gauges: Metrics<(f64, u64)>,
     /// Full histograms (kept whole so merge stays exact).
-    pub hists: BTreeMap<Arc<str>, LogHistogram>,
+    pub hists: Metrics<LogHistogram>,
+}
+
+/// Append a column's metrics as comma-separated `"name":value` fields.
+fn push_fields<V>(out: &mut String, column: &Metrics<V>, value: fn(&mut String, &V)) {
+    for (i, (k, v)) in column.iter().enumerate() {
+        out.push_str(if i > 0 { "," } else { "" });
+        push_json_str(out, k);
+        out.push(':');
+        value(out, v);
+    }
+}
+
+fn add_gauge(slot: &mut (f64, u64), &(sum, n): &(f64, u64)) {
+    slot.0 += sum;
+    slot.1 += n;
 }
 
 /// One metric's change since `was` (`None`: not seen before), or `None`
@@ -238,36 +412,6 @@ fn diff_hist(now: &LogHistogram, was: Option<&LogHistogram>) -> Option<LogHistog
     (d.count() > 0).then_some(d)
 }
 
-/// The per-metric [`Diff`]s of `now` against `prev`, leaving `prev`
-/// equal to `now` — entries it already holds are updated in place.
-fn advance_map<V: Clone>(
-    prev: &mut BTreeMap<Arc<str>, V>,
-    now: &BTreeMap<Arc<str>, V>,
-    diff: Diff<V>,
-) -> BTreeMap<Arc<str>, V> {
-    let mut out = BTreeMap::new();
-    for (k, v) in now {
-        let d = match prev.get_mut(k) {
-            Some(p) => {
-                let d = diff(v, Some(p));
-                p.clone_from(v);
-                d
-            }
-            None => {
-                prev.insert(Arc::clone(k), v.clone());
-                diff(v, None)
-            }
-        };
-        out.extend(d.map(|d| (Arc::clone(k), d)));
-    }
-    // `prev` now holds every key of `now`; anything more is a metric
-    // that vanished, which `diff_since` forgets.
-    if prev.len() != now.len() {
-        prev.retain(|k, _| now.contains_key(k));
-    }
-    out
-}
-
 impl Snapshot {
     /// Merge another snapshot into this one. Counters add, gauges
     /// accumulate `(sum, n)`, histograms merge element-wise — all
@@ -275,24 +419,12 @@ impl Snapshot {
     /// in any grouping (the harness still folds in index order for
     /// byte-stable float sums).
     pub fn merge(&mut self, other: &Snapshot) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, &(sum, n)) in &other.gauges {
-            let slot = self.gauges.entry(k.clone()).or_insert((0.0, 0));
-            slot.0 += sum;
-            slot.1 += n;
-        }
-        for (k, h) in &other.hists {
-            #[expect(
-                clippy::unwrap_or_default,
-                reason = "LogHistogram::new starts `min` at u64::MAX; the derived Default starts it at 0"
-            )]
-            self.hists
-                .entry(k.clone())
-                .or_insert_with(LogHistogram::new)
-                .merge(h);
-        }
+        self.counters
+            .merge_with(&other.counters, || 0, |a, b| *a += b);
+        self.gauges
+            .merge_with(&other.gauges, || (0.0, 0), add_gauge);
+        self.hists
+            .merge_with(&other.hists, LogHistogram::new, LogHistogram::merge);
     }
 
     /// The change from `earlier` to `self`, assuming `earlier` is a
@@ -322,9 +454,9 @@ impl Snapshot {
     /// `current` by updating what it already holds instead of cloning.
     pub(crate) fn advance_to(&mut self, current: &Snapshot) -> Snapshot {
         Snapshot {
-            counters: advance_map(&mut self.counters, &current.counters, diff_counter),
-            gauges: advance_map(&mut self.gauges, &current.gauges, diff_gauge),
-            hists: advance_map(&mut self.hists, &current.hists, diff_hist),
+            counters: self.counters.advance_to(&current.counters, diff_counter),
+            gauges: self.gauges.advance_to(&current.gauges, diff_gauge),
+            hists: self.hists.advance_to(&current.hists, diff_hist),
         }
     }
 
@@ -360,39 +492,25 @@ impl Snapshot {
     }
 
     /// Serialize as one JSON object on a single line, tagged with
-    /// `label`. Field order is fixed (BTreeMap iteration + stable
+    /// `label`. Field order is fixed (name-order iteration + stable
     /// summary keys) and floats print via `Display` (shortest
     /// round-trip), so equal snapshots always produce equal bytes.
     pub fn to_json_line(&self, label: &str) -> String {
-        let mut out = String::new();
-        out.push_str("{\"label\":");
+        let mut out = String::from("{\"label\":");
         push_json_str(&mut out, label);
         out.push_str(",\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_str(&mut out, k);
-            let _ = write!(out, ":{v}");
-        }
+        push_fields(&mut out, &self.counters, |out, v| {
+            let _ = write!(out, "{v}");
+        });
         out.push_str("},\"gauges\":{");
-        for (i, (k, &(sum, n))) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_str(&mut out, k);
-            out.push(':');
-            push_json_f64(&mut out, sum / n as f64);
-        }
+        push_fields(&mut out, &self.gauges, |out, &(sum, n)| {
+            push_json_f64(out, sum / n as f64);
+        });
         out.push_str("},\"hists\":{");
-        for (i, (k, h)) in self.hists.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_str(&mut out, k);
+        push_fields(&mut out, &self.hists, |out, h| {
             let _ = write!(
                 out,
-                ":{{\"count\":{},\"min\":{},\"max\":{},\"mean\":{},\"p50\":{},\"p90\":{},\"p99\":{}}}",
+                "{{\"count\":{},\"min\":{},\"max\":{},\"mean\":{},\"p50\":{},\"p90\":{},\"p99\":{}}}",
                 h.count(),
                 h.min(),
                 h.max(),
@@ -401,7 +519,7 @@ impl Snapshot {
                 h.quantile(0.9),
                 h.quantile(0.99),
             );
-        }
+        });
         out.push_str("}}");
         out
     }
@@ -410,13 +528,13 @@ impl Snapshot {
     /// Histograms expand to their summary statistics.
     pub fn rows(&self) -> Vec<(String, String, String)> {
         let mut rows = Vec::new();
-        for (k, v) in &self.counters {
+        for (k, v) in self.counters.iter() {
             rows.push(("counter".to_string(), k.to_string(), v.to_string()));
         }
-        for (k, &(sum, n)) in &self.gauges {
+        for (k, &(sum, n)) in self.gauges.iter() {
             rows.push(("gauge".to_string(), k.to_string(), json_f64(sum / n as f64)));
         }
-        for (k, h) in &self.hists {
+        for (k, h) in self.hists.iter() {
             for (stat, val) in [
                 ("count", h.count().to_string()),
                 ("min", h.min().to_string()),
@@ -463,7 +581,7 @@ mod tests {
         r.inc(loud);
         let snap = r.snapshot();
         assert_eq!(snap.counter("loud"), 1);
-        assert!(!snap.counters.contains_key("quiet"));
+        assert_eq!(snap.counters.get("quiet"), None);
     }
 
     #[test]

@@ -16,7 +16,9 @@
 # time on a shared box is evidence, not a pass/fail property.
 #
 # The full run takes about 5 minutes (311 s measured) on the 2-core
-# reference box; a cold build of the ledger adds about a minute.
+# reference box; a cold build of the ledger adds about a minute. The
+# box's noise floor, `ledger compare` of two back-to-back runs of one
+# tree, is in CHANGES.md (search for "noise floor").
 set -euo pipefail
 root=$(cd "$(dirname "$0")/.." && pwd)
 usage="usage: scripts/bench.sh OUT.json [--against BASE.json]"
